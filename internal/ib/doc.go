@@ -27,6 +27,13 @@
 //     end-to-end; completions appear in work-request order. This is what
 //     lets a multi-rail sender treat "all stripe CQEs arrived" as "all
 //     data is visible at the receiver".
+//   - Payload ownership: a buffer named by a posted work request belongs
+//     to the adapter until that request completes; the engine moves its
+//     bytes once, source memory to destination memory, at delivery. Payloads
+//     of at most inlineMax bytes are the exception, taken by value when the
+//     engine gathers the request (inline data), so a counter slot may be
+//     rewritten as soon as it is posted. Build with -tags ibverify to have
+//     every by-reference payload checked at delivery (DESIGN.md §15).
 //   - Protection: remote access requires a valid rkey covering the range
 //     with the right access flags, validated against the responder
 //     adapter's own key tables — so a buffer used on N rails needs N

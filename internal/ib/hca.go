@@ -39,7 +39,8 @@ type HCA struct {
 	hop  des.Time // per-switch-hop latency on cross-leaf paths
 
 	rxq   des.Queue[rxItem]
-	readq des.Queue[*readRequest]
+	readq des.Queue[*sendWork] // RDMA read and atomic requests to serve
+	free  []*sendWork          // recycled work requests (newWork, freeWork)
 
 	stats HCAStats
 }
@@ -60,14 +61,6 @@ type HCAStats struct {
 type rxItem struct {
 	bytes int
 	fn    func()
-}
-
-// readRequest is an RDMA read or atomic request arriving at the responder.
-type readRequest struct {
-	qp     *QP // the requester QP
-	w      *sendWork
-	length int
-	atomic bool
 }
 
 // Node returns the node the adapter is attached to.
@@ -248,84 +241,78 @@ func (h *HCA) runRx(p *des.Proc) {
 	}
 }
 
+// stream sends n bytes from this adapter to dst: granule by granule
+// through this node's bus at the network rate, each granule handed to dst's
+// receive path one path latency (plus any switch queueing) after it leaves.
+// onLast runs at dst after the final granule has crossed dst's bus. A
+// zero-length transfer still traverses the wire as a single header —
+// through crossData, not crossCtl, so it cannot overtake earlier payload
+// granules of the same flow.
+func (h *HCA) stream(p *des.Proc, dst *HCA, n int, onLast func()) {
+	if n == 0 {
+		h.crossData(dst, rxItem{fn: onLast})
+		return
+	}
+	g := h.prm.BusGranule
+	for off := 0; off < n; off += g {
+		chunk := g
+		if n-off < chunk {
+			chunk = n - off
+		}
+		h.bus.Transfer(p, chunk, h.prm.NetBandwidth)
+		var fn func()
+		if off+chunk >= n {
+			fn = onLast
+		}
+		h.crossData(dst, rxItem{bytes: chunk, fn: fn})
+	}
+}
+
 // runReadResponder serves incoming RDMA read and atomic requests: validate
-// the rkey, charge the responder turnaround, stream the response through
-// this node's bus, and deliver granules to the requester's receive path.
-// One engine per adapter: concurrent readers of the same node serialize
-// here, as they do on the real responder.
+// the rkey, charge the responder turnaround, and stream the response through
+// this node's bus to the requester's receive path. The responder's memory is
+// not copied here: the work request keeps the validated source range and
+// the bytes move into the requester's scatter list when the last granule
+// lands (sendWork.atRequester) — except inline-sized responses and atomic
+// results, which are taken by value now. One engine per adapter: concurrent
+// readers of the same node serialize here, as they do on the real responder.
 func (h *HCA) runReadResponder(p *des.Proc) {
 	for {
-		req := h.readq.Get(p)
-		qp := req.qp
-		prm := h.prm
-		p.Sleep(prm.ReadTurnaround)
+		w := h.readq.Get(p)
+		qp := w.qp
+		p.Sleep(h.prm.ReadTurnaround)
 
+		atomic := w.wr.Op != OpRDMARead
 		need := AccessRemoteRead
-		if req.atomic {
+		if atomic {
 			need = AccessRemoteAtomic
 		}
-		src, err := h.checkRemote(req.w.wr.RemoteAddr, req.length, req.w.wr.RKey, qp.peer.pd, need)
+		src, err := h.checkRemote(w.wr.RemoteAddr, w.n, w.wr.RKey, qp.peer.pd, need)
 		if err != nil {
-			h.crossCtl(qp.hca, func() {
-				qp.completeErr(req.w, StatusRemoteAccessErr)
-				qp.readSlots.Release(1)
-			})
+			qp.ack(w, StatusRemoteAccessErr)
 			continue
 		}
 
-		var data []byte
-		if req.atomic {
+		if atomic {
 			// Execute the atomic at the responder's memory.
 			orig := readUint64(src)
-			switch req.w.wr.Op {
+			switch w.wr.Op {
 			case OpCmpSwap:
-				if orig == req.w.wr.Compare {
-					writeUint64(src, req.w.wr.Swap)
+				if orig == w.wr.Compare {
+					writeUint64(src, w.wr.Swap)
 				}
 			case OpFetchAdd:
-				writeUint64(src, orig+req.w.wr.Compare)
+				writeUint64(src, orig+w.wr.Compare)
 			}
 			h.notifyMemWrite()
-			data = make([]byte, 8)
-			writeUint64(data, orig)
-		} else {
-			data = append([]byte(nil), src...)
+			src = w.inline[:8]
+			writeUint64(src, orig)
 		}
+		w.src = append(w.src[:0], src)
+		w.own()
 		h.stats.ReadsServed++
 
-		reqHCA := qp.hca
-		w := req.w
-		deliver := func() {
-			if err := reqHCA.scatter(w.wr.SGL, qp.pd, data); err != nil {
-				qp.completeErr(w, StatusLocalProtErr)
-			} else {
-				reqHCA.notifyMemWrite()
-				cqe, has := qp.cqeFor(w, len(data))
-				qp.complete(w.seq, cqe, has)
-			}
-			qp.readSlots.Release(1)
-		}
-
-		// Stream the response through the responder's bus; granules land at
-		// the requester one path latency (plus any switch queueing) later.
-		n := len(data)
-		if n == 0 {
-			h.crossData(reqHCA, rxItem{fn: deliver})
-			continue
-		}
-		g := prm.BusGranule
-		for off := 0; off < n; off += g {
-			chunk := g
-			if n-off < chunk {
-				chunk = n - off
-			}
-			h.bus.Transfer(p, chunk, prm.NetBandwidth)
-			var fn func()
-			if off+chunk >= n {
-				fn = deliver
-			}
-			h.crossData(reqHCA, rxItem{bytes: chunk, fn: fn})
-		}
+		h.stream(p, qp.hca, w.n, w.toRequester)
 	}
 }
 

@@ -22,7 +22,7 @@ type rig struct {
 	qp     [2]*QP
 }
 
-func newRig(t *testing.T) *rig {
+func newRig(t testing.TB) *rig {
 	t.Helper()
 	r := &rig{eng: des.NewEngine(), prm: model.Testbed()}
 	r.fabric = NewFabric(r.eng, r.prm)
@@ -42,7 +42,7 @@ func newRig(t *testing.T) *rig {
 }
 
 // reg allocates and registers n bytes on node i with full access.
-func (r *rig) reg(t *testing.T, p *des.Proc, i, n int) (*MR, uint64, []byte) {
+func (r *rig) reg(t testing.TB, p *des.Proc, i, n int) (*MR, uint64, []byte) {
 	t.Helper()
 	va, buf := r.n[i].Mem.Alloc(n)
 	mr, err := r.hca[i].RegisterMR(p, r.pd[i], va, n,

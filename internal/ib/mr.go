@@ -171,35 +171,60 @@ func (h *HCA) checkRemote(addr uint64, length int, rkey uint32, pd *PD, need Acc
 	return h.node.Mem.MustResolve(addr, length), nil
 }
 
-// gather validates a gather list and returns a snapshot of its bytes.
-func (h *HCA) gather(sgl []SGE, pd *PD) ([]byte, error) {
-	out := make([]byte, 0, sglLen(sgl))
+// gather validates every element of a gather list and appends the bytes
+// each one names to segs, returning the list and its total length. The
+// segments alias node memory — nothing is copied here. From this point
+// until the work request completes the buffer belongs to the adapter (the
+// verbs ownership rule), which is what lets the engine move the bytes once,
+// source to destination, at delivery.
+func (h *HCA) gather(segs [][]byte, sgl []SGE, pd *PD) ([][]byte, int, error) {
+	n := 0
 	for _, sge := range sgl {
 		b, err := h.checkLocal(sge, pd, false)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
-		out = append(out, b...)
+		segs = append(segs, b)
+		n += len(b)
 	}
-	return out, nil
+	return segs, n, nil
 }
 
-// scatter validates a scatter list and copies data into it.
-func (h *HCA) scatter(sgl []SGE, pd *PD, data []byte) error {
-	if sglLen(sgl) < len(data) {
-		return fmt.Errorf("ib: scatter list too short: %d < %d", sglLen(sgl), len(data))
+// scatter validates the part of a scatter list that an n-byte payload
+// reaches and copies the source segments into it, segment list to segment
+// list. Nothing is written unless the whole destination validates.
+func (h *HCA) scatter(sgl []SGE, pd *PD, src [][]byte, n int) error {
+	if sglLen(sgl) < n {
+		return fmt.Errorf("ib: scatter list too short: %d < %d", sglLen(sgl), n)
 	}
-	off := 0
+	var arr [4][]byte // keeps the common short lists off the heap
+	dst := arr[:0]
 	for _, sge := range sgl {
-		if off >= len(data) {
+		if n <= 0 {
 			break
 		}
 		b, err := h.checkLocal(sge, pd, true)
 		if err != nil {
 			return err
 		}
-		n := copy(b, data[off:])
-		off += n
+		dst = append(dst, b)
+		n -= len(b)
 	}
+	copySegs(dst, src)
 	return nil
+}
+
+// copySegs copies the src segment list into the dst segment list without
+// flattening either; dst must be at least as long in total as src.
+func copySegs(dst, src [][]byte) {
+	var d []byte
+	for _, s := range src {
+		for len(s) > 0 {
+			for len(d) == 0 {
+				d, dst = dst[0], dst[1:]
+			}
+			m := copy(d, s)
+			d, s = d[m:], s[m:]
+		}
+	}
 }

@@ -22,8 +22,8 @@ type QP struct {
 
 	state QPState
 	sq    des.Queue[*sendWork]
-	rq    []*RecvWR
-	srq   *SRQ // shared receive queue; nil = private rq
+	rq    des.Queue[RecvWR] // private receive queue (never waited on)
+	srq   *SRQ              // shared receive queue; nil = private rq
 
 	// Responder-side delivery FIFO for two-sided sends. An RNR NAK blocks
 	// the head until its retry fires, so later sends on the same QP cannot
@@ -59,14 +59,6 @@ type QPStats struct {
 type seqEntry struct {
 	cqe CQE
 	has bool // false for unsignaled operations
-}
-
-type sendWork struct {
-	wr      SendWR
-	seq     uint64
-	data    []byte // gather snapshot, filled by the engine
-	rnr     int    // receiver-not-ready retries attempted so far
-	retries int    // transport retries attempted so far (drop windows)
 }
 
 // CreateQP allocates a queue pair with the given PD and completion queues.
@@ -113,7 +105,7 @@ func (qp *QP) PostSend(p *des.Proc, wr SendWR) {
 	p.Sleep(qp.hca.prm.PostOverhead)
 	qp.wrSeq++
 	qp.stats.SendsPosted++
-	qp.sq.Put(&sendWork{wr: wr, seq: qp.wrSeq})
+	qp.sq.Put(qp.hca.newWork(qp, qp.wrSeq, wr))
 }
 
 // PostRecv posts a receive descriptor.
@@ -123,8 +115,7 @@ func (qp *QP) PostRecv(p *des.Proc, wr RecvWR) {
 	}
 	p.Sleep(qp.hca.prm.PostOverhead)
 	qp.stats.RecvsPosted++
-	rw := wr
-	qp.rq = append(qp.rq, &rw)
+	qp.rq.Put(wr)
 }
 
 // complete records the outcome of the work request with sequence seq and
@@ -155,12 +146,27 @@ func (qp *QP) complete(seq uint64, cqe CQE, has bool) {
 	}
 }
 
+// finish ends w with status st — a success CQE only if it was signaled,
+// an error CQE always, matching the spec — and recycles it: nothing may
+// touch w afterwards.
+func (qp *QP) finish(w *sendWork, st Status) {
+	if w.qp != qp {
+		panic(fmt.Sprintf("ib: qp%d: work request %d completed twice", qp.num, w.wr.WRID))
+	}
+	cqe := CQE{WRID: w.wr.WRID, Status: st, Op: w.wr.Op, QPNum: qp.num}
+	has := true
+	if st == StatusSuccess {
+		cqe.ByteLen, has = w.n, w.wr.Signaled
+	}
+	qp.complete(w.seq, cqe, has)
+	qp.hca.freeWork(w)
+}
+
 // completeErr finishes a work request in error and transitions the QP to
-// the error state, flushing everything else still queued on it. Errors are
-// always signaled, matching the spec.
+// the error state, flushing everything else still queued on it.
 func (qp *QP) completeErr(w *sendWork, st Status) {
 	qp.stats.ErrsCompleted++
-	qp.complete(w.seq, CQE{WRID: w.wr.WRID, Status: st, Op: w.wr.Op, QPNum: qp.num}, true)
+	qp.finish(w, st)
 	qp.fail()
 }
 
@@ -179,26 +185,17 @@ func (qp *QP) fail() {
 		return
 	}
 	qp.state = QPError
-	for _, r := range qp.rq {
+	for r, ok := qp.rq.TryGet(); ok; r, ok = qp.rq.TryGet() {
 		qp.stats.ErrsCompleted++
 		qp.rcq.insert(CQE{WRID: r.WRID, Status: StatusWRFlushErr, Op: OpRecv, QPNum: qp.num})
 	}
-	qp.rq = nil
 	dq := qp.deliverq[qp.dqHead:]
 	qp.deliverq, qp.dqHead = nil, 0
 	for _, w := range dq {
 		qp.stats.ErrsCompleted++
-		qp.complete(w.seq, CQE{WRID: w.wr.WRID, Status: StatusWRFlushErr, Op: w.wr.Op, QPNum: qp.num}, true)
+		qp.finish(w, StatusWRFlushErr)
 	}
 	qp.hca.notifyMemWrite()
-}
-
-// cqeFor builds the success completion for w; has is false if unsignaled.
-func (qp *QP) cqeFor(w *sendWork, n int) (cqe CQE, has bool) {
-	if !w.wr.Signaled {
-		return CQE{}, false
-	}
-	return CQE{WRID: w.wr.WRID, Status: StatusSuccess, Op: w.wr.Op, ByteLen: n, QPNum: qp.num}, true
 }
 
 // runSendEngine is the per-QP HCA send engine: it drains the send queue in
@@ -208,7 +205,7 @@ func (qp *QP) runSendEngine(p *des.Proc) {
 	for {
 		w := qp.sq.Get(p)
 		if qp.state == QPError {
-			qp.complete(w.seq, CQE{WRID: w.wr.WRID, Status: StatusWRFlushErr, Op: w.wr.Op, QPNum: qp.num}, true)
+			qp.finish(w, StatusWRFlushErr)
 			continue
 		}
 		if qp.state != QPReadyToSend || qp.peer == nil {
@@ -260,7 +257,7 @@ func (qp *QP) awaitClearWire(p *des.Proc, w *sendWork) bool {
 		}
 		p.Sleep(2*qp.hca.prm.WireLatency + retryTimeout(qp.hca.prm)<<uint(shift))
 		if qp.state == QPError {
-			qp.complete(w.seq, CQE{WRID: w.wr.WRID, Status: StatusWRFlushErr, Op: w.wr.Op, QPNum: qp.num}, true)
+			qp.finish(w, StatusWRFlushErr)
 			return false
 		}
 	}
@@ -295,51 +292,34 @@ func retryLimit(prm *model.Params) int {
 	return 7
 }
 
-// execWrite performs an RDMA write: gather locally, validate the remote
-// window, stream granules through the local bus onto the wire, and apply
-// the bytes at the responder when the last granule lands. The requester
-// CQE fires one wire latency after last-byte delivery (the transport ack).
+// execWrite performs an RDMA write: resolve the gather list, validate the
+// remote window, stream granules through the local bus onto the wire, and
+// move the bytes into the responder's window when the last granule lands
+// (sendWork.atResponder). The requester CQE fires one wire latency after
+// last-byte delivery (the transport ack).
 func (qp *QP) execWrite(p *des.Proc, w *sendWork) {
-	data, err := qp.hca.gather(w.wr.SGL, qp.pd)
-	if err != nil {
-		qp.completeErr(w, StatusLocalProtErr)
+	if !qp.gatherLocal(w) {
 		return
 	}
 	peer := qp.peer
-	dst, err := peer.hca.checkRemote(w.wr.RemoteAddr, len(data), w.wr.RKey, peer.pd, AccessRemoteWrite)
+	dst, err := peer.hca.checkRemote(w.wr.RemoteAddr, w.n, w.wr.RKey, peer.pd, AccessRemoteWrite)
 	if err != nil {
 		qp.completeErr(w, StatusRemoteAccessErr)
 		return
 	}
-	qp.stats.BytesSent += uint64(len(data))
-	qp.hca.stats.BytesInjected += uint64(len(data))
-	seq := w.seq
-	last := func() {
-		// Runs at the responder: the ack back to the requester crosses the
-		// wire, so it is scheduled onto the requester's engine.
-		copy(dst, data)
-		peer.hca.notifyMemWrite()
-		peer.hca.crossCtl(qp.hca, func() {
-			cqe, has := qp.cqeFor(w, len(data))
-			qp.complete(seq, cqe, has)
-		})
-	}
-	qp.inject(p, peer.hca, len(data), last)
+	w.dst = dst
+	qp.inject(p, w)
 }
 
-// execSend performs a two-sided send: the payload lands in the responder's
-// head-of-queue receive descriptor, generating a receive completion there.
+// execSend performs a two-sided send: once the last granule has landed the
+// work request joins the responder-delivery FIFO, and the payload moves into
+// the responder's head-of-queue receive descriptor, generating a receive
+// completion there.
 func (qp *QP) execSend(p *des.Proc, w *sendWork) {
-	data, err := qp.hca.gather(w.wr.SGL, qp.pd)
-	if err != nil {
-		qp.completeErr(w, StatusLocalProtErr)
+	if !qp.gatherLocal(w) {
 		return
 	}
-	peer := qp.peer
-	qp.stats.BytesSent += uint64(len(data))
-	qp.hca.stats.BytesInjected += uint64(len(data))
-	w.data = data
-	qp.inject(p, peer.hca, len(data), func() { qp.enqueueDeliver(w) })
+	qp.inject(p, w)
 }
 
 // enqueueDeliver queues an arrived two-sided send for in-order responder
@@ -371,9 +351,10 @@ func (qp *QP) drainDeliverq() {
 
 // tryDeliver lands one two-sided send at the responder: take a receive
 // descriptor — from the peer's shared receive queue if it is attached to
-// one, its private receive queue otherwise — scatter the payload, and
-// complete both sides. It reports false when the send was NAK'd and must
-// stay at the head of the delivery queue (the retry is scheduled here).
+// one, its private receive queue otherwise — move the payload from the
+// sender's memory into its scatter list (the one copy), and complete both
+// sides. It reports false when the send was NAK'd and must stay at the head
+// of the delivery queue (the retry is scheduled here).
 //
 // An empty SRQ is not fatal: the responder NAKs (receiver-not-ready) and
 // the delivery is reattempted after the RNR timer plus a NAK/resend round
@@ -384,15 +365,12 @@ func (qp *QP) drainDeliverq() {
 func (qp *QP) tryDeliver(w *sendWork) bool {
 	peer := qp.peer
 	prm := qp.hca.prm
-	data := w.data
 	// A send arriving at an errored endpoint — either end failed while the
 	// payload was on the wire, or while the head was parked on an RNR
 	// retry — completes in error without consuming a receive descriptor,
 	// preserving "error CQE means definitively not delivered".
 	if qp.state == QPError || peer.state == QPError {
-		peer.hca.crossCtl(qp.hca, func() {
-			qp.completeErr(w, StatusWRFlushErr)
-		})
+		qp.ack(w, StatusWRFlushErr)
 		return true
 	}
 	var rwr RecvWR
@@ -403,9 +381,7 @@ func (qp *QP) tryDeliver(w *sendWork) bool {
 			w.rnr++
 			limit := rnrRetryLimit(prm)
 			if limit < 7 && w.rnr > limit {
-				peer.hca.crossCtl(qp.hca, func() {
-					qp.completeErr(w, StatusRNRRetryExc)
-				})
+				qp.ack(w, StatusRNRRetryExc)
 				return true // consumed (in error); later sends may proceed
 			}
 			// Exponentially backed-off RNR timer (capped), plus the NAK and
@@ -422,31 +398,26 @@ func (qp *QP) tryDeliver(w *sendWork) bool {
 		}
 		rwr = r
 	} else {
-		if len(peer.rq) == 0 {
+		r, ok := peer.rq.TryGet()
+		if !ok {
 			panic(fmt.Sprintf("ib: RNR on qp%d: send of %d bytes with no posted receive",
-				peer.num, len(data)))
+				peer.num, w.n))
 		}
-		rwr = *peer.rq[0]
-		peer.rq = peer.rq[1:]
+		rwr = r
 	}
-	seq := w.seq
-	if err := peer.hca.scatter(rwr.SGL, peer.pd, data); err != nil {
+	w.snap.check(w)
+	if err := peer.hca.scatter(rwr.SGL, peer.pd, w.src, w.n); err != nil {
 		// The consumed descriptor completes with the fault; the peer's
 		// remaining posted receives drain through fail, exactly once.
 		peer.stats.ErrsCompleted++
 		peer.rcq.insert(CQE{WRID: rwr.WRID, Status: StatusLocalProtErr, Op: OpRecv, QPNum: peer.num})
 		peer.fail()
-		peer.hca.crossCtl(qp.hca, func() {
-			qp.completeErr(w, StatusRemoteAccessErr)
-		})
+		qp.ack(w, StatusRemoteAccessErr)
 		return true
 	}
-	peer.rcq.insert(CQE{WRID: rwr.WRID, Status: StatusSuccess, Op: OpRecv, ByteLen: len(data), QPNum: peer.num})
+	peer.rcq.insert(CQE{WRID: rwr.WRID, Status: StatusSuccess, Op: OpRecv, ByteLen: w.n, QPNum: peer.num})
 	peer.hca.notifyMemWrite()
-	peer.hca.crossCtl(qp.hca, func() {
-		cqe, has := qp.cqeFor(w, len(data))
-		qp.complete(seq, cqe, has)
-	})
+	qp.ack(w, StatusSuccess)
 	return true
 }
 
@@ -456,7 +427,6 @@ func (qp *QP) tryDeliver(w *sendWork) bool {
 // response is handled by the responder's read engine and this HCA's
 // receive path.
 func (qp *QP) execRead(p *des.Proc, w *sendWork) {
-	need := sglLen(w.wr.SGL)
 	// Validate the scatter destination eagerly so local faults complete
 	// before any network activity.
 	for _, sge := range w.wr.SGL {
@@ -466,12 +436,9 @@ func (qp *QP) execRead(p *des.Proc, w *sendWork) {
 		}
 	}
 	qp.readSlots.Acquire(p, 1)
-	qp.stats.BytesRead += uint64(need)
-	req := &readRequest{qp: qp, w: w, length: need}
-	peer := qp.peer
-	qp.hca.crossCtl(peer.hca, func() {
-		peer.hca.readq.Put(req)
-	})
+	w.n = sglLen(w.wr.SGL)
+	qp.stats.BytesRead += uint64(w.n)
+	qp.hca.crossCtl(qp.peer.hca, w.toResponder)
 }
 
 // execAtomic issues an 8-byte remote atomic (compare-and-swap or
@@ -487,41 +454,8 @@ func (qp *QP) execAtomic(p *des.Proc, w *sendWork) {
 		return
 	}
 	qp.readSlots.Acquire(p, 1)
-	req := &readRequest{qp: qp, w: w, length: 8, atomic: true}
-	peer := qp.peer
-	qp.hca.crossCtl(peer.hca, func() {
-		peer.hca.readq.Put(req)
-	})
-}
-
-// inject streams n bytes through the local node's memory bus at the
-// network rate in bus granules; each granule is handed to the responder's
-// receive path one path latency (plus any switch queueing) after it
-// leaves. onLast runs at the responder after the final granule has
-// crossed the responder's bus. Zero-length operations still traverse the
-// wire as a single header — through crossData, not crossCtl, so they
-// cannot overtake earlier payload granules of the same flow.
-func (qp *QP) inject(p *des.Proc, dst *HCA, n int, onLast func()) {
-	prm := qp.hca.prm
-	if n == 0 {
-		qp.hca.crossData(dst, rxItem{bytes: 0, fn: onLast})
-		return
-	}
-	bus := qp.hca.bus
-	g := prm.BusGranule
-	for off := 0; off < n; off += g {
-		chunk := g
-		if n-off < chunk {
-			chunk = n - off
-		}
-		bus.Transfer(p, chunk, prm.NetBandwidth)
-		isLast := off+chunk >= n
-		var fn func()
-		if isLast {
-			fn = onLast
-		}
-		qp.hca.crossData(dst, rxItem{bytes: chunk, fn: fn})
-	}
+	w.n = 8
+	qp.hca.crossCtl(qp.peer.hca, w.toResponder)
 }
 
 // readUint64 and writeUint64 implement the atomic memory accesses.

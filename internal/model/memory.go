@@ -56,15 +56,46 @@ func (m *Memory) Alloc(n int) (uint64, []byte) {
 		m.mu.Lock()
 		defer m.mu.Unlock()
 	}
-	base := m.next
 	buf := make([]byte, n)
+	base := m.place(buf)
+	return base, buf
+}
+
+// place maps buf at the next free address range and returns its base. Bases
+// only grow, so appending keeps the table sorted.
+func (m *Memory) place(buf []byte) uint64 {
+	base := m.next
 	m.allocs = append(m.allocs, allocation{base, buf})
-	pad := uint64(n)
+	pad := uint64(len(buf))
 	if r := pad % 64; r != 0 {
 		pad += 64 - r
 	}
 	m.next = base + pad + 64 // guard gap: off-by-one overruns fault
-	return base, buf
+	return base
+}
+
+// Remap moves the allocation at va to a fresh address range and returns its
+// new base: what a free followed by a malloc of the same size does to a
+// recycled buffer, except that the storage and the table entry are reused.
+// The old range faults from here on. The buffer gets a new address, not its
+// old one, because addresses are identities to the layers above: the
+// pin-down cache is keyed on them, and a recycled scratch buffer that kept
+// its address would turn the registration misses of the model into hits —
+// a harness economy must not move simulated time.
+func (m *Memory) Remap(va uint64) uint64 {
+	if m.shared {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+	}
+	i := sort.Search(len(m.allocs), func(i int) bool {
+		return m.allocs[i].base >= va
+	})
+	if i == len(m.allocs) || m.allocs[i].base != va {
+		panic(fmt.Sprintf("model: Remap of %#x, which is not an allocation", va))
+	}
+	buf := m.allocs[i].buf
+	m.allocs = append(m.allocs[:i], m.allocs[i+1:]...)
+	return m.place(buf)
 }
 
 // Resolve returns the backing bytes for [va, va+n). It reports an error if

@@ -199,6 +199,29 @@ func TestMemoryGuardGap(t *testing.T) {
 }
 
 // Property: Resolve(va+k, n) for any in-bounds k, n aliases Alloc's slice.
+func TestMemoryRemap(t *testing.T) {
+	m := NewMemory()
+	a, abuf := m.Alloc(100)
+	b, _ := m.Alloc(10)
+	abuf[99] = 7
+	a2 := m.Remap(a)
+	if a2 <= b {
+		t.Fatalf("remapped to %#x, not past the latest allocation %#x", a2, b)
+	}
+	if _, err := m.Resolve(a, 1); err == nil {
+		t.Error("old range still resolves")
+	}
+	if got := m.MustResolve(a2, 100); &got[0] != &abuf[0] || got[99] != 7 {
+		t.Error("remap did not keep the storage")
+	}
+	if _, err := m.Resolve(b, 10); err != nil {
+		t.Errorf("neighbour lost: %v", err)
+	}
+	if c, _ := m.Alloc(8); c <= a2 {
+		t.Errorf("next allocation %#x overlaps the remapped range at %#x", c, a2)
+	}
+}
+
 func TestResolveAliasProperty(t *testing.T) {
 	m := NewMemory()
 	va, buf := m.Alloc(4096)

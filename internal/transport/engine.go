@@ -2,6 +2,7 @@ package transport
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/des"
 	"repro/internal/ib"
@@ -75,6 +76,7 @@ type Engine struct {
 	act   []int32    // peers with established (pollable) endpoints, ascending
 	actEp []Endpoint // parallel to act — the poll loop's O(1) hot path
 	ready []int32    // fulfilled stubs awaiting promotion (lazy mode)
+	rdyHd int        // head index into ready (a ring, like ib's delivery queues)
 	rr    int        // round-robin polling cursor over act
 
 	// dialer starts connection establishment toward a peer. When set, the
@@ -90,6 +92,12 @@ type Engine struct {
 
 	prq []*postedRecv
 	uq  []*uqEntry
+
+	// Drained unexpected-message buffers, by size class (scratchClass).
+	// model.Memory never frees, so without recycling every early sender
+	// would cost the rank a buffer, an address range and an allocation-table
+	// entry for the rest of the run.
+	scratch [][]uint64
 
 	err error
 }
@@ -221,13 +229,13 @@ func (e *Engine) Fulfill(peer int32, ep Endpoint) {
 // sends they queued, on the owning process. It runs at the top of every
 // progress pass.
 func (e *Engine) promoteStubs(p *des.Proc) bool {
-	if len(e.ready) == 0 {
-		return false
-	}
 	prog := false
-	for len(e.ready) > 0 {
-		peer := e.ready[0]
-		e.ready = e.ready[1:]
+	for e.rdyHd < len(e.ready) {
+		peer := e.ready[e.rdyHd]
+		e.rdyHd++
+		if e.rdyHd == len(e.ready) {
+			e.ready, e.rdyHd = e.ready[:0], 0
+		}
 		st, ok := e.ep(peer).(*Stub)
 		if !ok || st.inner == nil {
 			continue
@@ -279,7 +287,7 @@ func (e *Engine) EnsureConnected(p *des.Proc, peer int32) {
 // count in the scalability accounting. It costs O(connected), not O(np).
 func (e *Engine) ConnectedPeers() int {
 	n := len(e.act)
-	for _, peer := range e.ready {
+	for _, peer := range e.ready[e.rdyHd:] {
 		if st, ok := e.ep(peer).(*Stub); ok && st.inner != nil {
 			n++
 		}
@@ -295,7 +303,7 @@ func (e *Engine) ForEachEndpoint(f func(peer int32, ep Endpoint)) {
 	for i, peer := range e.act {
 		f(peer, e.actEp[i])
 	}
-	for _, peer := range e.ready {
+	for _, peer := range e.ready[e.rdyHd:] {
 		if st, ok := e.ep(peer).(*Stub); ok && st.inner != nil {
 			f(peer, st.inner)
 		}
@@ -396,7 +404,8 @@ func (e *Engine) Irecv(p *des.Proc, src, tag, ctx int32, buf Buffer) *Request {
 }
 
 // copyUnexpected moves a buffered unexpected payload to the user buffer,
-// charging the extra copy the eager protocol pays for early senders.
+// charging the extra copy the eager protocol pays for early senders, and
+// recycles the drained scratch buffer.
 func (e *Engine) copyUnexpected(p *des.Proc, ue *uqEntry, pr *postedRecv) {
 	n := ue.env.Len
 	if n == 0 {
@@ -407,6 +416,30 @@ func (e *Engine) copyUnexpected(p *des.Proc, ue *uqEntry, pr *postedRecv) {
 	dst := e.node.Mem.MustResolve(pr.buf.Addr, n)
 	copy(dst, src)
 	e.node.Bus.Memcpy(p, n, n)
+	c := scratchClass(n)
+	e.scratch[c] = append(e.scratch[c], ue.tmp.Addr)
+}
+
+// scratchClass maps a payload length to its unexpected-buffer size class:
+// class c holds buffers of 64<<c bytes.
+func scratchClass(n int) int {
+	return bits.Len(uint((n - 1) >> 6))
+}
+
+// allocScratch returns a buffer for an n-byte unexpected payload, reusing
+// the storage of a drained one of the same class when there is one — at a
+// fresh address, as a newly allocated buffer would have (Memory.Remap).
+func (e *Engine) allocScratch(n int) Buffer {
+	c := scratchClass(n)
+	for len(e.scratch) <= c {
+		e.scratch = append(e.scratch, nil)
+	}
+	if free := e.scratch[c]; len(free) > 0 {
+		e.scratch[c] = free[:len(free)-1]
+		return Buffer{Addr: e.node.Mem.Remap(free[len(free)-1]), Len: n}
+	}
+	va, _ := e.node.Mem.Alloc(64 << c)
+	return Buffer{Addr: va, Len: n}
 }
 
 // checkFit fails the engine when a message would truncate into its
@@ -454,8 +487,7 @@ func (e *Engine) ArriveEager(p *des.Proc, env Envelope) Sink {
 	// Unexpected: land in a scratch buffer; a later receive copies it out.
 	ue := &uqEntry{env: env}
 	if env.Len > 0 {
-		va, _ := e.node.Mem.Alloc(env.Len)
-		ue.tmp = Buffer{Addr: va, Len: env.Len}
+		ue.tmp = e.allocScratch(env.Len)
 	}
 	e.uq = append(e.uq, ue)
 	eng := e

@@ -204,6 +204,42 @@ func TestUnexpectedThenRecvCopies(t *testing.T) {
 	})
 }
 
+// TestUnexpectedScratchIsRecycled: once a receive has drained an unexpected
+// payload its scratch storage serves the next early sender — at a fresh
+// address, so address-keyed state above (the pin-down cache) sees what it
+// saw when every arrival allocated anew — instead of living as long as the
+// rank does.
+func TestUnexpectedScratchIsRecycled(t *testing.T) {
+	e, eng, node := newEngine(2)
+	run(eng, func(p *des.Proc) {
+		va, b := node.Mem.Alloc(100)
+		var first []byte
+		var prev uint64
+		for i := 0; i < 5; i++ {
+			n := 70 + i // one size class
+			sink := e.ArriveEager(p, Envelope{Src: 1, Tag: 9, Ctx: 0, Len: n})
+			if sink.Buf.Addr <= prev {
+				t.Fatalf("arrival %d at %#x: not a fresh address after %#x", i, sink.Buf.Addr, prev)
+			}
+			if _, err := node.Mem.Resolve(prev, 1); i > 0 && err == nil {
+				t.Errorf("drained address %#x still mapped", prev)
+			}
+			prev = sink.Buf.Addr
+			scratch := node.Mem.MustResolve(sink.Buf.Addr, n)
+			if i == 0 {
+				first = scratch
+			} else if &scratch[0] != &first[0] {
+				t.Fatalf("arrival %d got new storage; want the drained buffer back", i)
+			}
+			scratch[n-1] = byte(i + 1)
+			sink.Done(p)
+			if !e.Irecv(p, 1, 9, 0, Buffer{Addr: va, Len: 100}).Done() || b[n-1] != byte(i+1) {
+				t.Fatalf("arrival %d not delivered", i)
+			}
+		}
+	})
+}
+
 func TestUnexpectedStreamingHandover(t *testing.T) {
 	// Receive posted while the unexpected payload is still arriving: the
 	// completion copies it out when the stream finishes.
