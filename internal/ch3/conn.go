@@ -12,7 +12,8 @@ import (
 // share it (see the package comment). It implements transport.Endpoint.
 type Conn struct {
 	ep    rdmachan.Endpoint
-	raw   rdmachan.RawAccess // non-nil only in direct mode
+	raw   rdmachan.RawAccess  // non-nil only in direct mode
+	idle  rdmachan.IdleGetter // non-nil when an empty Get on ep costs time
 	h     transport.Handler
 	onErr func(error)
 
@@ -21,8 +22,8 @@ type Conn struct {
 
 	// Send side: strict FIFO per queue, control packets win at message
 	// boundaries (rendezvous answers must not starve behind bulk data).
-	ctrlq  []*conOp
-	dataq  []*conOp
+	ctrlq  des.Queue[*conOp]
+	dataq  des.Queue[*conOp]
 	active *conOp
 
 	sendRndv map[uint64]*rndvSend
@@ -156,6 +157,7 @@ func newConn(ep rdmachan.Endpoint, raw rdmachan.RawAccess, h transport.Handler,
 		recvRndv:  make(map[uint64]*rndvRecv),
 		stripes:   make(map[uint64]*stripeSend),
 	}
+	c.idle, _ = ep.(rdmachan.IdleGetter)
 	mem := ep.HCA().Node().Mem
 	va, b := mem.Alloc(hdrSize)
 	c.rhdrBuf, c.rhdrMem = transport.Buffer{Addr: va, Len: hdrSize}, b
@@ -212,7 +214,7 @@ func (c *Conn) SendEager(p *des.Proc, env transport.Envelope, payload transport.
 	onDone func(p *des.Proc)) {
 	c.stats.EagerSends++
 	op := c.newHdrOp(header{kind: pktEager, env: env}, &payload, onDone)
-	c.dataq = append(c.dataq, op)
+	c.dataq.Put(op)
 	c.Poll(p)
 }
 
@@ -228,7 +230,7 @@ func (c *Conn) SendRendezvous(p *des.Proc, env transport.Envelope, payload trans
 	id := c.reqSeq
 	c.sendRndv[id] = &rndvSend{payload: payload, onDone: onDone}
 	op := c.newHdrOp(header{kind: pktRTS, env: env, reqID: id}, nil, nil)
-	c.dataq = append(c.dataq, op)
+	c.dataq.Put(op)
 	c.Poll(p)
 }
 
@@ -290,7 +292,7 @@ func (c *Conn) AcceptRendezvous(p *des.Proc, reqID uint64, dst transport.Buffer,
 	c.recvRndv[reqID] = rr
 	c.stats.RndvRecvs++
 	op := c.newHdrOp(h, nil, nil)
-	c.ctrlq = append(c.ctrlq, op)
+	c.ctrlq.Put(op)
 	c.Poll(p)
 }
 
@@ -341,7 +343,7 @@ func (c *Conn) handleCTS(p *des.Proc, h header) {
 		}
 		onDone := rs.onDone
 		fin := c.newHdrOp(header{kind: pktFIN, reqID: h.reqID}, nil, onDone)
-		c.ctrlq = append(c.ctrlq, fin)
+		c.ctrlq.Put(fin)
 		return
 	}
 
@@ -508,7 +510,7 @@ func (c *Conn) handleStripeCQE(p *des.Proc, cqe ib.CQE) {
 		}
 	}
 	fin := c.newHdrOp(header{kind: pktFIN, reqID: reqID}, nil, st.onDone)
-	c.ctrlq = append(c.ctrlq, fin)
+	c.ctrlq.Put(fin)
 	c.kick = true
 }
 
@@ -538,7 +540,7 @@ func (c *Conn) handleFIN(p *des.Proc, h header) {
 
 // Pending reports queued-but-incomplete send operations (diagnostics).
 func (c *Conn) Pending() int {
-	n := len(c.ctrlq) + len(c.dataq) + len(c.sendRndv) + len(c.stripes)
+	n := c.ctrlq.Len() + c.dataq.Len() + len(c.sendRndv) + len(c.stripes)
 	if c.active != nil {
 		n++
 	}
@@ -548,25 +550,54 @@ func (c *Conn) Pending() int {
 // Poll implements transport.Endpoint: advance the head send operation and
 // drain the receive pipe.
 func (c *Conn) Poll(p *des.Proc) bool {
-	prog := false
+	prog, ok := c.pollSend(p)
+	if !ok {
+		return prog
+	}
+	return c.pollRecv(p, prog, false)
+}
 
-	// Sends: control packets win at message boundaries.
+// IdlePoll implements transport's idle-poll hook: with nothing to send, no
+// stranded FIN to report and the receive side between packets, a Poll is
+// exactly one Get on the channel endpoint — so when that Get would be idle
+// too (rdmachan.IdleGetter), the whole Poll is its entry charge.
+func (c *Conn) IdlePoll() (des.Step, bool) {
+	if c.idle == nil || c.active != nil || c.ctrlq.Len() > 0 || c.dataq.Len() > 0 ||
+		c.rstate != 0 || c.kick {
+		return des.Step{}, false
+	}
+	return c.idle.IdleGet()
+}
+
+// PollCharged finishes a Poll for which IdlePoll held and whose charge the
+// caller has slept. With look unset nothing can have changed since, and the
+// poll is only counted; otherwise the receive side runs from just after
+// the charge (the send side still has nothing to do — only this
+// connection's own process feeds it).
+func (c *Conn) PollCharged(p *des.Proc, look bool) bool {
+	if !look {
+		c.idle.SkipGet()
+		return false
+	}
+	return c.pollRecv(p, false, true)
+}
+
+// pollSend advances the send side; ok is false after a transport error.
+func (c *Conn) pollSend(p *des.Proc) (prog, ok bool) {
+	// Control packets win at message boundaries.
 	for {
 		if c.active == nil {
-			if len(c.ctrlq) > 0 {
-				c.active = c.ctrlq[0]
-				c.ctrlq = c.ctrlq[1:]
-			} else if len(c.dataq) > 0 {
-				c.active = c.dataq[0]
-				c.dataq = c.dataq[1:]
-			} else {
-				break
+			var ok bool
+			if c.active, ok = c.ctrlq.TryGet(); !ok {
+				if c.active, ok = c.dataq.TryGet(); !ok {
+					break
+				}
 			}
 		}
 		n, err := c.ep.Put(p, c.active.rem)
 		if err != nil {
 			c.onErr(errf("send: %w", err))
-			return prog
+			return prog, false
 		}
 		if n == 0 {
 			break
@@ -583,12 +614,24 @@ func (c *Conn) Poll(p *des.Proc) bool {
 			done(p)
 		}
 	}
+	return prog, true
+}
 
-	// Receives.
+// pollRecv drains the receive pipe. prog is the progress made so far this
+// pass; charged marks the first header Get as already paid for
+// (PollCharged).
+func (c *Conn) pollRecv(p *des.Proc, prog, charged bool) bool {
 	for {
 		switch c.rstate {
 		case 0: // header
-			n, err := c.ep.Get(p, c.rhdrRem)
+			var n int
+			var err error
+			if charged {
+				n, err = c.idle.GetCharged(p, c.rhdrRem)
+				charged = false
+			} else {
+				n, err = c.ep.Get(p, c.rhdrRem)
+			}
 			if err != nil {
 				c.onErr(errf("recv header: %w", err))
 				return prog

@@ -1,0 +1,109 @@
+//go:build !desplain
+
+package cluster_test
+
+// Event-count regression pins for the idle poll pass (DESIGN.md §16). The
+// desplain build dispatches every elided Sleep, so the counts below hold
+// for the default build only; that the two builds agree on every simulated
+// value is internal/mpi's TestChainsExactGolden.
+
+import (
+	"testing"
+
+	"repro/internal/ch3"
+	"repro/internal/cluster"
+	"repro/internal/des"
+	"repro/internal/mpi"
+	"repro/internal/transport"
+)
+
+// idleCharge is the zero-copy design's per-Get entry charge: ChanOverhead
+// (200 ns) + ZCCheckOverhead (50 ns).
+const idleCharge = 250 * des.Nanosecond
+
+// getCalls returns the Get counter of each of rank's chunk endpoints.
+func getCalls(c *cluster.Cluster, rank int) []uint64 {
+	var calls []uint64
+	c.Devs[rank].Engine().ForEachEndpoint(func(_ int32, ep transport.Endpoint) {
+		calls = append(calls, ep.(*ch3.Conn).Endpoint().Stats().GetCalls)
+	})
+	return calls
+}
+
+// idlePass launches a 32-rank eager zero-copy mesh in which rank 0, once
+// every other rank has exited, makes one non-blocking progress pass over
+// its 31 idle endpoints; during is called just before the pass with its
+// start time. It returns the events dispatched and simulated time spent
+// inside the pass.
+func idlePass(t *testing.T, c *cluster.Cluster, during func(t0 des.Time)) (events uint64, took des.Time) {
+	t.Helper()
+	c.Launch(func(comm *mpi.Comm) {
+		if comm.Rank() != 0 {
+			return
+		}
+		p := comm.Proc()
+		p.Sleep(des.Microsecond) // let the other ranks' start events drain
+		t0, ev0 := p.Now(), c.Eng.EventsExecuted()
+		during(t0)
+		if c.Devs[0].Progress(p, false) {
+			t.Error("an idle pass reported progress")
+		}
+		events, took = c.Eng.EventsExecuted()-ev0, p.Now()-t0
+	})
+	return events, took
+}
+
+func TestIdlePassIsOneEvent(t *testing.T) {
+	c := cluster.MustNew(cluster.Config{NP: 32, Transport: cluster.TransportZeroCopy})
+	defer c.Close()
+	before := getCalls(c, 0)
+	if len(before) != 31 {
+		t.Fatalf("rank 0 has %d endpoints, want 31", len(before))
+	}
+	events, took := idlePass(t, c, func(des.Time) {})
+	if events != 1 || took != 31*idleCharge {
+		t.Errorf("undisturbed pass: %d events over %v, want 1 event over %v", events, took, 31*idleCharge)
+	}
+	for i, n := range getCalls(c, 0) {
+		if n != before[i]+1 {
+			t.Errorf("endpoint %d: %d Gets booked for the pass, want 1", i, n-before[i])
+		}
+	}
+}
+
+func TestIdlePassCutResumesAtStepBoundary(t *testing.T) {
+	for _, k := range []int{0, 7, 30} {
+		c := cluster.MustNew(cluster.Config{NP: 32, Transport: cluster.TransportZeroCopy})
+		before := getCalls(c, 0)
+		var polledAtResume int
+		events, took := idlePass(t, c, func(t0 des.Time) {
+			// Something changes on the node while endpoint k is being
+			// charged; one nanosecond after that charge ends, exactly the
+			// endpoints up to and including k must have been polled.
+			c.Eng.Schedule(t0+des.Time(k)*idleCharge+100, c.HCAs[0].NotifyMemWrite)
+			c.Eng.Schedule(t0+des.Time(k+1)*idleCharge+1, func() {
+				for i, n := range getCalls(c, 0) {
+					if n != before[i] {
+						polledAtResume++
+					}
+				}
+			})
+		})
+		if polledAtResume != k+1 {
+			t.Errorf("cut at endpoint %d: %d endpoints polled at t0+%v, want %d",
+				k, polledAtResume, des.Time(k+1)*idleCharge, k+1)
+		}
+		// The two callbacks, the cut wake and the chain over the rest —
+		// unless the cut fell in the last charge: that changes nothing, and
+		// the probe fires after the pass.
+		want := uint64(4)
+		if k == 30 {
+			want = 2
+		}
+		if events != want || took != 31*idleCharge {
+			t.Errorf("cut at endpoint %d: %d events over %v, want %d over %v",
+				k, events, took, want, 31*idleCharge)
+		}
+		c.Close()
+	}
+}

@@ -24,6 +24,14 @@
 //     simulation may branch on wall-clock time or map iteration order.
 //   - Single-stepping: at most one simulated process executes at any
 //     instant; predicates guarded by Cond need no locks.
+//   - Lineage-exact elision (DESIGN.md §16): SleepStep and SleepChain
+//     dispatch a run of back-to-back Sleeps as one event, at the instant,
+//     the same-instant position and the child-key base the last elided wake
+//     would have had; CutChain ends a chain at the step in progress when
+//     something its sleeper polls for changes. Simulated results cannot
+//     tell the difference — only EventsExecuted and TraceFingerprint
+//     shrink — and the desplain build tag, which compiles the same calls
+//     as the literal loop of Sleeps, is the reference that proves it.
 //   - A process that blocks outside a kernel primitive deadlocks the
 //     simulation; every wait must go through the kernel so the engine can
 //     see it.

@@ -48,6 +48,13 @@ type Engine struct {
 	curBase  uint64 // hash of the dispatching event's key
 	childIdx uint64 // children scheduled by the current dispatch so far
 
+	// instMax is the largest key dispatched at the current instant. A wakeup
+	// pending since an earlier instant fires before the first same-instant
+	// event with a larger key, so CutChain compares an elided wake's key
+	// against this — not against the dispatching event's own key, which a
+	// zero-delay child of a large-keyed event can undercut.
+	instMax uint64
+
 	group    *Group  // non-nil when this engine is a member of a sharded Group
 	groupIdx int     // index within the group (len(shards) = the global engine)
 	mbox     mailbox // cross-engine deposits bound for this engine (grouped mode)
@@ -274,7 +281,12 @@ func (e *Engine) shutdownOne() {
 // folded: shards dispatch concurrently, so the group folds the merged
 // timestamp stream at window barriers to reproduce the serial fold order.
 func (e *Engine) account(ev *event) {
-	e.now = ev.at
+	if ev.at != e.now {
+		e.now = ev.at
+		e.instMax = ev.key
+	} else if ev.key > e.instMax {
+		e.instMax = ev.key
+	}
 	e.events++
 	e.curBase = mixKey(ev.key, 0)
 	e.childIdx = 0
@@ -287,6 +299,14 @@ func (e *Engine) account(ev *event) {
 	}
 }
 
+// advance moves the clock forward to t without dispatching anything.
+func (e *Engine) advance(t Time) {
+	if e.now < t {
+		e.now = t
+		e.instMax = 0
+	}
+}
+
 // runDriver is the dispatch loop on the Run caller's goroutine. Handing a
 // wakeup to a process lends it the baton; the driver parks on runCh until
 // the process chain returns it (a stop condition was reached, or a process
@@ -296,6 +316,9 @@ func (e *Engine) runDriver() {
 		ev, ok := e.q.popLE(e.deadline)
 		if !ok {
 			return
+		}
+		if ev.cutOff() {
+			continue
 		}
 		e.account(&ev)
 		if p := ev.proc; p != nil {
@@ -326,6 +349,9 @@ func (e *Engine) runOn(p *Proc) {
 		ev, ok := e.q.popLE(e.deadline)
 		if !ok {
 			break
+		}
+		if ev.cutOff() {
+			continue
 		}
 		e.account(&ev)
 		if t := ev.proc; t != nil {
@@ -374,9 +400,7 @@ func (e *Engine) RunUntil(deadline Time) {
 	e.stopped = false
 	e.deadline = deadline
 	e.runDriver()
-	if e.now < deadline {
-		e.now = deadline
-	}
+	e.advance(deadline)
 }
 
 func (e *Engine) deadlockReport() string {
@@ -385,7 +409,7 @@ func (e *Engine) deadlockReport() string {
 		if p.daemon || p.dead || !p.waiting {
 			continue
 		}
-		names = append(names, fmt.Sprintf("%s (%s)", p.name, p.where))
+		names = append(names, p.blockSite())
 	}
 	sort.Strings(names)
 	if len(names) == 0 {
@@ -412,6 +436,18 @@ type Proc struct {
 	waiting bool
 	where   string // block site label for deadlock reports
 	gen     uint64 // pause generation; stale wakeups are dropped
+
+	chain    chainState // the SleepChain in progress, if any (chain.go)
+	chainLen int        // steps that chain was started with, for block-site labels
+}
+
+// blockSite labels the process and where it is blocked, for deadlock
+// reports.
+func (p *Proc) blockSite() string {
+	if p.chainLen > 0 {
+		return fmt.Sprintf("%s (%s, %d steps)", p.name, p.where, p.chainLen)
+	}
+	return fmt.Sprintf("%s (%s)", p.name, p.where)
 }
 
 // Spawn creates a process running body and schedules it to start at the
@@ -536,12 +572,18 @@ func (p *Proc) pause(where string) {
 // the event is a no-op. A wakeup issued while the process is running (e.g.
 // Sleep schedules its own wakeup before pausing) targets the next pause.
 func (p *Proc) wake(at Time) {
+	p.wakeKeyed(at, p.eng.execCtx().childKey(), false)
+}
+
+// wakeKeyed is wake under an explicit lineage key; chain marks the wake of
+// a SleepChain, which CutChain may supersede.
+func (p *Proc) wakeKeyed(at Time, key uint64, chain bool) {
 	e := p.eng
 	if at < e.now {
 		at = e.now
 	}
 	e.seq++
-	e.q.push(event{at: at, key: e.execCtx().childKey(), seq: e.seq, proc: p, gen: p.gen})
+	e.q.push(event{at: at, key: key, seq: e.seq, proc: p, gen: p.gen, chain: chain})
 }
 
 // Engine returns the engine this process belongs to.

@@ -188,9 +188,7 @@ func (g *Group) run(deadline Time) {
 		return
 	}
 	for _, e := range g.all {
-		if e.now < deadline {
-			e.now = deadline
-		}
+		e.advance(deadline)
 	}
 }
 
@@ -225,9 +223,7 @@ func (g *Group) drainCtls() {
 		return ctls[i].key < ctls[j].key
 	})
 	for _, c := range ctls {
-		if g.global.now < c.at {
-			g.global.now = c.at
-		}
+		g.global.advance(c.at)
 		g.global.curBase = mixKey(c.key, 0)
 		g.global.childIdx = 0
 		c.fn()
@@ -254,12 +250,11 @@ func (g *Group) minNext() (Time, bool) {
 // parked here, so it is race-free by construction.
 func (g *Group) fusedInstant(T Time) {
 	for _, e := range g.all {
-		if e.now < T {
-			e.now = T
-		}
+		e.advance(T)
 		e.deadline = T - 1 // pausing procs dispatch nothing; baton returns here
 		e.stopped = false
 	}
+	var instMax uint64
 	for {
 		var x *Engine
 		var bestKey uint64
@@ -274,8 +269,18 @@ func (g *Group) fusedInstant(T Time) {
 			break
 		}
 		ev, _ := x.q.popLE(T)
+		if ev.cutOff() {
+			continue
+		}
 		g.cur = x
 		x.account(&ev)
+		// Engines interact at zero delay only here, so the largest key of the
+		// instant (see Engine.instMax) is tracked group-wide, as the serial
+		// engine would see it.
+		if x.instMax < instMax {
+			x.instMax = instMax
+		}
+		instMax = x.instMax
 		if p := ev.proc; p != nil {
 			if p.dead || p.gen != ev.gen || !p.waiting {
 				continue
@@ -417,7 +422,7 @@ func (g *Group) deadlockReport() string {
 			if p.daemon || p.dead || !p.waiting {
 				continue
 			}
-			names = append(names, fmt.Sprintf("%s (%s)", p.name, p.where))
+			names = append(names, p.blockSite())
 		}
 	}
 	sort.Strings(names)

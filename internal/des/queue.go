@@ -43,15 +43,24 @@ func (k QueueKind) String() string {
 // bit-identical to serial. Events are plain values — they live inside the
 // queue's slices, never individually on the heap. A nil fn marks a process
 // wakeup: dispatch resumes proc directly if its pause generation still
-// matches gen, with no per-wakeup closure allocation.
+// matches gen, with no per-wakeup closure allocation. chain marks the wake
+// of a SleepChain (chain.go).
 type event struct {
-	at   Time
-	key  uint64
-	seq  uint64
-	fn   func()
-	proc *Proc
-	gen  uint64
+	at    Time
+	key   uint64
+	seq   uint64
+	fn    func()
+	proc  *Proc
+	gen   uint64
+	chain bool
 }
+
+// cutOff reports whether the event is the superseded wake of a chain that
+// CutChain ended early. The Sleep loop the chain stands for never scheduled
+// it, so dispatch drops it before it can touch the clock, the event count
+// or the fingerprint — unlike an ordinary stale wakeup, which the loop
+// would have scheduled too and which is therefore accounted.
+func (e *event) cutOff() bool { return e.chain && e.proc.gen != e.gen }
 
 // before is the engine's total dispatch order.
 func (e *event) before(o *event) bool {

@@ -24,6 +24,7 @@ func (c *Cond) Signal() {
 	}
 	w := c.waiters[0]
 	copy(c.waiters, c.waiters[1:])
+	c.waiters[len(c.waiters)-1] = nil
 	c.waiters = c.waiters[:len(c.waiters)-1]
 	w.wake(w.eng.now)
 }
@@ -78,6 +79,15 @@ func (q *Queue[T]) TryGet() (T, bool) {
 		return zero, false
 	}
 	return q.popHead(), true
+}
+
+// Peek returns the head item without dequeuing it.
+func (q *Queue[T]) Peek() (T, bool) {
+	if q.Len() == 0 {
+		var zero T
+		return zero, false
+	}
+	return q.items[q.head], true
 }
 
 func (q *Queue[T]) popHead() T {

@@ -32,6 +32,7 @@ type Bus struct {
 type MemCtl struct {
 	params  *Params
 	res     *des.Resource
+	buses   int // buses funnelling through this controller
 	busy    des.Time
 	granted uint64
 }
@@ -44,17 +45,30 @@ func NewMemCtl(p *Params) *MemCtl {
 // BusyTime returns total simulated time the controller has been occupied.
 func (m *MemCtl) BusyTime() des.Time { return m.busy }
 
-// occupy holds the controller while chunk bytes cross it, returning the
-// occupancy charged (the caller sleeps the remainder of its flow pacing
-// outside the controller).
-func (m *MemCtl) occupy(p *des.Proc, chunk int) des.Time {
-	d := TimeForBytes(chunk, m.params.memBandwidth())
-	m.res.Acquire(p, 1)
-	p.Sleep(d)
-	m.busy += d
+// dwell spends one granule's dwell time d on behalf of the bus holding it:
+// the memory-controller share holding the shared controller (where buses
+// of other rails queue), the rest as the flow's own pacing on its bus. The
+// parts sum to exactly d, so a flow that never meets cross-bus traffic is
+// timed identically to a plain bus. When this controller serves a single
+// bus nothing can queue for it beneath the held bus, and both parts are
+// charged as one two-hop step — one event per granule instead of two.
+func (m *MemCtl) dwell(p *des.Proc, chunk int, d des.Time) {
+	dm := TimeForBytes(chunk, m.params.memBandwidth())
+	switch {
+	case m.buses > 1:
+		m.res.Acquire(p, 1)
+		p.Sleep(dm)
+		m.res.Release(1)
+		if dm < d {
+			p.Sleep(d - dm)
+		}
+	case dm < d:
+		p.SleepStep(des.Step{D: d, Hops: 2})
+	default:
+		p.SleepStep(des.Step{D: dm, Hops: 1})
+	}
+	m.busy += dm
 	m.granted++
-	m.res.Release(1)
-	return d
 }
 
 // NewBus returns a bus using the granule and rate ceiling from p.
@@ -66,6 +80,7 @@ func NewBus(name string, p *Params) *Bus {
 // memory controller mem — the construction rail buses use so that rails
 // of one node share MemBandwidth while each owns its NetBandwidth pacing.
 func NewBusOn(name string, p *Params, mem *MemCtl) *Bus {
+	mem.buses++
 	return &Bus{name: name, params: p, res: des.NewResource(1), mem: mem}
 }
 
@@ -97,15 +112,7 @@ func (b *Bus) Transfer(p *des.Proc, n int, rate float64) {
 		b.res.Acquire(p, 1)
 		d := TimeForBytes(chunk, rate)
 		if b.mem != nil {
-			// Split the granule's dwell time: the memory-controller share
-			// is spent holding the shared controller (where buses of other
-			// rails queue), the rest is the flow's own pacing on this bus.
-			// The two sleeps sum to exactly d, so a flow that never meets
-			// cross-bus traffic is timed identically to a plain bus.
-			dm := b.mem.occupy(p, chunk)
-			if dm < d {
-				p.Sleep(d - dm)
-			}
+			b.mem.dwell(p, chunk, d)
 		} else {
 			p.Sleep(d)
 		}

@@ -152,7 +152,8 @@ type Node struct {
 
 	memctl   *MemCtl
 	memWatch des.Cond
-	memSeq   uint64 // bumped on every remote write / completion landing here
+	memSeq   uint64      // bumped on every remote write / completion landing here
+	chained  []*des.Proc // processes sleeping an idle poll pass (SleepChain)
 }
 
 // NewNode builds a node with its own bus and address space. The primary
@@ -182,10 +183,36 @@ func (n *Node) MemCtlBusyTime() des.Time { return n.memctl.BusyTime() }
 
 // NotifyMemWrite records host-memory activity — a remote write or
 // completion landing on this node, from any rail or a neighbouring core —
-// and wakes pollers.
+// and wakes pollers. A poller sleeping through a run of idle polls
+// (SleepChain) stops at the poll in progress, the first that could see
+// the change.
 func (n *Node) NotifyMemWrite() {
 	n.memSeq++
 	n.memWatch.Broadcast()
+	for _, p := range n.chained {
+		p.CutChain()
+	}
+}
+
+// SleepChain sleeps a run of polls that would each pay steps[i] and find
+// nothing, as one event, and returns how many were paid: the run ends early
+// at the poll during which NotifyMemWrite first fired. This rests on the
+// invariant the blocking waits below already rely on — every change a
+// polling loop of this node can observe is announced by NotifyMemWrite in
+// the dispatch that makes it.
+func (n *Node) SleepChain(p *des.Proc, steps []des.Step) int {
+	n.chained = append(n.chained, p)
+	done := p.SleepChain(steps)
+	last := len(n.chained) - 1
+	for i, q := range n.chained {
+		if q == p {
+			n.chained[i] = n.chained[last]
+			break
+		}
+	}
+	n.chained[last] = nil
+	n.chained = n.chained[:last]
+	return done
 }
 
 // MemEventSeq returns a counter that advances on every remote write or

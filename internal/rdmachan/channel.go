@@ -150,6 +150,26 @@ type Endpoint interface {
 	Stats() Stats
 }
 
+// IdleGetter is implemented by endpoints whose Get costs simulated time
+// even when the pipe is empty (the chunk-ring designs charge every call
+// before looking). It lets a progress loop that polls many such endpoints
+// in turn sleep a run of empty Gets as one des.SleepChain instead of one
+// event per endpoint.
+type IdleGetter interface {
+	// IdleGet reports whether a Get issued now would pay exactly its entry
+	// charge and deliver nothing, and that charge. The answer holds until
+	// the node's next NotifyMemWrite: ring slots and completion queues only
+	// change under one, the rest is the caller's own state.
+	IdleGet() (des.Step, bool)
+
+	// GetCharged is Get with the entry charge already slept by the caller.
+	GetCharged(p *des.Proc, bufs []Buffer) (int, error)
+
+	// SkipGet accounts a Get whose charge the caller slept and whose look
+	// at the pipe was elided because IdleGet still held.
+	SkipGet()
+}
+
 // Stats counts endpoint activity.
 type Stats struct {
 	PutCalls     uint64

@@ -671,14 +671,21 @@ func (e *chunkEP) postStripeRead(p *des.Proc, idx, off, blk, k int, addr uint64,
 	return nil
 }
 
+// charge is the entry cost of every Put and Get, paid before the call
+// looks at anything: the per-call channel bookkeeping and, on the zero-copy
+// design, the buffer check — two back-to-back charges slept as one step.
+func (e *chunkEP) charge() des.Step {
+	if e.zc {
+		return des.Step{D: e.prm.ChanOverhead + e.prm.ZCCheckOverhead, Hops: 2}
+	}
+	return des.Step{D: e.prm.ChanOverhead, Hops: 1}
+}
+
 // Put implements the sender side of the piggyback (§4.3), pipeline (§4.4)
 // and zero-copy (§5) designs.
 func (e *chunkEP) Put(p *des.Proc, bufs []Buffer) (int, error) {
 	e.stats.PutCalls++
-	p.Sleep(e.prm.ChanOverhead)
-	if e.zc {
-		p.Sleep(e.prm.ZCCheckOverhead)
-	}
+	p.SleepStep(e.charge())
 	if e.err != nil {
 		return 0, e.err
 	}
@@ -860,11 +867,35 @@ func (e *chunkEP) Put(p *des.Proc, bufs []Buffer) (int, error) {
 // copying data chunks into the user buffers and converting RTS chunks into
 // RDMA reads pulled straight into the user buffer (§5, Figure 10).
 func (e *chunkEP) Get(p *des.Proc, bufs []Buffer) (int, error) {
-	e.stats.GetCalls++
-	p.Sleep(e.prm.ChanOverhead)
-	if e.zc {
-		p.Sleep(e.prm.ZCCheckOverhead)
+	p.SleepStep(e.charge())
+	return e.GetCharged(p, bufs)
+}
+
+// IdleGet implements IdleGetter: nothing to reap, no transfer to finish and
+// the next ring slot's leading flag not yet written.
+func (e *chunkEP) IdleGet() (des.Step, bool) {
+	if e.err != nil || e.zcRecvActive {
+		return des.Step{}, false
 	}
+	for k := range e.rails {
+		if e.rails[k].scq.Len() > 0 {
+			return des.Step{}, false
+		}
+	}
+	off := int(e.recvSeq%uint64(e.nChunks)) * e.cfg.ChunkSize
+	if le32(e.ring[off:off+4]) == uint32(e.recvSeq+1) {
+		return des.Step{}, false
+	}
+	return e.charge(), true
+}
+
+// SkipGet implements IdleGetter.
+func (e *chunkEP) SkipGet() { e.stats.GetCalls++ }
+
+// GetCharged implements IdleGetter: everything Get does after its entry
+// charge.
+func (e *chunkEP) GetCharged(p *des.Proc, bufs []Buffer) (int, error) {
+	e.stats.GetCalls++
 	if e.err != nil {
 		return 0, e.err
 	}

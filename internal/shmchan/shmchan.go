@@ -179,7 +179,7 @@ type Conn struct {
 	out *dir // direction this side produces into
 	in  *dir // direction this side consumes from
 
-	sendq   []*sendOp
+	sendq   des.Queue[*sendOp]
 	rndvSeq uint64
 	pending map[uint64]*rndvOp // announced rendezvous sends by id
 
@@ -250,7 +250,7 @@ func (c *Conn) notify() { c.hca.NotifyMemWrite() }
 // an over-threshold message only reaches here when rendezvous is disabled.
 func (c *Conn) SendEager(p *des.Proc, env transport.Envelope, payload transport.Buffer,
 	onDone func(p *des.Proc)) {
-	c.sendq = append(c.sendq, &sendOp{env: env, payload: payload, onDone: onDone})
+	c.sendq.Put(&sendOp{env: env, payload: payload, onDone: onDone})
 	c.Poll(p)
 }
 
@@ -261,7 +261,7 @@ func (c *Conn) SendRendezvous(p *des.Proc, env transport.Envelope, payload trans
 	if c.cfg.RndvThreshold == 0 {
 		panic("shmchan: SendRendezvous with rendezvous disabled")
 	}
-	c.sendq = append(c.sendq, &sendOp{env: env, payload: payload, onDone: onDone, rndv: true})
+	c.sendq.Put(&sendOp{env: env, payload: payload, onDone: onDone, rndv: true})
 	c.Poll(p)
 }
 
@@ -309,7 +309,7 @@ func (c *Conn) AcceptRendezvous(p *des.Proc, id uint64, dst transport.Buffer,
 }
 
 // Pending reports queued-but-incomplete send operations (diagnostics).
-func (c *Conn) Pending() int { return len(c.sendq) + len(c.pending) }
+func (c *Conn) Pending() int { return c.sendq.Len() + len(c.pending) }
 
 // Poll implements transport.Endpoint: advance the head send operation and
 // drain arrived messages, reporting whether anything moved.
@@ -325,8 +325,11 @@ func (c *Conn) Poll(p *des.Proc) bool {
 // strict FIFO order (MPI ordering between a rank pair).
 func (c *Conn) progressSend(p *des.Proc) bool {
 	prog := false
-	for len(c.sendq) > 0 {
-		op := c.sendq[0]
+	for {
+		op, ok := c.sendq.Peek()
+		if !ok {
+			break
+		}
 		if op.rndv {
 			// Rendezvous: one RTS descriptor through the ring, then the
 			// operation parks in the pending map until accepted.
@@ -339,7 +342,7 @@ func (c *Conn) progressSend(p *des.Proc) bool {
 			cl.env, cl.kind, cl.id, cl.full = op.env, cellRTS, c.rndvSeq, true
 			c.out.tail++
 			c.pending[c.rndvSeq] = &rndvOp{payload: op.payload, onDone: op.onDone}
-			c.sendq = c.sendq[1:]
+			c.sendq.TryGet()
 			c.stats.RndvSends++
 			c.notify()
 			prog = true
@@ -403,7 +406,7 @@ func (c *Conn) progressSend(p *des.Proc) bool {
 }
 
 func (c *Conn) completeHead(p *des.Proc, op *sendOp) {
-	c.sendq = c.sendq[1:]
+	c.sendq.TryGet()
 	if op.env.Len > c.cfg.EagerMax {
 		c.stats.LargeSends++
 	} else {

@@ -79,6 +79,10 @@ type Engine struct {
 	rdyHd int        // head index into ready (a ring, like ib's delivery queues)
 	rr    int        // round-robin polling cursor over act
 
+	// Scratch for the run of idle endpoints Progress is sleeping through.
+	idleRun   []idlePoller
+	idleSteps []des.Step
+
 	// dialer starts connection establishment toward a peer. When set, the
 	// first send to a nil endpoint slot creates the lazy stub on demand —
 	// the engine never holds per-peer state for peers it has not talked to,
@@ -522,6 +526,22 @@ func (e *Engine) ArriveRTS(p *des.Proc, env Envelope, ep Endpoint, id uint64) {
 	e.uq = append(e.uq, &uqEntry{env: env, isRndv: true, rndvEP: ep, rndvID: id})
 }
 
+// idlePoller is implemented by endpoints whose Poll costs simulated time
+// even when there is nothing to do (ch3.Conn over a chunk ring: every Get
+// is charged before it looks). Endpoints with a free idle poll — SRQConn,
+// shmchan.Conn, Stub — do not implement it and are polled one by one.
+type idlePoller interface {
+	// IdlePoll reports whether a Poll issued now would pay exactly the
+	// returned charge and find nothing. The answer holds until the node's
+	// next NotifyMemWrite.
+	IdlePoll() (des.Step, bool)
+
+	// PollCharged finishes a Poll for which IdlePoll held and whose charge
+	// the engine has slept: with look it runs everything Poll does after
+	// the charge, without it the poll is only counted.
+	PollCharged(p *des.Proc, look bool) bool
+}
+
 // Progress makes one round-robin pass over the established endpoints; with
 // block set it sleeps until fabric activity when nothing moved. The pass
 // walks the active list — O(connected), not O(np), which is what keeps a
@@ -529,6 +549,13 @@ func (e *Engine) ArriveRTS(p *des.Proc, env Envelope, ep Endpoint, id uint64) {
 // cursor advances every pass so no peer is structurally favoured when many
 // endpoints compete. The activity counter is read before the pass so that
 // a delivery racing with the polling of another endpoint cannot be lost.
+//
+// Consecutive endpoints whose poll would only pay its charge (idlePoller)
+// are not polled one event at a time: the run's charges are slept as one
+// chain on the node, which NotifyMemWrite cuts at the endpoint being
+// charged when anything observable changes. The endpoints before that one
+// were charged with nothing to see; it alone looks, exactly when its own
+// Poll would have, and the pass carries on from the next endpoint.
 func (e *Engine) Progress(p *des.Proc, block bool) bool {
 	e.check()
 	seq := e.hca.MemEventSeq()
@@ -558,14 +585,35 @@ func (e *Engine) Progress(p *des.Proc, block bool) bool {
 		if lo == n {
 			lo = 0
 		}
-		for i := 0; i < n; i++ {
-			idx := lo + i
-			if idx >= n {
-				idx -= n
+		for i := 0; i < n; {
+			e.idleRun, e.idleSteps = e.idleRun[:0], e.idleSteps[:0]
+			for j := i; j < n; j++ {
+				ip, ok := e.actEp[(lo+j)%n].(idlePoller)
+				if !ok {
+					break
+				}
+				step, idle := ip.IdlePoll()
+				if !idle {
+					break
+				}
+				e.idleRun = append(e.idleRun, ip)
+				e.idleSteps = append(e.idleSteps, step)
 			}
-			if e.actEp[idx].Poll(p) {
+			if len(e.idleRun) == 0 {
+				if e.actEp[(lo+i)%n].Poll(p) {
+					prog = true
+				}
+				i++
+				continue
+			}
+			paid := e.node.SleepChain(p, e.idleSteps)
+			for _, ip := range e.idleRun[:paid-1] {
+				ip.PollCharged(p, false)
+			}
+			if e.idleRun[paid-1].PollCharged(p, true) {
 				prog = true
 			}
+			i += paid
 		}
 	}
 	e.check()
