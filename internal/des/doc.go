@@ -3,11 +3,17 @@
 // reports (the paper itself, conf_ipps_LiuJWPABGT04, measures wall-clock
 // microseconds on real hardware; here simulated time stands in for them).
 //
-// Simulated processes are ordinary goroutines, but the engine steps exactly
-// one of them at a time: a process runs until it blocks on a kernel
-// primitive (Sleep, Cond.Wait, Queue.Get, Resource.Acquire, ...), at which
-// point control returns to the engine, which advances the simulated clock to
-// the next pending event.
+// Simulated processes are goroutines, but never scheduled ones: each is a
+// runtime coroutine (iter.Pull) of the goroutine that drives its engine, and
+// the engine steps exactly one of them at a time. A process runs until it
+// blocks on a kernel primitive (Sleep, Cond.Wait, Queue.Get,
+// Resource.Acquire, ...) and then dispatches pending events itself,
+// advancing the simulated clock, until one of them resumes it — no switch
+// at all — or resumes another process, which costs two coroutine switches
+// through the driver and never a trip through the Go scheduler (DESIGN.md
+// §12). Shutdown unwinds every parked process through its deferred calls.
+// The package needs a Go 1.23 toolchain or later for iter; coro.go says so
+// with a build constraint, because go.mod cannot (see the comment there).
 //
 // Layer boundaries: this package is the bottom of the stack. It knows
 // nothing about InfiniBand, MPI or the cost model; internal/model prices

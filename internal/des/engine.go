@@ -3,7 +3,6 @@ package des
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
 	"strings"
 )
@@ -16,12 +15,14 @@ import (
 // Dispatch is baton-passing: the event loop runs on whichever goroutine
 // currently holds control — the Run caller (the driver) or a process
 // blocked in a kernel primitive. A process that pauses keeps dispatching
-// events on its own goroutine until one resumes another process (one
-// channel send hands the baton directly, with no trip through a central
-// scheduler goroutine) or resumes the pausing process itself, which costs
-// no channel operation at all. The driver parks on runCh while processes
-// pass the baton among themselves and gets it back when the loop must stop
-// or a process terminates.
+// events on its own goroutine until one resumes the pausing process itself,
+// which costs no switch at all, or resumes another process. Every process
+// is a runtime coroutine (iter.Pull) of the driver, so that hand-off is two
+// direct goroutine switches — the pausing process yields the target to the
+// driver's trampoline (Engine.resume), which switches into it — with no run
+// queue and no scheduler in between, and the whole engine stays on the
+// thread that drives it. The driver gets the baton back for good when the
+// loop must stop or a process terminates.
 type Engine struct {
 	now       Time
 	q         eventQueue
@@ -29,9 +30,8 @@ type Engine struct {
 	alive     int // spawned non-daemon processes that have not terminated
 	daemons   int // spawned daemon processes that have not terminated
 	procs     []*Proc
-	deadProcs int           // dead entries still in procs; triggers compaction
-	runCh     chan struct{} // returns the baton to the driver
-	deadline  Time          // events after this instant stay queued
+	deadProcs int  // dead entries still in procs; triggers compaction
+	deadline  Time // events after this instant stay queued
 	stopped   bool
 	down      bool
 	panicV    interface{}
@@ -136,7 +136,7 @@ func NewEngine() *Engine { return NewEngineWithQueue(QueueDefault) }
 // the determinism cross-check suites run the same workload under each and
 // assert equal schedule fingerprints.
 func NewEngineWithQueue(kind QueueKind) *Engine {
-	return &Engine{q: newQueue(kind), runCh: make(chan struct{}), curBase: mixKey(rootKey, 0)}
+	return &Engine{q: newQueue(kind), curBase: mixKey(rootKey, 0)}
 }
 
 // Sharded reports whether this engine is a member of a Group, i.e. other
@@ -242,10 +242,12 @@ func (e *Engine) Stop() { e.stopped = true }
 
 // Shutdown terminates every remaining process goroutine and drops the
 // event queue, releasing everything the simulation references. A finished
-// simulation otherwise pins its entire state: daemon goroutines (hardware
-// service engines) park forever on their resume channels and keep nodes,
-// adapters and application buffers reachable. Call Shutdown when a
-// simulation will not be used again; the engine is dead afterwards.
+// simulation otherwise pins its entire state: daemon coroutines (hardware
+// service engines) stay parked in their last pause and keep nodes, adapters
+// and application buffers reachable. Each started process is unwound from
+// that pause through its own deferred calls; one that never started has no
+// goroutine to unwind. Call Shutdown when a simulation will not be used
+// again; the engine is dead afterwards.
 func (e *Engine) Shutdown() {
 	if g := e.group; g != nil && e == g.global {
 		g.shutdown()
@@ -260,11 +262,9 @@ func (e *Engine) shutdownOne() {
 	}
 	e.down = true
 	for _, p := range e.procs {
-		if p.dead {
-			continue
+		if !p.dead && p.stop != nil {
+			p.stop() // yield reports false in the parked pause, which unwinds
 		}
-		p.ch <- struct{}{} // resume; the process observes down and exits
-		<-p.ch
 	}
 	e.procs = nil
 	e.deadProcs = 0
@@ -308,9 +308,8 @@ func (e *Engine) advance(t Time) {
 }
 
 // runDriver is the dispatch loop on the Run caller's goroutine. Handing a
-// wakeup to a process lends it the baton; the driver parks on runCh until
-// the process chain returns it (a stop condition was reached, or a process
-// terminated — possibly by panic, re-raised here).
+// wakeup to a process lends it the baton until the process chain returns it
+// (a stop condition was reached, or a process terminated).
 func (e *Engine) runDriver() {
 	for !e.stopped {
 		ev, ok := e.q.popLE(e.deadline)
@@ -325,26 +324,40 @@ func (e *Engine) runDriver() {
 			if p.dead || p.gen != ev.gen || !p.waiting {
 				continue
 			}
-			p.ch <- struct{}{}
-			<-e.runCh
-			if e.panicV != nil {
-				v := e.panicV
-				e.panicV = nil
-				panic(v)
-			}
+			e.resume(p)
 		} else {
 			ev.fn()
 		}
 	}
 }
 
+// resume is the driver's trampoline: it switches into p, and then into
+// whichever process each one names when it yields, until one yields nil (a
+// stop condition) or terminates. A process that died by panic is re-raised
+// here, on the driver's goroutine.
+func (e *Engine) resume(p *Proc) {
+	for p != nil {
+		if p.next == nil {
+			p.start()
+		}
+		p, _ = p.next()
+	}
+	if e.panicV != nil {
+		v := e.panicV
+		e.panicV = nil
+		panic(v)
+	}
+}
+
 // runOn is the dispatch loop on a paused process's goroutine. It returns
-// when p's own wakeup is dispatched: either p pops it itself (no channel
-// operation — the dominant case for sleep/poll cycles) or another holder
-// pops it and sends p the baton. A stop condition hands the baton back to
-// the driver and parks p until its wakeup eventually arrives (a later Run)
-// or Shutdown kills it.
+// when p's own wakeup is dispatched: either p pops it itself (no switch at
+// all — the dominant case for sleep/poll cycles) or another holder pops it
+// and the trampoline switches back into p. Popping another process's wakeup
+// yields that process to the trampoline; a stop condition yields nil, which
+// returns the baton to the driver and leaves p parked until its wakeup
+// eventually arrives (a later Run) or Shutdown unwinds it.
 func (e *Engine) runOn(p *Proc) {
+	var t *Proc
 	for !e.stopped {
 		ev, ok := e.q.popLE(e.deadline)
 		if !ok {
@@ -354,21 +367,21 @@ func (e *Engine) runOn(p *Proc) {
 			continue
 		}
 		e.account(&ev)
-		if t := ev.proc; t != nil {
+		if t = ev.proc; t != nil {
 			if t.dead || t.gen != ev.gen || !t.waiting {
+				t = nil
 				continue
 			}
 			if t == p {
 				return
 			}
-			t.ch <- struct{}{}
-			<-p.ch
-			return
+			break
 		}
 		ev.fn()
 	}
-	e.runCh <- struct{}{}
-	<-p.ch
+	if !p.yield(t) {
+		panic(shutdownUnwind{})
+	}
 }
 
 // Run dispatches events until the queue drains, Stop is called, or a
@@ -421,16 +434,27 @@ func (e *Engine) deadlockReport() string {
 // Proc is a simulated process. Exactly one Proc executes at any instant;
 // kernel primitives are the only legal blocking points.
 //
-// Control transfers ride each process's unbuffered rendezvous channel, but
-// only when the baton actually changes goroutines: a process that pauses
-// keeps dispatching on its own goroutine (Engine.runOn), so resuming
-// another process costs one send and resuming itself costs nothing. Exactly
-// one goroutine — the driver or one process — runs at any moment, which
-// keeps the shared engine state race-free.
+// A process is a coroutine of its engine's driver, created when its start
+// event fires. Control transfers are coroutine switches, and happen only
+// when the baton actually changes goroutines: a process that pauses keeps
+// dispatching on its own goroutine (Engine.runOn), so resuming itself costs
+// nothing and resuming another process costs a yield to the driver's
+// trampoline and its switch into the target. Exactly one goroutine — the
+// driver or one process — runs at any moment, which keeps the shared engine
+// state race-free.
 type Proc struct {
-	eng     *Engine
-	name    string
-	ch      chan struct{}
+	eng  *Engine
+	name string
+	body func(p *Proc) // until the process starts
+
+	// The coroutine (iter.Pull), from start to death: next switches into the
+	// process, yield switches back naming the process to resume next (nil:
+	// the baton returns to the driver), stop makes the parked yield report
+	// false so the process unwinds.
+	next  func() (*Proc, bool)
+	stop  func()
+	yield func(*Proc) bool
+
 	dead    bool
 	daemon  bool
 	waiting bool
@@ -480,8 +504,8 @@ func (e *Engine) spawn(name string, body func(p *Proc), daemon bool, key uint64)
 	p := &Proc{
 		eng:     e,
 		name:    name,
+		body:    body,
 		daemon:  daemon,
-		ch:      make(chan struct{}),
 		waiting: true,
 		where:   "start",
 	}
@@ -491,38 +515,18 @@ func (e *Engine) spawn(name string, body func(p *Proc), daemon bool, key uint64)
 		e.alive++
 	}
 	e.addProc(p)
-	go func() {
-		<-p.ch // wait for the start event
-		defer func() {
-			p.dead = true
-			e.deadProcs++
-			if p.daemon {
-				e.daemons--
-			} else {
-				e.alive--
-			}
-			if r := recover(); r != nil {
-				e.panicV = fmt.Sprintf("des: process %q panicked: %v", name, r)
-			}
-			if e.down {
-				p.ch <- struct{}{} // Shutdown handshake
-			} else {
-				e.runCh <- struct{}{} // death returns the baton to the driver
-			}
-		}()
-		if !e.down {
-			p.waiting = false
-			p.gen++
-			body(p)
-		}
-	}()
-	// The start is an ordinary wakeup bound to generation 0; Shutdown
-	// before it fires kills the parked goroutine and the event is dropped
-	// with the queue.
+	// The start is an ordinary wakeup bound to generation 0; its dispatch
+	// creates the coroutine (Engine.resume), so a process whose start never
+	// fires — Shutdown dropped it with the queue — costs no goroutine.
 	e.seq++
 	e.q.push(event{at: e.now, key: key, seq: e.seq, proc: p})
 	return p
 }
+
+// shutdownUnwind is the panic that unwinds a parked process when Shutdown
+// stops its coroutine. It cannot be runtime.Goexit: iter.Pull propagates a
+// Goexit to the caller of next/stop, which would take the driver down too.
+type shutdownUnwind struct{}
 
 // addProc records a process for Shutdown and deadlock reporting. Dead
 // entries are compacted away once they dominate the slice, so churn-heavy
@@ -557,11 +561,6 @@ func (p *Proc) pause(where string) {
 	p.where = where
 	p.waiting = true
 	p.eng.runOn(p)
-	if p.eng.down {
-		// Engine shutdown: unwind this goroutine; the spawn defer notifies
-		// the engine.
-		runtime.Goexit()
-	}
 	p.waiting = false
 	p.gen++
 }

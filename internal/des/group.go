@@ -285,14 +285,7 @@ func (g *Group) fusedInstant(T Time) {
 			if p.dead || p.gen != ev.gen || !p.waiting {
 				continue
 			}
-			p.ch <- struct{}{}
-			<-x.runCh
-			if x.panicV != nil {
-				v := x.panicV
-				x.panicV = nil
-				g.cur = nil
-				panic(v)
-			}
+			x.resume(p)
 		} else {
 			ev.fn()
 		}

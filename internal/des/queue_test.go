@@ -1,6 +1,7 @@
 package des
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -244,9 +245,10 @@ func BenchmarkEngineScheduleDispatch(b *testing.B) {
 	}
 }
 
-// BenchmarkProcHandoff measures one simulated blocking point: a process
-// sleeping zero-length intervals, each iteration one wake event plus one
-// pause/step channel rendezvous.
+// BenchmarkProcHandoff measures one simulated blocking point on the
+// self-wake fast path: a lone process sleeping zero-length intervals pops
+// its own wake every time, so each iteration is one wake event and never
+// leaves its goroutine. BenchmarkProcSwitch is the hand-off that does.
 func BenchmarkProcHandoff(b *testing.B) {
 	e := NewEngine()
 	e.Spawn("spinner", func(p *Proc) {
@@ -257,4 +259,34 @@ func BenchmarkProcHandoff(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	e.Run()
+}
+
+// BenchmarkProcSwitch measures a genuine process-to-process hand-off: a
+// ring of N processes each sleeping one tick, so every event is popped by
+// the process before its owner in the ring and resumes another goroutine.
+// Larger rings add the cache misses of touching N stacks in turn.
+func BenchmarkProcSwitch(b *testing.B) {
+	for _, n := range []int{2, 256, 4096} {
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			e := NewEngine()
+			for i := 0; i < n; i++ {
+				laps := b.N / n
+				if i < b.N%n {
+					laps++
+				}
+				e.Spawn("ring", func(p *Proc) {
+					for ; laps > 0; laps-- {
+						p.Sleep(1)
+					}
+				})
+			}
+			e.RunUntil(0) // start every process: the ring is then in steady state
+			b.ReportAllocs()
+			b.ResetTimer()
+			e.Run()
+			if got := e.EventsExecuted(); got != uint64(n+b.N) {
+				b.Fatalf("%d events for %d sleeps around a ring of %d", got, b.N, n)
+			}
+		})
+	}
 }
