@@ -27,20 +27,25 @@ func runIS(comm *mpi.Comm, class Class) (float64, bool) {
 	np, rank := comm.Size(), comm.Rank()
 	n := totalKeys / np
 
-	// Generate keys (deterministic linear congruential stream per rank).
-	keysBuf, keys := comm.Alloc(n * 4)
+	// Generate keys (deterministic linear congruential stream per rank). The
+	// keys never change, so each one's destination rank — the only division
+	// the bucketing needs — is worked out once, here.
+	rangePer := (maxKey + np - 1) / np
+	_, keys := comm.Alloc(n * 4)
+	dest := make([]uint16, n) // dest < np; the ROADMAP's largest target is np=16384
 	x := uint64(rank)*6364136223846793005 + 1442695040888963407
 	for i := 0; i < n; i++ {
 		x = x*6364136223846793005 + 1442695040888963407
-		binary.LittleEndian.PutUint32(keys[i*4:], uint32(x>>33)%uint32(maxKey))
+		k := uint32(x>>33) % uint32(maxKey)
+		binary.LittleEndian.PutUint32(keys[i*4:], k)
+		dest[i] = uint16(int(k) / rangePer)
 	}
-	_ = keysBuf
 
-	rangePer := (maxKey + np - 1) / np
 	sendBuf, sendBytes := comm.Alloc(n * 4)
 	recvBuf, recvBytes := comm.Alloc(2 * n * 4) // skew headroom
 	sendCounts := make([]int, np)
 	recvCounts := make([]int, np)
+	off := make([]int, np)
 	cntS, cntSb := comm.Alloc(np * 8)
 	cntR, cntRb := comm.Alloc(np * 8)
 
@@ -52,20 +57,16 @@ func runIS(comm *mpi.Comm, class Class) (float64, bool) {
 		for i := range sendCounts {
 			sendCounts[i] = 0
 		}
-		for i := 0; i < n; i++ {
-			k := binary.LittleEndian.Uint32(keys[i*4:])
-			sendCounts[int(k)/rangePer] += 4
+		for _, d := range dest {
+			sendCounts[d] += 4
 		}
-		off := make([]int, np)
 		sum := 0
 		for i := 0; i < np; i++ {
 			off[i] = sum
 			sum += sendCounts[i]
 		}
-		for i := 0; i < n; i++ {
-			k := binary.LittleEndian.Uint32(keys[i*4:])
-			d := int(k) / rangePer
-			copy(sendBytes[off[d]:], keys[i*4:i*4+4])
+		for i, d := range dest {
+			binary.LittleEndian.PutUint32(sendBytes[off[d]:], binary.LittleEndian.Uint32(keys[i*4:]))
 			off[d] += 4
 		}
 		comm.Compute(float64(2 * n)) // bucketing passes

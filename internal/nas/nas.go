@@ -1,7 +1,9 @@
 package nas
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"repro/internal/cluster"
@@ -145,22 +147,50 @@ func isqrt(n int) int {
 	return 0
 }
 
-// fill writes a deterministic pattern derived from seed.
+// fill writes a deterministic pattern derived from seed: one step of a
+// 64-bit linear congruential generator per eight bytes, its weak low bits
+// folded under the high ones.
 func fill(b []byte, seed uint64) {
-	x := seed*2862933555777941757 + 3037000493
+	const mul, inc = 2862933555777941757, 3037000493
+	x := seed*mul + inc
+	for ; len(b) >= 8; b = b[8:] {
+		x = x*mul + inc
+		binary.LittleEndian.PutUint64(b, x^x>>32)
+	}
+	x = x*mul + inc
 	for i := range b {
-		x = x*2862933555777941757 + 3037000493
-		b[i] = byte(x >> 56)
+		b[i] = byte((x ^ x>>32) >> (8 * uint(i)))
 	}
 }
 
-// checksum folds bytes into a weak checksum for payload verification.
+// checksum folds bytes into a weak checksum for payload verification. The
+// kernels run it over every buffer they receive (16 MB per rank, eight
+// times, in class A FT), so it takes 32 bytes a step in four independent
+// lanes rather than one dependent multiply per byte; the lanes are folded
+// under distinct rotations, so words that trade lanes do not cancel, the
+// tail goes in bytewise, and a final avalanche spreads what the last bytes
+// changed.
 func checksum(b []byte) uint64 {
-	var h uint64 = 1469598103934665603
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= 1099511628211
+	const prime = 1099511628211
+	n := uint64(len(b))
+	h0, h1, h2, h3 := uint64(1469598103934665603), uint64(0x9E3779B97F4A7C15), uint64(0xBF58476D1CE4E5B9), uint64(0x94D049BB133111EB)
+	for ; len(b) >= 32; b = b[32:] {
+		// The rotation carries each word's high bits, which a multiply alone
+		// never moves down, into the next step's low ones.
+		h0 = bits.RotateLeft64(h0^binary.LittleEndian.Uint64(b), 27) * prime
+		h1 = bits.RotateLeft64(h1^binary.LittleEndian.Uint64(b[8:]), 27) * prime
+		h2 = bits.RotateLeft64(h2^binary.LittleEndian.Uint64(b[16:]), 27) * prime
+		h3 = bits.RotateLeft64(h3^binary.LittleEndian.Uint64(b[24:]), 27) * prime
 	}
+	h := h0 ^ bits.RotateLeft64(h1, 17) ^ bits.RotateLeft64(h2, 31) ^ bits.RotateLeft64(h3, 47) ^ n
+	for _, c := range b {
+		h = (h ^ uint64(c)) * prime
+	}
+	h ^= h >> 30
+	h *= 0xBF58476D1CE4E5B9
+	h ^= h >> 27
+	h *= 0x94D049BB133111EB
+	h ^= h >> 31
 	return h
 }
 

@@ -1,6 +1,7 @@
 package nas
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/cluster"
@@ -72,13 +73,102 @@ func TestGridFactorizations(t *testing.T) {
 	}
 }
 
+// TestChecksumDetectsCorruption flips every bit of every buffer length that
+// exercises the 32-byte blocks, the byte tail and both together, and one bit
+// in each region of a long buffer.
 func TestChecksumDetectsCorruption(t *testing.T) {
-	b := make([]byte, 256)
-	fill(b, 42)
-	c1 := checksum(b)
-	b[100] ^= 1
-	if checksum(b) == c1 {
-		t.Fatal("checksum missed a single-bit flip")
+	flips := func(n int, at []int) {
+		b := make([]byte, n)
+		fill(b, 42)
+		c1 := checksum(b)
+		for _, bit := range at {
+			b[bit/8] ^= 1 << (bit % 8)
+			if checksum(b) == c1 {
+				t.Errorf("len %d: checksum missed a flip of bit %d", n, bit)
+			}
+			b[bit/8] ^= 1 << (bit % 8)
+		}
+		if checksum(b) != c1 {
+			t.Errorf("len %d: checksum is not a function of the bytes", n)
+		}
+		if n > 0 && checksum(b[:n-1]) == c1 {
+			t.Errorf("len %d: checksum missed the loss of the last byte", n)
+		}
+	}
+	for n := 0; n <= 40; n++ {
+		every := make([]int, n*8)
+		for i := range every {
+			every[i] = i
+		}
+		flips(n, every)
+	}
+	const long = 1<<20 + 5
+	flips(long, []int{0, 63, 64, 8*31 + 7, 8 * (long / 2), 8*(long-6) + 7, 8 * (long - 5), 8*long - 1})
+}
+
+// TestChecksumDetectsReordering: data that arrives complete but misplaced
+// — two words that traded lanes, two blocks that traded places, even ones
+// that differ only in their top bits — must not verify.
+func TestChecksumDetectsReordering(t *testing.T) {
+	swap := func(b []byte, i, j, n int) {
+		tmp := append([]byte(nil), b[i:i+n]...)
+		copy(b[i:i+n], b[j:j+n])
+		copy(b[j:j+n], tmp)
+	}
+	b := make([]byte, 4096)
+	fill(b, 7)
+	want := checksum(b)
+	for _, c := range []struct {
+		what    string
+		i, j, n int
+	}{
+		{"words in lanes 0 and 1 of one block", 64, 72, 8},
+		{"words in lanes 1 and 3 of different blocks", 8, 1024 + 24, 8},
+		{"adjacent 32-byte blocks", 128, 160, 32},
+		{"distant 32-byte blocks", 0, 4064, 32},
+	} {
+		swap(b, c.i, c.j, c.n)
+		if checksum(b) == want {
+			t.Errorf("checksum missed a swap of %s", c.what)
+		}
+		swap(b, c.i, c.j, c.n)
+	}
+
+	z := make([]byte, 96)
+	z[7] = 0x80 // block 0, lane 0, top bit
+	one := checksum(z)
+	z[7], z[64+7] = 0, 0x80 // the same word two blocks later
+	if checksum(z) == one {
+		t.Error("checksum cannot tell where a word's top bit was set")
+	}
+}
+
+// TestFillDeterministicPerSeed: a seed names one pattern, whatever the
+// length it is cut to, and different seeds name different ones.
+func TestFillDeterministicPerSeed(t *testing.T) {
+	a, b := make([]byte, 1003), make([]byte, 1003)
+	fill(a, 5)
+	fill(b, 5)
+	if !bytes.Equal(a, b) {
+		t.Error("fill(5) twice gave different bytes")
+	}
+	short := make([]byte, 203)
+	fill(short, 5)
+	if !bytes.Equal(short, a[:203]) {
+		t.Error("fill(5) over 203 bytes is not a prefix of fill(5) over 1003")
+	}
+	fill(b, 6)
+	if bytes.Equal(a, b) {
+		t.Error("fill(5) and fill(6) gave the same bytes")
+	}
+	var zeros int
+	for _, c := range a {
+		if c == 0 {
+			zeros++
+		}
+	}
+	if zeros > len(a)/16 {
+		t.Errorf("fill left %d of %d bytes zero", zeros, len(a))
 	}
 }
 
