@@ -2,6 +2,7 @@ package ch3
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -238,4 +239,37 @@ func TestIBConnRequiresChunkEndpoint(t *testing.T) {
 		}
 	}()
 	NewIBConn(r.eps[0], r.match[0], 0, fatalErr(t))
+}
+
+// TestRequeueAheadOrder pins what SRQConn.adopt needs of its send queues
+// after a re-dial: retained packets leave first, oldest first, then the ones
+// queued during the outage in their own order — and the queue's buffer is
+// the one it had, not a longer one per outage.
+func TestRequeueAheadOrder(t *testing.T) {
+	op := func(id uint64) *srqOp { return &srqOp{hdr: header{reqID: id}} }
+	var q des.Queue[*srqOp]
+	for id := uint64(1); id <= 5; id++ {
+		q.Put(op(id))
+	}
+	q.TryGet() // 1 and 2 were staged before the rail died
+	q.TryGet()
+	for outage := 0; outage < 3; outage++ {
+		requeueAhead(&q, []*srqOp{op(1), op(2)})
+		var got []uint64
+		for _, o := range q.Pending() {
+			got = append(got, o.hdr.reqID)
+		}
+		if want := []uint64{1, 2, 3, 4, 5}; !reflect.DeepEqual(got, want) {
+			t.Fatalf("outage %d: queue holds %v, want %v", outage, got, want)
+		}
+		if c := cap(q.Pending()); c > 8 {
+			t.Fatalf("outage %d: queue buffer grew to %d for 5 packets", outage, c)
+		}
+		q.TryGet()
+		q.TryGet()
+	}
+	requeueAhead(&q, nil)
+	if first, _ := q.Peek(); q.Len() != 3 || first.hdr.reqID != 3 {
+		t.Fatalf("requeueAhead of nothing changed the queue: len %d, head %d", q.Len(), first.hdr.reqID)
+	}
 }

@@ -32,8 +32,8 @@ import (
 // threshold of one slot payload, exactly like the direct CH3 design.
 type SRQConn struct {
 	// The idle-check fields lead the struct so Poll's fast path — taken by
-	// every connected-but-quiet peer every progress pass — reads a single
-	// cache line per connection.
+	// every connected-but-quiet peer every progress pass — reads its first
+	// two cache lines and nothing else.
 	//
 	// sharedPoll and resilient cache pool properties, uniform across every
 	// pool of a cluster, so the hot path avoids the method calls. ctrlq and
@@ -43,8 +43,8 @@ type SRQConn struct {
 	// order.
 	sharedPoll bool // pool.SharedProgress(): the engine polls the pool
 	resilient  bool // pool.Resilient()
-	ctrlq      []*srqOp
-	dataq      []*srqOp
+	ctrlq      des.Queue[*srqOp]
+	dataq      des.Queue[*srqOp]
 
 	pool  *rdmachan.SRQPool
 	qp    *ib.QP
@@ -173,7 +173,7 @@ func (c *SRQConn) maybeRedial() {
 	if c.redialled || c.redial == nil || c.nextQP != nil {
 		return
 	}
-	if len(c.ctrlq)+len(c.dataq)+len(c.unacked)+len(c.sendRndv)+
+	if c.ctrlq.Len()+c.dataq.Len()+len(c.unacked)+len(c.sendRndv)+
 		len(c.recvRndv)+len(c.pendingWrites) == 0 {
 		return
 	}
@@ -203,16 +203,11 @@ func (c *SRQConn) adopt(p *des.Proc) {
 	}
 	c.unacked = nil
 	c.stats.Resends += uint64(len(ctrl) + len(data))
-	c.ctrlq = append(ctrl, c.ctrlq...)
-	c.dataq = append(data, c.dataq...)
+	requeueAhead(&c.ctrlq, ctrl)
+	requeueAhead(&c.dataq, data)
 
-	have := make(map[uint64]bool)
-	for _, op := range c.ctrlq {
-		if op.hdr.kind == pktRTS {
-			have[op.hdr.reqID] = true
-		}
-	}
-	for _, op := range c.dataq {
+	have := make(map[uint64]bool) // RTS packets travel on dataq only
+	for _, op := range c.dataq.Pending() {
 		if op.hdr.kind == pktRTS {
 			have[op.hdr.reqID] = true
 		}
@@ -226,9 +221,19 @@ func (c *SRQConn) adopt(p *des.Proc) {
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	for _, id := range ids {
 		rs := c.sendRndv[id]
-		c.dataq = append(c.dataq, &srqOp{hdr: header{kind: pktRTS, env: rs.env, reqID: id}})
+		c.dataq.Put(&srqOp{hdr: header{kind: pktRTS, env: rs.env, reqID: id}})
 	}
 	c.flush(p)
+}
+
+// requeueAhead puts first, in order, ahead of everything q holds.
+func requeueAhead(q *des.Queue[*srqOp], first []*srqOp) {
+	for op, ok := q.TryGet(); ok; op, ok = q.TryGet() {
+		first = append(first, op)
+	}
+	for _, op := range first {
+		q.Put(op)
+	}
 }
 
 // Pool returns the process pool this connection draws from.
@@ -242,7 +247,7 @@ func (c *SRQConn) Stats() Stats { return c.stats }
 
 // Pending reports queued-but-incomplete outbound work (diagnostics).
 func (c *SRQConn) Pending() int {
-	return len(c.ctrlq) + len(c.dataq) + len(c.sendRndv) +
+	return c.ctrlq.Len() + c.dataq.Len() + len(c.sendRndv) +
 		len(c.unacked) + len(c.pendingWrites)
 }
 
@@ -261,7 +266,7 @@ func (c *SRQConn) RendezvousThreshold() int { return c.threshold }
 func (c *SRQConn) SendEager(p *des.Proc, env transport.Envelope, payload transport.Buffer,
 	onDone func(p *des.Proc)) {
 	c.stats.EagerSends++
-	c.dataq = append(c.dataq, &srqOp{hdr: header{kind: pktEager, env: env},
+	c.dataq.Put(&srqOp{hdr: header{kind: pktEager, env: env},
 		payload: payload, onDone: onDone})
 	c.flush(p)
 }
@@ -274,7 +279,7 @@ func (c *SRQConn) SendRendezvous(p *des.Proc, env transport.Envelope, payload tr
 	c.reqSeq++
 	id := c.reqSeq
 	c.sendRndv[id] = &rndvSend{payload: payload, onDone: onDone, env: env}
-	c.dataq = append(c.dataq, &srqOp{hdr: header{kind: pktRTS, env: env, reqID: id}})
+	c.dataq.Put(&srqOp{hdr: header{kind: pktRTS, env: env, reqID: id}})
 	c.flush(p)
 }
 
@@ -289,7 +294,7 @@ func (c *SRQConn) AcceptRendezvous(p *des.Proc, reqID uint64, dst transport.Buff
 		// the buffer is registered on the pool that is current then.
 		c.recvRndv[reqID] = &srqRndvRecv{dst: dst, done: done}
 		c.stats.RndvRecvs++
-		c.ctrlq = append(c.ctrlq, &srqOp{hdr: header{kind: pktCTS, reqID: reqID}, rekey: true})
+		c.ctrlq.Put(&srqOp{hdr: header{kind: pktCTS, reqID: reqID}, rekey: true})
 		c.flush(p)
 		return
 	}
@@ -301,7 +306,7 @@ func (c *SRQConn) AcceptRendezvous(p *des.Proc, reqID uint64, dst transport.Buff
 	}
 	c.recvRndv[reqID] = &srqRndvRecv{mr: mr, done: done}
 	c.stats.RndvRecvs++
-	c.ctrlq = append(c.ctrlq, &srqOp{
+	c.ctrlq.Put(&srqOp{
 		hdr: header{kind: pktCTS, reqID: reqID, raddr: dst.Addr, rkeys: [maxHdrRails]uint32{mr.RKey()}},
 	})
 	c.flush(p)
@@ -359,7 +364,7 @@ func (c *SRQConn) handleCTS(p *des.Proc, h header) {
 		c.onErr(errf("srq rendezvous source release: %w", err))
 		return
 	}
-	c.ctrlq = append(c.ctrlq, &srqOp{
+	c.ctrlq.Put(&srqOp{
 		hdr:    header{kind: pktFIN, reqID: h.reqID},
 		onSent: rs.onDone,
 	})
@@ -383,7 +388,7 @@ func (c *SRQConn) writeDone(p *des.Proc, id uint64, cqe ib.CQE) {
 		c.sendRndv[id] = rs
 		return
 	}
-	c.ctrlq = append(c.ctrlq, &srqOp{
+	c.ctrlq.Put(&srqOp{
 		hdr:    header{kind: pktFIN, reqID: id},
 		onSent: rs.onDone,
 	})
@@ -431,16 +436,14 @@ func (c *SRQConn) flush(p *des.Proc) bool {
 	}
 	prog := false
 	for {
-		var q *[]*srqOp
-		switch {
-		case len(c.ctrlq) > 0:
-			q = &c.ctrlq
-		case len(c.dataq) > 0:
+		q := &c.ctrlq
+		op, queued := q.Peek()
+		if !queued {
 			q = &c.dataq
-		default:
-			return prog
+			if op, queued = q.Peek(); !queued {
+				return prog
+			}
 		}
-		op := (*q)[0]
 		var ok bool
 		var err error
 		if resilient {
@@ -466,7 +469,7 @@ func (c *SRQConn) flush(p *des.Proc) bool {
 			c.staged++
 			c.unacked = append(c.unacked, op)
 		}
-		*q = (*q)[1:]
+		q.TryGet()
 		prog = true
 		if op.onDone != nil {
 			op.onDone(p)
@@ -587,7 +590,7 @@ func (c *SRQConn) handleRTSResilient(p *des.Proc, h header) {
 	if c.recvRndv[h.reqID] == nil {
 		return // the matching receive is not yet posted; Accept will answer
 	}
-	for _, op := range c.ctrlq {
+	for _, op := range c.ctrlq.Pending() {
 		if op.hdr.kind == pktCTS && op.hdr.reqID == h.reqID {
 			return
 		}
@@ -597,7 +600,7 @@ func (c *SRQConn) handleRTSResilient(p *des.Proc, h header) {
 			return
 		}
 	}
-	c.ctrlq = append(c.ctrlq, &srqOp{hdr: header{kind: pktCTS, reqID: h.reqID}, rekey: true})
+	c.ctrlq.Put(&srqOp{hdr: header{kind: pktCTS, reqID: h.reqID}, rekey: true})
 	c.flush(p)
 }
 
@@ -612,7 +615,7 @@ func (c *SRQConn) Poll(p *des.Proc) bool {
 	// engine polled it at the top of this pass; an idle fault-free
 	// connection then has nothing at all to do. This is the single hottest
 	// call in wide runs — every rank polls every connected peer every pass.
-	if c.sharedPoll && !c.resilient && len(c.ctrlq) == 0 && len(c.dataq) == 0 {
+	if c.sharedPoll && !c.resilient && c.ctrlq.Len() == 0 && c.dataq.Len() == 0 {
 		return false
 	}
 	prog := false

@@ -162,6 +162,10 @@ func TestQueueTryGet(t *testing.T) {
 	if q.Len() != 1 {
 		t.Fatalf("Len = %d, want 1", q.Len())
 	}
+	q.Put("c")
+	if got := q.Pending(); len(got) != 2 || got[0] != "b" || got[1] != "c" {
+		t.Fatalf("Pending = %q, want [b c]", got)
+	}
 }
 
 func TestResourceFIFOAdmission(t *testing.T) {

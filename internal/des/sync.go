@@ -90,6 +90,10 @@ func (q *Queue[T]) Peek() (T, bool) {
 	return q.items[q.head], true
 }
 
+// Pending returns the queued items, oldest first, for inspection. The slice
+// aliases the queue and is valid only until the next Put or dequeue.
+func (q *Queue[T]) Pending() []T { return q.items[q.head:] }
+
 func (q *Queue[T]) popHead() T {
 	v := q.items[q.head]
 	var zero T
