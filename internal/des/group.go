@@ -254,6 +254,7 @@ func (g *Group) fusedInstant(T Time) {
 		e.deadline = T - 1 // pausing procs dispatch nothing; baton returns here
 		e.stopped = false
 	}
+	defer func() { g.cur = nil }() // also when a process panic passes through
 	var instMax uint64
 	for {
 		var x *Engine
@@ -290,7 +291,6 @@ func (g *Group) fusedInstant(T Time) {
 			ev.fn()
 		}
 	}
-	g.cur = nil
 }
 
 // runWindow runs every shard with pending work before H concurrently up to

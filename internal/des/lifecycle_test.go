@@ -176,6 +176,9 @@ func TestProcPanicReachesRunCaller(t *testing.T) {
 		if !fused {
 			t.Error("boom was resumed from a window, not from the fused instant")
 		}
+		if g.cur != nil {
+			t.Error("the panic left the group in its serialized phase")
+		}
 		g.Global().Shutdown()
 	})
 	if n := goroutinesSettle(base); n > base {
