@@ -262,7 +262,7 @@ func (e *Engine) shutdownOne() {
 	}
 	e.down = true
 	for _, p := range e.procs {
-		if !p.dead && p.stop != nil {
+		if p.stop != nil { // started and not dead
 			p.stop() // yield reports false in the parked pause, which unwinds
 		}
 	}
@@ -357,7 +357,7 @@ func (e *Engine) resume(p *Proc) {
 // returns the baton to the driver and leaves p parked until its wakeup
 // eventually arrives (a later Run) or Shutdown unwinds it.
 func (e *Engine) runOn(p *Proc) {
-	var t *Proc
+	var next *Proc // the process to resume; nil on a stop condition
 	for !e.stopped {
 		ev, ok := e.q.popLE(e.deadline)
 		if !ok {
@@ -367,19 +367,19 @@ func (e *Engine) runOn(p *Proc) {
 			continue
 		}
 		e.account(&ev)
-		if t = ev.proc; t != nil {
+		if t := ev.proc; t != nil {
 			if t.dead || t.gen != ev.gen || !t.waiting {
-				t = nil
 				continue
 			}
 			if t == p {
 				return
 			}
+			next = t
 			break
 		}
 		ev.fn()
 	}
-	if !p.yield(t) {
+	if !p.yield(next) {
 		panic(shutdownUnwind{})
 	}
 }
