@@ -9,7 +9,7 @@
 // Usage:
 //
 //	enginebench -np 64,256,1024 -repeat 3 -out BENCH_engine.json   # cheap rows
-//	enginebench -np 4096 -out BENCH_engine.json -merge     # the ~30-minute row
+//	enginebench -np 4096 -out BENCH_engine.json -merge     # the ~17-minute row
 //	enginebench -np 64 -compare BENCH_engine.json          # CI regression gate
 //	enginebench -np 1024 -queue heap                       # the fallback queue
 //	enginebench -np 1024 -repeat 3                         # fastest of 3 walls
@@ -107,6 +107,9 @@ func run() int {
 				fmt.Printf("%s.%s np=%d queue=%s shards=%d: events=%d fp=%s sim=%.6fs wall=%.2fs setup=%.2fs ev/s=%.0f wall/simsec=%.1f verified=%v\n",
 					r.Bench, r.Class, r.NP, r.Queue, r.Shards, r.Events, r.Fingerprint,
 					r.SimSeconds, r.WallSeconds, r.SetupSeconds, r.EventsPerSec, r.WallPerSimSec, r.Verified)
+				k := r.ByKind
+				fmt.Printf("  by kind: self-wake=%d switch=%d task-step=%d func=%d stale=%d (cut-off chain wakes, not counted: %d); live heap %d B/rank\n",
+					k.SelfWake, k.Switch, k.TaskStep, k.Func, k.Stale, k.CutOff, r.HeapPerRank)
 			}
 		}
 	}

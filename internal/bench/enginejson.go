@@ -47,6 +47,12 @@ type EngineRun struct {
 	EventsPerSec  float64 `json:"events_per_sec"`
 	WallPerSimSec float64 `json:"wall_per_simulated_sec"`
 	Repeats       int     `json:"repeats"`
+
+	// Reported, not compared: Events by what each dispatch cost the harness,
+	// and the heap still live when the kernel returns (after a GC, cluster
+	// not yet closed) per rank.
+	ByKind      *des.EventCounts `json:"events_by_kind,omitempty"`
+	HeapPerRank uint64           `json:"heap_live_bytes_per_rank,omitempty"`
 }
 
 // key identifies a run for baseline matching. Serial rows written before
@@ -97,8 +103,10 @@ func MeasureEngineSharded(benchName string, class nas.Class, np, repeats int, ki
 		Queue: kind.String(), Shards: shards, Repeats: repeats,
 	}
 	for i := 0; i < repeats; i++ {
-		events, fp, sim, wall, setup, verified := measureEngineOnce(benchName, class, np, kind, shards)
+		kinds, heap, fp, sim, wall, setup, verified := measureEngineOnce(benchName, class, np, kind, shards)
+		events := kinds.Total()
 		if i == 0 {
+			run.ByKind, run.HeapPerRank = &kinds, heap
 			run.Events, run.Fingerprint, run.SimSeconds, run.Verified = events, fp, sim, verified
 			run.WallSeconds, run.SetupSeconds = wall, setup
 			continue
@@ -129,7 +137,7 @@ func MeasureEngineSharded(benchName string, class nas.Class, np, repeats int, ki
 // events/sec figure. Construction is timed separately into setupSec — the
 // other scalability axis (the satellite on cluster-construction cost).
 func measureEngineOnce(benchName string, class nas.Class, np int, kind des.QueueKind, shards int) (
-	events uint64, fp string, simSec, wallSec, setupSec float64, verified bool) {
+	events des.EventCounts, heapPerRank uint64, fp string, simSec, wallSec, setupSec float64, verified bool) {
 	setupStart := time.Now()
 	c := cluster.MustNew(cluster.Config{
 		NP:          np,
@@ -142,14 +150,18 @@ func measureEngineOnce(benchName string, class nas.Class, np int, kind des.Queue
 	setupSec = time.Since(setupStart).Seconds()
 	defer c.Close()
 	c.Eng.EnableTrace()
-	ev0, sim0 := c.Eng.EventsExecuted(), c.Now()
+	ev0, sim0 := c.Eng.EventCounts(), c.Now()
 	start := time.Now()
 	res := nas.RunOn(c, benchName, class)
 	wallSec = time.Since(start).Seconds()
-	events = c.Eng.EventsExecuted() - ev0
+	events = c.Eng.EventCounts().Sub(ev0)
 	simSec = (c.Now() - sim0).Seconds()
 	fp = fmt.Sprintf("%016x", c.Eng.TraceFingerprint())
 	verified = res.Verified
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	heapPerRank = ms.HeapAlloc / uint64(np)
 	return
 }
 
@@ -183,7 +195,7 @@ func ReadEngineReport(path string) (*EngineReport, error) {
 // replaced by update's measurement, new keys append in measurement order,
 // and base rows the update did not re-measure survive. This is how the
 // committed baseline is regenerated piecemeal — the np=4096 row takes
-// ~25 minutes, so re-measuring the cheap rows must not force re-measuring
+// ~17 minutes, so re-measuring the cheap rows must not force re-measuring
 // it (and vice versa).
 func MergeEngineReports(base, update *EngineReport) *EngineReport {
 	merged := &EngineReport{Schema: EngineSchema, Go: update.Go}

@@ -37,6 +37,18 @@ func (p *Proc) SleepStep(s Step) {
 	p.pause("sleep")
 }
 
+// SleepStep parks the task for one step, as a single event.
+func (t *Task) SleepStep(s Step) {
+	s.check()
+	p, e := (*Proc)(t), t.eng
+	p.wakeKeyed(e.now+s.D, hopKey(e.execCtx().childKey(), s.Hops-1), false)
+	p.park("sleep")
+}
+
+// midStep reports whether a dispatched task wake is a hop inside a step
+// rather than its end: never in this build, which elides them.
+func (p *Proc) midStep() bool { return false }
+
 // SleepChain sleeps the steps in order and returns how many completed: all
 // of them, unless CutChain ended the chain early. It is observationally
 // identical to
@@ -79,7 +91,7 @@ func (p *Proc) SleepChain(steps []Step) int {
 // earlier instant, so it fires before the first larger key — comparing
 // against the dispatching event's own key alone would misplace it behind a
 // zero-delay child of a larger-keyed event). The superseded wake stays
-// queued and is dropped unaccounted (event.cutOff); the process is re-woken
+// queued and is dropped unaccounted (Engine.fire); the process is re-woken
 // at the cut step's own (at, key). Cutting a chain already in its last step
 // — or cut before — changes nothing.
 func (p *Proc) CutChain() {

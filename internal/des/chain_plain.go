@@ -10,6 +10,8 @@ package des
 // chainState is the SleepChain in progress on a process.
 type chainState struct {
 	active, cut bool
+	hops        int  // Sleeps left in the Task.SleepStep in progress
+	d           Time // and the duration the last of them carries
 }
 
 // SleepStep sleeps one step: its hops as separate Sleeps, the last carrying
@@ -21,6 +23,30 @@ func (p *Proc) SleepStep(s Step) {
 		p.Sleep(0)
 	}
 	p.Sleep(s.D)
+}
+
+// SleepStep parks the task for one step, hop by hop: stepTask lets midStep
+// sleep the next hop at every wake before the last.
+func (t *Task) SleepStep(s Step) {
+	s.check()
+	t.chain.hops, t.chain.d = s.Hops, s.D
+	(*Proc)(t).midStep()
+}
+
+// midStep sleeps the next hop of the task's step in progress; it reports
+// false when none is left, i.e. the wake just dispatched ended the step.
+func (p *Proc) midStep() bool {
+	c := &p.chain
+	if c.hops == 0 {
+		return false
+	}
+	c.hops--
+	d := Time(0)
+	if c.hops == 0 {
+		d = c.d
+	}
+	(*Task)(p).Sleep(d)
+	return true
 }
 
 // SleepChain sleeps the steps in order, stopping after the first step

@@ -22,14 +22,8 @@ func (p *Proc) start() {
 	p.next, p.stop = iter.Pull(func(yield func(*Proc) bool) {
 		p.yield = yield
 		defer func() {
-			p.dead = true
 			p.next, p.stop, p.yield = nil, nil, nil
-			e.deadProcs++
-			if p.daemon {
-				e.daemons--
-			} else {
-				e.alive--
-			}
+			p.die()
 			if r := recover(); r != nil && r != (shutdownUnwind{}) {
 				e.panicV = fmt.Sprintf("des: process %q panicked: %v", p.name, r)
 			}

@@ -12,13 +12,17 @@
 // at all — or resumes another process, which costs two coroutine switches
 // through the driver and never a trip through the Go scheduler (DESIGN.md
 // §12). Shutdown unwinds every parked process through its deferred calls.
+// A process that needs no stack is a Task instead (DESIGN.md §17): its step
+// function runs to completion inside the dispatch of its wake, on whichever
+// goroutine popped it, at the same (time, key) a coroutine's wake would have
+// had — no goroutine, no switch, nothing to unwind.
 // The package needs a Go 1.23 toolchain or later for iter; coro.go says so
 // with a build constraint, because go.mod cannot (see the comment there).
 //
 // Layer boundaries: this package is the bottom of the stack. It knows
 // nothing about InfiniBand, MPI or the cost model; internal/model prices
 // operations in des.Time, internal/ib runs protocol state machines as des
-// processes, and everything above inherits the clock. Nothing below it
+// tasks, and everything above inherits the clock. Nothing below it
 // exists, and nothing in it may import a sibling package.
 //
 // Invariants:
@@ -28,8 +32,8 @@
 //     timings on every run. This is what makes "output bit-identical to the
 //     previous PR" a meaningful regression gate, and it is why nothing in a
 //     simulation may branch on wall-clock time or map iteration order.
-//   - Single-stepping: at most one simulated process executes at any
-//     instant; predicates guarded by Cond need no locks.
+//   - Single-stepping: at most one simulated process or task step executes
+//     at any instant; predicates guarded by Cond need no locks.
 //   - Lineage-exact elision (DESIGN.md §16): SleepStep and SleepChain
 //     dispatch a run of back-to-back Sleeps as one event, at the instant,
 //     the same-instant position and the child-key base the last elided wake

@@ -28,14 +28,13 @@ type Engine struct {
 	q         eventQueue
 	seq       uint64
 	alive     int // spawned non-daemon processes that have not terminated
-	daemons   int // spawned daemon processes that have not terminated
 	procs     []*Proc
 	deadProcs int  // dead entries still in procs; triggers compaction
 	deadline  Time // events after this instant stay queued
 	stopped   bool
 	down      bool
 	panicV    interface{}
-	events    uint64 // total events executed, for stats/tests
+	n         EventCounts // events dispatched, by kind
 
 	// Lineage keys (the sharded engine's deterministic merge rule, DESIGN.md
 	// §13): every event carries a key derived from the key of the event
@@ -63,6 +62,37 @@ type Engine struct {
 	fp     uint64 // FNV-style accumulator over event timestamps
 	fpBuf  []Time // grouped mode: timestamps buffered for merge-order folding
 	fpHead int    // consumed prefix of fpBuf
+}
+
+// EventCounts is the number of events an engine has dispatched, by what the
+// dispatch cost the harness.
+type EventCounts struct {
+	SelfWake uint64 `json:"self_wake"` // process wakes popped by the process itself: no switch
+	Switch   uint64 `json:"switch"`    // process wakes that cost a coroutine switch
+	TaskStep uint64 `json:"task_step"` // task wakes: the step ran inline on the dispatching goroutine
+	Func     uint64 `json:"func"`      // closures and argument-carrying handlers
+	Stale    uint64 `json:"stale"`     // wakes whose pause had already ended
+	CutOff   uint64 `json:"cut_off"`   // superseded chain wakes, dropped unaccounted: not in Total
+}
+
+// Total is EventsExecuted: every accounted dispatch.
+func (c EventCounts) Total() uint64 {
+	return c.SelfWake + c.Switch + c.TaskStep + c.Func + c.Stale
+}
+
+// Sub returns the events counted since an earlier reading o.
+func (c EventCounts) Sub(o EventCounts) EventCounts {
+	return EventCounts{c.SelfWake - o.SelfWake, c.Switch - o.Switch, c.TaskStep - o.TaskStep,
+		c.Func - o.Func, c.Stale - o.Stale, c.CutOff - o.CutOff}
+}
+
+// EventCounts returns the dispatched events by kind. On the global engine of
+// a Group it sums over every member.
+func (e *Engine) EventCounts() EventCounts {
+	if g := e.group; g != nil && e == g.global {
+		return g.eventCounts()
+	}
+	return e.n
 }
 
 // timeMax is the Run deadline: dispatch everything.
@@ -157,12 +187,7 @@ func (e *Engine) Now() Time {
 
 // EventsExecuted returns the number of events the engine has dispatched.
 // On the global engine of a Group it sums over every member.
-func (e *Engine) EventsExecuted() uint64 {
-	if g := e.group; g != nil && e == g.global {
-		return g.eventsExecuted()
-	}
-	return e.events
-}
+func (e *Engine) EventsExecuted() uint64 { return e.EventCounts().Total() }
 
 // EnableTrace starts fingerprinting the dispatched event schedule: every
 // event's timestamp is folded into an FNV-style accumulator as it fires.
@@ -192,7 +217,7 @@ func (e *Engine) TraceFingerprint() uint64 {
 
 // Schedule runs fn at absolute simulated time at (clamped to now).
 func (e *Engine) Schedule(at Time, fn func()) {
-	e.scheduleKeyed(at, e.execCtx().childKey(), fn)
+	e.scheduleKeyed(at, e.execCtx().childKey(), Func(fn), 0)
 }
 
 // ScheduleSeeded runs fn at absolute time at under an identity-derived
@@ -200,15 +225,15 @@ func (e *Engine) Schedule(at Time, fn func()) {
 // events scheduled outside any dispatch — fault plans, test harness pokes —
 // that must order identically across serial and sharded runs.
 func (e *Engine) ScheduleSeeded(salt uint64, at Time, fn func()) {
-	e.scheduleKeyed(at, salt, fn)
+	e.scheduleKeyed(at, salt, Func(fn), 0)
 }
 
-func (e *Engine) scheduleKeyed(at Time, key uint64, fn func()) {
+func (e *Engine) scheduleKeyed(at Time, key uint64, h Handler, arg uint64) {
 	if at < e.now {
 		at = e.now
 	}
 	e.seq++
-	e.q.push(event{at: at, key: key, seq: e.seq, fn: fn})
+	e.q.push(event{at: at, key: key, seq: e.seq, h: h, arg: arg})
 }
 
 // After runs fn after delay d.
@@ -222,10 +247,14 @@ func (e *Engine) After(d Time, fn func()) { e.Schedule(e.now+d, fn) }
 // cannot have dispatched past it. The child key is minted from the calling
 // dispatch context and carried with the deposit, so the event orders among
 // dst's same-instant events exactly as it would have serially.
-func (e *Engine) AfterOn(dst *Engine, d Time, fn func()) {
+func (e *Engine) AfterOn(dst *Engine, d Time, fn func()) { e.AfterOnArg(dst, d, Func(fn), 0) }
+
+// AfterOnArg is AfterOn for an event that carries its argument: h.Handle(arg)
+// runs on dst after delay d, and scheduling it allocates nothing.
+func (e *Engine) AfterOnArg(dst *Engine, d Time, h Handler, arg uint64) {
 	src := e.execCtx()
 	if dst == e || dst == src {
-		dst.scheduleKeyed(e.now+d, src.childKey(), fn)
+		dst.scheduleKeyed(e.now+d, src.childKey(), h, arg)
 		return
 	}
 	if e.group == nil || dst.group != e.group {
@@ -234,7 +263,7 @@ func (e *Engine) AfterOn(dst *Engine, d Time, fn func()) {
 	if d < e.group.look {
 		panic("des: AfterOn delay below group lookahead")
 	}
-	dst.mbox.put(boxEvent{at: e.now + d, key: src.childKey(), fn: fn})
+	dst.mbox.put(boxEvent{at: e.now + d, key: src.childKey(), h: h, arg: arg})
 }
 
 // Stop makes Run return after the currently executing event completes.
@@ -273,10 +302,10 @@ func (e *Engine) shutdownOne() {
 	}
 }
 
-// account advances the clock to ev and charges it to the event count and
-// fingerprint. Every popped event, stale wakeups included, is accounted, so
-// the trace is comparable across queue implementations and engine versions.
-// The dispatching event's key becomes the lineage parent for everything the
+// account advances the clock to ev and charges it to the fingerprint. Every
+// popped event, stale wakeups included, is accounted (and counted by kind in
+// fire), so the trace is comparable across queue implementations and engine
+// versions. The dispatching event's key becomes the lineage parent for everything the
 // dispatch schedules. In grouped mode timestamps are buffered instead of
 // folded: shards dispatch concurrently, so the group folds the merged
 // timestamp stream at window barriers to reproduce the serial fold order.
@@ -287,7 +316,6 @@ func (e *Engine) account(ev *event) {
 	} else if ev.key > e.instMax {
 		e.instMax = ev.key
 	}
-	e.events++
 	e.curBase = mixKey(ev.key, 0)
 	e.childIdx = 0
 	if e.fpOn {
@@ -307,6 +335,36 @@ func (e *Engine) advance(t Time) {
 	}
 }
 
+// fire dispatches one popped event on the calling goroutine and counts it
+// by kind — except the wake of a parked coroutine process, which it returns
+// for the caller to count and switch into (or, in runOn, to recognise as its
+// own). The superseded wake of a chain that CutChain ended early is dropped
+// before it can touch the clock, the event count or the fingerprint: the
+// Sleep loop the chain stands for never scheduled it — unlike an ordinary
+// stale wakeup, which the loop would have scheduled too.
+func (e *Engine) fire(ev *event) *Proc {
+	w, _ := ev.h.(*wake)
+	switch p := (*Proc)(w); {
+	case p == nil:
+		e.account(ev)
+		e.n.Func++
+		ev.h.Handle(ev.arg)
+	case p.gen != ev.arg && ev.chain:
+		e.n.CutOff++
+	case p.dead || p.gen != ev.arg || !p.waiting:
+		e.account(ev)
+		e.n.Stale++
+	case p.step != nil:
+		e.account(ev)
+		e.n.TaskStep++
+		e.stepTask(p)
+	default:
+		e.account(ev)
+		return p
+	}
+	return nil
+}
+
 // runDriver is the dispatch loop on the Run caller's goroutine. Handing a
 // wakeup to a process lends it the baton until the process chain returns it
 // (a stop condition was reached, or a process terminated).
@@ -314,21 +372,14 @@ func (e *Engine) runDriver() {
 	for !e.stopped {
 		ev, ok := e.q.popLE(e.deadline)
 		if !ok {
-			return
+			break
 		}
-		if ev.cutOff() {
-			continue
-		}
-		e.account(&ev)
-		if p := ev.proc; p != nil {
-			if p.dead || p.gen != ev.gen || !p.waiting {
-				continue
-			}
+		if p := e.fire(&ev); p != nil {
+			e.n.Switch++
 			e.resume(p)
-		} else {
-			ev.fn()
 		}
 	}
+	e.reraise() // a task step that panicked stops the loop
 }
 
 // resume is the driver's trampoline: it switches into p, and then into
@@ -342,8 +393,13 @@ func (e *Engine) resume(p *Proc) {
 		}
 		p, _ = p.next()
 	}
-	if e.panicV != nil {
-		v := e.panicV
+	e.reraise()
+}
+
+// reraise raises, on the driver's goroutine, the panic a process body or a
+// task step recorded.
+func (e *Engine) reraise() {
+	if v := e.panicV; v != nil {
 		e.panicV = nil
 		panic(v)
 	}
@@ -363,21 +419,13 @@ func (e *Engine) runOn(p *Proc) {
 		if !ok {
 			break
 		}
-		if ev.cutOff() {
-			continue
-		}
-		e.account(&ev)
-		if t := ev.proc; t != nil {
-			if t.dead || t.gen != ev.gen || !t.waiting {
-				continue
-			}
-			if t == p {
-				return
-			}
-			next = t
+		if next = e.fire(&ev); next == p {
+			e.n.SelfWake++
+			return
+		} else if next != nil {
+			e.n.Switch++
 			break
 		}
-		ev.fn()
 	}
 	if !p.yield(next) {
 		panic(shutdownUnwind{})
@@ -446,6 +494,8 @@ type Proc struct {
 	eng  *Engine
 	name string
 	body func(p *Proc) // until the process starts
+	step func(t *Task) // non-nil: a stackless process (task.go), never a coroutine
+	acq  bool          // queued on a Resource (Resource.AcquireTask)
 
 	// The coroutine (iter.Pull), from start to death: next switches into the
 	// process, yield switches back naming the process to resume next (nil:
@@ -481,8 +531,7 @@ func (e *Engine) Spawn(name string, body func(p *Proc)) *Proc {
 }
 
 // SpawnDaemon creates a process that does not count toward deadlock
-// detection: the simulation may finish while daemons are blocked. Hardware
-// service engines (HCA receive paths, responder engines) are daemons.
+// detection: the simulation may finish while daemons are blocked.
 func (e *Engine) SpawnDaemon(name string, body func(p *Proc)) *Proc {
 	return e.spawn(name, body, true, e.execCtx().childKey())
 }
@@ -501,26 +550,30 @@ func (e *Engine) SpawnDaemonSeeded(salt uint64, name string, body func(p *Proc))
 }
 
 func (e *Engine) spawn(name string, body func(p *Proc), daemon bool, key uint64) *Proc {
-	p := &Proc{
-		eng:     e,
-		name:    name,
-		body:    body,
-		daemon:  daemon,
-		waiting: true,
-		where:   "start",
-	}
-	if daemon {
-		e.daemons++
-	} else {
+	return e.spawnProc(&Proc{name: name, body: body, daemon: daemon}, key)
+}
+
+func (e *Engine) spawnProc(p *Proc, key uint64) *Proc {
+	p.eng, p.waiting, p.where = e, true, "start"
+	if !p.daemon {
 		e.alive++
 	}
 	e.addProc(p)
 	// The start is an ordinary wakeup bound to generation 0; its dispatch
 	// creates the coroutine (Engine.resume), so a process whose start never
 	// fires — Shutdown dropped it with the queue — costs no goroutine.
-	e.seq++
-	e.q.push(event{at: e.now, key: key, seq: e.seq, proc: p})
+	p.wakeKeyed(e.now, key, false)
 	return p
+}
+
+// die retires a process whose body returned, panicked or was unwound, or a
+// task whose step returned without parking.
+func (p *Proc) die() {
+	p.dead = true
+	p.eng.deadProcs++
+	if !p.daemon {
+		p.eng.alive--
+	}
 }
 
 // shutdownUnwind is the panic that unwinds a parked process when Shutdown
@@ -554,15 +607,38 @@ func (e *Engine) addProc(p *Proc) {
 func (e *Engine) procsLen() int { return len(e.procs) }
 
 // pause blocks the process until a wakeup targeting this pause generation
-// fires. The pausing goroutine becomes the dispatcher (Engine.runOn) rather
-// than handing control anywhere. where labels the block site for deadlock
-// reports.
+// fires. where labels the block site for deadlock reports. It is park and
+// Block without Block's loop: every process switch comes through here.
 func (p *Proc) pause(where string) {
-	p.where = where
-	p.waiting = true
+	p.park(where)
 	p.eng.runOn(p)
 	p.waiting = false
 	p.gen++
+}
+
+// Block blocks a parked process until the wakeup of that pause fires; the
+// pausing goroutine becomes the dispatcher (Engine.runOn) meanwhile. With
+// Task it lets a process run a task-form state machine: pass it p.Task(),
+// call Block wherever it reports that it parked.
+func (p *Proc) Block() {
+	for {
+		p.eng.runOn(p)
+		p.waiting = false
+		p.gen++
+		if !p.midStep() {
+			return
+		}
+	}
+}
+
+// Task returns the process as the task a task-form state machine parks.
+func (p *Proc) Task() *Task { return (*Task)(p) }
+
+// park marks the process blocked at where; the next wakeup bound to this
+// pause generation resumes it.
+func (p *Proc) park(where string) {
+	p.where = where
+	p.waiting = true
 }
 
 // wake schedules the process to resume at absolute time at. A wakeup is
@@ -582,7 +658,7 @@ func (p *Proc) wakeKeyed(at Time, key uint64, chain bool) {
 		at = e.now
 	}
 	e.seq++
-	e.q.push(event{at: at, key: key, seq: e.seq, proc: p, gen: p.gen, chain: chain})
+	e.q.push(event{at: at, key: key, seq: e.seq, h: (*wake)(p), arg: p.gen, chain: chain})
 }
 
 // Engine returns the engine this process belongs to.

@@ -28,12 +28,13 @@ import (
 	"sync"
 )
 
-// boxEvent is one cross-engine deposit: a timed closure carrying the
+// boxEvent is one cross-engine deposit: a timed handler call carrying the
 // lineage key minted by the scheduling dispatch.
 type boxEvent struct {
 	at  Time
 	key uint64
-	fn  func()
+	h   Handler
+	arg uint64
 }
 
 // mailbox buffers deposits bound for one engine. Producers are shard
@@ -185,7 +186,11 @@ func (g *Group) run(deadline Time) {
 		if alive > 0 {
 			panic("des: deadlock: " + g.deadlockReport())
 		}
-		return
+		// The run stops where the serial engine's one clock would: at the last
+		// event dispatched anywhere. A member left behind at its own last event
+		// would start whatever is scheduled next (a second Launch's ranks) in
+		// the past.
+		deadline = g.now()
 	}
 	for _, e := range g.all {
 		e.advance(deadline)
@@ -199,7 +204,7 @@ func (g *Group) drainDeposits() {
 	for _, e := range g.all {
 		for _, b := range e.mbox.take() {
 			e.seq++
-			e.q.push(event{at: b.at, key: b.key, seq: e.seq, fn: b.fn})
+			e.q.push(event{at: b.at, key: b.key, seq: e.seq, h: b.h, arg: b.arg})
 		}
 	}
 }
@@ -270,26 +275,20 @@ func (g *Group) fusedInstant(T Time) {
 			break
 		}
 		ev, _ := x.q.popLE(T)
-		if ev.cutOff() {
-			continue
-		}
 		g.cur = x
-		x.account(&ev)
 		// Engines interact at zero delay only here, so the largest key of the
 		// instant (see Engine.instMax) is tracked group-wide, as the serial
-		// engine would see it.
+		// engine would see it: x is already at T, so account only raises it.
 		if x.instMax < instMax {
 			x.instMax = instMax
 		}
+		p := x.fire(&ev)
 		instMax = x.instMax
-		if p := ev.proc; p != nil {
-			if p.dead || p.gen != ev.gen || !p.waiting {
-				continue
-			}
+		if p != nil {
+			x.n.Switch++
 			x.resume(p)
-		} else {
-			ev.fn()
 		}
+		x.reraise()
 	}
 }
 
@@ -373,11 +372,16 @@ func (g *Group) fingerprint() uint64 {
 	return g.fp
 }
 
-// eventsExecuted sums dispatched events across members.
-func (g *Group) eventsExecuted() uint64 {
-	var n uint64
+// eventCounts sums dispatched events across members.
+func (g *Group) eventCounts() EventCounts {
+	var n EventCounts
 	for _, e := range g.all {
-		n += e.events
+		n.SelfWake += e.n.SelfWake
+		n.Switch += e.n.Switch
+		n.TaskStep += e.n.TaskStep
+		n.Func += e.n.Func
+		n.Stale += e.n.Stale
+		n.CutOff += e.n.CutOff
 	}
 	return n
 }

@@ -41,26 +41,39 @@ func (k QueueKind) String() string {
 // simulation's causal structure, so it is identical whether the engine runs
 // alone or as one shard of a Group — that is what makes sharded dispatch
 // bit-identical to serial. Events are plain values — they live inside the
-// queue's slices, never individually on the heap. A nil fn marks a process
-// wakeup: dispatch resumes proc directly if its pause generation still
-// matches gen, with no per-wakeup closure allocation. chain marks the wake
-// of a SleepChain (chain.go).
+// queue's slices, never individually on the heap. An event runs
+// h.Handle(arg): a plain closure (Func) or a handler carrying its argument.
+// The wakeup of a process or task is the exception: h is its *wake and arg
+// the pause generation it targets, dispatch (Engine.fire) resumes it directly
+// if that generation is still current, with no per-wakeup closure allocation,
+// and chain marks the wake of a SleepChain (chain.go).
 type event struct {
 	at    Time
 	key   uint64
 	seq   uint64
-	fn    func()
-	proc  *Proc
-	gen   uint64
+	h     Handler
+	arg   uint64
 	chain bool
 }
 
-// cutOff reports whether the event is the superseded wake of a chain that
-// CutChain ended early. The Sleep loop the chain stands for never scheduled
-// it, so dispatch drops it before it can touch the clock, the event count
-// or the fingerprint — unlike an ordinary stale wakeup, which the loop
-// would have scheduled too and which is therefore accounted.
-func (e *event) cutOff() bool { return e.chain && e.proc.gen != e.gen }
+// Handler is the target of an event that carries its argument: scheduling
+// h.Handle(arg) stores the two in the event itself, so a hot path that would
+// otherwise bind a closure per event (one per wire granule) allocates
+// nothing. A pointer-shaped handler converts to the interface for free.
+type Handler interface{ Handle(arg uint64) }
+
+// Func adapts a plain closure to Handler; the argument is ignored.
+type Func func()
+
+// Handle runs the closure.
+func (f Func) Handle(uint64) { f() }
+
+// wake is a Proc as the handler of its own wakeups, so that they need no
+// field of their own in every event (the queues hold events by value, and
+// that is a quarter of the live heap at np=4096). Handle is never called.
+type wake Proc
+
+func (*wake) Handle(uint64) {}
 
 // before is the engine's total dispatch order.
 func (e *event) before(o *event) bool {
@@ -152,7 +165,7 @@ func (h *heapQueue) pop() (event, bool) {
 	}
 	top := h.evs[0]
 	last := h.evs[n-1]
-	h.evs[n-1] = event{} // release fn/proc references
+	h.evs[n-1] = event{} // release handler references
 	h.evs = h.evs[:n-1]
 	n--
 	if n > 0 {
@@ -203,7 +216,7 @@ func (b *calBucket) pop() event {
 	top := b.evs[0]
 	n := len(b.evs) - 1
 	last := b.evs[n]
-	b.evs[n] = event{} // release fn/proc references
+	b.evs[n] = event{} // release handler references
 	b.evs = b.evs[:n]
 	if n > 0 {
 		evs := b.evs

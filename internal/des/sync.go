@@ -133,27 +133,11 @@ func (r *Resource) InUse() int { return r.inUse }
 // Capacity reports the total units.
 func (r *Resource) Capacity() int { return r.capacity }
 
-// Acquire blocks p until n units are available, then takes them. FIFO order
-// is strict: a small request queued behind a large one waits for it.
+// Acquire blocks p until n units are available, then takes them: AcquireTask,
+// looped by a process.
 func (r *Resource) Acquire(p *Proc, n int) {
-	if n > r.capacity {
-		panic("des: acquire exceeds resource capacity")
-	}
-	if len(r.waiters) == 0 && r.inUse+n <= r.capacity {
-		r.inUse += n
-		return
-	}
-	r.waiters = append(r.waiters, resWaiter{p, n})
-	for {
-		p.pause("resource.Acquire")
-		if len(r.waiters) > 0 && r.waiters[0].p == p && r.inUse+n <= r.capacity {
-			copy(r.waiters, r.waiters[1:])
-			r.waiters[len(r.waiters)-1] = resWaiter{}
-			r.waiters = r.waiters[:len(r.waiters)-1]
-			r.inUse += n
-			r.admitNext()
-			return
-		}
+	for !r.AcquireTask(p.Task(), n) {
+		p.Block()
 	}
 }
 

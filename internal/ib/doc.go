@@ -6,7 +6,9 @@
 //
 // The simulator executes real protocol state machines over real bytes; only
 // time is simulated, via the internal/des kernel and the internal/model
-// cost model.
+// cost model. The adapter's engines — a send engine per queue pair, a receive
+// engine and a read responder per adapter — are stackless des.Tasks (DESIGN.md
+// §17): the fabric owns no goroutine, however many queue pairs are wired.
 //
 // Layer boundaries: ib sits on internal/des and internal/model and exposes
 // verbs only. The channel designs (internal/rdmachan), the CH3 packet

@@ -42,6 +42,13 @@ type HCA struct {
 	readq des.Queue[*sendWork] // RDMA read and atomic requests to serve
 	free  []*sendWork          // recycled work requests (newWork, freeWork)
 
+	// What the adapter's two engines, stackless tasks (DESIGN.md §17), would
+	// keep on a stack.
+	rxIt   rxItem     // rxStep: the granule crossing the bus
+	rxXfer model.Xfer // and how far it has got
+	rr     *sendWork  // readStep: the request being served, nil when idle
+	rrTx   stream     // and its response, once the turnaround is over
+
 	stats HCAStats
 }
 
@@ -55,12 +62,12 @@ type HCAStats struct {
 	BytesRegistered uint64
 }
 
-// rxItem is one granule arriving from the wire. fn, when non-nil, runs
-// after the granule crosses the memory bus (used for last-granule
-// delivery actions).
+// rxItem is one granule arriving from the wire. w, when non-nil, is the
+// work request whose payload this granule ends: it lands (sendWork.landed)
+// after the granule crosses the memory bus.
 type rxItem struct {
 	bytes int
-	fn    func()
+	w     *sendWork
 }
 
 // Node returns the node the adapter is attached to.
@@ -112,31 +119,54 @@ func (h *HCA) crossCtl(dst *HCA, fn func()) {
 	h.eng.AfterOn(dst.eng, h.pathLatency(dst), fn)
 }
 
-// crossData carries one payload granule into dst's receive queue. On a
-// cross-leaf path the granule books the source leaf's uplink chosen by
-// the destination route (queueing charged here, on the engine owning the
-// source leaf), crosses at the path latency plus that wait, then books
-// the destination leaf's matching downlink before entering dst's receive
-// path. Every cross-engine delay is >= WireLatency — the sharded group's
+// crossData carries one payload granule into dst's receive queue; w, when
+// non-nil, lands after it. On a cross-leaf path the granule books the
+// source leaf's uplink chosen by the destination route (queueing charged
+// here, on the engine owning the source leaf), crosses at the path latency
+// plus that wait, then books the destination leaf's matching downlink
+// (arrive) before entering dst's receive path. Every cross-engine delay is >= WireLatency — the sharded group's
 // lookahead — so the conservative-window protocol is untouched; the
 // downlink wait is a destination-local After. Per-flow granule order
 // survives the variable delay because each port's departures are
-// strictly increasing (switchfab.portClock).
-func (h *HCA) crossData(dst *HCA, it rxItem) {
-	if h.sw == nil || h.sw != dst.sw || h.leaf == dst.leaf {
-		h.eng.AfterOn(dst.eng, h.prm.WireLatency, func() { dst.rxq.Put(it) })
-		return
+// strictly increasing (switchfab.portClock). The granule rides in the event
+// itself (des.Handler), so a crossing allocates nothing.
+func (h *HCA) crossData(dst *HCA, bytes int, w *sendWork) {
+	var hd des.Handler = (*granule)(dst)
+	if w != nil {
+		hd = (*lastGranule)(w)
 	}
-	port := h.sw.Route(dst.node.ID)
-	upWait := h.sw.Up(h.leaf, port, it.bytes, h.eng.Now())
-	h.eng.AfterOn(dst.eng, h.prm.WireLatency+2*h.hop+upWait, func() {
-		downWait := dst.sw.Down(dst.leaf, port, it.bytes, dst.eng.Now())
-		if downWait <= 0 {
-			dst.rxq.Put(it)
+	d, arg := h.prm.WireLatency, uint64(bytes)
+	if h.sw != nil && h.sw == dst.sw && h.leaf != dst.leaf {
+		d += 2*h.hop + h.sw.Up(h.leaf, h.sw.Route(dst.node.ID), bytes, h.eng.Now())
+		arg |= viaSwitch
+	}
+	h.eng.AfterOnArg(dst.eng, d, hd, arg)
+}
+
+// granule and lastGranule are the granules in flight: one that only crosses
+// the destination adapter's bus, and the one that ends a work request's
+// payload. The event argument is the byte count, plus viaSwitch until the
+// downlink is booked.
+type granule HCA
+type lastGranule sendWork
+
+const viaSwitch = 1 << 32
+
+func (g *granule) Handle(arg uint64) { (*HCA)(g).arrive(g, arg, nil) }
+
+func (l *lastGranule) Handle(arg uint64) { w := (*sendWork)(l); w.dest().arrive(l, arg, w) }
+
+// arrive takes a granule off the wire, on the destination's engine: behind
+// the leaf's downlink if it crossed the switch, then into the receive path.
+func (h *HCA) arrive(hd des.Handler, arg uint64, w *sendWork) {
+	bytes := int(uint32(arg))
+	if arg&viaSwitch != 0 {
+		if wait := h.sw.Down(h.leaf, h.sw.Route(h.node.ID), bytes, h.eng.Now()); wait > 0 {
+			h.eng.AfterOnArg(h.eng, wait, hd, uint64(bytes))
 			return
 		}
-		dst.eng.After(downWait, func() { dst.rxq.Put(it) })
-	})
+	}
+	h.rxq.Put(rxItem{bytes: bytes, w: w})
 }
 
 // LinkDown fails the adapter's link: every connected queue pair through it
@@ -175,7 +205,7 @@ func (h *HCA) LinkUp() {
 
 // InjectDropBurst opens a packet-drop window on the link until the given
 // absolute simulated time: sends crossing the adapter in that window back
-// off and retransmit with a bounded retry budget (QP.awaitClearWire),
+// off and retransmit with a bounded retry budget (QP.sendStep),
 // modelling a lossy interval rather than a hard failure.
 func (h *HCA) InjectDropBurst(until des.Time) {
 	if until > h.dropUntil {
@@ -225,50 +255,69 @@ func (h *HCA) WaitMemEvent(p *des.Proc) {
 	h.node.WaitMemEvent(p)
 }
 
-// runRx is the adapter's receive engine: every granule arriving from the
+// rxStep is the adapter's receive engine: every granule arriving from the
 // wire crosses the adapter's bus at the network rate (the PCI-X DMA
-// write), then runs its delivery action.
-func (h *HCA) runRx(p *des.Proc) {
+// write), then lands the work request it ends, if any.
+func (h *HCA) rxStep(t *des.Task) {
 	for {
-		it := h.rxq.Get(p)
-		if it.bytes > 0 {
-			h.bus.Transfer(p, it.bytes, h.prm.NetBandwidth)
-			h.stats.BytesDelivered += uint64(it.bytes)
+		if h.rxXfer.Left() == 0 { // between granules
+			it, ok := h.rxq.GetTask(t)
+			if !ok {
+				return
+			}
+			h.rxIt = it
+			h.rxXfer.Begin(h.bus, it.bytes, h.prm.NetBandwidth)
 		}
-		if it.fn != nil {
-			it.fn()
+		for h.rxXfer.Left() > 0 {
+			if _, ok := h.rxXfer.Granule(t); !ok {
+				return
+			}
+		}
+		h.stats.BytesDelivered += uint64(h.rxIt.bytes)
+		if w := h.rxIt.w; w != nil {
+			w.landed()
 		}
 	}
 }
 
-// stream sends n bytes from this adapter to dst: granule by granule
-// through this node's bus at the network rate, each granule handed to dst's
-// receive path one path latency (plus any switch queueing) after it leaves.
-// onLast runs at dst after the final granule has crossed dst's bus. A
+// stream is w's payload on its way from adapter src to w.dest(): granule by
+// granule through src's bus at the network rate, each granule handed to the
+// destination's receive path one path latency (plus any switch queueing)
+// after it leaves. w lands after the final granule has crossed that bus. A
 // zero-length transfer still traverses the wire as a single header —
 // through crossData, not crossCtl, so it cannot overtake earlier payload
 // granules of the same flow.
-func (h *HCA) stream(p *des.Proc, dst *HCA, n int, onLast func()) {
-	if n == 0 {
-		h.crossData(dst, rxItem{fn: onLast})
-		return
-	}
-	g := h.prm.BusGranule
-	for off := 0; off < n; off += g {
-		chunk := g
-		if n-off < chunk {
-			chunk = n - off
-		}
-		h.bus.Transfer(p, chunk, h.prm.NetBandwidth)
-		var fn func()
-		if off+chunk >= n {
-			fn = onLast
-		}
-		h.crossData(dst, rxItem{bytes: chunk, fn: fn})
+type stream struct {
+	src  *HCA
+	w    *sendWork
+	xfer model.Xfer
+}
+
+func (s *stream) begin(src *HCA, w *sendWork) {
+	s.src, s.w = src, w
+	s.xfer.Begin(src.bus, w.n, src.prm.NetBandwidth)
+	if w.n == 0 {
+		src.crossData(w.dest(), 0, w)
 	}
 }
 
-// runReadResponder serves incoming RDMA read and atomic requests: validate
+// step sends granules until one has to wait (false: t is parked).
+func (s *stream) step(t *des.Task) bool {
+	for s.xfer.Left() > 0 {
+		chunk, ok := s.xfer.Granule(t)
+		if !ok {
+			return false
+		}
+		var w *sendWork
+		if s.xfer.Left() == 0 {
+			w = s.w
+		}
+		s.src.crossData(s.w.dest(), chunk, w)
+	}
+	return true
+}
+
+// readStep serves incoming RDMA read and atomic requests: validate
 // the rkey, charge the responder turnaround, and stream the response through
 // this node's bus to the requester's receive path. The responder's memory is
 // not copied here: the work request keeps the validated source range and
@@ -276,44 +325,62 @@ func (h *HCA) stream(p *des.Proc, dst *HCA, n int, onLast func()) {
 // lands (sendWork.atRequester) — except inline-sized responses and atomic
 // results, which are taken by value now. One engine per adapter: concurrent
 // readers of the same node serialize here, as they do on the real responder.
-func (h *HCA) runReadResponder(p *des.Proc) {
+func (h *HCA) readStep(t *des.Task) {
 	for {
-		w := h.readq.Get(p)
-		qp := w.qp
-		p.Sleep(h.prm.ReadTurnaround)
-
-		atomic := w.wr.Op != OpRDMARead
-		need := AccessRemoteRead
-		if atomic {
-			need = AccessRemoteAtomic
-		}
-		src, err := h.checkRemote(w.wr.RemoteAddr, w.n, w.wr.RKey, qp.peer.pd, need)
-		if err != nil {
-			qp.ack(w, StatusRemoteAccessErr)
-			continue
-		}
-
-		if atomic {
-			// Execute the atomic at the responder's memory.
-			orig := readUint64(src)
-			switch w.wr.Op {
-			case OpCmpSwap:
-				if orig == w.wr.Compare {
-					writeUint64(src, w.wr.Swap)
-				}
-			case OpFetchAdd:
-				writeUint64(src, orig+w.wr.Compare)
+		w := h.rr
+		switch {
+		case w == nil:
+			var ok bool
+			if h.rr, ok = h.readq.GetTask(t); ok {
+				t.Sleep(h.prm.ReadTurnaround)
 			}
-			h.notifyMemWrite()
-			src = w.inline[:8]
-			writeUint64(src, orig)
+			return
+		case h.rrTx.w != w: // the turnaround is over
+			if !h.respond(w) {
+				h.rr = nil
+				continue
+			}
+			h.rrTx.begin(h, w)
 		}
-		w.src = append(w.src[:0], src)
-		w.own()
-		h.stats.ReadsServed++
-
-		h.stream(p, qp.hca, w.n, w.toRequester)
+		if !h.rrTx.step(t) {
+			return
+		}
+		h.rr, h.rrTx.w = nil, nil
 	}
+}
+
+// respond validates read or atomic request w, executes an atomic at the
+// responder's memory and fixes the response payload; false: refused, NAKed.
+func (h *HCA) respond(w *sendWork) bool {
+	qp := w.qp
+	atomic := w.wr.Op != OpRDMARead
+	need := AccessRemoteRead
+	if atomic {
+		need = AccessRemoteAtomic
+	}
+	src, err := h.checkRemote(w.wr.RemoteAddr, w.n, w.wr.RKey, qp.peer.pd, need)
+	if err != nil {
+		qp.ack(w, StatusRemoteAccessErr)
+		return false
+	}
+	if atomic {
+		orig := readUint64(src)
+		switch w.wr.Op {
+		case OpCmpSwap:
+			if orig == w.wr.Compare {
+				writeUint64(src, w.wr.Swap)
+			}
+		case OpFetchAdd:
+			writeUint64(src, orig+w.wr.Compare)
+		}
+		h.notifyMemWrite()
+		src = w.inline[:8]
+		writeUint64(src, orig)
+	}
+	w.src = append(w.src[:0], src)
+	w.own()
+	h.stats.ReadsServed++
+	return true
 }
 
 // Fabric is the switched network connecting the adapters. The InfiniScale
@@ -345,12 +412,12 @@ func (f *Fabric) NewRailHCA(node *model.Node, rail int) *HCA {
 	return f.NewRailHCAOn(f.eng, node, rail)
 }
 
-// hcaSalt is the lineage-key domain for adapter daemon start events.
+// hcaSalt is the lineage-key domain for adapter engine start events.
 const hcaSalt = 0x4942_4843 // "IBHC"
 
 // NewRailHCAOn is NewRailHCA with the adapter's engine chosen by the
 // caller — in sharded execution the shard owning the node, so the adapter's
-// service daemons and every event they schedule stay shard-local. Daemon
+// service engines and every event they schedule stay shard-local. Their
 // start events are seeded with the (node, rail) identity, keeping start
 // order identical across serial and sharded runs.
 func (f *Fabric) NewRailHCAOn(eng *des.Engine, node *model.Node, rail int) *HCA {
@@ -370,10 +437,10 @@ func (f *Fabric) NewRailHCAOn(eng *des.Engine, node *model.Node, rail int) *HCA 
 		rkeys:  make(map[uint32]*MR),
 	}
 	f.hcas = append(f.hcas, h)
-	eng.SpawnDaemonSeeded(des.Salt(hcaSalt, uint64(node.ID), uint64(rail), 0),
-		fmt.Sprintf("hca%d.%d.rx", node.ID, rail), h.runRx)
-	eng.SpawnDaemonSeeded(des.Salt(hcaSalt, uint64(node.ID), uint64(rail), 1),
-		fmt.Sprintf("hca%d.%d.readresp", node.ID, rail), h.runReadResponder)
+	eng.SpawnTaskSeeded(des.Salt(hcaSalt, uint64(node.ID), uint64(rail), 0),
+		fmt.Sprintf("hca%d.%d.rx", node.ID, rail), true, h.rxStep)
+	eng.SpawnTaskSeeded(des.Salt(hcaSalt, uint64(node.ID), uint64(rail), 1),
+		fmt.Sprintf("hca%d.%d.readresp", node.ID, rail), true, h.readStep)
 	return h
 }
 

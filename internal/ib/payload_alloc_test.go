@@ -10,14 +10,12 @@ import (
 // Not built with -tags ibverify, which keeps a snapshot of every large
 // payload by design.
 
-// maxBytesPer1MB is the steady-state allocation ceiling per 1 MB operation,
-// shared with the CI microbench step: two orders of magnitude below the
-// message-sized staging slice the snapshot data path allocated.
-const maxBytesPer1MB = 4096
-
-// TestLargeTransferAllocatesNoStaging: a 1 MB RDMA read and a 1 MB RDMA
-// write each move their payload without a message-sized allocation.
-func TestLargeTransferAllocatesNoStaging(t *testing.T) {
+// TestLargeTransferAllocatesNothing: a 1 MB RDMA read and a 1 MB RDMA write
+// each move their payload, 64 granules in each direction, without a single
+// steady-state allocation — no message-sized staging copy (DESIGN.md §15),
+// no closure per granule (§17). The CI microbench step holds
+// BenchmarkRDMA{Read,Write}1MB to the same 0 allocs/op.
+func TestLargeTransferAllocatesNothing(t *testing.T) {
 	for _, op := range []Opcode{OpRDMAWrite, OpRDMARead} {
 		op := op
 		t.Run(op.String(), func(t *testing.T) {
@@ -28,8 +26,9 @@ func TestLargeTransferAllocatesNoStaging(t *testing.T) {
 				run(ops)
 				runtime.ReadMemStats(&after)
 			})
-			if per := (after.TotalAlloc - before.TotalAlloc) / ops; per >= maxBytesPer1MB {
-				t.Errorf("%d B allocated per 1 MB %s, want < %d", per, op, maxBytesPer1MB)
+			if per := (after.Mallocs - before.Mallocs) / ops; per != 0 {
+				t.Errorf("%d allocations (%d B) per 1 MB %s, want 0", per,
+					(after.TotalAlloc-before.TotalAlloc)/ops, op)
 			}
 		})
 	}

@@ -9,7 +9,7 @@ import (
 )
 
 // QP is a reliable-connection queue pair. Work requests posted to the send
-// queue execute in order on a per-QP engine process; completions are
+// queue execute in order on a per-QP engine task; completions are
 // delivered to the send CQ in posted order even when operations (RDMA
 // reads) complete out of order internally.
 type QP struct {
@@ -24,6 +24,11 @@ type QP struct {
 	sq    des.Queue[*sendWork]
 	rq    des.Queue[RecvWR] // private receive queue (never waited on)
 	srq   *SRQ              // shared receive queue; nil = private rq
+
+	// The send engine (sendStep), a stackless task, keeps its place here.
+	cur *sendWork // the work request being executed
+	at  int       // where it stands: sqIdle … sqTx
+	tx  stream    // its payload on the wire
 
 	// Responder-side delivery FIFO for two-sided sends. An RNR NAK blocks
 	// the head until its retry fires, so later sends on the same QP cannot
@@ -75,7 +80,7 @@ func (h *HCA) CreateQP(pd *PD, scq, rcq *CQ) *QP {
 		readSlots: des.NewResource(h.prm.MaxRDMAReads),
 	}
 	h.qps = append(h.qps, qp)
-	h.eng.SpawnDaemon(fmt.Sprintf("hca%d.qp%d.send", h.node.ID, qp.num), qp.runSendEngine)
+	h.eng.SpawnTask(fmt.Sprintf("hca%d.qp%d.send", h.node.ID, qp.num), true, qp.sendStep)
 	return qp
 }
 
@@ -198,70 +203,76 @@ func (qp *QP) fail() {
 	qp.hca.notifyMemWrite()
 }
 
-// runSendEngine is the per-QP HCA send engine: it drains the send queue in
-// order, charging per-WQR processing time and injecting data through the
-// node's memory bus at the network rate.
-func (qp *QP) runSendEngine(p *des.Proc) {
-	for {
-		w := qp.sq.Get(p)
-		if qp.state == QPError {
-			qp.finish(w, StatusWRFlushErr)
-			continue
-		}
-		if qp.state != QPReadyToSend || qp.peer == nil {
-			qp.completeErr(w, StatusWRFlushErr)
-			continue
-		}
-		if !qp.awaitClearWire(p, w) {
-			continue
-		}
-		p.Sleep(qp.hca.prm.HCAProc)
-		switch w.wr.Op {
-		case OpRDMAWrite:
-			qp.execWrite(p, w)
-		case OpSend:
-			qp.execSend(p, w)
-		case OpRDMARead:
-			qp.execRead(p, w)
-		case OpCmpSwap, OpFetchAdd:
-			qp.execAtomic(p, w)
-		default:
-			qp.completeErr(w, StatusLocalProtErr)
-		}
-	}
-}
+// Where the send engine's current work request stands.
+const (
+	sqIdle  = iota // none: waiting on the send queue
+	sqRetry        // backing off inside a packet-drop window
+	sqProc         // being processed (HCAProc)
+	sqSlot         // waiting for an outstanding-read slot
+	sqTx           // streaming its payload
+)
 
-// awaitClearWire models transport-level retransmission under an injected
-// packet-drop window: while either endpoint's link is dropping, each
-// attempt burns an exponentially backed-off (capped) retry timer plus the
-// NAK round trip, up to the bounded retry budget. Exhausting the budget
-// errors the work request and breaks the connection — both queue pairs
-// transition to the error state, as on real adapters, where transport
-// retry exhaustion is fatal to the RC. It reports false when the work
-// request completed in error instead of clearing the wire.
-func (qp *QP) awaitClearWire(p *des.Proc, w *sendWork) bool {
-	for qp.dropActive() {
-		if w.retries >= retryLimit(qp.hca.prm) {
-			peer := qp.peer
-			qp.completeErr(w, StatusRetryExc)
-			if peer != nil {
-				peer.fail()
+// sendStep is the per-QP HCA send engine: it drains the send queue in
+// order, charging per-WQR processing time and injecting data through the
+// node's memory bus at the network rate. Under an injected packet-drop
+// window on either endpoint's link it first models transport retransmission:
+// each attempt burns an exponentially backed-off (capped) retry timer plus
+// the NAK round trip, and exhausting the retry budget errors the work request
+// and breaks the connection — both queue pairs go to the error state, as on
+// real adapters, where transport retry exhaustion is fatal to the RC.
+func (qp *QP) sendStep(t *des.Task) {
+	prm := qp.hca.prm
+	for {
+		w := qp.cur
+		switch qp.at {
+		case sqIdle:
+			var ok bool
+			if w, ok = qp.sq.GetTask(t); !ok {
+				return
 			}
-			return false
+			if qp.state != QPError && (qp.state != QPReadyToSend || qp.peer == nil) {
+				qp.completeErr(w, StatusWRFlushErr)
+				continue
+			}
+			qp.cur = w
+			fallthrough
+		case sqRetry:
+			switch {
+			case qp.state == QPError:
+				qp.finish(w, StatusWRFlushErr)
+			case !qp.dropActive():
+				qp.at = sqProc
+				t.Sleep(prm.HCAProc)
+				return
+			case w.retries < retryLimit(prm):
+				w.retries++
+				qp.stats.Retries++
+				qp.at = sqRetry
+				t.Sleep(2*prm.WireLatency + retryTimeout(prm)<<min(w.retries-1, 6))
+				return
+			default:
+				peer := qp.peer
+				qp.completeErr(w, StatusRetryExc)
+				if peer != nil {
+					peer.fail()
+				}
+			}
+		case sqProc:
+			if qp.at = qp.exec(w); qp.at != sqIdle {
+				continue
+			}
+		case sqSlot:
+			if !qp.readSlots.AcquireTask(t, 1) {
+				return
+			}
+			qp.hca.crossCtl(qp.peer.hca, w.toResponder)
+		case sqTx:
+			if !qp.tx.step(t) {
+				return
+			}
 		}
-		w.retries++
-		qp.stats.Retries++
-		shift := w.retries - 1
-		if shift > 6 {
-			shift = 6
-		}
-		p.Sleep(2*qp.hca.prm.WireLatency + retryTimeout(qp.hca.prm)<<uint(shift))
-		if qp.state == QPError {
-			qp.finish(w, StatusWRFlushErr)
-			return false
-		}
+		qp.cur, qp.at = nil, sqIdle // the engine is done with w
 	}
-	return true
 }
 
 // dropActive reports whether either endpoint's link is inside an injected
@@ -292,34 +303,62 @@ func retryLimit(prm *model.Params) int {
 	return 7
 }
 
-// execWrite performs an RDMA write: resolve the gather list, validate the
-// remote window, stream granules through the local bus onto the wire, and
-// move the bytes into the responder's window when the last granule lands
-// (sendWork.atResponder). The requester CQE fires one wire latency after
-// last-byte delivery (the transport ack).
-func (qp *QP) execWrite(p *des.Proc, w *sendWork) {
-	if !qp.gatherLocal(w) {
-		return
+// exec starts the processed work request w and reports the stage that
+// finishes it, sqIdle if it completed in error here.
+//
+// A write or send resolves its gather list (a write also validates the
+// remote window) and streams through the local bus onto the wire. When the
+// last granule lands (sendWork.atResponder) a write moves the bytes into the
+// responder's window and is acked one wire latency later; a send joins the
+// responder-delivery FIFO, moves into the head-of-queue receive descriptor
+// and completes there too.
+//
+// A read or an 8-byte atomic validates its scatter destination first, so
+// local faults complete before any network activity, then waits for one of
+// the HCA's outstanding-read slots (the IRD serialization that caps mid-size
+// read bandwidth; atomics share it, as on real adapters) and fires the
+// request; the responder's read engine and this HCA's receive path do the rest.
+func (qp *QP) exec(w *sendWork) int {
+	switch w.wr.Op {
+	case OpRDMAWrite, OpSend:
+		if !qp.gatherLocal(w) {
+			return sqIdle
+		}
+		peer := qp.peer
+		if w.wr.Op == OpRDMAWrite {
+			dst, err := peer.hca.checkRemote(w.wr.RemoteAddr, w.n, w.wr.RKey, peer.pd, AccessRemoteWrite)
+			if err != nil {
+				qp.completeErr(w, StatusRemoteAccessErr)
+				return sqIdle
+			}
+			w.dst = dst
+		}
+		qp.stats.BytesSent += uint64(w.n)
+		qp.hca.stats.BytesInjected += uint64(w.n)
+		qp.tx.begin(qp.hca, w)
+		return sqTx
+	case OpRDMARead, OpCmpSwap, OpFetchAdd:
+		sgl, n := w.wr.SGL, sglLen(w.wr.SGL)
+		if w.wr.Op != OpRDMARead {
+			if n < 8 {
+				break
+			}
+			sgl, n = sgl[:1], 8
+		}
+		for _, sge := range sgl {
+			if _, err := qp.hca.checkLocal(sge, qp.pd, true); err != nil {
+				qp.completeErr(w, StatusLocalProtErr)
+				return sqIdle
+			}
+		}
+		w.n = n
+		if w.wr.Op == OpRDMARead {
+			qp.stats.BytesRead += uint64(n)
+		}
+		return sqSlot
 	}
-	peer := qp.peer
-	dst, err := peer.hca.checkRemote(w.wr.RemoteAddr, w.n, w.wr.RKey, peer.pd, AccessRemoteWrite)
-	if err != nil {
-		qp.completeErr(w, StatusRemoteAccessErr)
-		return
-	}
-	w.dst = dst
-	qp.inject(p, w)
-}
-
-// execSend performs a two-sided send: once the last granule has landed the
-// work request joins the responder-delivery FIFO, and the payload moves into
-// the responder's head-of-queue receive descriptor, generating a receive
-// completion there.
-func (qp *QP) execSend(p *des.Proc, w *sendWork) {
-	if !qp.gatherLocal(w) {
-		return
-	}
-	qp.inject(p, w)
+	qp.completeErr(w, StatusLocalProtErr)
+	return sqIdle
 }
 
 // enqueueDeliver queues an arrived two-sided send for in-order responder
@@ -419,43 +458,6 @@ func (qp *QP) tryDeliver(w *sendWork) bool {
 	peer.hca.notifyMemWrite()
 	qp.ack(w, StatusSuccess)
 	return true
-}
-
-// execRead issues an RDMA read. The engine blocks while the HCA's
-// outstanding-read limit is exhausted (the IRD serialization that caps
-// mid-size read bandwidth), then fires the request and moves on; the
-// response is handled by the responder's read engine and this HCA's
-// receive path.
-func (qp *QP) execRead(p *des.Proc, w *sendWork) {
-	// Validate the scatter destination eagerly so local faults complete
-	// before any network activity.
-	for _, sge := range w.wr.SGL {
-		if _, err := qp.hca.checkLocal(sge, qp.pd, true); err != nil {
-			qp.completeErr(w, StatusLocalProtErr)
-			return
-		}
-	}
-	qp.readSlots.Acquire(p, 1)
-	w.n = sglLen(w.wr.SGL)
-	qp.stats.BytesRead += uint64(w.n)
-	qp.hca.crossCtl(qp.peer.hca, w.toResponder)
-}
-
-// execAtomic issues an 8-byte remote atomic (compare-and-swap or
-// fetch-and-add). Atomics share the outstanding-read limit, as on real
-// adapters.
-func (qp *QP) execAtomic(p *des.Proc, w *sendWork) {
-	if sglLen(w.wr.SGL) < 8 {
-		qp.completeErr(w, StatusLocalProtErr)
-		return
-	}
-	if _, err := qp.hca.checkLocal(w.wr.SGL[0], qp.pd, true); err != nil {
-		qp.completeErr(w, StatusLocalProtErr)
-		return
-	}
-	qp.readSlots.Acquire(p, 1)
-	w.n = 8
-	qp.hca.crossCtl(qp.peer.hca, w.toResponder)
 }
 
 // readUint64 and writeUint64 implement the atomic memory accesses.

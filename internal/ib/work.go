@@ -1,7 +1,5 @@
 package ib
 
-import "repro/internal/des"
-
 // inlineMax is the largest payload carried by value, as the inline data of
 // real adapters is: it is copied out of the source buffer when the engine
 // gathers the work request, so the poster may rewrite the buffer at once —
@@ -96,11 +94,26 @@ func (qp *QP) gatherLocal(w *sendWork) bool {
 	return true
 }
 
-// inject counts w's payload as sent and streams it to the responder.
-func (qp *QP) inject(p *des.Proc, w *sendWork) {
-	qp.stats.BytesSent += uint64(w.n)
-	qp.hca.stats.BytesInjected += uint64(w.n)
-	qp.hca.stream(p, qp.peer.hca, w.n, w.toResponder)
+// isRead reports whether w's payload flows responder to requester: an RDMA
+// read or the result of an atomic.
+func (w *sendWork) isRead() bool { return w.wr.Op != OpRDMAWrite && w.wr.Op != OpSend }
+
+// dest returns the adapter w's payload streams to.
+func (w *sendWork) dest() *HCA {
+	if w.isRead() {
+		return w.qp.hca
+	}
+	return w.qp.peer.hca
+}
+
+// landed runs on dest's engine when w's last payload granule has crossed
+// its bus.
+func (w *sendWork) landed() {
+	if w.isRead() {
+		w.atRequester()
+	} else {
+		w.atResponder()
+	}
 }
 
 // atResponder runs on the responder's engine when the request has crossed
@@ -136,7 +149,7 @@ func (qp *QP) ack(w *sendWork, st Status) {
 // and the payload moves, responder memory to the scatter list.
 func (w *sendWork) atRequester() {
 	qp := w.qp
-	isRead := w.wr.Op != OpRDMAWrite && w.wr.Op != OpSend
+	isRead := w.isRead()
 	switch {
 	case w.status != StatusSuccess:
 		qp.completeErr(w, w.status)

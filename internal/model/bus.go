@@ -45,32 +45,6 @@ func NewMemCtl(p *Params) *MemCtl {
 // BusyTime returns total simulated time the controller has been occupied.
 func (m *MemCtl) BusyTime() des.Time { return m.busy }
 
-// dwell spends one granule's dwell time d on behalf of the bus holding it:
-// the memory-controller share holding the shared controller (where buses
-// of other rails queue), the rest as the flow's own pacing on its bus. The
-// parts sum to exactly d, so a flow that never meets cross-bus traffic is
-// timed identically to a plain bus. When this controller serves a single
-// bus nothing can queue for it beneath the held bus, and both parts are
-// charged as one two-hop step — one event per granule instead of two.
-func (m *MemCtl) dwell(p *des.Proc, chunk int, d des.Time) {
-	dm := TimeForBytes(chunk, m.params.memBandwidth())
-	switch {
-	case m.buses > 1:
-		m.res.Acquire(p, 1)
-		p.Sleep(dm)
-		m.res.Release(1)
-		if dm < d {
-			p.Sleep(d - dm)
-		}
-	case dm < d:
-		p.SleepStep(des.Step{D: d, Hops: 2})
-	default:
-		p.SleepStep(des.Step{D: dm, Hops: 1})
-	}
-	m.busy += dm
-	m.granted++
-}
-
 // NewBus returns a bus using the granule and rate ceiling from p.
 func NewBus(name string, p *Params) *Bus {
 	return &Bus{name: name, params: p, res: des.NewResource(1)}
@@ -97,30 +71,108 @@ func (b *Bus) Granules() uint64 { return b.granted }
 // calling process for the duration (including queueing behind other flows).
 // A rate of 0 means "as fast as the bus allows".
 func (b *Bus) Transfer(p *des.Proc, n int, rate float64) {
-	if n <= 0 {
-		return
+	var x Xfer
+	for x.Begin(b, n, rate); x.Left() > 0; {
+		if _, ok := x.Granule(p.Task()); !ok {
+			p.Block()
+		}
 	}
+}
+
+// Xfer is a transfer in progress: the granule loop, with its position kept
+// here instead of on a process stack so that a stackless task (des.Task)
+// can run it. Transfer is the same loop driven by a process.
+type Xfer struct {
+	bus   *Bus
+	rem   int
+	rate  float64
+	chunk int
+	d, dm des.Time // the granule's dwell, and the memory controller's share
+	at    int      // where the granule in progress is
+}
+
+const (
+	xferBus  = iota // waiting for the bus
+	xferMem         // bus held, waiting for the shared memory controller
+	xferCtl         // sleeping the controller's share, controller held
+	xferDone        // sleeping the rest of the dwell
+)
+
+// Begin starts moving n bytes through b at up to rate MB/s, as Transfer
+// does; the task then calls Granule until nothing is Left.
+func (x *Xfer) Begin(b *Bus, n int, rate float64) {
 	if rate <= 0 || rate > b.params.BusMaxRate {
 		rate = b.params.BusMaxRate
 	}
-	g := b.params.BusGranule
-	for rem := n; rem > 0; {
-		chunk := g
-		if rem < chunk {
-			chunk = rem
+	*x = Xfer{bus: b, rem: max(n, 0), rate: rate}
+}
+
+// Left returns the bytes that have not left the bus yet.
+func (x *Xfer) Left() int { return x.rem }
+
+// Granule moves the next granule as far as it can go without waiting. It
+// reports the granule's size once it has left the bus; false means t is
+// parked and must call Granule again when woken.
+//
+// The granule holds the bus for its dwell time d = chunk/rate. Of that, the
+// memory controller's share dm = chunk/MemBandwidth is spent holding the
+// shared controller (where buses of other rails queue), the rest as the
+// flow's own pacing on its bus. The parts sum to exactly d, so a flow that
+// never meets cross-bus traffic is timed identically to a plain bus. When
+// the controller serves a single bus nothing can queue for it beneath the
+// held bus, and both parts are charged as one two-hop step — one event per
+// granule instead of two.
+func (x *Xfer) Granule(t *des.Task) (int, bool) {
+	b := x.bus
+	m := b.mem
+	switch x.at {
+	case xferBus:
+		if !b.res.AcquireTask(t, 1) {
+			return 0, false
 		}
-		b.res.Acquire(p, 1)
-		d := TimeForBytes(chunk, rate)
-		if b.mem != nil {
-			b.mem.dwell(p, chunk, d)
-		} else {
-			p.Sleep(d)
+		x.chunk = min(x.rem, b.params.BusGranule)
+		x.d = TimeForBytes(x.chunk, x.rate)
+		x.at = xferDone
+		if m == nil {
+			t.Sleep(x.d)
+			return 0, false
 		}
-		b.busy += d
-		b.granted++
-		b.res.Release(1)
-		rem -= chunk
+		x.dm = TimeForBytes(x.chunk, m.params.memBandwidth())
+		if m.buses <= 1 {
+			step := des.Step{D: x.dm, Hops: 1}
+			if x.dm < x.d {
+				step = des.Step{D: x.d, Hops: 2}
+			}
+			t.SleepStep(step)
+			return 0, false
+		}
+		x.at = xferMem
+		fallthrough
+	case xferMem:
+		if !m.res.AcquireTask(t, 1) {
+			return 0, false
+		}
+		x.at = xferCtl
+		t.Sleep(x.dm)
+		return 0, false
+	case xferCtl:
+		m.res.Release(1)
+		x.at = xferDone
+		if x.dm < x.d {
+			t.Sleep(x.d - x.dm)
+			return 0, false
+		}
 	}
+	if m != nil {
+		m.busy += x.dm
+		m.granted++
+	}
+	b.busy += x.d
+	b.granted++
+	b.res.Release(1)
+	x.rem -= x.chunk
+	x.at = xferBus
+	return x.chunk, true
 }
 
 // Memcpy models a CPU copy of n bytes whose benchmark working set is ws
