@@ -110,6 +110,8 @@ func run() int {
 				k := r.ByKind
 				fmt.Printf("  by kind: self-wake=%d switch=%d task-step=%d func=%d stale=%d (cut-off chain wakes, not counted: %d); live heap %d B/rank\n",
 					k.SelfWake, k.Switch, k.TaskStep, k.Func, k.Stale, k.CutOff, r.HeapPerRank)
+				fmt.Printf("  progress: passes=%d endpoint-polls=%d (%d moved something) idle-asks=%d\n",
+					r.Progress.Passes, r.Progress.Polls, r.Progress.PollHits, r.Progress.IdleAsks)
 			}
 		}
 	}

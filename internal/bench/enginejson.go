@@ -18,6 +18,7 @@ import (
 	"repro/internal/des"
 	"repro/internal/nas"
 	"repro/internal/rdmachan"
+	"repro/internal/transport"
 )
 
 // EngineSchema identifies the BENCH_engine.json format.
@@ -49,10 +50,11 @@ type EngineRun struct {
 	Repeats       int     `json:"repeats"`
 
 	// Reported, not compared: Events by what each dispatch cost the harness,
-	// and the heap still live when the kernel returns (after a GC, cluster
-	// not yet closed) per rank.
-	ByKind      *des.EventCounts `json:"events_by_kind,omitempty"`
-	HeapPerRank uint64           `json:"heap_live_bytes_per_rank,omitempty"`
+	// the heap still live when the kernel returns (after a GC, cluster not
+	// yet closed) per rank, and the progress loops' own work.
+	ByKind      *des.EventCounts         `json:"events_by_kind,omitempty"`
+	HeapPerRank uint64                   `json:"heap_live_bytes_per_rank,omitempty"`
+	Progress    *transport.ProgressStats `json:"progress,omitempty"`
 }
 
 // key identifies a run for baseline matching. Serial rows written before
@@ -103,10 +105,10 @@ func MeasureEngineSharded(benchName string, class nas.Class, np, repeats int, ki
 		Queue: kind.String(), Shards: shards, Repeats: repeats,
 	}
 	for i := 0; i < repeats; i++ {
-		kinds, heap, fp, sim, wall, setup, verified := measureEngineOnce(benchName, class, np, kind, shards)
+		kinds, prog, heap, fp, sim, wall, setup, verified := measureEngineOnce(benchName, class, np, kind, shards)
 		events := kinds.Total()
 		if i == 0 {
-			run.ByKind, run.HeapPerRank = &kinds, heap
+			run.ByKind, run.Progress, run.HeapPerRank = &kinds, &prog, heap
 			run.Events, run.Fingerprint, run.SimSeconds, run.Verified = events, fp, sim, verified
 			run.WallSeconds, run.SetupSeconds = wall, setup
 			continue
@@ -137,7 +139,7 @@ func MeasureEngineSharded(benchName string, class nas.Class, np, repeats int, ki
 // events/sec figure. Construction is timed separately into setupSec — the
 // other scalability axis (the satellite on cluster-construction cost).
 func measureEngineOnce(benchName string, class nas.Class, np int, kind des.QueueKind, shards int) (
-	events des.EventCounts, heapPerRank uint64, fp string, simSec, wallSec, setupSec float64, verified bool) {
+	events des.EventCounts, prog transport.ProgressStats, heapPerRank uint64, fp string, simSec, wallSec, setupSec float64, verified bool) {
 	setupStart := time.Now()
 	c := cluster.MustNew(cluster.Config{
 		NP:          np,
@@ -154,7 +156,7 @@ func measureEngineOnce(benchName string, class nas.Class, np int, kind des.Queue
 	start := time.Now()
 	res := nas.RunOn(c, benchName, class)
 	wallSec = time.Since(start).Seconds()
-	events = c.Eng.EventCounts().Sub(ev0)
+	events, prog = c.Eng.EventCounts().Sub(ev0), c.ProgressStats()
 	simSec = (c.Now() - sim0).Seconds()
 	fp = fmt.Sprintf("%016x", c.Eng.TraceFingerprint())
 	verified = res.Verified

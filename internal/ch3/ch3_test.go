@@ -273,3 +273,30 @@ func TestRequeueAheadOrder(t *testing.T) {
 		t.Fatalf("requeueAhead of nothing changed the queue: len %d, head %d", q.Len(), first.hdr.reqID)
 	}
 }
+
+// TestSRQOpRecycled: a packet record that flush has handed back (it appends
+// the staged record to free) serves the next put without an allocation and
+// carries nothing of its previous packet over.
+func TestSRQOpRecycled(t *testing.T) {
+	c := &SRQConn{}
+	restage := func() *srqOp {
+		op, _ := c.dataq.TryGet()
+		c.free = append(c.free, op)
+		return op
+	}
+	c.put(&c.dataq, srqOp{hdr: header{reqID: 1}, rekey: true, onDone: func(*des.Proc) {}})
+	first := restage()
+	if allocs := testing.AllocsPerRun(100, func() {
+		c.put(&c.dataq, srqOp{hdr: header{reqID: 2}})
+		restage()
+	}); allocs != 0 {
+		t.Errorf("put with a free record allocates %.0f times", allocs)
+	}
+	c.put(&c.ctrlq, srqOp{hdr: header{reqID: 3}})
+	if got, _ := c.ctrlq.Peek(); got != first || got.rekey || got.onDone != nil || got.hdr.reqID != 3 {
+		t.Errorf("recycled record = %+v (reused: %v), want a clean record for packet 3", got, got == first)
+	}
+	if len(c.free) != 0 {
+		t.Errorf("%d records free after the only one was reused", len(c.free))
+	}
+}

@@ -31,20 +31,18 @@ import (
 // It implements transport.Endpoint with an engine-level rendezvous
 // threshold of one slot payload, exactly like the direct CH3 design.
 type SRQConn struct {
-	// The idle-check fields lead the struct so Poll's fast path — taken by
-	// every connected-but-quiet peer every progress pass — reads its first
-	// two cache lines and nothing else.
-	//
 	// sharedPoll and resilient cache pool properties, uniform across every
-	// pool of a cluster, so the hot path avoids the method calls. ctrlq and
-	// dataq are the send side: strict FIFO per queue; control packets (CTS,
-	// FIN) win so rendezvous answers do not starve behind bulk eager
-	// traffic. Eager and RTS packets share dataq, preserving MPI envelope
-	// order.
+	// pool of a cluster. ctrlq and dataq are the send side: strict FIFO per
+	// queue; control packets (CTS, FIN) win so rendezvous answers do not
+	// starve behind bulk eager traffic. Eager and RTS packets share dataq,
+	// preserving MPI envelope order. free holds packet records whose packet
+	// is staged (acknowledged, when resilient) for the next put to reuse.
 	sharedPoll bool // pool.SharedProgress(): the engine polls the pool
 	resilient  bool // pool.Resilient()
 	ctrlq      des.Queue[*srqOp]
 	dataq      des.Queue[*srqOp]
+	free       []*srqOp
+	arm        func() // asks the engine for a Poll; nil unless FreeIdlePoll promised
 
 	pool  *rdmachan.SRQPool
 	qp    *ib.QP
@@ -221,7 +219,7 @@ func (c *SRQConn) adopt(p *des.Proc) {
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	for _, id := range ids {
 		rs := c.sendRndv[id]
-		c.dataq.Put(&srqOp{hdr: header{kind: pktRTS, env: rs.env, reqID: id}})
+		c.put(&c.dataq, srqOp{hdr: header{kind: pktRTS, env: rs.env, reqID: id}})
 	}
 	c.flush(p)
 }
@@ -234,6 +232,35 @@ func requeueAhead(q *des.Queue[*srqOp], first []*srqOp) {
 	for _, op := range first {
 		q.Put(op)
 	}
+}
+
+// put queues op on q in a recycled packet record when there is one; every
+// caller follows up with flush.
+func (c *SRQConn) put(q *des.Queue[*srqOp], op srqOp) {
+	var rec *srqOp
+	if n := len(c.free); n > 0 {
+		rec, c.free = c.free[n-1], c.free[:n-1]
+	} else {
+		rec = new(srqOp)
+	}
+	*rec = op
+	q.Put(rec)
+}
+
+// FreeIdlePoll implements transport.FreeIdler. On a shared-progress pool
+// without resilience arrivals come through the engine's pool poll, so Poll
+// is flush and nothing else, and flush with both queues empty is a no-op:
+// the connection needs a Poll only while packets are queued, and flush asks
+// for one whenever it leaves some behind.
+func (c *SRQConn) FreeIdlePoll(arm func()) bool {
+	if !c.sharedPoll || c.resilient {
+		return false
+	}
+	c.arm = arm
+	if c.ctrlq.Len()+c.dataq.Len() > 0 {
+		arm()
+	}
+	return true
 }
 
 // Pool returns the process pool this connection draws from.
@@ -266,7 +293,7 @@ func (c *SRQConn) RendezvousThreshold() int { return c.threshold }
 func (c *SRQConn) SendEager(p *des.Proc, env transport.Envelope, payload transport.Buffer,
 	onDone func(p *des.Proc)) {
 	c.stats.EagerSends++
-	c.dataq.Put(&srqOp{hdr: header{kind: pktEager, env: env},
+	c.put(&c.dataq, srqOp{hdr: header{kind: pktEager, env: env},
 		payload: payload, onDone: onDone})
 	c.flush(p)
 }
@@ -279,7 +306,7 @@ func (c *SRQConn) SendRendezvous(p *des.Proc, env transport.Envelope, payload tr
 	c.reqSeq++
 	id := c.reqSeq
 	c.sendRndv[id] = &rndvSend{payload: payload, onDone: onDone, env: env}
-	c.dataq.Put(&srqOp{hdr: header{kind: pktRTS, env: env, reqID: id}})
+	c.put(&c.dataq, srqOp{hdr: header{kind: pktRTS, env: env, reqID: id}})
 	c.flush(p)
 }
 
@@ -294,7 +321,7 @@ func (c *SRQConn) AcceptRendezvous(p *des.Proc, reqID uint64, dst transport.Buff
 		// the buffer is registered on the pool that is current then.
 		c.recvRndv[reqID] = &srqRndvRecv{dst: dst, done: done}
 		c.stats.RndvRecvs++
-		c.ctrlq.Put(&srqOp{hdr: header{kind: pktCTS, reqID: reqID}, rekey: true})
+		c.put(&c.ctrlq, srqOp{hdr: header{kind: pktCTS, reqID: reqID}, rekey: true})
 		c.flush(p)
 		return
 	}
@@ -306,7 +333,7 @@ func (c *SRQConn) AcceptRendezvous(p *des.Proc, reqID uint64, dst transport.Buff
 	}
 	c.recvRndv[reqID] = &srqRndvRecv{mr: mr, done: done}
 	c.stats.RndvRecvs++
-	c.ctrlq.Put(&srqOp{
+	c.put(&c.ctrlq, srqOp{
 		hdr: header{kind: pktCTS, reqID: reqID, raddr: dst.Addr, rkeys: [maxHdrRails]uint32{mr.RKey()}},
 	})
 	c.flush(p)
@@ -364,7 +391,7 @@ func (c *SRQConn) handleCTS(p *des.Proc, h header) {
 		c.onErr(errf("srq rendezvous source release: %w", err))
 		return
 	}
-	c.ctrlq.Put(&srqOp{
+	c.put(&c.ctrlq, srqOp{
 		hdr:    header{kind: pktFIN, reqID: h.reqID},
 		onSent: rs.onDone,
 	})
@@ -388,7 +415,7 @@ func (c *SRQConn) writeDone(p *des.Proc, id uint64, cqe ib.CQE) {
 		c.sendRndv[id] = rs
 		return
 	}
-	c.ctrlq.Put(&srqOp{
+	c.put(&c.ctrlq, srqOp{
 		hdr:    header{kind: pktFIN, reqID: id},
 		onSent: rs.onDone,
 	})
@@ -424,11 +451,21 @@ func (c *SRQConn) handleFIN(p *des.Proc, h header) {
 	}
 }
 
-// flush stages queued packets into the process send pool until it runs out
-// of slots, control packets first. It reports whether anything moved. On a
-// broken resilient connection it stages nothing and instead triggers the
-// re-dial (once per outage).
+// flush stages queued packets into the process send pool and, when some
+// stay queued on a connection that promised a free idle poll, asks the
+// engine for the Poll that retries them. It reports whether anything moved.
 func (c *SRQConn) flush(p *des.Proc) bool {
+	prog := c.stage(p)
+	if c.arm != nil && c.ctrlq.Len()+c.dataq.Len() > 0 {
+		c.arm()
+	}
+	return prog
+}
+
+// stage is flush's loop: until the pool runs out of slots, control packets
+// first. On a broken resilient connection it stages nothing and instead
+// triggers the re-dial (once per outage).
+func (c *SRQConn) stage(p *des.Proc) bool {
 	resilient := c.resilient
 	if resilient && (c.broken() || c.nextQP != nil) {
 		c.maybeRedial()
@@ -474,6 +511,9 @@ func (c *SRQConn) flush(p *des.Proc) bool {
 		if op.onDone != nil {
 			op.onDone(p)
 			op.onDone = nil
+		}
+		if !resilient {
+			c.free = append(c.free, op) // staged: nothing refers to it any more
 		}
 	}
 }
@@ -526,6 +566,7 @@ func (c *SRQConn) ackFn(op *srqOp) func(p *des.Proc) {
 			op.onSent(p)
 			op.onSent = nil
 		}
+		c.free = append(c.free, op)
 	}
 }
 
@@ -600,24 +641,18 @@ func (c *SRQConn) handleRTSResilient(p *des.Proc, h header) {
 			return
 		}
 	}
-	c.ctrlq.Put(&srqOp{hdr: header{kind: pktCTS, reqID: h.reqID}, rekey: true})
+	c.put(&c.ctrlq, srqOp{hdr: header{kind: pktCTS, reqID: h.reqID}, rekey: true})
 	c.flush(p)
 }
 
-// Poll implements transport.Endpoint: advance the shared pool (which
-// dispatches arrivals for every connection on it) and retry this
-// connection's stalled sends. On a resilient connection this is also where
-// recovery happens: a re-dialed queue pair is adopted once the old one's
-// completions have fully drained (the pool poll above reaps them), and a
-// broken connection with work pending asks the cluster for a re-dial.
+// Poll implements transport.Endpoint: advance the pool (which dispatches
+// arrivals for every connection on it) unless the engine polls it as shared
+// progress work, and retry this connection's stalled sends. On a resilient
+// connection this is also where recovery happens: a re-dialed queue pair is
+// adopted once the old one's completions have fully drained (the pool poll
+// reaps them), and a broken connection with work pending asks the cluster
+// for a re-dial.
 func (c *SRQConn) Poll(p *des.Proc) bool {
-	// When the pool is registered as shared progress work the transport
-	// engine polled it at the top of this pass; an idle fault-free
-	// connection then has nothing at all to do. This is the single hottest
-	// call in wide runs — every rank polls every connected peer every pass.
-	if c.sharedPoll && !c.resilient && c.ctrlq.Len() == 0 && c.dataq.Len() == 0 {
-		return false
-	}
 	prog := false
 	if !c.sharedPoll {
 		prog = c.pool.Poll(p)

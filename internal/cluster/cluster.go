@@ -886,6 +886,20 @@ func (c *Cluster) RegCacheStats() regcache.Stats {
 	return total
 }
 
+// ProgressStats sums the ranks' progress-loop counters: passes, endpoint
+// polls and idle-poll questions — host work no simulated clock shows.
+func (c *Cluster) ProgressStats() transport.ProgressStats {
+	var total transport.ProgressStats
+	for _, d := range c.Devs {
+		s := d.Engine().ProgressStats()
+		total.Passes += s.Passes
+		total.Polls += s.Polls
+		total.PollHits += s.PollHits
+		total.IdleAsks += s.IdleAsks
+	}
+	return total
+}
+
 // Launch runs body on every rank as a simulated process and returns when
 // all ranks have finished. It can be called repeatedly on one cluster.
 func (c *Cluster) Launch(body func(comm *mpi.Comm)) {

@@ -14,6 +14,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/des"
 	"repro/internal/mpi"
+	"repro/internal/rdmachan"
 	"repro/internal/transport"
 )
 
@@ -105,5 +106,74 @@ func TestIdlePassCutResumesAtStepBoundary(t *testing.T) {
 				k, events, took, want, 31*idleCharge)
 		}
 		c.Close()
+	}
+}
+
+// TestReadySetSRQ pins the ready set (DESIGN.md §18) on the lazy SRQ stack
+// against the engine that polled every connection every pass: the finish
+// times and event counts below were measured at the commit before it.
+//
+// A 16 KB allgather at np=32 is all rendezvous — every CTS and FIN is queued
+// from HandleSRQPacket inside the shared pool poll and goes out in the pass
+// that received its RTS — and no send ever waits for a staging slot, so no
+// connection arms and no endpoint poll is made at all. A burst of 8-byte
+// sends then outruns the 16 staging slots: the stalled connections arm and
+// are polled until they drain, at the instants the full scan retried them.
+func TestReadySetSRQ(t *testing.T) {
+	const np, block = 32, 16 << 10
+	c := cluster.MustNew(cluster.Config{NP: np, Transport: cluster.TransportZeroCopy,
+		ConnectMode: cluster.ConnectLazy, Chan: rdmachan.Config{UseSRQ: true}})
+	defer c.Close()
+	c.Launch(func(comm *mpi.Comm) {
+		send, sb := comm.Alloc(block)
+		recv, rb := comm.Alloc(np * block)
+		for i := range sb {
+			sb[i] = byte(comm.Rank() + i)
+		}
+		comm.Allgather(send, recv)
+		for r := 0; r < np; r++ {
+			if rb[r*block] != byte(r) || rb[(r+1)*block-1] != byte(r+block-1) {
+				t.Errorf("rank %d: block %d corrupt", comm.Rank(), r)
+			}
+		}
+	})
+	if st := c.ProgressStats(); st.Polls != 0 || st.Passes == 0 {
+		t.Errorf("allgather: %d passes made %d endpoint polls (%d moved something), want none",
+			st.Passes, st.Polls, st.PollHits)
+	}
+	if now, ev := c.Now(), c.Eng.EventsExecuted(); now != 5071292 || ev != 57889 {
+		t.Errorf("allgather finished at %d ns after %d events, want 5071292 ns, 57889 events", now, ev)
+	}
+
+	const msgs = 256
+	c.Launch(func(comm *mpi.Comm) {
+		buf, b := comm.Alloc(msgs * 8)
+		at := func(i int) mpi.Buffer { return mpi.Buffer{Addr: buf.Addr + uint64(i*8), Len: 8} }
+		var reqs []*mpi.Request
+		rank := comm.Rank()
+		switch rank {
+		case 0:
+			for i := 0; i < msgs; i++ {
+				b[i*8] = byte(i)
+				reqs = append(reqs, comm.Isend(at(i), 1+i%3, i))
+			}
+		case 1, 2, 3:
+			for i := rank - 1; i < msgs; i += 3 {
+				reqs = append(reqs, comm.Irecv(at(i), 0, i))
+			}
+		}
+		comm.WaitAll(reqs...)
+		for i := rank - 1; rank <= 3 && i >= 0 && i < msgs; i += 3 {
+			if b[i*8] != byte(i) {
+				t.Errorf("rank %d: message %d corrupt", rank, i)
+			}
+		}
+	})
+	if st := c.ProgressStats(); st.PollHits == 0 || st.Polls > msgs*3 {
+		t.Errorf("burst: %d endpoint polls, %d moved something; want stalled sends retried by a few polls",
+			st.Polls, st.PollHits)
+	}
+	if now, ev := c.Now(), c.Eng.EventsExecuted(); now != 5544881 || ev != 62312 {
+		t.Errorf("burst finished at %d ns after %d events, want 5544881 ns, 62312 events", now, ev)
 	}
 }

@@ -33,10 +33,7 @@ type QP struct {
 	// Responder-side delivery FIFO for two-sided sends. An RNR NAK blocks
 	// the head until its retry fires, so later sends on the same QP cannot
 	// overtake it — RC in-order delivery, which MPI non-overtaking rides on.
-	// Head-indexed ring: dequeues advance dqHead, keeping the array's
-	// capacity instead of reallocating it every burst.
-	deliverq []*sendWork
-	dqHead   int
+	deliverq des.Queue[*sendWork] // never waited on
 
 	readSlots *des.Resource
 
@@ -194,9 +191,7 @@ func (qp *QP) fail() {
 		qp.stats.ErrsCompleted++
 		qp.rcq.insert(CQE{WRID: r.WRID, Status: StatusWRFlushErr, Op: OpRecv, QPNum: qp.num})
 	}
-	dq := qp.deliverq[qp.dqHead:]
-	qp.deliverq, qp.dqHead = nil, 0
-	for _, w := range dq {
+	for w, ok := qp.deliverq.TryGet(); ok; w, ok = qp.deliverq.TryGet() {
 		qp.stats.ErrsCompleted++
 		qp.finish(w, StatusWRFlushErr)
 	}
@@ -365,8 +360,8 @@ func (qp *QP) exec(w *sendWork) int {
 // delivery and drains the queue unless its head is already blocked on a
 // receiver-not-ready retry.
 func (qp *QP) enqueueDeliver(w *sendWork) {
-	qp.deliverq = append(qp.deliverq, w)
-	if len(qp.deliverq)-qp.dqHead == 1 {
+	qp.deliverq.Put(w)
+	if qp.deliverq.Len() == 1 {
 		qp.drainDeliverq()
 	}
 }
@@ -375,16 +370,8 @@ func (qp *QP) enqueueDeliver(w *sendWork) {
 // NAK'd (SRQ empty) the queue stalls until the scheduled retry re-enters,
 // so no later send overtakes it.
 func (qp *QP) drainDeliverq() {
-	for qp.dqHead < len(qp.deliverq) {
-		if !qp.tryDeliver(qp.deliverq[qp.dqHead]) {
-			return
-		}
-		qp.deliverq[qp.dqHead] = nil
-		qp.dqHead++
-		if qp.dqHead == len(qp.deliverq) {
-			qp.deliverq = qp.deliverq[:0]
-			qp.dqHead = 0
-		}
+	for w, ok := qp.deliverq.Peek(); ok && qp.tryDeliver(w); w, ok = qp.deliverq.Peek() {
+		qp.deliverq.TryGet()
 	}
 }
 

@@ -25,12 +25,15 @@ import (
 type SRQ struct {
 	hca *HCA
 	pd  *PD
-	// Head-indexed ring of descriptor values: pops advance head so the
-	// array's capacity is reused, and posting copies the descriptor into
-	// the slice instead of boxing it — the refill path runs once per
-	// delivered packet, so both matter at np=4096.
-	rq     []RecvWR
-	rqHead int
+	// Circular buffer of descriptor values, len(rq) a power of two: n posted
+	// descriptors starting at rq[head] and wrapping. It grows only when more
+	// are posted than it has ever held at once — a refilled SRQ is never
+	// empty, so a buffer that rewound only when drained grew by one
+	// descriptor per message received — and posting copies the descriptor in
+	// instead of boxing it: the refill path runs once per delivered packet.
+	rq   []RecvWR
+	head int
+	n    int
 
 	limit   int
 	onLimit func()
@@ -59,12 +62,24 @@ func (h *HCA) CreateSRQ(pd *PD) *SRQ {
 // posting CPU overhead.
 func (s *SRQ) PostRecv(p *des.Proc, wr RecvWR) {
 	p.Sleep(s.hca.prm.PostOverhead)
-	s.rq = append(s.rq, wr)
+	if s.n == len(s.rq) {
+		s.grow()
+	}
+	s.rq[(s.head+s.n)&(len(s.rq)-1)] = wr
+	s.n++
 	s.stats.RecvsPosted++
 }
 
+// grow doubles the buffer, unwrapping the posted descriptors to its start.
+func (s *SRQ) grow() {
+	rq := make([]RecvWR, max(2*len(s.rq), 16))
+	k := copy(rq, s.rq[s.head:])
+	copy(rq[k:], s.rq[:s.head])
+	s.rq, s.head = rq, 0
+}
+
 // Posted reports the number of receive descriptors currently queued.
-func (s *SRQ) Posted() int { return len(s.rq) - s.rqHead }
+func (s *SRQ) Posted() int { return s.n }
 
 // Stats returns a copy of the SRQ counters.
 func (s *SRQ) Stats() SRQStats { return s.stats }
@@ -80,15 +95,13 @@ func (s *SRQ) Arm(limit int, fn func()) {
 // pop takes the head descriptor, firing the armed limit event when the
 // queue falls below the watermark.
 func (s *SRQ) pop() (RecvWR, bool) {
-	if s.rqHead == len(s.rq) {
+	if s.n == 0 {
 		return RecvWR{}, false
 	}
-	wr := s.rq[s.rqHead]
-	s.rqHead++
-	if s.rqHead == len(s.rq) {
-		s.rq = s.rq[:0]
-		s.rqHead = 0
-	}
+	wr := s.rq[s.head]
+	s.rq[s.head] = RecvWR{}
+	s.head = (s.head + 1) & (len(s.rq) - 1)
+	s.n--
 	s.stats.RecvsConsumed++
 	if s.onLimit != nil && s.Posted() < s.limit {
 		fn := s.onLimit

@@ -33,4 +33,10 @@
 //     snapshots the node's memory-event counter before each pass so a
 //     delivery racing the pass (on any rail) cannot be lost before a
 //     blocking wait.
+//   - The ready set (DESIGN.md §18): a pass skips exactly the endpoints
+//     that promised a free idle Poll (FreeIdler) and have not armed
+//     themselves since they were last polled. A skipped Poll would have
+//     returned false without sleeping, scheduling or changing state, so the
+//     pass is indistinguishable from one that polled everybody; an endpoint
+//     holding work it has not armed for is a bug in the endpoint.
 package transport

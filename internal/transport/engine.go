@@ -3,6 +3,7 @@ package transport
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"repro/internal/des"
 	"repro/internal/ib"
@@ -71,13 +72,16 @@ type Engine struct {
 	// engines used to carry np pointers each — 134 MB of nil slots across
 	// the cluster before the first message — where a stencil rank talks to
 	// a handful of peers.
-	peers []int32    // ranks with an endpoint slot, ascending
-	peps  []Endpoint // parallel to peers
-	act   []int32    // peers with established (pollable) endpoints, ascending
-	actEp []Endpoint // parallel to act — the poll loop's O(1) hot path
-	ready []int32    // fulfilled stubs awaiting promotion (lazy mode)
-	rdyHd int        // head index into ready (a ring, like ib's delivery queues)
-	rr    int        // round-robin polling cursor over act
+	peers []int32      // ranks with an endpoint slot, ascending
+	peps  []Endpoint   // parallel to peers
+	act   []int32      // peers with established (pollable) endpoints, ascending
+	actEp []Endpoint   // parallel to act — the poll loop's O(1) hot path
+	idle  []idlePoller // parallel to act: the endpoint as an idlePoller, or nil
+	arm   []armState   // parallel to act: the ready set (DESIGN.md §18)
+	armed int          // slots of arm a pass must visit (not disarmed)
+	rr    int          // round-robin polling cursor over act
+
+	ready des.Queue[int32] // fulfilled stubs awaiting promotion (lazy mode)
 
 	// Scratch for the run of idle endpoints Progress is sleeping through.
 	idleRun   []idlePoller
@@ -103,8 +107,30 @@ type Engine struct {
 	// entry for the rest of the run.
 	scratch [][]uint64
 
-	err error
+	stats ProgressStats
+	err   error
 }
+
+// armState says whether a progress pass visits an active endpoint.
+type armState uint8
+
+const (
+	disarmed armState = iota // a FreeIdler holding no work: its Poll is a no-op
+	armed                    // a FreeIdler that called arm since it was last polled
+	pinned                   // promised nothing: polled on every pass
+)
+
+// ProgressStats counts what the progress loop cost the harness: none of it
+// is simulated work, and Polls minus PollHits found nothing to do.
+type ProgressStats struct {
+	Passes   uint64 `json:"passes"`    // Progress calls
+	Polls    uint64 `json:"polls"`     // Endpoint.Poll calls
+	PollHits uint64 `json:"poll_hits"` // ... that reported progress
+	IdleAsks uint64 `json:"idle_asks"` // IdlePoll questions put to chunk-ring endpoints
+}
+
+// ProgressStats returns the engine's progress-loop counters.
+func (e *Engine) ProgressStats() ProgressStats { return e.stats }
 
 // NewEngine builds the progress engine for rank of size ranks on the given
 // adapter. Endpoints are installed afterwards with SetEndpoint.
@@ -117,25 +143,10 @@ func NewEngine(rank int32, size int, hca *ib.HCA) *Engine {
 	}
 }
 
-// epIndex locates peer's endpoint slot: its index when found, the
-// insertion point otherwise.
-func (e *Engine) epIndex(peer int32) (int, bool) {
-	lo, hi := 0, len(e.peers)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if e.peers[mid] < peer {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo, lo < len(e.peers) && e.peers[lo] == peer
-}
-
 // ep returns peer's endpoint slot, nil when the rank has never spoken to
 // peer.
 func (e *Engine) ep(peer int32) Endpoint {
-	if i, ok := e.epIndex(peer); ok {
+	if i, ok := slices.BinarySearch(e.peers, peer); ok {
 		return e.peps[i]
 	}
 	return nil
@@ -144,16 +155,11 @@ func (e *Engine) ep(peer int32) Endpoint {
 // setEp installs or replaces peer's endpoint slot, keeping the slices
 // sorted.
 func (e *Engine) setEp(peer int32, ep Endpoint) {
-	i, ok := e.epIndex(peer)
-	if ok {
-		e.peps[i] = ep
-		return
+	i, ok := slices.BinarySearch(e.peers, peer)
+	if !ok {
+		e.peers = slices.Insert(e.peers, i, peer)
+		e.peps = slices.Insert(e.peps, i, ep)
 	}
-	e.peers = append(e.peers, 0)
-	e.peps = append(e.peps, nil)
-	copy(e.peers[i+1:], e.peers[i:])
-	copy(e.peps[i+1:], e.peps[i:])
-	e.peers[i] = peer
 	e.peps[i] = ep
 }
 
@@ -167,27 +173,45 @@ func (e *Engine) SetEndpoint(peer int32, ep Endpoint) {
 
 // activate records peer in the established-endpoint list the progress loop
 // polls. The list is kept sorted by rank so the poll order is a
-// deterministic function of the connected set.
+// deterministic function of the connected set. What the slot knew about an
+// endpoint it replaces (a re-dial) goes with it: the slot is disarmed while
+// the newcomer is asked for its promise, so an arm from inside the call
+// sticks, and pinned when no promise comes.
 func (e *Engine) activate(peer int32, ep Endpoint) {
-	lo, hi := 0, len(e.act)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if e.act[mid] < peer {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+	i, ok := slices.BinarySearch(e.act, peer)
+	if !ok {
+		e.act = slices.Insert(e.act, i, peer)
+		e.actEp = slices.Insert(e.actEp, i, ep)
+		e.idle = slices.Insert(e.idle, i, nil)
+		e.arm = slices.Insert(e.arm, i, disarmed)
 	}
-	if lo < len(e.act) && e.act[lo] == peer {
-		e.actEp[lo] = ep
-		return
+	e.actEp[i] = ep
+	e.idle[i], _ = ep.(idlePoller)
+	e.setArm(i, disarmed)
+	if f, ok := ep.(FreeIdler); !ok || !f.FreeIdlePoll(func() { e.armPeer(peer) }) {
+		e.setArm(i, pinned)
 	}
-	e.act = append(e.act, 0)
-	e.actEp = append(e.actEp, nil)
-	copy(e.act[lo+1:], e.act[lo:])
-	copy(e.actEp[lo+1:], e.actEp[lo:])
-	e.act[lo] = peer
-	e.actEp[lo] = ep
+}
+
+// setArm moves active slot i to state st, keeping the count of slots a pass
+// must visit.
+func (e *Engine) setArm(i int, st armState) {
+	if e.arm[i] != disarmed {
+		e.armed--
+	}
+	if st != disarmed {
+		e.armed++
+	}
+	e.arm[i] = st
+}
+
+// armPeer is the arm function of peer's FreeIdler endpoint: the next visit
+// of the rotation to its slot — in the running pass if that is still ahead —
+// polls it. Arming a slot that is armed, pinned or gone is harmless.
+func (e *Engine) armPeer(peer int32) {
+	if i, ok := slices.BinarySearch(e.act, peer); ok && e.arm[i] == disarmed {
+		e.setArm(i, armed)
+	}
 }
 
 // SetDialer installs the lazy connection starter: the first send toward a
@@ -221,7 +245,7 @@ func (e *Engine) SetStub(peer int32, dial func(p *des.Proc)) {
 func (e *Engine) Fulfill(peer int32, ep Endpoint) {
 	if st, ok := e.ep(peer).(*Stub); ok {
 		st.inner = ep
-		e.ready = append(e.ready, peer)
+		e.ready.Put(peer)
 	} else {
 		e.setEp(peer, ep)
 		e.activate(peer, ep)
@@ -234,12 +258,7 @@ func (e *Engine) Fulfill(peer int32, ep Endpoint) {
 // progress pass.
 func (e *Engine) promoteStubs(p *des.Proc) bool {
 	prog := false
-	for e.rdyHd < len(e.ready) {
-		peer := e.ready[e.rdyHd]
-		e.rdyHd++
-		if e.rdyHd == len(e.ready) {
-			e.ready, e.rdyHd = e.ready[:0], 0
-		}
+	for peer, ok := e.ready.TryGet(); ok; peer, ok = e.ready.TryGet() {
 		st, ok := e.ep(peer).(*Stub)
 		if !ok || st.inner == nil {
 			continue
@@ -291,7 +310,7 @@ func (e *Engine) EnsureConnected(p *des.Proc, peer int32) {
 // count in the scalability accounting. It costs O(connected), not O(np).
 func (e *Engine) ConnectedPeers() int {
 	n := len(e.act)
-	for _, peer := range e.ready[e.rdyHd:] {
+	for _, peer := range e.ready.Pending() {
 		if st, ok := e.ep(peer).(*Stub); ok && st.inner != nil {
 			n++
 		}
@@ -307,7 +326,7 @@ func (e *Engine) ForEachEndpoint(f func(peer int32, ep Endpoint)) {
 	for i, peer := range e.act {
 		f(peer, e.actEp[i])
 	}
-	for _, peer := range e.ready[e.rdyHd:] {
+	for _, peer := range e.ready.Pending() {
 		if st, ok := e.ep(peer).(*Stub); ok && st.inner != nil {
 			f(peer, st.inner)
 		}
@@ -528,8 +547,8 @@ func (e *Engine) ArriveRTS(p *des.Proc, env Envelope, ep Endpoint, id uint64) {
 
 // idlePoller is implemented by endpoints whose Poll costs simulated time
 // even when there is nothing to do (ch3.Conn over a chunk ring: every Get
-// is charged before it looks). Endpoints with a free idle poll — SRQConn,
-// shmchan.Conn, Stub — do not implement it and are polled one by one.
+// is charged before it looks). Such a poll is not free, so these endpoints
+// are no FreeIdlers and stay pinned in the ready set.
 type idlePoller interface {
 	// IdlePoll reports whether a Poll issued now would pay exactly the
 	// returned charge and find nothing. The answer holds until the node's
@@ -542,22 +561,23 @@ type idlePoller interface {
 	PollCharged(p *des.Proc, look bool) bool
 }
 
-// Progress makes one round-robin pass over the established endpoints; with
-// block set it sleeps until fabric activity when nothing moved. The pass
-// walks the active list — O(connected), not O(np), which is what keeps a
-// 4096-rank stencil (a handful of neighbours each) fast. The rotation
+// Progress makes one round-robin pass over the established endpoints that
+// can have work — the ready set: every pinned endpoint and the FreeIdlers
+// that armed themselves — and with block set sleeps until fabric activity
+// when nothing moved. A disarmed endpoint's Poll would have returned false
+// and touched nothing, so skipping it leaves every event where it was and
+// makes a quiet rank's wake-up O(1) instead of O(connected). The rotation
 // cursor advances every pass so no peer is structurally favoured when many
 // endpoints compete. The activity counter is read before the pass so that
 // a delivery racing with the polling of another endpoint cannot be lost.
 //
-// Consecutive endpoints whose poll would only pay its charge (idlePoller)
-// are not polled one event at a time: the run's charges are slept as one
-// chain on the node, which NotifyMemWrite cuts at the endpoint being
-// charged when anything observable changes. The endpoints before that one
-// were charged with nothing to see; it alone looks, exactly when its own
-// Poll would have, and the pass carries on from the next endpoint.
+// The arm states are read after stub promotion and the shared polls, slot
+// by slot as the rotation reaches them: a CTS queued while the pool poll
+// dispatched an RTS, or a send a promotion could not flush, is visited by
+// this same pass, as it was when the pass polled everyone.
 func (e *Engine) Progress(p *des.Proc, block bool) bool {
 	e.check()
+	e.stats.Passes++
 	seq := e.hca.MemEventSeq()
 	prog := e.promoteStubs(p)
 	for _, f := range e.shared {
@@ -565,60 +585,76 @@ func (e *Engine) Progress(p *des.Proc, block bool) bool {
 			prog = true
 		}
 	}
-	if n := len(e.act); n > 0 {
-		// The cursor rotates over the full rank space and is binary-searched
-		// into the active list: the peer polled first each pass is exactly
-		// the one the original all-slots scan would have reached, so the
-		// poll schedule (and with it every calibrated figure) is unchanged —
-		// only the nil-slot skipping went away.
+	if len(e.act) > 0 {
 		start := int32(e.rr)
 		e.rr = (e.rr + 1) % e.size
-		lo, hi := 0, n
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			if e.act[mid] < start {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		if lo == n {
-			lo = 0
-		}
-		for i := 0; i < n; {
-			e.idleRun, e.idleSteps = e.idleRun[:0], e.idleSteps[:0]
-			for j := i; j < n; j++ {
-				ip, ok := e.actEp[(lo+j)%n].(idlePoller)
-				if !ok {
-					break
-				}
-				step, idle := ip.IdlePoll()
-				if !idle {
-					break
-				}
-				e.idleRun = append(e.idleRun, ip)
-				e.idleSteps = append(e.idleSteps, step)
-			}
-			if len(e.idleRun) == 0 {
-				if e.actEp[(lo+i)%n].Poll(p) {
-					prog = true
-				}
-				i++
-				continue
-			}
-			paid := e.node.SleepChain(p, e.idleSteps)
-			for _, ip := range e.idleRun[:paid-1] {
-				ip.PollCharged(p, false)
-			}
-			if e.idleRun[paid-1].PollCharged(p, true) {
-				prog = true
-			}
-			i += paid
+		if e.armed > 0 && e.pollFrom(p, start) {
+			prog = true
 		}
 	}
 	e.check()
 	if !prog && block {
 		e.hca.WaitMemEventSince(p, seq)
+	}
+	return prog
+}
+
+// pollFrom walks the active list once, from the first peer at or after
+// start, polling the slots that are not disarmed. The cursor rotates over
+// the full rank space and is binary-searched into the active list: the peer
+// polled first each pass is exactly the one the original all-slots scan
+// would have reached, so the poll schedule (and with it every calibrated
+// figure) is unchanged — only the nil-slot skipping went away.
+//
+// Consecutive endpoints whose poll would only pay its charge (idlePoller)
+// are not polled one event at a time: the run's charges are slept as one
+// chain on the node, which NotifyMemWrite cuts at the endpoint being
+// charged when anything observable changes. The endpoints before that one
+// were charged with nothing to see; it alone looks, exactly when its own
+// Poll would have, and the pass carries on from the next endpoint.
+func (e *Engine) pollFrom(p *des.Proc, start int32) (prog bool) {
+	n := len(e.act)
+	lo, _ := slices.BinarySearch(e.act, start)
+	if lo == n {
+		lo = 0
+	}
+	for i := 0; i < n; {
+		e.idleRun, e.idleSteps = e.idleRun[:0], e.idleSteps[:0]
+		for j := i; j < n; j++ {
+			ip := e.idle[(lo+j)%n]
+			if ip == nil {
+				break
+			}
+			e.stats.IdleAsks++
+			step, idle := ip.IdlePoll()
+			if !idle {
+				break
+			}
+			e.idleRun = append(e.idleRun, ip)
+			e.idleSteps = append(e.idleSteps, step)
+		}
+		if len(e.idleRun) == 0 {
+			if k := (lo + i) % n; e.arm[k] != disarmed {
+				if e.arm[k] == armed {
+					e.setArm(k, disarmed)
+				}
+				e.stats.Polls++
+				if e.actEp[k].Poll(p) {
+					e.stats.PollHits++
+					prog = true
+				}
+			}
+			i++
+			continue
+		}
+		paid := e.node.SleepChain(p, e.idleSteps)
+		for _, ip := range e.idleRun[:paid-1] {
+			ip.PollCharged(p, false)
+		}
+		if e.idleRun[paid-1].PollCharged(p, true) {
+			prog = true
+		}
+		i += paid
 	}
 	return prog
 }

@@ -1,6 +1,9 @@
 package transport
 
 import (
+	"math/rand"
+	"slices"
+	"strconv"
 	"testing"
 
 	"repro/internal/des"
@@ -377,6 +380,168 @@ func TestProgressRoundRobinPollsEveryEndpoint(t *testing.T) {
 			}
 		}
 	})
+
+	// The ready set (DESIGN.md §18): endpoints that promise a free idle poll
+	// are visited only while armed, and nothing a poll does may notice. The
+	// same seeded script — work handed out between passes, from the shared
+	// poll and from other endpoints' polls mid-pass, endpoints replaced as a
+	// re-dial does — runs on an engine whose endpoints promise nothing and is
+	// polled in full; the polls that did something, pass by pass, and the
+	// cursor must agree.
+	for seed := int64(1); seed <= 4; seed++ {
+		refLog, refRR, refPolls := runArmScript(t, seed, false)
+		log, rr, polls := runArmScript(t, seed, true)
+		if !slices.Equal(log, refLog) {
+			t.Errorf("seed %d: the log of useful polls has %d entries, or another order; the poll-everything engine's has %d",
+				seed, len(log), len(refLog))
+		}
+		if !slices.Equal(rr, refRR) {
+			t.Errorf("seed %d: cursor sequence differs from the poll-everything engine", seed)
+		}
+		if polls >= refPolls {
+			t.Errorf("seed %d: %d polls with the ready set, %d without: idle endpoints are still visited", seed, polls, refPolls)
+		}
+	}
+}
+
+// scriptEP is an endpoint with a count of queued work: a poll moves one
+// unit. With free set it promises a free idle poll, arms itself whenever it
+// holds work on return to the engine, and fails the test when polled without
+// having asked.
+type scriptEP struct {
+	fakeEP
+	t      *testing.T
+	peer   int32
+	free   bool
+	arm    func()
+	asked  bool
+	work   int
+	log    *[]int32
+	onPoll func() // one-shot side effect of the next poll that moves something
+}
+
+func (s *scriptEP) FreeIdlePoll(arm func()) bool {
+	if s.free {
+		s.arm = arm
+		s.give(0)
+	}
+	return s.free
+}
+
+func (s *scriptEP) give(n int) {
+	s.work += n
+	if s.arm != nil && s.work > 0 {
+		s.asked = true
+		s.arm()
+	}
+}
+
+func (s *scriptEP) Poll(*des.Proc) bool {
+	if s.arm != nil && !s.asked {
+		s.t.Errorf("peer %d polled while disarmed", s.peer)
+	}
+	s.asked = false
+	if s.work == 0 {
+		return false
+	}
+	*s.log = append(*s.log, s.peer)
+	s.give(-1)
+	if f := s.onPoll; f != nil {
+		s.onPoll = nil
+		f()
+	}
+	return true
+}
+
+// runArmScript drives one engine through the seeded script and returns the
+// peers whose polls moved something (-1 closes each pass), the cursor after
+// every pass and the number of Poll calls. free selects whether the script's
+// endpoints make the free-idle-poll promise; every third stays pinned either
+// way, and the random stream does not depend on it.
+func runArmScript(t *testing.T, seed int64, free bool) (log []int32, rrs []int, polls uint64) {
+	e, eng, _ := newEngine(16)
+	rng := rand.New(rand.NewSource(seed))
+	peers := []int32{1, 3, 4, 7, 8, 9, 12, 15}
+	eps := make([]*scriptEP, len(peers))
+	install := func(i int, promise bool, work int) {
+		eps[i] = &scriptEP{t: t, peer: peers[i], free: free && promise, work: work, log: &log}
+		e.SetEndpoint(peers[i], eps[i])
+	}
+	for i := range peers {
+		install(i, i%3 != 2, 0)
+	}
+	var fromShared []int // endpoints the next shared poll hands work to
+	e.AddSharedPoll(func(*des.Proc) bool {
+		for _, i := range fromShared {
+			eps[i].give(1)
+		}
+		fromShared = fromShared[:0]
+		return false
+	})
+	run(eng, func(p *des.Proc) {
+		for pass := 0; pass < 600; pass++ {
+			for n := rng.Intn(3); n > 0; n-- {
+				eps[rng.Intn(len(eps))].give(1 + rng.Intn(3))
+			}
+			if rng.Intn(4) == 0 {
+				fromShared = append(fromShared, rng.Intn(len(eps)))
+			}
+			if from, to := rng.Intn(len(eps)), rng.Intn(len(eps)); rng.Intn(4) == 0 {
+				eps[from].give(1)
+				eps[from].onPoll = func() { eps[to].give(1) }
+			}
+			if i, promise, work := rng.Intn(len(eps)), rng.Intn(3) > 0, rng.Intn(2); rng.Intn(16) == 0 {
+				install(i, promise, work)
+			}
+			e.Progress(p, false)
+			log = append(log, -1)
+			rrs = append(rrs, e.rr)
+			visit := 0
+			for _, st := range e.arm {
+				if st != disarmed {
+					visit++
+				}
+			}
+			if visit != e.armed {
+				t.Fatalf("pass %d: %d slots to visit, engine counts %d", pass, visit, e.armed)
+			}
+		}
+	})
+	return log, rrs, e.ProgressStats().Polls
+}
+
+// BenchmarkProgressIdlePeers: a blocked rank is woken with nothing to do and
+// blocks again, with 1, 16 and 64 connected peers whose idle poll is free.
+// The wake-up's cost must not depend on the peer count (it was one Poll per
+// peer before the ready set) and must allocate nothing.
+func BenchmarkProgressIdlePeers(b *testing.B) {
+	for _, peers := range []int{1, 16, 64} {
+		b.Run(strconv.Itoa(peers), func(b *testing.B) {
+			e, eng, _ := newEngine(peers + 1)
+			for i := 1; i <= peers; i++ {
+				e.SetEndpoint(int32(i), &scriptEP{free: true})
+			}
+			done := false
+			eng.Spawn("rank", func(p *des.Proc) {
+				for !done {
+					e.Progress(p, true)
+				}
+			})
+			eng.Spawn("waker", func(p *des.Proc) {
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					p.Sleep(des.Microsecond)
+					done = i == b.N-1
+					e.hca.NotifyMemWrite()
+				}
+			})
+			eng.Run()
+			if st := e.ProgressStats(); st.Polls != 0 || st.Passes < uint64(b.N) {
+				b.Fatalf("%d passes polled %d endpoints, want >= %d and 0", st.Passes, st.Polls, b.N)
+			}
+		})
+	}
 }
 
 func TestTruncationIsFatal(t *testing.T) {
