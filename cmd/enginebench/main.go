@@ -11,7 +11,6 @@
 //	enginebench -np 64,256,1024 -repeat 3 -out BENCH_engine.json   # cheap rows
 //	enginebench -np 4096 -out BENCH_engine.json -merge     # the ~17-minute row
 //	enginebench -np 64 -compare BENCH_engine.json          # CI regression gate
-//	enginebench -np 1024 -queue heap                       # the fallback queue
 //	enginebench -np 1024 -repeat 3                         # fastest of 3 walls
 //	enginebench -np 1024 -shards 4                         # sharded engine (§13)
 //	enginebench -np 1024 -shards 1,4 -out BENCH_engine.json -merge # both rows
@@ -21,7 +20,7 @@
 // exactly — a mismatch means the simulation changed, which is never a
 // mere performance regression — and wall-clock-per-simulated-second may
 // not regress beyond -tolerance. A measured row missing from the
-// baseline also fails: new np/queue/shards combinations are admitted
+// baseline also fails: new np/shards combinations are admitted
 // deliberately with -out -merge, never silently. Exits non-zero on any
 // violation.
 package main
@@ -29,13 +28,11 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"runtime/debug"
-	"strconv"
-	"strings"
 
 	"repro/internal/bench"
-	"repro/internal/des"
 	"repro/internal/nas"
 )
 
@@ -47,7 +44,6 @@ func run() int {
 	nps := flag.String("np", "1024", "comma-separated rank counts to measure")
 	benchName := flag.String("bench", "cg", "NAS kernel to drive the engine with")
 	class := flag.String("class", "S", "problem class: S, A or B")
-	queue := flag.String("queue", "calendar", "pending-event queue: calendar, heap, or both")
 	shardsFlag := flag.String("shards", "1", "comma-separated shard counts; >1 runs the sharded engine (DESIGN.md §13)")
 	repeat := flag.Int("repeat", 1, "runs per row; the fastest wall clock is recorded")
 	out := flag.String("out", "", "write the report as JSON to this path")
@@ -70,81 +66,37 @@ func run() int {
 	}
 	defer stop()
 
-	var kinds []des.QueueKind
-	switch *queue {
-	case "calendar":
-		kinds = []des.QueueKind{des.QueueCalendar}
-	case "heap":
-		kinds = []des.QueueKind{des.QueueHeap}
-	case "both":
-		kinds = []des.QueueKind{des.QueueCalendar, des.QueueHeap}
-	default:
-		fmt.Fprintf(os.Stderr, "unknown -queue %q (calendar, heap, both)\n", *queue)
+	cl, err := nas.ParseClass(*class)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "enginebench: -class:", err)
 		return 2
 	}
 
-	var shardCounts []int
-	for _, f := range strings.Split(*shardsFlag, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil || n < 1 {
-			fmt.Fprintf(os.Stderr, "bad -shards entry %q\n", f)
-			return 2
-		}
-		shardCounts = append(shardCounts, n)
+	shardCounts, err := bench.ParseInts(*shardsFlag, "shard count", 1, math.MaxInt)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "enginebench: -shards:", err)
+		return 2
+	}
+	npList, err := bench.ParseNPs(*nps)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "enginebench: -np:", err)
+		return 2
 	}
 
-	rep := bench.NewEngineReport()
-	for _, f := range strings.Split(*nps, ",") {
-		np, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil || np < 2 {
-			fmt.Fprintf(os.Stderr, "bad -np entry %q\n", f)
-			return 2
-		}
-		for _, kind := range kinds {
-			for _, shards := range shardCounts {
-				r := bench.MeasureEngineSharded(*benchName, nas.Class((*class)[0]), np, *repeat, kind, shards)
-				rep.Runs = append(rep.Runs, r)
-				fmt.Printf("%s.%s np=%d queue=%s shards=%d: events=%d fp=%s sim=%.6fs wall=%.2fs setup=%.2fs ev/s=%.0f wall/simsec=%.1f verified=%v\n",
-					r.Bench, r.Class, r.NP, r.Queue, r.Shards, r.Events, r.Fingerprint,
-					r.SimSeconds, r.WallSeconds, r.SetupSeconds, r.EventsPerSec, r.WallPerSimSec, r.Verified)
-				k := r.ByKind
-				fmt.Printf("  by kind: self-wake=%d switch=%d task-step=%d func=%d stale=%d (cut-off chain wakes, not counted: %d); live heap %d B/rank\n",
-					k.SelfWake, k.Switch, k.TaskStep, k.Func, k.Stale, k.CutOff, r.HeapPerRank)
-				fmt.Printf("  progress: passes=%d endpoint-polls=%d (%d moved something) idle-asks=%d\n",
-					r.Progress.Passes, r.Progress.Polls, r.Progress.PollHits, r.Progress.IdleAsks)
-			}
+	rep := bench.NewReport[bench.EngineRun]()
+	for _, np := range npList {
+		for _, shards := range shardCounts {
+			r := bench.MeasureEngine(*benchName, cl, np, *repeat, shards)
+			rep.Runs = append(rep.Runs, r)
+			fmt.Printf("%s.%s np=%d queue=%s shards=%d: events=%d fp=%s sim=%.6fs wall=%.2fs setup=%.2fs ev/s=%.0f wall/simsec=%.1f verified=%v\n",
+				r.Bench, r.Class, r.NP, r.Queue, r.Shards, r.Events, r.Fingerprint,
+				r.SimSeconds, r.WallSeconds, r.SetupSeconds, r.EventsPerSec, r.WallPerSimSec, r.Verified)
+			k := r.ByKind
+			fmt.Printf("  by kind: self-wake=%d switch=%d task-step=%d func=%d stale=%d (cut-off chain wakes, not counted: %d); live heap %d B/rank\n",
+				k.SelfWake, k.Switch, k.TaskStep, k.Func, k.Stale, k.CutOff, r.HeapPerRank)
+			fmt.Printf("  progress: passes=%d endpoint-polls=%d (%d moved something) idle-asks=%d\n",
+				r.Progress.Passes, r.Progress.Polls, r.Progress.PollHits, r.Progress.IdleAsks)
 		}
 	}
-
-	if *out != "" {
-		final := rep
-		if *merge {
-			if prev, err := bench.ReadEngineReport(*out); err == nil {
-				final = bench.MergeEngineReports(prev, rep)
-			} else if !os.IsNotExist(err) {
-				fmt.Fprintln(os.Stderr, err)
-				return 2
-			}
-		}
-		if err := bench.WriteEngineReport(*out, final); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 2
-		}
-		fmt.Printf("wrote %s\n", *out)
-	}
-	if *compare != "" {
-		base, err := bench.ReadEngineReport(*compare)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 2
-		}
-		if errs := bench.CompareEngineReports(base, rep, *tolerance); len(errs) > 0 {
-			for _, e := range errs {
-				fmt.Fprintf(os.Stderr, "FAIL: %v\n", e)
-			}
-			return 1
-		}
-		fmt.Printf("within tolerance of %s (%.0f%%)\n", *compare, 100**tolerance)
-	}
-	return 0
+	return rep.Finish(*out, *merge, *compare, *tolerance)
 }

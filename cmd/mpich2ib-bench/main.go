@@ -130,26 +130,8 @@ func main() {
 		fmt.Println(bench.FormatFigure(bench.RailsFigure(rep)))
 		fmt.Println(bench.FormatFigure(bench.RailPolicyFigure()))
 		fmt.Println(bench.FormatFigure(bench.AblationRailStripe()))
-		if *railsOut != "" {
-			if err := bench.WriteRailsReport(*railsOut, rep); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			fmt.Printf("wrote %s\n", *railsOut)
-		}
-		if *railsCompare != "" {
-			base, err := bench.ReadRailsReport(*railsCompare)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			if errs := bench.CompareRailsReports(base, rep, *railsTolerance); len(errs) > 0 {
-				for _, e := range errs {
-					fmt.Fprintf(os.Stderr, "FAIL: %v\n", e)
-				}
-				os.Exit(1)
-			}
-			fmt.Printf("within tolerance of %s (%.0f%%)\n", *railsCompare, 100**railsTolerance)
+		if code := rep.Finish(*railsOut, false, *railsCompare, *railsTolerance); code != 0 {
+			os.Exit(code)
 		}
 		return
 	}
@@ -214,26 +196,8 @@ func main() {
 			for _, f := range bench.CollFigures(rep) {
 				fmt.Println(bench.FormatFigure(f))
 			}
-			if *collOut != "" {
-				if err := bench.WriteCollReport(*collOut, rep); err != nil {
-					fmt.Fprintln(os.Stderr, err)
-					os.Exit(1)
-				}
-				fmt.Printf("wrote %s\n", *collOut)
-			}
-			if *collCompare != "" {
-				base, err := bench.ReadCollReport(*collCompare)
-				if err != nil {
-					fmt.Fprintln(os.Stderr, err)
-					os.Exit(1)
-				}
-				if errs := bench.CompareCollReports(base, rep, *collTolerance); len(errs) > 0 {
-					for _, e := range errs {
-						fmt.Fprintf(os.Stderr, "FAIL: %v\n", e)
-					}
-					os.Exit(1)
-				}
-				fmt.Printf("within tolerance of %s (%.0f%%)\n", *collCompare, 100**collTolerance)
+			if code := rep.Finish(*collOut, false, *collCompare, *collTolerance); code != 0 {
+				os.Exit(code)
 			}
 			return
 		}

@@ -68,10 +68,10 @@ func main() {
 	}
 	defer stopProf()
 
-	cl := nas.Class((*class)[0])
-	if cl != nas.ClassS && cl != nas.ClassA && cl != nas.ClassB {
-		fmt.Fprintln(os.Stderr, "nasbench: class must be S, A or B")
-		os.Exit(1)
+	cl, err := nas.ParseClass(*class)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "nasbench: -class:", err)
+		os.Exit(2)
 	}
 	var mode cluster.ConnectMode
 	switch *connect {

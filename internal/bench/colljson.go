@@ -1,18 +1,14 @@
-// Machine-readable collective-algorithm records: the BENCH_coll.json
-// emitter and its comparison mode, the same substrate split as
-// BENCH_engine.json and BENCH_rails.json (DESIGN.md §12/§14). Each run is
-// one (collective, algorithm, network) curve of per-call times; the
-// simulated times are deterministic and compared exactly, so the
-// committed baseline pins both the algorithm schedules and the switch
-// model's contention arithmetic — including the flat/fat-tree crossovers
-// the default tuning table encodes.
+// Machine-readable collective-algorithm records: the rows of
+// BENCH_coll.json, gated like BENCH_engine.json's and BENCH_rails.json's
+// (report.go, DESIGN.md §12/§14). Each run is one (collective, algorithm,
+// network) curve of per-call times; the simulated times are deterministic
+// and compared exactly, so the committed baseline pins both the algorithm
+// schedules and the switch model's contention arithmetic — including the
+// flat/fat-tree crossovers the default tuning table encodes.
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"runtime"
 	"strconv"
 	"strings"
 	"time"
@@ -22,15 +18,14 @@ import (
 	"repro/internal/switchfab"
 )
 
-// CollSchema identifies the BENCH_coll.json format.
-const CollSchema = "mpich2ib/coll-bench/v1"
-
 // CollPoint is one simulated measurement: message size against the
 // per-call completion time of the collective at it.
 type CollPoint struct {
 	Size int     `json:"size"`
 	Us   float64 `json:"us"`
 }
+
+func (p CollPoint) String() string { return fmt.Sprintf("size=%d: %.6g µs", p.Size, p.Us) }
 
 // CollRun is one algorithm's curve on one network model.
 type CollRun struct {
@@ -48,12 +43,11 @@ func (r CollRun) key() string {
 	return fmt.Sprintf("coll=%s/alg=%s/net=%s/np=%d/cpn=%d", r.Coll, r.Alg, r.Net, r.NP, r.CPN)
 }
 
-// CollReport is the BENCH_coll.json document.
-type CollReport struct {
-	Schema string    `json:"schema"`
-	Go     string    `json:"go"`
-	Runs   []CollRun `json:"runs"`
-}
+func (CollRun) schema() string { return "mpich2ib/coll-bench/v1" }
+
+func (r CollRun) diff(b CollRun) []string { return diffCurve(r.Points, b.Points) }
+
+func (r CollRun) wall() (float64, string) { return r.WallSeconds, "wall clock (s)" }
 
 // ParseNet maps a -net flag value to a switch configuration: "flat" (or
 // empty) is the direct wire, "fattree-dD-uU" a two-level fat tree with
@@ -80,8 +74,8 @@ func ParseNet(s string) (*switchfab.Config, error) {
 // collective on the given layout, over the flat wire and over an
 // oversubscribed fat tree (4 nodes per leaf, 1 uplink — the canonical
 // contended model), and returns one run per (collective, algorithm, net).
-func MeasureColl(colls []string, np, cpn int, sizes []int, iters int) (*CollReport, error) {
-	rep := &CollReport{Schema: CollSchema, Go: runtime.Version()}
+func MeasureColl(colls []string, np, cpn int, sizes []int, iters int) (*Report[CollRun], error) {
+	rep := NewReport[CollRun]()
 	nets := []*switchfab.Config{nil, {LeafDown: 4, LeafUp: 1}}
 	for _, sw := range nets {
 		net := "flat"
@@ -152,7 +146,7 @@ func applicableAlgs(coll string, np, cpn int, sw *switchfab.Config) ([]string, e
 // CollFigures renders the measured records as one figure per network
 // model, one series per collective/algorithm — the printed tables behind
 // the tuning crossovers, always exactly the committed JSON.
-func CollFigures(rep *CollReport) []Figure {
+func CollFigures(rep *Report[CollRun]) []Figure {
 	order := []string{}
 	byNet := map[string]*Figure{}
 	for _, run := range rep.Runs {
@@ -178,77 +172,4 @@ func CollFigures(rep *CollReport) []Figure {
 		figs = append(figs, *byNet[net])
 	}
 	return figs
-}
-
-// WriteCollReport writes the report as indented JSON, newline-terminated
-// so the committed baseline diffs cleanly.
-func WriteCollReport(path string, rep *CollReport) error {
-	b, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
-}
-
-// ReadCollReport loads a report and checks its schema tag.
-func ReadCollReport(path string) (*CollReport, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	rep := &CollReport{}
-	if err := json.Unmarshal(b, rep); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if rep.Schema != CollSchema {
-		return nil, fmt.Errorf("%s: schema %q, want %q", path, rep.Schema, CollSchema)
-	}
-	return rep, nil
-}
-
-// CompareCollReports checks current against a committed baseline with the
-// same contract as the engine and rails gates: simulated per-call times
-// must match the baseline exactly (a divergence means an algorithm
-// schedule or the switch model changed), wall clock may not regress
-// beyond tol, and every measured curve must exist in the baseline.
-// Baseline curves not re-measured are skipped.
-func CompareCollReports(baseline, current *CollReport, tol float64) []error {
-	base := make(map[string]CollRun, len(baseline.Runs))
-	for _, r := range baseline.Runs {
-		base[r.key()] = r
-	}
-	var errs []error
-	matched := 0
-	for _, cur := range current.Runs {
-		b, ok := base[cur.key()]
-		if !ok {
-			errs = append(errs, fmt.Errorf(
-				"%s: curve missing from baseline — regenerate it with `mpich2ib-bench -coll ... -coll-out` to admit the new algorithm or net",
-				cur.key()))
-			continue
-		}
-		matched++
-		if len(cur.Points) != len(b.Points) {
-			errs = append(errs, fmt.Errorf("%s: %d points, baseline has %d",
-				cur.key(), len(cur.Points), len(b.Points)))
-			continue
-		}
-		for i, p := range cur.Points {
-			if p != b.Points[i] {
-				errs = append(errs, fmt.Errorf(
-					"%s: simulated time diverges at size=%d: %.6g µs, baseline %.6g µs",
-					cur.key(), p.Size, p.Us, b.Points[i].Us))
-			}
-		}
-		if b.WallSeconds > 0 && cur.WallSeconds > b.WallSeconds*(1+tol) {
-			errs = append(errs, fmt.Errorf(
-				"%s: wall clock regressed %.1f%% (%.2fs vs baseline %.2fs, tolerance %.0f%%)",
-				cur.key(), 100*(cur.WallSeconds/b.WallSeconds-1),
-				cur.WallSeconds, b.WallSeconds, 100*tol))
-		}
-	}
-	if matched == 0 && len(current.Runs) > 0 {
-		errs = append(errs, fmt.Errorf("no current collective curve matches any baseline curve"))
-	}
-	return errs
 }

@@ -1,16 +1,13 @@
-// Machine-readable engine-performance records (DESIGN.md §12): the
-// BENCH_engine.json emitter and its CI comparison mode. Every speed claim
-// about the simulation kernel is a row here — simulated metrics that must
-// reproduce exactly (event count, schedule fingerprint, simulated time,
-// verification) next to harness wall-clock figures (events/sec,
-// wall-clock-per-simulated-second) that a regression gate compares within
-// a tolerance.
+// Machine-readable engine-performance records (DESIGN.md §12): the rows of
+// BENCH_engine.json. Every speed claim about the simulation kernel is a row
+// here — simulated metrics that must reproduce exactly (event count,
+// schedule fingerprint, simulated time, verification) next to harness
+// wall-clock figures (events/sec, wall-clock-per-simulated-second) that the
+// regression gate (report.go) compares within a tolerance.
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 	"time"
 
@@ -21,12 +18,11 @@ import (
 	"repro/internal/transport"
 )
 
-// EngineSchema identifies the BENCH_engine.json format.
-const EngineSchema = "mpich2ib/engine-bench/v1"
-
 // EngineRun is one measured engine execution: a NAS kernel at one rank
-// count under one pending-event queue. Events, Fingerprint, SimSeconds and
-// Verified are simulated results — deterministic, compared exactly.
+// count and shard count. Queue is the constant "calendar": the engine has
+// one pending-event queue, and readers of the committed file select rows
+// by the field. Events, Fingerprint, SimSeconds and Verified are simulated
+// results — deterministic, compared exactly.
 // WallSeconds and the two derived rates are harness measurements —
 // machine-dependent, compared within a tolerance. With Repeats > 1 the
 // wall figures are the fastest of the repeats (the least-noise estimator);
@@ -67,33 +63,36 @@ func (r EngineRun) key() string {
 	return fmt.Sprintf("%s.%s/np=%d/%s/shards=%d", r.Bench, r.Class, r.NP, r.Queue, s)
 }
 
-// EngineReport is the BENCH_engine.json document.
-type EngineReport struct {
-	Schema string      `json:"schema"`
-	Go     string      `json:"go"`
-	Runs   []EngineRun `json:"runs"`
+func (EngineRun) schema() string { return "mpich2ib/engine-bench/v1" }
+
+func (r EngineRun) diff(b EngineRun) []string {
+	var lines []string
+	add := func(name string, cur, base any) {
+		if cur != base {
+			lines = append(lines, fmt.Sprintf("%-8s %v, baseline %v", name, cur, base))
+		}
+	}
+	add("events", r.Events, b.Events)
+	add("fp", r.Fingerprint, b.Fingerprint)
+	add("sim", r.SimSeconds, b.SimSeconds)
+	add("verified", r.Verified, b.Verified)
+	return lines
 }
 
-// NewEngineReport starts an empty report stamped with the toolchain.
-func NewEngineReport() *EngineReport {
-	return &EngineReport{Schema: EngineSchema, Go: runtime.Version()}
+func (r EngineRun) wall() (float64, string) {
+	return r.WallPerSimSec, "wall-clock per simulated second"
 }
 
 // MeasureEngine runs one NAS kernel at np ranks on the scalable
-// configuration under study (zero-copy transport, lazy connections, SRQ)
-// with the given pending-event queue, repeats times, and returns the
-// measured row. It panics if the simulated results differ between repeats:
-// that is a determinism bug, and recording either value would be wrong.
-func MeasureEngine(benchName string, class nas.Class, np, repeats int, kind des.QueueKind) EngineRun {
-	return MeasureEngineSharded(benchName, class, np, repeats, kind, 1)
-}
-
-// MeasureEngineSharded is MeasureEngine on the sharded execution mode
-// (DESIGN.md §13). shards=1 is the serial engine. The simulated metrics
-// are shard-count-invariant by construction — the determinism suites prove
+// configuration under study (zero-copy transport, lazy connections, SRQ),
+// repeats times, and returns the measured row. shards > 1 is the sharded
+// execution mode (DESIGN.md §13); the simulated metrics are
+// shard-count-invariant by construction — the determinism suites prove
 // fingerprint equality against serial — so a sharded row diverging from a
-// serial baseline row's simulated results is a bug, not a measurement.
-func MeasureEngineSharded(benchName string, class nas.Class, np, repeats int, kind des.QueueKind, shards int) EngineRun {
+// serial baseline row's simulated results is a bug, not a measurement. It
+// panics if the simulated results differ between repeats: that is a
+// determinism bug, and recording either value would be wrong.
+func MeasureEngine(benchName string, class nas.Class, np, repeats, shards int) EngineRun {
 	if repeats < 1 {
 		repeats = 1
 	}
@@ -102,10 +101,10 @@ func MeasureEngineSharded(benchName string, class nas.Class, np, repeats int, ki
 	}
 	run := EngineRun{
 		Bench: benchName, Class: string(class), NP: np,
-		Queue: kind.String(), Shards: shards, Repeats: repeats,
+		Queue: "calendar", Shards: shards, Repeats: repeats,
 	}
 	for i := 0; i < repeats; i++ {
-		kinds, prog, heap, fp, sim, wall, setup, verified := measureEngineOnce(benchName, class, np, kind, shards)
+		kinds, prog, heap, fp, sim, wall, setup, verified := measureEngineOnce(benchName, class, np, shards)
 		events := kinds.Total()
 		if i == 0 {
 			run.ByKind, run.Progress, run.HeapPerRank = &kinds, &prog, heap
@@ -138,7 +137,7 @@ func MeasureEngineSharded(benchName string, class nas.Class, np, repeats int, ki
 // is the delta across it, so cluster construction cost does not dilute the
 // events/sec figure. Construction is timed separately into setupSec — the
 // other scalability axis (the satellite on cluster-construction cost).
-func measureEngineOnce(benchName string, class nas.Class, np int, kind des.QueueKind, shards int) (
+func measureEngineOnce(benchName string, class nas.Class, np, shards int) (
 	events des.EventCounts, prog transport.ProgressStats, heapPerRank uint64, fp string, simSec, wallSec, setupSec float64, verified bool) {
 	setupStart := time.Now()
 	c := cluster.MustNew(cluster.Config{
@@ -146,7 +145,6 @@ func measureEngineOnce(benchName string, class nas.Class, np int, kind des.Queue
 		Transport:   cluster.TransportZeroCopy,
 		ConnectMode: cluster.ConnectLazy,
 		Chan:        rdmachan.Config{UseSRQ: true},
-		EngineQueue: kind,
 		Shards:      shards,
 	})
 	setupSec = time.Since(setupStart).Seconds()
@@ -165,109 +163,4 @@ func measureEngineOnce(benchName string, class nas.Class, np int, kind des.Queue
 	runtime.ReadMemStats(&ms)
 	heapPerRank = ms.HeapAlloc / uint64(np)
 	return
-}
-
-// WriteEngineReport writes the report as indented JSON, newline-terminated
-// so the committed baseline diffs cleanly.
-func WriteEngineReport(path string, rep *EngineReport) error {
-	b, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
-}
-
-// ReadEngineReport loads a report and checks its schema tag.
-func ReadEngineReport(path string) (*EngineReport, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	rep := &EngineReport{}
-	if err := json.Unmarshal(b, rep); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if rep.Schema != EngineSchema {
-		return nil, fmt.Errorf("%s: schema %q, want %q", path, rep.Schema, EngineSchema)
-	}
-	return rep, nil
-}
-
-// MergeEngineReports overlays update onto base: rows sharing a key are
-// replaced by update's measurement, new keys append in measurement order,
-// and base rows the update did not re-measure survive. This is how the
-// committed baseline is regenerated piecemeal — the np=4096 row takes
-// ~17 minutes, so re-measuring the cheap rows must not force re-measuring
-// it (and vice versa).
-func MergeEngineReports(base, update *EngineReport) *EngineReport {
-	merged := &EngineReport{Schema: EngineSchema, Go: update.Go}
-	replaced := make(map[string]EngineRun, len(update.Runs))
-	for _, r := range update.Runs {
-		replaced[r.key()] = r
-	}
-	for _, r := range base.Runs {
-		if u, ok := replaced[r.key()]; ok {
-			r = u
-			delete(replaced, r.key())
-		}
-		merged.Runs = append(merged.Runs, r)
-	}
-	for _, r := range update.Runs {
-		if _, stillNew := replaced[r.key()]; stillNew {
-			merged.Runs = append(merged.Runs, r)
-		}
-	}
-	return merged
-}
-
-// CompareEngineReports checks current against a committed baseline: for
-// every baseline row that current also measured, the simulated metrics
-// must match exactly (a mismatch means the simulation changed, which is
-// never a mere performance regression), and wall-clock-per-simulated-
-// second may not regress by more than tol (0.15 = 15%). Getting faster is
-// not an error. Baseline rows current did not measure are skipped — the
-// CI smoke compares a subset of the committed matrix — but every measured
-// row MUST exist in the baseline: a new np/queue/shards combination that
-// nothing has vetted is a gate failure, reported with the full measured
-// row so the maintainer can regenerate the baseline deliberately. Returns
-// one error per violated row.
-func CompareEngineReports(baseline, current *EngineReport, tol float64) []error {
-	base := make(map[string]EngineRun, len(baseline.Runs))
-	for _, r := range baseline.Runs {
-		base[r.key()] = r
-	}
-	var errs []error
-	matched := 0
-	for _, cur := range current.Runs {
-		b, ok := base[cur.key()]
-		if !ok {
-			errs = append(errs, fmt.Errorf(
-				"%s: row missing from baseline — measured events=%d fp=%s sim=%gs verified=%v; "+
-					"regenerate the baseline with `enginebench -out -merge` to admit it",
-				cur.key(), cur.Events, cur.Fingerprint, cur.SimSeconds, cur.Verified))
-			continue
-		}
-		matched++
-		if cur.Events != b.Events || cur.Fingerprint != b.Fingerprint ||
-			cur.SimSeconds != b.SimSeconds || cur.Verified != b.Verified {
-			errs = append(errs, fmt.Errorf(
-				"%s: simulated results diverge from baseline:\n"+
-					"  events   %d, baseline %d\n"+
-					"  fp       %s, baseline %s\n"+
-					"  sim      %gs, baseline %gs\n"+
-					"  verified %v, baseline %v",
-				cur.key(), cur.Events, b.Events, cur.Fingerprint, b.Fingerprint,
-				cur.SimSeconds, b.SimSeconds, cur.Verified, b.Verified))
-		}
-		if b.WallPerSimSec > 0 && cur.WallPerSimSec > b.WallPerSimSec*(1+tol) {
-			errs = append(errs, fmt.Errorf(
-				"%s: wall-clock per simulated second regressed %.1f%% (%.1f vs baseline %.1f, tolerance %.0f%%)",
-				cur.key(), 100*(cur.WallPerSimSec/b.WallPerSimSec-1),
-				cur.WallPerSimSec, b.WallPerSimSec, 100*tol))
-		}
-	}
-	if matched == 0 && len(current.Runs) > 0 {
-		errs = append(errs, fmt.Errorf("no current run matches any baseline row"))
-	}
-	return errs
 }

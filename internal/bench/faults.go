@@ -2,8 +2,7 @@ package bench
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
+	"math"
 
 	"repro/internal/cluster"
 	"repro/internal/des"
@@ -20,22 +19,7 @@ import (
 // ParseFaultCounts parses a comma list of per-run failure counts,
 // e.g. "0,2,4,8".
 func ParseFaultCounts(list string) ([]int, error) {
-	var out []int
-	for _, tok := range strings.Split(list, ",") {
-		tok = strings.TrimSpace(tok)
-		if tok == "" {
-			continue
-		}
-		n, err := strconv.Atoi(tok)
-		if err != nil || n < 0 {
-			return nil, fmt.Errorf("bench: bad failure count %q", tok)
-		}
-		out = append(out, n)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("bench: empty failure-count list")
-	}
-	return out, nil
+	return ParseInts(list, "failure count", 0, math.MaxInt)
 }
 
 // DefaultFaultCounts is the published failure-rate sweep.

@@ -8,7 +8,7 @@ package bench
 
 import (
 	"fmt"
-	"strconv"
+	"math"
 	"strings"
 
 	"repro/internal/cluster"
@@ -90,22 +90,7 @@ func ParseConnectModes(list string) ([]ConnectVariant, error) {
 
 // ParseNPs resolves a comma-separated rank-count list ("8,16,32").
 func ParseNPs(list string) ([]int, error) {
-	var out []int
-	for _, tok := range strings.Split(list, ",") {
-		tok = strings.TrimSpace(tok)
-		if tok == "" {
-			continue
-		}
-		n, err := strconv.Atoi(tok)
-		if err != nil || n < 2 {
-			return nil, fmt.Errorf("bench: bad rank count %q", tok)
-		}
-		out = append(out, n)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("bench: empty rank-count list")
-	}
-	return out, nil
+	return ParseInts(list, "rank count", 2, math.MaxInt)
 }
 
 // DefaultFootprintNPs is the published sweep: 8…512.

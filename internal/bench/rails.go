@@ -2,8 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 
 	"repro/internal/cluster"
 	"repro/internal/nas"
@@ -12,22 +10,7 @@ import (
 
 // ParseRails parses a comma list of rail counts, e.g. "1,2,4".
 func ParseRails(list string) ([]int, error) {
-	var out []int
-	for _, tok := range strings.Split(list, ",") {
-		tok = strings.TrimSpace(tok)
-		if tok == "" {
-			continue
-		}
-		n, err := strconv.Atoi(tok)
-		if err != nil || n < 1 || n > rdmachan.MaxRails {
-			return nil, fmt.Errorf("bench: bad rail count %q (1..%d)", tok, rdmachan.MaxRails)
-		}
-		out = append(out, n)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("bench: empty rail-count list")
-	}
-	return out, nil
+	return ParseInts(list, fmt.Sprintf("rail count (1..%d)", rdmachan.MaxRails), 1, rdmachan.MaxRails)
 }
 
 // DefaultRailCounts is the published rail sweep.

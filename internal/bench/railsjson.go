@@ -1,25 +1,19 @@
-// Machine-readable multi-rail bandwidth records: the BENCH_rails.json
-// emitter and its comparison mode, the same substrate split as
-// BENCH_engine.json (DESIGN.md §12). The bandwidth curve itself is a
-// simulated result — deterministic, compared exactly — while the harness
-// wall clock of producing it is machine-dependent and compared within a
-// tolerance. The published rails-bw figure is rendered from these records,
-// so the committed JSON and the printed table can never drift apart.
+// Machine-readable multi-rail bandwidth records: the rows of
+// BENCH_rails.json, gated like BENCH_engine.json's (report.go, DESIGN.md
+// §12). The bandwidth curve itself is a simulated result — deterministic,
+// compared exactly — while the harness wall clock of producing it is
+// machine-dependent and compared within a tolerance. The published rails-bw
+// figure is rendered from these records, so the committed JSON and the
+// printed table can never drift apart.
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"runtime"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/rdmachan"
 )
-
-// RailsSchema identifies the BENCH_rails.json format.
-const RailsSchema = "mpich2ib/rails-bench/v1"
 
 // RailsPoint is one simulated bandwidth measurement: message size against
 // the streaming bandwidth the zero-copy design achieves at it.
@@ -27,6 +21,8 @@ type RailsPoint struct {
 	Size int     `json:"size"`
 	MBps float64 `json:"mbps"`
 }
+
+func (p RailsPoint) String() string { return fmt.Sprintf("size=%d: %.6g MB/s", p.Size, p.MBps) }
 
 // RailsRun is the bandwidth curve for one rail count: the simulated points
 // (compared exactly) and the harness wall clock of measuring them
@@ -43,18 +39,17 @@ func (r RailsRun) key() string {
 	return fmt.Sprintf("rails=%d/policy=%s", r.Rails, r.Policy)
 }
 
-// RailsReport is the BENCH_rails.json document.
-type RailsReport struct {
-	Schema string     `json:"schema"`
-	Go     string     `json:"go"`
-	Runs   []RailsRun `json:"runs"`
-}
+func (RailsRun) schema() string { return "mpich2ib/rails-bench/v1" }
+
+func (r RailsRun) diff(b RailsRun) []string { return diffCurve(r.Points, b.Points) }
+
+func (r RailsRun) wall() (float64, string) { return r.WallSeconds, "wall clock (s)" }
 
 // MeasureRails runs the bandwidth-vs-rails sweep (the rails-bw figure's
 // data: eager chunks on the given policy, large messages striped across
 // all rails) and returns one run per rail count.
-func MeasureRails(railCounts []int, policy rdmachan.RailPolicy) *RailsReport {
-	rep := &RailsReport{Schema: RailsSchema, Go: runtime.Version()}
+func MeasureRails(railCounts []int, policy rdmachan.RailPolicy) *Report[RailsRun] {
+	rep := NewReport[RailsRun]()
 	sizes := sizesPow4(4<<10, 4<<20)
 	for _, rails := range railCounts {
 		o := Options{Transport: cluster.TransportZeroCopy, RailsPerNode: rails}
@@ -77,7 +72,7 @@ func MeasureRails(railCounts []int, policy rdmachan.RailPolicy) *RailsReport {
 // RailsFigure renders the rails-bw figure from measured records — the
 // only path to that figure, so a committed BENCH_rails.json row is always
 // exactly what the table prints.
-func RailsFigure(rep *RailsReport) Figure {
+func RailsFigure(rep *Report[RailsRun]) Figure {
 	f := Figure{
 		ID: "rails-bw", Title: "MPI Bandwidth vs Rails (zero-copy design, striped rendezvous)",
 		XLabel: "message size (bytes)", YLabel: "bandwidth (MB/s)",
@@ -95,77 +90,4 @@ func RailsFigure(rep *RailsReport) Figure {
 		fmt.Sprintf("eager rail policy: %s; zero-copy transfers stripe in ChunkSize-aligned blocks", policy),
 		"rails share the node MemBandwidth ceiling but each owns its NetBandwidth (DESIGN.md §10)")
 	return f
-}
-
-// WriteRailsReport writes the report as indented JSON, newline-terminated
-// so the committed baseline diffs cleanly.
-func WriteRailsReport(path string, rep *RailsReport) error {
-	b, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
-}
-
-// ReadRailsReport loads a report and checks its schema tag.
-func ReadRailsReport(path string) (*RailsReport, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	rep := &RailsReport{}
-	if err := json.Unmarshal(b, rep); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if rep.Schema != RailsSchema {
-		return nil, fmt.Errorf("%s: schema %q, want %q", path, rep.Schema, RailsSchema)
-	}
-	return rep, nil
-}
-
-// CompareRailsReports checks current against a committed baseline with the
-// same contract as the engine gate: simulated bandwidth must match the
-// baseline exactly (point for point — a divergence means the simulation
-// changed), wall clock may not regress beyond tol, and every measured
-// curve must exist in the baseline. Baseline curves not re-measured are
-// skipped. Returns one error per violated run.
-func CompareRailsReports(baseline, current *RailsReport, tol float64) []error {
-	base := make(map[string]RailsRun, len(baseline.Runs))
-	for _, r := range baseline.Runs {
-		base[r.key()] = r
-	}
-	var errs []error
-	matched := 0
-	for _, cur := range current.Runs {
-		b, ok := base[cur.key()]
-		if !ok {
-			errs = append(errs, fmt.Errorf(
-				"%s: curve missing from baseline — regenerate it with `mpich2ib-bench -rails -rails-out` to admit the new rail count",
-				cur.key()))
-			continue
-		}
-		matched++
-		if len(cur.Points) != len(b.Points) {
-			errs = append(errs, fmt.Errorf("%s: %d points, baseline has %d",
-				cur.key(), len(cur.Points), len(b.Points)))
-			continue
-		}
-		for i, p := range cur.Points {
-			if p != b.Points[i] {
-				errs = append(errs, fmt.Errorf(
-					"%s: simulated bandwidth diverges at size=%d: %.6g MB/s, baseline %.6g MB/s",
-					cur.key(), p.Size, p.MBps, b.Points[i].MBps))
-			}
-		}
-		if b.WallSeconds > 0 && cur.WallSeconds > b.WallSeconds*(1+tol) {
-			errs = append(errs, fmt.Errorf(
-				"%s: wall clock regressed %.1f%% (%.2fs vs baseline %.2fs, tolerance %.0f%%)",
-				cur.key(), 100*(cur.WallSeconds/b.WallSeconds-1),
-				cur.WallSeconds, b.WallSeconds, 100*tol))
-		}
-	}
-	if matched == 0 && len(current.Runs) > 0 {
-		errs = append(errs, fmt.Errorf("no current rails curve matches any baseline curve"))
-	}
-	return errs
 }

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/des"
 	"repro/internal/nas"
 )
 
@@ -27,7 +26,7 @@ func requireScale(t *testing.T) {
 // BENCH_engine.json row — and checks it verifies.
 func TestScaleCG4096(t *testing.T) {
 	requireScale(t)
-	r := MeasureEngine("cg", nas.ClassS, 4096, 1, des.QueueDefault)
+	r := MeasureEngine("cg", nas.ClassS, 4096, 1, 1)
 	if !r.Verified {
 		t.Fatal("CG.S np=4096 failed verification")
 	}

@@ -69,6 +69,27 @@ func ParseTransports(list string) ([]TransportSpec, error) {
 	return out, nil
 }
 
+// ParseInts resolves a comma-separated list of integers in lo..hi; what
+// names an entry in the errors.
+func ParseInts(list, what string, lo, hi int) ([]int, error) {
+	var out []int
+	for _, tok := range strings.Split(list, ",") {
+		tok = strings.TrimSpace(tok)
+		if tok == "" {
+			continue
+		}
+		n, err := strconv.Atoi(tok)
+		if err != nil || n < lo || n > hi {
+			return nil, fmt.Errorf("bench: bad %s %q", what, tok)
+		}
+		out = append(out, n)
+	}
+	if len(out) == 0 {
+		return nil, fmt.Errorf("bench: empty %s list", what)
+	}
+	return out, nil
+}
+
 // ParseSizes resolves a comma-separated size list ("4096,64K,1M").
 func ParseSizes(list string) ([]int, error) {
 	var out []int

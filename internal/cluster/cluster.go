@@ -132,12 +132,6 @@ type Config struct {
 	// have a single owning engine (determinism; DESIGN.md §14).
 	Switch *switchfab.Config
 
-	// EngineQueue selects the simulation kernel's pending-event structure
-	// (des.QueueDefault = the calendar queue). The determinism cross-check
-	// suites run identical workloads under des.QueueHeap and
-	// des.QueueCalendar and assert equal trace fingerprints.
-	EngineQueue des.QueueKind
-
 	// Shards partitions the simulation across OS threads: nodes are
 	// assigned to this many shard engines in contiguous blocks, each shard
 	// running its own event queue and dispatch driver, synchronized by
@@ -301,7 +295,7 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	c.shards = shards
 	if shards > 1 {
-		c.grp = des.NewGroup(cfg.EngineQueue, shards, prm.WireLatency)
+		c.grp = des.NewGroup(shards, prm.WireLatency)
 		c.Eng = c.grp.Global()
 		c.shardOf = make([]int32, nNodes)
 		for n := 0; n < nNodes; n++ {
@@ -314,7 +308,7 @@ func New(cfg Config) (*Cluster, error) {
 			}
 		}
 	} else {
-		c.Eng = des.NewEngineWithQueue(cfg.EngineQueue)
+		c.Eng = des.NewEngine()
 	}
 	c.Fabric = ib.NewFabric(c.Eng, prm)
 	if cfg.Fault != nil {
@@ -773,15 +767,6 @@ func (c *Cluster) SRQPool(rank int) *rdmachan.SRQPool {
 		return nil
 	}
 	return c.pools[rank][0]
-}
-
-// SRQPools returns a rank's shared receive pools, one per rail, or nil
-// when the cluster does not run the SRQ-backed eager mode.
-func (c *Cluster) SRQPools(rank int) []*rdmachan.SRQPool {
-	if c.pools == nil {
-		return nil
-	}
-	return c.pools[rank]
 }
 
 func (c *Cluster) newEndpoint(ep rdmachan.Endpoint, dev *adi3.Device) transport.Endpoint {

@@ -257,7 +257,7 @@ func TestGroupChainsMatchSerial(t *testing.T) {
 	serial.Shutdown()
 
 	for _, shards := range []int{2, 4} {
-		g := NewGroup(QueueCalendar, shards, look)
+		g := NewGroup(shards, look)
 		engines := make([]*Engine, shards)
 		for i := range engines {
 			engines[i] = g.Shard(i)

@@ -27,9 +27,9 @@
 //
 // Invariants:
 //
-//   - Determinism: ties in the event heap are broken by scheduling sequence
-//     number, so a given program produces bit-for-bit identical simulated
-//     timings on every run. This is what makes "output bit-identical to the
+//   - Determinism: the one pending-event queue (queue.go) pops in (time,
+//     lineage key, scheduling sequence) order, so a given program produces
+//     bit-for-bit identical simulated timings on every run. This is what makes "output bit-identical to the
 //     previous PR" a meaningful regression gate, and it is why nothing in a
 //     simulation may branch on wall-clock time or map iteration order.
 //   - Single-stepping: at most one simulated process or task step executes

@@ -25,7 +25,7 @@ import (
 // loop must stop or a process terminates.
 type Engine struct {
 	now       Time
-	q         eventQueue
+	q         calQueue // pending events, popped in (at, key, seq) order
 	seq       uint64
 	alive     int // spawned non-daemon processes that have not terminated
 	procs     []*Proc
@@ -157,16 +157,11 @@ func (e *Engine) execCtx() *Engine {
 	return e
 }
 
-// NewEngine returns an engine with the clock at the epoch, using the
-// default (calendar) event queue.
-func NewEngine() *Engine { return NewEngineWithQueue(QueueDefault) }
-
-// NewEngineWithQueue returns an engine using the given pending-event
-// structure. Both kinds dispatch in the identical (time, key, seq) order —
-// the determinism cross-check suites run the same workload under each and
-// assert equal schedule fingerprints.
-func NewEngineWithQueue(kind QueueKind) *Engine {
-	return &Engine{q: newQueue(kind), curBase: mixKey(rootKey, 0)}
+// NewEngine returns an engine with the clock at the epoch.
+func NewEngine() *Engine {
+	e := &Engine{curBase: mixKey(rootKey, 0)}
+	e.q.init()
+	return e
 }
 
 // Sharded reports whether this engine is a member of a Group, i.e. other
@@ -297,16 +292,14 @@ func (e *Engine) shutdownOne() {
 	}
 	e.procs = nil
 	e.deadProcs = 0
-	if e.q != nil {
-		e.q.clear()
-	}
+	e.q.clear()
 }
 
 // account advances the clock to ev and charges it to the fingerprint. Every
 // popped event, stale wakeups included, is accounted (and counted by kind in
-// fire), so the trace is comparable across queue implementations and engine
-// versions. The dispatching event's key becomes the lineage parent for everything the
-// dispatch schedules. In grouped mode timestamps are buffered instead of
+// fire), so the trace is comparable across engine versions. The dispatching
+// event's key becomes the lineage parent for everything the dispatch
+// schedules. In grouped mode timestamps are buffered instead of
 // folded: shards dispatch concurrently, so the group folds the merged
 // timestamp stream at window barriers to reproduce the serial fold order.
 func (e *Engine) account(ev *event) {
@@ -530,23 +523,12 @@ func (e *Engine) Spawn(name string, body func(p *Proc)) *Proc {
 	return e.spawn(name, body, false, e.execCtx().childKey())
 }
 
-// SpawnDaemon creates a process that does not count toward deadlock
-// detection: the simulation may finish while daemons are blocked.
-func (e *Engine) SpawnDaemon(name string, body func(p *Proc)) *Proc {
-	return e.spawn(name, body, true, e.execCtx().childKey())
-}
-
 // SpawnSeeded is Spawn with an identity-derived lineage key (see Salt) for
 // the start event. Construction-time spawns — rank processes, connection
 // managers — use it so process start order at an instant is identical
 // across serial and sharded execution.
 func (e *Engine) SpawnSeeded(salt uint64, name string, body func(p *Proc)) *Proc {
 	return e.spawn(name, body, false, salt)
-}
-
-// SpawnDaemonSeeded is SpawnDaemon with an identity-derived lineage key.
-func (e *Engine) SpawnDaemonSeeded(salt uint64, name string, body func(p *Proc)) *Proc {
-	return e.spawn(name, body, true, salt)
 }
 
 func (e *Engine) spawn(name string, body func(p *Proc), daemon bool, key uint64) *Proc {
@@ -601,10 +583,6 @@ func (e *Engine) addProc(p *Proc) {
 	}
 	e.procs = append(e.procs, p)
 }
-
-// procsLen reports the current length of the process table (tests assert
-// compaction keeps it bounded).
-func (e *Engine) procsLen() int { return len(e.procs) }
 
 // pause blocks the process until a wakeup targeting this pause generation
 // fires. where labels the block site for deadlock reports. It is park and

@@ -94,10 +94,10 @@ type Group struct {
 	fp   uint64 // merged-order fingerprint over all member schedules
 }
 
-// NewGroup builds a group of shards shard engines and one global engine,
-// all using the given queue kind, with the given conservative lookahead
-// (the minimum simulated latency of any cross-shard interaction).
-func NewGroup(kind QueueKind, shards int, lookahead Time) *Group {
+// NewGroup builds a group of shards shard engines and one global engine
+// with the given conservative lookahead (the minimum simulated latency of
+// any cross-shard interaction).
+func NewGroup(shards int, lookahead Time) *Group {
 	if shards < 1 {
 		panic("des: NewGroup needs at least one shard")
 	}
@@ -106,11 +106,11 @@ func NewGroup(kind QueueKind, shards int, lookahead Time) *Group {
 	}
 	g := &Group{look: lookahead}
 	for i := 0; i < shards; i++ {
-		e := NewEngineWithQueue(kind)
+		e := NewEngine()
 		e.group, e.groupIdx = g, i
 		g.shards = append(g.shards, e)
 	}
-	g.global = NewEngineWithQueue(kind)
+	g.global = NewEngine()
 	g.global.group, g.global.groupIdx = g, shards
 	g.all = append(append([]*Engine{}, g.shards...), g.global)
 	return g
@@ -123,12 +123,6 @@ func (g *Group) Global() *Engine { return g.global }
 
 // Shard returns shard engine i.
 func (g *Group) Shard(i int) *Engine { return g.shards[i] }
-
-// NumShards returns the number of shard engines.
-func (g *Group) NumShards() int { return len(g.shards) }
-
-// Lookahead returns the group's conservative lookahead.
-func (g *Group) Lookahead() Time { return g.look }
 
 // CtlCall requests host-level control work from a dispatch context. It
 // always consumes one child key from the executing context — so lineage

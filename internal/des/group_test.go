@@ -59,7 +59,7 @@ func ringGroup(engines []*Engine, ctl *Engine, k, rounds int, look Time) {
 // TestGroupMatchesSerial proves the sharded engine's determinism claim on
 // the des layer alone: the ring workload's schedule fingerprint, event
 // count and final clock are bit-identical between a plain serial engine and
-// Groups of 1..4 shards under both queue kinds.
+// Groups of 1..4 shards.
 func TestGroupMatchesSerial(t *testing.T) {
 	const k, rounds = 16, 40
 	const look = Time(1000)
@@ -76,27 +76,25 @@ func TestGroupMatchesSerial(t *testing.T) {
 		t.Fatal("serial baseline dispatched nothing")
 	}
 
-	for _, kind := range []QueueKind{QueueCalendar, QueueHeap} {
-		for _, shards := range []int{1, 2, 3, 4} {
-			g := NewGroup(kind, shards, look)
-			engines := make([]*Engine, shards)
-			for i := range engines {
-				engines[i] = g.Shard(i)
-			}
-			g.Global().EnableTrace()
-			ringGroup(engines, g.Global(), k, rounds, look)
-			g.Global().Run()
-			if fp := g.Global().TraceFingerprint(); fp != wantFp {
-				t.Errorf("queue=%v shards=%d: fingerprint %016x, serial %016x", kind, shards, fp, wantFp)
-			}
-			if ev := g.Global().EventsExecuted(); ev != wantEv {
-				t.Errorf("queue=%v shards=%d: events %d, serial %d", kind, shards, ev, wantEv)
-			}
-			if now := g.Global().Now(); now != wantNow {
-				t.Errorf("queue=%v shards=%d: now %d, serial %d", kind, shards, now, wantNow)
-			}
-			g.Global().Shutdown()
+	for _, shards := range []int{1, 2, 3, 4} {
+		g := NewGroup(shards, look)
+		engines := make([]*Engine, shards)
+		for i := range engines {
+			engines[i] = g.Shard(i)
 		}
+		g.Global().EnableTrace()
+		ringGroup(engines, g.Global(), k, rounds, look)
+		g.Global().Run()
+		if fp := g.Global().TraceFingerprint(); fp != wantFp {
+			t.Errorf("shards=%d: fingerprint %016x, serial %016x", shards, fp, wantFp)
+		}
+		if ev := g.Global().EventsExecuted(); ev != wantEv {
+			t.Errorf("shards=%d: events %d, serial %d", shards, ev, wantEv)
+		}
+		if now := g.Global().Now(); now != wantNow {
+			t.Errorf("shards=%d: now %d, serial %d", shards, now, wantNow)
+		}
+		g.Global().Shutdown()
 	}
 }
 
@@ -106,7 +104,7 @@ func TestGroupRunUntil(t *testing.T) {
 	const k, rounds = 8, 20
 	const look = Time(1000)
 
-	full := NewGroup(QueueCalendar, 2, look)
+	full := NewGroup(2, look)
 	full.Global().EnableTrace()
 	ringGroup([]*Engine{full.Shard(0), full.Shard(1)}, full.Global(), k, rounds, look)
 	full.Global().Run()
@@ -114,7 +112,7 @@ func TestGroupRunUntil(t *testing.T) {
 	wantEv := full.Global().EventsExecuted()
 	full.Global().Shutdown()
 
-	g := NewGroup(QueueCalendar, 2, look)
+	g := NewGroup(2, look)
 	g.Global().EnableTrace()
 	ringGroup([]*Engine{g.Shard(0), g.Shard(1)}, g.Global(), k, rounds, look)
 	for step := Time(5000); ; step += 5000 {
@@ -135,7 +133,7 @@ func TestGroupRunUntil(t *testing.T) {
 // TestGroupDeadlockReport checks that a group-wide hang panics with a
 // merged report naming the blocked processes on every shard.
 func TestGroupDeadlockReport(t *testing.T) {
-	g := NewGroup(QueueCalendar, 2, 1000)
+	g := NewGroup(2, 1000)
 	var c0, c1 Cond
 	g.Shard(0).SpawnSeeded(Salt(1), "stuck0", func(p *Proc) { c0.Wait(p) })
 	g.Shard(1).SpawnSeeded(Salt(2), "stuck1", func(p *Proc) { c1.Wait(p) })

@@ -80,15 +80,15 @@ func TestShutdownLeavesNoGoroutine(t *testing.T) {
 // goroutines that no longer exist.
 func TestGroupShutdownLeavesNoGoroutine(t *testing.T) {
 	base := runtime.NumGoroutine()
-	g := NewGroup(QueueCalendar, 2, 1000)
+	g := NewGroup(2, 1000)
 	unwound := 0
 	for i, e := range []*Engine{g.Shard(0), g.Shard(1), g.Global()} {
-		e.SpawnDaemonSeeded(Salt(3, uint64(i)), "daemon", func(p *Proc) {
+		e.spawn("daemon", func(p *Proc) {
 			defer func() { unwound++ }()
 			for {
 				p.Sleep(700)
 			}
-		})
+		}, true, Salt(3, uint64(i)))
 	}
 	g.Global().RunUntil(10000)
 	if during := runtime.NumGoroutine(); during < base+3 {
@@ -140,15 +140,15 @@ func TestProcPanicReachesRunCaller(t *testing.T) {
 	})
 	t.Run("serial, resumed by another process", func(t *testing.T) {
 		e := NewEngine()
-		e.SpawnDaemon("bystander", bystander)
+		e.spawn("bystander", bystander, true, e.childKey())
 		e.Spawn("boom", boom)
 		wantProcPanic(t, e.Run)
 		e.Shutdown()
 	})
 	t.Run("group window", func(t *testing.T) {
-		g := NewGroup(QueueCalendar, 2, 1000)
-		g.Shard(0).SpawnDaemonSeeded(Salt(1), "bystander", bystander)
-		g.Shard(1).SpawnDaemonSeeded(Salt(2), "bystander", bystander)
+		g := NewGroup(2, 1000)
+		g.Shard(0).spawn("bystander", bystander, true, Salt(1))
+		g.Shard(1).spawn("bystander", bystander, true, Salt(2))
 		fused := true
 		g.Shard(1).SpawnSeeded(Salt(3), "boom", func(p *Proc) {
 			p.Sleep(5)
@@ -162,8 +162,8 @@ func TestProcPanicReachesRunCaller(t *testing.T) {
 		g.Global().Shutdown()
 	})
 	t.Run("group fused instant", func(t *testing.T) {
-		g := NewGroup(QueueCalendar, 2, 1000)
-		g.Shard(0).SpawnDaemonSeeded(Salt(1), "bystander", bystander)
+		g := NewGroup(2, 1000)
+		g.Shard(0).spawn("bystander", bystander, true, Salt(1))
 		fused := false
 		g.Shard(1).SpawnSeeded(Salt(3), "boom", func(p *Proc) {
 			p.Sleep(5)

@@ -1,38 +1,11 @@
 package des
 
-// The engine's pending-event set, behind a small interface so the two
-// implementations — a value-type d-ary heap and a calendar queue (Brown,
-// CACM 1988) — can be swapped by Config and cross-checked for identical
-// dispatch order. Both are exact priority queues over the (at, key, seq)
-// total order, so the schedule fingerprint is bit-identical between them; the
-// calendar queue is the default because the simulation's events are
-// overwhelmingly near-future (see DESIGN.md §12 for the measurements).
-
-// QueueKind selects the engine's pending-event structure.
-type QueueKind int
-
-const (
-	// QueueDefault resolves to the profiled winner (the calendar queue).
-	QueueDefault QueueKind = iota
-	// QueueCalendar is the calendar queue: O(1) amortized push/pop when
-	// event times are spread over a bounded horizon.
-	QueueCalendar
-	// QueueHeap is the 4-ary implicit heap fallback: O(log n) but with no
-	// width/occupancy assumptions.
-	QueueHeap
-)
-
-// String names the queue kind for benchmark output and JSON records.
-func (k QueueKind) String() string {
-	switch k {
-	case QueueCalendar:
-		return "calendar"
-	case QueueHeap:
-		return "heap"
-	default:
-		return "default"
-	}
-}
+// The engine's pending-event set is a calendar queue (Brown, CACM 1988): an
+// exact priority queue over the (at, key, seq) total order, O(1) amortized
+// because the simulation's events are overwhelmingly near-future (DESIGN.md
+// §12 has the measurements). Engine holds it by value and calls it directly.
+// The 4-ary heap it replaced lives on in queue_test.go as its oracle: the
+// same randomized push/pop script must pop bit-identically from both.
 
 // event is a scheduled occurrence. Events with equal times fire in lineage
 // key order (see engine.go: a key is a hash of the scheduling event's key
@@ -84,117 +57,6 @@ func (e *event) before(o *event) bool {
 		return e.key < o.key
 	}
 	return e.seq < o.seq
-}
-
-// eventQueue is the pending-event set: push in any order, pop in (at, key,
-// seq) order.
-type eventQueue interface {
-	push(ev event)
-	pop() (event, bool)
-	// popLE pops the earliest pending event if its timestamp is <= max —
-	// the dispatch loop's peek-then-pop fused into one find-min.
-	popLE(max Time) (event, bool)
-	// next returns the timestamp of the earliest pending event.
-	next() (Time, bool)
-	// peekKey returns the timestamp and lineage key of the earliest pending
-	// event without popping it. The Group coordinator uses it to interleave
-	// same-instant events across shard queues in global key order.
-	peekKey() (Time, uint64, bool)
-	len() int
-	// clear drops all pending events and releases their references.
-	clear()
-}
-
-func newQueue(kind QueueKind) eventQueue {
-	if kind == QueueHeap {
-		return &heapQueue{}
-	}
-	return newCalQueue()
-}
-
-// heapQueue is a 4-ary implicit heap of event values: no interface{}
-// boxing, no per-event allocation, and a shallower tree than the binary
-// container/heap it replaces (fewer cache lines touched per sift).
-type heapQueue struct {
-	evs []event
-}
-
-func (h *heapQueue) len() int { return len(h.evs) }
-
-func (h *heapQueue) clear() { h.evs = nil }
-
-func (h *heapQueue) push(ev event) {
-	h.evs = append(h.evs, ev)
-	// Sift up.
-	i := len(h.evs) - 1
-	for i > 0 {
-		parent := (i - 1) / 4
-		if !h.evs[i].before(&h.evs[parent]) {
-			break
-		}
-		h.evs[i], h.evs[parent] = h.evs[parent], h.evs[i]
-		i = parent
-	}
-}
-
-func (h *heapQueue) next() (Time, bool) {
-	if len(h.evs) == 0 {
-		return 0, false
-	}
-	return h.evs[0].at, true
-}
-
-func (h *heapQueue) peekKey() (Time, uint64, bool) {
-	if len(h.evs) == 0 {
-		return 0, 0, false
-	}
-	return h.evs[0].at, h.evs[0].key, true
-}
-
-func (h *heapQueue) popLE(max Time) (event, bool) {
-	if len(h.evs) == 0 || h.evs[0].at > max {
-		return event{}, false
-	}
-	return h.pop()
-}
-
-func (h *heapQueue) pop() (event, bool) {
-	n := len(h.evs)
-	if n == 0 {
-		return event{}, false
-	}
-	top := h.evs[0]
-	last := h.evs[n-1]
-	h.evs[n-1] = event{} // release handler references
-	h.evs = h.evs[:n-1]
-	n--
-	if n > 0 {
-		// Sift last down from the root.
-		i := 0
-		for {
-			first := 4*i + 1
-			if first >= n {
-				break
-			}
-			best := first
-			end := first + 4
-			if end > n {
-				end = n
-			}
-			for c := first + 1; c < end; c++ {
-				if h.evs[c].before(&h.evs[best]) {
-					best = c
-				}
-			}
-			if !h.evs[best].before(&last) {
-				break
-			}
-			h.evs[i] = h.evs[best]
-			i = best
-		}
-		h.evs[i] = last
-	}
-	return top, true
 }
 
 // calBucket is one calendar bucket: the events of the days that hash to
@@ -273,7 +135,7 @@ type calQueue struct {
 	day     int64 // dispatch cursor, in day units
 	n       int
 
-	// Memoized location of the next event, so next()+pop() pairs and
+	// Memoized location of the next event, so next()+popLE() pairs and
 	// repeated peeks don't re-sweep. Invalidated by a push into an earlier
 	// day and by popping a bucket dry.
 	cacheOK     bool
@@ -288,11 +150,8 @@ const (
 	calInitShift  = 10 // 1 µs days until the first resize measures the real spread
 )
 
-func newCalQueue() *calQueue {
-	q := &calQueue{}
-	q.setup(calMinBuckets, calInitShift, 0)
-	return q
-}
+// init readies an empty queue.
+func (q *calQueue) init() { q.setup(calMinBuckets, calInitShift, 0) }
 
 func (q *calQueue) setup(nb int, shift uint, day int64) {
 	if cap(q.buckets) >= nb {
@@ -309,8 +168,7 @@ func (q *calQueue) setup(nb int, shift uint, day int64) {
 	q.cacheOK = false
 }
 
-func (q *calQueue) len() int { return q.n }
-
+// clear drops all pending events and releases their references.
 func (q *calQueue) clear() {
 	q.buckets = nil
 	q.scratch = nil
@@ -374,14 +232,15 @@ func (q *calQueue) locate() (int, int64, bool) {
 	return best, day, true
 }
 
+// next returns the timestamp of the earliest pending event.
 func (q *calQueue) next() (Time, bool) {
-	idx, _, ok := q.locate()
-	if !ok {
-		return 0, false
-	}
-	return q.buckets[idx].min().at, true
+	at, _, ok := q.peekKey()
+	return at, ok
 }
 
+// peekKey returns the timestamp and lineage key of the earliest pending
+// event without popping it. The Group coordinator uses it to interleave
+// same-instant events across shard queues in global key order.
 func (q *calQueue) peekKey() (Time, uint64, bool) {
 	idx, _, ok := q.locate()
 	if !ok {
@@ -391,14 +250,8 @@ func (q *calQueue) peekKey() (Time, uint64, bool) {
 	return ev.at, ev.key, true
 }
 
-func (q *calQueue) pop() (event, bool) {
-	idx, day, ok := q.locate()
-	if !ok {
-		return event{}, false
-	}
-	return q.take(idx, day), true
-}
-
+// popLE pops the earliest pending event if its timestamp is <= max — the
+// dispatch loop's peek-then-pop fused into one find-min.
 func (q *calQueue) popLE(max Time) (event, bool) {
 	idx, day, ok := q.locate()
 	if !ok || q.buckets[idx].min().at > max {

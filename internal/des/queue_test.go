@@ -6,9 +6,92 @@ import (
 	"testing"
 )
 
-// queueScript is a deterministic operation sequence applied to both queue
-// implementations; identical pop sequences prove the calendar queue is an
-// exact priority queue, not an approximate one.
+// eventQueue is what applyScript needs of a pending-event set, so that one
+// script can drive the calendar queue and its oracle.
+type eventQueue interface {
+	push(ev event)
+	pop() (event, bool)
+	next() (Time, bool)
+}
+
+func newCalQueue() *calQueue {
+	q := &calQueue{}
+	q.init()
+	return q
+}
+
+// pop is popLE without a bound; the engine only ever pops against a deadline.
+func (q *calQueue) pop() (event, bool) { return q.popLE(timeMax) }
+
+// heapQueue is the oracle: a 4-ary implicit heap of event values, the
+// engine's queue before the calendar queue, with no width or occupancy
+// assumptions to get wrong.
+type heapQueue struct {
+	evs []event
+}
+
+func (h *heapQueue) push(ev event) {
+	h.evs = append(h.evs, ev)
+	// Sift up.
+	i := len(h.evs) - 1
+	for i > 0 {
+		parent := (i - 1) / 4
+		if !h.evs[i].before(&h.evs[parent]) {
+			break
+		}
+		h.evs[i], h.evs[parent] = h.evs[parent], h.evs[i]
+		i = parent
+	}
+}
+
+func (h *heapQueue) next() (Time, bool) {
+	if len(h.evs) == 0 {
+		return 0, false
+	}
+	return h.evs[0].at, true
+}
+
+func (h *heapQueue) pop() (event, bool) {
+	n := len(h.evs)
+	if n == 0 {
+		return event{}, false
+	}
+	top := h.evs[0]
+	last := h.evs[n-1]
+	h.evs = h.evs[:n-1]
+	n--
+	if n > 0 {
+		// Sift last down from the root.
+		i := 0
+		for {
+			first := 4*i + 1
+			if first >= n {
+				break
+			}
+			best := first
+			end := first + 4
+			if end > n {
+				end = n
+			}
+			for c := first + 1; c < end; c++ {
+				if h.evs[c].before(&h.evs[best]) {
+					best = c
+				}
+			}
+			if !h.evs[best].before(&last) {
+				break
+			}
+			h.evs[i] = h.evs[best]
+			i = best
+		}
+		h.evs[i] = last
+	}
+	return top, true
+}
+
+// queueOp is one step of a deterministic operation sequence applied to the
+// calendar queue and to the heap; identical pop sequences prove the calendar
+// queue is an exact priority queue, not an approximate one.
 type queueOp struct {
 	push  bool
 	delta Time // offset from the last popped timestamp
@@ -65,7 +148,7 @@ func applyScript(q eventQueue, ops []queueOp) []event {
 	return out
 }
 
-// TestQueueKindsIdenticalOrder drives the heap and the calendar queue
+// TestQueueKindsIdenticalOrder drives the heap oracle and the calendar queue
 // through the same randomized push/pop script (same-instant clusters,
 // sparse second-scale jumps, interleaved peeks) and requires bit-identical
 // pop sequences.
@@ -141,8 +224,8 @@ func TestCalendarResizeStress(t *testing.T) {
 	for i := 0; i < n; i++ {
 		q.push(event{at: Time(rng.Int63n(int64(100 * Microsecond))), seq: uint64(i + 1)})
 	}
-	if q.len() != n {
-		t.Fatalf("len = %d, want %d", q.len(), n)
+	if q.n != n {
+		t.Fatalf("len = %d, want %d", q.n, n)
 	}
 	var prev event
 	for i := 0; i < n; i++ {
@@ -160,24 +243,22 @@ func TestCalendarResizeStress(t *testing.T) {
 	}
 }
 
-// TestScheduleDispatchZeroAlloc pins the tentpole's allocation claim: once
-// the queue's storage is warm, scheduling and dispatching an event
-// allocates nothing on either queue kind — events are values in reused
-// slices, and process wakeups ride the event itself rather than a closure.
+// TestScheduleDispatchZeroAlloc pins the pooled queue's allocation claim:
+// once its storage is warm, scheduling and dispatching an event allocates
+// nothing — events are values in reused slices, and process wakeups ride
+// the event itself rather than a closure.
 func TestScheduleDispatchZeroAlloc(t *testing.T) {
-	for _, kind := range []QueueKind{QueueHeap, QueueCalendar} {
-		e := NewEngineWithQueue(kind)
-		fn := func() {}
-		warm := func() {
-			for i := 0; i < 8; i++ {
-				e.Schedule(e.now+Time(i%3), fn)
-			}
-			e.Run()
+	e := NewEngine()
+	fn := func() {}
+	warm := func() {
+		for i := 0; i < 8; i++ {
+			e.Schedule(e.now+Time(i%3), fn)
 		}
-		warm()
-		if avg := testing.AllocsPerRun(50, warm); avg != 0 {
-			t.Errorf("%v: %.1f allocs per schedule+run batch, want 0", kind, avg)
-		}
+		e.Run()
+	}
+	warm()
+	if avg := testing.AllocsPerRun(50, warm); avg != 0 {
+		t.Errorf("%.1f allocs per schedule+run batch, want 0", avg)
 	}
 }
 
@@ -190,18 +271,18 @@ func TestProcsCompaction(t *testing.T) {
 		e.Spawn("churn", func(p *Proc) { p.Sleep(Microsecond) })
 		e.Run()
 	}
-	if n := e.procsLen(); n > 256 {
+	if n := len(e.procs); n > 256 {
 		t.Fatalf("procs table holds %d entries after churn; compaction should keep it bounded", n)
 	}
 	// The table must still know about live processes: a daemon spawned
 	// before more churn survives compaction.
 	var got *Proc
-	e.SpawnDaemon("keeper", func(p *Proc) {
+	e.spawn("keeper", func(p *Proc) {
 		got = p
 		for {
 			p.Sleep(Second)
 		}
-	})
+	}, true, e.childKey())
 	for i := 0; i < 1000; i++ {
 		e.Spawn("churn", func(p *Proc) { p.Sleep(Microsecond) })
 		e.RunUntil(e.Now() + 10*Microsecond)
@@ -218,31 +299,27 @@ func TestProcsCompaction(t *testing.T) {
 	e.Shutdown()
 }
 
-// BenchmarkEngineScheduleDispatch measures the schedule+dispatch hot loop
-// on both queue kinds; ReportAllocs pins the zero-steady-state-allocation
-// property the pooled design exists for.
+// BenchmarkEngineScheduleDispatch measures the schedule+dispatch hot loop;
+// ReportAllocs pins the zero-steady-state-allocation property the pooled
+// design exists for.
 func BenchmarkEngineScheduleDispatch(b *testing.B) {
-	for _, kind := range []QueueKind{QueueHeap, QueueCalendar} {
-		b.Run(kind.String(), func(b *testing.B) {
-			e := NewEngineWithQueue(kind)
-			n := 0
-			var fn func()
-			fn = func() {
-				if n < b.N {
-					n++
-					e.Schedule(e.now+Time(n&7), fn)
-				}
-			}
-			// Keep a standing population so the queue works at realistic
-			// occupancy rather than ping-ponging a single event.
-			for i := 0; i < 64; i++ {
-				e.Schedule(Time(i), fn)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			e.Run()
-		})
+	e := NewEngine()
+	n := 0
+	var fn func()
+	fn = func() {
+		if n < b.N {
+			n++
+			e.Schedule(e.now+Time(n&7), fn)
+		}
 	}
+	// Keep a standing population so the queue works at realistic
+	// occupancy rather than ping-ponging a single event.
+	for i := 0; i < 64; i++ {
+		e.Schedule(Time(i), fn)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	e.Run()
 }
 
 // BenchmarkProcHandoff measures one simulated blocking point on the

@@ -127,12 +127,6 @@ func NewResource(capacity int) *Resource {
 	return &Resource{capacity: capacity}
 }
 
-// InUse reports the currently held units.
-func (r *Resource) InUse() int { return r.inUse }
-
-// Capacity reports the total units.
-func (r *Resource) Capacity() int { return r.capacity }
-
 // Acquire blocks p until n units are available, then takes them: AcquireTask,
 // looped by a process.
 func (r *Resource) Acquire(p *Proc, n int) {

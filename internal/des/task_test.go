@@ -218,7 +218,7 @@ func runTaskProgram(pl taskProgram, tasks, sharded bool) progResult {
 	var root *Engine
 	var worlds []*progWorld
 	if sharded {
-		g := NewGroup(QueueCalendar, 2, pl.look)
+		g := NewGroup(2, pl.look)
 		root = g.Global()
 		worlds = []*progWorld{newProgWorld(g.Shard(0)), newProgWorld(g.Shard(1))}
 	} else {
@@ -398,11 +398,11 @@ func TestTaskPanicNamesTask(t *testing.T) {
 		t.Error("the dispatching process was not parked until Shutdown")
 	}
 
-	g := NewGroup(QueueCalendar, 2, 1000)
+	g := NewGroup(2, 1000)
 	boom(g.Shard(1))
 	run("window", g.Global())
 
-	g = NewGroup(QueueCalendar, 2, 1000)
+	g = NewGroup(2, 1000)
 	boom(g.Shard(0))
 	g.Global().ScheduleSeeded(Salt(6), 5, func() {}) // makes instant 5 fused
 	run("fused instant", g.Global())

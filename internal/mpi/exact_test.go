@@ -22,7 +22,7 @@ import (
 // TestChainsExactGolden -update ./internal/mpi/), and both builds must
 // reproduce the file line for line.
 
-var updateExact = flag.Bool("update", false, "rewrite testdata/exact_golden.txt (desplain build only)")
+var updateGolden = flag.Bool("update", false, "rewrite the golden of the test being run: testdata/exact_golden.txt (desplain build only) or this build's rows of testdata/replay_golden.txt")
 
 const exactGoldenPath = "testdata/exact_golden.txt"
 
@@ -140,7 +140,7 @@ func TestChainsExactGolden(t *testing.T) {
 			lines = append(lines, fmt.Sprintf("%s/%s: %s", tp.name, v.name, exactRun(cfg)))
 		}
 	}
-	if *updateExact {
+	if *updateGolden {
 		if sleepsElided() {
 			t.Fatal("the golden is the plain build's output: rerun with -tags desplain")
 		}

@@ -45,12 +45,12 @@ func TestFatTreeShardedMatchesSerial(t *testing.T) {
 			tp := tp
 			t.Run(fmt.Sprintf("%s/%s", fb.name, tp.name), func(t *testing.T) {
 				sw := withSwitch(fb.leafDown, fb.upls)
-				want := replayRun(t, tp, 1, nil, des.QueueDefault, sw)
+				want := replayRun(t, tp, 1, nil, sw)
 				if want.payload == 0 {
 					t.Fatal("payload checksum degenerate — workload did not run")
 				}
 				for _, shards := range []int{2, 4} {
-					got := replayRun(t, tp, 1, nil, des.QueueDefault, sw, withShards(shards))
+					got := replayRun(t, tp, 1, nil, sw, withShards(shards))
 					if got != want {
 						t.Errorf("shards=%d diverged from serial on %s:\nserial  %+v\nsharded %+v",
 							shards, fb.name, want, got)
@@ -73,13 +73,12 @@ func TestFatTreeReplayBitIdentical(t *testing.T) {
 			sw := withSwitch(2, 1)
 			nodes := (tp.np + tp.cpn - 1) / tp.cpn
 			seed := int64(tp.np*700 + rails)
-			want := replayRun(t, tp, rails, replayPlan(seed, nodes, rails), des.QueueDefault, sw)
+			want := replayRun(t, tp, rails, replayPlan(seed, nodes, rails), sw)
 			if want.faults == (cluster.FaultStats{}) {
 				t.Fatal("fault plan left no trace — chaos schedule did not run")
 			}
 			for _, shards := range []int{1, 2, 4} {
-				got := replayRun(t, tp, rails, replayPlan(seed, nodes, rails),
-					des.QueueDefault, sw, withShards(shards))
+				got := replayRun(t, tp, rails, replayPlan(seed, nodes, rails), sw, withShards(shards))
 				if got != want {
 					t.Errorf("shards=%d diverged under chaos:\nserial  %+v\nsharded %+v",
 						shards, want, got)

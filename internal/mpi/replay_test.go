@@ -2,6 +2,8 @@ package mpi_test
 
 import (
 	"fmt"
+	"os"
+	"strings"
 	"testing"
 
 	"repro/internal/cluster"
@@ -43,8 +45,8 @@ func replayPlan(seed int64, nodes, rails int) *fault.Plan {
 // replayRun executes one seeded chaos run: a patterned ring shift large
 // enough to drive the rendezvous/striping path, followed by an allreduce,
 // under the generated fault schedule, with engine tracing on. A nil plan
-// runs fault-free; kind selects the engine's pending-event queue.
-func replayRun(t *testing.T, tp topology, rails int, plan *fault.Plan, kind des.QueueKind, mods ...func(*cluster.Config)) replayTrace {
+// runs fault-free.
+func replayRun(t *testing.T, tp topology, rails int, plan *fault.Plan, mods ...func(*cluster.Config)) replayTrace {
 	t.Helper()
 	cfg := cluster.Config{
 		NP:           tp.np,
@@ -52,7 +54,6 @@ func replayRun(t *testing.T, tp topology, rails int, plan *fault.Plan, kind des.
 		Transport:    cluster.TransportZeroCopy,
 		RailsPerNode: rails,
 		Fault:        plan,
-		EngineQueue:  kind,
 	}
 	for _, mod := range mods {
 		mod(&cfg)
@@ -109,8 +110,8 @@ func TestReplayMatrixBitIdentical(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/rails=%d", tp.name, rails), func(t *testing.T) {
 				nodes := (tp.np + tp.cpn - 1) / tp.cpn
 				seed := int64(tp.np*100 + rails)
-				a := replayRun(t, tp, rails, replayPlan(seed, nodes, rails), des.QueueDefault)
-				b := replayRun(t, tp, rails, replayPlan(seed, nodes, rails), des.QueueDefault)
+				a := replayRun(t, tp, rails, replayPlan(seed, nodes, rails))
+				b := replayRun(t, tp, rails, replayPlan(seed, nodes, rails))
 				if a != b {
 					t.Fatalf("replay diverged:\nrun1 %+v\nrun2 %+v", a, b)
 				}
@@ -127,44 +128,73 @@ func TestReplayMatrixBitIdentical(t *testing.T) {
 // fingerprint is not actually observing the fault machinery.
 func TestReplayDistinctSeedsDiverge(t *testing.T) {
 	tp := topology{"flat-np4", 4, 1}
-	a := replayRun(t, tp, 2, replayPlan(1, 4, 2), des.QueueDefault)
-	b := replayRun(t, tp, 2, replayPlan(2, 4, 2), des.QueueDefault)
+	a := replayRun(t, tp, 2, replayPlan(1, 4, 2))
+	b := replayRun(t, tp, 2, replayPlan(2, 4, 2))
 	if a.fp == b.fp && a.finalTime == b.finalTime {
 		t.Fatal("different fault schedules left identical traces")
 	}
 }
 
-// TestEngineQueueEquivalence is the determinism cross-check between the
-// engine's two pending-event structures: on every collective topology —
-// fault-free, and additionally under a seeded chaos replay — the calendar
-// queue and the heap fallback must dispatch the exact same schedule:
-// identical trace fingerprint, event count, final simulated time, and
-// payload checksums. This is what licenses the calendar queue as the
-// default: it is a pure speed change, observationally invisible.
-func TestEngineQueueEquivalence(t *testing.T) {
-	check := func(t *testing.T, cal, heap replayTrace) {
-		t.Helper()
-		if cal != heap {
-			t.Fatalf("queue kinds diverged:\ncalendar %+v\nheap     %+v", cal, heap)
-		}
-		if cal.payload == 0 {
-			t.Fatal("payload checksum degenerate — workload did not run")
+const replayGoldenPath = "testdata/replay_golden.txt"
+
+// TestReplayGolden pins the replay traces across commits, which
+// TestReplayMatrixBitIdentical (a build against itself) cannot: every
+// collective topology, fault-free on one rail and under its seeded chaos
+// plan on two, against testdata/replay_golden.txt. A change that claims
+// "every fingerprint identical" leaves the file alone and passes here.
+// Fingerprints and event counts depend on whether sleeps are elided
+// (DESIGN.md §16), so the file holds an "elided" and a "plain" row per
+// cell; each build checks its own, and go test [-tags desplain] -run
+// TestReplayGolden ./internal/mpi/ -update rewrites only its own.
+func TestReplayGolden(t *testing.T) {
+	build := "plain"
+	if sleepsElided() {
+		build = "elided"
+	}
+	raw, err := os.ReadFile(replayGoldenPath)
+	if err != nil && !*updateGolden {
+		t.Fatal(err)
+	}
+	want := map[string]string{} // this build's rows by cell
+	var other []string          // the other build's rows, kept by -update
+	for _, l := range strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n") {
+		if cell, ok := strings.CutPrefix(l, build+" "); ok {
+			cell, _, _ = strings.Cut(cell, ": ")
+			want[cell] = l
+		} else if l != "" {
+			other = append(other, l)
 		}
 	}
+	var lines []string
+	cell := func(name string, tp topology, rails int, plan *fault.Plan) {
+		t.Run(name, func(t *testing.T) {
+			tr := replayRun(t, tp, rails, plan)
+			if tr.payload == 0 {
+				t.Fatal("payload checksum degenerate — workload did not run")
+			}
+			line := fmt.Sprintf("%s %s: fp=%016x events=%d time=%d payload=%016x",
+				build, name, tr.fp, tr.events, int64(tr.finalTime), tr.payload)
+			lines = append(lines, line)
+			if !*updateGolden && line != want[name] {
+				t.Errorf("replay drifted from the committed golden:\n got %s\nwant %s", line, want[name])
+			}
+		})
+	}
 	for _, tp := range collectiveTopologies {
-		tp := tp
-		t.Run(tp.name, func(t *testing.T) {
-			cal := replayRun(t, tp, 1, nil, des.QueueCalendar)
-			heap := replayRun(t, tp, 1, nil, des.QueueHeap)
-			check(t, cal, heap)
-		})
-		t.Run(tp.name+"/faults", func(t *testing.T) {
-			const rails = 2
-			nodes := (tp.np + tp.cpn - 1) / tp.cpn
-			seed := int64(tp.np*100 + rails)
-			cal := replayRun(t, tp, rails, replayPlan(seed, nodes, rails), des.QueueCalendar)
-			heap := replayRun(t, tp, rails, replayPlan(seed, nodes, rails), des.QueueHeap)
-			check(t, cal, heap)
-		})
+		cell(tp.name, tp, 1, nil)
+		const rails = 2
+		nodes := (tp.np + tp.cpn - 1) / tp.cpn
+		cell(tp.name+"/faults", tp, rails, replayPlan(int64(tp.np*100+rails), nodes, rails))
+	}
+	if *updateGolden {
+		all := append(lines, other...) // elided rows first
+		if build == "plain" {
+			all = append(other, lines...)
+		}
+		if err := os.WriteFile(replayGoldenPath, []byte(strings.Join(all, "\n")+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	} else if len(want) != len(lines) {
+		t.Errorf("golden has %d %s cells, this run %d", len(want), build, len(lines))
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
-	"repro/internal/des"
 	"repro/internal/fault"
 )
 
@@ -47,12 +46,12 @@ func TestShardedMatchesSerial(t *testing.T) {
 		for _, tp := range shardTopologies {
 			tp := tp
 			t.Run(fmt.Sprintf("%s/%s", v.name, tp.name), func(t *testing.T) {
-				want := replayRun(t, tp, v.rails, nil, des.QueueDefault, v.mod)
+				want := replayRun(t, tp, v.rails, nil, v.mod)
 				if want.payload == 0 {
 					t.Fatal("payload checksum degenerate — workload did not run")
 				}
 				for _, shards := range []int{2, 4} {
-					got := replayRun(t, tp, v.rails, nil, des.QueueDefault, v.mod, withShards(shards))
+					got := replayRun(t, tp, v.rails, nil, v.mod, withShards(shards))
 					if got != want {
 						t.Errorf("shards=%d diverged from serial:\nserial  %+v\nsharded %+v",
 							shards, want, got)
@@ -76,13 +75,12 @@ func TestShardedFaultReplay(t *testing.T) {
 		nodes := (tp.np + tp.cpn - 1) / tp.cpn
 		seed := int64(tp.np*1000 + rails)
 		t.Run(tp.name, func(t *testing.T) {
-			want := replayRun(t, tp, rails, replayPlan(seed, nodes, rails), des.QueueDefault)
+			want := replayRun(t, tp, rails, replayPlan(seed, nodes, rails))
 			if want.faults == (cluster.FaultStats{}) {
 				t.Fatal("fault plan left no trace — chaos schedule did not run")
 			}
 			for _, shards := range []int{1, 2, 4} {
-				got := replayRun(t, tp, rails, replayPlan(seed, nodes, rails),
-					des.QueueDefault, withShards(shards))
+				got := replayRun(t, tp, rails, replayPlan(seed, nodes, rails), withShards(shards))
 				if got != want {
 					t.Errorf("shards=%d diverged from serial:\nserial  %+v\nsharded %+v",
 						shards, want, got)
@@ -126,8 +124,8 @@ func TestShardForcingRules(t *testing.T) {
 	// fault-free stack (resilience changes the protocol, serial included),
 	// so compare the sharded resilient run against the serial resilient run.
 	armed := func(c *cluster.Config) { c.Fault = &fault.Plan{} }
-	want := replayRun(t, tp, 1, nil, des.QueueDefault, armed)
-	got := replayRun(t, tp, 1, nil, des.QueueDefault, armed, withShards(2))
+	want := replayRun(t, tp, 1, nil, armed)
+	got := replayRun(t, tp, 1, nil, armed, withShards(2))
 	if got != want {
 		t.Errorf("armed empty plan sharded diverged:\nserial  %+v\nsharded %+v", want, got)
 	}

@@ -21,6 +21,14 @@ const (
 	ClassB Class = 'B'
 )
 
+// ParseClass reads a class name as a user types it: exactly S, A or B.
+func ParseClass(s string) (Class, error) {
+	if s == "S" || s == "A" || s == "B" {
+		return Class(s[0]), nil
+	}
+	return 0, fmt.Errorf("nas: class %q: want S, A or B", s)
+}
+
 // Result is one benchmark execution.
 type Result struct {
 	Name     string

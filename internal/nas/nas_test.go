@@ -277,3 +277,28 @@ func TestRunSMPSmoke(t *testing.T) {
 		t.Error("empty format output")
 	}
 }
+
+// TestParseClass: a class is exactly one of the three letters; anything
+// else — empty, longer, lower case, another class — is an error, never an
+// index into the string.
+func TestParseClass(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want Class
+		ok   bool
+	}{
+		{"S", ClassS, true},
+		{"A", ClassA, true},
+		{"B", ClassB, true},
+		{"", 0, false},
+		{"AB", 0, false},
+		{"Q", 0, false},
+		{"s", 0, false},
+		{" A", 0, false},
+	} {
+		got, err := ParseClass(tc.in)
+		if got != tc.want || (err == nil) != tc.ok {
+			t.Errorf("ParseClass(%q) = %q, %v; want %q, ok=%v", tc.in, got, err, tc.want, tc.ok)
+		}
+	}
+}
