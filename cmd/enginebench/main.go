@@ -9,8 +9,8 @@
 // Usage:
 //
 //	enginebench -np 64,256,1024 -repeat 3 -out BENCH_engine.json   # cheap rows
-//	enginebench -np 4096 -out BENCH_engine.json -merge     # the ~17-minute row
-//	enginebench -np 64 -compare BENCH_engine.json          # CI regression gate
+//	enginebench -np 4096 -out BENCH_engine.json -merge     # one row, the rest kept
+//	enginebench -np 256 -compare BENCH_engine.json         # CI regression gate
 //	enginebench -np 1024 -repeat 3                         # fastest of 3 walls
 //	enginebench -np 1024 -shards 4                         # sharded engine (§13)
 //	enginebench -np 1024 -shards 1,4 -out BENCH_engine.json -merge # both rows

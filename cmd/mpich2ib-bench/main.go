@@ -13,8 +13,8 @@
 //	mpich2ib-bench -coll bcast,reduce -np 16 -ppn 4     # algorithm sweep
 //	mpich2ib-bench -coll bcast -coll-alg bcast=binomial # one algorithm
 //	mpich2ib-bench -coll allreduce -net fattree-d4-u1   # contended fat tree
-//	mpich2ib-bench -coll allreduce,alltoall -np 16 -ppn 1 -coll-out BENCH_coll.json      # baseline
-//	mpich2ib-bench -coll allreduce,alltoall -np 16 -ppn 1 -coll-compare BENCH_coll.json  # CI gate
+//	mpich2ib-bench -coll allreduce,alltoall,allgather -np 16 -ppn 1 -coll-out BENCH_coll.json      # baseline
+//	mpich2ib-bench -coll allreduce,alltoall,allgather -np 16 -ppn 1 -coll-compare BENCH_coll.json  # CI gate
 //	mpich2ib-bench -connect eager,lazy                  # footprint vs np
 //	mpich2ib-bench -connect lazy -nps 8,64,512          # chosen job sizes
 //	mpich2ib-bench -rails 1,2,4                         # bandwidth vs rails
@@ -70,7 +70,7 @@ func main() {
 	transport := flag.String("transport", "", "comma-separated transport matrix sweep (e.g. shm,ib); overrides -fig")
 	sizes := flag.String("sizes", "4,1K,4K,64K,256K,1M", "message sizes for -transport and -coll sweeps (K/M suffixes)")
 	coll := flag.String("coll", "", "collective algorithm sweep: comma list of "+strings.Join(mpi.Collectives(), ", ")+"; overrides -fig")
-	collAlg := flag.String("coll-alg", "", "force collective algorithms for -coll sweeps, e.g. bcast=hier-leader,reduce=binomial")
+	collAlg := flag.String("coll-alg", "", "force collective algorithms for -coll sweeps, e.g. bcast=hier-leader,allgather=ring (allgather: ring, hier, recursive-doubling, bruck)")
 	np := flag.Int("np", 16, "ranks for -coll sweeps")
 	ppn := flag.Int("ppn", 4, "ranks per node for -coll sweeps")
 	iters := flag.Int("iters", 10, "measured calls per point for -coll sweeps")

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/cluster"
 	"repro/internal/mpi"
@@ -72,44 +73,21 @@ func CollAlgSweep(coll string, np, cpn int, sizes []int, iters int, base mpi.Tun
 // tree (nil sw = flat wire): the same registry sweep measured under
 // uplink contention, the data the topology-keyed tuning defaults rest on.
 func CollAlgSweepNet(coll string, np, cpn int, sw *switchfab.Config, sizes []int, iters int, base mpi.Tuning) (Figure, error) {
-	algs := mpi.AlgorithmNames(coll) // panics on unknown coll; callers validate
+	// Only what the layout can run: a forced-but-inapplicable name would
+	// silently fall back to the flat algorithm and mislabel its series.
+	algs, err := applicableAlgs(coll, np, cpn, sw)
+	if err != nil {
+		return Figure{}, err
+	}
 	if alg := base.Forced(coll); alg != "" {
-		found := false
-		for _, n := range algs {
-			found = found || n == alg
+		if all := mpi.AlgorithmNames(coll); !slices.Contains(all, alg) {
+			return Figure{}, fmt.Errorf("bench: unknown %s algorithm %q (have %v)", coll, alg, all)
 		}
-		if !found {
-			return Figure{}, fmt.Errorf("bench: unknown %s algorithm %q (have %v)", coll, alg, algs)
+		if !slices.Contains(algs, alg) {
+			return Figure{}, fmt.Errorf("bench: %s/%s is inapplicable on %d ranks × %d per node", coll, alg, np, cpn)
 		}
 		algs = []string{alg}
 	}
-
-	// Drop algorithms the layout cannot run: a forced-but-inapplicable
-	// name would silently fall back to the flat algorithm and mislabel
-	// its series. One probe launch asks the world communicator.
-	applicable := map[string]bool{}
-	probe := cluster.MustNew(cluster.Config{NP: np, CoresPerNode: cpn,
-		Transport: cluster.TransportZeroCopy, Switch: sw})
-	probe.Launch(func(comm *mpi.Comm) {
-		if comm.Rank() != 0 {
-			return
-		}
-		for _, a := range algs {
-			applicable[a] = comm.AlgorithmApplicable(coll, a)
-		}
-	})
-	probe.Close()
-	kept := algs[:0]
-	for _, a := range algs {
-		if applicable[a] {
-			kept = append(kept, a)
-		}
-	}
-	if len(kept) == 0 {
-		return Figure{}, fmt.Errorf("bench: %s/%s is inapplicable on %d ranks × %d per node",
-			coll, algs[0], np, cpn)
-	}
-	algs = kept
 	root := collAlgRoot
 	if root >= np {
 		root = np - 1

@@ -70,8 +70,8 @@ func readReport[R row[R]](path string) (*Report[R], error) {
 // merge overlays rep onto base: rows sharing a key are replaced by rep's
 // measurement, new keys append in measurement order, and base rows rep did
 // not re-measure survive. This is how a committed baseline is regenerated
-// piecemeal — the np=4096 engine row takes ~17 minutes, so re-measuring
-// the cheap rows must not force re-measuring it (and vice versa).
+// piecemeal — the np=4096 engine row needs a multi-gigabyte heap, so
+// re-measuring the cheap rows must not force re-measuring it (and vice versa).
 func (rep *Report[R]) merge(base *Report[R]) *Report[R] {
 	merged := &Report[R]{Schema: rep.Schema, Go: rep.Go}
 	fresh := make(map[string]R, len(rep.Runs))

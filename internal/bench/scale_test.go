@@ -10,11 +10,11 @@ import (
 )
 
 // The np=4096 scale proofs behind BENCH_engine.json: NAS CG and the
-// stencil patterns at four thousand ranks, tractable on one core. The
-// stencil sweep takes seconds but the CG row dispatches 785M events in
-// ~30 minutes of single-core wall, so tier-1 runs skip them; set
-// MPICH2IB_SCALE=1 (with `-timeout 45m` for the CG test) the way the
-// baseline-regeneration workflow does to run them.
+// stencil patterns at four thousand ranks, tractable on one core. Each
+// takes under a minute (CG dispatched 649M events over a quarter of an
+// hour while Comm.Split rode a ring allgather; 14.4M now) but holds a
+// multi-gigabyte heap, so tier-1 runs skip them; set MPICH2IB_SCALE=1
+// the way the baseline-regeneration workflow does to run them.
 func requireScale(t *testing.T) {
 	if os.Getenv("MPICH2IB_SCALE") == "" {
 		t.Skip("np=4096 scale proof; set MPICH2IB_SCALE=1 to run")

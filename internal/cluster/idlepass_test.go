@@ -122,7 +122,10 @@ func TestIdlePassCutResumesAtStepBoundary(t *testing.T) {
 func TestReadySetSRQ(t *testing.T) {
 	const np, block = 32, 16 << 10
 	c := cluster.MustNew(cluster.Config{NP: np, Transport: cluster.TransportZeroCopy,
-		ConnectMode: cluster.ConnectLazy, Chan: rdmachan.Config{UseSRQ: true}})
+		ConnectMode: cluster.ConnectLazy, Chan: rdmachan.Config{UseSRQ: true},
+		// The pins are the ring's: 31 rendezvous steps per rank, where the
+		// default table now takes 5.
+		Tuning: &mpi.Tuning{Allgather: "ring"}})
 	defer c.Close()
 	c.Launch(func(comm *mpi.Comm) {
 		send, sb := comm.Alloc(block)

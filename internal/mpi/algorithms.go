@@ -1,7 +1,9 @@
 package mpi
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -48,28 +50,14 @@ func hierAllgatherOK(c *Comm) bool {
 // co-located pairs ride shared memory and expose no raw verbs endpoint.
 func rdmaDirectOK(c *Comm) bool { return c.dev.RDMADirect() && !c.t.multi }
 
-type bcastEntry struct {
-	run bcastFn
-	ok  func(*Comm) bool
-}
-type reduceEntry struct {
-	run reduceFn
-	ok  func(*Comm) bool
-}
-type allgatherEntry struct {
-	run allgatherFn
-	ok  func(*Comm) bool
-}
-type barrierEntry struct {
-	run barrierFn
-	ok  func(*Comm) bool
-}
-type allreduceEntry struct {
-	run allreduceFn
-	ok  func(*Comm) bool
-}
-type alltoallEntry struct {
-	run alltoallFn
+// pof2OK admits the in-place doubling exchange, which pairs rank with
+// rank XOR 2^k and so needs every such partner to exist.
+func pof2OK(c *Comm) bool { return pof2Below(c.Size()) == c.Size() }
+
+// entry is one registered algorithm: its implementation and whether it
+// can run on a communicator's topology at all.
+type entry[F any] struct {
+	run F
 	ok  func(*Comm) bool
 }
 
@@ -77,30 +65,32 @@ type alltoallEntry struct {
 // hierarchical ones split the collective into a leader level (one rank
 // per node, over the network) and a node level (over shared memory).
 var (
-	bcastAlgs = map[string]bcastEntry{
+	bcastAlgs = map[string]entry[bcastFn]{
 		"binomial":          {run: (*Comm).FlatBcast, ok: alwaysOK},
 		"hier-leader":       {run: (*Comm).hierBcast, ok: smpOK},
 		"scatter-allgather": {run: (*Comm).saBcast, ok: alwaysOK},
 	}
-	reduceAlgs = map[string]reduceEntry{
+	reduceAlgs = map[string]entry[reduceFn]{
 		"binomial": {run: (*Comm).FlatReduce, ok: alwaysOK},
 		"hier":     {run: (*Comm).HierReduce, ok: smpOK},
 	}
-	allgatherAlgs = map[string]allgatherEntry{
-		"ring": {run: (*Comm).FlatAllgather, ok: alwaysOK},
-		"hier": {run: (*Comm).hierAllgather, ok: hierAllgatherOK},
+	allgatherAlgs = map[string]entry[allgatherFn]{
+		"ring":               {run: (*Comm).FlatAllgather, ok: alwaysOK},
+		"hier":               {run: (*Comm).hierAllgather, ok: hierAllgatherOK},
+		"recursive-doubling": {run: (*Comm).rdAllgather, ok: pof2OK},
+		"bruck":              {run: (*Comm).bruckAllgather, ok: alwaysOK},
 	}
-	barrierAlgs = map[string]barrierEntry{
+	barrierAlgs = map[string]entry[barrierFn]{
 		"dissemination": {run: (*Comm).FlatBarrier, ok: alwaysOK},
 		"hier":          {run: (*Comm).hierBarrier, ok: smpOK},
 	}
-	allreduceAlgs = map[string]allreduceEntry{
+	allreduceAlgs = map[string]entry[allreduceFn]{
 		"reduce-bcast":       {run: (*Comm).FlatAllreduce, ok: alwaysOK},
 		"recursive-doubling": {run: (*Comm).rdAllreduce, ok: alwaysOK},
 		"rabenseifner":       {run: (*Comm).rabAllreduce, ok: alwaysOK},
 		"rdma-direct":        {run: (*Comm).directAllreduce, ok: rdmaDirectOK},
 	}
-	alltoallAlgs = map[string]alltoallEntry{
+	alltoallAlgs = map[string]entry[alltoallFn]{
 		"pairwise":    {run: (*Comm).FlatAlltoall, ok: alwaysOK},
 		"rdma-direct": {run: (*Comm).directAlltoall, ok: rdmaDirectOK},
 	}
@@ -125,38 +115,38 @@ func Collectives() []string {
 // AlgorithmNames lists the registered algorithms of one collective,
 // sorted. It panics on an unknown collective.
 func AlgorithmNames(coll string) []string {
-	var names []string
 	switch coll {
 	case "bcast":
-		for n := range bcastAlgs {
-			names = append(names, n)
-		}
+		return sortedNames(bcastAlgs)
 	case "reduce":
-		for n := range reduceAlgs {
-			names = append(names, n)
-		}
+		return sortedNames(reduceAlgs)
 	case "allgather":
-		for n := range allgatherAlgs {
-			names = append(names, n)
-		}
+		return sortedNames(allgatherAlgs)
 	case "barrier":
-		for n := range barrierAlgs {
-			names = append(names, n)
-		}
+		return sortedNames(barrierAlgs)
 	case "allreduce":
-		for n := range allreduceAlgs {
-			names = append(names, n)
-		}
+		return sortedNames(allreduceAlgs)
 	case "alltoall":
-		for n := range alltoallAlgs {
-			names = append(names, n)
-		}
-	default:
-		panic(fmt.Sprintf("mpi: unknown collective %q (have %s)",
-			coll, strings.Join(Collectives(), ", ")))
+		return sortedNames(alltoallAlgs)
+	}
+	panic(unknownCollective(coll))
+}
+
+func sortedNames[F any](algs map[string]entry[F]) []string {
+	names := make([]string, 0, len(algs))
+	for n := range algs {
+		names = append(names, n)
 	}
 	sort.Strings(names)
 	return names
+}
+
+func unknownCollective(coll string) string {
+	return fmt.Sprintf("mpi: unknown collective %q (have %s)", coll, strings.Join(Collectives(), ", "))
+}
+
+func unknownAlgorithm(coll, alg string) string {
+	return fmt.Sprintf("mpi: unknown %s algorithm %q (have %s)", coll, alg, strings.Join(AlgorithmNames(coll), ", "))
 }
 
 // Algorithms lists every registered algorithm as "collective/name".
@@ -178,7 +168,7 @@ func Algorithms() []string {
 type Tuning struct {
 	Bcast     string // "" | "binomial" | "hier-leader" | "scatter-allgather"
 	Reduce    string // "" | "binomial" | "hier"
-	Allgather string // "" | "ring" | "hier"
+	Allgather string // "" | "ring" | "hier" | "recursive-doubling" | "bruck"
 	Barrier   string // "" | "dissemination" | "hier"
 	Allreduce string // "" | "reduce-bcast" | "recursive-doubling" | "rabenseifner" | "rdma-direct"
 	Alltoall  string // "" | "pairwise" | "rdma-direct"
@@ -242,8 +232,7 @@ func (t Tuning) Forced(coll string) string {
 	case "alltoall":
 		return t.Alltoall
 	}
-	panic(fmt.Sprintf("mpi: unknown collective %q (have %s)",
-		coll, strings.Join(Collectives(), ", ")))
+	panic(unknownCollective(coll))
 }
 
 // Force pins one collective to a named algorithm. It panics on an
@@ -263,8 +252,7 @@ func (t *Tuning) Force(coll, alg string) {
 	case "alltoall":
 		t.Alltoall = alg
 	default:
-		panic(fmt.Sprintf("mpi: unknown collective %q (have %s)",
-			coll, strings.Join(Collectives(), ", ")))
+		panic(unknownCollective(coll))
 	}
 }
 
@@ -276,30 +264,18 @@ func (t Tuning) withDefaults() Tuning {
 	if t.AllreduceRabCutoff == 0 {
 		t.AllreduceRabCutoff = allreduceRabCutoff
 	}
-	check := func(coll, name string) {
-		if name == "" {
-			return
+	for _, coll := range Collectives() {
+		if name := t.Forced(coll); name != "" && !slices.Contains(AlgorithmNames(coll), name) {
+			panic(unknownAlgorithm(coll, name))
 		}
-		for _, n := range AlgorithmNames(coll) {
-			if n == name {
-				return
-			}
-		}
-		panic(fmt.Sprintf("mpi: unknown %s algorithm %q (have %s)",
-			coll, name, strings.Join(AlgorithmNames(coll), ", ")))
 	}
-	check("bcast", t.Bcast)
-	check("reduce", t.Reduce)
-	check("allgather", t.Allgather)
-	check("barrier", t.Barrier)
-	check("allreduce", t.Allreduce)
-	check("alltoall", t.Alltoall)
 	return t
 }
 
 // ParseTuning builds a Tuning from a comma-separated override list, e.g.
-// "bcast=hier-leader,reduce=binomial,reduce-cutoff=8192". Keys are the
-// collective names plus "reduce-cutoff" (bytes).
+// "bcast=hier-leader,allgather=bruck,reduce-cutoff=8192". Keys are the
+// collective names (values: AlgorithmNames — for allgather ring, hier,
+// recursive-doubling, bruck) plus "reduce-cutoff" and "rab-cutoff" (bytes).
 func ParseTuning(s string) (Tuning, error) {
 	t := DefaultTuning()
 	for _, tok := range strings.Split(s, ",") {
@@ -327,34 +303,13 @@ func ParseTuning(s string) (Tuning, error) {
 			t.AllreduceRabCutoff = n
 			continue
 		}
-		valid := false
-		switch k {
-		case "bcast":
-			_, valid = bcastAlgs[v]
-			t.Bcast = v
-		case "reduce":
-			_, valid = reduceAlgs[v]
-			t.Reduce = v
-		case "allgather":
-			_, valid = allgatherAlgs[v]
-			t.Allgather = v
-		case "barrier":
-			_, valid = barrierAlgs[v]
-			t.Barrier = v
-		case "allreduce":
-			_, valid = allreduceAlgs[v]
-			t.Allreduce = v
-		case "alltoall":
-			_, valid = alltoallAlgs[v]
-			t.Alltoall = v
-		default:
-			return t, fmt.Errorf("mpi: unknown collective %q (have %s)",
-				k, strings.Join(Collectives(), ", "))
+		if !slices.Contains(Collectives(), k) {
+			return t, errors.New(unknownCollective(k))
 		}
-		if !valid {
-			return t, fmt.Errorf("mpi: unknown %s algorithm %q (have %s)",
-				k, v, strings.Join(AlgorithmNames(k), ", "))
+		if !slices.Contains(AlgorithmNames(k), v) {
+			return t, errors.New(unknownAlgorithm(k, v))
 		}
+		t.Force(k, v)
 	}
 	return t, nil
 }
@@ -363,42 +318,29 @@ func ParseTuning(s string) (Tuning, error) {
 // communicator's topology (the registry's applicability predicate). It
 // panics on an unknown collective or algorithm.
 func (c *Comm) AlgorithmApplicable(coll, alg string) bool {
-	var ok func(*Comm) bool
-	var found bool
 	switch coll {
 	case "bcast":
-		var e bcastEntry
-		e, found = bcastAlgs[alg]
-		ok = e.ok
+		return applicable(c, bcastAlgs, coll, alg)
 	case "reduce":
-		var e reduceEntry
-		e, found = reduceAlgs[alg]
-		ok = e.ok
+		return applicable(c, reduceAlgs, coll, alg)
 	case "allgather":
-		var e allgatherEntry
-		e, found = allgatherAlgs[alg]
-		ok = e.ok
+		return applicable(c, allgatherAlgs, coll, alg)
 	case "barrier":
-		var e barrierEntry
-		e, found = barrierAlgs[alg]
-		ok = e.ok
+		return applicable(c, barrierAlgs, coll, alg)
 	case "allreduce":
-		var e allreduceEntry
-		e, found = allreduceAlgs[alg]
-		ok = e.ok
+		return applicable(c, allreduceAlgs, coll, alg)
 	case "alltoall":
-		var e alltoallEntry
-		e, found = alltoallAlgs[alg]
-		ok = e.ok
-	default:
-		panic(fmt.Sprintf("mpi: unknown collective %q (have %s)",
-			coll, strings.Join(Collectives(), ", ")))
+		return applicable(c, alltoallAlgs, coll, alg)
 	}
+	panic(unknownCollective(coll))
+}
+
+func applicable[F any](c *Comm, algs map[string]entry[F], coll, alg string) bool {
+	e, found := algs[alg]
 	if !found {
-		panic(fmt.Sprintf("mpi: unknown %s algorithm %q (have %s)",
-			coll, alg, strings.Join(AlgorithmNames(coll), ", ")))
+		panic(unknownAlgorithm(coll, alg))
 	}
-	return ok(c)
+	return e.ok(c)
 }
 
 // --- per-call selection ---
@@ -431,10 +373,20 @@ func (c *Comm) pickReduce(n int) reduceFn {
 	return reduceAlgs[flatReduce].run
 }
 
-func (c *Comm) pickAllgather() allgatherFn {
+// pickAllgather takes the per-rank block size. The table keeps hier where
+// it applies; elsewhere blocks below the network's cutoff go in log2
+// steps — doubling in place where the size allows it, Bruck through its
+// temporary where not — and longer ones stay on the ring.
+func (c *Comm) pickAllgather(n int) allgatherFn {
 	name := c.tuning.Allgather
 	if name == "" {
 		name = "hier"
+		if !allgatherAlgs[name].ok(c) && n < c.tuning.allgatherRingCutoff() {
+			name = "recursive-doubling"
+			if !allgatherAlgs[name].ok(c) {
+				name = "bruck"
+			}
+		}
 	}
 	if e := allgatherAlgs[name]; e.ok(c) {
 		return e.run

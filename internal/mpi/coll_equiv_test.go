@@ -79,6 +79,134 @@ func TestCollAlgorithmEquivalence(t *testing.T) {
 	}
 }
 
+// flatPof2Topologies are the flat power-of-two layouts, the only ones on
+// which allgather/recursive-doubling runs on the wire (collectiveTopologies
+// keeps the non-power-of-two counts the folding algorithms need). A
+// cluster has at least two ranks; size 1 is np=2's Split halves.
+var flatPof2Topologies = []topology{
+	{"flat-np2", 2, 1}, {"flat-np4", 4, 1}, {"flat-np8", 8, 1}, {"flat-np16", 16, 1},
+}
+
+// TestCollAlgorithmEquivalenceAllgather: every allgather algorithm, and the
+// default table, must leave every rank's whole recv buffer — the gathered
+// region and the sentinel bytes past it — exactly as allgather/ring does,
+// on the flat power-of-two layouts, every collective topology, a
+// reversed (non-contiguous) Split half, and a Split in which a third of
+// the ranks opt out with a negative colour.
+func TestCollAlgorithmEquivalenceAllgather(t *testing.T) {
+	for _, tp := range append(flatPof2Topologies, collectiveTopologies...) {
+		var ring [][]byte // ring's buffers, one per rank, cases concatenated
+		for _, alg := range append([]string{"ring", ""}, mpi.AlgorithmNames("allgather")...) {
+			tp, alg := tp, alg
+			t.Run(tp.name+"/allgather="+alg, func(t *testing.T) {
+				got := make([][]byte, tp.np)
+				c := cluster.MustNew(cluster.Config{NP: tp.np, CoresPerNode: tp.cpn,
+					Transport: cluster.TransportZeroCopy, Tuning: &mpi.Tuning{Allgather: alg}})
+				defer c.Close()
+				c.Launch(func(comm *mpi.Comm) {
+					size, rank := comm.Size(), comm.Rank()
+					gather := func(sub *mpi.Comm, n int) {
+						send, sb := comm.Alloc(n)
+						recv, rb := comm.Alloc(n*sub.Size() + 7)
+						for i := range sb {
+							sb[i] = byte(rank*11 + i)
+						}
+						for i := range rb {
+							rb[i] = 0xEE
+						}
+						sub.Allgather(send, recv)
+						got[rank] = append(got[rank], rb...)
+					}
+					for _, n := range []int{24, 33, 5000} {
+						gather(comm, n)
+					}
+					gather(comm.Split(rank%2, size-rank), 24)
+					colour := rank % 3
+					if colour == 2 {
+						colour = -1 // MPI_UNDEFINED
+					}
+					sub := comm.Split(colour, rank)
+					if (sub == nil) != (colour < 0) {
+						t.Errorf("rank %d: colour %d got communicator %v", rank, colour, sub)
+					}
+					if sub != nil {
+						if want := (size + 2 - colour) / 3; sub.Size() != want {
+							t.Errorf("rank %d: colour %d sub-communicator has %d ranks, want %d", rank, colour, sub.Size(), want)
+						}
+						gather(sub, 24)
+					}
+				})
+				if alg == "ring" {
+					ring = got
+				}
+				for r := range got {
+					if !bytes.Equal(got[r], ring[r]) {
+						t.Errorf("rank %d: buffers differ from allgather/ring's", r)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestAllgatherTableCutoff: the default table is allgather/ring at and
+// above the network's block cutoff and the log-step algorithm below it.
+// The choice cannot be seen in the bytes, so it is read off the clock: a
+// lone Allgather under the table takes exactly as long as under the
+// algorithm the table should have picked.
+func TestAllgatherTableCutoff(t *testing.T) {
+	elapsed := func(np, n int, alg string, mods ...func(*cluster.Config)) (took float64) {
+		cfg := cluster.Config{NP: np, Transport: cluster.TransportZeroCopy}
+		if alg != "" {
+			cfg.Tuning = &mpi.Tuning{Allgather: alg}
+		}
+		for _, mod := range mods {
+			mod(&cfg)
+		}
+		c := cluster.MustNew(cfg)
+		defer c.Close()
+		c.Launch(func(comm *mpi.Comm) {
+			send, _ := comm.Alloc(n)
+			recv, _ := comm.Alloc(n * np)
+			comm.Allgather(send, recv)
+			comm.Barrier()
+			if comm.Rank() == 0 {
+				took = comm.Wtime()
+			}
+		})
+		return took
+	}
+	for _, tc := range []struct {
+		name    string
+		np      int
+		logStep string
+		cutoff  int
+		mods    []func(*cluster.Config)
+	}{
+		{"flat-np4", 4, "recursive-doubling", 192 << 10, nil},
+		{"flat-np3", 3, "bruck", 192 << 10, nil},
+		{"fattree-np8", 8, "recursive-doubling", 5 << 10, []func(*cluster.Config){withSwitch(4, 1)}},
+		{"fattree-np6", 6, "bruck", 5 << 10, []func(*cluster.Config){withSwitch(4, 1)}},
+	} {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			for _, n := range []int{tc.cutoff - 1, tc.cutoff} {
+				want, other := tc.logStep, "ring"
+				if n >= tc.cutoff {
+					want, other = other, want
+				}
+				table := elapsed(tc.np, n, "", tc.mods...)
+				picked := elapsed(tc.np, n, want, tc.mods...)
+				rejected := elapsed(tc.np, n, other, tc.mods...)
+				if table != picked || table == rejected {
+					t.Errorf("block %d: table took %.9f s, %s %.9f s, %s %.9f s; want the table on %s",
+						n, table, want, picked, other, rejected, want)
+				}
+			}
+		})
+	}
+}
+
 // equivChecks runs every collective once per datatype/size on comm and
 // compares results byte-for-byte against locally computed expectations.
 func equivChecks(t *testing.T, comm *mpi.Comm, label string) {

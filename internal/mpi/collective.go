@@ -31,6 +31,8 @@ const (
 	tagSAScatter // scatter-allgather bcast: binomial scatter stage
 	tagSARing    // scatter-allgather bcast: ring allgatherv stage
 	tagXAddr     // RDMA-direct exposure region addr/rkey exchange
+	tagAGDouble  // allgather recursive-doubling exchange
+	tagAGBruck   // allgather Bruck exchange
 )
 
 // scratch holds the reusable per-comm buffers the collective algorithms
@@ -43,6 +45,9 @@ type scratch struct {
 	acc   Buffer // reduce accumulator
 	tmp   Buffer // reduce incoming partial
 	part  Buffer // hierarchical reduce node partial
+	bruck Buffer // Bruck allgather's rotated working copy
+	split Buffer // Split's (color, key, counter) triple
+	table Buffer // Split's gathered triples, one per member
 }
 
 // scratch returns an n-byte view of a lazily grown per-comm buffer slot.
@@ -202,19 +207,23 @@ func (c *Comm) Scatter(send, recv Buffer, root int) {
 }
 
 // Allgather shares equal-size contributions with everyone through the
-// tuned algorithm (allgather/hier on SMP layouts with block-contiguous
-// placement, allgather/ring otherwise, by default).
+// tuned algorithm: by default allgather/hier on SMP layouts with
+// block-contiguous placement; elsewhere a log-step algorithm
+// (allgather/recursive-doubling on power-of-two sizes, allgather/bruck on
+// the rest) for blocks below the network's measured cutoff and
+// allgather/ring from there up. recv may be longer than the gathered
+// region; bytes past it stay untouched.
 func (c *Comm) Allgather(send, recv Buffer) {
-	c.pickAllgather()(c, send, recv)
+	if total := send.Len * c.Size(); recv.Len < total {
+		panic(fmt.Sprintf("mpi: Allgather recv %d < %d", recv.Len, total))
+	}
+	c.pickAllgather(send.Len)(c, send, recv)
 }
 
 // FlatAllgather is the topology-oblivious ring algorithm (allgather/ring).
 func (c *Comm) FlatAllgather(send, recv Buffer) {
 	size, rank := c.Size(), c.Rank()
 	n := send.Len
-	if recv.Len < n*size {
-		panic(fmt.Sprintf("mpi: Allgather recv %d < %d", recv.Len, n*size))
-	}
 	copy(c.Bytes(Slice(recv, rank*n, n)), c.Bytes(send))
 	right := (rank + 1) % size
 	left := (rank - 1 + size) % size

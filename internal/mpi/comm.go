@@ -84,8 +84,9 @@ func (c *Comm) Split(color, key int) *Comm {
 
 	// One allgather carries (color, key, counter) for every member: the
 	// membership of every sub-communicator and the agreed context base.
-	send, sb := c.Alloc(24)
-	recv, rb := c.Alloc(24 * np)
+	send := c.scratch(&c.scr.split, 24)
+	recv := c.scratch(&c.scr.table, 24*np)
+	sb, rb := c.Bytes(send), c.Bytes(recv)
 	PutInt64(sb, 0, int64(color))
 	PutInt64(sb, 1, int64(key))
 	PutInt64(sb, 2, int64(*c.nextCtx))

@@ -341,8 +341,10 @@ func TestWildcardIsolationAcrossComms(t *testing.T) {
 // TestCollectiveScratchReuse: collectives must not allocate on every
 // call — after one warm call per shape, further calls reuse the per-comm
 // scratch (the Alloc-count assertion of the scratch-buffer refactor).
+// Split's triple and table and, on flat-np6, Bruck's working copy are
+// scratch too: a second Split or Allgather on a communicator is free.
 func TestCollectiveScratchReuse(t *testing.T) {
-	for _, tp := range []topology{{"flat-np4", 4, 1}, {"smp-4x2", 8, 2}} {
+	for _, tp := range []topology{{"flat-np4", 4, 1}, {"flat-np6", 6, 1}, {"smp-4x2", 8, 2}} {
 		tp := tp
 		t.Run(tp.name, func(t *testing.T) {
 			launch(t, tp, func(comm *mpi.Comm) {
@@ -358,6 +360,9 @@ func TestCollectiveScratchReuse(t *testing.T) {
 				comm.FlatBarrier()
 				comm.Allreduce(small, smallR, mpi.Int64, mpi.Sum)
 				comm.Allreduce(send, recv, mpi.Byte, mpi.Sum)
+				all, _ := comm.Alloc(8 * comm.Size())
+				comm.Allgather(small, all)
+				comm.Split(comm.Rank()%2, 0)
 
 				before := comm.Allocs()
 				for i := 0; i < 5; i++ {
@@ -365,6 +370,8 @@ func TestCollectiveScratchReuse(t *testing.T) {
 					comm.FlatBarrier()
 					comm.Allreduce(small, smallR, mpi.Int64, mpi.Sum)
 					comm.Allreduce(send, recv, mpi.Byte, mpi.Sum)
+					comm.Allgather(small, all)
+					comm.Split(comm.Rank()%2, 0)
 				}
 				if got := comm.Allocs(); got != before {
 					t.Errorf("rank %d: steady-state collectives allocated %d times", comm.Rank(), got-before)

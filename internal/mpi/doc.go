@@ -27,8 +27,10 @@
 //     cross-match, wildcards included.
 //   - Collective algorithm selection is per-communicator and
 //     deterministic: the default tuning table reproduces the historical
-//     hardwired dispatch bit-for-bit (verified by the PR 3 probe); forced
-//     overrides come only through Tuning.
+//     hardwired dispatch bit-for-bit (verified by the PR 3 probe) except
+//     where a measured crossover moved it on purpose — allreduce on fat
+//     trees, allgather below its block cutoff (Tuning.Allgather = "ring"
+//     is the old schedule); forced overrides come only through Tuning.
 //   - Collectives reuse per-communicator scratch buffers: zero
 //     steady-state allocations (TestCollectiveScratchReuse).
 package mpi

@@ -1,14 +1,15 @@
 package mpi
 
-// Large-message collective algorithms after Thakur/Rabenseifner/van de
-// Geijn (the MPICH repertoire): recursive-doubling and Rabenseifner
-// allreduce, and scatter-allgather broadcast. All three handle
+// Collective algorithms after Thakur/Rabenseifner/van de Geijn (the MPICH
+// repertoire): recursive-doubling and Rabenseifner allreduce,
+// scatter-allgather broadcast, and the log-step allgathers (recursive
+// doubling, Bruck). The allreduces and the broadcast handle
 // non-power-of-two communicator sizes — the doubling/halving families by
 // folding the extra ranks into a power-of-two participant set first, the
 // broadcast by chunking over virtual ranks — and all are bit-identical to
-// the flat binomial baselines for commutative ops (the only ones the
-// datatype layer defines), which the algorithm-equivalence harness
-// asserts per topology, datatype, and rank count.
+// the flat baselines (for commutative ops, the only ones the datatype
+// layer defines), which the algorithm-equivalence harness asserts per
+// topology, datatype, and rank count.
 
 // allreduceRabCutoff is the default message size in bytes at and above
 // which the fat-tree tuning table picks allreduce/rabenseifner over
@@ -19,6 +20,29 @@ package mpi
 // clearly from 4 KiB (162 µs vs 137 µs) out to 256 KiB (6.5 ms vs
 // 2.5 ms). Tuning.AllreduceRabCutoff overrides it per run.
 const allreduceRabCutoff = 3 << 10
+
+// allgatherRingCutoff is the per-rank block size in bytes at and above
+// which the default table keeps allgather/ring, per network. Measured at
+// np=16, one rank per node (BENCH_coll.json, then `mpich2ib-bench -coll
+// allgather -np 16 -ppn 1 -iters 5 -sizes … [-net fattree-d4-u1]` for the
+// sizes between and past its rows). Flat wire: recursive doubling leads
+// from 256 B (66.6 µs vs 194.3 µs) through 64 KiB (3.29 ms vs 4.16 ms),
+// the two are even at 160–192 KiB (10.45 ms vs 10.40 ms) and the ring
+// leads from 256 KiB (13.98 ms vs 13.36 ms). fattree-d4-u1: doubling's
+// far partners all cross the one uplink of their leaf while the ring
+// crosses it once per four ranks, so doubling leads only through 4 KiB
+// (410.8 µs vs 447.8 µs), is level at 5 KiB (488.2 µs vs 483.0 µs) and
+// behind from 6 KiB (559.6 µs vs 545.4 µs) to 64 KiB (4.92 ms vs
+// 4.13 ms). The key is the block, not MPICH's gathered total, so that a
+// 24-byte Split never goes back to the ring at any np: the even block
+// holds or rises with np on both nets, the even total does neither
+// (DESIGN.md §14).
+func (t Tuning) allgatherRingCutoff() int {
+	if t.fattree() {
+		return 5 << 10
+	}
+	return 192 << 10
+}
 
 // pof2Below returns the largest power of two ≤ n (n ≥ 1).
 func pof2Below(n int) int {
@@ -95,6 +119,40 @@ func (c *Comm) rdAllreduce(send, recv Buffer, dt Datatype, op Op) {
 		}
 	}
 	c.unfold(acc, recv, rem)
+}
+
+// rdAllgather is allgather/recursive-doubling, for power-of-two sizes: at
+// distance mask a rank holds the mask blocks of its aligned group and
+// swaps them, in place, for the partner group's — log2 size exchanges
+// against the ring's size-1, the same bytes per rank in total.
+func (c *Comm) rdAllgather(send, recv Buffer) {
+	size, rank, n := c.Size(), c.Rank(), send.Len
+	copy(c.Bytes(Slice(recv, rank*n, n)), c.Bytes(send))
+	for mask := 1; mask < size; mask <<= 1 {
+		peer := rank ^ mask
+		mine, theirs := rank&^(mask-1), peer&^(mask-1)
+		c.Sendrecv2(Slice(recv, mine*n, mask*n), peer, Slice(recv, theirs*n, mask*n), peer, tagAGDouble)
+	}
+}
+
+// bruckAllgather is allgather/bruck, for any size: block i of a temporary
+// holds rank+i's contribution, so at distance dist a rank sends its first
+// blocks to rank-dist and appends what rank+dist had — ceil(log2 size)
+// exchanges, the last one partial — and one rotation by rank puts the
+// blocks in rank order. The size·n temporary is the price of taking any
+// size; it is per-comm scratch.
+func (c *Comm) bruckAllgather(send, recv Buffer) {
+	size, rank, n := c.Size(), c.Rank(), send.Len
+	tmp := c.scratch(&c.scr.bruck, n*size)
+	copy(c.Bytes(Slice(tmp, 0, n)), c.Bytes(send))
+	for dist := 1; dist < size; dist <<= 1 {
+		cnt := min(dist, size-dist)
+		c.Sendrecv2(Slice(tmp, 0, cnt*n), (rank-dist+size)%size,
+			Slice(tmp, dist*n, cnt*n), (rank+dist)%size, tagAGBruck)
+	}
+	head := (size - rank) * n // tmp[0, head) is ranks rank … size-1
+	copy(c.Bytes(Slice(recv, rank*n, head)), c.Bytes(Slice(tmp, 0, head)))
+	copy(c.Bytes(Slice(recv, 0, rank*n)), c.Bytes(Slice(tmp, head, rank*n)))
 }
 
 // rabAllreduce is allreduce/rabenseifner: a reduce-scatter by recursive
