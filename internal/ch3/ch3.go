@@ -1,6 +1,7 @@
 package ch3
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/rdmachan"
@@ -36,17 +37,19 @@ type header struct {
 // header; raising rdmachan.MaxRails past 6 would need a wider header.
 const maxHdrRails = rdmachan.MaxRails
 
+var le = binary.LittleEndian
+
 func encodeHeader(dst []byte, h header) {
 	dst[0] = h.kind
 	dst[1] = h.nRails
-	putLE32(dst[4:8], uint32(h.env.Src))
-	putLE32(dst[8:12], uint32(h.env.Tag))
-	putLE32(dst[12:16], uint32(h.env.Ctx))
-	putLE64(dst[16:24], uint64(h.env.Len))
-	putLE64(dst[24:32], h.reqID)
-	putLE64(dst[32:40], h.raddr)
+	le.PutUint32(dst[4:8], uint32(h.env.Src))
+	le.PutUint32(dst[8:12], uint32(h.env.Tag))
+	le.PutUint32(dst[12:16], uint32(h.env.Ctx))
+	le.PutUint64(dst[16:24], uint64(h.env.Len))
+	le.PutUint64(dst[24:32], h.reqID)
+	le.PutUint64(dst[32:40], h.raddr)
 	for k := 0; k < maxHdrRails; k++ {
-		putLE32(dst[40+4*k:44+4*k], h.rkeys[k])
+		le.PutUint32(dst[40+4*k:44+4*k], h.rkeys[k])
 	}
 }
 
@@ -55,37 +58,42 @@ func decodeHeader(src []byte) header {
 		kind:   src[0],
 		nRails: src[1],
 		env: transport.Envelope{
-			Src: int32(le32(src[4:8])),
-			Tag: int32(le32(src[8:12])),
-			Ctx: int32(le32(src[12:16])),
-			Len: int(le64(src[16:24])),
+			Src: int32(le.Uint32(src[4:8])),
+			Tag: int32(le.Uint32(src[8:12])),
+			Ctx: int32(le.Uint32(src[12:16])),
+			Len: int(le.Uint64(src[16:24])),
 		},
-		reqID: le64(src[24:32]),
-		raddr: le64(src[32:40]),
+		reqID: le.Uint64(src[24:32]),
+		raddr: le.Uint64(src[32:40]),
 	}
 	for k := 0; k < maxHdrRails; k++ {
-		h.rkeys[k] = le32(src[40+4*k : 44+4*k])
+		h.rkeys[k] = le.Uint32(src[40+4*k : 44+4*k])
 	}
 	return h
 }
 
-// --- little-endian helpers (header encoding) ---
-
-func le32(b []byte) uint32 {
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
-}
-
-func putLE32(b []byte, v uint32) {
-	b[0], b[1], b[2], b[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
-}
-
-func le64(b []byte) uint64 {
-	return uint64(le32(b[0:4])) | uint64(le32(b[4:8]))<<32
-}
-
-func putLE64(b []byte, v uint64) {
-	putLE32(b[0:4], uint32(v))
-	putLE32(b[4:8], uint32(v>>32))
+// check validates a decoded header, the one gate every arriving packet
+// passes before dispatch: a known kind, one this mode of the engine takes
+// (over-channel mode frames everything eagerly), a length the packet can
+// hold — avail is the bytes that follow the header in a message carrier's
+// packet, negative on a byte pipe — and, in a CTS, no more rails than the
+// connection has, so no peer-supplied count ever indexes a rail.
+func (h header) check(threshold, nRails, avail int) error {
+	switch {
+	case h.kind < pktEager || h.kind > pktFIN:
+		return errf("bad packet kind %d", h.kind)
+	case threshold == 0 && h.kind != pktEager:
+		return errf("unexpected packet kind %d on channel pipe", h.kind)
+	case h.env.Len < 0:
+		return errf("packet kind %d with negative length", h.kind)
+	case h.kind == pktEager && threshold > 0 && h.env.Len >= threshold:
+		return errf("eager packet of %d bytes at rendezvous threshold %d", h.env.Len, threshold)
+	case h.kind == pktEager && avail >= 0 && h.env.Len > avail:
+		return errf("eager packet claims %d bytes, carries %d", h.env.Len, avail)
+	case h.kind == pktCTS && int(h.nRails) > nRails:
+		return errf("CTS advertises %d rails, connection has %d", h.nRails, nRails)
+	}
+	return nil
 }
 
 func errf(format string, args ...interface{}) error {

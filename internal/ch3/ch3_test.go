@@ -246,15 +246,15 @@ func TestIBConnRequiresChunkEndpoint(t *testing.T) {
 // queued during the outage in their own order — and the queue's buffer is
 // the one it had, not a longer one per outage.
 func TestRequeueAheadOrder(t *testing.T) {
-	op := func(id uint64) *srqOp { return &srqOp{hdr: header{reqID: id}} }
-	var q des.Queue[*srqOp]
+	op := func(id uint64) *packet { return &packet{hdr: header{reqID: id}} }
+	var q des.Queue[*packet]
 	for id := uint64(1); id <= 5; id++ {
 		q.Put(op(id))
 	}
 	q.TryGet() // 1 and 2 were staged before the rail died
 	q.TryGet()
 	for outage := 0; outage < 3; outage++ {
-		requeueAhead(&q, []*srqOp{op(1), op(2)})
+		requeueAhead(&q, []*packet{op(1), op(2)})
 		var got []uint64
 		for _, o := range q.Pending() {
 			got = append(got, o.hdr.reqID)
@@ -274,25 +274,26 @@ func TestRequeueAheadOrder(t *testing.T) {
 	}
 }
 
-// TestSRQOpRecycled: a packet record that flush has handed back (it appends
+// TestSRQOpRecycled: a packet record that drain has handed back (it appends
 // the staged record to free) serves the next put without an allocation and
 // carries nothing of its previous packet over.
 func TestSRQOpRecycled(t *testing.T) {
 	c := &SRQConn{}
-	restage := func() *srqOp {
+	c.car = c
+	restage := func() *packet {
 		op, _ := c.dataq.TryGet()
 		c.free = append(c.free, op)
 		return op
 	}
-	c.put(&c.dataq, srqOp{hdr: header{reqID: 1}, rekey: true, onDone: func(*des.Proc) {}})
+	c.put(&c.dataq, packet{hdr: header{reqID: 1}, rekey: true, onDone: func(*des.Proc) {}})
 	first := restage()
 	if allocs := testing.AllocsPerRun(100, func() {
-		c.put(&c.dataq, srqOp{hdr: header{reqID: 2}})
+		c.put(&c.dataq, packet{hdr: header{reqID: 2}})
 		restage()
 	}); allocs != 0 {
 		t.Errorf("put with a free record allocates %.0f times", allocs)
 	}
-	c.put(&c.ctrlq, srqOp{hdr: header{reqID: 3}})
+	c.put(&c.ctrlq, packet{hdr: header{reqID: 3}})
 	if got, _ := c.ctrlq.Peek(); got != first || got.rekey || got.onDone != nil || got.hdr.reqID != 3 {
 		t.Errorf("recycled record = %+v (reused: %v), want a clean record for packet 3", got, got == first)
 	}

@@ -1,41 +1,44 @@
 // Package ch3 models MPICH2's CH3 layer (§3.1 of conf_ipps_LiuJWPABGT04):
 // the packet protocol between the transport abstraction
-// (internal/transport) and the byte or packet carriers below. One packet
-// engine — Conn — frames every MPI message as a 64-byte header plus
-// payload and implements transport.Endpoint in two modes, mirroring the
-// paper's comparison in §6:
+// (internal/transport) and the byte or packet carriers below. It is one
+// engine over two carriers.
 //
-//   - Over-channel mode (NewOverChannel) adapts any RDMA Channel endpoint
-//     to message semantics — the paper's main line of work, where the whole
-//     transport fits behind the five-function put/get pipe. Rendezvous for
-//     large messages — when the endpoint is the zero-copy design — happens
-//     invisibly below the pipe abstraction (§5).
-//   - Direct mode (NewIBConn) is the CH3-level InfiniBand design
-//     (Figure 12): the same eager chunk ring for small messages, but large
-//     messages negotiate RTS → CTS and move by RDMA *write* into the
-//     receiver's registered user buffer, finishing with a FIN packet. On a
-//     multi-rail connection the payload stripes over the rails in
-//     ChunkSize units of signaled writes; the FIN waits for the striping
-//     completion counter (DESIGN.md §10).
+// The engine (engine.go) is the paper's §6 protocol, written once: every
+// MPI message is a 64-byte header plus payload; a small one goes eagerly,
+// a large one negotiates RTS → CTS, moves by RDMA *write* into the
+// receiver's registered user buffer, and finishes with a FIN (Figure 12).
+// It owns the packet record and its pool, the control-before-data send
+// queue, header validation and dispatch, and the payload move — stripe
+// over the candidate rails, register, post, count completions, re-issue a
+// failed stripe when resilient, FIN (DESIGN.md §10's table says who
+// registers, signals and completes what, case by case).
 //
-// A third endpoint, SRQConn, carries the same packet protocol over
-// two-sided sends into a per-process shared receive pool (DESIGN.md §9) —
-// the connection-scalable eager mode.
+// A carrier moves the engine's packets:
+//
+//   - Conn, the chunk-ring byte pipe over any rdmachan.Endpoint. In
+//     over-channel mode (NewOverChannel) everything is framed eagerly and
+//     large messages are the pipe's business — the paper's main line of
+//     work, rendezvous hidden below the put/get abstraction (§5). In
+//     direct mode (NewIBConn) the engine's rendezvous runs over the rails
+//     rdmachan.RawAccess exposes.
+//   - SRQConn, the message send into a per-process shared receive pool
+//     (DESIGN.md §9), the connection-scalable eager mode — and, because
+//     such a connection is nothing but a queue pair, the one that can
+//     recover from a dead rail by re-dialing (DESIGN.md §11).
 //
 // Layer boundaries: ch3 moves packets; it owns no matching logic. The
 // transport engine above decides eager vs rendezvous and resolves
-// envelopes to buffers; rdmachan/ib below move bytes. Direct mode is the
-// one consumer of rdmachan.RawAccess.
+// envelopes to buffers; rdmachan/ib below move bytes.
 //
 // Invariants:
 //
-//   - One send state machine per connection: control packets (CTS, FIN)
-//     win over data at message boundaries, so rendezvous answers never
-//     starve behind bulk traffic — but a packet is never interleaved
-//     mid-message.
-//   - Single-rail rendezvous orders payload-then-FIN by RC ordering on one
-//     queue pair; multi-rail rendezvous orders them by counted
-//     completions, because no ordering exists across queue pairs.
-//   - The fixed 64-byte header carries up to four per-rail rkeys in a CTS;
-//     single-rail headers are byte-identical to the historical format.
+//   - Control packets (CTS, FIN) win over data at packet boundaries, so
+//     rendezvous answers never starve behind bulk traffic — but a packet
+//     is never interleaved mid-message.
+//   - A rendezvous send completes when its payload is acked or gathered,
+//     never earlier: at the FIN's completion where the carrier has one and
+//     the FIN follows the write on one queue pair, at or after the last
+//     counted write completion everywhere else.
+//   - No header field indexes anything before header.check has bounded it.
+//   - The fixed 64-byte header carries up to four per-rail rkeys in a CTS.
 package ch3

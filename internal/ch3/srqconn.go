@@ -1,112 +1,52 @@
 package ch3
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/des"
 	"repro/internal/ib"
 	"repro/internal/rdmachan"
+	"repro/internal/regcache"
 	"repro/internal/transport"
 )
 
-// SRQConn is the SRQ-backed eager mode of the CH3 layer (DESIGN.md §9):
-// the packet protocol of Conn — the same 64-byte headers, the same
-// RTS/CTS/FIN rendezvous by RDMA write — but carried by two-sided IB sends
-// into the process's shared receive pool (rdmachan.SRQPool) instead of a
-// dedicated per-connection chunk ring.
+// SRQConn is the CH3 engine over the SRQ-backed eager mode (DESIGN.md §9),
+// its message carrier: each packet is one two-sided IB send, staged whole
+// into a slot of the process's send pool (or not at all — the sender stalls
+// on the pool, there is no per-peer credit loop) and landing in a slot of
+// the peer's shared receive pool (rdmachan.SRQPool), which dispatches
+// arrivals by receiving queue pair. A connection's own memory is one queue
+// pair — the footprint that makes wide jobs affordable (and lazy
+// connections worth establishing) — and its rendezvous threshold is one
+// slot payload.
 //
-// The differences from Conn follow from the shared pool:
-//
-//   - Inbound eager slots belong to the process, not the connection, so a
-//     connection's memory is one queue pair — the footprint that makes
-//     wide jobs affordable (and lazy connections worth establishing).
-//   - There is no per-peer credit loop. Senders stall on the process's
-//     staging pool, receivers refill the shared queue as they poll, and
-//     the RNR limited-retry protocol (ib.QP.deliverSend) absorbs bursts
-//     that outrun the refill.
-//   - Packets are message-framed by the transport (one send per packet),
-//     so there is no byte-pipe state machine; arrival dispatch comes from
-//     the pool by receiving queue pair.
-//
-// It implements transport.Endpoint with an engine-level rendezvous
-// threshold of one slot payload, exactly like the direct CH3 design.
+// The fault recovery of a resilient pool lives here too, because only a
+// connection that is nothing but a queue pair can have it: retain every
+// packet until acknowledged, re-dial onto a surviving rail, resend
+// (DESIGN.md §11).
 type SRQConn struct {
-	// sharedPoll and resilient cache pool properties, uniform across every
-	// pool of a cluster. ctrlq and dataq are the send side: strict FIFO per
-	// queue; control packets (CTS, FIN) win so rendezvous answers do not
-	// starve behind bulk eager traffic. Eager and RTS packets share dataq,
-	// preserving MPI envelope order. free holds packet records whose packet
-	// is staged (acknowledged, when resilient) for the next put to reuse.
-	sharedPoll bool // pool.SharedProgress(): the engine polls the pool
-	resilient  bool // pool.Resilient()
-	ctrlq      des.Queue[*srqOp]
-	dataq      des.Queue[*srqOp]
-	free       []*srqOp
-	arm        func() // asks the engine for a Poll; nil unless FreeIdlePoll promised
-
-	pool  *rdmachan.SRQPool
-	qp    *ib.QP
-	h     transport.Handler
-	onErr func(error)
-
-	threshold int
-	reqSeq    uint64
-
-	sendRndv map[uint64]*rndvSend
-	recvRndv map[uint64]*srqRndvRecv
+	engine
+	pool *rdmachan.SRQPool
+	qp   *ib.QP
+	arm  func() // asks the transport for a Poll; nil unless FreeIdlePoll promised
 
 	hdrScratch [hdrSize]byte
 
-	// Fault recovery (resilient pools only; DESIGN.md §11). Every staged
-	// packet is retained in unacked until its success completion; an error
-	// completion means the packet definitively never landed, so after the
-	// connection is re-dialed the retained packets are re-queued in their
-	// original order — exactly-once, no duplicates. pendingWrites holds
-	// rendezvous payloads whose (signaled) RDMA write is in flight; a
-	// failed write restores its sendRndv entry so the transfer restarts
-	// from the RTS. gotRTS suppresses duplicate announcements from a
-	// recovering sender.
-	unacked        []*srqOp
-	staged         int // packets in flight on the current queue pair
-	writesInFlight int // signaled rendezvous writes awaiting completion
-	brokenFlag     bool
-	redialled      bool // a re-dial has been requested for this outage
-	redial         func()
-	nextPool       *rdmachan.SRQPool // set by Reconnect; adopted from Poll
-	nextQP         *ib.QP
-	pendingWrites  map[uint64]*rndvSend
-	gotRTS         map[uint64]bool
-
-	stats Stats
-}
-
-// srqOp is one queued outbound packet.
-type srqOp struct {
-	hdr     header
-	payload transport.Buffer  // eager payload; zero-length for control
-	onDone  func(p *des.Proc) // runs when the packet is accepted (staged)
-	onSent  func(p *des.Proc) // runs at the packet's completion (CQE)
-
-	// Resilient mode: the assembled packet bytes, retained for resend (the
-	// user buffer is reusable once onDone ran, so resends use this copy);
-	// rekey marks a CTS whose advertisement must be (re)registered on the
-	// current pool when the packet is built.
-	pkt      []byte
-	eagerLen int
-	rekey    bool
-}
-
-// srqRndvRecv tracks an accepted rendezvous on the receive side. In
-// resilient mode the registration is deferred to packet build time and
-// remembers its pool: after a re-dial onto a different rail the CTS is
-// re-registered there, and the FIN only releases a registration made on
-// the pool that is still current (one made on a dead rail is abandoned
-// with its adapter).
-type srqRndvRecv struct {
-	mr   *ib.MR
-	done func(p *des.Proc)
-	dst  transport.Buffer
-	pool *rdmachan.SRQPool
+	// Fault recovery (resilient pools only). Every staged packet is retained
+	// in unacked until its success completion; an error completion means the
+	// packet definitively never landed, so after the connection is re-dialed
+	// the retained packets are re-queued in their original order —
+	// exactly-once, no duplicates. A failed rendezvous write puts its send
+	// back in sendRndv, so the transfer restarts from the RTS. gotRTS
+	// suppresses duplicate announcements from a recovering sender.
+	unacked    []*packet
+	staged     int // packets in flight on the current queue pair
+	brokenFlag bool
+	redialled  bool // a re-dial has been requested for this outage
+	redial     func()
+	nextPool   *rdmachan.SRQPool // set by Reconnect; adopted from Poll
+	nextQP     *ib.QP
+	gotRTS     map[uint64]bool
 }
 
 // NewSRQPair wires one SRQ-mode connection between two ranks' pools: a
@@ -127,23 +67,31 @@ func NewSRQPair(pa, pb *rdmachan.SRQPool, ha, hb transport.Handler,
 
 func newSRQConn(pool *rdmachan.SRQPool, qp *ib.QP, h transport.Handler,
 	onErr func(error)) *SRQConn {
-	c := &SRQConn{
-		pool:       pool,
-		qp:         qp,
-		h:          h,
-		onErr:      onErr,
-		sharedPoll: pool.SharedProgress(),
-		resilient:  pool.Resilient(),
-		threshold:  pool.SlotSize() - hdrSize,
-		sendRndv:   make(map[uint64]*rndvSend),
-		recvRndv:   make(map[uint64]*srqRndvRecv),
+	c := &SRQConn{pool: pool, qp: qp}
+	c.engine = engine{
+		car: c, rails: (*srqRail)(c), nRails: 1, self: c, h: h, onErr: onErr,
+		messages: true, resilient: pool.Resilient(),
+		threshold: pool.SlotSize() - hdrSize,
 	}
-	if pool.Resilient() {
-		c.pendingWrites = make(map[uint64]*rndvSend)
+	if c.resilient {
 		c.gotRTS = make(map[uint64]bool)
 	}
 	return c
 }
+
+// srqRail is the connection seen as a rail set of one: its queue pair and
+// its pool's pin-down cache. The rail dies when a completion says so, not
+// sooner — a write posted on a queue pair already in error comes back as
+// that completion.
+type srqRail SRQConn
+
+func (r *srqRail) RailQP(int) *ib.QP                       { return r.qp }
+func (r *srqRail) RailRegCache(int) *regcache.Cache        { return r.pool.RegCache() }
+func (r *srqRail) StripeUnit() int                         { return 0 } // one rail: never striped
+func (r *srqRail) StripeCount(int) int                     { return 1 }
+func (r *srqRail) RailAlive(int) bool                      { return !r.brokenFlag }
+func (r *srqRail) EvictRail(int)                           { r.brokenFlag = true }
+func (r *srqRail) OnCQE(fn func(*des.Proc, ib.CQE)) uint64 { return r.pool.OnCQE(fn) }
 
 // SetRedial installs the connection's re-dial trigger (the cluster's lazy
 // connection manager): called at most once per outage, when the connection
@@ -172,7 +120,7 @@ func (c *SRQConn) maybeRedial() {
 		return
 	}
 	if c.ctrlq.Len()+c.dataq.Len()+len(c.unacked)+len(c.sendRndv)+
-		len(c.recvRndv)+len(c.pendingWrites) == 0 {
+		len(c.recvRndv)+len(c.stripes) == 0 {
 		return
 	}
 	c.redialled = true
@@ -185,18 +133,26 @@ func (c *SRQConn) maybeRedial() {
 // CTS advertised keys died with the old rail, so the peer answers the new
 // RTS with fresh ones).
 func (c *SRQConn) adopt(p *des.Proc) {
+	if c.nextPool != c.pool {
+		// The old pool's adapter is gone for this connection: our write
+		// class on it with it, and the registrations accepted receives hold
+		// there are abandoned — their CTS is re-keyed on the new pool.
+		c.class = 0
+		for _, rr := range c.recvRndv {
+			rr.keyed, rr.mrs = false, [maxHdrRails]*ib.MR{}
+		}
+	}
 	c.pool, c.qp = c.nextPool, c.nextQP
 	c.nextPool, c.nextQP = nil, nil
 	c.brokenFlag, c.redialled = false, false
 	c.stats.Reconnects++
 
-	var ctrl, data []*srqOp
-	for _, op := range c.unacked {
-		op.onDone = nil // already ran when the packet was first accepted
-		if op.hdr.kind == pktCTS || op.hdr.kind == pktFIN {
-			ctrl = append(ctrl, op)
+	var ctrl, data []*packet
+	for _, pk := range c.unacked {
+		if pk.hdr.kind == pktCTS || pk.hdr.kind == pktFIN {
+			ctrl = append(ctrl, pk)
 		} else {
-			data = append(data, op)
+			data = append(data, pk)
 		}
 	}
 	c.unacked = nil
@@ -204,56 +160,38 @@ func (c *SRQConn) adopt(p *des.Proc) {
 	requeueAhead(&c.ctrlq, ctrl)
 	requeueAhead(&c.dataq, data)
 
-	have := make(map[uint64]bool) // RTS packets travel on dataq only
-	for _, op := range c.dataq.Pending() {
-		if op.hdr.kind == pktRTS {
-			have[op.hdr.reqID] = true
-		}
-	}
 	ids := make([]uint64, 0, len(c.sendRndv))
 	for id := range c.sendRndv {
-		if !have[id] {
-			ids = append(ids, id)
-		}
+		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
+	queued := c.dataq.Pending() // RTS packets travel on dataq only
 	for _, id := range ids {
-		rs := c.sendRndv[id]
-		c.put(&c.dataq, srqOp{hdr: header{kind: pktRTS, env: rs.env, reqID: id}})
+		isRTS := func(pk *packet) bool { return pk.hdr.kind == pktRTS && pk.hdr.reqID == id }
+		if !slices.ContainsFunc(queued, isRTS) {
+			c.put(&c.dataq, packet{hdr: header{kind: pktRTS, env: c.sendRndv[id].env, reqID: id}})
+		}
 	}
 	c.flush(p)
 }
 
 // requeueAhead puts first, in order, ahead of everything q holds.
-func requeueAhead(q *des.Queue[*srqOp], first []*srqOp) {
-	for op, ok := q.TryGet(); ok; op, ok = q.TryGet() {
-		first = append(first, op)
+func requeueAhead(q *des.Queue[*packet], first []*packet) {
+	for pk, ok := q.TryGet(); ok; pk, ok = q.TryGet() {
+		first = append(first, pk)
 	}
-	for _, op := range first {
-		q.Put(op)
+	for _, pk := range first {
+		q.Put(pk)
 	}
 }
 
-// put queues op on q in a recycled packet record when there is one; every
-// caller follows up with flush.
-func (c *SRQConn) put(q *des.Queue[*srqOp], op srqOp) {
-	var rec *srqOp
-	if n := len(c.free); n > 0 {
-		rec, c.free = c.free[n-1], c.free[:n-1]
-	} else {
-		rec = new(srqOp)
-	}
-	*rec = op
-	q.Put(rec)
-}
-
-// FreeIdlePoll implements transport.FreeIdler. On a shared-progress pool
-// without resilience arrivals come through the engine's pool poll, so Poll
-// is flush and nothing else, and flush with both queues empty is a no-op:
-// the connection needs a Poll only while packets are queued, and flush asks
-// for one whenever it leaves some behind.
+// FreeIdlePoll implements transport.FreeIdler. Arrivals come through the
+// transport's poll of the pool, so without resilience Poll is flush and
+// nothing else, and flush with both queues empty is a no-op: the connection
+// needs a Poll only while packets are queued, and flush asks for one
+// whenever it leaves some behind.
 func (c *SRQConn) FreeIdlePoll(arm func()) bool {
-	if !c.sharedPoll || c.resilient {
+	if c.resilient {
 		return false
 	}
 	c.arm = arm
@@ -266,412 +204,186 @@ func (c *SRQConn) FreeIdlePoll(arm func()) bool {
 // Pool returns the process pool this connection draws from.
 func (c *SRQConn) Pool() *rdmachan.SRQPool { return c.pool }
 
-// QP returns the connection's queue pair.
-func (c *SRQConn) QP() *ib.QP { return c.qp }
-
-// Stats returns packet counters.
-func (c *SRQConn) Stats() Stats { return c.stats }
-
-// Pending reports queued-but-incomplete outbound work (diagnostics).
-func (c *SRQConn) Pending() int {
-	return c.ctrlq.Len() + c.dataq.Len() + len(c.sendRndv) +
-		len(c.unacked) + len(c.pendingWrites)
-}
-
 // Footprint reports the connection's dedicated memory: one queue pair and
 // nothing else — eager buffering lives in the process pool.
 func (c *SRQConn) Footprint() rdmachan.Footprint {
 	return rdmachan.Footprint{QPs: 1}
 }
 
-// RendezvousThreshold implements transport.Endpoint: payloads that exceed
-// one pool slot take the CH3 rendezvous.
-func (c *SRQConn) RendezvousThreshold() int { return c.threshold }
+func (c *SRQConn) admit(*packet) {}
 
-// SendEager implements transport.Endpoint. onDone runs once the payload is
-// staged into the process send pool (the local buffer is then reusable).
-func (c *SRQConn) SendEager(p *des.Proc, env transport.Envelope, payload transport.Buffer,
-	onDone func(p *des.Proc)) {
-	c.stats.EagerSends++
-	c.put(&c.dataq, srqOp{hdr: header{kind: pktEager, env: env},
-		payload: payload, onDone: onDone})
-	c.flush(p)
-}
+// pump and nudge both stage at once: every put must be followed by a flush
+// (a packet left queued without one is never armed for).
+func (c *SRQConn) pump(p *des.Proc)  { c.flush(p) }
+func (c *SRQConn) nudge(p *des.Proc) { c.flush(p) }
 
-// SendRendezvous implements transport.Endpoint: announce with RTS; the
-// payload moves by RDMA write after the peer's CTS.
-func (c *SRQConn) SendRendezvous(p *des.Proc, env transport.Envelope, payload transport.Buffer,
-	onDone func(p *des.Proc)) {
-	c.stats.RndvSends++
-	c.reqSeq++
-	id := c.reqSeq
-	c.sendRndv[id] = &rndvSend{payload: payload, onDone: onDone, env: env}
-	c.put(&c.dataq, srqOp{hdr: header{kind: pktRTS, env: env, reqID: id}})
-	c.flush(p)
-}
-
-// AcceptRendezvous implements transport.Endpoint: register the posted
-// receive buffer through the process pin-down cache and advertise it with
-// a CTS packet.
-func (c *SRQConn) AcceptRendezvous(p *des.Proc, reqID uint64, dst transport.Buffer,
-	done func(p *des.Proc)) {
-	if c.resilient {
-		// Registration is deferred to packet build time (rekey): if the
-		// connection re-dials onto another rail before the CTS goes out,
-		// the buffer is registered on the pool that is current then.
-		c.recvRndv[reqID] = &srqRndvRecv{dst: dst, done: done}
-		c.stats.RndvRecvs++
-		c.put(&c.ctrlq, srqOp{hdr: header{kind: pktCTS, reqID: reqID}, rekey: true})
-		c.flush(p)
-		return
-	}
-	cache := c.pool.RegCache()
-	mr, _, err := cache.Register(p, dst.Addr, dst.Len)
-	if err != nil {
-		c.onErr(errf("srq rendezvous register: %w", err))
-		return
-	}
-	c.recvRndv[reqID] = &srqRndvRecv{mr: mr, done: done}
-	c.stats.RndvRecvs++
-	c.put(&c.ctrlq, srqOp{
-		hdr: header{kind: pktCTS, reqID: reqID, raddr: dst.Addr, rkeys: [maxHdrRails]uint32{mr.RKey()}},
-	})
-	c.flush(p)
-}
-
-// handleCTS fires the RDMA write of the payload and queues the FIN. RC
-// ordering puts the FIN behind the payload on the wire; the FIN's own
-// completion then implies the payload landed, so the sender's buffer
-// becomes reusable at the FIN CQE.
-func (c *SRQConn) handleCTS(p *des.Proc, h header) {
-	rs, ok := c.sendRndv[h.reqID]
-	if !ok {
-		if c.resilient {
-			// A stale duplicate: the transfer is already past the CTS
-			// (its write is in flight or done) under an earlier answer.
-			return
-		}
-		c.onErr(errf("srq CTS for unknown rendezvous %d", h.reqID))
-		return
-	}
-	delete(c.sendRndv, h.reqID)
-	cache := c.pool.RegCache()
-	mr, _, err := cache.Register(p, rs.payload.Addr, rs.payload.Len)
-	if err != nil {
-		c.onErr(errf("srq rendezvous source register: %w", err))
-		return
-	}
-	if c.resilient {
-		// Signaled write: the FIN is queued only at the write's success
-		// completion (an error restores the rendezvous for re-announcement
-		// after recovery — the RC ordering shortcut below can't tell
-		// whether a flushed write landed, a counted completion can).
-		id := h.reqID
-		wrid := c.pool.OnCQE(func(q *des.Proc, cqe ib.CQE) { c.writeDone(q, id, cqe) })
-		c.pendingWrites[id] = rs
-		c.writesInFlight++
-		c.qp.PostSend(p, ib.SendWR{
-			WRID: wrid, Op: ib.OpRDMAWrite, Signaled: true,
-			SGL:        []ib.SGE{{Addr: rs.payload.Addr, Len: rs.payload.Len, LKey: mr.LKey()}},
-			RemoteAddr: h.raddr,
-			RKey:       h.rkeys[0],
-		})
-		if err := cache.Release(p, mr); err != nil {
-			c.onErr(errf("srq rendezvous source release: %w", err))
-		}
-		return
-	}
-	c.qp.PostSend(p, ib.SendWR{
-		Op:         ib.OpRDMAWrite,
-		SGL:        []ib.SGE{{Addr: rs.payload.Addr, Len: rs.payload.Len, LKey: mr.LKey()}},
-		RemoteAddr: h.raddr,
-		RKey:       h.rkeys[0],
-	})
-	if err := cache.Release(p, mr); err != nil {
-		c.onErr(errf("srq rendezvous source release: %w", err))
-		return
-	}
-	c.put(&c.ctrlq, srqOp{
-		hdr:    header{kind: pktFIN, reqID: h.reqID},
-		onSent: rs.onDone,
-	})
-	c.flush(p)
-}
-
-// writeDone reaps a resilient rendezvous write completion: on success the
-// payload is in the peer's buffer and the FIN may go out; on error the
-// write never landed (QP error semantics), so the rendezvous re-enters
-// sendRndv and restarts from the RTS once the connection is re-dialed.
-func (c *SRQConn) writeDone(p *des.Proc, id uint64, cqe ib.CQE) {
-	c.writesInFlight--
-	rs, ok := c.pendingWrites[id]
-	if !ok {
-		c.onErr(errf("srq write completion for unknown rendezvous %d", id))
-		return
-	}
-	delete(c.pendingWrites, id)
-	if cqe.Status != ib.StatusSuccess {
-		c.brokenFlag = true
-		c.sendRndv[id] = rs
-		return
-	}
-	c.put(&c.ctrlq, srqOp{
-		hdr:    header{kind: pktFIN, reqID: id},
-		onSent: rs.onDone,
-	})
-	c.flush(p)
-}
-
-// handleFIN completes a rendezvous receive: the payload preceded the FIN
-// on the queue pair, so it is already in the user buffer.
-func (c *SRQConn) handleFIN(p *des.Proc, h header) {
-	rr, ok := c.recvRndv[h.reqID]
-	if !ok {
-		c.onErr(errf("srq FIN for unknown rendezvous %d", h.reqID))
-		return
-	}
-	delete(c.recvRndv, h.reqID)
-	if c.resilient {
-		delete(c.gotRTS, h.reqID)
-		// Release only a registration made on the pool that is still
-		// current; one made on a rail that died is abandoned with its
-		// adapter.
-		if rr.mr != nil && rr.pool == c.pool {
-			if err := c.pool.RegCache().Release(p, rr.mr); err != nil {
-				c.onErr(errf("srq rendezvous dest release: %w", err))
-				return
-			}
-		}
-	} else if err := c.pool.RegCache().Release(p, rr.mr); err != nil {
-		c.onErr(errf("srq rendezvous dest release: %w", err))
-		return
-	}
-	if rr.done != nil {
-		rr.done(p)
-	}
-}
-
-// flush stages queued packets into the process send pool and, when some
-// stay queued on a connection that promised a free idle poll, asks the
-// engine for the Poll that retries them. It reports whether anything moved.
+// flush stages queued packets into the process send pool until it runs out
+// of slots and, when some stay queued on a connection that promised a free
+// idle poll, asks the transport for the Poll that retries them. On a broken
+// resilient connection it stages nothing and instead triggers the re-dial
+// (once per outage). It reports whether anything moved.
 func (c *SRQConn) flush(p *des.Proc) bool {
-	prog := c.stage(p)
+	if c.resilient && (c.broken() || c.nextQP != nil) {
+		c.maybeRedial()
+		return false
+	}
+	prog, _ := c.drain(p)
 	if c.arm != nil && c.ctrlq.Len()+c.dataq.Len() > 0 {
 		c.arm()
 	}
 	return prog
 }
 
-// stage is flush's loop: until the pool runs out of slots, control packets
-// first. On a broken resilient connection it stages nothing and instead
-// triggers the re-dial (once per outage).
-func (c *SRQConn) stage(p *des.Proc) bool {
-	resilient := c.resilient
-	if resilient && (c.broken() || c.nextQP != nil) {
-		c.maybeRedial()
-		return false
+// push stages pk into a send slot, or reports the staging pool exhausted
+// (the packet is retried from Poll). A resilient connection sends the
+// retained copy, whose completion callbacks take it out of unacked or mark
+// the connection broken.
+func (c *SRQConn) push(p *des.Proc, pk *packet) (done, moved bool, err error) {
+	if !c.resilient {
+		encodeHeader(c.hdrScratch[:], pk.hdr)
+		ok, err := c.pool.Send(p, c.qp, c.hdrScratch[:], pk.payload, pk.onSent)
+		return ok, ok, err
 	}
-	prog := false
-	for {
-		q := &c.ctrlq
-		op, queued := q.Peek()
-		if !queued {
-			q = &c.dataq
-			if op, queued = q.Peek(); !queued {
-				return prog
-			}
-		}
-		var ok bool
-		var err error
-		if resilient {
-			if op.pkt == nil || op.rekey {
-				if err = c.buildPkt(p, op); err != nil {
-					c.onErr(err)
-					return prog
-				}
-			}
-			ok, err = c.pool.SendPkt(p, c.qp, op.pkt, op.eagerLen, c.ackFn(op), c.failFn(op))
-		} else {
-			encodeHeader(c.hdrScratch[:], op.hdr)
-			ok, err = c.pool.Send(p, c.qp, c.hdrScratch[:], op.payload, op.onSent)
-		}
-		if err != nil {
-			c.onErr(errf("srq send: %w", err))
-			return prog
-		}
-		if !ok {
-			return prog // staging pool exhausted; retried from Poll
-		}
-		if resilient {
-			c.staged++
-			c.unacked = append(c.unacked, op)
-		}
-		q.TryGet()
-		prog = true
-		if op.onDone != nil {
-			op.onDone(p)
-			op.onDone = nil
-		}
-		if !resilient {
-			c.free = append(c.free, op) // staged: nothing refers to it any more
+	if pk.pkt == nil || pk.rekey {
+		if err := c.buildPkt(p, pk); err != nil {
+			return false, false, err
 		}
 	}
+	ok, err := c.pool.SendPkt(p, c.qp, pk.pkt, pk.payload.Len, c.ackFn(pk), c.failFn)
+	if ok {
+		c.staged++
+		c.unacked = append(c.unacked, pk)
+	}
+	return ok, ok, err
 }
 
-// buildPkt assembles (or, for a rekey CTS, reassembles) op's packet bytes.
+// buildPkt assembles (or, for a rekey CTS, reassembles) pk's packet bytes.
 // Eager payloads are resolved exactly once, before onDone frees the user
 // buffer; resends reuse the retained copy.
-func (c *SRQConn) buildPkt(p *des.Proc, op *srqOp) error {
-	if op.rekey {
-		rr := c.recvRndv[op.hdr.reqID]
+func (c *SRQConn) buildPkt(p *des.Proc, pk *packet) error {
+	if pk.rekey {
+		rr := c.recvRndv[pk.hdr.reqID]
 		if rr == nil {
-			return errf("srq CTS for vanished rendezvous %d", op.hdr.reqID)
+			return errf("CTS for vanished rendezvous %d", pk.hdr.reqID)
 		}
-		if rr.mr == nil || rr.pool != c.pool {
-			mr, _, err := c.pool.RegCache().Register(p, rr.dst.Addr, rr.dst.Len)
-			if err != nil {
-				return errf("srq rendezvous register: %w", err)
-			}
-			rr.mr, rr.pool = mr, c.pool
+		if err := c.advertise(p, rr, &pk.hdr); err != nil {
+			return err
 		}
-		op.hdr.raddr = rr.dst.Addr
-		op.hdr.rkeys = [maxHdrRails]uint32{rr.mr.RKey()}
 	}
-	pkt := make([]byte, hdrSize, hdrSize+op.payload.Len)
-	encodeHeader(pkt, op.hdr)
-	if op.payload.Len > 0 {
-		src, err := c.qp.HCA().Node().Mem.Resolve(op.payload.Addr, op.payload.Len)
+	pkt := make([]byte, hdrSize, hdrSize+pk.payload.Len)
+	encodeHeader(pkt, pk.hdr)
+	if pk.payload.Len > 0 {
+		src, err := c.qp.HCA().Node().Mem.Resolve(pk.payload.Addr, pk.payload.Len)
 		if err != nil {
-			return errf("srq send: %w", err)
+			return err
 		}
 		pkt = append(pkt, src...)
 	}
-	op.pkt = pkt
-	op.eagerLen = op.payload.Len
+	pk.pkt = pkt
 	return nil
 }
 
-// ackFn returns op's success-completion callback: the packet landed in a
+// ackFn returns pk's success-completion callback: the packet landed in a
 // peer pool slot, so it leaves the retained set for good.
-func (c *SRQConn) ackFn(op *srqOp) func(p *des.Proc) {
+func (c *SRQConn) ackFn(pk *packet) func(p *des.Proc) {
 	return func(p *des.Proc) {
 		c.staged--
-		for i, o := range c.unacked {
-			if o == op {
-				c.unacked = append(c.unacked[:i], c.unacked[i+1:]...)
-				break
-			}
+		if i := slices.Index(c.unacked, pk); i >= 0 {
+			c.unacked = slices.Delete(c.unacked, i, i+1)
 		}
-		if op.onSent != nil {
-			op.onSent(p)
-			op.onSent = nil
+		onSent := pk.onSent
+		c.free = append(c.free, pk)
+		if onSent != nil {
+			onSent(p)
 		}
-		c.free = append(c.free, op)
 	}
 }
 
-// failFn returns op's error-completion callback: the packet definitively
-// never landed (flush or retry exhaustion). It stays in unacked for
-// re-queueing after the re-dial.
-func (c *SRQConn) failFn(op *srqOp) func(p *des.Proc) {
-	return func(p *des.Proc) {
-		c.staged--
-		c.brokenFlag = true
-	}
+// failFn is the error-completion callback of every retained packet: it
+// definitively never landed (flush or retry exhaustion) and stays in
+// unacked for re-queueing after the re-dial.
+func (c *SRQConn) failFn(*des.Proc) {
+	c.staged--
+	c.brokenFlag = true
 }
 
 // HandleSRQPacket implements rdmachan.SRQDispatch: one packet arrived into
 // a pool slot on this connection's queue pair. The slot is reusable as
 // soon as this returns, so eager payloads copy out immediately.
 func (c *SRQConn) HandleSRQPacket(p *des.Proc, pkt []byte) {
-	h := decodeHeader(pkt[:hdrSize])
-	switch h.kind {
-	case pktEager:
-		sink := c.h.ArriveEager(p, h.env)
-		if h.env.Len > 0 {
-			node := c.qp.HCA().Node()
-			dst, err := node.Mem.Resolve(sink.Buf.Addr, h.env.Len)
-			if err != nil {
-				c.onErr(errf("srq eager sink: %w", err))
-				return
-			}
-			copy(dst, pkt[hdrSize:hdrSize+h.env.Len])
-			node.Bus.Memcpy(p, h.env.Len, h.env.Len)
-		}
-		if sink.Done != nil {
-			sink.Done(p)
-		}
-	case pktRTS:
-		if c.resilient {
-			c.handleRTSResilient(p, h)
-			return
-		}
-		c.h.ArriveRTS(p, h.env, c, h.reqID)
-	case pktCTS:
-		c.handleCTS(p, h)
-	case pktFIN:
-		c.handleFIN(p, h)
-	default:
-		c.onErr(errf("srq bad packet kind %d", h.kind))
-	}
-}
-
-// handleRTSResilient dispatches an RTS with duplicate suppression: a
-// sender that recovered from a failure re-announces every rendezvous whose
-// CTS answer it never acted on. The first announcement goes to the
-// transport; a duplicate re-advertises the posted buffer with fresh keys —
-// unless a CTS for it is already queued or retained, in which case
-// recovery will (re)send that one.
-func (c *SRQConn) handleRTSResilient(p *des.Proc, h header) {
-	if !c.gotRTS[h.reqID] {
-		c.gotRTS[h.reqID] = true
-		c.h.ArriveRTS(p, h.env, c, h.reqID)
+	h, ok := c.decode(pkt, len(pkt)-hdrSize)
+	if !ok {
 		return
 	}
-	if c.recvRndv[h.reqID] == nil {
-		return // the matching receive is not yet posted; Accept will answer
-	}
-	for _, op := range c.ctrlq.Pending() {
-		if op.hdr.kind == pktCTS && op.hdr.reqID == h.reqID {
+	if c.resilient {
+		switch {
+		case h.kind == pktRTS && c.duplicateRTS(p, h):
 			return
+		case h.kind == pktFIN:
+			delete(c.gotRTS, h.reqID)
 		}
 	}
-	for _, op := range c.unacked {
-		if op.hdr.kind == pktCTS && op.hdr.reqID == h.reqID {
+	sink, eager := c.dispatch(p, h)
+	if !eager {
+		return
+	}
+	if h.env.Len > 0 {
+		node := c.qp.HCA().Node()
+		dst, err := node.Mem.Resolve(sink.Buf.Addr, h.env.Len)
+		if err != nil {
+			c.onErr(errf("srq eager sink: %w", err))
 			return
 		}
+		copy(dst, pkt[hdrSize:hdrSize+h.env.Len])
+		node.Bus.Memcpy(p, h.env.Len, h.env.Len)
 	}
-	c.put(&c.ctrlq, srqOp{hdr: header{kind: pktCTS, reqID: h.reqID}, rekey: true})
-	c.flush(p)
+	if sink.Done != nil {
+		sink.Done(p)
+	}
 }
 
-// Poll implements transport.Endpoint: advance the pool (which dispatches
-// arrivals for every connection on it) unless the engine polls it as shared
-// progress work, and retry this connection's stalled sends. On a resilient
+// duplicateRTS reports a re-announcement: a sender that recovered from a
+// failure re-announces every rendezvous whose CTS answer it never acted
+// on. The first announcement goes to the transport; a duplicate
+// re-advertises the posted buffer with fresh keys — unless a CTS for it is
+// already queued or retained, in which case recovery will (re)send that
+// one.
+func (c *SRQConn) duplicateRTS(p *des.Proc, h header) bool {
+	if !c.gotRTS[h.reqID] {
+		c.gotRTS[h.reqID] = true
+		return false
+	}
+	if c.recvRndv[h.reqID] == nil {
+		return true // the matching receive is not yet posted; Accept will answer
+	}
+	isCTS := func(pk *packet) bool { return pk.hdr.kind == pktCTS && pk.hdr.reqID == h.reqID }
+	if slices.ContainsFunc(c.ctrlq.Pending(), isCTS) || slices.ContainsFunc(c.unacked, isCTS) {
+		return true
+	}
+	c.put(&c.ctrlq, packet{hdr: header{kind: pktCTS, reqID: h.reqID}, rekey: true})
+	c.flush(p)
+	return true
+}
+
+// Poll implements transport.Endpoint: retry this connection's stalled sends
+// (arrivals come through the transport's poll of the pool). On a resilient
 // connection this is also where recovery happens: a re-dialed queue pair is
 // adopted once the old one's completions have fully drained (the pool poll
 // reaps them), and a broken connection with work pending asks the cluster
 // for a re-dial.
 func (c *SRQConn) Poll(p *des.Proc) bool {
-	prog := false
-	if !c.sharedPoll {
-		prog = c.pool.Poll(p)
-	}
+	adopted := false
 	if c.resilient {
 		// Adoption waits for the old queue pair's completions to fully
 		// drain — staged packets AND signaled rendezvous writes. A large
 		// write occupies the wire long past the outage, and its flush
 		// completion lands in the old pool's CQ: switch pools before it
 		// arrives and it is stranded there forever, the rendezvous with it.
-		if c.nextQP != nil && c.staged == 0 && c.writesInFlight == 0 {
+		if adopted = c.nextQP != nil && c.staged == 0 && len(c.stripes) == 0; adopted {
 			c.adopt(p)
-			prog = true
 		} else if c.broken() {
 			c.maybeRedial()
 		}
 	}
-	if c.flush(p) {
-		prog = true
-	}
-	return prog
+	return c.flush(p) || adopted
 }

@@ -95,7 +95,8 @@ type Config struct {
 	// chunks pick a rail through Chan.RailPolicy, large zero-copy
 	// transfers stripe across all rails, and the rails share the node's
 	// memory bandwidth while each owns its network bandwidth
-	// (DESIGN.md §10). At most rdmachan.MaxRails.
+	// (DESIGN.md §10). One-sided windows live on rail 0 of such a
+	// connection. At most rdmachan.MaxRails.
 	RailsPerNode int
 
 	// Chan overrides per-connection channel parameters (chunk size, ring
@@ -391,9 +392,7 @@ func New(cfg Config) (*Cluster, error) {
 						return
 					}
 					// The rank's transport engine polls each pool once per
-					// progress pass; connections built on a marked pool skip
-					// the redundant per-connection pool poll.
-					pool.MarkShared()
+					// progress pass, ahead of the connections.
 					c.Devs[r].Engine().AddSharedPoll(pool.Poll)
 					c.pools[r][k] = pool
 				}
@@ -645,11 +644,10 @@ func (c *Cluster) wirePair(p *des.Proc, i, j int) error {
 // pickSRQRail assigns a whole SRQ-mode connection to one rail: the SRQ
 // eager path is two-sided sends into one adapter's shared queue, so rails
 // spread by connection rather than by chunk, steered by the same policy
-// knob as the chunk designs. In resilient mode downed rails are excluded
-// from the candidate set — the policies degrade to the survivors, with
-// RailFixed falling back to the first live rail — and ok is false when no
-// rail between the pair is up. With every rail live the selection is
-// identical to the fault-free cluster, cursor state included.
+// switch as the chunk designs (rdmachan.Config.PickRail; weighted balances
+// the connections bound to the two ends' pools, round-robin runs over
+// establishment order). In resilient mode downed rails are excluded from
+// the candidate set, and ok is false when no rail between the pair is up.
 func (c *Cluster) pickSRQRail(i, j int) (int, bool) {
 	live := make([]int, 0, c.rails)
 	for k := 0; k < c.rails; k++ {
@@ -661,31 +659,8 @@ func (c *Cluster) pickSRQRail(i, j int) (int, bool) {
 	if len(live) == 0 {
 		return 0, false
 	}
-	if c.rails == 1 {
-		return 0, true
-	}
-	switch c.chanCfg.RailPolicy {
-	case rdmachan.RailFixed:
-		k := c.chanCfg.FixedRail % c.rails
-		for _, l := range live {
-			if l == k {
-				return k, true
-			}
-		}
-		return live[0], true
-	case rdmachan.RailWeighted:
-		best, load := live[0], c.pools[i][live[0]].Bound()+c.pools[j][live[0]].Bound()
-		for _, k := range live[1:] {
-			if l := c.pools[i][k].Bound() + c.pools[j][k].Bound(); l < load {
-				best, load = k, l
-			}
-		}
-		return best, true
-	default: // round-robin over establishment order
-		k := live[c.srqRR%len(live)]
-		c.srqRR++
-		return k, true
-	}
+	bound := func(k int) int { return c.pools[i][k].Bound() + c.pools[j][k].Bound() }
+	return c.chanCfg.PickRail(c.rails, live, bound, &c.srqRR), true
 }
 
 // railDown reports whether rail k is unusable between ranks i and j —

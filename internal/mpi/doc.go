@@ -15,9 +15,10 @@
 // Layer boundaries: mpi sees messages, communicators and ranks; bytes,
 // rails and transports are the engine's and endpoints' business. The one
 // deliberate exception is the one-sided extension, which reaches through
-// rdmachan.RawAccess for raw verbs resources — and is therefore restricted
-// to channel-design transports, single-rail (the construction errors
-// name the config knobs to flip: Config.Chan.UseSRQ, Config.RailsPerNode).
+// rdmachan.RawAccess for raw verbs resources (rail 0's, on a multi-rail
+// connection) — and is therefore restricted to channel-design transports
+// (the construction error names the config knob to flip:
+// Config.Chan.UseSRQ).
 //
 // Invariants:
 //

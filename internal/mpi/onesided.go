@@ -19,7 +19,14 @@ import (
 //
 // The extension requires an RDMA-capable transport (piggyback, pipeline,
 // zero-copy or CH3); the basic design's endpoints do not expose raw queue
-// pairs.
+// pairs, and an SRQ-mode connection has no queue pair of its own to expose.
+// On a multi-rail connection a window lives on rail 0: registered under
+// rail 0's protection domain, its operations posted on rail 0's queue pair.
+// Its completions come back through the connection's completion router
+// (rdmachan.RawAccess.OnCQE) under the window's own WRID class, so a window
+// shares a connection with striped rendezvous traffic, RDMA-direct
+// collectives and other windows without any of them seeing another's
+// completions.
 
 // Win is a one-sided communication window.
 type Win struct {
@@ -34,6 +41,7 @@ type Win struct {
 
 type winPeer struct {
 	raw     rdmachan.RawAccess
+	wrid    uint64 // the window's WRID class on this connection
 	mr      *ib.MR // window registration under this connection's PD
 	rAddr   uint64 // peer window base
 	rKey    uint32 // peer window rkey for this connection
@@ -58,12 +66,6 @@ func rawOf(ep transport.Endpoint) (rdmachan.RawAccess, error) {
 	raw, ok := he.Endpoint().(rdmachan.RawAccess)
 	if !ok {
 		return nil, fmt.Errorf("mpi: one-sided windows need an RDMA-capable transport (not the basic design)")
-	}
-	if raw.NRails() > 1 {
-		// The window exchange carries one rkey and the completion hook is
-		// claimed by the striped-rendezvous counter; run windows on one rail.
-		return nil, fmt.Errorf("mpi: one-sided windows are single-rail: set cluster.Config.RailsPerNode = 1 " +
-			"(see DESIGN.md §10)")
 	}
 	return raw, nil
 }
@@ -100,15 +102,9 @@ func (c *Comm) WinCreate(base Buffer) (*Win, error) {
 			return nil, fmt.Errorf("mpi: scratch registration: %w", err)
 		}
 		w.peers[peer] = winPeer{
-			raw: raw, mr: mr,
+			raw: raw, wrid: raw.OnCQE(w.complete), mr: mr,
 			scratch: Buffer{Addr: scratchVA, Len: 8}, scrMR: scrMR,
 		}
-		raw.SetForeignCQE(func(_ *des.Proc, cqe ib.CQE) {
-			w.outstanding--
-			if cqe.Status != ib.StatusSuccess && w.failed == nil {
-				w.failed = fmt.Errorf("mpi: one-sided wr %#x failed: %v", cqe.WRID, cqe.Status)
-			}
-		})
 
 		// Exchange window addresses with this peer.
 		sb, sbb := c.Alloc(16)
@@ -123,8 +119,13 @@ func (c *Comm) WinCreate(base Buffer) (*Win, error) {
 	return w, nil
 }
 
-// wridOneSided marks one-sided work requests in completion handling.
-const wridOneSided = 0x0515
+// complete reaps one of the window's operations.
+func (w *Win) complete(_ *des.Proc, cqe ib.CQE) {
+	w.outstanding--
+	if cqe.Status != ib.StatusSuccess && w.failed == nil {
+		w.failed = fmt.Errorf("mpi: one-sided wr %#x failed: %v", cqe.WRID, cqe.Status)
+	}
+}
 
 // Put writes local into the target rank's window at byte offset off —
 // one RDMA write, no target CPU.
@@ -133,13 +134,13 @@ func (w *Win) Put(local Buffer, target, off int) error {
 	if p.raw == nil {
 		return fmt.Errorf("mpi: Put to self or unconnected rank %d", target)
 	}
-	mr, _, err := p.raw.RegCache().Register(w.comm.p, local.Addr, local.Len)
+	mr, _, err := p.raw.RailRegCache(0).Register(w.comm.p, local.Addr, local.Len)
 	if err != nil {
 		return err
 	}
 	defer release(w, p, mr)
-	p.raw.RawQP().PostSend(w.comm.p, ib.SendWR{
-		WRID: wridOneSided, Op: ib.OpRDMAWrite, Signaled: true,
+	p.raw.RailQP(0).PostSend(w.comm.p, ib.SendWR{
+		WRID: p.wrid, Op: ib.OpRDMAWrite, Signaled: true,
 		SGL:        []ib.SGE{{Addr: local.Addr, Len: local.Len, LKey: mr.LKey()}},
 		RemoteAddr: p.rAddr + uint64(off), RKey: p.rKey,
 	})
@@ -154,13 +155,13 @@ func (w *Win) Get(local Buffer, target, off int) error {
 	if p.raw == nil {
 		return fmt.Errorf("mpi: Get from self or unconnected rank %d", target)
 	}
-	mr, _, err := p.raw.RegCache().Register(w.comm.p, local.Addr, local.Len)
+	mr, _, err := p.raw.RailRegCache(0).Register(w.comm.p, local.Addr, local.Len)
 	if err != nil {
 		return err
 	}
 	defer release(w, p, mr)
-	p.raw.RawQP().PostSend(w.comm.p, ib.SendWR{
-		WRID: wridOneSided, Op: ib.OpRDMARead, Signaled: true,
+	p.raw.RailQP(0).PostSend(w.comm.p, ib.SendWR{
+		WRID: p.wrid, Op: ib.OpRDMARead, Signaled: true,
 		SGL:        []ib.SGE{{Addr: local.Addr, Len: local.Len, LKey: mr.LKey()}},
 		RemoteAddr: p.rAddr + uint64(off), RKey: p.rKey,
 	})
@@ -188,8 +189,8 @@ func (w *Win) atomic(target, off int, op ib.Opcode, compare, swap uint64) (int64
 		return 0, fmt.Errorf("mpi: atomic to self or unconnected rank %d", target)
 	}
 	before := w.outstanding
-	p.raw.RawQP().PostSend(w.comm.p, ib.SendWR{
-		WRID: wridOneSided, Op: op, Signaled: true,
+	p.raw.RailQP(0).PostSend(w.comm.p, ib.SendWR{
+		WRID: p.wrid, Op: op, Signaled: true,
 		SGL:        []ib.SGE{{Addr: p.scratch.Addr, Len: 8, LKey: p.scrMR.LKey()}},
 		RemoteAddr: p.rAddr + uint64(off), RKey: p.rKey,
 		Compare: compare, Swap: swap,
@@ -206,7 +207,7 @@ func (w *Win) atomic(target, off int, op ib.Opcode, compare, swap uint64) (int64
 func release(w *Win, p winPeer, mr *ib.MR) {
 	// The pin-down cache keeps the registration alive past the in-flight
 	// DMA; refcount release here is safe and O(1).
-	if err := p.raw.RegCache().Release(w.comm.p, mr); err != nil && w.failed == nil {
+	if err := p.raw.RailRegCache(0).Release(w.comm.p, mr); err != nil && w.failed == nil {
 		w.failed = err
 	}
 }

@@ -191,3 +191,125 @@ func TestOneSidedSRQUnsupported(t *testing.T) {
 		}
 	}
 }
+
+// TestOneSidedMultiRail: a window on a two-rail connection lives on rail 0
+// and shares the connection's completion router with striped rendezvous
+// traffic — Put, Get, FetchAdd and Fence run while 256 KB Sendrecvs stripe
+// over both rails, on the over-channel and the direct CH3 design.
+func TestOneSidedMultiRail(t *testing.T) {
+	for _, tr := range []cluster.Transport{cluster.TransportZeroCopy, cluster.TransportCH3} {
+		tr := tr
+		t.Run(tr.String(), func(t *testing.T) {
+			const np, big = 4, 256 << 10
+			c := cluster.MustNew(cluster.Config{NP: np, Transport: tr, RailsPerNode: 2})
+			defer c.Close()
+			c.Launch(func(comm *mpi.Comm) {
+				rank := comm.Rank()
+				right, left := (rank+1)%np, (rank+np-1)%np
+				winBuf, wb := comm.Alloc(1024)
+				win, err := comm.WinCreate(winBuf)
+				if err != nil {
+					t.Errorf("WinCreate at RailsPerNode 2: %v", err)
+					return
+				}
+				sbuf, sb := comm.Alloc(big)
+				rbuf, rb := comm.Alloc(big)
+				local, lb := comm.Alloc(64)
+				got, gb := comm.Alloc(64)
+				for round := 0; round < 3; round++ {
+					for i := range sb {
+						sb[i] = byte(rank + i*7 + round)
+					}
+					for i := range lb {
+						lb[i] = byte(50 + rank + round)
+					}
+					reqs := []*mpi.Request{comm.Irecv(rbuf, left, 5), comm.Isend(sbuf, right, 5)}
+					if err := win.Put(local, right, 64); err != nil {
+						t.Errorf("Put: %v", err)
+					}
+					if _, err := win.FetchAdd(right, 0, 1); err != nil {
+						t.Errorf("FetchAdd: %v", err)
+					}
+					if err := win.Fence(); err != nil {
+						t.Errorf("Fence: %v", err)
+					}
+					if err := win.Get(got, left, 64); err != nil {
+						t.Errorf("Get: %v", err)
+					}
+					if err := win.Fence(); err != nil {
+						t.Errorf("Fence: %v", err)
+					}
+					comm.WaitAll(reqs...)
+					for i := 0; i < big; i += 4093 {
+						if rb[i] != byte(left+i*7+round) {
+							t.Errorf("rank %d round %d: striped payload byte %d corrupted", rank, round, i)
+							return
+						}
+					}
+					// Our window holds left's put; we read left's window,
+					// which holds the put of the rank to its left.
+					if wb[64] != byte(50+left+round) || gb[0] != byte(50+(left+np-1)%np+round) {
+						t.Errorf("rank %d round %d: window byte %d, got byte %d", rank, round, wb[64], gb[0])
+						return
+					}
+					comm.Barrier() // the next round's put must not overtake this check
+				}
+				if n := mpi.GetInt64(wb, 0); n != 3 {
+					t.Errorf("rank %d: counter %d after 3 FetchAdds", rank, n)
+				}
+			})
+			if tr == cluster.TransportCH3 {
+				if st := c.RegCacheStats(); st.Misses == 0 {
+					t.Error("no pin-down cache traffic: the rendezvous did not run")
+				}
+			}
+		})
+	}
+}
+
+// TestOneSidedWithRDMADirect interleaves window operations with forced
+// RDMA-direct allreduces on one communicator: both post signaled work on the
+// same queue pairs, and each must see exactly its own completions — a Put
+// still in flight when the allreduce starts is the window's to reap.
+func TestOneSidedWithRDMADirect(t *testing.T) {
+	tun := mpi.Tuning{Allreduce: "rdma-direct"}
+	const np = 4
+	c := cluster.MustNew(cluster.Config{NP: np, Transport: cluster.TransportZeroCopy, Tuning: &tun})
+	defer c.Close()
+	c.Launch(func(comm *mpi.Comm) {
+		rank := comm.Rank()
+		right, left := (rank+1)%np, (rank+np-1)%np
+		winBuf, wb := comm.Alloc(64 << 10)
+		win, err := comm.WinCreate(winBuf)
+		if err != nil {
+			t.Errorf("WinCreate: %v", err)
+			return
+		}
+		local, lb := comm.Alloc(32 << 10)
+		send, sb := comm.Alloc(8)
+		recv, rb := comm.Alloc(8)
+		for round := 0; round < 4; round++ {
+			for i := range lb {
+				lb[i] = byte(rank + round + i)
+			}
+			if err := win.Put(local, right, 0); err != nil {
+				t.Errorf("Put: %v", err)
+			}
+			mpi.PutInt64(sb, 0, int64(rank+round))
+			comm.Allreduce(send, recv, mpi.Int64, mpi.Sum)
+			if got, want := mpi.GetInt64(rb, 0), int64(np*(np-1)/2+np*round); got != want {
+				t.Errorf("rank %d round %d: allreduce %d, want %d", rank, round, got, want)
+			}
+			if err := win.Fence(); err != nil {
+				t.Errorf("Fence: %v", err)
+			}
+			if wb[0] != byte(left+round) || wb[32<<10-1] != byte(left+round+32<<10-1) {
+				t.Errorf("rank %d round %d: put from %d did not land", rank, round, left)
+			}
+			comm.Barrier() // the next round's put must not overtake this check
+		}
+		if comm.RDMADirectCalls() != 4 {
+			t.Errorf("rank %d: %d RDMA-direct calls, want 4", rank, comm.RDMADirectCalls())
+		}
+	})
+}

@@ -44,10 +44,6 @@ import (
 // back to the flat algorithms through the registry's standard fallback:
 // that is the failover story the rail-loss sweep asserts.
 
-// wridDirect marks RDMA-direct collective work requests in completion
-// handling, distinct from the one-sided window WRID.
-const wridDirect = 0x0D1C
-
 // rdmaDirect is a communicator's exposure state. The region is a row of
 // slots, each slotSize payload bytes plus an 8-byte flag, split into two
 // parity banks of slots/2 lanes each.
@@ -66,6 +62,7 @@ type rdmaDirect struct {
 
 type directPeer struct {
 	raw   rdmachan.RawAccess
+	wrid  uint64 // this exposure's WRID class on the connection, registered once
 	mr    *ib.MR // region registration under this connection's PD
 	rAddr uint64 // peer region base
 	rKey  uint32
@@ -88,7 +85,6 @@ func (c *Comm) ensureDirect(minSlot, nSlots int) *rdmaDirect {
 		c.direct = x
 	}
 	if x.slotSize >= minSlot && x.slots >= nSlots {
-		x.install(c)
 		return x
 	}
 	for x.slotSize < minSlot {
@@ -120,7 +116,11 @@ func (c *Comm) ensureDirect(minSlot, nSlots int) *rdmaDirect {
 		if err != nil {
 			panic(fmt.Sprintf("mpi: rdma-direct region registration: %v", err))
 		}
-		x.peers[peer] = directPeer{raw: raw, mr: mr}
+		wrid := x.peers[peer].wrid
+		if wrid == 0 {
+			wrid = raw.OnCQE(x.complete)
+		}
+		x.peers[peer] = directPeer{raw: raw, wrid: wrid, mr: mr}
 
 		// Exchange region addresses on the collective context. Receiving a
 		// peer's (addr, rkey) implies the peer registered first, so a write
@@ -133,26 +133,16 @@ func (c *Comm) ensureDirect(minSlot, nSlots int) *rdmaDirect {
 		x.peers[peer].rAddr = uint64(GetInt64(rbb, 0))
 		x.peers[peer].rKey = uint32(GetInt64(rbb, 1))
 	}
-	x.install(c)
 	return x
 }
 
-// install claims the used connections' foreign-completion hooks. Runs at
-// every call start: a one-sided window (or another communicator's
-// exposure) sharing a connection may have claimed the hook since our last
-// call — the same one-owner-at-a-time restriction windows carry.
-func (x *rdmaDirect) install(c *Comm) {
-	for peer := range x.peers {
-		pr := &x.peers[peer]
-		if pr.raw == nil {
-			continue
-		}
-		pr.raw.SetForeignCQE(func(_ *des.Proc, cqe ib.CQE) {
-			x.outstanding--
-			if cqe.Status != ib.StatusSuccess && x.failed == nil {
-				x.failed = fmt.Errorf("mpi: rdma-direct wr %#x failed: %v", cqe.WRID, cqe.Status)
-			}
-		})
+// complete reaps one of the exposure's writes, from the connection's
+// completion router — a one-sided window or another communicator's
+// exposure sharing the connection has a class of its own.
+func (x *rdmaDirect) complete(_ *des.Proc, cqe ib.CQE) {
+	x.outstanding--
+	if cqe.Status != ib.StatusSuccess && x.failed == nil {
+		x.failed = fmt.Errorf("mpi: rdma-direct wr %#x failed: %v", cqe.WRID, cqe.Status)
 	}
 }
 
@@ -174,17 +164,17 @@ func (x *rdmaDirect) putFlag(c *Comm, peer, slot int) {
 
 func (x *rdmaDirect) post(c *Comm, peer int, local Buffer, off int) {
 	pr := &x.peers[peer]
-	mr, _, err := pr.raw.RegCache().Register(c.p, local.Addr, local.Len)
+	mr, _, err := pr.raw.RailRegCache(0).Register(c.p, local.Addr, local.Len)
 	if err != nil {
 		panic(fmt.Sprintf("mpi: rdma-direct source registration: %v", err))
 	}
-	pr.raw.RawQP().PostSend(c.p, ib.SendWR{
-		WRID: wridDirect, Op: ib.OpRDMAWrite, Signaled: true,
+	pr.raw.RailQP(0).PostSend(c.p, ib.SendWR{
+		WRID: pr.wrid, Op: ib.OpRDMAWrite, Signaled: true,
 		SGL:        []ib.SGE{{Addr: local.Addr, Len: local.Len, LKey: mr.LKey()}},
 		RemoteAddr: pr.rAddr + uint64(off), RKey: pr.rKey,
 	})
 	x.outstanding++
-	if err := pr.raw.RegCache().Release(c.p, mr); err != nil {
+	if err := pr.raw.RailRegCache(0).Release(c.p, mr); err != nil {
 		panic(fmt.Sprintf("mpi: rdma-direct registration release: %v", err))
 	}
 }

@@ -2,6 +2,7 @@ package rdmachan
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/des"
 	"repro/internal/ib"
@@ -81,6 +82,39 @@ func ParseRailPolicy(s string) (RailPolicy, error) {
 		return RailFixed, nil
 	}
 	return 0, fmt.Errorf("rdmachan: unknown rail policy %q (round-robin, weighted, fixed)", s)
+}
+
+// PickRail is the one rail-policy switch, shared by the chunk endpoints
+// (a rail per eager chunk) and the cluster's SRQ mode (a rail per
+// connection). n is the size of the rail set and live its usable members in
+// ascending order, at least one; load is the weighted policy's probe and rr
+// the caller's round-robin cursor. With every rail alive the choice — and
+// the cursor, which only round-robin over more than one rail consumes — is
+// what a fault-free build makes; with casualties a dead fixed rail falls
+// back to the first survivor, weighted and round-robin run over the live set.
+func (c *Config) PickRail(n int, live []int, load func(k int) int, rr *int) int {
+	if n == 1 {
+		return 0
+	}
+	switch c.RailPolicy {
+	case RailFixed:
+		if want := c.FixedRail % n; slices.Contains(live, want) {
+			return want
+		}
+		return live[0]
+	case RailWeighted:
+		best, least := live[0], load(live[0])
+		for _, k := range live[1:] {
+			if l := load(k); l < least {
+				best, least = k, l
+			}
+		}
+		return best
+	default: // RailRoundRobin
+		k := live[*rr%len(live)]
+		*rr++
+		return k
+	}
 }
 
 // Buffer names a span of the endpoint's node address space. The channel

@@ -48,9 +48,8 @@ const (
 	// Resilient-mode work-request tags (DESIGN.md §11): recovery needs to
 	// know, from an error completion alone, which chunk or stripe to
 	// re-issue, so resilient posts carry a kind tag in the top byte and the
-	// chunk sequence / stripe index below it. Disjoint from the CH3 stripe
-	// mark (0x3D) so foreign completions still route to the layer above.
-	wridKindMask  = uint64(0xFF) << 56
+	// chunk sequence / stripe index below it. Disjoint from the routed mark
+	// (cqroute.go), so completions of the layers above still reach them.
 	wridChunkMark = uint64(0x43) << 56 // eager chunk write, | seq
 	wridZCMark    = uint64(0x2C) << 56 // zero-copy stripe read, | stripe idx
 )
@@ -78,6 +77,7 @@ type zcRecvPlan struct {
 // three differ only in the pipelined and zc flags set from cfg.Design.
 type chunkEP struct {
 	*endpointBase
+	cqRouter       // completions of signaled work posted above the channel
 	pipelined bool // overlap per-chunk copies with RDMA writes (§4.4)
 	zc        bool // RDMA-read zero-copy for large messages (§5)
 
@@ -102,6 +102,7 @@ type chunkEP struct {
 	knownConsumed uint64         // peer's consumed count, from credits
 	creditsIn     slot8          // explicit credit returns land here
 	peerRings     []remoteWindow // peer ring window, by rail
+	allRails      []int          // 0..rails-1: the live set while nothing has died
 	railRR        int            // round-robin cursor of the rail policy
 
 	// Zero-copy send state (one outstanding operation per direction; the
@@ -132,7 +133,6 @@ type chunkEP struct {
 	regcs       []*regcache.Cache // pin-down cache, by rail
 	railChunks  []uint64          // eager chunks posted, by rail
 	railZCBytes []uint64          // zero-copy stripe bytes pulled, by rail
-	foreignCQE  func(p *des.Proc, cqe ib.CQE)
 	err         error
 }
 
@@ -153,6 +153,9 @@ func newChunkPair(p *des.Proc, cfg Config, ra, rb []*ib.HCA) (Endpoint, Endpoint
 		e.maxPayload = cfg.ChunkSize - chunkOverhead
 		e.railChunks = make([]uint64, len(e.rails))
 		e.railZCBytes = make([]uint64, len(e.rails))
+		for k := range e.rails {
+			e.allRails = append(e.allRails, k)
+		}
 	}
 	for k := range a.rails {
 		if err := ib.Connect(a.rails[k].qp, b.rails[k].qp); err != nil {
@@ -233,16 +236,16 @@ func (e *chunkEP) exchange(peer *chunkEP) {
 // The RDMA Channel interface deliberately hides these; the direct CH3
 // design (§6) is exactly the design that needs them — it reuses the eager
 // chunk ring but posts its own RDMA writes for rendezvous payloads. The
-// MPI-2 one-sided extension (the paper's future work) also builds on it.
+// MPI-2 one-sided extension (the paper's future work) and the RDMA-direct
+// collectives also build on it, on rail 0.
 type RawAccess interface {
-	RawQP() *ib.QP
+	// RawPD is rail 0's protection domain, under which a layer above
+	// registers memory it exposes to the peer.
 	RawPD() *ib.PD
-	RegCache() *regcache.Cache
 
 	// NRails reports the connection's rail count; RailQP and RailRegCache
-	// expose rail k's queue pair and pin-down cache (rail 0 equals
-	// RawQP/RegCache). The direct CH3 design stripes its rendezvous writes
-	// over these.
+	// expose rail k's queue pair and pin-down cache. The direct CH3 design
+	// stripes its rendezvous writes over these.
 	NRails() int
 	RailQP(k int) *ib.QP
 	RailRegCache(k int) *regcache.Cache
@@ -259,12 +262,11 @@ type RawAccess interface {
 	// (an 80 KB transfer on 4 rails at 16 KB chunks yields 3).
 	StripeCount(size int) int
 
-	// SetForeignCQE installs a handler for completions on the endpoint's
-	// send CQs that the channel itself did not generate (signaled work
-	// requests posted directly on RawQP or a RailQP by a layer above).
-	// The handler runs inside the endpoint's completion drain, on the
-	// polling process p.
-	SetForeignCQE(fn func(p *des.Proc, cqe ib.CQE))
+	// OnCQE registers a handler for completions of signaled work a layer
+	// above posts directly on a RailQP, and returns the WRID class that
+	// work must carry (class | tag, tag ≤ WRIDTagMask). The handler runs
+	// inside the endpoint's completion drain, on the polling process.
+	OnCQE(fn func(p *des.Proc, cqe ib.CQE)) uint64
 
 	// Resilient reports whether the connection runs in fault-survival mode
 	// (Config.Resilient); RailAlive reports whether rail k is still usable
@@ -277,17 +279,8 @@ type RawAccess interface {
 	EvictRail(k int)
 }
 
-// RawQP implements RawAccess.
-func (e *chunkEP) RawQP() *ib.QP { return e.qp }
-
-// SetForeignCQE implements RawAccess.
-func (e *chunkEP) SetForeignCQE(fn func(p *des.Proc, cqe ib.CQE)) { e.foreignCQE = fn }
-
 // RawPD implements RawAccess.
 func (e *chunkEP) RawPD() *ib.PD { return e.pd }
-
-// RegCache implements RawAccess.
-func (e *chunkEP) RegCache() *regcache.Cache { return e.regcs[0] }
 
 // NRails implements RawAccess.
 func (e *chunkEP) NRails() int { return len(e.rails) }
@@ -395,8 +388,7 @@ func (e *chunkEP) drainCQ(p *des.Proc) {
 			if e.cfg.Resilient && e.handleResilientCQE(p, k, cqe) {
 				continue
 			}
-			if e.foreignCQE != nil {
-				e.foreignCQE(p, cqe)
+			if e.route(p, cqe) {
 				continue
 			}
 			if cqe.Status != ib.StatusSuccess {
@@ -472,42 +464,20 @@ func (e *chunkEP) liveRailList() []int {
 	return live
 }
 
-// pickRailLive is pickRail restricted to surviving rails. With every rail
-// alive it defers to pickRail, so zero-fault resilient runs make identical
-// choices; with casualties the policy degrades gracefully — a dead fixed
-// rail falls back to the first survivor, weighted and round-robin operate
-// on the live set.
-func (e *chunkEP) pickRailLive() (int, error) {
-	live := e.liveRailList()
-	if len(live) == 0 {
-		return 0, fmt.Errorf("rdmachan(%s): no surviving rail", e.cfg.Design)
-	}
-	if len(live) == len(e.rails) {
-		return e.pickRail(), nil
-	}
-	switch e.cfg.RailPolicy {
-	case RailFixed:
-		want := e.cfg.FixedRail % len(e.rails)
-		for _, k := range live {
-			if k == want {
-				return k, nil
-			}
+// pickRail selects the rail for the next eager chunk per the configured
+// policy: over every rail, or in resilient mode over the survivors.
+func (e *chunkEP) pickRail() (int, error) {
+	live := e.allRails
+	if e.cfg.Resilient {
+		if live = e.liveRailList(); len(live) == 0 {
+			return 0, fmt.Errorf("rdmachan(%s): no surviving rail", e.cfg.Design)
 		}
-		return live[0], nil
-	case RailWeighted:
-		best, depth := live[0], e.rails[live[0]].qp.SendQueueDepth()
-		for _, k := range live[1:] {
-			if d := e.rails[k].qp.SendQueueDepth(); d < depth {
-				best, depth = k, d
-			}
-		}
-		return best, nil
-	default: // RailRoundRobin
-		k := live[e.railRR%len(live)]
-		e.railRR++
-		return k, nil
 	}
+	return e.cfg.PickRail(len(e.rails), live, e.sendDepth, &e.railRR), nil
 }
+
+// sendDepth is the weighted policy's load probe: rail k's send-queue depth.
+func (e *chunkEP) sendDepth(k int) int { return e.rails[k].qp.SendQueueDepth() }
 
 // repostChunk re-sends an errored eager chunk on a surviving rail. The
 // staging slot is guaranteed intact: a slot is only reused once the peer's
@@ -515,7 +485,7 @@ func (e *chunkEP) pickRailLive() (int, error) {
 // delivery out. The stale piggybacked credit in the slot is harmless —
 // credits are cumulative and merged with max at the peer.
 func (e *chunkEP) repostChunk(p *des.Proc, seq uint64) {
-	k, err := e.pickRailLive()
+	k, err := e.pickRail()
 	if err != nil {
 		e.err = err
 		return
@@ -560,31 +530,6 @@ func (e *chunkEP) reissueStripe(p *des.Proc, idx int) {
 	e.stats.StripeReissues++
 }
 
-// pickRail selects the rail for the next eager chunk per the configured
-// policy. Single-rail connections always answer 0.
-func (e *chunkEP) pickRail() int {
-	n := len(e.rails)
-	if n == 1 {
-		return 0
-	}
-	switch e.cfg.RailPolicy {
-	case RailFixed:
-		return e.cfg.FixedRail % n
-	case RailWeighted:
-		best, depth := 0, e.rails[0].qp.SendQueueDepth()
-		for k := 1; k < n; k++ {
-			if d := e.rails[k].qp.SendQueueDepth(); d < depth {
-				best, depth = k, d
-			}
-		}
-		return best
-	default: // RailRoundRobin
-		k := e.railRR % n
-		e.railRR++
-		return k
-	}
-}
-
 // slotBytes returns the staging slot for sequence seq.
 func (e *chunkEP) slotBytes(seq uint64) []byte {
 	i := int(seq % uint64(e.nChunks))
@@ -609,15 +554,10 @@ func (e *chunkEP) stageChunk(seq uint64, ctype byte, payload []byte) {
 // sequence number and polls each chunk's own flags, so ordering across
 // rails is immaterial.
 func (e *chunkEP) postChunk(p *des.Proc, seq uint64, paylen int) {
-	var k int
-	if e.cfg.Resilient {
-		var err error
-		if k, err = e.pickRailLive(); err != nil {
-			e.err = err
-			return
-		}
-	} else {
-		k = e.pickRail()
+	k, err := e.pickRail()
+	if err != nil {
+		e.err = err
+		return
 	}
 	e.postChunkOn(p, seq, paylen, k)
 	e.announced = e.recvSeq // the chunk carried our consumed count

@@ -31,7 +31,11 @@
 // above — it knows nothing about MPI envelopes or matching. The CH3 packet
 // layer (internal/ch3) frames messages over the pipe; the direct CH3
 // design reaches through RawAccess for the verbs resources the pipe
-// abstraction deliberately hides.
+// abstraction deliberately hides. Layers that post signaled work of their
+// own on those resources get its completions back through one router per
+// completion-queue owner (OnCQE on RawAccess and on SRQPool): a handler
+// registered once, a WRID class in return. The fixed / weighted /
+// round-robin rail choice is one function, Config.PickRail.
 //
 // Invariants:
 //

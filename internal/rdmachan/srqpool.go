@@ -25,6 +25,8 @@ import (
 // the limited-retry RNR protocol when a burst outruns the refill
 // (ib.SRQ, QP.deliverSend).
 type SRQPool struct {
+	cqRouter // completions of signaled work connections post on their queue pairs
+
 	cfg  Config
 	hca  *ib.HCA
 	node *model.Node
@@ -47,18 +49,15 @@ type SRQPool struct {
 	sendWRs  []ib.SendWR // per-slot work requests (WRID = slot), reused
 	sendCBs  []stagedCB  // per-slot completion callbacks (one in flight per slot)
 
-	wridSeq uint64
-	onSend  map[uint64]func(p *des.Proc, cqe ib.CQE)
-	conns   map[uint32]SRQDispatch
+	conns map[uint32]SRQDispatch
 
 	limitFn  func() // persistent low-watermark handler (re-armed, not rebuilt)
 	lastSeq  uint64 // adapter event seq at the last poll
 	everSeen bool   // lastSeq holds a real snapshot
 
-	regc   *regcache.Cache
-	onErr  func(error)
-	shared bool // polled once per progress pass by the transport engine
-	stats  SRQPoolStats
+	regc  *regcache.Cache
+	onErr func(error)
+	stats SRQPoolStats
 }
 
 // SRQDispatch consumes packets arriving into pool slots — one per bound
@@ -85,13 +84,12 @@ type SRQPoolStats struct {
 func NewSRQPool(p *des.Proc, cfg Config, h *ib.HCA, onErr func(error)) (*SRQPool, error) {
 	cfg = cfg.withDefaults()
 	sp := &SRQPool{
-		cfg:    cfg,
-		hca:    h,
-		node:   h.Node(),
-		prm:    h.Params(),
-		onSend: make(map[uint64]func(p *des.Proc, cqe ib.CQE)),
-		conns:  make(map[uint32]SRQDispatch),
-		onErr:  onErr,
+		cfg:   cfg,
+		hca:   h,
+		node:  h.Node(),
+		prm:   h.Params(),
+		conns: make(map[uint32]SRQDispatch),
+		onErr: onErr,
 	}
 	sp.pd = h.AllocPD()
 	sp.rcq = h.CreateCQ()
@@ -187,15 +185,6 @@ func (sp *SRQPool) RegCache() *regcache.Cache { return sp.regc }
 // included).
 func (sp *SRQPool) SlotSize() int { return sp.cfg.SRQSlotSize }
 
-// MarkShared records that the pool is registered as rank-wide shared
-// progress work (transport.Engine.AddSharedPoll): connections built on it
-// afterwards skip the pool poll in their own Poll, since the engine already
-// ran it this pass.
-func (sp *SRQPool) MarkShared() { sp.shared = true }
-
-// SharedProgress reports whether MarkShared was called.
-func (sp *SRQPool) SharedProgress() bool { return sp.shared }
-
 // Resilient reports whether the pool runs in fault-survival mode
 // (Config.Resilient): connections on it retain packets until acknowledged
 // and recover from link failures by re-dialing.
@@ -212,20 +201,6 @@ func (sp *SRQPool) Stats() SRQPoolStats {
 	s.RecvsPosted = qs.RecvsPosted
 	return s
 }
-
-// OnCQE allocates a work-request id on the shared send CQ and registers cb
-// to run when its completion is reaped. Connections use it for signaled
-// work they post directly on their queue pair (rendezvous RDMA writes).
-func (sp *SRQPool) OnCQE(cb func(p *des.Proc, cqe ib.CQE)) uint64 {
-	sp.wridSeq++
-	id := srqWridBase + sp.wridSeq
-	sp.onSend[id] = cb
-	return id
-}
-
-// srqWridBase keeps pool-issued work-request ids out of the slot-index
-// space used on the receive side.
-const srqWridBase = 0x53520000_00000000
 
 // Send stages one packet — hdr followed by the payload bytes — into a free
 // send slot and posts it. Both pieces are copied straight into the
@@ -325,8 +300,10 @@ func (sp *SRQPool) fail(err error) {
 	}
 }
 
-// drainSend reaps the shared send CQ: staging slots return to the free
-// list and registered callbacks (rendezvous writes, FIN acks) run.
+// drainSend reaps the shared send CQ: completions of routed work
+// (rendezvous writes) go to their class's handler, a staged packet's WRID is
+// its staging slot — the slot returns to the free list and the packet's
+// callback (a FIN's ack, say) runs.
 func (sp *SRQPool) drainSend(p *des.Proc) bool {
 	prog := false
 	for {
@@ -336,32 +313,28 @@ func (sp *SRQPool) drainSend(p *des.Proc) bool {
 		}
 		prog = true
 		p.Sleep(sp.prm.CQPollOverhead)
-		if cqe.WRID < srqWridBase {
-			// A staged eager packet: the WRID is its staging slot.
-			slot := int(cqe.WRID)
-			cb := sp.sendCBs[slot]
-			sp.sendCBs[slot] = stagedCB{}
-			sp.sendFree = append(sp.sendFree, slot)
-			if cqe.Status != ib.StatusSuccess {
-				if cb.onFail != nil {
-					cb.onFail(p)
-					continue
-				}
-				sp.fail(fmt.Errorf("rdmachan(srq): send completed %v", cqe.Status))
-				continue
-			}
-			if cb.onSent != nil {
-				cb.onSent(p)
-			}
+		if sp.route(p, cqe) {
 			continue
 		}
-		cb, ok := sp.onSend[cqe.WRID]
-		if !ok {
+		if cqe.WRID >= uint64(len(sp.sendCBs)) {
 			sp.fail(fmt.Errorf("rdmachan(srq): completion for unknown wr %#x", cqe.WRID))
 			continue
 		}
-		delete(sp.onSend, cqe.WRID)
-		cb(p, cqe)
+		slot := int(cqe.WRID)
+		cb := sp.sendCBs[slot]
+		sp.sendCBs[slot] = stagedCB{}
+		sp.sendFree = append(sp.sendFree, slot)
+		if cqe.Status != ib.StatusSuccess {
+			if cb.onFail != nil {
+				cb.onFail(p)
+				continue
+			}
+			sp.fail(fmt.Errorf("rdmachan(srq): send completed %v", cqe.Status))
+			continue
+		}
+		if cb.onSent != nil {
+			cb.onSent(p)
+		}
 	}
 }
 
@@ -369,10 +342,11 @@ func (sp *SRQPool) drainSend(p *des.Proc) bool {
 // connection, repost the consumed slots (the refill half of the SRQ flow
 // control), re-arm the low-watermark event, and reap send completions.
 //
-// Every connection's Poll funnels here, so one engine pass calls it once
-// per peer; the adapter event counter (bumped by every CQE and remote
-// write) gates the redundant passes — no activity since the last drain
-// means both shared CQs are still empty.
+// The rank's transport engine calls it once per progress pass, as shared
+// work ahead of the connections (transport.Engine.AddSharedPoll); the
+// adapter event counter (bumped by every CQE and remote write) gates the
+// idle passes — no activity since the last drain means both shared CQs are
+// still empty.
 func (sp *SRQPool) Poll(p *des.Proc) bool {
 	seq := sp.hca.MemEventSeq()
 	if sp.everSeen && seq == sp.lastSeq {
