@@ -61,11 +61,12 @@ func runRendezvousExchange(t *testing.T, cfg cluster.Config) (sum uint64, took d
 // rail downed at offsets sweeping the whole transfer, checking the
 // checksum every time.
 func sweepRailLoss(t *testing.T, mk func(plan *fault.Plan) cluster.Config, rail int) {
-	sweepRailLossWith(t, mk, rail, runRendezvousExchange)
+	sweepRailLossWith(t, "", mk, rail, runRendezvousExchange)
 }
 
-// sweepRailLossWith is sweepRailLoss over an arbitrary workload runner.
-func sweepRailLossWith(t *testing.T, mk func(plan *fault.Plan) cluster.Config, rail int,
+// sweepRailLossWith is sweepRailLoss over an arbitrary workload runner, its
+// subtest names prefixed with prefix.
+func sweepRailLossWith(t *testing.T, prefix string, mk func(plan *fault.Plan) cluster.Config, rail int,
 	run func(*testing.T, cluster.Config) (uint64, des.Time)) {
 	want, took := run(t, mk(&fault.Plan{}))
 	if want == 0 {
@@ -77,7 +78,7 @@ func sweepRailLossWith(t *testing.T, mk func(plan *fault.Plan) cluster.Config, r
 	}
 	for off := des.Time(0); off <= took+step; off += step {
 		off := off
-		t.Run(fmt.Sprintf("down@%v", off), func(t *testing.T) {
+		t.Run(fmt.Sprintf("%sdown@%v", prefix, off), func(t *testing.T) {
 			got, _ := run(t, mk(&fault.Plan{Events: []fault.Event{
 				{At: off, Kind: fault.HCADown, Node: 0, Rail: rail},
 				{At: off, Kind: fault.HCADown, Node: 1, Rail: rail},
@@ -107,18 +108,27 @@ func TestSRQRailLossSweep(t *testing.T) {
 	}, 0)
 }
 
-// TestChunkStripeRailLossSweep kills rail 1 under the chunk transport's
-// striped zero-copy reads: stripes issued to the dead rail must re-issue
-// on rail 0 (rail 0 itself carries the flow-control counters and is
-// connection-fatal by design, so it is the one that must survive).
+// TestChunkStripeRailLossSweep kills rail 1 under both chunk-ring stripe
+// users — the channel's striped zero-copy reads and the CH3 design's striped
+// rendezvous writes: stripes issued to the dead rail must re-issue on rail 0
+// (rail 0 itself carries the flow-control counters and is connection-fatal
+// by design, so it is the one that must survive).
 func TestChunkStripeRailLossSweep(t *testing.T) {
-	sweepRailLoss(t, func(plan *fault.Plan) cluster.Config {
-		return cluster.Config{
-			Transport:    cluster.TransportZeroCopy,
-			RailsPerNode: 2,
-			Fault:        plan,
-		}
-	}, 1)
+	for _, tc := range []struct {
+		prefix string // of the subtest names; the zero-copy sweep's predate the table
+		tr     cluster.Transport
+	}{
+		{"", cluster.TransportZeroCopy},
+		{"ch3-", cluster.TransportCH3},
+	} {
+		sweepRailLossWith(t, tc.prefix, func(plan *fault.Plan) cluster.Config {
+			return cluster.Config{
+				Transport:    tc.tr,
+				RailsPerNode: 2,
+				Fault:        plan,
+			}
+		}, 1, runRendezvousExchange)
+	}
 }
 
 // runDirectAllreduceWindow runs three allreduce rounds with the tuning
@@ -162,7 +172,7 @@ func runDirectAllreduceWindow(t *testing.T, cfg cluster.Config) (sum uint64, too
 // mid-collective must re-dial and complete with bit-identical results at
 // every failure instant.
 func TestRDMADirectRailLossSweep(t *testing.T) {
-	sweepRailLossWith(t, func(plan *fault.Plan) cluster.Config {
+	sweepRailLossWith(t, "", func(plan *fault.Plan) cluster.Config {
 		return cluster.Config{
 			Transport:    cluster.TransportZeroCopy,
 			ConnectMode:  cluster.ConnectLazy,

@@ -40,7 +40,8 @@ func sleepsElided() bool {
 // topology: the chunk-ring designs whose polls are chained, the direct CH3
 // design on the same rings, the SRQ mode whose polls are free (no chains
 // form), two buses per node (the unfused bus path), a wider SMP layout, a
-// contended fabric, and recovery under a seeded fault plan.
+// contended fabric, recovery under a seeded fault plan, and the CH3 stripe
+// mover: striped writes, write re-post, and SRQ re-dial under faults.
 var exactVariants = []struct {
 	name string
 	mod  func(c *cluster.Config, tp topology)
@@ -56,6 +57,21 @@ var exactVariants = []struct {
 	{"smp4", func(c *cluster.Config, _ topology) { c.CoresPerNode = 4 }},
 	{"fattree-d4-u1", func(c *cluster.Config, _ topology) { withSwitch(4, 1)(c) }},
 	{"faults", func(c *cluster.Config, tp topology) {
+		c.RailsPerNode = 2
+		c.Fault = replayPlan(int64(tp.np*100+2), (tp.np+tp.cpn-1)/tp.cpn, 2)
+	}},
+	{"ch3-rails2", func(c *cluster.Config, _ topology) {
+		c.Transport = cluster.TransportCH3
+		c.RailsPerNode = 2
+	}},
+	{"ch3-faults", func(c *cluster.Config, tp topology) {
+		c.Transport = cluster.TransportCH3
+		c.RailsPerNode = 2
+		c.Fault = replayPlan(int64(tp.np*100+2), (tp.np+tp.cpn-1)/tp.cpn, 2)
+	}},
+	{"srq-faults", func(c *cluster.Config, tp topology) {
+		c.ConnectMode = cluster.ConnectLazy
+		c.Chan.UseSRQ = true
 		c.RailsPerNode = 2
 		c.Fault = replayPlan(int64(tp.np*100+2), (tp.np+tp.cpn-1)/tp.cpn, 2)
 	}},
