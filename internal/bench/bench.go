@@ -67,7 +67,6 @@ type Options struct {
 	RailsPerNode int // HCAs per node; 0/1 = the paper's single-rail testbed
 	Chan         rdmachan.Config
 	Shm          shmchan.Config
-	CH3Threshold int
 	Tuning       *mpi.Tuning       // collective algorithm overrides (nil = default table)
 	Switch       *switchfab.Config // route wires through a fat tree (nil = flat wire)
 	Params       *model.Params
@@ -86,7 +85,6 @@ func (o Options) cluster(np int) *cluster.Cluster {
 		Transport:    o.Transport,
 		Chan:         o.Chan,
 		Shm:          o.Shm,
-		CH3Threshold: o.CH3Threshold,
 		Tuning:       o.Tuning,
 		Switch:       o.Switch,
 		Params:       o.Params,

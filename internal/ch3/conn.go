@@ -72,6 +72,7 @@ func newConn(ep rdmachan.Endpoint, raw rdmachan.RawAccess, h transport.Handler,
 	c.engine = engine{car: c, self: c, h: h, onErr: onErr, threshold: threshold}
 	if raw != nil {
 		c.rails, c.nRails, c.resilient = raw, raw.NRails(), raw.Resilient()
+		c.mover = rdmachan.NewMover(raw, c.resilient)
 	}
 	c.idle, _ = ep.(rdmachan.IdleGetter)
 	va, b := ep.HCA().Node().Mem.Alloc(hdrSize)

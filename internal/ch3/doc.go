@@ -8,10 +8,11 @@
 // a large one negotiates RTS → CTS, moves by RDMA *write* into the
 // receiver's registered user buffer, and finishes with a FIN (Figure 12).
 // It owns the packet record and its pool, the control-before-data send
-// queue, header validation and dispatch, and the payload move — stripe
-// over the candidate rails, register, post, count completions, re-issue a
-// failed stripe when resilient, FIN (DESIGN.md §10's table says who
-// registers, signals and completes what, case by case).
+// queue, header validation and dispatch, and the payload move's policy —
+// the candidate rails, their registrations, where the FIN goes — while
+// rdmachan.Mover posts, counts and re-issues the write stripes (DESIGN.md
+// §10's tables say who registers, signals and completes what, case by
+// case).
 //
 // A carrier moves the engine's packets:
 //

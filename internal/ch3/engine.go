@@ -38,14 +38,11 @@ type engine struct {
 	free         []*packet
 
 	// Rendezvous state, allocated on first use: announced sends awaiting
-	// their CTS and accepted receives awaiting their FIN, by request id, and
-	// the counted payload writes in flight, by the tag in their work-request
-	// IDs (wrSeq, masked: a tag is free again long before the counter wraps).
+	// their CTS and accepted receives awaiting their FIN, by request id. The
+	// payload writes in flight are the mover's.
 	sendRndv map[uint64]*rndvSend
 	recvRndv map[uint64]*rndvRecv
-	stripes  map[uint64]*stripe
-	wrSeq    uint64
-	class    uint64 // the rail set's WRID class for our writes, 0 until needed
+	mover    rdmachan.Mover
 
 	stats Stats
 }
@@ -71,13 +68,10 @@ type carrier interface {
 // railSet is what the payload move needs of the connection's rails;
 // rdmachan.RawAccess provides it for a chunk-ring connection.
 type railSet interface {
-	RailQP(k int) *ib.QP
+	rdmachan.StripeRails
 	RailRegCache(k int) *regcache.Cache
 	StripeUnit() int
 	StripeCount(size int) int
-	RailAlive(k int) bool
-	EvictRail(k int)
-	OnCQE(fn func(p *des.Proc, cqe ib.CQE)) uint64
 }
 
 // Stats counts packet-engine activity.
@@ -113,28 +107,15 @@ type packet struct {
 	rekey bool
 }
 
-// rndvSend is one rendezvous send: in sendRndv until the CTS, then
-// referenced by its stripes while the payload moves.
+// rndvSend is one rendezvous send: in sendRndv until the CTS, then the
+// owner of its payload move (rdmachan.MoveOwner).
 type rndvSend struct {
+	e       *engine
 	id      uint64
 	payload transport.Buffer
 	onDone  func(p *des.Proc)
-	env     transport.Envelope // retained for re-announcement after a re-dial
-
-	// The move: pending counts stripes not yet completed. The receiver's
-	// advertisement and our per-rail registrations stay for a resilient
-	// re-issue and the final release.
-	pending int
-	raddr   uint64
-	rkeys   [maxHdrRails]uint32
-	mrs     [maxHdrRails]*ib.MR // by rail; nil = not registered
-}
-
-// stripe is one payload write.
-type stripe struct {
-	rs             *rndvSend
-	off, blk, rail int
-	wrid           uint64 // 0 = uncounted: unsignaled, not in the table
+	env     transport.Envelope  // retained for re-announcement after a re-dial
+	mrs     [maxHdrRails]*ib.MR // by rail, made before the move; nil = not registered
 }
 
 // rndvRecv is one accepted rendezvous receive awaiting its FIN.
@@ -159,7 +140,7 @@ func (e *engine) RendezvousThreshold() int { return e.threshold }
 
 // Pending reports queued-but-incomplete send operations (diagnostics).
 func (e *engine) Pending() int {
-	n := e.ctrlq.Len() + e.dataq.Len() + len(e.sendRndv) + len(e.stripes)
+	n := e.ctrlq.Len() + e.dataq.Len() + len(e.sendRndv) + e.mover.InFlight()
 	if e.active != nil {
 		n++
 	}
@@ -245,7 +226,7 @@ func (e *engine) SendRendezvous(p *des.Proc, env transport.Envelope, payload tra
 	if e.sendRndv == nil {
 		e.sendRndv = make(map[uint64]*rndvSend)
 	}
-	e.sendRndv[id] = &rndvSend{id: id, payload: payload, onDone: onDone, env: env}
+	e.sendRndv[id] = &rndvSend{e: e, id: id, payload: payload, onDone: onDone, env: env}
 	e.put(&e.dataq, packet{hdr: header{kind: pktRTS, env: env, reqID: id}})
 	e.car.pump(p)
 }
@@ -363,24 +344,23 @@ func (e *engine) handleCTS(p *des.Proc, h header) {
 }
 
 // write moves a rendezvous payload into the buffer a CTS advertised and
-// sees to its FIN — the one payload routine; DESIGN.md §10 tabulates it by
-// carrier, rails and resilience. Candidate rails are the advertised ones, on
-// a resilient connection those of them still alive; the payload is
-// registered on each and striped over them round-robin in StripeUnit
-// blocks, or goes as one write when there is one candidate (or, resilient,
-// the payload is below the striping threshold).
+// sees to its FIN (DESIGN.md §10 tabulates it by carrier, rails and
+// resilience): the candidates are the advertised rails — resilient, those
+// still alive — the payload is registered on each, and the mover stripes it
+// over them in StripeUnit blocks, or as one write on one candidate (or,
+// resilient, below the striping threshold).
 //
 // A message carrier's FIN has a completion of its own and follows the write
-// on the same queue pair, so there the write goes unsignaled and the FIN's
-// completion ends the send. Everywhere else the writes are signaled and
-// counted — a requester completion means acked end-to-end, the only
-// ordering there is across rails — and the FIN waits for the last of them:
-// it must not ride a pipe that rail-picks its chunks while a write is
-// unacknowledged, and a re-dialing connection must know the write landed
-// before it says so. On a one-rail pipe RC ordering keeps a FIN queued at
-// once behind the write, and the write's completion ends the send.
+// on its queue pair, so there the write goes unsignaled and the FIN's
+// completion ends the send. Elsewhere the writes are counted — a requester
+// completion means acked end-to-end, the only ordering across rails — and
+// the FIN waits for the last (MoveDone): it must not ride a pipe that
+// rail-picks its chunks, and a re-dialing connection must know the write
+// landed before saying so. On a one-rail pipe RC ordering keeps a FIN
+// queued at once behind the write, whose completion ends the send.
 func (e *engine) write(p *des.Proc, h header, rs *rndvSend) {
-	var cands []int
+	var buf [maxHdrRails]int
+	cands := buf[:0]
 	for k := 0; k < max(int(h.nRails), 1); k++ {
 		if !e.resilient || (h.rkeys[k] != 0 && e.rails.RailAlive(k)) {
 			cands = append(cands, k)
@@ -390,7 +370,6 @@ func (e *engine) write(p *des.Proc, h header, rs *rndvSend) {
 		e.onErr(errf("rendezvous send: no surviving advertised rail"))
 		return
 	}
-	rs.raddr, rs.rkeys = h.raddr, h.rkeys
 	for _, k := range cands {
 		mr, _, err := e.rails.RailRegCache(k).Register(p, rs.payload.Addr, rs.payload.Len)
 		if err != nil {
@@ -404,18 +383,12 @@ func (e *engine) write(p *des.Proc, h header, rs *rndvSend) {
 		unit = e.rails.StripeUnit()
 	}
 	counted := !e.messages || e.resilient
-	if counted && e.class == 0 {
-		e.class, e.stripes = e.rails.OnCQE(e.writeCQE), make(map[uint64]*stripe)
-	}
-	for off, i := 0, 0; off < rs.payload.Len; off, i = off+unit, i+1 {
-		s := &stripe{rs: rs, off: off, blk: min(unit, rs.payload.Len-off), rail: cands[i%len(cands)]}
-		if counted {
-			rs.pending++
-			e.wrSeq++
-			s.wrid = e.class | e.wrSeq&rdmachan.WRIDTagMask
-			e.stripes[s.wrid] = s
-		}
-		e.post(p, s)
+	if err := e.mover.Post(p, &rdmachan.Move{
+		Op: ib.OpRDMAWrite, Local: rs.payload.Addr, Remote: h.raddr, Size: rs.payload.Len,
+		Keys: h.rkeys, Rails: cands, Unit: unit, Counted: counted, Owner: rs,
+	}); err != nil {
+		e.onErr(errf("rendezvous write: %w", err))
+		return
 	}
 	fin := packet{hdr: header{kind: pktFIN, reqID: rs.id}}
 	switch {
@@ -431,19 +404,35 @@ func (e *engine) write(p *des.Proc, h header, rs *rndvSend) {
 	e.car.nudge(p)
 }
 
-// post posts (or re-posts) s on the rail it names; a counted stripe carries
-// its work-request ID and is signaled.
-func (e *engine) post(p *des.Proc, s *stripe) {
-	rs := s.rs
-	e.rails.RailQP(s.rail).PostSend(p, ib.SendWR{
-		WRID: s.wrid, Op: ib.OpRDMAWrite, Signaled: s.wrid != 0,
-		SGL: []ib.SGE{{
-			Addr: rs.payload.Addr + uint64(s.off), Len: s.blk,
-			LKey: rs.mrs[s.rail].LKey(),
-		}},
-		RemoteAddr: rs.raddr + uint64(s.off),
-		RKey:       rs.rkeys[s.rail],
-	})
+// StripeLKey implements rdmachan.MoveOwner: the payload was registered on
+// every candidate rail before the move was posted.
+func (rs *rndvSend) StripeLKey(_ *des.Proc, k int, _ uint64, _ int) (uint32, error) {
+	return rs.mrs[k].LKey(), nil
+}
+
+// MoveDone implements rdmachan.MoveOwner: the last counted write landed, or
+// one failed with no surviving rail — which a re-dialing connection answers
+// by restoring the announcement, to start over from the RTS on the new queue
+// pair. Success releases the registrations and sends the FIN, or — the FIN
+// already out — completes the send.
+func (rs *rndvSend) MoveDone(p *des.Proc, err error) {
+	e := rs.e
+	if err != nil {
+		if !e.redials() {
+			e.onErr(errf("rendezvous %d: %w", rs.id, err))
+			return
+		}
+		e.sendRndv[rs.id] = rs
+	}
+	if !e.release(p, &rs.mrs, "source") || err != nil {
+		return
+	}
+	if e.finLast() {
+		e.put(&e.ctrlq, packet{hdr: header{kind: pktFIN, reqID: rs.id}, onSent: rs.onDone})
+	} else if rs.onDone != nil {
+		rs.onDone(p)
+	}
+	e.car.nudge(p)
 }
 
 // release drops a rendezvous buffer's per-rail registrations (they stay
@@ -460,51 +449,6 @@ func (e *engine) release(p *des.Proc, mrs *[maxHdrRails]*ib.MR, what string) boo
 		}
 	}
 	return true
-}
-
-// writeCQE reaps one counted payload write, from the rail set's completion
-// router. A failed write definitively did not land (an error completion
-// rules delivery out): a resilient connection evicts its rail and re-writes
-// the block over a surviving advertised rail; with none left, one that
-// re-dials restores the announcement, to start over from the RTS on the new
-// queue pair. The last success releases the registrations and sends the
-// FIN, or — the FIN already out — completes the send.
-func (e *engine) writeCQE(p *des.Proc, cqe ib.CQE) {
-	s := e.stripes[cqe.WRID]
-	if s == nil {
-		e.onErr(errf("write completion %#x for no stripe in flight, status %v", cqe.WRID, cqe.Status))
-		return
-	}
-	rs := s.rs
-	if cqe.Status != ib.StatusSuccess {
-		if !e.resilient {
-			e.onErr(errf("rendezvous write failed: %v", cqe.Status))
-			return
-		}
-		e.rails.EvictRail(s.rail)
-		for k := 0; k < e.nRails; k++ {
-			if rs.rkeys[k] != 0 && rs.mrs[k] != nil && e.rails.RailAlive(k) {
-				s.rail = k
-				e.post(p, s)
-				return
-			}
-		}
-		if !e.redials() {
-			e.onErr(errf("no surviving rail for rendezvous %d", rs.id))
-			return
-		}
-		e.sendRndv[rs.id] = rs
-	}
-	delete(e.stripes, cqe.WRID)
-	if rs.pending--; rs.pending > 0 || !e.release(p, &rs.mrs, "source") || cqe.Status != ib.StatusSuccess {
-		return
-	}
-	if e.finLast() {
-		e.put(&e.ctrlq, packet{hdr: header{kind: pktFIN, reqID: rs.id}, onSent: rs.onDone})
-	} else if rs.onDone != nil {
-		rs.onDone(p)
-	}
-	e.car.nudge(p)
 }
 
 // handleFIN completes a rendezvous receive: the payload is already in the

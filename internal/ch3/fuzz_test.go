@@ -96,7 +96,8 @@ func FuzzHeader(f *testing.F) {
 			}
 			if mode&4 == 0 { // direct mode, mid-rendezvous in both directions
 				c.threshold, c.rails, c.nRails = 32<<10, guardRails{ep.(rdmachan.RawAccess)}, 2
-				c.sendRndv = map[uint64]*rndvSend{1: {id: 1, payload: transport.Buffer{Addr: va, Len: n}}}
+				c.mover = rdmachan.NewMover(c.rails, c.resilient)
+				c.sendRndv = map[uint64]*rndvSend{1: {e: &c.engine, id: 1, payload: transport.Buffer{Addr: va, Len: n}}}
 				c.recvRndv = map[uint64]*rndvRecv{1: {dst: transport.Buffer{Addr: va + n, Len: n}}}
 			}
 			if h, ok := c.decode(raw, avail); ok {

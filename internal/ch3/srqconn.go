@@ -73,6 +73,7 @@ func newSRQConn(pool *rdmachan.SRQPool, qp *ib.QP, h transport.Handler,
 		messages: true, resilient: pool.Resilient(),
 		threshold: pool.SlotSize() - hdrSize,
 	}
+	c.mover = rdmachan.NewMover(c.rails, c.resilient)
 	if c.resilient {
 		c.gotRTS = make(map[uint64]bool)
 	}
@@ -120,7 +121,7 @@ func (c *SRQConn) maybeRedial() {
 		return
 	}
 	if c.ctrlq.Len()+c.dataq.Len()+len(c.unacked)+len(c.sendRndv)+
-		len(c.recvRndv)+len(c.stripes) == 0 {
+		len(c.recvRndv)+c.mover.InFlight() == 0 {
 		return
 	}
 	c.redialled = true
@@ -134,10 +135,10 @@ func (c *SRQConn) maybeRedial() {
 // RTS with fresh ones).
 func (c *SRQConn) adopt(p *des.Proc) {
 	if c.nextPool != c.pool {
-		// The old pool's adapter is gone for this connection: our write
-		// class on it with it, and the registrations accepted receives hold
-		// there are abandoned — their CTS is re-keyed on the new pool.
-		c.class = 0
+		// The old pool's adapter is gone for this connection: the mover's
+		// write class on it with it, and the registrations accepted receives
+		// hold there are abandoned — their CTS is re-keyed on the new pool.
+		c.mover.Detach()
 		for _, rr := range c.recvRndv {
 			rr.keyed, rr.mrs = false, [maxHdrRails]*ib.MR{}
 		}
@@ -379,7 +380,7 @@ func (c *SRQConn) Poll(p *des.Proc) bool {
 		// write occupies the wire long past the outage, and its flush
 		// completion lands in the old pool's CQ: switch pools before it
 		// arrives and it is stranded there forever, the rendezvous with it.
-		if adopted = c.nextQP != nil && c.staged == 0 && len(c.stripes) == 0; adopted {
+		if adopted = c.nextQP != nil && c.staged == 0 && c.mover.InFlight() == 0; adopted {
 			c.adopt(p)
 		} else if c.broken() {
 			c.maybeRedial()

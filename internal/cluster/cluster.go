@@ -112,9 +112,6 @@ type Config struct {
 	// depth, segment chunking, rendezvous threshold).
 	Shm shmchan.Config
 
-	// CH3Threshold overrides the direct design's rendezvous threshold.
-	CH3Threshold int
-
 	// Tuning overrides collective algorithm selection for every
 	// communicator of every launched job (nil = the default
 	// topology/size table; see mpi.Tuning).
@@ -248,11 +245,6 @@ func New(cfg Config) (*Cluster, error) {
 		return nil, fmt.Errorf("cluster: at most %d rails per node (got %d)",
 			rdmachan.MaxRails, rails)
 	}
-	if cfg.Chan.RailPolicy == rdmachan.RailFixed &&
-		(cfg.Chan.FixedRail < 0 || cfg.Chan.FixedRail >= rails) {
-		return nil, fmt.Errorf("cluster: Chan.FixedRail %d outside rail set [0,%d)",
-			cfg.Chan.FixedRail, rails)
-	}
 	if rails > 1 && cfg.Transport == TransportBasic {
 		// The basic design's strictly ordered head/tail protocol runs on a
 		// single queue pair; a multi-rail basic run would silently measure
@@ -342,13 +334,13 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	c.nodeOf = make([]int32, cfg.NP)
 	c.Devs = make([]*adi3.Device, 0, cfg.NP)
-	// RDMA-direct collectives ride the one-sided machinery: they need a
-	// channel-design transport exposing raw verbs resources on a single
-	// rail, outside the SRQ eager mode, and no armed fault plan (the
-	// direct exposure protocol has no mid-flight recovery; under faults
-	// the registry falls back to the two-sided algorithms, which do).
-	direct := !cfg.Chan.UseSRQ && rails == 1 && cfg.Fault == nil &&
-		cfg.Transport != TransportBasic
+	// RDMA-direct collectives ride the one-sided machinery: they need raw
+	// verbs resources (the basic design exposes none), outside the SRQ eager
+	// mode (a bare queue pair there), and no armed fault plan (the exposure
+	// has no mid-flight recovery; under faults the registry falls back to the
+	// two-sided algorithms, which do). Windows post on rail 0 and their
+	// completions come back through the router, so any rail count will do.
+	direct := !cfg.Chan.UseSRQ && cfg.Fault == nil && cfg.Transport != TransportBasic
 	for r := 0; r < cfg.NP; r++ {
 		c.nodeOf[r] = int32(r / cpn)
 		c.Devs = append(c.Devs, adi3.NewDevice(int32(r), cfg.NP, c.HCAs[c.nodeOf[r]]))
@@ -582,13 +574,18 @@ func (c *Cluster) startConnect(i, j int) {
 			p.Sleep(2 * c.Prm.WireLatency)
 		}
 		if err := c.wirePair(p, lo, hi); err != nil {
-			err = fmt.Errorf("cluster: connect %d-%d: %w", lo, hi, err)
-			c.Devs[i].Engine().Fail(err)
-			c.Devs[j].Engine().Fail(err)
-			c.HCAs[c.nodeOf[i]].NotifyMemWrite()
-			c.HCAs[c.nodeOf[j]].NotifyMemWrite()
+			c.failPair(i, j, fmt.Errorf("cluster: connect %d-%d: %w", lo, hi, err))
 		}
 	})
+}
+
+// failPair fails both ranks' engines with err and wakes both nodes'
+// progress loops to notice.
+func (c *Cluster) failPair(i, j int, err error) {
+	c.Devs[i].Engine().Fail(err)
+	c.Devs[j].Engine().Fail(err)
+	c.HCAs[c.nodeOf[i]].NotifyMemWrite()
+	c.HCAs[c.nodeOf[j]].NotifyMemWrite()
 }
 
 // wirePair builds the connection between ranks i and j — shared memory
@@ -607,13 +604,9 @@ func (c *Cluster) wirePair(p *des.Proc, i, j int) error {
 		return nil
 	}
 	if c.chanCfg.UseSRQ {
-		k, ok := c.pickSRQRail(i, j)
-		for !ok {
-			// Every rail between the pair is down. Wait for a link to heal
-			// (LinkDown events carry a restore time) rather than failing a
-			// dial the fault plan made momentarily impossible.
-			p.Sleep(10 * c.Prm.WireLatency)
-			k, ok = c.pickSRQRail(i, j)
+		k, ok := c.awaitSRQRail(p, i, j)
+		if !ok {
+			return fmt.Errorf("no surviving rail")
 		}
 		ei, ej, err := ch3.NewSRQPair(c.pools[i][k], c.pools[j][k],
 			c.Devs[i].Engine(), c.Devs[j].Engine(),
@@ -651,10 +644,10 @@ func (c *Cluster) wirePair(p *des.Proc, i, j int) error {
 func (c *Cluster) pickSRQRail(i, j int) (int, bool) {
 	live := make([]int, 0, c.rails)
 	for k := 0; k < c.rails; k++ {
-		if c.chanCfg.Resilient && c.railDown(i, j, k) {
-			continue
+		// A rail is down between the pair when either end's adapter is.
+		if !c.chanCfg.Resilient || !c.Rails[c.nodeOf[i]][k].Down() && !c.Rails[c.nodeOf[j]][k].Down() {
+			live = append(live, k)
 		}
-		live = append(live, k)
 	}
 	if len(live) == 0 {
 		return 0, false
@@ -663,15 +656,22 @@ func (c *Cluster) pickSRQRail(i, j int) (int, bool) {
 	return c.chanCfg.PickRail(c.rails, live, bound, &c.srqRR), true
 }
 
-// railDown reports whether rail k is unusable between ranks i and j —
-// the adapter on either end's node is down.
-func (c *Cluster) railDown(i, j, k int) bool {
-	return c.Rails[c.nodeOf[i]][k].Down() || c.Rails[c.nodeOf[j]][k].Down()
-}
+// railWaitTries bounds how long a dial or re-dial waits for any rail
+// between the pair to come back before declaring the partition permanent.
+const railWaitTries = 1000
 
-// redialMaxTries bounds how long a re-dial waits for any rail between the
-// pair to come back before declaring the partition permanent.
-const redialMaxTries = 1000
+// awaitSRQRail picks the pair's SRQ rail, and while every rail between them
+// is down, waits for a link to heal (LinkDown events carry a restore time)
+// rather than failing a dial the fault plan made momentarily impossible —
+// for at most railWaitTries polls; ok is false when none came back.
+func (c *Cluster) awaitSRQRail(p *des.Proc, i, j int) (k int, ok bool) {
+	k, ok = c.pickSRQRail(i, j)
+	for tries := 0; !ok && tries < railWaitTries; tries++ {
+		p.Sleep(10 * c.Prm.WireLatency)
+		k, ok = c.pickSRQRail(i, j)
+	}
+	return k, ok
+}
 
 // startRedial begins re-establishing a broken SRQ connection on a
 // surviving rail unless a re-dial for the pair is already in flight —
@@ -688,39 +688,26 @@ func (c *Cluster) startRedial(i, j int) {
 	c.redialing[key] = true
 	start := c.Eng.Now()
 	c.Eng.Spawn(fmt.Sprintf("connmgr.redial.%d-%d", i, j), func(p *des.Proc) {
+		defer delete(c.redialing, key)
 		// Fresh QP numbers and keys cross the wire out of band, as in the
 		// original dial.
 		p.Sleep(2 * c.Prm.WireLatency)
-		k, ok := c.pickSRQRail(i, j)
-		for tries := 0; !ok; tries++ {
-			if tries >= redialMaxTries {
-				err := fmt.Errorf("cluster: redial %d-%d: no surviving rail", i, j)
-				c.Devs[i].Engine().Fail(err)
-				c.Devs[j].Engine().Fail(err)
-				delete(c.redialing, key)
-				c.HCAs[c.nodeOf[i]].NotifyMemWrite()
-				c.HCAs[c.nodeOf[j]].NotifyMemWrite()
-				return
-			}
-			p.Sleep(10 * c.Prm.WireLatency)
-			k, ok = c.pickSRQRail(i, j)
+		k, ok := c.awaitSRQRail(p, i, j)
+		err := fmt.Errorf("no surviving rail")
+		var qi, qj *ib.QP
+		if ok {
+			qi, qj = c.pools[i][k].CreateQP(), c.pools[j][k].CreateQP()
+			err = ib.Connect(qi, qj)
 		}
-		conns := c.srqConns[key]
-		qi, qj := c.pools[i][k].CreateQP(), c.pools[j][k].CreateQP()
-		if err := ib.Connect(qi, qj); err != nil {
-			err = fmt.Errorf("cluster: redial %d-%d: %w", i, j, err)
-			c.Devs[i].Engine().Fail(err)
-			c.Devs[j].Engine().Fail(err)
-			delete(c.redialing, key)
-			c.HCAs[c.nodeOf[i]].NotifyMemWrite()
-			c.HCAs[c.nodeOf[j]].NotifyMemWrite()
+		if err != nil {
+			c.failPair(i, j, fmt.Errorf("cluster: redial %d-%d: %w", i, j, err))
 			return
 		}
+		conns := c.srqConns[key]
 		c.pools[i][k].Bind(qi, conns[0])
 		c.pools[j][k].Bind(qj, conns[1])
 		conns[0].Reconnect(c.pools[i][k], qi)
 		conns[1].Reconnect(c.pools[j][k], qj)
-		delete(c.redialing, key)
 		c.fstats.Redials++
 		c.fstats.RecoverySum += c.Eng.Now() - start
 		c.fstats.Recoveries++
@@ -746,7 +733,7 @@ func (c *Cluster) SRQPool(rank int) *rdmachan.SRQPool {
 
 func (c *Cluster) newEndpoint(ep rdmachan.Endpoint, dev *adi3.Device) transport.Endpoint {
 	if c.cfg.Transport == TransportCH3 {
-		return ch3.NewIBConn(ep, dev.Engine(), c.cfg.CH3Threshold, dev.OnErr())
+		return ch3.NewIBConn(ep, dev.Engine(), 0, dev.OnErr())
 	}
 	return ch3.NewOverChannel(ep, dev.Engine(), dev.OnErr())
 }

@@ -8,6 +8,7 @@ package cluster
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/des"
@@ -173,5 +174,34 @@ func TestFaultStatsAccounting(t *testing.T) {
 	}
 	if fs.Redials > 0 && fs.MeanRecovery() <= 0 {
 		t.Errorf("re-dials recorded with no recovery latency: %+v", fs)
+	}
+}
+
+// TestLazyDialDeadPartitionFails kills both rails of node 1 before rank 0
+// first speaks to rank 1: the lazy SRQ dial finds no rail up between the
+// pair, waits as long as a re-dial would for one to heal, then fails both
+// ranks — the run ends with the error rather than waiting forever.
+func TestLazyDialDeadPartitionFails(t *testing.T) {
+	cfg := chaosConfig(&fault.Plan{Events: []fault.Event{
+		{Kind: fault.HCADown, Node: 1, Rail: 0},
+		{Kind: fault.HCADown, Node: 1, Rail: 1},
+	}})
+	cfg.NP = 2
+	c := MustNew(cfg)
+	defer c.Close()
+	msg := func() (msg string) {
+		defer func() { msg = fmt.Sprint(recover()) }()
+		c.Launch(func(comm *mpi.Comm) {
+			buf, _ := comm.Alloc(64)
+			if comm.Rank() == 0 {
+				comm.Send(buf, 1, 5)
+			} else {
+				comm.Recv(buf, 0, 5)
+			}
+		})
+		return ""
+	}()
+	if !strings.Contains(msg, "connect 0-1") || !strings.Contains(msg, "no surviving rail") {
+		t.Fatalf("dead partition: run ended with %q, want the connect 0-1 no-surviving-rail error", msg)
 	}
 }

@@ -129,11 +129,10 @@ func TestRailPolicyRoundRobinCoversAllRails(t *testing.T) {
 	}
 }
 
-// TestRailPolicyFixed pins eager traffic to one rail.
+// TestRailPolicyFixed pins eager traffic to rail 0.
 func TestRailPolicyFixed(t *testing.T) {
 	cfg := cluster.Config{NP: 2, Transport: cluster.TransportZeroCopy, RailsPerNode: 3}
 	cfg.Chan.RailPolicy = rdmachan.RailFixed
-	cfg.Chan.FixedRail = 2
 	cfg.Chan.StripeThreshold = -1 // keep zero-copy off the other rails too
 	c := cluster.MustNew(cfg)
 	defer c.Close()
@@ -149,10 +148,10 @@ func TestRailPolicyFixed(t *testing.T) {
 	})
 	s := railStats(t, c, 0, 1)
 	for k, n := range s.RailChunks {
-		if k == 2 && n == 0 {
-			t.Errorf("fixed rail 2 carried nothing: %v", s.RailChunks)
+		if k == 0 && n == 0 {
+			t.Errorf("fixed rail 0 carried nothing: %v", s.RailChunks)
 		}
-		if k != 2 && n != 0 {
+		if k != 0 && n != 0 {
 			t.Errorf("fixed policy leaked %d chunks onto rail %d: %v", n, k, s.RailChunks)
 		}
 	}

@@ -31,16 +31,6 @@ func (g Group) Size() int { return len(g) }
 // WorldRank returns the world rank of group member r.
 func (g Group) WorldRank(r int) int { return g[r] }
 
-// RankOf returns the group rank of a world rank, or -1 if absent.
-func (g Group) RankOf(world int) int {
-	for r, w := range g {
-		if w == world {
-			return r
-		}
-	}
-	return -1
-}
-
 // Group returns the communicator's membership.
 func (c *Comm) Group() Group {
 	g := make(Group, len(c.group))

@@ -38,8 +38,9 @@ import (
 // once every call-k slot has been read.
 //
 // Applicability (rdmaDirectOK) requires the cluster-wide capability flag
-// — single rail, channel-design transport, no SRQ eager mode, no armed
-// fault plan — and an all-inter-node communicator. Under an armed fault
+// — channel-design transport, no SRQ eager mode, no armed fault plan; any
+// rail count, the exposure living on rail 0 — and an all-inter-node
+// communicator. Under an armed fault
 // plan the flag is down, so a tuning table forcing "rdma-direct" falls
 // back to the flat algorithms through the registry's standard fallback:
 // that is the failover story the rail-loss sweep asserts.

@@ -1,6 +1,7 @@
 package mpi_test
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/cluster"
@@ -10,18 +11,26 @@ import (
 )
 
 // TestRDMADirectRuns is the positive proof for the direct path: on a
-// capable cluster (single rail, channel design, no SRQ, no fault plan)
-// with rdma-direct forced, the collectives must be correct AND the
-// per-comm direct-call counter must account for every call — so a silent
-// fallback to the flat algorithms cannot masquerade as success. Message
-// sizes grow across rounds to force the exposure region to rebuild
-// mid-stream, and a Split sub-communicator builds its own exposure.
+// capable cluster (channel design, no SRQ, no fault plan; one rail or two,
+// the windows posting on rail 0) with rdma-direct forced, the collectives
+// must be correct AND the per-comm direct-call counter must account for
+// every call — so a silent fallback to the flat algorithms cannot
+// masquerade as success. Message sizes grow across rounds to force the
+// exposure region to rebuild mid-stream, and a Split sub-communicator
+// builds its own exposure.
 func TestRDMADirectRuns(t *testing.T) {
+	for _, rails := range []int{1, 2} {
+		t.Run(fmt.Sprintf("rails=%d", rails), func(t *testing.T) { testRDMADirectRuns(t, rails) })
+	}
+}
+
+func testRDMADirectRuns(t *testing.T, rails int) {
 	tun := mpi.Tuning{Allreduce: "rdma-direct", Alltoall: "rdma-direct"}
 	c := cluster.MustNew(cluster.Config{
-		NP:        5, // non-power-of-two: exercises the fold path
-		Transport: cluster.TransportZeroCopy,
-		Tuning:    &tun,
+		NP:           5, // non-power-of-two: exercises the fold path
+		Transport:    cluster.TransportZeroCopy,
+		RailsPerNode: rails,
+		Tuning:       &tun,
 	})
 	defer c.Close()
 	c.Launch(func(comm *mpi.Comm) {
@@ -105,7 +114,7 @@ func TestRDMADirectCapability(t *testing.T) {
 		{"ch3-flat", cluster.Config{NP: 3, Transport: cluster.TransportCH3}, true},
 		{"basic-no-raw-qp", cluster.Config{NP: 3, Transport: cluster.TransportBasic}, false},
 		{"multi-rail", cluster.Config{NP: 3, Transport: cluster.TransportZeroCopy,
-			RailsPerNode: 2}, false},
+			RailsPerNode: 2}, true},
 		{"srq-eager", cluster.Config{NP: 3, Transport: cluster.TransportZeroCopy,
 			ConnectMode: cluster.ConnectLazy, Chan: rdmachan.Config{UseSRQ: true}}, false},
 		{"fault-armed", cluster.Config{NP: 3, Transport: cluster.TransportZeroCopy,

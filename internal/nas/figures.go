@@ -68,12 +68,6 @@ func RunFigure(id string, class Class, np int) FigureResult {
 	return fr
 }
 
-// Fig16 reproduces Figure 16: NAS class A on 4 nodes.
-func Fig16() FigureResult { return RunFigure("fig16", ClassA, 4) }
-
-// Fig17 reproduces Figure 17: NAS class B on 8 nodes.
-func Fig17() FigureResult { return RunFigure("fig17", ClassB, 8) }
-
 // Format renders the figure with per-design runtimes and the ratios the
 // paper discusses (pipelining always worst; CH3 within ~1% of the
 // RDMA-Channel zero-copy design).

@@ -2,7 +2,6 @@ package rdmachan
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/des"
 	"repro/internal/ib"
@@ -53,9 +52,9 @@ const (
 	// rail slowed by a competing flow drains slower and attracts less).
 	RailWeighted
 
-	// RailFixed pins all eager traffic to Config.FixedRail — the
-	// single-rail baseline inside a multi-rail build, and the control
-	// series of the rail-policy ablation.
+	// RailFixed pins all eager traffic to rail 0 — the single-rail
+	// baseline inside a multi-rail build, and the control series of the
+	// rail-policy ablation.
 	RailFixed
 )
 
@@ -98,10 +97,7 @@ func (c *Config) PickRail(n int, live []int, load func(k int) int, rr *int) int 
 	}
 	switch c.RailPolicy {
 	case RailFixed:
-		if want := c.FixedRail % n; slices.Contains(live, want) {
-			return want
-		}
-		return live[0]
+		return live[0] // rail 0, or with it dead the first survivor
 	case RailWeighted:
 		best, least := live[0], load(live[0])
 		for _, k := range live[1:] {
@@ -266,9 +262,6 @@ type Config struct {
 	// connections (DESIGN.md §10). Single-rail connections ignore it.
 	RailPolicy RailPolicy
 
-	// FixedRail is the rail RailFixed pins eager traffic to.
-	FixedRail int
-
 	// StripeThreshold is the zero-copy transfer size at and above which a
 	// multi-rail connection stripes the transfer across its rails;
 	// below it the transfer uses a single rail (striping a small message
@@ -397,10 +390,6 @@ func NewConnectionRails(p *des.Proc, cfg Config, ra, rb []*ib.HCA) (Endpoint, En
 	if len(ra) > MaxRails {
 		return nil, nil, fmt.Errorf("rdmachan: at most %d rails per connection (got %d)",
 			MaxRails, len(ra))
-	}
-	if cfg.RailPolicy == RailFixed && (cfg.FixedRail < 0 || cfg.FixedRail >= len(ra)) {
-		return nil, nil, fmt.Errorf("rdmachan: FixedRail %d outside rail set [0,%d)",
-			cfg.FixedRail, len(ra))
 	}
 	if cfg.Design == DesignBasic {
 		return newBasicPair(p, cfg, ra[0], rb[0])

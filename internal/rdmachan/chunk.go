@@ -36,22 +36,20 @@ const (
 	// RTS payload: addr(8) + size(8) + rkey(4) — the historical 20-byte
 	// form, emitted whenever the transfer uses one rail. A striped
 	// transfer emits addr(8) + size(8) + span(4) + one rkey(4) per
-	// stripe; the receiver distinguishes the forms by length (20 vs
-	// 20+4·stripes with stripes ≥ 2) and takes the block length from the
-	// span field rather than re-deriving it, so both sides always agree
-	// on the block ranges their per-rail registrations cover.
+	// stripe, a resilient one span(4) + one rkey(4) per connection rail (0
+	// = rail not offered); the receiver distinguishes the first two by
+	// length (20 vs 20+4·stripes with stripes ≥ 2) and takes the block
+	// length from the span field rather than re-deriving it, so both sides
+	// always agree on the block ranges their per-rail registrations cover.
 	rtsPayloadBase = 16
 	rtsPayloadMax  = rtsPayloadBase + 4 + 4*MaxRails
 
-	wridZCRead = 0x2C00
-
-	// Resilient-mode work-request tags (DESIGN.md §11): recovery needs to
-	// know, from an error completion alone, which chunk or stripe to
-	// re-issue, so resilient posts carry a kind tag in the top byte and the
-	// chunk sequence / stripe index below it. Disjoint from the routed mark
-	// (cqroute.go), so completions of the layers above still reach them.
-	wridChunkMark = uint64(0x43) << 56 // eager chunk write, | seq
-	wridZCMark    = uint64(0x2C) << 56 // zero-copy stripe read, | stripe idx
+	// Resilient-mode chunk-write tag (DESIGN.md §11): recovery needs to know,
+	// from an error completion alone, which chunk to re-post, so resilient
+	// chunk writes carry a kind tag in the top byte and the chunk sequence
+	// below it. Disjoint from the routed mark (cqroute.go), so completions of
+	// the stripe mover and the layers above still reach them.
+	wridChunkMark = uint64(0x43) << 56
 )
 
 // railMR is a registration pinned on one rail's adapter — zero-copy
@@ -62,15 +60,71 @@ type railMR struct {
 	mr   *ib.MR
 }
 
-// zcRecvPlan is the receiver's re-issue state for an in-flight resilient
-// zero-copy transfer: enough to rebuild any stripe's read on a surviving
-// rail (stripe idx covers [idx*per, min((idx+1)*per, size))).
-type zcRecvPlan struct {
-	addr uint64 // sender buffer base (remote)
-	dst  uint64 // local buffer base
-	size int
-	per  int      // stripe span
-	keys []uint32 // sender rkey per connection rail; 0 = rail not offered
+// rtsInfo is an RTS chunk's content: the sender's buffer, its size, the
+// stripe span and the sender's rkey per rail (0 = rail not offered).
+type rtsInfo struct {
+	addr       uint64
+	size, span int
+	keys       [MaxRails]uint32
+}
+
+// encode writes r as an RTS payload for a connection of nRails rails and
+// returns its length: one key slot per stripe, or per rail when resilient.
+func (r *rtsInfo) encode(dst []byte, nRails int, resilient bool) int {
+	putLE64(dst[0:8], r.addr)
+	putLE64(dst[8:16], uint64(r.size))
+	slots := nRails
+	if !resilient {
+		slots = (r.size-1)/r.span + 1
+	}
+	keys := dst[rtsPayloadBase:]
+	if resilient || slots > 1 {
+		putLE32(keys[0:4], uint32(r.span))
+		keys = keys[4:]
+	}
+	for k := 0; k < slots; k++ {
+		putLE32(keys[4*k:4*k+4], r.keys[k])
+	}
+	return len(dst) - len(keys) + 4*slots
+}
+
+// decodeRTS parses and validates an RTS payload for a connection of nRails
+// rails: the move it describes must have a size, a span, and no more
+// stripes than the connection has rails — a plain one, exactly one offered
+// key per stripe. It accepts exactly what encode emits.
+func decodeRTS(pay []byte, nRails int, resilient bool) (r rtsInfo, err error) {
+	n := len(pay)
+	if n < rtsPayloadBase+4 || (n-rtsPayloadBase)%4 != 0 ||
+		resilient && n != rtsPayloadBase+4+4*nRails ||
+		!resilient && n == rtsPayloadBase+8 { // a striped RTS has ≥ 2 stripes
+		return r, fmt.Errorf("corrupt RTS length %d", n)
+	}
+	r.addr = le64(pay[0:8])
+	r.size = int(le64(pay[8:16]))
+	r.span = r.size
+	keys := pay[rtsPayloadBase:]
+	if resilient || n > rtsPayloadBase+4 {
+		r.span = int(le32(keys[0:4]))
+		keys = keys[4:]
+	}
+	slots := len(keys) / 4
+	if slots > nRails {
+		return r, fmt.Errorf("RTS names %d rails, connection has %d", slots, nRails)
+	}
+	if r.size < 1 || r.span < 1 {
+		return r, fmt.Errorf("corrupt RTS: size %d, span %d", r.size, r.span)
+	}
+	stripes := (r.size-1)/r.span + 1
+	if stripes > nRails || !resilient && stripes != slots {
+		return r, fmt.Errorf("corrupt RTS span %d: %d stripes of %d bytes over %d key slots, %d rails",
+			r.span, stripes, r.size, slots, nRails)
+	}
+	for k := 0; k < slots; k++ {
+		if r.keys[k] = le32(keys[4*k : 4*k+4]); r.keys[k] == 0 && !resilient {
+			return r, fmt.Errorf("RTS offers no key for stripe %d", k)
+		}
+	}
+	return r, nil
 }
 
 // chunkEP implements the piggyback, pipeline and zero-copy designs; the
@@ -116,15 +170,13 @@ type chunkEP struct {
 	zcAckOut     counterWriter
 	zcCompleted  uint64 // cumulative zero-copy receives completed
 
-	// Zero-copy receive state: the striping completion counter —
-	// zcReadsPending RDMA reads are in flight, one per stripe, each on its
-	// own rail; the transfer is done when the counter drains to zero.
-	zcRecvActive   bool
-	zcRecvSize     int
-	zcRecvDone     bool
-	zcReadsPending int
-	zcRecvMRs      []railMR // registrations backing the in-flight reads
-	zcPlan         *zcRecvPlan
+	// Zero-copy receive state: the mover pulls the stripes and reports the
+	// last completion (MoveDone).
+	mover        Mover
+	zcRecvActive bool
+	zcRecvSize   int
+	zcRecvDone   bool
+	zcRecvMRs    []railMR // registrations backing the in-flight reads
 
 	// railDead marks rails evicted by fault recovery (resilient mode);
 	// nil until the first eviction, so the zero-fault path never touches it.
@@ -153,6 +205,7 @@ func newChunkPair(p *des.Proc, cfg Config, ra, rb []*ib.HCA) (Endpoint, Endpoint
 		e.maxPayload = cfg.ChunkSize - chunkOverhead
 		e.railChunks = make([]uint64, len(e.rails))
 		e.railZCBytes = make([]uint64, len(e.rails))
+		e.mover = NewMover(e, cfg.Resilient)
 		for k := range e.rails {
 			e.allRails = append(e.allRails, k)
 		}
@@ -239,15 +292,17 @@ func (e *chunkEP) exchange(peer *chunkEP) {
 // MPI-2 one-sided extension (the paper's future work) and the RDMA-direct
 // collectives also build on it, on rail 0.
 type RawAccess interface {
+	// StripeRails: CH3 writes share the eager chunks' rail-liveness view;
+	// OnCQE handlers run in the endpoint's completion drain (polling process).
+	StripeRails
+
 	// RawPD is rail 0's protection domain, under which a layer above
 	// registers memory it exposes to the peer.
 	RawPD() *ib.PD
 
-	// NRails reports the connection's rail count; RailQP and RailRegCache
-	// expose rail k's queue pair and pin-down cache. The direct CH3 design
-	// stripes its rendezvous writes over these.
+	// NRails reports the connection's rail count; RailRegCache exposes rail
+	// k's pin-down cache.
 	NRails() int
-	RailQP(k int) *ib.QP
 	RailRegCache(k int) *regcache.Cache
 
 	// StripeUnit is the granule a layer above should stripe bulk transfers
@@ -262,21 +317,9 @@ type RawAccess interface {
 	// (an 80 KB transfer on 4 rails at 16 KB chunks yields 3).
 	StripeCount(size int) int
 
-	// OnCQE registers a handler for completions of signaled work a layer
-	// above posts directly on a RailQP, and returns the WRID class that
-	// work must carry (class | tag, tag ≤ WRIDTagMask). The handler runs
-	// inside the endpoint's completion drain, on the polling process.
-	OnCQE(fn func(p *des.Proc, cqe ib.CQE)) uint64
-
 	// Resilient reports whether the connection runs in fault-survival mode
-	// (Config.Resilient); RailAlive reports whether rail k is still usable
-	// — not evicted by fault recovery and its queue pair ready — and
-	// EvictRail removes a rail from the live set. The direct CH3 design
-	// shares the endpoint's rail-liveness view so its rendezvous stripes
-	// and the channel's eager chunks agree on which rails are dead.
+	// (Config.Resilient).
 	Resilient() bool
-	RailAlive(k int) bool
-	EvictRail(k int)
 }
 
 // RawPD implements RawAccess.
@@ -294,24 +337,17 @@ func (e *chunkEP) RailRegCache(k int) *regcache.Cache { return e.regcs[k] }
 // Resilient implements RawAccess.
 func (e *chunkEP) Resilient() bool { return e.cfg.Resilient }
 
-// RailAlive implements RawAccess.
+// RailAlive implements RawAccess: rail k is not evicted, its QP ready.
 func (e *chunkEP) RailAlive(k int) bool {
-	if e.railDead != nil && e.railDead[k] {
-		return false
-	}
-	return e.rails[k].qp.State() == ib.QPReadyToSend
+	return (e.railDead == nil || !e.railDead[k]) && e.rails[k].qp.State() == ib.QPReadyToSend
 }
-
-// EvictRail implements RawAccess.
-func (e *chunkEP) EvictRail(k int) { e.evictRail(k) }
 
 // StripeUnit implements RawAccess.
 func (e *chunkEP) StripeUnit() int { return e.cfg.ChunkSize }
 
 // StripeCount implements RawAccess.
 func (e *chunkEP) StripeCount(size int) int {
-	count, _ := e.stripePlan(size)
-	return count
+	return (size-1)/e.stripeSpan(size, len(e.rails)) + 1
 }
 
 // Footprint reports this side's dedicated per-connection memory: the
@@ -343,6 +379,7 @@ func (e *chunkEP) Stats() Stats {
 		s.RegCache.Misses += cs.Misses
 		s.RegCache.Evictions += cs.Evictions
 	}
+	s.StripeReissues = e.mover.Reissues()
 	s.RailChunks = append([]uint64(nil), e.railChunks...)
 	s.RailZCBytes = append([]uint64(nil), e.railZCBytes...)
 	return s
@@ -360,11 +397,15 @@ func (e *chunkEP) refreshCredits() {
 	}
 }
 
-// drainCQ reaps pending completions on every rail's send CQ (zero-copy
-// stripe read completions and any errors), charging reap cost only when
-// something was pending. The striping completion counter drains here: each
-// stripe's read completes independently on its rail, and the transfer is
-// done when the last one lands.
+// drainCQ reaps pending completions on every rail's send CQ, charging reap
+// cost only when something was pending: routed ones (zero-copy stripe reads
+// to the mover, work posted above the channel to its layer) and errors. In
+// resilient mode a failed chunk write — chunk writes are unsignaled, so only
+// failures surface, and a failed one definitively did not land — evicts its
+// rail and re-posts the chunk on a survivor. Any other failure, a rail-0
+// control write (credits, zero-copy acks: WRID 0) among them, is
+// connection-fatal by design: the cumulative counters need one strictly
+// ordered path, so rail 0 is the connection's lifeline (DESIGN.md §11).
 func (e *chunkEP) drainCQ(p *des.Proc) {
 	for k := range e.rails {
 		scq := e.rails[k].scq
@@ -374,71 +415,21 @@ func (e *chunkEP) drainCQ(p *des.Proc) {
 				break
 			}
 			p.Sleep(e.prm.CQPollOverhead)
-			if cqe.WRID == wridZCRead {
-				if cqe.Status != ib.StatusSuccess {
-					e.err = fmt.Errorf("rdmachan(%s): wr %#x failed: %v", e.cfg.Design, cqe.WRID, cqe.Status)
-					continue
-				}
-				e.zcReadsPending--
-				if e.zcReadsPending == 0 {
-					e.zcRecvDone = true
-				}
-				continue
-			}
-			if e.cfg.Resilient && e.handleResilientCQE(p, k, cqe) {
-				continue
-			}
-			if e.route(p, cqe) {
-				continue
-			}
-			if cqe.Status != ib.StatusSuccess {
-				e.err = fmt.Errorf("rdmachan(%s): wr %#x failed: %v", e.cfg.Design, cqe.WRID, cqe.Status)
+			switch {
+			case e.route(p, cqe), cqe.Status == ib.StatusSuccess:
+			case cqe.WRID&wridKindMask == wridChunkMark:
+				e.EvictRail(k)
+				e.repostChunk(p, cqe.WRID&^wridKindMask)
+			default:
+				e.err = fmt.Errorf("rdmachan(%s): wr %#x on rail %d failed: %v",
+					e.cfg.Design, cqe.WRID, k, cqe.Status)
 			}
 		}
 	}
 }
 
-// handleResilientCQE dispatches a completion by its work-request tag when
-// the connection runs in resilient mode: a failed chunk write or stripe
-// read evicts its rail and re-issues the work on a survivor; a failed
-// control write (credits and zero-copy acks, untagged WRID 0 on rail 0) is
-// connection-fatal by design — the cumulative counters need one strictly
-// ordered path, so rail 0 is the connection's lifeline (DESIGN.md §11).
-// Returns false for completions belonging to a layer above.
-func (e *chunkEP) handleResilientCQE(p *des.Proc, k int, cqe ib.CQE) bool {
-	switch cqe.WRID & wridKindMask {
-	case wridZCMark:
-		if cqe.Status == ib.StatusSuccess {
-			e.zcReadsPending--
-			if e.zcReadsPending == 0 {
-				e.zcRecvDone = true
-			}
-		} else {
-			e.evictRail(k)
-			e.reissueStripe(p, int(cqe.WRID&^wridKindMask))
-		}
-		return true
-	case wridChunkMark:
-		// Success completions never appear (chunk writes are unsignaled);
-		// an error means the chunk definitively did not land.
-		if cqe.Status != ib.StatusSuccess {
-			e.evictRail(k)
-			e.repostChunk(p, cqe.WRID&^wridKindMask)
-		}
-		return true
-	}
-	if cqe.WRID == 0 {
-		if cqe.Status != ib.StatusSuccess {
-			e.err = fmt.Errorf("rdmachan(%s): control write on rail %d failed: %v",
-				e.cfg.Design, k, cqe.Status)
-		}
-		return true
-	}
-	return false
-}
-
-// evictRail removes rail k from the live set.
-func (e *chunkEP) evictRail(k int) {
+// EvictRail implements RawAccess: it removes rail k from the live set.
+func (e *chunkEP) EvictRail(k int) {
 	if e.railDead == nil {
 		e.railDead = make([]bool, len(e.rails))
 	}
@@ -453,13 +444,9 @@ func (e *chunkEP) evictRail(k int) {
 func (e *chunkEP) liveRailList() []int {
 	live := make([]int, 0, len(e.rails))
 	for k := range e.rails {
-		if e.railDead != nil && e.railDead[k] {
-			continue
+		if e.RailAlive(k) {
+			live = append(live, k)
 		}
-		if e.rails[k].qp.State() != ib.QPReadyToSend {
-			continue
-		}
-		live = append(live, k)
 	}
 	return live
 }
@@ -493,41 +480,6 @@ func (e *chunkEP) repostChunk(p *des.Proc, seq uint64) {
 	paylen := int(le32(e.slotBytes(seq)[8:12]))
 	e.postChunkOn(p, seq, paylen, k)
 	e.stats.ChunkReposts++
-}
-
-// reissueStripe re-reads an errored zero-copy stripe over a surviving rail
-// that the sender offered an rkey for. Resilient senders register the full
-// buffer on every live rail, so any offered rail can serve any stripe.
-func (e *chunkEP) reissueStripe(p *des.Proc, idx int) {
-	e.zcReadsPending-- // the failed read is no longer in flight
-	pl := e.zcPlan
-	if pl == nil {
-		e.err = fmt.Errorf("rdmachan(%s): stripe %d failed with no transfer in flight",
-			e.cfg.Design, idx)
-		return
-	}
-	off := idx * pl.per
-	blk := pl.size - off
-	if blk > pl.per {
-		blk = pl.per
-	}
-	next := -1
-	for _, k := range e.liveRailList() {
-		if pl.keys[k] != 0 {
-			next = k
-			break
-		}
-	}
-	if next < 0 {
-		e.err = fmt.Errorf("rdmachan(%s): no surviving rail for zero-copy stripe %d",
-			e.cfg.Design, idx)
-		return
-	}
-	if err := e.postStripeRead(p, idx, off, blk, next, pl.addr, pl.keys[next], pl.dst); err != nil {
-		e.err = err
-		return
-	}
-	e.stats.StripeReissues++
 }
 
 // slotBytes returns the staging slot for sequence seq.
@@ -588,27 +540,23 @@ func (e *chunkEP) postChunkOn(p *des.Proc, seq uint64, paylen, k int) {
 	e.railChunks[k]++
 }
 
-// postStripeRead registers stripe idx's block on rail k and posts the RDMA
-// read pulling it from the sender's buffer. Resilient reads are tagged with
-// the stripe index so an error completion can re-issue exactly that block.
-func (e *chunkEP) postStripeRead(p *des.Proc, idx, off, blk, k int, addr uint64, rkey uint32, dst uint64) error {
-	mr, _, err := e.regcs[k].Register(p, dst+uint64(off), blk)
+// StripeLKey implements MoveOwner for the zero-copy pull: each stripe's
+// block is registered on the rail that reads it, at post time.
+func (e *chunkEP) StripeLKey(p *des.Proc, k int, addr uint64, n int) (uint32, error) {
+	mr, _, err := e.regcs[k].Register(p, addr, n)
 	if err != nil {
-		return fmt.Errorf("rdmachan(zerocopy): register: %w", err)
+		return 0, fmt.Errorf("rdmachan(zerocopy): register: %w", err)
 	}
 	e.zcRecvMRs = append(e.zcRecvMRs, railMR{rail: k, mr: mr})
-	wrid := uint64(wridZCRead)
-	if e.cfg.Resilient {
-		wrid = wridZCMark | uint64(idx)
+	e.railZCBytes[k] += uint64(n)
+	return mr.LKey(), nil
+}
+
+// MoveDone implements MoveOwner: the pull has landed, or failed.
+func (e *chunkEP) MoveDone(_ *des.Proc, err error) {
+	if e.zcRecvDone = err == nil; err != nil {
+		e.err = fmt.Errorf("rdmachan(zerocopy): %w", err)
 	}
-	e.rails[k].qp.PostSend(p, ib.SendWR{
-		WRID: wrid, Op: ib.OpRDMARead, Signaled: true,
-		SGL:        []ib.SGE{{Addr: dst + uint64(off), Len: blk, LKey: mr.LKey()}},
-		RemoteAddr: addr + uint64(off), RKey: rkey,
-	})
-	e.zcReadsPending++
-	e.railZCBytes[k] += uint64(blk)
-	return nil
 }
 
 // charge is the entry cost of every Put and Get, paid before the call
@@ -643,7 +591,7 @@ func (e *chunkEP) Put(p *des.Proc, bufs []Buffer) (int, error) {
 					return 0, fmt.Errorf("rdmachan(zerocopy): %w", err)
 				}
 			}
-			e.zcSendMRs = nil
+			e.zcSendMRs = e.zcSendMRs[:0]
 			e.zcSendActive = false
 			e.stats.BytesPut += uint64(n)
 			return n, nil
@@ -692,61 +640,41 @@ func (e *chunkEP) Put(p *des.Proc, bufs []Buffer) (int, error) {
 			}
 			flushPlan()
 			b := bufs[bi]
-			var rts [rtsPayloadMax]byte
-			putLE64(rts[0:8], b.Addr)
-			putLE64(rts[8:16], uint64(b.Len))
-			var paylen int
+			// A plain transfer stripes over the first n rails, each rail's
+			// adapter registering only its own contiguous block. A resilient
+			// one registers the full buffer on every live rail, so the
+			// receiver can pull any stripe over any offered rail — the
+			// property stripe re-issue relies on.
+			r := rtsInfo{addr: b.Addr, size: b.Len}
+			var regs [MaxRails]Buffer
 			if e.cfg.Resilient {
-				// Resilient RTS: span + one rkey slot per connection rail
-				// (0 = rail not offered). The full buffer is registered on
-				// every live rail so the receiver can pull any stripe over
-				// any offered rail — the property stripe re-issue relies on.
 				live := e.liveRailList()
 				if len(live) == 0 {
 					return total, fmt.Errorf("rdmachan(%s): no surviving rail", e.cfg.Design)
 				}
-				_, span := e.stripePlanOver(b.Len, len(live))
-				putLE32(rts[rtsPayloadBase:rtsPayloadBase+4], uint32(span))
-				keys := rts[rtsPayloadBase+4:]
+				r.span = e.stripeSpan(b.Len, len(live))
 				for _, k := range live {
-					mr, _, err := e.regcs[k].Register(p, b.Addr, b.Len)
-					if err != nil {
-						return total, fmt.Errorf("rdmachan(zerocopy): register: %w", err)
-					}
-					e.zcSendMRs = append(e.zcSendMRs, railMR{rail: k, mr: mr})
-					putLE32(keys[4*k:4*k+4], mr.RKey())
+					regs[k] = b
 				}
-				paylen = rtsPayloadBase + 4 + 4*len(e.rails)
 			} else {
-				// The transfer stripes over nStripes rails; each
-				// participating rail's adapter registers only its own
-				// contiguous block. A single-rail RTS is byte-identical to
-				// the historical form; a striped RTS additionally carries
-				// the block span and one rkey per stripe.
-				nStripes, span := e.stripePlan(b.Len)
-				keys := rts[rtsPayloadBase:]
-				if nStripes > 1 {
-					putLE32(rts[rtsPayloadBase:rtsPayloadBase+4], uint32(span))
-					keys = rts[rtsPayloadBase+4:]
-				}
-				for k := 0; k < nStripes; k++ {
-					off := k * span
-					blk := b.Len - off
-					if blk > span {
-						blk = span
-					}
-					mr, _, err := e.regcs[k].Register(p, b.Addr+uint64(off), blk)
-					if err != nil {
-						return total, fmt.Errorf("rdmachan(zerocopy): register: %w", err)
-					}
-					e.zcSendMRs = append(e.zcSendMRs, railMR{rail: k, mr: mr})
-					putLE32(keys[4*k:4*k+4], mr.RKey())
-				}
-				paylen = rtsPayloadBase + 4*nStripes
-				if nStripes > 1 {
-					paylen += 4
+				r.span = e.stripeSpan(b.Len, len(e.rails))
+				for k, off := 0, 0; off < b.Len; k, off = k+1, off+r.span {
+					regs[k] = Buffer{Addr: b.Addr + uint64(off), Len: min(r.span, b.Len-off)}
 				}
 			}
+			for k, reg := range regs {
+				if reg.Len == 0 {
+					continue
+				}
+				mr, _, err := e.regcs[k].Register(p, reg.Addr, reg.Len)
+				if err != nil {
+					return total, fmt.Errorf("rdmachan(zerocopy): register: %w", err)
+				}
+				e.zcSendMRs = append(e.zcSendMRs, railMR{rail: k, mr: mr})
+				r.keys[k] = mr.RKey()
+			}
+			var rts [rtsPayloadMax]byte
+			paylen := r.encode(rts[:], len(e.rails), e.cfg.Resilient)
 			e.stageChunk(e.sendSeq, chunkRTS, rts[:paylen])
 			e.postChunk(p, e.sendSeq, paylen)
 			e.sendSeq++
@@ -845,8 +773,8 @@ func (e *chunkEP) GetCharged(p *des.Proc, bufs []Buffer) (int, error) {
 	ws := Total(bufs)
 
 	// Finish an in-flight zero-copy receive: the striped RDMA reads
-	// scattered the payload directly into the user buffer (the completion
-	// counter drained in drainCQ); acknowledge and deliver.
+	// scattered the payload directly into the user buffer (the mover counted
+	// their completions down in drainCQ); acknowledge and deliver.
 	if e.zcRecvActive {
 		if !e.zcRecvDone {
 			return 0, nil
@@ -856,8 +784,7 @@ func (e *chunkEP) GetCharged(p *des.Proc, bufs []Buffer) (int, error) {
 				return 0, fmt.Errorf("rdmachan(zerocopy): %w", err)
 			}
 		}
-		e.zcRecvMRs = nil
-		e.zcPlan = nil
+		e.zcRecvMRs = e.zcRecvMRs[:0]
 		e.zcCompleted++
 		e.zcAckOut.write(p, e.zcCompleted)
 		got += e.zcRecvSize
@@ -911,89 +838,37 @@ func (e *chunkEP) GetCharged(p *des.Proc, bufs []Buffer) (int, error) {
 			if !e.zc {
 				return got, fmt.Errorf("rdmachan(%s): unexpected RTS chunk", e.cfg.Design)
 			}
-			if paylen < rtsPayloadBase+4 || (paylen-rtsPayloadBase)%4 != 0 {
-				return got, fmt.Errorf("rdmachan(zerocopy): corrupt RTS length %d", paylen)
+			r, err := decodeRTS(slot[chunkHdrSize:chunkHdrSize+paylen], len(e.rails), e.cfg.Resilient)
+			if err != nil {
+				return got, fmt.Errorf("rdmachan(zerocopy): %w", err)
 			}
-			addr := le64(slot[chunkHdrSize : chunkHdrSize+8])
-			size := int(le64(slot[chunkHdrSize+8 : chunkHdrSize+16]))
-			if len(bufs) == 0 || bufs[0].Len < size {
+			if len(bufs) == 0 || bufs[0].Len < r.size {
 				return got, fmt.Errorf("rdmachan(zerocopy): target buffer %d < message %d",
-					Total(bufs), size)
+					Total(bufs), r.size)
 			}
-			if e.cfg.Resilient {
-				// Resilient RTS: span + one rkey slot per connection rail.
-				// Candidate rails are those the sender offered (nonzero key)
-				// that are still alive here; stripes round-robin over them.
-				if paylen != rtsPayloadBase+4+4*len(e.rails) {
-					return got, fmt.Errorf("rdmachan(zerocopy): corrupt resilient RTS length %d", paylen)
+			// Candidate rails are those the sender offered a key for — on a
+			// resilient connection, those of them still alive here. A plain
+			// RTS offers exactly rails 0..stripes-1, so block k is pulled
+			// over rail k against the rkey covering exactly that block.
+			var buf [MaxRails]int
+			cands := buf[:0]
+			for k := range e.rails {
+				if r.keys[k] != 0 && (!e.cfg.Resilient || e.RailAlive(k)) {
+					cands = append(cands, k)
 				}
-				kb := slot[chunkHdrSize+rtsPayloadBase:]
-				per := int(le32(kb[0:4]))
-				if per < 1 {
-					return got, fmt.Errorf("rdmachan(zerocopy): corrupt RTS span %d", per)
-				}
-				keys := make([]uint32, len(e.rails))
-				for k := range keys {
-					keys[k] = le32(kb[4+4*k : 8+4*k])
-				}
-				var cands []int
-				for _, k := range e.liveRailList() {
-					if keys[k] != 0 {
-						cands = append(cands, k)
-					}
-				}
-				if len(cands) == 0 {
-					return got, fmt.Errorf("rdmachan(zerocopy): no surviving rail offered by RTS")
-				}
-				e.advanceChunk(p)
-				e.zcPlan = &zcRecvPlan{addr: addr, dst: bufs[0].Addr, size: size, per: per, keys: keys}
-				for idx, off := 0, 0; off < size; idx, off = idx+1, off+per {
-					blk := size - off
-					if blk > per {
-						blk = per
-					}
-					k := cands[idx%len(cands)]
-					if err := e.postStripeRead(p, idx, off, blk, k, addr, keys[k], bufs[0].Addr); err != nil {
-						return got, err
-					}
-				}
-			} else {
-				// Historical 20-byte RTS = one stripe spanning the whole
-				// transfer; the striped form prepends the block span to its
-				// rkey list (see the payload layout note at the top).
-				nStripes, per := 1, size
-				keys := slot[chunkHdrSize+rtsPayloadBase:]
-				if paylen > rtsPayloadBase+4 {
-					nStripes = (paylen - rtsPayloadBase - 4) / 4
-					per = int(le32(keys[0:4]))
-					keys = keys[4:]
-				}
-				if nStripes < 1 || nStripes > len(e.rails) {
-					return got, fmt.Errorf("rdmachan(zerocopy): RTS names %d rails, connection has %d",
-						nStripes, len(e.rails))
-				}
-				if per < 1 || (nStripes > 1 && (per*(nStripes-1) >= size || per*nStripes < size)) {
-					return got, fmt.Errorf("rdmachan(zerocopy): corrupt RTS span %d for %d stripes of %d bytes",
-						per, nStripes, size)
-				}
-				e.advanceChunk(p)
-				// Stripe the pull: one RDMA read per contiguous block, block
-				// k on rail k against the sender's rail-k rkey (which covers
-				// exactly that block). Each read is signaled; the completion
-				// counter (zcReadsPending) drains in drainCQ.
-				for k, off := 0, 0; off < size; k, off = k+1, off+per {
-					blk := size - off
-					if blk > per {
-						blk = per
-					}
-					rkey := le32(keys[4*k : 4*k+4])
-					if err := e.postStripeRead(p, k, off, blk, k, addr, rkey, bufs[0].Addr); err != nil {
-						return got, err
-					}
-				}
+			}
+			if len(cands) == 0 {
+				return got, fmt.Errorf("rdmachan(zerocopy): no surviving rail offered by RTS")
+			}
+			e.advanceChunk(p)
+			if err := e.mover.Post(p, &Move{
+				Op: ib.OpRDMARead, Local: bufs[0].Addr, Remote: r.addr, Size: r.size,
+				Keys: r.keys, Rails: cands, Unit: r.span, Counted: true, Owner: e,
+			}); err != nil {
+				return got, err
 			}
 			e.zcRecvActive = true
-			e.zcRecvSize = size
+			e.zcRecvSize = r.size
 			e.stats.ZCRecvs++
 			// The read is in flight; deliver what preceded it.
 			if copied > 0 {
@@ -1012,28 +887,20 @@ func (e *chunkEP) GetCharged(p *des.Proc, bufs []Buffer) (int, error) {
 	return got, nil
 }
 
-// stripePlan decides how a zero-copy transfer of size bytes spreads over
-// the rails: (1, size) below the striping threshold (or when striping is
-// disabled, or on a single-rail connection), otherwise one contiguous
-// ChunkSize-aligned block of span bytes per stripe, stripe k covering
-// [k*span, min((k+1)*span, size)). The count is derived from the rounded
-// span, so it never exceeds what the data fills (an 80 KB transfer over
-// 4 rails at 16 KB chunks yields 3 × 32 KB-aligned blocks, not 4).
-func (e *chunkEP) stripePlan(size int) (count, span int) {
-	return e.stripePlanOver(size, len(e.rails))
-}
-
-// stripePlanOver is stripePlan over an explicit rail count — resilient
-// transfers plan over the surviving rails rather than the configured set.
-func (e *chunkEP) stripePlanOver(size, n int) (count, span int) {
+// stripeSpan decides how a zero-copy transfer of size bytes spreads over n
+// rails (the connection's, or a resilient transfer's survivors): the whole
+// size below the striping threshold (or when striping is disabled, or on
+// one rail), otherwise one contiguous ChunkSize-aligned block per stripe,
+// stripe k covering [k*span, min((k+1)*span, size)). The stripe count
+// follows from the rounded span, so it never exceeds what the data fills
+// (an 80 KB transfer over 4 rails at 16 KB chunks yields 3 × 32 KB blocks).
+func (e *chunkEP) stripeSpan(size, n int) int {
 	if n == 1 || e.cfg.StripeThreshold < 0 ||
 		(e.cfg.StripeThreshold > 0 && size < e.cfg.StripeThreshold) {
-		return 1, size
+		return size
 	}
-	span = (size + n - 1) / n
-	span = (span + e.cfg.ChunkSize - 1) / e.cfg.ChunkSize * e.cfg.ChunkSize
-	count = (size + span - 1) / span
-	return count, span
+	span := (size + n - 1) / n
+	return (span + e.cfg.ChunkSize - 1) / e.cfg.ChunkSize * e.cfg.ChunkSize
 }
 
 // advanceChunk retires the current chunk and applies the delayed

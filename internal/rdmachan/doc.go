@@ -23,6 +23,9 @@
 // (NewConnectionRails, DESIGN.md §10): eager chunks pick a rail through a
 // pluggable RailPolicy, and large zero-copy transfers stripe across every
 // rail in ChunkSize-aligned blocks counted down by signaled completions.
+// Mover is the one stripe engine under both zero-copy designs: the
+// channel's RDMA-read pull and the CH3 design's RDMA-write push post,
+// count and re-issue their stripes through it.
 // The package also holds the SRQ-backed eager machinery (SRQPool,
 // DESIGN.md §9), which replaces per-connection rings with a per-process
 // slot pool behind a shared receive queue.

@@ -229,12 +229,6 @@ func (e *Engine) AddSharedPoll(f func(p *des.Proc) bool) { e.shared = append(e.s
 // *Stub until the first send triggers establishment.
 func (e *Engine) Endpoint(peer int32) Endpoint { return e.ep(peer) }
 
-// SetStub installs a lazy connector toward peer: dial starts simulated
-// connection establishment and is invoked by the first send (see Stub).
-func (e *Engine) SetStub(peer int32, dial func(p *des.Proc)) {
-	e.setEp(peer, NewStub(peer, dial))
-}
-
 // Fulfill delivers the established endpoint for peer. With no stub in the
 // slot (eager wiring) the endpoint installs directly; a stub records it
 // for promotion — the owning process's next progress pass swaps it in and
@@ -304,18 +298,6 @@ func (e *Engine) EnsureConnected(p *des.Proc, peer int32) {
 		e.Progress(p, true)
 	}
 	e.promoteStubs(p)
-}
-
-// ConnectedPeers counts established endpoints — the rank's connection
-// count in the scalability accounting. It costs O(connected), not O(np).
-func (e *Engine) ConnectedPeers() int {
-	n := len(e.act)
-	for _, peer := range e.ready.Pending() {
-		if st, ok := e.ep(peer).(*Stub); ok && st.inner != nil {
-			n++
-		}
-	}
-	return n
 }
 
 // ForEachEndpoint visits every established endpoint in ascending peer

@@ -41,12 +41,6 @@ func NewStub(peer int32, dial func(p *des.Proc)) *Stub {
 	return &Stub{peer: peer, dial: dial}
 }
 
-// Dialing reports whether establishment has been started.
-func (s *Stub) Dialing() bool { return s.dialing }
-
-// Queued reports sends waiting for the handshake (diagnostics/tests).
-func (s *Stub) Queued() int { return len(s.pending) }
-
 // kick starts establishment if it has not started yet.
 func (s *Stub) kick(p *des.Proc) {
 	if s.dialing {
