@@ -70,7 +70,7 @@ func main() {
 	transport := flag.String("transport", "", "comma-separated transport matrix sweep (e.g. shm,ib); overrides -fig")
 	sizes := flag.String("sizes", "4,1K,4K,64K,256K,1M", "message sizes for -transport and -coll sweeps (K/M suffixes)")
 	coll := flag.String("coll", "", "collective algorithm sweep: comma list of "+strings.Join(mpi.Collectives(), ", ")+"; overrides -fig")
-	collAlg := flag.String("coll-alg", "", "force collective algorithms for -coll sweeps, e.g. bcast=hier-leader,allgather=ring (allgather: ring, hier, recursive-doubling, bruck)")
+	collAlg := flag.String("coll-alg", "", "force collective algorithms for -coll sweeps, e.g. bcast=hier-leader,allgather=ring (have "+strings.Join(mpi.Algorithms(), ", ")+")")
 	np := flag.Int("np", 16, "ranks for -coll sweeps")
 	ppn := flag.Int("ppn", 4, "ranks per node for -coll sweeps")
 	iters := flag.Int("iters", 10, "measured calls per point for -coll sweeps")

@@ -92,6 +92,7 @@ var (
 	}
 	alltoallAlgs = map[string]entry[alltoallFn]{
 		"pairwise":    {run: (*Comm).FlatAlltoall, ok: alwaysOK},
+		"scattered":   {run: (*Comm).scatteredAlltoall, ok: alwaysOK},
 		"rdma-direct": {run: (*Comm).directAlltoall, ok: rdmaDirectOK},
 	}
 )
@@ -171,7 +172,7 @@ type Tuning struct {
 	Allgather string // "" | "ring" | "hier" | "recursive-doubling" | "bruck"
 	Barrier   string // "" | "dissemination" | "hier"
 	Allreduce string // "" | "reduce-bcast" | "recursive-doubling" | "rabenseifner" | "rdma-direct"
-	Alltoall  string // "" | "pairwise" | "rdma-direct"
+	Alltoall  string // "" | "pairwise" | "scattered" | "rdma-direct"
 
 	// Net names the network model the table was keyed for: "" or "flat"
 	// for the flat per-link wire, or a switchfab label ("fattree-d4-u1").
@@ -275,7 +276,8 @@ func (t Tuning) withDefaults() Tuning {
 // ParseTuning builds a Tuning from a comma-separated override list, e.g.
 // "bcast=hier-leader,allgather=bruck,reduce-cutoff=8192". Keys are the
 // collective names (values: AlgorithmNames — for allgather ring, hier,
-// recursive-doubling, bruck) plus "reduce-cutoff" and "rab-cutoff" (bytes).
+// recursive-doubling, bruck; for alltoall pairwise, scattered,
+// rdma-direct) plus "reduce-cutoff" and "rab-cutoff" (bytes).
 func ParseTuning(s string) (Tuning, error) {
 	t := DefaultTuning()
 	for _, tok := range strings.Split(s, ",") {
@@ -426,8 +428,14 @@ func (c *Comm) pickAllreduce(n int) allreduceFn {
 	return allreduceAlgs[flatAllreduce].run
 }
 
-func (c *Comm) pickAlltoall() alltoallFn {
+// pickAlltoall takes the per-peer block size. The table overlaps the
+// exchanges of blocks below the cutoff on communicators that span nodes;
+// single-node communicators and long blocks keep the pairwise rounds.
+func (c *Comm) pickAlltoall(n int) alltoallFn {
 	name := c.tuning.Alltoall
+	if name == "" && n < alltoallScatterCutoff && len(c.t.leaders) > 1 {
+		name = "scattered"
+	}
 	if name != "" {
 		if e := alltoallAlgs[name]; e.ok(c) {
 			return e.run

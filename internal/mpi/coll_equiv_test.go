@@ -2,6 +2,7 @@ package mpi_test
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"repro/internal/cluster"
@@ -149,32 +150,45 @@ func TestCollAlgorithmEquivalenceAllgather(t *testing.T) {
 	}
 }
 
+// tableElapsed times one lone Allgather or Alltoall of n-byte blocks on
+// tp under the default table (alg "") or a forced algorithm: the
+// simulated instant rank 0 leaves the barrier after it. The table's
+// choice cannot be seen in the bytes, so the cutoff tests read it off
+// this clock — the table takes exactly as long as the algorithm it
+// should have picked.
+func tableElapsed(coll string, tp topology, n int, alg string, mods ...func(*cluster.Config)) (took float64) {
+	cfg := cluster.Config{NP: tp.np, CoresPerNode: tp.cpn, Transport: cluster.TransportZeroCopy}
+	if alg != "" {
+		cfg.Tuning = &mpi.Tuning{}
+		cfg.Tuning.Force(coll, alg)
+	}
+	for _, mod := range mods {
+		mod(&cfg)
+	}
+	c := cluster.MustNew(cfg)
+	defer c.Close()
+	c.Launch(func(comm *mpi.Comm) {
+		recv, _ := comm.Alloc(n * tp.np)
+		if coll == "allgather" {
+			send, _ := comm.Alloc(n)
+			comm.Allgather(send, recv)
+		} else {
+			send, _ := comm.Alloc(n * tp.np)
+			comm.Alltoall(send, recv)
+		}
+		comm.Barrier()
+		if comm.Rank() == 0 {
+			took = comm.Wtime()
+		}
+	})
+	return took
+}
+
 // TestAllgatherTableCutoff: the default table is allgather/ring at and
 // above the network's block cutoff and the log-step algorithm below it.
-// The choice cannot be seen in the bytes, so it is read off the clock: a
-// lone Allgather under the table takes exactly as long as under the
-// algorithm the table should have picked.
 func TestAllgatherTableCutoff(t *testing.T) {
-	elapsed := func(np, n int, alg string, mods ...func(*cluster.Config)) (took float64) {
-		cfg := cluster.Config{NP: np, Transport: cluster.TransportZeroCopy}
-		if alg != "" {
-			cfg.Tuning = &mpi.Tuning{Allgather: alg}
-		}
-		for _, mod := range mods {
-			mod(&cfg)
-		}
-		c := cluster.MustNew(cfg)
-		defer c.Close()
-		c.Launch(func(comm *mpi.Comm) {
-			send, _ := comm.Alloc(n)
-			recv, _ := comm.Alloc(n * np)
-			comm.Allgather(send, recv)
-			comm.Barrier()
-			if comm.Rank() == 0 {
-				took = comm.Wtime()
-			}
-		})
-		return took
+	elapsed := func(np, n int, alg string, mods ...func(*cluster.Config)) float64 {
+		return tableElapsed("allgather", topology{"", np, 1}, n, alg, mods...)
 	}
 	for _, tc := range []struct {
 		name    string
@@ -202,6 +216,44 @@ func TestAllgatherTableCutoff(t *testing.T) {
 					t.Errorf("block %d: table took %.9f s, %s %.9f s, %s %.9f s; want the table on %s",
 						n, table, want, picked, other, rejected, want)
 				}
+			}
+		})
+	}
+}
+
+// TestAlltoallTableCutoff: on communicators that span nodes the default
+// table is alltoall/scattered below the 32 KiB block cutoff and
+// alltoall/pairwise at it; a single-node communicator stays pairwise even
+// for short blocks.
+func TestAlltoallTableCutoff(t *testing.T) {
+	const cutoff = 32 << 10
+	fattree := []func(*cluster.Config){withSwitch(4, 1)}
+	for _, tc := range []struct {
+		tp   topology
+		n    int
+		want string
+		mods []func(*cluster.Config)
+	}{
+		{topology{"flat-np4", 4, 1}, cutoff - 1, "scattered", nil},
+		{topology{"flat-np4", 4, 1}, cutoff, "pairwise", nil},
+		{topology{"fattree-np8", 8, 1}, cutoff - 1, "scattered", fattree},
+		{topology{"fattree-np8", 8, 1}, cutoff, "pairwise", fattree},
+		{topology{"smp-2x2", 4, 2}, cutoff - 1, "scattered", nil},
+		{topology{"smp-2x2", 4, 2}, cutoff, "pairwise", nil},
+		{topology{"smp-single-node", 4, 4}, 256, "pairwise", nil},
+	} {
+		tc := tc
+		t.Run(fmt.Sprintf("%s/block=%d", tc.tp.name, tc.n), func(t *testing.T) {
+			other := "pairwise"
+			if tc.want == other {
+				other = "scattered"
+			}
+			table := tableElapsed("alltoall", tc.tp, tc.n, "", tc.mods...)
+			picked := tableElapsed("alltoall", tc.tp, tc.n, tc.want, tc.mods...)
+			rejected := tableElapsed("alltoall", tc.tp, tc.n, other, tc.mods...)
+			if table != picked || table == rejected {
+				t.Errorf("table took %.9f s, %s %.9f s, %s %.9f s; want the table on %s",
+					table, tc.want, picked, other, rejected, tc.want)
 			}
 		})
 	}

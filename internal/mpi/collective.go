@@ -48,6 +48,8 @@ type scratch struct {
 	bruck Buffer // Bruck allgather's rotated working copy
 	split Buffer // Split's (color, key, counter) triple
 	table Buffer // Split's gathered triples, one per member
+
+	reqs []*Request // scattered alltoall's posted requests
 }
 
 // scratch returns an n-byte view of a lazily grown per-comm buffer slot.
@@ -238,41 +240,42 @@ func (c *Comm) FlatAllgather(send, recv Buffer) {
 }
 
 // Alltoall exchanges equal-size blocks between all rank pairs through the
-// tuned algorithm (alltoall/pairwise by default).
+// tuned algorithm: by default alltoall/scattered for blocks below 32 KiB
+// on a communicator that spans nodes, alltoall/pairwise otherwise.
 func (c *Comm) Alltoall(send, recv Buffer) {
 	size := c.Size()
 	if send.Len%size != 0 || recv.Len != send.Len {
 		panic("mpi: Alltoall buffers must be size-divisible and equal")
 	}
-	c.pickAlltoall()(c, send, recv)
+	c.pickAlltoall(send.Len/size)(c, send, recv)
 }
 
-// FlatAlltoall is the pairwise exchange schedule (alltoall/pairwise): at
-// step k every rank sends to rank+k and receives from rank-k, so each
-// step is a perfect matching and no rank is ever oversubscribed.
+// FlatAlltoall is the pairwise exchange schedule (alltoall/pairwise) over
+// equal blocks.
 func (c *Comm) FlatAlltoall(send, recv Buffer) {
-	size, rank := c.Size(), c.Rank()
-	n := send.Len / size
-	copy(c.Bytes(Slice(recv, rank*n, n)), c.Bytes(Slice(send, rank*n, n)))
-	for step := 1; step < size; step++ {
-		to := (rank + step) % size
-		from := (rank - step + size) % size
-		c.Sendrecv2(Slice(send, to*n, n), to, Slice(recv, from*n, n), from, tagAlltoall)
-	}
+	n := send.Len / c.Size()
+	c.pairwise(func(p int) Buffer { return Slice(send, p*n, n) },
+		func(p int) Buffer { return Slice(recv, p*n, n) })
 }
 
-// Alltoallv exchanges variable-size blocks; counts give per-peer bytes.
+// Alltoallv exchanges variable-size blocks pairwise; counts give per-peer
+// bytes.
 func (c *Comm) Alltoallv(send Buffer, sendCounts []int, recv Buffer, recvCounts []int) {
+	sOff, rOff := offsets(sendCounts), offsets(recvCounts)
+	c.pairwise(func(p int) Buffer { return Slice(send, sOff[p], sendCounts[p]) },
+		func(p int) Buffer { return Slice(recv, rOff[p], recvCounts[p]) })
+}
+
+// pairwise is the exchange Alltoall and Alltoallv share: the caller's own
+// block is copied locally, then at step k every rank sends to rank+k and
+// receives from rank-k, so each step is a perfect matching and no rank is
+// ever oversubscribed. sendBlk and recvBlk locate a peer's block.
+func (c *Comm) pairwise(sendBlk, recvBlk func(peer int) Buffer) {
 	size, rank := c.Size(), c.Rank()
-	sOff := offsets(sendCounts)
-	rOff := offsets(recvCounts)
-	copy(c.Bytes(Slice(recv, rOff[rank], recvCounts[rank])),
-		c.Bytes(Slice(send, sOff[rank], sendCounts[rank])))
+	copy(c.Bytes(recvBlk(rank)), c.Bytes(sendBlk(rank)))
 	for step := 1; step < size; step++ {
-		to := (rank + step) % size
-		from := (rank - step + size) % size
-		c.Sendrecv2(Slice(send, sOff[to], sendCounts[to]), to,
-			Slice(recv, rOff[from], recvCounts[from]), from, tagAlltoall)
+		to, from := (rank+step)%size, (rank-step+size)%size
+		c.Sendrecv2(sendBlk(to), to, recvBlk(from), from, tagAlltoall)
 	}
 }
 

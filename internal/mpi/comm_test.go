@@ -342,7 +342,8 @@ func TestWildcardIsolationAcrossComms(t *testing.T) {
 // call — after one warm call per shape, further calls reuse the per-comm
 // scratch (the Alloc-count assertion of the scratch-buffer refactor).
 // Split's triple and table and, on flat-np6, Bruck's working copy are
-// scratch too: a second Split or Allgather on a communicator is free.
+// scratch too: a second Split or Allgather on a communicator is free, and
+// so is a second scattered Alltoall.
 func TestCollectiveScratchReuse(t *testing.T) {
 	for _, tp := range []topology{{"flat-np4", 4, 1}, {"flat-np6", 6, 1}, {"smp-4x2", 8, 2}} {
 		tp := tp
@@ -363,6 +364,12 @@ func TestCollectiveScratchReuse(t *testing.T) {
 				all, _ := comm.Alloc(8 * comm.Size())
 				comm.Allgather(small, all)
 				comm.Split(comm.Rank()%2, 0)
+				var a2a [2][2]mpi.Buffer // 256 B and 4 KiB blocks, send and recv
+				for i, blk := range []int{256, 4 << 10} {
+					a2a[i][0], _ = comm.Alloc(blk * comm.Size())
+					a2a[i][1], _ = comm.Alloc(blk * comm.Size())
+					comm.Alltoall(a2a[i][0], a2a[i][1])
+				}
 
 				before := comm.Allocs()
 				for i := 0; i < 5; i++ {
@@ -372,6 +379,9 @@ func TestCollectiveScratchReuse(t *testing.T) {
 					comm.Allreduce(send, recv, mpi.Byte, mpi.Sum)
 					comm.Allgather(small, all)
 					comm.Split(comm.Rank()%2, 0)
+					for _, bufs := range a2a {
+						comm.Alltoall(bufs[0], bufs[1])
+					}
 				}
 				if got := comm.Allocs(); got != before {
 					t.Errorf("rank %d: steady-state collectives allocated %d times", comm.Rank(), got-before)

@@ -31,7 +31,9 @@
 //     hardwired dispatch bit-for-bit (verified by the PR 3 probe) except
 //     where a measured crossover moved it on purpose — allreduce on fat
 //     trees, allgather below its block cutoff (Tuning.Allgather = "ring"
-//     is the old schedule); forced overrides come only through Tuning.
+//     is the old schedule), multi-node alltoall below its block cutoff
+//     (Tuning.Alltoall = "pairwise"); forced overrides come only through
+//     Tuning.
 //   - Collectives reuse per-communicator scratch buffers: zero
 //     steady-state allocations (TestCollectiveScratchReuse).
 package mpi

@@ -352,7 +352,8 @@ func TestAllgatherRing(t *testing.T) {
 }
 
 func TestAlltoallPairwise(t *testing.T) {
-	c := cluster.MustNew(cluster.Config{NP: 8, Transport: cluster.TransportZeroCopy})
+	c := cluster.MustNew(cluster.Config{NP: 8, Transport: cluster.TransportZeroCopy,
+		Tuning: &mpi.Tuning{Alltoall: "pairwise"}})
 	c.Launch(func(comm *mpi.Comm) {
 		const n = 1024
 		rank, size := comm.Rank(), comm.Size()

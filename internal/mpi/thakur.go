@@ -2,14 +2,14 @@ package mpi
 
 // Collective algorithms after Thakur/Rabenseifner/van de Geijn (the MPICH
 // repertoire): recursive-doubling and Rabenseifner allreduce,
-// scatter-allgather broadcast, and the log-step allgathers (recursive
-// doubling, Bruck). The allreduces and the broadcast handle
-// non-power-of-two communicator sizes — the doubling/halving families by
-// folding the extra ranks into a power-of-two participant set first, the
-// broadcast by chunking over virtual ranks — and all are bit-identical to
-// the flat baselines (for commutative ops, the only ones the datatype
-// layer defines), which the algorithm-equivalence harness asserts per
-// topology, datatype, and rank count.
+// scatter-allgather broadcast, the log-step allgathers (recursive
+// doubling, Bruck) and the scattered alltoall. The allreduces and the
+// broadcast handle non-power-of-two sizes — the doubling/halving families
+// by folding the extra ranks into a power-of-two participant set first,
+// the broadcast by chunking over virtual ranks — and all are
+// bit-identical to the flat baselines (for commutative ops, the only ones
+// the datatype layer defines), which the algorithm-equivalence harness
+// asserts per topology, datatype, and rank count.
 
 // allreduceRabCutoff is the default message size in bytes at and above
 // which the fat-tree tuning table picks allreduce/rabenseifner over
@@ -42,6 +42,43 @@ func (t Tuning) allgatherRingCutoff() int {
 		return 5 << 10
 	}
 	return 192 << 10
+}
+
+// alltoallScatterCutoff is the per-peer block size in bytes below which
+// the default table picks alltoall/scattered on a communicator that spans
+// more than one node. Scattered beats pairwise at every size measured on
+// every multi-node layout (np=32: 256 B 553.5 → 111.4 µs on the flat
+// wire, 545.9 → 110.5 µs on fattree-d4-u1), but from MPICH's 32 KiB
+// medium/long boundary up the win costs more than it gives: at 64 KiB on
+// the fat tree, 31 rendezvous in flight raise live heap per rank 7.3 %
+// and events 1.8×, for a gain partly owed to the per-QP send engines of
+// the model. Single-node communicators stay pairwise: their ranks share
+// one memory bus, and scattered runs 0.06–0.08 % slower there (DESIGN.md
+// §14).
+const alltoallScatterCutoff = 32 << 10
+
+// scatteredAlltoall is alltoall/scattered (Thakur, Rabenseifner and
+// Gropp's medium-block schedule): after the local copy it posts every
+// receive in the pairwise step order, then every send, and waits once —
+// pairwise's messages, tags and bytes, with its np−1 round trips
+// overlapped instead of run in lockstep. The request list is per-comm
+// scratch.
+func (c *Comm) scatteredAlltoall(send, recv Buffer) {
+	size, rank := c.Size(), c.Rank()
+	n := send.Len / size
+	copy(c.Bytes(Slice(recv, rank*n, n)), c.Bytes(Slice(send, rank*n, n)))
+	reqs := c.scr.reqs[:0]
+	for step := 1; step < size; step++ {
+		from := (rank - step + size) % size
+		reqs = append(reqs, c.irecvCtx(Slice(recv, from*n, n), from, tagAlltoall))
+	}
+	for step := 1; step < size; step++ {
+		to := (rank + step) % size
+		reqs = append(reqs, c.isendCtx(Slice(send, to*n, n), to, tagAlltoall))
+	}
+	c.WaitAll(reqs...)
+	clear(reqs) // finished requests must not outlive the call through the scratch
+	c.scr.reqs = reqs
 }
 
 // pof2Below returns the largest power of two ≤ n (n ≥ 1).
