@@ -402,7 +402,7 @@ func TestSMPHeadline(t *testing.T) {
 		t.Errorf("small-message latency: shm %.2f µs vs IB %.2f µs; shm must win", shm, ib)
 	}
 
-	o := bench.Options{Transport: cluster.TransportZeroCopy, CoresPerNode: 4}
+	o := bench.Options{Config: cluster.Config{Transport: cluster.TransportZeroCopy, CoresPerNode: 4}}
 	for _, size := range []int{4, 16 << 10} {
 		hier := bench.CollectiveTime(o, 16, []int{size}, 10, func(comm *mpi.Comm, buf mpi.Buffer) {
 			comm.Bcast(buf, 5)

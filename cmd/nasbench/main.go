@@ -126,10 +126,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "nasbench: -fault-rail %d needs a surviving rail; use -rails ≥ 2 with -fault-rail < rails\n", *faultRail)
 			os.Exit(1)
 		}
-		if *faultAt < 0 {
-			fmt.Fprintln(os.Stderr, "nasbench: -fault-at must be ≥ 0")
-			os.Exit(1)
-		}
 	}
 
 	// The NPB decompositions constrain the rank count: SP and BT need a
@@ -191,70 +187,58 @@ func main() {
 		"zerocopy":  cluster.TransportZeroCopy,
 		"ch3":       cluster.TransportCH3,
 	}
-	if railCount > 1 && strings.Contains(*transport, "basic") {
-		fmt.Fprintln(os.Stderr, "nasbench: the basic design is single-rail; drop basic from -transport or use -rails 1")
-		os.Exit(1)
+	if *srq && *transport == "" {
+		// The SRQ mode replaces the channel design (zerocopy label).
+		*transport = "zerocopy"
 	}
-	if *srq {
-		// The SRQ mode replaces the channel design (zerocopy label);
-		// sweeping the design trio under it would relabel identical runs.
-		if *transport == "" {
-			*transport = "zerocopy"
-		} else if *transport != "zerocopy" {
-			fmt.Fprintln(os.Stderr, "nasbench: -srq replaces the channel design; use -transport zerocopy")
-			os.Exit(1)
-		}
-	}
-	run := func(tr cluster.Transport) {
-		cfg := cluster.Config{NP: *np, CoresPerNode: *ppn, RailsPerNode: railCount,
-			Transport: tr, ConnectMode: mode}
-		cfg.Chan.UseSRQ = *srq
-		cfg.Chan.RailPolicy = pol
-		if *faultRail >= 0 {
-			nodes := (*np + maxInt(*ppn, 1) - 1) / maxInt(*ppn, 1)
-			plan := &fault.Plan{}
-			for n := 0; n < nodes; n++ {
-				plan.Events = append(plan.Events, fault.Event{
-					At:   des.Time(*faultAt * float64(des.Microsecond)),
-					Kind: fault.HCADown, Node: n, Rail: *faultRail,
-				})
-			}
-			cfg.Fault = plan
-			c := cluster.MustNew(cfg)
-			res := nas.RunOn(c, *benchName, cl)
-			fs := c.FaultStats()
-			c.Close()
-			fmt.Printf("%-22s %s  [%d rails downed, %d re-dials, mean recovery %v]\n",
-				tr, res, fs.LinksDowned, fs.Redials, fs.MeanRecovery())
-			return
-		}
-		res := nas.Run(*benchName, cl, cfg)
-		fmt.Printf("%-22s %s\n", tr, res)
-	}
+	list := []cluster.Transport{cluster.TransportPipeline, cluster.TransportZeroCopy, cluster.TransportCH3}
 	if *transport != "" {
+		list = nil
 		for _, name := range strings.Split(*transport, ",") {
-			name = strings.TrimSpace(name)
-			tr, ok := trs[name]
+			tr, ok := trs[strings.TrimSpace(name)]
 			if !ok {
 				fmt.Fprintf(os.Stderr, "nasbench: unknown transport %q\n", name)
 				os.Exit(1)
 			}
-			run(tr)
+			list = append(list, tr)
 		}
-		return
 	}
-	for _, tr := range []cluster.Transport{
-		cluster.TransportPipeline, cluster.TransportZeroCopy, cluster.TransportCH3,
-	} {
-		run(tr)
+	var plan *fault.Plan
+	if *faultRail >= 0 {
+		plan = &fault.Plan{}
+		for n, cpn := 0, max(*ppn, 1); n < (*np+cpn-1)/cpn; n++ {
+			plan.Events = append(plan.Events, fault.Event{
+				At:   des.Time(*faultAt * float64(des.Microsecond)),
+				Kind: fault.HCADown, Node: n, Rail: *faultRail,
+			})
+		}
 	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
+	// Every configuration is validated before the first one runs: a setting
+	// the cluster cannot build as asked is named, not run as something else.
+	var cfgs []cluster.Config
+	for _, tr := range list {
+		cfg := cluster.Config{NP: *np, CoresPerNode: *ppn, RailsPerNode: railCount,
+			Transport: tr, ConnectMode: mode, Fault: plan}
+		cfg.Chan.UseSRQ = *srq
+		cfg.Chan.RailPolicy = pol
+		if err := cfg.Validate(); err != nil {
+			fmt.Fprintln(os.Stderr, "nasbench:", err)
+			os.Exit(2)
+		}
+		cfgs = append(cfgs, cfg)
 	}
-	return b
+	for _, cfg := range cfgs {
+		if plan == nil {
+			fmt.Printf("%-22s %s\n", cfg.Transport, nas.Run(*benchName, cl, cfg))
+			continue
+		}
+		c := cluster.MustNew(cfg)
+		res := nas.RunOn(c, *benchName, cl)
+		fs := c.FaultStats()
+		c.Close()
+		fmt.Printf("%-22s %s  [%d rails downed, %d re-dials, mean recovery %v]\n",
+			cfg.Transport, res, fs.LinksDowned, fs.Redials, fs.MeanRecovery())
+	}
 }
 
 // isSquare reports whether n is a perfect square ≥ 1 (SP/BT grids).

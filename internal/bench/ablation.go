@@ -22,10 +22,7 @@ func AblationTailThreshold() Figure {
 	}
 	s := Series{Name: "pipeline 16K"}
 	for _, batch := range []int{1, 2, 4, 6} {
-		bw := MPIBandwidth(Options{
-			Transport: cluster.TransportPipeline,
-			Chan:      rdmachan.Config{CreditBatch: batch},
-		}, []int{16 << 10})
+		bw := MPIBandwidth(Options{Config: cluster.Config{Transport: cluster.TransportPipeline, Chan: rdmachan.Config{CreditBatch: batch}}}, []int{16 << 10})
 		s.Points = append(s.Points, Point{Size: batch, Value: bw.Points[0].Value})
 	}
 	f.Series = []Series{s}
@@ -49,14 +46,13 @@ func AblationRegCache() Figure {
 	}
 	var withStats, withoutStats regcache.Stats
 	with := MPIBandwidth(Options{
-		Transport: cluster.TransportZeroCopy,
-		Observe:   observe(&withStats),
+		Config:  cluster.Config{Transport: cluster.TransportZeroCopy},
+		Observe: observe(&withStats),
 	}, sizes)
 	with.Name = "with cache"
 	without := MPIBandwidth(Options{
-		Transport: cluster.TransportZeroCopy,
-		Chan:      rdmachan.Config{RegCacheBytes: -1},
-		Observe:   observe(&withoutStats),
+		Config:  cluster.Config{Transport: cluster.TransportZeroCopy, Chan: rdmachan.Config{RegCacheBytes: -1}},
+		Observe: observe(&withoutStats),
 	}, sizes)
 	without.Name = "no cache"
 	note := func(name string, s regcache.Stats) string {
@@ -78,12 +74,10 @@ func AblationRegCache() Figure {
 func AblationShmRndv() Figure {
 	sizes := sizesPow4(32<<10, 1<<20)
 	var rndvStats regcache.Stats
-	seg := MPIBandwidth(Options{Transport: cluster.TransportZeroCopy, CoresPerNode: 2}, sizes)
+	seg := MPIBandwidth(Options{Config: cluster.Config{Transport: cluster.TransportZeroCopy, CoresPerNode: 2}}, sizes)
 	seg.Name = "shm segment"
 	rndv := MPIBandwidth(Options{
-		Transport:    cluster.TransportZeroCopy,
-		CoresPerNode: 2,
-		Shm:          shmchan.Config{RndvThreshold: 32 << 10},
+		Config: cluster.Config{Transport: cluster.TransportZeroCopy, CoresPerNode: 2, Shm: shmchan.Config{RndvThreshold: 32 << 10}},
 		Observe: func(c *cluster.Cluster) {
 			s := c.RegCacheStats()
 			rndvStats.Hits += s.Hits
@@ -109,10 +103,7 @@ func AblationZCThreshold() Figure {
 	}
 	sizes := sizesPow4(4<<10, 256<<10)
 	for _, th := range []int{8 << 10, 16 << 10, 32 << 10, 64 << 10} {
-		s := MPIBandwidth(Options{
-			Transport: cluster.TransportZeroCopy,
-			Chan:      rdmachan.Config{ZCThreshold: th},
-		}, sizes)
+		s := MPIBandwidth(Options{Config: cluster.Config{Transport: cluster.TransportZeroCopy, Chan: rdmachan.Config{ZCThreshold: th}}}, sizes)
 		s.Name = "thresh " + fmtSize(th)
 		f.Series = append(f.Series, s)
 	}
@@ -130,7 +121,7 @@ func AblationOutstandingReads() Figure {
 	for _, ird := range []int{1, 2, 4} {
 		prm := model.Testbed()
 		prm.MaxRDMAReads = ird
-		s := MPIBandwidth(Options{Transport: cluster.TransportZeroCopy, Params: prm}, sizes)
+		s := MPIBandwidth(Options{Config: cluster.Config{Transport: cluster.TransportZeroCopy, Params: prm}}, sizes)
 		s.Name = "IRD " + fmtSize(ird)
 		f.Series = append(f.Series, s)
 	}
@@ -146,10 +137,7 @@ func AblationRingSize() Figure {
 	}
 	s := Series{Name: "pipeline 1M"}
 	for _, ring := range []int{32 << 10, 64 << 10, 128 << 10, 256 << 10, 512 << 10} {
-		bw := MPIBandwidth(Options{
-			Transport: cluster.TransportPipeline,
-			Chan:      rdmachan.Config{RingSize: ring},
-		}, []int{1 << 20})
+		bw := MPIBandwidth(Options{Config: cluster.Config{Transport: cluster.TransportPipeline, Chan: rdmachan.Config{RingSize: ring}}}, []int{1 << 20})
 		s.Points = append(s.Points, Point{Size: ring, Value: bw.Points[0].Value})
 	}
 	f.Series = []Series{s}

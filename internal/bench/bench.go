@@ -8,9 +8,6 @@ import (
 	"repro/internal/ib"
 	"repro/internal/model"
 	"repro/internal/mpi"
-	"repro/internal/rdmachan"
-	"repro/internal/shmchan"
-	"repro/internal/switchfab"
 )
 
 // Point is one x/y sample of a series.
@@ -60,16 +57,10 @@ func windowFor(size int) int {
 	return w
 }
 
-// Options configures a measurement run.
+// Options configures a measurement run: the cluster each measurement
+// builds, its NP set by the measurement.
 type Options struct {
-	Transport    cluster.Transport
-	CoresPerNode int // ranks per node; 0/1 = the paper's one-per-node testbed
-	RailsPerNode int // HCAs per node; 0/1 = the paper's single-rail testbed
-	Chan         rdmachan.Config
-	Shm          shmchan.Config
-	Tuning       *mpi.Tuning       // collective algorithm overrides (nil = default table)
-	Switch       *switchfab.Config // route wires through a fat tree (nil = flat wire)
-	Params       *model.Params
+	cluster.Config
 
 	// Observe, when set, runs against each measurement cluster after its
 	// launches finish and before it is torn down — the hook ablations use
@@ -78,17 +69,9 @@ type Options struct {
 }
 
 func (o Options) cluster(np int) *cluster.Cluster {
-	return cluster.MustNew(cluster.Config{
-		NP:           np,
-		CoresPerNode: o.CoresPerNode,
-		RailsPerNode: o.RailsPerNode,
-		Transport:    o.Transport,
-		Chan:         o.Chan,
-		Shm:          o.Shm,
-		Tuning:       o.Tuning,
-		Switch:       o.Switch,
-		Params:       o.Params,
-	})
+	cfg := o.Config
+	cfg.NP = np
+	return cluster.MustNew(cfg)
 }
 
 // MPILatency measures one-way MPI latency (round-trip/2 of a ping-pong,

@@ -85,14 +85,14 @@ func TestVerbsBandwidthSeries(t *testing.T) {
 }
 
 func TestMPILatencySmoke(t *testing.T) {
-	s := MPILatency(Options{Transport: cluster.TransportPiggyback}, []int{4}, 5)
+	s := MPILatency(Options{Config: cluster.Config{Transport: cluster.TransportPiggyback}}, []int{4}, 5)
 	if v := s.Points[0].Value; v < 6.8 || v > 8.4 {
 		t.Fatalf("piggyback 4B latency = %.2f, want ~7.4-7.6 µs", v)
 	}
 }
 
 func TestMPIBandwidthSmoke(t *testing.T) {
-	s := MPIBandwidth(Options{Transport: cluster.TransportZeroCopy}, []int{1 << 20})
+	s := MPIBandwidth(Options{Config: cluster.Config{Transport: cluster.TransportZeroCopy}}, []int{1 << 20})
 	if v := s.Points[0].Value; v < 800 || v > 875 {
 		t.Fatalf("zero-copy 1M bandwidth = %.1f, want ~840-857 MB/s", v)
 	}

@@ -105,7 +105,7 @@ func CollAlgSweepNet(coll string, np, cpn int, sw *switchfab.Config, sizes []int
 	for _, a := range algs {
 		tun := base
 		tun.Force(coll, a)
-		o := Options{Transport: cluster.TransportZeroCopy, CoresPerNode: cpn, Tuning: &tun, Switch: sw}
+		o := Options{Config: cluster.Config{Transport: cluster.TransportZeroCopy, CoresPerNode: cpn, Tuning: &tun, Switch: sw}}
 		s := CollectiveTime(o, np, sizes, iters, collRunner(coll, np, root))
 		s.Name = coll + "/" + a
 		f.Series = append(f.Series, s)

@@ -90,8 +90,7 @@ func MeasureColl(colls []string, np, cpn int, sizes []int, iters int) (*Report[C
 			for _, alg := range algs {
 				tun := mpi.DefaultTuning()
 				tun.Force(coll, alg)
-				o := Options{Transport: cluster.TransportZeroCopy, CoresPerNode: cpn,
-					Tuning: &tun, Switch: sw}
+				o := Options{Config: cluster.Config{Transport: cluster.TransportZeroCopy, CoresPerNode: cpn, Tuning: &tun, Switch: sw}}
 				root := collAlgRoot
 				if root >= np {
 					root = np - 1

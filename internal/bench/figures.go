@@ -17,7 +17,7 @@ func Fig4() Figure {
 		ID: "fig4", Title: "MPI Latency for Basic Design",
 		XLabel: "message size (bytes)", YLabel: "time (µs)",
 		Series: []Series{
-			MPILatency(Options{Transport: cluster.TransportBasic}, sizesPow4(4, 16<<10), latIters),
+			MPILatency(Options{Config: cluster.Config{Transport: cluster.TransportBasic}}, sizesPow4(4, 16<<10), latIters),
 		},
 	}
 }
@@ -28,7 +28,7 @@ func Fig5() Figure {
 		ID: "fig5", Title: "MPI Bandwidth for Basic Design",
 		XLabel: "message size (bytes)", YLabel: "bandwidth (MB/s)",
 		Series: []Series{
-			MPIBandwidth(Options{Transport: cluster.TransportBasic}, sizesPow4(4, 64<<10)),
+			MPIBandwidth(Options{Config: cluster.Config{Transport: cluster.TransportBasic}}, sizesPow4(4, 64<<10)),
 		},
 	}
 }
@@ -40,8 +40,8 @@ func Fig6() Figure {
 		ID: "fig6", Title: "MPI Small-Message Latency with Piggybacking",
 		XLabel: "message size (bytes)", YLabel: "time (µs)",
 		Series: []Series{
-			MPILatency(Options{Transport: cluster.TransportBasic}, sizes, latIters),
-			MPILatency(Options{Transport: cluster.TransportPiggyback}, sizes, latIters),
+			MPILatency(Options{Config: cluster.Config{Transport: cluster.TransportBasic}}, sizes, latIters),
+			MPILatency(Options{Config: cluster.Config{Transport: cluster.TransportPiggyback}}, sizes, latIters),
 		},
 	}
 }
@@ -53,8 +53,8 @@ func Fig7() Figure {
 		ID: "fig7", Title: "MPI Small-Message Bandwidth with Piggybacking",
 		XLabel: "message size (bytes)", YLabel: "bandwidth (MB/s)",
 		Series: []Series{
-			MPIBandwidth(Options{Transport: cluster.TransportBasic}, sizes),
-			MPIBandwidth(Options{Transport: cluster.TransportPiggyback}, sizes),
+			MPIBandwidth(Options{Config: cluster.Config{Transport: cluster.TransportBasic}}, sizes),
+			MPIBandwidth(Options{Config: cluster.Config{Transport: cluster.TransportPiggyback}}, sizes),
 		},
 	}
 }
@@ -65,8 +65,8 @@ func Fig8() Figure {
 		ID: "fig8", Title: "MPI Bandwidth with Pipelining",
 		XLabel: "message size (bytes)", YLabel: "bandwidth (MB/s)",
 		Series: []Series{
-			MPIBandwidth(Options{Transport: cluster.TransportBasic}, sizesPow4(4, 64<<10)),
-			MPIBandwidth(Options{Transport: cluster.TransportPipeline}, sizesPow4(4, 64<<10)),
+			MPIBandwidth(Options{Config: cluster.Config{Transport: cluster.TransportBasic}}, sizesPow4(4, 64<<10)),
+			MPIBandwidth(Options{Config: cluster.Config{Transport: cluster.TransportPipeline}}, sizesPow4(4, 64<<10)),
 		},
 	}
 }
@@ -80,10 +80,7 @@ func Fig9() Figure {
 		XLabel: "message size (bytes)", YLabel: "bandwidth (MB/s)",
 	}
 	for _, chunk := range []int{32 << 10, 16 << 10, 8 << 10, 4 << 10, 2 << 10, 1 << 10} {
-		s := MPIBandwidth(Options{
-			Transport: cluster.TransportPipeline,
-			Chan:      rdmachan.Config{ChunkSize: chunk},
-		}, sizesPow4(4<<10, 1<<20))
+		s := MPIBandwidth(Options{Config: cluster.Config{Transport: cluster.TransportPipeline, Chan: rdmachan.Config{ChunkSize: chunk}}}, sizesPow4(4<<10, 1<<20))
 		s.Name = fmtSize(chunk)
 		f.Series = append(f.Series, s)
 	}
@@ -97,8 +94,8 @@ func Fig11() Figure {
 		ID: "fig11", Title: "MPI Bandwidth with Zero-Copy and Pipelining",
 		XLabel: "message size (bytes)", YLabel: "bandwidth (MB/s)",
 		Series: []Series{
-			MPIBandwidth(Options{Transport: cluster.TransportPipeline}, sizes),
-			MPIBandwidth(Options{Transport: cluster.TransportZeroCopy}, sizes),
+			MPIBandwidth(Options{Config: cluster.Config{Transport: cluster.TransportPipeline}}, sizes),
+			MPIBandwidth(Options{Config: cluster.Config{Transport: cluster.TransportZeroCopy}}, sizes),
 		},
 	}
 }
@@ -107,9 +104,9 @@ func Fig11() Figure {
 // CH3 design, 4 B–64 KB.
 func Fig13() Figure {
 	sizes := sizesPow4(4, 64<<10)
-	a := MPILatency(Options{Transport: cluster.TransportZeroCopy}, sizes, latIters)
+	a := MPILatency(Options{Config: cluster.Config{Transport: cluster.TransportZeroCopy}}, sizes, latIters)
 	a.Name = "RDMA Chan ZC"
-	b := MPILatency(Options{Transport: cluster.TransportCH3}, sizes, latIters)
+	b := MPILatency(Options{Config: cluster.Config{Transport: cluster.TransportCH3}}, sizes, latIters)
 	b.Name = "CH3 ZC"
 	return Figure{
 		ID: "fig13", Title: "MPI Latency for CH3 Design and RDMA Channel Interface Design",
@@ -123,9 +120,9 @@ func Fig13() Figure {
 // (32 KB–256 KB), tracking the raw write-vs-read gap of Figure 15.
 func Fig14() Figure {
 	sizes := sizesPow4(4, 1<<20)
-	a := MPIBandwidth(Options{Transport: cluster.TransportZeroCopy}, sizes)
+	a := MPIBandwidth(Options{Config: cluster.Config{Transport: cluster.TransportZeroCopy}}, sizes)
 	a.Name = "RDMA Chan ZC"
-	b := MPIBandwidth(Options{Transport: cluster.TransportCH3}, sizes)
+	b := MPIBandwidth(Options{Config: cluster.Config{Transport: cluster.TransportCH3}}, sizes)
 	b.Name = "CH3 ZC"
 	return Figure{
 		ID: "fig14", Title: "MPI Bandwidth for CH3 Design and RDMA Channel Interface Design",
@@ -166,8 +163,8 @@ func Baseline() Figure {
 // Headline reproduces the paper's headline MPI numbers: 7.6 µs latency and
 // 857 MB/s peak bandwidth for the optimized (zero-copy) design.
 func Headline() Figure {
-	lat := MPILatency(Options{Transport: cluster.TransportZeroCopy}, []int{4}, latIters)
-	bw := MPIBandwidth(Options{Transport: cluster.TransportZeroCopy}, []int{1 << 20})
+	lat := MPILatency(Options{Config: cluster.Config{Transport: cluster.TransportZeroCopy}}, []int{4}, latIters)
+	bw := MPIBandwidth(Options{Config: cluster.Config{Transport: cluster.TransportZeroCopy}}, []int{1 << 20})
 	return Figure{
 		ID: "headline", Title: "Headline MPI numbers (paper: 7.6 µs, 857 MB/s)",
 		XLabel: "metric", YLabel: "value",

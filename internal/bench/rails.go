@@ -49,7 +49,7 @@ func AblationRailStripe() Figure {
 		{"stripe>=512K", 512 << 10},
 		{"no-striping", -1},
 	} {
-		o := Options{Transport: cluster.TransportZeroCopy, RailsPerNode: 2}
+		o := Options{Config: cluster.Config{Transport: cluster.TransportZeroCopy, RailsPerNode: 2}}
 		o.Chan.StripeThreshold = th.val
 		s := MPIBandwidth(o, sizes)
 		s.Name = th.name
@@ -72,7 +72,7 @@ func RailPolicyFigure() Figure {
 	for _, pol := range []rdmachan.RailPolicy{
 		rdmachan.RailRoundRobin, rdmachan.RailWeighted, rdmachan.RailFixed,
 	} {
-		o := Options{Transport: cluster.TransportZeroCopy, RailsPerNode: 2}
+		o := Options{Config: cluster.Config{Transport: cluster.TransportZeroCopy, RailsPerNode: 2}}
 		o.Chan.RailPolicy = pol
 		s := MPIBandwidth(o, sizes)
 		s.Name = pol.String()

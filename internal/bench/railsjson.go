@@ -52,7 +52,7 @@ func MeasureRails(railCounts []int, policy rdmachan.RailPolicy) *Report[RailsRun
 	rep := NewReport[RailsRun]()
 	sizes := sizesPow4(4<<10, 4<<20)
 	for _, rails := range railCounts {
-		o := Options{Transport: cluster.TransportZeroCopy, RailsPerNode: rails}
+		o := Options{Config: cluster.Config{Transport: cluster.TransportZeroCopy, RailsPerNode: rails}}
 		o.Chan.RailPolicy = policy
 		start := time.Now()
 		s := MPIBandwidth(o, sizes)

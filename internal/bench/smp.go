@@ -18,9 +18,9 @@ import (
 // shm path closes on the single memory bus.
 func Fig3Latency() Figure {
 	sizes := sizesPow4(4, 64<<10)
-	intra := MPILatency(Options{Transport: cluster.TransportZeroCopy, CoresPerNode: 2}, sizes, latIters)
+	intra := MPILatency(Options{Config: cluster.Config{Transport: cluster.TransportZeroCopy, CoresPerNode: 2}}, sizes, latIters)
 	intra.Name = "intra-node shm"
-	inter := MPILatency(Options{Transport: cluster.TransportZeroCopy}, sizes, latIters)
+	inter := MPILatency(Options{Config: cluster.Config{Transport: cluster.TransportZeroCopy}}, sizes, latIters)
 	inter.Name = "inter-node IB"
 	return Figure{
 		ID: "fig3-lat", Title: "Intra-Node (Shared Memory) vs Inter-Node (InfiniBand) MPI Latency",
@@ -35,9 +35,9 @@ func Fig3Latency() Figure {
 // §4.4 reappearing as an SMP property.
 func Fig3Bandwidth() Figure {
 	sizes := sizesPow4(4, 1<<20)
-	intra := MPIBandwidth(Options{Transport: cluster.TransportZeroCopy, CoresPerNode: 2}, sizes)
+	intra := MPIBandwidth(Options{Config: cluster.Config{Transport: cluster.TransportZeroCopy, CoresPerNode: 2}}, sizes)
 	intra.Name = "intra-node shm"
-	inter := MPIBandwidth(Options{Transport: cluster.TransportZeroCopy}, sizes)
+	inter := MPIBandwidth(Options{Config: cluster.Config{Transport: cluster.TransportZeroCopy}}, sizes)
 	inter.Name = "inter-node IB"
 	return Figure{
 		ID: "fig3-bw", Title: "Intra-Node (Shared Memory) vs Inter-Node (InfiniBand) MPI Bandwidth",
@@ -96,7 +96,7 @@ func CollectiveTime(o Options, np int, sizes []int, iters int,
 // at arbitrary ranks actually experience. DESIGN.md §6 discusses this.
 func AblationHierCollectives() Figure {
 	const np, cpn, iters, root = 16, 4, 10, 5
-	o := Options{Transport: cluster.TransportZeroCopy, CoresPerNode: cpn}
+	o := Options{Config: cluster.Config{Transport: cluster.TransportZeroCopy, CoresPerNode: cpn}}
 	sizes := sizesPow4(4, 64<<10)
 
 	hb := CollectiveTime(o, np, sizes, iters, func(comm *mpi.Comm, buf mpi.Buffer) {

@@ -27,18 +27,14 @@ type TransportSpec struct {
 func transportSpecs() map[string]TransportSpec {
 	mk := func(name string, o Options) TransportSpec { return TransportSpec{Name: name, Options: o} }
 	return map[string]TransportSpec{
-		"basic":     mk("basic", Options{Transport: cluster.TransportBasic}),
-		"piggyback": mk("piggyback", Options{Transport: cluster.TransportPiggyback}),
-		"pipeline":  mk("pipeline", Options{Transport: cluster.TransportPipeline}),
-		"zerocopy":  mk("zerocopy", Options{Transport: cluster.TransportZeroCopy}),
-		"ib":        mk("ib", Options{Transport: cluster.TransportZeroCopy}),
-		"ch3":       mk("ch3", Options{Transport: cluster.TransportCH3}),
-		"shm":       mk("shm", Options{Transport: cluster.TransportZeroCopy, CoresPerNode: 2}),
-		"shm-rndv": mk("shm-rndv", Options{
-			Transport:    cluster.TransportZeroCopy,
-			CoresPerNode: 2,
-			Shm:          shmchan.Config{RndvThreshold: 32 << 10},
-		}),
+		"basic":     mk("basic", Options{Config: cluster.Config{Transport: cluster.TransportBasic}}),
+		"piggyback": mk("piggyback", Options{Config: cluster.Config{Transport: cluster.TransportPiggyback}}),
+		"pipeline":  mk("pipeline", Options{Config: cluster.Config{Transport: cluster.TransportPipeline}}),
+		"zerocopy":  mk("zerocopy", Options{Config: cluster.Config{Transport: cluster.TransportZeroCopy}}),
+		"ib":        mk("ib", Options{Config: cluster.Config{Transport: cluster.TransportZeroCopy}}),
+		"ch3":       mk("ch3", Options{Config: cluster.Config{Transport: cluster.TransportCH3}}),
+		"shm":       mk("shm", Options{Config: cluster.Config{Transport: cluster.TransportZeroCopy, CoresPerNode: 2}}),
+		"shm-rndv":  mk("shm-rndv", Options{Config: cluster.Config{Transport: cluster.TransportZeroCopy, CoresPerNode: 2, Shm: shmchan.Config{RndvThreshold: 32 << 10}}}),
 	}
 }
 

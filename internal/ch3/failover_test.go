@@ -183,9 +183,10 @@ func TestRDMADirectRailLossSweep(t *testing.T) {
 	}, 0, runDirectAllreduceWindow)
 }
 
-// TestSRQRefillUnderRailFlap drives an eager burst through a deliberately
-// tiny SRQ while the connection's rail flaps down and up repeatedly: every
-// message must arrive intact, through reposts, re-dials and refills.
+// TestSRQRefillUnderRailFlap drives an eager burst larger than the SRQ pool
+// — 48 messages into 32 slots while the receiver computes — as the
+// connection's rail flaps down and up repeatedly: every message must arrive
+// intact, through reposts, re-dials and refills.
 func TestSRQRefillUnderRailFlap(t *testing.T) {
 	const msgs, size = 48, 1024
 	plan := &fault.Plan{}
@@ -201,10 +202,8 @@ func TestSRQRefillUnderRailFlap(t *testing.T) {
 		Transport:    cluster.TransportZeroCopy,
 		ConnectMode:  cluster.ConnectLazy,
 		RailsPerNode: 2,
-		Chan: rdmachan.Config{
-			UseSRQ: true, SRQSlots: 4, SRQLowWater: 2, SRQSendSlots: 2,
-		},
-		Fault: plan,
+		Chan:         rdmachan.Config{UseSRQ: true},
+		Fault:        plan,
 	})
 	defer c.Close()
 	var got []uint64
@@ -220,6 +219,7 @@ func TestSRQRefillUnderRailFlap(t *testing.T) {
 			return
 		}
 		buf, b := comm.Alloc(size)
+		comm.Compute(1e5)
 		for i := 0; i < msgs; i++ {
 			comm.Recv2(buf, 0, 4)
 			got = append(got, fnvSum(b))

@@ -76,8 +76,8 @@ func FuzzHeader(f *testing.F) {
 			rails[i] = []*ib.HCA{fab.NewRailHCA(nodes[i], 0), fab.NewRailHCA(nodes[i], 1)}
 		}
 		eng.Spawn("fuzz", func(p *des.Proc) {
-			cfg := rdmachan.Config{Design: rdmachan.DesignPipeline, Resilient: mode&2 != 0}
-			ep, _, err := rdmachan.NewConnectionRails(p, cfg, rails[0], rails[1])
+			cfg := rdmachan.Config{Design: rdmachan.DesignPipeline}
+			ep, _, err := rdmachan.NewConnectionRails(p, cfg, rails[0], rails[1], mode&2 != 0)
 			if err != nil {
 				t.Errorf("setup: %v", err)
 				return

@@ -71,7 +71,7 @@ func newSRQConn(pool *rdmachan.SRQPool, qp *ib.QP, h transport.Handler,
 	c.engine = engine{
 		car: c, rails: (*srqRail)(c), nRails: 1, self: c, h: h, onErr: onErr,
 		messages: true, resilient: pool.Resilient(),
-		threshold: pool.SlotSize() - hdrSize,
+		threshold: rdmachan.SRQSlotSize - hdrSize,
 	}
 	c.mover = rdmachan.NewMover(c.rails, c.resilient)
 	if c.resilient {

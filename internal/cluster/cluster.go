@@ -18,143 +18,6 @@ import (
 	"repro/internal/transport"
 )
 
-// Transport selects the MPI transport under test, matching the designs the
-// paper evaluates against each other.
-type Transport int
-
-// The five transports of the evaluation.
-const (
-	TransportBasic Transport = iota
-	TransportPiggyback
-	TransportPipeline
-	TransportZeroCopy // "RDMA Channel" in Figures 16–17
-	TransportCH3      // direct CH3 design with RDMA-write rendezvous
-)
-
-func (t Transport) String() string {
-	switch t {
-	case TransportBasic:
-		return "basic"
-	case TransportPiggyback:
-		return "piggyback"
-	case TransportPipeline:
-		return "pipeline"
-	case TransportZeroCopy:
-		return "rdma-channel-zerocopy"
-	case TransportCH3:
-		return "ch3-zerocopy"
-	}
-	return fmt.Sprintf("Transport(%d)", int(t))
-}
-
-// ConnectMode selects the connection lifecycle.
-type ConnectMode int
-
-const (
-	// ConnectEager wires every rank pair at cluster construction — the
-	// paper's behaviour, and the default.
-	ConnectEager ConnectMode = iota
-
-	// ConnectLazy establishes each connection on first send: the first
-	// message to an unconnected peer queues behind a simulated
-	// QP-create/address-exchange handshake run by a connection-manager
-	// process, and receives (AnySource included) never force connections.
-	ConnectLazy
-)
-
-func (m ConnectMode) String() string {
-	switch m {
-	case ConnectEager:
-		return "eager"
-	case ConnectLazy:
-		return "lazy"
-	}
-	return fmt.Sprintf("ConnectMode(%d)", int(m))
-}
-
-// Config describes the cluster to build.
-type Config struct {
-	NP        int // number of ranks
-	Transport Transport
-
-	// ConnectMode selects eager (default, the paper's full mesh at
-	// startup) or lazy (on-demand) connection establishment.
-	ConnectMode ConnectMode
-
-	// CoresPerNode places this many ranks on each node, in rank order
-	// (rank r runs on node r/CoresPerNode; the last node may be partially
-	// filled). Co-located pairs communicate over shared memory, remote
-	// pairs over the Transport. 0 or 1 reproduces the paper's testbed:
-	// one rank per node, all traffic on InfiniBand.
-	CoresPerNode int
-
-	// RailsPerNode provisions this many HCAs (rails) on every node; 0 or 1
-	// reproduces the paper's testbed, one PCI-X-bound adapter per node —
-	// the 870 MB/s ceiling of §6. With more rails every inter-node
-	// connection becomes a rail set (one queue pair per rail): eager
-	// chunks pick a rail through Chan.RailPolicy, large zero-copy
-	// transfers stripe across all rails, and the rails share the node's
-	// memory bandwidth while each owns its network bandwidth
-	// (DESIGN.md §10). One-sided windows live on rail 0 of such a
-	// connection. At most rdmachan.MaxRails.
-	RailsPerNode int
-
-	// Chan overrides per-connection channel parameters (chunk size, ring
-	// size, thresholds, registration cache) for sweeps and ablations.
-	// Chan.UseSRQ selects the SRQ-backed eager mode: inter-node pairs
-	// share a per-process slot pool (rdmachan.SRQPool) behind one shared
-	// receive queue instead of dedicating a ring to every connection, with
-	// the SRQSlots/SRQSlotSize/SRQLowWater/SRQSendSlots knobs threaded
-	// through here.
-	Chan rdmachan.Config
-
-	// Shm overrides the intra-node channel parameters (eager cutoff, ring
-	// depth, segment chunking, rendezvous threshold).
-	Shm shmchan.Config
-
-	// Tuning overrides collective algorithm selection for every
-	// communicator of every launched job (nil = the default
-	// topology/size table; see mpi.Tuning).
-	Tuning *mpi.Tuning
-
-	// Params overrides the testbed cost model (nil = calibrated defaults).
-	Params *model.Params
-
-	// Switch replaces the flat per-link timing with a blocking two-level
-	// fat-tree fabric (internal/switchfab): nodes hang off leaf switches,
-	// cross-leaf granules pay switch hops plus per-uplink queueing, and
-	// alltoall/hotspot traffic actually collides. nil keeps the flat
-	// model, bit-identical to the pre-switch cluster. Each rail gets an
-	// independent plane. Under sharded execution the shard count is
-	// additionally clamped to the leaf count so every leaf's port clocks
-	// have a single owning engine (determinism; DESIGN.md §14).
-	Switch *switchfab.Config
-
-	// Shards partitions the simulation across OS threads: nodes are
-	// assigned to this many shard engines in contiguous blocks, each shard
-	// running its own event queue and dispatch driver, synchronized by
-	// conservative lookahead windows derived from Params.WireLatency
-	// (DESIGN.md §13). 0 or 1 runs the classic single-threaded engine. The
-	// shard count is clamped to the node count, and a fault plan with
-	// events forces serial execution — the recovery machinery reaches
-	// across shard boundaries at unbounded delay, so fault runs trade
-	// parallelism for the proven serial paths. Any fixed shard count
-	// produces dispatch schedules bit-identical to the serial engine
-	// (TraceFingerprint equality).
-	Shards int
-
-	// Fault schedules failure injection: the plan's events fire at their
-	// offsets from the end of cluster setup, downing links, whole
-	// adapters, or opening packet-drop windows (internal/fault). A
-	// non-nil plan — even an empty one — switches the transport stack
-	// into resilient mode: chunk rings and stripe engines tag their work
-	// requests for rail eviction and re-issue, SRQ connections retain
-	// packets for resend, and broken pairs re-dial on a surviving rail.
-	// With Fault nil every recovery path is compiled out of the hot path
-	// and runs are bit-identical to the fault-free stack (DESIGN.md §11).
-	Fault *fault.Plan
-}
-
 // Cluster is a built simulation. Nodes and HCAs are indexed by node id,
 // Devs by rank; with CoresPerNode > 1 there are fewer nodes than ranks
 // and co-located devices share their node's adapters. HCAs holds each
@@ -174,6 +37,10 @@ type Cluster struct {
 	rails   int               // resolved RailsPerNode (≥ 1)
 	chanCfg rdmachan.Config   // Chan with the design resolved from Transport
 	sw      *switchfab.Fabric // fat-tree fabric (nil = flat links)
+
+	// resilient: a fault plan, even an empty one, is configured. Recovery
+	// machinery is wired at construction, so every pool and endpoint gets it.
+	resilient bool
 
 	grp       *des.Group // sharded execution group (nil = serial engine)
 	shards    int        // resolved shard count (≥ 1)
@@ -220,41 +87,20 @@ func (c *Cluster) FaultStats() FaultStats { return c.fstats }
 // returned; failures mid-run (lazy mode) surface through the affected
 // ranks' progress engines.
 func New(cfg Config) (*Cluster, error) {
-	if cfg.NP < 2 {
-		return nil, fmt.Errorf("cluster: need at least 2 ranks, got %d", cfg.NP)
-	}
-	if cfg.Chan.UseSRQ && cfg.Transport != TransportZeroCopy {
-		// The SRQ mode replaces the inter-node channel design wholesale;
-		// accepting another Transport would silently run identical SRQ
-		// traffic under that transport's label.
-		return nil, fmt.Errorf("cluster: Chan.UseSRQ replaces the channel design; use Transport zerocopy (got %v)", cfg.Transport)
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
 	prm := cfg.Params
 	if prm == nil {
 		prm = model.Testbed()
 	}
-	cpn := cfg.CoresPerNode
-	if cpn <= 0 {
-		cpn = 1
-	}
-	rails := cfg.RailsPerNode
-	if rails <= 0 {
-		rails = 1
-	}
-	if rails > rdmachan.MaxRails {
-		return nil, fmt.Errorf("cluster: at most %d rails per node (got %d)",
-			rdmachan.MaxRails, rails)
-	}
-	if rails > 1 && cfg.Transport == TransportBasic {
-		// The basic design's strictly ordered head/tail protocol runs on a
-		// single queue pair; a multi-rail basic run would silently measure
-		// rail 0 alone under a multi-rail label.
-		return nil, fmt.Errorf("cluster: the basic design is single-rail; use piggyback, pipeline, zerocopy or ch3 with RailsPerNode > 1")
-	}
+	cpn, rails := max(cfg.CoresPerNode, 1), max(cfg.RailsPerNode, 1)
 	c := &Cluster{
 		Prm:         prm,
 		cfg:         cfg,
 		rails:       rails,
+		chanCfg:     cfg.chanConfig(),
+		resilient:   cfg.Fault != nil,
 		pairStarted: make(map[uint64]bool),
 	}
 	nNodes := (cfg.NP + cpn - 1) / cpn
@@ -265,13 +111,7 @@ func New(cfg Config) (*Cluster, error) {
 		}
 		c.sw = sw
 	}
-	shards := cfg.Shards
-	if shards <= 0 {
-		shards = 1
-	}
-	if shards > nNodes {
-		shards = nNodes
-	}
+	shards := min(max(cfg.Shards, 1), nNodes)
 	if c.sw != nil && shards > c.sw.Leaves() {
 		// A leaf's uplink and downlink clocks must be touched by exactly
 		// one engine; shards therefore partition whole leaves.
@@ -304,10 +144,7 @@ func New(cfg Config) (*Cluster, error) {
 		c.Eng = des.NewEngine()
 	}
 	c.Fabric = ib.NewFabric(c.Eng, prm)
-	if cfg.Fault != nil {
-		if err := cfg.Fault.Validate(nNodes, rails); err != nil {
-			return nil, fmt.Errorf("cluster: %w", err)
-		}
+	if c.resilient {
 		c.srqConns = make(map[uint64][2]*ch3.SRQConn)
 		c.redialing = make(map[uint64]bool)
 	}
@@ -348,26 +185,6 @@ func New(cfg Config) (*Cluster, error) {
 		c.Devs[r].SetRDMADirect(direct)
 	}
 
-	c.chanCfg = c.cfg.Chan
-	switch cfg.Transport {
-	case TransportBasic:
-		c.chanCfg.Design = rdmachan.DesignBasic
-	case TransportPiggyback:
-		c.chanCfg.Design = rdmachan.DesignPiggyback
-	case TransportPipeline:
-		c.chanCfg.Design = rdmachan.DesignPipeline
-	case TransportZeroCopy:
-		c.chanCfg.Design = rdmachan.DesignZeroCopy
-	case TransportCH3:
-		c.chanCfg.Design = rdmachan.DesignPipeline // eager ring only
-	}
-	if cfg.Fault != nil {
-		// Resilient mode must be on before any pool or endpoint is built:
-		// the recovery machinery (WRID tagging, packet retention, rekeyed
-		// rendezvous) is wired at construction, not toggled later.
-		c.chanCfg.Resilient = true
-	}
-
 	var setupErr error
 	c.Eng.Spawn("setup", func(p *des.Proc) {
 		if c.chanCfg.UseSRQ {
@@ -378,7 +195,7 @@ func New(cfg Config) (*Cluster, error) {
 			for r := 0; r < cfg.NP; r++ {
 				c.pools[r] = make([]*rdmachan.SRQPool, c.rails)
 				for k := 0; k < c.rails; k++ {
-					pool, err := rdmachan.NewSRQPool(p, c.chanCfg, c.Rails[c.nodeOf[r]][k], c.Devs[r].OnErr())
+					pool, err := rdmachan.NewSRQPool(p, c.chanCfg, c.Rails[c.nodeOf[r]][k], c.resilient, c.Devs[r].OnErr())
 					if err != nil {
 						setupErr = fmt.Errorf("cluster: rank %d rail %d SRQ pool: %w", r, k, err)
 						return
@@ -614,7 +431,7 @@ func (c *Cluster) wirePair(p *des.Proc, i, j int) error {
 		if err != nil {
 			return err
 		}
-		if c.chanCfg.Resilient {
+		if c.resilient {
 			key := pairKey(i, j)
 			c.srqConns[key] = [2]*ch3.SRQConn{ei, ej}
 			ei.SetRedial(func() { c.startRedial(i, j) })
@@ -625,7 +442,7 @@ func (c *Cluster) wirePair(p *des.Proc, i, j int) error {
 		return nil
 	}
 	epi, epj, err := rdmachan.NewConnectionRails(p, c.chanCfg,
-		c.Rails[c.nodeOf[i]], c.Rails[c.nodeOf[j]])
+		c.Rails[c.nodeOf[i]], c.Rails[c.nodeOf[j]], c.resilient)
 	if err != nil {
 		return err
 	}
@@ -645,7 +462,7 @@ func (c *Cluster) pickSRQRail(i, j int) (int, bool) {
 	live := make([]int, 0, c.rails)
 	for k := 0; k < c.rails; k++ {
 		// A rail is down between the pair when either end's adapter is.
-		if !c.chanCfg.Resilient || !c.Rails[c.nodeOf[i]][k].Down() && !c.Rails[c.nodeOf[j]][k].Down() {
+		if !c.resilient || !c.Rails[c.nodeOf[i]][k].Down() && !c.Rails[c.nodeOf[j]][k].Down() {
 			live = append(live, k)
 		}
 	}

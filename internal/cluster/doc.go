@@ -35,6 +35,9 @@
 //     the connection manager's (the single-driver rule, DESIGN.md §9).
 //   - Rails[n][0] == HCAs[n]: rail 0 is the primary adapter, and
 //     single-rail configurations build exactly the pre-rail topology.
+//   - New calls Config.Validate before building anything; every error
+//     names the field it rejects, nothing is silently replaced, and a
+//     non-nil Fault plan is what makes the stack resilient (DESIGN.md §19).
 //   - Construction failures return errors (New) — MustNew is the panicking
 //     convenience for harnesses.
 package cluster

@@ -90,9 +90,11 @@ func TestChaosSchedulesPreservePayloads(t *testing.T) {
 }
 
 // TestRailFlapReconnectSoak flaps rails while lazy connections establish,
-// break, and re-dial under continuous all-pairs traffic — the reconnect +
-// SRQ-refill soak the CI -race job leans on. Tiny SRQ rings keep the
-// refill machinery hot.
+// break, and re-dial under all-pairs traffic — the reconnect + SRQ-refill
+// soak the CI -race job leans on. Each rank in turn sits in a compute phase
+// while the other three each send it a burst of `rounds` messages: the two
+// senders whose connections share a rail put 48 packets into that rail's
+// 32-slot pool, which keeps the refill machinery hot.
 func TestRailFlapReconnectSoak(t *testing.T) {
 	var plan fault.Plan
 	for i := 0; i < 8; i++ {
@@ -102,30 +104,33 @@ func TestRailFlapReconnectSoak(t *testing.T) {
 			For: 12 * des.Microsecond,
 		})
 	}
-	cfg := chaosConfig(&plan)
-	cfg.Chan.SRQSlots = 4
-	cfg.Chan.SRQLowWater = 2
-	cfg.Chan.SRQSendSlots = 2
-	c := MustNew(cfg)
+	c := MustNew(chaosConfig(&plan))
 	defer c.Close()
-	const size, rounds = 2048, 12
+	const size, rounds = 2048, 24
 	var delivered [4][4]int
 	c.Launch(func(comm *mpi.Comm) {
 		np, me := comm.Size(), comm.Rank()
-		sbuf, sb := comm.Alloc(size)
 		rbuf, rb := comm.Alloc(size)
-		for round := 0; round < rounds; round++ {
+		for target := 0; target < np; target++ {
+			if target != me {
+				reqs := make([]*mpi.Request, rounds)
+				for round := range reqs {
+					sbuf, sb := comm.Alloc(size)
+					for i := range sb {
+						sb[i] = byte(me*16 + round + i)
+					}
+					reqs[round] = comm.Isend(sbuf, target, round)
+				}
+				comm.WaitAll(reqs...)
+				continue
+			}
+			comm.Compute(1e5) // 250 µs unpolled: the bursts pile into the pools
 			for peer := 0; peer < np; peer++ {
-				if peer == me {
-					continue
-				}
-				for i := range sb {
-					sb[i] = byte(me*16 + round + i)
-				}
-				comm.Sendrecv2(sbuf, peer, rbuf, peer, 11)
-				want := byte(peer*16 + round)
-				if rb[0] == want {
-					delivered[me][peer]++
+				for round := 0; peer != me && round < rounds; round++ {
+					comm.Recv(rbuf, peer, round)
+					if rb[0] == byte(peer*16+round) {
+						delivered[me][peer]++
+					}
 				}
 			}
 		}
@@ -143,6 +148,15 @@ func TestRailFlapReconnectSoak(t *testing.T) {
 	}
 	if fs := c.FaultStats(); fs.Redials == 0 {
 		t.Errorf("soak exercised no re-dials: %+v", fs)
+	}
+	var naks uint64
+	for _, rails := range c.pools {
+		for _, pool := range rails {
+			naks += pool.Stats().RNRNaks
+		}
+	}
+	if naks == 0 {
+		t.Error("no burst outran a pool: no RNR NAKs observed")
 	}
 }
 

@@ -127,8 +127,8 @@ func TestEagerMemStatsAccounting(t *testing.T) {
 // eager buffering is the pool, independent of connection count.
 func TestLazySRQMemStatsBounded(t *testing.T) {
 	const np = 8
-	chanCfg := rdmachan.Config{UseSRQ: true, SRQSlots: 16, SRQSlotSize: 4 << 10, SRQSendSlots: 8}
-	c := MustNew(Config{NP: np, Transport: TransportZeroCopy, ConnectMode: ConnectLazy, Chan: chanCfg})
+	c := MustNew(Config{NP: np, Transport: TransportZeroCopy, ConnectMode: ConnectLazy,
+		Chan: rdmachan.Config{UseSRQ: true}})
 	defer c.Close()
 	c.Launch(func(comm *mpi.Comm) {
 		// All-to-all so every connection exists.
@@ -141,7 +141,7 @@ func TestLazySRQMemStatsBounded(t *testing.T) {
 			comm.Sendrecv(buf, peer, 1, r, peer, 1)
 		}
 	})
-	poolBytes := int64((16 + 8) * (4 << 10))
+	poolBytes := int64((rdmachan.SRQSlots + rdmachan.SRQSendSlots) * rdmachan.SRQSlotSize)
 	for r := 0; r < np; r++ {
 		ms := c.RankMemStats(r)
 		if ms.Connections != np-1 {

@@ -72,14 +72,20 @@ func (p *Plan) Sorted() []Event {
 	return out
 }
 
-// Validate checks every event targets an existing node and rail.
+// Validate checks every event is a known kind at a non-negative offset and
+// targets an existing node and rail. The error names the event's field
+// ("Events[2].Rail 1: …") so a caller can prefix its own path.
 func (p *Plan) Validate(nodes, rails int) error {
-	for _, ev := range p.Events {
-		if ev.Node < 0 || ev.Node >= nodes {
-			return fmt.Errorf("fault: %v targets node %d of %d", ev, ev.Node, nodes)
-		}
-		if ev.Rail < 0 || ev.Rail >= rails {
-			return fmt.Errorf("fault: %v targets rail %d of %d", ev, ev.Rail, rails)
+	for i, ev := range p.Events {
+		switch {
+		case ev.Kind < LinkDown || ev.Kind > DropBurst:
+			return fmt.Errorf("Events[%d].Kind %d: unknown kind", i, int(ev.Kind))
+		case ev.At < 0 || ev.For < 0:
+			return fmt.Errorf("Events[%d] (%v): negative time", i, ev)
+		case ev.Node < 0 || ev.Node >= nodes:
+			return fmt.Errorf("Events[%d].Node %d: out of range [0, %d)", i, ev.Node, nodes)
+		case ev.Rail < 0 || ev.Rail >= rails:
+			return fmt.Errorf("Events[%d].Rail %d: out of range [0, %d)", i, ev.Rail, rails)
 		}
 	}
 	return nil

@@ -147,7 +147,7 @@ func unknownCollective(coll string) string {
 }
 
 func unknownAlgorithm(coll, alg string) string {
-	return fmt.Sprintf("mpi: unknown %s algorithm %q (have %s)", coll, alg, strings.Join(AlgorithmNames(coll), ", "))
+	return fmt.Sprintf("unknown %s algorithm %q (have %s)", coll, alg, strings.Join(AlgorithmNames(coll), ", "))
 }
 
 // Algorithms lists every registered algorithm as "collective/name".
@@ -257,7 +257,20 @@ func (t *Tuning) Force(coll, alg string) {
 	}
 }
 
-// withDefaults fills zero fields and validates forced algorithm names.
+// Validate reports the first forced algorithm the registry does not have,
+// naming its field ("Bcast: unknown bcast algorithm …") so a caller can
+// prefix its own path.
+func (t Tuning) Validate() error {
+	for _, coll := range Collectives() {
+		if name := t.Forced(coll); name != "" && !slices.Contains(AlgorithmNames(coll), name) {
+			return fmt.Errorf("%s: %s", strings.ToUpper(coll[:1])+coll[1:], unknownAlgorithm(coll, name))
+		}
+	}
+	return nil
+}
+
+// withDefaults fills zero fields. A tuning that fails Validate is a bug of
+// the caller: cluster.New rejects one before any rank runs.
 func (t Tuning) withDefaults() Tuning {
 	if t.ReduceHierCutoff == 0 {
 		t.ReduceHierCutoff = hierReduceCutoff
@@ -265,10 +278,8 @@ func (t Tuning) withDefaults() Tuning {
 	if t.AllreduceRabCutoff == 0 {
 		t.AllreduceRabCutoff = allreduceRabCutoff
 	}
-	for _, coll := range Collectives() {
-		if name := t.Forced(coll); name != "" && !slices.Contains(AlgorithmNames(coll), name) {
-			panic(unknownAlgorithm(coll, name))
-		}
+	if err := t.Validate(); err != nil {
+		panic("mpi: Tuning." + err.Error())
 	}
 	return t
 }
@@ -308,10 +319,10 @@ func ParseTuning(s string) (Tuning, error) {
 		if !slices.Contains(Collectives(), k) {
 			return t, errors.New(unknownCollective(k))
 		}
-		if !slices.Contains(AlgorithmNames(k), v) {
-			return t, errors.New(unknownAlgorithm(k, v))
-		}
 		t.Force(k, v)
+	}
+	if err := t.Validate(); err != nil {
+		return t, fmt.Errorf("mpi: Tuning.%w", err)
 	}
 	return t, nil
 }
@@ -340,7 +351,7 @@ func (c *Comm) AlgorithmApplicable(coll, alg string) bool {
 func applicable[F any](c *Comm, algs map[string]entry[F], coll, alg string) bool {
 	e, found := algs[alg]
 	if !found {
-		panic(unknownAlgorithm(coll, alg))
+		panic("mpi: " + unknownAlgorithm(coll, alg))
 	}
 	return e.ok(c)
 }

@@ -24,6 +24,13 @@ type harness struct {
 
 func newHarness(t *testing.T, cfg Config) *harness {
 	t.Helper()
+	return newHarnessMode(t, cfg, false)
+}
+
+// newHarnessMode is newHarness with the fault-survival mode a cluster
+// derives from its fault plan.
+func newHarnessMode(t *testing.T, cfg Config, resilient bool) *harness {
+	t.Helper()
 	h := &harness{eng: des.NewEngine(), prm: model.Testbed()}
 	fab := ib.NewFabric(h.eng, h.prm)
 	for i := 0; i < 2; i++ {
@@ -31,9 +38,9 @@ func newHarness(t *testing.T, cfg Config) *harness {
 		h.hcas[i] = fab.NewHCA(h.nodes[i])
 	}
 	h.eng.Spawn("setup", func(p *des.Proc) {
-		a, b, err := NewConnection(p, cfg, h.hcas[0], h.hcas[1])
+		a, b, err := NewConnectionRails(p, cfg, h.hcas[:1], h.hcas[1:], resilient)
 		if err != nil {
-			t.Errorf("NewConnection: %v", err)
+			t.Errorf("NewConnectionRails: %v", err)
 			return
 		}
 		h.eps[0], h.eps[1] = a, b

@@ -272,36 +272,41 @@ type Config struct {
 
 	// UseSRQ selects the SRQ-backed eager mode (DESIGN.md §9): instead of
 	// a dedicated ring per connection, inbound eager packets land in a
-	// per-process pool of slots behind a shared receive queue (SRQPool),
-	// and large messages take the CH3 rendezvous. Per-process eager memory
-	// becomes O(pool), independent of peer count.
+	// per-process pool of slots behind a shared receive queue (SRQPool,
+	// sized by the SRQ* constants), and large messages take the CH3
+	// rendezvous. Per-process eager memory becomes O(pool), independent of
+	// peer count.
 	UseSRQ bool
+}
 
-	// SRQSlots is the receive-pool depth (slots shared by every peer).
-	// Default 32.
-	SRQSlots int
-
-	// SRQSlotSize is the slot size in bytes, packet header included; it is
-	// the eager/rendezvous switch of the SRQ mode. Default 8 KB.
-	SRQSlotSize int
-
-	// SRQLowWater is the low-watermark at which the shared queue's limit
-	// event wakes the progress loop to refill. Default SRQSlots/4 (≥ 1).
-	SRQLowWater int
-
-	// SRQSendSlots is the outbound staging-pool depth, shared by every
-	// peer (senders stall, not ring-buffer credits, when it is exhausted).
-	// Default 16.
-	SRQSendSlots int
-
-	// Resilient switches the stack into fault-survival mode, set by the
-	// cluster when a fault-injection plan is configured (DESIGN.md §11).
-	// Chunk endpoints evict rails that die and re-issue their outstanding
-	// work on survivors; SRQ connections retain packets until acknowledged
-	// and recover through re-dial. Off (the default) none of the recovery
-	// machinery runs and the stack behaves bit-identically to a build
-	// without it.
-	Resilient bool
+// Validate reports the first setting a connection of c's design cannot
+// run, naming the field ("ChunkSize 8: …") so a caller can prefix its own
+// path. Zero fields take their defaults first; NewConnectionRails calls it.
+func (c Config) Validate() error {
+	c = c.withDefaults()
+	chunks := c.RingSize / c.ChunkSize
+	switch {
+	case c.Design < DesignBasic || c.Design > DesignZeroCopy:
+		return fmt.Errorf("Design %d: unknown design", c.Design)
+	case c.RailPolicy < RailRoundRobin || c.RailPolicy > RailFixed:
+		return fmt.Errorf("RailPolicy %d: unknown rail policy", c.RailPolicy)
+	case c.RingSize < 1:
+		return fmt.Errorf("RingSize %d: must be positive", c.RingSize)
+	case c.ZCThreshold < 1:
+		return fmt.Errorf("ZCThreshold %d: must be positive", c.ZCThreshold)
+	case c.Design == DesignBasic:
+		return nil // an undivided byte ring: no chunk geometry
+	case c.ChunkSize <= chunkOverhead+rtsPayloadMax:
+		return fmt.Errorf("ChunkSize %d: too small, need more than %d",
+			c.ChunkSize, chunkOverhead+rtsPayloadMax)
+	case c.RingSize%c.ChunkSize != 0 || chunks < 2:
+		return fmt.Errorf("RingSize %d: not a multiple (≥ 2) of ChunkSize %d", c.RingSize, c.ChunkSize)
+	case c.CreditBatch < 1 || c.CreditBatch > chunks:
+		// Above the ring's chunk count a one-way stream would fill the ring
+		// before the receiver ever returned a credit.
+		return fmt.Errorf("CreditBatch %d: need 1 to %d, the ring's chunk count", c.CreditBatch, chunks)
+	}
+	return nil
 }
 
 func (c Config) withDefaults() Config {
@@ -326,21 +331,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RegCacheBytes == 0 {
 		c.RegCacheBytes = 64 << 20
-	}
-	if c.SRQSlots == 0 {
-		c.SRQSlots = 32
-	}
-	if c.SRQSlotSize == 0 {
-		c.SRQSlotSize = 8 << 10
-	}
-	if c.SRQLowWater == 0 {
-		c.SRQLowWater = c.SRQSlots / 4
-		if c.SRQLowWater < 1 {
-			c.SRQLowWater = 1
-		}
-	}
-	if c.SRQSendSlots == 0 {
-		c.SRQSendSlots = 16
 	}
 	return c
 }
@@ -371,7 +361,7 @@ func (f *Footprint) Add(o Footprint) {
 // process; in the real system this is the channel's init function, outside
 // the measured path.
 func NewConnection(p *des.Proc, cfg Config, ha, hb *ib.HCA) (Endpoint, Endpoint, error) {
-	return NewConnectionRails(p, cfg, []*ib.HCA{ha}, []*ib.HCA{hb})
+	return NewConnectionRails(p, cfg, []*ib.HCA{ha}, []*ib.HCA{hb}, false)
 }
 
 // NewConnectionRails wires a rail-set connection: rail k pairs ra[k] with
@@ -381,7 +371,15 @@ func NewConnection(p *des.Proc, cfg Config, ha, hb *ib.HCA) (Endpoint, Endpoint,
 // stripe across every rail (DESIGN.md §10). The basic design predates
 // chunk framing and its head/tail protocol needs one strictly ordered
 // queue pair, so it always runs on rail 0 alone.
-func NewConnectionRails(p *des.Proc, cfg Config, ra, rb []*ib.HCA) (Endpoint, Endpoint, error) {
+//
+// resilient builds the fault-survival machinery (DESIGN.md §11): chunk
+// endpoints evict rails that die and re-issue their outstanding work on
+// survivors. Without it none of that runs and the connection behaves
+// bit-identically to a build without it.
+func NewConnectionRails(p *des.Proc, cfg Config, ra, rb []*ib.HCA, resilient bool) (Endpoint, Endpoint, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, nil, fmt.Errorf("rdmachan: %w", err)
+	}
 	cfg = cfg.withDefaults()
 	if len(ra) == 0 || len(ra) != len(rb) {
 		return nil, nil, fmt.Errorf("rdmachan: rail sets must be non-empty and equal (got %d and %d)",
@@ -394,7 +392,7 @@ func NewConnectionRails(p *des.Proc, cfg Config, ra, rb []*ib.HCA) (Endpoint, En
 	if cfg.Design == DesignBasic {
 		return newBasicPair(p, cfg, ra[0], rb[0])
 	}
-	return newChunkPair(p, cfg, ra, rb)
+	return newChunkPair(p, cfg, ra, rb, resilient)
 }
 
 // PutAll drives Put until every byte of bufs is accepted.

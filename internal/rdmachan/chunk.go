@@ -134,6 +134,7 @@ type chunkEP struct {
 	cqRouter       // completions of signaled work posted above the channel
 	pipelined bool // overlap per-chunk copies with RDMA writes (§4.4)
 	zc        bool // RDMA-read zero-copy for large messages (§5)
+	resilient bool // fault-survival mode (NewConnectionRails)
 
 	nChunks    int
 	maxPayload int
@@ -188,24 +189,18 @@ type chunkEP struct {
 	err         error
 }
 
-func newChunkPair(p *des.Proc, cfg Config, ra, rb []*ib.HCA) (Endpoint, Endpoint, error) {
-	if cfg.ChunkSize <= chunkOverhead+rtsPayloadMax {
-		return nil, nil, fmt.Errorf("rdmachan: chunk size %d too small", cfg.ChunkSize)
-	}
-	if cfg.RingSize%cfg.ChunkSize != 0 || cfg.RingSize/cfg.ChunkSize < 2 {
-		return nil, nil, fmt.Errorf("rdmachan: ring %d not a multiple (≥2) of chunk %d",
-			cfg.RingSize, cfg.ChunkSize)
-	}
+func newChunkPair(p *des.Proc, cfg Config, ra, rb []*ib.HCA, resilient bool) (Endpoint, Endpoint, error) {
 	a := &chunkEP{endpointBase: newBaseRails(cfg, ra)}
 	b := &chunkEP{endpointBase: newBaseRails(cfg, rb)}
 	for _, e := range []*chunkEP{a, b} {
 		e.pipelined = cfg.Design == DesignPipeline || cfg.Design == DesignZeroCopy
 		e.zc = cfg.Design == DesignZeroCopy
+		e.resilient = resilient
 		e.nChunks = cfg.RingSize / cfg.ChunkSize
 		e.maxPayload = cfg.ChunkSize - chunkOverhead
 		e.railChunks = make([]uint64, len(e.rails))
 		e.railZCBytes = make([]uint64, len(e.rails))
-		e.mover = NewMover(e, cfg.Resilient)
+		e.mover = NewMover(e, resilient)
 		for k := range e.rails {
 			e.allRails = append(e.allRails, k)
 		}
@@ -246,11 +241,7 @@ func (e *chunkEP) setupLocal(p *des.Proc) error {
 			return err
 		}
 		e.stagingMRs = append(e.stagingMRs, stagingMR)
-		cacheBytes := e.cfg.RegCacheBytes
-		if cacheBytes < 0 {
-			cacheBytes = 0
-		}
-		e.regcs = append(e.regcs, regcache.New(r.hca, r.pd, cacheBytes))
+		e.regcs = append(e.regcs, regcache.New(r.hca, r.pd, e.cfg.RegCacheBytes))
 	}
 	// Control counters (credits, zero-copy acks) live on rail 0 only: they
 	// are cumulative, so a single strictly ordered path keeps them simple,
@@ -318,7 +309,7 @@ type RawAccess interface {
 	StripeCount(size int) int
 
 	// Resilient reports whether the connection runs in fault-survival mode
-	// (Config.Resilient).
+	// (built by NewConnectionRails with resilient set).
 	Resilient() bool
 }
 
@@ -335,7 +326,7 @@ func (e *chunkEP) RailQP(k int) *ib.QP { return e.rails[k].qp }
 func (e *chunkEP) RailRegCache(k int) *regcache.Cache { return e.regcs[k] }
 
 // Resilient implements RawAccess.
-func (e *chunkEP) Resilient() bool { return e.cfg.Resilient }
+func (e *chunkEP) Resilient() bool { return e.resilient }
 
 // RailAlive implements RawAccess: rail k is not evicted, its QP ready.
 func (e *chunkEP) RailAlive(k int) bool {
@@ -455,7 +446,7 @@ func (e *chunkEP) liveRailList() []int {
 // policy: over every rail, or in resilient mode over the survivors.
 func (e *chunkEP) pickRail() (int, error) {
 	live := e.allRails
-	if e.cfg.Resilient {
+	if e.resilient {
 		if live = e.liveRailList(); len(live) == 0 {
 			return 0, fmt.Errorf("rdmachan(%s): no surviving rail", e.cfg.Design)
 		}
@@ -523,7 +514,7 @@ func (e *chunkEP) postChunk(p *des.Proc, seq uint64, paylen int) {
 func (e *chunkEP) postChunkOn(p *des.Proc, seq uint64, paylen, k int) {
 	i := uint64(seq % uint64(e.nChunks))
 	var wrid uint64
-	if e.cfg.Resilient {
+	if e.resilient {
 		wrid = wridChunkMark | seq
 	}
 	e.rails[k].qp.PostSend(p, ib.SendWR{
@@ -647,7 +638,7 @@ func (e *chunkEP) Put(p *des.Proc, bufs []Buffer) (int, error) {
 			// property stripe re-issue relies on.
 			r := rtsInfo{addr: b.Addr, size: b.Len}
 			var regs [MaxRails]Buffer
-			if e.cfg.Resilient {
+			if e.resilient {
 				live := e.liveRailList()
 				if len(live) == 0 {
 					return total, fmt.Errorf("rdmachan(%s): no surviving rail", e.cfg.Design)
@@ -674,7 +665,7 @@ func (e *chunkEP) Put(p *des.Proc, bufs []Buffer) (int, error) {
 				r.keys[k] = mr.RKey()
 			}
 			var rts [rtsPayloadMax]byte
-			paylen := r.encode(rts[:], len(e.rails), e.cfg.Resilient)
+			paylen := r.encode(rts[:], len(e.rails), e.resilient)
 			e.stageChunk(e.sendSeq, chunkRTS, rts[:paylen])
 			e.postChunk(p, e.sendSeq, paylen)
 			e.sendSeq++
@@ -838,7 +829,7 @@ func (e *chunkEP) GetCharged(p *des.Proc, bufs []Buffer) (int, error) {
 			if !e.zc {
 				return got, fmt.Errorf("rdmachan(%s): unexpected RTS chunk", e.cfg.Design)
 			}
-			r, err := decodeRTS(slot[chunkHdrSize:chunkHdrSize+paylen], len(e.rails), e.cfg.Resilient)
+			r, err := decodeRTS(slot[chunkHdrSize:chunkHdrSize+paylen], len(e.rails), e.resilient)
 			if err != nil {
 				return got, fmt.Errorf("rdmachan(zerocopy): %w", err)
 			}
@@ -853,7 +844,7 @@ func (e *chunkEP) GetCharged(p *des.Proc, bufs []Buffer) (int, error) {
 			var buf [MaxRails]int
 			cands := buf[:0]
 			for k := range e.rails {
-				if r.keys[k] != 0 && (!e.cfg.Resilient || e.RailAlive(k)) {
+				if r.keys[k] != 0 && (!e.resilient || e.RailAlive(k)) {
 					cands = append(cands, k)
 				}
 			}

@@ -28,7 +28,8 @@
 // count and re-issue their stripes through it.
 // The package also holds the SRQ-backed eager machinery (SRQPool,
 // DESIGN.md §9), which replaces per-connection rings with a per-process
-// slot pool behind a shared receive queue.
+// slot pool behind a shared receive queue sized by the SRQ* constants.
+// Fault-survival mode is an argument of NewConnectionRails and NewSRQPool.
 //
 // Layer boundaries: rdmachan speaks verbs (internal/ib) below and bytes
 // above — it knows nothing about MPI envelopes or matching. The CH3 packet

@@ -34,7 +34,7 @@ func FuzzRTS(f *testing.F) {
 // by hand: the receiver must reject it as corrupt — a move with no stripes
 // has no last completion, and the receiver would wait forever for it.
 func TestZeroSizeResilientRTSFails(t *testing.T) {
-	h := newHarness(t, Config{Design: DesignZeroCopy, Resilient: true})
+	h := newHarnessMode(t, Config{Design: DesignZeroCopy}, true)
 	rb, _ := h.alloc(1, 64)
 	h.eng.Spawn("sender", func(p *des.Proc) {
 		a := h.eps[0].(*chunkEP)

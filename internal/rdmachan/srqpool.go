@@ -27,10 +27,10 @@ import (
 type SRQPool struct {
 	cqRouter // completions of signaled work connections post on their queue pairs
 
-	cfg  Config
-	hca  *ib.HCA
-	node *model.Node
-	prm  *model.Params
+	resilient bool
+	hca       *ib.HCA
+	node      *model.Node
+	prm       *model.Params
 
 	pd  *ib.PD
 	srq *ib.SRQ
@@ -77,44 +77,59 @@ type SRQPoolStats struct {
 	RecvsPosted uint64 // descriptors ever posted (from the SRQ)
 }
 
+// The pool's geometry, one for every process (Shipman et al., IPDPS 2006):
+// SRQSlots receive slots of SRQSlotSize bytes shared by every peer, a
+// low-watermark wake when SRQLowWater of them remain posted, and
+// SRQSendSlots outbound staging slots (senders stall, not ring-buffer
+// credits, when those run out). The slot size includes the packet header;
+// it is the SRQ mode's eager/rendezvous switch.
+const (
+	SRQSlots     = 32
+	SRQSlotSize  = 8 << 10
+	SRQLowWater  = SRQSlots / 4
+	SRQSendSlots = 16
+)
+
 // NewSRQPool builds the per-process pool on the rank's adapter: allocates
 // and registers the receive and send slot arrays, posts every receive slot
 // to a fresh SRQ, and arms the low-watermark event. onErr receives fatal
-// transport errors (the rank's engine failure callback).
-func NewSRQPool(p *des.Proc, cfg Config, h *ib.HCA, onErr func(error)) (*SRQPool, error) {
+// transport errors (the rank's engine failure callback). resilient selects
+// fault-survival mode (DESIGN.md §11): connections on the pool retain
+// packets until acknowledged and recover from link failures by re-dialing.
+func NewSRQPool(p *des.Proc, cfg Config, h *ib.HCA, resilient bool, onErr func(error)) (*SRQPool, error) {
 	cfg = cfg.withDefaults()
 	sp := &SRQPool{
-		cfg:   cfg,
-		hca:   h,
-		node:  h.Node(),
-		prm:   h.Params(),
-		conns: make(map[uint32]SRQDispatch),
-		onErr: onErr,
+		resilient: resilient,
+		hca:       h,
+		node:      h.Node(),
+		prm:       h.Params(),
+		conns:     make(map[uint32]SRQDispatch),
+		onErr:     onErr,
 	}
 	sp.pd = h.AllocPD()
 	sp.rcq = h.CreateCQ()
 	sp.scq = h.CreateCQ()
 	sp.srq = h.CreateSRQ(sp.pd)
 
-	n := cfg.SRQSlots * cfg.SRQSlotSize
+	n := SRQSlots * SRQSlotSize
 	sp.recvVA, sp.recv = sp.node.Mem.Alloc(n)
 	var err error
 	sp.recvMR, err = h.RegisterMR(p, sp.pd, sp.recvVA, n, ib.AccessLocalWrite)
 	if err != nil {
 		return nil, fmt.Errorf("rdmachan(srq): recv pool: %w", err)
 	}
-	m := cfg.SRQSendSlots * cfg.SRQSlotSize
+	m := SRQSendSlots * SRQSlotSize
 	sp.sendVA, sp.send = sp.node.Mem.Alloc(m)
 	if sp.sendMR, err = h.RegisterMR(p, sp.pd, sp.sendVA, m, ib.AccessLocalWrite); err != nil {
 		return nil, fmt.Errorf("rdmachan(srq): send pool: %w", err)
 	}
-	sendSGEs := make([]ib.SGE, cfg.SRQSendSlots)
-	sp.sendWRs = make([]ib.SendWR, cfg.SRQSendSlots)
-	sp.sendCBs = make([]stagedCB, cfg.SRQSendSlots)
-	for i := 0; i < cfg.SRQSendSlots; i++ {
+	sendSGEs := make([]ib.SGE, SRQSendSlots)
+	sp.sendWRs = make([]ib.SendWR, SRQSendSlots)
+	sp.sendCBs = make([]stagedCB, SRQSendSlots)
+	for i := 0; i < SRQSendSlots; i++ {
 		sp.sendFree = append(sp.sendFree, i)
 		sendSGEs[i] = ib.SGE{
-			Addr: sp.sendVA + uint64(i*cfg.SRQSlotSize),
+			Addr: sp.sendVA + uint64(i*SRQSlotSize),
 			LKey: sp.sendMR.LKey(),
 		}
 		sp.sendWRs[i] = ib.SendWR{
@@ -122,12 +137,12 @@ func NewSRQPool(p *des.Proc, cfg Config, h *ib.HCA, onErr func(error)) (*SRQPool
 			SGL: sendSGEs[i : i+1 : i+1],
 		}
 	}
-	sges := make([]ib.SGE, cfg.SRQSlots)
-	sp.recvWRs = make([]ib.RecvWR, cfg.SRQSlots)
-	for i := 0; i < cfg.SRQSlots; i++ {
+	sges := make([]ib.SGE, SRQSlots)
+	sp.recvWRs = make([]ib.RecvWR, SRQSlots)
+	for i := 0; i < SRQSlots; i++ {
 		sges[i] = ib.SGE{
-			Addr: sp.recvVA + uint64(i*cfg.SRQSlotSize),
-			Len:  cfg.SRQSlotSize,
+			Addr: sp.recvVA + uint64(i*SRQSlotSize),
+			Len:  SRQSlotSize,
 			LKey: sp.recvMR.LKey(),
 		}
 		sp.recvWRs[i] = ib.RecvWR{WRID: uint64(i), SGL: sges[i : i+1 : i+1]}
@@ -139,11 +154,7 @@ func NewSRQPool(p *des.Proc, cfg Config, h *ib.HCA, onErr func(error)) (*SRQPool
 	}
 	sp.arm()
 
-	cacheBytes := cfg.RegCacheBytes
-	if cacheBytes < 0 {
-		cacheBytes = 0
-	}
-	sp.regc = regcache.New(h, sp.pd, cacheBytes)
+	sp.regc = regcache.New(h, sp.pd, cfg.RegCacheBytes)
 	return sp, nil
 }
 
@@ -158,7 +169,7 @@ func (sp *SRQPool) postSlot(p *des.Proc, i int) {
 // the watermark between polls, wake every progress loop on this node so a
 // refill happens promptly instead of on the next scheduled poll.
 func (sp *SRQPool) arm() {
-	sp.srq.Arm(sp.cfg.SRQLowWater, sp.limitFn)
+	sp.srq.Arm(SRQLowWater, sp.limitFn)
 }
 
 // CreateQP allocates a connection queue pair attached to the pool: its
@@ -181,14 +192,9 @@ func (sp *SRQPool) PD() *ib.PD { return sp.pd }
 // RegCache returns the process's pin-down cache (rendezvous buffers).
 func (sp *SRQPool) RegCache() *regcache.Cache { return sp.regc }
 
-// SlotSize returns the eager slot capacity in bytes (packet header
-// included).
-func (sp *SRQPool) SlotSize() int { return sp.cfg.SRQSlotSize }
-
 // Resilient reports whether the pool runs in fault-survival mode
-// (Config.Resilient): connections on it retain packets until acknowledged
-// and recover from link failures by re-dialing.
-func (sp *SRQPool) Resilient() bool { return sp.cfg.Resilient }
+// (NewSRQPool).
+func (sp *SRQPool) Resilient() bool { return sp.resilient }
 
 // HCA returns the adapter the pool lives on.
 func (sp *SRQPool) HCA() *ib.HCA { return sp.hca }
@@ -212,9 +218,9 @@ func (sp *SRQPool) Stats() SRQPoolStats {
 func (sp *SRQPool) Send(p *des.Proc, qp *ib.QP, hdr []byte, payload Buffer,
 	onSent func(p *des.Proc)) (bool, error) {
 	total := len(hdr) + payload.Len
-	if total > sp.cfg.SRQSlotSize {
+	if total > SRQSlotSize {
 		return false, fmt.Errorf("rdmachan(srq): packet of %d bytes exceeds %d-byte slot",
-			total, sp.cfg.SRQSlotSize)
+			total, SRQSlotSize)
 	}
 	var src []byte
 	if payload.Len > 0 {
@@ -228,7 +234,7 @@ func (sp *SRQPool) Send(p *des.Proc, qp *ib.QP, hdr []byte, payload Buffer,
 	if !ok {
 		return false, nil
 	}
-	dst := sp.send[slot*sp.cfg.SRQSlotSize:]
+	dst := sp.send[slot*SRQSlotSize:]
 	n := copy(dst, hdr)
 	n += copy(dst[n:], src)
 	sp.postStaged(p, qp, slot, n, payload.Len, onSent, nil)
@@ -243,15 +249,15 @@ func (sp *SRQPool) Send(p *des.Proc, qp *ib.QP, hdr []byte, payload Buffer,
 // rank, the pre-fault behaviour.
 func (sp *SRQPool) SendPkt(p *des.Proc, qp *ib.QP, pkt []byte, eagerBytes int,
 	onSent, onFail func(p *des.Proc)) (bool, error) {
-	if len(pkt) > sp.cfg.SRQSlotSize {
+	if len(pkt) > SRQSlotSize {
 		return false, fmt.Errorf("rdmachan(srq): packet of %d bytes exceeds %d-byte slot",
-			len(pkt), sp.cfg.SRQSlotSize)
+			len(pkt), SRQSlotSize)
 	}
 	slot, ok := sp.takeSlot(p)
 	if !ok {
 		return false, nil
 	}
-	n := copy(sp.send[slot*sp.cfg.SRQSlotSize:], pkt)
+	n := copy(sp.send[slot*SRQSlotSize:], pkt)
 	sp.postStaged(p, qp, slot, n, eagerBytes, onSent, onFail)
 	return true, nil
 }
@@ -367,7 +373,7 @@ func (sp *SRQPool) Poll(p *des.Proc) bool {
 			return prog
 		}
 		slot := int(cqe.WRID)
-		pkt := sp.recv[slot*sp.cfg.SRQSlotSize : slot*sp.cfg.SRQSlotSize+cqe.ByteLen]
+		pkt := sp.recv[slot*SRQSlotSize : slot*SRQSlotSize+cqe.ByteLen]
 		d, ok := sp.conns[cqe.QPNum]
 		if !ok {
 			sp.fail(fmt.Errorf("rdmachan(srq): packet on unbound qp%d", cqe.QPNum))
@@ -391,9 +397,9 @@ func (sp *SRQPool) Poll(p *des.Proc) bool {
 // slot arrays (the process's entire eager buffering, independent of peer
 // count) plus dynamically pinned rendezvous bytes.
 func (sp *SRQPool) Footprint() Footprint {
-	slotBytes := int64((sp.cfg.SRQSlots + sp.cfg.SRQSendSlots) * sp.cfg.SRQSlotSize)
+	slotBytes := int64((SRQSlots + SRQSendSlots) * SRQSlotSize)
 	return Footprint{
-		EagerSlots:  sp.cfg.SRQSlots + sp.cfg.SRQSendSlots,
+		EagerSlots:  SRQSlots + SRQSendSlots,
 		EagerBytes:  slotBytes,
 		PinnedBytes: slotBytes + int64(sp.regc.PinnedBytes()),
 	}

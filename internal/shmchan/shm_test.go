@@ -130,28 +130,35 @@ func TestIntraNodeUnexpectedMessages(t *testing.T) {
 }
 
 func TestTinyRingBackpressure(t *testing.T) {
-	// A 2-cell ring and single-chunk segment force the sender to stall and
-	// resume repeatedly; everything must still arrive intact.
-	c := shmPair(shmchan.Config{EagerMax: 512, Cells: 2, SegChunk: 1 << 10, SegChunks: 1})
+	// The receiver starts late, so the sender stalls on a full ring and
+	// resumes repeatedly: 32 one-cell messages wrap the 16-cell ring twice,
+	// then 32 three-chunk messages wrap the 8 segment slots twelve times.
+	// Everything must still arrive intact.
+	c := shmPair(shmchan.Config{})
 	defer c.Close()
 	ok := false
+	const count, large = 64, 3 * shmchan.SegChunk
+	size := func(i int) int {
+		if i < count/2 {
+			return shmchan.EagerMax
+		}
+		return large
+	}
 	c.Launch(func(comm *mpi.Comm) {
-		const count = 20
-		size := 3 << 10 // large path, three chunks through one slot
+		buf, b := comm.Alloc(large)
 		if comm.Rank() == 0 {
-			buf, b := comm.Alloc(size)
 			for i := 0; i < count; i++ {
-				for j := range b {
+				for j := range b[:size(i)] {
 					b[j] = byte(i ^ j)
 				}
-				comm.Send(buf, 1, i)
+				comm.Send(mpi.Slice(buf, 0, size(i)), 1, i)
 			}
 			return
 		}
+		comm.Compute(1e5)
 		for i := 0; i < count; i++ {
-			buf, b := comm.Alloc(size)
-			comm.Recv(buf, 0, i)
-			for j := range b {
+			comm.Recv(mpi.Slice(buf, 0, size(i)), 0, i)
+			for j := range b[:size(i)] {
 				if b[j] != byte(i^j) {
 					t.Errorf("message %d corrupt at %d", i, j)
 					return

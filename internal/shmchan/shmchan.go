@@ -10,53 +10,28 @@ import (
 	"repro/internal/transport"
 )
 
-// Config tunes one intra-node connection. Zero values select defaults.
+// Config tunes one intra-node connection.
 type Config struct {
-	// EagerMax is the largest payload carried inline in a ring cell;
-	// larger messages take the segment path. Default 8 KB.
-	EagerMax int
-
-	// Cells is the eager ring depth per direction. Default 16.
-	Cells int
-
-	// SegChunk is the large-path chunk size. Default 32 KB: big enough to
-	// amortize per-chunk flag traffic, small enough that sender copy-in and
-	// receiver copy-out pipeline within one message.
-	SegChunk int
-
-	// SegChunks is the number of segment slots per direction. Default 8.
-	SegChunks int
-
 	// RndvThreshold is the payload size at and above which messages take
 	// the single-copy rendezvous path instead of the two-copy segment.
 	// 0 disables rendezvous (every large message copies through the
 	// segment, the behaviour of the original channel).
 	RndvThreshold int
-
-	// RegCacheBytes bounds the pin-down cache backing the rendezvous path.
-	// Default 64 MB; negative disables caching (every rendezvous pays full
-	// pinning cost).
-	RegCacheBytes int
 }
 
-func (c Config) withDefaults() Config {
-	if c.EagerMax == 0 {
-		c.EagerMax = 8 << 10
-	}
-	if c.Cells == 0 {
-		c.Cells = 16
-	}
-	if c.SegChunk == 0 {
-		c.SegChunk = 32 << 10
-	}
-	if c.SegChunks == 0 {
-		c.SegChunks = 8
-	}
-	if c.RegCacheBytes == 0 {
-		c.RegCacheBytes = 64 << 20
-	}
-	return c
-}
+// The channel's geometry, per direction: Cells ring cells carrying up to
+// EagerMax payload bytes inline, larger messages streaming through
+// SegChunks segment slots of SegChunk bytes — big enough to amortize
+// per-chunk flag traffic, small enough that sender copy-in and receiver
+// copy-out pipeline within one message. The pair's pin-down cache behind
+// the rendezvous path holds regCacheBytes.
+const (
+	EagerMax      = 8 << 10
+	Cells         = 16
+	SegChunk      = 32 << 10
+	SegChunks     = 8
+	regCacheBytes = 64 << 20
+)
 
 // Stats counts one connection's send-side activity.
 type Stats struct {
@@ -102,16 +77,16 @@ type dir struct {
 	segHead, segTail int
 }
 
-func newDir(mem *model.Memory, cfg Config) *dir {
+func newDir(mem *model.Memory) *dir {
 	d := &dir{
-		cells: make([]cell, cfg.Cells),
-		slots: make([]segSlot, cfg.SegChunks),
+		cells: make([]cell, Cells),
+		slots: make([]segSlot, SegChunks),
 	}
 	for i := range d.cells {
-		_, d.cells[i].mem = mem.Alloc(max(cfg.EagerMax, 1))
+		_, d.cells[i].mem = mem.Alloc(EagerMax)
 	}
 	for i := range d.slots {
-		_, d.slots[i].mem = mem.Alloc(cfg.SegChunk)
+		_, d.slots[i].mem = mem.Alloc(SegChunk)
 	}
 	return d
 }
@@ -199,15 +174,10 @@ type Conn struct {
 // that node: the rings live in its memory and every copy crosses its bus.
 // The pair shares one pin-down registration cache for the rendezvous path.
 func NewPair(h *ib.HCA, cfg Config, a, b transport.Handler) (*Conn, *Conn) {
-	cfg = cfg.withDefaults()
 	node := h.Node()
-	ab := newDir(node.Mem, cfg)
-	ba := newDir(node.Mem, cfg)
-	cacheBytes := cfg.RegCacheBytes
-	if cacheBytes < 0 {
-		cacheBytes = 0
-	}
-	regc := regcache.New(h, h.AllocPD(), cacheBytes)
+	ab := newDir(node.Mem)
+	ba := newDir(node.Mem)
+	regc := regcache.New(h, h.AllocPD(), regCacheBytes)
 	mk := func(hd transport.Handler, out, in *dir) *Conn {
 		return &Conn{
 			h: hd, hca: h, node: node, prm: h.Params(), cfg: cfg,
@@ -230,8 +200,7 @@ func (c *Conn) Stats() Stats { return c.stats }
 func (c *Conn) Footprint() transport.Footprint {
 	return transport.Footprint{
 		EagerSlots: len(c.out.cells),
-		EagerBytes: int64(len(c.out.cells)*max(c.cfg.EagerMax, 1) +
-			len(c.out.slots)*c.cfg.SegChunk),
+		EagerBytes: int64(len(c.out.cells)*EagerMax + len(c.out.slots)*SegChunk),
 	}
 }
 
@@ -348,7 +317,7 @@ func (c *Conn) progressSend(p *des.Proc) bool {
 			prog = true
 			continue
 		}
-		if op.env.Len <= c.cfg.EagerMax {
+		if op.env.Len <= EagerMax {
 			cl := c.out.freeCell()
 			if cl == nil {
 				break
@@ -387,7 +356,7 @@ func (c *Conn) progressSend(p *des.Proc) bool {
 			if sl == nil {
 				break
 			}
-			n := min(c.cfg.SegChunk, op.env.Len-op.off)
+			n := min(SegChunk, op.env.Len-op.off)
 			src := c.node.Mem.MustResolve(op.payload.Addr+uint64(op.off), n)
 			copy(sl.mem[:n], src)
 			c.node.Bus.Memcpy(p, n, op.env.Len)
@@ -407,7 +376,7 @@ func (c *Conn) progressSend(p *des.Proc) bool {
 
 func (c *Conn) completeHead(p *des.Proc, op *sendOp) {
 	c.sendq.TryGet()
-	if op.env.Len > c.cfg.EagerMax {
+	if op.env.Len > EagerMax {
 		c.stats.LargeSends++
 	} else {
 		c.stats.EagerSends++

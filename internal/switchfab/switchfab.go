@@ -60,20 +60,27 @@ type Fabric struct {
 	planes []*Plane
 }
 
+// Validate reports the first field New cannot build a tree from, naming it
+// ("LeafDown 0: …") so a caller can prefix its own path.
+func (c Config) Validate() error {
+	switch {
+	case c.LeafDown < 1:
+		return fmt.Errorf("LeafDown %d: need at least 1", c.LeafDown)
+	case c.LeafUp < 1:
+		return fmt.Errorf("LeafUp %d: need at least 1", c.LeafUp)
+	case c.HopLatency < 0:
+		return fmt.Errorf("HopLatency %v: must not be negative", c.HopLatency)
+	case !(c.UplinkBandwidth >= 0): // NaN included
+		return fmt.Errorf("UplinkBandwidth %v: must be 0 (the link rate) or positive", c.UplinkBandwidth)
+	}
+	return nil
+}
+
 // New builds the fabric for nNodes nodes and the given rail count.
 // netBW is the testbed NetBandwidth, the default uplink capacity.
 func New(cfg Config, nNodes, rails int, netBW float64) (*Fabric, error) {
-	if cfg.LeafDown < 1 {
-		return nil, fmt.Errorf("switchfab: LeafDown %d < 1", cfg.LeafDown)
-	}
-	if cfg.LeafUp < 1 {
-		return nil, fmt.Errorf("switchfab: LeafUp %d < 1", cfg.LeafUp)
-	}
-	if cfg.HopLatency < 0 {
-		return nil, fmt.Errorf("switchfab: negative HopLatency")
-	}
-	if cfg.UplinkBandwidth < 0 {
-		return nil, fmt.Errorf("switchfab: negative UplinkBandwidth")
+	if err := cfg.Validate(); err != nil {
+		return nil, fmt.Errorf("switchfab: %w", err)
 	}
 	cfg = cfg.withDefaults(netBW)
 	f := &Fabric{

@@ -343,11 +343,13 @@ func (e *Engine) check() {
 // eagerly.
 func (e *Engine) Isend(p *des.Proc, dest, tag, ctx int32, buf Buffer) *Request {
 	e.check()
-	if dest == e.rank {
-		panic("transport: self-send not supported; collectives avoid it")
-	}
 	req := &Request{}
 	env := Envelope{Src: e.rank, Tag: tag, Ctx: ctx, Len: buf.Len}
+	if dest == e.rank {
+		e.sendSelf(p, env, buf)
+		req.done = true
+		return req
+	}
 	ep := e.ep(dest)
 	if ep == nil && e.dialer != nil {
 		ep = e.makeStub(dest)
@@ -361,6 +363,18 @@ func (e *Engine) Isend(p *des.Proc, dest, tag, ctx int32, buf Buffer) *Request {
 	}
 	e.dispatchSend(p, ep, env, buf, req)
 	return req
+}
+
+// sendSelf delivers a message to this rank as one local copy, charged to
+// the bus: it fills a matching posted receive, or lands in the unexpected
+// queue exactly as an early eager sender's payload would.
+func (e *Engine) sendSelf(p *des.Proc, env Envelope, buf Buffer) {
+	sink := e.ArriveEager(p, env)
+	if n := env.Len; n > 0 {
+		copy(e.node.Mem.MustResolve(sink.Buf.Addr, n), e.node.Mem.MustResolve(buf.Addr, n))
+		e.node.Bus.Memcpy(p, n, n)
+	}
+	sink.Done(p)
 }
 
 // dispatchSend picks the protocol — the engine's decision, not the

@@ -142,16 +142,14 @@ func TestAnySourceNoConnect(t *testing.T) {
 }
 
 // TestSRQRefillBurst floods one receiver from every other rank while it
-// sits in a compute phase, with a deliberately tiny pool: the burst must
-// outrun the refill (observable as receiver-not-ready NAKs), the
-// low-watermark refill must recover, and every payload must arrive
-// intact.
+// sits in a compute phase: 64 messages into the 32-slot pool must outrun
+// the refill (observable as receiver-not-ready NAKs), the low-watermark
+// refill must recover, and every payload must arrive intact.
 func TestSRQRefillBurst(t *testing.T) {
-	const np, perSender, size = 5, 6, 512
+	const np, perSender, size = 5, 16, 512
 	c := cluster.MustNew(cluster.Config{
 		NP: np, Transport: cluster.TransportZeroCopy, ConnectMode: cluster.ConnectLazy,
-		Chan: rdmachan.Config{UseSRQ: true, SRQSlots: 4, SRQLowWater: 2, SRQSendSlots: 4,
-			SRQSlotSize: 2 << 10},
+		Chan: rdmachan.Config{UseSRQ: true},
 	})
 	defer c.Close()
 	seqs := make(map[int][]int)
@@ -189,7 +187,7 @@ func TestSRQRefillBurst(t *testing.T) {
 	}
 	st := c.SRQPool(0).Stats()
 	if st.RNRNaks == 0 {
-		t.Error("burst never emptied the 4-slot SRQ: no RNR NAKs observed")
+		t.Errorf("burst never emptied the %d-slot SRQ: no RNR NAKs observed", rdmachan.SRQSlots)
 	}
 	if st.Reposts == 0 {
 		t.Error("no refill reposts recorded")

@@ -136,3 +136,50 @@ func TestWildcardRendezvousAcrossTransports(t *testing.T) {
 		t.Fatalf("wildcard receives resolved %v, want both shm (1) and IB (2) sources", got)
 	}
 }
+
+// TestSelfSend: MPI allows a rank to send to itself, and the engine
+// delivers such a message as one local copy — through a posted receive, or
+// through the unexpected queue when the send comes first, where a wildcard
+// receive matches it. Each payload is checked after the send buffer has
+// been overwritten, so a receive that merely aliased it would fail.
+func TestSelfSend(t *testing.T) {
+	c := cluster.MustNew(cluster.Config{NP: 2, Transport: cluster.TransportZeroCopy})
+	defer c.Close()
+	c.Launch(func(comm *mpi.Comm) {
+		me := comm.Rank()
+		for _, size := range []int{0, 64, 1 << 20} {
+			sfull, sb := comm.Alloc(size + 1)
+			rfull, rb := comm.Alloc(size + 1)
+			send, recv := mpi.Slice(sfull, 0, size), mpi.Slice(rfull, 0, size)
+			fill := func(tag int) {
+				for i := range sb {
+					sb[i] = byte(me + tag + 7*i)
+				}
+			}
+			check := func(how string, tag int, st mpi.Status) {
+				if st.Source != int32(me) || st.Tag != int32(tag) || st.Len != size {
+					t.Errorf("rank %d %s, %d B: status %+v", me, how, size, st)
+				}
+				for i := 0; i < size; i++ {
+					if rb[i] != byte(me+tag+7*i) {
+						t.Errorf("rank %d %s, %d B: corrupt at %d", me, how, size, i)
+						return
+					}
+				}
+			}
+			fill(1)
+			check("Sendrecv", 1, comm.Sendrecv(send, me, 1, recv, me, 1))
+
+			fill(2)
+			comm.Wait(comm.Isend(send, me, 2))
+			fill(0)
+			check("Isend before AnySource Irecv", 2, comm.Wait(comm.Irecv(recv, mpi.AnySource, 2)))
+
+			r := comm.Irecv(recv, me, 3)
+			fill(3)
+			comm.Wait(comm.Isend(send, me, 3))
+			fill(0)
+			check("Irecv before Isend", 3, comm.Wait(r))
+		}
+	})
+}
