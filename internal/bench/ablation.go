@@ -22,7 +22,10 @@ func AblationTailThreshold() Figure {
 	}
 	s := Series{Name: "pipeline 16K"}
 	for _, batch := range []int{1, 2, 4, 6} {
-		bw := MPIBandwidth(Options{Config: cluster.Config{Transport: cluster.TransportPipeline, Chan: rdmachan.Config{CreditBatch: batch}}}, []int{16 << 10})
+		bw := MPIBandwidth(Options{Config: cluster.Config{
+			Transport: cluster.TransportPipeline,
+			Chan:      rdmachan.Config{CreditBatch: batch},
+		}}, []int{16 << 10})
 		s.Points = append(s.Points, Point{Size: batch, Value: bw.Points[0].Value})
 	}
 	f.Series = []Series{s}
@@ -51,7 +54,10 @@ func AblationRegCache() Figure {
 	}, sizes)
 	with.Name = "with cache"
 	without := MPIBandwidth(Options{
-		Config:  cluster.Config{Transport: cluster.TransportZeroCopy, Chan: rdmachan.Config{RegCacheBytes: -1}},
+		Config: cluster.Config{
+			Transport: cluster.TransportZeroCopy,
+			Chan:      rdmachan.Config{RegCacheBytes: -1},
+		},
 		Observe: observe(&withoutStats),
 	}, sizes)
 	without.Name = "no cache"
@@ -77,7 +83,11 @@ func AblationShmRndv() Figure {
 	seg := MPIBandwidth(Options{Config: cluster.Config{Transport: cluster.TransportZeroCopy, CoresPerNode: 2}}, sizes)
 	seg.Name = "shm segment"
 	rndv := MPIBandwidth(Options{
-		Config: cluster.Config{Transport: cluster.TransportZeroCopy, CoresPerNode: 2, Shm: shmchan.Config{RndvThreshold: 32 << 10}},
+		Config: cluster.Config{
+			Transport:    cluster.TransportZeroCopy,
+			CoresPerNode: 2,
+			Shm:          shmchan.Config{RndvThreshold: 32 << 10},
+		},
 		Observe: func(c *cluster.Cluster) {
 			s := c.RegCacheStats()
 			rndvStats.Hits += s.Hits
@@ -103,7 +113,10 @@ func AblationZCThreshold() Figure {
 	}
 	sizes := sizesPow4(4<<10, 256<<10)
 	for _, th := range []int{8 << 10, 16 << 10, 32 << 10, 64 << 10} {
-		s := MPIBandwidth(Options{Config: cluster.Config{Transport: cluster.TransportZeroCopy, Chan: rdmachan.Config{ZCThreshold: th}}}, sizes)
+		s := MPIBandwidth(Options{Config: cluster.Config{
+			Transport: cluster.TransportZeroCopy,
+			Chan:      rdmachan.Config{ZCThreshold: th},
+		}}, sizes)
 		s.Name = "thresh " + fmtSize(th)
 		f.Series = append(f.Series, s)
 	}
@@ -137,7 +150,10 @@ func AblationRingSize() Figure {
 	}
 	s := Series{Name: "pipeline 1M"}
 	for _, ring := range []int{32 << 10, 64 << 10, 128 << 10, 256 << 10, 512 << 10} {
-		bw := MPIBandwidth(Options{Config: cluster.Config{Transport: cluster.TransportPipeline, Chan: rdmachan.Config{RingSize: ring}}}, []int{1 << 20})
+		bw := MPIBandwidth(Options{Config: cluster.Config{
+			Transport: cluster.TransportPipeline,
+			Chan:      rdmachan.Config{RingSize: ring},
+		}}, []int{1 << 20})
 		s.Points = append(s.Points, Point{Size: ring, Value: bw.Points[0].Value})
 	}
 	f.Series = []Series{s}

@@ -81,10 +81,9 @@ func MPILatency(o Options, sizes []int, iters int) Series {
 	for _, size := range sizes {
 		c := o.cluster(2)
 		var oneWay float64
-		_ = c
 		c.Launch(func(comm *mpi.Comm) {
-			buf, _ := comm.Alloc(maxInt(size, 1))
-			rbuf, _ := comm.Alloc(maxInt(size, 1))
+			buf, _ := comm.Alloc(max(size, 1))
+			rbuf, _ := comm.Alloc(max(size, 1))
 			sb := mpi.Slice(buf, 0, size)
 			rb := mpi.Slice(rbuf, 0, size)
 			if comm.Rank() == 0 {
@@ -121,7 +120,6 @@ func MPIBandwidth(o Options, sizes []int) Series {
 		const windows = 3
 		c := o.cluster(2)
 		var rate float64
-		_ = c
 		c.Launch(func(comm *mpi.Comm) {
 			buf, _ := comm.Alloc(size)
 			ack, _ := comm.Alloc(4)
@@ -254,7 +252,6 @@ func VerbsLatency(prm *model.Params) float64 {
 	eng.Spawn("r0", func(p *des.Proc) {
 		lva, lb := n0.Mem.Alloc(64)
 		rva0, rb0 := n0.Mem.Alloc(64) // landing pad on node 0
-		_ = rva0
 		acc := ib.AccessLocalWrite | ib.AccessRemoteWrite
 		lmr, _ := h0.RegisterMR(p, pd0, lva, 64, acc)
 		pad0mr, _ := h0.RegisterMR(p, pd0, rva0, 64, acc)
@@ -263,7 +260,6 @@ func VerbsLatency(prm *model.Params) float64 {
 		r1pva, r1pb := n1.Mem.Alloc(64)
 		r1lmr, _ := h1.RegisterMR(p, pd1, r1lva, 64, acc)
 		r1pmr, _ := h1.RegisterMR(p, pd1, r1pva, 64, acc)
-		_ = r1lmr
 
 		eng.Spawn("r1", func(q *des.Proc) {
 			for i := 0; i < iters+1; i++ {
@@ -298,13 +294,6 @@ func VerbsLatency(prm *model.Params) float64 {
 	eng.Run()
 	eng.Shutdown()
 	return lat
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // FormatFigure renders a figure as an aligned text table, one row per

@@ -32,23 +32,23 @@ func collRunner(coll string, np, root int) func(comm *mpi.Comm, buf mpi.Buffer) 
 		return func(comm *mpi.Comm, buf mpi.Buffer) { comm.Bcast(buf, root) }
 	case "reduce":
 		return func(comm *mpi.Comm, buf mpi.Buffer) {
-			recv, _ := comm.Alloc(maxInt(buf.Len, 8))
+			recv, _ := comm.Alloc(max(buf.Len, 8))
 			comm.Reduce(buf, recv, mpi.Byte, mpi.Sum, root)
 		}
 	case "allgather":
 		return func(comm *mpi.Comm, buf mpi.Buffer) {
-			recv, _ := comm.Alloc(maxInt(buf.Len*np, 8))
+			recv, _ := comm.Alloc(max(buf.Len*np, 8))
 			comm.Allgather(buf, recv)
 		}
 	case "allreduce":
 		return func(comm *mpi.Comm, buf mpi.Buffer) {
-			recv, _ := comm.Alloc(maxInt(buf.Len, 1))
+			recv, _ := comm.Alloc(max(buf.Len, 1))
 			comm.Allreduce(buf, mpi.Slice(recv, 0, buf.Len), mpi.Byte, mpi.Sum)
 		}
 	case "alltoall":
 		// buf is the per-destination block, as in allgather's per-rank view.
 		return func(comm *mpi.Comm, buf mpi.Buffer) {
-			n := maxInt(buf.Len, 1)
+			n := max(buf.Len, 1)
 			send, _ := comm.Alloc(n * np)
 			recv, _ := comm.Alloc(n * np)
 			comm.Alltoall(send, recv)

@@ -80,7 +80,10 @@ func Fig9() Figure {
 		XLabel: "message size (bytes)", YLabel: "bandwidth (MB/s)",
 	}
 	for _, chunk := range []int{32 << 10, 16 << 10, 8 << 10, 4 << 10, 2 << 10, 1 << 10} {
-		s := MPIBandwidth(Options{Config: cluster.Config{Transport: cluster.TransportPipeline, Chan: rdmachan.Config{ChunkSize: chunk}}}, sizesPow4(4<<10, 1<<20))
+		s := MPIBandwidth(Options{Config: cluster.Config{
+			Transport: cluster.TransportPipeline,
+			Chan:      rdmachan.Config{ChunkSize: chunk},
+		}}, sizesPow4(4<<10, 1<<20))
 		s.Name = fmtSize(chunk)
 		f.Series = append(f.Series, s)
 	}

@@ -58,7 +58,7 @@ func CollectiveTime(o Options, np int, sizes []int, iters int,
 		c := o.cluster(np)
 		var per float64
 		c.Launch(func(comm *mpi.Comm) {
-			buf, _ := comm.Alloc(maxInt(size, 1))
+			buf, _ := comm.Alloc(max(size, 1))
 			sb := mpi.Slice(buf, 0, size)
 			run(comm, sb) // warmup
 			comm.Barrier()
@@ -109,12 +109,12 @@ func AblationHierCollectives() Figure {
 	fb.Name = "bcast flat"
 
 	hr := CollectiveTime(o, np, sizes, iters, func(comm *mpi.Comm, buf mpi.Buffer) {
-		recv, _ := comm.Alloc(maxInt(buf.Len, 8))
+		recv, _ := comm.Alloc(max(buf.Len, 8))
 		comm.HierReduce(buf, recv, mpi.Byte, mpi.Sum, root)
 	})
 	hr.Name = "reduce hier"
 	fr := CollectiveTime(o, np, sizes, iters, func(comm *mpi.Comm, buf mpi.Buffer) {
-		recv, _ := comm.Alloc(maxInt(buf.Len, 8))
+		recv, _ := comm.Alloc(max(buf.Len, 8))
 		comm.FlatReduce(buf, recv, mpi.Byte, mpi.Sum, root)
 	})
 	fr.Name = "reduce flat"

@@ -34,7 +34,11 @@ func transportSpecs() map[string]TransportSpec {
 		"ib":        mk("ib", Options{Config: cluster.Config{Transport: cluster.TransportZeroCopy}}),
 		"ch3":       mk("ch3", Options{Config: cluster.Config{Transport: cluster.TransportCH3}}),
 		"shm":       mk("shm", Options{Config: cluster.Config{Transport: cluster.TransportZeroCopy, CoresPerNode: 2}}),
-		"shm-rndv":  mk("shm-rndv", Options{Config: cluster.Config{Transport: cluster.TransportZeroCopy, CoresPerNode: 2, Shm: shmchan.Config{RndvThreshold: 32 << 10}}}),
+		"shm-rndv": mk("shm-rndv", Options{Config: cluster.Config{
+			Transport:    cluster.TransportZeroCopy,
+			CoresPerNode: 2,
+			Shm:          shmchan.Config{RndvThreshold: 32 << 10},
+		}}),
 	}
 }
 

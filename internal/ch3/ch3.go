@@ -29,12 +29,13 @@ type header struct {
 	reqID  uint64
 	raddr  uint64
 	rkeys  [maxHdrRails]uint32 // rkeys[0] is the historical single rkey
+	seq    uint64              // re-dialing carrier: the packet's place in its stream (0 = none)
 }
 
 // maxHdrRails is the rail count the fixed CTS header has rkey room for —
 // the same bound the channel layer enforces on connections, so the two
-// limits cannot drift apart. 4 rkeys end at byte 56 of the 64-byte
-// header; raising rdmachan.MaxRails past 6 would need a wider header.
+// limits cannot drift apart. 4 rkeys end at byte 56 of the 64-byte header
+// and seq fills the rest; raising rdmachan.MaxRails would need a wider one.
 const maxHdrRails = rdmachan.MaxRails
 
 var le = binary.LittleEndian
@@ -51,6 +52,7 @@ func encodeHeader(dst []byte, h header) {
 	for k := 0; k < maxHdrRails; k++ {
 		le.PutUint32(dst[40+4*k:44+4*k], h.rkeys[k])
 	}
+	le.PutUint64(dst[56:64], h.seq)
 }
 
 func decodeHeader(src []byte) header {
@@ -65,6 +67,7 @@ func decodeHeader(src []byte) header {
 		},
 		reqID: le.Uint64(src[24:32]),
 		raddr: le.Uint64(src[32:40]),
+		seq:   le.Uint64(src[56:64]),
 	}
 	for k := 0; k < maxHdrRails; k++ {
 		h.rkeys[k] = le.Uint32(src[40+4*k : 44+4*k])

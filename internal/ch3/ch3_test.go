@@ -14,11 +14,11 @@ import (
 )
 
 func TestHeaderRoundTrip(t *testing.T) {
-	f := func(kind, nRails byte, src, tag, ctx int32, ln uint32, reqID, raddr uint64, rkeys [maxHdrRails]uint32) bool {
+	f := func(kind, nRails byte, src, tag, ctx int32, ln uint32, reqID, raddr uint64, rkeys [maxHdrRails]uint32, seq uint64) bool {
 		h := header{
 			kind: kind, nRails: nRails,
 			env:   transport.Envelope{Src: src, Tag: tag, Ctx: ctx, Len: int(ln)},
-			reqID: reqID, raddr: raddr, rkeys: rkeys,
+			reqID: reqID, raddr: raddr, rkeys: rkeys, seq: seq,
 		}
 		var buf [hdrSize]byte
 		encodeHeader(buf[:], h)

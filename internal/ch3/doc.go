@@ -41,5 +41,6 @@
 //     the FIN follows the write on one queue pair, at or after the last
 //     counted write completion everywhere else.
 //   - No header field indexes anything before header.check has bounded it.
-//   - The fixed 64-byte header carries up to four per-rail rkeys in a CTS.
+//   - The fixed 64-byte header carries up to four per-rail rkeys in a CTS,
+//     and a re-dialing connection's stream position (delivery order).
 package ch3

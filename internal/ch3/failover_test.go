@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/ch3"
 	"repro/internal/cluster"
 	"repro/internal/des"
 	"repro/internal/fault"
@@ -184,16 +185,21 @@ func TestRDMADirectRailLossSweep(t *testing.T) {
 }
 
 // TestSRQRefillUnderRailFlap drives an eager burst larger than the SRQ pool
-// — 48 messages into 32 slots while the receiver computes — as the
-// connection's rail flaps down and up repeatedly: every message must arrive
-// intact, through reposts, re-dials and refills.
+// — 64 messages into 32 slots while the receiver computes for 250 µs — as
+// the connection's rail flaps down and up repeatedly: every message must
+// arrive intact, through reposts, re-dials and refills. The flaps alternate
+// rails, so each one breaks the rail the connection was re-dialed onto, and
+// run from 170 to 395 µs: the first two hit the burst stalled on the full
+// pool, the rest the receive loop that refills it. Both ranks finish with a
+// Barrier, after the last flap: a rank that has left Launch no longer polls,
+// so a later flap would strand the packets it still retains.
 func TestSRQRefillUnderRailFlap(t *testing.T) {
-	const msgs, size = 48, 1024
+	const msgs, size = 64, 1024
 	plan := &fault.Plan{}
-	for i := 0; i < 6; i++ {
+	for i := 0; i < 8; i++ {
 		plan.Events = append(plan.Events, fault.Event{
-			At:   des.Time(i+1) * 40 * des.Microsecond,
-			Kind: fault.LinkDown, Node: i % 2, Rail: 0,
+			At:   170*des.Microsecond + des.Time(i)*30*des.Microsecond,
+			Kind: fault.LinkDown, Node: i % 2, Rail: i % 2,
 			For: 15 * des.Microsecond,
 		})
 	}
@@ -207,6 +213,9 @@ func TestSRQRefillUnderRailFlap(t *testing.T) {
 	})
 	defer c.Close()
 	var got []uint64
+	// The receiver's pools: rail 0's, and whichever one a re-dial moved the
+	// connection onto.
+	pools := map[*rdmachan.SRQPool]bool{c.SRQPool(1): true}
 	c.Launch(func(comm *mpi.Comm) {
 		if comm.Rank() == 0 {
 			buf, b := comm.Alloc(size)
@@ -216,6 +225,7 @@ func TestSRQRefillUnderRailFlap(t *testing.T) {
 				}
 				comm.Send2(buf, 1, 4)
 			}
+			comm.Barrier()
 			return
 		}
 		buf, b := comm.Alloc(size)
@@ -223,7 +233,9 @@ func TestSRQRefillUnderRailFlap(t *testing.T) {
 		for i := 0; i < msgs; i++ {
 			comm.Recv2(buf, 0, 4)
 			got = append(got, fnvSum(b))
+			pools[c.Devs[1].Engine().Endpoint(0).(*ch3.SRQConn).Pool()] = true
 		}
+		comm.Barrier()
 	})
 	for i, sum := range got {
 		b := make([]byte, size)
@@ -236,5 +248,16 @@ func TestSRQRefillUnderRailFlap(t *testing.T) {
 	}
 	if len(got) != msgs {
 		t.Fatalf("received %d of %d messages", len(got), msgs)
+	}
+	var st rdmachan.SRQPoolStats
+	for pool := range pools {
+		st.RNRNaks += pool.Stats().RNRNaks
+		st.Reposts += pool.Stats().Reposts
+	}
+	if st.RNRNaks == 0 || st.Reposts == 0 {
+		t.Errorf("burst did not outrun and refill the receiver's pool: %+v", st)
+	}
+	if fs := c.FaultStats(); fs.Redials == 0 {
+		t.Errorf("no flap broke the connection: %+v", fs)
 	}
 }

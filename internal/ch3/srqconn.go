@@ -47,6 +47,15 @@ type SRQConn struct {
 	nextPool   *rdmachan.SRQPool // set by Reconnect; adopted from Poll
 	nextQP     *ib.QP
 	gotRTS     map[uint64]bool
+
+	// Packets are numbered when first staged (header seq). Once a re-dial
+	// moves the connection to another rail, packets that landed in the old
+	// rail's pool and resends landing in the new one are dispatched in
+	// whichever order the pools are polled, so the receiver holds a packet
+	// that overtook its predecessor in early until the gap fills: MPI's
+	// non-overtaking order survives the move.
+	sendSeq, recvSeq uint64
+	early            map[uint64][]byte
 }
 
 // NewSRQPair wires one SRQ-mode connection between two ranks' pools: a
@@ -76,6 +85,7 @@ func newSRQConn(pool *rdmachan.SRQPool, qp *ib.QP, h transport.Handler,
 	c.mover = rdmachan.NewMover(c.rails, c.resilient)
 	if c.resilient {
 		c.gotRTS = make(map[uint64]bool)
+		c.early = make(map[uint64][]byte)
 	}
 	return c
 }
@@ -271,6 +281,10 @@ func (c *SRQConn) buildPkt(p *des.Proc, pk *packet) error {
 			return err
 		}
 	}
+	if pk.hdr.seq == 0 {
+		c.sendSeq++
+		pk.hdr.seq = c.sendSeq
+	}
 	pkt := make([]byte, hdrSize, hdrSize+pk.payload.Len)
 	encodeHeader(pkt, pk.hdr)
 	if pk.payload.Len > 0 {
@@ -310,12 +324,34 @@ func (c *SRQConn) failFn(*des.Proc) {
 
 // HandleSRQPacket implements rdmachan.SRQDispatch: one packet arrived into
 // a pool slot on this connection's queue pair. The slot is reusable as
-// soon as this returns, so eager payloads copy out immediately.
+// soon as this returns, so eager payloads copy out immediately — and so
+// does a resilient packet that arrived ahead of its predecessor, whole,
+// to be delivered after it.
 func (c *SRQConn) HandleSRQPacket(p *des.Proc, pkt []byte) {
 	h, ok := c.decode(pkt, len(pkt)-hdrSize)
-	if !ok {
+	switch {
+	case !ok:
+		return
+	case !c.resilient:
+		c.deliver(p, h, pkt)
+		return
+	case h.seq != c.recvSeq+1:
+		c.early[h.seq] = slices.Clone(pkt)
+		c.qp.HCA().Node().Bus.Memcpy(p, len(pkt), len(pkt))
 		return
 	}
+	for ok {
+		c.recvSeq++
+		c.deliver(p, h, pkt)
+		if pkt, ok = c.early[c.recvSeq+1]; ok {
+			delete(c.early, c.recvSeq+1)
+			h = decodeHeader(pkt)
+		}
+	}
+}
+
+// deliver acts on one packet, in stream order.
+func (c *SRQConn) deliver(p *des.Proc, h header, pkt []byte) {
 	if c.resilient {
 		switch {
 		case h.kind == pktRTS && c.duplicateRTS(p, h):

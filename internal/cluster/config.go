@@ -101,7 +101,9 @@ type Config struct {
 
 	// Chan overrides per-connection channel parameters (chunk size, ring
 	// size, thresholds, registration cache) for sweeps and ablations. Its
-	// Design follows Transport; a non-zero Design must agree with it.
+	// Design follows Transport: the zero Design means "follow Transport",
+	// so DesignBasic (the zero value) is asked for through Transport alone,
+	// and any other Design must agree with it.
 	// Chan.UseSRQ selects the SRQ-backed eager mode: inter-node pairs
 	// share a per-process slot pool (rdmachan.SRQPool) behind one shared
 	// receive queue instead of dedicating a ring to every connection.

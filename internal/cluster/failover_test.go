@@ -94,14 +94,22 @@ func TestChaosSchedulesPreservePayloads(t *testing.T) {
 // soak the CI -race job leans on. Each rank in turn sits in a compute phase
 // while the other three each send it a burst of `rounds` messages: the two
 // senders whose connections share a rail put 48 packets into that rail's
-// 32-slot pool, which keeps the refill machinery hot.
+// 32-slot pool, which keeps the refill machinery hot. The flaps run from
+// the first bursts to the last drain (40–1035 µs of a ≈1.4 ms run), so
+// they land on RNR-stalled bursts, on drains and refills, and on the lazy
+// dials among ranks 1–3 (pair 1–2 dials while node 1's rail 1 is down).
+//
+// The closing Barrier keeps every rank in the job until all bursts have
+// landed. A rank that has left Launch no longer polls, so a packet it still
+// retains cannot be resent after a later flap: Launch has no finalize step
+// that completes outstanding sends the way MPI_Finalize does.
 func TestRailFlapReconnectSoak(t *testing.T) {
 	var plan fault.Plan
-	for i := 0; i < 8; i++ {
+	for i := 0; i < 16; i++ {
 		plan.Events = append(plan.Events, fault.Event{
-			At:   des.Time(i+1) * 30 * des.Microsecond,
+			At:   40*des.Microsecond + des.Time(i)*65*des.Microsecond,
 			Kind: fault.LinkDown, Node: i % 4, Rail: i % 2,
-			For: 12 * des.Microsecond,
+			For: 20 * des.Microsecond,
 		})
 	}
 	c := MustNew(chaosConfig(&plan))
@@ -134,6 +142,7 @@ func TestRailFlapReconnectSoak(t *testing.T) {
 				}
 			}
 		}
+		comm.Barrier()
 	})
 	for me := range delivered {
 		for peer, n := range delivered[me] {
@@ -149,14 +158,19 @@ func TestRailFlapReconnectSoak(t *testing.T) {
 	if fs := c.FaultStats(); fs.Redials == 0 {
 		t.Errorf("soak exercised no re-dials: %+v", fs)
 	}
-	var naks uint64
+	var naks, reposts uint64
 	for _, rails := range c.pools {
 		for _, pool := range rails {
-			naks += pool.Stats().RNRNaks
+			st := pool.Stats()
+			naks += st.RNRNaks
+			reposts += st.Reposts
 		}
 	}
 	if naks == 0 {
 		t.Error("no burst outran a pool: no RNR NAKs observed")
+	}
+	if reposts == 0 {
+		t.Error("no pool was refilled: no reposts observed")
 	}
 }
 

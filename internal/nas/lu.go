@@ -90,8 +90,8 @@ func runLU(comm *mpi.Comm, class Class) (float64, bool) {
 	// extent × nz planes, 5 components).
 	haloX := ly * n * 5
 	haloY := lx * n * 5
-	haloSend, _ := comm.Alloc(maxOf(haloX, haloY))
-	haloRecv, haloRecvB := comm.Alloc(maxOf(haloX, haloY))
+	haloSend, _ := comm.Alloc(max(haloX, haloY))
+	haloRecv, haloRecvB := comm.Alloc(max(haloX, haloY))
 
 	exchange3 := func(tag int) {
 		if cols > 1 {
@@ -137,11 +137,4 @@ func runLU(comm *mpi.Comm, class Class) (float64, bool) {
 		}
 	}
 	return ops * iterScale, verifySum(comm, local)
-}
-
-func maxOf(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

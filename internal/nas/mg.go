@@ -86,8 +86,6 @@ func runMG(comm *mpi.Comm, class Class) (float64, bool) {
 	for it := 0; it < nit; it++ {
 		// Down-sweep: restrict through the levels.
 		for l := 0; l < levels; l++ {
-			g := float64(int(1) << uint(levels-l)) // relative weight
-			_ = g
 			levelPts := pts / float64(np) / float64(uint64(1)<<(3*uint(l)))
 			comm.Compute(levelPts * 15) // residual + restriction stencils
 			exchange(l)

@@ -325,9 +325,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CreditBatch == 0 {
 		c.CreditBatch = (c.RingSize / c.ChunkSize) / 2
-		if c.CreditBatch < 1 {
-			c.CreditBatch = 1
-		}
 	}
 	if c.RegCacheBytes == 0 {
 		c.RegCacheBytes = 64 << 20
