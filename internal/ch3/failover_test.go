@@ -19,6 +19,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/mpi"
 	"repro/internal/rdmachan"
+	"repro/internal/transport"
 )
 
 func fnvSum(b []byte) uint64 {
@@ -33,6 +34,14 @@ func fnvSum(b []byte) uint64 {
 // 0 to rank 1 under the given config and returns the receiver's payload
 // checksum and the finish time.
 func runRendezvousExchange(t *testing.T, cfg cluster.Config) (sum uint64, took des.Time) {
+	t.Helper()
+	sum, took, _ = rendezvousExchange(t, cfg)
+	return sum, took
+}
+
+// rendezvousExchange is runRendezvousExchange that also sums both ranks'
+// fault-recovery counters over their channel endpoints.
+func rendezvousExchange(t *testing.T, cfg cluster.Config) (sum uint64, took des.Time, rec recovery) {
 	t.Helper()
 	cfg.NP = 2
 	c := cluster.MustNew(cfg)
@@ -55,7 +64,55 @@ func runRendezvousExchange(t *testing.T, cfg cluster.Config) (sum uint64, took d
 			sum = sum*1099511628211 ^ fnvSum(b)
 		}
 	})
-	return sum, c.Now()
+	return sum, c.Now(), recoveryStats(c)
+}
+
+// runEagerStream sends 256 one-KiB eager messages from rank 0 to rank 1,
+// so eager chunks are in flight on every rail for the whole run, and
+// returns the receiver's checksum and the finish time.
+func runEagerStream(t *testing.T, cfg cluster.Config) (sum uint64, took des.Time, rec recovery) {
+	t.Helper()
+	cfg.NP = 2
+	c := cluster.MustNew(cfg)
+	defer c.Close()
+	const msgs, size = 256, 1 << 10
+	c.Launch(func(comm *mpi.Comm) {
+		buf, b := comm.Alloc(size)
+		for m := 0; m < msgs; m++ {
+			if comm.Rank() == 0 {
+				for i := range b {
+					b[i] = byte(i*5 + m)
+				}
+				comm.Send2(buf, 1, 3)
+			} else {
+				comm.Recv2(buf, 0, 3)
+				sum = sum*1099511628211 ^ fnvSum(b)
+			}
+		}
+	})
+	return sum, c.Now(), recoveryStats(c)
+}
+
+// recovery is the sum of the rdmachan.Stats fault-recovery counters over
+// every rank's channel endpoints.
+type recovery struct{ RailEvictions, ChunkReposts, StripeReissues uint64 }
+
+func (r *recovery) add(o recovery) {
+	r.RailEvictions += o.RailEvictions
+	r.ChunkReposts += o.ChunkReposts
+	r.StripeReissues += o.StripeReissues
+}
+
+func recoveryStats(c *cluster.Cluster) (rec recovery) {
+	for _, eng := range c.Ranks {
+		eng.ForEachEndpoint(func(_ int32, ep transport.Endpoint) {
+			if conn, ok := ep.(*ch3.Conn); ok {
+				st := conn.Endpoint().Stats()
+				rec.add(recovery{st.RailEvictions, st.ChunkReposts, st.StripeReissues})
+			}
+		})
+	}
+	return rec
 }
 
 // sweepRailLoss runs the exchange failure-free, then replays it with one
@@ -113,14 +170,20 @@ func TestSRQRailLossSweep(t *testing.T) {
 // users — the channel's striped zero-copy reads and the CH3 design's striped
 // rendezvous writes: stripes issued to the dead rail must re-issue on rail 0
 // (rail 0 itself carries the flow-control counters and is connection-fatal
-// by design, so it is the one that must survive).
+// by design, so it is the one that must survive). An eager stream sweeps
+// the eager chunks in flight on rail 1 the same way. The recovery counters
+// DESIGN.md §11 cites must each show that work somewhere in the sweep, and
+// stay zero in every fault-free cell.
 func TestChunkStripeRailLossSweep(t *testing.T) {
+	var swept recovery
 	for _, tc := range []struct {
 		prefix string // of the subtest names; the zero-copy sweep's predate the table
 		tr     cluster.Transport
+		run    func(*testing.T, cluster.Config) (uint64, des.Time, recovery)
 	}{
-		{"", cluster.TransportZeroCopy},
-		{"ch3-", cluster.TransportCH3},
+		{"", cluster.TransportZeroCopy, rendezvousExchange},
+		{"ch3-", cluster.TransportCH3, rendezvousExchange},
+		{"eager-", cluster.TransportZeroCopy, runEagerStream},
 	} {
 		sweepRailLossWith(t, tc.prefix, func(plan *fault.Plan) cluster.Config {
 			return cluster.Config{
@@ -128,7 +191,19 @@ func TestChunkStripeRailLossSweep(t *testing.T) {
 				RailsPerNode: 2,
 				Fault:        plan,
 			}
-		}, 1, runRendezvousExchange)
+		}, 1, func(t *testing.T, cfg cluster.Config) (uint64, des.Time) {
+			sum, took, rec := tc.run(t, cfg)
+			if len(cfg.Fault.Events) == 0 && rec != (recovery{}) {
+				t.Errorf("%sfault-free run counted recovery work: %+v", tc.prefix, rec)
+			}
+			swept.add(rec)
+			return sum, took
+		})
+	}
+	t.Logf("sweep recovery counters: %+v", swept)
+	if swept.RailEvictions == 0 || swept.ChunkReposts == 0 || swept.StripeReissues == 0 {
+		t.Errorf("sweep recovery counters: evictions=%d chunk reposts=%d stripe reissues=%d, want all > 0",
+			swept.RailEvictions, swept.ChunkReposts, swept.StripeReissues)
 	}
 }
 
@@ -233,7 +308,7 @@ func TestSRQRefillUnderRailFlap(t *testing.T) {
 		for i := 0; i < msgs; i++ {
 			comm.Recv2(buf, 0, 4)
 			got = append(got, fnvSum(b))
-			pools[c.Devs[1].Engine().Endpoint(0).(*ch3.SRQConn).Pool()] = true
+			pools[c.Ranks[1].Endpoint(0).(*ch3.SRQConn).Pool()] = true
 		}
 		comm.Barrier()
 	})

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 
-	"repro/internal/adi3"
 	"repro/internal/ch3"
 	"repro/internal/des"
 	"repro/internal/fault"
@@ -19,10 +18,10 @@ import (
 )
 
 // Cluster is a built simulation. Nodes and HCAs are indexed by node id,
-// Devs by rank; with CoresPerNode > 1 there are fewer nodes than ranks
-// and co-located devices share their node's adapters. HCAs holds each
-// node's rail-0 adapter; Rails holds the full rail set per node
-// (Rails[n][0] == HCAs[n]).
+// Ranks (each rank's progress engine) by rank; with CoresPerNode > 1 there
+// are fewer nodes than ranks and co-located ranks share their node's
+// adapters. HCAs holds each node's rail-0 adapter; Rails holds the full
+// rail set per node (Rails[n][0] == HCAs[n]).
 type Cluster struct {
 	Eng    *des.Engine
 	Prm    *model.Params
@@ -30,9 +29,10 @@ type Cluster struct {
 	Nodes  []*model.Node
 	HCAs   []*ib.HCA
 	Rails  [][]*ib.HCA
-	Devs   []*adi3.Device
+	Ranks  []*transport.Engine
 
 	nodeOf  []int32 // node id per rank
+	direct  bool    // cluster-wide RDMA-direct collective capability (New)
 	cfg     Config
 	rails   int               // resolved RailsPerNode (≥ 1)
 	chanCfg rdmachan.Config   // Chan with the design resolved from Transport
@@ -170,19 +170,17 @@ func New(cfg Config) (*Cluster, error) {
 		c.HCAs = append(c.HCAs, set[0])
 	}
 	c.nodeOf = make([]int32, cfg.NP)
-	c.Devs = make([]*adi3.Device, 0, cfg.NP)
+	c.Ranks = make([]*transport.Engine, 0, cfg.NP)
 	// RDMA-direct collectives ride the one-sided machinery: they need raw
 	// verbs resources (the basic design exposes none), outside the SRQ eager
 	// mode (a bare queue pair there), and no armed fault plan (the exposure
 	// has no mid-flight recovery; under faults the registry falls back to the
 	// two-sided algorithms, which do). Windows post on rail 0 and their
 	// completions come back through the router, so any rail count will do.
-	direct := !cfg.Chan.UseSRQ && cfg.Fault == nil && cfg.Transport != TransportBasic
+	c.direct = !cfg.Chan.UseSRQ && cfg.Fault == nil && cfg.Transport != TransportBasic
 	for r := 0; r < cfg.NP; r++ {
 		c.nodeOf[r] = int32(r / cpn)
-		c.Devs = append(c.Devs, adi3.NewDevice(int32(r), cfg.NP, c.HCAs[c.nodeOf[r]]))
-		c.Devs[r].SetTopology(c.nodeOf)
-		c.Devs[r].SetRDMADirect(direct)
+		c.Ranks = append(c.Ranks, transport.NewEngine(int32(r), cfg.NP, c.HCAs[c.nodeOf[r]]))
 	}
 
 	var setupErr error
@@ -195,14 +193,14 @@ func New(cfg Config) (*Cluster, error) {
 			for r := 0; r < cfg.NP; r++ {
 				c.pools[r] = make([]*rdmachan.SRQPool, c.rails)
 				for k := 0; k < c.rails; k++ {
-					pool, err := rdmachan.NewSRQPool(p, c.chanCfg, c.Rails[c.nodeOf[r]][k], c.resilient, c.Devs[r].OnErr())
+					pool, err := rdmachan.NewSRQPool(p, c.chanCfg, c.Rails[c.nodeOf[r]][k], c.resilient, c.Ranks[r].Fail)
 					if err != nil {
 						setupErr = fmt.Errorf("cluster: rank %d rail %d SRQ pool: %w", r, k, err)
 						return
 					}
 					// The rank's transport engine polls each pool once per
 					// progress pass, ahead of the connections.
-					c.Devs[r].Engine().AddSharedPoll(pool.Poll)
+					c.Ranks[r].AddSharedPoll(pool.Poll)
 					c.pools[r][k] = pool
 				}
 			}
@@ -336,7 +334,7 @@ func pairKey(i, j int) uint64 {
 func (c *Cluster) installDialers() {
 	for i := 0; i < c.cfg.NP; i++ {
 		i := i
-		c.Devs[i].Engine().SetDialer(func(p *des.Proc, peer int32) {
+		c.Ranks[i].SetDialer(func(p *des.Proc, peer int32) {
 			c.requestConnect(p, i, int(peer))
 		})
 	}
@@ -399,8 +397,8 @@ func (c *Cluster) startConnect(i, j int) {
 // failPair fails both ranks' engines with err and wakes both nodes'
 // progress loops to notice.
 func (c *Cluster) failPair(i, j int, err error) {
-	c.Devs[i].Engine().Fail(err)
-	c.Devs[j].Engine().Fail(err)
+	c.Ranks[i].Fail(err)
+	c.Ranks[j].Fail(err)
 	c.HCAs[c.nodeOf[i]].NotifyMemWrite()
 	c.HCAs[c.nodeOf[j]].NotifyMemWrite()
 }
@@ -415,9 +413,9 @@ func (c *Cluster) wirePair(p *des.Proc, i, j int) error {
 	c.pairMu.Unlock()
 	if c.nodeOf[i] == c.nodeOf[j] {
 		ci, cj := shmchan.NewPair(c.HCAs[c.nodeOf[i]], c.cfg.Shm,
-			c.Devs[i].Engine(), c.Devs[j].Engine())
-		c.Devs[i].Engine().Fulfill(int32(j), ci)
-		c.Devs[j].Engine().Fulfill(int32(i), cj)
+			c.Ranks[i], c.Ranks[j])
+		c.Ranks[i].Fulfill(int32(j), ci)
+		c.Ranks[j].Fulfill(int32(i), cj)
 		return nil
 	}
 	if c.chanCfg.UseSRQ {
@@ -426,8 +424,8 @@ func (c *Cluster) wirePair(p *des.Proc, i, j int) error {
 			return fmt.Errorf("no surviving rail")
 		}
 		ei, ej, err := ch3.NewSRQPair(c.pools[i][k], c.pools[j][k],
-			c.Devs[i].Engine(), c.Devs[j].Engine(),
-			c.Devs[i].OnErr(), c.Devs[j].OnErr())
+			c.Ranks[i], c.Ranks[j],
+			c.Ranks[i].Fail, c.Ranks[j].Fail)
 		if err != nil {
 			return err
 		}
@@ -437,8 +435,8 @@ func (c *Cluster) wirePair(p *des.Proc, i, j int) error {
 			ei.SetRedial(func() { c.startRedial(i, j) })
 			ej.SetRedial(func() { c.startRedial(i, j) })
 		}
-		c.Devs[i].Engine().Fulfill(int32(j), ei)
-		c.Devs[j].Engine().Fulfill(int32(i), ej)
+		c.Ranks[i].Fulfill(int32(j), ei)
+		c.Ranks[j].Fulfill(int32(i), ej)
 		return nil
 	}
 	epi, epj, err := rdmachan.NewConnectionRails(p, c.chanCfg,
@@ -446,8 +444,8 @@ func (c *Cluster) wirePair(p *des.Proc, i, j int) error {
 	if err != nil {
 		return err
 	}
-	c.Devs[i].Engine().Fulfill(int32(j), c.newEndpoint(epi, c.Devs[i]))
-	c.Devs[j].Engine().Fulfill(int32(i), c.newEndpoint(epj, c.Devs[j]))
+	c.Ranks[i].Fulfill(int32(j), c.newEndpoint(epi, c.Ranks[i]))
+	c.Ranks[j].Fulfill(int32(i), c.newEndpoint(epj, c.Ranks[j]))
 	return nil
 }
 
@@ -548,11 +546,11 @@ func (c *Cluster) SRQPool(rank int) *rdmachan.SRQPool {
 	return c.pools[rank][0]
 }
 
-func (c *Cluster) newEndpoint(ep rdmachan.Endpoint, dev *adi3.Device) transport.Endpoint {
+func (c *Cluster) newEndpoint(ep rdmachan.Endpoint, eng *transport.Engine) transport.Endpoint {
 	if c.cfg.Transport == TransportCH3 {
-		return ch3.NewIBConn(ep, dev.Engine(), 0, dev.OnErr())
+		return ch3.NewIBConn(ep, eng, 0, eng.Fail)
 	}
-	return ch3.NewOverChannel(ep, dev.Engine(), dev.OnErr())
+	return ch3.NewOverChannel(ep, eng, eng.Fail)
 }
 
 // MemStats is the connection-scalability accounting (DESIGN.md §9):
@@ -581,7 +579,7 @@ func (m *MemStats) add(o MemStats) {
 // established endpoints' footprints plus its SRQ pool when one exists.
 // Unestablished stubs contribute nothing — that is the point of lazy mode.
 func (c *Cluster) RankMemStats(rank int) MemStats {
-	eng := c.Devs[rank].Engine()
+	eng := c.Ranks[rank]
 	var fp transport.Footprint
 	conns := 0
 	eng.ForEachEndpoint(func(peer int32, ep transport.Endpoint) {
@@ -631,8 +629,8 @@ func (c *Cluster) RegCacheStats() regcache.Stats {
 		total.Misses += s.Misses
 		total.Evictions += s.Evictions
 	}
-	for _, d := range c.Devs {
-		d.Engine().ForEachEndpoint(func(_ int32, ep transport.Endpoint) {
+	for _, eng := range c.Ranks {
+		eng.ForEachEndpoint(func(_ int32, ep transport.Endpoint) {
 			switch e := ep.(type) {
 			case *ch3.Conn:
 				if raw, ok := e.Endpoint().(rdmachan.RawAccess); ok {
@@ -654,8 +652,8 @@ func (c *Cluster) RegCacheStats() regcache.Stats {
 // polls and idle-poll questions — host work no simulated clock shows.
 func (c *Cluster) ProgressStats() transport.ProgressStats {
 	var total transport.ProgressStats
-	for _, d := range c.Devs {
-		s := d.Engine().ProgressStats()
+	for _, eng := range c.Ranks {
+		s := eng.ProgressStats()
 		total.Passes += s.Passes
 		total.Polls += s.Polls
 		total.PollHits += s.PollHits
@@ -681,13 +679,13 @@ func (c *Cluster) Launch(body func(comm *mpi.Comm)) {
 		}
 	}
 	for i := 0; i < c.cfg.NP; i++ {
-		dev := c.Devs[i]
+		eng := c.Ranks[i]
 		// Rank processes run on their node's shard. The start events are
 		// seeded with the (generation, rank) identity so the launch
 		// schedule is independent of which engine each rank lands on.
 		c.nodeEng(int(c.nodeOf[i])).SpawnSeeded(des.Salt(rankSalt, gen, uint64(i)),
 			fmt.Sprintf("rank%d", i), func(p *des.Proc) {
-				body(mpi.NewWithTuning(p, dev, &tun))
+				body(mpi.NewWithTuning(p, eng, c.nodeOf, c.direct, &tun))
 			})
 	}
 	c.Eng.Run()

@@ -9,18 +9,18 @@ import (
 
 func TestClusterConstruction(t *testing.T) {
 	c := MustNew(Config{NP: 4, Transport: TransportZeroCopy})
-	if len(c.Nodes) != 4 || len(c.HCAs) != 4 || len(c.Devs) != 4 {
+	if len(c.Nodes) != 4 || len(c.HCAs) != 4 || len(c.Ranks) != 4 {
 		t.Fatal("cluster incompletely constructed")
 	}
-	for i, d := range c.Devs {
+	for i, eng := range c.Ranks {
 		for j := 0; j < 4; j++ {
 			if i == j {
-				if d.Endpoint(int32(j)) != nil {
+				if eng.Endpoint(int32(j)) != nil {
 					t.Errorf("rank %d has a self connection", i)
 				}
 				continue
 			}
-			if d.Endpoint(int32(j)) == nil {
+			if eng.Endpoint(int32(j)) == nil {
 				t.Errorf("rank %d missing connection to %d", i, j)
 			}
 		}
@@ -94,9 +94,9 @@ func TestSMPWiring(t *testing.T) {
 	// memory, remote pairs over the selected InfiniBand transport.
 	c := MustNew(Config{NP: 6, CoresPerNode: 2, Transport: TransportZeroCopy})
 	defer c.Close()
-	if len(c.Nodes) != 3 || len(c.HCAs) != 3 || len(c.Devs) != 6 {
-		t.Fatalf("got %d nodes, %d HCAs, %d devs; want 3, 3, 6",
-			len(c.Nodes), len(c.HCAs), len(c.Devs))
+	if len(c.Nodes) != 3 || len(c.HCAs) != 3 || len(c.Ranks) != 6 {
+		t.Fatalf("got %d nodes, %d HCAs, %d ranks; want 3, 3, 6",
+			len(c.Nodes), len(c.HCAs), len(c.Ranks))
 	}
 	for i := 0; i < 6; i++ {
 		if want := i / 2; c.NodeOf(i) != want {
@@ -106,7 +106,7 @@ func TestSMPWiring(t *testing.T) {
 			if i == j {
 				continue
 			}
-			conn := c.Devs[i].Endpoint(int32(j))
+			conn := c.Ranks[i].Endpoint(int32(j))
 			if conn == nil {
 				t.Fatalf("rank %d missing connection to %d", i, j)
 			}
@@ -116,8 +116,8 @@ func TestSMPWiring(t *testing.T) {
 			}
 		}
 	}
-	// Co-located devices share their node's adapter.
-	if c.Devs[0].HCA() != c.Devs[1].HCA() || c.Devs[0].HCA() == c.Devs[2].HCA() {
+	// Co-located ranks share their node's adapter.
+	if c.Ranks[0].HCA() != c.Ranks[1].HCA() || c.Ranks[0].HCA() == c.Ranks[2].HCA() {
 		t.Error("HCA sharing does not follow node placement")
 	}
 }

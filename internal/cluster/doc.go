@@ -1,6 +1,6 @@
 // Package cluster assembles complete simulated systems: N nodes with HCAs
 // on a switched fabric, a chosen transport design wired between rank
-// pairs, ADI3 devices, and MPI process launch — the simulation counterpart
+// pairs, one transport engine per rank, and MPI process launch — the simulation counterpart
 // of the paper's 8-node testbed (§4.1 of conf_ipps_LiuJWPABGT04).
 //
 // Beyond the testbed it opens three scenario axes:
@@ -21,7 +21,7 @@
 //
 // Layer boundaries: cluster is the composition root — the only package
 // that knows every layer (model, ib, rdmachan, ch3, shmchan, transport,
-// adi3, mpi) and the only place wiring decisions live. Benchmarks
+// mpi) and the only place wiring decisions live. Benchmarks
 // (internal/bench, internal/nas) and tests build clusters; nothing below
 // imports this package.
 //

@@ -25,7 +25,7 @@ const idleCharge = 250 * des.Nanosecond
 // getCalls returns the Get counter of each of rank's chunk endpoints.
 func getCalls(c *cluster.Cluster, rank int) []uint64 {
 	var calls []uint64
-	c.Devs[rank].Engine().ForEachEndpoint(func(_ int32, ep transport.Endpoint) {
+	c.Ranks[rank].ForEachEndpoint(func(_ int32, ep transport.Endpoint) {
 		calls = append(calls, ep.(*ch3.Conn).Endpoint().Stats().GetCalls)
 	})
 	return calls
@@ -46,7 +46,7 @@ func idlePass(t *testing.T, c *cluster.Cluster, during func(t0 des.Time)) (event
 		p.Sleep(des.Microsecond) // let the other ranks' start events drain
 		t0, ev0 := p.Now(), c.Eng.EventsExecuted()
 		during(t0)
-		if c.Devs[0].Progress(p, false) {
+		if c.Ranks[0].Progress(p, false) {
 			t.Error("an idle pass reported progress")
 		}
 		events, took = c.Eng.EventsExecuted()-ev0, p.Now()-t0

@@ -14,10 +14,10 @@ import (
 // to peer (zero-copy / chunk transports only).
 func railStats(t *testing.T, c *cluster.Cluster, rank, peer int) rdmachan.Stats {
 	t.Helper()
-	conn, ok := c.Devs[rank].Endpoint(int32(peer)).(*ch3.Conn)
+	conn, ok := c.Ranks[rank].Endpoint(int32(peer)).(*ch3.Conn)
 	if !ok {
 		t.Fatalf("rank %d→%d endpoint is %T, want *ch3.Conn", rank, peer,
-			c.Devs[rank].Endpoint(int32(peer)))
+			c.Ranks[rank].Endpoint(int32(peer)))
 	}
 	return conn.Endpoint().Stats()
 }

@@ -45,10 +45,10 @@ func hierAllgatherOK(c *Comm) bool {
 // rdmaDirectOK gates the RDMA-direct collectives (rdmadirect.go). Every
 // rank of the communicator must evaluate it identically or the exposure
 // handshake deadlocks, so it is a pure function of cluster-wide facts —
-// the capability flag the cluster stamps on every device — and of the
+// the capability flag the cluster hands every rank — and of the
 // communicator's topology: every member pair must be inter-node, because
 // co-located pairs ride shared memory and expose no raw verbs endpoint.
-func rdmaDirectOK(c *Comm) bool { return c.dev.RDMADirect() && !c.t.multi }
+func rdmaDirectOK(c *Comm) bool { return c.rdmaOK && !c.t.multi }
 
 // pof2OK admits the in-place doubling exchange, which pairs rank with
 // rank XOR 2^k and so needs every such partner to exist.

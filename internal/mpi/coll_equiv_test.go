@@ -264,21 +264,27 @@ func TestAlltoallTableCutoff(t *testing.T) {
 func equivChecks(t *testing.T, comm *mpi.Comm, label string) {
 	size, rank := comm.Size(), comm.Rank()
 
-	// Bcast: non-power-of-two payload exercises chunk tails in
-	// scatter-allgather; compare all bytes on all ranks.
-	const bn = 977
+	// Bcast: a non-power-of-two payload exercises chunk tails in
+	// scatter-allgather, and lengths short against the communicator leave
+	// whole tail chunks empty. Every rank must hold the root's bytes, as
+	// binomial delivers them.
 	root := size - 1
-	buf, b := comm.Alloc(bn)
-	if rank == root {
-		for i := range b {
-			b[i] = byte(i*7 + 3)
+	for _, bn := range []int{977, 1, 4, size - 1, size + 1, 2*size - 1} {
+		if bn == 0 {
+			continue
 		}
-	}
-	comm.Bcast(buf, root)
-	for i := range b {
-		if b[i] != byte(i*7+3) {
-			t.Errorf("%s bcast: rank %d wrong byte at %d", label, rank, i)
-			break
+		buf, b := comm.Alloc(bn)
+		if rank == root {
+			for i := range b {
+				b[i] = byte(i*7 + 3)
+			}
+		}
+		comm.Bcast(buf, root)
+		for i := range b {
+			if b[i] != byte(i*7+3) {
+				t.Errorf("%s bcast %d B: rank %d wrong byte at %d", label, bn, rank, i)
+				break
+			}
 		}
 	}
 

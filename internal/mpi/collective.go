@@ -84,8 +84,8 @@ func (c *Comm) FlatBarrier() {
 		from := (rank - dist + size) % size
 		rr := c.irecvCtx(in, from, tagBarrier)
 		sr := c.isendCtx(token, to, tagBarrier)
-		c.dev.Wait(c.p, sr)
-		c.dev.Wait(c.p, rr)
+		c.eng.Wait(c.p, sr)
+		c.eng.Wait(c.p, rr)
 	}
 }
 
@@ -105,9 +105,9 @@ func (c *Comm) FlatBcast(buf Buffer, root int) {
 }
 
 // Send2/Recv2 are collective-context point-to-point helpers.
-func (c *Comm) Send2(buf Buffer, dest, tag int) { c.dev.Wait(c.p, c.isendCtx(buf, dest, tag)) }
+func (c *Comm) Send2(buf Buffer, dest, tag int) { c.eng.Wait(c.p, c.isendCtx(buf, dest, tag)) }
 func (c *Comm) Recv2(buf Buffer, src, tag int) Status {
-	return c.local(c.dev.Wait(c.p, c.irecvCtx(buf, src, tag)))
+	return c.local(c.eng.Wait(c.p, c.irecvCtx(buf, src, tag)))
 }
 
 // hierReduceCutoff is the default message size at and above which the
@@ -234,8 +234,8 @@ func (c *Comm) FlatAllgather(send, recv Buffer) {
 		nxt := (rank - step - 1 + size) % size
 		rr := c.irecvCtx(Slice(recv, nxt*n, n), left, tagAllgather)
 		sr := c.isendCtx(Slice(recv, blk*n, n), right, tagAllgather)
-		c.dev.Wait(c.p, sr)
-		c.dev.Wait(c.p, rr)
+		c.eng.Wait(c.p, sr)
+		c.eng.Wait(c.p, rr)
 	}
 }
 
@@ -283,8 +283,8 @@ func (c *Comm) pairwise(sendBlk, recvBlk func(peer int) Buffer) {
 func (c *Comm) Sendrecv2(send Buffer, dest int, recv Buffer, src, tag int) {
 	rr := c.irecvCtx(recv, src, tag)
 	sr := c.isendCtx(send, dest, tag)
-	c.dev.Wait(c.p, sr)
-	c.dev.Wait(c.p, rr)
+	c.eng.Wait(c.p, sr)
+	c.eng.Wait(c.p, rr)
 }
 
 func offsets(counts []int) []int {

@@ -60,7 +60,7 @@ func (c *Comm) Dup() *Comm {
 	pt2pt, coll := c.allocContextPair()
 	group := make([]int32, len(c.group))
 	copy(group, c.group)
-	return newComm(c.p, c.dev, group, c.rank, pt2pt, coll, c.nextCtx, c.tuning)
+	return c.derive(group, c.rank, pt2pt, coll)
 }
 
 // Split partitions c into disjoint sub-communicators, one per distinct
@@ -114,5 +114,5 @@ func (c *Comm) Split(color, key int) *Comm {
 			rank = i
 		}
 	}
-	return newComm(c.p, c.dev, group, rank, base, base+1, c.nextCtx, c.tuning)
+	return c.derive(group, rank, base, base+1)
 }

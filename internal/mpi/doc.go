@@ -1,7 +1,8 @@
 // Package mpi implements the MPI-1 subset the paper evaluates — blocking
 // and non-blocking point-to-point with tag/source matching and wildcards,
 // communicator construction (Dup, Split), and the collectives the NAS
-// Parallel Benchmarks use — on top of the ADI3 device (internal/adi3).
+// Parallel Benchmarks use — directly on the rank's progress engine
+// (internal/transport), which is the ADI3 device of this stack.
 // The paper's focus is exactly this: "our study focuses on optimizing the
 // performance of MPI-1 functions in MPICH2" (§1 of
 // conf_ipps_LiuJWPABGT04).

@@ -121,9 +121,9 @@ func exactRun(cfg cluster.Config) string {
 	})
 
 	var gets, puts []uint64
-	for _, d := range c.Devs {
+	for _, eng := range c.Ranks {
 		var g, p uint64
-		d.Engine().ForEachEndpoint(func(_ int32, ep transport.Endpoint) {
+		eng.ForEachEndpoint(func(_ int32, ep transport.Endpoint) {
 			if conn, ok := ep.(*ch3.Conn); ok {
 				st := conn.Endpoint().Stats()
 				g += st.GetCalls

@@ -44,7 +44,7 @@ func buildTopo(c *Comm) *topo {
 	idxOf := make(map[int]int, size)
 	for r := 0; r < size; r++ {
 		t.world[r] = r
-		t.nodeOf[r] = int(c.dev.NodeOf(c.group[r]))
+		t.nodeOf[r] = int(c.nodeOf[c.group[r]])
 		n := t.nodeOf[r]
 		if _, ok := idxOf[n]; !ok {
 			idxOf[n] = len(t.leaders)
@@ -258,8 +258,8 @@ func (c *Comm) hierAllgather(send, recv Buffer) {
 			recvBlk := Slice(recv, t.leaders[nxt]*n, t.counts[nxt]*n)
 			rr := c.irecvCtx(recvBlk, left, tagHAllgatherRing)
 			sr := c.isendCtx(sendBlk, right, tagHAllgatherRing)
-			c.dev.Wait(c.p, sr)
-			c.dev.Wait(c.p, rr)
+			c.eng.Wait(c.p, sr)
+			c.eng.Wait(c.p, rr)
 		}
 	}
 
@@ -302,8 +302,8 @@ func (c *Comm) hierBarrier() {
 			from := t.leaders[(li-dist+L)%L]
 			rr := c.irecvCtx(in, from, tagHBarrierDissem)
 			sr := c.isendCtx(token, to, tagHBarrierDissem)
-			c.dev.Wait(c.p, sr)
-			c.dev.Wait(c.p, rr)
+			c.eng.Wait(c.p, sr)
+			c.eng.Wait(c.p, rr)
 		}
 	}
 

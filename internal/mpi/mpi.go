@@ -3,15 +3,15 @@ package mpi
 import (
 	"fmt"
 
-	"repro/internal/adi3"
 	"repro/internal/des"
 	"repro/internal/rdmachan"
+	"repro/internal/transport"
 )
 
 // Matching wildcards.
 const (
-	AnySource = int(adi3.AnySource)
-	AnyTag    = int(adi3.AnyTag)
+	AnySource = int(transport.AnySource)
+	AnyTag    = int(transport.AnyTag)
 )
 
 // Context ids separating point-to-point from collective traffic, as real
@@ -29,19 +29,22 @@ const (
 type Buffer = rdmachan.Buffer
 
 // Request is a non-blocking operation handle.
-type Request = adi3.Request
+type Request = transport.Request
 
 // Status describes a completed receive. Comm methods report Source in the
 // communicator's own rank space.
-type Status = adi3.Status
+type Status = transport.Status
 
 // Comm is a rank's handle on a communicator. Each MPI process is one
 // simulated process; all calls must come from it. The world communicator
-// comes from New; derived communicators from Dup and Split (comm.go).
+// comes from NewWithTuning; derived communicators from Dup and Split
+// (comm.go).
 type Comm struct {
-	p   *des.Proc
-	dev *adi3.Device
-	t   *topo
+	p      *des.Proc
+	eng    *transport.Engine // the rank's progress engine (its ADI3 device)
+	nodeOf []int32           // node id per world rank, shared cluster-wide
+	rdmaOK bool              // cluster-wide RDMA-direct capability
+	t      *topo
 
 	group   []int32 // comm rank → world rank, comm rank order
 	ident   bool    // group is the identity map (world and dup-of-world)
@@ -58,16 +61,15 @@ type Comm struct {
 	direct *rdmaDirect // lazily built RDMA-direct exposure (rdmadirect.go)
 }
 
-// New binds a world communicator handle to a device and its process.
-func New(p *des.Proc, dev *adi3.Device) *Comm {
-	return NewWithTuning(p, dev, nil)
-}
-
-// NewWithTuning is New with a collective tuning override; nil keeps the
-// default topology/size table. Derived communicators inherit the tuning.
-func NewWithTuning(p *des.Proc, dev *adi3.Device, tuning *Tuning) *Comm {
-	size := dev.Size()
-	group := make([]int32, size)
+// NewWithTuning binds a world communicator handle to a rank's engine and
+// process. nodeOf maps every world rank to its node; hierarchy-aware
+// collectives read it. rdmaDirect is the cluster-wide RDMA-direct
+// collective capability (rdmaDirectOK), which must be the same on every
+// rank. A nil tuning keeps the default topology/size table; derived
+// communicators inherit the tuning.
+func NewWithTuning(p *des.Proc, eng *transport.Engine, nodeOf []int32, rdmaDirect bool,
+	tuning *Tuning) *Comm {
+	group := make([]int32, eng.Size())
 	for r := range group {
 		group[r] = int32(r)
 	}
@@ -76,21 +78,23 @@ func NewWithTuning(p *des.Proc, dev *adi3.Device, tuning *Tuning) *Comm {
 	if tuning != nil {
 		tun = *tuning
 	}
-	return newComm(p, dev, group, int(dev.Rank()), ctxP2P, ctxColl, &next, tun.withDefaults())
+	base := &Comm{p: p, eng: eng, nodeOf: nodeOf, rdmaOK: rdmaDirect,
+		nextCtx: &next, tuning: tun.withDefaults()}
+	return base.derive(group, int(eng.Rank()), ctxP2P, ctxColl)
 }
 
-// newComm assembles a communicator handle: membership, rank translation
+// derive assembles a communicator handle sharing c's process, engine,
+// placement, context allocator and tuning: membership, rank translation
 // maps, context pair, and the topology recomputed over the member set so
 // hierarchical algorithms work on any communicator, not just world.
-func newComm(p *des.Proc, dev *adi3.Device, group []int32, rank int,
-	pt2pt, coll int32, nextCtx *int32, tuning Tuning) *Comm {
-	c := &Comm{
-		p: p, dev: dev,
+func (c *Comm) derive(group []int32, rank int, pt2pt, coll int32) *Comm {
+	c = &Comm{
+		p: c.p, eng: c.eng, nodeOf: c.nodeOf, rdmaOK: c.rdmaOK,
 		group: group, rank: rank,
 		pt2pt: pt2pt, coll: coll,
-		nextCtx: nextCtx, tuning: tuning,
+		nextCtx: c.nextCtx, tuning: c.tuning,
 	}
-	c.inverse = make([]int32, dev.Size())
+	c.inverse = make([]int32, c.eng.Size())
 	for i := range c.inverse {
 		c.inverse[i] = -1
 	}
@@ -117,7 +121,7 @@ func (c *Comm) Proc() *des.Proc { return c.p }
 // Wtime returns the simulated wall clock in seconds (MPI_Wtime).
 func (c *Comm) Wtime() float64 { return c.p.Now().Seconds() }
 
-// world translates a communicator rank to the world rank the device
+// world translates a communicator rank to the world rank the engine
 // addresses.
 func (c *Comm) world(rank int) int32 {
 	if uint(rank) >= uint(len(c.group)) {
@@ -152,7 +156,7 @@ func (c *Comm) local(st Status) Status {
 // backing bytes (applications manipulate real data).
 func (c *Comm) Alloc(n int) (Buffer, []byte) {
 	c.allocs++
-	va, b := c.dev.Node().Mem.Alloc(n)
+	va, b := c.eng.Node().Mem.Alloc(n)
 	return Buffer{Addr: va, Len: n}, b
 }
 
@@ -163,7 +167,7 @@ func (c *Comm) Allocs() int { return c.allocs }
 
 // Bytes resolves a buffer to its backing storage.
 func (c *Comm) Bytes(b Buffer) []byte {
-	return c.dev.Node().Mem.MustResolve(b.Addr, b.Len)
+	return c.eng.Node().Mem.MustResolve(b.Addr, b.Len)
 }
 
 // Slice returns a sub-buffer.
@@ -176,66 +180,75 @@ func Slice(b Buffer, off, n int) Buffer {
 
 // Isend starts a non-blocking standard send.
 func (c *Comm) Isend(buf Buffer, dest, tag int) *Request {
-	return c.dev.Isend(c.p, c.world(dest), int32(tag), c.pt2pt, buf)
+	return c.isend(buf, dest, tag, c.pt2pt)
 }
 
 // Irecv starts a non-blocking receive.
 func (c *Comm) Irecv(buf Buffer, src, tag int) *Request {
-	s := int32(AnySource)
-	if src != AnySource {
-		s = c.world(src)
-	}
-	return c.dev.Irecv(c.p, s, int32(tag), c.pt2pt, buf)
+	return c.irecv(buf, src, tag, c.pt2pt)
 }
 
 // Send blocks until the send buffer is reusable.
 func (c *Comm) Send(buf Buffer, dest, tag int) {
-	c.dev.Wait(c.p, c.Isend(buf, dest, tag))
+	c.eng.Wait(c.p, c.Isend(buf, dest, tag))
 }
 
 // Recv blocks until a matching message has arrived.
 func (c *Comm) Recv(buf Buffer, src, tag int) Status {
-	return c.local(c.dev.Wait(c.p, c.Irecv(buf, src, tag)))
+	return c.local(c.eng.Wait(c.p, c.Irecv(buf, src, tag)))
 }
 
 // Wait blocks until req completes, driving progress. The request must
 // have been started on this communicator (its status is reported in this
 // communicator's rank space).
 func (c *Comm) Wait(req *Request) Status {
-	return c.local(c.dev.Wait(c.p, req))
+	return c.local(c.eng.Wait(c.p, req))
 }
 
 // WaitAll blocks until every request completes.
 func (c *Comm) WaitAll(reqs ...*Request) {
-	c.dev.WaitAll(c.p, reqs...)
+	c.eng.WaitAll(c.p, reqs...)
 }
 
 // Sendrecv exchanges messages with possibly different peers, deadlock-free.
 func (c *Comm) Sendrecv(send Buffer, dest, stag int, recv Buffer, src, rtag int) Status {
 	rr := c.Irecv(recv, src, rtag)
 	sr := c.Isend(send, dest, stag)
-	c.dev.Wait(c.p, sr)
-	return c.local(c.dev.Wait(c.p, rr))
+	c.eng.Wait(c.p, sr)
+	return c.local(c.eng.Wait(c.p, rr))
 }
 
 // isendCtx and irecvCtx run on the collective context.
 func (c *Comm) isendCtx(buf Buffer, dest, tag int) *Request {
-	return c.dev.Isend(c.p, c.world(dest), int32(tag), c.coll, buf)
+	return c.isend(buf, dest, tag, c.coll)
 }
 
 func (c *Comm) irecvCtx(buf Buffer, src, tag int) *Request {
+	return c.irecv(buf, src, tag, c.coll)
+}
+
+// isend and irecv charge the ADI3 per-call bookkeeping cost
+// (model.Params.MPIOverhead) and hand the operation to the engine.
+func (c *Comm) isend(buf Buffer, dest, tag int, ctx int32) *Request {
+	d := c.world(dest)
+	c.p.Sleep(c.eng.HCA().Params().MPIOverhead)
+	return c.eng.Isend(c.p, d, int32(tag), ctx, buf)
+}
+
+func (c *Comm) irecv(buf Buffer, src, tag int, ctx int32) *Request {
 	s := int32(AnySource)
 	if src != AnySource {
 		s = c.world(src)
 	}
-	return c.dev.Irecv(c.p, s, int32(tag), c.coll, buf)
+	c.p.Sleep(c.eng.HCA().Params().MPIOverhead)
+	return c.eng.Irecv(c.p, s, int32(tag), ctx, buf)
 }
 
 // Compute advances simulated time by the cost of flops floating-point
 // operations at the testbed's compute rate; applications use it to model
 // their computation phases between communications.
 func (c *Comm) Compute(flops float64) {
-	prm := c.dev.Node().Params
+	prm := c.eng.Node().Params
 	us := flops / prm.FlopRate // MFLOP/s ⇒ flops/µs
 	c.p.Sleep(des.Microseconds(us))
 }

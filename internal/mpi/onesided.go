@@ -85,18 +85,18 @@ func (c *Comm) WinCreate(base Buffer) (*Win, error) {
 		// Lazy mode: a window grants every member RDMA access to this rank,
 		// so window creation is the first use — establish the connection
 		// before digging out its verbs resources.
-		c.dev.EnsureConnected(c.p, c.world(peer))
-		raw, err := rawOf(c.dev.Endpoint(c.world(peer)))
+		c.eng.EnsureConnected(c.p, c.world(peer))
+		raw, err := rawOf(c.eng.Endpoint(c.world(peer)))
 		if err != nil {
 			return nil, err
 		}
-		hca := c.dev.HCA()
+		hca := c.eng.HCA()
 		mr, err := hca.RegisterMR(c.p, raw.RawPD(), base.Addr, base.Len,
 			ib.AccessLocalWrite|ib.AccessRemoteWrite|ib.AccessRemoteRead|ib.AccessRemoteAtomic)
 		if err != nil {
 			return nil, fmt.Errorf("mpi: window registration: %w", err)
 		}
-		scratchVA, _ := c.dev.Node().Mem.Alloc(8)
+		scratchVA, _ := c.eng.Node().Mem.Alloc(8)
 		scrMR, err := hca.RegisterMR(c.p, raw.RawPD(), scratchVA, 8, ib.AccessLocalWrite)
 		if err != nil {
 			return nil, fmt.Errorf("mpi: scratch registration: %w", err)
@@ -213,19 +213,9 @@ func release(w *Win, p winPeer, mr *ib.MR) {
 }
 
 // waitOutstanding drives progress until at most target one-sided
-// operations remain in flight. Reaping a completion is not "connection
-// progress", so the event counter is snapshotted before each non-blocking
-// pass: if the pass consumed the completion the loop exits; otherwise the
-// wait returns as soon as anything new lands.
+// operations remain in flight.
 func (w *Win) waitOutstanding(target int) {
-	for w.outstanding > target {
-		seq := w.comm.dev.HCA().MemEventSeq()
-		w.comm.dev.Progress(w.comm.p, false)
-		if w.outstanding <= target {
-			return
-		}
-		w.comm.dev.HCA().WaitMemEventSince(w.comm.p, seq)
-	}
+	w.comm.eng.ProgressUntil(w.comm.p, func() bool { return w.outstanding <= target })
 }
 
 // Fence completes all outstanding one-sided operations issued by this

@@ -105,14 +105,14 @@ func (c *Comm) ensureDirect(minSlot, nSlots int) *rdmaDirect {
 		if peer == rank {
 			continue
 		}
-		c.dev.EnsureConnected(c.p, c.world(peer))
-		raw, err := rawOf(c.dev.Endpoint(c.world(peer)))
+		c.eng.EnsureConnected(c.p, c.world(peer))
+		raw, err := rawOf(c.eng.Endpoint(c.world(peer)))
 		if err != nil {
 			// rdmaDirectOK vouched for every connection; a raw-less endpoint
 			// here is a capability-flag bug, not a runtime condition.
 			panic(fmt.Sprintf("mpi: rdma-direct on incapable connection to rank %d: %v", peer, err))
 		}
-		mr, err := c.dev.HCA().RegisterMR(c.p, raw.RawPD(), x.region.Addr, x.region.Len,
+		mr, err := c.eng.HCA().RegisterMR(c.p, raw.RawPD(), x.region.Addr, x.region.Len,
 			ib.AccessLocalWrite|ib.AccessRemoteWrite)
 		if err != nil {
 			panic(fmt.Sprintf("mpi: rdma-direct region registration: %v", err))
@@ -184,14 +184,7 @@ func (x *rdmaDirect) post(c *Comm, peer int, local Buffer, off int) {
 // returns, local source buffers may be reused (the gather happened) and
 // our payloads are visible at their targets (the apply happened).
 func (x *rdmaDirect) drain(c *Comm) {
-	for x.outstanding > 0 {
-		seq := c.dev.HCA().MemEventSeq()
-		c.dev.Progress(c.p, false)
-		if x.outstanding <= 0 {
-			break
-		}
-		c.dev.HCA().WaitMemEventSince(c.p, seq)
-	}
+	c.eng.ProgressUntil(c.p, func() bool { return x.outstanding <= 0 })
 	if x.failed != nil {
 		panic(x.failed)
 	}
@@ -202,7 +195,7 @@ func (x *rdmaDirect) drain(c *Comm) {
 func (x *rdmaDirect) await(c *Comm, slot int) {
 	fb := c.Bytes(Slice(x.region, slot*x.stride()+x.slotSize, 8))
 	want := int64(x.seq)
-	c.dev.HCA().WaitMemory(c.p, func() bool { return GetInt64(fb, 0) == want })
+	c.eng.HCA().WaitMemory(c.p, func() bool { return GetInt64(fb, 0) == want })
 }
 
 // slotBytes resolves slot's first n payload bytes.

@@ -311,8 +311,10 @@ func (c *Comm) saBcast(buf Buffer, root int) {
 	if n%size != 0 {
 		chunk++
 	}
-	blkOff := func(i int) int { return i * chunk }
-	blkLen := func(i int) int { // chunk i's size, truncated at the tail
+	// Chunk i's offset and size, both clamped at the tail: on a buffer short
+	// against the communicator, trailing chunks are empty and sit at n.
+	blkOff := func(i int) int { return min(i*chunk, n) }
+	blkLen := func(i int) int {
 		l := n - i*chunk
 		if l < 0 {
 			l = 0

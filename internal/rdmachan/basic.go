@@ -186,7 +186,6 @@ func (e *basicEP) Put(p *des.Proc, bufs []Buffer) (int, error) {
 	}
 
 	// Step 6: report bytes written.
-	e.stats.BytesPut += uint64(n)
 	return n, nil
 }
 
@@ -235,7 +234,6 @@ func (e *basicEP) Get(p *des.Proc, bufs []Buffer) (int, error) {
 	e.tailOut.write(p, e.tail)
 
 	// Step 5: report bytes read.
-	e.stats.BytesGot += uint64(n)
 	return n, nil
 }
 

@@ -204,12 +204,9 @@ type IdleGetter interface {
 type Stats struct {
 	PutCalls     uint64
 	GetCalls     uint64
-	BytesPut     uint64
-	BytesGot     uint64
 	ChunksSent   uint64
 	CreditWrites uint64
 	ZCSends      uint64
-	ZCRecvs      uint64
 	RegCache     regStats
 
 	// Fault-recovery counters (resilient mode only; see DESIGN.md §11).

@@ -584,7 +584,6 @@ func (e *chunkEP) Put(p *des.Proc, bufs []Buffer) (int, error) {
 			}
 			e.zcSendMRs = e.zcSendMRs[:0]
 			e.zcSendActive = false
-			e.stats.BytesPut += uint64(n)
 			return n, nil
 		}
 		return 0, nil
@@ -718,7 +717,6 @@ func (e *chunkEP) Put(p *des.Proc, bufs []Buffer) (int, error) {
 		}
 	}
 	flushPlan()
-	e.stats.BytesPut += uint64(total)
 	return total, nil
 }
 
@@ -860,12 +858,10 @@ func (e *chunkEP) GetCharged(p *des.Proc, bufs []Buffer) (int, error) {
 			}
 			e.zcRecvActive = true
 			e.zcRecvSize = r.size
-			e.stats.ZCRecvs++
 			// The read is in flight; deliver what preceded it.
 			if copied > 0 {
 				e.node.Bus.Memcpy(p, copied, ws)
 			}
-			e.stats.BytesGot += uint64(got)
 			return got, nil
 		default:
 			return got, fmt.Errorf("rdmachan(%s): corrupt chunk type %d", e.cfg.Design, slot[4])
@@ -874,7 +870,6 @@ func (e *chunkEP) GetCharged(p *des.Proc, bufs []Buffer) (int, error) {
 	if copied > 0 {
 		e.node.Bus.Memcpy(p, copied, ws)
 	}
-	e.stats.BytesGot += uint64(got)
 	return got, nil
 }
 

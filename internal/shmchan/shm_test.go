@@ -226,9 +226,9 @@ func TestStatsCountPaths(t *testing.T) {
 			comm.Recv(big, 0, 1)
 		}
 	})
-	conn, ok := c.Devs[0].Endpoint(1).(*shmchan.Conn)
+	conn, ok := c.Ranks[0].Endpoint(1).(*shmchan.Conn)
 	if !ok {
-		t.Fatalf("co-located connection is %T, want *shmchan.Conn", c.Devs[0].Endpoint(1))
+		t.Fatalf("co-located connection is %T, want *shmchan.Conn", c.Ranks[0].Endpoint(1))
 	}
 	st := conn.Stats()
 	if st.EagerSends != 1 || st.LargeSends != 1 {
@@ -273,7 +273,7 @@ func TestShmRendezvousDelivers(t *testing.T) {
 				ok = true
 			}
 		})
-		conn := c.Devs[0].Endpoint(1).(*shmchan.Conn)
+		conn := c.Ranks[0].Endpoint(1).(*shmchan.Conn)
 		if st := conn.Stats(); st.RndvSends != 2 || st.LargeSends != 0 {
 			t.Errorf("size %d: stats = %+v, want 2 rendezvous sends", size, st)
 		}

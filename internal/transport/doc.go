@@ -8,13 +8,13 @@
 // request lifecycle and round-robin polling on top of them.
 //
 // The split mirrors the MPICH2 layering argument of the paper (§3 of
-// conf_ipps_LiuJWPABGT04): the device above sees messages and matching;
+// conf_ipps_LiuJWPABGT04): the engine sees messages and matching;
 // the endpoint below sees only how bytes move.
 //
-// Layer boundaries: transport sits between the ADI3 device (internal/adi3,
-// above) and the endpoints (internal/ch3, internal/shmchan, below). It
-// holds THE single matching loop of the stack; no endpoint and no device
-// duplicates it. Lazy connection establishment lives here too (Stub), with
+// Layer boundaries: the Engine is the rank's ADI3 device, as MPICH2's CH3
+// device is its ADI3 implementation. internal/mpi drives it directly from
+// above; the endpoints (internal/ch3, internal/shmchan) sit below. It
+// holds THE single matching loop of the stack; no endpoint duplicates it. Lazy connection establishment lives here too (Stub), with
 // the cluster supplying the dial logic.
 //
 // Invariants:

@@ -60,7 +60,8 @@ type uqEntry struct {
 
 // Engine is one rank's progress engine: the single posted/unexpected queue
 // pair, the request lifecycle, and the polling loop over every peer
-// endpoint. The ADI3 device owns exactly one.
+// endpoint. It is the rank's ADI3 device: each rank has exactly one, and
+// the MPI layer drives it directly.
 type Engine struct {
 	rank int32
 	size int
@@ -142,6 +143,18 @@ func NewEngine(rank int32, size int, hca *ib.HCA) *Engine {
 		hca:  hca,
 	}
 }
+
+// Rank returns the engine's rank.
+func (e *Engine) Rank() int32 { return e.rank }
+
+// Size returns the job size.
+func (e *Engine) Size() int { return e.size }
+
+// Node returns the node the rank runs on.
+func (e *Engine) Node() *model.Node { return e.node }
+
+// HCA returns the rank's adapter (its node's rail 0).
+func (e *Engine) HCA() *ib.HCA { return e.hca }
 
 // ep returns peer's endpoint slot, nil when the rank has never spoken to
 // peer.
@@ -662,6 +675,21 @@ func (e *Engine) Wait(p *des.Proc, req *Request) Status {
 	}
 	e.check()
 	return req.status
+}
+
+// ProgressUntil drives progress until done reports true. Reaping a
+// completion is not "connection progress", so the node's memory-event
+// counter is snapshotted before each non-blocking pass: if the pass made
+// done true the loop exits; otherwise it sleeps until anything new lands.
+func (e *Engine) ProgressUntil(p *des.Proc, done func() bool) {
+	for !done() {
+		seq := e.hca.MemEventSeq()
+		e.Progress(p, false)
+		if done() {
+			return
+		}
+		e.hca.WaitMemEventSince(p, seq)
+	}
 }
 
 // WaitAll blocks until every request completes.

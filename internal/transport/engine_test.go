@@ -60,6 +60,39 @@ func run(eng *des.Engine, body func(p *des.Proc)) {
 	eng.Run()
 }
 
+func TestEngineAccessors(t *testing.T) {
+	e, _, node := newEngine(2)
+	if e.Rank() != 0 || e.Size() != 2 || e.Node() != node || e.HCA() == nil || e.HCA().Node() != node {
+		t.Fatal("accessors broken")
+	}
+	if e.Endpoint(1) != nil {
+		t.Fatal("endpoint should be unset")
+	}
+	ep := &fakeEP{}
+	e.SetEndpoint(1, ep)
+	if e.Endpoint(1) != Endpoint(ep) {
+		t.Fatal("SetEndpoint/Endpoint roundtrip failed")
+	}
+}
+
+// ProgressUntil polls before every re-check and returns without a pass
+// once the predicate already holds.
+func TestProgressUntil(t *testing.T) {
+	e, eng, _ := newEngine(2)
+	ep := &fakeEP{}
+	e.SetEndpoint(1, ep)
+	run(eng, func(p *des.Proc) {
+		e.ProgressUntil(p, func() bool { return true })
+		if ep.polled != 0 {
+			t.Fatalf("satisfied predicate still polled %d times", ep.polled)
+		}
+		e.ProgressUntil(p, func() bool { return ep.polled >= 1 })
+		if ep.polled != 1 {
+			t.Fatalf("polled %d times, want 1", ep.polled)
+		}
+	})
+}
+
 func TestPostedRecvMatchesInOrder(t *testing.T) {
 	e, eng, node := newEngine(2)
 	run(eng, func(p *des.Proc) {

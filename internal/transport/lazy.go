@@ -50,7 +50,7 @@ func (s *Stub) kick(p *des.Proc) {
 	s.dial(p)
 }
 
-// The Endpoint methods below exist so Device.Endpoint can hand a stub to
+// The Endpoint methods below exist so Engine.Endpoint can hand a stub to
 // callers that only inspect it. The engine routes sends around stubs
 // (queueing them until fulfillment), so payload-moving calls on a stub are
 // protocol bugs.
