@@ -13,8 +13,9 @@ import (
 // implements transport.Endpoint in over-channel and direct mode alike.
 type Conn struct {
 	engine
-	ep   rdmachan.Endpoint
-	idle rdmachan.IdleGetter // non-nil when an empty Get on ep costs time
+	ep    rdmachan.Endpoint
+	idle  rdmachan.IdleGetter // non-nil when an empty Get on ep costs time
+	touch func()              // WatchIdle's callback; nil without idle
 
 	hdrPool []hdrSlot // free header staging slots
 
@@ -95,8 +96,12 @@ func (c *Conn) Footprint() transport.Footprint {
 	return transport.Footprint{QPs: 1}
 }
 
-// admit stages the packet's header in a pooled slot.
+// admit stages the packet's header in a pooled slot. A queued packet ends
+// any idle answer the transport holds (WatchIdle).
 func (c *Conn) admit(pk *packet) {
+	if c.touch != nil {
+		c.touch()
+	}
 	if n := len(c.hdrPool); n > 0 {
 		pk.slot, c.hdrPool = c.hdrPool[n-1], c.hdrPool[:n-1]
 	} else {
@@ -152,6 +157,19 @@ func (c *Conn) IdlePoll() (des.Step, bool) {
 		return des.Step{}, false
 	}
 	return c.idle.IdleGet()
+}
+
+// WatchIdle implements transport's idle-poll hook. An IdlePoll answer goes
+// stale in two ways: the ring changes behind the connection's back
+// (rdmachan.IdleGetter's hooks), or its own process queues a packet
+// (admit). Any other call the process makes finds the connection as its
+// last answer left it: a Poll or PollCharged of an idle connection changes
+// nothing, and one of a busy connection runs on no held answer.
+func (c *Conn) WatchIdle(touch func()) {
+	if c.idle != nil {
+		c.touch = touch
+		c.idle.WatchIdle(touch)
+	}
 }
 
 // PollCharged finishes a Poll for which IdlePoll held and whose charge the

@@ -206,11 +206,15 @@ func (c *SRQConn) FreeIdlePoll(arm func()) bool {
 		return false
 	}
 	c.arm = arm
-	if c.ctrlq.Len()+c.dataq.Len() > 0 {
+	if c.HoldsWork() {
 		arm()
 	}
 	return true
 }
+
+// HoldsWork reports whether packets wait to be staged: the only work a
+// Poll of a connection that is not resilient finds.
+func (c *SRQConn) HoldsWork() bool { return c.ctrlq.Len()+c.dataq.Len() > 0 }
 
 // Pool returns the process pool this connection draws from.
 func (c *SRQConn) Pool() *rdmachan.SRQPool { return c.pool }
@@ -239,7 +243,7 @@ func (c *SRQConn) flush(p *des.Proc) bool {
 		return false
 	}
 	prog, _ := c.drain(p)
-	if c.arm != nil && c.ctrlq.Len()+c.dataq.Len() > 0 {
+	if c.arm != nil && c.HoldsWork() {
 		c.arm()
 	}
 	return prog

@@ -33,8 +33,7 @@ func hopKey(k uint64, n int) uint64 {
 func (p *Proc) SleepStep(s Step) {
 	s.check()
 	e := p.eng
-	p.wakeKeyed(e.now+s.D, hopKey(e.execCtx().childKey(), s.Hops-1), false)
-	p.pause("sleep")
+	p.sleepKeyed(e.now+s.D, hopKey(e.execCtx().childKey(), s.Hops-1))
 }
 
 // SleepStep parks the task for one step, as a single event.

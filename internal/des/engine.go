@@ -655,8 +655,39 @@ func (p *Proc) Sleep(d Time) {
 	if d < 0 {
 		d = 0
 	}
-	p.wake(p.eng.now + d)
-	p.pause("sleep")
+	p.sleepKeyed(p.eng.now+d, p.eng.execCtx().childKey())
+}
+
+// sleepKeyed pauses the process until its wake at (at, key). When that wake
+// would be the next event popped anyway, it is dispatched on the spot, as
+// runOn would have popped it: the sequence number is consumed, the event
+// accounted and counted as a SelfWake, the pause generation bumped — so the
+// clock, the fingerprint and every later key are those of the queued path,
+// which only the queue round trip separates from this one.
+func (p *Proc) sleepKeyed(at Time, key uint64) {
+	e := p.eng
+	if !e.wakesSelf(at, key) {
+		p.wakeKeyed(at, key, false)
+		p.pause("sleep")
+		return
+	}
+	e.seq++
+	e.account(&event{at: at, key: key})
+	e.n.SelfWake++
+	p.gen++
+}
+
+// wakesSelf reports whether a wake pushed now at (at, key) would be the next
+// event the running process pops: the engine is dispatching (not stopped,
+// at within the deadline, not in a Group's serialized phase, whose
+// coordinator must see every event) and nothing queued orders before it.
+// A queued event at the same (at, key) was pushed earlier and goes first.
+func (e *Engine) wakesSelf(at Time, key uint64) bool {
+	if e.stopped || at > e.deadline || e.group != nil && e.group.cur != nil {
+		return false
+	}
+	qat, qkey, ok := e.q.peekKey()
+	return !ok || at < qat || at == qat && key < qkey
 }
 
 // Yield lets any other process scheduled at the current instant run.

@@ -323,9 +323,10 @@ func BenchmarkEngineScheduleDispatch(b *testing.B) {
 }
 
 // BenchmarkProcHandoff measures one simulated blocking point on the
-// self-wake fast path: a lone process sleeping zero-length intervals pops
-// its own wake every time, so each iteration is one wake event and never
-// leaves its goroutine. BenchmarkProcSwitch is the hand-off that does.
+// self-wake fast path: a lone process sleeping zero-length intervals is its
+// own next event every time, so each iteration is one wake event,
+// dispatched on the spot without leaving its goroutine.
+// BenchmarkProcSwitch is the hand-off that does leave it.
 func BenchmarkProcHandoff(b *testing.B) {
 	e := NewEngine()
 	e.Spawn("spinner", func(p *Proc) {

@@ -16,6 +16,7 @@ type CQ struct {
 	head    int
 	cond    des.Cond
 	total   uint64
+	added   func() // OnInsert's callback, or nil
 }
 
 // CreateCQ allocates a completion queue on the adapter.
@@ -29,9 +30,16 @@ func (h *HCA) CreateCQ() *CQ {
 func (cq *CQ) insert(e CQE) {
 	cq.entries = append(cq.entries, e)
 	cq.total++
+	if cq.added != nil {
+		cq.added()
+	}
 	cq.cond.Broadcast()
 	cq.hca.notifyMemWrite()
 }
+
+// OnInsert installs fn to run, before pollers are woken, in the dispatch
+// that adds each completion. One callback per queue; nil removes it.
+func (cq *CQ) OnInsert(fn func()) { cq.added = fn }
 
 // Len reports pending, unreaped completions.
 func (cq *CQ) Len() int { return len(cq.entries) - cq.head }

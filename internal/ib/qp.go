@@ -36,6 +36,7 @@ type QP struct {
 	deliverq des.Queue[*sendWork] // never waited on
 
 	readSlots *des.Resource
+	written   func() // OnRemoteWrite's callback, or nil
 
 	// Completion sequencing. The common case — work requests completing in
 	// posted order — takes a comparison against seqNext and never touches
@@ -97,6 +98,11 @@ func (qp *QP) HCA() *HCA { return qp.hca }
 // picked up by the HCA engine) — the signal the weighted rail policy
 // balances on.
 func (qp *QP) SendQueueDepth() int { return qp.sq.Len() }
+
+// OnRemoteWrite installs fn to run, before the node's memory event, in the
+// dispatch that lands each RDMA write the peer posts into this queue pair's
+// memory. One callback per queue pair; nil removes it.
+func (qp *QP) OnRemoteWrite(fn func()) { qp.written = fn }
 
 // PD returns the protection domain of this QP.
 func (qp *QP) PD() *PD { return qp.pd }

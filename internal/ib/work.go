@@ -128,6 +128,9 @@ func (w *sendWork) atResponder() {
 		w.snap.check(w)
 		dst := [1][]byte{w.dst}
 		copySegs(dst[:], w.src)
+		if peer.written != nil {
+			peer.written()
+		}
 		peer.hca.notifyMemWrite()
 		qp.ack(w, StatusSuccess)
 	case OpSend:

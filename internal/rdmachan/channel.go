@@ -184,13 +184,19 @@ type Endpoint interface {
 // even when the pipe is empty (the chunk-ring designs charge every call
 // before looking). It lets a progress loop that polls many such endpoints
 // in turn sleep a run of empty Gets as one des.SleepChain instead of one
-// event per endpoint.
+// event per endpoint, and keep each answer until the endpoint is touched.
 type IdleGetter interface {
 	// IdleGet reports whether a Get issued now would pay exactly its entry
 	// charge and deliver nothing, and that charge. The answer holds until
-	// the node's next NotifyMemWrite: ring slots and completion queues only
-	// change under one, the rest is the caller's own state.
+	// touch (WatchIdle) runs or the caller's own Put or Get changes the
+	// endpoint; a Get issued while it holds changes nothing.
 	IdleGet() (des.Step, bool)
+
+	// WatchIdle installs touch, which runs in every dispatch that changes
+	// what IdleGet reads behind the caller's back: an RDMA write landing
+	// through one of the endpoint's queue pairs, a completion entering one
+	// of its send queues. Both are followed by the node's NotifyMemWrite.
+	WatchIdle(touch func())
 
 	// GetCharged is Get with the entry charge already slept by the caller.
 	GetCharged(p *des.Proc, bufs []Buffer) (int, error)

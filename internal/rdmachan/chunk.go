@@ -746,6 +746,15 @@ func (e *chunkEP) IdleGet() (des.Step, bool) {
 	return e.charge(), true
 }
 
+// WatchIdle implements IdleGetter: the ring, the counters and every rail's
+// send queue change only through these hooks.
+func (e *chunkEP) WatchIdle(touch func()) {
+	for _, r := range e.rails {
+		r.qp.OnRemoteWrite(touch)
+		r.scq.OnInsert(touch)
+	}
+}
+
 // SkipGet implements IdleGetter.
 func (e *chunkEP) SkipGet() { e.stats.GetCalls++ }
 

@@ -167,6 +167,7 @@ type Conn struct {
 
 	regc  *regcache.Cache // shared with the peer conn
 	stats Stats
+	arm   func() // asks the owner's transport for a Poll (FreeIdlePoll), or nil
 }
 
 // NewPair wires an intra-node connection between two ranks on the node of
@@ -210,9 +211,34 @@ func (c *Conn) RegCache() *regcache.Cache { return c.regc }
 // RendezvousThreshold implements transport.Endpoint.
 func (c *Conn) RendezvousThreshold() int { return c.cfg.RndvThreshold }
 
-// notify wakes progress loops blocked on the node's memory events — the
-// peer rank, and any other co-located rank that polls the same adapter.
-func (c *Conn) notify() { c.hca.NotifyMemWrite() }
+// notify runs on every change the peer can see — a cell or segment slot
+// filled or freed, a rendezvous accepted. It arms the peer connection and
+// wakes progress loops blocked on the node's memory events: the peer rank,
+// and any other co-located rank that polls the same adapter.
+func (c *Conn) notify() {
+	if c.peer.arm != nil {
+		c.peer.arm()
+	}
+	c.hca.NotifyMemWrite()
+}
+
+// FreeIdlePoll implements transport.FreeIdler: with nothing to send and
+// nothing arrived, Poll returns false without sleeping or changing state.
+// Work arrives through the peer's notify, which arms this connection, or is
+// left behind by its own Poll, which arms it on return.
+func (c *Conn) FreeIdlePoll(arm func()) bool {
+	c.arm = arm
+	if c.HoldsWork() {
+		arm()
+	}
+	return true
+}
+
+// HoldsWork reports whether a Poll would find something to do: a queued
+// send, an arrived cell, or a segment slot for the message draining.
+func (c *Conn) HoldsWork() bool {
+	return c.sendq.Len() > 0 || c.in.fullCell() != nil || c.drain && c.in.fullSlot() != nil
+}
 
 // SendEager implements transport.Endpoint. Despite the name, payloads
 // above EagerMax still move — through the chunked segment path — because
@@ -281,11 +307,15 @@ func (c *Conn) AcceptRendezvous(p *des.Proc, id uint64, dst transport.Buffer,
 func (c *Conn) Pending() int { return c.sendq.Len() + len(c.pending) }
 
 // Poll implements transport.Endpoint: advance the head send operation and
-// drain arrived messages, reporting whether anything moved.
+// drain arrived messages, reporting whether anything moved. Work it leaves
+// behind — a send waiting for the peer to free a cell — keeps it armed.
 func (c *Conn) Poll(p *des.Proc) bool {
 	prog := c.progressSend(p)
 	if c.progressRecv(p) {
 		prog = true
+	}
+	if c.arm != nil && c.HoldsWork() {
+		c.arm()
 	}
 	return prog
 }

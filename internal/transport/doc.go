@@ -34,9 +34,19 @@
 //     delivery racing the pass (on any rail) cannot be lost before a
 //     blocking wait.
 //   - The ready set (DESIGN.md §18): a pass skips exactly the endpoints
-//     that promised a free idle Poll (FreeIdler) and have not armed
+//     that promised a free idle Poll (FreeIdler: the non-resilient SRQ
+//     connection and the shared-memory channel) and have not armed
 //     themselves since they were last polled. A skipped Poll would have
 //     returned false without sleeping, scheduling or changing state, so the
 //     pass is indistinguishable from one that polled everybody; an endpoint
 //     holding work it has not armed for is a bug in the endpoint.
+//   - Held idle answers (DESIGN.md §18): an endpoint whose idle Poll costs
+//     simulated time (a chunk ring) is asked whether it is idle once, and
+//     the answer is held until the endpoint touches its slot — in every
+//     dispatch that changes what the answer reads. Runs of idle endpoints
+//     are slept as one chain, which steps over disarmed slots between them
+//     (DESIGN.md §16).
+//   - Both promises are machine-checked by the -tags invariants build,
+//     which re-asks every held answer it uses and asks every endpoint it
+//     skips whether it holds work.
 package transport

@@ -78,14 +78,17 @@ type Engine struct {
 	act   []int32      // peers with established (pollable) endpoints, ascending
 	actEp []Endpoint   // parallel to act — the poll loop's O(1) hot path
 	idle  []idlePoller // parallel to act: the endpoint as an idlePoller, or nil
+	held  []des.Step   // parallel to act: the idle answer held until touch; Hops 0 = none
 	arm   []armState   // parallel to act: the ready set (DESIGN.md §18)
 	armed int          // slots of arm a pass must visit (not disarmed)
 	rr    int          // round-robin polling cursor over act
 
 	ready des.Queue[int32] // fulfilled stubs awaiting promotion (lazy mode)
 
-	// Scratch for the run of idle endpoints Progress is sleeping through.
+	// Scratch for the run of idle endpoints Progress is sleeping through:
+	// each step's endpoint, its offset in the pass, and its charge.
 	idleRun   []idlePoller
+	idleAt    []int
 	idleSteps []des.Step
 
 	// dialer starts connection establishment toward a peer. When set, the
@@ -187,22 +190,37 @@ func (e *Engine) SetEndpoint(peer int32, ep Endpoint) {
 // activate records peer in the established-endpoint list the progress loop
 // polls. The list is kept sorted by rank so the poll order is a
 // deterministic function of the connected set. What the slot knew about an
-// endpoint it replaces (a re-dial) goes with it: the slot is disarmed while
-// the newcomer is asked for its promise, so an arm from inside the call
-// sticks, and pinned when no promise comes.
+// endpoint it replaces (a re-dial) goes with it: the held idle answer is
+// dropped, and the slot is disarmed while the newcomer is asked for its
+// promise, so an arm from inside the call sticks, and pinned when no
+// promise comes.
 func (e *Engine) activate(peer int32, ep Endpoint) {
 	i, ok := slices.BinarySearch(e.act, peer)
 	if !ok {
 		e.act = slices.Insert(e.act, i, peer)
 		e.actEp = slices.Insert(e.actEp, i, ep)
 		e.idle = slices.Insert(e.idle, i, nil)
+		e.held = slices.Insert(e.held, i, des.Step{})
 		e.arm = slices.Insert(e.arm, i, disarmed)
 	}
 	e.actEp[i] = ep
 	e.idle[i], _ = ep.(idlePoller)
+	e.held[i] = des.Step{}
+	if ip := e.idle[i]; ip != nil {
+		ip.WatchIdle(func() { e.touchPeer(peer) })
+	}
 	e.setArm(i, disarmed)
 	if f, ok := ep.(FreeIdler); !ok || !f.FreeIdlePoll(func() { e.armPeer(peer) }) {
 		e.setArm(i, pinned)
+	}
+}
+
+// touchPeer is the touch function of peer's idlePoller: the answer its slot
+// holds is dropped, and the next pass to reach the slot asks again.
+// Touching a slot that holds nothing or is gone is harmless.
+func (e *Engine) touchPeer(peer int32) {
+	if i, ok := slices.BinarySearch(e.act, peer); ok {
+		e.held[i] = des.Step{}
 	}
 }
 
@@ -557,12 +575,20 @@ func (e *Engine) ArriveRTS(p *des.Proc, env Envelope, ep Endpoint, id uint64) {
 // idlePoller is implemented by endpoints whose Poll costs simulated time
 // even when there is nothing to do (ch3.Conn over a chunk ring: every Get
 // is charged before it looks). Such a poll is not free, so these endpoints
-// are no FreeIdlers and stay pinned in the ready set.
+// are no FreeIdlers and stay pinned in the ready set; what the engine saves
+// on a quiet one is the question, not the charge.
 type idlePoller interface {
 	// IdlePoll reports whether a Poll issued now would pay exactly the
-	// returned charge and find nothing. The answer holds until the node's
-	// next NotifyMemWrite.
+	// returned charge and find nothing. An idle answer holds until the
+	// endpoint calls touch, and the engine keeps it that long.
 	IdlePoll() (des.Step, bool)
+
+	// WatchIdle is called when the engine activates the endpoint, with its
+	// slot's touch function. The endpoint calls touch in every dispatch that
+	// changes what IdlePoll reads: another process's write or completion,
+	// before that dispatch's NotifyMemWrite, or its own process handing it
+	// work.
+	WatchIdle(touch func())
 
 	// PollCharged finishes a Poll for which IdlePoll held and whose charge
 	// the engine has slept: with look it runs everything Poll does after
@@ -597,7 +623,7 @@ func (e *Engine) Progress(p *des.Proc, block bool) bool {
 	if len(e.act) > 0 {
 		start := int32(e.rr)
 		e.rr = (e.rr + 1) % e.size
-		if e.armed > 0 && e.pollFrom(p, start) {
+		if (e.armed > 0 || invariants) && e.pollFrom(p, start) {
 			prog = true
 		}
 	}
@@ -615,35 +641,56 @@ func (e *Engine) Progress(p *des.Proc, block bool) bool {
 // would have reached, so the poll schedule (and with it every calibrated
 // figure) is unchanged — only the nil-slot skipping went away.
 //
-// Consecutive endpoints whose poll would only pay its charge (idlePoller)
-// are not polled one event at a time: the run's charges are slept as one
-// chain on the node, which NotifyMemWrite cuts at the endpoint being
-// charged when anything observable changes. The endpoints before that one
-// were charged with nothing to see; it alone looks, exactly when its own
-// Poll would have, and the pass carries on from the next endpoint.
+// Endpoints whose poll would only pay its charge (idlePoller) are not
+// polled one event at a time: a run of them is slept as one chain on the
+// node, which NotifyMemWrite cuts at the endpoint being charged when
+// anything observable changes. The endpoints before that one were charged
+// with nothing to see; it alone looks, exactly when its own Poll would
+// have, and the pass carries on from the next slot. A disarmed slot between
+// two of them does not end the run: the slot-by-slot pass would skip it at
+// that step boundary, where nothing is minted, so the chain's keys are the
+// same; an arm comes with a NotifyMemWrite, which cuts the chain at the step
+// in progress, so a slot armed before its boundary is still ahead of the
+// resumed pass (DESIGN.md §16). Each endpoint's idle answer is asked once
+// and held until the endpoint touches its slot; a busy answer stays busy
+// until the endpoint's own Poll, so the slot that ended a run is not asked
+// again when the pass comes back to it.
 func (e *Engine) pollFrom(p *des.Proc, start int32) (prog bool) {
 	n := len(e.act)
 	lo, _ := slices.BinarySearch(e.act, start)
 	if lo == n {
 		lo = 0
 	}
+	busy := int32(-1) // the peer whose slot answered busy, until it is polled
 	for i := 0; i < n; {
-		e.idleRun, e.idleSteps = e.idleRun[:0], e.idleSteps[:0]
-		for j := i; j < n; j++ {
-			ip := e.idle[(lo+j)%n]
+		e.idleRun, e.idleAt, e.idleSteps = e.idleRun[:0], e.idleAt[:0], e.idleSteps[:0]
+		j := i
+		for ; j < n; j++ {
+			k := (lo + j) % n
+			ip := e.idle[k]
 			if ip == nil {
+				if e.arm[k] != disarmed {
+					break
+				}
+				e.checkDisarmed(k)
+				continue
+			}
+			if e.act[k] == busy {
 				break
 			}
-			e.stats.IdleAsks++
-			step, idle := ip.IdlePoll()
+			step, idle := e.idleAnswer(k)
 			if !idle {
+				busy = e.act[k]
 				break
 			}
 			e.idleRun = append(e.idleRun, ip)
+			e.idleAt = append(e.idleAt, j)
 			e.idleSteps = append(e.idleSteps, step)
 		}
 		if len(e.idleRun) == 0 {
-			if k := (lo + i) % n; e.arm[k] != disarmed {
+			// Slots i..j-1 are disarmed; j, if any, must be polled.
+			if j < n {
+				k := (lo + j) % n
 				if e.arm[k] == armed {
 					e.setArm(k, disarmed)
 				}
@@ -653,7 +700,7 @@ func (e *Engine) pollFrom(p *des.Proc, start int32) (prog bool) {
 					prog = true
 				}
 			}
-			i++
+			i, busy = j+1, -1
 			continue
 		}
 		paid := e.node.SleepChain(p, e.idleSteps)
@@ -663,9 +710,24 @@ func (e *Engine) pollFrom(p *des.Proc, start int32) (prog bool) {
 		if e.idleRun[paid-1].PollCharged(p, true) {
 			prog = true
 		}
-		i += paid
+		i = e.idleAt[paid-1] + 1
 	}
 	return prog
+}
+
+// idleAnswer returns active slot k's idle answer: the one it holds, or its
+// endpoint's, which is held when idle.
+func (e *Engine) idleAnswer(k int) (des.Step, bool) {
+	if step := e.held[k]; step.Hops > 0 {
+		e.checkHeld(k)
+		return step, true
+	}
+	e.stats.IdleAsks++
+	step, idle := e.idle[k].IdlePoll()
+	if idle {
+		e.held[k] = step
+	}
+	return step, idle
 }
 
 // Wait blocks until the request completes, driving progress.
