@@ -88,8 +88,8 @@ func run() int {
 		for _, shards := range shardCounts {
 			r := bench.MeasureEngine(*benchName, cl, np, *repeat, shards)
 			rep.Runs = append(rep.Runs, r)
-			fmt.Printf("%s.%s np=%d queue=%s shards=%d: events=%d fp=%s sim=%.6fs wall=%.2fs setup=%.2fs ev/s=%.0f wall/simsec=%.1f verified=%v\n",
-				r.Bench, r.Class, r.NP, r.Queue, r.Shards, r.Events, r.Fingerprint,
+			fmt.Printf("%s.%s np=%d shards=%d: events=%d fp=%s sim=%.6fs wall=%.2fs setup=%.2fs ev/s=%.0f wall/simsec=%.1f verified=%v\n",
+				r.Bench, r.Class, r.NP, r.Shards, r.Events, r.Fingerprint,
 				r.SimSeconds, r.WallSeconds, r.SetupSeconds, r.EventsPerSec, r.WallPerSimSec, r.Verified)
 			k := r.ByKind
 			fmt.Printf("  by kind: self-wake=%d switch=%d task-step=%d func=%d stale=%d (cut-off chain wakes, not counted: %d); live heap %d B/rank\n",

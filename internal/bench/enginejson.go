@@ -19,10 +19,11 @@ import (
 )
 
 // EngineRun is one measured engine execution: a NAS kernel at one rank
-// count and shard count. Queue is the constant "calendar": the engine has
-// one pending-event queue, and readers of the committed file select rows
-// by the field. Events, Fingerprint, SimSeconds and Verified are simulated
-// results — deterministic, compared exactly.
+// count and shard count. Queue is a legacy row key, not the structure: it
+// is always "calendar", the name of a pending-event queue the engine no
+// longer has (it holds one event heap), and stays because readers of the
+// committed file select rows by it. Events, Fingerprint, SimSeconds and
+// Verified are simulated results — deterministic, compared exactly.
 // WallSeconds and the two derived rates are harness measurements —
 // machine-dependent, compared within a tolerance. With Repeats > 1 the
 // wall figures are the fastest of the repeats (the least-noise estimator);

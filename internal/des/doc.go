@@ -27,11 +27,13 @@
 //
 // Invariants:
 //
-//   - Determinism: the one pending-event queue (queue.go) pops in (time,
-//     lineage key, scheduling sequence) order, so a given program produces
-//     bit-for-bit identical simulated timings on every run. This is what makes "output bit-identical to the
-//     previous PR" a meaningful regression gate, and it is why nothing in a
-//     simulation may branch on wall-clock time or map iteration order.
+//   - Determinism: the pending events sit in one 4-ary heap of
+//     pointer-free entries (queue.go, DESIGN.md §12) that pops in the exact
+//     (time, lineage key, scheduling sequence) order, so a given program
+//     produces bit-for-bit identical simulated timings on every run. This
+//     is what makes "output bit-identical to the previous PR" a meaningful
+//     regression gate, and it is why nothing in a simulation may branch on
+//     wall-clock time or map iteration order.
 //   - Single-stepping: at most one simulated process or task step executes
 //     at any instant; predicates guarded by Cond need no locks.
 //   - Lineage-exact elision (DESIGN.md §16): SleepStep and SleepChain

@@ -25,7 +25,7 @@ import (
 // loop must stop or a process terminates.
 type Engine struct {
 	now       Time
-	q         calQueue // pending events, popped in (at, key, seq) order
+	q         eventHeap // pending events, popped in (at, key, seq) order
 	seq       uint64
 	alive     int // spawned non-daemon processes that have not terminated
 	procs     []*Proc
@@ -159,9 +159,7 @@ func (e *Engine) execCtx() *Engine {
 
 // NewEngine returns an engine with the clock at the epoch.
 func NewEngine() *Engine {
-	e := &Engine{curBase: mixKey(rootKey, 0)}
-	e.q.init()
-	return e
+	return &Engine{curBase: mixKey(rootKey, 0)}
 }
 
 // Sharded reports whether this engine is a member of a Group, i.e. other
@@ -228,7 +226,7 @@ func (e *Engine) scheduleKeyed(at Time, key uint64, h Handler, arg uint64) {
 		at = e.now
 	}
 	e.seq++
-	e.q.push(event{at: at, key: key, seq: e.seq, h: h, arg: arg})
+	e.q.push(at, key, e.seq, slot{h: h, arg: arg})
 }
 
 // After runs fn after delay d.
@@ -295,27 +293,28 @@ func (e *Engine) shutdownOne() {
 	e.q.clear()
 }
 
-// account advances the clock to ev and charges it to the fingerprint. Every
-// popped event, stale wakeups included, is accounted (and counted by kind in
-// fire), so the trace is comparable across engine versions. The dispatching
-// event's key becomes the lineage parent for everything the dispatch
-// schedules. In grouped mode timestamps are buffered instead of
-// folded: shards dispatch concurrently, so the group folds the merged
-// timestamp stream at window barriers to reproduce the serial fold order.
-func (e *Engine) account(ev *event) {
-	if ev.at != e.now {
-		e.now = ev.at
-		e.instMax = ev.key
-	} else if ev.key > e.instMax {
-		e.instMax = ev.key
+// account advances the clock to the event at (at, key) and charges it to
+// the fingerprint. Every popped event, stale wakeups included, is accounted
+// (and counted by kind in fire), so the trace is comparable across engine
+// versions. The dispatching event's key becomes the lineage parent for
+// everything the dispatch schedules. In grouped mode timestamps are
+// buffered instead of folded: shards dispatch concurrently, so the group
+// folds the merged timestamp stream at window barriers to reproduce the
+// serial fold order.
+func (e *Engine) account(at Time, key uint64) {
+	if at != e.now {
+		e.now = at
+		e.instMax = key
+	} else if key > e.instMax {
+		e.instMax = key
 	}
-	e.curBase = mixKey(ev.key, 0)
+	e.curBase = mixKey(key, 0)
 	e.childIdx = 0
 	if e.fpOn {
 		if e.group != nil {
-			e.fpBuf = append(e.fpBuf, ev.at)
+			e.fpBuf = append(e.fpBuf, at)
 		} else {
-			e.fp = (e.fp ^ uint64(ev.at)) * 1099511628211
+			e.fp = (e.fp ^ uint64(at)) * 1099511628211
 		}
 	}
 }
@@ -339,20 +338,20 @@ func (e *Engine) fire(ev *event) *Proc {
 	w, _ := ev.h.(*wake)
 	switch p := (*Proc)(w); {
 	case p == nil:
-		e.account(ev)
+		e.account(ev.at, ev.key)
 		e.n.Func++
 		ev.h.Handle(ev.arg)
 	case p.gen != ev.arg && ev.chain:
 		e.n.CutOff++
 	case p.dead || p.gen != ev.arg || !p.waiting:
-		e.account(ev)
+		e.account(ev.at, ev.key)
 		e.n.Stale++
 	case p.step != nil:
-		e.account(ev)
+		e.account(ev.at, ev.key)
 		e.n.TaskStep++
 		e.stepTask(p)
 	default:
-		e.account(ev)
+		e.account(ev.at, ev.key)
 		return p
 	}
 	return nil
@@ -362,11 +361,8 @@ func (e *Engine) fire(ev *event) *Proc {
 // wakeup to a process lends it the baton until the process chain returns it
 // (a stop condition was reached, or a process terminated).
 func (e *Engine) runDriver() {
-	for !e.stopped {
-		ev, ok := e.q.popLE(e.deadline)
-		if !ok {
-			break
-		}
+	var ev event
+	for !e.stopped && e.q.popLE(e.deadline, &ev) {
 		if p := e.fire(&ev); p != nil {
 			e.n.Switch++
 			e.resume(p)
@@ -407,11 +403,8 @@ func (e *Engine) reraise() {
 // eventually arrives (a later Run) or Shutdown unwinds it.
 func (e *Engine) runOn(p *Proc) {
 	var next *Proc // the process to resume; nil on a stop condition
-	for !e.stopped {
-		ev, ok := e.q.popLE(e.deadline)
-		if !ok {
-			break
-		}
+	var ev event
+	for !e.stopped && e.q.popLE(e.deadline, &ev) {
 		if next = e.fire(&ev); next == p {
 			e.n.SelfWake++
 			return
@@ -636,7 +629,7 @@ func (p *Proc) wakeKeyed(at Time, key uint64, chain bool) {
 		at = e.now
 	}
 	e.seq++
-	e.q.push(event{at: at, key: key, seq: e.seq, h: (*wake)(p), arg: p.gen, chain: chain})
+	e.q.push(at, key, e.seq, slot{h: (*wake)(p), arg: p.gen, chain: chain})
 }
 
 // Engine returns the engine this process belongs to.
@@ -672,7 +665,7 @@ func (p *Proc) sleepKeyed(at Time, key uint64) {
 		return
 	}
 	e.seq++
-	e.account(&event{at: at, key: key})
+	e.account(at, key)
 	e.n.SelfWake++
 	p.gen++
 }

@@ -198,7 +198,7 @@ func (g *Group) drainDeposits() {
 	for _, e := range g.all {
 		for _, b := range e.mbox.take() {
 			e.seq++
-			e.q.push(event{at: b.at, key: b.key, seq: e.seq, h: b.h, arg: b.arg})
+			e.q.push(b.at, b.key, e.seq, slot{h: b.h, arg: b.arg})
 		}
 	}
 }
@@ -255,6 +255,7 @@ func (g *Group) fusedInstant(T Time) {
 	}
 	defer func() { g.cur = nil }() // also when a process panic passes through
 	var instMax uint64
+	var ev event
 	for {
 		var x *Engine
 		var bestKey uint64
@@ -268,7 +269,7 @@ func (g *Group) fusedInstant(T Time) {
 		if x == nil {
 			break
 		}
-		ev, _ := x.q.popLE(T)
+		x.q.popLE(T, &ev)
 		g.cur = x
 		// Engines interact at zero delay only here, so the largest key of the
 		// instant (see Engine.instMax) is tracked group-wide, as the serial

@@ -6,247 +6,358 @@ import (
 	"testing"
 )
 
-// eventQueue is what applyScript needs of a pending-event set, so that one
-// script can drive the calendar queue and its oracle.
-type eventQueue interface {
-	push(ev event)
-	pop() (event, bool)
-	next() (Time, bool)
+// pendingSet is what applyScript needs of a pending-event set, so that one
+// script drives the engine's heap and its oracle alike.
+type pendingSet interface {
+	push(at Time, key, seq uint64)
+	pop() (entry, bool)
+	peekKey() (Time, uint64, bool)
 }
 
-func newCalQueue() *calQueue {
-	q := &calQueue{}
-	q.init()
-	return q
+// heapUnderTest is the engine's heap seen through pendingSet. The sequence
+// number rides in the slot's argument, so a pop shows that the slot handed
+// back is the one its entry was pushed with.
+type heapUnderTest struct{ q eventHeap }
+
+func (h *heapUnderTest) push(at Time, key, seq uint64) {
+	h.q.push(at, key, seq, slot{h: Func(nil), arg: seq})
 }
 
-// pop is popLE without a bound; the engine only ever pops against a deadline.
-func (q *calQueue) pop() (event, bool) { return q.popLE(timeMax) }
-
-// heapQueue is the oracle: a 4-ary implicit heap of event values, the
-// engine's queue before the calendar queue, with no width or occupancy
-// assumptions to get wrong.
-type heapQueue struct {
-	evs []event
+func (h *heapUnderTest) pop() (entry, bool) {
+	var ev event
+	if !h.q.popLE(timeMax, &ev) {
+		return entry{}, false
+	}
+	return entry{at: ev.at, key: ev.key, seq: ev.arg}, true
 }
 
-func (h *heapQueue) push(ev event) {
-	h.evs = append(h.evs, ev)
-	// Sift up.
-	i := len(h.evs) - 1
-	for i > 0 {
-		parent := (i - 1) / 4
-		if !h.evs[i].before(&h.evs[parent]) {
-			break
+func (h *heapUnderTest) peekKey() (Time, uint64, bool) { return h.q.peekKey() }
+
+// scanQueue is the oracle: a plain slice whose minimum is found by a linear
+// scan for the (at, key, seq)-smallest entry — the definition of the order,
+// with no structure to get wrong and its own comparison, not the heap's.
+type scanQueue struct{ ents []entry }
+
+// precedes is the dispatch order, spelled out: time, then lineage key, then
+// scheduling sequence.
+func precedes(a, b entry) bool {
+	switch {
+	case a.at != b.at:
+		return a.at < b.at
+	case a.key != b.key:
+		return a.key < b.key
+	default:
+		return a.seq < b.seq
+	}
+}
+
+func (s *scanQueue) push(at Time, key, seq uint64) {
+	s.ents = append(s.ents, entry{at: at, key: key, seq: seq})
+}
+
+func (s *scanQueue) min() int {
+	best := -1
+	for i := range s.ents {
+		if best < 0 || precedes(s.ents[i], s.ents[best]) {
+			best = i
 		}
-		h.evs[i], h.evs[parent] = h.evs[parent], h.evs[i]
-		i = parent
 	}
+	return best
 }
 
-func (h *heapQueue) next() (Time, bool) {
-	if len(h.evs) == 0 {
-		return 0, false
+func (s *scanQueue) pop() (entry, bool) {
+	i := s.min()
+	if i < 0 {
+		return entry{}, false
 	}
-	return h.evs[0].at, true
-}
-
-func (h *heapQueue) pop() (event, bool) {
-	n := len(h.evs)
-	if n == 0 {
-		return event{}, false
-	}
-	top := h.evs[0]
-	last := h.evs[n-1]
-	h.evs = h.evs[:n-1]
-	n--
-	if n > 0 {
-		// Sift last down from the root.
-		i := 0
-		for {
-			first := 4*i + 1
-			if first >= n {
-				break
-			}
-			best := first
-			end := first + 4
-			if end > n {
-				end = n
-			}
-			for c := first + 1; c < end; c++ {
-				if h.evs[c].before(&h.evs[best]) {
-					best = c
-				}
-			}
-			if !h.evs[best].before(&last) {
-				break
-			}
-			h.evs[i] = h.evs[best]
-			i = best
-		}
-		h.evs[i] = last
-	}
+	top := s.ents[i]
+	n := len(s.ents) - 1
+	s.ents[i] = s.ents[n]
+	s.ents = s.ents[:n]
 	return top, true
 }
 
-// queueOp is one step of a deterministic operation sequence applied to the
-// calendar queue and to the heap; identical pop sequences prove the calendar
-// queue is an exact priority queue, not an approximate one.
-type queueOp struct {
-	push  bool
-	delta Time // offset from the last popped timestamp
+func (s *scanQueue) peekKey() (Time, uint64, bool) {
+	i := s.min()
+	if i < 0 {
+		return 0, 0, false
+	}
+	return s.ents[i].at, s.ents[i].key, true
 }
 
+// queueOp is one step of a deterministic operation sequence applied to the
+// heap and to the oracle; identical observations prove the heap an exact
+// priority queue over (at, key, seq).
+type queueOp struct {
+	kind  byte   // opPush, opPop or opPeek
+	delta Time   // push: offset from the last popped timestamp
+	key   uint64 // push: lineage key
+}
+
+const (
+	opPush byte = iota
+	opPop
+	opPeek
+)
+
+// makeScript mixes pushes, pops and peeks. Pushes land at the last popped
+// instant (same-instant clusters), a few µs later, up to a second later
+// (sparse regions) or up to an hour later (far-future timers), under random
+// keys or under a handful of colliding small ones, so that the seq tiebreak
+// is exercised. Four times per script comes an np = 4096-shaped burst: 2 048
+// same-instant events under random keys, a collective's fan-out.
 func makeScript(seed int64, n int) []queueOp {
 	rng := rand.New(rand.NewSource(seed))
-	ops := make([]queueOp, 0, n)
+	ops := make([]queueOp, 0, n+4*2048)
 	for i := 0; i < n; i++ {
-		if rng.Intn(3) < 2 {
-			var d Time
-			switch rng.Intn(10) {
-			case 0:
-				d = 0 // same-instant cluster
-			case 1:
-				d = Time(rng.Int63n(int64(Second))) // far jump: empty-year sweep
-			default:
-				d = Time(rng.Int63n(int64(10 * Microsecond)))
+		if i%(n/4) == n/8 {
+			for j := 0; j < 2048; j++ {
+				ops = append(ops, queueOp{kind: opPush, key: rng.Uint64()})
 			}
-			ops = append(ops, queueOp{push: true, delta: d})
-		} else {
-			ops = append(ops, queueOp{push: false})
+		}
+		switch r := rng.Intn(6); {
+		case r < 3:
+			op := queueOp{kind: opPush, key: rng.Uint64()}
+			if rng.Intn(4) == 0 {
+				op.key = uint64(rng.Intn(3))
+			}
+			switch rng.Intn(20) {
+			case 0, 1:
+				op.delta = 0
+			case 2:
+				op.delta = Time(rng.Int63n(int64(Second)))
+			case 3:
+				op.delta = Time(rng.Int63n(int64(3600 * Second)))
+			default:
+				op.delta = Time(rng.Int63n(int64(10 * Microsecond)))
+			}
+			ops = append(ops, op)
+		case r < 5:
+			ops = append(ops, queueOp{kind: opPop})
+		default:
+			ops = append(ops, queueOp{kind: opPeek})
 		}
 	}
 	return ops
 }
 
-func applyScript(q eventQueue, ops []queueOp) []event {
-	var out []event
+// applyScript runs ops and then drains the set, returning every popped
+// entry and every peek (as an entry with seq 0; pushed seqs start at 1).
+// Like the engine, it never pushes before the last popped instant.
+func applyScript(q pendingSet, ops []queueOp) []entry {
+	var out []entry
 	var seq uint64
 	var now Time
 	for _, op := range ops {
-		if op.push {
+		switch op.kind {
+		case opPush:
 			seq++
-			q.push(event{at: now + op.delta, seq: seq})
-			continue
-		}
-		if at, ok := q.next(); ok {
-			ev, _ := q.pop()
-			if ev.at != at {
-				panic("next/pop disagree")
+			q.push(now+op.delta, op.key, seq)
+		case opPop:
+			if ev, ok := q.pop(); ok {
+				now = ev.at
+				out = append(out, ev)
 			}
-			now = ev.at
-			out = append(out, ev)
+		default:
+			at, key, _ := q.peekKey()
+			out = append(out, entry{at: at, key: key})
 		}
 	}
 	for {
 		ev, ok := q.pop()
 		if !ok {
-			break
+			return out
 		}
 		out = append(out, ev)
 	}
-	return out
 }
 
-// TestQueueKindsIdenticalOrder drives the heap oracle and the calendar queue
-// through the same randomized push/pop script (same-instant clusters,
-// sparse second-scale jumps, interleaved peeks) and requires bit-identical
-// pop sequences.
+// sameObservations reports the first difference between two applyScript
+// results, or "" when there is none.
+func sameObservations(want, got []entry) string {
+	if len(want) != len(got) {
+		return fmt.Sprintf("%d observations from the oracle, %d from the heap", len(want), len(got))
+	}
+	for i := range want {
+		if want[i] != got[i] {
+			return fmt.Sprintf("observation %d: oracle %+v, heap %+v", i, want[i], got[i])
+		}
+	}
+	return ""
+}
+
+// TestQueueKindsIdenticalOrder drives the oracle and the heap through the
+// same randomized scripts and requires identical pops and peeks; pops
+// never go back in time.
 func TestQueueKindsIdenticalOrder(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		ops := makeScript(seed, 20000)
-		a := applyScript(&heapQueue{}, ops)
-		b := applyScript(newCalQueue(), ops)
-		if len(a) != len(b) {
-			t.Fatalf("seed %d: popped %d events from heap, %d from calendar", seed, len(a), len(b))
+		want := applyScript(&scanQueue{}, ops)
+		got := applyScript(&heapUnderTest{}, ops)
+		if d := sameObservations(want, got); d != "" {
+			t.Fatalf("seed %d: %s", seed, d)
 		}
-		for i := range a {
-			if a[i].at != b[i].at || a[i].seq != b[i].seq {
-				t.Fatalf("seed %d: pop %d differs: heap (at=%d seq=%d) calendar (at=%d seq=%d)",
-					seed, i, a[i].at, a[i].seq, b[i].at, b[i].seq)
+		var now Time
+		for i, ev := range want {
+			if ev.seq == 0 {
+				continue // a peek
 			}
-		}
-		// Verify the shared order really is the (at, seq) total order.
-		for i := 1; i < len(a); i++ {
-			if !a[i-1].before(&a[i]) {
-				t.Fatalf("seed %d: pop %d out of order", seed, i)
+			if ev.at < now {
+				t.Fatalf("seed %d: observation %d pops %+v after the clock reached %v", seed, i, ev, now)
 			}
+			now = ev.at
 		}
 	}
 }
 
-// TestCalendarEarlierPushAfterPeek pins the peek-cache rule: peeking must
-// not advance the dispatch cursor, so a later push at an earlier time (but
-// still >= the clock) is popped first.
-func TestCalendarEarlierPushAfterPeek(t *testing.T) {
-	q := newCalQueue()
-	q.push(event{at: Time(Millisecond), seq: 1})
-	if at, ok := q.next(); !ok || at != Time(Millisecond) {
-		t.Fatalf("next = %v, %v; want 1ms", at, ok)
+// FuzzQueue decodes bytes into a push/pop/peekKey script and checks the
+// heap against the oracle. Each op is three bytes: kind (low two bits:
+// 0, 1 push, 2 pop, 3 peek) and, for a push, a shift (the kind byte's
+// upper bits, mod 41) applied to the delta byte, and a key byte — below 128
+// one of four colliding small keys, otherwise a hashed one. Only the first
+// 128 ops are read: the oracle's drain is quadratic. The cut is a min, not
+// a branch, so a long input covers nothing new and the fuzzer never spends
+// its time minimizing one.
+func FuzzQueue(f *testing.F) {
+	f.Add([]byte{0, 1, 1, 2, 0, 0, 0, 1, 200, 3, 0, 0, 2, 0, 0})
+	f.Add([]byte{0, 0, 1, 0, 0, 1, 0, 0, 2, 0, 0, 1, 2, 0, 0, 2, 0, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var ops []queueOp
+		for data = data[:min(len(data), 3*128)]; len(data) >= 3; data = data[3:] {
+			kind, d, k := data[0], data[1], data[2]
+			switch kind & 3 {
+			case 0, 1:
+				key := uint64(k & 3)
+				if k >= 128 {
+					key = mixKey(uint64(k), 0)
+				}
+				ops = append(ops, queueOp{kind: opPush, delta: Time(d) << ((kind >> 2) % 41), key: key})
+			case 2:
+				ops = append(ops, queueOp{kind: opPop})
+			default:
+				ops = append(ops, queueOp{kind: opPeek})
+			}
+		}
+		want := applyScript(&scanQueue{}, ops)
+		got := applyScript(&heapUnderTest{}, ops)
+		if d := sameObservations(want, got); d != "" {
+			t.Fatal(d)
+		}
+	})
+}
+
+// TestQueueEarlierPushAfterPeek: a peek commits nothing, so a later push at
+// an earlier time (but still >= the clock) is popped first.
+func TestQueueEarlierPushAfterPeek(t *testing.T) {
+	q := &heapUnderTest{}
+	q.push(Time(Millisecond), 0, 1)
+	if at, _, ok := q.peekKey(); !ok || at != Time(Millisecond) {
+		t.Fatalf("peek = %v, %v; want 1ms", at, ok)
 	}
-	q.push(event{at: Time(10), seq: 2})
-	ev, _ := q.pop()
-	if ev.at != Time(10) || ev.seq != 2 {
-		t.Fatalf("popped (at=%d seq=%d); want the later-pushed earlier event", ev.at, ev.seq)
+	q.push(Time(10), 0, 2)
+	if ev, _ := q.pop(); ev.at != Time(10) || ev.seq != 2 {
+		t.Fatalf("popped %+v; want the later-pushed earlier event", ev)
 	}
-	ev, _ = q.pop()
-	if ev.at != Time(Millisecond) || ev.seq != 1 {
-		t.Fatalf("popped (at=%d seq=%d); want the peeked event", ev.at, ev.seq)
+	if ev, _ := q.pop(); ev.at != Time(Millisecond) || ev.seq != 1 {
+		t.Fatalf("popped %+v; want the peeked event", ev)
 	}
 	if _, ok := q.pop(); ok {
 		t.Fatal("queue should be empty")
 	}
 }
 
-// TestCalendarSparseJump exercises the empty-year fast path: events many
-// calendar years apart must still pop in order without the cursor stepping
-// through every empty day.
-func TestCalendarSparseJump(t *testing.T) {
-	q := newCalQueue()
-	times := []Time{0, Time(Second), 40 * Time(Second), 41 * Time(Second)}
+// TestQueueSparseJump: events far apart, with far-future timers pushed
+// before near ones, pop in time order.
+func TestQueueSparseJump(t *testing.T) {
+	q := &heapUnderTest{}
+	times := []Time{3600 * Second, 41 * Second, Second, 0, 40 * Second}
 	for i, at := range times {
-		q.push(event{at: at, seq: uint64(i + 1)})
+		q.push(at, 0, uint64(i+1))
 	}
-	for i, want := range times {
-		ev, ok := q.pop()
-		if !ok || ev.at != want {
-			t.Fatalf("pop %d = (at=%d, ok=%v); want at=%d", i, ev.at, ok, want)
+	for i, want := range []Time{0, Second, 40 * Second, 41 * Second, 3600 * Second} {
+		if ev, ok := q.pop(); !ok || ev.at != want {
+			t.Fatalf("pop %d = (%+v, ok=%v); want at=%d", i, ev, ok, want)
 		}
 	}
 }
 
-// TestCalendarResizeStress pushes enough events to force repeated grow
-// resizes, drains through the shrink path, and checks order and count.
-func TestCalendarResizeStress(t *testing.T) {
-	q := newCalQueue()
+// TestQueueGrowDrainStress pushes 50 000 events, drains them in order, and
+// requires every slot back on the free list with no handler in it.
+func TestQueueGrowDrainStress(t *testing.T) {
+	q := &heapUnderTest{}
 	rng := rand.New(rand.NewSource(7))
 	const n = 50000
 	for i := 0; i < n; i++ {
-		q.push(event{at: Time(rng.Int63n(int64(100 * Microsecond))), seq: uint64(i + 1)})
+		q.push(Time(rng.Int63n(int64(100*Microsecond))), rng.Uint64()&0xff, uint64(i+1))
 	}
-	if q.n != n {
-		t.Fatalf("len = %d, want %d", q.n, n)
+	if len(q.q.ents) != n {
+		t.Fatalf("len = %d, want %d", len(q.q.ents), n)
 	}
-	var prev event
+	var prev entry
 	for i := 0; i < n; i++ {
 		ev, ok := q.pop()
 		if !ok {
 			t.Fatalf("queue dry after %d pops, want %d", i, n)
 		}
-		if i > 0 && !prev.before(&ev) {
-			t.Fatalf("pop %d out of order: (%d,%d) then (%d,%d)", i, prev.at, prev.seq, ev.at, ev.seq)
+		if i > 0 && !precedes(prev, ev) {
+			t.Fatalf("pop %d out of order: %+v then %+v", i, prev, ev)
 		}
 		prev = ev
 	}
 	if _, ok := q.pop(); ok {
 		t.Fatal("queue should be empty")
 	}
+	free := 0
+	for s := q.q.free; s != 0; s = uint32(q.q.slots[s-1].arg) {
+		if q.q.slots[s-1].h != nil {
+			t.Fatalf("free slot %d still holds its handler", s-1)
+		}
+		free++
+	}
+	if free != len(q.q.slots) {
+		t.Fatalf("%d of %d slots on the free list after the drain", free, len(q.q.slots))
+	}
+}
+
+// TestShutdownReleasesHandlers: a popped event's slot lets go of its handler
+// at once, and Shutdown drops the heap and the slot table with whatever they
+// still held — closures, argument handlers and process wakes alike.
+func TestShutdownReleasesHandlers(t *testing.T) {
+	held := func(e *Engine) int {
+		n := 0
+		for _, s := range e.q.slots {
+			if s.h != nil {
+				n++
+			}
+		}
+		return n
+	}
+	e := NewEngine()
+	for i := 0; i < 8; i++ {
+		e.Schedule(Time(i), func() {})
+	}
+	e.Run()
+	if n := held(e); n != 0 || len(e.q.slots) == 0 {
+		t.Fatalf("%d of %d slots hold a handler after the queue drained", n, len(e.q.slots))
+	}
+	e.Spawn("sleeper", func(p *Proc) { p.Sleep(Second) })
+	e.Spawn("chain", func(p *Proc) { p.SleepChain([]Step{{D: Second, Hops: 1}, {D: Second, Hops: 1}}) })
+	e.Schedule(Second, func() {})
+	e.AfterOnArg(e, Second, Func(func() {}), 7)
+	e.RunUntil(1)
+	if n := held(e); n != 4 {
+		t.Fatalf("%d slots hold a handler with four events pending, want 4", n)
+	}
+	e.Shutdown()
+	if e.q.ents != nil || e.q.slots != nil || e.q.free != 0 {
+		t.Fatalf("Shutdown kept %d entries and %d slots", len(e.q.ents), len(e.q.slots))
+	}
 }
 
 // TestScheduleDispatchZeroAlloc pins the pooled queue's allocation claim:
 // once its storage is warm, scheduling and dispatching an event allocates
-// nothing — events are values in reused slices, and process wakeups ride
-// the event itself rather than a closure.
+// nothing — entries and slots are values in reused slices, and process
+// wakeups ride the slot itself rather than a closure.
 func TestScheduleDispatchZeroAlloc(t *testing.T) {
 	e := NewEngine()
 	fn := func() {}
@@ -299,27 +410,31 @@ func TestProcsCompaction(t *testing.T) {
 	e.Shutdown()
 }
 
-// BenchmarkEngineScheduleDispatch measures the schedule+dispatch hot loop;
-// ReportAllocs pins the zero-steady-state-allocation property the pooled
-// design exists for.
+// BenchmarkEngineScheduleDispatch measures the schedule+dispatch hot loop
+// at a standing population of 2 (a ping-pong's pending set), 64 (a
+// collective's) and 4096 (an np = 4096 burst's): every dispatch schedules
+// one replacement a few ns ahead. ReportAllocs pins the zero
+// steady-state allocation property the pooled design exists for.
 func BenchmarkEngineScheduleDispatch(b *testing.B) {
-	e := NewEngine()
-	n := 0
-	var fn func()
-	fn = func() {
-		if n < b.N {
-			n++
-			e.Schedule(e.now+Time(n&7), fn)
-		}
+	for _, pop := range []int{2, 64, 4096} {
+		b.Run(fmt.Sprint(pop), func(b *testing.B) {
+			e := NewEngine()
+			n := 0
+			var fn func()
+			fn = func() {
+				if n < b.N {
+					n++
+					e.Schedule(e.now+Time(n&7), fn)
+				}
+			}
+			for i := 0; i < pop; i++ {
+				e.Schedule(Time(i), fn)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			e.Run()
+		})
 	}
-	// Keep a standing population so the queue works at realistic
-	// occupancy rather than ping-ponging a single event.
-	for i := 0; i < 64; i++ {
-		e.Schedule(Time(i), fn)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	e.Run()
 }
 
 // BenchmarkProcHandoff measures one simulated blocking point on the
