@@ -402,14 +402,15 @@ func TestSMPHeadline(t *testing.T) {
 		t.Errorf("small-message latency: shm %.2f µs vs IB %.2f µs; shm must win", shm, ib)
 	}
 
-	o := bench.Options{Config: cluster.Config{Transport: cluster.TransportZeroCopy, CoresPerNode: 4}}
-	for _, size := range []int{4, 16 << 10} {
-		hier := bench.CollectiveTime(o, 16, []int{size}, 10, func(comm *mpi.Comm, buf mpi.Buffer) {
+	bcast := func(alg string, size int) float64 {
+		o := bench.Options{Config: cluster.Config{Transport: cluster.TransportZeroCopy, CoresPerNode: 4,
+			Tuning: &mpi.Tuning{Bcast: alg}}}
+		return bench.CollectiveTime(o, 16, []int{size}, 10, func(comm *mpi.Comm, buf mpi.Buffer) {
 			comm.Bcast(buf, 5)
 		}).Points[0].Value
-		flat := bench.CollectiveTime(o, 16, []int{size}, 10, func(comm *mpi.Comm, buf mpi.Buffer) {
-			comm.FlatBcast(buf, 5)
-		}).Points[0].Value
+	}
+	for _, size := range []int{4, 16 << 10} {
+		hier, flat := bcast("hier-leader", size), bcast("binomial", size)
 		if hier <= 0 || flat <= 0 || hier >= flat {
 			t.Errorf("%dB bcast on 4×4: hier %.2f µs vs flat %.2f µs; hier must win", size, hier, flat)
 		}

@@ -96,33 +96,30 @@ func CollectiveTime(o Options, np int, sizes []int, iters int,
 // at arbitrary ranks actually experience. DESIGN.md §6 discusses this.
 func AblationHierCollectives() Figure {
 	const np, cpn, iters, root = 16, 4, 10, 5
-	o := Options{Config: cluster.Config{Transport: cluster.TransportZeroCopy, CoresPerNode: cpn}}
 	sizes := sizesPow4(4, 64<<10)
-
-	hb := CollectiveTime(o, np, sizes, iters, func(comm *mpi.Comm, buf mpi.Buffer) {
-		comm.Bcast(buf, root)
-	})
-	hb.Name = "bcast hier"
-	fb := CollectiveTime(o, np, sizes, iters, func(comm *mpi.Comm, buf mpi.Buffer) {
-		comm.FlatBcast(buf, root)
-	})
-	fb.Name = "bcast flat"
-
-	hr := CollectiveTime(o, np, sizes, iters, func(comm *mpi.Comm, buf mpi.Buffer) {
+	// forced times run with coll pinned to alg through the tuning table.
+	forced := func(name, coll, alg string, run func(comm *mpi.Comm, buf mpi.Buffer)) Series {
+		tun := mpi.DefaultTuning()
+		tun.Force(coll, alg)
+		o := Options{Config: cluster.Config{Transport: cluster.TransportZeroCopy, CoresPerNode: cpn, Tuning: &tun}}
+		s := CollectiveTime(o, np, sizes, iters, run)
+		s.Name = name
+		return s
+	}
+	bcast := func(comm *mpi.Comm, buf mpi.Buffer) { comm.Bcast(buf, root) }
+	reduce := func(comm *mpi.Comm, buf mpi.Buffer) {
 		recv, _ := comm.Alloc(max(buf.Len, 8))
-		comm.HierReduce(buf, recv, mpi.Byte, mpi.Sum, root)
-	})
-	hr.Name = "reduce hier"
-	fr := CollectiveTime(o, np, sizes, iters, func(comm *mpi.Comm, buf mpi.Buffer) {
-		recv, _ := comm.Alloc(max(buf.Len, 8))
-		comm.FlatReduce(buf, recv, mpi.Byte, mpi.Sum, root)
-	})
-	fr.Name = "reduce flat"
-
+		comm.Reduce(buf, recv, mpi.Byte, mpi.Sum, root)
+	}
 	return Figure{
 		ID:     "ablation-smp-collectives",
 		Title:  "Hierarchical vs Flat Collectives (4 nodes × 4 cores, root 5)",
 		XLabel: "message size (bytes)", YLabel: "time per call (µs)",
-		Series: []Series{hb, fb, hr, fr},
+		Series: []Series{
+			forced("bcast hier", "bcast", "hier-leader", bcast),
+			forced("bcast flat", "bcast", "binomial", bcast),
+			forced("reduce hier", "reduce", "hier", reduce),
+			forced("reduce flat", "reduce", "binomial", reduce),
+		},
 	}
 }

@@ -79,10 +79,6 @@ type Stats struct {
 	EagerSends uint64
 	RndvSends  uint64
 	RndvRecvs  uint64
-
-	// Fault-recovery counters (resilient mode only).
-	Reconnects uint64 // re-dialed queue pairs adopted
-	Resends    uint64 // retained packets re-queued after a re-dial
 }
 
 // packet is one queued outbound packet. onDone runs when the carrier has it

@@ -156,7 +156,6 @@ func (c *SRQConn) adopt(p *des.Proc) {
 	c.pool, c.qp = c.nextPool, c.nextQP
 	c.nextPool, c.nextQP = nil, nil
 	c.brokenFlag, c.redialled = false, false
-	c.stats.Reconnects++
 
 	var ctrl, data []*packet
 	for _, pk := range c.unacked {
@@ -167,7 +166,6 @@ func (c *SRQConn) adopt(p *des.Proc) {
 		}
 	}
 	c.unacked = nil
-	c.stats.Resends += uint64(len(ctrl) + len(data))
 	requeueAhead(&c.ctrlq, ctrl)
 	requeueAhead(&c.dataq, data)
 
@@ -264,7 +262,7 @@ func (c *SRQConn) push(p *des.Proc, pk *packet) (done, moved bool, err error) {
 			return false, false, err
 		}
 	}
-	ok, err := c.pool.SendPkt(p, c.qp, pk.pkt, pk.payload.Len, c.ackFn(pk), c.failFn)
+	ok, err := c.pool.SendPkt(p, c.qp, pk.pkt, c.ackFn(pk), c.failFn)
 	if ok {
 		c.staged++
 		c.unacked = append(c.unacked, pk)

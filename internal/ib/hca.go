@@ -56,10 +56,8 @@ type HCA struct {
 type HCAStats struct {
 	BytesInjected   uint64
 	BytesDelivered  uint64
-	ReadsServed     uint64
 	MRsRegistered   uint64
 	MRsDeregistered uint64
-	BytesRegistered uint64
 }
 
 // rxItem is one granule arriving from the wire. w, when non-nil, is the
@@ -379,7 +377,6 @@ func (h *HCA) respond(w *sendWork) bool {
 	}
 	w.src = append(w.src[:0], src)
 	w.own()
-	h.stats.ReadsServed++
 	return true
 }
 

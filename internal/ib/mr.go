@@ -91,7 +91,6 @@ func (h *HCA) RegisterMR(p *des.Proc, pd *PD, addr uint64, length int, access Ac
 	h.lkeys[mr.lkey] = mr
 	h.rkeys[mr.rkey] = mr
 	h.stats.MRsRegistered++
-	h.stats.BytesRegistered += uint64(length)
 	return mr, nil
 }
 

@@ -51,12 +51,10 @@ type QP struct {
 
 // QPStats counts per-QP activity.
 type QPStats struct {
-	SendsPosted   uint64
-	RecvsPosted   uint64
-	BytesSent     uint64
-	BytesRead     uint64
-	ErrsCompleted uint64
-	Retries       uint64 // transport retransmission attempts (drop windows)
+	SendsPosted uint64
+	RecvsPosted uint64
+	BytesSent   uint64
+	Retries     uint64 // transport retransmission attempts (drop windows)
 }
 
 type seqEntry struct {
@@ -173,7 +171,6 @@ func (qp *QP) finish(w *sendWork, st Status) {
 // completeErr finishes a work request in error and transitions the QP to
 // the error state, flushing everything else still queued on it.
 func (qp *QP) completeErr(w *sendWork, st Status) {
-	qp.stats.ErrsCompleted++
 	qp.finish(w, st)
 	qp.fail()
 }
@@ -194,11 +191,9 @@ func (qp *QP) fail() {
 	}
 	qp.state = QPError
 	for r, ok := qp.rq.TryGet(); ok; r, ok = qp.rq.TryGet() {
-		qp.stats.ErrsCompleted++
 		qp.rcq.insert(CQE{WRID: r.WRID, Status: StatusWRFlushErr, Op: OpRecv, QPNum: qp.num})
 	}
 	for w, ok := qp.deliverq.TryGet(); ok; w, ok = qp.deliverq.TryGet() {
-		qp.stats.ErrsCompleted++
 		qp.finish(w, StatusWRFlushErr)
 	}
 	qp.hca.notifyMemWrite()
@@ -353,9 +348,6 @@ func (qp *QP) exec(w *sendWork) int {
 			}
 		}
 		w.n = n
-		if w.wr.Op == OpRDMARead {
-			qp.stats.BytesRead += uint64(n)
-		}
 		return sqSlot
 	}
 	qp.completeErr(w, StatusLocalProtErr)
@@ -441,7 +433,6 @@ func (qp *QP) tryDeliver(w *sendWork) bool {
 	if err := peer.hca.scatter(rwr.SGL, peer.pd, w.src, w.n); err != nil {
 		// The consumed descriptor completes with the fault; the peer's
 		// remaining posted receives drain through fail, exactly once.
-		peer.stats.ErrsCompleted++
 		peer.rcq.insert(CQE{WRID: rwr.WRID, Status: StatusLocalProtErr, Op: OpRecv, QPNum: peer.num})
 		peer.fail()
 		qp.ack(w, StatusRemoteAccessErr)

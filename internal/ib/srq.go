@@ -45,7 +45,6 @@ type SRQ struct {
 type SRQStats struct {
 	RecvsPosted   uint64
 	RecvsConsumed uint64
-	LimitEvents   uint64
 	RNRNaks       uint64
 }
 
@@ -106,7 +105,6 @@ func (s *SRQ) pop() (RecvWR, bool) {
 	if s.onLimit != nil && s.Posted() < s.limit {
 		fn := s.onLimit
 		s.onLimit = nil
-		s.stats.LimitEvents++
 		fn()
 	}
 	return wr, true

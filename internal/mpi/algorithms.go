@@ -17,8 +17,8 @@ import (
 // with Reduce going hierarchical only at and above the measured 4 KB
 // crossover — so default-tuned runs are bit-identical to the hardwired
 // dispatch this registry replaced. A Tuning override (threaded through
-// cluster.Config and `mpich2ib-bench -coll-alg`) forces an algorithm by
-// name; a forced algorithm that is inapplicable on the communicator's
+// cluster.Config and `mpich2ib-bench -coll-alg`) is the only way to force
+// an algorithm by name; a forced algorithm that is inapplicable on the communicator's
 // topology (e.g. hier on one rank per node) falls back to the flat
 // default so forced runs stay correct on every layout.
 
@@ -61,86 +61,124 @@ type entry[F any] struct {
 	ok  func(*Comm) bool
 }
 
-// The registries. Flat algorithms are the topology-oblivious defaults;
-// hierarchical ones split the collective into a leader level (one rank
-// per node, over the network) and a node level (over shared memory).
-var (
-	bcastAlgs = map[string]entry[bcastFn]{
-		"binomial":          {run: (*Comm).FlatBcast, ok: alwaysOK},
-		"hier-leader":       {run: (*Comm).hierBcast, ok: smpOK},
-		"scatter-allgather": {run: (*Comm).saBcast, ok: alwaysOK},
-	}
-	reduceAlgs = map[string]entry[reduceFn]{
-		"binomial": {run: (*Comm).FlatReduce, ok: alwaysOK},
-		"hier":     {run: (*Comm).HierReduce, ok: smpOK},
-	}
-	allgatherAlgs = map[string]entry[allgatherFn]{
-		"ring":               {run: (*Comm).FlatAllgather, ok: alwaysOK},
-		"hier":               {run: (*Comm).hierAllgather, ok: hierAllgatherOK},
-		"recursive-doubling": {run: (*Comm).rdAllgather, ok: pof2OK},
-		"bruck":              {run: (*Comm).bruckAllgather, ok: alwaysOK},
-	}
-	barrierAlgs = map[string]entry[barrierFn]{
-		"dissemination": {run: (*Comm).FlatBarrier, ok: alwaysOK},
-		"hier":          {run: (*Comm).hierBarrier, ok: smpOK},
-	}
-	allreduceAlgs = map[string]entry[allreduceFn]{
-		"reduce-bcast":       {run: (*Comm).FlatAllreduce, ok: alwaysOK},
-		"recursive-doubling": {run: (*Comm).rdAllreduce, ok: alwaysOK},
-		"rabenseifner":       {run: (*Comm).rabAllreduce, ok: alwaysOK},
-		"rdma-direct":        {run: (*Comm).directAllreduce, ok: rdmaDirectOK},
-	}
-	alltoallAlgs = map[string]entry[alltoallFn]{
-		"pairwise":    {run: (*Comm).FlatAlltoall, ok: alwaysOK},
-		"scattered":   {run: (*Comm).scatteredAlltoall, ok: alwaysOK},
-		"rdma-direct": {run: (*Comm).directAlltoall, ok: rdmaDirectOK},
-	}
-)
-
-// Flat algorithm names, the fallbacks when a forced algorithm is
-// inapplicable on a communicator's topology.
-const (
-	flatBcast     = "binomial"
-	flatReduce    = "binomial"
-	flatAllgather = "ring"
-	flatBarrier   = "dissemination"
-	flatAllreduce = "reduce-bcast"
-	flatAlltoall  = "pairwise"
-)
-
-// Collectives lists the collectives with registered algorithms.
-func Collectives() []string {
-	return []string{"allgather", "allreduce", "alltoall", "barrier", "bcast", "reduce"}
+// algMap is one collective's registered algorithms and its flat default,
+// the topology-oblivious algorithm a pick falls back to.
+type algMap[F any] struct {
+	flat string
+	m    map[string]entry[F]
 }
 
-// AlgorithmNames lists the registered algorithms of one collective,
-// sorted. It panics on an unknown collective.
-func AlgorithmNames(coll string) []string {
-	switch coll {
-	case "bcast":
-		return sortedNames(bcastAlgs)
-	case "reduce":
-		return sortedNames(reduceAlgs)
-	case "allgather":
-		return sortedNames(allgatherAlgs)
-	case "barrier":
-		return sortedNames(barrierAlgs)
-	case "allreduce":
-		return sortedNames(allreduceAlgs)
-	case "alltoall":
-		return sortedNames(alltoallAlgs)
+// pick is every pick*'s tail: the preferred algorithm where it is
+// registered and applies on c's topology, the flat default otherwise.
+func (a algMap[F]) pick(c *Comm, name string) F {
+	if e, ok := a.m[name]; ok && e.ok(c) {
+		return e.run
 	}
-	panic(unknownCollective(coll))
+	return a.m[a.flat].run
 }
 
-func sortedNames[F any](algs map[string]entry[F]) []string {
-	names := make([]string, 0, len(algs))
-	for n := range algs {
+func (a algMap[F]) names() []string {
+	names := make([]string, 0, len(a.m))
+	for n := range a.m {
 		names = append(names, n)
 	}
 	sort.Strings(names)
 	return names
 }
+
+func (a algMap[F]) applicable(c *Comm, alg string) (ok, found bool) {
+	e, found := a.m[alg]
+	return found && e.ok(c), found
+}
+
+// The algorithm maps. Hierarchical algorithms split the collective into a
+// leader level (one rank per node, over the network) and a node level
+// (over shared memory).
+var (
+	bcastAlgs = algMap[bcastFn]{flat: "binomial", m: map[string]entry[bcastFn]{
+		"binomial":          {run: (*Comm).flatBcast, ok: alwaysOK},
+		"hier-leader":       {run: (*Comm).hierBcast, ok: smpOK},
+		"scatter-allgather": {run: (*Comm).saBcast, ok: alwaysOK},
+	}}
+	reduceAlgs = algMap[reduceFn]{flat: "binomial", m: map[string]entry[reduceFn]{
+		"binomial": {run: (*Comm).flatReduce, ok: alwaysOK},
+		"hier":     {run: (*Comm).hierReduce, ok: smpOK},
+	}}
+	allgatherAlgs = algMap[allgatherFn]{flat: "ring", m: map[string]entry[allgatherFn]{
+		"ring":               {run: (*Comm).flatAllgather, ok: alwaysOK},
+		"hier":               {run: (*Comm).hierAllgather, ok: hierAllgatherOK},
+		"recursive-doubling": {run: (*Comm).rdAllgather, ok: pof2OK},
+		"bruck":              {run: (*Comm).bruckAllgather, ok: alwaysOK},
+	}}
+	barrierAlgs = algMap[barrierFn]{flat: "dissemination", m: map[string]entry[barrierFn]{
+		"dissemination": {run: (*Comm).flatBarrier, ok: alwaysOK},
+		"hier":          {run: (*Comm).hierBarrier, ok: smpOK},
+	}}
+	allreduceAlgs = algMap[allreduceFn]{flat: "reduce-bcast", m: map[string]entry[allreduceFn]{
+		"reduce-bcast":       {run: (*Comm).flatAllreduce, ok: alwaysOK},
+		"recursive-doubling": {run: (*Comm).rdAllreduce, ok: alwaysOK},
+		"rabenseifner":       {run: (*Comm).rabAllreduce, ok: alwaysOK},
+		"rdma-direct":        {run: (*Comm).directAllreduce, ok: rdmaDirectOK},
+	}}
+	alltoallAlgs = algMap[alltoallFn]{flat: "pairwise", m: map[string]entry[alltoallFn]{
+		"pairwise":    {run: (*Comm).flatAlltoall, ok: alwaysOK},
+		"scattered":   {run: (*Comm).scatteredAlltoall, ok: alwaysOK},
+		"rdma-direct": {run: (*Comm).directAlltoall, ok: rdmaDirectOK},
+	}}
+)
+
+// collective is one row of the registry: a collective's name, its
+// algorithms, and the Tuning field that forces one of them.
+type collective struct {
+	name string
+	algs interface {
+		names() []string
+		applicable(c *Comm, alg string) (ok, found bool)
+	}
+	field func(*Tuning) *string
+}
+
+// registry is the table every name lookup reads, in Collectives order.
+var registry = []collective{
+	{"allgather", allgatherAlgs, func(t *Tuning) *string { return &t.Allgather }},
+	{"allreduce", allreduceAlgs, func(t *Tuning) *string { return &t.Allreduce }},
+	{"alltoall", alltoallAlgs, func(t *Tuning) *string { return &t.Alltoall }},
+	{"barrier", barrierAlgs, func(t *Tuning) *string { return &t.Barrier }},
+	{"bcast", bcastAlgs, func(t *Tuning) *string { return &t.Bcast }},
+	{"reduce", reduceAlgs, func(t *Tuning) *string { return &t.Reduce }},
+}
+
+// find returns coll's registry row.
+func find(coll string) (collective, bool) {
+	for _, r := range registry {
+		if r.name == coll {
+			return r, true
+		}
+	}
+	return collective{}, false
+}
+
+// row returns coll's registry row, panicking on an unknown collective.
+func row(coll string) collective {
+	r, ok := find(coll)
+	if !ok {
+		panic(unknownCollective(coll))
+	}
+	return r
+}
+
+// Collectives lists the collectives with registered algorithms.
+func Collectives() []string {
+	names := make([]string, len(registry))
+	for i, r := range registry {
+		names[i] = r.name
+	}
+	return names
+}
+
+// AlgorithmNames lists the registered algorithms of one collective,
+// sorted. It panics on an unknown collective.
+func AlgorithmNames(coll string) []string { return row(coll).algs.names() }
 
 func unknownCollective(coll string) string {
 	return fmt.Sprintf("mpi: unknown collective %q (have %s)", coll, strings.Join(Collectives(), ", "))
@@ -218,52 +256,19 @@ func (t Tuning) fattree() bool { return strings.HasPrefix(t.Net, "fattree") }
 
 // Forced returns the algorithm forced for one collective ("" = the
 // table). It panics on an unknown collective.
-func (t Tuning) Forced(coll string) string {
-	switch coll {
-	case "bcast":
-		return t.Bcast
-	case "reduce":
-		return t.Reduce
-	case "allgather":
-		return t.Allgather
-	case "barrier":
-		return t.Barrier
-	case "allreduce":
-		return t.Allreduce
-	case "alltoall":
-		return t.Alltoall
-	}
-	panic(unknownCollective(coll))
-}
+func (t Tuning) Forced(coll string) string { return *row(coll).field(&t) }
 
 // Force pins one collective to a named algorithm. It panics on an
 // unknown collective.
-func (t *Tuning) Force(coll, alg string) {
-	switch coll {
-	case "bcast":
-		t.Bcast = alg
-	case "reduce":
-		t.Reduce = alg
-	case "allgather":
-		t.Allgather = alg
-	case "barrier":
-		t.Barrier = alg
-	case "allreduce":
-		t.Allreduce = alg
-	case "alltoall":
-		t.Alltoall = alg
-	default:
-		panic(unknownCollective(coll))
-	}
-}
+func (t *Tuning) Force(coll, alg string) { *row(coll).field(t) = alg }
 
 // Validate reports the first forced algorithm the registry does not have,
 // naming its field ("Bcast: unknown bcast algorithm …") so a caller can
 // prefix its own path.
 func (t Tuning) Validate() error {
-	for _, coll := range Collectives() {
-		if name := t.Forced(coll); name != "" && !slices.Contains(AlgorithmNames(coll), name) {
-			return fmt.Errorf("%s: %s", strings.ToUpper(coll[:1])+coll[1:], unknownAlgorithm(coll, name))
+	for _, r := range registry {
+		if name := *r.field(&t); name != "" && !slices.Contains(r.algs.names(), name) {
+			return fmt.Errorf("%s: %s", strings.ToUpper(r.name[:1])+r.name[1:], unknownAlgorithm(r.name, name))
 		}
 	}
 	return nil
@@ -316,10 +321,11 @@ func ParseTuning(s string) (Tuning, error) {
 			t.AllreduceRabCutoff = n
 			continue
 		}
-		if !slices.Contains(Collectives(), k) {
+		r, ok := find(k)
+		if !ok {
 			return t, errors.New(unknownCollective(k))
 		}
-		t.Force(k, v)
+		*r.field(&t) = v
 	}
 	if err := t.Validate(); err != nil {
 		return t, fmt.Errorf("mpi: Tuning.%w", err)
@@ -331,46 +337,25 @@ func ParseTuning(s string) (Tuning, error) {
 // communicator's topology (the registry's applicability predicate). It
 // panics on an unknown collective or algorithm.
 func (c *Comm) AlgorithmApplicable(coll, alg string) bool {
-	switch coll {
-	case "bcast":
-		return applicable(c, bcastAlgs, coll, alg)
-	case "reduce":
-		return applicable(c, reduceAlgs, coll, alg)
-	case "allgather":
-		return applicable(c, allgatherAlgs, coll, alg)
-	case "barrier":
-		return applicable(c, barrierAlgs, coll, alg)
-	case "allreduce":
-		return applicable(c, allreduceAlgs, coll, alg)
-	case "alltoall":
-		return applicable(c, alltoallAlgs, coll, alg)
-	}
-	panic(unknownCollective(coll))
-}
-
-func applicable[F any](c *Comm, algs map[string]entry[F], coll, alg string) bool {
-	e, found := algs[alg]
+	ok, found := row(coll).algs.applicable(c, alg)
 	if !found {
 		panic("mpi: " + unknownAlgorithm(coll, alg))
 	}
-	return e.ok(c)
+	return ok
 }
 
 // --- per-call selection ---
 // Each pick resolves a preferred name — the forced one, or the table's
-// choice — and gates it on the registry entry's own applicability
-// predicate, falling back to the flat default; the predicates live only
-// in the registry.
+// choice — and hands it to the shared tail (algMap.pick), which gates it on
+// the registry entry's own applicability predicate and falls back to the
+// flat default; the predicates live only in the registry.
 
 func (c *Comm) pickBcast() bcastFn {
 	name := c.tuning.Bcast
 	if name == "" {
 		name = "hier-leader"
 	}
-	if e := bcastAlgs[name]; e.ok(c) {
-		return e.run
-	}
-	return bcastAlgs[flatBcast].run
+	return bcastAlgs.pick(c, name)
 }
 
 func (c *Comm) pickReduce(n int) reduceFn {
@@ -378,12 +363,7 @@ func (c *Comm) pickReduce(n int) reduceFn {
 	if name == "" && n >= c.tuning.ReduceHierCutoff {
 		name = "hier"
 	}
-	if name != "" {
-		if e := reduceAlgs[name]; e.ok(c) {
-			return e.run
-		}
-	}
-	return reduceAlgs[flatReduce].run
+	return reduceAlgs.pick(c, name)
 }
 
 // pickAllgather takes the per-rank block size. The table keeps hier where
@@ -394,17 +374,14 @@ func (c *Comm) pickAllgather(n int) allgatherFn {
 	name := c.tuning.Allgather
 	if name == "" {
 		name = "hier"
-		if !allgatherAlgs[name].ok(c) && n < c.tuning.allgatherRingCutoff() {
+		if !allgatherAlgs.m[name].ok(c) && n < c.tuning.allgatherRingCutoff() {
 			name = "recursive-doubling"
-			if !allgatherAlgs[name].ok(c) {
+			if !allgatherAlgs.m[name].ok(c) {
 				name = "bruck"
 			}
 		}
 	}
-	if e := allgatherAlgs[name]; e.ok(c) {
-		return e.run
-	}
-	return allgatherAlgs[flatAllgather].run
+	return allgatherAlgs.pick(c, name)
 }
 
 func (c *Comm) pickBarrier() barrierFn {
@@ -412,10 +389,7 @@ func (c *Comm) pickBarrier() barrierFn {
 	if name == "" {
 		name = "hier"
 	}
-	if e := barrierAlgs[name]; e.ok(c) {
-		return e.run
-	}
-	return barrierAlgs[flatBarrier].run
+	return barrierAlgs.pick(c, name)
 }
 
 func (c *Comm) pickAllreduce(n int) allreduceFn {
@@ -431,12 +405,7 @@ func (c *Comm) pickAllreduce(n int) allreduceFn {
 			name = "recursive-doubling"
 		}
 	}
-	if name != "" {
-		if e := allreduceAlgs[name]; e.ok(c) {
-			return e.run
-		}
-	}
-	return allreduceAlgs[flatAllreduce].run
+	return allreduceAlgs.pick(c, name)
 }
 
 // pickAlltoall takes the per-peer block size. The table overlaps the
@@ -447,10 +416,5 @@ func (c *Comm) pickAlltoall(n int) alltoallFn {
 	if name == "" && n < alltoallScatterCutoff && len(c.t.leaders) > 1 {
 		name = "scattered"
 	}
-	if name != "" {
-		if e := alltoallAlgs[name]; e.ok(c) {
-			return e.run
-		}
-	}
-	return alltoallAlgs[flatAlltoall].run
+	return alltoallAlgs.pick(c, name)
 }

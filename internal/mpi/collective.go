@@ -30,7 +30,7 @@ const (
 	tagRabAG     // rabenseifner allgather (recursive doubling)
 	tagSAScatter // scatter-allgather bcast: binomial scatter stage
 	tagSARing    // scatter-allgather bcast: ring allgatherv stage
-	tagXAddr     // RDMA-direct exposure region addr/rkey exchange
+	tagXAddr     // window (and RDMA-direct exposure) addr/rkey exchange
 	tagAGDouble  // allgather recursive-doubling exchange
 	tagAGBruck   // allgather Bruck exchange
 )
@@ -70,23 +70,10 @@ func (c *Comm) Barrier() {
 	c.pickBarrier()(c)
 }
 
-// FlatBarrier is the topology-oblivious dissemination barrier
-// (barrier/dissemination), correct for any rank count.
-func (c *Comm) FlatBarrier() {
-	size, rank := c.Size(), c.Rank()
-	if size == 1 {
-		return
-	}
-	token := c.scratch(&c.scr.token, 1)
-	in := c.scratch(&c.scr.in, 1)
-	for dist := 1; dist < size; dist <<= 1 {
-		to := (rank + dist) % size
-		from := (rank - dist + size) % size
-		rr := c.irecvCtx(in, from, tagBarrier)
-		sr := c.isendCtx(token, to, tagBarrier)
-		c.eng.Wait(c.p, sr)
-		c.eng.Wait(c.p, rr)
-	}
+// flatBarrier is barrier/dissemination over the whole communicator,
+// correct for any rank count.
+func (c *Comm) flatBarrier() {
+	c.groupDissem(c.t.world, c.Rank(), tagBarrier)
 }
 
 // Bcast broadcasts root's buffer to all ranks through the tuned algorithm
@@ -99,8 +86,8 @@ func (c *Comm) Bcast(buf Buffer, root int) {
 	c.pickBcast()(c, buf, root)
 }
 
-// FlatBcast is the topology-oblivious binomial broadcast (bcast/binomial).
-func (c *Comm) FlatBcast(buf Buffer, root int) {
+// flatBcast is the topology-oblivious binomial broadcast (bcast/binomial).
+func (c *Comm) flatBcast(buf Buffer, root int) {
 	c.groupBcast(buf, c.t.world, root, tagBcast)
 }
 
@@ -130,8 +117,8 @@ func (c *Comm) Reduce(send, recv Buffer, dt Datatype, op Op, root int) {
 	c.pickReduce(send.Len)(c, send, recv, dt, op, root)
 }
 
-// FlatReduce is the topology-oblivious binomial reduce (reduce/binomial).
-func (c *Comm) FlatReduce(send, recv Buffer, dt Datatype, op Op, root int) {
+// flatReduce is the topology-oblivious binomial reduce (reduce/binomial).
+func (c *Comm) flatReduce(send, recv Buffer, dt Datatype, op Op, root int) {
 	c.groupReduce(send, recv, dt, op, c.t.world, root, tagReduce)
 }
 
@@ -156,9 +143,9 @@ func (c *Comm) Allreduce(send, recv Buffer, dt Datatype, op Op) {
 	c.pickAllreduce(send.Len)(c, send, recv, dt, op)
 }
 
-// FlatAllreduce is Reduce to rank 0 followed by Bcast, the classic simple
+// flatAllreduce is Reduce to rank 0 followed by Bcast, the classic simple
 // algorithm (allreduce/reduce-bcast; adequate at 8 ranks on a flat wire).
-func (c *Comm) FlatAllreduce(send, recv Buffer, dt Datatype, op Op) {
+func (c *Comm) flatAllreduce(send, recv Buffer, dt Datatype, op Op) {
 	c.Reduce(send, recv, dt, op, 0)
 	c.Bcast(recv, 0)
 }
@@ -222,21 +209,11 @@ func (c *Comm) Allgather(send, recv Buffer) {
 	c.pickAllgather(send.Len)(c, send, recv)
 }
 
-// FlatAllgather is the topology-oblivious ring algorithm (allgather/ring).
-func (c *Comm) FlatAllgather(send, recv Buffer) {
-	size, rank := c.Size(), c.Rank()
-	n := send.Len
+// flatAllgather is the topology-oblivious ring algorithm (allgather/ring).
+func (c *Comm) flatAllgather(send, recv Buffer) {
+	rank, n := c.Rank(), send.Len
 	copy(c.Bytes(Slice(recv, rank*n, n)), c.Bytes(send))
-	right := (rank + 1) % size
-	left := (rank - 1 + size) % size
-	for step := 0; step < size-1; step++ {
-		blk := (rank - step + size) % size
-		nxt := (rank - step - 1 + size) % size
-		rr := c.irecvCtx(Slice(recv, nxt*n, n), left, tagAllgather)
-		sr := c.isendCtx(Slice(recv, blk*n, n), right, tagAllgather)
-		c.eng.Wait(c.p, sr)
-		c.eng.Wait(c.p, rr)
-	}
+	c.groupRing(c.t.world, rank, func(i int) Buffer { return Slice(recv, i*n, n) }, tagAllgather)
 }
 
 // Alltoall exchanges equal-size blocks between all rank pairs through the
@@ -250,9 +227,9 @@ func (c *Comm) Alltoall(send, recv Buffer) {
 	c.pickAlltoall(send.Len/size)(c, send, recv)
 }
 
-// FlatAlltoall is the pairwise exchange schedule (alltoall/pairwise) over
+// flatAlltoall is the pairwise exchange schedule (alltoall/pairwise) over
 // equal blocks.
-func (c *Comm) FlatAlltoall(send, recv Buffer) {
+func (c *Comm) flatAlltoall(send, recv Buffer) {
 	n := send.Len / c.Size()
 	c.pairwise(func(p int) Buffer { return Slice(send, p*n, n) },
 		func(p int) Buffer { return Slice(recv, p*n, n) })

@@ -34,10 +34,17 @@ var collectiveTopologies = []topology{
 
 func launch(t *testing.T, tp topology, body func(comm *mpi.Comm)) {
 	t.Helper()
+	launchTuned(t, tp, nil, body)
+}
+
+// launchTuned is launch with a forced tuning table (nil = the default).
+func launchTuned(t *testing.T, tp topology, tun *mpi.Tuning, body func(comm *mpi.Comm)) {
+	t.Helper()
 	c := cluster.MustNew(cluster.Config{
 		NP:           tp.np,
 		CoresPerNode: tp.cpn,
 		Transport:    cluster.TransportZeroCopy,
+		Tuning:       tun,
 	})
 	defer c.Close()
 	c.Launch(body)
@@ -75,42 +82,38 @@ func TestReduceAllTopologies(t *testing.T) {
 		tp := tp
 		t.Run(tp.name, func(t *testing.T) {
 			const n = 17 // non-power-of-two element count
-			for _, root := range []int{0, tp.np - 1, tp.np / 2} {
-				root := root
-				launch(t, tp, func(comm *mpi.Comm) {
-					send, sb := comm.Alloc(8 * n)
-					recv, rb := comm.Alloc(8 * n)
-					recvH, rhb := comm.Alloc(8 * n)
-					for i := 0; i < n; i++ {
-						mpi.PutInt64(sb, i, int64(comm.Rank()+i))
-					}
-					// The dispatched path (flat below the size cutoff) and
-					// the hierarchical algorithm outright must both agree.
-					comm.Reduce(send, recv, mpi.Int64, mpi.Sum, root)
-					comm.HierReduce(send, recvH, mpi.Int64, mpi.Sum, root)
-					if comm.Rank() != root {
-						return
-					}
-					np := int64(comm.Size())
-					for i := 0; i < n; i++ {
-						want := np*(np-1)/2 + np*int64(i)
-						if got := mpi.GetInt64(rb, i); got != want {
-							t.Errorf("root %d elem %d: got %d want %d", root, i, got, want)
+			// The dispatched path (flat below the size cutoff) and the
+			// hierarchical algorithm forced must both agree.
+			for _, tun := range []*mpi.Tuning{nil, {Reduce: "hier"}} {
+				for _, root := range []int{0, tp.np - 1, tp.np / 2} {
+					root := root
+					launchTuned(t, tp, tun, func(comm *mpi.Comm) {
+						send, sb := comm.Alloc(8 * n)
+						recv, rb := comm.Alloc(8 * n)
+						for i := 0; i < n; i++ {
+							mpi.PutInt64(sb, i, int64(comm.Rank()+i))
+						}
+						comm.Reduce(send, recv, mpi.Int64, mpi.Sum, root)
+						if comm.Rank() != root {
 							return
 						}
-						if got := mpi.GetInt64(rhb, i); got != want {
-							t.Errorf("root %d elem %d: hier got %d want %d", root, i, got, want)
-							return
+						np := int64(comm.Size())
+						for i := 0; i < n; i++ {
+							want := np*(np-1)/2 + np*int64(i)
+							if got := mpi.GetInt64(rb, i); got != want {
+								t.Errorf("tuning %+v root %d elem %d: got %d want %d", tun, root, i, got, want)
+								return
+							}
 						}
-					}
-					// The caller's send buffer must be untouched.
-					for i := 0; i < n; i++ {
-						if mpi.GetInt64(sb, i) != int64(comm.Rank()+i) {
-							t.Errorf("root %d: send buffer clobbered at %d", root, i)
-							return
+						// The caller's send buffer must be untouched.
+						for i := 0; i < n; i++ {
+							if mpi.GetInt64(sb, i) != int64(comm.Rank()+i) {
+								t.Errorf("root %d: send buffer clobbered at %d", root, i)
+								return
+							}
 						}
-					}
-				})
+					})
+				}
 			}
 		})
 	}
@@ -243,18 +246,18 @@ func TestHierMatchesFlat(t *testing.T) {
 	hier := make([]byte, size)
 	for _, mode := range []string{"flat", "hier"} {
 		mode := mode
-		launch(t, tp, func(comm *mpi.Comm) {
+		var tun *mpi.Tuning
+		if mode == "flat" {
+			tun = &mpi.Tuning{Bcast: "binomial"}
+		}
+		launchTuned(t, tp, tun, func(comm *mpi.Comm) {
 			buf, b := comm.Alloc(size)
 			if comm.Rank() == 1 {
 				for i := range b {
 					b[i] = byte(i * 3)
 				}
 			}
-			if mode == "flat" {
-				comm.FlatBcast(buf, 1)
-			} else {
-				comm.Bcast(buf, 1)
-			}
+			comm.Bcast(buf, 1)
 			if comm.Rank() == 5 {
 				if mode == "flat" {
 					copy(flat, b)

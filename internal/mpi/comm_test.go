@@ -343,50 +343,53 @@ func TestWildcardIsolationAcrossComms(t *testing.T) {
 // scratch (the Alloc-count assertion of the scratch-buffer refactor).
 // Split's triple and table and, on flat-np6, Bruck's working copy are
 // scratch too: a second Split or Allgather on a communicator is free, and
-// so is a second scattered Alltoall.
+// so is a second scattered Alltoall. Each layout runs twice, the second
+// time with the dissemination barrier forced, so its scratch is checked
+// on the SMP layout too.
 func TestCollectiveScratchReuse(t *testing.T) {
 	for _, tp := range []topology{{"flat-np4", 4, 1}, {"flat-np6", 6, 1}, {"smp-4x2", 8, 2}} {
 		tp := tp
 		t.Run(tp.name, func(t *testing.T) {
-			launch(t, tp, func(comm *mpi.Comm) {
-				const n = 16 << 10 // above the hier reduce cutoff
-				send, _ := comm.Alloc(n)
-				recv, _ := comm.Alloc(n)
-				small, _ := comm.Alloc(8)
-				smallR, _ := comm.Alloc(8)
+			for _, tun := range []*mpi.Tuning{nil, {Barrier: "dissemination"}} {
+				launchTuned(t, tp, tun, func(comm *mpi.Comm) {
+					const n = 16 << 10 // above the hier reduce cutoff
+					send, _ := comm.Alloc(n)
+					recv, _ := comm.Alloc(n)
+					small, _ := comm.Alloc(8)
+					smallR, _ := comm.Alloc(8)
 
-				// Warm every scratch slot: barrier token/fan-in, reduce
-				// accumulators (flat small, hier large), bcast (no scratch).
-				comm.Barrier()
-				comm.FlatBarrier()
-				comm.Allreduce(small, smallR, mpi.Int64, mpi.Sum)
-				comm.Allreduce(send, recv, mpi.Byte, mpi.Sum)
-				all, _ := comm.Alloc(8 * comm.Size())
-				comm.Allgather(small, all)
-				comm.Split(comm.Rank()%2, 0)
-				var a2a [2][2]mpi.Buffer // 256 B and 4 KiB blocks, send and recv
-				for i, blk := range []int{256, 4 << 10} {
-					a2a[i][0], _ = comm.Alloc(blk * comm.Size())
-					a2a[i][1], _ = comm.Alloc(blk * comm.Size())
-					comm.Alltoall(a2a[i][0], a2a[i][1])
-				}
-
-				before := comm.Allocs()
-				for i := 0; i < 5; i++ {
+					// Warm every scratch slot: barrier token and fan-in or
+					// dissemination landing area, reduce accumulators (flat
+					// small, hier large), bcast (no scratch).
 					comm.Barrier()
-					comm.FlatBarrier()
 					comm.Allreduce(small, smallR, mpi.Int64, mpi.Sum)
 					comm.Allreduce(send, recv, mpi.Byte, mpi.Sum)
+					all, _ := comm.Alloc(8 * comm.Size())
 					comm.Allgather(small, all)
 					comm.Split(comm.Rank()%2, 0)
-					for _, bufs := range a2a {
-						comm.Alltoall(bufs[0], bufs[1])
+					var a2a [2][2]mpi.Buffer // 256 B and 4 KiB blocks, send and recv
+					for i, blk := range []int{256, 4 << 10} {
+						a2a[i][0], _ = comm.Alloc(blk * comm.Size())
+						a2a[i][1], _ = comm.Alloc(blk * comm.Size())
+						comm.Alltoall(a2a[i][0], a2a[i][1])
 					}
-				}
-				if got := comm.Allocs(); got != before {
-					t.Errorf("rank %d: steady-state collectives allocated %d times", comm.Rank(), got-before)
-				}
-			})
+
+					before := comm.Allocs()
+					for i := 0; i < 5; i++ {
+						comm.Barrier()
+						comm.Allreduce(small, smallR, mpi.Int64, mpi.Sum)
+						comm.Allreduce(send, recv, mpi.Byte, mpi.Sum)
+						comm.Allgather(small, all)
+						comm.Split(comm.Rank()%2, 0)
+						for _, bufs := range a2a {
+							comm.Alltoall(bufs[0], bufs[1])
+						}
+					}
+					if got := comm.Allocs(); got != before {
+						t.Errorf("rank %d: steady-state collectives allocated %d times", comm.Rank(), got-before)
+					}
+				})
+			}
 		})
 	}
 }
@@ -484,4 +487,47 @@ func TestParseTuning(t *testing.T) {
 	if err != nil || empty != mpi.DefaultTuning() {
 		t.Fatalf("empty list should parse to the default table: %+v, %v", empty, err)
 	}
+}
+
+// TestRegistryTable walks every row of the registry: each registered name
+// round-trips through Force and Forced and parses as a "coll=alg"
+// override, and every name lookup panics on a collective the table lacks.
+func TestRegistryTable(t *testing.T) {
+	for _, coll := range mpi.Collectives() {
+		for _, alg := range mpi.AlgorithmNames(coll) {
+			var tun mpi.Tuning
+			tun.Force(coll, alg)
+			if got := tun.Forced(coll); got != alg {
+				t.Errorf("Force(%q, %q) then Forced = %q", coll, alg, got)
+			}
+			if parsed, err := mpi.ParseTuning(coll + "=" + alg); err != nil || parsed.Forced(coll) != alg {
+				t.Errorf("ParseTuning(%q) = %q, %v", coll+"="+alg, parsed.Forced(coll), err)
+			}
+		}
+	}
+
+	lookups := map[string]func(){
+		"AlgorithmNames": func() { mpi.AlgorithmNames("gather") },
+		"Forced":         func() { mpi.Tuning{}.Forced("gather") },
+		"Force":          func() { new(mpi.Tuning).Force("gather", "ring") },
+	}
+	for name, fn := range lookups {
+		if !panics(fn) {
+			t.Errorf("%s accepted the unknown collective \"gather\"", name)
+		}
+	}
+	launch(t, topology{"flat-np2", 2, 1}, func(comm *mpi.Comm) {
+		if !panics(func() { comm.AlgorithmApplicable("gather", "ring") }) {
+			t.Error("AlgorithmApplicable accepted the unknown collective \"gather\"")
+		}
+		if !panics(func() { comm.AlgorithmApplicable("bcast", "ring") }) {
+			t.Error("AlgorithmApplicable accepted the unknown algorithm bcast/ring")
+		}
+	})
+}
+
+func panics(fn func()) (did bool) {
+	defer func() { did = recover() != nil }()
+	fn()
+	return false
 }

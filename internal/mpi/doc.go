@@ -7,15 +7,17 @@
 // performance of MPI-1 functions in MPICH2" (§1 of
 // conf_ipps_LiuJWPABGT04).
 //
-// Collectives dispatch through a per-communicator algorithm registry and
-// tuning table (algorithms.go, DESIGN.md §8); communicators and
-// context-id allocation live in comm.go. An MPI-2 one-sided extension
-// (Win/Put/Get/Accumulate/Fence over RDMA and InfiniBand atomics),
-// flagged as future work in §9 of the paper, lives in onesided.go.
+// Collectives dispatch through a per-communicator algorithm registry —
+// one table, one row per collective — and tuning table (algorithms.go,
+// DESIGN.md §8); communicators and context-id allocation live in comm.go.
+// An MPI-2 one-sided extension (Win/Put/Get/FetchAdd/CompareSwap/Fence
+// over RDMA and InfiniBand atomics), flagged as future work in §9 of the
+// paper, lives in onesided.go; the RDMA-direct collectives
+// (rdmadirect.go) expose their slot region as such a window.
 //
 // Layer boundaries: mpi sees messages, communicators and ranks; bytes,
 // rails and transports are the engine's and endpoints' business. The one
-// deliberate exception is the one-sided extension, which reaches through
+// deliberate exception is the one-sided window, which reaches through
 // rdmachan.RawAccess for raw verbs resources (rail 0's, on a multi-rail
 // connection) — and is therefore restricted to channel-design transports
 // (the construction error names the config knob to flip:
@@ -34,7 +36,7 @@
 //     trees, allgather below its block cutoff (Tuning.Allgather = "ring"
 //     is the old schedule), multi-node alltoall below its block cutoff
 //     (Tuning.Alltoall = "pairwise"); forced overrides come only through
-//     Tuning.
+//     Tuning — no per-algorithm method is exported.
 //   - Collectives reuse per-communicator scratch buffers: zero
 //     steady-state allocations (TestCollectiveScratchReuse).
 package mpi

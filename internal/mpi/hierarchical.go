@@ -107,10 +107,10 @@ func groupIndex(group []int, rank int) int {
 }
 
 // --- generic group algorithms ---
-// These run the flat binomial schedules over an arbitrary rank list, so
-// one implementation serves the world communicator, the leader level and
-// the node level. Every member of group must call with identical group
-// and rootIdx.
+// These run the flat schedules — binomial, dissemination, ring — over an
+// arbitrary rank list, so one implementation serves the world
+// communicator, the leader level and the node level. Every member of
+// group must call with identical group and rootIdx.
 
 // groupBcast broadcasts group[rootIdx]'s buffer over the group (binomial
 // tree, correct for any group size).
@@ -186,6 +186,40 @@ func (c *Comm) groupReduce(send, recv Buffer, dt Datatype, op Op, group []int, r
 	}
 }
 
+// groupDissem is the dissemination barrier over group, me being the
+// caller's index in it: at distance 1, 2, 4, … every member signals the
+// member dist places ahead and waits for the one dist places behind.
+func (c *Comm) groupDissem(group []int, me, tag int) {
+	n := len(group)
+	if n <= 1 {
+		return
+	}
+	token := c.scratch(&c.scr.token, 1)
+	in := c.scratch(&c.scr.in, 1)
+	for dist := 1; dist < n; dist <<= 1 {
+		rr := c.irecvCtx(in, group[(me-dist+n)%n], tag)
+		sr := c.isendCtx(token, group[(me+dist)%n], tag)
+		c.eng.Wait(c.p, sr)
+		c.eng.Wait(c.p, rr)
+	}
+}
+
+// groupRing is the ring allgather over group, me being the caller's index
+// in it and blk(i) member i's block of the caller's buffer: at step s
+// every member passes block me-s to its right neighbour and takes block
+// me-s-1 from its left, so after len(group)-1 steps every member holds
+// every block. Blocks may differ in size.
+func (c *Comm) groupRing(group []int, me int, blk func(i int) Buffer, tag int) {
+	n := len(group)
+	right, left := group[(me+1)%n], group[(me-1+n)%n]
+	for step := 0; step < n-1; step++ {
+		rr := c.irecvCtx(blk((me-step-1+n)%n), left, tag)
+		sr := c.isendCtx(blk((me-step+n)%n), right, tag)
+		c.eng.Wait(c.p, sr)
+		c.eng.Wait(c.p, rr)
+	}
+}
+
 // --- hierarchical collectives ---
 
 func (c *Comm) hierBcast(buf Buffer, root int) {
@@ -200,11 +234,9 @@ func (c *Comm) hierBcast(buf Buffer, root int) {
 	}
 }
 
-// HierReduce is the leader-based reduce (reduce/hier) regardless of
-// message size; the default tuning table dispatches to it at and above
-// the cutoff. Exported so the ablation can measure both algorithms across
-// the whole size axis.
-func (c *Comm) HierReduce(send, recv Buffer, dt Datatype, op Op, root int) {
+// hierReduce is the leader-based reduce (reduce/hier); the default tuning
+// table dispatches to it at and above the cutoff.
+func (c *Comm) hierReduce(send, recv Buffer, dt Datatype, op Op, root int) {
 	rank := c.Rank()
 	localRoot := c.t.localRoot(root)
 
@@ -246,21 +278,10 @@ func (c *Comm) hierAllgather(send, recv Buffer) {
 
 	// Stage 2: ring over the leaders, moving whole node blocks (variable
 	// sizes: the last node may be partially filled).
-	L := len(t.leaders)
-	if rank == lead && L > 1 {
-		li := groupIndex(t.leaders, lead)
-		right := t.leaders[(li+1)%L]
-		left := t.leaders[(li-1+L)%L]
-		for step := 0; step < L-1; step++ {
-			blk := (li - step + L) % L
-			nxt := (li - step - 1 + L) % L
-			sendBlk := Slice(recv, t.leaders[blk]*n, t.counts[blk]*n)
-			recvBlk := Slice(recv, t.leaders[nxt]*n, t.counts[nxt]*n)
-			rr := c.irecvCtx(recvBlk, left, tagHAllgatherRing)
-			sr := c.isendCtx(sendBlk, right, tagHAllgatherRing)
-			c.eng.Wait(c.p, sr)
-			c.eng.Wait(c.p, rr)
-		}
+	if rank == lead {
+		c.groupRing(t.leaders, groupIndex(t.leaders, lead), func(i int) Buffer {
+			return Slice(recv, t.leaders[i]*n, t.counts[i]*n)
+		}, tagHAllgatherRing)
 	}
 
 	// Stage 3: the leader shares the assembled result over shared memory.
@@ -293,18 +314,8 @@ func (c *Comm) hierBarrier() {
 	}
 
 	// Stage 2: dissemination among the leaders.
-	L := len(t.leaders)
-	if rank == lead && L > 1 {
-		li := groupIndex(t.leaders, lead)
-		in := c.scratch(&c.scr.in, 1)
-		for dist := 1; dist < L; dist <<= 1 {
-			to := t.leaders[(li+dist)%L]
-			from := t.leaders[(li-dist+L)%L]
-			rr := c.irecvCtx(in, from, tagHBarrierDissem)
-			sr := c.isendCtx(token, to, tagHBarrierDissem)
-			c.eng.Wait(c.p, sr)
-			c.eng.Wait(c.p, rr)
-		}
+	if rank == lead {
+		c.groupDissem(t.leaders, groupIndex(t.leaders, lead), tagHBarrierDissem)
 	}
 
 	// Stage 3: node release.

@@ -24,9 +24,9 @@ import (
 // rail 0's protection domain, its operations posted on rail 0's queue pair.
 // Its completions come back through the connection's completion router
 // (rdmachan.RawAccess.OnCQE) under the window's own WRID class, so a window
-// shares a connection with striped rendezvous traffic, RDMA-direct
-// collectives and other windows without any of them seeing another's
-// completions.
+// shares a connection with striped rendezvous traffic and other windows —
+// an RDMA-direct collective exposure (rdmadirect.go) is one — without any
+// of them seeing another's completions.
 
 // Win is a one-sided communication window.
 type Win struct {
@@ -42,7 +42,6 @@ type Win struct {
 type winPeer struct {
 	raw     rdmachan.RawAccess
 	wrid    uint64 // the window's WRID class on this connection
-	mr      *ib.MR // window registration under this connection's PD
 	rAddr   uint64 // peer window base
 	rKey    uint32 // peer window rkey for this connection
 	scratch Buffer // registered 8-byte scratch for atomics results
@@ -74,12 +73,34 @@ func rawOf(ep transport.Endpoint) (rdmachan.RawAccess, error) {
 // window. The base buffer must be at least `size` bytes on every rank.
 func (c *Comm) WinCreate(base Buffer) (*Win, error) {
 	w := &Win{comm: c, base: base, peers: make([]winPeer, c.Size())}
-	np, rank := c.Size(), c.Rank()
+	err := w.expose(ib.AccessLocalWrite|ib.AccessRemoteWrite|ib.AccessRemoteRead|ib.AccessRemoteAtomic,
+		func(p *winPeer) error {
+			// The 8-byte landing cell of this peer's atomics results.
+			scratchVA, _ := c.eng.Node().Mem.Alloc(8)
+			scrMR, err := c.eng.HCA().RegisterMR(c.p, p.raw.RawPD(), scratchVA, 8, ib.AccessLocalWrite)
+			if err != nil {
+				return fmt.Errorf("mpi: scratch registration: %w", err)
+			}
+			p.scratch, p.scrMR = Buffer{Addr: scratchVA, Len: 8}, scrMR
+			return nil
+		})
+	if err != nil {
+		return nil, err
+	}
+	c.Barrier()
+	return w, nil
+}
 
-	// Register the window under every connection's protection domain and
-	// exchange (addr, rkey) pairwise — the window-creation handshake.
-	for peer := 0; peer < np; peer++ {
-		if peer == rank {
+// expose registers the window's base under every member connection's
+// protection domain with the given access and swaps (addr, rkey) with each
+// peer — the window-creation handshake, shared by WinCreate and the
+// RDMA-direct exposure. extra, when non-nil, runs per peer between the
+// registration and the exchange. A peer keeps the WRID class it was given
+// on an earlier exposure of the same window.
+func (w *Win) expose(access ib.Access, extra func(p *winPeer) error) error {
+	c := w.comm
+	for peer := range w.peers {
+		if peer == c.Rank() {
 			continue
 		}
 		// Lazy mode: a window grants every member RDMA access to this rank,
@@ -88,35 +109,36 @@ func (c *Comm) WinCreate(base Buffer) (*Win, error) {
 		c.eng.EnsureConnected(c.p, c.world(peer))
 		raw, err := rawOf(c.eng.Endpoint(c.world(peer)))
 		if err != nil {
-			return nil, err
+			return err
 		}
-		hca := c.eng.HCA()
-		mr, err := hca.RegisterMR(c.p, raw.RawPD(), base.Addr, base.Len,
-			ib.AccessLocalWrite|ib.AccessRemoteWrite|ib.AccessRemoteRead|ib.AccessRemoteAtomic)
+		mr, err := c.eng.HCA().RegisterMR(c.p, raw.RawPD(), w.base.Addr, w.base.Len, access)
 		if err != nil {
-			return nil, fmt.Errorf("mpi: window registration: %w", err)
+			return fmt.Errorf("mpi: window registration: %w", err)
 		}
-		scratchVA, _ := c.eng.Node().Mem.Alloc(8)
-		scrMR, err := hca.RegisterMR(c.p, raw.RawPD(), scratchVA, 8, ib.AccessLocalWrite)
-		if err != nil {
-			return nil, fmt.Errorf("mpi: scratch registration: %w", err)
+		p := &w.peers[peer]
+		p.raw = raw
+		if extra != nil {
+			if err := extra(p); err != nil {
+				return err
+			}
 		}
-		w.peers[peer] = winPeer{
-			raw: raw, wrid: raw.OnCQE(w.complete), mr: mr,
-			scratch: Buffer{Addr: scratchVA, Len: 8}, scrMR: scrMR,
+		if p.wrid == 0 {
+			p.wrid = raw.OnCQE(w.complete)
 		}
 
-		// Exchange window addresses with this peer.
+		// Exchange addresses on the collective context, where no user
+		// receive can match them. Receiving a peer's (addr, rkey) implies
+		// the peer registered first, so an operation can never race its
+		// target's registration.
 		sb, sbb := c.Alloc(16)
 		rb, rbb := c.Alloc(16)
-		PutInt64(sbb, 0, int64(base.Addr))
+		PutInt64(sbb, 0, int64(w.base.Addr))
 		PutInt64(sbb, 1, int64(mr.RKey()))
-		c.Sendrecv(sb, peer, 900, rb, peer, 900)
-		w.peers[peer].rAddr = uint64(GetInt64(rbb, 0))
-		w.peers[peer].rKey = uint32(GetInt64(rbb, 1))
+		c.Sendrecv2(sb, peer, rb, peer, tagXAddr)
+		p.rAddr = uint64(GetInt64(rbb, 0))
+		p.rKey = uint32(GetInt64(rbb, 1))
 	}
-	c.Barrier()
-	return w, nil
+	return nil
 }
 
 // complete reaps one of the window's operations.
@@ -197,9 +219,8 @@ func (w *Win) atomic(target, off int, op ib.Opcode, compare, swap uint64) (int64
 	})
 	w.outstanding++
 	// Atomics return a value, so wait for this operation's completion.
-	w.waitOutstanding(before)
-	if w.failed != nil {
-		return 0, w.failed
+	if err := w.waitOutstanding(before); err != nil {
+		return 0, err
 	}
 	return GetInt64(w.comm.Bytes(p.scratch), 0), nil
 }
@@ -213,9 +234,10 @@ func release(w *Win, p winPeer, mr *ib.MR) {
 }
 
 // waitOutstanding drives progress until at most target one-sided
-// operations remain in flight.
-func (w *Win) waitOutstanding(target int) {
+// operations remain in flight, and reports the window's first failure.
+func (w *Win) waitOutstanding(target int) error {
 	w.comm.eng.ProgressUntil(w.comm.p, func() bool { return w.outstanding <= target })
+	return w.failed
 }
 
 // Fence completes all outstanding one-sided operations issued by this

@@ -313,3 +313,32 @@ func TestOneSidedWithRDMADirect(t *testing.T) {
 		}
 	})
 }
+
+// TestWinCreatePendingWildcardRecv: window creation swaps its (addr, rkey)
+// pairs on the collective context, so a user receive with AnyTag posted
+// before WinCreate can neither swallow the handshake nor miss the user
+// message meant for it.
+func TestWinCreatePendingWildcardRecv(t *testing.T) {
+	c := cluster.MustNew(cluster.Config{NP: 2, Transport: cluster.TransportZeroCopy})
+	defer c.Close()
+	got := int32(-1)
+	c.Launch(func(comm *mpi.Comm) {
+		buf, _ := comm.Alloc(16)
+		winBuf, _ := comm.Alloc(64)
+		if comm.Rank() == 0 {
+			req := comm.Irecv(buf, 1, mpi.AnyTag)
+			if _, err := comm.WinCreate(winBuf); err != nil {
+				t.Errorf("WinCreate: %v", err)
+			}
+			got = comm.Wait(req).Tag
+			return
+		}
+		if _, err := comm.WinCreate(winBuf); err != nil {
+			t.Errorf("WinCreate: %v", err)
+		}
+		comm.Send(buf, 0, 5)
+	})
+	if got != 5 {
+		t.Fatalf("the pending user receive matched tag %d, want the user's tag 5", got)
+	}
+}

@@ -3,26 +3,26 @@ package mpi
 import (
 	"fmt"
 
-	"repro/internal/des"
 	"repro/internal/ib"
-	"repro/internal/rdmachan"
 )
 
 // RDMA-direct collectives: the paper's RDMA fast path applied to whole
 // collective schedules instead of single messages. Each communicator
-// lazily exposes a registered slot region on every rank; algorithm steps
-// then move payloads with one RDMA write straight from the sender's
-// buffer into the receiver's pre-exposed slot — no eager copy through the
-// channel ring, no rendezvous handshake — and publish each payload with a
-// second 8-byte flag write the receiver polls, exactly the remote-write
-// completion detection the channel design uses for its own ring.
+// lazily exposes a slot region on every rank as a one-sided window
+// (onesided.go); algorithm steps then move payloads with one window Put —
+// one RDMA write straight from the sender's buffer into the receiver's
+// pre-exposed slot, no eager copy through the channel ring, no rendezvous
+// handshake — and publish each payload with a second 8-byte flag Put the
+// receiver polls, exactly the remote-write completion detection the
+// channel design uses for its own ring.
 //
 // Correctness leans on two orderings the fabric model provides. First,
 // two writes posted on one queue pair apply in order (the send engine
 // serializes granules and the switch model preserves per-flow granule
 // order), so a flag can never overtake its payload. Second, a writer's
-// completion fires only after the remote apply, so draining our own
-// completions before touching local buffers makes reuse safe.
+// completion fires only after the remote apply, so waiting out the
+// window's outstanding writes before touching local buffers makes reuse
+// safe, and leaves our payloads visible at their targets.
 //
 // Slot reuse across calls is guarded by call-parity double buffering:
 // call k uses slot bank k mod 2 within its algorithm family's dedicated
@@ -40,33 +40,22 @@ import (
 // Applicability (rdmaDirectOK) requires the cluster-wide capability flag
 // — channel-design transport, no SRQ eager mode, no armed fault plan; any
 // rail count, the exposure living on rail 0 — and an all-inter-node
-// communicator. Under an armed fault
-// plan the flag is down, so a tuning table forcing "rdma-direct" falls
-// back to the flat algorithms through the registry's standard fallback:
-// that is the failover story the rail-loss sweep asserts.
+// communicator. Under an armed fault plan the flag is down, so a tuning
+// table forcing "rdma-direct" falls back to the flat algorithms through
+// the registry's standard fallback: that is the failover story the
+// rail-loss sweep asserts.
 
-// rdmaDirect is a communicator's exposure state. The region is a row of
-// slots, each slotSize payload bytes plus an 8-byte flag, split into two
-// parity banks of slots/2 lanes each.
+// rdmaDirect is a communicator's exposure state. The exposure is a
+// one-sided window over a row of slots, each slotSize payload bytes plus
+// an 8-byte flag, split into two parity banks of slots/2 lanes each; every
+// payload and flag is a window Put.
 type rdmaDirect struct {
 	slotSize int // payload bytes per slot (power of two, grow-only)
 	slots    int // total slots, both parity banks (grow-only)
-	region   Buffer
+	win      *Win
 	seq      uint64 // collective call counter; the published flag value
-	peers    []directPeer
-
-	outstanding int // signaled RDMA writes awaiting completion
-	failed      error
-	calls       int    // completed RDMA-direct collectives (test hook)
-	flagSrc     Buffer // 8-byte staging cell the flag writes gather from
-}
-
-type directPeer struct {
-	raw   rdmachan.RawAccess
-	wrid  uint64 // this exposure's WRID class on the connection, registered once
-	mr    *ib.MR // region registration under this connection's PD
-	rAddr uint64 // peer region base
-	rKey  uint32
+	calls    int    // completed RDMA-direct collectives (test hook)
+	flagSrc  Buffer // 8-byte staging cell the flag writes gather from
 }
 
 func (x *rdmaDirect) stride() int { return x.slotSize + 8 }
@@ -76,13 +65,13 @@ func (x *rdmaDirect) stride() int { return x.slotSize + 8 }
 // same (minSlot, nSlots) from the same collective arguments and carries
 // the same grow-only state, so all ranks agree on whether to rebuild —
 // the rebuild's pairwise address exchange is itself collective. A rebuild
-// is safe mid-stream: every direct collective drains its writes before
+// is safe mid-stream: every direct collective waits out its writes before
 // returning, so no write targeting the old region is still in flight when
-// any rank enters the exchange.
+// any rank enters the exchange. The superseded region stays registered.
 func (c *Comm) ensureDirect(minSlot, nSlots int) *rdmaDirect {
 	x := c.direct
 	if x == nil {
-		x = &rdmaDirect{peers: make([]directPeer, c.Size())}
+		x = &rdmaDirect{win: &Win{comm: c, peers: make([]winPeer, c.Size())}}
 		c.direct = x
 	}
 	if x.slotSize >= minSlot && x.slots >= nSlots {
@@ -96,111 +85,45 @@ func (c *Comm) ensureDirect(minSlot, nSlots int) *rdmaDirect {
 		x.slotSize *= 2
 	}
 	x.slots = max(x.slots, nSlots)
-	x.region, _ = c.Alloc(x.slots * x.stride()) // zero-filled: flags start clear
+	x.win.base, _ = c.Alloc(x.slots * x.stride()) // zero-filled: flags start clear
 	if x.flagSrc.Len == 0 {
 		x.flagSrc, _ = c.Alloc(8)
 	}
-	np, rank := c.Size(), c.Rank()
-	for peer := 0; peer < np; peer++ {
-		if peer == rank {
-			continue
-		}
-		c.eng.EnsureConnected(c.p, c.world(peer))
-		raw, err := rawOf(c.eng.Endpoint(c.world(peer)))
-		if err != nil {
-			// rdmaDirectOK vouched for every connection; a raw-less endpoint
-			// here is a capability-flag bug, not a runtime condition.
-			panic(fmt.Sprintf("mpi: rdma-direct on incapable connection to rank %d: %v", peer, err))
-		}
-		mr, err := c.eng.HCA().RegisterMR(c.p, raw.RawPD(), x.region.Addr, x.region.Len,
-			ib.AccessLocalWrite|ib.AccessRemoteWrite)
-		if err != nil {
-			panic(fmt.Sprintf("mpi: rdma-direct region registration: %v", err))
-		}
-		wrid := x.peers[peer].wrid
-		if wrid == 0 {
-			wrid = raw.OnCQE(x.complete)
-		}
-		x.peers[peer] = directPeer{raw: raw, wrid: wrid, mr: mr}
-
-		// Exchange region addresses on the collective context. Receiving a
-		// peer's (addr, rkey) implies the peer registered first, so a write
-		// can never race its target's registration; no barrier needed.
-		sb, sbb := c.Alloc(16)
-		rb, rbb := c.Alloc(16)
-		PutInt64(sbb, 0, int64(x.region.Addr))
-		PutInt64(sbb, 1, int64(mr.RKey()))
-		c.Sendrecv2(sb, peer, rb, peer, tagXAddr)
-		x.peers[peer].rAddr = uint64(GetInt64(rbb, 0))
-		x.peers[peer].rKey = uint32(GetInt64(rbb, 1))
-	}
+	// rdmaDirectOK vouched for every connection; a failure here is a
+	// capability-flag bug, not a runtime condition.
+	must(x.win.expose(ib.AccessLocalWrite|ib.AccessRemoteWrite, nil))
 	return x
 }
 
-// complete reaps one of the exposure's writes, from the connection's
-// completion router — a one-sided window or another communicator's
-// exposure sharing the connection has a class of its own.
-func (x *rdmaDirect) complete(_ *des.Proc, cqe ib.CQE) {
-	x.outstanding--
-	if cqe.Status != ib.StatusSuccess && x.failed == nil {
-		x.failed = fmt.Errorf("mpi: rdma-direct wr %#x failed: %v", cqe.WRID, cqe.Status)
-	}
-}
-
-// putData writes local into slot of peer's region (payload area).
-func (x *rdmaDirect) putData(c *Comm, peer, slot int, local Buffer) {
-	if local.Len == 0 {
-		return
-	}
-	x.post(c, peer, local, slot*x.stride())
-}
-
-// putFlag publishes slot to peer: writes the current call sequence into
-// the slot's flag word. Posted on the same queue pair after the payload,
-// so it applies after the payload.
-func (x *rdmaDirect) putFlag(c *Comm, peer, slot int) {
-	PutInt64(c.Bytes(x.flagSrc), 0, int64(x.seq))
-	x.post(c, peer, x.flagSrc, slot*x.stride()+x.slotSize)
-}
-
-func (x *rdmaDirect) post(c *Comm, peer int, local Buffer, off int) {
-	pr := &x.peers[peer]
-	mr, _, err := pr.raw.RailRegCache(0).Register(c.p, local.Addr, local.Len)
+// must panics on a failure the RDMA-direct path cannot recover from.
+func must(err error) {
 	if err != nil {
-		panic(fmt.Sprintf("mpi: rdma-direct source registration: %v", err))
-	}
-	pr.raw.RailQP(0).PostSend(c.p, ib.SendWR{
-		WRID: pr.wrid, Op: ib.OpRDMAWrite, Signaled: true,
-		SGL:        []ib.SGE{{Addr: local.Addr, Len: local.Len, LKey: mr.LKey()}},
-		RemoteAddr: pr.rAddr + uint64(off), RKey: pr.rKey,
-	})
-	x.outstanding++
-	if err := pr.raw.RailRegCache(0).Release(c.p, mr); err != nil {
-		panic(fmt.Sprintf("mpi: rdma-direct registration release: %v", err))
+		panic(fmt.Sprintf("mpi: rdma-direct: %v", err))
 	}
 }
 
-// drain drives progress until all our writes completed remotely. After it
-// returns, local source buffers may be reused (the gather happened) and
-// our payloads are visible at their targets (the apply happened).
-func (x *rdmaDirect) drain(c *Comm) {
-	c.eng.ProgressUntil(c.p, func() bool { return x.outstanding <= 0 })
-	if x.failed != nil {
-		panic(x.failed)
+// publish writes local into slot of peer's region, then the current call
+// sequence into the slot's flag word. Both are posted on the same queue
+// pair, so the flag applies after the payload.
+func (x *rdmaDirect) publish(c *Comm, peer, slot int, local Buffer) {
+	if local.Len > 0 {
+		must(x.win.Put(local, peer, slot*x.stride()))
 	}
+	PutInt64(c.Bytes(x.flagSrc), 0, int64(x.seq))
+	must(x.win.Put(x.flagSrc, peer, slot*x.stride()+x.slotSize))
 }
 
 // await polls slot's flag word until it carries the current call sequence
 // — the channel design's poll-on-last-byte, one level up.
 func (x *rdmaDirect) await(c *Comm, slot int) {
-	fb := c.Bytes(Slice(x.region, slot*x.stride()+x.slotSize, 8))
+	fb := c.Bytes(Slice(x.win.base, slot*x.stride()+x.slotSize, 8))
 	want := int64(x.seq)
 	c.eng.HCA().WaitMemory(c.p, func() bool { return GetInt64(fb, 0) == want })
 }
 
 // slotBytes resolves slot's first n payload bytes.
 func (x *rdmaDirect) slotBytes(c *Comm, slot, n int) []byte {
-	return c.Bytes(Slice(x.region, slot*x.stride(), n))
+	return c.Bytes(Slice(x.win.base, slot*x.stride(), n))
 }
 
 // directSlotPlan lays out the region's slot areas: the allreduce family
@@ -248,9 +171,8 @@ func (c *Comm) directAllreduce(send, recv Buffer, dt Datatype, op Op) {
 	vrank := rank - rem
 	if rank < 2*rem {
 		if rank%2 == 0 {
-			x.putData(c, rank+1, base, acc)
-			x.putFlag(c, rank+1, base)
-			x.drain(c)
+			x.publish(c, rank+1, base, acc)
+			must(x.win.waitOutstanding(0))
 			vrank = -1
 		} else {
 			x.await(c, base)
@@ -263,9 +185,8 @@ func (c *Comm) directAllreduce(send, recv Buffer, dt Datatype, op Op) {
 		lane := 1
 		for mask := 1; mask < pof2; mask <<= 1 {
 			peer := foldReal(vrank^mask, rem)
-			x.putData(c, peer, base+lane, acc)
-			x.putFlag(c, peer, base+lane)
-			x.drain(c) // acc is rewritten next; the write must have gathered
+			x.publish(c, peer, base+lane, acc)
+			must(x.win.waitOutstanding(0)) // acc is rewritten next; the write must have gathered
 			x.await(c, base+lane)
 			reduce(c.Bytes(acc), x.slotBytes(c, base+lane, n), dt, op)
 			c.chargeReduceFlops(n, dt)
@@ -277,9 +198,8 @@ func (c *Comm) directAllreduce(send, recv Buffer, dt Datatype, op Op) {
 		copy(c.Bytes(recv), x.slotBytes(c, base+lanes-1, n))
 	} else {
 		if rank < 2*rem {
-			x.putData(c, rank-1, base+lanes-1, acc)
-			x.putFlag(c, rank-1, base+lanes-1)
-			x.drain(c)
+			x.publish(c, rank-1, base+lanes-1, acc)
+			must(x.win.waitOutstanding(0))
 		}
 		copy(c.Bytes(recv), c.Bytes(acc))
 	}
@@ -302,10 +222,9 @@ func (c *Comm) directAlltoall(send, recv Buffer) {
 	copy(c.Bytes(Slice(recv, rank*n, n)), c.Bytes(Slice(send, rank*n, n)))
 	for step := 1; step < size; step++ {
 		to := (rank + step) % size
-		x.putData(c, to, base+rank, Slice(send, to*n, n))
-		x.putFlag(c, to, base+rank)
+		x.publish(c, to, base+rank, Slice(send, to*n, n))
 	}
-	x.drain(c)
+	must(x.win.waitOutstanding(0))
 	for step := 1; step < size; step++ {
 		from := (rank - step + size) % size
 		x.await(c, base+from)

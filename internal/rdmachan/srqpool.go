@@ -68,11 +68,8 @@ type SRQDispatch interface {
 
 // SRQPoolStats counts pool activity.
 type SRQPoolStats struct {
-	Dispatches  uint64 // packets delivered to connections
 	Reposts     uint64 // recv slots returned to the shared queue
 	LimitWakes  uint64 // low-watermark events that woke the progress loop
-	SendStalls  uint64 // sends deferred because no staging slot was free
-	BytesEager  uint64 // eager payload bytes through the pool
 	RNRNaks     uint64 // receiver-not-ready NAKs (from the SRQ)
 	RecvsPosted uint64 // descriptors ever posted (from the SRQ)
 }
@@ -237,17 +234,16 @@ func (sp *SRQPool) Send(p *des.Proc, qp *ib.QP, hdr []byte, payload Buffer,
 	dst := sp.send[slot*SRQSlotSize:]
 	n := copy(dst, hdr)
 	n += copy(dst[n:], src)
-	sp.postStaged(p, qp, slot, n, payload.Len, onSent, nil)
+	sp.postStaged(p, qp, slot, n, onSent, nil)
 	return true, nil
 }
 
-// SendPkt stages one pre-assembled packet and posts it, like Send.
-// eagerBytes is the payload portion, for accounting. onFail, when non-nil,
+// SendPkt stages one pre-assembled packet and posts it, like Send. onFail, when non-nil,
 // runs instead of onSent when the send completes in error — connections
 // recovering from injected faults retain the packet and resend it after
 // re-establishment; without onFail an error completion is fatal to the
 // rank, the pre-fault behaviour.
-func (sp *SRQPool) SendPkt(p *des.Proc, qp *ib.QP, pkt []byte, eagerBytes int,
+func (sp *SRQPool) SendPkt(p *des.Proc, qp *ib.QP, pkt []byte,
 	onSent, onFail func(p *des.Proc)) (bool, error) {
 	if len(pkt) > SRQSlotSize {
 		return false, fmt.Errorf("rdmachan(srq): packet of %d bytes exceeds %d-byte slot",
@@ -258,17 +254,16 @@ func (sp *SRQPool) SendPkt(p *des.Proc, qp *ib.QP, pkt []byte, eagerBytes int,
 		return false, nil
 	}
 	n := copy(sp.send[slot*SRQSlotSize:], pkt)
-	sp.postStaged(p, qp, slot, n, eagerBytes, onSent, onFail)
+	sp.postStaged(p, qp, slot, n, onSent, onFail)
 	return true, nil
 }
 
 // takeSlot pops a free staging slot, reaping the send CQ first when the
-// free list is dry. A false return is a stall, counted but not charged.
+// free list is dry. A false return is a stall, not charged.
 func (sp *SRQPool) takeSlot(p *des.Proc) (int, bool) {
 	if len(sp.sendFree) == 0 {
 		sp.drainSend(p)
 		if len(sp.sendFree) == 0 {
-			sp.stats.SendStalls++
 			return 0, false
 		}
 	}
@@ -288,11 +283,8 @@ type stagedCB struct {
 // posts the send, wiring the completion callback that frees the slot. The
 // work request is the slot's reused descriptor (WRID = slot); only the
 // length varies per packet.
-func (sp *SRQPool) postStaged(p *des.Proc, qp *ib.QP, slot, n, eagerBytes int,
+func (sp *SRQPool) postStaged(p *des.Proc, qp *ib.QP, slot, n int,
 	onSent, onFail func(p *des.Proc)) {
-	if eagerBytes > 0 {
-		sp.stats.BytesEager += uint64(eagerBytes)
-	}
 	// The staging copy crosses the memory bus, like any eager sender copy.
 	sp.node.Bus.Memcpy(p, n, n)
 	sp.sendCBs[slot] = stagedCB{onSent: onSent, onFail: onFail}
@@ -379,7 +371,6 @@ func (sp *SRQPool) Poll(p *des.Proc) bool {
 			sp.fail(fmt.Errorf("rdmachan(srq): packet on unbound qp%d", cqe.QPNum))
 			return prog
 		}
-		sp.stats.Dispatches++
 		d.HandleSRQPacket(p, pkt)
 		// The packet has been consumed (copied out or converted into
 		// rendezvous state); the slot goes straight back to the queue.
