@@ -43,4 +43,10 @@
 //   - No header field indexes anything before header.check has bounded it.
 //   - The fixed 64-byte header carries up to four per-rail rkeys in a CTS,
 //     and a re-dialing connection's stream position (delivery order).
+//   - Each carrier gives the transport one idle answer per slot (IdlePoll,
+//     DESIGN.md §18) and touches the slot whenever the answer goes stale:
+//     Conn's is charged over a chunk ring (the ring's write and completion
+//     hooks and admit touch it) and busy over the basic design; a
+//     non-resilient SRQConn's is free while no packet is queued (flush
+//     touches it when it leaves packets behind), a resilient one's busy.
 package ch3

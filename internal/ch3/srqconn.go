@@ -26,9 +26,9 @@ import (
 // (DESIGN.md §11).
 type SRQConn struct {
 	engine
-	pool *rdmachan.SRQPool
-	qp   *ib.QP
-	arm  func() // asks the transport for a Poll; nil unless FreeIdlePoll promised
+	pool  *rdmachan.SRQPool
+	qp    *ib.QP
+	touch func() // drops the idle answer the transport holds (WatchIdle), or nil
 
 	hdrScratch [hdrSize]byte
 
@@ -194,21 +194,18 @@ func requeueAhead(q *des.Queue[*packet], first []*packet) {
 	}
 }
 
-// FreeIdlePoll implements transport.FreeIdler. Arrivals come through the
+// IdlePoll implements transport's idle-poll hook. Arrivals come through the
 // transport's poll of the pool, so without resilience Poll is flush and
-// nothing else, and flush with both queues empty is a no-op: the connection
-// needs a Poll only while packets are queued, and flush asks for one
-// whenever it leaves some behind.
-func (c *SRQConn) FreeIdlePoll(arm func()) bool {
-	if c.resilient {
-		return false
-	}
-	c.arm = arm
-	if c.HoldsWork() {
-		arm()
-	}
-	return true
+// nothing else, and flush with both queues empty is a no-op: the answer is
+// free while no packet is queued. A resilient connection recovers in Poll,
+// from state completions change behind its back, so it is always busy.
+func (c *SRQConn) IdlePoll() (des.Step, bool) {
+	return des.Step{}, !c.resilient && !c.HoldsWork()
 }
+
+// WatchIdle implements transport's idle-poll hook: flush touches the slot
+// whenever it leaves packets queued.
+func (c *SRQConn) WatchIdle(touch func()) { c.touch = touch }
 
 // HoldsWork reports whether packets wait to be staged: the only work a
 // Poll of a connection that is not resilient finds.
@@ -226,23 +223,23 @@ func (c *SRQConn) Footprint() rdmachan.Footprint {
 func (c *SRQConn) admit(*packet) {}
 
 // pump and nudge both stage at once: every put must be followed by a flush
-// (a packet left queued without one is never armed for).
+// (a packet left queued without one never touches the slot).
 func (c *SRQConn) pump(p *des.Proc)  { c.flush(p) }
 func (c *SRQConn) nudge(p *des.Proc) { c.flush(p) }
 
 // flush stages queued packets into the process send pool until it runs out
-// of slots and, when some stay queued on a connection that promised a free
-// idle poll, asks the transport for the Poll that retries them. On a broken
-// resilient connection it stages nothing and instead triggers the re-dial
-// (once per outage). It reports whether anything moved.
+// of slots and, when some stay queued, touches the slot so the transport
+// polls the connection to retry them. On a broken resilient connection it
+// stages nothing and instead triggers the re-dial (once per outage). It
+// reports whether anything moved.
 func (c *SRQConn) flush(p *des.Proc) bool {
 	if c.resilient && (c.broken() || c.nextQP != nil) {
 		c.maybeRedial()
 		return false
 	}
 	prog, _ := c.drain(p)
-	if c.arm != nil && c.HoldsWork() {
-		c.arm()
+	if c.touch != nil && c.HoldsWork() {
+		c.touch()
 	}
 	return prog
 }

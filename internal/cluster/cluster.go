@@ -559,55 +559,36 @@ func (c *Cluster) newEndpoint(ep rdmachan.Endpoint, eng *transport.Engine) trans
 type MemStats struct {
 	Ranks       int
 	Connections int // established endpoints (each pair counts once per side)
-	QPs         int
-	EagerSlots  int
-	EagerBytes  int64
-	PinnedBytes int64
-}
-
-// add accumulates o into m.
-func (m *MemStats) add(o MemStats) {
-	m.Ranks += o.Ranks
-	m.Connections += o.Connections
-	m.QPs += o.QPs
-	m.EagerSlots += o.EagerSlots
-	m.EagerBytes += o.EagerBytes
-	m.PinnedBytes += o.PinnedBytes
+	transport.Footprint
 }
 
 // RankMemStats reports one process's communication memory: its
 // established endpoints' footprints plus its SRQ pool when one exists.
 // Unestablished stubs contribute nothing — that is the point of lazy mode.
 func (c *Cluster) RankMemStats(rank int) MemStats {
-	eng := c.Ranks[rank]
-	var fp transport.Footprint
-	conns := 0
-	eng.ForEachEndpoint(func(peer int32, ep transport.Endpoint) {
-		conns++
+	m := MemStats{Ranks: 1}
+	c.Ranks[rank].ForEachEndpoint(func(peer int32, ep transport.Endpoint) {
+		m.Connections++
 		if a, ok := ep.(transport.Accountable); ok {
-			fp.Add(a.Footprint())
+			m.Add(a.Footprint())
 		}
 	})
 	if c.pools != nil {
 		for _, pool := range c.pools[rank] {
-			fp.Add(pool.Footprint())
+			m.Add(pool.Footprint())
 		}
 	}
-	return MemStats{
-		Ranks:       1,
-		Connections: conns,
-		QPs:         fp.QPs,
-		EagerSlots:  fp.EagerSlots,
-		EagerBytes:  fp.EagerBytes,
-		PinnedBytes: fp.PinnedBytes,
-	}
+	return m
 }
 
 // MemStats sums RankMemStats over every rank.
 func (c *Cluster) MemStats() MemStats {
 	var total MemStats
 	for r := 0; r < c.cfg.NP; r++ {
-		total.add(c.RankMemStats(r))
+		rm := c.RankMemStats(r)
+		total.Ranks += rm.Ranks
+		total.Connections += rm.Connections
+		total.Add(rm.Footprint)
 	}
 	return total
 }

@@ -152,7 +152,7 @@ func TestIdlePassHoldsAnswers(t *testing.T) {
 }
 
 // TestIdlePassCrossesQuietSlots: on a 2 × 4 SMP mesh rank 0 has three
-// shared-memory peers (1–3), disarmed while quiet, between its chunk-ring
+// shared-memory peers (1–3), free answers while quiet, between its chunk-ring
 // peers in a pass that starts at peer 6: the run is 6, 7, across 1–3, then
 // 4, 5 — one chain, one event. A cut during the charge of step k resumes
 // after that step's slot, so every chunk endpoint is charged exactly once,
@@ -210,9 +210,13 @@ func TestIdlePassCrossesQuietSlots(t *testing.T) {
 // and 4 KiB, twice each, plus on SMP a 4 KB neighbour ring — against the
 // commit before answers were held and shared-memory peers skipped. Both
 // finish at the parent's instant. The fat tree has no shared-memory peer:
-// its events are the parent's, only the asks fell. On 4 × 4 SMP the shared
-// memory connections are polled only when armed, and a chain crossing them
-// is one event instead of one per run between them.
+// its events are the parent's, only the asks fell. On 4 × 4 SMP a shared
+// memory connection is polled only when it answers busy, and a chain
+// crossing free answers is one event instead of one per run between them.
+// A connection touched while it holds nothing (a peer freed a cell it was
+// not waiting for) is asked and stepped over; while free answers and arm
+// states were two contracts it was polled, a no-op poll that ended the
+// chain, so the row read 26 405 events, 1 240 polls and 2 021 asks.
 func TestIdlePassCollectivesPinned(t *testing.T) {
 	body := func(ring int) func(comm *mpi.Comm) {
 		return func(comm *mpi.Comm) {
@@ -245,7 +249,7 @@ func TestIdlePassCollectivesPinned(t *testing.T) {
 		parent       transport.ProgressStats
 	}{
 		{"smp-4x4", cluster.Config{NP: 16, Transport: cluster.TransportZeroCopy, CoresPerNode: 4}, 8,
-			28900361, 26405, transport.ProgressStats{Passes: 1492, Polls: 1240, PollHits: 925, IdleAsks: 2021},
+			28900361, 26301, transport.ProgressStats{Passes: 1492, Polls: 925, PollHits: 925, IdleAsks: 2863},
 			27085, transport.ProgressStats{Passes: 1492, Polls: 5125, PollHits: 925, IdleAsks: 19493}},
 		{"fattree-d4-u1", cluster.Config{NP: 16, Transport: cluster.TransportZeroCopy,
 			Switch: &switchfab.Config{LeafDown: 4, LeafUp: 1}}, 0,
@@ -269,10 +273,11 @@ func TestIdlePassCollectivesPinned(t *testing.T) {
 //
 // A 16 KB allgather at np=32 is all rendezvous — every CTS and FIN is queued
 // from HandleSRQPacket inside the shared pool poll and goes out in the pass
-// that received its RTS — and no send ever waits for a staging slot, so no
-// connection arms and no endpoint poll is made at all. A burst of 8-byte
-// sends then outruns the 16 staging slots: the stalled connections arm and
-// are polled until they drain, at the instants the full scan retried them.
+// that received its RTS — and no send ever waits for a staging slot, so
+// every connection answers free and no endpoint poll is made at all. A
+// burst of 8-byte sends then outruns the 16 staging slots: the stalled
+// connections touch their slots, answer busy and are polled until they
+// drain, at the instants the full scan retried them.
 func TestReadySetSRQ(t *testing.T) {
 	const np, block = 32, 16 << 10
 	c := cluster.MustNew(cluster.Config{NP: np, Transport: cluster.TransportZeroCopy,

@@ -155,3 +155,38 @@ func TestLazySRQMemStatsBounded(t *testing.T) {
 		}
 	}
 }
+
+// TestSRQStallTouchesSlot: a burst that outruns the staging pool on an
+// established SRQ connection, whose slot holds a free idle answer from the
+// passes before, must touch that slot (DESIGN.md §18). The packets left
+// queued after the last send go out only through a Poll; a pass that
+// trusted the stale answer would step over them for good.
+func TestSRQStallTouchesSlot(t *testing.T) {
+	const msgs = 4 * rdmachan.SRQSendSlots
+	c := MustNew(Config{NP: 2, Transport: TransportZeroCopy, ConnectMode: ConnectLazy,
+		Chan: rdmachan.Config{UseSRQ: true}})
+	defer c.Close()
+	c.Launch(func(comm *mpi.Comm) {
+		buf, b := comm.Alloc(msgs * 8)
+		at := func(i int) mpi.Buffer { return mpi.Buffer{Addr: buf.Addr + uint64(i*8), Len: 8} }
+		comm.Barrier() // connects the pair; its passes leave free answers held
+		var reqs []*mpi.Request
+		for i := 0; i < msgs; i++ {
+			if comm.Rank() == 0 {
+				b[i*8] = byte(i)
+				reqs = append(reqs, comm.Isend(at(i), 1, i))
+			} else {
+				reqs = append(reqs, comm.Irecv(at(i), 0, i))
+			}
+		}
+		comm.WaitAll(reqs...)
+		for i := 0; comm.Rank() == 1 && i < msgs; i++ {
+			if b[i*8] != byte(i) {
+				t.Errorf("message %d corrupt", i)
+			}
+		}
+	})
+	if st := c.Ranks[0].ProgressStats(); st.PollHits == 0 {
+		t.Errorf("sender: %d polls, none moved a packet; want the stalled tail polled out", st.Polls)
+	}
+}

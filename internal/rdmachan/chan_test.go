@@ -492,8 +492,8 @@ func TestRegCacheHitsOnReuse(t *testing.T) {
 	if s.ZCSends != rounds {
 		t.Fatalf("ZCSends = %d, want %d", s.ZCSends, rounds)
 	}
-	if s.RegCache.Hits != rounds-1 || s.RegCache.Misses != 1 {
-		t.Fatalf("sender regcache = %+v, want %d hits 1 miss", s.RegCache, rounds-1)
+	if rc := h.eps[0].(RawAccess).RailRegCache(0).Stats(); rc.Hits != rounds-1 || rc.Misses != 1 {
+		t.Fatalf("sender regcache = %+v, want %d hits 1 miss", rc, rounds-1)
 	}
 }
 

@@ -213,7 +213,6 @@ type Stats struct {
 	ChunksSent   uint64
 	CreditWrites uint64
 	ZCSends      uint64
-	RegCache     regStats
 
 	// Fault-recovery counters (resilient mode only; see DESIGN.md §11).
 	RailEvictions  uint64 // rails removed from the live set after an error
@@ -225,10 +224,6 @@ type Stats struct {
 	// zero-copy stripe bytes this side pulled over each rail.
 	RailChunks  []uint64
 	RailZCBytes []uint64
-}
-
-type regStats struct {
-	Hits, Misses, Evictions uint64
 }
 
 // Config tunes a connection. Zero values select the defaults used

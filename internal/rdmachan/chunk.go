@@ -360,16 +360,10 @@ func (e *chunkEP) Footprint() Footprint {
 	}
 }
 
-// Stats returns endpoint counters including registration-cache behaviour
-// (summed over rails) and the per-rail traffic split.
+// Stats returns endpoint counters including the per-rail traffic split (each
+// rail's pin-down cache counts its own: RailRegCache).
 func (e *chunkEP) Stats() Stats {
 	s := e.stats
-	for _, rc := range e.regcs {
-		cs := rc.Stats()
-		s.RegCache.Hits += cs.Hits
-		s.RegCache.Misses += cs.Misses
-		s.RegCache.Evictions += cs.Evictions
-	}
 	s.StripeReissues = e.mover.Reissues()
 	s.RailChunks = append([]uint64(nil), e.railChunks...)
 	s.RailZCBytes = append([]uint64(nil), e.railZCBytes...)

@@ -34,9 +34,9 @@
 //     without locks.
 //   - Message order on a pair is FIFO across all three paths: descriptors
 //     serialize through the ring even when payloads bypass it.
-//   - A connection promises the transport a free idle poll
-//     (transport.FreeIdler, DESIGN.md §18): every change the peer can see
-//     goes through notify, which arms the peer's connection, and a Poll
-//     that leaves work behind arms its own. A connection that holds work
-//     is armed whenever its rank's progress engine looks.
+//   - A connection holding no work gives the transport a free idle answer
+//     (IdlePoll, DESIGN.md §18): every change the peer can see goes through
+//     notify, which touches the peer's connection, and a Poll that leaves
+//     work behind touches its own. A connection that holds work holds no
+//     answer whenever its rank's progress engine looks.
 package shmchan

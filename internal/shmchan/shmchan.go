@@ -167,7 +167,7 @@ type Conn struct {
 
 	regc  *regcache.Cache // shared with the peer conn
 	stats Stats
-	arm   func() // asks the owner's transport for a Poll (FreeIdlePoll), or nil
+	touch func() // drops the idle answer the owner's transport holds (WatchIdle), or nil
 }
 
 // NewPair wires an intra-node connection between two ranks on the node of
@@ -212,27 +212,25 @@ func (c *Conn) RegCache() *regcache.Cache { return c.regc }
 func (c *Conn) RendezvousThreshold() int { return c.cfg.RndvThreshold }
 
 // notify runs on every change the peer can see — a cell or segment slot
-// filled or freed, a rendezvous accepted. It arms the peer connection and
-// wakes progress loops blocked on the node's memory events: the peer rank,
-// and any other co-located rank that polls the same adapter.
+// filled or freed, a rendezvous accepted. It touches the peer connection
+// and wakes progress loops blocked on the node's memory events: the peer
+// rank, and any other co-located rank that polls the same adapter.
 func (c *Conn) notify() {
-	if c.peer.arm != nil {
-		c.peer.arm()
+	if c.peer.touch != nil {
+		c.peer.touch()
 	}
 	c.hca.NotifyMemWrite()
 }
 
-// FreeIdlePoll implements transport.FreeIdler: with nothing to send and
-// nothing arrived, Poll returns false without sleeping or changing state.
-// Work arrives through the peer's notify, which arms this connection, or is
-// left behind by its own Poll, which arms it on return.
-func (c *Conn) FreeIdlePoll(arm func()) bool {
-	c.arm = arm
-	if c.HoldsWork() {
-		arm()
-	}
-	return true
-}
+// IdlePoll implements transport's idle-poll hook: with nothing to send and
+// nothing arrived, Poll returns false without sleeping or changing state, so
+// the answer is free.
+func (c *Conn) IdlePoll() (des.Step, bool) { return des.Step{}, !c.HoldsWork() }
+
+// WatchIdle implements transport's idle-poll hook. Work arrives through the
+// peer's notify, which touches this connection, or is left behind by its
+// own Poll, which touches it on return.
+func (c *Conn) WatchIdle(touch func()) { c.touch = touch }
 
 // HoldsWork reports whether a Poll would find something to do: a queued
 // send, an arrived cell, or a segment slot for the message draining.
@@ -308,14 +306,14 @@ func (c *Conn) Pending() int { return c.sendq.Len() + len(c.pending) }
 
 // Poll implements transport.Endpoint: advance the head send operation and
 // drain arrived messages, reporting whether anything moved. Work it leaves
-// behind — a send waiting for the peer to free a cell — keeps it armed.
+// behind — a send waiting for the peer to free a cell — touches its slot.
 func (c *Conn) Poll(p *des.Proc) bool {
 	prog := c.progressSend(p)
 	if c.progressRecv(p) {
 		prog = true
 	}
-	if c.arm != nil && c.HoldsWork() {
-		c.arm()
+	if c.touch != nil && c.HoldsWork() {
+		c.touch()
 	}
 	return prog
 }

@@ -33,20 +33,18 @@
 //     snapshots the node's memory-event counter before each pass so a
 //     delivery racing the pass (on any rail) cannot be lost before a
 //     blocking wait.
-//   - The ready set (DESIGN.md §18): a pass skips exactly the endpoints
-//     that promised a free idle Poll (FreeIdler: the non-resilient SRQ
-//     connection and the shared-memory channel) and have not armed
-//     themselves since they were last polled. A skipped Poll would have
-//     returned false without sleeping, scheduling or changing state, so the
-//     pass is indistinguishable from one that polled everybody; an endpoint
-//     holding work it has not armed for is a bug in the endpoint.
-//   - Held idle answers (DESIGN.md §18): an endpoint whose idle Poll costs
-//     simulated time (a chunk ring) is asked whether it is idle once, and
-//     the answer is held until the endpoint touches its slot — in every
-//     dispatch that changes what the answer reads. Runs of idle endpoints
-//     are slept as one chain, which steps over disarmed slots between them
-//     (DESIGN.md §16).
-//   - Both promises are machine-checked by the -tags invariants build,
-//     which re-asks every held answer it uses and asks every endpoint it
-//     skips whether it holds work.
+//   - One idle answer per slot (DESIGN.md §18): every established endpoint's
+//     slot holds an idle answer or none. A free answer (a zero step: the
+//     shared-memory channel or a non-resilient SRQ connection holding no
+//     work) says its Poll would return false without sleeping, scheduling
+//     or changing state, and the pass steps over it, so the pass is
+//     indistinguishable from one that polled everybody. A charged answer
+//     (an idle chunk ring) is slept as one step of a chain with the charged
+//     answers around it, free ones included (DESIGN.md §16). A slot holding
+//     none is asked, and polled when it answers busy. An answer holds until
+//     the endpoint touches its slot, in every dispatch that changes what the
+//     answer reads; an endpoint that misses a touch is a bug in the
+//     endpoint.
+//   - The promise is machine-checked by the -tags invariants build, which
+//     re-asks every held answer it uses, free ones included.
 package transport

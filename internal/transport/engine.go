@@ -78,14 +78,13 @@ type Engine struct {
 	act   []int32      // peers with established (pollable) endpoints, ascending
 	actEp []Endpoint   // parallel to act — the poll loop's O(1) hot path
 	idle  []idlePoller // parallel to act: the endpoint as an idlePoller, or nil
-	held  []des.Step   // parallel to act: the idle answer held until touch; Hops 0 = none
-	arm   []armState   // parallel to act: the ready set (DESIGN.md §18)
-	armed int          // slots of arm a pass must visit (not disarmed)
+	held  []idleAnswer // parallel to act: the answer held until touch (DESIGN.md §18)
+	visit int          // slots of held a pass must visit: those holding no free answer
 	rr    int          // round-robin polling cursor over act
 
 	ready des.Queue[int32] // fulfilled stubs awaiting promotion (lazy mode)
 
-	// Scratch for the run of idle endpoints Progress is sleeping through:
+	// Scratch for the run of charged answers Progress is sleeping through:
 	// each step's endpoint, its offset in the pass, and its charge.
 	idleRun   []idlePoller
 	idleAt    []int
@@ -115,14 +114,16 @@ type Engine struct {
 	err   error
 }
 
-// armState says whether a progress pass visits an active endpoint.
-type armState uint8
+// idleAnswer is what an active slot holds: an idle answer — free when its
+// step is zero (the skipped Poll would sleep nothing and change nothing),
+// charged otherwise (§16's chain step) — or, with ok unset, none: the next
+// visit asks the endpoint.
+type idleAnswer struct {
+	step des.Step
+	ok   bool
+}
 
-const (
-	disarmed armState = iota // a FreeIdler holding no work: its Poll is a no-op
-	armed                    // a FreeIdler that called arm since it was last polled
-	pinned                   // promised nothing: polled on every pass
-)
+func (a idleAnswer) free() bool { return a.ok && a.step.Hops == 0 }
 
 // ProgressStats counts what the progress loop cost the harness: none of it
 // is simulated work, and Polls minus PollHits found nothing to do.
@@ -130,7 +131,7 @@ type ProgressStats struct {
 	Passes   uint64 `json:"passes"`    // Progress calls
 	Polls    uint64 `json:"polls"`     // Endpoint.Poll calls
 	PollHits uint64 `json:"poll_hits"` // ... that reported progress
-	IdleAsks uint64 `json:"idle_asks"` // IdlePoll questions put to chunk-ring endpoints
+	IdleAsks uint64 `json:"idle_asks"` // IdlePoll questions put to endpoints
 }
 
 // ProgressStats returns the engine's progress-loop counters.
@@ -190,59 +191,45 @@ func (e *Engine) SetEndpoint(peer int32, ep Endpoint) {
 // activate records peer in the established-endpoint list the progress loop
 // polls. The list is kept sorted by rank so the poll order is a
 // deterministic function of the connected set. What the slot knew about an
-// endpoint it replaces (a re-dial) goes with it: the held idle answer is
-// dropped, and the slot is disarmed while the newcomer is asked for its
-// promise, so an arm from inside the call sticks, and pinned when no
-// promise comes.
+// endpoint it replaces (a re-dial) goes with it: the held answer is dropped,
+// and the next visit asks the newcomer.
 func (e *Engine) activate(peer int32, ep Endpoint) {
 	i, ok := slices.BinarySearch(e.act, peer)
 	if !ok {
 		e.act = slices.Insert(e.act, i, peer)
 		e.actEp = slices.Insert(e.actEp, i, ep)
 		e.idle = slices.Insert(e.idle, i, nil)
-		e.held = slices.Insert(e.held, i, des.Step{})
-		e.arm = slices.Insert(e.arm, i, disarmed)
+		e.held = slices.Insert(e.held, i, idleAnswer{})
+		e.visit++
 	}
 	e.actEp[i] = ep
 	e.idle[i], _ = ep.(idlePoller)
-	e.held[i] = des.Step{}
+	e.hold(i, idleAnswer{})
 	if ip := e.idle[i]; ip != nil {
 		ip.WatchIdle(func() { e.touchPeer(peer) })
-	}
-	e.setArm(i, disarmed)
-	if f, ok := ep.(FreeIdler); !ok || !f.FreeIdlePoll(func() { e.armPeer(peer) }) {
-		e.setArm(i, pinned)
 	}
 }
 
 // touchPeer is the touch function of peer's idlePoller: the answer its slot
-// holds is dropped, and the next pass to reach the slot asks again.
-// Touching a slot that holds nothing or is gone is harmless.
+// holds is dropped, and the next visit of the rotation to the slot — in the
+// running pass if that is still ahead — asks again. Touching a slot that
+// holds nothing or is gone is harmless.
 func (e *Engine) touchPeer(peer int32) {
 	if i, ok := slices.BinarySearch(e.act, peer); ok {
-		e.held[i] = des.Step{}
+		e.hold(i, idleAnswer{})
 	}
 }
 
-// setArm moves active slot i to state st, keeping the count of slots a pass
-// must visit.
-func (e *Engine) setArm(i int, st armState) {
-	if e.arm[i] != disarmed {
-		e.armed--
+// hold makes a the answer active slot i holds, keeping the count of slots a
+// pass must visit.
+func (e *Engine) hold(i int, a idleAnswer) {
+	if e.held[i].free() {
+		e.visit++
 	}
-	if st != disarmed {
-		e.armed++
+	if a.free() {
+		e.visit--
 	}
-	e.arm[i] = st
-}
-
-// armPeer is the arm function of peer's FreeIdler endpoint: the next visit
-// of the rotation to its slot — in the running pass if that is still ahead —
-// polls it. Arming a slot that is armed, pinned or gone is harmless.
-func (e *Engine) armPeer(peer int32) {
-	if i, ok := slices.BinarySearch(e.act, peer); ok && e.arm[i] == disarmed {
-		e.setArm(i, armed)
-	}
+	e.held[i] = a
 }
 
 // SetDialer installs the lazy connection starter: the first send toward a
@@ -572,11 +559,12 @@ func (e *Engine) ArriveRTS(p *des.Proc, env Envelope, ep Endpoint, id uint64) {
 	e.uq = append(e.uq, &uqEntry{env: env, isRndv: true, rndvEP: ep, rndvID: id})
 }
 
-// idlePoller is implemented by endpoints whose Poll costs simulated time
-// even when there is nothing to do (ch3.Conn over a chunk ring: every Get
-// is charged before it looks). Such a poll is not free, so these endpoints
-// are no FreeIdlers and stay pinned in the ready set; what the engine saves
-// on a quiet one is the question, not the charge.
+// idlePoller is implemented by endpoints that can tell when a Poll issued
+// now would find nothing (DESIGN.md §18). The answer is free — a zero step:
+// the Poll would sleep nothing and change nothing (shmchan.Conn, a
+// non-resilient ch3.SRQConn) — or charged: the Poll would pay the step and
+// find nothing (ch3.Conn over a chunk ring, whose every Get is charged
+// before it looks), and then the endpoint also has PollCharged (pollCharged).
 type idlePoller interface {
 	// IdlePoll reports whether a Poll issued now would pay exactly the
 	// returned charge and find nothing. An idle answer holds until the
@@ -587,29 +575,24 @@ type idlePoller interface {
 	// slot's touch function. The endpoint calls touch in every dispatch that
 	// changes what IdlePoll reads: another process's write or completion,
 	// before that dispatch's NotifyMemWrite, or its own process handing it
-	// work.
+	// work it returns to the engine with.
 	WatchIdle(touch func())
-
-	// PollCharged finishes a Poll for which IdlePoll held and whose charge
-	// the engine has slept: with look it runs everything Poll does after
-	// the charge, without it the poll is only counted.
-	PollCharged(p *des.Proc, look bool) bool
 }
 
 // Progress makes one round-robin pass over the established endpoints that
-// can have work — the ready set: every pinned endpoint and the FreeIdlers
-// that armed themselves — and with block set sleeps until fabric activity
-// when nothing moved. A disarmed endpoint's Poll would have returned false
-// and touched nothing, so skipping it leaves every event where it was and
-// makes a quiet rank's wake-up O(1) instead of O(connected). The rotation
-// cursor advances every pass so no peer is structurally favoured when many
-// endpoints compete. The activity counter is read before the pass so that
-// a delivery racing with the polling of another endpoint cannot be lost.
+// can have work — the slots holding no free answer — and with block set
+// sleeps until fabric activity when nothing moved. A free answer's Poll
+// would have returned false and touched nothing, so skipping it leaves every
+// event where it was and makes a quiet rank's wake-up O(1) instead of
+// O(connected). The rotation cursor advances every pass so no peer is
+// structurally favoured when many endpoints compete. The activity counter is
+// read before the pass so that a delivery racing with the polling of another
+// endpoint cannot be lost.
 //
-// The arm states are read after stub promotion and the shared polls, slot
+// The held answers are read after stub promotion and the shared polls, slot
 // by slot as the rotation reaches them: a CTS queued while the pool poll
-// dispatched an RTS, or a send a promotion could not flush, is visited by
-// this same pass, as it was when the pass polled everyone.
+// dispatched an RTS, or a send a promotion could not flush, touched its slot
+// and is visited by this same pass, as it was when the pass polled everyone.
 func (e *Engine) Progress(p *des.Proc, block bool) bool {
 	e.check()
 	e.stats.Passes++
@@ -623,7 +606,7 @@ func (e *Engine) Progress(p *des.Proc, block bool) bool {
 	if len(e.act) > 0 {
 		start := int32(e.rr)
 		e.rr = (e.rr + 1) % e.size
-		if (e.armed > 0 || invariants) && e.pollFrom(p, start) {
+		if (e.visit > 0 || invariants) && e.pollFrom(p, start) {
 			prog = true
 		}
 	}
@@ -635,26 +618,27 @@ func (e *Engine) Progress(p *des.Proc, block bool) bool {
 }
 
 // pollFrom walks the active list once, from the first peer at or after
-// start, polling the slots that are not disarmed. The cursor rotates over
+// start, polling the slots whose answer is busy. The cursor rotates over
 // the full rank space and is binary-searched into the active list: the peer
 // polled first each pass is exactly the one the original all-slots scan
 // would have reached, so the poll schedule (and with it every calibrated
 // figure) is unchanged — only the nil-slot skipping went away.
 //
-// Endpoints whose poll would only pay its charge (idlePoller) are not
-// polled one event at a time: a run of them is slept as one chain on the
-// node, which NotifyMemWrite cuts at the endpoint being charged when
-// anything observable changes. The endpoints before that one were charged
-// with nothing to see; it alone looks, exactly when its own Poll would
-// have, and the pass carries on from the next slot. A disarmed slot between
-// two of them does not end the run: the slot-by-slot pass would skip it at
+// Endpoints whose poll would only pay its charge are not polled one event
+// at a time: a run of charged answers is slept as one chain on the node,
+// which NotifyMemWrite cuts at the endpoint being charged when anything
+// observable changes. The endpoints before that one were charged with
+// nothing to see; it alone looks, exactly when its own Poll would have, and
+// the pass carries on from the next slot. A free answer between two of them
+// does not end the run: the slot-by-slot pass would find nothing there at
 // that step boundary, where nothing is minted, so the chain's keys are the
-// same; an arm comes with a NotifyMemWrite, which cuts the chain at the step
-// in progress, so a slot armed before its boundary is still ahead of the
-// resumed pass (DESIGN.md §16). Each endpoint's idle answer is asked once
-// and held until the endpoint touches its slot; a busy answer stays busy
-// until the endpoint's own Poll, so the slot that ended a run is not asked
-// again when the pass comes back to it.
+// same; a touch from another process comes with a NotifyMemWrite, which
+// cuts the chain at the step in progress, so a slot touched before its
+// boundary is still ahead of the resumed pass (DESIGN.md §16). Each answer
+// is asked once and held until the endpoint touches its slot; a busy answer
+// is not held and stays busy until the endpoint's own Poll, so the slot
+// that ended a run is not asked again when the pass comes back to it, and a
+// polled slot is asked on its next visit.
 func (e *Engine) pollFrom(p *des.Proc, start int32) (prog bool) {
 	n := len(e.act)
 	lo, _ := slices.BinarySearch(e.act, start)
@@ -667,35 +651,26 @@ func (e *Engine) pollFrom(p *des.Proc, start int32) (prog bool) {
 		j := i
 		for ; j < n; j++ {
 			k := (lo + j) % n
-			ip := e.idle[k]
-			if ip == nil {
-				if e.arm[k] != disarmed {
-					break
-				}
-				e.checkDisarmed(k)
-				continue
-			}
 			if e.act[k] == busy {
 				break
 			}
-			step, idle := e.idleAnswer(k)
-			if !idle {
+			a := e.answer(k)
+			if !a.ok {
 				busy = e.act[k]
 				break
 			}
-			e.idleRun = append(e.idleRun, ip)
+			if a.step.Hops == 0 {
+				continue // free: step over it
+			}
+			e.idleRun = append(e.idleRun, e.idle[k])
 			e.idleAt = append(e.idleAt, j)
-			e.idleSteps = append(e.idleSteps, step)
+			e.idleSteps = append(e.idleSteps, a.step)
 		}
 		if len(e.idleRun) == 0 {
-			// Slots i..j-1 are disarmed; j, if any, must be polled.
+			// Slots i..j-1 hold free answers; j, if any, must be polled.
 			if j < n {
-				k := (lo + j) % n
-				if e.arm[k] == armed {
-					e.setArm(k, disarmed)
-				}
 				e.stats.Polls++
-				if e.actEp[k].Poll(p) {
+				if e.actEp[(lo+j)%n].Poll(p) {
 					e.stats.PollHits++
 					prog = true
 				}
@@ -705,9 +680,9 @@ func (e *Engine) pollFrom(p *des.Proc, start int32) (prog bool) {
 		}
 		paid := e.node.SleepChain(p, e.idleSteps)
 		for _, ip := range e.idleRun[:paid-1] {
-			ip.PollCharged(p, false)
+			pollCharged(p, ip, false)
 		}
-		if e.idleRun[paid-1].PollCharged(p, true) {
+		if pollCharged(p, e.idleRun[paid-1], true) {
 			prog = true
 		}
 		i = e.idleAt[paid-1] + 1
@@ -715,19 +690,30 @@ func (e *Engine) pollFrom(p *des.Proc, start int32) (prog bool) {
 	return prog
 }
 
-// idleAnswer returns active slot k's idle answer: the one it holds, or its
-// endpoint's, which is held when idle.
-func (e *Engine) idleAnswer(k int) (des.Step, bool) {
-	if step := e.held[k]; step.Hops > 0 {
+// pollCharged finishes the Poll of a charged answer's endpoint, whose charge
+// the pass has slept (ch3.Conn.PollCharged): with look it runs everything
+// Poll does after the charge, without it the poll is only counted.
+func pollCharged(p *des.Proc, ip idlePoller, look bool) bool {
+	return ip.(interface{ PollCharged(*des.Proc, bool) bool }).PollCharged(p, look)
+}
+
+// answer returns active slot k's answer: the one it holds, or its
+// endpoint's, which is held when idle. An endpoint that is no idlePoller is
+// busy unasked.
+func (e *Engine) answer(k int) idleAnswer {
+	if a := e.held[k]; a.ok {
 		e.checkHeld(k)
-		return step, true
+		return a
+	}
+	if e.idle[k] == nil {
+		return idleAnswer{}
 	}
 	e.stats.IdleAsks++
-	step, idle := e.idle[k].IdlePoll()
-	if idle {
-		e.held[k] = step
+	var a idleAnswer
+	if a.step, a.ok = e.idle[k].IdlePoll(); a.ok {
+		e.hold(k, a)
 	}
-	return step, idle
+	return a
 }
 
 // Wait blocks until the request completes, driving progress.

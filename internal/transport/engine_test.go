@@ -414,13 +414,13 @@ func TestProgressRoundRobinPollsEveryEndpoint(t *testing.T) {
 		}
 	})
 
-	// The ready set (DESIGN.md §18): endpoints that promise a free idle poll
-	// are visited only while armed, and nothing a poll does may notice. The
-	// same seeded script — work handed out between passes, from the shared
-	// poll and from other endpoints' polls mid-pass, endpoints replaced as a
-	// re-dial does — runs on an engine whose endpoints promise nothing and is
-	// polled in full; the polls that did something, pass by pass, and the
-	// cursor must agree.
+	// The ready set (DESIGN.md §18): an endpoint whose slot holds a free idle
+	// answer is not polled, and nothing a poll does may notice. The same
+	// seeded script — work handed out between passes, from the shared poll
+	// and from other endpoints' polls mid-pass, slots touched with no work
+	// behind the touch, endpoints replaced as a re-dial does — runs on an
+	// engine whose endpoints always answer busy and is polled in full; the
+	// polls that did something, pass by pass, and the cursor must agree.
 	for seed := int64(1); seed <= 4; seed++ {
 		refLog, refRR, refPolls := runArmScript(t, seed, false)
 		log, rr, polls := runArmScript(t, seed, true)
@@ -438,43 +438,38 @@ func TestProgressRoundRobinPollsEveryEndpoint(t *testing.T) {
 }
 
 // scriptEP is an endpoint with a count of queued work: a poll moves one
-// unit. With free set it promises a free idle poll, arms itself whenever it
-// holds work on return to the engine, and fails the test when polled without
-// having asked.
+// unit. With free set its idle answer is free while it holds no work, and it
+// fails the test when polled holding none; without, it always answers busy.
+// Handing it work touches its slot.
 type scriptEP struct {
 	fakeEP
 	t      *testing.T
 	peer   int32
 	free   bool
-	arm    func()
-	asked  bool
+	touch  func()
+	asks   int
 	work   int
 	log    *[]int32
 	onPoll func() // one-shot side effect of the next poll that moves something
 }
 
-func (s *scriptEP) FreeIdlePoll(arm func()) bool {
-	if s.free {
-		s.arm = arm
-		s.give(0)
-	}
-	return s.free
+func (s *scriptEP) IdlePoll() (des.Step, bool) {
+	s.asks++
+	return des.Step{}, s.free && s.work == 0
 }
+
+func (s *scriptEP) WatchIdle(touch func()) { s.touch = touch }
 
 func (s *scriptEP) give(n int) {
 	s.work += n
-	if s.arm != nil && s.work > 0 {
-		s.asked = true
-		s.arm()
-	}
+	s.touch()
 }
 
 func (s *scriptEP) Poll(*des.Proc) bool {
-	if s.arm != nil && !s.asked {
-		s.t.Errorf("peer %d polled while disarmed", s.peer)
-	}
-	s.asked = false
 	if s.work == 0 {
+		if s.free {
+			s.t.Errorf("peer %d polled while its answer was free", s.peer)
+		}
 		return false
 	}
 	*s.log = append(*s.log, s.peer)
@@ -489,8 +484,8 @@ func (s *scriptEP) Poll(*des.Proc) bool {
 // runArmScript drives one engine through the seeded script and returns the
 // peers whose polls moved something (-1 closes each pass), the cursor after
 // every pass and the number of Poll calls. free selects whether the script's
-// endpoints make the free-idle-poll promise; every third stays pinned either
-// way, and the random stream does not depend on it.
+// endpoints answer free while they hold no work; every third answers busy
+// either way, and the random stream does not depend on it.
 func runArmScript(t *testing.T, seed int64, free bool) (log []int32, rrs []int, polls uint64) {
 	e, eng, _ := newEngine(16)
 	rng := rand.New(rand.NewSource(seed))
@@ -526,17 +521,28 @@ func runArmScript(t *testing.T, seed int64, free bool) (log []int32, rrs []int, 
 			if i, promise, work := rng.Intn(len(eps)), rng.Intn(3) > 0, rng.Intn(2); rng.Intn(16) == 0 {
 				install(i, promise, work)
 			}
+			// A touch with no work behind it, as a consumer freeing a cell
+			// touches a sender that was not waiting for one: the slot is
+			// asked again, and answers free, without a poll.
+			poked, asks := -1, 0
+			if i := rng.Intn(len(eps)); rng.Intn(4) == 0 && eps[i].work == 0 {
+				poked, asks = i, eps[i].asks
+				eps[i].touch()
+			}
 			e.Progress(p, false)
+			if poked >= 0 && eps[poked].asks == asks {
+				t.Errorf("seed %d pass %d: peer %d was touched but not asked", seed, pass, peers[poked])
+			}
 			log = append(log, -1)
 			rrs = append(rrs, e.rr)
 			visit := 0
-			for _, st := range e.arm {
-				if st != disarmed {
+			for _, a := range e.held {
+				if !a.free() {
 					visit++
 				}
 			}
-			if visit != e.armed {
-				t.Fatalf("pass %d: %d slots to visit, engine counts %d", pass, visit, e.armed)
+			if visit != e.visit {
+				t.Fatalf("pass %d: %d slots to visit, engine counts %d", pass, visit, e.visit)
 			}
 		}
 	})

@@ -2,10 +2,9 @@
 
 package transport
 
-// The progress pass's contract checks; the invariants build
-// (invariants_on.go) makes them panic on a broken promise.
+// The progress pass's contract check; the invariants build
+// (invariants_on.go) makes it panic on a broken promise.
 
 const invariants = false
 
-func (e *Engine) checkHeld(int)     {}
-func (e *Engine) checkDisarmed(int) {}
+func (e *Engine) checkHeld(int) {}

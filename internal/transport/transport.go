@@ -79,21 +79,7 @@ type Endpoint interface {
 
 	// Poll advances the endpoint's send and receive state machines one
 	// pass, reporting whether anything moved. The engine calls it on every
-	// progress pass, unless the endpoint is a FreeIdler that is not armed.
+	// progress pass, unless the endpoint's slot holds an idle answer
+	// (DESIGN.md §18).
 	Poll(p *des.Proc) bool
-}
-
-// FreeIdler is implemented by endpoints that can promise a free idle Poll:
-// whenever the endpoint holds no work of its own, Poll returns false without
-// sleeping, scheduling or changing any state, so leaving the call out cannot
-// be observed. The engine's progress pass then visits the endpoint only
-// while it is armed (DESIGN.md §18).
-type FreeIdler interface {
-	// FreeIdlePoll is called once, when the engine activates the endpoint,
-	// and reports whether it makes the promise. One that does keeps arm and
-	// calls it — from its owner's process, as often as it likes — before
-	// returning to the engine with work a Poll would advance; the engine
-	// disarms the endpoint each time it polls it. One that does not is
-	// polled on every pass, like an endpoint without the method.
-	FreeIdlePoll(arm func()) bool
 }
