@@ -152,7 +152,7 @@ func TestIdlePassHoldsAnswers(t *testing.T) {
 }
 
 // TestIdlePassCrossesQuietSlots: on a 2 × 4 SMP mesh rank 0 has three
-// shared-memory peers (1–3), free answers while quiet, between its chunk-ring
+// shared-memory peers (1–3), answering free while quiet, between its chunk-ring
 // peers in a pass that starts at peer 6: the run is 6, 7, across 1–3, then
 // 4, 5 — one chain, one event. A cut during the charge of step k resumes
 // after that step's slot, so every chunk endpoint is charged exactly once,
