@@ -214,9 +214,7 @@ func TestIdlePassCrossesQuietSlots(t *testing.T) {
 // memory connection is polled only when it answers busy, and a chain
 // crossing free answers is one event instead of one per run between them.
 // A connection touched while it holds nothing (a peer freed a cell it was
-// not waiting for) is asked and stepped over; while free answers and arm
-// states were two contracts it was polled, a no-op poll that ended the
-// chain, so the row read 26 405 events, 1 240 polls and 2 021 asks.
+// not waiting for) is asked and stepped over (DESIGN.md §18).
 func TestIdlePassCollectivesPinned(t *testing.T) {
 	body := func(ring int) func(comm *mpi.Comm) {
 		return func(comm *mpi.Comm) {
