@@ -12,9 +12,11 @@ import (
 
 // Point is one x/y sample of a series.
 type Point struct {
-	Size  int
-	Value float64
+	Size  int     `json:"size"`
+	Value float64 `json:"value"`
 }
+
+func (p Point) String() string { return fmt.Sprintf("size=%d: %v", p.Size, p.Value) }
 
 // Series is a named curve of a figure.
 type Series struct {
@@ -32,6 +34,49 @@ type Figure struct {
 	YLabel string
 	Series []Series
 	Notes  []string
+}
+
+// Curve is one series of a printed figure as a baseline row (report.go):
+// its points are simulated results, compared exactly, and it carries no
+// wall figure. The figure id names what sets the curve apart from its
+// siblings in other runs (the rail policy, the collective's net and
+// layout), so a run nothing has vetted is a missing row, not a diverging
+// one.
+type Curve struct {
+	Figure string  `json:"figure"`
+	Series string  `json:"series"`
+	Points []Point `json:"points"`
+}
+
+// Curves turns the figures a command printed into a report, one row per
+// series.
+func Curves(figs ...Figure) *Report[Curve] {
+	rep := NewReport[Curve]()
+	for _, f := range figs {
+		for _, s := range f.Series {
+			rep.Runs = append(rep.Runs, Curve{Figure: f.ID, Series: s.Name, Points: s.Points})
+		}
+	}
+	return rep
+}
+
+func (c Curve) key() string { return c.Figure + "/" + c.Series }
+
+func (Curve) schema() string { return "mpich2ib/curves/v1" }
+
+func (Curve) wall() (float64, string) { return 0, "" }
+
+func (c Curve) diff(b Curve) []string {
+	if len(c.Points) != len(b.Points) {
+		return []string{fmt.Sprintf("%d points, baseline has %d", len(c.Points), len(b.Points))}
+	}
+	var lines []string
+	for i, p := range c.Points {
+		if p != b.Points[i] {
+			lines = append(lines, fmt.Sprintf("%v, baseline %v", p, b.Points[i]))
+		}
+	}
+	return lines
 }
 
 // Paper-style size axes (powers of four, as on the figures' x-axes).

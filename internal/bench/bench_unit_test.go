@@ -1,11 +1,13 @@
 package bench
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/cluster"
 	"repro/internal/ib"
+	"repro/internal/mpi"
 )
 
 func TestSizesPow4(t *testing.T) {
@@ -106,4 +108,52 @@ func TestFigureByID(t *testing.T) {
 	if err != nil || f.ID != "baseline" {
 		t.Fatalf("baseline: %v %v", f.ID, err)
 	}
+}
+
+// TestCollAlgSweepRejectsBadInput: a layout the cluster refuses or a
+// non-positive call count is an error naming the setting, not a panic or a
+// NaN in the table.
+func TestCollAlgSweepRejectsBadInput(t *testing.T) {
+	for _, tc := range []struct {
+		name         string
+		np, cpn, its int
+		want         string
+	}{
+		{"one rank", 1, 1, 5, "NP 1"},
+		{"negative ranks per node", 16, -1, 5, "CoresPerNode -1"},
+		{"zero calls per point", 16, 1, 0, "0 measured calls"},
+		{"negative calls per point", 16, 1, -3, "-3 measured calls"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := CollAlgSweep("allreduce", tc.np, tc.cpn, nil, []int{256}, tc.its, mpi.DefaultTuning())
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("err = %v, want one naming %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// FuzzParseNets: the -net parser never panics, and every list it accepts
+// names only runnable nets and reads back unchanged from its own labels.
+func FuzzParseNets(f *testing.F) {
+	for _, s := range []string{"flat", "fattree-d4-u1", "flat,fattree-d4-u1", "", ",", "fattree-d0-u1", "fattree-d4", "fattree-d+4-u01"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, list string) {
+		nets, err := ParseNets(list)
+		if err != nil {
+			return
+		}
+		labels := make([]string, len(nets))
+		for i, sw := range nets {
+			if sw != nil && (sw.LeafDown < 1 || sw.LeafUp < 1) {
+				t.Fatalf("%q: accepted %+v", list, *sw)
+			}
+			labels[i] = netLabel(sw)
+		}
+		again, err := ParseNets(strings.Join(labels, ","))
+		if err != nil || !reflect.DeepEqual(again, nets) {
+			t.Fatalf("%q: labels %v read back as %v, %v", list, labels, again, err)
+		}
+	})
 }

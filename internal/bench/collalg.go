@@ -3,6 +3,8 @@ package bench
 import (
 	"fmt"
 	"slices"
+	"strconv"
+	"strings"
 
 	"repro/internal/cluster"
 	"repro/internal/mpi"
@@ -61,18 +63,17 @@ func collRunner(coll string, np, root int) func(comm *mpi.Comm, buf mpi.Buffer) 
 
 // CollAlgSweep measures the named collective under each of its registered
 // algorithms across the given sizes on an np-rank, cpn-cores-per-node
-// zero-copy cluster. Every other field of the base tuning — algorithms
-// forced for other collectives, the reduce cutoff — carries through to
-// each series; a base algorithm forced for coll itself restricts the
-// sweep to that one series.
-func CollAlgSweep(coll string, np, cpn int, sizes []int, iters int, base mpi.Tuning) (Figure, error) {
-	return CollAlgSweepNet(coll, np, cpn, nil, sizes, iters, base)
-}
-
-// CollAlgSweepNet is CollAlgSweep with the wires routed through a fat
-// tree (nil sw = flat wire): the same registry sweep measured under
-// uplink contention, the data the topology-keyed tuning defaults rest on.
-func CollAlgSweepNet(coll string, np, cpn int, sw *switchfab.Config, sizes []int, iters int, base mpi.Tuning) (Figure, error) {
+// zero-copy cluster whose wires run through sw (nil = the flat wire; a fat
+// tree measures the same registry under uplink contention, the data the
+// topology-keyed tuning defaults rest on). Every other field of the base
+// tuning — algorithms forced for other collectives, the reduce cutoff —
+// carries through to each series; a base algorithm forced for coll itself
+// restricts the sweep to that one series. The figure id names the
+// collective, net and layout, so BENCH_coll.json holds each one apart.
+func CollAlgSweep(coll string, np, cpn int, sw *switchfab.Config, sizes []int, iters int, base mpi.Tuning) (Figure, error) {
+	if iters < 1 {
+		return Figure{}, fmt.Errorf("bench: %d measured calls per point, want at least 1", iters)
+	}
 	// Only what the layout can run: a forced-but-inapplicable name would
 	// silently fall back to the flat algorithm and mislabel its series.
 	algs, err := applicableAlgs(coll, np, cpn, sw)
@@ -88,16 +89,10 @@ func CollAlgSweepNet(coll string, np, cpn int, sw *switchfab.Config, sizes []int
 		}
 		algs = []string{alg}
 	}
-	root := collAlgRoot
-	if root >= np {
-		root = np - 1
-	}
-	net := "flat"
-	if sw != nil {
-		net = sw.Label()
-	}
+	root := min(collAlgRoot, np-1)
+	net := netLabel(sw)
 	f := Figure{
-		ID: "coll-" + coll,
+		ID: fmt.Sprintf("coll-%s/%s/np=%d/cpn=%d", coll, net, np, cpn),
 		Title: fmt.Sprintf("Collective algorithms: %s (%d ranks, %d per node, root %d, net %s)",
 			coll, np, cpn, root, net),
 		XLabel: "message size (bytes)", YLabel: "time per call (µs)",
@@ -113,6 +108,70 @@ func CollAlgSweepNet(coll string, np, cpn int, sw *switchfab.Config, sizes []int
 	return f, nil
 }
 
+// applicableAlgs filters a collective's registry down to the algorithms
+// the given layout can actually run (one probe launch). A layout the
+// cluster refuses is returned as its error, which names the field.
+func applicableAlgs(coll string, np, cpn int, sw *switchfab.Config) ([]string, error) {
+	if !slices.Contains(mpi.Collectives(), coll) {
+		return nil, fmt.Errorf("bench: unknown collective %q (have %s)",
+			coll, strings.Join(mpi.Collectives(), ", "))
+	}
+	algs := mpi.AlgorithmNames(coll)
+	applicable := map[string]bool{}
+	probe, err := cluster.New(cluster.Config{NP: np, CoresPerNode: cpn,
+		Transport: cluster.TransportZeroCopy, Switch: sw})
+	if err != nil {
+		return nil, err
+	}
+	probe.Launch(func(comm *mpi.Comm) {
+		if comm.Rank() != 0 {
+			return
+		}
+		for _, a := range algs {
+			applicable[a] = comm.AlgorithmApplicable(coll, a)
+		}
+	})
+	probe.Close()
+	return slices.DeleteFunc(algs, func(a string) bool { return !applicable[a] }), nil
+}
+
+// ParseNets maps a -net flag value, a comma list, to switch
+// configurations: "flat" is the direct wire (nil), "fattree-dD-uU" a
+// two-level fat tree with D nodes per leaf and U uplinks per leaf.
+func ParseNets(list string) ([]*switchfab.Config, error) {
+	var nets []*switchfab.Config
+	for _, tok := range strings.Split(list, ",") {
+		tok = strings.TrimSpace(tok)
+		if tok == "" {
+			continue
+		}
+		if tok == "flat" {
+			nets = append(nets, nil)
+			continue
+		}
+		rest, ok1 := strings.CutPrefix(tok, "fattree-d")
+		ds, us, ok2 := strings.Cut(rest, "-u")
+		d, err1 := strconv.Atoi(ds)
+		u, err2 := strconv.Atoi(us)
+		if !ok1 || !ok2 || err1 != nil || err2 != nil || d < 1 || u < 1 {
+			return nil, fmt.Errorf("bench: bad net %q (want flat or fattree-dD-uU, e.g. fattree-d4-u1)", tok)
+		}
+		nets = append(nets, &switchfab.Config{LeafDown: d, LeafUp: u})
+	}
+	if len(nets) == 0 {
+		return nil, fmt.Errorf("bench: empty net list")
+	}
+	return nets, nil
+}
+
+// netLabel names a switch configuration as ParseNets reads it.
+func netLabel(sw *switchfab.Config) string {
+	if sw == nil {
+		return "flat"
+	}
+	return sw.Label()
+}
+
 // AblationCollAlg sweeps every registered bcast, reduce and allgather
 // algorithm per message size on the 4-node × 4-core layout — the data the
 // default tuning table is keyed on (the barrier algorithms have no size
@@ -125,7 +184,7 @@ func AblationCollAlg() Figure {
 		XLabel: "message size (bytes)", YLabel: "time per call (µs)",
 	}
 	for _, coll := range []string{"bcast", "reduce", "allgather"} {
-		sub, err := CollAlgSweep(coll, collAlgNP, collAlgCPN, sizes, 5, mpi.DefaultTuning())
+		sub, err := CollAlgSweep(coll, collAlgNP, collAlgCPN, nil, sizes, 5, mpi.DefaultTuning())
 		if err != nil {
 			panic(err)
 		}

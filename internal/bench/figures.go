@@ -178,35 +178,52 @@ func Headline() Figure {
 	}
 }
 
-// MicroFigures returns every microbenchmark figure (4–15; NAS figures 16
-// and 17 live in internal/nas) plus the repository's SMP extensions
-// (fig3-lat, fig3-bw).
-func MicroFigures() []Figure {
-	return []Figure{
-		Baseline(), Headline(),
-		Fig3Latency(), Fig3Bandwidth(),
-		Fig4(), Fig5(), Fig6(), Fig7(), Fig8(), Fig9(),
-		Fig11(), Fig13(), Fig14(), Fig15(),
-	}
+// figureTable is every figure -fig can name, in -list order. The ones
+// marked all are what "-fig all" regenerates and BENCH_paper.json pins:
+// Figures 4–15 (NAS Figures 16 and 17 live in internal/nas), the raw
+// baseline, the headline and the SMP extension (fig3-lat, fig3-bw).
+var figureTable = []struct {
+	id   string
+	make func() Figure
+	all  bool
+}{
+	{"baseline", Baseline, true}, {"headline", Headline, true},
+	{"fig3-lat", Fig3Latency, true}, {"fig3-bw", Fig3Bandwidth, true},
+	{"fig4", Fig4, true}, {"fig5", Fig5, true}, {"fig6", Fig6, true}, {"fig7", Fig7, true},
+	{"fig8", Fig8, true}, {"fig9", Fig9, true}, {"fig11", Fig11, true}, {"fig13", Fig13, true},
+	{"fig14", Fig14, true}, {"fig15", Fig15, true},
+	{"rails-bw", func() Figure { return RailBandwidth(DefaultRailCounts(), rdmachan.RailRoundRobin) }, false},
+	{"rails-policy", RailPolicyFigure, false},
+	{"ablation-rail-stripe", AblationRailStripe, false},
+	{"fault-recovery", func() Figure { return FaultRecovery(DefaultFaultCounts(), 1) }, false},
 }
 
-// FigureByID returns a single figure producer by id ("fig4" … "fig15",
-// "baseline", "headline", or the SMP extensions "fig3-lat"/"fig3-bw").
+// FigureIDs lists the ids FigureByID knows, in table order.
+func FigureIDs() []string {
+	ids := make([]string, len(figureTable))
+	for i, e := range figureTable {
+		ids[i] = e.id
+	}
+	return ids
+}
+
+// MicroFigures returns every figure "-fig all" regenerates, in table order.
+func MicroFigures() []Figure {
+	var figs []Figure
+	for _, e := range figureTable {
+		if e.all {
+			figs = append(figs, e.make())
+		}
+	}
+	return figs
+}
+
+// FigureByID returns a single figure by its table id.
 func FigureByID(id string) (Figure, error) {
-	producers := map[string]func() Figure{
-		"baseline": Baseline, "headline": Headline,
-		"fig3-lat": Fig3Latency, "fig3-bw": Fig3Bandwidth,
-		"fig4": Fig4, "fig5": Fig5, "fig6": Fig6, "fig7": Fig7,
-		"fig8": Fig8, "fig9": Fig9, "fig11": Fig11, "fig13": Fig13,
-		"fig14": Fig14, "fig15": Fig15,
-		"rails-bw":             func() Figure { return RailBandwidth(DefaultRailCounts(), rdmachan.RailRoundRobin) },
-		"rails-policy":         RailPolicyFigure,
-		"ablation-rail-stripe": AblationRailStripe,
-		"fault-recovery":       func() Figure { return FaultRecovery(DefaultFaultCounts(), 1) },
+	for _, e := range figureTable {
+		if e.id == id {
+			return e.make(), nil
+		}
 	}
-	p, ok := producers[id]
-	if !ok {
-		return Figure{}, fmt.Errorf("bench: unknown figure %q", id)
-	}
-	return p(), nil
+	return Figure{}, fmt.Errorf("bench: unknown figure %q", id)
 }

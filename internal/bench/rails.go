@@ -23,11 +23,24 @@ func DefaultRailCounts() []int { return []int{1, 2, 4} }
 
 // RailBandwidth is the bandwidth-vs-rails figure: the zero-copy design's
 // streaming bandwidth, one series per rail count, with eager chunks on the
-// given policy and large messages striped across all rails. It is rendered
-// from the BENCH_rails.json record substrate (railsjson.go), so the
-// printed table and a committed baseline can never drift apart.
+// given policy and large messages striped across all rails. Its id names
+// the policy, so BENCH_rails.json holds each policy's curves apart.
 func RailBandwidth(railCounts []int, policy rdmachan.RailPolicy) Figure {
-	return RailsFigure(MeasureRails(railCounts, policy))
+	f := Figure{
+		ID: "rails-bw/" + policy.String(), Title: "MPI Bandwidth vs Rails (zero-copy design, striped rendezvous)",
+		XLabel: "message size (bytes)", YLabel: "bandwidth (MB/s)",
+	}
+	for _, rails := range railCounts {
+		o := Options{Config: cluster.Config{Transport: cluster.TransportZeroCopy, RailsPerNode: rails}}
+		o.Chan.RailPolicy = policy
+		s := MPIBandwidth(o, sizesPow4(4<<10, 4<<20))
+		s.Name = fmt.Sprintf("rails=%d", rails)
+		f.Series = append(f.Series, s)
+	}
+	f.Notes = append(f.Notes,
+		fmt.Sprintf("eager rail policy: %s; zero-copy transfers stripe in ChunkSize-aligned blocks", policy),
+		"rails share the node MemBandwidth ceiling but each owns its NetBandwidth (DESIGN.md §10)")
+	return f
 }
 
 // AblationRailStripe is the striping-threshold ablation: at rails=2, the

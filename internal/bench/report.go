@@ -1,9 +1,12 @@
 // The one BENCH_*.json report type (DESIGN.md §12). Every committed
-// baseline — BENCH_engine.json, BENCH_rails.json, BENCH_coll.json — is a
-// Report over its own row type, and all of them share one contract:
-// simulated results are deterministic and compared exactly, the harness
-// wall clock is machine-dependent and compared within a tolerance, and a
-// measured row the baseline does not hold fails the gate.
+// baseline is a Report over one of two row types: BENCH_engine.json holds
+// EngineRun rows, and the curve baselines — BENCH_paper.json,
+// BENCH_rails.json, BENCH_coll.json — hold one Curve per series of the
+// figures their command printed. All of them share one contract:
+// simulated results are deterministic and compared exactly, a row's
+// harness wall clock, if it carries one, is machine-dependent and compared
+// within a tolerance, and a measured row the baseline does not hold fails
+// the gate.
 package bench
 
 import (
@@ -23,7 +26,8 @@ type row[R any] interface {
 	// diff compares the exact (simulated) fields with the baseline row's and
 	// returns one line per field that differs, naming it and both values.
 	diff(base R) []string
-	// wall is the one toleranced harness figure, and what it measures.
+	// wall is the one toleranced harness figure, and what it measures; a
+	// row type without one returns what == "".
 	wall() (v float64, what string)
 }
 
@@ -40,31 +44,68 @@ func NewReport[R row[R]]() *Report[R] {
 	return &Report[R]{Schema: r.schema(), Go: runtime.Version()}
 }
 
-// write writes the report as indented JSON, newline-terminated so the
-// committed baseline diffs cleanly.
-func (rep *Report[R]) write(path string) error {
+// hasWall reports whether R's rows carry a toleranced wall figure.
+func hasWall[R row[R]]() bool {
+	var r R
+	_, what := r.wall()
+	return what != ""
+}
+
+// encode renders the report as indented JSON, newline-terminated so the
+// committed baseline diffs cleanly. A report whose rows share a key cannot
+// be gated, so it is refused.
+func (rep *Report[R]) encode() ([]byte, error) {
+	if err := rep.checkKeys(); err != nil {
+		return nil, err
+	}
 	b, err := json.MarshalIndent(rep, "", "  ")
+	return append(b, '\n'), err
+}
+
+func (rep *Report[R]) write(path string) error {
+	b, err := rep.encode()
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
+	return os.WriteFile(path, b, 0o644)
 }
 
-// readReport loads a report and checks its schema tag.
+// readReport loads a report from a file.
 func readReport[R row[R]](path string) (*Report[R], error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
+	rep, err := decodeReport[R](b)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return rep, nil
+}
+
+// decodeReport parses a report document and checks its schema tag and that
+// no two rows share a key.
+func decodeReport[R row[R]](b []byte) (*Report[R], error) {
 	rep := &Report[R]{}
 	if err := json.Unmarshal(b, rep); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
+		return nil, err
 	}
 	var r R
 	if rep.Schema != r.schema() {
-		return nil, fmt.Errorf("%s: schema %q, want %q", path, rep.Schema, r.schema())
+		return nil, fmt.Errorf("schema %q, want %q", rep.Schema, r.schema())
 	}
-	return rep, nil
+	return rep, rep.checkKeys()
+}
+
+func (rep *Report[R]) checkKeys() error {
+	seen := make(map[string]bool, len(rep.Runs))
+	for _, r := range rep.Runs {
+		if seen[r.key()] {
+			return fmt.Errorf("two rows under key %s", r.key())
+		}
+		seen[r.key()] = true
+	}
+	return nil
 }
 
 // merge overlays rep onto base: rows sharing a key are replaced by rep's
@@ -96,8 +137,8 @@ func (rep *Report[R]) merge(base *Report[R]) *Report[R] {
 // compare checks rep against a committed baseline: for every row rep
 // measured, the simulated fields must match the baseline row exactly (a
 // mismatch means the simulation changed, which is never a mere performance
-// regression) and the wall figure may not regress by more than tol (0.15 =
-// 15%). Getting faster is not an error. Baseline rows rep did not measure
+// regression) and a wall figure, where the row carries one, may not regress
+// by more than tol (0.15 = 15%). Getting faster is not an error. Baseline rows rep did not measure
 // are skipped — the CI smokes compare a subset of the committed matrix —
 // but every measured row MUST exist in the baseline: a combination nothing
 // has vetted is a gate failure, reported with the full measured row so the
@@ -171,25 +212,11 @@ func (rep *Report[R]) Finish(out string, mergeOut bool, compareTo string, tol fl
 			}
 			return 1
 		}
-		fmt.Printf("within tolerance of %s (%.0f%%)\n", compareTo, 100*tol)
-	}
-	return 0
-}
-
-// diffCurve is diff for rows that are curves: the points must match one for
-// one.
-func diffCurve[P interface {
-	comparable
-	fmt.Stringer
-}](cur, base []P) []string {
-	if len(cur) != len(base) {
-		return []string{fmt.Sprintf("%d points, baseline has %d", len(cur), len(base))}
-	}
-	var lines []string
-	for i, p := range cur {
-		if p != base[i] {
-			lines = append(lines, fmt.Sprintf("%v, baseline %v", p, base[i]))
+		if hasWall[R]() {
+			fmt.Printf("within tolerance of %s (%.0f%%)\n", compareTo, 100*tol)
+		} else {
+			fmt.Printf("matches %s\n", compareTo)
 		}
 	}
-	return lines
+	return 0
 }

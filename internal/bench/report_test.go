@@ -3,6 +3,7 @@ package bench
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -17,7 +18,7 @@ type rowCase[R row[R]] struct {
 	other   R                      // a row under a key the baseline does not hold
 	broken  R                      // base with one exact field changed ...
 	mention []string               // ... which the error must name, with both values
-	scaled  func(r R, f float64) R // r with its wall figure multiplied by f
+	scaled  func(r R, f float64) R // r with its wall figure multiplied by f; nil without one
 	tol     float64                // the gate's tolerance; 1+2*tol must fail
 }
 
@@ -29,20 +30,25 @@ func testContract[R row[R]](t *testing.T, c rowCase[R]) {
 	}
 	measured, _ := json.Marshal(c.other)
 	missing := []string{c.other.key(), "missing from baseline", string(measured)}
-	for _, tc := range []struct {
+	type gateCase struct {
 		name string
 		cur  *Report[R]
 		want [][]string // per expected error, the substrings it must carry
-	}{
+	}
+	cases := []gateCase{
 		{"identical passes", report(c.base), nil},
-		{"faster is not an error", report(c.scaled(c.base, 0.5)), nil},
 		{"missing row carries the measured row", report(c.base, c.other), [][]string{missing}},
 		{"exact mismatch names the field and both values", report(c.broken),
 			[][]string{append([]string{c.base.key(), "diverge"}, c.mention...)}},
-		{"wall regression beyond tolerance", report(c.scaled(c.base, 1+2*c.tol)),
-			[][]string{{c.base.key(), "regressed"}}},
 		{"zero matched rows", report(c.other), [][]string{missing, {"no measured row matches"}}},
-	} {
+	}
+	if hasWall[R]() {
+		cases = append(cases,
+			gateCase{"faster is not an error", report(c.scaled(c.base, 0.5)), nil},
+			gateCase{"wall regression beyond tolerance", report(c.scaled(c.base, 1+2*c.tol)),
+				[][]string{{c.base.key(), "regressed"}}})
+	}
+	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			errs := tc.cur.compare(report(c.base), c.tol)
 			if len(errs) != len(tc.want) {
@@ -77,9 +83,11 @@ func engRun(shards int, events uint64) EngineRun {
 	}
 }
 
-// TestReportContract runs the one gate contract over all three row types:
-// exact simulated matching, wall within tolerance, no silent admission of
-// an unvetted row, and piecemeal regeneration by merge.
+// TestReportContract runs the one gate contract over both row types: exact
+// simulated matching, a wall within tolerance where the row carries one, no
+// silent admission of an unvetted row, and piecemeal regeneration by merge.
+// The two curve cases are shaped like a BENCH_rails.json and a
+// BENCH_coll.json row.
 func TestReportContract(t *testing.T) {
 	t.Run("engine", func(t *testing.T) {
 		testContract(t, rowCase[EngineRun]{
@@ -91,32 +99,24 @@ func TestReportContract(t *testing.T) {
 			tol:     0.15,
 		})
 	})
+	curve := func(fig, series string, v float64) Curve {
+		return Curve{Figure: fig, Series: series, Points: []Point{{Size: 4096, Value: 500}, {Size: 16384, Value: v}}}
+	}
 	t.Run("rails", func(t *testing.T) {
-		curve := func(rails int, mbps float64) RailsRun {
-			return RailsRun{Rails: rails, Policy: "round-robin", WallSeconds: 1,
-				Points: []RailsPoint{{Size: 4096, MBps: 500}, {Size: 16384, MBps: mbps}}}
-		}
-		testContract(t, rowCase[RailsRun]{
-			base:    curve(2, 700),
-			other:   curve(8, 900),
-			broken:  curve(2, 699),
-			mention: []string{"size=16384", "699 MB/s", "baseline", "700 MB/s"},
-			scaled:  func(r RailsRun, f float64) RailsRun { r.WallSeconds *= f; return r },
-			tol:     0.5,
+		testContract(t, rowCase[Curve]{
+			base:    curve("rails-bw/round-robin", "rails=2", 700),
+			other:   curve("rails-bw/weighted", "rails=2", 700), // a policy nothing has vetted
+			broken:  curve("rails-bw/round-robin", "rails=2", 699.5),
+			mention: []string{"size=16384: 699.5", "baseline size=16384: 700"},
 		})
 	})
 	t.Run("coll", func(t *testing.T) {
-		curve := func(alg string, us float64) CollRun {
-			return CollRun{Coll: "allreduce", Alg: alg, Net: "flat", NP: 16, CPN: 1, WallSeconds: 0.1,
-				Points: []CollPoint{{Size: 256, Us: 20}, {Size: 1024, Us: us}}}
-		}
-		testContract(t, rowCase[CollRun]{
-			base:    curve("ring", 31.5),
-			other:   curve("bruck", 25),
-			broken:  curve("ring", 32),
-			mention: []string{"size=1024", "32 µs", "baseline", "31.5 µs"},
-			scaled:  func(r CollRun, f float64) CollRun { r.WallSeconds *= f; return r },
-			tol:     1.0,
+		fig := "coll-allreduce/flat/np=16/cpn=1"
+		testContract(t, rowCase[Curve]{
+			base:    curve(fig, "allreduce/ring", 31.5),
+			other:   curve("coll-allreduce/fattree-d4-u1/np=16/cpn=1", "allreduce/ring", 31.5),
+			broken:  curve(fig, "allreduce/ring", 32),
+			mention: []string{fig + "/allreduce/ring", "size=16384: 32", "baseline size=16384: 31.5"},
 		})
 	})
 }
@@ -139,8 +139,65 @@ func TestEngineLegacyRowAliasesSerial(t *testing.T) {
 // silently rewrite a baseline fails here first.
 func TestCommittedReportsRoundTrip(t *testing.T) {
 	t.Run("engine", func(t *testing.T) { roundTrip[EngineRun](t, "BENCH_engine.json") })
-	t.Run("rails", func(t *testing.T) { roundTrip[RailsRun](t, "BENCH_rails.json") })
-	t.Run("coll", func(t *testing.T) { roundTrip[CollRun](t, "BENCH_coll.json") })
+	t.Run("paper", func(t *testing.T) { roundTrip[Curve](t, "BENCH_paper.json") })
+	t.Run("rails", func(t *testing.T) { roundTrip[Curve](t, "BENCH_rails.json") })
+	t.Run("coll", func(t *testing.T) { roundTrip[Curve](t, "BENCH_coll.json") })
+}
+
+// TestCurveFinishSaysMatches: a curve report has no wall, so a passing gate
+// says it matches rather than quoting a tolerance.
+func TestCurveFinishSaysMatches(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "curves.json")
+	rep := Curves(Figure{ID: "f", Series: []Series{{Name: "s", Points: []Point{{Size: 4, Value: 1.5}}}}})
+	if err := rep.write(path); err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	r, w, _ := os.Pipe()
+	os.Stdout = w
+	code := rep.Finish("", false, path, 0)
+	w.Close()
+	os.Stdout = stdout
+	printed, _ := io.ReadAll(r)
+	if code != 0 || string(printed) != "matches "+path+"\n" {
+		t.Errorf("Finish = %d, printed %q", code, printed)
+	}
+}
+
+// FuzzCurveReport: the report decoder never panics on arbitrary bytes, and
+// every document it accepts — as curves or as engine rows — survives
+// write → read and then matches itself at the gate. The seed corpus is the
+// four committed baselines.
+func FuzzCurveReport(f *testing.F) {
+	for _, name := range []string{"BENCH_engine.json", "BENCH_paper.json", "BENCH_rails.json", "BENCH_coll.json"} {
+		b, err := os.ReadFile(filepath.Join("..", "..", name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fuzzRoundTrip[Curve](t, data)
+		fuzzRoundTrip[EngineRun](t, data)
+	})
+}
+
+func fuzzRoundTrip[R row[R]](t *testing.T, data []byte) {
+	rep, err := decodeReport[R](data)
+	if err != nil {
+		return
+	}
+	b, err := rep.encode()
+	if err != nil {
+		t.Fatalf("accepted report does not encode: %v", err)
+	}
+	again, err := decodeReport[R](b)
+	if err != nil {
+		t.Fatalf("written report does not read back: %v\n%s", err, b)
+	}
+	if errs := again.compare(rep, 0); len(errs) > 0 {
+		t.Fatalf("report read back does not match itself: %v", errs)
+	}
 }
 
 func roundTrip[R row[R]](t *testing.T, name string) {
