@@ -1,10 +1,10 @@
-// Command mpich2ib-bench regenerates the paper's microbenchmark figures
-// (Figures 4–15), the design-choice ablations, and transport-matrix sweeps
-// over the simulated testbed.
+// Command mpich2ib-bench regenerates the paper's figures (Figures 4–17),
+// the design-choice ablations, and transport-matrix sweeps over the
+// simulated testbed.
 //
 // Usage:
 //
-//	mpich2ib-bench -fig all                    # every microbenchmark figure
+//	mpich2ib-bench -fig all                    # every figure (class B fig17 is most of the run)
 //	mpich2ib-bench -fig fig11                  # one figure
 //	mpich2ib-bench -fig ablations              # the ablation suite
 //	mpich2ib-bench -list                       # available figure ids
@@ -194,7 +194,7 @@ func figures() ([]bench.Figure, error) {
 		return bench.TransportMatrix(specs, sz), nil
 
 	case *fig == "all":
-		return bench.MicroFigures(), nil
+		return bench.AllFigures(), nil
 	case *fig == "ablations":
 		return bench.Ablations(), nil
 	}

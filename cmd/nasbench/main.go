@@ -154,7 +154,7 @@ func main() {
 		for p := 1; p <= *np; p *= 2 {
 			ppns = append(ppns, p)
 		}
-		fmt.Print(nas.RunSMP(cl, *np, ppns).Format())
+		fmt.Print(bench.FormatFigure(bench.NASSMP(cl, *np, ppns)))
 		return
 	}
 
@@ -175,8 +175,7 @@ func main() {
 		if cl == nas.ClassB {
 			id = "fig17"
 		}
-		fr := nas.RunFigure(id, cl, *np)
-		fmt.Print(fr.Format())
+		fmt.Print(bench.FormatFigure(bench.NASFigure(id, cl, *np)))
 		return
 	}
 

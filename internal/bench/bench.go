@@ -10,13 +10,21 @@ import (
 	"repro/internal/mpi"
 )
 
-// Point is one x/y sample of a series.
+// Point is one x/y sample of a series. Label, when set, names the point's
+// row in place of its size: a NAS figure's rows are kernels, and Size is
+// the rank count the kernel ran at.
 type Point struct {
 	Size  int     `json:"size"`
 	Value float64 `json:"value"`
+	Label string  `json:"label,omitempty"`
 }
 
-func (p Point) String() string { return fmt.Sprintf("size=%d: %v", p.Size, p.Value) }
+func (p Point) String() string {
+	if p.Label != "" {
+		return fmt.Sprintf("%s size=%d: %v", p.Label, p.Size, p.Value)
+	}
+	return fmt.Sprintf("size=%d: %v", p.Size, p.Value)
+}
 
 // Series is a named curve of a figure.
 type Series struct {
@@ -342,9 +350,10 @@ func VerbsLatency(prm *model.Params) float64 {
 }
 
 // FormatFigure renders a figure as an aligned text table, one row per
-// message size, one column per series — the rows behind the paper's plot.
-// Columns widen to the longest series name (registry series like
-// "barrier/dissemination" overflow the historical 16 characters).
+// message size (or per label, where the points carry one), one column per
+// series — the rows behind the paper's plot. Columns widen to the longest
+// series name (registry series like "barrier/dissemination" overflow the
+// historical 16 characters).
 func FormatFigure(f Figure) string {
 	w := 16
 	for _, s := range f.Series {
@@ -352,13 +361,6 @@ func FormatFigure(f Figure) string {
 			w = len(s.Name) + 2
 		}
 	}
-	out := fmt.Sprintf("%s: %s\n", f.ID, f.Title)
-	out += fmt.Sprintf("  (%s vs %s)\n", f.YLabel, f.XLabel)
-	header := fmt.Sprintf("  %-10s", "size")
-	for _, s := range f.Series {
-		header += fmt.Sprintf("%*s", w, s.Name)
-	}
-	out += header + "\n"
 	rows := 0
 	longest := 0
 	for i, s := range f.Series {
@@ -367,8 +369,24 @@ func FormatFigure(f Figure) string {
 			longest = i
 		}
 	}
+	x := "size"
+	if rows > 0 && f.Series[longest].Points[0].Label != "" {
+		x = f.XLabel
+	}
+	out := fmt.Sprintf("%s: %s\n", f.ID, f.Title)
+	out += fmt.Sprintf("  (%s vs %s)\n", f.YLabel, f.XLabel)
+	header := fmt.Sprintf("  %-10s", x)
+	for _, s := range f.Series {
+		header += fmt.Sprintf("%*s", w, s.Name)
+	}
+	out += header + "\n"
 	for i := 0; i < rows; i++ {
-		row := fmt.Sprintf("  %-10s", fmtSize(f.Series[longest].Points[i].Size))
+		p := f.Series[longest].Points[i]
+		x := p.Label
+		if x == "" {
+			x = fmtSize(p.Size)
+		}
+		row := fmt.Sprintf("  %-10s", x)
 		for _, s := range f.Series {
 			if i < len(s.Points) {
 				row += fmt.Sprintf("%*.1f", w, s.Points[i].Value)

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/ib"
+	"repro/internal/nas"
 	"repro/internal/rdmachan"
 )
 
@@ -180,8 +181,8 @@ func Headline() Figure {
 
 // figureTable is every figure -fig can name, in -list order. The ones
 // marked all are what "-fig all" regenerates and BENCH_paper.json pins:
-// Figures 4–15 (NAS Figures 16 and 17 live in internal/nas), the raw
-// baseline, the headline and the SMP extension (fig3-lat, fig3-bw).
+// Figures 4–17 at the paper's class and node count, the raw baseline, the
+// headline and the SMP extension (fig3-lat, fig3-bw, nas-smp).
 var figureTable = []struct {
 	id   string
 	make func() Figure
@@ -192,6 +193,9 @@ var figureTable = []struct {
 	{"fig4", Fig4, true}, {"fig5", Fig5, true}, {"fig6", Fig6, true}, {"fig7", Fig7, true},
 	{"fig8", Fig8, true}, {"fig9", Fig9, true}, {"fig11", Fig11, true}, {"fig13", Fig13, true},
 	{"fig14", Fig14, true}, {"fig15", Fig15, true},
+	{"fig16", func() Figure { return NASFigure("fig16", nas.ClassA, 4) }, true},
+	{"fig17", func() Figure { return NASFigure("fig17", nas.ClassB, 8) }, true},
+	{"nas-smp", func() Figure { return NASSMP(nas.ClassA, 8, []int{1, 2, 4, 8}) }, true},
 	{"rails-bw", func() Figure { return RailBandwidth(DefaultRailCounts(), rdmachan.RailRoundRobin) }, false},
 	{"rails-policy", RailPolicyFigure, false},
 	{"ablation-rail-stripe", AblationRailStripe, false},
@@ -207,8 +211,8 @@ func FigureIDs() []string {
 	return ids
 }
 
-// MicroFigures returns every figure "-fig all" regenerates, in table order.
-func MicroFigures() []Figure {
+// AllFigures returns every figure "-fig all" regenerates, in table order.
+func AllFigures() []Figure {
 	var figs []Figure
 	for _, e := range figureTable {
 		if e.all {

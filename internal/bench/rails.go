@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/cluster"
-	"repro/internal/nas"
 	"repro/internal/rdmachan"
 )
 
@@ -92,27 +91,5 @@ func RailPolicyFigure() Figure {
 		f.Series = append(f.Series, s)
 	}
 	f.Notes = append(f.Notes, "fixed pins rail 0: the single-rail baseline inside a 2-rail build")
-	return f
-}
-
-// NASRailSweep runs NAS CG over rail counts — the application-level rail
-// sweep (one series per transport is unnecessary: CG's transfers are the
-// zero-copy design's bread and butter).
-func NASRailSweep(class nas.Class, np int, railCounts []int, policy rdmachan.RailPolicy) Figure {
-	f := Figure{
-		ID: "nas-rails", Title: fmt.Sprintf("NAS CG class %c np=%d vs rails (zero-copy design)", class, np),
-		XLabel: "rails", YLabel: "Mop/s",
-	}
-	s := Series{Name: "cg/zerocopy"}
-	for _, rails := range railCounts {
-		cfg := cluster.Config{NP: np, RailsPerNode: rails, Transport: cluster.TransportZeroCopy}
-		cfg.Chan.RailPolicy = policy
-		res := nas.Run("cg", class, cfg)
-		if !res.Verified {
-			f.Notes = append(f.Notes, fmt.Sprintf("rails=%d FAILED VERIFICATION", rails))
-		}
-		s.Points = append(s.Points, Point{Size: rails, Value: res.Mops})
-	}
-	f.Series = append(f.Series, s)
 	return f
 }

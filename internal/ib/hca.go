@@ -54,10 +54,9 @@ type HCA struct {
 
 // HCAStats counts adapter-level activity.
 type HCAStats struct {
-	BytesInjected   uint64
-	BytesDelivered  uint64
-	MRsRegistered   uint64
-	MRsDeregistered uint64
+	BytesInjected  uint64
+	BytesDelivered uint64
+	MRsRegistered  uint64
 }
 
 // rxItem is one granule arriving from the wire. w, when non-nil, is the

@@ -111,7 +111,6 @@ func (h *HCA) DeregisterMR(p *des.Proc, mr *MR) error {
 	mr.valid = false
 	delete(h.lkeys, mr.lkey)
 	delete(h.rkeys, mr.rkey)
-	h.stats.MRsDeregistered++
 	return nil
 }
 

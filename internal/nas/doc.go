@@ -14,9 +14,9 @@
 // Relative transport ordering, the figures' result, is preserved.
 //
 // Layer boundaries: nas sits purely on internal/mpi and internal/cluster —
-// it is an application, and deliberately uses no simulator internals. The
-// figure harnesses (RunFigure, RunSMP, and the bench package's NAS
-// sweeps) are the only extra surface.
+// it is an application, and deliberately uses no simulator internals. It
+// holds only the kernels: the figures over them (Figures 16–17 and the
+// SMP and rail sweeps) are built in internal/bench.
 //
 // Invariants:
 //

@@ -18,7 +18,7 @@ func TestClassSAllBenchmarksAllTransports(t *testing.T) {
 				nps = []int{4}
 			}
 			for _, np := range nps {
-				for _, tr := range figureTransports {
+				for _, tr := range []cluster.Transport{cluster.TransportPipeline, cluster.TransportZeroCopy, cluster.TransportCH3} {
 					res := Run(name, ClassS, cluster.Config{NP: np, Transport: tr})
 					if !res.Verified {
 						t.Errorf("%s.S np=%d %v: verification failed", name, np, tr)
@@ -210,26 +210,6 @@ func TestTransportOrderingClassA(t *testing.T) {
 	}
 }
 
-func TestRunFigureSmoke(t *testing.T) {
-	fr := RunFigure("smoke", ClassS, 4)
-	if len(fr.Rows) != 8 {
-		t.Fatalf("expected 8 benchmarks, got %d", len(fr.Rows))
-	}
-	for _, r := range fr.Rows {
-		if !r.Verified {
-			t.Errorf("%s failed verification", r.Name)
-		}
-		for _, tr := range figureTransports {
-			if r.Times[tr] <= 0 {
-				t.Errorf("%s: missing time for %v", r.Name, tr)
-			}
-		}
-	}
-	if s := fr.Format(); len(s) == 0 {
-		t.Error("empty format output")
-	}
-}
-
 // TestClassSAllBenchmarksSMPLayouts: every kernel must verify when the
 // same ranks are packed onto multi-core nodes — co-located pairs over
 // shared memory, remote pairs over InfiniBand, collectives hierarchical.
@@ -255,26 +235,6 @@ func TestClassSAllBenchmarksSMPLayouts(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-func TestRunSMPSmoke(t *testing.T) {
-	res := RunSMP(ClassS, 4, []int{1, 2, 4})
-	if len(res.Rows) != 8 {
-		t.Fatalf("expected 8 benchmarks, got %d", len(res.Rows))
-	}
-	for _, r := range res.Rows {
-		if !r.Verified {
-			t.Errorf("%s failed verification on an SMP layout", r.Name)
-		}
-		for _, ppn := range res.PPNs {
-			if r.Times[ppn] <= 0 {
-				t.Errorf("%s: missing time for %d/node", r.Name, ppn)
-			}
-		}
-	}
-	if s := res.Format(); len(s) == 0 {
-		t.Error("empty format output")
 	}
 }
 

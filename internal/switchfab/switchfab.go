@@ -120,26 +120,16 @@ func (f *Fabric) Plane(rail int) *Plane { return f.planes[rail] }
 func (f *Fabric) Stats() Stats {
 	var s Stats
 	for _, p := range f.planes {
-		for l := range p.leaf {
-			for d := 0; d < 2; d++ {
-				ports := p.leaf[l].up
-				if d == 1 {
-					ports = p.leaf[l].down
-				}
-				for i := range ports {
-					pc := &ports[i]
-					if d == 0 {
-						s.UpGranules += pc.granules
-						s.UpWaited += pc.waited
-						s.BytesUp += pc.bytes
-					} else {
-						s.DownGranules += pc.granules
-						s.DownWaited += pc.waited
-					}
-					if pc.maxWait > s.MaxWait {
-						s.MaxWait = pc.maxWait
-					}
-				}
+		for _, lp := range p.leaf {
+			for i := range lp.up {
+				pc := &lp.up[i]
+				s.UpGranules += pc.granules
+				s.UpWaited += pc.waited
+				s.BytesUp += pc.bytes
+				s.MaxWait = max(s.MaxWait, pc.maxWait)
+			}
+			for i := range lp.down {
+				s.MaxWait = max(s.MaxWait, lp.down[i].maxWait)
 			}
 		}
 	}
@@ -148,12 +138,10 @@ func (f *Fabric) Stats() Stats {
 
 // Stats are fabric-wide contention counters.
 type Stats struct {
-	UpGranules   uint64   // granules through leaf uplinks
-	DownGranules uint64   // granules through spine->leaf downlinks
-	BytesUp      uint64   // payload bytes through uplinks
-	UpWaited     des.Time // total uplink queueing delay
-	DownWaited   des.Time // total downlink queueing delay
-	MaxWait      des.Time // worst single-granule port wait
+	UpGranules uint64   // granules through leaf uplinks
+	BytesUp    uint64   // payload bytes through uplinks
+	UpWaited   des.Time // total uplink queueing delay
+	MaxWait    des.Time // worst single-granule port wait, uplinks and downlinks
 }
 
 // Plane is one rail's switch tree. Its port state is deliberately
