@@ -99,16 +99,6 @@ func BenchmarkAblationRingSize(b *testing.B) {
 	reportSeries(b, f)
 }
 
-// BenchmarkAblationHierCollectives compares hierarchical against flat
-// collectives on a 4-node × 4-core layout (DESIGN.md §6).
-func BenchmarkAblationHierCollectives(b *testing.B) {
-	var f bench.Figure
-	for i := 0; i < b.N; i++ {
-		f = bench.AblationHierCollectives()
-	}
-	reportSeries(b, f)
-}
-
 // BenchmarkAblationCollAlg sweeps every registered collective algorithm
 // per message size on the 4-node × 4-core layout — the data behind the
 // per-communicator tuning table (internal/mpi/algorithms.go).
@@ -176,7 +166,7 @@ func BenchmarkNASCG(b *testing.B) {
 // form: the shared-memory channel must beat InfiniBand for small
 // messages, and on a 4-node × 4-core layout the hierarchical broadcast
 // must beat the flat binomial (rooted off the node boundary; see
-// bench.AblationHierCollectives for why the root matters).
+// bench.AblationCollAlg's layout for why the root matters).
 func TestSMPHeadline(t *testing.T) {
 	f := bench.Fig3Latency()
 	shm, ib := f.Series[0].Points[0].Value, f.Series[1].Points[0].Value

@@ -169,7 +169,6 @@ func Ablations() []Figure {
 		AblationOutstandingReads(),
 		AblationRingSize(),
 		AblationShmRndv(),
-		AblationHierCollectives(),
 		AblationCollAlg(),
 		AblationRailStripe(),
 	}

@@ -125,7 +125,7 @@ func TestCollAlgSweepRejectsBadInput(t *testing.T) {
 		{"negative calls per point", 16, 1, -3, "-3 measured calls"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := CollAlgSweep("allreduce", tc.np, tc.cpn, nil, []int{256}, tc.its, mpi.DefaultTuning())
+			_, err := CollAlgSweep("allreduce", tc.np, tc.cpn, nil, []int{256}, tc.its, mpi.Tuning{})
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("err = %v, want one naming %q", err, tc.want)
 			}
@@ -153,6 +153,32 @@ func FuzzParseNets(f *testing.F) {
 		}
 		again, err := ParseNets(strings.Join(labels, ","))
 		if err != nil || !reflect.DeepEqual(again, nets) {
+			t.Fatalf("%q: labels %v read back as %v, %v", list, labels, again, err)
+		}
+	})
+}
+
+// FuzzParseSizes: the -sizes parser never panics, and every size it
+// accepts is positive and reads back unchanged from its own label; a
+// K/M product past the int range is refused, not wrapped.
+func FuzzParseSizes(f *testing.F) {
+	for _, s := range []string{"4096,64K,1M", "4", "", ",", "0", "-1K", "1G", "17592186044416M", "8796093022208M", "8589934591M"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, list string) {
+		sizes, err := ParseSizes(list)
+		if err != nil {
+			return
+		}
+		labels := make([]string, len(sizes))
+		for i, n := range sizes {
+			if n <= 0 {
+				t.Fatalf("%q: accepted size %d", list, n)
+			}
+			labels[i] = fmtSize(n)
+		}
+		again, err := ParseSizes(strings.Join(labels, ","))
+		if err != nil || !reflect.DeepEqual(again, sizes) {
 			t.Fatalf("%q: labels %v read back as %v, %v", list, labels, again, err)
 		}
 	})

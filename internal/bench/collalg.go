@@ -17,9 +17,15 @@ import (
 // internal/mpi/algorithms.go; `mpich2ib-bench -coll ... -coll-alg ...`
 // drives these from the command line).
 
-// collAlgLayout is the sweep layout: the 4-node × 4-core cluster of the
-// hierarchical-collective ablation, rooted at a mid-node rank for the
-// same reason that ablation documents.
+// The ablation layout is 4 nodes × 4 cores, rooted at rank 5, a mid-node
+// rank. That choice is load-bearing: with block placement, power-of-two
+// geometry and root 0, the flat binomial tree happens to be
+// hierarchy-optimal (its high-bit edges cross nodes, its low-bit edges
+// stay inside them) and the hierarchical and flat algorithms produce
+// identical schedules. A general root rotates the binomial tree off the
+// node boundaries and most flat edges become InfiniBand round trips, which
+// is what applications rooting collectives at arbitrary ranks actually
+// experience. DESIGN.md §6 discusses this.
 const (
 	collAlgNP   = 16
 	collAlgCPN  = 4
@@ -65,11 +71,11 @@ func collRunner(coll string, np, root int) func(comm *mpi.Comm, buf mpi.Buffer) 
 // algorithms across the given sizes on an np-rank, cpn-cores-per-node
 // zero-copy cluster whose wires run through sw (nil = the flat wire; a fat
 // tree measures the same registry under uplink contention, the data the
-// topology-keyed tuning defaults rest on). Every other field of the base
-// tuning — algorithms forced for other collectives, the reduce cutoff —
-// carries through to each series; a base algorithm forced for coll itself
-// restricts the sweep to that one series. The figure id names the
-// collective, net and layout, so BENCH_coll.json holds each one apart.
+// topology-keyed tuning defaults rest on). The algorithms the base tuning
+// forces for other collectives carry through to each series; a base
+// algorithm forced for coll itself restricts the sweep to that one series.
+// The figure id names the collective, net and layout, so BENCH_coll.json
+// holds each one apart.
 func CollAlgSweep(coll string, np, cpn int, sw *switchfab.Config, sizes []int, iters int, base mpi.Tuning) (Figure, error) {
 	if iters < 1 {
 		return Figure{}, fmt.Errorf("bench: %d measured calls per point, want at least 1", iters)
@@ -173,18 +179,20 @@ func netLabel(sw *switchfab.Config) string {
 }
 
 // AblationCollAlg sweeps every registered bcast, reduce and allgather
-// algorithm per message size on the 4-node × 4-core layout — the data the
-// default tuning table is keyed on (the barrier algorithms have no size
-// axis; sweep them with `mpich2ib-bench -coll barrier`).
+// algorithm per message size, 4 B–64 KiB, on the 4-node × 4-core layout —
+// the data the default tuning table is keyed on, hierarchical against flat
+// included: reduce/hier overtakes reduce/binomial at mpi's 4 KiB
+// hierReduceCutoff (the barrier algorithms have no size axis; sweep them
+// with `mpich2ib-bench -coll barrier`).
 func AblationCollAlg() Figure {
-	sizes := sizesPow4(4, 16<<10)
+	sizes := sizesPow4(4, 64<<10)
 	f := Figure{
 		ID:     "ablation-coll-alg",
 		Title:  "Collective algorithm registry sweep (4 nodes × 4 cores, root 5)",
 		XLabel: "message size (bytes)", YLabel: "time per call (µs)",
 	}
 	for _, coll := range []string{"bcast", "reduce", "allgather"} {
-		sub, err := CollAlgSweep(coll, collAlgNP, collAlgCPN, nil, sizes, 5, mpi.DefaultTuning())
+		sub, err := CollAlgSweep(coll, collAlgNP, collAlgCPN, nil, sizes, 5, mpi.Tuning{})
 		if err != nil {
 			panic(err)
 		}

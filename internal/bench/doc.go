@@ -9,7 +9,7 @@
 //
 // Layer boundaries: bench builds clusters (internal/cluster) and runs MPI
 // programs on them; it reads counters only through exported stats
-// surfaces. The cmd binaries (mpich2ib-bench, nasbench) are thin flag
+// surfaces. The cmd binaries (mpich2ib-bench, enginebench) are thin flag
 // parsers over this package; DESIGN.md §4 is the index mapping each
 // figure id to its producer here.
 //

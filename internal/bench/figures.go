@@ -196,6 +196,7 @@ var figureTable = []struct {
 	{"fig16", func() Figure { return NASFigure("fig16", nas.ClassA, 4) }, true},
 	{"fig17", func() Figure { return NASFigure("fig17", nas.ClassB, 8) }, true},
 	{"nas-smp", func() Figure { return NASSMP(nas.ClassA, 8, []int{1, 2, 4, 8}) }, true},
+	{"nas-rails", func() Figure { return NASRailSweep(nas.ClassA, 4, DefaultRailCounts(), rdmachan.RailRoundRobin) }, false},
 	{"rails-bw", func() Figure { return RailBandwidth(DefaultRailCounts(), rdmachan.RailRoundRobin) }, false},
 	{"rails-policy", RailPolicyFigure, false},
 	{"ablation-rail-stripe", AblationRailStripe, false},

@@ -81,45 +81,3 @@ func CollectiveTime(o Options, np int, sizes []int, iters int,
 	}
 	return s
 }
-
-// AblationHierCollectives compares hierarchical (leader-based) against
-// flat binomial collectives on a 4-node × 4-core layout: the SMP win the
-// automatic dispatch in internal/mpi banks on.
-//
-// The collectives are rooted at rank 5, a mid-node rank. That choice is
-// load-bearing: with block placement, power-of-two geometry and root 0,
-// the flat binomial tree happens to be hierarchy-optimal (its high-bit
-// edges cross nodes, its low-bit edges stay inside them) and the two
-// algorithms produce identical schedules. A general root rotates the
-// binomial tree off the node boundaries and most flat edges become
-// InfiniBand round trips, which is what applications rooting collectives
-// at arbitrary ranks actually experience. DESIGN.md §6 discusses this.
-func AblationHierCollectives() Figure {
-	const np, cpn, iters, root = 16, 4, 10, 5
-	sizes := sizesPow4(4, 64<<10)
-	// forced times run with coll pinned to alg through the tuning table.
-	forced := func(name, coll, alg string, run func(comm *mpi.Comm, buf mpi.Buffer)) Series {
-		tun := mpi.DefaultTuning()
-		tun.Force(coll, alg)
-		o := Options{Config: cluster.Config{Transport: cluster.TransportZeroCopy, CoresPerNode: cpn, Tuning: &tun}}
-		s := CollectiveTime(o, np, sizes, iters, run)
-		s.Name = name
-		return s
-	}
-	bcast := func(comm *mpi.Comm, buf mpi.Buffer) { comm.Bcast(buf, root) }
-	reduce := func(comm *mpi.Comm, buf mpi.Buffer) {
-		recv, _ := comm.Alloc(max(buf.Len, 8))
-		comm.Reduce(buf, recv, mpi.Byte, mpi.Sum, root)
-	}
-	return Figure{
-		ID:     "ablation-smp-collectives",
-		Title:  "Hierarchical vs Flat Collectives (4 nodes × 4 cores, root 5)",
-		XLabel: "message size (bytes)", YLabel: "time per call (µs)",
-		Series: []Series{
-			forced("bcast hier", "bcast", "hier-leader", bcast),
-			forced("bcast flat", "bcast", "binomial", bcast),
-			forced("reduce hier", "reduce", "hier", reduce),
-			forced("reduce flat", "reduce", "binomial", reduce),
-		},
-	}
-}

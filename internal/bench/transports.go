@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -98,7 +99,7 @@ func ParseSizes(list string) ([]int, error) {
 		if tok == "" {
 			continue
 		}
-		mult := 1
+		spec, mult := tok, 1
 		switch {
 		case strings.HasSuffix(tok, "M"):
 			mult, tok = 1<<20, strings.TrimSuffix(tok, "M")
@@ -106,8 +107,8 @@ func ParseSizes(list string) ([]int, error) {
 			mult, tok = 1<<10, strings.TrimSuffix(tok, "K")
 		}
 		n, err := strconv.Atoi(tok)
-		if err != nil || n <= 0 {
-			return nil, fmt.Errorf("bench: bad message size %q", tok)
+		if err != nil || n <= 0 || n > math.MaxInt/mult {
+			return nil, fmt.Errorf("bench: bad message size %q", spec)
 		}
 		out = append(out, n*mult)
 	}

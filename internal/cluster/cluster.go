@@ -163,7 +163,7 @@ func New(cfg Config) (*Cluster, error) {
 		for k := 0; k < rails; k++ {
 			set[k] = c.Fabric.NewRailHCAOn(c.nodeEng(n), node, k)
 			if c.sw != nil {
-				set[k].AttachSwitch(c.sw.Plane(k), c.sw.LeafOf(n), c.sw.Config().HopLatency)
+				set[k].AttachSwitch(c.sw.Plane(k), c.sw.LeafOf(n))
 			}
 		}
 		c.Rails = append(c.Rails, set)
@@ -648,17 +648,7 @@ func (c *Cluster) ProgressStats() transport.ProgressStats {
 func (c *Cluster) Launch(body func(comm *mpi.Comm)) {
 	c.launchSeq++
 	gen := c.launchSeq
-	// Thread the network label into the collective tuning so the default
-	// table can key on topology (mpi.DefaultTuningFor); an explicit
-	// Config.Tuning is used as given, only stamped with the label when it
-	// does not pin one itself.
-	tun := mpi.DefaultTuningFor(c.NetLabel())
-	if c.cfg.Tuning != nil {
-		tun = *c.cfg.Tuning
-		if tun.Net == "" {
-			tun.Net = c.NetLabel()
-		}
-	}
+	net := c.NetLabel()
 	for i := 0; i < c.cfg.NP; i++ {
 		eng := c.Ranks[i]
 		// Rank processes run on their node's shard. The start events are
@@ -666,7 +656,7 @@ func (c *Cluster) Launch(body func(comm *mpi.Comm)) {
 		// schedule is independent of which engine each rank lands on.
 		c.nodeEng(int(c.nodeOf[i])).SpawnSeeded(des.Salt(rankSalt, gen, uint64(i)),
 			fmt.Sprintf("rank%d", i), func(p *des.Proc) {
-				body(mpi.NewWithTuning(p, eng, c.nodeOf, c.direct, &tun))
+				body(mpi.NewWithTuning(p, eng, c.nodeOf, c.direct, net, c.cfg.Tuning))
 			})
 	}
 	c.Eng.Run()

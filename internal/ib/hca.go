@@ -35,8 +35,7 @@ type HCA struct {
 	// crossing costs exactly WireLatency, bit-identical to the pre-switch
 	// code path.
 	sw   *switchfab.Plane
-	leaf int      // this adapter's leaf switch in sw
-	hop  des.Time // per-switch-hop latency on cross-leaf paths
+	leaf int // this adapter's leaf switch in sw
 
 	rxq   des.Queue[rxItem]
 	readq des.Queue[*sendWork] // RDMA read and atomic requests to serve
@@ -94,8 +93,8 @@ func (h *HCA) Down() bool { return h.down }
 // plane: the adapter hangs off the given leaf, and cross-leaf paths pay
 // two hops of latency plus per-port queueing. The cluster attaches rail
 // k's adapters to plane k during construction, before any traffic.
-func (h *HCA) AttachSwitch(sw *switchfab.Plane, leaf int, hop des.Time) {
-	h.sw, h.leaf, h.hop = sw, leaf, hop
+func (h *HCA) AttachSwitch(sw *switchfab.Plane, leaf int) {
+	h.sw, h.leaf = sw, leaf
 }
 
 // pathLatency is the contention-free first-byte latency from this
@@ -106,7 +105,7 @@ func (h *HCA) pathLatency(dst *HCA) des.Time {
 	if h.sw == nil || h.sw != dst.sw || h.leaf == dst.leaf {
 		return h.prm.WireLatency
 	}
-	return h.prm.WireLatency + 2*h.hop
+	return h.prm.WireLatency + 2*switchfab.HopLatency
 }
 
 // crossCtl carries a control message (completion ack, read request, NAK)
@@ -134,7 +133,7 @@ func (h *HCA) crossData(dst *HCA, bytes int, w *sendWork) {
 	}
 	d, arg := h.prm.WireLatency, uint64(bytes)
 	if h.sw != nil && h.sw == dst.sw && h.leaf != dst.leaf {
-		d += 2*h.hop + h.sw.Up(h.leaf, h.sw.Route(dst.node.ID), bytes, h.eng.Now())
+		d += 2*switchfab.HopLatency + h.sw.Up(h.leaf, h.sw.Route(dst.node.ID), bytes, h.eng.Now())
 		arg |= viaSwitch
 	}
 	h.eng.AfterOnArg(dst.eng, d, hd, arg)

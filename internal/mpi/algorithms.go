@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"strconv"
 	"strings"
 )
 
@@ -200,10 +199,10 @@ func Algorithms() []string {
 }
 
 // Tuning is a communicator's collective algorithm selection. Empty fields
-// use the default topology/size table; a named algorithm forces that
-// choice for every call (falling back to the flat default where the
-// algorithm is inapplicable on the communicator's topology). Derived
-// communicators inherit their parent's tuning.
+// use the default topology/size table, so the zero Tuning is the default;
+// a named algorithm forces that choice for every call (falling back to the
+// flat default where the algorithm is inapplicable on the communicator's
+// topology). Derived communicators inherit their parent's tuning.
 type Tuning struct {
 	Bcast     string // "" | "binomial" | "hier-leader" | "scatter-allgather"
 	Reduce    string // "" | "binomial" | "hier"
@@ -212,47 +211,17 @@ type Tuning struct {
 	Allreduce string // "" | "reduce-bcast" | "recursive-doubling" | "rabenseifner" | "rdma-direct"
 	Alltoall  string // "" | "pairwise" | "scattered" | "rdma-direct"
 
-	// Net names the network model the table was keyed for: "" or "flat"
-	// for the flat per-link wire, or a switchfab label ("fattree-d4-u1").
-	// cluster.Launch stamps it from the topology it built; the default
-	// table consults it because the allreduce crossovers measured on the
-	// contended fat-tree differ from the flat-wire ones (DESIGN.md §14).
-	Net string
-
-	// ReduceHierCutoff is the message size in bytes at and above which the
-	// default table picks reduce/hier on SMP layouts; below it the flat
-	// binomial wins because its subtrees combine in parallel while the
-	// hierarchy serializes the intra-node stage. 0 means the measured
-	// default (hierReduceCutoff, DESIGN.md §6).
-	ReduceHierCutoff int
-
-	// AllreduceRabCutoff is the message size in bytes at and above which
-	// the default table on a fat-tree network picks allreduce/rabenseifner
-	// over recursive-doubling: Rabenseifner moves ~half the bytes per rank
-	// through the contended uplinks, which wins once serialization on the
-	// uplink ports dominates the extra startup latency of its two phases.
-	// 0 means the measured default (allreduceRabCutoff, DESIGN.md §14).
-	AllreduceRabCutoff int
-}
-
-// DefaultTuning is the table that reproduces the measured dispatch.
-func DefaultTuning() Tuning {
-	return Tuning{ReduceHierCutoff: hierReduceCutoff, AllreduceRabCutoff: allreduceRabCutoff}
-}
-
-// DefaultTuningFor returns the default table keyed for a network label —
-// cluster.Launch's entry point, so communicators on a fat-tree topology
-// re-measure their size crossovers against the contended switch model
-// instead of the flat wire.
-func DefaultTuningFor(net string) Tuning {
-	t := DefaultTuning()
-	t.Net = net
-	return t
+	// net names the network model the table is keyed for: "flat" for the
+	// per-link wire, or a switchfab label ("fattree-d4-u1"). NewWithTuning
+	// stamps it from the topology the cluster built; the default table
+	// consults it because the crossovers measured on the contended fat
+	// tree differ from the flat-wire ones (DESIGN.md §14).
+	net string
 }
 
 // fattree reports whether the tuning was keyed for a blocking fat-tree
 // network (switchfab label).
-func (t Tuning) fattree() bool { return strings.HasPrefix(t.Net, "fattree") }
+func (t Tuning) fattree() bool { return strings.HasPrefix(t.net, "fattree") }
 
 // Forced returns the algorithm forced for one collective ("" = the
 // table). It panics on an unknown collective.
@@ -274,28 +243,12 @@ func (t Tuning) Validate() error {
 	return nil
 }
 
-// withDefaults fills zero fields. A tuning that fails Validate is a bug of
-// the caller: cluster.New rejects one before any rank runs.
-func (t Tuning) withDefaults() Tuning {
-	if t.ReduceHierCutoff == 0 {
-		t.ReduceHierCutoff = hierReduceCutoff
-	}
-	if t.AllreduceRabCutoff == 0 {
-		t.AllreduceRabCutoff = allreduceRabCutoff
-	}
-	if err := t.Validate(); err != nil {
-		panic("mpi: Tuning." + err.Error())
-	}
-	return t
-}
-
 // ParseTuning builds a Tuning from a comma-separated override list, e.g.
-// "bcast=hier-leader,allgather=bruck,reduce-cutoff=8192". Keys are the
-// collective names (values: AlgorithmNames — for allgather ring, hier,
-// recursive-doubling, bruck; for alltoall pairwise, scattered,
-// rdma-direct) plus "reduce-cutoff" and "rab-cutoff" (bytes).
+// "bcast=hier-leader,allgather=bruck". Keys are the collective names
+// (values: AlgorithmNames — for allgather ring, hier, recursive-doubling,
+// bruck; for alltoall pairwise, scattered, rdma-direct).
 func ParseTuning(s string) (Tuning, error) {
-	t := DefaultTuning()
+	var t Tuning
 	for _, tok := range strings.Split(s, ",") {
 		tok = strings.TrimSpace(tok)
 		if tok == "" {
@@ -304,22 +257,6 @@ func ParseTuning(s string) (Tuning, error) {
 		k, v, ok := strings.Cut(tok, "=")
 		if !ok {
 			return t, fmt.Errorf("mpi: tuning %q is not key=value", tok)
-		}
-		if k == "reduce-cutoff" {
-			n, err := strconv.Atoi(v)
-			if err != nil || n <= 0 {
-				return t, fmt.Errorf("mpi: bad reduce-cutoff %q", v)
-			}
-			t.ReduceHierCutoff = n
-			continue
-		}
-		if k == "rab-cutoff" {
-			n, err := strconv.Atoi(v)
-			if err != nil || n <= 0 {
-				return t, fmt.Errorf("mpi: bad rab-cutoff %q", v)
-			}
-			t.AllreduceRabCutoff = n
-			continue
 		}
 		r, ok := find(k)
 		if !ok {
@@ -360,7 +297,7 @@ func (c *Comm) pickBcast() bcastFn {
 
 func (c *Comm) pickReduce(n int) reduceFn {
 	name := c.tuning.Reduce
-	if name == "" && n >= c.tuning.ReduceHierCutoff {
+	if name == "" && n >= hierReduceCutoff {
 		name = "hier"
 	}
 	return reduceAlgs.pick(c, name)
@@ -399,7 +336,7 @@ func (c *Comm) pickAllreduce(n int) allreduceFn {
 		// whole vector through rank 0's uplink twice, which the contended
 		// model punishes; the doubling/halving families spread the load
 		// across leaf uplinks (BENCH_coll.json, DESIGN.md §14).
-		if n >= c.tuning.AllreduceRabCutoff {
+		if n >= allreduceRabCutoff {
 			name = "rabenseifner"
 		} else {
 			name = "recursive-doubling"

@@ -97,12 +97,11 @@ func (c *Comm) Recv2(buf Buffer, src, tag int) Status {
 	return c.local(c.eng.Wait(c.p, c.irecvCtx(buf, src, tag)))
 }
 
-// hierReduceCutoff is the default message size at and above which the
+// hierReduceCutoff is the message size at and above which the default
 // tuning table picks reduce/hier on SMP layouts. Below it the flat
 // binomial wins: its subtrees combine in parallel, while the hierarchy
 // serializes the intra-node stage before any leader traffic starts. The
-// crossover is measured by bench.AblationHierCollectives (DESIGN.md §6);
-// Tuning.ReduceHierCutoff overrides it per run.
+// crossover is measured by bench.AblationCollAlg (DESIGN.md §6).
 const hierReduceCutoff = 4 << 10
 
 // Reduce combines send buffers elementwise into recv at root through the

@@ -65,21 +65,28 @@ type Comm struct {
 // process. nodeOf maps every world rank to its node; hierarchy-aware
 // collectives read it. rdmaDirect is the cluster-wide RDMA-direct
 // collective capability (rdmaDirectOK), which must be the same on every
-// rank. A nil tuning keeps the default topology/size table; derived
-// communicators inherit the tuning.
+// rank. net labels the network model the default table keys on ("flat"
+// or a switchfab label). A nil tuning keeps the default topology/size
+// table; derived communicators inherit the tuning. A tuning that fails
+// Validate is a bug of the caller: cluster.New rejects one before any
+// rank runs.
 func NewWithTuning(p *des.Proc, eng *transport.Engine, nodeOf []int32, rdmaDirect bool,
-	tuning *Tuning) *Comm {
+	net string, tuning *Tuning) *Comm {
 	group := make([]int32, eng.Size())
 	for r := range group {
 		group[r] = int32(r)
 	}
 	next := ctxFirstDerived
-	tun := DefaultTuning()
+	var tun Tuning
 	if tuning != nil {
 		tun = *tuning
 	}
+	if err := tun.Validate(); err != nil {
+		panic("mpi: Tuning." + err.Error())
+	}
+	tun.net = net
 	base := &Comm{p: p, eng: eng, nodeOf: nodeOf, rdmaOK: rdmaDirect,
-		nextCtx: &next, tuning: tun.withDefaults()}
+		nextCtx: &next, tuning: tun}
 	return base.derive(group, int(eng.Rank()), ctxP2P, ctxColl)
 }
 

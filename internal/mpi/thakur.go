@@ -11,14 +11,14 @@ package mpi
 // the datatype layer defines), which the algorithm-equivalence harness
 // asserts per topology, datatype, and rank count.
 
-// allreduceRabCutoff is the default message size in bytes at and above
-// which the fat-tree tuning table picks allreduce/rabenseifner over
+// allreduceRabCutoff is the message size in bytes at and above which the
+// fat-tree tuning table picks allreduce/rabenseifner over
 // recursive-doubling. Measured on the canonical contended topology
 // (BENCH_coll.json: np=16 one rank per node, fattree-d4-u1): doubling
 // wins through 2 KiB (102 µs vs 117 µs), the two are even at 3 KiB
 // (130 µs vs 126 µs), and Rabenseifner's halved uplink volume wins
 // clearly from 4 KiB (162 µs vs 137 µs) out to 256 KiB (6.5 ms vs
-// 2.5 ms). Tuning.AllreduceRabCutoff overrides it per run.
+// 2.5 ms).
 const allreduceRabCutoff = 3 << 10
 
 // allgatherRingCutoff is the per-rank block size in bytes at and above

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/rdmachan"
 )
 
 // Class S smoke tests: every benchmark must verify on every figure
@@ -32,13 +33,32 @@ func TestClassSAllBenchmarksAllTransports(t *testing.T) {
 	}
 }
 
+// TestClassSBasicTransportWorks runs CG, the most communication-diverse
+// small case, on the configurations beyond the figures' three transports:
+// the basic design the paper abandons (it must be correct, only slower),
+// and the zero-copy design at scale under lazy connections, the SRQ eager
+// pool and two rails. Every row must verify.
 func TestClassSBasicTransportWorks(t *testing.T) {
-	// Even the basic design, which the paper abandons, must run the suite
-	// correctly (it is only slower). CG is the most communication-diverse
-	// small case.
-	res := Run("cg", ClassS, cluster.Config{NP: 4, Transport: cluster.TransportBasic})
-	if !res.Verified {
-		t.Fatal("cg.S on basic transport failed verification")
+	srq := rdmachan.Config{UseSRQ: true}
+	zc, lazy := cluster.TransportZeroCopy, cluster.ConnectLazy
+	for _, tc := range []struct {
+		name string
+		cfg  cluster.Config
+	}{
+		{"basic/np4", cluster.Config{NP: 4, Transport: cluster.TransportBasic}},
+		{"lazy/np16", cluster.Config{NP: 16, Transport: zc, ConnectMode: lazy}},
+		{"lazy-srq/np16", cluster.Config{NP: 16, Transport: zc, ConnectMode: lazy, Chan: srq}},
+		{"rails2/np8", cluster.Config{NP: 8, Transport: zc, RailsPerNode: 2}},
+		{"rails2-lazy/np8", cluster.Config{NP: 8, Transport: zc, RailsPerNode: 2, ConnectMode: lazy}},
+		{"rails2-lazy-srq/np8", cluster.Config{NP: 8, Transport: zc, RailsPerNode: 2, ConnectMode: lazy, Chan: srq}},
+		{"rails1/np4", cluster.Config{NP: 4, Transport: zc, RailsPerNode: 1}},
+		{"rails2/np4", cluster.Config{NP: 4, Transport: zc, RailsPerNode: 2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if res := Run("cg", ClassS, tc.cfg); !res.Verified {
+				t.Fatalf("%v", res)
+			}
+		})
 	}
 }
 

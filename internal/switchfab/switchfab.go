@@ -7,46 +7,29 @@ import (
 	"repro/internal/model"
 )
 
-// DefaultHopLatency is the per-switch port-to-port latency when the
-// configuration leaves HopLatency zero — the InfiniScale-class cut-through
-// forwarding delay. A cross-leaf path traverses two switch hops (leaf up
-// to spine, spine down to leaf) on top of the flat WireLatency, which
-// keeps modelling the host-side and cable components of the path.
-const DefaultHopLatency = 110 * des.Nanosecond
+// HopLatency is the per-switch port-to-port latency — the
+// InfiniScale-class cut-through forwarding delay. A cross-leaf path
+// traverses two switch hops (leaf up to spine, spine down to leaf) on top
+// of the flat WireLatency, which keeps modelling the host-side and cable
+// components of the path.
+const HopLatency = 110 * des.Nanosecond
 
 // Config describes a two-level fat tree: nNodes end nodes hang off
 // ceil(nNodes/LeafDown) leaf switches, and every leaf reaches every other
 // leaf through LeafUp uplinks into a spine crossbar. LeafUp < LeafDown is
 // an oversubscribed tree; LeafUp >= LeafDown is full bisection (contention
-// then only appears when distinct flows hash onto the same uplink).
+// then only appears when distinct flows hash onto the same uplink). Every
+// link runs at the testbed's NetBandwidth, so contention comes from
+// sharing only.
 type Config struct {
 	// LeafDown is the number of nodes attached to one leaf switch.
 	LeafDown int
 	// LeafUp is the number of uplinks from each leaf into the spine.
 	LeafUp int
-	// HopLatency is the added latency per switch hop on a cross-leaf path
-	// (two hops: leaf->spine, spine->leaf). 0 means DefaultHopLatency.
-	HopLatency des.Time
-	// UplinkBandwidth is the uplink capacity in MB/s. 0 means the
-	// testbed's NetBandwidth (same-speed links, contention from sharing
-	// only); smaller values model slower trunk links.
-	UplinkBandwidth float64
-}
-
-// withDefaults fills zero fields.
-func (c Config) withDefaults(netBW float64) Config {
-	if c.HopLatency == 0 {
-		c.HopLatency = DefaultHopLatency
-	}
-	if c.UplinkBandwidth == 0 {
-		c.UplinkBandwidth = netBW
-	}
-	return c
 }
 
 // Label names the topology for tuning tables and benchmark reports, e.g.
-// "fattree-d4-u2". Bandwidth and latency overrides do not change the
-// label: tuning keys on the tree shape.
+// "fattree-d4-u2"; the two fields are the whole configuration.
 func (c Config) Label() string {
 	return fmt.Sprintf("fattree-d%d-u%d", c.LeafDown, c.LeafUp)
 }
@@ -68,28 +51,23 @@ func (c Config) Validate() error {
 		return fmt.Errorf("LeafDown %d: need at least 1", c.LeafDown)
 	case c.LeafUp < 1:
 		return fmt.Errorf("LeafUp %d: need at least 1", c.LeafUp)
-	case c.HopLatency < 0:
-		return fmt.Errorf("HopLatency %v: must not be negative", c.HopLatency)
-	case !(c.UplinkBandwidth >= 0): // NaN included
-		return fmt.Errorf("UplinkBandwidth %v: must be 0 (the link rate) or positive", c.UplinkBandwidth)
 	}
 	return nil
 }
 
 // New builds the fabric for nNodes nodes and the given rail count.
-// netBW is the testbed NetBandwidth, the default uplink capacity.
+// netBW is the testbed NetBandwidth, the capacity of every port.
 func New(cfg Config, nNodes, rails int, netBW float64) (*Fabric, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("switchfab: %w", err)
 	}
-	cfg = cfg.withDefaults(netBW)
 	f := &Fabric{
 		cfg:    cfg,
 		leaves: (nNodes + cfg.LeafDown - 1) / cfg.LeafDown,
 		planes: make([]*Plane, rails),
 	}
 	for k := range f.planes {
-		p := &Plane{cfg: cfg, leaf: make([]leafPorts, f.leaves)}
+		p := &Plane{cfg: cfg, bw: netBW, leaf: make([]leafPorts, f.leaves)}
 		for l := range p.leaf {
 			p.leaf[l].up = make([]portClock, cfg.LeafUp)
 			p.leaf[l].down = make([]portClock, cfg.LeafUp)
@@ -98,9 +76,6 @@ func New(cfg Config, nNodes, rails int, netBW float64) (*Fabric, error) {
 	}
 	return f, nil
 }
-
-// Config returns the (default-filled) configuration.
-func (f *Fabric) Config() Config { return f.cfg }
 
 // Label names the topology (Config.Label).
 func (f *Fabric) Label() string { return f.cfg.Label() }
@@ -154,6 +129,7 @@ type Stats struct {
 // order, not by OS scheduling.
 type Plane struct {
 	cfg  Config
+	bw   float64 // port capacity, MB/s
 	leaf []leafPorts
 }
 
@@ -209,12 +185,12 @@ func (p *Plane) Route(dstNode int) int { return dstNode % p.cfg.LeafUp }
 // the queueing delay before it departs. Call from the engine owning the
 // source leaf.
 func (p *Plane) Up(leaf, port, bytes int, now des.Time) des.Time {
-	return p.leaf[leaf].up[port].acquire(bytes, now, p.cfg.UplinkBandwidth)
+	return p.leaf[leaf].up[port].acquire(bytes, now, p.bw)
 }
 
 // Down books one granule on leaf's spine-facing downlink `port` at time
 // now and returns the queueing delay before it reaches the node. Call
 // from the engine owning the destination leaf.
 func (p *Plane) Down(leaf, port, bytes int, now des.Time) des.Time {
-	return p.leaf[leaf].down[port].acquire(bytes, now, p.cfg.UplinkBandwidth)
+	return p.leaf[leaf].down[port].acquire(bytes, now, p.bw)
 }

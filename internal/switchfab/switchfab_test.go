@@ -27,12 +27,6 @@ func TestTopologyShape(t *testing.T) {
 	if f.Label() != "fattree-d4-u2" {
 		t.Fatalf("label %q", f.Label())
 	}
-	if f.Config().HopLatency != DefaultHopLatency {
-		t.Fatal("zero HopLatency not defaulted")
-	}
-	if f.Config().UplinkBandwidth != 870 {
-		t.Fatal("zero UplinkBandwidth not defaulted to NetBandwidth")
-	}
 	if f.Plane(0) == f.Plane(1) {
 		t.Fatal("rails must get independent planes")
 	}
@@ -44,9 +38,6 @@ func TestBadConfig(t *testing.T) {
 	}
 	if _, err := New(Config{LeafDown: 2, LeafUp: 0}, 4, 1, 870); err == nil {
 		t.Fatal("LeafUp 0 accepted")
-	}
-	if _, err := New(Config{LeafDown: 2, LeafUp: 1, HopLatency: -1}, 4, 1, 870); err == nil {
-		t.Fatal("negative HopLatency accepted")
 	}
 }
 
@@ -120,29 +111,5 @@ func TestRouteSymmetric(t *testing.T) {
 		if got, want := p.Route(dst), dst%2; got != want {
 			t.Fatalf("Route(%d) = %d, want %d", dst, got, want)
 		}
-	}
-}
-
-// TestSlowUplinkQueuesFasterArrivals: an oversubscribed-by-bandwidth
-// trunk (uplink slower than the injection rate) builds queueing even for
-// a single flow.
-func TestSlowUplinkQueuesFasterArrivals(t *testing.T) {
-	f := mustNew(t, Config{LeafDown: 2, LeafUp: 1, UplinkBandwidth: 435}, 4, 1)
-	p := f.Plane(0)
-	const g = 16384
-	injSer := model.TimeForBytes(g, 870) // arrival spacing at link rate
-	upSer := model.TimeForBytes(g, 435)  // port occupancy at trunk rate
-	now := des.Time(0)
-	var lastWait des.Time
-	for i := 0; i < 4; i++ {
-		w := p.Up(0, 0, g, now)
-		if want := des.Time(i) * (upSer - injSer); w != want {
-			t.Fatalf("granule %d waited %v, want %v", i, w, want)
-		}
-		lastWait = w
-		now += injSer
-	}
-	if lastWait == 0 {
-		t.Fatal("slow trunk produced no queueing")
 	}
 }
