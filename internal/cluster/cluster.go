@@ -153,11 +153,6 @@ func New(cfg Config) (*Cluster, error) {
 	c.HCAs = make([]*ib.HCA, 0, nNodes)
 	for n := 0; n < nNodes; n++ {
 		node := model.NewNode(n, prm)
-		if shards > 1 {
-			// Remote shards resolve RDMA target addresses in this node's
-			// address space; arm the allocation-table lock.
-			node.Mem.SetShared()
-		}
 		c.Nodes = append(c.Nodes, node)
 		set := make([]*ib.HCA, rails)
 		for k := 0; k < rails; k++ {

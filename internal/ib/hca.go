@@ -354,11 +354,11 @@ func (h *HCA) respond(w *sendWork) bool {
 	if atomic {
 		need = AccessRemoteAtomic
 	}
-	src, err := h.checkRemote(w.wr.RemoteAddr, w.n, w.wr.RKey, qp.peer.pd, need)
-	if err != nil {
+	if err := h.checkRemote(w.wr.RemoteAddr, w.n, w.wr.RKey, qp.peer.pd, need); err != nil {
 		qp.ack(w, StatusRemoteAccessErr)
 		return false
 	}
+	src := h.node.Mem.MustResolve(w.wr.RemoteAddr, w.n)
 	if atomic {
 		orig := readUint64(src)
 		switch w.wr.Op {

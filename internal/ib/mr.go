@@ -66,7 +66,7 @@ func (h *HCA) RegisterMR(p *des.Proc, pd *PD, addr uint64, length int, access Ac
 	if pd.hca != h {
 		return nil, fmt.Errorf("ib: PD belongs to a different HCA")
 	}
-	if _, err := h.node.Mem.Resolve(addr, length); err != nil {
+	if err := h.node.Mem.Check(addr, length); err != nil {
 		return nil, fmt.Errorf("ib: register: %w", err)
 	}
 	// The registration cost is charged before touching the tables: Sleep
@@ -130,43 +130,45 @@ func (h *HCA) lookupKey(table map[uint32]*MR, key uint32) (*MR, bool) {
 	return mr, valid
 }
 
-// checkLocal validates an SGE against the adapter's lkey table and returns
-// the backing bytes. needWrite requires AccessLocalWrite (scatter targets).
-func (h *HCA) checkLocal(sge SGE, pd *PD, needWrite bool) ([]byte, error) {
+// checkLocal validates an SGE against the adapter's lkey table. needWrite
+// requires AccessLocalWrite (scatter targets).
+func (h *HCA) checkLocal(sge SGE, pd *PD, needWrite bool) error {
 	mr, valid := h.lookupKey(h.lkeys, sge.LKey)
 	if !valid {
-		return nil, fmt.Errorf("ib: invalid lkey %#x", sge.LKey)
+		return fmt.Errorf("ib: invalid lkey %#x", sge.LKey)
 	}
 	if mr.pd != pd {
-		return nil, fmt.Errorf("ib: lkey %#x PD mismatch", sge.LKey)
+		return fmt.Errorf("ib: lkey %#x PD mismatch", sge.LKey)
 	}
 	if needWrite && mr.access&AccessLocalWrite == 0 {
-		return nil, fmt.Errorf("ib: lkey %#x lacks local-write access", sge.LKey)
+		return fmt.Errorf("ib: lkey %#x lacks local-write access", sge.LKey)
 	}
 	if sge.Addr < mr.addr || sge.Addr+uint64(sge.Len) > mr.addr+uint64(mr.length) {
-		return nil, fmt.Errorf("ib: SGE [%#x,+%d) outside MR [%#x,+%d)",
+		return fmt.Errorf("ib: SGE [%#x,+%d) outside MR [%#x,+%d)",
 			sge.Addr, sge.Len, mr.addr, mr.length)
 	}
-	return h.node.Mem.MustResolve(sge.Addr, sge.Len), nil
+	return nil
 }
 
 // checkRemote validates a remote access against this adapter's rkey table.
-func (h *HCA) checkRemote(addr uint64, length int, rkey uint32, pd *PD, need Access) ([]byte, error) {
+// It touches no memory: the requester of an RDMA write calls it from its
+// own engine, and the responder resolves the window when the bytes land.
+func (h *HCA) checkRemote(addr uint64, length int, rkey uint32, pd *PD, need Access) error {
 	mr, valid := h.lookupKey(h.rkeys, rkey)
 	if !valid {
-		return nil, fmt.Errorf("ib: invalid rkey %#x", rkey)
+		return fmt.Errorf("ib: invalid rkey %#x", rkey)
 	}
 	if mr.pd != pd {
-		return nil, fmt.Errorf("ib: rkey %#x PD mismatch", rkey)
+		return fmt.Errorf("ib: rkey %#x PD mismatch", rkey)
 	}
 	if mr.access&need == 0 {
-		return nil, fmt.Errorf("ib: rkey %#x lacks access %#x", rkey, need)
+		return fmt.Errorf("ib: rkey %#x lacks access %#x", rkey, need)
 	}
 	if addr < mr.addr || addr+uint64(length) > mr.addr+uint64(mr.length) {
-		return nil, fmt.Errorf("ib: remote range [%#x,+%d) outside MR [%#x,+%d)",
+		return fmt.Errorf("ib: remote range [%#x,+%d) outside MR [%#x,+%d)",
 			addr, length, mr.addr, mr.length)
 	}
-	return h.node.Mem.MustResolve(addr, length), nil
+	return nil
 }
 
 // gather validates every element of a gather list and appends the bytes
@@ -178,19 +180,21 @@ func (h *HCA) checkRemote(addr uint64, length int, rkey uint32, pd *PD, need Acc
 func (h *HCA) gather(segs [][]byte, sgl []SGE, pd *PD) ([][]byte, int, error) {
 	n := 0
 	for _, sge := range sgl {
-		b, err := h.checkLocal(sge, pd, false)
-		if err != nil {
+		if err := h.checkLocal(sge, pd, false); err != nil {
 			return nil, 0, err
 		}
-		segs = append(segs, b)
-		n += len(b)
+		segs = append(segs, h.node.Mem.MustResolve(sge.Addr, sge.Len))
+		n += sge.Len
 	}
 	return segs, n, nil
 }
 
 // scatter validates the part of a scatter list that an n-byte payload
 // reaches and copies the source segments into it, segment list to segment
-// list. Nothing is written unless the whole destination validates.
+// list. Nothing is written unless the whole destination validates. Every
+// SGE the payload reaches is validated whole, but only the bytes the
+// payload fills are resolved, so a short packet in a large slotted receive
+// slot backs no more host memory than it occupies (model.AllocSlots).
 func (h *HCA) scatter(sgl []SGE, pd *PD, src [][]byte, n int) error {
 	if sglLen(sgl) < n {
 		return fmt.Errorf("ib: scatter list too short: %d < %d", sglLen(sgl), n)
@@ -201,12 +205,12 @@ func (h *HCA) scatter(sgl []SGE, pd *PD, src [][]byte, n int) error {
 		if n <= 0 {
 			break
 		}
-		b, err := h.checkLocal(sge, pd, true)
-		if err != nil {
+		if err := h.checkLocal(sge, pd, true); err != nil {
 			return err
 		}
-		dst = append(dst, b)
-		n -= len(b)
+		m := min(sge.Len, n)
+		dst = append(dst, h.node.Mem.MustResolve(sge.Addr, m))
+		n -= m
 	}
 	copySegs(dst, src)
 	return nil

@@ -322,12 +322,10 @@ func (qp *QP) exec(w *sendWork) int {
 		}
 		peer := qp.peer
 		if w.wr.Op == OpRDMAWrite {
-			dst, err := peer.hca.checkRemote(w.wr.RemoteAddr, w.n, w.wr.RKey, peer.pd, AccessRemoteWrite)
-			if err != nil {
+			if err := peer.hca.checkRemote(w.wr.RemoteAddr, w.n, w.wr.RKey, peer.pd, AccessRemoteWrite); err != nil {
 				qp.completeErr(w, StatusRemoteAccessErr)
 				return sqIdle
 			}
-			w.dst = dst
 		}
 		qp.stats.BytesSent += uint64(w.n)
 		qp.hca.stats.BytesInjected += uint64(w.n)
@@ -342,7 +340,7 @@ func (qp *QP) exec(w *sendWork) int {
 			sgl, n = sgl[:1], 8
 		}
 		for _, sge := range sgl {
-			if _, err := qp.hca.checkLocal(sge, qp.pd, true); err != nil {
+			if err := qp.hca.checkLocal(sge, qp.pd, true); err != nil {
 				qp.completeErr(w, StatusLocalProtErr)
 				return sqIdle
 			}

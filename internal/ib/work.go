@@ -24,7 +24,6 @@ type sendWork struct {
 	n      int             // payload length in bytes
 	src    [][]byte        // payload source segments, resolved at gather time
 	inline [inlineMax]byte // backing for src when n <= inlineMax (and atomic results)
-	dst    []byte          // RDMA write: the validated responder window
 	status Status          // outcome carried back to the requester
 	snap   snapshot        // gather-time copy; empty unless built with -tags ibverify
 
@@ -61,7 +60,7 @@ func (h *HCA) newWork(qp *QP, seq uint64, wr SendWR) *sendWork {
 
 // freeWork returns a completed work request to the free list.
 func (h *HCA) freeWork(w *sendWork) {
-	w.qp, w.src, w.dst = nil, w.src[:0], nil
+	w.qp, w.src = nil, w.src[:0]
 	w.n, w.status, w.rnr, w.retries = 0, StatusSuccess, 0, 0
 	h.free = append(h.free, w)
 }
@@ -124,9 +123,10 @@ func (w *sendWork) atResponder() {
 	peer := qp.peer
 	switch w.wr.Op {
 	case OpRDMAWrite:
-		// The one copy: source memory to the responder's window.
+		// The one copy: source memory to the responder's window, resolved
+		// here, on the responder's engine (QP.exec validated it).
 		w.snap.check(w)
-		dst := [1][]byte{w.dst}
+		dst := [1][]byte{peer.hca.node.Mem.MustResolve(w.wr.RemoteAddr, w.n)}
 		copySegs(dst[:], w.src)
 		if peer.written != nil {
 			peer.written()

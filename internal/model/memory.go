@@ -3,7 +3,6 @@ package model
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"repro/internal/des"
 )
@@ -13,27 +12,23 @@ import (
 // (virtual address, rkey) exactly as InfiniBand does, and the simulator
 // resolves the address back to backing storage with bounds checking.
 //
-// The allocation table is guarded by a reader/writer lock taken only in
-// sharded execution (SetShared): allocation is always performed by the
-// owning node's shard, but remote requesters resolve RDMA target addresses
-// from their own shard's OS thread. Under a lone serial engine the
-// baton-passing dispatch already orders every access, and Resolve is too
-// hot a path to pay for atomics it does not need.
+// Every access runs on the owning node's engine — a remote requester
+// validates an RDMA write's window against the responder's key table, and
+// the bytes are resolved where they land (ib.sendWork.atResponder) — so
+// the allocation table needs no lock, sharded or not.
 type Memory struct {
-	mu     sync.RWMutex
-	shared bool
 	next   uint64
 	allocs []allocation // sorted by base
 }
 
-// SetShared arms the allocation-table lock. Must be called before the
-// simulation starts dispatching, i.e. while the cluster is still being
-// constructed single-threaded.
-func (m *Memory) SetShared() { m.shared = true }
-
+// allocation is one mapped range: flat, backed in full by buf, or slotted
+// (AllocSlots), backed slot by slot as far as accesses have reached.
 type allocation struct {
-	base uint64
-	buf  []byte
+	base  uint64
+	size  int
+	buf   []byte   // flat backing; nil when slotted
+	slot  int      // bytes per slot; 0 when flat
+	slots [][]byte // per-slot backing, grown on demand
 }
 
 // memoryBase leaves the low addresses unmapped so that address 0 (and small
@@ -52,26 +47,34 @@ func (m *Memory) Alloc(n int) (uint64, []byte) {
 	if n <= 0 {
 		panic("model: Alloc of nonpositive size")
 	}
-	if m.shared {
-		m.mu.Lock()
-		defer m.mu.Unlock()
-	}
 	buf := make([]byte, n)
-	base := m.place(buf)
-	return base, buf
+	return m.place(allocation{size: n, buf: buf}), buf
 }
 
-// place maps buf at the next free address range and returns its base. Bases
+// AllocSlots reserves count slots of size bytes as one allocation and
+// returns its base. The range is mapped, registrable and accounted like an
+// Alloc of count×size bytes, but the host backs each slot only up to the
+// furthest byte a Resolve has reached, rounded up to 64 bytes and never
+// shrinking; the bytes past it read as zero. It suits a pool of fixed-size
+// slots that mostly hold short packets, such as the SRQ eager pool.
+func (m *Memory) AllocSlots(count, size int) uint64 {
+	if count <= 0 || size <= 0 {
+		panic("model: AllocSlots of nonpositive size")
+	}
+	return m.place(allocation{size: count * size, slot: size, slots: make([][]byte, count)})
+}
+
+// place maps a at the next free address range and returns its base. Bases
 // only grow, so appending keeps the table sorted.
-func (m *Memory) place(buf []byte) uint64 {
-	base := m.next
-	m.allocs = append(m.allocs, allocation{base, buf})
-	pad := uint64(len(buf))
+func (m *Memory) place(a allocation) uint64 {
+	a.base = m.next
+	m.allocs = append(m.allocs, a)
+	pad := uint64(a.size)
 	if r := pad % 64; r != 0 {
 		pad += 64 - r
 	}
-	m.next = base + pad + 64 // guard gap: off-by-one overruns fault
-	return base
+	m.next = a.base + pad + 64 // guard gap: off-by-one overruns fault
+	return a.base
 }
 
 // Remap moves the allocation at va to a fresh address range and returns its
@@ -81,46 +84,93 @@ func (m *Memory) place(buf []byte) uint64 {
 // old one, because addresses are identities to the layers above: the
 // pin-down cache is keyed on them, and a recycled scratch buffer that kept
 // its address would turn the registration misses of the model into hits —
-// a harness economy must not move simulated time.
+// a harness economy must not move simulated time. A slotted region is a
+// pool that lives as long as its process and is never remapped.
 func (m *Memory) Remap(va uint64) uint64 {
-	if m.shared {
-		m.mu.Lock()
-		defer m.mu.Unlock()
+	i, off, err := m.find(va, 0)
+	if err != nil || off != 0 || m.allocs[i].slot != 0 {
+		panic(fmt.Sprintf("model: Remap of %#x, which is not a flat allocation", va))
 	}
-	i := sort.Search(len(m.allocs), func(i int) bool {
-		return m.allocs[i].base >= va
-	})
-	if i == len(m.allocs) || m.allocs[i].base != va {
-		panic(fmt.Sprintf("model: Remap of %#x, which is not an allocation", va))
-	}
-	buf := m.allocs[i].buf
+	a := m.allocs[i]
 	m.allocs = append(m.allocs[:i], m.allocs[i+1:]...)
-	return m.place(buf)
+	return m.place(a)
 }
 
-// Resolve returns the backing bytes for [va, va+n). It reports an error if
-// the range is unmapped or spans an allocation boundary.
-func (m *Memory) Resolve(va uint64, n int) ([]byte, error) {
+// find returns the index of the allocation holding [va, va+n) and va's
+// offset in it. It reports an error if the range is unmapped or spans an
+// allocation boundary.
+func (m *Memory) find(va uint64, n int) (int, int, error) {
 	if n < 0 {
-		return nil, fmt.Errorf("model: negative length %d", n)
-	}
-	if m.shared {
-		m.mu.RLock()
-		defer m.mu.RUnlock()
+		return 0, 0, fmt.Errorf("model: negative length %d", n)
 	}
 	i := sort.Search(len(m.allocs), func(i int) bool {
 		return m.allocs[i].base > va
-	})
-	if i == 0 {
-		return nil, fmt.Errorf("model: address %#x unmapped", va)
+	}) - 1
+	if i < 0 {
+		return 0, 0, fmt.Errorf("model: address %#x unmapped", va)
 	}
-	a := m.allocs[i-1]
+	a := &m.allocs[i]
 	off := va - a.base
-	if off > uint64(len(a.buf)) || off+uint64(n) > uint64(len(a.buf)) {
-		return nil, fmt.Errorf("model: range [%#x,+%d) exceeds allocation [%#x,+%d)",
-			va, n, a.base, len(a.buf))
+	if off > uint64(a.size) || off+uint64(n) > uint64(a.size) {
+		return 0, 0, fmt.Errorf("model: range [%#x,+%d) exceeds allocation [%#x,+%d)",
+			va, n, a.base, a.size)
 	}
-	return a.buf[off : off+uint64(n)], nil
+	return i, int(off), nil
+}
+
+// Check reports whether [va, va+n) lies within one allocation, as Resolve
+// does, but backs nothing and ignores slot boundaries: registering a whole
+// slotted region is valid even though no single access may cross a slot.
+func (m *Memory) Check(va uint64, n int) error {
+	_, _, err := m.find(va, n)
+	return err
+}
+
+// Resolve returns the backing bytes for [va, va+n). It reports an error if
+// the range is unmapped, spans an allocation boundary or, in a slotted
+// region, a slot boundary. In a slotted region it first backs the slot up
+// to the range's end.
+func (m *Memory) Resolve(va uint64, n int) ([]byte, error) {
+	i, off, err := m.find(va, n)
+	if err != nil {
+		return nil, err
+	}
+	a := &m.allocs[i]
+	if a.slot == 0 {
+		return a.buf[off : off+n], nil
+	}
+	if n == 0 {
+		return nil, nil
+	}
+	k, lo := off/a.slot, off%a.slot
+	if lo+n > a.slot {
+		return nil, fmt.Errorf("model: range [%#x,+%d) crosses a %d-byte slot boundary",
+			va, n, a.slot)
+	}
+	if s := a.slots[k]; lo+n > len(s) {
+		grown := make([]byte, min((lo+n+63)&^63, a.slot))
+		copy(grown, s)
+		a.slots[k] = grown
+	}
+	return a.slots[k][lo : lo+n], nil
+}
+
+// Backed reports how many host bytes back the allocation holding va: all
+// of it when flat, the slots' reached prefixes when slotted.
+func (m *Memory) Backed(va uint64) int {
+	i, _, err := m.find(va, 0)
+	if err != nil {
+		panic(err)
+	}
+	a := &m.allocs[i]
+	if a.slot == 0 {
+		return a.size
+	}
+	n := 0
+	for _, s := range a.slots {
+		n += len(s)
+	}
+	return n
 }
 
 // MustResolve is Resolve that panics on fault; for simulator-internal paths

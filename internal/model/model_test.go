@@ -255,3 +255,59 @@ func TestNodeConstruction(t *testing.T) {
 		t.Fatalf("bus name = %q", n.Bus.Name())
 	}
 }
+
+// TestSlottedRegion: a slotted region is mapped and checkable in full, but
+// the host backs each slot only up to the furthest byte an access reached,
+// in 64-byte steps that never shrink; unbacked bytes read as zero, growth
+// keeps what was written, and no access may cross a slot.
+func TestSlottedRegion(t *testing.T) {
+	m := NewMemory()
+	va := m.AllocSlots(4, 8192)
+	if err := m.Check(va, 4*8192); err != nil {
+		t.Fatalf("Check of the whole region: %v", err)
+	}
+	if err := m.Check(va, 4*8192+1); err == nil {
+		t.Error("Check past the region succeeded")
+	}
+	if got := m.Backed(va); got != 0 {
+		t.Fatalf("backed %d bytes after Check, want 0", got)
+	}
+	slot1 := va + 8192
+	b := m.MustResolve(slot1+100, 10)
+	for i, x := range b {
+		if x != 0 {
+			t.Fatalf("untouched byte %d reads %d", i, x)
+		}
+	}
+	if got := m.Backed(va); got != 128 {
+		t.Errorf("reaching byte 110 backs %d bytes, want 128", got)
+	}
+	b[0] = 9
+	if got := m.MustResolve(slot1, 1000); got[100] != 9 {
+		t.Error("growth lost an earlier byte")
+	}
+	if got := m.Backed(va); got != 1024 {
+		t.Errorf("reaching byte 1000 backs %d bytes, want 1024", got)
+	}
+	m.MustResolve(slot1, 1)
+	if got := m.Backed(slot1 + 5000); got != 1024 {
+		t.Errorf("a shorter access shrank the backing to %d bytes", got)
+	}
+	if _, err := m.Resolve(slot1-4, 8); err == nil {
+		t.Error("a range across a slot boundary resolved")
+	}
+	if _, err := m.Resolve(va+4*8192-4, 8); err == nil {
+		t.Error("a range past the region resolved")
+	}
+	odd := m.AllocSlots(2, 100)
+	m.MustResolve(odd+100, 90)
+	if got := m.Backed(odd); got != 100 {
+		t.Errorf("a 100-byte slot backs %d bytes, want at most its size", got)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Remap of a slotted region was not refused")
+		}
+	}()
+	m.Remap(va)
+}

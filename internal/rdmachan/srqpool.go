@@ -37,13 +37,11 @@ type SRQPool struct {
 	rcq *ib.CQ // shared receive CQ: one poll reaps arrivals from every peer
 	scq *ib.CQ // shared send CQ
 
-	recvVA  uint64
-	recv    []byte
+	recvVA  uint64 // slotted (model.AllocSlots): backed as far as packets reach
 	recvMR  *ib.MR
 	recvWRs []ib.RecvWR // per-slot descriptors, built once and reposted as-is
 
-	sendVA   uint64
-	send     []byte
+	sendVA   uint64 // slotted, like recvVA
 	sendMR   *ib.MR
 	sendFree []int
 	sendWRs  []ib.SendWR // per-slot work requests (WRID = slot), reused
@@ -109,14 +107,14 @@ func NewSRQPool(p *des.Proc, cfg Config, h *ib.HCA, resilient bool, onErr func(e
 	sp.srq = h.CreateSRQ(sp.pd)
 
 	n := SRQSlots * SRQSlotSize
-	sp.recvVA, sp.recv = sp.node.Mem.Alloc(n)
+	sp.recvVA = sp.node.Mem.AllocSlots(SRQSlots, SRQSlotSize)
 	var err error
 	sp.recvMR, err = h.RegisterMR(p, sp.pd, sp.recvVA, n, ib.AccessLocalWrite)
 	if err != nil {
 		return nil, fmt.Errorf("rdmachan(srq): recv pool: %w", err)
 	}
 	m := SRQSendSlots * SRQSlotSize
-	sp.sendVA, sp.send = sp.node.Mem.Alloc(m)
+	sp.sendVA = sp.node.Mem.AllocSlots(SRQSendSlots, SRQSlotSize)
 	if sp.sendMR, err = h.RegisterMR(p, sp.pd, sp.sendVA, m, ib.AccessLocalWrite); err != nil {
 		return nil, fmt.Errorf("rdmachan(srq): send pool: %w", err)
 	}
@@ -231,7 +229,7 @@ func (sp *SRQPool) Send(p *des.Proc, qp *ib.QP, hdr []byte, payload Buffer,
 	if !ok {
 		return false, nil
 	}
-	dst := sp.send[slot*SRQSlotSize:]
+	dst := sp.sendSlot(slot, total)
 	n := copy(dst, hdr)
 	n += copy(dst[n:], src)
 	sp.postStaged(p, qp, slot, n, onSent, nil)
@@ -253,7 +251,7 @@ func (sp *SRQPool) SendPkt(p *des.Proc, qp *ib.QP, pkt []byte,
 	if !ok {
 		return false, nil
 	}
-	n := copy(sp.send[slot*SRQSlotSize:], pkt)
+	n := copy(sp.sendSlot(slot, len(pkt)), pkt)
 	sp.postStaged(p, qp, slot, n, onSent, onFail)
 	return true, nil
 }
@@ -270,6 +268,11 @@ func (sp *SRQPool) takeSlot(p *des.Proc) (int, bool) {
 	slot := sp.sendFree[len(sp.sendFree)-1]
 	sp.sendFree = sp.sendFree[:len(sp.sendFree)-1]
 	return slot, true
+}
+
+// sendSlot returns the first n bytes of staging slot i, backing them.
+func (sp *SRQPool) sendSlot(i, n int) []byte {
+	return sp.node.Mem.MustResolve(sp.sendVA+uint64(i*SRQSlotSize), n)
 }
 
 // stagedCB holds a staged packet's completion callbacks, slot-indexed: the
@@ -365,7 +368,7 @@ func (sp *SRQPool) Poll(p *des.Proc) bool {
 			return prog
 		}
 		slot := int(cqe.WRID)
-		pkt := sp.recv[slot*SRQSlotSize : slot*SRQSlotSize+cqe.ByteLen]
+		pkt := sp.node.Mem.MustResolve(sp.recvVA+uint64(slot*SRQSlotSize), cqe.ByteLen)
 		d, ok := sp.conns[cqe.QPNum]
 		if !ok {
 			sp.fail(fmt.Errorf("rdmachan(srq): packet on unbound qp%d", cqe.QPNum))
@@ -386,7 +389,8 @@ func (sp *SRQPool) Poll(p *des.Proc) bool {
 
 // Footprint reports the pool's per-process memory: the receive and send
 // slot arrays (the process's entire eager buffering, independent of peer
-// count) plus dynamically pinned rendezvous bytes.
+// count) plus dynamically pinned rendezvous bytes. The slot arrays count in
+// full, as registered and pinned; the host backs only what packets reached.
 func (sp *SRQPool) Footprint() Footprint {
 	slotBytes := int64((SRQSlots + SRQSendSlots) * SRQSlotSize)
 	return Footprint{
