@@ -159,17 +159,3 @@ func AblationRingSize() Figure {
 	f.Series = []Series{s}
 	return f
 }
-
-// Ablations returns every ablation figure.
-func Ablations() []Figure {
-	return []Figure{
-		AblationTailThreshold(),
-		AblationRegCache(),
-		AblationZCThreshold(),
-		AblationOutstandingReads(),
-		AblationRingSize(),
-		AblationShmRndv(),
-		AblationCollAlg(),
-		AblationRailStripe(),
-	}
-}

@@ -2,12 +2,12 @@ package bench
 
 import (
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/cluster"
 	"repro/internal/ib"
-	"repro/internal/mpi"
 )
 
 func TestSizesPow4(t *testing.T) {
@@ -110,22 +110,19 @@ func TestFigureByID(t *testing.T) {
 	}
 }
 
-// TestCollAlgSweepRejectsBadInput: a layout the cluster refuses or a
-// non-positive call count is an error naming the setting, not a panic or a
-// NaN in the table.
+// TestCollAlgSweepRejectsBadInput: a layout the cluster refuses is an
+// error naming the setting, not a panic or a NaN in the table.
 func TestCollAlgSweepRejectsBadInput(t *testing.T) {
 	for _, tc := range []struct {
-		name         string
-		np, cpn, its int
-		want         string
+		name    string
+		np, cpn int
+		want    string
 	}{
-		{"one rank", 1, 1, 5, "NP 1"},
-		{"negative ranks per node", 16, -1, 5, "CoresPerNode -1"},
-		{"zero calls per point", 16, 1, 0, "0 measured calls"},
-		{"negative calls per point", 16, 1, -3, "-3 measured calls"},
+		{"one rank", 1, 1, "NP 1"},
+		{"negative ranks per node", 16, -1, "CoresPerNode -1"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := CollAlgSweep("allreduce", tc.np, tc.cpn, nil, []int{256}, tc.its, mpi.Tuning{})
+			_, err := CollAlgSweep("allreduce", tc.np, tc.cpn, nil, []int{256})
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("err = %v, want one naming %q", err, tc.want)
 			}
@@ -133,53 +130,31 @@ func TestCollAlgSweepRejectsBadInput(t *testing.T) {
 	}
 }
 
-// FuzzParseNets: the -net parser never panics, and every list it accepts
-// names only runnable nets and reads back unchanged from its own labels.
-func FuzzParseNets(f *testing.F) {
-	for _, s := range []string{"flat", "fattree-d4-u1", "flat,fattree-d4-u1", "", ",", "fattree-d0-u1", "fattree-d4", "fattree-d+4-u01"} {
-		f.Add(s)
+// FuzzParseInts: the list parser behind enginebench -np and -shards never
+// panics, every value it accepts lies in [lo, hi], and the accepted list
+// printed back reads back unchanged.
+func FuzzParseInts(f *testing.F) {
+	for _, s := range []string{"64,256", "1", "", ",", " 4 , 8 ", "0", "-1", "2,x", "9223372036854775807", "9223372036854775808", "+3"} {
+		f.Add(s, 1, 4096)
 	}
-	f.Fuzz(func(t *testing.T, list string) {
-		nets, err := ParseNets(list)
+	f.Add("0,1,2", 0, 2)
+	f.Add("5", 5, 5)
+	f.Add("3", 4, 2)
+	f.Fuzz(func(t *testing.T, list string, lo, hi int) {
+		ns, err := ParseInts(list, "value", lo, hi)
 		if err != nil {
 			return
 		}
-		labels := make([]string, len(nets))
-		for i, sw := range nets {
-			if sw != nil && (sw.LeafDown < 1 || sw.LeafUp < 1) {
-				t.Fatalf("%q: accepted %+v", list, *sw)
+		labels := make([]string, len(ns))
+		for i, n := range ns {
+			if n < lo || n > hi {
+				t.Fatalf("%q in [%d, %d]: accepted %d", list, lo, hi, n)
 			}
-			labels[i] = netLabel(sw)
+			labels[i] = strconv.Itoa(n)
 		}
-		again, err := ParseNets(strings.Join(labels, ","))
-		if err != nil || !reflect.DeepEqual(again, nets) {
-			t.Fatalf("%q: labels %v read back as %v, %v", list, labels, again, err)
-		}
-	})
-}
-
-// FuzzParseSizes: the -sizes parser never panics, and every size it
-// accepts is positive and reads back unchanged from its own label; a
-// K/M product past the int range is refused, not wrapped.
-func FuzzParseSizes(f *testing.F) {
-	for _, s := range []string{"4096,64K,1M", "4", "", ",", "0", "-1K", "1G", "17592186044416M", "8796093022208M", "8589934591M"} {
-		f.Add(s)
-	}
-	f.Fuzz(func(t *testing.T, list string) {
-		sizes, err := ParseSizes(list)
-		if err != nil {
-			return
-		}
-		labels := make([]string, len(sizes))
-		for i, n := range sizes {
-			if n <= 0 {
-				t.Fatalf("%q: accepted size %d", list, n)
-			}
-			labels[i] = fmtSize(n)
-		}
-		again, err := ParseSizes(strings.Join(labels, ","))
-		if err != nil || !reflect.DeepEqual(again, sizes) {
-			t.Fatalf("%q: labels %v read back as %v, %v", list, labels, again, err)
+		again, err := ParseInts(strings.Join(labels, ","), "value", lo, hi)
+		if err != nil || !reflect.DeepEqual(again, ns) {
+			t.Fatalf("%q: printed %v read back as %v, %v", list, labels, again, err)
 		}
 	})
 }

@@ -3,8 +3,6 @@ package bench
 import (
 	"fmt"
 	"slices"
-	"strconv"
-	"strings"
 
 	"repro/internal/cluster"
 	"repro/internal/mpi"
@@ -14,8 +12,8 @@ import (
 // Collective algorithm sweeps: every registered algorithm of a collective
 // measured on the same layout, one series per algorithm — the data behind
 // the per-comm tuning table's choices (the registry lives in
-// internal/mpi/algorithms.go; `mpich2ib-bench -coll ... -coll-alg ...`
-// drives these from the command line).
+// internal/mpi/algorithms.go; the figure table's coll-* rows and
+// ablation-coll-alg are these sweeps).
 
 // The ablation layout is 4 nodes × 4 cores, rooted at rank 5, a mid-node
 // rank. That choice is load-bearing: with block placement, power-of-two
@@ -67,33 +65,39 @@ func collRunner(coll string, np, root int) func(comm *mpi.Comm, buf mpi.Buffer) 
 	panic(fmt.Sprintf("bench: unknown collective %q", coll))
 }
 
+// collIters is the measured calls per point of every registry sweep.
+const collIters = 5
+
+// fatTree is the contended net the registry sweeps pin next to the flat
+// wire: four nodes per leaf over one uplink.
+var fatTree = &switchfab.Config{LeafDown: 4, LeafUp: 1}
+
+// collRow is a pinned registry sweep of one collective at np=16, one rank
+// per node, 256 B–64 KiB: the curves the tuning table's flat and fat-tree
+// cutoffs rest on.
+func collRow(coll string, sw *switchfab.Config) func() Figure {
+	return func() Figure {
+		f, err := CollAlgSweep(coll, 16, 1, sw, sizesPow4(256, 64<<10))
+		if err != nil {
+			panic(err)
+		}
+		return f
+	}
+}
+
 // CollAlgSweep measures the named collective under each of its registered
 // algorithms across the given sizes on an np-rank, cpn-cores-per-node
 // zero-copy cluster whose wires run through sw (nil = the flat wire; a fat
 // tree measures the same registry under uplink contention, the data the
-// topology-keyed tuning defaults rest on). The algorithms the base tuning
-// forces for other collectives carry through to each series; a base
-// algorithm forced for coll itself restricts the sweep to that one series.
-// The figure id names the collective, net and layout, so BENCH_coll.json
-// holds each one apart.
-func CollAlgSweep(coll string, np, cpn int, sw *switchfab.Config, sizes []int, iters int, base mpi.Tuning) (Figure, error) {
-	if iters < 1 {
-		return Figure{}, fmt.Errorf("bench: %d measured calls per point, want at least 1", iters)
-	}
+// topology-keyed tuning defaults rest on). The figure id names the
+// collective, net and layout, so BENCH_figures.json holds each one apart.
+// A layout the cluster refuses is returned as its error.
+func CollAlgSweep(coll string, np, cpn int, sw *switchfab.Config, sizes []int) (Figure, error) {
 	// Only what the layout can run: a forced-but-inapplicable name would
 	// silently fall back to the flat algorithm and mislabel its series.
 	algs, err := applicableAlgs(coll, np, cpn, sw)
 	if err != nil {
 		return Figure{}, err
-	}
-	if alg := base.Forced(coll); alg != "" {
-		if all := mpi.AlgorithmNames(coll); !slices.Contains(all, alg) {
-			return Figure{}, fmt.Errorf("bench: unknown %s algorithm %q (have %v)", coll, alg, all)
-		}
-		if !slices.Contains(algs, alg) {
-			return Figure{}, fmt.Errorf("bench: %s/%s is inapplicable on %d ranks × %d per node", coll, alg, np, cpn)
-		}
-		algs = []string{alg}
 	}
 	root := min(collAlgRoot, np-1)
 	net := netLabel(sw)
@@ -104,10 +108,10 @@ func CollAlgSweep(coll string, np, cpn int, sw *switchfab.Config, sizes []int, i
 		XLabel: "message size (bytes)", YLabel: "time per call (µs)",
 	}
 	for _, a := range algs {
-		tun := base
+		var tun mpi.Tuning
 		tun.Force(coll, a)
 		o := Options{Config: cluster.Config{Transport: cluster.TransportZeroCopy, CoresPerNode: cpn, Tuning: &tun, Switch: sw}}
-		s := CollectiveTime(o, np, sizes, iters, collRunner(coll, np, root))
+		s := CollectiveTime(o, np, sizes, collIters, collRunner(coll, np, root))
 		s.Name = coll + "/" + a
 		f.Series = append(f.Series, s)
 	}
@@ -118,10 +122,6 @@ func CollAlgSweep(coll string, np, cpn int, sw *switchfab.Config, sizes []int, i
 // the given layout can actually run (one probe launch). A layout the
 // cluster refuses is returned as its error, which names the field.
 func applicableAlgs(coll string, np, cpn int, sw *switchfab.Config) ([]string, error) {
-	if !slices.Contains(mpi.Collectives(), coll) {
-		return nil, fmt.Errorf("bench: unknown collective %q (have %s)",
-			coll, strings.Join(mpi.Collectives(), ", "))
-	}
 	algs := mpi.AlgorithmNames(coll)
 	applicable := map[string]bool{}
 	probe, err := cluster.New(cluster.Config{NP: np, CoresPerNode: cpn,
@@ -141,36 +141,7 @@ func applicableAlgs(coll string, np, cpn int, sw *switchfab.Config) ([]string, e
 	return slices.DeleteFunc(algs, func(a string) bool { return !applicable[a] }), nil
 }
 
-// ParseNets maps a -net flag value, a comma list, to switch
-// configurations: "flat" is the direct wire (nil), "fattree-dD-uU" a
-// two-level fat tree with D nodes per leaf and U uplinks per leaf.
-func ParseNets(list string) ([]*switchfab.Config, error) {
-	var nets []*switchfab.Config
-	for _, tok := range strings.Split(list, ",") {
-		tok = strings.TrimSpace(tok)
-		if tok == "" {
-			continue
-		}
-		if tok == "flat" {
-			nets = append(nets, nil)
-			continue
-		}
-		rest, ok1 := strings.CutPrefix(tok, "fattree-d")
-		ds, us, ok2 := strings.Cut(rest, "-u")
-		d, err1 := strconv.Atoi(ds)
-		u, err2 := strconv.Atoi(us)
-		if !ok1 || !ok2 || err1 != nil || err2 != nil || d < 1 || u < 1 {
-			return nil, fmt.Errorf("bench: bad net %q (want flat or fattree-dD-uU, e.g. fattree-d4-u1)", tok)
-		}
-		nets = append(nets, &switchfab.Config{LeafDown: d, LeafUp: u})
-	}
-	if len(nets) == 0 {
-		return nil, fmt.Errorf("bench: empty net list")
-	}
-	return nets, nil
-}
-
-// netLabel names a switch configuration as ParseNets reads it.
+// netLabel names a switch configuration in a figure id.
 func netLabel(sw *switchfab.Config) string {
 	if sw == nil {
 		return "flat"
@@ -182,8 +153,7 @@ func netLabel(sw *switchfab.Config) string {
 // algorithm per message size, 4 B–64 KiB, on the 4-node × 4-core layout —
 // the data the default tuning table is keyed on, hierarchical against flat
 // included: reduce/hier overtakes reduce/binomial at mpi's 4 KiB
-// hierReduceCutoff (the barrier algorithms have no size axis; sweep them
-// with `mpich2ib-bench -coll barrier`).
+// hierReduceCutoff.
 func AblationCollAlg() Figure {
 	sizes := sizesPow4(4, 64<<10)
 	f := Figure{
@@ -192,7 +162,7 @@ func AblationCollAlg() Figure {
 		XLabel: "message size (bytes)", YLabel: "time per call (µs)",
 	}
 	for _, coll := range []string{"bcast", "reduce", "allgather"} {
-		sub, err := CollAlgSweep(coll, collAlgNP, collAlgCPN, nil, sizes, 5, mpi.Tuning{})
+		sub, err := CollAlgSweep(coll, collAlgNP, collAlgCPN, nil, sizes)
 		if err != nil {
 			panic(err)
 		}

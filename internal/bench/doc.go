@@ -3,9 +3,10 @@
 // the paper's microbenchmarks — ping-pong latency and window-based
 // streaming bandwidth — at the MPI level over any transport, raw
 // verbs-level benchmarks against the InfiniBand simulator, and the
-// repository's extension sweeps: the transport matrix, collective
-// algorithm sweeps (DESIGN.md §8), connection-management footprints
-// (DESIGN.md §9), and the multi-rail figures (DESIGN.md §10).
+// repository's extension sweeps: collective algorithm sweeps (DESIGN.md
+// §8, §14), connection-management footprints (DESIGN.md §9), the
+// multi-rail figures (DESIGN.md §10) and fault recovery (DESIGN.md §11).
+// Every figure is a row of one table (figureTable), chosen by id.
 //
 // Layer boundaries: bench builds clusters (internal/cluster) and runs MPI
 // programs on them; it reads counters only through exported stats

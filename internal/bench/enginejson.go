@@ -8,7 +8,10 @@ package bench
 
 import (
 	"fmt"
+	"math"
 	"runtime"
+	"strconv"
+	"strings"
 	"time"
 
 	"repro/internal/cluster"
@@ -164,4 +167,30 @@ func measureEngineOnce(benchName string, class nas.Class, np, shards int) (
 	runtime.ReadMemStats(&ms)
 	heapPerRank = ms.HeapAlloc / uint64(np)
 	return
+}
+
+// ParseInts resolves a comma-separated list of integers in lo..hi; what
+// names an entry in the errors.
+func ParseInts(list, what string, lo, hi int) ([]int, error) {
+	var out []int
+	for _, tok := range strings.Split(list, ",") {
+		tok = strings.TrimSpace(tok)
+		if tok == "" {
+			continue
+		}
+		n, err := strconv.Atoi(tok)
+		if err != nil || n < lo || n > hi {
+			return nil, fmt.Errorf("bench: bad %s %q", what, tok)
+		}
+		out = append(out, n)
+	}
+	if len(out) == 0 {
+		return nil, fmt.Errorf("bench: empty %s list", what)
+	}
+	return out, nil
+}
+
+// ParseNPs resolves a comma-separated rank-count list ("8,16,32").
+func ParseNPs(list string) ([]int, error) {
+	return ParseInts(list, "rank count", 2, math.MaxInt)
 }

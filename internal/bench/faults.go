@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/cluster"
 	"repro/internal/des"
@@ -16,16 +15,11 @@ import (
 // when one does — completed traffic and connection-recovery latency as the
 // injected failure rate rises.
 
-// ParseFaultCounts parses a comma list of per-run failure counts,
-// e.g. "0,2,4,8".
-func ParseFaultCounts(list string) ([]int, error) {
-	return ParseInts(list, "failure count", 0, math.MaxInt)
-}
-
-// DefaultFaultCounts is the published failure-rate sweep.
-func DefaultFaultCounts() []int { return []int{0, 1, 2, 4, 8} }
+// faultCounts is the failure-rate sweep, injected faults per run.
+var faultCounts = []int{0, 1, 2, 4, 8}
 
 const (
+	faultSeed   = 1 // schedule seed base: same seed, same schedule, same run
 	faultNP     = 4
 	faultRails  = 2
 	faultRounds = 24
@@ -60,7 +54,7 @@ func faultRun(plan *fault.Plan) (float64, cluster.FaultStats) {
 // empty plan, so the curve isolates recovery cost from bookkeeping cost.
 // The schedule horizon is the failure-free run's own duration, so faults
 // land inside the measured window at every rate.
-func FaultRecovery(counts []int, seed int64) Figure {
+func FaultRecovery() Figure {
 	f := Figure{
 		ID: "fault-recovery", Title: "Completed Traffic and Recovery Latency vs Failure Rate (lazy SRQ, rails=2)",
 		XLabel: "injected faults per run", YLabel: "bandwidth (MB/s) / latency (µs)",
@@ -74,11 +68,11 @@ func FaultRecovery(counts []int, seed int64) Figure {
 	bw := Series{Name: "completed MB/s"}
 	rec := Series{Name: "mean recovery µs"}
 	var redials, downs uint64
-	for _, n := range counts {
+	for _, n := range faultCounts {
 		plan := &fault.Plan{}
 		if n > 0 {
 			plan = fault.Generate(fault.GenConfig{
-				Seed: seed + int64(n), Nodes: faultNP, Rails: faultRails,
+				Seed: faultSeed + int64(n), Nodes: faultNP, Rails: faultRails,
 				Horizon: horizon, Events: n,
 				Kinds:     []fault.Kind{fault.LinkDown, fault.DropBurst},
 				SpareRail: -1,
@@ -95,7 +89,7 @@ func FaultRecovery(counts []int, seed int64) Figure {
 		fmt.Sprintf("workload: %d ranks × %d ring shifts of %s over lazy SRQ connections, %d rails/node",
 			faultNP, faultRounds, fmtSize(faultSize), faultRails),
 		fmt.Sprintf("schedule: fault.Generate seed base %d, horizon %v (the failure-free run); %d links downed, %d re-dials across the sweep",
-			seed, horizon, downs, redials),
+			faultSeed, horizon, downs, redials),
 		"every payload is checksummed in the chaos suite (internal/cluster, internal/ch3); this figure measures only cost")
 	return f
 }

@@ -179,28 +179,40 @@ func Headline() Figure {
 	}
 }
 
-// figureTable is every figure -fig can name, in -list order. The ones
-// marked all are what "-fig all" regenerates and BENCH_paper.json pins:
+// figureTable is every figure -fig can name, in -list order, and "-fig
+// all" regenerates every one: BENCH_figures.json pins each series. First
 // Figures 4–17 at the paper's class and node count, the raw baseline, the
-// headline and the SMP extension (fig3-lat, fig3-bw, nas-smp).
+// headline and the SMP extension (fig3-lat, fig3-bw, nas-smp); then the
+// design-choice ablations, the connection-management, multi-rail and
+// fault-recovery sweeps, and the collective registry sweeps on the flat
+// wire and a contended fat tree.
 var figureTable = []struct {
 	id   string
 	make func() Figure
-	all  bool
 }{
-	{"baseline", Baseline, true}, {"headline", Headline, true},
-	{"fig3-lat", Fig3Latency, true}, {"fig3-bw", Fig3Bandwidth, true},
-	{"fig4", Fig4, true}, {"fig5", Fig5, true}, {"fig6", Fig6, true}, {"fig7", Fig7, true},
-	{"fig8", Fig8, true}, {"fig9", Fig9, true}, {"fig11", Fig11, true}, {"fig13", Fig13, true},
-	{"fig14", Fig14, true}, {"fig15", Fig15, true},
-	{"fig16", func() Figure { return NASFigure("fig16", nas.ClassA, 4) }, true},
-	{"fig17", func() Figure { return NASFigure("fig17", nas.ClassB, 8) }, true},
-	{"nas-smp", func() Figure { return NASSMP(nas.ClassA, 8, []int{1, 2, 4, 8}) }, true},
-	{"nas-rails", func() Figure { return NASRailSweep(nas.ClassA, 4, DefaultRailCounts(), rdmachan.RailRoundRobin) }, false},
-	{"rails-bw", func() Figure { return RailBandwidth(DefaultRailCounts(), rdmachan.RailRoundRobin) }, false},
-	{"rails-policy", RailPolicyFigure, false},
-	{"ablation-rail-stripe", AblationRailStripe, false},
-	{"fault-recovery", func() Figure { return FaultRecovery(DefaultFaultCounts(), 1) }, false},
+	{"baseline", Baseline}, {"headline", Headline},
+	{"fig3-lat", Fig3Latency}, {"fig3-bw", Fig3Bandwidth},
+	{"fig4", Fig4}, {"fig5", Fig5}, {"fig6", Fig6}, {"fig7", Fig7},
+	{"fig8", Fig8}, {"fig9", Fig9}, {"fig11", Fig11}, {"fig13", Fig13},
+	{"fig14", Fig14}, {"fig15", Fig15},
+	{"fig16", func() Figure { return NASFigure("fig16", nas.ClassA, 4) }},
+	{"fig17", func() Figure { return NASFigure("fig17", nas.ClassB, 8) }},
+	{"nas-smp", func() Figure { return NASSMP(nas.ClassA, 8, []int{1, 2, 4, 8}) }},
+	{"ablation-tail", AblationTailThreshold}, {"ablation-regcache", AblationRegCache},
+	{"ablation-zcthreshold", AblationZCThreshold}, {"ablation-reads", AblationOutstandingReads},
+	{"ablation-ring", AblationRingSize}, {"ablation-shm-rndv", AblationShmRndv},
+	{"ablation-coll-alg", AblationCollAlg}, {"ablation-rail-stripe", AblationRailStripe},
+	{"footprint-conns", func() Figure { return FootprintFigures()[0] }},
+	{"footprint-mem", func() Figure { return FootprintFigures()[1] }},
+	{"ablation-connect-setup", AblationConnectSetup},
+	{"rails-bw", RailBandwidth}, {"rails-policy", RailPolicyFigure}, {"nas-rails", NASRailSweep},
+	{"fault-recovery", FaultRecovery},
+	{"coll-allreduce/flat/np=16/cpn=1", collRow("allreduce", nil)},
+	{"coll-alltoall/flat/np=16/cpn=1", collRow("alltoall", nil)},
+	{"coll-allgather/flat/np=16/cpn=1", collRow("allgather", nil)},
+	{"coll-allreduce/fattree-d4-u1/np=16/cpn=1", collRow("allreduce", fatTree)},
+	{"coll-alltoall/fattree-d4-u1/np=16/cpn=1", collRow("alltoall", fatTree)},
+	{"coll-allgather/fattree-d4-u1/np=16/cpn=1", collRow("allgather", fatTree)},
 }
 
 // FigureIDs lists the ids FigureByID knows, in table order.
@@ -212,13 +224,11 @@ func FigureIDs() []string {
 	return ids
 }
 
-// AllFigures returns every figure "-fig all" regenerates, in table order.
+// AllFigures returns every figure of the table, in table order.
 func AllFigures() []Figure {
-	var figs []Figure
-	for _, e := range figureTable {
-		if e.all {
-			figs = append(figs, e.make())
-		}
+	figs := make([]Figure, len(figureTable))
+	for i, e := range figureTable {
+		figs[i] = e.make()
 	}
 	return figs
 }

@@ -8,8 +8,6 @@ package bench
 
 import (
 	"fmt"
-	"math"
-	"strings"
 
 	"repro/internal/cluster"
 	"repro/internal/mpi"
@@ -61,40 +59,12 @@ func patterns() []pattern {
 // than applied silently.
 const maxMeshNP = 64
 
-// ConnectVariant is one series of the footprint figures.
-type ConnectVariant struct {
-	Name string
-	Mode cluster.ConnectMode
-}
+// footprintModes are the series the connection figures compare: the
+// paper's full mesh against on-demand establishment.
+var footprintModes = []cluster.ConnectMode{cluster.ConnectEager, cluster.ConnectLazy}
 
-// ParseConnectModes resolves a comma-separated mode list ("eager,lazy").
-func ParseConnectModes(list string) ([]ConnectVariant, error) {
-	var out []ConnectVariant
-	for _, tok := range strings.Split(list, ",") {
-		tok = strings.TrimSpace(tok)
-		switch tok {
-		case "":
-		case "eager":
-			out = append(out, ConnectVariant{"eager", cluster.ConnectEager})
-		case "lazy":
-			out = append(out, ConnectVariant{"lazy", cluster.ConnectLazy})
-		default:
-			return nil, fmt.Errorf("bench: unknown connect mode %q (have eager, lazy)", tok)
-		}
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("bench: empty connect-mode list")
-	}
-	return out, nil
-}
-
-// ParseNPs resolves a comma-separated rank-count list ("8,16,32").
-func ParseNPs(list string) ([]int, error) {
-	return ParseInts(list, "rank count", 2, math.MaxInt)
-}
-
-// DefaultFootprintNPs is the published sweep: 8…512.
-func DefaultFootprintNPs() []int { return []int{8, 16, 32, 64, 128, 256, 512} }
+// footprintNPs is the job-size sweep: 8…512.
+var footprintNPs = []int{8, 16, 32, 64, 128, 256, 512}
 
 // footprintCluster builds one sweep point. Lazy mode runs the SRQ-backed
 // eager path (the memory model under study); eager mode runs the paper's
@@ -121,7 +91,7 @@ func runPattern(c *cluster.Cluster, pat pattern) {
 // over ranks) — one series per connect mode × traffic pattern. Eager
 // wiring ignores the pattern (the mesh exists regardless), so it
 // contributes one series.
-func FootprintFigures(variants []ConnectVariant, nps []int) []Figure {
+func FootprintFigures() []Figure {
 	conns := Figure{
 		ID: "footprint-conns", Title: "Established connections vs job size",
 		XLabel: "ranks (np)", YLabel: "connections (pairs)",
@@ -131,21 +101,21 @@ func FootprintFigures(variants []ConnectVariant, nps []int) []Figure {
 		XLabel: "ranks (np)", YLabel: "max KB per process",
 	}
 	note := func(f *Figure, s string) { f.Notes = append(f.Notes, s) }
-	for _, v := range variants {
+	for _, mode := range footprintModes {
 		pats := patterns()
-		if v.Mode == cluster.ConnectEager {
+		if mode == cluster.ConnectEager {
 			// The mesh is wired before any traffic; one series suffices.
 			pats = []pattern{{name: "any", run: patterns()[0].run}}
 		}
 		for _, pat := range pats {
-			sc := Series{Name: v.Name + "/" + pat.name}
-			sm := Series{Name: v.Name + "/" + pat.name}
-			for _, np := range nps {
-				if np > maxMeshNP && (v.Mode == cluster.ConnectEager || pat.name == "alltoall") {
+			sc := Series{Name: mode.String() + "/" + pat.name}
+			sm := Series{Name: mode.String() + "/" + pat.name}
+			for _, np := range footprintNPs {
+				if np > maxMeshNP && (mode == cluster.ConnectEager || pat.name == "alltoall") {
 					note(&conns, fmt.Sprintf("%s stops at np=%d: the full mesh is the O(np²) cost under study", sc.Name, maxMeshNP))
 					break
 				}
-				c := footprintCluster(v.Mode, np)
+				c := footprintCluster(mode, np)
 				runPattern(c, pat)
 				nConns, maxKB := 0, 0.0
 				for r := 0; r < np; r++ {
@@ -172,14 +142,14 @@ func FootprintFigures(variants []ConnectVariant, nps []int) []Figure {
 // (lazy pays QP creation, registration and the address-exchange handshake
 // here; eager paid them before the clock started) and point 2 the
 // steady-state average of the next iterations.
-func AblationConnectSetup(variants []ConnectVariant) Figure {
+func AblationConnectSetup() Figure {
 	f := Figure{
 		ID: "ablation-connect-setup", Title: "Connection-setup latency: first message vs steady state",
 		XLabel: "1 = first ping-pong, 2 = steady state", YLabel: "round trip (µs)",
 	}
 	const iters = 10
-	for _, v := range variants {
-		c := footprintCluster(v.Mode, 2)
+	for _, mode := range footprintModes {
+		c := footprintCluster(mode, 2)
 		var first, steady float64
 		c.Launch(func(comm *mpi.Comm) {
 			buf, _ := comm.Alloc(4)
@@ -202,7 +172,7 @@ func AblationConnectSetup(variants []ConnectVariant) Figure {
 			}
 		})
 		c.Close()
-		f.Series = append(f.Series, Series{Name: v.Name, Points: []Point{
+		f.Series = append(f.Series, Series{Name: mode.String(), Points: []Point{
 			{Size: 1, Value: first}, {Size: 2, Value: steady},
 		}})
 	}

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/nas"
-	"repro/internal/rdmachan"
 )
 
 // NAS figures: the paper's application-level evaluation (§7, Figures 16
@@ -107,19 +106,18 @@ func NASSMP(class nas.Class, np int, ppns []int) Figure {
 	return f
 }
 
-// NASRailSweep runs NAS CG over rail counts — the application-level rail
-// sweep (one series per transport is unnecessary: CG's transfers are the
-// zero-copy design's bread and butter).
-func NASRailSweep(class nas.Class, np int, railCounts []int, policy rdmachan.RailPolicy) Figure {
+// NASRailSweep runs NAS CG class A at np=4 over rail counts — the
+// application-level rail sweep (one series per transport is unnecessary:
+// CG's transfers are the zero-copy design's bread and butter).
+func NASRailSweep() Figure {
 	f := Figure{
-		ID: "nas-rails", Title: fmt.Sprintf("NAS CG class %c np=%d vs rails (zero-copy design)", class, np),
+		ID: "nas-rails", Title: "NAS CG class A np=4 vs rails (zero-copy design)",
 		XLabel: "rails", YLabel: "Mop/s",
 	}
 	s := Series{Name: "cg/zerocopy"}
 	for _, rails := range railCounts {
-		cfg := cluster.Config{NP: np, RailsPerNode: rails, Transport: cluster.TransportZeroCopy}
-		cfg.Chan.RailPolicy = policy
-		s.Points = append(s.Points, Point{Size: rails, Value: runNAS("cg", class, cfg).Mops})
+		cfg := cluster.Config{NP: 4, RailsPerNode: rails, Transport: cluster.TransportZeroCopy}
+		s.Points = append(s.Points, Point{Size: rails, Value: runNAS("cg", nas.ClassA, cfg).Mops})
 	}
 	f.Series = append(f.Series, s)
 	return f

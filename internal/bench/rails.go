@@ -7,13 +7,8 @@ import (
 	"repro/internal/rdmachan"
 )
 
-// ParseRails parses a comma list of rail counts, e.g. "1,2,4".
-func ParseRails(list string) ([]int, error) {
-	return ParseInts(list, fmt.Sprintf("rail count (1..%d)", rdmachan.MaxRails), 1, rdmachan.MaxRails)
-}
-
-// DefaultRailCounts is the published rail sweep.
-func DefaultRailCounts() []int { return []int{1, 2, 4} }
+// railCounts is the rail sweep of the bandwidth and NAS figures.
+var railCounts = []int{1, 2, 4}
 
 // Multi-rail figures (DESIGN.md §10). The paper's bandwidth ceiling is one
 // PCI-X-bound adapter per node (870 MB/s sustained, §6); these figures
@@ -21,23 +16,22 @@ func DefaultRailCounts() []int { return []int{1, 2, 4} }
 // where the ceiling moves to the node's shared memory bandwidth.
 
 // RailBandwidth is the bandwidth-vs-rails figure: the zero-copy design's
-// streaming bandwidth, one series per rail count, with eager chunks on the
-// given policy and large messages striped across all rails. Its id names
-// the policy, so BENCH_rails.json holds each policy's curves apart.
-func RailBandwidth(railCounts []int, policy rdmachan.RailPolicy) Figure {
+// streaming bandwidth, one series per rail count, with eager chunks
+// round-robin over the rails and large messages striped across all of
+// them. Its id names the eager policy.
+func RailBandwidth() Figure {
 	f := Figure{
-		ID: "rails-bw/" + policy.String(), Title: "MPI Bandwidth vs Rails (zero-copy design, striped rendezvous)",
+		ID: "rails-bw/round-robin", Title: "MPI Bandwidth vs Rails (zero-copy design, striped rendezvous)",
 		XLabel: "message size (bytes)", YLabel: "bandwidth (MB/s)",
 	}
 	for _, rails := range railCounts {
 		o := Options{Config: cluster.Config{Transport: cluster.TransportZeroCopy, RailsPerNode: rails}}
-		o.Chan.RailPolicy = policy
 		s := MPIBandwidth(o, sizesPow4(4<<10, 4<<20))
 		s.Name = fmt.Sprintf("rails=%d", rails)
 		f.Series = append(f.Series, s)
 	}
 	f.Notes = append(f.Notes,
-		fmt.Sprintf("eager rail policy: %s; zero-copy transfers stripe in ChunkSize-aligned blocks", policy),
+		"eager rail policy: round-robin; zero-copy transfers stripe in ChunkSize-aligned blocks",
 		"rails share the node MemBandwidth ceiling but each owns its NetBandwidth (DESIGN.md §10)")
 	return f
 }

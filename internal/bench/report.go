@@ -1,12 +1,11 @@
 // The one BENCH_*.json report type (DESIGN.md §12). Every committed
 // baseline is a Report over one of two row types: BENCH_engine.json holds
-// EngineRun rows, and the curve baselines — BENCH_paper.json,
-// BENCH_rails.json, BENCH_coll.json — hold one Curve per series of the
-// figures their command printed. All of them share one contract:
-// simulated results are deterministic and compared exactly, a row's
-// harness wall clock, if it carries one, is machine-dependent and compared
-// within a tolerance, and a measured row the baseline does not hold fails
-// the gate.
+// EngineRun rows, and the curve baseline BENCH_figures.json holds one
+// Curve per series of the figures mpich2ib-bench printed. Both share one
+// contract: simulated results are deterministic and compared exactly, a
+// row's harness wall clock, if it carries one, is machine-dependent and
+// compared within a tolerance, and a measured row the baseline does not
+// hold fails the gate.
 package bench
 
 import (

@@ -86,8 +86,8 @@ func engRun(shards int, events uint64) EngineRun {
 // TestReportContract runs the one gate contract over both row types: exact
 // simulated matching, a wall within tolerance where the row carries one, no
 // silent admission of an unvetted row, and piecemeal regeneration by merge.
-// The two curve cases are shaped like a BENCH_rails.json and a
-// BENCH_coll.json row.
+// The two curve cases are shaped like a rails-bw and a coll row of
+// BENCH_figures.json.
 func TestReportContract(t *testing.T) {
 	t.Run("engine", func(t *testing.T) {
 		testContract(t, rowCase[EngineRun]{
@@ -139,9 +139,7 @@ func TestEngineLegacyRowAliasesSerial(t *testing.T) {
 // silently rewrite a baseline fails here first.
 func TestCommittedReportsRoundTrip(t *testing.T) {
 	t.Run("engine", func(t *testing.T) { roundTrip[EngineRun](t, "BENCH_engine.json") })
-	t.Run("paper", func(t *testing.T) { roundTrip[Curve](t, "BENCH_paper.json") })
-	t.Run("rails", func(t *testing.T) { roundTrip[Curve](t, "BENCH_rails.json") })
-	t.Run("coll", func(t *testing.T) { roundTrip[Curve](t, "BENCH_coll.json") })
+	t.Run("figures", func(t *testing.T) { roundTrip[Curve](t, "BENCH_figures.json") })
 }
 
 // TestCurveFinishSaysMatches: a curve report has no wall, so a passing gate
@@ -167,9 +165,9 @@ func TestCurveFinishSaysMatches(t *testing.T) {
 // FuzzCurveReport: the report decoder never panics on arbitrary bytes, and
 // every document it accepts — as curves or as engine rows — survives
 // write → read and then matches itself at the gate. The seed corpus is the
-// four committed baselines.
+// two committed baselines.
 func FuzzCurveReport(f *testing.F) {
-	for _, name := range []string{"BENCH_engine.json", "BENCH_paper.json", "BENCH_rails.json", "BENCH_coll.json"} {
+	for _, name := range []string{"BENCH_engine.json", "BENCH_figures.json"} {
 		b, err := os.ReadFile(filepath.Join("..", "..", name))
 		if err != nil {
 			f.Fatal(err)

@@ -1,7 +1,6 @@
 package mpi
 
 import (
-	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -187,17 +186,6 @@ func unknownAlgorithm(coll, alg string) string {
 	return fmt.Sprintf("unknown %s algorithm %q (have %s)", coll, alg, strings.Join(AlgorithmNames(coll), ", "))
 }
 
-// Algorithms lists every registered algorithm as "collective/name".
-func Algorithms() []string {
-	var out []string
-	for _, coll := range Collectives() {
-		for _, n := range AlgorithmNames(coll) {
-			out = append(out, coll+"/"+n)
-		}
-	}
-	return out
-}
-
 // Tuning is a communicator's collective algorithm selection. Empty fields
 // use the default topology/size table, so the zero Tuning is the default;
 // a named algorithm forces that choice for every call (falling back to the
@@ -241,33 +229,6 @@ func (t Tuning) Validate() error {
 		}
 	}
 	return nil
-}
-
-// ParseTuning builds a Tuning from a comma-separated override list, e.g.
-// "bcast=hier-leader,allgather=bruck". Keys are the collective names
-// (values: AlgorithmNames — for allgather ring, hier, recursive-doubling,
-// bruck; for alltoall pairwise, scattered, rdma-direct).
-func ParseTuning(s string) (Tuning, error) {
-	var t Tuning
-	for _, tok := range strings.Split(s, ",") {
-		tok = strings.TrimSpace(tok)
-		if tok == "" {
-			continue
-		}
-		k, v, ok := strings.Cut(tok, "=")
-		if !ok {
-			return t, fmt.Errorf("mpi: tuning %q is not key=value", tok)
-		}
-		r, ok := find(k)
-		if !ok {
-			return t, errors.New(unknownCollective(k))
-		}
-		*r.field(&t) = v
-	}
-	if err := t.Validate(); err != nil {
-		return t, fmt.Errorf("mpi: Tuning.%w", err)
-	}
-	return t, nil
 }
 
 // AlgorithmApplicable reports whether a named algorithm can run on this
@@ -335,7 +296,7 @@ func (c *Comm) pickAllreduce(n int) allreduceFn {
 		// The fat-tree table: the reduce-then-bcast composition funnels the
 		// whole vector through rank 0's uplink twice, which the contended
 		// model punishes; the doubling/halving families spread the load
-		// across leaf uplinks (BENCH_coll.json, DESIGN.md §14).
+		// across leaf uplinks (BENCH_figures.json, DESIGN.md §14).
 		if n >= allreduceRabCutoff {
 			name = "rabenseifner"
 		} else {

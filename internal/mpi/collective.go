@@ -129,8 +129,8 @@ func (c *Comm) chargeReduceFlops(n int, dt Datatype) {
 // Allreduce combines send buffers elementwise into recv on every rank
 // through the tuned algorithm. The flat default is reduce-then-bcast; on
 // fat-tree topologies the default table picks the doubling/halving
-// families, whose crossover BENCH_coll.json re-measures on the contended
-// switch model.
+// families, whose crossover BENCH_figures.json's coll rows re-measure on
+// the contended switch model.
 func (c *Comm) Allreduce(send, recv Buffer, dt Datatype, op Op) {
 	if recv.Len != send.Len {
 		panic("mpi: Allreduce needs a full recv buffer on every rank")

@@ -463,35 +463,9 @@ func TestTuningForcedAlgorithms(t *testing.T) {
 	}
 }
 
-func TestParseTuning(t *testing.T) {
-	tun, err := mpi.ParseTuning("bcast=hier-leader, reduce=binomial")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tun.Bcast != "hier-leader" || tun.Reduce != "binomial" {
-		t.Fatalf("parsed %+v", tun)
-	}
-	if tun.Allgather != "" || tun.Barrier != "" {
-		t.Fatalf("unforced collectives should stay empty: %+v", tun)
-	}
-	if _, err := mpi.ParseTuning("bcast=nope"); err == nil {
-		t.Fatal("unknown algorithm accepted")
-	}
-	if _, err := mpi.ParseTuning("gather=ring"); err == nil {
-		t.Fatal("unknown collective accepted")
-	}
-	if _, err := mpi.ParseTuning("bcast"); err == nil {
-		t.Fatal("missing value accepted")
-	}
-	empty, err := mpi.ParseTuning("")
-	if err != nil || empty != (mpi.Tuning{}) {
-		t.Fatalf("empty list should parse to the default table: %+v, %v", empty, err)
-	}
-}
-
 // TestRegistryTable walks every row of the registry: each registered name
-// round-trips through Force and Forced and parses as a "coll=alg"
-// override, and every name lookup panics on a collective the table lacks.
+// round-trips through Force and Forced, and every name lookup panics on a
+// collective the table lacks.
 func TestRegistryTable(t *testing.T) {
 	for _, coll := range mpi.Collectives() {
 		for _, alg := range mpi.AlgorithmNames(coll) {
@@ -499,9 +473,6 @@ func TestRegistryTable(t *testing.T) {
 			tun.Force(coll, alg)
 			if got := tun.Forced(coll); got != alg {
 				t.Errorf("Force(%q, %q) then Forced = %q", coll, alg, got)
-			}
-			if parsed, err := mpi.ParseTuning(coll + "=" + alg); err != nil || parsed.Forced(coll) != alg {
-				t.Errorf("ParseTuning(%q) = %q, %v", coll+"="+alg, parsed.Forced(coll), err)
 			}
 		}
 	}

@@ -14,7 +14,7 @@ package mpi
 // allreduceRabCutoff is the message size in bytes at and above which the
 // fat-tree tuning table picks allreduce/rabenseifner over
 // recursive-doubling. Measured on the canonical contended topology
-// (BENCH_coll.json: np=16 one rank per node, fattree-d4-u1): doubling
+// (BENCH_figures.json, coll-allreduce/fattree-d4-u1/np=16/cpn=1): doubling
 // wins through 2 KiB (102 µs vs 117 µs), the two are even at 3 KiB
 // (130 µs vs 126 µs), and Rabenseifner's halved uplink volume wins
 // clearly from 4 KiB (162 µs vs 137 µs) out to 256 KiB (6.5 ms vs
@@ -23,9 +23,8 @@ const allreduceRabCutoff = 3 << 10
 
 // allgatherRingCutoff is the per-rank block size in bytes at and above
 // which the default table keeps allgather/ring, per network. Measured at
-// np=16, one rank per node (BENCH_coll.json, then `mpich2ib-bench -coll
-// allgather -np 16 -ppn 1 -iters 5 -sizes … [-net fattree-d4-u1]` for the
-// sizes between and past its rows). Flat wire: recursive doubling leads
+// np=16, one rank per node (the coll-allgather rows of BENCH_figures.json,
+// then bench.CollAlgSweep at the sizes between and past its rows). Flat wire: recursive doubling leads
 // from 256 B (66.6 µs vs 194.3 µs) through 64 KiB (3.29 ms vs 4.16 ms),
 // the two are even at 160–192 KiB (10.45 ms vs 10.40 ms) and the ring
 // leads from 256 KiB (13.98 ms vs 13.36 ms). fattree-d4-u1: doubling's

@@ -34,10 +34,11 @@ func TestClassSAllBenchmarksAllTransports(t *testing.T) {
 }
 
 // TestClassSBasicTransportWorks runs CG, the most communication-diverse
-// small case, on the configurations beyond the figures' three transports:
-// the basic design the paper abandons (it must be correct, only slower),
-// and the zero-copy design at scale under lazy connections, the SRQ eager
-// pool and two rails. Every row must verify.
+// small case, on the configurations beyond the figures' class A and B
+// runs: the basic design the paper abandons (it must be correct, only
+// slower), the direct CH3 design at class S, and the zero-copy design at
+// scale under lazy connections, the SRQ eager pool and two rails. Every
+// row must verify.
 func TestClassSBasicTransportWorks(t *testing.T) {
 	srq := rdmachan.Config{UseSRQ: true}
 	zc, lazy := cluster.TransportZeroCopy, cluster.ConnectLazy
@@ -46,6 +47,7 @@ func TestClassSBasicTransportWorks(t *testing.T) {
 		cfg  cluster.Config
 	}{
 		{"basic/np4", cluster.Config{NP: 4, Transport: cluster.TransportBasic}},
+		{"ch3/np4", cluster.Config{NP: 4, Transport: cluster.TransportCH3}},
 		{"lazy/np16", cluster.Config{NP: 16, Transport: zc, ConnectMode: lazy}},
 		{"lazy-srq/np16", cluster.Config{NP: 16, Transport: zc, ConnectMode: lazy, Chan: srq}},
 		{"rails2/np8", cluster.Config{NP: 8, Transport: zc, RailsPerNode: 2}},

@@ -70,19 +70,6 @@ func (rp RailPolicy) String() string {
 	return fmt.Sprintf("RailPolicy(%d)", int(rp))
 }
 
-// ParseRailPolicy maps a CLI spelling to a policy.
-func ParseRailPolicy(s string) (RailPolicy, error) {
-	switch s {
-	case "", "round-robin", "rr":
-		return RailRoundRobin, nil
-	case "weighted":
-		return RailWeighted, nil
-	case "fixed":
-		return RailFixed, nil
-	}
-	return 0, fmt.Errorf("rdmachan: unknown rail policy %q (round-robin, weighted, fixed)", s)
-}
-
 // PickRail is the one rail-policy switch, shared by the chunk endpoints
 // (a rail per eager chunk) and the cluster's SRQ mode (a rail per
 // connection). n is the size of the rail set and live its usable members in
