@@ -167,3 +167,33 @@ func TestLazyStencilLargeScale(t *testing.T) {
 		}
 	}
 }
+
+// TestEagerMeshBacksWhatTrafficReaches is the deterministic guard behind
+// the live-heap figure of the eager mesh: every connection registers and
+// reports its full chunk ring and staging mirror, but after a 1 KB ring
+// exchange on np=32 the host backs at most an eighth of those bytes, every
+// other allocation of every node included.
+func TestEagerMeshBacksWhatTrafficReaches(t *testing.T) {
+	const np = 32
+	c := cluster.MustNew(cluster.Config{NP: np, Transport: cluster.TransportZeroCopy})
+	defer c.Close()
+	c.Launch(func(comm *mpi.Comm) {
+		send, _ := comm.Alloc(1024)
+		recv, _ := comm.Alloc(1024)
+		r := comm.Rank()
+		comm.Sendrecv(send, (r+1)%np, 0, recv, (r+np-1)%np, 0)
+	})
+	ms := c.MemStats()
+	if want := int64(np * (np - 1) * 2 * (128 << 10)); ms.EagerBytes != want {
+		t.Fatalf("the mesh reports %d eager bytes, want %d", ms.EagerBytes, want)
+	}
+	backed := 0
+	for _, n := range c.Nodes {
+		backed += n.Mem.BackedTotal()
+	}
+	t.Logf("%d host bytes back %d registered eager bytes", backed, ms.EagerBytes)
+	if int64(backed) > ms.EagerBytes/8 {
+		t.Errorf("the nodes back %d host bytes, more than 1/8 of the %d eager bytes registered",
+			backed, ms.EagerBytes)
+	}
+}

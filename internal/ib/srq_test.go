@@ -86,7 +86,7 @@ func TestSRQSendBacksOnlyPayload(t *testing.T) {
 			t.Fatal(err)
 		}
 		const slot = 8 << 10
-		va := r.n[1].Mem.AllocSlots(4, slot)
+		va, _ := r.n[1].Mem.AllocSlots(4, slot)
 		var recv, send CQE
 		r.eng.Spawn("receiver", func(p *des.Proc) {
 			mr, err := r.hca[1].RegisterMR(p, r.pd[1], va, 4*slot, AccessLocalWrite)

@@ -26,9 +26,39 @@ type Memory struct {
 type allocation struct {
 	base  uint64
 	size  int
-	buf   []byte   // flat backing; nil when slotted
-	slot  int      // bytes per slot; 0 when flat
-	slots [][]byte // per-slot backing, grown on demand
+	buf   []byte // flat backing; nil when slotted
+	slots Slots  // slotted backing; zero when flat
+}
+
+// Slots is the owner's view of a slotted region, returned by AllocSlots
+// with its base: it reaches slot k by index, without the address search
+// Resolve does. It shares its backing with the allocation table, so bytes
+// written through either are the bytes the other reads.
+type Slots struct {
+	size int      // bytes per slot; 0 when flat
+	back [][]byte // per-slot backing, grown on demand
+}
+
+// Slot returns the first n bytes of slot k, backing them first: the slot's
+// backing grows to n rounded up to 64 bytes (never past the slot, never
+// shrinking) and keeps the bytes it held. A request past the slot panics.
+func (s Slots) Slot(k, n int) []byte {
+	if b := s.back[k]; n <= len(b) {
+		return b[:n]
+	}
+	return s.grow(k, n)
+}
+
+// grow is Slot's path for a request past the backed prefix: kept apart so
+// that the common case inlines.
+func (s Slots) grow(k, n int) []byte {
+	if n < 0 || n > s.size {
+		panic(fmt.Sprintf("model: %d bytes of a %d-byte slot", n, s.size))
+	}
+	b := make([]byte, min((n+63)&^63, s.size))
+	copy(b, s.back[k])
+	s.back[k] = b
+	return b[:n]
 }
 
 // memoryBase leaves the low addresses unmapped so that address 0 (and small
@@ -52,16 +82,19 @@ func (m *Memory) Alloc(n int) (uint64, []byte) {
 }
 
 // AllocSlots reserves count slots of size bytes as one allocation and
-// returns its base. The range is mapped, registrable and accounted like an
-// Alloc of count×size bytes, but the host backs each slot only up to the
-// furthest byte a Resolve has reached, rounded up to 64 bytes and never
-// shrinking; the bytes past it read as zero. It suits a pool of fixed-size
-// slots that mostly hold short packets, such as the SRQ eager pool.
-func (m *Memory) AllocSlots(count, size int) uint64 {
+// returns its base and the owner's view of it. The range is mapped,
+// registrable and accounted like an Alloc of count×size bytes, but the host
+// backs each slot only up to the furthest byte an access — Resolve or the
+// view — has reached, rounded up to 64 bytes and never shrinking; the bytes
+// past it read as zero. It suits rings and pools of fixed-size slots that
+// mostly hold short packets: the chunk rings, the SRQ eager pool, the
+// shared-memory cells.
+func (m *Memory) AllocSlots(count, size int) (uint64, Slots) {
 	if count <= 0 || size <= 0 {
 		panic("model: AllocSlots of nonpositive size")
 	}
-	return m.place(allocation{size: count * size, slot: size, slots: make([][]byte, count)})
+	s := Slots{size: size, back: make([][]byte, count)}
+	return m.place(allocation{size: count * size, slots: s}), s
 }
 
 // place maps a at the next free address range and returns its base. Bases
@@ -88,7 +121,7 @@ func (m *Memory) place(a allocation) uint64 {
 // pool that lives as long as its process and is never remapped.
 func (m *Memory) Remap(va uint64) uint64 {
 	i, off, err := m.find(va, 0)
-	if err != nil || off != 0 || m.allocs[i].slot != 0 {
+	if err != nil || off != 0 || m.allocs[i].slots.size != 0 {
 		panic(fmt.Sprintf("model: Remap of %#x, which is not a flat allocation", va))
 	}
 	a := m.allocs[i]
@@ -136,23 +169,19 @@ func (m *Memory) Resolve(va uint64, n int) ([]byte, error) {
 		return nil, err
 	}
 	a := &m.allocs[i]
-	if a.slot == 0 {
+	s := a.slots
+	if s.size == 0 {
 		return a.buf[off : off+n], nil
 	}
 	if n == 0 {
 		return nil, nil
 	}
-	k, lo := off/a.slot, off%a.slot
-	if lo+n > a.slot {
+	k, lo := off/s.size, off%s.size
+	if lo+n > s.size {
 		return nil, fmt.Errorf("model: range [%#x,+%d) crosses a %d-byte slot boundary",
-			va, n, a.slot)
+			va, n, s.size)
 	}
-	if s := a.slots[k]; lo+n > len(s) {
-		grown := make([]byte, min((lo+n+63)&^63, a.slot))
-		copy(grown, s)
-		a.slots[k] = grown
-	}
-	return a.slots[k][lo : lo+n], nil
+	return s.Slot(k, lo+n)[lo:], nil
 }
 
 // Backed reports how many host bytes back the allocation holding va: all
@@ -162,13 +191,31 @@ func (m *Memory) Backed(va uint64) int {
 	if err != nil {
 		panic(err)
 	}
-	a := &m.allocs[i]
-	if a.slot == 0 {
+	return m.allocs[i].backed()
+}
+
+// BackedTotal reports how many host bytes back the whole address space.
+func (m *Memory) BackedTotal() int {
+	n := 0
+	for i := range m.allocs {
+		n += m.allocs[i].backed()
+	}
+	return n
+}
+
+func (a *allocation) backed() int {
+	if a.slots.size == 0 {
 		return a.size
 	}
+	return a.slots.Backed()
+}
+
+// Backed reports how many host bytes back the region: the sum of the
+// slots' reached prefixes.
+func (s Slots) Backed() int {
 	n := 0
-	for _, s := range a.slots {
-		n += len(s)
+	for _, b := range s.back {
+		n += len(b)
 	}
 	return n
 }

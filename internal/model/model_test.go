@@ -262,7 +262,7 @@ func TestNodeConstruction(t *testing.T) {
 // keeps what was written, and no access may cross a slot.
 func TestSlottedRegion(t *testing.T) {
 	m := NewMemory()
-	va := m.AllocSlots(4, 8192)
+	va, _ := m.AllocSlots(4, 8192)
 	if err := m.Check(va, 4*8192); err != nil {
 		t.Fatalf("Check of the whole region: %v", err)
 	}
@@ -299,7 +299,7 @@ func TestSlottedRegion(t *testing.T) {
 	if _, err := m.Resolve(va+4*8192-4, 8); err == nil {
 		t.Error("a range past the region resolved")
 	}
-	odd := m.AllocSlots(2, 100)
+	odd, _ := m.AllocSlots(2, 100)
 	m.MustResolve(odd+100, 90)
 	if got := m.Backed(odd); got != 100 {
 		t.Errorf("a 100-byte slot backs %d bytes, want at most its size", got)
@@ -310,4 +310,53 @@ func TestSlottedRegion(t *testing.T) {
 		}
 	}()
 	m.Remap(va)
+}
+
+// TestSlotsViewIsTheRegion: the owner's view that AllocSlots returns and the
+// address-searched Resolve reach the same bytes both ways, growth through
+// either keeps what the other wrote, and the view refuses a request past
+// its slot.
+func TestSlotsViewIsTheRegion(t *testing.T) {
+	m := NewMemory()
+	m.Alloc(100) // the region is not the first allocation
+	va, s := m.AllocSlots(4, 1024)
+	m.Alloc(100)
+
+	copy(s.Slot(2, 8), "viewside")
+	if got := string(m.MustResolve(va+2*1024, 8)); got != "viewside" {
+		t.Errorf("Resolve reads %q after a write through the view", got)
+	}
+	copy(m.MustResolve(va+3*1024+500, 7), "resolve")
+	if got := string(s.Slot(3, 507)[500:]); got != "resolve" {
+		t.Errorf("the view reads %q after a write through Resolve", got)
+	}
+	if got := m.Backed(va); got != 64+512 {
+		t.Errorf("backed %d bytes, want 64+512", got)
+	}
+
+	// Growth, through either side, keeps the earlier bytes.
+	if got := string(s.Slot(2, 900)[:8]); got != "viewside" {
+		t.Errorf("growth through the view kept %q", got)
+	}
+	if got := string(m.MustResolve(va+2*1024, 1000)[:8]); got != "viewside" {
+		t.Errorf("growth through Resolve kept %q", got)
+	}
+	s.Slot(2, 1000)[999] = 7
+	if got := m.MustResolve(va+2*1024+999, 1); got[0] != 7 {
+		t.Error("a byte written through the grown view is not the one Resolve reads")
+	}
+	if got := len(s.Slot(1, 0)); got != 0 || m.Backed(va) != 1024+512 {
+		t.Errorf("a zero-length request returned %d bytes or backed a slot", got)
+	}
+
+	for _, n := range []int{1025, -1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("a %d-byte request on a 1024-byte slot did not panic", n)
+				}
+			}()
+			s.Slot(0, n)
+		}()
+	}
 }

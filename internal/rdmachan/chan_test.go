@@ -658,3 +658,39 @@ func TestDesignString(t *testing.T) {
 		t.Errorf("unknown design = %q", s)
 	}
 }
+
+// TestChunkRingBacksWhatChunksReach: the chunk ring and its staging mirror
+// are slotted regions, so after a 4-byte ping-pong that laps every slot the
+// host backs one 64-byte line per slot on each side, while the connection
+// still registers and reports its full ring and staging mirror.
+func TestChunkRingBacksWhatChunksReach(t *testing.T) {
+	for _, d := range []Design{DesignPiggyback, DesignPipeline, DesignZeroCopy} {
+		t.Run(d.String(), func(t *testing.T) {
+			h := newHarness(t, Config{Design: d})
+			out0, _ := h.alloc(0, 4)
+			in0, _ := h.alloc(0, 4)
+			in1, _ := h.alloc(1, 4)
+			out1, _ := h.alloc(1, 4)
+			e := [2]*chunkEP{h.eps[0].(*chunkEP), h.eps[1].(*chunkEP)}
+			iters := 3 * e[0].nChunks
+			h.eng.Spawn("rank0", func(p *des.Proc) { pingPong(t, p, h.eps[0], out0, in0, iters) })
+			h.eng.Spawn("rank1", func(p *des.Proc) { pongPing(t, p, h.eps[1], in1, out1, iters) })
+			h.eng.Run()
+			for i, ep := range e {
+				limit := ep.nChunks * 64
+				mem := h.nodes[i].Mem
+				for _, r := range []struct {
+					name string
+					va   uint64
+				}{{"ring", ep.ringVA}, {"staging", ep.stagingVA}} {
+					if got := mem.Backed(r.va); got == 0 || got > limit {
+						t.Errorf("side %d: %s backs %d bytes, want 1..%d", i, r.name, got, limit)
+					}
+				}
+				if got, want := ep.Footprint().EagerBytes, int64(2*ep.cfg.RingSize); got != want {
+					t.Errorf("side %d: footprint reports %d eager bytes, want %d", i, got, want)
+				}
+			}
+		})
+	}
+}

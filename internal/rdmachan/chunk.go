@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/des"
 	"repro/internal/ib"
+	"repro/internal/model"
 	"repro/internal/regcache"
 )
 
@@ -140,8 +141,10 @@ type chunkEP struct {
 	maxPayload int
 
 	// Receive side: the ring lives in this endpoint's memory, registered
-	// once per rail so any rail's queue pair may deliver into it.
-	ring      []byte
+	// once per rail so any rail's queue pair may deliver into it. Ring and
+	// staging are slotted regions, one slot per chunk, backed on the host
+	// only as far as chunks reach (model.AllocSlots).
+	ring      model.Slots
 	ringVA    uint64
 	ringMRs   []*ib.MR // by rail
 	recvSeq   uint64   // chunks fully consumed == next expected seq
@@ -150,7 +153,7 @@ type chunkEP struct {
 	creditOut counterWriter
 
 	// Send side.
-	staging       []byte
+	staging       model.Slots
 	stagingVA     uint64
 	stagingMRs    []*ib.MR       // by rail
 	sendSeq       uint64         // chunks sent
@@ -222,8 +225,8 @@ func newChunkPair(p *des.Proc, cfg Config, ra, rb []*ib.HCA, resilient bool) (En
 
 func (e *chunkEP) setupLocal(p *des.Proc) error {
 	n := e.cfg.RingSize
-	e.ringVA, e.ring = e.node.Mem.Alloc(n)
-	e.stagingVA, e.staging = e.node.Mem.Alloc(n)
+	e.ringVA, e.ring = e.node.Mem.AllocSlots(e.nChunks, e.cfg.ChunkSize)
+	e.stagingVA, e.staging = e.node.Mem.AllocSlots(e.nChunks, e.cfg.ChunkSize)
 	// The ring and staging regions are registered on every rail's adapter:
 	// any rail may deliver a chunk into the ring (remote write) or gather
 	// one out of staging, and each HCA validates keys against its own
@@ -462,26 +465,31 @@ func (e *chunkEP) repostChunk(p *des.Proc, seq uint64) {
 		e.err = err
 		return
 	}
-	paylen := int(le32(e.slotBytes(seq)[8:12]))
+	paylen := int(le32(e.slotBytes(seq, chunkHdrSize)[8:12]))
 	e.postChunkOn(p, seq, paylen, k)
 	e.stats.ChunkReposts++
 }
 
-// slotBytes returns the staging slot for sequence seq.
-func (e *chunkEP) slotBytes(seq uint64) []byte {
-	i := int(seq % uint64(e.nChunks))
-	return e.staging[i*e.cfg.ChunkSize : (i+1)*e.cfg.ChunkSize]
+// slotBytes returns the first n bytes of the staging slot for sequence seq.
+func (e *chunkEP) slotBytes(seq uint64, n int) []byte {
+	return e.staging.Slot(int(seq%uint64(e.nChunks)), n)
+}
+
+// frameChunk writes the framing around a payload of paylen bytes already
+// placed in slot, which holds exactly chunkOverhead+paylen bytes.
+func (e *chunkEP) frameChunk(slot []byte, seq uint64, ctype byte, paylen int) {
+	putLE32(slot[0:4], uint32(seq+1))
+	slot[4] = ctype
+	putLE32(slot[8:12], uint32(paylen))
+	putLE32(slot[12:16], uint32(e.recvSeq)) // piggybacked credit (§4.3)
+	slot[chunkHdrSize+paylen] = byte(seq + 1)
 }
 
 // stageChunk fills the staging slot for seq with framing and payload.
 func (e *chunkEP) stageChunk(seq uint64, ctype byte, payload []byte) {
-	slot := e.slotBytes(seq)
-	putLE32(slot[0:4], uint32(seq+1))
-	slot[4] = ctype
-	putLE32(slot[8:12], uint32(len(payload)))
-	putLE32(slot[12:16], uint32(e.recvSeq)) // piggybacked credit (§4.3)
+	slot := e.slotBytes(seq, chunkOverhead+len(payload))
 	copy(slot[chunkHdrSize:], payload)
-	slot[chunkHdrSize+len(payload)] = byte(seq + 1)
+	e.frameChunk(slot, seq, ctype, len(payload))
 }
 
 // postChunk RDMA-writes the framed chunk into the peer's ring slot, on the
@@ -676,16 +684,22 @@ func (e *chunkEP) Put(p *des.Proc, bufs []Buffer) (int, error) {
 		if e.freeCredits()-len(plan) < 1 {
 			break
 		}
+		// The slot is backed only as far as the chunk reaches, so measure
+		// the fill before resolving it.
+		fill := 0
+		for i, o := bi, off; i < len(bufs) && fill < e.maxPayload && !zcEligible(i, o); i, o = i+1, 0 {
+			fill += min(bufs[i].Len-o, e.maxPayload-fill)
+		}
 		seq := e.sendSeq
 		e.sendSeq++
-		slot := e.slotBytes(seq)
+		slot := e.slotBytes(seq, chunkOverhead+fill)
 		n := 0
 		for bi < len(bufs) && n < e.maxPayload && !zcEligible(bi, off) {
 			src, err := e.resolve(bufs[bi])
 			if err != nil {
 				return total, fmt.Errorf("rdmachan(%s): put: %w", e.cfg.Design, err)
 			}
-			m := copy(slot[chunkHdrSize+n:chunkHdrSize+e.maxPayload], src[off:])
+			m := copy(slot[chunkHdrSize+n:chunkHdrSize+fill], src[off:])
 			n += m
 			off += m
 			total += m
@@ -694,11 +708,7 @@ func (e *chunkEP) Put(p *des.Proc, bufs []Buffer) (int, error) {
 				off = 0
 			}
 		}
-		putLE32(slot[0:4], uint32(seq+1))
-		slot[4] = chunkData
-		putLE32(slot[8:12], uint32(n))
-		putLE32(slot[12:16], uint32(e.recvSeq))
-		slot[chunkHdrSize+n] = byte(seq + 1)
+		e.frameChunk(slot, seq, chunkData, n)
 		copiedBytes += n
 		if e.pipelined {
 			// Overlap: charge this chunk's copy and launch its RDMA write
@@ -733,8 +743,7 @@ func (e *chunkEP) IdleGet() (des.Step, bool) {
 			return des.Step{}, false
 		}
 	}
-	off := int(e.recvSeq%uint64(e.nChunks)) * e.cfg.ChunkSize
-	if le32(e.ring[off:off+4]) == uint32(e.recvSeq+1) {
+	if le32(e.ring.Slot(int(e.recvSeq%uint64(e.nChunks)), 4)) == uint32(e.recvSeq+1) {
 		return des.Step{}, false
 	}
 	return e.charge(), true
@@ -787,7 +796,7 @@ func (e *chunkEP) GetCharged(p *des.Proc, bufs []Buffer) (int, error) {
 	copied := 0
 	for Total(bufs) > 0 {
 		slotIdx := int(e.recvSeq % uint64(e.nChunks))
-		slot := e.ring[slotIdx*e.cfg.ChunkSize : (slotIdx+1)*e.cfg.ChunkSize]
+		slot := e.ring.Slot(slotIdx, chunkHdrSize)
 		want := uint32(e.recvSeq + 1)
 		if le32(slot[0:4]) != want {
 			break
@@ -796,6 +805,7 @@ func (e *chunkEP) GetCharged(p *des.Proc, bufs []Buffer) (int, error) {
 		if paylen < 0 || paylen > e.maxPayload {
 			return got, fmt.Errorf("rdmachan(%s): corrupt chunk length %d", e.cfg.Design, paylen)
 		}
+		slot = e.ring.Slot(slotIdx, chunkOverhead+paylen)
 		if slot[chunkHdrSize+paylen] != byte(want) {
 			break // trailing flag not yet written
 		}

@@ -28,6 +28,7 @@ type SRQPool struct {
 	cqRouter // completions of signaled work connections post on their queue pairs
 
 	resilient bool
+	everSeen  bool // lastSeq holds a real snapshot
 	hca       *ib.HCA
 	node      *model.Node
 	prm       *model.Params
@@ -37,21 +38,21 @@ type SRQPool struct {
 	rcq *ib.CQ // shared receive CQ: one poll reaps arrivals from every peer
 	scq *ib.CQ // shared send CQ
 
-	recvVA  uint64 // slotted (model.AllocSlots): backed as far as packets reach
-	recvMR  *ib.MR
-	recvWRs []ib.RecvWR // per-slot descriptors, built once and reposted as-is
+	// The receive and send slot arrays are slotted regions
+	// (model.AllocSlots), backed as far as packets reach; the pool reaches
+	// them through the owner's views.
+	recvSlots model.Slots
+	recvWRs   []ib.RecvWR // per-slot descriptors, built once and reposted as-is
 
-	sendVA   uint64 // slotted, like recvVA
-	sendMR   *ib.MR
-	sendFree []int
-	sendWRs  []ib.SendWR // per-slot work requests (WRID = slot), reused
-	sendCBs  []stagedCB  // per-slot completion callbacks (one in flight per slot)
+	sendSlots model.Slots
+	sendFree  []int
+	sendWRs   []ib.SendWR // per-slot work requests (WRID = slot), reused
+	sendCBs   []stagedCB  // per-slot completion callbacks (one in flight per slot)
 
 	conns map[uint32]SRQDispatch
 
-	limitFn  func() // persistent low-watermark handler (re-armed, not rebuilt)
-	lastSeq  uint64 // adapter event seq at the last poll
-	everSeen bool   // lastSeq holds a real snapshot
+	limitFn func() // persistent low-watermark handler (re-armed, not rebuilt)
+	lastSeq uint64 // adapter event seq at the last poll
 
 	regc  *regcache.Cache
 	onErr func(error)
@@ -107,15 +108,16 @@ func NewSRQPool(p *des.Proc, cfg Config, h *ib.HCA, resilient bool, onErr func(e
 	sp.srq = h.CreateSRQ(sp.pd)
 
 	n := SRQSlots * SRQSlotSize
-	sp.recvVA = sp.node.Mem.AllocSlots(SRQSlots, SRQSlotSize)
-	var err error
-	sp.recvMR, err = h.RegisterMR(p, sp.pd, sp.recvVA, n, ib.AccessLocalWrite)
+	var recvVA, sendVA uint64
+	recvVA, sp.recvSlots = sp.node.Mem.AllocSlots(SRQSlots, SRQSlotSize)
+	recvMR, err := h.RegisterMR(p, sp.pd, recvVA, n, ib.AccessLocalWrite)
 	if err != nil {
 		return nil, fmt.Errorf("rdmachan(srq): recv pool: %w", err)
 	}
 	m := SRQSendSlots * SRQSlotSize
-	sp.sendVA = sp.node.Mem.AllocSlots(SRQSendSlots, SRQSlotSize)
-	if sp.sendMR, err = h.RegisterMR(p, sp.pd, sp.sendVA, m, ib.AccessLocalWrite); err != nil {
+	sendVA, sp.sendSlots = sp.node.Mem.AllocSlots(SRQSendSlots, SRQSlotSize)
+	sendMR, err := h.RegisterMR(p, sp.pd, sendVA, m, ib.AccessLocalWrite)
+	if err != nil {
 		return nil, fmt.Errorf("rdmachan(srq): send pool: %w", err)
 	}
 	sendSGEs := make([]ib.SGE, SRQSendSlots)
@@ -124,8 +126,8 @@ func NewSRQPool(p *des.Proc, cfg Config, h *ib.HCA, resilient bool, onErr func(e
 	for i := 0; i < SRQSendSlots; i++ {
 		sp.sendFree = append(sp.sendFree, i)
 		sendSGEs[i] = ib.SGE{
-			Addr: sp.sendVA + uint64(i*SRQSlotSize),
-			LKey: sp.sendMR.LKey(),
+			Addr: sendVA + uint64(i*SRQSlotSize),
+			LKey: sendMR.LKey(),
 		}
 		sp.sendWRs[i] = ib.SendWR{
 			WRID: uint64(i), Op: ib.OpSend, Signaled: true,
@@ -136,9 +138,9 @@ func NewSRQPool(p *des.Proc, cfg Config, h *ib.HCA, resilient bool, onErr func(e
 	sp.recvWRs = make([]ib.RecvWR, SRQSlots)
 	for i := 0; i < SRQSlots; i++ {
 		sges[i] = ib.SGE{
-			Addr: sp.recvVA + uint64(i*SRQSlotSize),
+			Addr: recvVA + uint64(i*SRQSlotSize),
 			Len:  SRQSlotSize,
-			LKey: sp.recvMR.LKey(),
+			LKey: recvMR.LKey(),
 		}
 		sp.recvWRs[i] = ib.RecvWR{WRID: uint64(i), SGL: sges[i : i+1 : i+1]}
 		sp.postSlot(p, i)
@@ -272,7 +274,7 @@ func (sp *SRQPool) takeSlot(p *des.Proc) (int, bool) {
 
 // sendSlot returns the first n bytes of staging slot i, backing them.
 func (sp *SRQPool) sendSlot(i, n int) []byte {
-	return sp.node.Mem.MustResolve(sp.sendVA+uint64(i*SRQSlotSize), n)
+	return sp.sendSlots.Slot(i, n)
 }
 
 // stagedCB holds a staged packet's completion callbacks, slot-indexed: the
@@ -368,7 +370,7 @@ func (sp *SRQPool) Poll(p *des.Proc) bool {
 			return prog
 		}
 		slot := int(cqe.WRID)
-		pkt := sp.node.Mem.MustResolve(sp.recvVA+uint64(slot*SRQSlotSize), cqe.ByteLen)
+		pkt := sp.recvSlots.Slot(slot, cqe.ByteLen)
 		d, ok := sp.conns[cqe.QPNum]
 		if !ok {
 			sp.fail(fmt.Errorf("rdmachan(srq): packet on unbound qp%d", cqe.QPNum))

@@ -48,32 +48,35 @@ const (
 	cellRTS        // announces a rendezvous message (payload stays put)
 )
 
-// cell is one eager ring entry: a descriptor plus inline payload storage.
-// Large and RTS entries carry no payload; they announce a message that
-// follows through the segment slots or a rendezvous handshake.
+// cell is one eager ring entry's descriptor; its inline payload is the
+// same-numbered slot of the direction's cell region. Large and RTS entries
+// carry no payload; they announce a message that follows through the
+// segment slots or a rendezvous handshake.
 type cell struct {
-	mem  []byte
 	env  transport.Envelope
 	kind byte
 	id   uint64 // rendezvous id (cellRTS only)
 	full bool
 }
 
-// segSlot is one large-path chunk slot.
+// segSlot is one large-path chunk slot's descriptor; its bytes are the
+// same-numbered slot of the direction's segment region.
 type segSlot struct {
-	mem  []byte
 	n    int
 	full bool
 }
 
 // dir is one direction of a connection: a cell ring and a chunk segment,
-// both allocated in the node's simulated memory. The sending Conn is the
+// both slotted regions of the node's simulated memory, backed on the host
+// only as far as payloads reach (model.AllocSlots). The sending Conn is the
 // only producer and the receiving Conn the only consumer.
 type dir struct {
 	cells      []cell
-	head, tail int // consumer / producer cursors (monotonic counts)
+	cellMem    model.Slots // Cells slots of EagerMax bytes
+	head, tail int         // consumer / producer cursors (monotonic counts)
 
 	slots            []segSlot
+	segMem           model.Slots // SegChunks slots of SegChunk bytes
 	segHead, segTail int
 }
 
@@ -82,12 +85,8 @@ func newDir(mem *model.Memory) *dir {
 		cells: make([]cell, Cells),
 		slots: make([]segSlot, SegChunks),
 	}
-	for i := range d.cells {
-		_, d.cells[i].mem = mem.Alloc(EagerMax)
-	}
-	for i := range d.slots {
-		_, d.slots[i].mem = mem.Alloc(SegChunk)
-	}
+	_, d.cellMem = mem.AllocSlots(Cells, EagerMax)
+	_, d.segMem = mem.AllocSlots(SegChunks, SegChunk)
 	return d
 }
 
@@ -353,7 +352,7 @@ func (c *Conn) progressSend(p *des.Proc) bool {
 			p.Sleep(c.prm.ShmOverhead)
 			if n := op.env.Len; n > 0 {
 				src := c.node.Mem.MustResolve(op.payload.Addr, n)
-				copy(cl.mem, src)
+				copy(c.out.cellMem.Slot(c.out.tail%Cells, n), src)
 				c.node.Bus.Memcpy(p, n, n)
 			}
 			cl.env, cl.kind, cl.full = op.env, cellEager, true
@@ -386,7 +385,7 @@ func (c *Conn) progressSend(p *des.Proc) bool {
 			}
 			n := min(SegChunk, op.env.Len-op.off)
 			src := c.node.Mem.MustResolve(op.payload.Addr+uint64(op.off), n)
-			copy(sl.mem[:n], src)
+			copy(c.out.segMem.Slot(c.out.segTail%SegChunks, n), src)
 			c.node.Bus.Memcpy(p, n, op.env.Len)
 			sl.n, sl.full = n, true
 			c.out.segTail++
@@ -428,7 +427,7 @@ func (c *Conn) progressRecv(p *des.Proc) bool {
 				return prog
 			}
 			dst := c.node.Mem.MustResolve(c.rsink.Buf.Addr+uint64(c.roff), sl.n)
-			copy(dst, sl.mem[:sl.n])
+			copy(dst, c.in.segMem.Slot(c.in.segHead%SegChunks, sl.n))
 			c.node.Bus.Memcpy(p, sl.n, c.rtotal)
 			c.roff += sl.n
 			sl.full = false
@@ -467,7 +466,7 @@ func (c *Conn) progressRecv(p *des.Proc) bool {
 			c.drain, c.rsink, c.rtotal, c.roff = true, sink, env.Len, 0
 		} else if env.Len > 0 {
 			dst := c.node.Mem.MustResolve(sink.Buf.Addr, env.Len)
-			copy(dst, cl.mem[:env.Len])
+			copy(dst, c.in.cellMem.Slot(c.in.head%Cells, env.Len))
 			c.node.Bus.Memcpy(p, env.Len, env.Len)
 		}
 		cl.full = false
