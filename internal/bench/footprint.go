@@ -53,11 +53,13 @@ func patterns() []pattern {
 	}
 }
 
-// Sweep bounds: the eager mesh allocates O(np²) rings of real memory and
-// the all-to-all pattern establishes the mesh even lazily, so both stop
-// at maxMeshNP; the truncation is recorded in the figure notes rather
-// than applied silently.
-const maxMeshNP = 64
+// Sweep bounds: the eager mesh wires O(np²) connections and the
+// all-to-all pattern establishes the mesh even lazily, so both stop at
+// maxMeshNP; the truncation is recorded in the figure notes rather than
+// applied silently. The rings are backed on the host only as far as
+// traffic reaches (model.AllocSlots), so the bound is set by setup time,
+// not by host memory.
+const maxMeshNP = 256
 
 // footprintModes are the series the connection figures compare: the
 // paper's full mesh against on-demand establishment.
