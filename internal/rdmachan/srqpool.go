@@ -231,7 +231,7 @@ func (sp *SRQPool) Send(p *des.Proc, qp *ib.QP, hdr []byte, payload Buffer,
 	if !ok {
 		return false, nil
 	}
-	dst := sp.sendSlot(slot, total)
+	dst := sp.sendSlots.Slot(slot, total)
 	n := copy(dst, hdr)
 	n += copy(dst[n:], src)
 	sp.postStaged(p, qp, slot, n, onSent, nil)
@@ -253,7 +253,7 @@ func (sp *SRQPool) SendPkt(p *des.Proc, qp *ib.QP, pkt []byte,
 	if !ok {
 		return false, nil
 	}
-	n := copy(sp.sendSlot(slot, len(pkt)), pkt)
+	n := copy(sp.sendSlots.Slot(slot, len(pkt)), pkt)
 	sp.postStaged(p, qp, slot, n, onSent, onFail)
 	return true, nil
 }
@@ -270,11 +270,6 @@ func (sp *SRQPool) takeSlot(p *des.Proc) (int, bool) {
 	slot := sp.sendFree[len(sp.sendFree)-1]
 	sp.sendFree = sp.sendFree[:len(sp.sendFree)-1]
 	return slot, true
-}
-
-// sendSlot returns the first n bytes of staging slot i, backing them.
-func (sp *SRQPool) sendSlot(i, n int) []byte {
-	return sp.sendSlots.Slot(i, n)
 }
 
 // stagedCB holds a staged packet's completion callbacks, slot-indexed: the
