@@ -160,13 +160,13 @@ func TestOverChannelEagerDelivery(t *testing.T) {
 
 func TestIBConnRendezvousNoUnexpectedCopy(t *testing.T) {
 	r := newRig(t, rdmachan.DesignPipeline)
-	c0 := NewIBConn(r.eps[0], r.match[0], 0, fatalErr(t))
-	c1 := NewIBConn(r.eps[1], r.match[1], 0, fatalErr(t))
+	c0 := NewIBConn(r.eps[0], r.match[0], fatalErr(t))
+	c1 := NewIBConn(r.eps[1], r.match[1], fatalErr(t))
 
 	if c0.RendezvousThreshold() != 32<<10 {
-		t.Fatalf("default threshold = %d, want 32K", c0.RendezvousThreshold())
+		t.Fatalf("threshold = %d, want 32K", c0.RendezvousThreshold())
 	}
-	const n = 256 << 10 // above the 32K default threshold
+	const n = 256 << 10 // above the 32K threshold
 	payVA, pay := r.nodes[0].Mem.Alloc(n)
 	for i := range pay {
 		pay[i] = byte(i * 31)
@@ -197,10 +197,10 @@ func TestIBConnRendezvousNoUnexpectedCopy(t *testing.T) {
 
 func TestIBConnEagerBelowThreshold(t *testing.T) {
 	r := newRig(t, rdmachan.DesignPipeline)
-	c0 := NewIBConn(r.eps[0], r.match[0], 64<<10, fatalErr(t))
-	c1 := NewIBConn(r.eps[1], r.match[1], 64<<10, fatalErr(t))
+	c0 := NewIBConn(r.eps[0], r.match[0], fatalErr(t))
+	c1 := NewIBConn(r.eps[1], r.match[1], fatalErr(t))
 
-	const n = 40 << 10 // below the explicit 64K threshold
+	const n = 24 << 10 // below the 32K threshold, yet more than one 16K chunk
 	payVA, _ := r.nodes[0].Mem.Alloc(n)
 	sent := false
 	r.eng.Spawn("rank0", func(p *des.Proc) {
@@ -213,7 +213,7 @@ func TestIBConnEagerBelowThreshold(t *testing.T) {
 	})
 	r.eng.Run()
 	if s := c0.Stats(); s.EagerSends != 1 || s.RndvSends != 0 {
-		t.Fatalf("stats = %+v; 40K under a 64K threshold must go eager", s)
+		t.Fatalf("stats = %+v; 24K under the 32K threshold must go eager", s)
 	}
 	if len(r.match[1].rts) != 0 {
 		t.Fatal("unexpected RTS for an eager message")
@@ -238,7 +238,7 @@ func TestIBConnRequiresChunkEndpoint(t *testing.T) {
 			t.Fatal("IBConn over the basic design should panic")
 		}
 	}()
-	NewIBConn(r.eps[0], r.match[0], 0, fatalErr(t))
+	NewIBConn(r.eps[0], r.match[0], fatalErr(t))
 }
 
 // TestRequeueAheadOrder pins what SRQConn.adopt needs of its send queues

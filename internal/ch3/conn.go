@@ -51,20 +51,19 @@ func NewOverChannel(ep rdmachan.Endpoint, h transport.Handler, onErr func(error)
 	return newConn(ep, nil, h, 0, onErr)
 }
 
+// ibThreshold is the direct mode's rendezvous switch, the zero-copy design's.
+const ibThreshold = 32 << 10
+
 // NewIBConn builds the packet engine in direct mode over a pipelined chunk
 // endpoint created with rdmachan.DesignPipeline (zero-copy must be off:
-// rendezvous is handled here, at the CH3 level). threshold is the
-// eager/rendezvous switch, 0 meaning the default 32 KB (matching the
-// zero-copy design).
-func NewIBConn(ep rdmachan.Endpoint, h transport.Handler, threshold int, onErr func(error)) *Conn {
+// rendezvous is handled here, at the CH3 level), switching to rendezvous
+// at ibThreshold.
+func NewIBConn(ep rdmachan.Endpoint, h transport.Handler, onErr func(error)) *Conn {
 	raw, ok := ep.(rdmachan.RawAccess)
 	if !ok {
 		panic("ch3: IBConn requires a chunk-ring endpoint")
 	}
-	if threshold == 0 {
-		threshold = 32 << 10
-	}
-	return newConn(ep, raw, h, threshold, onErr)
+	return newConn(ep, raw, h, ibThreshold, onErr)
 }
 
 func newConn(ep rdmachan.Endpoint, raw rdmachan.RawAccess, h transport.Handler,

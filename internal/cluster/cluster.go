@@ -82,7 +82,7 @@ func (c *Cluster) FaultStats() FaultStats { return c.fstats }
 // New builds the cluster. In eager mode all rank-pair connections are
 // wired before New returns, running to completion in simulated time (the
 // clock then holds the setup cost, which benchmarks exclude by measuring
-// intervals); in lazy mode connector stubs are installed and connections
+// intervals); in lazy mode each engine gets a dialer and connections
 // establish on first use. Establishment failures during construction are
 // returned; failures mid-run (lazy mode) surface through the affected
 // ranks' progress engines.
@@ -318,14 +318,13 @@ func pairKey(i, j int) uint64 {
 	return uint64(i)<<32 | uint64(j)
 }
 
-// installDialers hands every engine one dial callback; the engine creates
-// connector stubs on demand at the first send toward a peer. Lazy setup is
-// therefore O(np) — one closure per rank — where the first version
-// pre-installed np² per-pair stubs before any rank had spoken. The dial
-// callback runs on the process posting the first send; establishment
-// itself runs on a spawned connection-manager process so both sides'
-// setup costs stay off the application's critical path, exactly like the
-// on-demand connection threads of post-paper MPICH2 stacks.
+// installDialers hands every engine one dial callback; the engine opens a
+// dial on demand at the first send toward a peer, so lazy setup is O(np) —
+// one closure per rank. The dial callback runs on the process posting the
+// first send; establishment itself runs on a spawned connection-manager
+// process so both sides' setup costs stay off the application's critical
+// path, exactly like the on-demand connection threads of post-paper MPICH2
+// stacks.
 func (c *Cluster) installDialers() {
 	for i := 0; i < c.cfg.NP; i++ {
 		i := i
@@ -400,12 +399,9 @@ func (c *Cluster) failPair(i, j int, err error) {
 
 // wirePair builds the connection between ranks i and j — shared memory
 // for co-located pairs, the SRQ-backed eager mode when Chan.UseSRQ, the
-// configured channel design otherwise — and installs both endpoints,
-// flushing any sends queued on connector stubs.
+// configured channel design otherwise — and delivers both endpoints to
+// their engines, whose next passes flush any sends queued on open dials.
 func (c *Cluster) wirePair(p *des.Proc, i, j int) error {
-	c.pairMu.Lock()
-	c.pairStarted[pairKey(i, j)] = true
-	c.pairMu.Unlock()
 	if c.nodeOf[i] == c.nodeOf[j] {
 		ci, cj := shmchan.NewPair(c.HCAs[c.nodeOf[i]], c.cfg.Shm,
 			c.Ranks[i], c.Ranks[j])
@@ -543,7 +539,7 @@ func (c *Cluster) SRQPool(rank int) *rdmachan.SRQPool {
 
 func (c *Cluster) newEndpoint(ep rdmachan.Endpoint, eng *transport.Engine) transport.Endpoint {
 	if c.cfg.Transport == TransportCH3 {
-		return ch3.NewIBConn(ep, eng, 0, eng.Fail)
+		return ch3.NewIBConn(ep, eng, eng.Fail)
 	}
 	return ch3.NewOverChannel(ep, eng, eng.Fail)
 }
@@ -559,7 +555,7 @@ type MemStats struct {
 
 // RankMemStats reports one process's communication memory: its
 // established endpoints' footprints plus its SRQ pool when one exists.
-// Unestablished stubs contribute nothing — that is the point of lazy mode.
+// Peers never dialed contribute nothing — that is the point of lazy mode.
 func (c *Cluster) RankMemStats(rank int) MemStats {
 	m := MemStats{Ranks: 1}
 	c.Ranks[rank].ForEachEndpoint(func(peer int32, ep transport.Endpoint) {

@@ -10,8 +10,8 @@
 //     the selected InfiniBand transport, and ranks on one node share its
 //     adapters and memory bus.
 //   - ConnectMode (DESIGN.md §9): ConnectEager wires the full O(np²) mesh
-//     at construction, reproducing the paper's setup; ConnectLazy installs
-//     connector stubs and establishes each connection on first use. The
+//     at construction, reproducing the paper's setup; ConnectLazy gives
+//     each engine a dialer and establishes each connection on first use. The
 //     SRQ-backed eager mode (Chan.UseSRQ) replaces per-connection rings
 //     with per-process pools.
 //   - RailsPerNode (DESIGN.md §10): several HCAs per node; every
@@ -31,8 +31,10 @@
 //     transport sits behind any slot.
 //   - A rank pair's connection is established exactly once, whichever side
 //     dials first (the simultaneous-connect race resolves through
-//     pairStarted); flushing queued sends is the owner engine's job, never
-//     the connection manager's (the single-driver rule, DESIGN.md §9).
+//     pairStarted, which only lazy dials read and write); the connection
+//     manager delivers endpoints with Fulfill, and flushing queued sends is
+//     the owner engine's job, never the manager's (the single-driver rule,
+//     DESIGN.md §9).
 //   - Rails[n][0] == HCAs[n]: rail 0 is the primary adapter, and
 //     single-rail configurations build exactly the pre-rail topology.
 //   - New calls Config.Validate before building anything; every error

@@ -25,7 +25,7 @@ func (h *HCA) CreateCQ() *CQ {
 }
 
 // insert appends a completion and wakes pollers, including processes
-// blocked in WaitMemEvent progress loops (software multiplexes flag
+// blocked in WaitMemEventSince progress loops (software multiplexes flag
 // polling and CQ polling in one loop).
 func (cq *CQ) insert(e CQE) {
 	cq.entries = append(cq.entries, e)

@@ -244,13 +244,6 @@ func (h *HCA) WaitMemory(p *des.Proc, pred func() bool) {
 	h.node.WaitMemory(p, pred)
 }
 
-// WaitMemEvent blocks until the next remote write or completion lands on
-// this node, then charges the poll-detection latency. Progress loops use
-// it between retries of non-blocking operations.
-func (h *HCA) WaitMemEvent(p *des.Proc) {
-	h.node.WaitMemEvent(p)
-}
-
 // rxStep is the adapter's receive engine: every granule arriving from the
 // wire crosses the adapter's bus at the network rate (the PCI-X DMA
 // write), then lands the work request it ends, if any.

@@ -338,10 +338,3 @@ func (n *Node) WaitMemory(p *des.Proc, pred func() bool) {
 	}
 	p.Sleep(n.Params.PollDetect)
 }
-
-// WaitMemEvent blocks until the next remote write or completion lands on
-// this node, then charges the poll-detection latency.
-func (n *Node) WaitMemEvent(p *des.Proc) {
-	n.memWatch.Wait(p)
-	p.Sleep(n.Params.PollDetect)
-}

@@ -137,7 +137,8 @@ func TestOneSidedBasicTransportRejected(t *testing.T) {
 
 // TestOneSidedLazyConnect creates a window under lazy connection
 // management: window creation is the first use, so it must establish the
-// connections itself (a stub endpoint exposes no verbs resources).
+// connections itself (an unconnected peer has no endpoint, so no verbs
+// resources).
 func TestOneSidedLazyConnect(t *testing.T) {
 	c := cluster.MustNew(cluster.Config{
 		NP: 4, Transport: cluster.TransportZeroCopy, ConnectMode: cluster.ConnectLazy,

@@ -21,8 +21,8 @@ func enginePair() (eng *des.Engine, e [2]*transport.Engine, conn [2]*shmchan.Con
 	hca := ib.NewFabric(eng, prm).NewHCA(node)
 	e = [2]*transport.Engine{transport.NewEngine(0, 2, hca), transport.NewEngine(1, 2, hca)}
 	conn[0], conn[1] = shmchan.NewPair(hca, shmchan.Config{}, e[0], e[1])
-	e[0].SetEndpoint(1, conn[0])
-	e[1].SetEndpoint(0, conn[1])
+	e[0].Fulfill(1, conn[0])
+	e[1].Fulfill(0, conn[1])
 	return eng, e, conn, node.Mem
 }
 

@@ -14,8 +14,11 @@
 // Layer boundaries: the Engine is the rank's ADI3 device, as MPICH2's CH3
 // device is its ADI3 implementation. internal/mpi drives it directly from
 // above; the endpoints (internal/ch3, internal/shmchan) sit below. It
-// holds THE single matching loop of the stack; no endpoint duplicates it. Lazy connection establishment lives here too (Stub), with
-// the cluster supplying the dial logic.
+// holds THE single matching loop of the stack; no endpoint duplicates it.
+// Lazy connection establishment lives here too, as the engine's own state:
+// a peer with no endpoint has at most one open dial holding the sends
+// posted to it, and the cluster supplies the dial logic. Every endpoint the
+// engine holds is a real one.
 //
 // Invariants:
 //
@@ -24,10 +27,11 @@
 //     communicators can never cross-match, wildcards included.
 //   - Rendezvous answers go back on the endpoint the RTS arrived on: with
 //     a wildcard receive, that endpoint is the only record of the peer.
-//   - The single-driver promotion rule (PR 4 / DESIGN.md §9): a fulfilled
-//     connector stub is promoted, and its queued sends flushed, only by
-//     the OWNING rank's progress pass — never by the connection manager —
-//     so sends racing the handshake drain in posted order on one process.
+//   - The single-driver promotion rule (DESIGN.md §9): the endpoint a dial
+//     is fulfilled with is installed, and the dial's queued sends flushed,
+//     only by the OWNING rank's progress pass — never by the connection
+//     manager — so sends racing the handshake drain in posted order on one
+//     process. Until then Endpoint returns nil and Connected true.
 //   - Receives never force a connection; only sends dial.
 //   - The engine polls endpoints round-robin from a rotating cursor, and
 //     snapshots the node's memory-event counter before each pass so a

@@ -69,12 +69,10 @@ type Engine struct {
 	hca  *ib.HCA
 
 	// Endpoint slots are sparse: sorted parallel slices holding only the
-	// peers this rank has spoken to (stubs included). A 4096-rank job's
+	// peers this rank has an established endpoint to. A 4096-rank job's
 	// engines used to carry np pointers each — 134 MB of nil slots across
 	// the cluster before the first message — where a stencil rank talks to
 	// a handful of peers.
-	peers []int32      // ranks with an endpoint slot, ascending
-	peps  []Endpoint   // parallel to peers
 	act   []int32      // peers with established (pollable) endpoints, ascending
 	actEp []Endpoint   // parallel to act — the poll loop's O(1) hot path
 	idle  []idlePoller // parallel to act: the endpoint as an idlePoller, or nil
@@ -82,7 +80,8 @@ type Engine struct {
 	visit int          // slots of held a pass must visit: those holding no free answer
 	rr    int          // round-robin polling cursor over act
 
-	ready des.Queue[int32] // fulfilled stubs awaiting promotion (lazy mode)
+	dials []*dial          // connections being established (lazy mode)
+	ready des.Queue[*dial] // fulfilled dials awaiting promotion, in fulfil order
 
 	// Scratch for the run of charged answers Progress is sleeping through:
 	// each step's endpoint, its offset in the pass, and its charge.
@@ -91,8 +90,8 @@ type Engine struct {
 	idleSteps []des.Step
 
 	// dialer starts connection establishment toward a peer. When set, the
-	// first send to a nil endpoint slot creates the lazy stub on demand —
-	// the engine never holds per-peer state for peers it has not talked to,
+	// first send to a peer with no endpoint opens a dial on demand — the
+	// engine never holds per-peer state for peers it has not talked to,
 	// which is what keeps np=4096 setup O(np) instead of O(np²).
 	dialer func(p *des.Proc, peer int32)
 
@@ -138,7 +137,7 @@ type ProgressStats struct {
 func (e *Engine) ProgressStats() ProgressStats { return e.stats }
 
 // NewEngine builds the progress engine for rank of size ranks on the given
-// adapter. Endpoints are installed afterwards with SetEndpoint.
+// adapter. Endpoints are installed afterwards with Fulfill.
 func NewEngine(rank int32, size int, hca *ib.HCA) *Engine {
 	return &Engine{
 		rank: rank,
@@ -160,32 +159,14 @@ func (e *Engine) Node() *model.Node { return e.node }
 // HCA returns the rank's adapter (its node's rail 0).
 func (e *Engine) HCA() *ib.HCA { return e.hca }
 
-// ep returns peer's endpoint slot, nil when the rank has never spoken to
-// peer.
-func (e *Engine) ep(peer int32) Endpoint {
-	if i, ok := slices.BinarySearch(e.peers, peer); ok {
-		return e.peps[i]
+// Endpoint returns the established endpoint to a peer rank, nil while
+// there is none — in lazy mode, until the progress pass after Fulfill
+// installs it.
+func (e *Engine) Endpoint(peer int32) Endpoint {
+	if i, ok := slices.BinarySearch(e.act, peer); ok {
+		return e.actEp[i]
 	}
 	return nil
-}
-
-// setEp installs or replaces peer's endpoint slot, keeping the slices
-// sorted.
-func (e *Engine) setEp(peer int32, ep Endpoint) {
-	i, ok := slices.BinarySearch(e.peers, peer)
-	if !ok {
-		e.peers = slices.Insert(e.peers, i, peer)
-		e.peps = slices.Insert(e.peps, i, ep)
-	}
-	e.peps[i] = ep
-}
-
-// SetEndpoint installs the endpoint to a peer rank.
-func (e *Engine) SetEndpoint(peer int32, ep Endpoint) {
-	e.setEp(peer, ep)
-	if _, ok := ep.(*Stub); !ok {
-		e.activate(peer, ep)
-	}
 }
 
 // activate records peer in the established-endpoint list the progress loop
@@ -232,112 +213,23 @@ func (e *Engine) hold(i int, a idleAnswer) {
 	e.held[i] = a
 }
 
-// SetDialer installs the lazy connection starter: the first send toward a
-// rank with no endpoint creates the stub and invokes it. One closure per
-// engine replaces the per-pair stubs eagerly pre-installed before.
-func (e *Engine) SetDialer(dial func(p *des.Proc, peer int32)) { e.dialer = dial }
-
 // AddSharedPoll registers rank-wide progress work that Progress runs once
 // per pass, before the per-endpoint polls. Endpoints whose heavy lifting
 // lives in a shared structure (SRQ pools) register it here and keep their
 // own Poll connection-local.
 func (e *Engine) AddSharedPoll(f func(p *des.Proc) bool) { e.shared = append(e.shared, f) }
 
-// Endpoint returns the endpoint to a peer rank. In lazy mode this is a
-// *Stub until the first send triggers establishment.
-func (e *Engine) Endpoint(peer int32) Endpoint { return e.ep(peer) }
-
-// Fulfill delivers the established endpoint for peer. With no stub in the
-// slot (eager wiring) the endpoint installs directly; a stub records it
-// for promotion — the owning process's next progress pass swaps it in and
-// flushes the sends queued during the handshake, in posted order, on the
-// owner's own process (see Stub for why the connection manager must not
-// flush them itself). The wakeup ensures a progress loop blocked on
-// fabric activity notices the new endpoint.
-func (e *Engine) Fulfill(peer int32, ep Endpoint) {
-	if st, ok := e.ep(peer).(*Stub); ok {
-		st.inner = ep
-		e.ready.Put(peer)
-	} else {
-		e.setEp(peer, ep)
-		e.activate(peer, ep)
-	}
-	e.hca.NotifyMemWrite()
-}
-
-// promoteStubs swaps fulfilled stubs for their endpoints and flushes the
-// sends they queued, on the owning process. It runs at the top of every
-// progress pass.
-func (e *Engine) promoteStubs(p *des.Proc) bool {
-	prog := false
-	for peer, ok := e.ready.TryGet(); ok; peer, ok = e.ready.TryGet() {
-		st, ok := e.ep(peer).(*Stub)
-		if !ok || st.inner == nil {
-			continue
-		}
-		e.setEp(peer, st.inner)
-		e.activate(peer, st.inner)
-		for _, ps := range st.pending {
-			e.dispatchSend(p, st.inner, ps.env, ps.buf, ps.req)
-			prog = true
-		}
-		st.pending = nil
-	}
-	return prog
-}
-
-// Connected reports whether an established endpoint to peer exists
-// (fulfilled-but-unpromoted stubs count: their connection is up).
-func (e *Engine) Connected(peer int32) bool {
-	switch ep := e.ep(peer).(type) {
-	case nil:
-		return false
-	case *Stub:
-		return ep.inner != nil
-	default:
-		return true
-	}
-}
-
-// EnsureConnected establishes the connection to peer without sending a
-// message: it starts the dial if needed and drives progress until the
-// endpoint is promoted. Callers that need verbs-level resources up front
-// (one-sided window creation) use it; ordinary sends connect implicitly.
-func (e *Engine) EnsureConnected(p *des.Proc, peer int32) {
-	if e.ep(peer) == nil && e.dialer != nil && peer != e.rank {
-		e.makeStub(peer)
-	}
-	st, ok := e.ep(peer).(*Stub)
-	if !ok {
-		return
-	}
-	st.kick(p)
-	for !e.Connected(peer) {
-		e.Progress(p, true)
-	}
-	e.promoteStubs(p)
-}
-
 // ForEachEndpoint visits every established endpoint in ascending peer
-// order (a fulfilled-but-unpromoted stub contributes its inner endpoint).
+// order, then those of fulfilled dials not yet installed, in fulfil order.
 // Accounting walks connections through this instead of probing all np
 // slots per rank.
 func (e *Engine) ForEachEndpoint(f func(peer int32, ep Endpoint)) {
 	for i, peer := range e.act {
 		f(peer, e.actEp[i])
 	}
-	for _, peer := range e.ready.Pending() {
-		if st, ok := e.ep(peer).(*Stub); ok && st.inner != nil {
-			f(peer, st.inner)
-		}
+	for _, d := range e.ready.Pending() {
+		f(d.peer, d.ep)
 	}
-}
-
-// makeStub creates the lazy connector for peer on demand via the dialer.
-func (e *Engine) makeStub(peer int32) *Stub {
-	st := NewStub(peer, func(p *des.Proc) { e.dialer(p, peer) })
-	e.setEp(peer, st)
-	return st
 }
 
 // Fail records a fatal transport error; subsequent calls panic with it (a
@@ -368,15 +260,12 @@ func (e *Engine) Isend(p *des.Proc, dest, tag, ctx int32, buf Buffer) *Request {
 		req.done = true
 		return req
 	}
-	ep := e.ep(dest)
-	if ep == nil && e.dialer != nil {
-		ep = e.makeStub(dest)
-	}
-	if st, ok := ep.(*Stub); ok {
-		// No connection yet: queue the message and start the handshake;
-		// Fulfill flushes in posted order once the endpoint exists.
-		st.pending = append(st.pending, pendingSend{env: env, buf: buf, req: req})
-		st.kick(p)
+	ep := e.Endpoint(dest)
+	if ep == nil {
+		// No connection yet: queue the message on the dial, opening it;
+		// the pass after Fulfill flushes in posted order.
+		d := e.open(p, dest)
+		d.pending = append(d.pending, pendingSend{env: env, buf: buf, req: req})
 		return req
 	}
 	e.dispatchSend(p, ep, env, buf, req)
@@ -589,7 +478,7 @@ type idlePoller interface {
 // read before the pass so that a delivery racing with the polling of another
 // endpoint cannot be lost.
 //
-// The held answers are read after stub promotion and the shared polls, slot
+// The held answers are read after dial promotion and the shared polls, slot
 // by slot as the rotation reaches them: a CTS queued while the pool poll
 // dispatched an RTS, or a send a promotion could not flush, touched its slot
 // and is visited by this same pass, as it was when the pass polled everyone.
@@ -597,7 +486,7 @@ func (e *Engine) Progress(p *des.Proc, block bool) bool {
 	e.check()
 	e.stats.Passes++
 	seq := e.hca.MemEventSeq()
-	prog := e.promoteStubs(p)
+	prog := e.promote(p)
 	for _, f := range e.shared {
 		if f(p) {
 			prog = true

@@ -69,9 +69,9 @@ func TestEngineAccessors(t *testing.T) {
 		t.Fatal("endpoint should be unset")
 	}
 	ep := &fakeEP{}
-	e.SetEndpoint(1, ep)
+	e.Fulfill(1, ep)
 	if e.Endpoint(1) != Endpoint(ep) {
-		t.Fatal("SetEndpoint/Endpoint roundtrip failed")
+		t.Fatal("Fulfill/Endpoint roundtrip failed")
 	}
 }
 
@@ -80,7 +80,7 @@ func TestEngineAccessors(t *testing.T) {
 func TestProgressUntil(t *testing.T) {
 	e, eng, _ := newEngine(2)
 	ep := &fakeEP{}
-	e.SetEndpoint(1, ep)
+	e.Fulfill(1, ep)
 	run(eng, func(p *des.Proc) {
 		e.ProgressUntil(p, func() bool { return true })
 		if ep.polled != 0 {
@@ -170,8 +170,8 @@ func TestSiblingContextIsolation(t *testing.T) {
 	const ctxA, ctxB int32 = 2, 4
 	e, eng, node := newEngine(3)
 	epA, epB := &fakeEP{}, &fakeEP{}
-	e.SetEndpoint(1, epA)
-	e.SetEndpoint(2, epB)
+	e.Fulfill(1, epA)
+	e.Fulfill(2, epB)
 	run(eng, func(p *des.Proc) {
 		// A wildcard receive on comm A must not see an eager arrival with
 		// the same source and tag on comm B.
@@ -339,8 +339,8 @@ func TestWildcardRendezvousResolvesArrivalEndpoint(t *testing.T) {
 	// wrong peer (or none at all, the posted source being -1).
 	e, eng, node := newEngine(3)
 	ep1, ep2 := &fakeEP{}, &fakeEP{}
-	e.SetEndpoint(1, ep1)
-	e.SetEndpoint(2, ep2)
+	e.Fulfill(1, ep1)
+	e.Fulfill(2, ep2)
 
 	run(eng, func(p *des.Proc) {
 		// RTS queued unexpectedly from rank 2, then a wildcard receive.
@@ -373,7 +373,7 @@ func TestWildcardRendezvousResolvesArrivalEndpoint(t *testing.T) {
 func TestIsendPicksProtocolByThreshold(t *testing.T) {
 	e, eng, node := newEngine(2)
 	ep := &fakeEP{threshold: 1 << 10}
-	e.SetEndpoint(1, ep)
+	e.Fulfill(1, ep)
 	run(eng, func(p *des.Proc) {
 		va, _ := node.Mem.Alloc(2 << 10)
 		e.Isend(p, 1, 0, 0, Buffer{Addr: va, Len: 64})
@@ -388,7 +388,7 @@ func TestIsendPicksProtocolByThreshold(t *testing.T) {
 
 		// Threshold 0: everything is the endpoint's own business.
 		ep0 := &fakeEP{}
-		e.SetEndpoint(1, ep0)
+		e.Fulfill(1, ep0)
 		e.Isend(p, 1, 3, 0, Buffer{Addr: va, Len: 2 << 10})
 		if len(ep0.eager) != 1 || len(ep0.rndv) != 0 {
 			t.Fatalf("threshold-0 endpoint saw eager=%d rndv=%d, want 1/0",
@@ -401,7 +401,7 @@ func TestProgressRoundRobinPollsEveryEndpoint(t *testing.T) {
 	e, eng, _ := newEngine(4)
 	eps := []*fakeEP{{}, {}, {}}
 	for i, ep := range eps {
-		e.SetEndpoint(int32(i+1), ep)
+		e.Fulfill(int32(i+1), ep)
 	}
 	run(eng, func(p *des.Proc) {
 		for pass := 0; pass < 5; pass++ {
@@ -493,7 +493,7 @@ func runArmScript(t *testing.T, seed int64, free bool) (log []int32, rrs []int, 
 	eps := make([]*scriptEP, len(peers))
 	install := func(i int, promise bool, work int) {
 		eps[i] = &scriptEP{t: t, peer: peers[i], free: free && promise, work: work, log: &log}
-		e.SetEndpoint(peers[i], eps[i])
+		e.Fulfill(peers[i], eps[i])
 	}
 	for i := range peers {
 		install(i, i%3 != 2, 0)
@@ -558,7 +558,7 @@ func BenchmarkProgressIdlePeers(b *testing.B) {
 		b.Run(strconv.Itoa(peers), func(b *testing.B) {
 			e, eng, _ := newEngine(peers + 1)
 			for i := 1; i <= peers; i++ {
-				e.SetEndpoint(int32(i), &scriptEP{free: true})
+				e.Fulfill(int32(i), &scriptEP{free: true})
 			}
 			done := false
 			eng.Spawn("rank", func(p *des.Proc) {

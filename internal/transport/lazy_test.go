@@ -3,9 +3,9 @@ package transport_test
 // Lazy-connection engine coverage (DESIGN.md §9): messages racing the
 // establishment handshake, the simultaneous-connect race, AnySource
 // receives that must not force connections, and SRQ refill under burst.
-// These run through real clusters so the whole path — stub → connection
+// These run through real clusters so the whole path — dial → connection
 // manager → endpoint promotion → flush — is exercised, and they are part
-// of the -race CI job.
+// of the -race CI job. TestDialLifecycle covers the engine's half alone.
 
 import (
 	"testing"
