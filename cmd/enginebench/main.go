@@ -94,8 +94,9 @@ func run() int {
 			k := r.ByKind
 			fmt.Printf("  by kind: self-wake=%d switch=%d task-step=%d func=%d stale=%d (cut-off chain wakes, not counted: %d); live heap %d B/rank\n",
 				k.SelfWake, k.Switch, k.TaskStep, k.Func, k.Stale, k.CutOff, r.HeapPerRank)
-			fmt.Printf("  progress: passes=%d endpoint-polls=%d (%d moved something) idle-asks=%d\n",
-				r.Progress.Passes, r.Progress.Polls, r.Progress.PollHits, r.Progress.IdleAsks)
+			fmt.Printf("  progress: passes=%d endpoint-polls=%d (%d moved something) idle-asks=%d wakes=%d (%d empty)\n",
+				r.Progress.Passes, r.Progress.Polls, r.Progress.PollHits, r.Progress.IdleAsks,
+				r.Progress.Wakes, r.Progress.EmptyWakes)
 		}
 	}
 	return rep.Finish(*out, *merge, *compare, *tolerance)

@@ -77,7 +77,7 @@ func FuzzHeader(f *testing.F) {
 		}
 		eng.Spawn("fuzz", func(p *des.Proc) {
 			cfg := rdmachan.Config{Design: rdmachan.DesignPipeline}
-			ep, _, err := rdmachan.NewConnectionRails(p, cfg, rails[0], rails[1], mode&2 != 0)
+			ep, _, err := rdmachan.NewConnectionRails(p, cfg, rails[0], rails[1], nil, nil, mode&2 != 0)
 			if err != nil {
 				t.Errorf("setup: %v", err)
 				return

@@ -188,7 +188,8 @@ func New(cfg Config) (*Cluster, error) {
 			for r := 0; r < cfg.NP; r++ {
 				c.pools[r] = make([]*rdmachan.SRQPool, c.rails)
 				for k := 0; k < c.rails; k++ {
-					pool, err := rdmachan.NewSRQPool(p, c.chanCfg, c.Rails[c.nodeOf[r]][k], c.resilient, c.Ranks[r].Fail)
+					pool, err := rdmachan.NewSRQPool(p, c.chanCfg, c.Rails[c.nodeOf[r]][k],
+						c.Ranks[r].Watch(), c.resilient, c.Ranks[r].Fail)
 					if err != nil {
 						setupErr = fmt.Errorf("cluster: rank %d rail %d SRQ pool: %w", r, k, err)
 						return
@@ -388,13 +389,18 @@ func (c *Cluster) startConnect(i, j int) {
 	})
 }
 
-// failPair fails both ranks' engines with err and wakes both nodes'
+// failPair fails both ranks' engines with err and wakes both ranks'
 // progress loops to notice.
 func (c *Cluster) failPair(i, j int, err error) {
 	c.Ranks[i].Fail(err)
 	c.Ranks[j].Fail(err)
-	c.HCAs[c.nodeOf[i]].NotifyMemWrite()
-	c.HCAs[c.nodeOf[j]].NotifyMemWrite()
+	c.wakePair(i, j)
+}
+
+// wakePair notifies the watches of ranks i and j, in that order.
+func (c *Cluster) wakePair(i, j int) {
+	c.Ranks[i].Watch().Notify()
+	c.Ranks[j].Watch().Notify()
 }
 
 // wirePair builds the connection between ranks i and j — shared memory
@@ -431,7 +437,8 @@ func (c *Cluster) wirePair(p *des.Proc, i, j int) error {
 		return nil
 	}
 	epi, epj, err := rdmachan.NewConnectionRails(p, c.chanCfg,
-		c.Rails[c.nodeOf[i]], c.Rails[c.nodeOf[j]], c.resilient)
+		c.Rails[c.nodeOf[i]], c.Rails[c.nodeOf[j]],
+		c.Ranks[i].Watch(), c.Ranks[j].Watch(), c.resilient)
 	if err != nil {
 		return err
 	}
@@ -517,8 +524,7 @@ func (c *Cluster) startRedial(i, j int) {
 		c.fstats.Redials++
 		c.fstats.RecoverySum += c.Eng.Now() - start
 		c.fstats.Recoveries++
-		c.HCAs[c.nodeOf[i]].NotifyMemWrite()
-		c.HCAs[c.nodeOf[j]].NotifyMemWrite()
+		c.wakePair(i, j)
 	})
 }
 
@@ -621,7 +627,7 @@ func (c *Cluster) RegCacheStats() regcache.Stats {
 }
 
 // ProgressStats sums the ranks' progress-loop counters: passes, endpoint
-// polls and idle-poll questions — host work no simulated clock shows.
+// polls, idle-poll questions and wakes — host work no simulated clock shows.
 func (c *Cluster) ProgressStats() transport.ProgressStats {
 	var total transport.ProgressStats
 	for _, eng := range c.Ranks {
@@ -630,6 +636,8 @@ func (c *Cluster) ProgressStats() transport.ProgressStats {
 		total.Polls += s.Polls
 		total.PollHits += s.PollHits
 		total.IdleAsks += s.IdleAsks
+		total.Wakes += s.Wakes
+		total.EmptyWakes += s.EmptyWakes
 	}
 	return total
 }

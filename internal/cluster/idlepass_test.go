@@ -88,7 +88,7 @@ func TestIdlePassCutResumesAtStepBoundary(t *testing.T) {
 			// Something changes on the node while endpoint k is being
 			// charged; one nanosecond after that charge ends, exactly the
 			// endpoints up to and including k must have been polled.
-			c.Eng.Schedule(t0+des.Time(k)*idleCharge+100, c.HCAs[0].NotifyMemWrite)
+			c.Eng.Schedule(t0+des.Time(k)*idleCharge+100, c.Ranks[0].Watch().Notify)
 			c.Eng.Schedule(t0+des.Time(k+1)*idleCharge+1, func() {
 				for i, n := range getCalls(c, 0) {
 					if n != before[i] {
@@ -169,7 +169,7 @@ func TestIdlePassCrossesQuietSlots(t *testing.T) {
 			if k < 0 {
 				return
 			}
-			c.Eng.Schedule(t0+des.Time(k)*idleCharge+100, c.HCAs[0].NotifyMemWrite)
+			c.Eng.Schedule(t0+des.Time(k)*idleCharge+100, c.Ranks[0].Watch().Notify)
 			c.Eng.Schedule(t0+des.Time(k+1)*idleCharge+1, func() {
 				for i, n := range getCalls(c, 0) {
 					if n != before[i] {

@@ -1,6 +1,9 @@
 package ib
 
-import "repro/internal/des"
+import (
+	"repro/internal/des"
+	"repro/internal/model"
+)
 
 // CQ is a completion queue. Entries are delivered in work-request order per
 // queue pair; consumers either poll non-blockingly (TryPoll) or block until
@@ -12,6 +15,7 @@ import "repro/internal/des"
 // array's capacity and reallocated it on every completion burst.
 type CQ struct {
 	hca     *HCA
+	watch   *model.Watch // its owner's: notified on every insert
 	entries []CQE
 	head    int
 	cond    des.Cond
@@ -19,14 +23,20 @@ type CQ struct {
 	added   func() // OnInsert's callback, or nil
 }
 
-// CreateCQ allocates a completion queue on the adapter.
-func (h *HCA) CreateCQ() *CQ {
-	return &CQ{hca: h}
+// CreateCQ allocates a completion queue on the adapter that no rank owns:
+// its completions notify the node's default watch.
+func (h *HCA) CreateCQ() *CQ { return h.CreateCQFor(h.node.DefaultWatch()) }
+
+// CreateCQFor allocates a completion queue owned by the poller of w: its
+// completions notify w, and so do the landings on queue pairs that receive
+// into it (CreateQP).
+func (h *HCA) CreateCQFor(w *model.Watch) *CQ {
+	return &CQ{hca: h, watch: w}
 }
 
-// insert appends a completion and wakes pollers, including processes
-// blocked in WaitMemEventSince progress loops (software multiplexes flag
-// polling and CQ polling in one loop).
+// insert appends a completion and wakes pollers: processes blocked in Poll
+// and the owner's progress loop, which waits on its watch (software
+// multiplexes flag polling and CQ polling in one loop).
 func (cq *CQ) insert(e CQE) {
 	cq.entries = append(cq.entries, e)
 	cq.total++
@@ -34,7 +44,7 @@ func (cq *CQ) insert(e CQE) {
 		cq.added()
 	}
 	cq.cond.Broadcast()
-	cq.hca.notifyMemWrite()
+	cq.watch.Notify()
 }
 
 // OnInsert installs fn to run, before pollers are woken, in the dispatch

@@ -167,7 +167,8 @@ func (h *HCA) arrive(hd des.Handler, arg uint64, w *sendWork) {
 
 // LinkDown fails the adapter's link: every connected queue pair through it
 // — and each one's remote peer — transitions to the error state with
-// queued work flushed (QP.Fail). The fault-injection entry point for link
+// queued work flushed (QP.Fail) — and every watch of the node is notified,
+// the one node-wide notification. The fault-injection entry point for link
 // and adapter failures.
 func (h *HCA) LinkDown() {
 	if h.down {
@@ -184,19 +185,19 @@ func (h *HCA) LinkDown() {
 			peer.fail()
 		}
 	}
-	h.notifyMemWrite()
+	h.node.NotifyAll()
 }
 
 // LinkUp restores a downed link. Queue pairs errored by the outage stay
 // errored — as on real adapters, recovery means tearing the connection
 // down and re-dialing — but new connections may be established through the
-// adapter again.
+// adapter again; every watch of the node is notified.
 func (h *HCA) LinkUp() {
 	if !h.down {
 		return
 	}
 	h.down = false
-	h.notifyMemWrite()
+	h.node.NotifyAll()
 }
 
 // InjectDropBurst opens a packet-drop window on the link until the given
@@ -209,39 +210,13 @@ func (h *HCA) InjectDropBurst(until des.Time) {
 	}
 }
 
-// notifyMemWrite wakes processes polling host memory for remotely written
-// flags (WaitMemory). The counter is node-wide: with multiple rails a
-// poller must not miss a delivery that arrived on a sibling adapter.
-func (h *HCA) notifyMemWrite() { h.node.NotifyMemWrite() }
-
-// NotifyMemWrite records host-memory activity produced by an on-node agent
-// other than the fabric — another rank on the same SMP node storing into a
-// shared-memory ring (internal/shmchan) — and wakes pollers. To a polling
-// progress loop a flag flipped by a neighbouring core is indistinguishable
-// from one flipped by the HCA's DMA engine, so both feed the same event
-// counter.
-func (h *HCA) NotifyMemWrite() { h.notifyMemWrite() }
-
-// MemEventSeq returns the node-wide counter that advances on every remote
-// write or completion landing on this node, any rail. Progress loops
-// snapshot it before a polling pass; WaitMemEventSince then returns
-// immediately if anything happened during the pass, closing the
-// lost-wakeup window between checking one connection and sleeping.
-func (h *HCA) MemEventSeq() uint64 { return h.node.MemEventSeq() }
-
-// WaitMemEventSince blocks until host-memory activity newer than seq, then
-// charges the poll-detection latency. If activity already happened after
-// seq was read, it returns at once.
-func (h *HCA) WaitMemEventSince(p *des.Proc, seq uint64) {
-	h.node.WaitMemEventSince(p, seq)
-}
-
 // WaitMemory blocks until pred() becomes true, re-evaluating after every
-// remote write delivered into this node, then charges the poll-detection
-// latency. This models the spin-polling on ring-buffer flags used by the
-// piggybacking design (§4.3) without simulating every poll iteration.
+// notification of the node's default watch — the one queues no rank owns
+// notify (CreateCQ) — then charges the poll-detection latency. This models
+// the spin-polling on ring-buffer flags used by the piggybacking design
+// (§4.3) without simulating every poll iteration.
 func (h *HCA) WaitMemory(p *des.Proc, pred func() bool) {
-	h.node.WaitMemory(p, pred)
+	h.node.DefaultWatch().Wait(p, pred)
 }
 
 // rxStep is the adapter's receive engine: every granule arriving from the
@@ -362,7 +337,7 @@ func (h *HCA) respond(w *sendWork) bool {
 		case OpFetchAdd:
 			writeUint64(src, orig+w.wr.Compare)
 		}
-		h.notifyMemWrite()
+		qp.peer.watch.Notify()
 		src = w.inline[:8]
 		writeUint64(src, orig)
 	}

@@ -13,12 +13,13 @@ import (
 // delivered to the send CQ in posted order even when operations (RDMA
 // reads) complete out of order internally.
 type QP struct {
-	hca  *HCA
-	pd   *PD
-	num  uint32
-	scq  *CQ
-	rcq  *CQ
-	peer *QP
+	hca   *HCA
+	watch *model.Watch // its owner's, taken from the receive CQ
+	pd    *PD
+	num   uint32
+	scq   *CQ
+	rcq   *CQ
+	peer  *QP
 
 	state QPState
 	sq    des.Queue[*sendWork]
@@ -64,10 +65,14 @@ type seqEntry struct {
 
 // CreateQP allocates a queue pair with the given PD and completion queues.
 // The send engine starts immediately and idles until the QP is connected.
+// The queue pair belongs to the owner of its receive CQ: a write, send or
+// atomic landing on it, an RDMA read it posted landing back, and its
+// failure notify that owner's watch.
 func (h *HCA) CreateQP(pd *PD, scq, rcq *CQ) *QP {
 	h.qpSeq++
 	qp := &QP{
 		hca:       h,
+		watch:     rcq.watch,
 		pd:        pd,
 		num:       h.qpSeq,
 		scq:       scq,
@@ -97,7 +102,7 @@ func (qp *QP) HCA() *HCA { return qp.hca }
 // balances on.
 func (qp *QP) SendQueueDepth() int { return qp.sq.Len() }
 
-// OnRemoteWrite installs fn to run, before the node's memory event, in the
+// OnRemoteWrite installs fn to run, before the owner's watch is notified, in the
 // dispatch that lands each RDMA write the peer posts into this queue pair's
 // memory. One callback per queue pair; nil removes it.
 func (qp *QP) OnRemoteWrite(fn func()) { qp.written = fn }
@@ -196,7 +201,7 @@ func (qp *QP) fail() {
 	for w, ok := qp.deliverq.TryGet(); ok; w, ok = qp.deliverq.TryGet() {
 		qp.finish(w, StatusWRFlushErr)
 	}
-	qp.hca.notifyMemWrite()
+	qp.watch.Notify()
 }
 
 // Where the send engine's current work request stands.
@@ -437,7 +442,7 @@ func (qp *QP) tryDeliver(w *sendWork) bool {
 		return true
 	}
 	peer.rcq.insert(CQE{WRID: rwr.WRID, Status: StatusSuccess, Op: OpRecv, ByteLen: w.n, QPNum: peer.num})
-	peer.hca.notifyMemWrite()
+	peer.watch.Notify()
 	qp.ack(w, StatusSuccess)
 	return true
 }

@@ -131,7 +131,7 @@ func (w *sendWork) atResponder() {
 		if peer.written != nil {
 			peer.written()
 		}
-		peer.hca.notifyMemWrite()
+		peer.watch.Notify()
 		qp.ack(w, StatusSuccess)
 	case OpSend:
 		qp.enqueueDeliver(w)
@@ -163,7 +163,7 @@ func (w *sendWork) atRequester() {
 		if err := qp.hca.scatter(w.wr.SGL, qp.pd, w.src, w.n); err != nil {
 			qp.completeErr(w, StatusLocalProtErr)
 		} else {
-			qp.hca.notifyMemWrite()
+			qp.watch.Notify()
 			qp.finish(w, StatusSuccess)
 		}
 	}

@@ -10,8 +10,9 @@
 //   - per-node buses on which CPU copies and HCA DMA contend (Bus), all
 //     funnelling through one shared memory controller (MemCtl),
 //   - a per-node virtual address space for registered buffers (Memory),
-//   - the node-wide host-memory event counter progress loops poll
-//     (Node.MemEventSeq and friends).
+//   - the watches progress loops sleep on (Watch): one per rank, notified
+//     by whatever the rank polls, and a node default for queues no rank
+//     owns.
 //
 // Calibration targets the paper's measured numbers: 5.9 µs / 870 MB/s raw
 // verbs performance, <800 MB/s large-message memcpy, and the derived MPI
@@ -34,9 +35,10 @@
 //     memcpy-vs-DMA contention); flows on different buses of one node
 //     aggregate up to Params.MemBandwidth and no further (the multi-rail
 //     ceiling, DESIGN.md §10).
-//   - The memory event counter is per-node, not per-adapter: a poller
-//     sleeping on the node cannot miss a delivery arriving on any rail or
-//     from a neighbouring core.
+//   - A watch is per rank, not per adapter: a rank sleeping on its watch
+//     cannot miss a delivery arriving on any rail or from a neighbouring
+//     core, and is not woken by one landing for another rank of its node.
+//     Only link events notify every watch of a node (Node.NotifyAll).
 //   - Memory.Alloc pads allocations so distinct buffers never share a
 //     64-byte line, and leaves guard gaps so off-by-one overruns fault —
 //     the flag-polling protocols rely on both.

@@ -234,23 +234,18 @@ func (m *Memory) MustResolve(va uint64, n int) []byte {
 // cost parameters, a memory bus and an address space. The InfiniBand layer
 // attaches one or more HCAs (rails) to a node; MPI processes run on it.
 //
-// The node also owns the host-memory event counter polled by progress
-// loops: a flag flipped by any agent with access to the node's memory — a
-// DMA engine of any rail, or a neighbouring core storing into a shared
-// ring — is indistinguishable to a polling loop, so all of them feed this
-// one counter. Keeping it per-node (not per-adapter) is what makes
-// multi-rail wakeups lossless: a loop sleeping on the node cannot miss a
-// delivery that arrived on another rail.
+// The node also owns the watches its pollers sleep on (watch.go): one per
+// rank, created by the rank's progress engine, and a default one for
+// queues no rank owns.
 type Node struct {
 	ID     int
 	Params *Params
 	Bus    *Bus
 	Mem    *Memory
 
-	memctl   *MemCtl
-	memWatch des.Cond
-	memSeq   uint64      // bumped on every remote write / completion landing here
-	chained  []*des.Proc // processes sleeping an idle poll pass (SleepChain)
+	memctl  *MemCtl
+	watches []*Watch // the default watch first, then one per rank (NewWatch)
+	checks  notifyChecks
 }
 
 // NewNode builds a node with its own bus and address space. The primary
@@ -263,6 +258,7 @@ func NewNode(id int, p *Params) *Node {
 		memctl: NewMemCtl(p),
 	}
 	n.Bus = NewBusOn(fmt.Sprintf("node%d.bus", id), p, n.memctl)
+	n.NewWatch(-1)
 	return n
 }
 
@@ -277,64 +273,3 @@ func (n *Node) NewRailBus(name string) *Bus {
 // MemCtlBusyTime returns total simulated time the node's memory
 // controller has been occupied (utilization stats).
 func (n *Node) MemCtlBusyTime() des.Time { return n.memctl.BusyTime() }
-
-// NotifyMemWrite records host-memory activity — a remote write or
-// completion landing on this node, from any rail or a neighbouring core —
-// and wakes pollers. A poller sleeping through a run of idle polls
-// (SleepChain) stops at the poll in progress, the first that could see
-// the change.
-func (n *Node) NotifyMemWrite() {
-	n.memSeq++
-	n.memWatch.Broadcast()
-	for _, p := range n.chained {
-		p.CutChain()
-	}
-}
-
-// SleepChain sleeps a run of polls that would each pay steps[i] and find
-// nothing, as one event, and returns how many were paid: the run ends early
-// at the poll during which NotifyMemWrite first fired. This rests on the
-// invariant the blocking waits below already rely on — every change a
-// polling loop of this node can observe is announced by NotifyMemWrite in
-// the dispatch that makes it.
-func (n *Node) SleepChain(p *des.Proc, steps []des.Step) int {
-	n.chained = append(n.chained, p)
-	done := p.SleepChain(steps)
-	last := len(n.chained) - 1
-	for i, q := range n.chained {
-		if q == p {
-			n.chained[i] = n.chained[last]
-			break
-		}
-	}
-	n.chained[last] = nil
-	n.chained = n.chained[:last]
-	return done
-}
-
-// MemEventSeq returns a counter that advances on every remote write or
-// completion landing on this node. Progress loops snapshot it before a
-// polling pass; WaitMemEventSince then returns immediately if anything
-// happened during the pass, closing the lost-wakeup window between
-// checking one connection and sleeping.
-func (n *Node) MemEventSeq() uint64 { return n.memSeq }
-
-// WaitMemEventSince blocks until host-memory activity newer than seq,
-// then charges the poll-detection latency. If activity already happened
-// after seq was read, it returns at once.
-func (n *Node) WaitMemEventSince(p *des.Proc, seq uint64) {
-	for n.memSeq == seq {
-		n.memWatch.Wait(p)
-	}
-	p.Sleep(n.Params.PollDetect)
-}
-
-// WaitMemory blocks until pred() becomes true, re-evaluating after every
-// remote write delivered into this node, then charges the poll-detection
-// latency.
-func (n *Node) WaitMemory(p *des.Proc, pred func() bool) {
-	for !pred() {
-		n.memWatch.Wait(p)
-	}
-	p.Sleep(n.Params.PollDetect)
-}

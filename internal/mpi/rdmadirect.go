@@ -118,7 +118,7 @@ func (x *rdmaDirect) publish(c *Comm, peer, slot int, local Buffer) {
 func (x *rdmaDirect) await(c *Comm, slot int) {
 	fb := c.Bytes(Slice(x.win.base, slot*x.stride()+x.slotSize, 8))
 	want := int64(x.seq)
-	c.eng.HCA().WaitMemory(c.p, func() bool { return GetInt64(fb, 0) == want })
+	c.eng.Watch().Wait(c.p, func() bool { return GetInt64(fb, 0) == want })
 }
 
 // slotBytes resolves slot's first n payload bytes.

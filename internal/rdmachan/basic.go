@@ -65,9 +65,9 @@ func (e *basicEP) Footprint() Footprint {
 	}
 }
 
-func newBasicPair(p *des.Proc, cfg Config, ha, hb *ib.HCA) (Endpoint, Endpoint, error) {
-	a := &basicEP{endpointBase: newBase(cfg, ha)}
-	b := &basicEP{endpointBase: newBase(cfg, hb)}
+func newBasicPair(p *des.Proc, cfg Config, ba, bb *endpointBase) (Endpoint, Endpoint, error) {
+	a := &basicEP{endpointBase: ba}
+	b := &basicEP{endpointBase: bb}
 	if err := ib.Connect(a.qp, b.qp); err != nil {
 		return nil, nil, err
 	}

@@ -38,7 +38,7 @@ func newHarnessMode(t *testing.T, cfg Config, resilient bool) *harness {
 		h.hcas[i] = fab.NewHCA(h.nodes[i])
 	}
 	h.eng.Spawn("setup", func(p *des.Proc) {
-		a, b, err := NewConnectionRails(p, cfg, h.hcas[:1], h.hcas[1:], resilient)
+		a, b, err := NewConnectionRails(p, cfg, h.hcas[:1], h.hcas[1:], nil, nil, resilient)
 		if err != nil {
 			t.Errorf("NewConnectionRails: %v", err)
 			return

@@ -146,7 +146,8 @@ type Endpoint interface {
 	// number of bytes completed (0 when no data is available yet).
 	Get(p *des.Proc, bufs []Buffer) (int, error)
 
-	// EventSeq snapshots the endpoint's fabric-activity counter. Read it
+	// EventSeq snapshots the endpoint's watch: the fabric-activity counter
+	// of the rank it belongs to (NewConnectionRails). Read it
 	// before a Put/Get attempt; if the attempt makes no progress, pass it
 	// to WaitEventSince to sleep without losing a wakeup that raced with
 	// the attempt.
@@ -182,7 +183,7 @@ type IdleGetter interface {
 	// WatchIdle installs touch, which runs in every dispatch that changes
 	// what IdleGet reads behind the caller's back: an RDMA write landing
 	// through one of the endpoint's queue pairs, a completion entering one
-	// of its send queues. Both are followed by the node's NotifyMemWrite.
+	// of its send queues. Both are followed by a Notify of its watch.
 	WatchIdle(touch func())
 
 	// GetCharged is Get with the entry charge already slept by the caller.
@@ -341,9 +342,10 @@ func (f *Footprint) Add(o Footprint) {
 // adapters and returns the two endpoints. Setup (ring allocation,
 // registration, address exchange) happens synchronously on the calling
 // process; in the real system this is the channel's init function, outside
-// the measured path.
+// the measured path. Neither side belongs to a rank: both wait on their
+// node's default watch.
 func NewConnection(p *des.Proc, cfg Config, ha, hb *ib.HCA) (Endpoint, Endpoint, error) {
-	return NewConnectionRails(p, cfg, []*ib.HCA{ha}, []*ib.HCA{hb}, false)
+	return NewConnectionRails(p, cfg, []*ib.HCA{ha}, []*ib.HCA{hb}, nil, nil, false)
 }
 
 // NewConnectionRails wires a rail-set connection: rail k pairs ra[k] with
@@ -354,11 +356,15 @@ func NewConnection(p *des.Proc, cfg Config, ha, hb *ib.HCA) (Endpoint, Endpoint,
 // chunk framing and its head/tail protocol needs one strictly ordered
 // queue pair, so it always runs on rail 0 alone.
 //
+// wa and wb are the watches of the ranks owning the two sides (nil: the
+// node's default watch): every queue of a side notifies its owner's, and
+// the side's EventSeq and WaitEventSince read it.
+//
 // resilient builds the fault-survival machinery (DESIGN.md §11): chunk
 // endpoints evict rails that die and re-issue their outstanding work on
 // survivors. Without it none of that runs and the connection behaves
 // bit-identically to a build without it.
-func NewConnectionRails(p *des.Proc, cfg Config, ra, rb []*ib.HCA, resilient bool) (Endpoint, Endpoint, error) {
+func NewConnectionRails(p *des.Proc, cfg Config, ra, rb []*ib.HCA, wa, wb *model.Watch, resilient bool) (Endpoint, Endpoint, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, nil, fmt.Errorf("rdmachan: %w", err)
 	}
@@ -372,9 +378,9 @@ func NewConnectionRails(p *des.Proc, cfg Config, ra, rb []*ib.HCA, resilient boo
 			MaxRails, len(ra))
 	}
 	if cfg.Design == DesignBasic {
-		return newBasicPair(p, cfg, ra[0], rb[0])
+		return newBasicPair(p, cfg, newBase(cfg, ra[:1], wa), newBase(cfg, rb[:1], wb))
 	}
-	return newChunkPair(p, cfg, ra, rb, resilient)
+	return newChunkPair(p, cfg, newBase(cfg, ra, wa), newBase(cfg, rb, wb), resilient)
 }
 
 // PutAll drives Put until every byte of bufs is accepted.
@@ -495,6 +501,7 @@ type endpointBase struct {
 	rails []railRes
 	hca   *ib.HCA
 	node  *model.Node
+	watch *model.Watch // the owning rank's, or the node's default
 	prm   *model.Params
 	pd    *ib.PD
 	qp    *ib.QP
@@ -507,9 +514,9 @@ func (b *endpointBase) HCA() *ib.HCA   { return b.hca }
 func (b *endpointBase) Design() Design { return b.cfg.Design }
 func (b *endpointBase) Stats() Stats   { return b.stats }
 
-func (b *endpointBase) EventSeq() uint64 { return b.hca.MemEventSeq() }
+func (b *endpointBase) EventSeq() uint64 { return b.watch.Seq() }
 func (b *endpointBase) WaitEventSince(p *des.Proc, seq uint64) {
-	b.hca.WaitMemEventSince(p, seq)
+	b.watch.WaitSince(p, seq)
 }
 
 // resolve maps a Buffer to its backing bytes on this endpoint's node.
@@ -517,22 +524,24 @@ func (b *endpointBase) resolve(buf Buffer) ([]byte, error) {
 	return b.node.Mem.Resolve(buf.Addr, buf.Len)
 }
 
-func newBase(cfg Config, h *ib.HCA) *endpointBase {
-	return newBaseRails(cfg, []*ib.HCA{h})
-}
-
-func newBaseRails(cfg Config, hcas []*ib.HCA) *endpointBase {
+// newBase builds one side's rail set on hcas, every queue owned by w (nil:
+// the node's default watch).
+func newBase(cfg Config, hcas []*ib.HCA, w *model.Watch) *endpointBase {
+	if w == nil {
+		w = hcas[0].Node().DefaultWatch()
+	}
 	b := &endpointBase{
-		cfg:  cfg,
-		hca:  hcas[0],
-		node: hcas[0].Node(),
-		prm:  hcas[0].Params(),
+		cfg:   cfg,
+		hca:   hcas[0],
+		node:  hcas[0].Node(),
+		watch: w,
+		prm:   hcas[0].Params(),
 	}
 	for _, h := range hcas {
 		r := railRes{hca: h}
 		r.pd = h.AllocPD()
-		r.scq = h.CreateCQ()
-		r.rcq = h.CreateCQ()
+		r.scq = h.CreateCQFor(w)
+		r.rcq = h.CreateCQFor(w)
 		r.qp = h.CreateQP(r.pd, r.scq, r.rcq)
 		b.rails = append(b.rails, r)
 	}

@@ -192,9 +192,9 @@ type chunkEP struct {
 	err         error
 }
 
-func newChunkPair(p *des.Proc, cfg Config, ra, rb []*ib.HCA, resilient bool) (Endpoint, Endpoint, error) {
-	a := &chunkEP{endpointBase: newBaseRails(cfg, ra)}
-	b := &chunkEP{endpointBase: newBaseRails(cfg, rb)}
+func newChunkPair(p *des.Proc, cfg Config, ba, bb *endpointBase, resilient bool) (Endpoint, Endpoint, error) {
+	a := &chunkEP{endpointBase: ba}
+	b := &chunkEP{endpointBase: bb}
 	for _, e := range []*chunkEP{a, b} {
 		e.pipelined = cfg.Design == DesignPipeline || cfg.Design == DesignZeroCopy
 		e.zc = cfg.Design == DesignZeroCopy

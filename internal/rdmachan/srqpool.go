@@ -31,6 +31,7 @@ type SRQPool struct {
 	everSeen  bool // lastSeq holds a real snapshot
 	hca       *ib.HCA
 	node      *model.Node
+	watch     *model.Watch // the owning rank's: every pool queue notifies it
 	prm       *model.Params
 
 	pd  *ib.PD
@@ -52,7 +53,7 @@ type SRQPool struct {
 	conns map[uint32]SRQDispatch
 
 	limitFn func() // persistent low-watermark handler (re-armed, not rebuilt)
-	lastSeq uint64 // adapter event seq at the last poll
+	lastSeq uint64 // the watch's seq at the last poll
 
 	regc  *regcache.Cache
 	onErr func(error)
@@ -88,23 +89,25 @@ const (
 
 // NewSRQPool builds the per-process pool on the rank's adapter: allocates
 // and registers the receive and send slot arrays, posts every receive slot
-// to a fresh SRQ, and arms the low-watermark event. onErr receives fatal
+// to a fresh SRQ, and arms the low-watermark event. w is the rank's watch,
+// which the pool's queues and its low-watermark event notify. onErr receives fatal
 // transport errors (the rank's engine failure callback). resilient selects
 // fault-survival mode (DESIGN.md §11): connections on the pool retain
 // packets until acknowledged and recover from link failures by re-dialing.
-func NewSRQPool(p *des.Proc, cfg Config, h *ib.HCA, resilient bool, onErr func(error)) (*SRQPool, error) {
+func NewSRQPool(p *des.Proc, cfg Config, h *ib.HCA, w *model.Watch, resilient bool, onErr func(error)) (*SRQPool, error) {
 	cfg = cfg.withDefaults()
 	sp := &SRQPool{
 		resilient: resilient,
 		hca:       h,
 		node:      h.Node(),
+		watch:     w,
 		prm:       h.Params(),
 		conns:     make(map[uint32]SRQDispatch),
 		onErr:     onErr,
 	}
 	sp.pd = h.AllocPD()
-	sp.rcq = h.CreateCQ()
-	sp.scq = h.CreateCQ()
+	sp.rcq = h.CreateCQFor(w)
+	sp.scq = h.CreateCQFor(w)
 	sp.srq = h.CreateSRQ(sp.pd)
 
 	n := SRQSlots * SRQSlotSize
@@ -147,7 +150,7 @@ func NewSRQPool(p *des.Proc, cfg Config, h *ib.HCA, resilient bool, onErr func(e
 	}
 	sp.limitFn = func() {
 		sp.stats.LimitWakes++
-		sp.hca.NotifyMemWrite()
+		sp.watch.Notify()
 	}
 	sp.arm()
 
@@ -163,8 +166,8 @@ func (sp *SRQPool) postSlot(p *des.Proc, i int) {
 }
 
 // arm re-arms the low-watermark event: when the shared queue drains below
-// the watermark between polls, wake every progress loop on this node so a
-// refill happens promptly instead of on the next scheduled poll.
+// the watermark between polls, wake the rank's progress loop so a refill
+// happens promptly instead of on the next scheduled poll.
 func (sp *SRQPool) arm() {
 	sp.srq.Arm(SRQLowWater, sp.limitFn)
 }
@@ -342,11 +345,10 @@ func (sp *SRQPool) drainSend(p *des.Proc) bool {
 //
 // The rank's transport engine calls it once per progress pass, as shared
 // work ahead of the connections (transport.Engine.AddSharedPoll); the
-// adapter event counter (bumped by every CQE and remote write) gates the
-// idle passes — no activity since the last drain means both shared CQs are
-// still empty.
+// rank's watch (notified by every CQE of both shared CQs) gates the idle
+// passes — no activity since the last drain means both are still empty.
 func (sp *SRQPool) Poll(p *des.Proc) bool {
-	seq := sp.hca.MemEventSeq()
+	seq := sp.watch.Seq()
 	if sp.everSeen && seq == sp.lastSeq {
 		return false
 	}

@@ -22,10 +22,11 @@
 // arrivals to the engine's matching upcalls; it never matches messages
 // itself. Its copies are charged through the node's Bus, so co-located
 // ranks contend for memory bandwidth with each other and with every HCA
-// rail of the node; its stores bump the node-wide memory-event counter
-// (via HCA.NotifyMemWrite) because to a polling progress loop a flag
-// flipped by a neighbouring core is indistinguishable from one flipped by
-// a DMA engine.
+// rail of the node; its stores notify the peer rank's watch
+// (model.Watch), the one that rank's progress loop sleeps on, because to a
+// polling loop a flag flipped by a neighbouring core is indistinguishable
+// from one flipped by a DMA engine — and, as with a DMA write, only the rank
+// polling that flag wakes.
 //
 // Invariants:
 //

@@ -143,12 +143,13 @@ type rndvOp struct {
 // transport.Endpoint; the cluster installs it for same-node rank pairs in
 // place of an InfiniBand-backed connection.
 type Conn struct {
-	h    transport.Handler
-	peer *Conn
-	hca  *ib.HCA
-	node *model.Node
-	prm  *model.Params
-	cfg  Config
+	h     transport.Handler
+	peer  *Conn
+	watch *model.Watch // the owning rank's; the peer's notify wakes it
+	hca   *ib.HCA
+	node  *model.Node
+	prm   *model.Params
+	cfg   Config
 
 	out *dir // direction this side produces into
 	in  *dir // direction this side consumes from
@@ -170,17 +171,18 @@ type Conn struct {
 }
 
 // NewPair wires an intra-node connection between two ranks on the node of
-// h and returns their endpoints (a talks to b). Both ranks must run on
+// h and returns their endpoints (a talks to b): each delivers to its
+// rank's engine and sleeps on that engine's watch. Both ranks must run on
 // that node: the rings live in its memory and every copy crosses its bus.
 // The pair shares one pin-down registration cache for the rendezvous path.
-func NewPair(h *ib.HCA, cfg Config, a, b transport.Handler) (*Conn, *Conn) {
+func NewPair(h *ib.HCA, cfg Config, a, b *transport.Engine) (*Conn, *Conn) {
 	node := h.Node()
 	ab := newDir(node.Mem)
 	ba := newDir(node.Mem)
 	regc := regcache.New(h, h.AllocPD(), regCacheBytes)
-	mk := func(hd transport.Handler, out, in *dir) *Conn {
+	mk := func(e *transport.Engine, out, in *dir) *Conn {
 		return &Conn{
-			h: hd, hca: h, node: node, prm: h.Params(), cfg: cfg,
+			h: e, watch: e.Watch(), hca: h, node: node, prm: h.Params(), cfg: cfg,
 			out: out, in: in,
 			pending: make(map[uint64]*rndvOp),
 			regc:    regc,
@@ -212,13 +214,13 @@ func (c *Conn) RendezvousThreshold() int { return c.cfg.RndvThreshold }
 
 // notify runs on every change the peer can see — a cell or segment slot
 // filled or freed, a rendezvous accepted. It touches the peer connection
-// and wakes progress loops blocked on the node's memory events: the peer
-// rank, and any other co-located rank that polls the same adapter.
+// and notifies the peer rank's watch: a store by a neighbouring core wakes
+// the rank polling the flag it lands on, and no other.
 func (c *Conn) notify() {
 	if c.peer.touch != nil {
 		c.peer.touch()
 	}
-	c.hca.NotifyMemWrite()
+	c.peer.watch.Notify()
 }
 
 // IdlePoll implements transport's idle-poll hook: with nothing to send and

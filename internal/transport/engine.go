@@ -63,10 +63,12 @@ type uqEntry struct {
 // endpoint. It is the rank's ADI3 device: each rank has exactly one, and
 // the MPI layer drives it directly.
 type Engine struct {
-	rank int32
-	size int
-	node *model.Node
-	hca  *ib.HCA
+	rank  int32
+	size  int
+	node  *model.Node
+	hca   *ib.HCA
+	watch *model.Watch // the rank's: everything it polls notifies it
+	woke  bool         // a blocking wait returned since the last pass
 
 	// Endpoint slots are sparse: sorted parallel slices holding only the
 	// peers this rank has an established endpoint to. A 4096-rank job's
@@ -111,6 +113,7 @@ type Engine struct {
 
 	stats ProgressStats
 	err   error
+	parkCheck
 }
 
 // idleAnswer is what an active slot holds: an idle answer — free when its
@@ -127,24 +130,30 @@ func (a idleAnswer) free() bool { return a.ok && a.step.Hops == 0 }
 // ProgressStats counts what the progress loop cost the harness: none of it
 // is simulated work, and Polls minus PollHits found nothing to do.
 type ProgressStats struct {
-	Passes   uint64 `json:"passes"`    // Progress calls
-	Polls    uint64 `json:"polls"`     // Endpoint.Poll calls
-	PollHits uint64 `json:"poll_hits"` // ... that reported progress
-	IdleAsks uint64 `json:"idle_asks"` // IdlePoll questions put to endpoints
+	Passes     uint64 `json:"passes"`                // Progress calls
+	Polls      uint64 `json:"polls"`                 // Endpoint.Poll calls
+	PollHits   uint64 `json:"poll_hits"`             // ... that reported progress
+	IdleAsks   uint64 `json:"idle_asks"`             // IdlePoll questions put to endpoints
+	Wakes      uint64 `json:"wakes,omitempty"`       // passes run right after a blocking wait returned
+	EmptyWakes uint64 `json:"empty_wakes,omitempty"` // ... that made no progress
 }
 
 // ProgressStats returns the engine's progress-loop counters.
 func (e *Engine) ProgressStats() ProgressStats { return e.stats }
 
 // NewEngine builds the progress engine for rank of size ranks on the given
-// adapter. Endpoints are installed afterwards with Fulfill.
+// adapter, with the rank's watch on the adapter's node. Endpoints are
+// installed afterwards with Fulfill.
 func NewEngine(rank int32, size int, hca *ib.HCA) *Engine {
-	return &Engine{
-		rank: rank,
-		size: size,
-		node: hca.Node(),
-		hca:  hca,
+	e := &Engine{
+		rank:  rank,
+		size:  size,
+		node:  hca.Node(),
+		hca:   hca,
+		watch: hca.Node().NewWatch(int(rank)),
 	}
+	e.armCheck()
+	return e
 }
 
 // Rank returns the engine's rank.
@@ -158,6 +167,10 @@ func (e *Engine) Node() *model.Node { return e.node }
 
 // HCA returns the rank's adapter (its node's rail 0).
 func (e *Engine) HCA() *ib.HCA { return e.hca }
+
+// Watch returns the rank's watch: the queues and rings the rank polls
+// notify it, and its progress loop sleeps on it.
+func (e *Engine) Watch() *model.Watch { return e.watch }
 
 // Endpoint returns the established endpoint to a peer rank, nil while
 // there is none — in lazy mode, until the progress pass after Fulfill
@@ -196,6 +209,7 @@ func (e *Engine) activate(peer int32, ep Endpoint) {
 // running pass if that is still ahead — asks again. Touching a slot that
 // holds nothing or is gone is harmless.
 func (e *Engine) touchPeer(peer int32) {
+	e.noteTouch()
 	if i, ok := slices.BinarySearch(e.act, peer); ok {
 		e.hold(i, idleAnswer{})
 	}
@@ -463,7 +477,7 @@ type idlePoller interface {
 	// WatchIdle is called when the engine activates the endpoint, with its
 	// slot's touch function. The endpoint calls touch in every dispatch that
 	// changes what IdlePoll reads: another process's write or completion,
-	// before that dispatch's NotifyMemWrite, or its own process handing it
+	// before that dispatch notifies the rank's watch, or its own process handing it
 	// work it returns to the engine with.
 	WatchIdle(touch func())
 }
@@ -474,7 +488,7 @@ type idlePoller interface {
 // would have returned false and touched nothing, so skipping it leaves every
 // event where it was and makes a quiet rank's wake-up O(1) instead of
 // O(connected). The rotation cursor advances every pass so no peer is
-// structurally favoured when many endpoints compete. The activity counter is
+// structurally favoured when many endpoints compete. The rank's watch is
 // read before the pass so that a delivery racing with the polling of another
 // endpoint cannot be lost.
 //
@@ -485,7 +499,9 @@ type idlePoller interface {
 func (e *Engine) Progress(p *des.Proc, block bool) bool {
 	e.check()
 	e.stats.Passes++
-	seq := e.hca.MemEventSeq()
+	woke := e.woke
+	e.woke = false
+	seq := e.watch.Seq()
 	prog := e.promote(p)
 	for _, f := range e.shared {
 		if f(p) {
@@ -500,10 +516,26 @@ func (e *Engine) Progress(p *des.Proc, block bool) bool {
 		}
 	}
 	e.check()
+	if woke {
+		e.stats.Wakes++
+		if !prog {
+			e.stats.EmptyWakes++
+		}
+	}
 	if !prog && block {
-		e.hca.WaitMemEventSince(p, seq)
+		e.wait(p, seq)
 	}
 	return prog
+}
+
+// wait parks the rank on its watch until a notification newer than seq. The
+// pass after it, if the rank makes one before it stops waiting, counts as a
+// wake (ProgressStats.Wakes).
+func (e *Engine) wait(p *des.Proc, seq uint64) {
+	e.park(seq)
+	e.watch.WaitSince(p, seq)
+	e.unpark()
+	e.woke = true
 }
 
 // pollFrom walks the active list once, from the first peer at or after
@@ -514,14 +546,14 @@ func (e *Engine) Progress(p *des.Proc, block bool) bool {
 // figure) is unchanged — only the nil-slot skipping went away.
 //
 // Endpoints whose poll would only pay its charge are not polled one event
-// at a time: a run of charged answers is slept as one chain on the node,
-// which NotifyMemWrite cuts at the endpoint being charged when anything
+// at a time: a run of charged answers is slept as one chain on the rank's
+// watch, whose notification cuts it at the endpoint being charged when anything
 // observable changes. The endpoints before that one were charged with
 // nothing to see; it alone looks, exactly when its own Poll would have, and
 // the pass carries on from the next slot. A free answer between two of them
 // does not end the run: the slot-by-slot pass would find nothing there at
 // that step boundary, where nothing is minted, so the chain's keys are the
-// same; a touch from another process comes with a NotifyMemWrite, which
+// same; a touch from another process comes with a notification, which
 // cuts the chain at the step in progress, so a slot touched before its
 // boundary is still ahead of the resumed pass (DESIGN.md §16). Each answer
 // is asked once and held until the endpoint touches its slot; a busy answer
@@ -567,7 +599,7 @@ func (e *Engine) pollFrom(p *des.Proc, start int32) (prog bool) {
 			i, busy = j+1, -1
 			continue
 		}
-		paid := e.node.SleepChain(p, e.idleSteps)
+		paid := e.watch.SleepChain(p, e.idleSteps)
 		for _, ip := range e.idleRun[:paid-1] {
 			pollCharged(p, ip, false)
 		}
@@ -610,23 +642,25 @@ func (e *Engine) Wait(p *des.Proc, req *Request) Status {
 	for !req.done {
 		e.Progress(p, true)
 	}
+	e.woke = false
 	e.check()
 	return req.status
 }
 
 // ProgressUntil drives progress until done reports true. Reaping a
-// completion is not "connection progress", so the node's memory-event
-// counter is snapshotted before each non-blocking pass: if the pass made
-// done true the loop exits; otherwise it sleeps until anything new lands.
+// completion is not "connection progress", so the rank's watch is
+// snapshotted before each non-blocking pass: if the pass made done true the
+// loop exits; otherwise it sleeps until anything new lands.
 func (e *Engine) ProgressUntil(p *des.Proc, done func() bool) {
 	for !done() {
-		seq := e.hca.MemEventSeq()
+		seq := e.watch.Seq()
 		e.Progress(p, false)
 		if done() {
 			return
 		}
-		e.hca.WaitMemEventSince(p, seq)
+		e.wait(p, seq)
 	}
+	e.woke = false
 }
 
 // WaitAll blocks until every request completes.

@@ -572,7 +572,7 @@ func BenchmarkProgressIdlePeers(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					p.Sleep(des.Microsecond)
 					done = i == b.N-1
-					e.hca.NotifyMemWrite()
+					e.watch.Notify()
 				}
 			})
 			eng.Run()

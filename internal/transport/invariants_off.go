@@ -2,9 +2,16 @@
 
 package transport
 
-// The progress pass's contract check; the invariants build
-// (invariants_on.go) makes it panic on a broken promise.
+// The progress pass's contract checks; the invariants build
+// (invariants_on.go) makes them panic on a broken promise.
 
 const invariants = false
 
 func (e *Engine) checkHeld(int) {}
+
+type parkCheck struct{}
+
+func (e *Engine) armCheck()   {}
+func (e *Engine) park(uint64) {}
+func (e *Engine) unpark()     {}
+func (e *Engine) noteTouch()  {}

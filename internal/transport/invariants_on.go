@@ -2,21 +2,96 @@
 
 package transport
 
-import "fmt"
+import (
+	"fmt"
 
-// The -tags invariants build checks the one promise the progress pass
-// trusts instead of looking (DESIGN.md §18): an answer held by a slot, free
-// or charged, is what the endpoint would answer now. A broken promise is a
-// silent wrong schedule or hang in the default build; here it panics, naming
-// the rank and the peer. Every pass walks its slots, even one with none to
-// visit, so every free answer a pass steps over is checked.
+	"repro/internal/model"
+)
+
+// The -tags invariants build checks two promises the progress loop trusts
+// instead of looking (DESIGN.md §18). A broken promise is a silent wrong
+// schedule or hang in the default build; here it panics.
+//
+//   - An answer held by a slot, free or charged, is what the endpoint would
+//     answer now. Every pass walks its slots, even one with none to visit,
+//     so every free answer a pass steps over is checked.
+//   - A wake goes to the rank it is for (lost-wake contract). After every
+//     notification of one watch of the node, each rank parked on another,
+//     still unwoken, must owe nothing to it: no slot touched since it
+//     parked, no fulfilled dial waiting, every held answer current.
 const invariants = true
 
 // checkHeld re-asks the endpoint of active slot k, whose held answer the
 // pass is about to use.
 func (e *Engine) checkHeld(k int) {
-	if step, idle := e.idle[k].IdlePoll(); !idle || step != e.held[k].step {
-		panic(fmt.Sprintf("transport: rank %d: peer %d's held idle answer %+v is stale (now %+v, idle %v): a change did not touch its slot",
-			e.rank, e.act[k], e.held[k].step, step, idle))
+	if err := e.stale(k); err != "" {
+		panic(fmt.Sprintf("transport: rank %d: %s: a change did not touch its slot", e.rank, err))
+	}
+}
+
+// stale describes how active slot k's held answer differs from its
+// endpoint's answer now; "" if it does not, or if the slot holds none.
+func (e *Engine) stale(k int) string {
+	a := e.held[k]
+	if !a.ok {
+		return ""
+	}
+	if step, idle := e.idle[k].IdlePoll(); !idle || step != a.step {
+		return fmt.Sprintf("peer %d's held idle answer %+v is stale (now %+v, idle %v)",
+			e.act[k], a.step, step, idle)
+	}
+	return ""
+}
+
+// parkCheck is what the lost-wake contract knows of a rank blocked on its
+// watch.
+type parkCheck struct {
+	parked  bool
+	seq     uint64 // the watch's counter the rank waits to see move
+	touched bool   // a slot was touched while the rank was parked, unwoken
+}
+
+// armCheck makes every notification on the rank's node check it.
+func (e *Engine) armCheck() { e.node.OnNotify(e.checkWoken) }
+
+func (e *Engine) park(seq uint64) { e.parkCheck = parkCheck{parked: true, seq: seq} }
+func (e *Engine) unpark()         { e.parked = false }
+
+// unwoken reports whether the rank is parked and no notification of its
+// watch has come since.
+func (e *Engine) unwoken() bool { return e.parked && e.watch.Seq() == e.seq }
+
+func (e *Engine) noteTouch() {
+	if e.unwoken() {
+		e.touched = true
+	}
+}
+
+// checkWoken runs after every Notify of a watch of the rank's node, with
+// the watch notified and the notify site.
+func (e *Engine) checkWoken(by *model.Watch, site string) {
+	if by == e.watch || !e.unwoken() {
+		return
+	}
+	owed := ""
+	switch {
+	case e.touched:
+		owed = "a slot was touched"
+	case e.ready.Len() > 0:
+		owed = fmt.Sprintf("the dial to peer %d is fulfilled", e.ready.Pending()[0].peer)
+	default:
+		for k := range e.act {
+			if owed = e.stale(k); owed != "" {
+				break
+			}
+		}
+	}
+	if owed != "" {
+		who := fmt.Sprintf("rank %d", by.Owner())
+		if by.Owner() < 0 {
+			who = "the default watch"
+		}
+		panic(fmt.Sprintf("transport: node %d: %s notified %s, but parked rank %d was owed the wake: %s",
+			e.node.ID, site, who, e.rank, owed))
 	}
 }

@@ -68,8 +68,8 @@ func (e *Engine) open(p *des.Proc, peer int32) *dial {
 // directly; an open dial records it — the owning process's next progress
 // pass installs it and flushes the sends queued during the handshake, in
 // posted order, on the owner's own process (see dial for why the
-// connection manager must not flush them itself). The wakeup ensures a
-// progress loop blocked on fabric activity notices the new endpoint.
+// connection manager must not flush them itself). Notifying the rank's
+// watch ensures its progress loop, blocked on it, notices the new endpoint.
 func (e *Engine) Fulfill(peer int32, ep Endpoint) {
 	if d := e.dialTo(peer); d == nil {
 		e.activate(peer, ep)
@@ -79,7 +79,7 @@ func (e *Engine) Fulfill(peer int32, ep Endpoint) {
 		}
 		d.ep = ep
 	}
-	e.hca.NotifyMemWrite()
+	e.watch.Notify()
 }
 
 // promote installs the endpoints fulfilled dials hold, in the order they
@@ -117,5 +117,6 @@ func (e *Engine) EnsureConnected(p *des.Proc, peer int32) {
 	for !e.Connected(peer) {
 		e.Progress(p, true)
 	}
+	e.woke = false
 	e.promote(p)
 }
