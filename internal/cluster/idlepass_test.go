@@ -208,13 +208,16 @@ func TestIdlePassCrossesQuietSlots(t *testing.T) {
 // TestIdlePassCollectivesPinned pins what a pass costs the harness on two
 // small eager zero-copy collective bodies — allreduce and alltoall at 256 B
 // and 4 KiB, twice each, plus on SMP a 4 KB neighbour ring — against the
-// commit before answers were held and shared-memory peers skipped. Both
-// finish at the parent's instant. The fat tree has no shared-memory peer:
-// its events are the parent's, only the asks fell. On 4 × 4 SMP a shared
-// memory connection is polled only when it answers busy, and a chain
-// crossing free answers is one event instead of one per run between them.
-// A connection touched while it holds nothing (a peer freed a cell it was
-// not waiting for) is asked and stepped over (DESIGN.md §18).
+// commit before answers were held and shared-memory peers skipped. The fat
+// tree has no shared-memory peer: it finishes at the parent's instant after
+// the parent's events, only the asks fell. On 4 × 4 SMP a shared memory
+// connection is polled only when it answers busy, and a chain crossing free
+// answers is one event instead of one per run between them. A connection
+// touched while it holds nothing (a peer freed a cell it was not waiting
+// for) is asked and stepped over (DESIGN.md §18). Since each rank has its
+// own watch, a write wakes only the rank it lands for: the SMP run finishes
+// 22 396 ns later than the 28 900 361 ns of the node-wide watch, in 800
+// passes instead of 1 492 (DESIGN.md §16).
 func TestIdlePassCollectivesPinned(t *testing.T) {
 	body := func(ring int) func(comm *mpi.Comm) {
 		return func(comm *mpi.Comm) {
@@ -247,11 +250,11 @@ func TestIdlePassCollectivesPinned(t *testing.T) {
 		parent       transport.ProgressStats
 	}{
 		{"smp-4x4", cluster.Config{NP: 16, Transport: cluster.TransportZeroCopy, CoresPerNode: 4}, 8,
-			28900361, 26301, transport.ProgressStats{Passes: 1492, Polls: 925, PollHits: 925, IdleAsks: 2863},
+			28922757, 24121, transport.ProgressStats{Passes: 800, Polls: 923, PollHits: 923, IdleAsks: 2845, Wakes: 357, EmptyWakes: 97},
 			27085, transport.ProgressStats{Passes: 1492, Polls: 5125, PollHits: 925, IdleAsks: 19493}},
 		{"fattree-d4-u1", cluster.Config{NP: 16, Transport: cluster.TransportZeroCopy,
 			Switch: &switchfab.Config{LeafDown: 4, LeafUp: 1}}, 0,
-			33907986, 30323, transport.ProgressStats{Passes: 904, Polls: 982, PollHits: 982, IdleAsks: 2958},
+			33907986, 30323, transport.ProgressStats{Passes: 904, Polls: 982, PollHits: 982, IdleAsks: 2958, Wakes: 378},
 			30323, transport.ProgressStats{Passes: 904, Polls: 982, PollHits: 982, IdleAsks: 14395}},
 	} {
 		c := cluster.MustNew(w.cfg)
