@@ -340,3 +340,45 @@ func TestReadySetSRQ(t *testing.T) {
 		t.Errorf("burst finished at %d ns after %d events, want 5544881 ns, 62312 events", now, ev)
 	}
 }
+
+// TestIdlePassSMPWriteWakesOnlyItsRank pins a shared-memory write on a
+// 2-node × 4-core layout: rank 0's message to rank 1 wakes rank 1 alone,
+// and ranks 2 and 3, parked in receives on the same node, make no pass
+// until their own messages come. The run's passes and events are pinned.
+func TestIdlePassSMPWriteWakesOnlyItsRank(t *testing.T) {
+	c := cluster.MustNew(cluster.Config{NP: 8, CoresPerNode: 4, Transport: cluster.TransportZeroCopy})
+	defer c.Close()
+	passes := func() [2]uint64 {
+		return [2]uint64{c.Ranks[2].ProgressStats().Passes, c.Ranks[3].ProgressStats().Passes}
+	}
+	var before, after [2]uint64
+	ev0 := c.Eng.EventsExecuted()
+	c.Launch(func(comm *mpi.Comm) {
+		p := comm.Proc()
+		buf, _ := comm.Alloc(64)
+		switch r := comm.Rank(); r {
+		case 0:
+			p.Sleep(10 * des.Microsecond) // ranks 1–3 are parked in their receives
+			before = passes()
+			comm.Send(buf, 1, 0)
+			p.Sleep(10 * des.Microsecond) // rank 1 has taken it
+			comm.Send(buf, 2, 0)
+			comm.Send(buf, 3, 0)
+		case 1, 2, 3:
+			comm.Recv(buf, 0, 0)
+			if r == 1 {
+				after = passes()
+			}
+		}
+	})
+	if before != after {
+		t.Errorf("ranks 2 and 3 made %v passes before rank 0's write to rank 1 and %v after it, want no new pass", before, after)
+	}
+	// One pass each to park, one when its own message lands.
+	park, done, wantEvents := [2]uint64{1, 1}, [2]uint64{2, 2}, uint64(40)
+	events := c.Eng.EventsExecuted() - ev0
+	if got := passes(); events != wantEvents || before != park || got != done {
+		t.Errorf("ranks 2 and 3 parked after %v passes and finished after %v, in a run of %d events; want %v, %v, %d",
+			before, got, events, park, done, wantEvents)
+	}
+}
