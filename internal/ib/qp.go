@@ -102,9 +102,9 @@ func (qp *QP) HCA() *HCA { return qp.hca }
 // balances on.
 func (qp *QP) SendQueueDepth() int { return qp.sq.Len() }
 
-// OnRemoteWrite installs fn to run, before the owner's watch is notified, in the
-// dispatch that lands each RDMA write the peer posts into this queue pair's
-// memory. One callback per queue pair; nil removes it.
+// OnRemoteWrite installs fn to run, before the owner's watch is notified,
+// in the dispatch that lands each RDMA write the peer posts into this queue
+// pair's memory. One callback per queue pair; nil removes it.
 func (qp *QP) OnRemoteWrite(fn func()) { qp.written = fn }
 
 // PD returns the protection domain of this QP.

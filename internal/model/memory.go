@@ -243,9 +243,9 @@ type Node struct {
 	Bus    *Bus
 	Mem    *Memory
 
-	memctl  *MemCtl
-	watches []*Watch // the default watch first, then one per rank (NewWatch)
-	checks  notifyChecks
+	memctl *MemCtl
+	def    Watch // the default watch; its next link chains the ranks'
+	checks notifyChecks
 }
 
 // NewNode builds a node with its own bus and address space. The primary
@@ -258,7 +258,7 @@ func NewNode(id int, p *Params) *Node {
 		memctl: NewMemCtl(p),
 	}
 	n.Bus = NewBusOn(fmt.Sprintf("node%d.bus", id), p, n.memctl)
-	n.NewWatch(-1)
+	n.def = Watch{node: n, owner: -1}
 	return n
 }
 

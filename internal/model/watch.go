@@ -17,6 +17,7 @@ import "repro/internal/des"
 // events are the only node-wide notification (NotifyAll).
 type Watch struct {
 	node    *Node
+	next    *Watch      // the node's next watch, in creation order
 	owner   int         // the owning rank; -1 for the node's default watch
 	seq     uint64      // bumped on every notification
 	cond    des.Cond    // processes blocked until seq advances
@@ -26,25 +27,26 @@ type Watch struct {
 // NewWatch creates the watch of the given rank on the node.
 func (n *Node) NewWatch(owner int) *Watch {
 	w := &Watch{node: n, owner: owner}
-	n.watches = append(n.watches, w)
+	last := &n.def
+	for last.next != nil {
+		last = last.next
+	}
+	last.next = w
 	return w
 }
 
 // DefaultWatch returns the watch of queues no rank owns: those built
 // outside a cluster, through ib's CreateCQ, and HCA.WaitMemory's pollers.
-func (n *Node) DefaultWatch() *Watch { return n.watches[0] }
+func (n *Node) DefaultWatch() *Watch { return &n.def }
 
 // NotifyAll notifies every watch of the node, the default one first, then
 // the ranks' in creation order: a link going down or up changes what every
 // poller of the node can see.
 func (n *Node) NotifyAll() {
-	for _, w := range n.watches {
+	for w := &n.def; w != nil; w = w.next {
 		w.notify()
 	}
 }
-
-// Node returns the node the watch belongs to.
-func (w *Watch) Node() *Node { return w.node }
 
 // Owner returns the rank owning the watch, -1 for the node's default one.
 func (w *Watch) Owner() int { return w.owner }

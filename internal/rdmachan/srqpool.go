@@ -90,10 +90,11 @@ const (
 // NewSRQPool builds the per-process pool on the rank's adapter: allocates
 // and registers the receive and send slot arrays, posts every receive slot
 // to a fresh SRQ, and arms the low-watermark event. w is the rank's watch,
-// which the pool's queues and its low-watermark event notify. onErr receives fatal
-// transport errors (the rank's engine failure callback). resilient selects
-// fault-survival mode (DESIGN.md §11): connections on the pool retain
-// packets until acknowledged and recover from link failures by re-dialing.
+// which the pool's queues and its low-watermark event notify. onErr
+// receives fatal transport errors (the rank's engine failure callback).
+// resilient selects fault-survival mode (DESIGN.md §11): connections on the
+// pool retain packets until acknowledged and recover from link failures by
+// re-dialing.
 func NewSRQPool(p *des.Proc, cfg Config, h *ib.HCA, w *model.Watch, resilient bool, onErr func(error)) (*SRQPool, error) {
 	cfg = cfg.withDefaults()
 	sp := &SRQPool{

@@ -34,9 +34,11 @@
 //     process. Until then Endpoint returns nil and Connected true.
 //   - Receives never force a connection; only sends dial.
 //   - The engine polls endpoints round-robin from a rotating cursor, and
-//     snapshots the node's memory-event counter before each pass so a
+//     snapshots the rank's watch (model.Watch) before each pass so a
 //     delivery racing the pass (on any rail) cannot be lost before a
-//     blocking wait.
+//     blocking wait. Everything the rank polls notifies that watch and no
+//     other; the -tags invariants build panics on a wake that went to the
+//     wrong rank of the node.
 //   - One idle answer per slot (DESIGN.md §18): every established endpoint's
 //     slot holds an idle answer or none. A free answer (a zero step: the
 //     shared-memory channel or a non-resilient SRQ connection holding no

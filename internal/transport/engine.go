@@ -477,8 +477,8 @@ type idlePoller interface {
 	// WatchIdle is called when the engine activates the endpoint, with its
 	// slot's touch function. The endpoint calls touch in every dispatch that
 	// changes what IdlePoll reads: another process's write or completion,
-	// before that dispatch notifies the rank's watch, or its own process handing it
-	// work it returns to the engine with.
+	// before that dispatch notifies the rank's watch, or its own process
+	// handing it work it returns to the engine with.
 	WatchIdle(touch func())
 }
 
