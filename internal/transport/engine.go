@@ -547,8 +547,8 @@ func (e *Engine) wait(p *des.Proc, seq uint64) {
 //
 // Endpoints whose poll would only pay its charge are not polled one event
 // at a time: a run of charged answers is slept as one chain on the rank's
-// watch, whose notification cuts it at the endpoint being charged when anything
-// observable changes. The endpoints before that one were charged with
+// watch, whose notification cuts it at the endpoint being charged when
+// anything observable changes. The endpoints before that one were charged with
 // nothing to see; it alone looks, exactly when its own Poll would have, and
 // the pass carries on from the next slot. A free answer between two of them
 // does not end the run: the slot-by-slot pass would find nothing there at
