@@ -1,6 +1,11 @@
 package bench
 
 import (
+	"encoding/json"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -8,6 +13,22 @@ import (
 	"strings"
 	"testing"
 )
+
+// root is the repository root as seen from this package's directory.
+var root = filepath.Join("..", "..")
+
+// docFiles are the documents whose backticked Go names and repository
+// paths must name things that exist.
+var docFiles = []string{"DESIGN.md", "README.md", ".claude/skills/verify/SKILL.md"}
+
+func readRepoFile(t *testing.T, name string) string {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join(root, name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
 
 // figFlag matches a figure id as the docs write it after -fig.
 var figFlag = regexp.MustCompile("-fig[ =]([a-z0-9][a-z0-9./=-]*[a-z0-9])")
@@ -17,16 +38,9 @@ var figFlag = regexp.MustCompile("-fig[ =]([a-z0-9][a-z0-9./=-]*[a-z0-9])")
 // index tables give every id a row.
 func TestDocsNameFigureIDs(t *testing.T) {
 	ids := FigureIDs()
-	read := func(name string) string {
-		b, err := os.ReadFile(filepath.Join("..", "..", name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(b)
-	}
-	design := read("DESIGN.md")
-	for _, name := range []string{"DESIGN.md", "README.md", ".claude/skills/verify/SKILL.md"} {
-		for _, m := range figFlag.FindAllStringSubmatch(read(name), -1) {
+	design := readRepoFile(t, "DESIGN.md")
+	for _, name := range docFiles {
+		for _, m := range figFlag.FindAllStringSubmatch(readRepoFile(t, name), -1) {
 			if id := m[1]; id != "all" && !slices.Contains(ids, id) {
 				t.Errorf("%s names -fig %s, which is not a figure id", name, id)
 			}
@@ -46,5 +60,322 @@ func TestDocsNameFigureIDs(t *testing.T) {
 		if !rows[id] {
 			t.Errorf("DESIGN.md §4 has no index row for figure %s", id)
 		}
+	}
+}
+
+// codeSpan matches one backticked span.
+var codeSpan = regexp.MustCompile("`([^`]+)`")
+
+// codeSpans returns the code of a markdown file: every line of a fenced
+// block, and the text of every backticked span outside them.
+func codeSpans(doc string) []string {
+	var spans, prose []string
+	fenced := false
+	for _, line := range strings.Split(doc, "\n") {
+		switch {
+		case strings.HasPrefix(strings.TrimSpace(line), "```"):
+			fenced = !fenced
+		case fenced:
+			spans = append(spans, line)
+		default:
+			prose = append(prose, line)
+		}
+	}
+	for _, m := range codeSpan.FindAllStringSubmatch(strings.Join(prose, "\n"), -1) {
+		spans = append(spans, m[1])
+	}
+	return spans
+}
+
+// typeRef names a type of an internal package.
+type typeRef struct{ pkg, name string }
+
+// typeDecl is one declared type: the fields and methods it declares
+// itself, and the types it embeds (struct fields or interface elements).
+type typeDecl struct {
+	members map[string]bool
+	embeds  []typeRef
+}
+
+// declIndex is what the non-test files of the internal packages declare.
+type declIndex struct {
+	top   map[string]map[string]bool // package → package-level names
+	types map[typeRef]*typeDecl
+}
+
+// indexInternal parses every non-test Go file under internal/, build tags
+// ignored, so a name declared under either side of a tag counts.
+func indexInternal(t *testing.T) *declIndex {
+	t.Helper()
+	idx := &declIndex{top: map[string]map[string]bool{}, types: map[typeRef]*typeDecl{}}
+	files, err := filepath.Glob(filepath.Join(root, "internal", "*", "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	for _, name := range files {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, name, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		idx.add(filepath.Base(filepath.Dir(name)), f)
+	}
+	return idx
+}
+
+// add records what file f of package pkg declares.
+func (idx *declIndex) add(pkg string, f *ast.File) {
+	if idx.top[pkg] == nil {
+		idx.top[pkg] = map[string]bool{}
+	}
+	for _, decl := range f.Decls {
+		switch d := decl.(type) {
+		case *ast.FuncDecl:
+			if d.Recv == nil {
+				idx.top[pkg][d.Name.Name] = true
+			} else if r, ok := typeOf(pkg, f, d.Recv.List[0].Type); ok {
+				idx.typ(r).members[d.Name.Name] = true
+			}
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				switch s := spec.(type) {
+				case *ast.ValueSpec:
+					for _, n := range s.Names {
+						idx.top[pkg][n.Name] = true
+					}
+				case *ast.TypeSpec:
+					idx.top[pkg][s.Name.Name] = true
+					idx.addFields(pkg, f, idx.typ(typeRef{pkg, s.Name.Name}), s.Type)
+				}
+			}
+		}
+	}
+}
+
+// addFields records the fields and interface methods of type expression x
+// as members of td, and its embedded types as td's embeds.
+func (idx *declIndex) addFields(pkg string, f *ast.File, td *typeDecl, x ast.Expr) {
+	var fields []*ast.Field
+	switch tt := x.(type) {
+	case *ast.StructType:
+		fields = tt.Fields.List
+	case *ast.InterfaceType:
+		fields = tt.Methods.List
+	}
+	for _, fl := range fields {
+		for _, n := range fl.Names {
+			td.members[n.Name] = true
+		}
+		if len(fl.Names) > 0 {
+			continue
+		}
+		if r, ok := typeOf(pkg, f, fl.Type); ok {
+			td.members[r.name] = true // an embedded field is named by its type
+			td.embeds = append(td.embeds, r)
+		}
+	}
+}
+
+// typ returns the record of type r, creating it on first use.
+func (idx *declIndex) typ(r typeRef) *typeDecl {
+	if idx.types[r] == nil {
+		idx.types[r] = &typeDecl{members: map[string]bool{}}
+	}
+	return idx.types[r]
+}
+
+// typeOf resolves a type expression of file f in package pkg to the
+// internal type it names, looking through pointers and type arguments.
+func typeOf(pkg string, f *ast.File, x ast.Expr) (typeRef, bool) {
+	switch e := x.(type) {
+	case *ast.StarExpr:
+		return typeOf(pkg, f, e.X)
+	case *ast.IndexExpr:
+		return typeOf(pkg, f, e.X)
+	case *ast.IndexListExpr:
+		return typeOf(pkg, f, e.X)
+	case *ast.Ident:
+		return typeRef{pkg, e.Name}, true
+	case *ast.SelectorExpr:
+		id, ok := e.X.(*ast.Ident)
+		if !ok {
+			return typeRef{}, false
+		}
+		for _, im := range f.Imports {
+			path := strings.Trim(im.Path.Value, `"`)
+			local := filepath.Base(path)
+			if im.Name != nil {
+				local = im.Name.Name
+			}
+			if local == id.Name && strings.HasPrefix(path, "repro/internal/") {
+				return typeRef{filepath.Base(path), e.Sel.Name}, true
+			}
+		}
+	}
+	return typeRef{}, false
+}
+
+// has reports whether type r has member name, declared on r itself or
+// promoted through its embedded types.
+func (idx *declIndex) has(r typeRef, name string, seen map[typeRef]bool) bool {
+	td := idx.types[r]
+	if td == nil || seen[r] {
+		return false
+	}
+	seen[r] = true
+	if td.members[name] {
+		return true
+	}
+	for _, e := range td.embeds {
+		if idx.has(e, name, seen) {
+			return true
+		}
+	}
+	return false
+}
+
+// goName matches `pkg.Name` or `pkg.Type.Member` inside a code span; a
+// leading '/' or '.' (a file path, a deeper selector) is not a package.
+// BENCHMARK.json's metric names (`des.events`, `ib.cpu_share`) share the
+// form, so a name resolves to a declaration or to one of those metrics.
+var goName = regexp.MustCompile(`(?:^|[^\w./])([a-z][a-z0-9]*)\.([A-Za-z_]\w*)(?:\.([A-Za-z_]\w*))?`)
+
+// TestDocsNameDeclaredSymbols keeps the docs from naming code that is
+// gone: every backticked `pkg.Name` or `pkg.Type.Member` whose pkg is an
+// internal package resolves to a declaration in its non-test files, with
+// methods and fields promoted through embedding, or is a benchmark metric.
+func TestDocsNameDeclaredSymbols(t *testing.T) {
+	idx := indexInternal(t)
+	var spec struct {
+		EndToEnd []struct{ Name string } `json:"end_to_end"`
+		PerLayer []struct{ Name string } `json:"per_layer"`
+	}
+	if err := json.Unmarshal([]byte(readRepoFile(t, "BENCHMARK.json")), &spec); err != nil {
+		t.Fatal(err)
+	}
+	metrics := map[string]bool{}
+	for _, m := range append(spec.EndToEnd, spec.PerLayer...) {
+		metrics[m.Name] = true
+	}
+	for _, doc := range docFiles {
+		for _, span := range codeSpans(readRepoFile(t, doc)) {
+			for _, m := range goName.FindAllStringSubmatch(span, -1) {
+				pkg, name, member := m[1], m[2], m[3]
+				if idx.top[pkg] == nil {
+					continue // not an internal package
+				}
+				ok, ref := idx.top[pkg][name], pkg+"."+name
+				if member != "" {
+					ok, ref = ok && idx.has(typeRef{pkg, name}, member, map[typeRef]bool{}), ref+"."+member
+				}
+				if !ok && !metrics[ref] {
+					t.Errorf("%s: `%s` names %s, which internal/%s does not declare", doc, span, ref, pkg)
+				}
+			}
+		}
+	}
+}
+
+// repoPath matches a repository path inside a code span, with or without
+// a leading "./".
+var repoPath = regexp.MustCompile(`(?:^|[\s'"(=])(?:\./)?((?:internal|cmd|benchmark|examples|\.github|\.claude)(?:/[\w.*-]+)*/?)`)
+
+// TestDocsNameExistingPaths keeps the docs from pointing at files or
+// directories that are gone: every backticked repository path exists (a
+// glob matches at least one entry; "/..." means the directory).
+func TestDocsNameExistingPaths(t *testing.T) {
+	for _, doc := range docFiles {
+		for _, span := range codeSpans(readRepoFile(t, doc)) {
+			for _, m := range repoPath.FindAllStringSubmatch(span, -1) {
+				p := strings.TrimRight(m[1], "/.")
+				if hits, _ := filepath.Glob(filepath.Join(root, p)); len(hits) == 0 {
+					t.Errorf("%s: `%s` names %s, which does not exist", doc, span, p)
+				}
+			}
+		}
+	}
+}
+
+// citation matches a DESIGN section citation, optionally naming a heading
+// (a prefix of it) in quotes, once wrapJoin has undone line wrapping.
+var citation = regexp.MustCompile(`DESIGN(?:\.md)?\s+§(\d+)(?:\s+"([^"]+)")?`)
+
+// wrapJoin matches a line break together with the indentation and comment
+// marker that continue a wrapped line.
+var wrapJoin = regexp.MustCompile(`[ \t]*\n\s*(?://+|#+)?[ \t]*`)
+
+// designSections maps each DESIGN.md section number to its headings: the
+// section title and every ### heading under it.
+func designSections(design string) map[string][]string {
+	secs := map[string][]string{}
+	var cur string
+	for _, line := range strings.Split(design, "\n") {
+		if rest, ok := strings.CutPrefix(line, "## §"); ok {
+			n, title, _ := strings.Cut(rest, " ")
+			cur = n
+			secs[cur] = append(secs[cur], title)
+		} else if strings.HasPrefix(line, "## ") {
+			cur = ""
+		} else if rest, ok := strings.CutPrefix(line, "### "); ok && cur != "" {
+			secs[cur] = append(secs[cur], rest)
+		}
+	}
+	return secs
+}
+
+// TestDocsCiteExistingSections keeps citations of DESIGN.md true: every
+// `DESIGN(.md) §N ["heading"]` in the Go sources, README, ROADMAP, CI and
+// the verify skill names a section that exists, and a quoted heading is
+// the start of a heading under that section. CHANGES.md is history and is
+// not checked.
+func TestDocsCiteExistingSections(t *testing.T) {
+	secs := designSections(readRepoFile(t, "DESIGN.md"))
+	if len(secs) != 19 {
+		t.Errorf("DESIGN.md has %d numbered sections, want §1–§19", len(secs))
+	}
+	files := []string{"README.md", "ROADMAP.md", ".claude/skills/verify/SKILL.md"}
+	ci, _ := filepath.Glob(filepath.Join(root, ".github", "workflows", "*.yml"))
+	for _, p := range ci {
+		rel, _ := filepath.Rel(root, p)
+		files = append(files, rel)
+	}
+	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && strings.HasPrefix(d.Name(), ".") && p != root {
+			return filepath.SkipDir
+		}
+		if !d.IsDir() && strings.HasSuffix(p, ".go") {
+			rel, _ := filepath.Rel(root, p)
+			files = append(files, rel)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cited := 0
+	for _, name := range files {
+		text := wrapJoin.ReplaceAllString(readRepoFile(t, name), " ")
+		for _, m := range citation.FindAllStringSubmatch(text, -1) {
+			cited++
+			heads, ok := secs[m[1]]
+			if !ok {
+				t.Errorf("%s cites DESIGN §%s, which does not exist", name, m[1])
+				continue
+			}
+			if q := m[2]; q != "" && !slices.ContainsFunc(heads, func(h string) bool {
+				return strings.HasPrefix(h, q)
+			}) {
+				t.Errorf("%s cites DESIGN §%s %q, which is no heading of that section", name, m[1], q)
+			}
+		}
+	}
+	if cited == 0 {
+		t.Error("found no DESIGN citations; the scan is broken")
 	}
 }

@@ -63,9 +63,9 @@ func TestLazyLargeScale(t *testing.T) {
 		largeNP, pairs, mesh, srqPoolBytes()/1024)
 }
 
-// stencilChecksum runs a compact version of examples/stencil — a 1D halo
-// exchange over a 2D field with per-rank checksums — on the given cluster
-// and returns the global field checksum.
+// stencilChecksum runs a compact version of internal/mpi's
+// Example_haloExchange — a 1D halo exchange over a 2D field with per-rank
+// checksums — on the given cluster and returns the global field checksum.
 func stencilChecksum(c *cluster.Cluster, np int) uint64 {
 	const ny, iters = 64, 3
 	sums := make([]uint64, np)

@@ -245,11 +245,11 @@ func (qp *QP) sendStep(t *des.Task) {
 				qp.at = sqProc
 				t.Sleep(prm.HCAProc)
 				return
-			case w.retries < retryLimit(prm):
+			case w.retries < prm.MaxRetry:
 				w.retries++
 				qp.stats.Retries++
 				qp.at = sqRetry
-				t.Sleep(2*prm.WireLatency + retryTimeout(prm)<<min(w.retries-1, 6))
+				t.Sleep(2*prm.WireLatency + prm.RetryTimeout<<min(w.retries-1, 6))
 				return
 			default:
 				peer := qp.peer
@@ -284,24 +284,6 @@ func (qp *QP) dropActive() bool {
 		return true
 	}
 	return qp.peer != nil && qp.peer.hca.dropUntil > now
-}
-
-// retryTimeout returns the transport retry timer, defaulting when the
-// parameter set predates the fault extension.
-func retryTimeout(prm *model.Params) des.Time {
-	if prm.RetryTimeout > 0 {
-		return prm.RetryTimeout
-	}
-	return 100 * des.Microsecond
-}
-
-// retryLimit returns how many transport retries a requester attempts
-// before erroring the connection.
-func retryLimit(prm *model.Params) int {
-	if prm.MaxRetry > 0 {
-		return prm.MaxRetry
-	}
-	return 7
 }
 
 // exec starts the processed work request w and reports the stage that
@@ -406,8 +388,7 @@ func (qp *QP) tryDeliver(w *sendWork) bool {
 		if !ok {
 			peer.srq.stats.RNRNaks++
 			w.rnr++
-			limit := rnrRetryLimit(prm)
-			if limit < 7 && w.rnr > limit {
+			if limit := prm.MaxRNRRetry; limit < 7 && w.rnr > limit {
 				qp.ack(w, StatusRNRRetryExc)
 				return true // consumed (in error); later sends may proceed
 			}
@@ -418,7 +399,7 @@ func (qp *QP) tryDeliver(w *sendWork) bool {
 			if shift > 6 {
 				shift = 6
 			}
-			peer.hca.eng.After(2*prm.WireLatency+rnrTimeout(prm)<<uint(shift), func() {
+			peer.hca.eng.After(2*prm.WireLatency+prm.RNRTimeout<<uint(shift), func() {
 				qp.drainDeliverq()
 			})
 			return false

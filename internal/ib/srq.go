@@ -1,9 +1,6 @@
 package ib
 
-import (
-	"repro/internal/des"
-	"repro/internal/model"
-)
+import "repro/internal/des"
 
 // SRQ is a shared receive queue: a pool of receive descriptors that many
 // queue pairs on one adapter draw from, instead of each QP pre-posting its
@@ -127,23 +124,3 @@ func (h *HCA) CreateQPSRQ(pd *PD, scq, rcq *CQ, srq *SRQ) *QP {
 
 // SRQ returns the shared receive queue this QP draws from, or nil.
 func (qp *QP) SRQ() *SRQ { return qp.srq }
-
-// rnrTimeout returns the receiver-not-ready retry timer, defaulting when
-// the parameter set predates the SRQ extension.
-func rnrTimeout(prm *model.Params) des.Time {
-	if prm.RNRTimeout > 0 {
-		return prm.RNRTimeout
-	}
-	return 10 * des.Microsecond
-}
-
-// rnrRetryLimit returns how many receiver-not-ready retries a requester
-// attempts before completing the work request in error. Following the
-// verbs convention, 7 (the field's maximum on real adapters, and the
-// default) means retry forever.
-func rnrRetryLimit(prm *model.Params) int {
-	if prm.MaxRNRRetry > 0 {
-		return prm.MaxRNRRetry
-	}
-	return 7
-}

@@ -137,7 +137,7 @@ func (x *Xfer) Granule(t *des.Task) (int, bool) {
 			t.Sleep(x.d)
 			return 0, false
 		}
-		x.dm = TimeForBytes(x.chunk, m.params.memBandwidth())
+		x.dm = TimeForBytes(x.chunk, m.params.MemBandwidth)
 		if m.buses <= 1 {
 			step := des.Step{D: x.dm, Hops: 1}
 			if x.dm < x.d {

@@ -31,7 +31,7 @@ type Params struct {
 	// Memory subsystem.
 	BusMaxRate   float64 // MB/s ceiling for any single bus flow
 	MemBandwidth float64 // MB/s node memory-controller ceiling shared
-	// by every bus of the node (rail/PCI segments included); 0 = BusMaxRate.
+	// by every bus of the node (rail/PCI segments included).
 	// A single flow is paced by its own rate; concurrent flows on different
 	// buses of one node aggregate up to this and no further (multi-rail).
 	BusGranule          int     // bus arbitration granule, bytes
@@ -80,6 +80,7 @@ func Testbed() *Params {
 		MaxRetry:       7,
 
 		BusMaxRate:          2000.0,
+		MemBandwidth:        2000.0,
 		BusGranule:          16384,
 		CopyBandwidthCached: 1300.0,
 		CopyBandwidthMem:    800.0,
@@ -109,15 +110,6 @@ func TimeForBytes(n int, rate float64) des.Time {
 		panic("model: nonpositive rate")
 	}
 	return des.Time(float64(n)*1000.0/rate + 0.5)
-}
-
-// memBandwidth returns the memory-controller ceiling, defaulting to the
-// single-flow bus cap so existing parameter sets need no update.
-func (p *Params) memBandwidth() float64 {
-	if p.MemBandwidth > 0 {
-		return p.MemBandwidth
-	}
-	return p.BusMaxRate
 }
 
 // CopyRate returns the effective memcpy bandwidth (MB/s) for a copy whose

@@ -68,7 +68,7 @@ func (e *basicEP) Footprint() Footprint {
 func newBasicPair(p *des.Proc, cfg Config, ba, bb *endpointBase) (Endpoint, Endpoint, error) {
 	a := &basicEP{endpointBase: ba}
 	b := &basicEP{endpointBase: bb}
-	if err := ib.Connect(a.qp, b.qp); err != nil {
+	if err := ib.Connect(a.rails[0].qp, b.rails[0].qp); err != nil {
 		return nil, nil, err
 	}
 	for _, e := range []*basicEP{a, b} {
@@ -84,31 +84,32 @@ func newBasicPair(p *des.Proc, cfg Config, ba, bb *endpointBase) (Endpoint, Endp
 func (e *basicEP) setupLocal(p *des.Proc) error {
 	n := e.cfg.RingSize
 	e.ringVA, e.ring = e.node.Mem.Alloc(n)
+	r0 := &e.rails[0]
 	var err error
-	e.ringMR, err = e.hca.RegisterMR(p, e.pd, e.ringVA, n,
+	e.ringMR, err = r0.hca.RegisterMR(p, r0.pd, e.ringVA, n,
 		ib.AccessLocalWrite|ib.AccessRemoteWrite)
 	if err != nil {
 		return err
 	}
 	e.stagingVA, e.staging = e.node.Mem.Alloc(n)
-	e.stagingMR, err = e.hca.RegisterMR(p, e.pd, e.stagingVA, n, ib.AccessLocalWrite)
+	e.stagingMR, err = r0.hca.RegisterMR(p, r0.pd, e.stagingVA, n, ib.AccessLocalWrite)
 	if err != nil {
 		return err
 	}
-	if e.headIn, err = newSlot8(p, e.hca, e.pd); err != nil {
+	if e.headIn, err = newSlot8(p, r0); err != nil {
 		return err
 	}
-	if e.tailIn, err = newSlot8(p, e.hca, e.pd); err != nil {
+	if e.tailIn, err = newSlot8(p, r0); err != nil {
 		return err
 	}
-	if e.tailOut.src, err = newSlot8(p, e.hca, e.pd); err != nil {
+	if e.tailOut.src, err = newSlot8(p, r0); err != nil {
 		return err
 	}
-	e.tailOut.qp = e.qp
-	if e.headOut.src, err = newSlot8(p, e.hca, e.pd); err != nil {
+	e.tailOut.qp = r0.qp
+	if e.headOut.src, err = newSlot8(p, r0); err != nil {
 		return err
 	}
-	e.headOut.qp = e.qp
+	e.headOut.qp = r0.qp
 	return nil
 }
 
@@ -168,12 +169,12 @@ func (e *basicEP) Put(p *des.Proc, bufs []Buffer) (int, error) {
 	// Step 3: RDMA write the data to the ring, and wait for the
 	// completion so the data is globally visible before the head moves
 	// (the shared-memory program order, enforced with a completion).
-	e.qp.PostSend(p, ib.SendWR{
+	e.rails[0].qp.PostSend(p, ib.SendWR{
 		WRID: wridBasicData, Op: ib.OpRDMAWrite, Signaled: true,
 		SGL:        []ib.SGE{{Addr: e.stagingVA + uint64(off), Len: n, LKey: e.stagingMR.LKey()}},
 		RemoteAddr: e.peerRing.va + uint64(off), RKey: e.peerRing.rkey,
 	})
-	if cqe := e.scq.Poll(p); cqe.Status != ib.StatusSuccess {
+	if cqe := e.rails[0].scq.Poll(p); cqe.Status != ib.StatusSuccess {
 		return 0, fmt.Errorf("rdmachan(basic): data write failed: %v", cqe.Status)
 	}
 
@@ -181,7 +182,7 @@ func (e *basicEP) Put(p *des.Proc, bufs []Buffer) (int, error) {
 	// again waiting for visibility.
 	e.head += uint64(n)
 	e.headOut.post(p, e.head, true, wridBasicHead)
-	if cqe := e.scq.Poll(p); cqe.Status != ib.StatusSuccess {
+	if cqe := e.rails[0].scq.Poll(p); cqe.Status != ib.StatusSuccess {
 		return 0, fmt.Errorf("rdmachan(basic): head write failed: %v", cqe.Status)
 	}
 

@@ -1,6 +1,7 @@
 package rdmachan
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/des"
@@ -426,9 +427,9 @@ type slot8 struct {
 	mr  *ib.MR
 }
 
-func newSlot8(p *des.Proc, h *ib.HCA, pd *ib.PD) (slot8, error) {
-	va, buf := h.Node().Mem.Alloc(8)
-	mr, err := h.RegisterMR(p, pd, va, 8,
+func newSlot8(p *des.Proc, r *railRes) (slot8, error) {
+	va, buf := r.hca.Node().Mem.Alloc(8)
+	mr, err := r.hca.RegisterMR(p, r.pd, va, 8,
 		ib.AccessLocalWrite|ib.AccessRemoteWrite|ib.AccessRemoteRead)
 	if err != nil {
 		return slot8{}, err
@@ -436,26 +437,7 @@ func newSlot8(p *des.Proc, h *ib.HCA, pd *ib.PD) (slot8, error) {
 	return slot8{va: va, buf: buf, mr: mr}, nil
 }
 
-func (s slot8) value() uint64 { return le64(s.buf) }
-
-func le64(b []byte) uint64 {
-	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
-}
-
-func putLE64(b []byte, v uint64) {
-	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (8 * i))
-	}
-}
-
-func le32(b []byte) uint32 {
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
-}
-
-func putLE32(b []byte, v uint32) {
-	b[0], b[1], b[2], b[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
-}
+func (s slot8) value() uint64 { return binary.LittleEndian.Uint64(s.buf) }
 
 // counterWriter owns a local registered 8-byte source staging slot and
 // posts unsignaled RDMA writes of fresh counter values to a peer slot.
@@ -471,7 +453,7 @@ func (cw *counterWriter) write(p *des.Proc, v uint64) {
 }
 
 func (cw *counterWriter) post(p *des.Proc, v uint64, signaled bool, wrid uint64) {
-	putLE64(cw.src.buf, v)
+	binary.LittleEndian.PutUint64(cw.src.buf, v)
 	cw.qp.PostSend(p, ib.SendWR{
 		WRID:       wrid,
 		Op:         ib.OpRDMAWrite,
@@ -492,25 +474,19 @@ type railRes struct {
 	rcq *ib.CQ
 }
 
-// endpointBase carries the plumbing common to all designs. The legacy
-// single-rail fields (hca, pd, qp, scq, rcq) alias rail 0, which carries
+// endpointBase carries the plumbing common to all designs. Rail 0 carries
 // all control traffic (credits, acks) and is the only rail of the basic
 // design.
 type endpointBase struct {
 	cfg   Config
 	rails []railRes
-	hca   *ib.HCA
 	node  *model.Node
 	watch *model.Watch // the owning rank's, or the node's default
 	prm   *model.Params
-	pd    *ib.PD
-	qp    *ib.QP
-	scq   *ib.CQ
-	rcq   *ib.CQ
 	stats Stats
 }
 
-func (b *endpointBase) HCA() *ib.HCA   { return b.hca }
+func (b *endpointBase) HCA() *ib.HCA   { return b.rails[0].hca }
 func (b *endpointBase) Design() Design { return b.cfg.Design }
 func (b *endpointBase) Stats() Stats   { return b.stats }
 
@@ -532,7 +508,6 @@ func newBase(cfg Config, hcas []*ib.HCA, w *model.Watch) *endpointBase {
 	}
 	b := &endpointBase{
 		cfg:   cfg,
-		hca:   hcas[0],
 		node:  hcas[0].Node(),
 		watch: w,
 		prm:   hcas[0].Params(),
@@ -545,9 +520,5 @@ func newBase(cfg Config, hcas []*ib.HCA, w *model.Watch) *endpointBase {
 		r.qp = h.CreateQP(r.pd, r.scq, r.rcq)
 		b.rails = append(b.rails, r)
 	}
-	b.pd = b.rails[0].pd
-	b.scq = b.rails[0].scq
-	b.rcq = b.rails[0].rcq
-	b.qp = b.rails[0].qp
 	return b
 }

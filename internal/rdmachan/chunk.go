@@ -1,6 +1,7 @@
 package rdmachan
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/des"
@@ -72,19 +73,19 @@ type rtsInfo struct {
 // encode writes r as an RTS payload for a connection of nRails rails and
 // returns its length: one key slot per stripe, or per rail when resilient.
 func (r *rtsInfo) encode(dst []byte, nRails int, resilient bool) int {
-	putLE64(dst[0:8], r.addr)
-	putLE64(dst[8:16], uint64(r.size))
+	binary.LittleEndian.PutUint64(dst[0:8], r.addr)
+	binary.LittleEndian.PutUint64(dst[8:16], uint64(r.size))
 	slots := nRails
 	if !resilient {
 		slots = (r.size-1)/r.span + 1
 	}
 	keys := dst[rtsPayloadBase:]
 	if resilient || slots > 1 {
-		putLE32(keys[0:4], uint32(r.span))
+		binary.LittleEndian.PutUint32(keys[0:4], uint32(r.span))
 		keys = keys[4:]
 	}
 	for k := 0; k < slots; k++ {
-		putLE32(keys[4*k:4*k+4], r.keys[k])
+		binary.LittleEndian.PutUint32(keys[4*k:4*k+4], r.keys[k])
 	}
 	return len(dst) - len(keys) + 4*slots
 }
@@ -100,12 +101,12 @@ func decodeRTS(pay []byte, nRails int, resilient bool) (r rtsInfo, err error) {
 		!resilient && n == rtsPayloadBase+8 { // a striped RTS has ≥ 2 stripes
 		return r, fmt.Errorf("corrupt RTS length %d", n)
 	}
-	r.addr = le64(pay[0:8])
-	r.size = int(le64(pay[8:16]))
+	r.addr = binary.LittleEndian.Uint64(pay[0:8])
+	r.size = int(binary.LittleEndian.Uint64(pay[8:16]))
 	r.span = r.size
 	keys := pay[rtsPayloadBase:]
 	if resilient || n > rtsPayloadBase+4 {
-		r.span = int(le32(keys[0:4]))
+		r.span = int(binary.LittleEndian.Uint32(keys[0:4]))
 		keys = keys[4:]
 	}
 	slots := len(keys) / 4
@@ -121,7 +122,7 @@ func decodeRTS(pay []byte, nRails int, resilient bool) (r rtsInfo, err error) {
 			r.span, stripes, r.size, slots, nRails)
 	}
 	for k := 0; k < slots; k++ {
-		if r.keys[k] = le32(keys[4*k : 4*k+4]); r.keys[k] == 0 && !resilient {
+		if r.keys[k] = binary.LittleEndian.Uint32(keys[4*k : 4*k+4]); r.keys[k] == 0 && !resilient {
 			return r, fmt.Errorf("RTS offers no key for stripe %d", k)
 		}
 	}
@@ -249,21 +250,22 @@ func (e *chunkEP) setupLocal(p *des.Proc) error {
 	// Control counters (credits, zero-copy acks) live on rail 0 only: they
 	// are cumulative, so a single strictly ordered path keeps them simple,
 	// and their 8-byte writes are noise next to the data rails.
+	r0 := &e.rails[0]
 	var err error
-	if e.creditsIn, err = newSlot8(p, e.hca, e.pd); err != nil {
+	if e.creditsIn, err = newSlot8(p, r0); err != nil {
 		return err
 	}
-	if e.zcAckIn, err = newSlot8(p, e.hca, e.pd); err != nil {
+	if e.zcAckIn, err = newSlot8(p, r0); err != nil {
 		return err
 	}
-	if e.creditOut.src, err = newSlot8(p, e.hca, e.pd); err != nil {
+	if e.creditOut.src, err = newSlot8(p, r0); err != nil {
 		return err
 	}
-	if e.zcAckOut.src, err = newSlot8(p, e.hca, e.pd); err != nil {
+	if e.zcAckOut.src, err = newSlot8(p, r0); err != nil {
 		return err
 	}
-	e.creditOut.qp = e.qp
-	e.zcAckOut.qp = e.qp
+	e.creditOut.qp = r0.qp
+	e.zcAckOut.qp = r0.qp
 	return nil
 }
 
@@ -317,7 +319,7 @@ type RawAccess interface {
 }
 
 // RawPD implements RawAccess.
-func (e *chunkEP) RawPD() *ib.PD { return e.pd }
+func (e *chunkEP) RawPD() *ib.PD { return e.rails[0].pd }
 
 // NRails implements RawAccess.
 func (e *chunkEP) NRails() int { return len(e.rails) }
@@ -465,7 +467,7 @@ func (e *chunkEP) repostChunk(p *des.Proc, seq uint64) {
 		e.err = err
 		return
 	}
-	paylen := int(le32(e.slotBytes(seq, chunkHdrSize)[8:12]))
+	paylen := int(binary.LittleEndian.Uint32(e.slotBytes(seq, chunkHdrSize)[8:12]))
 	e.postChunkOn(p, seq, paylen, k)
 	e.stats.ChunkReposts++
 }
@@ -478,10 +480,10 @@ func (e *chunkEP) slotBytes(seq uint64, n int) []byte {
 // frameChunk writes the framing around a payload of paylen bytes already
 // placed in slot, which holds exactly chunkOverhead+paylen bytes.
 func (e *chunkEP) frameChunk(slot []byte, seq uint64, ctype byte, paylen int) {
-	putLE32(slot[0:4], uint32(seq+1))
+	binary.LittleEndian.PutUint32(slot[0:4], uint32(seq+1))
 	slot[4] = ctype
-	putLE32(slot[8:12], uint32(paylen))
-	putLE32(slot[12:16], uint32(e.recvSeq)) // piggybacked credit (§4.3)
+	binary.LittleEndian.PutUint32(slot[8:12], uint32(paylen))
+	binary.LittleEndian.PutUint32(slot[12:16], uint32(e.recvSeq)) // piggybacked credit (§4.3)
 	slot[chunkHdrSize+paylen] = byte(seq + 1)
 }
 
@@ -743,7 +745,7 @@ func (e *chunkEP) IdleGet() (des.Step, bool) {
 			return des.Step{}, false
 		}
 	}
-	if le32(e.ring.Slot(int(e.recvSeq%uint64(e.nChunks)), 4)) == uint32(e.recvSeq+1) {
+	if binary.LittleEndian.Uint32(e.ring.Slot(int(e.recvSeq%uint64(e.nChunks)), 4)) == uint32(e.recvSeq+1) {
 		return des.Step{}, false
 	}
 	return e.charge(), true
@@ -798,10 +800,10 @@ func (e *chunkEP) GetCharged(p *des.Proc, bufs []Buffer) (int, error) {
 		slotIdx := int(e.recvSeq % uint64(e.nChunks))
 		slot := e.ring.Slot(slotIdx, chunkHdrSize)
 		want := uint32(e.recvSeq + 1)
-		if le32(slot[0:4]) != want {
+		if binary.LittleEndian.Uint32(slot[0:4]) != want {
 			break
 		}
-		paylen := int(le32(slot[8:12]))
+		paylen := int(binary.LittleEndian.Uint32(slot[8:12]))
 		if paylen < 0 || paylen > e.maxPayload {
 			return got, fmt.Errorf("rdmachan(%s): corrupt chunk length %d", e.cfg.Design, paylen)
 		}
@@ -810,7 +812,7 @@ func (e *chunkEP) GetCharged(p *des.Proc, bufs []Buffer) (int, error) {
 			break // trailing flag not yet written
 		}
 		// Merge the piggybacked credit (§4.3).
-		if c := uint64(le32(slot[12:16])); c > e.knownConsumed {
+		if c := uint64(binary.LittleEndian.Uint32(slot[12:16])); c > e.knownConsumed {
 			e.knownConsumed = c
 		}
 

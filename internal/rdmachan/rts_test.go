@@ -2,6 +2,7 @@ package rdmachan
 
 import (
 	"bytes"
+	"encoding/binary"
 	"strings"
 	"testing"
 
@@ -39,9 +40,9 @@ func TestZeroSizeResilientRTSFails(t *testing.T) {
 	h.eng.Spawn("sender", func(p *des.Proc) {
 		a := h.eps[0].(*chunkEP)
 		var pay [rtsPayloadBase + 8]byte // addr, size 0, span, rail 0's key
-		putLE64(pay[0:8], rb.Addr)
-		putLE32(pay[16:20], uint32(a.cfg.ChunkSize))
-		putLE32(pay[20:24], 0x8000_0001)
+		binary.LittleEndian.PutUint64(pay[0:8], rb.Addr)
+		binary.LittleEndian.PutUint32(pay[16:20], uint32(a.cfg.ChunkSize))
+		binary.LittleEndian.PutUint32(pay[20:24], 0x8000_0001)
 		a.stageChunk(a.sendSeq, chunkRTS, pay[:])
 		a.postChunk(p, a.sendSeq, len(pay))
 		a.sendSeq++
