@@ -24,13 +24,14 @@ type Conn struct {
 	// pass must report progress, or the transport would sleep on it.
 	kick bool
 
-	// Receive state machine: header, then payload.
+	// Receive state machine: header, then payload. Each descriptor is what
+	// Get has not filled yet, trimmed in place (trim).
 	rstate   int
 	rhdrBuf  transport.Buffer
 	rhdrMem  []byte
-	rhdrRem  []transport.Buffer
+	rhdrRem  [1]transport.Buffer
 	rsink    transport.Sink
-	rpayload []transport.Buffer
+	rpayload [1]transport.Buffer
 }
 
 // hdrSlot is a reusable 64-byte header staging buffer. Slots return to the
@@ -77,7 +78,7 @@ func newConn(ep rdmachan.Endpoint, raw rdmachan.RawAccess, h transport.Handler,
 	c.idle, _ = ep.(rdmachan.IdleGetter)
 	va, b := ep.HCA().Node().Mem.Alloc(hdrSize)
 	c.rhdrBuf, c.rhdrMem = transport.Buffer{Addr: va, Len: hdrSize}, b
-	c.rhdrRem = []transport.Buffer{c.rhdrBuf}
+	c.rhdrRem[0] = c.rhdrBuf
 	return c
 }
 
@@ -121,11 +122,26 @@ func (c *Conn) push(p *des.Proc, pk *packet) (done, moved bool, err error) {
 	if err != nil || n == 0 {
 		return false, false, err
 	}
-	if pk.rem = rdmachan.Advance(pk.rem, n); len(pk.rem) > 0 {
+	if pk.rem = trim(pk.rem, n); len(pk.rem) > 0 {
 		return false, true, nil
 	}
 	c.hdrPool = append(c.hdrPool, pk.slot)
 	return true, true, nil
+}
+
+// trim drops the first n bytes of bufs, shortening a partly taken head
+// buffer where it sits instead of copying the list, and returns the rest.
+func trim(bufs []transport.Buffer, n int) []transport.Buffer {
+	for n > 0 && len(bufs) > 0 {
+		if bufs[0].Len > n {
+			bufs[0].Addr += uint64(n)
+			bufs[0].Len -= n
+			return bufs
+		}
+		n -= bufs[0].Len
+		bufs = bufs[1:]
+	}
+	return bufs
 }
 
 // pump runs a whole Poll pass: an endpoint call is also the connection's
@@ -196,10 +212,10 @@ func (c *Conn) pollRecv(p *des.Proc, prog, charged bool) bool {
 		var n int
 		var err error
 		if charged {
-			n, err = c.idle.GetCharged(p, *want)
+			n, err = c.idle.GetCharged(p, want[:])
 			charged = false
 		} else {
-			n, err = c.ep.Get(p, *want)
+			n, err = c.ep.Get(p, want[:])
 		}
 		if err != nil {
 			c.onErr(errf("recv: %w", err))
@@ -214,7 +230,7 @@ func (c *Conn) pollRecv(p *des.Proc, prog, charged bool) bool {
 			return prog
 		}
 		prog = true
-		if *want = rdmachan.Advance(*want, n); len(*want) > 0 {
+		if len(trim(want[:], n)) > 0 {
 			continue
 		}
 		if c.rstate == 1 { // payload complete
@@ -226,7 +242,7 @@ func (c *Conn) pollRecv(p *des.Proc, prog, charged bool) bool {
 			}
 			continue
 		}
-		c.rhdrRem = []transport.Buffer{c.rhdrBuf}
+		c.rhdrRem[0] = c.rhdrBuf
 		h, ok := c.decode(c.rhdrMem, -1)
 		if !ok {
 			return prog
@@ -242,7 +258,7 @@ func (c *Conn) pollRecv(p *des.Proc, prog, charged bool) bool {
 			continue
 		}
 		c.rsink = sink
-		c.rpayload = []transport.Buffer{{Addr: sink.Buf.Addr, Len: h.env.Len}}
+		c.rpayload[0] = transport.Buffer{Addr: sink.Buf.Addr, Len: h.env.Len}
 		c.rstate = 1
 	}
 }

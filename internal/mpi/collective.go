@@ -49,7 +49,7 @@ type scratch struct {
 	split Buffer // Split's (color, key, counter) triple
 	table Buffer // Split's gathered triples, one per member
 
-	reqs []*Request // scattered alltoall's posted requests
+	reqs []*Request // a collective's posted requests, which finishAll waits for
 }
 
 // scratch returns an n-byte view of a lazily grown per-comm buffer slot.
@@ -58,6 +58,17 @@ func (c *Comm) scratch(slot *Buffer, n int) Buffer {
 		*slot, _ = c.Alloc(n)
 	}
 	return Slice(*slot, 0, n)
+}
+
+// finishAll waits for the requests a collective posted into its scratch
+// list, recycles them (transport.Engine.Finish) and keeps the emptied list
+// for the next call; finished requests must not outlive the call through it.
+func (c *Comm) finishAll(reqs []*Request) {
+	for _, r := range reqs {
+		c.eng.Finish(c.p, r)
+	}
+	clear(reqs)
+	c.scr.reqs = reqs
 }
 
 // Barrier blocks until all ranks arrive, through the algorithm the
@@ -92,9 +103,9 @@ func (c *Comm) flatBcast(buf Buffer, root int) {
 }
 
 // Send2/Recv2 are collective-context point-to-point helpers.
-func (c *Comm) Send2(buf Buffer, dest, tag int) { c.eng.Wait(c.p, c.isendCtx(buf, dest, tag)) }
+func (c *Comm) Send2(buf Buffer, dest, tag int) { c.eng.Finish(c.p, c.isendCtx(buf, dest, tag)) }
 func (c *Comm) Recv2(buf Buffer, src, tag int) Status {
-	return c.local(c.eng.Wait(c.p, c.irecvCtx(buf, src, tag)))
+	return c.local(c.eng.Finish(c.p, c.irecvCtx(buf, src, tag)))
 }
 
 // hierReduceCutoff is the message size at and above which the default
@@ -159,14 +170,14 @@ func (c *Comm) Gather(send, recv Buffer, root int) {
 			panic(fmt.Sprintf("mpi: Gather recv %d < %d", recv.Len, n*size))
 		}
 		copy(c.Bytes(Slice(recv, rank*n, n)), c.Bytes(send))
-		reqs := make([]*Request, 0, size-1)
+		reqs := c.scr.reqs[:0]
 		for r := 0; r < size; r++ {
 			if r == root {
 				continue
 			}
 			reqs = append(reqs, c.irecvCtx(Slice(recv, r*n, n), r, tagGather))
 		}
-		c.WaitAll(reqs...)
+		c.finishAll(reqs)
 		return
 	}
 	c.Send2(send, root, tagGather)
@@ -180,7 +191,7 @@ func (c *Comm) Scatter(send, recv Buffer, root int) {
 		if send.Len < n*size {
 			panic(fmt.Sprintf("mpi: Scatter send %d < %d", send.Len, n*size))
 		}
-		reqs := make([]*Request, 0, size-1)
+		reqs := c.scr.reqs[:0]
 		for r := 0; r < size; r++ {
 			if r == root {
 				continue
@@ -188,7 +199,7 @@ func (c *Comm) Scatter(send, recv Buffer, root int) {
 			reqs = append(reqs, c.isendCtx(Slice(send, r*n, n), r, tagScatter))
 		}
 		copy(c.Bytes(recv), c.Bytes(Slice(send, rank*n, n)))
-		c.WaitAll(reqs...)
+		c.finishAll(reqs)
 		return
 	}
 	c.Recv2(recv, root, tagScatter)
@@ -259,8 +270,8 @@ func (c *Comm) pairwise(sendBlk, recvBlk func(peer int) Buffer) {
 func (c *Comm) Sendrecv2(send Buffer, dest int, recv Buffer, src, tag int) {
 	rr := c.irecvCtx(recv, src, tag)
 	sr := c.isendCtx(send, dest, tag)
-	c.eng.Wait(c.p, sr)
-	c.eng.Wait(c.p, rr)
+	c.eng.Finish(c.p, sr)
+	c.eng.Finish(c.p, rr)
 }
 
 func offsets(counts []int) []int {

@@ -198,8 +198,8 @@ func (c *Comm) groupDissem(group []int, me, tag int) {
 	for dist := 1; dist < n; dist <<= 1 {
 		rr := c.irecvCtx(in, group[(me-dist+n)%n], tag)
 		sr := c.isendCtx(token, group[(me+dist)%n], tag)
-		c.eng.Wait(c.p, sr)
-		c.eng.Wait(c.p, rr)
+		c.eng.Finish(c.p, sr)
+		c.eng.Finish(c.p, rr)
 	}
 }
 
@@ -214,8 +214,8 @@ func (c *Comm) groupRing(group []int, me int, blk func(i int) Buffer, tag int) {
 	for step := 0; step < n-1; step++ {
 		rr := c.irecvCtx(blk((me-step-1+n)%n), left, tag)
 		sr := c.isendCtx(blk((me-step+n)%n), right, tag)
-		c.eng.Wait(c.p, sr)
-		c.eng.Wait(c.p, rr)
+		c.eng.Finish(c.p, sr)
+		c.eng.Finish(c.p, rr)
 	}
 }
 
@@ -263,14 +263,14 @@ func (c *Comm) hierAllgather(send, recv Buffer) {
 	// offsets (node blocks are contiguous; dispatch checks that).
 	if rank == lead {
 		copy(c.Bytes(Slice(recv, rank*n, n)), c.Bytes(send))
-		reqs := make([]*Request, 0, len(t.local)-1)
+		reqs := c.scr.reqs[:0]
 		for _, r := range t.local {
 			if r == lead {
 				continue
 			}
 			reqs = append(reqs, c.irecvCtx(Slice(recv, r*n, n), r, tagHGatherUp))
 		}
-		c.WaitAll(reqs...)
+		c.finishAll(reqs)
 	} else {
 		c.Send2(send, lead, tagHGatherUp)
 	}
@@ -302,14 +302,14 @@ func (c *Comm) hierBarrier() {
 		c.Send2(token, lead, tagHBarrierUp)
 	} else if len(t.local) > 1 {
 		in := c.scratch(&c.scr.in, len(t.local)-1)
-		reqs := make([]*Request, 0, len(t.local)-1)
+		reqs := c.scr.reqs[:0]
 		for i, r := range t.local {
 			if r == lead {
 				continue
 			}
 			reqs = append(reqs, c.irecvCtx(Slice(in, i-1, 1), r, tagHBarrierUp))
 		}
-		c.WaitAll(reqs...)
+		c.finishAll(reqs)
 	}
 
 	// Stage 2: dissemination among the leaders.

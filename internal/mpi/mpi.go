@@ -195,14 +195,16 @@ func (c *Comm) Irecv(buf Buffer, src, tag int) *Request {
 	return c.irecv(buf, src, tag, c.pt2pt)
 }
 
-// Send blocks until the send buffer is reusable.
+// Send blocks until the send buffer is reusable. Its request never leaves
+// the call, so the engine recycles it (transport.Engine.Finish), as it does
+// every blocking call's in this package.
 func (c *Comm) Send(buf Buffer, dest, tag int) {
-	c.eng.Wait(c.p, c.Isend(buf, dest, tag))
+	c.eng.Finish(c.p, c.Isend(buf, dest, tag))
 }
 
 // Recv blocks until a matching message has arrived.
 func (c *Comm) Recv(buf Buffer, src, tag int) Status {
-	return c.local(c.eng.Wait(c.p, c.Irecv(buf, src, tag)))
+	return c.local(c.eng.Finish(c.p, c.Irecv(buf, src, tag)))
 }
 
 // Wait blocks until req completes, driving progress. The request must
@@ -221,8 +223,8 @@ func (c *Comm) WaitAll(reqs ...*Request) {
 func (c *Comm) Sendrecv(send Buffer, dest, stag int, recv Buffer, src, rtag int) Status {
 	rr := c.Irecv(recv, src, rtag)
 	sr := c.Isend(send, dest, stag)
-	c.eng.Wait(c.p, sr)
-	return c.local(c.eng.Wait(c.p, rr))
+	c.eng.Finish(c.p, sr)
+	return c.local(c.eng.Finish(c.p, rr))
 }
 
 // isendCtx and irecvCtx run on the collective context.

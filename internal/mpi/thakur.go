@@ -61,7 +61,7 @@ const alltoallScatterCutoff = 32 << 10
 // receive in the pairwise step order, then every send, and waits once —
 // pairwise's messages, tags and bytes, with its np−1 round trips
 // overlapped instead of run in lockstep. The request list is per-comm
-// scratch.
+// scratch (finishAll).
 func (c *Comm) scatteredAlltoall(send, recv Buffer) {
 	size, rank := c.Size(), c.Rank()
 	n := send.Len / size
@@ -75,9 +75,7 @@ func (c *Comm) scatteredAlltoall(send, recv Buffer) {
 		to := (rank + step) % size
 		reqs = append(reqs, c.isendCtx(Slice(send, to*n, n), to, tagAlltoall))
 	}
-	c.WaitAll(reqs...)
-	clear(reqs) // finished requests must not outlive the call through the scratch
-	c.scr.reqs = reqs
+	c.finishAll(reqs)
 }
 
 // pof2Below returns the largest power of two ≤ n (n ≥ 1).

@@ -133,6 +133,19 @@ func Advance(bufs []Buffer, n int) []Buffer {
 	return out
 }
 
+// seek moves a walk's position in bufs (buffer bi, off bytes into it) n
+// bytes forward, past every buffer it finishes, as Advance would trim them.
+func seek(bufs []Buffer, bi, off, n int) (int, int) {
+	for n > 0 && bi < len(bufs) {
+		k := min(n, bufs[bi].Len-off)
+		n, off = n-k, off+k
+		if off == bufs[bi].Len {
+			bi, off = bi+1, 0
+		}
+	}
+	return bi, off
+}
+
 // Endpoint is one side of a connection: a bidirectional pair of byte pipes
 // (Figure 2 of the paper). All methods must be called from simulated
 // processes on the endpoint's node.

@@ -772,8 +772,11 @@ func (e *chunkEP) GetCharged(p *des.Proc, bufs []Buffer) (int, error) {
 	}
 	e.drainCQ(p)
 
-	got := 0
+	// The walk over bufs is a position — buffer bi, off bytes into it — and
+	// the bytes left: bufs is the caller's, who trims it by what Get returns.
+	got, bi, off := 0, 0, 0
 	ws := Total(bufs)
+	left := ws
 
 	// Finish an in-flight zero-copy receive: the striped RDMA reads
 	// scattered the payload directly into the user buffer (the mover counted
@@ -791,12 +794,13 @@ func (e *chunkEP) GetCharged(p *des.Proc, bufs []Buffer) (int, error) {
 		e.zcCompleted++
 		e.zcAckOut.write(p, e.zcCompleted)
 		got += e.zcRecvSize
-		bufs = Advance(bufs, e.zcRecvSize)
+		bi, off = seek(bufs, bi, off, e.zcRecvSize)
+		left -= e.zcRecvSize
 		e.zcRecvActive, e.zcRecvDone = false, false
 	}
 
 	copied := 0
-	for Total(bufs) > 0 {
+	for left > 0 {
 		slotIdx := int(e.recvSeq % uint64(e.nChunks))
 		slot := e.ring.Slot(slotIdx, chunkHdrSize)
 		want := uint32(e.recvSeq + 1)
@@ -820,11 +824,8 @@ func (e *chunkEP) GetCharged(p *des.Proc, bufs []Buffer) (int, error) {
 		case chunkData:
 			pay := slot[chunkHdrSize+e.chunkOff : chunkHdrSize+paylen]
 			m := 0
-			for _, b := range bufs {
-				if m >= len(pay) {
-					break
-				}
-				dst, err := e.resolve(b)
+			for i, o := bi, off; i < len(bufs) && m < len(pay); i, o = i+1, 0 {
+				dst, err := e.resolve(Buffer{Addr: bufs[i].Addr + uint64(o), Len: bufs[i].Len - o})
 				if err != nil {
 					return got, fmt.Errorf("rdmachan(%s): get: %w", e.cfg.Design, err)
 				}
@@ -832,7 +833,8 @@ func (e *chunkEP) GetCharged(p *des.Proc, bufs []Buffer) (int, error) {
 			}
 			copied += m
 			got += m
-			bufs = Advance(bufs, m)
+			left -= m
+			bi, off = seek(bufs, bi, off, m)
 			e.chunkOff += m
 			if e.chunkOff == paylen {
 				e.chunkOff = 0
@@ -846,9 +848,9 @@ func (e *chunkEP) GetCharged(p *des.Proc, bufs []Buffer) (int, error) {
 			if err != nil {
 				return got, fmt.Errorf("rdmachan(zerocopy): %w", err)
 			}
-			if len(bufs) == 0 || bufs[0].Len < r.size {
+			if bi == len(bufs) || bufs[bi].Len-off < r.size {
 				return got, fmt.Errorf("rdmachan(zerocopy): target buffer %d < message %d",
-					Total(bufs), r.size)
+					left, r.size)
 			}
 			// Candidate rails are those the sender offered a key for — on a
 			// resilient connection, those of them still alive here. A plain
@@ -866,7 +868,7 @@ func (e *chunkEP) GetCharged(p *des.Proc, bufs []Buffer) (int, error) {
 			}
 			e.advanceChunk(p)
 			if err := e.mover.Post(p, &Move{
-				Op: ib.OpRDMARead, Local: bufs[0].Addr, Remote: r.addr, Size: r.size,
+				Op: ib.OpRDMARead, Local: bufs[bi].Addr + uint64(off), Remote: r.addr, Size: r.size,
 				Keys: r.keys, Rails: cands, Unit: r.span, Counted: true, Owner: e,
 			}); err != nil {
 				return got, err

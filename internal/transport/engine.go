@@ -23,39 +23,53 @@ type Status struct {
 	Len    int
 }
 
-// Request is an MPI request handle.
+// Request is an MPI request handle. The engine keeps the ones it made on a
+// free list (Finish): a request started by a blocking call, whose handle
+// never leaves the caller, goes back there once its wait has returned, so a
+// steady-state message takes no request from the heap. A handle Isend or
+// Irecv hands to the user is never recycled: the user may read it at any
+// time after.
 type Request struct {
-	done   bool
-	status Status
+	done bool
+	free bool // on the engine's free list
+
+	// What the request was started with: the destination or source (maybe
+	// AnySource), tag, context and a receive's buffer; a receive's matched
+	// envelope, its status.
+	peer, tag, ctx int32
+	buf            Buffer
+	env            Envelope
+
+	// onDone is the completion callback endpoints are handed, bound once
+	// when the request is made.
+	onDone func(p *des.Proc)
 }
 
 // Done reports completion.
 func (r *Request) Done() bool { return r.done }
 
 // Status returns the receive status (valid once done).
-func (r *Request) Status() Status { return r.status }
+func (r *Request) Status() Status { return Status{Source: r.env.Src, Tag: r.env.Tag, Len: r.env.Len} }
 
-// postedRecv is an entry of the posted receive queue.
-type postedRecv struct {
-	src, tag, ctx int32
-	buf           Buffer
-	req           *Request
-}
-
-// uqEntry is an entry of the unexpected queue.
+// uqEntry is an entry of the unexpected queue, recycled once its message
+// has gone to a receive.
 type uqEntry struct {
 	env Envelope
 
 	// Eager: payload lands (or is landing) in tmp.
 	tmp      Buffer
 	complete bool
-	waiter   *postedRecv // receive matched while payload still arriving
+	waiter   *Request // receive matched while payload still arriving
 
 	// Rendezvous: accept when the receive posts — on the endpoint the RTS
 	// arrived on, which with wildcards is the only record of the peer.
 	rndvEP Endpoint
 	rndvID uint64
 	isRndv bool
+
+	// landed is the eager payload's Sink.Done, bound once when the entry
+	// is made.
+	landed func(p *des.Proc)
 }
 
 // Engine is one rank's progress engine: the single posted/unexpected queue
@@ -102,8 +116,12 @@ type Engine struct {
 	// connection on a pool re-polling it.
 	shared []func(p *des.Proc) bool
 
-	prq []*postedRecv
+	prq []*Request // posted receives
 	uq  []*uqEntry
+
+	// Recycled requests and unexpected entries (Request, Finish).
+	freeReqs []*Request
+	freeUQ   []*uqEntry
 
 	// Drained unexpected-message buffers, by size class (scratchClass).
 	// model.Memory never frees, so without recycling every early sender
@@ -267,11 +285,11 @@ func (e *Engine) check() {
 // eagerly.
 func (e *Engine) Isend(p *des.Proc, dest, tag, ctx int32, buf Buffer) *Request {
 	e.check()
-	req := &Request{}
+	req := e.newRequest(dest, tag, ctx, Buffer{})
 	env := Envelope{Src: e.rank, Tag: tag, Ctx: ctx, Len: buf.Len}
 	if dest == e.rank {
 		e.sendSelf(p, env, buf)
-		req.done = true
+		e.complete(req)
 		return req
 	}
 	ep := e.Endpoint(dest)
@@ -284,6 +302,27 @@ func (e *Engine) Isend(p *des.Proc, dest, tag, ctx int32, buf Buffer) *Request {
 	}
 	e.dispatchSend(p, ep, env, buf, req)
 	return req
+}
+
+// newRequest takes a request from the free list, or makes one with its
+// completion bound, and starts it toward or from peer.
+func (e *Engine) newRequest(peer, tag, ctx int32, buf Buffer) *Request {
+	var r *Request
+	if n := len(e.freeReqs); n > 0 {
+		r, e.freeReqs = e.freeReqs[n-1], e.freeReqs[:n-1]
+		*r = Request{onDone: r.onDone}
+	} else {
+		r = &Request{}
+		r.onDone = func(*des.Proc) { e.complete(r) }
+	}
+	r.peer, r.tag, r.ctx, r.buf = peer, tag, ctx, buf
+	return r
+}
+
+// complete finishes r.
+func (e *Engine) complete(r *Request) {
+	e.checkRequest(r, false)
+	r.done = true
 }
 
 // sendSelf delivers a message to this rank as one local copy, charged to
@@ -301,59 +340,98 @@ func (e *Engine) sendSelf(p *des.Proc, env Envelope, buf Buffer) {
 // dispatchSend picks the protocol — the engine's decision, not the
 // endpoint's — and hands the message to the endpoint.
 func (e *Engine) dispatchSend(p *des.Proc, ep Endpoint, env Envelope, buf Buffer, req *Request) {
-	done := func(*des.Proc) { req.done = true }
 	if th := ep.RendezvousThreshold(); th > 0 && buf.Len >= th {
-		ep.SendRendezvous(p, env, buf, done)
+		ep.SendRendezvous(p, env, buf, req.onDone)
 	} else {
-		ep.SendEager(p, env, buf, done)
+		ep.SendEager(p, env, buf, req.onDone)
 	}
 }
 
 // Irecv starts a non-blocking receive into buf from src (or AnySource)
-// with tag (or AnyTag) in context ctx.
+// with tag (or AnyTag) in context ctx. The request is the posted-queue
+// entry.
 func (e *Engine) Irecv(p *des.Proc, src, tag, ctx int32, buf Buffer) *Request {
 	e.check()
-	req := &Request{}
-	pr := &postedRecv{src: src, tag: tag, ctx: ctx, buf: buf, req: req}
+	req := e.newRequest(src, tag, ctx, buf)
 
 	// Check the unexpected queue first.
 	for i, ue := range e.uq {
-		if !matches(pr, ue.env) {
+		if !matches(req, ue.env) {
 			continue
 		}
 		e.uq = append(e.uq[:i], e.uq[i+1:]...)
-		if ue.isRndv {
+		req.env = ue.env
+		switch {
+		case ue.isRndv:
 			// Answer the rendezvous now; the payload moves straight into
 			// the user buffer (no copy) over the endpoint that announced it.
-			e.checkFit(ue.env, pr)
-			ue.rndvEP.AcceptRendezvous(p, ue.rndvID, Buffer{Addr: buf.Addr, Len: ue.env.Len},
-				func(p *des.Proc) { completeRecv(req, ue.env) })
-			return req
+			e.checkFit(req)
+			ue.rndvEP.AcceptRendezvous(p, ue.rndvID, Buffer{Addr: buf.Addr, Len: ue.env.Len}, req.onDone)
+			e.recycleUQ(ue)
+		case ue.complete:
+			e.copyUnexpected(p, ue, req)
+			e.complete(req)
+			e.recycleUQ(ue)
+		default:
+			// Payload still streaming into the unexpected buffer: hand over.
+			ue.waiter = req
 		}
-		if ue.complete {
-			e.copyUnexpected(p, ue, pr)
-			completeRecv(req, ue.env)
-			return req
-		}
-		// Payload still streaming into the unexpected buffer: hand over.
-		ue.waiter = pr
 		return req
 	}
-	e.prq = append(e.prq, pr)
+	e.prq = append(e.prq, req)
 	return req
 }
 
-// copyUnexpected moves a buffered unexpected payload to the user buffer,
-// charging the extra copy the eager protocol pays for early senders, and
-// recycles the drained scratch buffer.
-func (e *Engine) copyUnexpected(p *des.Proc, ue *uqEntry, pr *postedRecv) {
+// Finish waits for req like Wait, then puts it back on the engine's free
+// list. Only the caller that started req finishes it, and only when the
+// handle dies with the call — a blocking send or receive, or a list of
+// requests a collective waits for — so no one reads it again.
+func (e *Engine) Finish(p *des.Proc, req *Request) Status {
+	st := e.Wait(p, req)
+	req.free = true
+	e.freeReqs = append(e.freeReqs, req)
+	return st
+}
+
+// newUQ takes an unexpected entry from the free list, or makes one with its
+// payload callback bound, for a message with envelope env.
+func (e *Engine) newUQ(env Envelope) *uqEntry {
+	var ue *uqEntry
+	if n := len(e.freeUQ); n > 0 {
+		ue, e.freeUQ = e.freeUQ[n-1], e.freeUQ[:n-1]
+	} else {
+		ue = &uqEntry{}
+		ue.landed = func(p *des.Proc) {
+			ue.complete = true
+			if r := ue.waiter; r != nil { // a receive matched while it streamed in
+				e.copyUnexpected(p, ue, r)
+				e.complete(r)
+				e.recycleUQ(ue)
+			}
+		}
+	}
+	ue.env = env
+	return ue
+}
+
+// recycleUQ puts an unexpected entry whose message a receive has taken on
+// the free list.
+func (e *Engine) recycleUQ(ue *uqEntry) {
+	*ue = uqEntry{landed: ue.landed}
+	e.freeUQ = append(e.freeUQ, ue)
+}
+
+// copyUnexpected moves a buffered unexpected payload to the buffer of r,
+// the receive it matched, charging the extra copy the eager protocol pays
+// for early senders, and recycles the drained scratch buffer.
+func (e *Engine) copyUnexpected(p *des.Proc, ue *uqEntry, r *Request) {
 	n := ue.env.Len
 	if n == 0 {
 		return
 	}
-	e.checkFit(ue.env, pr)
+	e.checkFit(r)
 	src := e.node.Mem.MustResolve(ue.tmp.Addr, n)
-	dst := e.node.Mem.MustResolve(pr.buf.Addr, n)
+	dst := e.node.Mem.MustResolve(r.buf.Addr, n)
 	copy(dst, src)
 	e.node.Bus.Memcpy(p, n, n)
 	c := scratchClass(n)
@@ -382,65 +460,55 @@ func (e *Engine) allocScratch(n int) Buffer {
 	return Buffer{Addr: va, Len: n}
 }
 
-// checkFit fails the engine when a message would truncate into its
-// receive buffer.
-func (e *Engine) checkFit(env Envelope, pr *postedRecv) {
-	if env.Len > pr.buf.Len {
+// checkFit fails the engine when the message a receive matched would
+// truncate into its buffer.
+func (e *Engine) checkFit(r *Request) {
+	if r.env.Len > r.buf.Len {
 		e.Fail(fmt.Errorf("transport: message of %d bytes truncated into %d-byte receive",
-			env.Len, pr.buf.Len))
+			r.env.Len, r.buf.Len))
 		e.check()
 	}
 }
 
-func completeRecv(req *Request, env Envelope) {
-	req.status = Status{Source: env.Src, Tag: env.Tag, Len: env.Len}
-	req.done = true
-}
-
-func matches(pr *postedRecv, env Envelope) bool {
-	if pr.ctx != env.Ctx {
+func matches(r *Request, env Envelope) bool {
+	if r.ctx != env.Ctx {
 		return false
 	}
-	if pr.src != AnySource && pr.src != env.Src {
+	if r.peer != AnySource && r.peer != env.Src {
 		return false
 	}
-	if pr.tag != AnyTag && pr.tag != env.Tag {
+	if r.tag != AnyTag && r.tag != env.Tag {
 		return false
 	}
 	return true
 }
 
-// ArriveEager implements Handler.
-func (e *Engine) ArriveEager(p *des.Proc, env Envelope) Sink {
-	for i, pr := range e.prq {
-		if !matches(pr, env) {
-			continue
-		}
-		e.prq = append(e.prq[:i], e.prq[i+1:]...)
-		e.checkFit(env, pr)
-		req := pr.req
-		return Sink{
-			Buf:  pr.buf,
-			Done: func(*des.Proc) { completeRecv(req, env) },
+// takePosted removes the first posted receive env matches from the queue
+// and returns it with env recorded; nil when none matches.
+func (e *Engine) takePosted(env Envelope) *Request {
+	for i, r := range e.prq {
+		if matches(r, env) {
+			e.prq = append(e.prq[:i], e.prq[i+1:]...)
+			r.env = env
+			e.checkFit(r)
+			return r
 		}
 	}
+	return nil
+}
+
+// ArriveEager implements Handler.
+func (e *Engine) ArriveEager(p *des.Proc, env Envelope) Sink {
+	if r := e.takePosted(env); r != nil {
+		return Sink{Buf: r.buf, Done: r.onDone}
+	}
 	// Unexpected: land in a scratch buffer; a later receive copies it out.
-	ue := &uqEntry{env: env}
+	ue := e.newUQ(env)
 	if env.Len > 0 {
 		ue.tmp = e.allocScratch(env.Len)
 	}
 	e.uq = append(e.uq, ue)
-	eng := e
-	return Sink{
-		Buf: ue.tmp,
-		Done: func(p *des.Proc) {
-			ue.complete = true
-			if ue.waiter != nil {
-				eng.copyUnexpected(p, ue, ue.waiter)
-				completeRecv(ue.waiter.req, env)
-			}
-		},
-	}
+	return Sink{Buf: ue.tmp, Done: ue.landed}
 }
 
 // ArriveRTS implements Handler: a rendezvous announcement matches a posted
@@ -448,18 +516,13 @@ func (e *Engine) ArriveEager(p *des.Proc, env Envelope) Sink {
 // any payload. The accepting call always goes back to ep, the endpoint the
 // announcement arrived on.
 func (e *Engine) ArriveRTS(p *des.Proc, env Envelope, ep Endpoint, id uint64) {
-	for i, pr := range e.prq {
-		if !matches(pr, env) {
-			continue
-		}
-		e.prq = append(e.prq[:i], e.prq[i+1:]...)
-		e.checkFit(env, pr)
-		req := pr.req
-		ep.AcceptRendezvous(p, id, Buffer{Addr: pr.buf.Addr, Len: env.Len},
-			func(*des.Proc) { completeRecv(req, env) })
+	if r := e.takePosted(env); r != nil {
+		ep.AcceptRendezvous(p, id, Buffer{Addr: r.buf.Addr, Len: env.Len}, r.onDone)
 		return
 	}
-	e.uq = append(e.uq, &uqEntry{env: env, isRndv: true, rndvEP: ep, rndvID: id})
+	ue := e.newUQ(env)
+	ue.isRndv, ue.rndvEP, ue.rndvID = true, ep, id
+	e.uq = append(e.uq, ue)
 }
 
 // idlePoller is implemented by endpoints that can tell when a Poll issued
@@ -639,12 +702,13 @@ func (e *Engine) answer(k int) idleAnswer {
 
 // Wait blocks until the request completes, driving progress.
 func (e *Engine) Wait(p *des.Proc, req *Request) Status {
+	e.checkRequest(req, true)
 	for !req.done {
 		e.Progress(p, true)
 	}
 	e.woke = false
 	e.check()
-	return req.status
+	return req.Status()
 }
 
 // ProgressUntil drives progress until done reports true. Reaping a

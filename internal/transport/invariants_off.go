@@ -2,12 +2,13 @@
 
 package transport
 
-// The progress pass's contract checks; the invariants build
-// (invariants_on.go) makes them panic on a broken promise.
+// The progress pass's and the request lifecycle's contract checks; the
+// invariants build (invariants_on.go) makes them panic on a broken promise.
 
 const invariants = false
 
-func (e *Engine) checkHeld(int) {}
+func (e *Engine) checkHeld(int)               {}
+func (e *Engine) checkRequest(*Request, bool) {}
 
 type parkCheck struct{}
 

@@ -8,9 +8,10 @@ import (
 	"repro/internal/model"
 )
 
-// The -tags invariants build checks two promises the progress loop trusts
-// instead of looking (DESIGN.md §18). A broken promise is a silent wrong
-// schedule or hang in the default build; here it panics.
+// The -tags invariants build checks three promises the engine trusts
+// instead of looking (DESIGN.md §18, §12 "Live heap"). A broken promise is a
+// silent wrong schedule, hang or crossed request in the default build; here
+// it panics.
 //
 //   - An answer held by a slot, free or charged, is what the endpoint would
 //     answer now. Every pass walks its slots, even one with none to visit,
@@ -19,7 +20,26 @@ import (
 //     notification of one watch of the node, each rank parked on another,
 //     still unwoken, must owe nothing to it: no slot touched since it
 //     parked, no fulfilled dial waiting, every held answer current.
+//   - A request completes once per use (exactly-once at the engine): never
+//     when it is already done, and neither completed nor waited on while it
+//     sits on the free list, where a second completion of a recycled
+//     request would finish another message's.
 const invariants = true
+
+// checkRequest runs as r completes, or with wait as a wait on it starts.
+func (e *Engine) checkRequest(r *Request, wait bool) {
+	what := "completed twice"
+	switch {
+	case r.free && wait:
+		what = "waited on while on the free list"
+	case r.free:
+		what = "completed while on the free list"
+	case !r.done || wait:
+		return
+	}
+	panic(fmt.Sprintf("transport: rank %d: request (peer %d, tag %d, ctx %d) %s",
+		e.rank, r.peer, r.tag, r.ctx, what))
+}
 
 // checkHeld re-asks the endpoint of active slot k, whose held answer the
 // pass is about to use.
