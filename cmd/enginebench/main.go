@@ -33,6 +33,7 @@ import (
 	"runtime/debug"
 
 	"repro/internal/bench"
+	"repro/internal/des"
 	"repro/internal/nas"
 )
 
@@ -94,6 +95,11 @@ func run() int {
 			k := r.ByKind
 			fmt.Printf("  by kind: self-wake=%d switch=%d task-step=%d func=%d stale=%d (cut-off chain wakes, not counted: %d); live heap %d B/rank\n",
 				k.SelfWake, k.Switch, k.TaskStep, k.Func, k.Stale, k.CutOff, r.HeapPerRank)
+			fmt.Printf("  switch by site:")
+			for s := des.Site(0); s < des.NumSites; s++ {
+				fmt.Printf(" %s=%d", s, r.SwitchBySite[s.String()])
+			}
+			fmt.Println()
 			fmt.Printf("  progress: passes=%d endpoint-polls=%d (%d moved something) idle-asks=%d wakes=%d (%d empty)\n",
 				r.Progress.Passes, r.Progress.Polls, r.Progress.PollHits, r.Progress.IdleAsks,
 				r.Progress.Wakes, r.Progress.EmptyWakes)

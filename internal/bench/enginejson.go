@@ -9,6 +9,7 @@ package bench
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"runtime"
 	"strconv"
 	"strings"
@@ -26,7 +27,8 @@ import (
 // is always "calendar", the name of a pending-event queue the engine no
 // longer has (it holds one event heap), and stays because readers of the
 // committed file select rows by it. Events, Fingerprint, SimSeconds and
-// Verified are simulated results — deterministic, compared exactly.
+// Verified are simulated results — deterministic, compared exactly, as are
+// the harness's own deterministic counts, ByKind and Progress.
 // WallSeconds and the two derived rates are harness measurements —
 // machine-dependent, compared within a tolerance. With Repeats > 1 the
 // wall figures are the fastest of the repeats (the least-noise estimator);
@@ -49,12 +51,14 @@ type EngineRun struct {
 	WallPerSimSec float64 `json:"wall_per_simulated_sec"`
 	Repeats       int     `json:"repeats"`
 
-	// Reported, not compared: Events by what each dispatch cost the harness,
-	// the heap still live when the kernel returns (after a GC, cluster not
-	// yet closed) per rank, and the progress loops' own work.
-	ByKind      *des.EventCounts         `json:"events_by_kind,omitempty"`
-	HeapPerRank uint64                   `json:"heap_live_bytes_per_rank,omitempty"`
-	Progress    *transport.ProgressStats `json:"progress,omitempty"`
+	// Compared exactly: Events by what each dispatch cost the harness, and
+	// the progress loops' own work. Reported, not compared: the switches by
+	// the site the resumed process paused at, and the heap still live when
+	// the kernel returns (after a GC, cluster not yet closed) per rank.
+	ByKind       *des.EventCounts         `json:"events_by_kind,omitempty"`
+	SwitchBySite map[string]uint64        `json:"switch_by_site,omitempty"`
+	HeapPerRank  uint64                   `json:"heap_live_bytes_per_rank,omitempty"`
+	Progress     *transport.ProgressStats `json:"progress,omitempty"`
 }
 
 // key identifies a run for baseline matching. Serial rows written before
@@ -80,7 +84,27 @@ func (r EngineRun) diff(b EngineRun) []string {
 	add("fp", r.Fingerprint, b.Fingerprint)
 	add("sim", r.SimSeconds, b.SimSeconds)
 	add("verified", r.Verified, b.Verified)
+	diffFields(add, "events_by_kind", r.ByKind, b.ByKind)
+	diffFields(add, "progress", r.Progress, b.Progress)
 	return lines
+}
+
+// diffFields compares two pointers to structs of counters field by field
+// through add, naming each field group.json_key; a nil pointer reads as all
+// zeros.
+func diffFields[T any](add func(name string, cur, base any), group string, cur, base *T) {
+	var zero T
+	if cur == nil {
+		cur = &zero
+	}
+	if base == nil {
+		base = &zero
+	}
+	c, b := reflect.ValueOf(cur).Elem(), reflect.ValueOf(base).Elem()
+	for i := 0; i < c.NumField(); i++ {
+		key, _, _ := strings.Cut(c.Type().Field(i).Tag.Get("json"), ",")
+		add(group+"."+key, c.Field(i).Interface(), b.Field(i).Interface())
+	}
 }
 
 func (r EngineRun) wall() (float64, string) {
@@ -94,8 +118,9 @@ func (r EngineRun) wall() (float64, string) {
 // shard-count-invariant by construction — the determinism suites prove
 // fingerprint equality against serial — so a sharded row diverging from a
 // serial baseline row's simulated results is a bug, not a measurement. It
-// panics if the simulated results differ between repeats: that is a
-// determinism bug, and recording either value would be wrong.
+// panics if the simulated results or the compared counts differ between
+// repeats: that is a determinism bug, and recording either value would be
+// wrong.
 func MeasureEngine(benchName string, class nas.Class, np, repeats, shards int) EngineRun {
 	if repeats < 1 {
 		repeats = 1
@@ -108,17 +133,22 @@ func MeasureEngine(benchName string, class nas.Class, np, repeats, shards int) E
 		Queue: "calendar", Shards: shards, Repeats: repeats,
 	}
 	for i := 0; i < repeats; i++ {
-		kinds, prog, heap, fp, sim, wall, setup, verified := measureEngineOnce(benchName, class, np, shards)
+		kinds, sites, prog, heap, fp, sim, wall, setup, verified := measureEngineOnce(benchName, class, np, shards)
 		events := kinds.Total()
 		if i == 0 {
 			run.ByKind, run.Progress, run.HeapPerRank = &kinds, &prog, heap
+			run.SwitchBySite = make(map[string]uint64, len(sites))
+			for s, n := range sites {
+				run.SwitchBySite[des.Site(s).String()] = n
+			}
 			run.Events, run.Fingerprint, run.SimSeconds, run.Verified = events, fp, sim, verified
 			run.WallSeconds, run.SetupSeconds = wall, setup
 			continue
 		}
-		if events != run.Events || fp != run.Fingerprint || sim != run.SimSeconds || verified != run.Verified {
-			panic(fmt.Sprintf("bench: %s repeat %d diverged from repeat 0: events %d vs %d, fp %s vs %s",
-				run.key(), i, events, run.Events, fp, run.Fingerprint))
+		if events != run.Events || fp != run.Fingerprint || sim != run.SimSeconds || verified != run.Verified ||
+			kinds != *run.ByKind || prog != *run.Progress {
+			panic(fmt.Sprintf("bench: %s repeat %d diverged from repeat 0: events %d vs %d, fp %s vs %s, by kind %+v vs %+v, progress %+v vs %+v",
+				run.key(), i, events, run.Events, fp, run.Fingerprint, kinds, *run.ByKind, prog, *run.Progress))
 		}
 		if wall < run.WallSeconds {
 			run.WallSeconds = wall
@@ -142,7 +172,8 @@ func MeasureEngine(benchName string, class nas.Class, np, repeats, shards int) E
 // events/sec figure. Construction is timed separately into setupSec — the
 // other scalability axis (the satellite on cluster-construction cost).
 func measureEngineOnce(benchName string, class nas.Class, np, shards int) (
-	events des.EventCounts, prog transport.ProgressStats, heapPerRank uint64, fp string, simSec, wallSec, setupSec float64, verified bool) {
+	events des.EventCounts, sites des.SiteCounts, prog transport.ProgressStats, heapPerRank uint64,
+	fp string, simSec, wallSec, setupSec float64, verified bool) {
 	setupStart := time.Now()
 	c := cluster.MustNew(cluster.Config{
 		NP:          np,
@@ -154,11 +185,15 @@ func measureEngineOnce(benchName string, class nas.Class, np, shards int) (
 	setupSec = time.Since(setupStart).Seconds()
 	defer c.Close()
 	c.Eng.EnableTrace()
-	ev0, sim0 := c.Eng.EventCounts(), c.Now()
+	ev0, sites0, sim0 := c.Eng.EventCounts(), c.Eng.SwitchesBySite(), c.Now()
 	start := time.Now()
 	res := nas.RunOn(c, benchName, class)
 	wallSec = time.Since(start).Seconds()
 	events, prog = c.Eng.EventCounts().Sub(ev0), c.ProgressStats()
+	sites = c.Eng.SwitchesBySite()
+	for s := range sites {
+		sites[s] -= sites0[s]
+	}
 	simSec = (c.Now() - sim0).Seconds()
 	fp = fmt.Sprintf("%016x", c.Eng.TraceFingerprint())
 	verified = res.Verified

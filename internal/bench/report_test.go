@@ -3,7 +3,9 @@ package bench
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -130,6 +132,50 @@ func TestEngineLegacyRowAliasesSerial(t *testing.T) {
 	base.Runs = []EngineRun{engRun(0, 1000)}
 	if errs := cur.compare(base, 0.15); len(errs) != 0 {
 		t.Errorf("shards=1 row should match a legacy pre-shard baseline row: %v", errs)
+	}
+}
+
+// TestEngineCountsGated: the harness's own deterministic counts are exact
+// fields. A committed row against a copy of itself with one events_by_kind
+// field edited fails the gate on that field alone, naming both values; a
+// progress field is gated the same way.
+func TestEngineCountsGated(t *testing.T) {
+	committed, err := readReport[EngineRun](filepath.Join("..", "..", "BENCH_engine.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur := NewReport[EngineRun]()
+	cur.Runs = committed.Runs[:1]
+	row := cur.Runs[0]
+	if row.ByKind == nil || row.Progress == nil {
+		t.Fatalf("committed row %s records no counts", row.key())
+	}
+	edited := func(edit func(r *EngineRun)) *Report[EngineRun] {
+		kinds, prog := *row.ByKind, *row.Progress
+		r := row
+		r.ByKind, r.Progress = &kinds, &prog
+		edit(&r)
+		base := NewReport[EngineRun]()
+		base.Runs = []EngineRun{r}
+		return base
+	}
+	for _, tc := range []struct {
+		edit func(r *EngineRun)
+		want string
+	}{
+		{func(r *EngineRun) { r.ByKind.Switch++ },
+			fmt.Sprintf("events_by_kind.switch %d, baseline %d", row.ByKind.Switch, row.ByKind.Switch+1)},
+		{func(r *EngineRun) { r.Progress.Passes-- },
+			fmt.Sprintf("progress.passes %d, baseline %d", row.Progress.Passes, row.Progress.Passes-1)},
+	} {
+		errs := cur.compare(edited(tc.edit), math.Inf(1))
+		if len(errs) != 1 || !strings.Contains(errs[0].Error(), "diverge from baseline:\n  "+tc.want) ||
+			strings.Count(errs[0].Error(), "\n") != 1 {
+			t.Errorf("want one divergence, %q alone; got %v", tc.want, errs)
+		}
+	}
+	if errs := cur.compare(edited(func(*EngineRun) {}), math.Inf(1)); len(errs) != 0 {
+		t.Errorf("an unedited copy fails the gate: %v", errs)
 	}
 }
 

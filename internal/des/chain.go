@@ -41,7 +41,7 @@ func (t *Task) SleepStep(s Step) {
 	s.check()
 	p, e := (*Proc)(t), t.eng
 	p.wakeKeyed(e.now+s.D, hopKey(e.execCtx().childKey(), s.Hops-1), false)
-	p.park("sleep")
+	p.park(siteSleep)
 }
 
 // midStep reports whether a dispatched task wake is a hop inside a step
@@ -74,7 +74,7 @@ func (p *Proc) SleepChain(steps []Step) int {
 	}
 	p.chainLen = len(steps)
 	p.wakeKeyed(at, key, true)
-	p.pause("sleep chain")
+	p.pause(siteSleepChain)
 	n := len(c.steps)
 	c.steps = nil
 	p.chainLen = 0

@@ -35,6 +35,7 @@ type Engine struct {
 	down      bool
 	panicV    interface{}
 	n         EventCounts // events dispatched, by kind
+	sw        SiteCounts  // coroutine switches, by the site the resumed process paused at
 
 	// Lineage keys (the sharded engine's deterministic merge rule, DESIGN.md
 	// §13): every event carries a key derived from the key of the event
@@ -75,6 +76,27 @@ type EventCounts struct {
 	CutOff   uint64 `json:"cut_off"`   // superseded chain wakes, dropped unaccounted: not in Total
 }
 
+// Site is where a process paused: the label of its line in a deadlock
+// report, and the bucket that the switch resuming it is counted under.
+type Site uint8
+
+const (
+	siteStart Site = iota
+	siteSleep
+	siteSleepChain
+	siteCondWait
+	siteAcquire
+	NumSites
+)
+
+var siteNames = [NumSites]string{"start", "sleep", "sleep chain", "cond.Wait", "resource.Acquire"}
+
+// String is the site's label in deadlock reports.
+func (s Site) String() string { return siteNames[s] }
+
+// SiteCounts is a count per Site.
+type SiteCounts [NumSites]uint64
+
 // Total is EventsExecuted: every accounted dispatch.
 func (c EventCounts) Total() uint64 {
 	return c.SelfWake + c.Switch + c.TaskStep + c.Func + c.Stale
@@ -93,6 +115,22 @@ func (e *Engine) EventCounts() EventCounts {
 		return g.eventCounts()
 	}
 	return e.n
+}
+
+// SwitchesBySite returns the coroutine switches (EventCounts.Switch) by the
+// site the resumed process had paused at. On the global engine of a Group
+// it sums over every member.
+func (e *Engine) SwitchesBySite() SiteCounts {
+	if g := e.group; g != nil && e == g.global {
+		return g.switchesBySite()
+	}
+	return e.sw
+}
+
+// countSwitch counts the coroutine switch that resumes p.
+func (e *Engine) countSwitch(p *Proc) {
+	e.n.Switch++
+	e.sw[p.where]++
 }
 
 // timeMax is the Run deadline: dispatch everything.
@@ -364,7 +402,7 @@ func (e *Engine) runDriver() {
 	var ev event
 	for !e.stopped && e.q.popLE(e.deadline, &ev) {
 		if p := e.fire(&ev); p != nil {
-			e.n.Switch++
+			e.countSwitch(p)
 			e.resume(p)
 		}
 	}
@@ -409,7 +447,7 @@ func (e *Engine) runOn(p *Proc) {
 			e.n.SelfWake++
 			return
 		} else if next != nil {
-			e.n.Switch++
+			e.countSwitch(next)
 			break
 		}
 	}
@@ -494,7 +532,7 @@ type Proc struct {
 	dead    bool
 	daemon  bool
 	waiting bool
-	where   string // block site label for deadlock reports
+	where   Site   // where the process is blocked
 	gen     uint64 // pause generation; stale wakeups are dropped
 
 	chain    chainState // the SleepChain in progress, if any (chain.go)
@@ -529,7 +567,7 @@ func (e *Engine) spawn(name string, body func(p *Proc), daemon bool, key uint64)
 }
 
 func (e *Engine) spawnProc(p *Proc, key uint64) *Proc {
-	p.eng, p.waiting, p.where = e, true, "start"
+	p.eng, p.waiting, p.where = e, true, siteStart
 	if !p.daemon {
 		e.alive++
 	}
@@ -578,9 +616,9 @@ func (e *Engine) addProc(p *Proc) {
 }
 
 // pause blocks the process until a wakeup targeting this pause generation
-// fires. where labels the block site for deadlock reports. It is park and
-// Block without Block's loop: every process switch comes through here.
-func (p *Proc) pause(where string) {
+// fires. where labels the block site. It is park and Block without Block's
+// loop: every process switch comes through here.
+func (p *Proc) pause(where Site) {
 	p.park(where)
 	p.eng.runOn(p)
 	p.waiting = false
@@ -607,7 +645,7 @@ func (p *Proc) Task() *Task { return (*Task)(p) }
 
 // park marks the process blocked at where; the next wakeup bound to this
 // pause generation resumes it.
-func (p *Proc) park(where string) {
+func (p *Proc) park(where Site) {
 	p.where = where
 	p.waiting = true
 }
@@ -661,7 +699,7 @@ func (p *Proc) sleepKeyed(at Time, key uint64) {
 	e := p.eng
 	if !e.wakesSelf(at, key) {
 		p.wakeKeyed(at, key, false)
-		p.pause("sleep")
+		p.pause(siteSleep)
 		return
 	}
 	e.seq++

@@ -280,7 +280,7 @@ func (g *Group) fusedInstant(T Time) {
 		p := x.fire(&ev)
 		instMax = x.instMax
 		if p != nil {
-			x.n.Switch++
+			x.countSwitch(p)
 			x.resume(p)
 		}
 		x.reraise()
@@ -377,6 +377,17 @@ func (g *Group) eventCounts() EventCounts {
 		n.Func += e.n.Func
 		n.Stale += e.n.Stale
 		n.CutOff += e.n.CutOff
+	}
+	return n
+}
+
+// switchesBySite sums coroutine switches by site across members.
+func (g *Group) switchesBySite() SiteCounts {
+	var n SiteCounts
+	for _, e := range g.all {
+		for s, c := range e.sw {
+			n[s] += c
+		}
 	}
 	return n
 }

@@ -13,7 +13,7 @@ type Cond struct {
 // Wait blocks p until another process calls Signal or Broadcast.
 func (c *Cond) Wait(p *Proc) {
 	c.waiters = append(c.waiters, p)
-	p.pause("cond.Wait")
+	p.pause(siteCondWait)
 }
 
 // Signal wakes the longest-waiting process, if any. The wakeup is scheduled

@@ -57,13 +57,13 @@ func (t *Task) Sleep(d Time) {
 	}
 	p := (*Proc)(t)
 	p.wake(p.eng.now + d)
-	p.park("sleep")
+	p.park(siteSleep)
 }
 
 // WaitTask parks t until another process or task calls Signal or Broadcast.
 func (c *Cond) WaitTask(t *Task) {
 	c.waiters = append(c.waiters, (*Proc)(t))
-	(*Proc)(t).park("cond.Wait")
+	(*Proc)(t).park(siteCondWait)
 }
 
 // GetTask dequeues an item if one is available; otherwise it parks t until
@@ -101,6 +101,6 @@ func (r *Resource) AcquireTask(t *Task, n int) bool {
 		r.admitNext()
 		return true
 	}
-	p.park("resource.Acquire")
+	p.park(siteAcquire)
 	return false
 }
