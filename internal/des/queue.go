@@ -1,5 +1,7 @@
 package des
 
+import "math/bits"
+
 // The engine's pending-event set is one implicit 4-ary min-heap over the
 // exact (at, key, seq) total order. Its entries are 32-byte values with no
 // pointers in them, so a sift moves plain words under no write barrier; what
@@ -68,6 +70,17 @@ func (a *entry) before(b *entry) bool {
 		return a.key < b.key
 	}
 	return a.seq < b.seq
+}
+
+// less is before as a 0 or 1 with no branch: the borrow out of the 192-bit
+// subtraction (at, key, seq) − (at, key, seq), the time word's sign bit
+// flipped so that unsigned order is signed order. Keys and times at one
+// instant are random words, so a branch on their compare is a coin flip.
+func less(a, b *entry) int {
+	_, c := bits.Sub64(a.seq, b.seq, 0)
+	_, c = bits.Sub64(a.key, b.key, c)
+	_, c = bits.Sub64(uint64(a.at)^1<<63, uint64(b.at)^1<<63, c)
+	return int(c)
 }
 
 // slot is what a pending event runs. A free slot holds no handler; its arg
@@ -153,10 +166,20 @@ func (q *eventHeap) popLE(max Time, ev *event) bool {
 		if first >= n {
 			break
 		}
-		best := first
-		for c := first + 1; c < first+4 && c < n; c++ {
-			if ents[c].before(&ents[best]) {
-				best = c
+		var best int
+		if first+4 <= n {
+			// A full group: a tournament of three compares whose outcomes
+			// pick the least child by arithmetic, not by jumps.
+			g := ents[first : first+4 : first+4]
+			a := less(&g[1], &g[0])
+			b := 2 + less(&g[3], &g[2])
+			best = first + (a ^ (a^b)&-less(&g[b&3], &g[a&3]))
+		} else {
+			best = first
+			for c := first + 1; c < n; c++ {
+				if ents[c].before(&ents[best]) {
+					best = c
+				}
 			}
 		}
 		if !ents[best].before(&last) {

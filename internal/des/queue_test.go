@@ -2,6 +2,7 @@ package des
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -105,14 +106,28 @@ const (
 // (sparse regions) or up to an hour later (far-future timers), under random
 // keys or under a handful of colliding small ones, so that the seq tiebreak
 // is exercised. Four times per script comes an np = 4096-shaped burst: 2 048
-// same-instant events under random keys, a collective's fan-out.
+// same-instant events under random keys, a collective's fan-out. Sixteen
+// times comes a smaller same-instant burst of 4k−1, 4k or 4k+1 events in
+// turn, so that pops sift through full child groups, end in a partial last
+// group and stop early at every heap size around a multiple of four.
 func makeScript(seed int64, n int) []queueOp {
 	rng := rand.New(rand.NewSource(seed))
-	ops := make([]queueOp, 0, n+4*2048)
-	for i := 0; i < n; i++ {
+	ops := make([]queueOp, 0, n+4*2048+16*257)
+	for i, bursts := 0, 0; i < n; i++ {
 		if i%(n/4) == n/8 {
 			for j := 0; j < 2048; j++ {
 				ops = append(ops, queueOp{kind: opPush, key: rng.Uint64()})
+			}
+		}
+		if i%(n/16) == n/32 {
+			size := 4*(1+rng.Intn(64)) - 1 + bursts%3
+			bursts++
+			for j := 0; j < size; j++ {
+				op := queueOp{kind: opPush, key: rng.Uint64()}
+				if rng.Intn(4) == 0 {
+					op.key = uint64(rng.Intn(3))
+				}
+				ops = append(ops, op)
 			}
 		}
 		switch r := rng.Intn(6); {
@@ -206,6 +221,35 @@ func TestQueueKindsIdenticalOrder(t *testing.T) {
 				t.Fatalf("seed %d: observation %d pops %+v after the clock reached %v", seed, i, ev, now)
 			}
 			now = ev.at
+		}
+	}
+}
+
+// TestLessIsBefore pins the branch-free comparison that picks the least of
+// a full child group against the oracle's order on boundary triples: the
+// extreme and sign-crossing times, the extreme keys, equal (at, key) where
+// seq alone decides, and identical entries, which do not compare less.
+func TestLessIsBefore(t *testing.T) {
+	var table []entry
+	for _, at := range []Time{0, 1, -1, math.MaxInt64, math.MinInt64} {
+		for _, key := range []uint64{0, 1, math.MaxUint64} {
+			for _, seq := range []uint64{0, 1, math.MaxUint64} {
+				table = append(table, entry{at: at, key: key, seq: seq})
+			}
+		}
+	}
+	for _, a := range table {
+		for _, b := range table {
+			want := 0
+			if precedes(a, b) {
+				want = 1
+			}
+			if got := less(&a, &b); got != want {
+				t.Errorf("less(%+v, %+v) = %d, want %d", a, b, got, want)
+			}
+			if a.before(&b) != precedes(a, b) {
+				t.Errorf("before(%+v, %+v) = %v, oracle says %v", a, b, a.before(&b), precedes(a, b))
+			}
 		}
 	}
 }
@@ -413,8 +457,10 @@ func TestProcsCompaction(t *testing.T) {
 // BenchmarkEngineScheduleDispatch measures the schedule+dispatch hot loop
 // at a standing population of 2 (a ping-pong's pending set), 64 (a
 // collective's) and 4096 (an np = 4096 burst's): every dispatch schedules
-// one replacement a few ns ahead. ReportAllocs pins the zero
-// steady-state allocation property the pooled design exists for.
+// one replacement a few ns ahead. burst256 is NAS CG.S at np = 256 (DESIGN.md
+// §12): 256 events on one instant under random lineage keys, each
+// dispatch scheduling its successor one tick later. ReportAllocs pins the
+// zero steady-state allocation property the pooled design exists for.
 func BenchmarkEngineScheduleDispatch(b *testing.B) {
 	for _, pop := range []int{2, 64, 4096} {
 		b.Run(fmt.Sprint(pop), func(b *testing.B) {
@@ -435,6 +481,23 @@ func BenchmarkEngineScheduleDispatch(b *testing.B) {
 			e.Run()
 		})
 	}
+	b.Run("burst256", func(b *testing.B) {
+		e := NewEngine()
+		n := 0
+		var fn func()
+		fn = func() {
+			if n < b.N {
+				n++
+				e.Schedule(e.now+1, fn)
+			}
+		}
+		for i := 0; i < 256; i++ {
+			e.ScheduleSeeded(Salt(uint64(i)), 0, fn)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		e.Run()
+	})
 }
 
 // BenchmarkProcHandoff measures one simulated blocking point on the
