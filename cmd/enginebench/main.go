@@ -16,13 +16,13 @@
 //	enginebench -np 1024 -shards 1,4 -out BENCH_engine.json -merge # both rows
 //	enginebench -np 1024 -cpuprofile cpu.prof              # profile the run
 //
-// In comparison mode the simulated metrics must match the baseline
-// exactly — a mismatch means the simulation changed, which is never a
-// mere performance regression — and wall-clock-per-simulated-second may
-// not regress beyond -tolerance. A measured row missing from the
-// baseline also fails: new np/shards combinations are admitted
-// deliberately with -out -merge, never silently. Exits non-zero on any
-// violation.
+// In comparison mode the simulated metrics and the harness's own counts
+// (events by kind, progress) must match the baseline exactly — a mismatch
+// means the simulation changed, which is never a mere performance
+// regression — and wall-clock-per-simulated-second may not regress beyond
+// -tolerance. A measured row missing from the baseline also fails: new
+// np/shards combinations are admitted deliberately with -out -merge, never
+// silently. Exits non-zero on any violation.
 package main
 
 import (

@@ -112,7 +112,7 @@ const (
 // group and stop early at every heap size around a multiple of four.
 func makeScript(seed int64, n int) []queueOp {
 	rng := rand.New(rand.NewSource(seed))
-	ops := make([]queueOp, 0, n+4*2048+16*257)
+	ops := make([]queueOp, 0, n+4*2048+16*65)
 	for i, bursts := 0, 0; i < n; i++ {
 		if i%(n/4) == n/8 {
 			for j := 0; j < 2048; j++ {
@@ -120,7 +120,7 @@ func makeScript(seed int64, n int) []queueOp {
 			}
 		}
 		if i%(n/16) == n/32 {
-			size := 4*(1+rng.Intn(64)) - 1 + bursts%3
+			size := 4*(1+rng.Intn(16)) - 1 + bursts%3
 			bursts++
 			for j := 0; j < size; j++ {
 				op := queueOp{kind: opPush, key: rng.Uint64()}
