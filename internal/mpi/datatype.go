@@ -46,13 +46,13 @@ func reduce(dst, src []byte, dt Datatype, op Op) {
 	switch dt {
 	case Byte:
 		for i := range dst {
-			dst[i] = reduceByte(dst[i], src[i], op)
+			dst[i] = reduceOrdered(dst[i], src[i], op)
 		}
 	case Int64:
 		for i := 0; i+8 <= len(dst); i += 8 {
 			a := int64(binary.LittleEndian.Uint64(dst[i:]))
 			b := int64(binary.LittleEndian.Uint64(src[i:]))
-			binary.LittleEndian.PutUint64(dst[i:], uint64(reduceInt64(a, b, op)))
+			binary.LittleEndian.PutUint64(dst[i:], uint64(reduceOrdered(a, b, op)))
 		}
 	case Float64:
 		for i := 0; i+8 <= len(dst); i += 8 {
@@ -64,54 +64,19 @@ func reduce(dst, src []byte, dt Datatype, op Op) {
 		for i := 0; i+4 <= len(dst); i += 4 {
 			a := int32(binary.LittleEndian.Uint32(dst[i:]))
 			b := int32(binary.LittleEndian.Uint32(src[i:]))
-			binary.LittleEndian.PutUint32(dst[i:], uint32(reduceInt64(int64(a), int64(b), op)))
+			binary.LittleEndian.PutUint32(dst[i:], uint32(reduceOrdered(int64(a), int64(b), op)))
 		}
 	case Float32:
 		for i := 0; i+4 <= len(dst); i += 4 {
 			a := math.Float32frombits(binary.LittleEndian.Uint32(dst[i:]))
 			b := math.Float32frombits(binary.LittleEndian.Uint32(src[i:]))
-			binary.LittleEndian.PutUint32(dst[i:], math.Float32bits(reduceFloat32(a, b, op)))
+			binary.LittleEndian.PutUint32(dst[i:], math.Float32bits(reduceOrdered(a, b, op)))
 		}
 	}
 }
 
-func reduceFloat32(a, b float32, op Op) float32 {
-	switch op {
-	case Sum:
-		return a + b
-	case Max:
-		if a > b {
-			return a
-		}
-		return b
-	case Min:
-		if a < b {
-			return a
-		}
-		return b
-	}
-	panic("mpi: unknown op")
-}
-
-func reduceByte(a, b byte, op Op) byte {
-	switch op {
-	case Sum:
-		return a + b
-	case Max:
-		if a > b {
-			return a
-		}
-		return b
-	case Min:
-		if a < b {
-			return a
-		}
-		return b
-	}
-	panic("mpi: unknown op")
-}
-
-func reduceInt64(a, b int64, op Op) int64 {
+// reduceOrdered is a ⊕ b for the integer and float32 element types.
+func reduceOrdered[T byte | int64 | float32](a, b T, op Op) T {
 	switch op {
 	case Sum:
 		return a + b

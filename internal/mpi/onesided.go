@@ -152,30 +152,21 @@ func (w *Win) complete(_ *des.Proc, cqe ib.CQE) {
 // Put writes local into the target rank's window at byte offset off —
 // one RDMA write, no target CPU.
 func (w *Win) Put(local Buffer, target, off int) error {
-	p := w.peers[target]
-	if p.raw == nil {
-		return fmt.Errorf("mpi: Put to self or unconnected rank %d", target)
-	}
-	mr, _, err := p.raw.RailRegCache(0).Register(w.comm.p, local.Addr, local.Len)
-	if err != nil {
-		return err
-	}
-	defer release(w, p, mr)
-	p.raw.RailQP(0).PostSend(w.comm.p, ib.SendWR{
-		WRID: p.wrid, Op: ib.OpRDMAWrite, Signaled: true,
-		SGL:        []ib.SGE{{Addr: local.Addr, Len: local.Len, LKey: mr.LKey()}},
-		RemoteAddr: p.rAddr + uint64(off), RKey: p.rKey,
-	})
-	w.outstanding++
-	return nil
+	return w.rdma(ib.OpRDMAWrite, "Put to", local, target, off)
 }
 
 // Get reads from the target rank's window at byte offset off into local —
 // one RDMA read.
 func (w *Win) Get(local Buffer, target, off int) error {
+	return w.rdma(ib.OpRDMARead, "Get from", local, target, off)
+}
+
+// rdma posts one signaled RDMA op between local and the target's window at
+// byte offset off; what names the call in the error.
+func (w *Win) rdma(op ib.Opcode, what string, local Buffer, target, off int) error {
 	p := w.peers[target]
 	if p.raw == nil {
-		return fmt.Errorf("mpi: Get from self or unconnected rank %d", target)
+		return fmt.Errorf("mpi: %s self or unconnected rank %d", what, target)
 	}
 	mr, _, err := p.raw.RailRegCache(0).Register(w.comm.p, local.Addr, local.Len)
 	if err != nil {
@@ -183,7 +174,7 @@ func (w *Win) Get(local Buffer, target, off int) error {
 	}
 	defer release(w, p, mr)
 	p.raw.RailQP(0).PostSend(w.comm.p, ib.SendWR{
-		WRID: p.wrid, Op: ib.OpRDMARead, Signaled: true,
+		WRID: p.wrid, Op: op, Signaled: true,
 		SGL:        []ib.SGE{{Addr: local.Addr, Len: local.Len, LKey: mr.LKey()}},
 		RemoteAddr: p.rAddr + uint64(off), RKey: p.rKey,
 	})

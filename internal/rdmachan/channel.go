@@ -398,27 +398,17 @@ func NewConnectionRails(p *des.Proc, cfg Config, ra, rb []*ib.HCA, wa, wb *model
 }
 
 // PutAll drives Put until every byte of bufs is accepted.
-func PutAll(p *des.Proc, e Endpoint, bufs []Buffer) error {
-	for len(bufs) > 0 {
-		seq := e.EventSeq()
-		n, err := e.Put(p, bufs)
-		if err != nil {
-			return err
-		}
-		if n == 0 {
-			e.WaitEventSince(p, seq)
-			continue
-		}
-		bufs = Advance(bufs, n)
-	}
-	return nil
-}
+func PutAll(p *des.Proc, e Endpoint, bufs []Buffer) error { return drive(p, e, bufs, e.Put) }
 
 // GetAll drives Get until bufs is completely filled.
-func GetAll(p *des.Proc, e Endpoint, bufs []Buffer) error {
+func GetAll(p *des.Proc, e Endpoint, bufs []Buffer) error { return drive(p, e, bufs, e.Get) }
+
+// drive calls op, e's Put or Get, until bufs is done, waiting for e's next
+// event whenever a call moves nothing.
+func drive(p *des.Proc, e Endpoint, bufs []Buffer, op func(*des.Proc, []Buffer) (int, error)) error {
 	for len(bufs) > 0 {
 		seq := e.EventSeq()
-		n, err := e.Get(p, bufs)
+		n, err := op(p, bufs)
 		if err != nil {
 			return err
 		}
