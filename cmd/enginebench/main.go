@@ -100,9 +100,13 @@ func run() int {
 				fmt.Printf(" %s=%d", s, r.SwitchBySite[s.String()])
 			}
 			fmt.Println()
-			fmt.Printf("  progress: passes=%d endpoint-polls=%d (%d moved something) idle-asks=%d wakes=%d (%d empty)\n",
+			fmt.Printf("  progress: passes=%d endpoint-polls=%d (%d moved something) idle-asks=%d wakes=%d (%d empty)",
 				r.Progress.Passes, r.Progress.Polls, r.Progress.PollHits, r.Progress.IdleAsks,
 				r.Progress.Wakes, r.Progress.EmptyWakes)
+			if w := r.Windows; r.Shards > 1 {
+				fmt.Printf("; windows=%d fused=%d workers=%d parks=%d", w.Windows, w.Fused, w.Workers, w.Parks)
+			}
+			fmt.Println()
 		}
 	}
 	return rep.Finish(*out, *merge, *compare, *tolerance)

@@ -59,6 +59,10 @@ type EngineRun struct {
 	SwitchBySite map[string]uint64        `json:"switch_by_site,omitempty"`
 	HeapPerRank  uint64                   `json:"heap_live_bytes_per_rank,omitempty"`
 	Progress     *transport.ProgressStats `json:"progress,omitempty"`
+
+	// Printed, never recorded: a sharded run's window machinery, the first
+	// repeat's. Parks depend on the host.
+	Windows des.WindowStats `json:"-"`
 }
 
 // key identifies a run for baseline matching. Serial rows written before
@@ -133,10 +137,10 @@ func MeasureEngine(benchName string, class nas.Class, np, repeats, shards int) E
 		Queue: "calendar", Shards: shards, Repeats: repeats,
 	}
 	for i := 0; i < repeats; i++ {
-		kinds, sites, prog, heap, fp, sim, wall, setup, verified := measureEngineOnce(benchName, class, np, shards)
+		kinds, sites, prog, win, heap, fp, sim, wall, setup, verified := measureEngineOnce(benchName, class, np, shards)
 		events := kinds.Total()
 		if i == 0 {
-			run.ByKind, run.Progress, run.HeapPerRank = &kinds, &prog, heap
+			run.ByKind, run.Progress, run.Windows, run.HeapPerRank = &kinds, &prog, win, heap
 			run.SwitchBySite = make(map[string]uint64, len(sites))
 			for s, n := range sites {
 				run.SwitchBySite[des.Site(s).String()] = n
@@ -172,7 +176,7 @@ func MeasureEngine(benchName string, class nas.Class, np, repeats, shards int) E
 // events/sec figure. Construction is timed separately into setupSec — the
 // other scalability axis (the satellite on cluster-construction cost).
 func measureEngineOnce(benchName string, class nas.Class, np, shards int) (
-	events des.EventCounts, sites des.SiteCounts, prog transport.ProgressStats, heapPerRank uint64,
+	events des.EventCounts, sites des.SiteCounts, prog transport.ProgressStats, win des.WindowStats, heapPerRank uint64,
 	fp string, simSec, wallSec, setupSec float64, verified bool) {
 	setupStart := time.Now()
 	c := cluster.MustNew(cluster.Config{
@@ -185,11 +189,11 @@ func measureEngineOnce(benchName string, class nas.Class, np, shards int) (
 	setupSec = time.Since(setupStart).Seconds()
 	defer c.Close()
 	c.Eng.EnableTrace()
-	ev0, sites0, sim0 := c.Eng.EventCounts(), c.Eng.SwitchesBySite(), c.Now()
+	ev0, sites0, win0, sim0 := c.Eng.EventCounts(), c.Eng.SwitchesBySite(), c.Eng.WindowStats(), c.Now()
 	start := time.Now()
 	res := nas.RunOn(c, benchName, class)
 	wallSec = time.Since(start).Seconds()
-	events, prog = c.Eng.EventCounts().Sub(ev0), c.ProgressStats()
+	events, prog, win = c.Eng.EventCounts().Sub(ev0), c.ProgressStats(), c.Eng.WindowStats().Sub(win0)
 	sites = c.Eng.SwitchesBySite()
 	for s := range sites {
 		sites[s] -= sites0[s]

@@ -130,7 +130,7 @@ type Config struct {
 	// have a single owning engine (determinism; DESIGN.md §14).
 	Switch *switchfab.Config
 
-	// Shards partitions the simulation across OS threads: nodes are
+	// Shards partitions the simulation for parallel execution: nodes are
 	// assigned to this many shard engines in contiguous blocks, each shard
 	// running its own event queue and dispatch driver, synchronized by
 	// conservative lookahead windows derived from Params.WireLatency

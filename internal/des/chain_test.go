@@ -293,7 +293,7 @@ func TestDeadlockReportLabelsChain(t *testing.T) {
 		p.SleepChain(steps)
 	})
 	e.RunUntil(15)
-	if rep := e.deadlockReport(); !contains(rep, "poller") || !contains(rep, "31 steps") {
+	if rep := deadlockReport(e); !contains(rep, "poller") || !contains(rep, "31 steps") {
 		t.Errorf("report %q does not label the chained process with its step count", rep)
 	}
 	e.Run()

@@ -201,7 +201,7 @@ func NewEngine() *Engine {
 }
 
 // Sharded reports whether this engine is a member of a Group, i.e. other
-// engines may run concurrently on other OS threads. Model state that can
+// engines may run concurrently on other goroutines. Model state that can
 // be reached from a remote shard must lock exactly when this is true —
 // under a lone serial engine the baton-passing dispatch already orders
 // every access, and the locks would be pure hot-path overhead.
@@ -470,7 +470,7 @@ func (e *Engine) Run() {
 	e.deadline = timeMax
 	e.runDriver()
 	if !e.stopped && e.alive > 0 {
-		panic("des: deadlock: " + e.deadlockReport())
+		panic("des: deadlock: " + deadlockReport(e))
 	}
 }
 
@@ -488,17 +488,22 @@ func (e *Engine) RunUntil(deadline Time) {
 	e.advance(deadline)
 }
 
-func (e *Engine) deadlockReport() string {
+// deadlockReport names the blocked processes of the engines: one engine, or
+// every member of a Group.
+func deadlockReport(engines ...*Engine) string {
 	var names []string
-	for _, p := range e.procs {
-		if p.daemon || p.dead || !p.waiting {
-			continue
+	alive := 0
+	for _, e := range engines {
+		alive += e.alive
+		for _, p := range e.procs {
+			if !p.daemon && !p.dead && p.waiting {
+				names = append(names, p.blockSite())
+			}
 		}
-		names = append(names, p.blockSite())
 	}
 	sort.Strings(names)
 	if len(names) == 0 {
-		return fmt.Sprintf("%d process(es) alive but none blocked on a kernel primitive", e.alive)
+		return fmt.Sprintf("%d process(es) alive but none blocked on a kernel primitive", alive)
 	}
 	return fmt.Sprintf("%d process(es) blocked: %s", len(names), strings.Join(names, ", "))
 }

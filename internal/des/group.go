@@ -2,7 +2,8 @@ package des
 
 // Sharded execution (DESIGN.md §13). A Group partitions a simulation across
 // N shard engines — each with its own event queue and baton-passing driver,
-// run on its own goroutine — plus one serialized "global" engine for
+// shard 0 driven by the coordinator and every other shard by a worker
+// goroutine that lives for the run — plus one serialized "global" engine for
 // cross-shard control work (connection managers, setup). Shards run
 // conservatively in lockstep windows [T, T+lookahead): the fabric guarantees
 // no event crosses shards faster than the lookahead (WireLatency), so
@@ -22,10 +23,11 @@ package des
 // bit-identical to the single-engine run at any shard count.
 
 import (
-	"fmt"
+	"runtime"
 	"sort"
-	"strings"
 	"sync"
+	"sync/atomic"
+	"time"
 )
 
 // boxEvent is one cross-engine deposit: a timed handler call carrying the
@@ -61,17 +63,6 @@ func (m *mailbox) take() []boxEvent {
 	return evs
 }
 
-// ctlReq is a deposited control call: host-level work (a connection dial)
-// requested from a shard's dispatch but executed in the serialized global
-// phase at the instant it was requested. The body must use only seeded
-// primitives (SpawnSeeded, ScheduleSeeded) so its effects order identically
-// to the serial engine's inline execution.
-type ctlReq struct {
-	at  Time
-	key uint64
-	fn  func()
-}
-
 // Group is a set of shard engines plus a global engine coordinated by
 // conservative-lookahead windows. Build the simulation against the member
 // engines, then drive the whole group through the global engine's Run /
@@ -87,11 +78,97 @@ type Group struct {
 	// run in parallel (each driver then is its own context).
 	cur *Engine
 
-	ctlMu sync.Mutex
-	ctls  []ctlReq
+	// ctls holds deposited control calls: host-level work (a connection
+	// dial) requested from a shard's dispatch but executed in the serialized
+	// global phase at the instant it was requested. The body must use only
+	// seeded primitives (SpawnSeeded, ScheduleSeeded) so its effects order
+	// identically to the serial engine's inline execution.
+	ctls mailbox
 
 	fpOn bool
 	fp   uint64 // merged-order fingerprint over all member schedules
+
+	// The window machinery: one worker per shard after the first, started
+	// by a run's first window and joined before the run returns.
+	workers []worker
+	live    bool          // the workers' goroutines are running
+	horizon Time          // the posted window's end H; 0 posts a quit
+	spin    time.Duration // spinBudget; a test sets 0 to park at every handoff
+	panics  []any
+	wg      sync.WaitGroup
+	stats   WindowStats   // all but Parks
+	parks   atomic.Uint64 // WindowStats.Parks, counted on both sides
+}
+
+// WindowStats counts a Group's window machinery over its life.
+type WindowStats struct {
+	Windows uint64 // parallel shard windows
+	Fused   uint64 // fused instants
+	Workers uint64 // worker goroutines started
+	Parks   uint64 // handoff waits that outlasted the spin and parked
+}
+
+// Sub returns the counts since an earlier reading o.
+func (c WindowStats) Sub(o WindowStats) WindowStats {
+	return WindowStats{c.Windows - o.Windows, c.Fused - o.Fused, c.Workers - o.Workers, c.Parks - o.Parks}
+}
+
+// WindowStats reports the window machinery of the Group this is the global
+// engine of; an engine outside a Group has none.
+func (e *Engine) WindowStats() WindowStats {
+	if g := e.group; g != nil && e == g.global {
+		st := g.stats
+		st.Parks = g.parks.Load()
+		return st
+	}
+	return WindowStats{}
+}
+
+// worker is the handoff with one shard worker: start counts the windows
+// posted to it, done the windows it has finished.
+type worker struct{ start, done signal }
+
+// spinBudget is how long a handoff wait spins before it parks. A shard
+// window of the NAS CG np=256 shards=2 kernel almost always returns within
+// it; a park costs an OS wake-up of tens of µs.
+const spinBudget = time.Millisecond
+
+// signal hands a count from one poster to one waiter without the OS
+// scheduler: the waiter spins, yielding its P, for up to the group's spin,
+// then parks on a one-token channel. It raises sleep before it looks at gen
+// a last time, and the poster looks at sleep after it bumps gen, so one of
+// the two sees the other: no post is lost.
+type signal struct {
+	gen   atomic.Uint64
+	sleep atomic.Bool
+	wake  chan struct{}
+}
+
+func (s *signal) post() {
+	s.gen.Add(1)
+	if s.sleep.Load() && s.sleep.CompareAndSwap(true, false) {
+		s.wake <- struct{}{}
+	}
+}
+
+// wait returns once gen has reached n, reading the clock every 16th yield.
+// A token can be a late one from the previous post, so a woken waiter
+// looks again.
+func (s *signal) wait(n uint64, g *Group) {
+	var t0 time.Time
+	for i := 0; s.gen.Load() < n; i++ {
+		if i == 0 {
+			t0 = time.Now()
+		} else if i%16 != 1 || time.Since(t0) < g.spin {
+			runtime.Gosched()
+		} else {
+			g.parks.Add(1)
+			s.sleep.Store(true)
+			if s.gen.Load() < n || !s.sleep.CompareAndSwap(true, false) {
+				<-s.wake
+			}
+		}
+	}
 }
 
 // NewGroup builds a group of shards shard engines and one global engine
@@ -104,7 +181,7 @@ func NewGroup(shards int, lookahead Time) *Group {
 	if lookahead <= 0 {
 		panic("des: NewGroup needs a positive lookahead")
 	}
-	g := &Group{look: lookahead}
+	g := &Group{look: lookahead, spin: spinBudget}
 	for i := 0; i < shards; i++ {
 		e := NewEngine()
 		e.group, e.groupIdx = g, i
@@ -113,6 +190,12 @@ func NewGroup(shards int, lookahead Time) *Group {
 	g.global = NewEngine()
 	g.global.group, g.global.groupIdx = g, shards
 	g.all = append(append([]*Engine{}, g.shards...), g.global)
+	g.workers = make([]worker, shards-1)
+	for i := range g.workers {
+		w := &g.workers[i]
+		w.start.wake, w.done.wake = make(chan struct{}, 1), make(chan struct{}, 1)
+	}
+	g.panics = make([]any, shards)
 	return g
 }
 
@@ -138,15 +221,14 @@ func (e *Engine) CtlCall(local bool, fn func()) {
 		fn()
 		return
 	}
-	g.ctlMu.Lock()
-	g.ctls = append(g.ctls, ctlReq{at: src.now, key: key, fn: fn})
-	g.ctlMu.Unlock()
+	g.ctls.put(boxEvent{at: src.now, key: key, h: Func(fn)})
 }
 
 // run is the coordinator loop: alternate serialized "fused" instants (any
 // time the global engine has work at the group minimum T) with parallel
 // shard windows [T, H), H = min(T+lookahead, next global event, deadline+1).
 func (g *Group) run(deadline Time) {
+	defer g.stopWorkers() // also when a window or a fused instant panics
 	for {
 		g.drainDeposits()
 		g.drainCtls()
@@ -159,6 +241,7 @@ func (g *Group) run(deadline Time) {
 		}
 		g.mergeFp(T)
 		if gt, has := g.global.q.next(); has && gt == T {
+			g.stats.Fused++
 			g.fusedInstant(T)
 			continue
 		}
@@ -178,7 +261,7 @@ func (g *Group) run(deadline Time) {
 			alive += e.alive
 		}
 		if alive > 0 {
-			panic("des: deadlock: " + g.deadlockReport())
+			panic("des: deadlock: " + deadlockReport(g.all...))
 		}
 		// The run stops where the serial engine's one clock would: at the last
 		// event dispatched anywhere. A member left behind at its own last event
@@ -208,10 +291,7 @@ func (g *Group) drainDeposits() {
 // pending call predates the next barrier's window, so executing them all
 // here preserves causality.
 func (g *Group) drainCtls() {
-	g.ctlMu.Lock()
-	ctls := g.ctls
-	g.ctls = nil
-	g.ctlMu.Unlock()
+	ctls := g.ctls.take()
 	if len(ctls) == 0 {
 		return
 	}
@@ -225,8 +305,9 @@ func (g *Group) drainCtls() {
 		g.global.advance(c.at)
 		g.global.curBase = mixKey(c.key, 0)
 		g.global.childIdx = 0
-		c.fn()
+		c.h.Handle(c.arg)
 	}
+	clear(ctls) // the closures are done with
 }
 
 // minNext returns the earliest pending timestamp across all member queues.
@@ -288,34 +369,78 @@ func (g *Group) fusedInstant(T Time) {
 }
 
 // runWindow runs every shard with pending work before H concurrently up to
-// (not including) H. The lookahead bound makes the shards independent over
-// the window; a panicking shard is re-raised after all drivers return.
+// (not including) H: shard 0 on the coordinator, the others on their
+// workers. The lookahead bound makes the shards independent over the
+// window; panics are re-raised in shard order after every shard returns.
 func (g *Group) runWindow(H Time) {
-	var wg sync.WaitGroup
-	panics := make([]interface{}, len(g.shards))
-	for i, s := range g.shards {
-		if n, ok := s.q.next(); !ok || n >= H {
-			continue
+	if !g.live {
+		g.live = true
+		g.stats.Workers += uint64(len(g.workers))
+		for i := range g.workers {
+			g.wg.Add(1)
+			go g.work(i+1, g.workers[i].start.gen.Load())
 		}
-		wg.Add(1)
-		go func(i int, s *Engine) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					panics[i] = r
-				}
-			}()
-			s.deadline = H - 1
-			s.stopped = false
-			s.runDriver()
-		}(i, s)
 	}
-	wg.Wait()
-	for _, r := range panics {
+	g.stats.Windows++
+	g.horizon = H
+	for i := range g.workers {
+		if n, ok := g.shards[i+1].q.next(); ok && n < H {
+			g.workers[i].start.post()
+		}
+	}
+	if n, ok := g.shards[0].q.next(); ok && n < H {
+		g.panics[0] = g.window(g.shards[0])
+	}
+	for i := range g.workers {
+		w := &g.workers[i]
+		w.done.wait(w.start.gen.Load(), g)
+	}
+	for i, r := range g.panics {
 		if r != nil {
+			clear(g.panics[i:])
 			panic(r)
 		}
 	}
+}
+
+// window runs shard s's driver up to the posted horizon and returns what it
+// panicked with, if anything.
+func (g *Group) window(s *Engine) (r any) {
+	defer func() { r = recover() }()
+	s.deadline = g.horizon - 1
+	s.stopped = false
+	s.runDriver()
+	return nil
+}
+
+// work is shard i's worker: it runs each window posted after the first n,
+// and reports it done, until a quit.
+func (g *Group) work(i int, n uint64) {
+	defer g.wg.Done()
+	w := &g.workers[i-1]
+	for {
+		n++
+		w.start.wait(n, g)
+		if g.horizon == 0 {
+			w.done.post()
+			return
+		}
+		g.panics[i] = g.window(g.shards[i])
+		w.done.post()
+	}
+}
+
+// stopWorkers posts a quit to every worker and joins them.
+func (g *Group) stopWorkers() {
+	if !g.live {
+		return
+	}
+	g.horizon = 0
+	for i := range g.workers {
+		g.workers[i].start.post()
+	}
+	g.wg.Wait()
+	g.live = false
 }
 
 // enableTrace turns on group-wide schedule fingerprinting. Members buffer
@@ -410,27 +535,5 @@ func (g *Group) shutdown() {
 		e.mbox.take()
 		e.fpBuf, e.fpHead = nil, 0
 	}
-	g.ctlMu.Lock()
-	g.ctls = nil
-	g.ctlMu.Unlock()
-}
-
-// deadlockReport merges the blocked-process reports of every member.
-func (g *Group) deadlockReport() string {
-	var names []string
-	alive := 0
-	for _, e := range g.all {
-		alive += e.alive
-		for _, p := range e.procs {
-			if p.daemon || p.dead || !p.waiting {
-				continue
-			}
-			names = append(names, p.blockSite())
-		}
-	}
-	sort.Strings(names)
-	if len(names) == 0 {
-		return fmt.Sprintf("%d process(es) alive but none blocked on a kernel primitive", alive)
-	}
-	return fmt.Sprintf("%d process(es) blocked: %s", len(names), strings.Join(names, ", "))
+	g.ctls.take()
 }

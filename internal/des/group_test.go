@@ -2,7 +2,9 @@ package des
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
+	"time"
 )
 
 // ringGroup wires k nodes over the given engines (node i on engines[i%n]),
@@ -160,4 +162,119 @@ func containsStr(s, sub string) bool {
 		}
 	}
 	return false
+}
+
+// tick gives e one event per lookahead from start on, forever: each one
+// schedules the next, and body, when non-nil, runs first with the event's
+// index.
+func tick(e *Engine, salt uint64, start, look Time, body func(k int)) {
+	k := 0
+	var f func()
+	f = func() {
+		if body != nil {
+			body(k)
+		}
+		k++
+		e.After(look, f)
+	}
+	e.ScheduleSeeded(Salt(salt), start, f)
+}
+
+// TestGroupStartsOneWorkerPerShard pins the workers' lifecycle: a run starts
+// one worker for every shard after the first, however many windows it
+// holds, and joins them before it returns; a run made only of fused
+// instants starts none.
+func TestGroupStartsOneWorkerPerShard(t *testing.T) {
+	const look = Time(1000)
+	for _, shards := range []int{2, 4} {
+		base := runtime.NumGoroutine()
+		g := NewGroup(shards, look)
+		for i := 0; i < shards; i++ {
+			tick(g.Shard(i), uint64(i), 0, look, nil)
+		}
+		for run := 1; run <= 3; run++ {
+			before := g.Global().WindowStats()
+			g.Global().RunUntil(Time(run) * 600 * look)
+			got := g.Global().WindowStats().Sub(before)
+			if got.Windows < 500 || got.Fused != 0 || got.Workers != uint64(shards-1) {
+				t.Errorf("shards=%d run %d: %+v, want >= 500 windows, no fused instant, %d workers", shards, run, got, shards-1)
+			}
+			if n := goroutinesSettle(base); n > base {
+				t.Errorf("shards=%d run %d: %d goroutines after the run, %d before", shards, run, n, base)
+			}
+		}
+		g.Global().Shutdown()
+	}
+
+	g := NewGroup(2, look)
+	for k := 0; k < 100; k++ {
+		at := Time(k) * look
+		g.Global().ScheduleSeeded(Salt(5, uint64(k)), at, func() {})
+		g.Shard(0).ScheduleSeeded(Salt(6, uint64(k)), at, func() {})
+		g.Shard(1).ScheduleSeeded(Salt(7, uint64(k)), at, func() {})
+	}
+	g.Global().Run()
+	if got := g.Global().WindowStats(); got != (WindowStats{Fused: 100}) {
+		t.Errorf("fused-only run: %+v, want 100 fused instants and nothing else", got)
+	}
+	g.Global().Shutdown()
+}
+
+// TestGroupHandoffStress drives 30 000 windows of one tiny event per shard
+// through the worker handoff at GOMAXPROCS 1 and 2. With the spin budget,
+// every 500th window one shard's event sleeps past it, so the other side's
+// wait parks; with no spin at all, every wait parks. A wake-up lost between
+// a waiter's last look and its park hangs the run, and one that lets a
+// shard start early shows as a miscount or, under -race, a race.
+func TestGroupHandoffStress(t *testing.T) {
+	const look, windows = Time(1000), 30000
+	for _, procs := range []int{1, 2} {
+		for _, spin := range []time.Duration{spinBudget, 0} {
+			t.Run(fmt.Sprintf("GOMAXPROCS=%d/spin=%v", procs, spin), func(t *testing.T) {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				g := NewGroup(2, look)
+				g.spin = spin
+				var ran, got [2]int
+				for i := 0; i < 2; i++ {
+					i, other := i, g.Shard(1-i)
+					tick(g.Shard(i), uint64(i), 0, look, func(k int) {
+						ran[i]++
+						if spin > 0 && k%1000 == 500*i {
+							time.Sleep(2 * spin)
+						}
+						g.Shard(i).AfterOn(other, look, func() { got[1-i]++ })
+					})
+				}
+				g.Global().RunUntil((windows - 1) * look)
+				w := g.Global().WindowStats()
+				if w.Windows != windows || w.Workers != 1 || w.Parks == 0 {
+					t.Errorf("%+v, want %d windows, 1 worker, some parks", w, windows)
+				}
+				t.Logf("%d parks", w.Parks)
+				// The last window's deposits land beyond the deadline.
+				if ran != [2]int{windows, windows} || got != [2]int{windows - 1, windows - 1} {
+					t.Errorf("events ran %v, deposits dispatched %v", ran, got)
+				}
+				g.Global().Shutdown()
+			})
+		}
+	}
+}
+
+// BenchmarkGroupWindow is the price of one parallel window: two shards, one
+// event each, handed to the persistent worker and joined. A closure or a
+// slice allocated per window shows as allocs/op.
+func BenchmarkGroupWindow(b *testing.B) {
+	const look = Time(1000)
+	g := NewGroup(2, look)
+	tick(g.Shard(0), 0, 0, look, nil)
+	tick(g.Shard(1), 1, 0, look, nil)
+	g.Global().RunUntil(look) // two windows: the heap slots exist
+	w0 := g.Global().WindowStats().Windows
+	b.ReportAllocs()
+	b.ResetTimer()
+	g.Global().RunUntil(Time(b.N+1) * look)
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(g.Global().WindowStats().Windows-w0), "ns/window")
+	g.Global().Shutdown()
 }

@@ -19,6 +19,24 @@ func goroutinesSettle(base int) int {
 	return n
 }
 
+// allStacks returns the stacks of every goroutine, to name the ones a
+// failed count did not expect.
+func allStacks() string {
+	buf := make([]byte, 1<<20)
+	return string(buf[:runtime.Stack(buf, true)])
+}
+
+// workersLeft waits up to two seconds for every shard worker's goroutine to
+// be gone and returns how many are still there.
+func workersLeft() int {
+	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
+		n := strings.Count(allStacks(), "des.(*Group).work(")
+		if n == 0 || time.Now().After(deadline) {
+			return n
+		}
+	}
+}
+
 // TestShutdownLeavesNoGoroutine parks one process in every kernel primitive
 // (and leaves one unstarted and one dead by panic), shuts the engine down
 // and requires every goroutine gone and every started body's defer run.
@@ -96,7 +114,7 @@ func TestGroupShutdownLeavesNoGoroutine(t *testing.T) {
 	}
 	g.Global().Shutdown()
 	if n := goroutinesSettle(base); n > base {
-		t.Errorf("%d goroutines after Shutdown, %d before NewGroup", n, base)
+		t.Errorf("%d goroutines after Shutdown, %d before NewGroup; all of them:\n%s", n, base, allStacks())
 	}
 	if unwound != 3 {
 		t.Errorf("%d of 3 daemon defers ran", unwound)
@@ -118,8 +136,8 @@ func wantProcPanic(t *testing.T, fn func()) {
 
 // TestProcPanicReachesRunCaller raises a body panic in each place a process
 // can be resumed from — the serial driver, another process's dispatch loop,
-// a Group window and a Group fused instant — and requires it on Run's
-// caller, named, with the engine still fit to be shut down.
+// a Group window on either shard and a Group fused instant — and requires
+// it on Run's caller, named, with the engine still fit to be shut down.
 func TestProcPanicReachesRunCaller(t *testing.T) {
 	base := runtime.NumGoroutine()
 	boom := func(p *Proc) {
@@ -145,22 +163,28 @@ func TestProcPanicReachesRunCaller(t *testing.T) {
 		wantProcPanic(t, e.Run)
 		e.Shutdown()
 	})
-	t.Run("group window", func(t *testing.T) {
-		g := NewGroup(2, 1000)
-		g.Shard(0).spawn("bystander", bystander, true, Salt(1))
-		g.Shard(1).spawn("bystander", bystander, true, Salt(2))
-		fused := true
-		g.Shard(1).SpawnSeeded(Salt(3), "boom", func(p *Proc) {
-			p.Sleep(5)
-			fused = g.cur != nil
-			panic("kaboom")
+	// Shard 1's window runs on its worker, shard 0's on the coordinator.
+	for shard, name := range []string{"group window, shard 0", "group window"} {
+		t.Run(name, func(t *testing.T) {
+			g := NewGroup(2, 1000)
+			g.Shard(0).spawn("bystander", bystander, true, Salt(1))
+			g.Shard(1).spawn("bystander", bystander, true, Salt(2))
+			fused := true
+			g.Shard(shard).SpawnSeeded(Salt(3), "boom", func(p *Proc) {
+				p.Sleep(5)
+				fused = g.cur != nil
+				panic("kaboom")
+			})
+			wantProcPanic(t, g.Global().Run)
+			if fused {
+				t.Error("boom was resumed from a fused instant, not from a window")
+			}
+			if n := workersLeft(); n > 0 {
+				t.Errorf("%d shard workers outlived the panicking run", n)
+			}
+			g.Global().Shutdown()
 		})
-		wantProcPanic(t, g.Global().Run)
-		if fused {
-			t.Error("boom was resumed from a fused instant, not from a window")
-		}
-		g.Global().Shutdown()
-	})
+	}
 	t.Run("group fused instant", func(t *testing.T) {
 		g := NewGroup(2, 1000)
 		g.Shard(0).spawn("bystander", bystander, true, Salt(1))
@@ -182,7 +206,7 @@ func TestProcPanicReachesRunCaller(t *testing.T) {
 		g.Global().Shutdown()
 	})
 	if n := goroutinesSettle(base); n > base {
-		t.Errorf("%d goroutines after the four shutdowns, %d before", n, base)
+		t.Errorf("%d goroutines after the five shutdowns, %d before", n, base)
 	}
 }
 

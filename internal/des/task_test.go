@@ -347,7 +347,7 @@ func TestTaskLifecycle(t *testing.T) {
 	if n := runtime.NumGoroutine(); n != base {
 		t.Errorf("%d goroutines with five tasks parked, baseline %d", n, base)
 	}
-	if rep := e.deadlockReport(); rep != "1 process(es) blocked: cond (cond.Wait)" {
+	if rep := deadlockReport(e); rep != "1 process(es) blocked: cond (cond.Wait)" {
 		t.Errorf("deadlock report %q", rep)
 	}
 	e.Shutdown()
