@@ -128,9 +128,9 @@ func (e *Engine) WindowStats() WindowStats {
 // posted to it, done the windows it has finished.
 type worker struct{ start, done signal }
 
-// spinBudget is how long a handoff wait spins before it parks. A shard
-// window of the NAS CG np=256 shards=2 kernel almost always returns within
-// it; a park costs an OS wake-up of tens of µs.
+// spinBudget is how long a handoff wait spins before it parks, which costs
+// an OS wake-up of tens of µs. Of CG.S np=256 shards=2's 891 windows, 12–25
+// park at 1 ms, 52–120 at 200 µs, ≈400 at 50 µs and 1–2 at 5 ms (2 vCPUs).
 const spinBudget = time.Millisecond
 
 // signal hands a count from one poster to one waiter without the OS
