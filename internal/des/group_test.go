@@ -256,6 +256,9 @@ func TestGroupHandoffStress(t *testing.T) {
 					t.Errorf("events ran %v, deposits dispatched %v", ran, got)
 				}
 				g.Global().Shutdown()
+				if n := workersLeft(); n > 0 {
+					t.Errorf("%d shard workers outlived the run", n)
+				}
 			})
 		}
 	}
