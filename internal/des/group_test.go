@@ -187,7 +187,7 @@ func tick(e *Engine, salt uint64, start, look Time, body func(k int)) {
 func TestGroupStartsOneWorkerPerShard(t *testing.T) {
 	const look = Time(1000)
 	for _, shards := range []int{2, 4} {
-		base := runtime.NumGoroutine()
+		base := goroutinesQuiet()
 		g := NewGroup(shards, look)
 		for i := 0; i < shards; i++ {
 			tick(g.Shard(i), uint64(i), 0, look, nil)

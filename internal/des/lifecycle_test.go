@@ -19,6 +19,21 @@ func goroutinesSettle(base int) int {
 	return n
 }
 
+// goroutinesQuiet returns the goroutine count once it has held still for
+// 10 ms (or after two seconds): an earlier test's own goroutine, or a worker
+// its run joined, can still be on its way out when the next test starts,
+// and counting it in a baseline makes that test see one goroutine too few.
+func goroutinesQuiet() int {
+	n := runtime.NumGoroutine()
+	for still, deadline := 0, time.Now().Add(2*time.Second); still < 10 && time.Now().Before(deadline); still++ {
+		time.Sleep(time.Millisecond)
+		if m := runtime.NumGoroutine(); m != n {
+			n, still = m, -1
+		}
+	}
+	return n
+}
+
 // allStacks returns the stacks of every goroutine, to name the ones a
 // failed count did not expect.
 func allStacks() string {
@@ -41,7 +56,7 @@ func workersLeft() int {
 // (and leaves one unstarted and one dead by panic), shuts the engine down
 // and requires every goroutine gone and every started body's defer run.
 func TestShutdownLeavesNoGoroutine(t *testing.T) {
-	base := runtime.NumGoroutine()
+	base := goroutinesQuiet()
 	e := NewEngine()
 	var (
 		cond     Cond
@@ -97,7 +112,7 @@ func TestShutdownLeavesNoGoroutine(t *testing.T) {
 // parked on both shards and on the global engine, resumed last from window
 // goroutines that no longer exist.
 func TestGroupShutdownLeavesNoGoroutine(t *testing.T) {
-	base := runtime.NumGoroutine()
+	base := goroutinesQuiet()
 	g := NewGroup(2, 1000)
 	unwound := 0
 	for i, e := range []*Engine{g.Shard(0), g.Shard(1), g.Global()} {
@@ -139,7 +154,7 @@ func wantProcPanic(t *testing.T, fn func()) {
 // a Group window on either shard and a Group fused instant — and requires
 // it on Run's caller, named, with the engine still fit to be shut down.
 func TestProcPanicReachesRunCaller(t *testing.T) {
-	base := runtime.NumGoroutine()
+	base := goroutinesQuiet()
 	boom := func(p *Proc) {
 		p.Sleep(5)
 		panic("kaboom")

@@ -325,7 +325,7 @@ func TestTaskStaleResourceWake(t *testing.T) {
 // stackless process promises: no goroutine while it runs, nothing for
 // Shutdown to unwind, and deadlock reports that name it.
 func TestTaskLifecycle(t *testing.T) {
-	base := runtime.NumGoroutine()
+	base := goroutinesQuiet()
 	e := NewEngine()
 	var (
 		cond  Cond
