@@ -121,84 +121,72 @@ type Options struct {
 	Observe func(*cluster.Cluster)
 }
 
-func (o Options) cluster(np int) *cluster.Cluster {
-	cfg := o.Config
-	cfg.NP = np
-	return cluster.MustNew(cfg)
+// sweep measures one point per size, each on a fresh np-rank cluster:
+// body runs on every rank and sets the point's value through v, and
+// Observe sees the cluster after the launch, before it is torn down.
+func (o Options) sweep(np int, sizes []int, body func(comm *mpi.Comm, size int, v *float64)) []Point {
+	pts := make([]Point, 0, len(sizes))
+	for _, size := range sizes {
+		cfg := o.Config
+		cfg.NP = np
+		c := cluster.MustNew(cfg)
+		var v float64
+		c.Launch(func(comm *mpi.Comm) { body(comm, size, &v) })
+		if o.Observe != nil {
+			o.Observe(c)
+		}
+		c.Close()
+		pts = append(pts, Point{Size: size, Value: v})
+	}
+	return pts
 }
 
 // MPILatency measures one-way MPI latency (round-trip/2 of a ping-pong,
 // §4.2.1) in microseconds for each message size.
 func MPILatency(o Options, sizes []int, iters int) Series {
-	s := Series{Name: o.Transport.String()}
-	for _, size := range sizes {
-		c := o.cluster(2)
-		var oneWay float64
-		c.Launch(func(comm *mpi.Comm) {
-			buf, _ := comm.Alloc(max(size, 1))
-			rbuf, _ := comm.Alloc(max(size, 1))
-			sb := mpi.Slice(buf, 0, size)
-			rb := mpi.Slice(rbuf, 0, size)
-			if comm.Rank() == 0 {
+	pts := o.sweep(2, sizes, func(comm *mpi.Comm, size int, oneWay *float64) {
+		buf, _ := comm.Alloc(max(size, 1))
+		rbuf, _ := comm.Alloc(max(size, 1))
+		sb := mpi.Slice(buf, 0, size)
+		rb := mpi.Slice(rbuf, 0, size)
+		if comm.Rank() == 0 {
+			comm.Send(sb, 1, 0)
+			comm.Recv(rb, 1, 0) // warmup
+			start := comm.Wtime()
+			for i := 0; i < iters; i++ {
 				comm.Send(sb, 1, 0)
-				comm.Recv(rb, 1, 0) // warmup
-				start := comm.Wtime()
-				for i := 0; i < iters; i++ {
-					comm.Send(sb, 1, 0)
-					comm.Recv(rb, 1, 0)
-				}
-				oneWay = (comm.Wtime() - start) / float64(2*iters) * 1e6
-			} else {
-				for i := 0; i < iters+1; i++ {
-					comm.Recv(rb, 0, 0)
-					comm.Send(sb, 0, 0)
-				}
+				comm.Recv(rb, 1, 0)
 			}
-		})
-		if o.Observe != nil {
-			o.Observe(c)
+			*oneWay = (comm.Wtime() - start) / float64(2*iters) * 1e6
+		} else {
+			for i := 0; i < iters+1; i++ {
+				comm.Recv(rb, 0, 0)
+				comm.Send(sb, 0, 0)
+			}
 		}
-		c.Close()
-		s.Points = append(s.Points, Point{Size: size, Value: oneWay})
-	}
-	return s
+	})
+	return Series{Name: o.Transport.String(), Points: pts}
 }
 
 // MPIBandwidth measures streaming bandwidth (MB/s, MB = 10^6 bytes) with
 // the paper's window test: W back-to-back messages, then a wait, repeated.
 func MPIBandwidth(o Options, sizes []int) Series {
-	s := Series{Name: o.Transport.String()}
-	for _, size := range sizes {
+	pts := o.sweep(2, sizes, func(comm *mpi.Comm, size int, rate *float64) {
 		w := windowFor(size)
 		const windows = 3
-		c := o.cluster(2)
-		var rate float64
-		c.Launch(func(comm *mpi.Comm) {
-			buf, _ := comm.Alloc(size)
-			ack, _ := comm.Alloc(4)
-			if comm.Rank() == 0 {
-				// Warmup window.
-				runWindow(comm, buf, ack, w/2+1, true)
-				start := comm.Wtime()
-				for k := 0; k < windows; k++ {
-					runWindow(comm, buf, ack, w, true)
-				}
-				elapsed := comm.Wtime() - start
-				rate = float64(size*w*windows) / (elapsed * 1e6)
-			} else {
-				runWindow(comm, buf, ack, w/2+1, false)
-				for k := 0; k < windows; k++ {
-					runWindow(comm, buf, ack, w, false)
-				}
-			}
-		})
-		if o.Observe != nil {
-			o.Observe(c)
+		buf, _ := comm.Alloc(size)
+		ack, _ := comm.Alloc(4)
+		sender := comm.Rank() == 0
+		runWindow(comm, buf, ack, w/2+1, sender) // warmup
+		start := comm.Wtime()
+		for k := 0; k < windows; k++ {
+			runWindow(comm, buf, ack, w, sender)
 		}
-		c.Close()
-		s.Points = append(s.Points, Point{Size: size, Value: rate})
-	}
-	return s
+		if sender {
+			*rate = float64(size*w*windows) / ((comm.Wtime() - start) * 1e6)
+		}
+	})
+	return Series{Name: o.Transport.String(), Points: pts}
 }
 
 func runWindow(comm *mpi.Comm, buf, ack mpi.Buffer, w int, sender bool) {
@@ -234,92 +222,53 @@ func VerbsBandwidth(op ib.Opcode, sizes []int, prm *model.Params) Series {
 }
 
 func verbsBW(op ib.Opcode, size, count int, prm *model.Params) float64 {
-	if prm == nil {
-		prm = model.Testbed()
-	}
-	eng := des.NewEngine()
-	fab := ib.NewFabric(eng, prm)
-	n0, n1 := model.NewNode(0, prm), model.NewNode(1, prm)
-	h0, h1 := fab.NewHCA(n0), fab.NewHCA(n1)
-	pd0, pd1 := h0.AllocPD(), h1.AllocPD()
-	cq0 := h0.CreateCQ()
-	qp0 := h0.CreateQP(pd0, cq0, h0.CreateCQ())
-	qp1 := h1.CreateQP(pd1, h1.CreateCQ(), h1.CreateCQ())
-	if err := ib.Connect(qp0, qp1); err != nil {
-		panic(err)
-	}
+	r := newRawPair(prm)
 	var rate float64
-	eng.Spawn("driver", func(p *des.Proc) {
-		lva, _ := n0.Mem.Alloc(size)
-		rva, _ := n1.Mem.Alloc(size)
+	r.run(func(p *des.Proc) {
 		acc := ib.AccessLocalWrite | ib.AccessRemoteWrite | ib.AccessRemoteRead
-		lmr, err := h0.RegisterMR(p, pd0, lva, size, acc)
-		if err != nil {
-			panic(err)
-		}
-		rmr, err := h1.RegisterMR(p, pd1, rva, size, acc)
-		if err != nil {
-			panic(err)
-		}
+		lva, _, lmr := r.region(p, 0, size, acc)
+		rva, _, rmr := r.region(p, 1, size, acc)
 		post := func(signaled bool) {
-			qp0.PostSend(p, ib.SendWR{
+			r.qp[0].PostSend(p, ib.SendWR{
 				Op: op, Signaled: signaled,
 				SGL:        []ib.SGE{{Addr: lva, Len: size, LKey: lmr.LKey()}},
 				RemoteAddr: rva, RKey: rmr.RKey(),
 			})
 		}
 		post(true) // warmup
-		cq0.Poll(p)
+		r.scq.Poll(p)
 		start := p.Now()
 		for i := 0; i < count; i++ {
 			post(true)
 		}
 		for i := 0; i < count; i++ {
-			cq0.Poll(p)
+			r.scq.Poll(p)
 		}
 		rate = float64(size*count) / (p.Now() - start).Micros()
 	})
-	eng.Run()
-	eng.Shutdown()
 	return rate
 }
 
 // VerbsLatency measures raw one-way small-message RDMA write latency
 // (the paper's 5.9 µs baseline), in microseconds.
 func VerbsLatency(prm *model.Params) float64 {
-	if prm == nil {
-		prm = model.Testbed()
-	}
-	eng := des.NewEngine()
-	fab := ib.NewFabric(eng, prm)
-	n0, n1 := model.NewNode(0, prm), model.NewNode(1, prm)
-	h0, h1 := fab.NewHCA(n0), fab.NewHCA(n1)
-	pd0, pd1 := h0.AllocPD(), h1.AllocPD()
-	qp0 := h0.CreateQP(pd0, h0.CreateCQ(), h0.CreateCQ())
-	qp1 := h1.CreateQP(pd1, h1.CreateCQ(), h1.CreateCQ())
-	if err := ib.Connect(qp0, qp1); err != nil {
-		panic(err)
-	}
+	r := newRawPair(prm)
 	var lat float64
 	const iters = 20
-	eng.Spawn("r0", func(p *des.Proc) {
-		lva, lb := n0.Mem.Alloc(64)
-		rva0, rb0 := n0.Mem.Alloc(64) // landing pad on node 0
+	r.run(func(p *des.Proc) {
 		acc := ib.AccessLocalWrite | ib.AccessRemoteWrite
-		lmr, _ := h0.RegisterMR(p, pd0, lva, 64, acc)
-		pad0mr, _ := h0.RegisterMR(p, pd0, rva0, 64, acc)
+		lva, lb, lmr := r.region(p, 0, 64, acc)
+		rva0, rb0, pad0mr := r.region(p, 0, 64, acc) // landing pad on node 0
 		// Exchange with r1 happens via shared Go state in this raw bench.
-		r1lva, r1lb := n1.Mem.Alloc(64)
-		r1pva, r1pb := n1.Mem.Alloc(64)
-		r1lmr, _ := h1.RegisterMR(p, pd1, r1lva, 64, acc)
-		r1pmr, _ := h1.RegisterMR(p, pd1, r1pva, 64, acc)
+		r1lva, r1lb, r1lmr := r.region(p, 1, 64, acc)
+		r1pva, r1pb, r1pmr := r.region(p, 1, 64, acc)
 
-		eng.Spawn("r1", func(q *des.Proc) {
+		r.eng.Spawn("r1", func(q *des.Proc) {
 			for i := 0; i < iters+1; i++ {
 				seq := byte(i + 1)
-				h1.WaitMemory(q, func() bool { return r1pb[63] == seq })
+				r.h[1].WaitMemory(q, func() bool { return r1pb[63] == seq })
 				r1lb[63] = seq
-				qp1.PostSend(q, ib.SendWR{
+				r.qp[1].PostSend(q, ib.SendWR{
 					Op:         ib.OpRDMAWrite,
 					SGL:        []ib.SGE{{Addr: r1lva, Len: 64, LKey: r1lmr.LKey()}},
 					RemoteAddr: rva0, RKey: pad0mr.RKey(),
@@ -330,12 +279,12 @@ func VerbsLatency(prm *model.Params) float64 {
 		pingpong := func(i int) {
 			seq := byte(i + 1)
 			lb[63] = seq
-			qp0.PostSend(p, ib.SendWR{
+			r.qp[0].PostSend(p, ib.SendWR{
 				Op:         ib.OpRDMAWrite,
 				SGL:        []ib.SGE{{Addr: lva, Len: 64, LKey: lmr.LKey()}},
 				RemoteAddr: r1pva, RKey: r1pmr.RKey(),
 			})
-			h0.WaitMemory(p, func() bool { return rb0[63] == seq })
+			r.h[0].WaitMemory(p, func() bool { return rb0[63] == seq })
 		}
 		pingpong(0) // warmup
 		start := p.Now()
@@ -344,9 +293,53 @@ func VerbsLatency(prm *model.Params) float64 {
 		}
 		lat = (p.Now() - start).Micros() / float64(2*iters)
 	})
-	eng.Run()
-	eng.Shutdown()
 	return lat
+}
+
+// rawPair is the raw verbs benches' testbed: two nodes, one adapter each,
+// joined by one connected queue pair; scq is qp[0]'s send CQ.
+type rawPair struct {
+	eng *des.Engine
+	n   [2]*model.Node
+	h   [2]*ib.HCA
+	pd  [2]*ib.PD
+	qp  [2]*ib.QP
+	scq *ib.CQ
+}
+
+func newRawPair(prm *model.Params) *rawPair {
+	if prm == nil {
+		prm = model.Testbed()
+	}
+	r := &rawPair{eng: des.NewEngine()}
+	fab := ib.NewFabric(r.eng, prm)
+	r.n = [2]*model.Node{model.NewNode(0, prm), model.NewNode(1, prm)}
+	r.h = [2]*ib.HCA{fab.NewHCA(r.n[0]), fab.NewHCA(r.n[1])}
+	r.pd = [2]*ib.PD{r.h[0].AllocPD(), r.h[1].AllocPD()}
+	r.scq = r.h[0].CreateCQ()
+	r.qp[0] = r.h[0].CreateQP(r.pd[0], r.scq, r.h[0].CreateCQ())
+	r.qp[1] = r.h[1].CreateQP(r.pd[1], r.h[1].CreateCQ(), r.h[1].CreateCQ())
+	if err := ib.Connect(r.qp[0], r.qp[1]); err != nil {
+		panic(err)
+	}
+	return r
+}
+
+// region allocates n bytes on node i and registers them with acc.
+func (r *rawPair) region(p *des.Proc, i, n int, acc ib.Access) (uint64, []byte, *ib.MR) {
+	va, b := r.n[i].Mem.Alloc(n)
+	mr, err := r.h[i].RegisterMR(p, r.pd[i], va, n, acc)
+	if err != nil {
+		panic(err)
+	}
+	return va, b, mr
+}
+
+// run drives body to the end of the simulation and tears the engine down.
+func (r *rawPair) run(body func(p *des.Proc)) {
+	r.eng.Spawn("driver", body)
+	r.eng.Run()
+	r.eng.Shutdown()
 }
 
 // FormatFigure renders a figure as an aligned text table, one row per

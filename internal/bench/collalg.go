@@ -100,7 +100,7 @@ func CollAlgSweep(coll string, np, cpn int, sw *switchfab.Config, sizes []int) (
 		return Figure{}, err
 	}
 	root := min(collAlgRoot, np-1)
-	net := netLabel(sw)
+	net := switchfab.NetLabel(sw)
 	f := Figure{
 		ID: fmt.Sprintf("coll-%s/%s/np=%d/cpn=%d", coll, net, np, cpn),
 		Title: fmt.Sprintf("Collective algorithms: %s (%d ranks, %d per node, root %d, net %s)",
@@ -139,14 +139,6 @@ func applicableAlgs(coll string, np, cpn int, sw *switchfab.Config) ([]string, e
 	})
 	probe.Close()
 	return slices.DeleteFunc(algs, func(a string) bool { return !applicable[a] }), nil
-}
-
-// netLabel names a switch configuration in a figure id.
-func netLabel(sw *switchfab.Config) string {
-	if sw == nil {
-		return "flat"
-	}
-	return sw.Label()
 }
 
 // AblationCollAlg sweeps every registered bcast, reduce and allgather

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"encoding/json"
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -10,6 +11,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -33,12 +35,26 @@ func readRepoFile(t *testing.T, name string) string {
 // figFlag matches a figure id as the docs write it after -fig.
 var figFlag = regexp.MustCompile("-fig[ =]([a-z0-9][a-z0-9./=-]*[a-z0-9])")
 
+// sec4Rows maps each figure id of DESIGN.md §4's index tables to the
+// cells of its row.
+func sec4Rows(t *testing.T) map[string][]string {
+	_, sec4, _ := strings.Cut(readRepoFile(t, "DESIGN.md"), "\n## §4 ")
+	sec4, _, _ = strings.Cut(sec4, "\n## ")
+	rows := map[string][]string{}
+	for _, line := range strings.Split(sec4, "\n") {
+		if strings.HasPrefix(line, "| `") {
+			cells := strings.Split(strings.Trim(line, "|"), "|")
+			rows[strings.Trim(cells[0], " `")] = cells
+		}
+	}
+	return rows
+}
+
 // TestDocsNameFigureIDs keeps the docs and the figure table in step: every
 // `-fig <id>` the docs write is an id -fig accepts, and DESIGN.md §4's
 // index tables give every id a row.
 func TestDocsNameFigureIDs(t *testing.T) {
 	ids := FigureIDs()
-	design := readRepoFile(t, "DESIGN.md")
 	for _, name := range docFiles {
 		for _, m := range figFlag.FindAllStringSubmatch(readRepoFile(t, name), -1) {
 			if id := m[1]; id != "all" && !slices.Contains(ids, id) {
@@ -46,19 +62,43 @@ func TestDocsNameFigureIDs(t *testing.T) {
 			}
 		}
 	}
-
-	_, sec4, _ := strings.Cut(design, "\n## §4 ")
-	sec4, _, _ = strings.Cut(sec4, "\n## ")
-	rows := map[string]bool{}
-	for _, line := range strings.Split(sec4, "\n") {
-		if rest, ok := strings.CutPrefix(line, "| `"); ok {
-			id, _, _ := strings.Cut(rest, "`")
-			rows[id] = true
+	rows := sec4Rows(t)
+	for _, id := range ids {
+		if rows[id] == nil {
+			t.Errorf("DESIGN.md §4 has no index row for figure %s", id)
 		}
 	}
-	for _, id := range ids {
-		if !rows[id] {
-			t.Errorf("DESIGN.md §4 has no index row for figure %s", id)
+}
+
+// cellNumber matches a number in a table cell; a digit glued to a word
+// ("CH3") is not one.
+var cellNumber = regexp.MustCompile(`(?:^|[^\w.])(\d+(?:\.\d+)?)`)
+
+// TestDocsQuoteClaims keeps DESIGN §4 true to the claims table: in the
+// index row of a claimed figure, the k-th number of the "paper" cell is
+// the figure's k-th claim's paper value, and the k-th number of the "model
+// prints" cell is that claim's BENCH_figures.json point to one decimal.
+func TestDocsQuoteClaims(t *testing.T) {
+	rep, err := readReport[Curve](filepath.Join(root, "BENCH_figures.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, seen := sec4Rows(t), map[string]int{}
+	for i, v := range claimPoints(t, rep.Runs) {
+		c := claims[i]
+		k, row := seen[c.fig], rows[c.fig]
+		seen[c.fig]++
+		if len(row) != 4 {
+			t.Errorf("DESIGN §4 has no index row with paper and model cells for claimed figure %s", c.fig)
+			continue
+		}
+		want := [2]string{strconv.FormatFloat(c.paper, 'f', -1, 64), fmt.Sprintf("%.1f", v)}
+		for j, col := range [2]string{"paper", "model prints"} {
+			nums := cellNumber.FindAllStringSubmatch(row[2+j], -1)
+			if len(nums) <= k || nums[k][1] != want[j] {
+				t.Errorf("DESIGN §4 %s, %q cell %q: number %d should be %s (%s at %s)",
+					c.fig, col, strings.TrimSpace(row[2+j]), k+1, want[j], c.series, fmtSize(c.size))
+			}
 		}
 	}
 }

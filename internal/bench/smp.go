@@ -53,31 +53,24 @@ func Fig3Bandwidth() Figure {
 // subtracted.
 func CollectiveTime(o Options, np int, sizes []int, iters int,
 	run func(comm *mpi.Comm, buf mpi.Buffer)) Series {
-	var s Series
-	for _, size := range sizes {
-		c := o.cluster(np)
-		var per float64
-		c.Launch(func(comm *mpi.Comm) {
-			buf, _ := comm.Alloc(max(size, 1))
-			sb := mpi.Slice(buf, 0, size)
-			run(comm, sb) // warmup
+	pts := o.sweep(np, sizes, func(comm *mpi.Comm, size int, per *float64) {
+		buf, _ := comm.Alloc(max(size, 1))
+		sb := mpi.Slice(buf, 0, size)
+		run(comm, sb) // warmup
+		comm.Barrier()
+		start := comm.Wtime()
+		for i := 0; i < iters; i++ {
 			comm.Barrier()
-			start := comm.Wtime()
-			for i := 0; i < iters; i++ {
-				comm.Barrier()
-			}
-			barriers := comm.Wtime() - start
-			start = comm.Wtime()
-			for i := 0; i < iters; i++ {
-				run(comm, sb)
-				comm.Barrier()
-			}
-			if comm.Rank() == 0 {
-				per = (comm.Wtime() - start - barriers) / float64(iters) * 1e6
-			}
-		})
-		c.Close()
-		s.Points = append(s.Points, Point{Size: size, Value: per})
-	}
-	return s
+		}
+		barriers := comm.Wtime() - start
+		start = comm.Wtime()
+		for i := 0; i < iters; i++ {
+			run(comm, sb)
+			comm.Barrier()
+		}
+		if comm.Rank() == 0 {
+			*per = (comm.Wtime() - start - barriers) / float64(iters) * 1e6
+		}
+	})
+	return Series{Points: pts}
 }

@@ -52,19 +52,16 @@ func NewOverChannel(ep rdmachan.Endpoint, h transport.Handler, onErr func(error)
 	return newConn(ep, nil, h, 0, onErr)
 }
 
-// ibThreshold is the direct mode's rendezvous switch, the zero-copy design's.
-const ibThreshold = 32 << 10
-
 // NewIBConn builds the packet engine in direct mode over a pipelined chunk
 // endpoint created with rdmachan.DesignPipeline (zero-copy must be off:
 // rendezvous is handled here, at the CH3 level), switching to rendezvous
-// at ibThreshold.
+// at rdmachan.DefaultZCThreshold.
 func NewIBConn(ep rdmachan.Endpoint, h transport.Handler, onErr func(error)) *Conn {
 	raw, ok := ep.(rdmachan.RawAccess)
 	if !ok {
 		panic("ch3: IBConn requires a chunk-ring endpoint")
 	}
-	return newConn(ep, raw, h, ibThreshold, onErr)
+	return newConn(ep, raw, h, rdmachan.DefaultZCThreshold, onErr)
 }
 
 func newConn(ep rdmachan.Endpoint, raw rdmachan.RawAccess, h transport.Handler,

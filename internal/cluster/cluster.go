@@ -273,16 +273,10 @@ func MustNew(cfg Config) *Cluster {
 // the serial engine, whether configured or forced by a fault plan).
 func (c *Cluster) Shards() int { return c.shards }
 
-// NetLabel names the cluster's network model — "flat" without a switch,
-// the fat-tree shape label (switchfab.Config.Label) otherwise. The
+// NetLabel names the cluster's network model (switchfab.NetLabel). The
 // per-communicator tuning table keys on it, and benchmark reports carry
 // it so crossovers measured on different fabrics never compare.
-func (c *Cluster) NetLabel() string {
-	if c.sw == nil {
-		return "flat"
-	}
-	return c.sw.Label()
-}
+func (c *Cluster) NetLabel() string { return switchfab.NetLabel(c.cfg.Switch) }
 
 // SwitchStats returns the fabric's contention counters (zero value
 // without a switch). Call between runs, not mid-run: the counters are

@@ -678,9 +678,6 @@ func (p *Proc) wakeKeyed(at Time, key uint64, chain bool) {
 // Engine returns the engine this process belongs to.
 func (p *Proc) Engine() *Engine { return p.eng }
 
-// Name returns the process name given at Spawn.
-func (p *Proc) Name() string { return p.name }
-
 // Now returns the current simulated time.
 func (p *Proc) Now() Time { return p.eng.now }
 

@@ -1,9 +1,6 @@
 package des
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // Time is a simulated timestamp or duration in nanoseconds.
 //
@@ -30,9 +27,6 @@ func (t Time) Seconds() float64 { return float64(t) / 1e9 }
 
 // Micros reports t as floating-point microseconds.
 func (t Time) Micros() float64 { return float64(t) / 1e3 }
-
-// Duration converts t to a time.Duration for interoperability.
-func (t Time) Duration() time.Duration { return time.Duration(t) }
 
 // String formats t with an adaptive unit, e.g. "7.6µs" or "1.2ms".
 func (t Time) String() string {

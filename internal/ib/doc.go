@@ -34,7 +34,7 @@
 //     bytes once, source memory to destination memory, at delivery. Payloads
 //     of at most inlineMax bytes are the exception, taken by value when the
 //     engine gathers the request (inline data), so a counter slot may be
-//     rewritten as soon as it is posted. Build with -tags ibverify to have
+//     rewritten as soon as it is posted. Build with -tags invariants to have
 //     every by-reference payload checked at delivery (DESIGN.md §15).
 //   - Protection: remote access requires a valid rkey covering the range
 //     with the right access flags, validated against the responder

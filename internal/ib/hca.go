@@ -17,7 +17,6 @@ type HCA struct {
 	eng  *des.Engine
 	prm  *model.Params
 	bus  *model.Bus // the DMA path: the node bus (rail 0) or a rail bus
-	rail int        // rail index on the node (0 = primary)
 
 	pdSeq  int
 	qpSeq  uint32
@@ -69,17 +68,11 @@ type rxItem struct {
 // Node returns the node the adapter is attached to.
 func (h *HCA) Node() *model.Node { return h.node }
 
-// Engine returns the simulation engine.
-func (h *HCA) Engine() *des.Engine { return h.eng }
-
 // Params returns the testbed cost model.
 func (h *HCA) Params() *model.Params { return h.prm }
 
 // Stats returns a copy of the adapter counters.
 func (h *HCA) Stats() HCAStats { return h.stats }
-
-// Rail returns the adapter's rail index on its node (0 = primary).
-func (h *HCA) Rail() int { return h.rail }
 
 // Bus returns the adapter's DMA path: the node's primary bus for rail 0,
 // a dedicated rail (PCI segment) bus otherwise. All of a node's buses
@@ -351,9 +344,8 @@ func (h *HCA) respond(w *sendWork) bool {
 // latency (folded into WireLatency) but no internal contention; endpoint
 // contention lives on the node memory buses.
 type Fabric struct {
-	eng  *des.Engine
-	prm  *model.Params
-	hcas []*HCA
+	eng *des.Engine
+	prm *model.Params
 }
 
 // NewFabric creates an empty fabric over the given engine and cost model.
@@ -393,22 +385,17 @@ func (f *Fabric) NewRailHCAOn(eng *des.Engine, node *model.Node, rail int) *HCA 
 		eng:    eng,
 		prm:    f.prm,
 		bus:    bus,
-		rail:   rail,
 		shared: eng.Sharded(),
 		keySeq: 0x100,
 		lkeys:  make(map[uint32]*MR),
 		rkeys:  make(map[uint32]*MR),
 	}
-	f.hcas = append(f.hcas, h)
 	eng.SpawnTaskSeeded(des.Salt(hcaSalt, uint64(node.ID), uint64(rail), 0),
 		fmt.Sprintf("hca%d.%d.rx", node.ID, rail), true, h.rxStep)
 	eng.SpawnTaskSeeded(des.Salt(hcaSalt, uint64(node.ID), uint64(rail), 1),
 		fmt.Sprintf("hca%d.%d.readresp", node.ID, rail), true, h.readStep)
 	return h
 }
-
-// HCAs returns the attached adapters.
-func (f *Fabric) HCAs() []*HCA { return f.hcas }
 
 // Connect pairs two queue pairs into a reliable connection and moves both
 // to the ready-to-send state.

@@ -14,9 +14,6 @@ type PD struct {
 	id  int
 }
 
-// HCA returns the adapter this PD belongs to.
-func (pd *PD) HCA() *HCA { return pd.hca }
-
 // MR is a registered (pinned) memory region.
 type MR struct {
 	pd     *PD
@@ -30,9 +27,6 @@ type MR struct {
 
 // Addr returns the region's starting virtual address.
 func (mr *MR) Addr() uint64 { return mr.addr }
-
-// Len returns the region's length in bytes.
-func (mr *MR) Len() int { return mr.length }
 
 // LKey returns the local key used in SGEs.
 func (mr *MR) LKey() uint32 { return mr.lkey }

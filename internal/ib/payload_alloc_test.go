@@ -1,4 +1,4 @@
-//go:build !ibverify
+//go:build !invariants
 
 package ib
 
@@ -7,7 +7,7 @@ import (
 	"testing"
 )
 
-// Not built with -tags ibverify, which keeps a snapshot of every large
+// Not built with -tags invariants, which keeps a snapshot of every large
 // payload by design.
 
 // TestLargeTransferAllocatesNothing: a 1 MB RDMA read and a 1 MB RDMA write

@@ -121,6 +121,3 @@ func (h *HCA) CreateQPSRQ(pd *PD, scq, rcq *CQ, srq *SRQ) *QP {
 	qp.srq = srq
 	return qp
 }
-
-// SRQ returns the shared receive queue this QP draws from, or nil.
-func (qp *QP) SRQ() *SRQ { return qp.srq }

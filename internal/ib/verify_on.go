@@ -1,4 +1,4 @@
-//go:build ibverify
+//go:build invariants
 
 package ib
 
@@ -8,7 +8,7 @@ import (
 )
 
 // snapshot machine-checks the ownership rule the zero-copy data path rests
-// on: built with -tags ibverify, every payload left in place (larger than
+// on: built with -tags invariants, every payload left in place (larger than
 // inlineMax) is also copied at gather time, and delivery panics if the
 // source no longer holds those bytes — some layer above rewrote a posted
 // buffer before its completion.

@@ -1,4 +1,4 @@
-//go:build ibverify
+//go:build invariants
 
 package ib
 
@@ -11,7 +11,7 @@ import (
 
 // TestVerifyCatchesRewrittenPostedBuffer: a payload too large to go inline
 // belongs to the adapter until its completion; rewriting it first is the
-// bug the ibverify build exists to catch, named by QP, WRID and opcode.
+// bug the invariants build exists to catch, named by QP, WRID and opcode.
 func TestVerifyCatchesRewrittenPostedBuffer(t *testing.T) {
 	r := newRig(t)
 	r.eng.Spawn("driver", func(p *des.Proc) {

@@ -25,7 +25,7 @@ type sendWork struct {
 	src    [][]byte        // payload source segments, resolved at gather time
 	inline [inlineMax]byte // backing for src when n <= inlineMax (and atomic results)
 	status Status          // outcome carried back to the requester
-	snap   snapshot        // gather-time copy; empty unless built with -tags ibverify
+	snap   snapshot        // gather-time copy; empty unless built with -tags invariants
 
 	rnr     int // receiver-not-ready retries attempted so far
 	retries int // transport retries attempted so far (drop windows)

@@ -1,4 +1,4 @@
-//go:build !ibverify && !invariants
+//go:build !invariants
 
 package mpi_test
 
@@ -10,8 +10,8 @@ import (
 	"repro/internal/mpi"
 )
 
-// Not built with -tags ibverify, which keeps a snapshot of every payload it
-// checks, nor with -tags invariants, whose checks allocate: both by design.
+// Not built with -tags invariants, whose checks allocate and keep a snapshot
+// of every payload the ownership check covers: both by design.
 
 // TestEagerPathAllocatesNothing: after one warm-up lap, a steady-state eager
 // round trip on the zero-copy stack allocates nothing on the host — the

@@ -63,7 +63,7 @@ func TestRandomTrafficProperty(t *testing.T) {
 // its payload — the sender rewrites one buffer after every Send, with random
 // sizes on both sides of every transport's rendezvous switch, and the
 // receiver must see each message as it was when it was sent. Under -tags
-// ibverify the same runs prove no posted buffer changed before its
+// invariants the same runs prove no posted buffer changed before its
 // completion.
 func TestBufferReuseProperty(t *testing.T) {
 	for _, tc := range []struct {

@@ -243,8 +243,8 @@ type Config struct {
 	ChunkSize int
 
 	// ZCThreshold is the message size at and above which the zero-copy
-	// design switches from the eager ring to RDMA read. Default 32 KB
-	// (below it, the RDMA read round trip costs more than it saves).
+	// design switches from the eager ring to RDMA read. Default
+	// DefaultZCThreshold.
 	ZCThreshold int
 
 	// CreditBatch is the delayed-tail-update threshold: the receiver sends
@@ -278,6 +278,12 @@ type Config struct {
 	// peer count.
 	UseSRQ bool
 }
+
+// DefaultZCThreshold is the zero-copy switch: the message size at and above
+// which a payload leaves the eager ring for RDMA (below it, the RDMA round
+// trip costs more than it saves). The channel's ZCThreshold defaults to it,
+// and CH3's direct mode starts its write rendezvous at it.
+const DefaultZCThreshold = 32 << 10
 
 // Validate reports the first setting a connection of c's design cannot
 // run, naming the field ("ChunkSize 8: …") so a caller can prefix its own
@@ -321,7 +327,7 @@ func (c Config) withDefaults() Config {
 		c.ChunkSize = 16 << 10
 	}
 	if c.ZCThreshold == 0 {
-		c.ZCThreshold = 32 << 10
+		c.ZCThreshold = DefaultZCThreshold
 	}
 	if c.CreditBatch == 0 {
 		c.CreditBatch = (c.RingSize / c.ChunkSize) / 2

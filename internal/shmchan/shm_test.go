@@ -3,6 +3,7 @@ package shmchan_test
 import (
 	"testing"
 
+	"repro/internal/bench"
 	"repro/internal/cluster"
 	"repro/internal/mpi"
 	"repro/internal/shmchan"
@@ -176,29 +177,8 @@ func TestIntraNodeFasterThanInterNode(t *testing.T) {
 	// The figure-3 claim in miniature: a small-message ping-pong between
 	// co-located ranks beats the same exchange over InfiniBand.
 	lat := func(cpn int) float64 {
-		c := cluster.MustNew(cluster.Config{NP: 2, CoresPerNode: cpn, Transport: cluster.TransportZeroCopy})
-		defer c.Close()
-		var oneWay float64
-		c.Launch(func(comm *mpi.Comm) {
-			buf, _ := comm.Alloc(4)
-			const iters = 10
-			if comm.Rank() == 0 {
-				comm.Send(buf, 1, 0)
-				comm.Recv(buf, 1, 0)
-				start := comm.Wtime()
-				for i := 0; i < iters; i++ {
-					comm.Send(buf, 1, 0)
-					comm.Recv(buf, 1, 0)
-				}
-				oneWay = (comm.Wtime() - start) / float64(2*iters) * 1e6
-			} else {
-				for i := 0; i < iters+1; i++ {
-					comm.Recv(buf, 0, 0)
-					comm.Send(buf, 0, 0)
-				}
-			}
-		})
-		return oneWay
+		o := bench.Options{Config: cluster.Config{CoresPerNode: cpn, Transport: cluster.TransportZeroCopy}}
+		return bench.MPILatency(o, []int{4}, 10).Points[0].Value
 	}
 	intra, inter := lat(2), lat(1)
 	if intra <= 0 || inter <= 0 {

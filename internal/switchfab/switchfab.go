@@ -34,6 +34,15 @@ func (c Config) Label() string {
 	return fmt.Sprintf("fattree-d%d-u%d", c.LeafDown, c.LeafUp)
 }
 
+// NetLabel names the network a switch configuration builds: "flat" for
+// none (nil, point-to-point links), the tree's Label otherwise.
+func NetLabel(c *Config) string {
+	if c == nil {
+		return "flat"
+	}
+	return c.Label()
+}
+
 // Fabric is a built switch fabric: one independent Plane per rail (each
 // rail of a multi-rail cluster runs its own physical tree, mirroring the
 // per-rail buses on the nodes).
@@ -76,9 +85,6 @@ func New(cfg Config, nNodes, rails int, netBW float64) (*Fabric, error) {
 	}
 	return f, nil
 }
-
-// Label names the topology (Config.Label).
-func (f *Fabric) Label() string { return f.cfg.Label() }
 
 // Leaves returns the number of leaf switches.
 func (f *Fabric) Leaves() int { return f.leaves }

@@ -24,8 +24,8 @@ func TestTopologyShape(t *testing.T) {
 	if f.LeafOf(0) != 0 || f.LeafOf(3) != 0 || f.LeafOf(4) != 1 || f.LeafOf(9) != 2 {
 		t.Fatal("LeafOf does not partition nodes into blocks of LeafDown")
 	}
-	if f.Label() != "fattree-d4-u2" {
-		t.Fatalf("label %q", f.Label())
+	if got := NetLabel(&f.cfg); got != "fattree-d4-u2" {
+		t.Fatalf("label %q", got)
 	}
 	if f.Plane(0) == f.Plane(1) {
 		t.Fatal("rails must get independent planes")
