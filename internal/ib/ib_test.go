@@ -2,6 +2,7 @@ package ib
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"repro/internal/des"
@@ -80,6 +81,58 @@ func TestRDMAWriteDeliversBytes(t *testing.T) {
 		}
 	})
 	r.eng.Run()
+}
+
+func TestRawWriteLatencyMatchesPaper(t *testing.T) {
+	// The verbs layer on its own rig; bench's claims table holds the
+	// same number as the baseline figure reports it.
+	// Paper §4.2.1: raw InfiniBand latency is 5.9 µs. One-way time =
+	// post + HCA processing + wire + poll-detect for a small write.
+	r := newRig(t)
+	var oneWay des.Time
+	r.eng.Spawn("sender", func(p *des.Proc) {
+		smr, sva, sbuf := r.reg(t, p, 0, 64)
+		rmr, rva, rbuf := r.reg(t, p, 1, 64)
+		start := p.Now()
+		sbuf[63] = 0xAB
+		r.qp[0].PostSend(p, SendWR{
+			Op:         OpRDMAWrite,
+			SGL:        []SGE{{Addr: sva, Len: 64, LKey: smr.LKey()}},
+			RemoteAddr: rva, RKey: rmr.RKey(),
+		})
+		r.hca[1].WaitMemory(p, func() bool { return rbuf[63] == 0xAB })
+		oneWay = p.Now() - start
+	})
+	r.eng.Run()
+	if math.Abs(oneWay.Micros()-5.9) > 0.3 {
+		t.Fatalf("raw one-way latency = %v, want ~5.9µs", oneWay)
+	}
+}
+
+func TestRawWriteBandwidthMatchesPaper(t *testing.T) {
+	// Paper §4.2.1: raw bandwidth is ~870 MB/s for large messages.
+	r := newRig(t)
+	const size = 1 << 20
+	const count = 8
+	var rate float64
+	r.eng.Spawn("sender", func(p *des.Proc) {
+		smr, sva, _ := r.reg(t, p, 0, size)
+		rmr, rva, _ := r.reg(t, p, 1, size)
+		start := p.Now()
+		for i := 0; i < count; i++ {
+			r.qp[0].PostSend(p, SendWR{
+				Op: OpRDMAWrite, Signaled: i == count-1,
+				SGL:        []SGE{{Addr: sva, Len: size, LKey: smr.LKey()}},
+				RemoteAddr: rva, RKey: rmr.RKey(),
+			})
+		}
+		r.scq[0].Poll(p)
+		rate = float64(size*count) / (p.Now() - start).Micros()
+	})
+	r.eng.Run()
+	if math.Abs(rate-870) > 30 {
+		t.Fatalf("raw write bandwidth = %.1f MB/s, want ~870", rate)
+	}
 }
 
 func TestRDMAReadPullsBytes(t *testing.T) {

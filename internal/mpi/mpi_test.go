@@ -416,6 +416,50 @@ func TestAlltoallv(t *testing.T) {
 	})
 }
 
+func TestLatencyPiggybackVsBasic(t *testing.T) {
+	// MPI-level calibration: paper's 18.6 µs basic vs 7.4 µs piggyback vs
+	// 7.6 µs zero-copy, 4-byte ping-pong, measured here through the MPI
+	// layer alone; bench's claims table holds the same numbers per figure.
+	lat := func(tr cluster.Transport) float64 {
+		c := cluster.MustNew(cluster.Config{NP: 2, Transport: tr})
+		var oneWay float64
+		const iters = 20
+		c.Launch(func(comm *mpi.Comm) {
+			buf, _ := comm.Alloc(4)
+			rbuf, _ := comm.Alloc(4)
+			if comm.Rank() == 0 {
+				comm.Send(buf, 1, 0)
+				comm.Recv(rbuf, 1, 0) // warmup
+				start := comm.Wtime()
+				for i := 0; i < iters; i++ {
+					comm.Send(buf, 1, 0)
+					comm.Recv(rbuf, 1, 0)
+				}
+				oneWay = (comm.Wtime() - start) / (2 * iters) * 1e6
+			} else {
+				for i := 0; i < iters+1; i++ {
+					comm.Recv(rbuf, 0, 0)
+					comm.Send(buf, 0, 0)
+				}
+			}
+		})
+		return oneWay
+	}
+	basic := lat(cluster.TransportBasic)
+	piggy := lat(cluster.TransportPiggyback)
+	zc := lat(cluster.TransportZeroCopy)
+	t.Logf("MPI 4B latency: basic=%.2fµs piggyback=%.2fµs zerocopy=%.2fµs", basic, piggy, zc)
+	if basic < 15 || basic > 22 {
+		t.Errorf("basic latency %.2f, want ~18.6µs", basic)
+	}
+	if piggy < 6.5 || piggy > 8.5 {
+		t.Errorf("piggyback latency %.2f, want ~7.4µs", piggy)
+	}
+	if zc < piggy || zc > piggy+0.8 {
+		t.Errorf("zerocopy latency %.2f should be slightly above piggyback %.2f", zc, piggy)
+	}
+}
+
 func TestDeterministicAcrossRuns(t *testing.T) {
 	run := func() float64 {
 		c := cluster.MustNew(cluster.Config{NP: 4, Transport: cluster.TransportZeroCopy})
