@@ -65,6 +65,35 @@ func collRunner(coll string, np, root int) func(comm *mpi.Comm, buf mpi.Buffer) 
 	panic(fmt.Sprintf("bench: unknown collective %q", coll))
 }
 
+// CollectiveTime measures the per-call completion time of a collective in
+// microseconds, OSU-style: every iteration runs the operation and then a
+// barrier, so successive calls cannot pipeline and the slowest rank's
+// finish counts. Rank 0 reports the mean with the barrier-only baseline
+// subtracted.
+func CollectiveTime(o Options, np int, sizes []int, iters int,
+	run func(comm *mpi.Comm, buf mpi.Buffer)) Series {
+	pts := o.sweep(np, sizes, func(comm *mpi.Comm, size int, per *float64) {
+		buf, _ := comm.Alloc(max(size, 1))
+		sb := mpi.Slice(buf, 0, size)
+		run(comm, sb) // warmup
+		comm.Barrier()
+		start := comm.Wtime()
+		for i := 0; i < iters; i++ {
+			comm.Barrier()
+		}
+		barriers := comm.Wtime() - start
+		start = comm.Wtime()
+		for i := 0; i < iters; i++ {
+			run(comm, sb)
+			comm.Barrier()
+		}
+		if comm.Rank() == 0 {
+			*per = (comm.Wtime() - start - barriers) / float64(iters) * 1e6
+		}
+	})
+	return Series{Points: pts}
+}
+
 // collIters is the measured calls per point of every registry sweep.
 const collIters = 5
 
@@ -141,12 +170,12 @@ func applicableAlgs(coll string, np, cpn int, sw *switchfab.Config) ([]string, e
 	return slices.DeleteFunc(algs, func(a string) bool { return !applicable[a] }), nil
 }
 
-// AblationCollAlg sweeps every registered bcast, reduce and allgather
+// ablationCollAlg sweeps every registered bcast, reduce and allgather
 // algorithm per message size, 4 B–64 KiB, on the 4-node × 4-core layout —
 // the data the default tuning table is keyed on, hierarchical against flat
 // included: reduce/hier overtakes reduce/binomial at mpi's 4 KiB
 // hierReduceCutoff.
-func AblationCollAlg() Figure {
+func ablationCollAlg() Figure {
 	sizes := sizesPow4(4, 64<<10)
 	f := Figure{
 		ID:     "ablation-coll-alg",

@@ -103,6 +103,60 @@ func TestDocsQuoteClaims(t *testing.T) {
 	}
 }
 
+// TestDocsCountBaseline keeps DESIGN §4's census of BENCH_figures.json
+// true: the figures, series and points it states are the file's.
+func TestDocsCountBaseline(t *testing.T) {
+	rep, err := readReport[Curve](filepath.Join(root, "BENCH_figures.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	figs, points := map[string]bool{}, 0
+	for _, c := range rep.Runs {
+		figs[c.Figure] = true
+		points += len(c.Points)
+	}
+	want := fmt.Sprintf("%d figures, %d series and %d points", len(figs), len(rep.Runs), points)
+	if design := strings.Join(strings.Fields(readRepoFile(t, "DESIGN.md")), " "); !strings.Contains(design, want) {
+		t.Errorf("DESIGN.md does not say %q, the count of BENCH_figures.json", want)
+	}
+}
+
+// linePointer matches a `path:N` (or `path:N,M`) pointer into a file.
+var linePointer = regexp.MustCompile(`([\w./-]+\.(?:go|md|sh|yml|json|txt)):(\d+(?:,\d+)*)`)
+
+// TestDocsPointToExistingLines keeps line pointers from going stale past
+// a file's end: every `path:N` in the docs and ROADMAP names a file, from
+// the repository root or from internal/ or benchmark/, with at least N
+// lines.
+func TestDocsPointToExistingLines(t *testing.T) {
+	found := 0
+	for _, doc := range append(docFiles, "ROADMAP.md") {
+		for _, m := range linePointer.FindAllStringSubmatch(readRepoFile(t, doc), -1) {
+			found++
+			var text []byte
+			for _, dir := range []string{"", "internal", "benchmark"} {
+				if b, err := os.ReadFile(filepath.Join(root, dir, m[1])); err == nil {
+					text = b
+					break
+				}
+			}
+			if text == nil {
+				t.Errorf("%s: %s:%s names no file", doc, m[1], m[2])
+				continue
+			}
+			lines := strings.Count(strings.TrimSuffix(string(text), "\n"), "\n") + 1
+			for _, n := range strings.Split(m[2], ",") {
+				if k, _ := strconv.Atoi(n); k > lines {
+					t.Errorf("%s: %s:%s points past the file's %d lines", doc, m[1], m[2], lines)
+				}
+			}
+		}
+	}
+	if found == 0 {
+		t.Error("found no line pointers; the scan is broken")
+	}
+}
+
 // codeSpan matches one backticked span.
 var codeSpan = regexp.MustCompile("`([^`]+)`")
 

@@ -48,13 +48,13 @@ func faultRun(plan *fault.Plan) (float64, cluster.FaultStats) {
 	return faultWorkload(c), c.FaultStats()
 }
 
-// FaultRecovery sweeps the injected failure rate: for each count, a seeded
+// faultRecovery sweeps the injected failure rate: for each count, a seeded
 // schedule of link outages and drop bursts (fault.Generate) plays against
 // the fixed workload. The zero-count point is the resilient stack under an
 // empty plan, so the curve isolates recovery cost from bookkeeping cost.
 // The schedule horizon is the failure-free run's own duration, so faults
 // land inside the measured window at every rate.
-func FaultRecovery() Figure {
+func faultRecovery() Figure {
 	f := Figure{
 		ID: "fault-recovery", Title: "Completed Traffic and Recovery Latency vs Failure Rate (lazy SRQ, rails=2)",
 		XLabel: "injected faults per run", YLabel: "bandwidth (MB/s) / latency (µs)",

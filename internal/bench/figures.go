@@ -2,142 +2,254 @@ package bench
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/cluster"
 	"repro/internal/ib"
+	"repro/internal/model"
 	"repro/internal/nas"
 	"repro/internal/rdmachan"
+	"repro/internal/regcache"
+	"repro/internal/shmchan"
 )
 
 // Iteration counts; latency curves average over this many round trips.
 const latIters = 10
 
-// Fig4 reproduces Figure 4: MPI latency for the basic design, 4 B–16 KB.
-func Fig4() Figure {
-	return Figure{
-		ID: "fig4", Title: "MPI Latency for Basic Design",
-		XLabel: "message size (bytes)", YLabel: "time (µs)",
-		Series: []Series{
-			MPILatency(Options{Config: cluster.Config{Transport: cluster.TransportBasic}}, sizesPow4(4, 16<<10), latIters),
-		},
-	}
+// twoRank is a figure of the paper's two microbenchmarks on two ranks:
+// ping-pong latency (lat) or window bandwidth over sizes, one series per
+// variant. xLabel, when set, replaces the message-size axis.
+type twoRank struct {
+	id, title, xLabel string
+	lat               bool
+	sizes             []int
+	notes             []string
+	variants          []variant
 }
 
-// Fig5 reproduces Figure 5: MPI bandwidth for the basic design, 4 B–64 KB.
-func Fig5() Figure {
-	return Figure{
-		ID: "fig5", Title: "MPI Bandwidth for Basic Design",
-		XLabel: "message size (bytes)", YLabel: "bandwidth (MB/s)",
-		Series: []Series{
-			MPIBandwidth(Options{Config: cluster.Config{Transport: cluster.TransportBasic}}, sizesPow4(4, 64<<10)),
-		},
-	}
+// variant is one measured configuration of a twoRank row. Consecutive
+// variants that share a name are one series; x, when set, is the x of the
+// variant's one point in place of its message size (a knob swept along
+// the x axis). cacheNote, when set, labels a note of the pin-down cache
+// totals over the variant's runs.
+type variant struct {
+	name      string
+	cfg       cluster.Config
+	x         int
+	cacheNote string
 }
 
-// Fig6 reproduces Figure 6: small-message latency, basic vs piggyback.
-func Fig6() Figure {
-	sizes := sizesPow4(4, 16<<10)
-	return Figure{
-		ID: "fig6", Title: "MPI Small-Message Latency with Piggybacking",
-		XLabel: "message size (bytes)", YLabel: "time (µs)",
-		Series: []Series{
-			MPILatency(Options{Config: cluster.Config{Transport: cluster.TransportBasic}}, sizes, latIters),
-			MPILatency(Options{Config: cluster.Config{Transport: cluster.TransportPiggyback}}, sizes, latIters),
-		},
+// designs is one variant per transport, each named after it.
+func designs(ts ...cluster.Transport) []variant {
+	vs := make([]variant, len(ts))
+	for i, t := range ts {
+		vs[i] = variant{name: t.String(), cfg: cluster.Config{Transport: t}}
 	}
+	return vs
 }
 
-// Fig7 reproduces Figure 7: small-message bandwidth, basic vs piggyback.
-func Fig7() Figure {
-	sizes := sizesPow4(4, 16<<10)
-	return Figure{
-		ID: "fig7", Title: "MPI Small-Message Bandwidth with Piggybacking",
-		XLabel: "message size (bytes)", YLabel: "bandwidth (MB/s)",
-		Series: []Series{
-			MPIBandwidth(Options{Config: cluster.Config{Transport: cluster.TransportBasic}}, sizes),
-			MPIBandwidth(Options{Config: cluster.Config{Transport: cluster.TransportPiggyback}}, sizes),
-		},
-	}
+// withIRD is the testbed with the HCA's outstanding-RDMA-read limit at n.
+func withIRD(n int) *model.Params {
+	prm := model.Testbed()
+	prm.MaxRDMAReads = n
+	return prm
 }
 
-// Fig8 reproduces Figure 8: bandwidth, basic vs pipeline, 4 B–64 KB.
-func Fig8() Figure {
-	return Figure{
-		ID: "fig8", Title: "MPI Bandwidth with Pipelining",
-		XLabel: "message size (bytes)", YLabel: "bandwidth (MB/s)",
-		Series: []Series{
-			MPIBandwidth(Options{Config: cluster.Config{Transport: cluster.TransportBasic}}, sizesPow4(4, 64<<10)),
-			MPIBandwidth(Options{Config: cluster.Config{Transport: cluster.TransportPipeline}}, sizesPow4(4, 64<<10)),
-		},
+// figure measures every variant of the row.
+func (r twoRank) figure() Figure {
+	f := Figure{ID: r.id, Title: r.title, XLabel: r.xLabel, YLabel: "bandwidth (MB/s)", Notes: slices.Clone(r.notes)}
+	if f.XLabel == "" {
+		f.XLabel = "message size (bytes)"
 	}
-}
-
-// Fig9 reproduces Figure 9: pipeline bandwidth across chunk sizes
-// (1 KB–32 KB) for messages 4 KB–1 MB. The paper picks 16 KB from this
-// sweep.
-func Fig9() Figure {
-	f := Figure{
-		ID: "fig9", Title: "MPI Bandwidth with Pipelining (Different Chunk Sizes)",
-		XLabel: "message size (bytes)", YLabel: "bandwidth (MB/s)",
+	if r.lat {
+		f.YLabel = "time (µs)"
 	}
-	for _, chunk := range []int{32 << 10, 16 << 10, 8 << 10, 4 << 10, 2 << 10, 1 << 10} {
-		s := MPIBandwidth(Options{Config: cluster.Config{
-			Transport: cluster.TransportPipeline,
-			Chan:      rdmachan.Config{ChunkSize: chunk},
-		}}, sizesPow4(4<<10, 1<<20))
-		s.Name = fmtSize(chunk)
-		f.Series = append(f.Series, s)
+	for _, v := range r.variants {
+		var rc regcache.Stats
+		o := Options{Config: v.cfg, Observe: func(c *cluster.Cluster) {
+			s := c.RegCacheStats()
+			rc.Hits, rc.Misses, rc.Evictions = rc.Hits+s.Hits, rc.Misses+s.Misses, rc.Evictions+s.Evictions
+		}}
+		var s Series
+		if r.lat {
+			s = MPILatency(o, r.sizes, latIters)
+		} else {
+			s = MPIBandwidth(o, r.sizes)
+		}
+		if v.x != 0 {
+			s.Points[0].Size = v.x
+		}
+		if n := len(f.Series); n > 0 && f.Series[n-1].Name == v.name {
+			f.Series[n-1].Points = append(f.Series[n-1].Points, s.Points...)
+		} else {
+			f.Series = append(f.Series, Series{Name: v.name, Points: s.Points})
+		}
+		if v.cacheNote != "" {
+			f.Notes = append(f.Notes, fmt.Sprintf("%s: hits=%d misses=%d evictions=%d",
+				v.cacheNote, rc.Hits, rc.Misses, rc.Evictions))
+		}
 	}
 	return f
 }
 
-// Fig11 reproduces Figure 11: bandwidth, pipeline vs zero-copy, 4 B–1 MB.
-func Fig11() Figure {
-	sizes := sizesPow4(4, 1<<20)
-	return Figure{
-		ID: "fig11", Title: "MPI Bandwidth with Zero-Copy and Pipelining",
-		XLabel: "message size (bytes)", YLabel: "bandwidth (MB/s)",
-		Series: []Series{
-			MPIBandwidth(Options{Config: cluster.Config{Transport: cluster.TransportPipeline}}, sizes),
-			MPIBandwidth(Options{Config: cluster.Config{Transport: cluster.TransportZeroCopy}}, sizes),
-		},
-	}
+// twoRankRows are the paper's Figures 4–14, the SMP extension's fig3
+// pair, the two-rank ablations and the multi-rail sweeps.
+var twoRankRows = []twoRank{
+	// The paper's Figure 3 is the shared-memory scheme its RDMA designs
+	// emulate over the network; fig3 measures that scheme implemented
+	// natively (internal/shmchan) against InfiniBand, a repository
+	// extension (DESIGN.md §6). For small messages shm wins by the full
+	// fabric round trip; for large ones the two-copy path closes on the
+	// single memory bus.
+	{id: "fig3-lat", title: "Intra-Node (Shared Memory) vs Inter-Node (InfiniBand) MPI Latency",
+		lat: true, sizes: sizesPow4(4, 64<<10), variants: []variant{
+			{name: "intra-node shm", cfg: cluster.Config{Transport: cluster.TransportZeroCopy, CoresPerNode: 2}},
+			{name: "inter-node IB", cfg: cluster.Config{Transport: cluster.TransportZeroCopy}},
+		}},
+	// Two bus crossings per byte cap intra-node streaming below the
+	// fabric's 870 MB/s: §4.4's memory-bus bottleneck as an SMP property.
+	{id: "fig3-bw", title: "Intra-Node (Shared Memory) vs Inter-Node (InfiniBand) MPI Bandwidth",
+		sizes: sizesPow4(4, 1<<20), variants: []variant{
+			{name: "intra-node shm", cfg: cluster.Config{Transport: cluster.TransportZeroCopy, CoresPerNode: 2}},
+			{name: "inter-node IB", cfg: cluster.Config{Transport: cluster.TransportZeroCopy}},
+		}},
+	{id: "fig4", title: "MPI Latency for Basic Design", lat: true,
+		sizes: sizesPow4(4, 16<<10), variants: designs(cluster.TransportBasic)},
+	{id: "fig5", title: "MPI Bandwidth for Basic Design",
+		sizes: sizesPow4(4, 64<<10), variants: designs(cluster.TransportBasic)},
+	{id: "fig6", title: "MPI Small-Message Latency with Piggybacking", lat: true,
+		sizes: sizesPow4(4, 16<<10), variants: designs(cluster.TransportBasic, cluster.TransportPiggyback)},
+	{id: "fig7", title: "MPI Small-Message Bandwidth with Piggybacking",
+		sizes: sizesPow4(4, 16<<10), variants: designs(cluster.TransportBasic, cluster.TransportPiggyback)},
+	{id: "fig8", title: "MPI Bandwidth with Pipelining",
+		sizes: sizesPow4(4, 64<<10), variants: designs(cluster.TransportBasic, cluster.TransportPipeline)},
+	// The paper picks 16 KB chunks from this sweep.
+	{id: "fig9", title: "MPI Bandwidth with Pipelining (Different Chunk Sizes)",
+		sizes: sizesPow4(4<<10, 1<<20), variants: []variant{
+			{name: "32K", cfg: cluster.Config{Transport: cluster.TransportPipeline, Chan: rdmachan.Config{ChunkSize: 32 << 10}}},
+			{name: "16K", cfg: cluster.Config{Transport: cluster.TransportPipeline, Chan: rdmachan.Config{ChunkSize: 16 << 10}}},
+			{name: "8K", cfg: cluster.Config{Transport: cluster.TransportPipeline, Chan: rdmachan.Config{ChunkSize: 8 << 10}}},
+			{name: "4K", cfg: cluster.Config{Transport: cluster.TransportPipeline, Chan: rdmachan.Config{ChunkSize: 4 << 10}}},
+			{name: "2K", cfg: cluster.Config{Transport: cluster.TransportPipeline, Chan: rdmachan.Config{ChunkSize: 2 << 10}}},
+			{name: "1K", cfg: cluster.Config{Transport: cluster.TransportPipeline, Chan: rdmachan.Config{ChunkSize: 1 << 10}}},
+		}},
+	{id: "fig11", title: "MPI Bandwidth with Zero-Copy and Pipelining",
+		sizes: sizesPow4(4, 1<<20), variants: designs(cluster.TransportPipeline, cluster.TransportZeroCopy)},
+	{id: "fig13", title: "MPI Latency for CH3 Design and RDMA Channel Interface Design", lat: true,
+		sizes: sizesPow4(4, 64<<10), variants: []variant{
+			{name: "RDMA Chan ZC", cfg: cluster.Config{Transport: cluster.TransportZeroCopy}},
+			{name: "CH3 ZC", cfg: cluster.Config{Transport: cluster.TransportCH3}},
+		}},
+	// The CH3 design wins for mid-size messages (32 KB–256 KB), tracking
+	// the raw write-vs-read gap of Figure 15.
+	{id: "fig14", title: "MPI Bandwidth for CH3 Design and RDMA Channel Interface Design",
+		sizes: sizesPow4(4, 1<<20), variants: []variant{
+			{name: "RDMA Chan ZC", cfg: cluster.Config{Transport: cluster.TransportZeroCopy}},
+			{name: "CH3 ZC", cfg: cluster.Config{Transport: cluster.TransportCH3}},
+		}},
+
+	// Ablations probe the design choices the paper calls out but does not
+	// sweep; DESIGN.md §4 lists each with its motivating section.
+
+	// The delayed tail-update (credit batch) threshold of §4.3.
+	{id: "ablation-tail", title: "Delayed tail updates: credit batch sweep (16 KB messages)",
+		xLabel: "credit batch (chunks)", sizes: []int{16 << 10}, variants: []variant{
+			{name: "pipeline 16K", x: 1, cfg: cluster.Config{Transport: cluster.TransportPipeline, Chan: rdmachan.Config{CreditBatch: 1}}},
+			{name: "pipeline 16K", x: 2, cfg: cluster.Config{Transport: cluster.TransportPipeline, Chan: rdmachan.Config{CreditBatch: 2}}},
+			{name: "pipeline 16K", x: 4, cfg: cluster.Config{Transport: cluster.TransportPipeline, Chan: rdmachan.Config{CreditBatch: 4}}},
+			{name: "pipeline 16K", x: 6, cfg: cluster.Config{Transport: cluster.TransportPipeline, Chan: rdmachan.Config{CreditBatch: 6}}},
+		}},
+	// §5: registration is expensive, and the cache's effectiveness depends
+	// on buffer reuse, so the notes give its totals across each sweep.
+	{id: "ablation-regcache", title: "Zero-copy with and without the registration cache",
+		sizes: sizesPow4(16<<10, 1<<20), variants: []variant{
+			{name: "with cache", cacheNote: "regcache with cache", cfg: cluster.Config{Transport: cluster.TransportZeroCopy}},
+			{name: "no cache", cacheNote: "regcache no cache", cfg: cluster.Config{Transport: cluster.TransportZeroCopy, Chan: rdmachan.Config{RegCacheBytes: -1}}},
+		}},
+	// The eager→zero-copy switch point.
+	{id: "ablation-zcthreshold", title: "Zero-copy threshold sweep",
+		sizes: sizesPow4(4<<10, 256<<10), variants: []variant{
+			{name: "thresh 8K", cfg: cluster.Config{Transport: cluster.TransportZeroCopy, Chan: rdmachan.Config{ZCThreshold: 8 << 10}}},
+			{name: "thresh 16K", cfg: cluster.Config{Transport: cluster.TransportZeroCopy, Chan: rdmachan.Config{ZCThreshold: 16 << 10}}},
+			{name: "thresh 32K", cfg: cluster.Config{Transport: cluster.TransportZeroCopy, Chan: rdmachan.Config{ZCThreshold: 32 << 10}}},
+			{name: "thresh 64K", cfg: cluster.Config{Transport: cluster.TransportZeroCopy, Chan: rdmachan.Config{ZCThreshold: 64 << 10}}},
+		}},
+	// Raising the outstanding-RDMA-read limit shows the mid-size read gap
+	// of Figure 15 is an IRD effect.
+	{id: "ablation-reads", title: "Zero-copy bandwidth vs outstanding RDMA read limit",
+		sizes: sizesPow4(16<<10, 1<<20), variants: []variant{
+			{name: "IRD 1", cfg: cluster.Config{Transport: cluster.TransportZeroCopy, Params: withIRD(1)}},
+			{name: "IRD 2", cfg: cluster.Config{Transport: cluster.TransportZeroCopy, Params: withIRD(2)}},
+			{name: "IRD 4", cfg: cluster.Config{Transport: cluster.TransportZeroCopy, Params: withIRD(4)}},
+		}},
+	// §4.4's flow-control stalls against buffer memory.
+	{id: "ablation-ring", title: "Pipeline bandwidth vs shared ring size (1 MB messages)",
+		xLabel: "ring size (bytes)", sizes: []int{1 << 20}, variants: []variant{
+			{name: "pipeline 1M", x: 32 << 10, cfg: cluster.Config{Transport: cluster.TransportPipeline, Chan: rdmachan.Config{RingSize: 32 << 10}}},
+			{name: "pipeline 1M", x: 64 << 10, cfg: cluster.Config{Transport: cluster.TransportPipeline, Chan: rdmachan.Config{RingSize: 64 << 10}}},
+			{name: "pipeline 1M", x: 128 << 10, cfg: cluster.Config{Transport: cluster.TransportPipeline, Chan: rdmachan.Config{RingSize: 128 << 10}}},
+			{name: "pipeline 1M", x: 256 << 10, cfg: cluster.Config{Transport: cluster.TransportPipeline, Chan: rdmachan.Config{RingSize: 256 << 10}}},
+			{name: "pipeline 1M", x: 512 << 10, cfg: cluster.Config{Transport: cluster.TransportPipeline, Chan: rdmachan.Config{RingSize: 512 << 10}}},
+		}},
+	// The shared-memory channel's two-copy segment path against its
+	// single-copy rendezvous for large intra-node messages: one bus
+	// crossing instead of two, with both user buffers pinned through the
+	// registration cache like the InfiniBand rendezvous.
+	{id: "ablation-shm-rndv", title: "Intra-node large messages: segment vs single-copy rendezvous",
+		sizes: sizesPow4(32<<10, 1<<20), variants: []variant{
+			{name: "shm segment", cfg: cluster.Config{Transport: cluster.TransportZeroCopy, CoresPerNode: 2}},
+			{name: "shm rendezvous", cacheNote: "rendezvous regcache", cfg: cluster.Config{Transport: cluster.TransportZeroCopy, CoresPerNode: 2,
+				Shm: shmchan.Config{RndvThreshold: 32 << 10}}},
+		}},
+	// At rails=2, the size below which a zero-copy transfer should stay on
+	// one rail: striping pays per-rail registration (first touch) and a
+	// second read turnaround, and the sweep shows where the overlap wins.
+	{id: "ablation-rail-stripe", title: "Striping threshold (rails=2, zero-copy design)",
+		sizes: sizesPow4(16<<10, 4<<20), variants: []variant{
+			{name: "stripe-all", cfg: cluster.Config{Transport: cluster.TransportZeroCopy, RailsPerNode: 2, Chan: rdmachan.Config{StripeThreshold: 0}}},
+			{name: "stripe>=128K", cfg: cluster.Config{Transport: cluster.TransportZeroCopy, RailsPerNode: 2, Chan: rdmachan.Config{StripeThreshold: 128 << 10}}},
+			{name: "stripe>=512K", cfg: cluster.Config{Transport: cluster.TransportZeroCopy, RailsPerNode: 2, Chan: rdmachan.Config{StripeThreshold: 512 << 10}}},
+			{name: "no-striping", cfg: cluster.Config{Transport: cluster.TransportZeroCopy, RailsPerNode: 2, Chan: rdmachan.Config{StripeThreshold: -1}}},
+		}, notes: []string{"below the threshold a transfer uses rail 0 alone; the registration cache amortizes per-rail pinning after first touch"}},
+
+	// Multi-rail figures (DESIGN.md §10). The paper's bandwidth ceiling is
+	// one PCI-X-bound adapter per node (870 MB/s sustained, §6); these
+	// measure what striping the zero-copy design over N such adapters
+	// buys, where the ceiling moves to the node's shared memory bandwidth.
+
+	// Eager chunks go round-robin over the rails and large messages stripe
+	// across all of them; the id names the eager policy, so its figure key
+	// differs from its -fig id.
+	{id: "rails-bw/round-robin", title: "MPI Bandwidth vs Rails (zero-copy design, striped rendezvous)",
+		sizes: sizesPow4(4<<10, 4<<20), variants: []variant{
+			{name: "rails=1", cfg: cluster.Config{Transport: cluster.TransportZeroCopy, RailsPerNode: 1}},
+			{name: "rails=2", cfg: cluster.Config{Transport: cluster.TransportZeroCopy, RailsPerNode: 2}},
+			{name: "rails=4", cfg: cluster.Config{Transport: cluster.TransportZeroCopy, RailsPerNode: 4}},
+		}, notes: []string{
+			"eager rail policy: round-robin; zero-copy transfers stripe in ChunkSize-aligned blocks",
+			"rails share the node MemBandwidth ceiling but each owns its NetBandwidth (DESIGN.md §10)"}},
+	// The eager rail policies on mid-size messages, where the eager ring
+	// carries the traffic.
+	{id: "rails-policy", title: "Eager rail policy (rails=2, zero-copy design)",
+		sizes: sizesPow4(1<<10, 16<<10), variants: []variant{
+			{name: "round-robin", cfg: cluster.Config{Transport: cluster.TransportZeroCopy, RailsPerNode: 2, Chan: rdmachan.Config{RailPolicy: rdmachan.RailRoundRobin}}},
+			{name: "weighted", cfg: cluster.Config{Transport: cluster.TransportZeroCopy, RailsPerNode: 2, Chan: rdmachan.Config{RailPolicy: rdmachan.RailWeighted}}},
+			{name: "fixed", cfg: cluster.Config{Transport: cluster.TransportZeroCopy, RailsPerNode: 2, Chan: rdmachan.Config{RailPolicy: rdmachan.RailFixed}}},
+		}, notes: []string{"fixed pins rail 0: the single-rail baseline inside a 2-rail build"}},
 }
 
-// Fig13 reproduces Figure 13: latency, RDMA-Channel zero-copy vs direct
-// CH3 design, 4 B–64 KB.
-func Fig13() Figure {
-	sizes := sizesPow4(4, 64<<10)
-	a := MPILatency(Options{Config: cluster.Config{Transport: cluster.TransportZeroCopy}}, sizes, latIters)
-	a.Name = "RDMA Chan ZC"
-	b := MPILatency(Options{Config: cluster.Config{Transport: cluster.TransportCH3}}, sizes, latIters)
-	b.Name = "CH3 ZC"
-	return Figure{
-		ID: "fig13", Title: "MPI Latency for CH3 Design and RDMA Channel Interface Design",
-		XLabel: "message size (bytes)", YLabel: "time (µs)",
-		Series: []Series{a, b},
+// twoRankFigure is the builder of the twoRank row whose figure id is id.
+func twoRankFigure(id string) func() Figure {
+	i := slices.IndexFunc(twoRankRows, func(r twoRank) bool { return r.id == id })
+	if i < 0 {
+		panic("bench: no two-rank row " + id)
 	}
+	return twoRankRows[i].figure
 }
 
-// Fig14 reproduces Figure 14: bandwidth, RDMA-Channel zero-copy vs direct
-// CH3 design, 4 B–1 MB. The CH3 design wins for mid-size messages
-// (32 KB–256 KB), tracking the raw write-vs-read gap of Figure 15.
-func Fig14() Figure {
-	sizes := sizesPow4(4, 1<<20)
-	a := MPIBandwidth(Options{Config: cluster.Config{Transport: cluster.TransportZeroCopy}}, sizes)
-	a.Name = "RDMA Chan ZC"
-	b := MPIBandwidth(Options{Config: cluster.Config{Transport: cluster.TransportCH3}}, sizes)
-	b.Name = "CH3 ZC"
-	return Figure{
-		ID: "fig14", Title: "MPI Bandwidth for CH3 Design and RDMA Channel Interface Design",
-		XLabel: "message size (bytes)", YLabel: "bandwidth (MB/s)",
-		Series: []Series{a, b},
-	}
-}
-
-// Fig15 reproduces Figure 15: raw verbs-level RDMA write vs read
+// fig15 reproduces Figure 15: raw verbs-level RDMA write vs read
 // bandwidth, 4 KB–1 MB.
-func Fig15() Figure {
+func fig15() Figure {
 	sizes := sizesPow4(4<<10, 1<<20)
 	return Figure{
 		ID: "fig15", Title: "InfiniBand Bandwidth (verbs level)",
@@ -149,9 +261,9 @@ func Fig15() Figure {
 	}
 }
 
-// Baseline reproduces the §4.2.1 raw numbers: 5.9 µs latency, 870 MB/s
+// baseline reproduces the §4.2.1 raw numbers: 5.9 µs latency, 870 MB/s
 // bandwidth.
-func Baseline() Figure {
+func baseline() Figure {
 	lat := VerbsLatency(nil)
 	bw := verbsBW(ib.OpRDMAWrite, 1<<20, 8, nil)
 	return Figure{
@@ -164,9 +276,9 @@ func Baseline() Figure {
 	}
 }
 
-// Headline reproduces the paper's headline MPI numbers: 7.6 µs latency and
+// headline reproduces the paper's headline MPI numbers: 7.6 µs latency and
 // 857 MB/s peak bandwidth for the optimized (zero-copy) design.
-func Headline() Figure {
+func headline() Figure {
 	lat := MPILatency(Options{Config: cluster.Config{Transport: cluster.TransportZeroCopy}}, []int{4}, latIters)
 	bw := MPIBandwidth(Options{Config: cluster.Config{Transport: cluster.TransportZeroCopy}}, []int{1 << 20})
 	return Figure{
@@ -190,23 +302,30 @@ var figureTable = []struct {
 	id   string
 	make func() Figure
 }{
-	{"baseline", Baseline}, {"headline", Headline},
-	{"fig3-lat", Fig3Latency}, {"fig3-bw", Fig3Bandwidth},
-	{"fig4", Fig4}, {"fig5", Fig5}, {"fig6", Fig6}, {"fig7", Fig7},
-	{"fig8", Fig8}, {"fig9", Fig9}, {"fig11", Fig11}, {"fig13", Fig13},
-	{"fig14", Fig14}, {"fig15", Fig15},
-	{"fig16", func() Figure { return NASFigure("fig16", nas.ClassA, 4) }},
-	{"fig17", func() Figure { return NASFigure("fig17", nas.ClassB, 8) }},
-	{"nas-smp", func() Figure { return NASSMP(nas.ClassA, 8, []int{1, 2, 4, 8}) }},
-	{"ablation-tail", AblationTailThreshold}, {"ablation-regcache", AblationRegCache},
-	{"ablation-zcthreshold", AblationZCThreshold}, {"ablation-reads", AblationOutstandingReads},
-	{"ablation-ring", AblationRingSize}, {"ablation-shm-rndv", AblationShmRndv},
-	{"ablation-coll-alg", AblationCollAlg}, {"ablation-rail-stripe", AblationRailStripe},
-	{"footprint-conns", func() Figure { return FootprintFigures()[0] }},
-	{"footprint-mem", func() Figure { return FootprintFigures()[1] }},
-	{"ablation-connect-setup", AblationConnectSetup},
-	{"rails-bw", RailBandwidth}, {"rails-policy", RailPolicyFigure}, {"nas-rails", NASRailSweep},
-	{"fault-recovery", FaultRecovery},
+	{"baseline", baseline}, {"headline", headline},
+	{"fig3-lat", twoRankFigure("fig3-lat")}, {"fig3-bw", twoRankFigure("fig3-bw")},
+	{"fig4", twoRankFigure("fig4")}, {"fig5", twoRankFigure("fig5")},
+	{"fig6", twoRankFigure("fig6")}, {"fig7", twoRankFigure("fig7")},
+	{"fig8", twoRankFigure("fig8")}, {"fig9", twoRankFigure("fig9")},
+	{"fig11", twoRankFigure("fig11")}, {"fig13", twoRankFigure("fig13")},
+	{"fig14", twoRankFigure("fig14")}, {"fig15", fig15},
+	{"fig16", func() Figure { return nasFigure("fig16", nas.ClassA, 4) }},
+	{"fig17", func() Figure { return nasFigure("fig17", nas.ClassB, 8) }},
+	{"nas-smp", func() Figure { return nasSMP(nas.ClassA, 8, []int{1, 2, 4, 8}) }},
+	{"ablation-tail", twoRankFigure("ablation-tail")},
+	{"ablation-regcache", twoRankFigure("ablation-regcache")},
+	{"ablation-zcthreshold", twoRankFigure("ablation-zcthreshold")},
+	{"ablation-reads", twoRankFigure("ablation-reads")},
+	{"ablation-ring", twoRankFigure("ablation-ring")},
+	{"ablation-shm-rndv", twoRankFigure("ablation-shm-rndv")},
+	{"ablation-coll-alg", ablationCollAlg},
+	{"ablation-rail-stripe", twoRankFigure("ablation-rail-stripe")},
+	{"footprint-conns", func() Figure { return footprintFigures()[0] }},
+	{"footprint-mem", func() Figure { return footprintFigures()[1] }},
+	{"ablation-connect-setup", ablationConnectSetup},
+	{"rails-bw", twoRankFigure("rails-bw/round-robin")},
+	{"rails-policy", twoRankFigure("rails-policy")},
+	{"nas-rails", nasRailSweep}, {"fault-recovery", faultRecovery},
 	{"coll-allreduce/flat/np=16/cpn=1", collRow("allreduce", nil)},
 	{"coll-alltoall/flat/np=16/cpn=1", collRow("alltoall", nil)},
 	{"coll-allgather/flat/np=16/cpn=1", collRow("allgather", nil)},

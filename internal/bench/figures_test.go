@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"path/filepath"
 	"slices"
 	"testing"
 
@@ -34,6 +35,20 @@ var claims = []claim{
 	{"fig13", "RDMA Chan ZC", 4, 7.6, 7.2, 8.2},
 }
 
+// built holds the figures the tests have built, by figure id: the claims
+// and the two-rank rows share figures, and each build is a full run.
+var built = map[string]Figure{}
+
+// buildOnce returns the figure id, building it with make on first use.
+func buildOnce(id string, make func() Figure) Figure {
+	f, ok := built[id]
+	if !ok {
+		f = make()
+		built[id] = f
+	}
+	return f
+}
+
 // claimPoints returns the value of the point each claim names in curves.
 func claimPoints(t *testing.T, curves []Curve) []float64 {
 	t.Helper()
@@ -62,11 +77,13 @@ func TestHeadlineNumbers(t *testing.T) {
 	var figs []Figure
 	for _, c := range claims {
 		if len(figs) == 0 || figs[len(figs)-1].ID != c.fig {
-			f, err := FigureByID(c.fig)
-			if err != nil {
-				t.Fatal(err)
-			}
-			figs = append(figs, f)
+			figs = append(figs, buildOnce(c.fig, func() Figure {
+				f, err := FigureByID(c.fig)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return f
+			}))
 		}
 	}
 	got := map[string]float64{}
@@ -87,11 +104,37 @@ func TestHeadlineNumbers(t *testing.T) {
 	}
 }
 
+// TestTwoRankRowsMatchBaseline builds every two-rank row and holds it to
+// BENCH_figures.json exactly: each series under its name, every point, and
+// as many series as the baseline holds for the figure. A slip in a row's
+// sizes, names or configurations fails here, not only in the -fig all gate.
+func TestTwoRankRowsMatchBaseline(t *testing.T) {
+	base, err := readReport[Curve](filepath.Join(root, "BENCH_figures.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range twoRankRows {
+		f := buildOnce(r.id, r.figure)
+		want := 0
+		for _, c := range base.Runs {
+			if c.Figure == r.id {
+				want++
+			}
+		}
+		if len(f.Series) != want {
+			t.Errorf("%s: %d series, baseline has %d", r.id, len(f.Series), want)
+		}
+		for _, err := range Curves(f).compare(base, 0) {
+			t.Error(err)
+		}
+	}
+}
+
 // TestSMPHeadline is the SMP scenario's acceptance gate in executable
 // form (shmchan's TestIntraNodeFasterThanInterNode holds its other claim,
 // shm beating InfiniBand for small messages): on a 4-node × 4-core layout
 // the hierarchical broadcast must beat the flat binomial (rooted off the
-// node boundary; see AblationCollAlg's layout for why the root matters).
+// node boundary; see collAlgRoot in collalg.go for why the root matters).
 func TestSMPHeadline(t *testing.T) {
 	bcast := func(alg string, size int) float64 {
 		o := Options{Config: cluster.Config{Transport: cluster.TransportZeroCopy, CoresPerNode: 4,
@@ -113,7 +156,8 @@ func TestSMPHeadline(t *testing.T) {
 // single-rail bandwidth.
 func TestRailBandwidthScales(t *testing.T) {
 	byRails := map[string]float64{}
-	for _, s := range RailBandwidth().Series {
+	id := "rails-bw/round-robin"
+	for _, s := range buildOnce(id, twoRankFigure(id)).Series {
 		byRails[s.Name] = s.Points[len(s.Points)-1].Value
 	}
 	if ratio := byRails["rails=2"] / byRails["rails=1"]; !(ratio >= 1.8) {

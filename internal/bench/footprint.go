@@ -88,12 +88,12 @@ func runPattern(c *cluster.Cluster, pat pattern) {
 	})
 }
 
-// FootprintFigures produces the two footprint-vs-np figures — established
+// footprintFigures produces the two footprint-vs-np figures — established
 // connections (pairs) and per-process eager-buffer memory (KB, maximum
 // over ranks) — one series per connect mode × traffic pattern. Eager
 // wiring ignores the pattern (the mesh exists regardless), so it
 // contributes one series.
-func FootprintFigures() []Figure {
+func footprintFigures() []Figure {
 	conns := Figure{
 		ID: "footprint-conns", Title: "Established connections vs job size",
 		XLabel: "ranks (np)", YLabel: "connections (pairs)",
@@ -139,12 +139,12 @@ func FootprintFigures() []Figure {
 	return []Figure{conns, mem}
 }
 
-// AblationConnectSetup measures what lazy establishment costs the first
+// ablationConnectSetup measures what lazy establishment costs the first
 // message: a 2-rank ping-pong where point 1 is the very first ping-pong
 // (lazy pays QP creation, registration and the address-exchange handshake
 // here; eager paid them before the clock started) and point 2 the
 // steady-state average of the next iterations.
-func AblationConnectSetup() Figure {
+func ablationConnectSetup() Figure {
 	f := Figure{
 		ID: "ablation-connect-setup", Title: "Connection-setup latency: first message vs steady state",
 		XLabel: "1 = first ping-pong, 2 = steady state", YLabel: "round trip (µs)",

@@ -48,13 +48,13 @@ func squareNote(np int) []string {
 	return []string{fmt.Sprintf("bt and sp run at 4 ranks, not %d: they need a square process grid (§7)", np)}
 }
 
-// NASFigure reproduces Figure 16 (class A on 4 nodes) or Figure 17 (class B
+// nasFigure reproduces Figure 16 (class A on 4 nodes) or Figure 17 (class B
 // on 8 nodes): every kernel over the three designs the paper compares — the
 // pipelined RDMA Channel, its zero-copy design (the paper's "RDMA Channel"
 // bars) and the direct CH3 zero-copy design. One series per design, one
 // point per kernel in nas.Names() order, labelled with the kernel and sized
 // with the rank count it ran at.
-func NASFigure(id string, class nas.Class, np int) Figure {
+func nasFigure(id string, class nas.Class, np int) Figure {
 	f := Figure{
 		ID: id, Title: fmt.Sprintf("NAS Class %c on %d Nodes", class, np),
 		XLabel: "benchmark", YLabel: "simulated runtime (ms)",
@@ -83,13 +83,13 @@ func geoMeanRatio(a, b []Point) float64 {
 	return math.Pow(prod, 1/float64(len(a)))
 }
 
-// NASSMP sweeps every kernel over cores-per-node layouts at a fixed rank
+// nasSMP sweeps every kernel over cores-per-node layouts at a fixed rank
 // count, the scenario the paper leaves as future work (§9): from one rank
 // per node, the paper's testbed, to all ranks on one node. Fewer nodes make
 // co-located traffic cheap shared-memory hops but put more ranks on each
 // node's memory bus and adapter. The inter-node transport is the zero-copy
 // RDMA Channel design. One series per kernel, x = cores per node.
-func NASSMP(class nas.Class, np int, ppns []int) Figure {
+func nasSMP(class nas.Class, np int, ppns []int) Figure {
 	f := Figure{
 		ID: "nas-smp", Title: fmt.Sprintf("NAS Class %c, %d Ranks, Varying Cores per Node (zero-copy design)", class, np),
 		XLabel: "cores per node", YLabel: "simulated runtime (ms)",
@@ -106,16 +106,16 @@ func NASSMP(class nas.Class, np int, ppns []int) Figure {
 	return f
 }
 
-// NASRailSweep runs NAS CG class A at np=4 over rail counts — the
+// nasRailSweep runs NAS CG class A at np=4 over rail counts — the
 // application-level rail sweep (one series per transport is unnecessary:
 // CG's transfers are the zero-copy design's bread and butter).
-func NASRailSweep() Figure {
+func nasRailSweep() Figure {
 	f := Figure{
 		ID: "nas-rails", Title: "NAS CG class A np=4 vs rails (zero-copy design)",
 		XLabel: "rails", YLabel: "Mop/s",
 	}
 	s := Series{Name: "cg/zerocopy"}
-	for _, rails := range railCounts {
+	for _, rails := range []int{1, 2, 4} {
 		cfg := cluster.Config{NP: 4, RailsPerNode: rails, Transport: cluster.TransportZeroCopy}
 		s.Points = append(s.Points, Point{Size: rails, Value: runNAS("cg", nas.ClassA, cfg).Mops})
 	}

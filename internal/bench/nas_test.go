@@ -13,7 +13,7 @@ import (
 // rank count the kernel ran at (SP and BT at 4 of 8), and FormatFigure
 // prints the kernels as the rows.
 func TestNASFigureSmoke(t *testing.T) {
-	f := NASFigure("smoke", nas.ClassS, 8)
+	f := nasFigure("smoke", nas.ClassS, 8)
 	if len(f.Series) != 3 {
 		t.Fatalf("%d series, want one per design", len(f.Series))
 	}
@@ -45,7 +45,7 @@ func TestNASFigureSmoke(t *testing.T) {
 // nas.Names() order, with one point per layout.
 func TestNASSMPSmoke(t *testing.T) {
 	ppns := []int{1, 2, 4}
-	f := NASSMP(nas.ClassS, 4, ppns)
+	f := nasSMP(nas.ClassS, 4, ppns)
 	var names []string
 	for _, s := range f.Series {
 		names = append(names, s.Name)

@@ -86,12 +86,7 @@ func (c *Conn) Endpoint() rdmachan.Endpoint { return c.ep }
 // Footprint reports the connection's dedicated memory — the channel
 // endpoint's rings plus queue pair (the packet engine itself adds only
 // header staging).
-func (c *Conn) Footprint() transport.Footprint {
-	if a, ok := c.ep.(interface{ Footprint() rdmachan.Footprint }); ok {
-		return a.Footprint()
-	}
-	return transport.Footprint{QPs: 1}
-}
+func (c *Conn) Footprint() transport.Footprint { return c.ep.Footprint() }
 
 // admit stages the packet's header in a pooled slot. A queued packet ends
 // any idle answer the transport holds (WatchIdle).

@@ -560,9 +560,7 @@ func (c *Cluster) RankMemStats(rank int) MemStats {
 	m := MemStats{Ranks: 1}
 	c.Ranks[rank].ForEachEndpoint(func(peer int32, ep transport.Endpoint) {
 		m.Connections++
-		if a, ok := ep.(transport.Accountable); ok {
-			m.Add(a.Footprint())
-		}
+		m.Add(ep.Footprint())
 	})
 	if c.pools != nil {
 		for _, pool := range c.pools[rank] {

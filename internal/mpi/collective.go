@@ -112,7 +112,7 @@ func (c *Comm) Recv2(buf Buffer, src, tag int) Status {
 // tuning table picks reduce/hier on SMP layouts. Below it the flat
 // binomial wins: its subtrees combine in parallel, while the hierarchy
 // serializes the intra-node stage before any leader traffic starts. The
-// crossover is measured by bench.AblationCollAlg (DESIGN.md §6).
+// crossover is measured by the ablation-coll-alg figure (DESIGN.md §6).
 const hierReduceCutoff = 4 << 10
 
 // Reduce combines send buffers elementwise into recv at root through the

@@ -17,8 +17,8 @@ import "fmt"
 // These are the "hier" entries of the algorithm registry (algorithms.go);
 // the default tuning table selects them on multi-rank-per-node layouts
 // and the flat algorithms everywhere else, so the paper's testbed
-// experiments are byte-for-byte unchanged. bench.AblationCollAlg compares
-// the algorithms.
+// experiments are byte-for-byte unchanged. The ablation-coll-alg figure
+// compares the algorithms.
 
 // topo is the node placement view a communicator computes over its own
 // member set (in communicator rank space), so hierarchical algorithms

@@ -180,6 +180,9 @@ type Endpoint interface {
 
 	// Stats returns endpoint counters.
 	Stats() Stats
+
+	// Footprint reports this side's dedicated per-connection memory.
+	Footprint() Footprint
 }
 
 // IdleGetter is implemented by endpoints whose Get costs simulated time

@@ -302,9 +302,6 @@ func (c *Conn) AcceptRendezvous(p *des.Proc, id uint64, dst transport.Buffer,
 	}
 }
 
-// Pending reports queued-but-incomplete send operations (diagnostics).
-func (c *Conn) Pending() int { return c.sendq.Len() + len(c.pending) }
-
 // Poll implements transport.Endpoint: advance the head send operation and
 // drain arrived messages, reporting whether anything moved. Work it leaves
 // behind — a send waiting for the peer to free a cell — touches its slot.

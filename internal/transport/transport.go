@@ -13,12 +13,6 @@ type Buffer = rdmachan.Buffer
 // reused unchanged up the stack (see rdmachan.Footprint).
 type Footprint = rdmachan.Footprint
 
-// Accountable is implemented by endpoints that report their dedicated
-// memory; the cluster aggregates footprints into per-process MemStats.
-type Accountable interface {
-	Footprint() Footprint
-}
-
 // Envelope is the MPI matching tuple plus payload size. Ctx carries the
 // communicator context id: the MPI layer assigns every communicator its
 // own p2p+collective pair (world owns 0/1; derived communicators allocate
@@ -82,4 +76,8 @@ type Endpoint interface {
 	// progress pass, unless the endpoint's slot holds an idle answer
 	// (DESIGN.md §18).
 	Poll(p *des.Proc) bool
+
+	// Footprint reports the endpoint's dedicated memory; the cluster
+	// aggregates footprints into per-process MemStats.
+	Footprint() Footprint
 }
