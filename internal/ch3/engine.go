@@ -4,7 +4,6 @@ import (
 	"repro/internal/des"
 	"repro/internal/ib"
 	"repro/internal/rdmachan"
-	"repro/internal/regcache"
 	"repro/internal/transport"
 )
 
@@ -13,7 +12,7 @@ import (
 // carriers; its exported methods are their transport.Endpoint.
 type engine struct {
 	car    carrier
-	rails  railSet            // where rendezvous payloads move; nil in over-channel mode
+	rails  rdmachan.RailSet   // where rendezvous payloads move; nil in over-channel mode
 	nRails int                // its size
 	self   transport.Endpoint // the embedding connection, named in ArriveRTS
 	h      transport.Handler
@@ -63,15 +62,6 @@ type carrier interface {
 	// nudge says a completion or an arriving packet — something running
 	// inside the carrier's own poll — queued a FIN or finished a send.
 	nudge(p *des.Proc)
-}
-
-// railSet is what the payload move needs of the connection's rails;
-// rdmachan.RawAccess provides it for a chunk-ring connection.
-type railSet interface {
-	rdmachan.StripeRails
-	RailRegCache(k int) *regcache.Cache
-	StripeUnit() int
-	StripeCount(size int) int
 }
 
 // Stats counts packet-engine activity.

@@ -24,6 +24,8 @@ func (c *fakeConn) pump(p *des.Proc)      { c.drain(p) }
 func (c *fakeConn) nudge(p *des.Proc)     { c.drain(p) }
 func (c *fakeConn) Poll(p *des.Proc) bool { prog, _ := c.drain(p); return prog }
 
+func (c *fakeConn) IdlePoll() (des.Step, bool)     { return des.Step{}, false }
+func (c *fakeConn) WatchIdle(func())               {}
 func (c *fakeConn) Footprint() transport.Footprint { return transport.Footprint{} }
 
 // acceptor is the transport side: it takes eager payloads nowhere and

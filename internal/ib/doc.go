@@ -38,7 +38,7 @@
 //     every by-reference payload checked at delivery (DESIGN.md §15).
 //   - Protection: remote access requires a valid rkey covering the range
 //     with the right access flags, validated against the responder
-//     adapter's own key tables — so a buffer used on N rails needs N
+//     adapter's own key table — so a buffer used on N rails needs N
 //     registrations, exactly as with real per-HCA pinning.
 //   - Limited outstanding RDMA reads per QP (the InfiniHost-era IRD limit
 //     responsible for the read-vs-write mid-size bandwidth gap, Figure 15).

@@ -21,10 +21,9 @@ type HCA struct {
 	pdSeq  int
 	qpSeq  uint32
 	shared bool           // engine is sharded: key-table access must lock
-	keyMu  sync.RWMutex   // guards keySeq, the key tables and MR.valid:
+	keyMu  sync.RWMutex   // guards keySeq, the key table and MR.valid:
 	keySeq uint32         // registration runs on the owning shard, but remote
-	lkeys  map[uint32]*MR // requesters validate rkeys from their own shard
-	rkeys  map[uint32]*MR
+	mrs    map[uint32]*MR // requesters validate rkeys from their own shard; by lkey
 
 	qps       []*QP    // every QP created on this adapter (fault fan-out)
 	down      bool     // link administratively down (LinkDown)
@@ -387,8 +386,7 @@ func (f *Fabric) NewRailHCAOn(eng *des.Engine, node *model.Node, rail int) *HCA 
 		bus:    bus,
 		shared: eng.Sharded(),
 		keySeq: 0x100,
-		lkeys:  make(map[uint32]*MR),
-		rkeys:  make(map[uint32]*MR),
+		mrs:    make(map[uint32]*MR),
 	}
 	eng.SpawnTaskSeeded(des.Salt(hcaSalt, uint64(node.ID), uint64(rail), 0),
 		fmt.Sprintf("hca%d.%d.rx", node.ID, rail), true, h.rxStep)

@@ -403,6 +403,26 @@ func TestLKeyCannotBeUsedAsRKey(t *testing.T) {
 	r.eng.Run()
 }
 
+// TestRKeyCannotBeUsedAsLKey: an rkey names its MR's key-table entry too,
+// but never as a local key.
+func TestRKeyCannotBeUsedAsLKey(t *testing.T) {
+	r := newRig(t)
+	r.eng.Spawn("sender", func(p *des.Proc) {
+		smr, sva, _ := r.reg(t, p, 0, 64)
+		rmr, rva, _ := r.reg(t, p, 1, 64)
+		r.qp[0].PostSend(p, SendWR{
+			WRID: 1, Op: OpRDMAWrite, Signaled: true,
+			SGL:        []SGE{{Addr: sva, Len: 64, LKey: smr.RKey()}}, // wrong key class
+			RemoteAddr: rva, RKey: rmr.RKey(),
+		})
+		cqe := r.scq[0].Poll(p)
+		if cqe.Status != StatusLocalProtErr {
+			t.Errorf("status = %v, want LOCAL_PROT_ERR for rkey-as-lkey", cqe.Status)
+		}
+	})
+	r.eng.Run()
+}
+
 func TestAtomicFetchAdd(t *testing.T) {
 	r := newRig(t)
 	r.eng.Spawn("driver", func(p *des.Proc) {

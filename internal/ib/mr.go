@@ -82,14 +82,14 @@ func (h *HCA) RegisterMR(p *des.Proc, pd *PD, addr uint64, length int, access Ac
 		access: access,
 		valid:  true,
 	}
-	h.lkeys[mr.lkey] = mr
-	h.rkeys[mr.rkey] = mr
+	h.mrs[mr.lkey] = mr
 	h.stats.MRsRegistered++
 	return mr, nil
 }
 
 // rkeyBit distinguishes rkeys from lkeys so that passing one where the
-// other is expected always faults, as on real adapters.
+// other is expected always faults, as on real adapters. An MR's rkey is its
+// lkey with the bit set, so one table keyed by lkey serves both checks.
 const rkeyBit = 0x8000_0000
 
 // DeregisterMR unpins the region, charging deregistration cost.
@@ -103,32 +103,31 @@ func (h *HCA) DeregisterMR(p *des.Proc, mr *MR) error {
 		defer h.keyMu.Unlock()
 	}
 	mr.valid = false
-	delete(h.lkeys, mr.lkey)
-	delete(h.rkeys, mr.rkey)
+	delete(h.mrs, mr.lkey)
 	return nil
 }
 
-// lookupKey resolves a key through one of the adapter's tables and reports
+// lookupKey resolves an lkey through the adapter's table and reports
 // whether the MR is still registered, locking only in sharded mode: key
 // validation is the per-verb hot path, and under a lone serial engine the
 // baton-passing dispatch already orders every table access.
-func (h *HCA) lookupKey(table map[uint32]*MR, key uint32) (*MR, bool) {
+func (h *HCA) lookupKey(lkey uint32) (*MR, bool) {
 	if !h.shared {
-		mr, ok := table[key]
+		mr, ok := h.mrs[lkey]
 		return mr, ok && mr.valid
 	}
 	h.keyMu.RLock()
-	mr, ok := table[key]
+	mr, ok := h.mrs[lkey]
 	valid := ok && mr.valid
 	h.keyMu.RUnlock()
 	return mr, valid
 }
 
-// checkLocal validates an SGE against the adapter's lkey table. needWrite
-// requires AccessLocalWrite (scatter targets).
+// checkLocal validates an SGE against the adapter's key table; an rkey is
+// no lkey. needWrite requires AccessLocalWrite (scatter targets).
 func (h *HCA) checkLocal(sge SGE, pd *PD, needWrite bool) error {
-	mr, valid := h.lookupKey(h.lkeys, sge.LKey)
-	if !valid {
+	mr, valid := h.lookupKey(sge.LKey)
+	if !valid || sge.LKey&rkeyBit != 0 {
 		return fmt.Errorf("ib: invalid lkey %#x", sge.LKey)
 	}
 	if mr.pd != pd {
@@ -144,12 +143,13 @@ func (h *HCA) checkLocal(sge SGE, pd *PD, needWrite bool) error {
 	return nil
 }
 
-// checkRemote validates a remote access against this adapter's rkey table.
-// It touches no memory: the requester of an RDMA write calls it from its
-// own engine, and the responder resolves the window when the bytes land.
+// checkRemote validates a remote access against this adapter's key table;
+// an lkey is no rkey. It touches no memory: the requester of an RDMA write
+// calls it from its own engine, and the responder resolves the window when
+// the bytes land.
 func (h *HCA) checkRemote(addr uint64, length int, rkey uint32, pd *PD, need Access) error {
-	mr, valid := h.lookupKey(h.rkeys, rkey)
-	if !valid {
+	mr, valid := h.lookupKey(rkey &^ rkeyBit)
+	if !valid || rkey&rkeyBit == 0 {
 		return fmt.Errorf("ib: invalid rkey %#x", rkey)
 	}
 	if mr.pd != pd {

@@ -175,9 +175,6 @@ type Endpoint interface {
 	// HCA returns the adapter the endpoint drives.
 	HCA() *ib.HCA
 
-	// Design identifies the implementation.
-	Design() Design
-
 	// Stats returns endpoint counters.
 	Stats() Stats
 
@@ -498,9 +495,8 @@ type endpointBase struct {
 	stats Stats
 }
 
-func (b *endpointBase) HCA() *ib.HCA   { return b.rails[0].hca }
-func (b *endpointBase) Design() Design { return b.cfg.Design }
-func (b *endpointBase) Stats() Stats   { return b.stats }
+func (b *endpointBase) HCA() *ib.HCA { return b.rails[0].hca }
+func (b *endpointBase) Stats() Stats { return b.stats }
 
 func (b *endpointBase) EventSeq() uint64 { return b.watch.Seq() }
 func (b *endpointBase) WaitEventSince(p *des.Proc, seq uint64) {

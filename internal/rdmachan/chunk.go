@@ -288,30 +288,16 @@ func (e *chunkEP) exchange(peer *chunkEP) {
 // MPI-2 one-sided extension (the paper's future work) and the RDMA-direct
 // collectives also build on it, on rail 0.
 type RawAccess interface {
-	// StripeRails: CH3 writes share the eager chunks' rail-liveness view;
-	// OnCQE handlers run in the endpoint's completion drain (polling process).
-	StripeRails
+	// RailSet: CH3 writes share the eager chunks' rails, their pin-down
+	// caches and their rail-liveness view.
+	RailSet
 
 	// RawPD is rail 0's protection domain, under which a layer above
 	// registers memory it exposes to the peer.
 	RawPD() *ib.PD
 
-	// NRails reports the connection's rail count; RailRegCache exposes rail
-	// k's pin-down cache.
+	// NRails reports the connection's rail count.
 	NRails() int
-	RailRegCache(k int) *regcache.Cache
-
-	// StripeUnit is the granule a layer above should stripe bulk transfers
-	// in — the connection's chunk size, keeping rail striping aligned with
-	// the eager framing.
-	StripeUnit() int
-
-	// StripeCount is how many rails a bulk transfer of size bytes should
-	// spread over: 1 below the connection's striping threshold
-	// (Config.StripeThreshold), otherwise as many rails as the transfer
-	// has ChunkSize-aligned blocks for, up to the connection's rail count
-	// (an 80 KB transfer on 4 rails at 16 KB chunks yields 3).
-	StripeCount(size int) int
 
 	// Resilient reports whether the connection runs in fault-survival mode
 	// (built by NewConnectionRails with resilient set).

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/des"
 	"repro/internal/ib"
+	"repro/internal/regcache"
 )
 
 // Mover is the one stripe engine under both zero-copy designs (DESIGN.md
@@ -18,7 +19,7 @@ import (
 // is re-posted on the first live rail the peer gave a key for; the last
 // completion calls the move's owner back.
 type Mover struct {
-	rails     StripeRails
+	rails     RailSet
 	resilient bool
 	class     uint64 // WRID class from rails.OnCQE; 0 until the first counted stripe
 
@@ -29,13 +30,31 @@ type Mover struct {
 	reissues    uint64
 }
 
-// StripeRails is the rail set a Mover posts on: RawAccess for a chunk-ring
-// connection, a one-rail view of an SRQ connection.
-type StripeRails interface {
+// RailSet is a connection's rails as a payload move sees them: the set a
+// Mover posts on and a layer above registers and stripes over. A chunk-ring
+// connection provides it (RawAccess embeds it); internal/ch3 views an SRQ
+// connection as a set of one. OnCQE handlers run in the connection's
+// completion drain (the polling process).
+type RailSet interface {
 	RailQP(k int) *ib.QP
 	RailAlive(k int) bool
 	EvictRail(k int)
 	OnCQE(fn func(p *des.Proc, cqe ib.CQE)) uint64
+
+	// RailRegCache is rail k's pin-down cache.
+	RailRegCache(k int) *regcache.Cache
+
+	// StripeUnit is the granule a layer above should stripe bulk transfers
+	// in — the connection's chunk size, keeping rail striping aligned with
+	// the eager framing.
+	StripeUnit() int
+
+	// StripeCount is how many rails a bulk transfer of size bytes should
+	// spread over: 1 below the connection's striping threshold
+	// (Config.StripeThreshold), otherwise as many rails as the transfer
+	// has ChunkSize-aligned blocks for, up to the connection's rail count
+	// (an 80 KB transfer on 4 rails at 16 KB chunks yields 3).
+	StripeCount(size int) int
 }
 
 // MoveOwner is the caller's side of a move.
@@ -77,7 +96,7 @@ type stripeRec struct {
 }
 
 // NewMover returns a Mover over rails; resilient enables re-issue.
-func NewMover(rails StripeRails, resilient bool) Mover {
+func NewMover(rails RailSet, resilient bool) Mover {
 	return Mover{rails: rails, resilient: resilient}
 }
 

@@ -187,18 +187,12 @@ func (sp *SRQPool) Bind(qp *ib.QP, d SRQDispatch) { sp.conns[qp.Num()] = d }
 // the weighted rail policy assigns new SRQ connections by.
 func (sp *SRQPool) Bound() int { return len(sp.conns) }
 
-// PD returns the pool's protection domain.
-func (sp *SRQPool) PD() *ib.PD { return sp.pd }
-
 // RegCache returns the process's pin-down cache (rendezvous buffers).
 func (sp *SRQPool) RegCache() *regcache.Cache { return sp.regc }
 
 // Resilient reports whether the pool runs in fault-survival mode
 // (NewSRQPool).
 func (sp *SRQPool) Resilient() bool { return sp.resilient }
-
-// HCA returns the adapter the pool lives on.
-func (sp *SRQPool) HCA() *ib.HCA { return sp.hca }
 
 // Stats returns pool counters, folding in the SRQ's own.
 func (sp *SRQPool) Stats() SRQPoolStats {

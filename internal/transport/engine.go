@@ -91,7 +91,6 @@ type Engine struct {
 	// a handful of peers.
 	act   []int32      // peers with established (pollable) endpoints, ascending
 	actEp []Endpoint   // parallel to act — the poll loop's O(1) hot path
-	idle  []idlePoller // parallel to act: the endpoint as an idlePoller, or nil
 	held  []idleAnswer // parallel to act: the answer held until touch (DESIGN.md §18)
 	visit int          // slots of held a pass must visit: those holding no free answer
 	rr    int          // round-robin polling cursor over act
@@ -101,7 +100,7 @@ type Engine struct {
 
 	// Scratch for the run of charged answers Progress is sleeping through:
 	// each step's endpoint, its offset in the pass, and its charge.
-	idleRun   []idlePoller
+	idleRun   []Endpoint
 	idleAt    []int
 	idleSteps []des.Step
 
@@ -210,19 +209,15 @@ func (e *Engine) activate(peer int32, ep Endpoint) {
 	if !ok {
 		e.act = slices.Insert(e.act, i, peer)
 		e.actEp = slices.Insert(e.actEp, i, ep)
-		e.idle = slices.Insert(e.idle, i, nil)
 		e.held = slices.Insert(e.held, i, idleAnswer{})
 		e.visit++
 	}
 	e.actEp[i] = ep
-	e.idle[i], _ = ep.(idlePoller)
 	e.hold(i, idleAnswer{})
-	if ip := e.idle[i]; ip != nil {
-		ip.WatchIdle(func() { e.touchPeer(peer) })
-	}
+	ep.WatchIdle(func() { e.touchPeer(peer) })
 }
 
-// touchPeer is the touch function of peer's idlePoller: the answer its slot
+// touchPeer is the touch function of peer's endpoint: the answer its slot
 // holds is dropped, and the next visit of the rotation to the slot — in the
 // running pass if that is still ahead — asks again. Touching a slot that
 // holds nothing or is gone is harmless.
@@ -525,26 +520,6 @@ func (e *Engine) ArriveRTS(p *des.Proc, env Envelope, ep Endpoint, id uint64) {
 	e.uq = append(e.uq, ue)
 }
 
-// idlePoller is implemented by endpoints that can tell when a Poll issued
-// now would find nothing (DESIGN.md §18). The answer is free — a zero step:
-// the Poll would sleep nothing and change nothing (shmchan.Conn, a
-// non-resilient ch3.SRQConn) — or charged: the Poll would pay the step and
-// find nothing (ch3.Conn over a chunk ring, whose every Get is charged
-// before it looks), and then the endpoint also has PollCharged (pollCharged).
-type idlePoller interface {
-	// IdlePoll reports whether a Poll issued now would pay exactly the
-	// returned charge and find nothing. An idle answer holds until the
-	// endpoint calls touch, and the engine keeps it that long.
-	IdlePoll() (des.Step, bool)
-
-	// WatchIdle is called when the engine activates the endpoint, with its
-	// slot's touch function. The endpoint calls touch in every dispatch that
-	// changes what IdlePoll reads: another process's write or completion,
-	// before that dispatch notifies the rank's watch, or its own process
-	// handing it work it returns to the engine with.
-	WatchIdle(touch func())
-}
-
 // Progress makes one round-robin pass over the established endpoints that
 // can have work — the slots holding no free answer — and with block set
 // sleeps until fabric activity when nothing moved. A free answer's Poll
@@ -646,7 +621,7 @@ func (e *Engine) pollFrom(p *des.Proc, start int32) (prog bool) {
 			if a.step.Hops == 0 {
 				continue // free: step over it
 			}
-			e.idleRun = append(e.idleRun, e.idle[k])
+			e.idleRun = append(e.idleRun, e.actEp[k])
 			e.idleAt = append(e.idleAt, j)
 			e.idleSteps = append(e.idleSteps, a.step)
 		}
@@ -663,8 +638,8 @@ func (e *Engine) pollFrom(p *des.Proc, start int32) (prog bool) {
 			continue
 		}
 		paid := e.watch.SleepChain(p, e.idleSteps)
-		for _, ip := range e.idleRun[:paid-1] {
-			pollCharged(p, ip, false)
+		for _, ep := range e.idleRun[:paid-1] {
+			pollCharged(p, ep, false)
 		}
 		if pollCharged(p, e.idleRun[paid-1], true) {
 			prog = true
@@ -677,24 +652,20 @@ func (e *Engine) pollFrom(p *des.Proc, start int32) (prog bool) {
 // pollCharged finishes the Poll of a charged answer's endpoint, whose charge
 // the pass has slept (ch3.Conn.PollCharged): with look it runs everything
 // Poll does after the charge, without it the poll is only counted.
-func pollCharged(p *des.Proc, ip idlePoller, look bool) bool {
-	return ip.(interface{ PollCharged(*des.Proc, bool) bool }).PollCharged(p, look)
+func pollCharged(p *des.Proc, ep Endpoint, look bool) bool {
+	return ep.(interface{ PollCharged(*des.Proc, bool) bool }).PollCharged(p, look)
 }
 
 // answer returns active slot k's answer: the one it holds, or its
-// endpoint's, which is held when idle. An endpoint that is no idlePoller is
-// busy unasked.
+// endpoint's, which is held when idle.
 func (e *Engine) answer(k int) idleAnswer {
 	if a := e.held[k]; a.ok {
 		e.checkHeld(k)
 		return a
 	}
-	if e.idle[k] == nil {
-		return idleAnswer{}
-	}
 	e.stats.IdleAsks++
 	var a idleAnswer
-	if a.step, a.ok = e.idle[k].IdlePoll(); a.ok {
+	if a.step, a.ok = e.actEp[k].IdlePoll(); a.ok {
 		e.hold(k, a)
 	}
 	return a

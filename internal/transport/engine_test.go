@@ -52,9 +52,11 @@ func (f *fakeEP) AcceptRendezvous(p *des.Proc, id uint64, dst Buffer, done func(
 	}
 }
 
-func (f *fakeEP) RendezvousThreshold() int { return f.threshold }
-func (f *fakeEP) Poll(*des.Proc) bool      { f.polled++; return false }
-func (f *fakeEP) Footprint() Footprint     { return Footprint{} }
+func (f *fakeEP) RendezvousThreshold() int   { return f.threshold }
+func (f *fakeEP) Poll(*des.Proc) bool        { f.polled++; return false }
+func (f *fakeEP) IdlePoll() (des.Step, bool) { return des.Step{}, false }
+func (f *fakeEP) WatchIdle(func())           {}
+func (f *fakeEP) Footprint() Footprint       { return Footprint{} }
 
 func run(eng *des.Engine, body func(p *des.Proc)) {
 	eng.Spawn("t", body)

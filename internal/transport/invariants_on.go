@@ -56,7 +56,7 @@ func (e *Engine) stale(k int) string {
 	if !a.ok {
 		return ""
 	}
-	if step, idle := e.idle[k].IdlePoll(); !idle || step != a.step {
+	if step, idle := e.actEp[k].IdlePoll(); !idle || step != a.step {
 		return fmt.Sprintf("peer %d's held idle answer %+v is stale (now %+v, idle %v)",
 			e.act[k], a.step, step, idle)
 	}

@@ -77,6 +77,24 @@ type Endpoint interface {
 	// (DESIGN.md §18).
 	Poll(p *des.Proc) bool
 
+	// IdlePoll reports whether a Poll issued now would pay exactly the
+	// returned charge and find nothing (DESIGN.md §18). The answer is free —
+	// a zero step: the Poll would sleep nothing and change nothing
+	// (shmchan.Conn, a non-resilient ch3.SRQConn) — or charged: the Poll
+	// would pay the step and find nothing (ch3.Conn over a chunk ring, whose
+	// every Get is charged before it looks), and then the endpoint also has
+	// PollCharged. An endpoint that cannot tell answers busy. An idle answer
+	// holds until the endpoint calls touch, and the engine keeps it that
+	// long.
+	IdlePoll() (des.Step, bool)
+
+	// WatchIdle is called when the engine activates the endpoint, with its
+	// slot's touch function. The endpoint calls touch in every dispatch that
+	// changes what IdlePoll reads: another process's write or completion,
+	// before that dispatch notifies the rank's watch, or its own process
+	// handing it work it returns to the engine with.
+	WatchIdle(touch func())
+
 	// Footprint reports the endpoint's dedicated memory; the cluster
 	// aggregates footprints into per-process MemStats.
 	Footprint() Footprint
