@@ -37,6 +37,11 @@ import (
 	"repro/internal/nas"
 )
 
+// gcPercent is the GC percent of every measurement, the committed walls'
+// setting: a wide cluster's heap is mostly live, so the default collector
+// cadence mostly re-marks it.
+const gcPercent = 300
+
 func main() {
 	os.Exit(run())
 }
@@ -53,12 +58,9 @@ func run() int {
 	tolerance := flag.Float64("tolerance", 0.15, "allowed wall-clock-per-simulated-second regression for -compare")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this path")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this path")
-	gogc := flag.Int("gogc", 300, "GC percent for the measurement (a wide cluster's heap is mostly live, so the default collector cadence mostly re-marks it; 0 keeps the runtime default)")
 	flag.Parse()
 
-	if *gogc > 0 {
-		debug.SetGCPercent(*gogc)
-	}
+	debug.SetGCPercent(gcPercent)
 
 	stop, err := bench.StartProfiles(*cpuprofile, *memprofile)
 	if err != nil {

@@ -7,6 +7,7 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"math"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -74,31 +75,129 @@ func TestDocsNameFigureIDs(t *testing.T) {
 // ("CH3") is not one.
 var cellNumber = regexp.MustCompile(`(?:^|[^\w.])(\d+(?:\.\d+)?)`)
 
-// TestDocsQuoteClaims keeps DESIGN §4 true to the claims table: in the
-// index row of a claimed figure, the k-th number of the "paper" cell is
-// the figure's k-th claim's paper value, and the k-th number of the "model
-// prints" cell is that claim's BENCH_figures.json point to one decimal.
+// modelNumber matches a number as a "model prints" cell writes it: like
+// cellNumber, with thousands grouped by spaces ("1 168").
+var modelNumber = regexp.MustCompile(`(?:^|[^\w.])(\d{1,3}(?: \d{3})+\b|\d+(?:\.\d+)?)`)
+
+// sizePhrase matches a message size in a cell ("at 64 KB", "1 MB"): it
+// names the point quoted, it does not quote one.
+var sizePhrase = regexp.MustCompile(`(?:^|[^\d.])\d+ (?:B|KB|MB)\b(?:[^/]|$)`)
+
+// modelNumbers returns the numbers a "model prints" cell quotes, sizes left
+// out, as the cell writes them.
+func modelNumbers(cell string) []string {
+	var nums []string
+	for _, m := range modelNumber.FindAllStringSubmatch(sizePhrase.ReplaceAllString(cell, " "), -1) {
+		nums = append(nums, m[1])
+	}
+	return nums
+}
+
+// modelQuotes is what DESIGN §4's main table quotes beyond the claims, by
+// figure id: the numbers of a row's "model prints" cell after its claims'
+// points, in cell order and written as the cell writes them. A Figure
+// 16/17 row quotes the two geometric-mean ratios and one kernel's runtime
+// per design; the nas-smp row a kernel's runtime at 1 and 8 cores per node
+// and, for two kernels, their ratio.
+func modelQuotes(t *testing.T, runs []Curve) map[string][]string {
+	t.Helper()
+	curve := func(fig, series string) []Point {
+		i := slices.IndexFunc(runs, func(c Curve) bool { return c.Figure == fig && c.Series == series })
+		if i < 0 {
+			t.Fatalf("BENCH_figures.json has no %s %q", fig, series)
+		}
+		return runs[i].Points
+	}
+	point := func(fig, series string, match func(Point) bool) float64 {
+		pts := curve(fig, series)
+		i := slices.IndexFunc(pts, match)
+		if i < 0 {
+			t.Fatalf("BENCH_figures.json %s %q has no quoted point", fig, series)
+		}
+		return pts[i].Value
+	}
+	at := func(fig, series string, size int) string {
+		return fmt.Sprintf("%.1f", point(fig, series, func(p Point) bool { return p.Size == size }))
+	}
+	ms := func(v float64) string {
+		d := strconv.Itoa(int(math.Round(v)))
+		for i := len(d) - 3; i > 0; i -= 3 {
+			d = d[:i] + " " + d[i:]
+		}
+		return d
+	}
+	nas := func(fig, kernel string) []string {
+		q := []string{
+			fmt.Sprintf("%.3f", geoMeanRatio(curve(fig, "Pipelining"), curve(fig, "RDMA Chan"))),
+			fmt.Sprintf("%.3f", geoMeanRatio(curve(fig, "CH3"), curve(fig, "RDMA Chan"))),
+		}
+		for _, s := range []string{"Pipelining", "RDMA Chan", "CH3"} {
+			q = append(q, ms(point(fig, s, func(p Point) bool { return p.Label == kernel })))
+		}
+		return q
+	}
+	smp := func(kernel string, ratio bool) []string {
+		one, eight := point("nas-smp", kernel, func(p Point) bool { return p.Size == 1 }),
+			point("nas-smp", kernel, func(p Point) bool { return p.Size == 8 })
+		if !ratio {
+			return []string{ms(one), ms(eight)}
+		}
+		return []string{ms(one), ms(eight), fmt.Sprintf("%.2f", eight/one)}
+	}
+	return map[string][]string{
+		"fig3-lat": {at("fig3-lat", "intra-node shm", 4), at("fig3-lat", "inter-node IB", 4)},
+		"fig3-bw":  {at("fig3-bw", "intra-node shm", 1<<20), at("fig3-bw", "inter-node IB", 1<<20)},
+		"fig7":     {at("fig7", "basic", 16<<10), at("fig7", "piggyback", 16<<10)},
+		"fig8":     {at("fig8", "basic", 64<<10), at("fig8", "pipeline", 64<<10)},
+		"fig11":    {at("fig11", "pipeline", 1<<20)},
+		"fig14":    {at("fig14", "CH3 ZC", 64<<10), at("fig14", "RDMA Chan ZC", 64<<10)},
+		"fig15":    {at("fig15", "RDMA Write", 64<<10), at("fig15", "RDMA Read", 64<<10)},
+		"fig16":    nas("fig16", "cg"),
+		"fig17":    nas("fig17", "ft"),
+		"nas-smp":  append(append(smp("is", true), smp("ft", true)...), smp("lu", false)...),
+	}
+}
+
+// TestDocsQuoteClaims keeps DESIGN §4's main table true: in the index row
+// of a claimed figure, the k-th number of the "paper" cell is the figure's
+// k-th claim's paper value; in every row the claims table or modelQuotes
+// names, the numbers of the "model prints" cell are exactly the claims'
+// BENCH_figures.json points to one decimal, then the row's modelQuotes.
 func TestDocsQuoteClaims(t *testing.T) {
 	rep, err := readReport[Curve](filepath.Join(root, "BENCH_figures.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, seen := sec4Rows(t), map[string]int{}
+	rows, want := sec4Rows(t), map[string][]string{}
 	for i, v := range claimPoints(t, rep.Runs) {
 		c := claims[i]
-		k, row := seen[c.fig], rows[c.fig]
-		seen[c.fig]++
+		k := len(want[c.fig])
+		want[c.fig] = append(want[c.fig], fmt.Sprintf("%.1f", v))
+		if row := rows[c.fig]; len(row) == 4 {
+			nums := cellNumber.FindAllStringSubmatch(row[2], -1)
+			if p := strconv.FormatFloat(c.paper, 'f', -1, 64); len(nums) <= k || nums[k][1] != p {
+				t.Errorf("DESIGN §4 %s, paper cell %q: number %d should be %s (%s at %s)",
+					c.fig, strings.TrimSpace(row[2]), k+1, p, c.series, fmtSize(c.size))
+			}
+		}
+	}
+	for fig, q := range modelQuotes(t, rep.Runs) {
+		want[fig] = append(want[fig], q...)
+	}
+	figs := make([]string, 0, len(want))
+	for fig := range want {
+		figs = append(figs, fig)
+	}
+	slices.Sort(figs)
+	for _, fig := range figs {
+		row := rows[fig]
 		if len(row) != 4 {
-			t.Errorf("DESIGN §4 has no index row with paper and model cells for claimed figure %s", c.fig)
+			t.Errorf("DESIGN §4 has no index row with paper and model cells for quoted figure %s", fig)
 			continue
 		}
-		want := [2]string{strconv.FormatFloat(c.paper, 'f', -1, 64), fmt.Sprintf("%.1f", v)}
-		for j, col := range [2]string{"paper", "model prints"} {
-			nums := cellNumber.FindAllStringSubmatch(row[2+j], -1)
-			if len(nums) <= k || nums[k][1] != want[j] {
-				t.Errorf("DESIGN §4 %s, %q cell %q: number %d should be %s (%s at %s)",
-					c.fig, col, strings.TrimSpace(row[2+j]), k+1, want[j], c.series, fmtSize(c.size))
-			}
+		if got := modelNumbers(row[3]); !slices.Equal(got, want[fig]) {
+			t.Errorf("DESIGN §4 %s, model cell %q: numbers %q, BENCH_figures.json says %q",
+				fig, strings.TrimSpace(row[3]), got, want[fig])
 		}
 	}
 }

@@ -320,8 +320,8 @@ var figureTable = []struct {
 	{"ablation-shm-rndv", twoRankFigure("ablation-shm-rndv")},
 	{"ablation-coll-alg", ablationCollAlg},
 	{"ablation-rail-stripe", twoRankFigure("ablation-rail-stripe")},
-	{"footprint-conns", func() Figure { return footprintFigures()[0] }},
-	{"footprint-mem", func() Figure { return footprintFigures()[1] }},
+	{"footprint-conns", func() Figure { return footprints()[0] }},
+	{"footprint-mem", func() Figure { return footprints()[1] }},
 	{"ablation-connect-setup", ablationConnectSetup},
 	{"rails-bw", twoRankFigure("rails-bw/round-robin")},
 	{"rails-policy", twoRankFigure("rails-policy")},

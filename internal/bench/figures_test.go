@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"fmt"
+	"math"
 	"path/filepath"
 	"slices"
 	"testing"
@@ -49,6 +51,17 @@ func buildOnce(id string, make func() Figure) Figure {
 	return f
 }
 
+// tableFigure returns the figure id of the figure table, built once.
+func tableFigure(t *testing.T, id string) Figure {
+	return buildOnce(id, func() Figure {
+		f, err := FigureByID(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	})
+}
+
 // claimPoints returns the value of the point each claim names in curves.
 func claimPoints(t *testing.T, curves []Curve) []float64 {
 	t.Helper()
@@ -77,13 +90,7 @@ func TestHeadlineNumbers(t *testing.T) {
 	var figs []Figure
 	for _, c := range claims {
 		if len(figs) == 0 || figs[len(figs)-1].ID != c.fig {
-			figs = append(figs, buildOnce(c.fig, func() Figure {
-				f, err := FigureByID(c.fig)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return f
-			}))
+			figs = append(figs, tableFigure(t, c.fig))
 		}
 	}
 	got := map[string]float64{}
@@ -101,6 +108,88 @@ func TestHeadlineNumbers(t *testing.T) {
 	}
 	if d := got["headline/latency µs"] - got["fig6/piggyback"]; !(d >= 0 && d <= 0.8) {
 		t.Errorf("zero-copy minus piggyback latency = %.2f µs, want 0 to 0.8", d)
+	}
+}
+
+// predicate is one qualitative claim of the paper over the figure fig: eval
+// returns what the figure measures for it and whether the claim holds.
+type predicate struct {
+	name, fig string
+	eval      func(f Figure) (string, bool)
+}
+
+// predicates are the paper's qualitative claims, a figure's together.
+var predicates = []predicate{
+	{"16 KB chunks are within 3 % of the best chunk size at every message size", "fig9",
+		func(f Figure) (string, bool) {
+			worst, at := 1.0, 0
+			for _, p := range seriesOf(f, "16K").Points {
+				best := 0.0
+				for _, s := range f.Series {
+					best = max(best, pointOf(f, s.Name, p.Size))
+				}
+				if r := p.Value / best; r < worst {
+					worst, at = r, p.Size
+				}
+			}
+			return fmt.Sprintf("16K at worst %.3f of the best (%s)", worst, fmtSize(at)), worst >= 0.97
+		}},
+	{"pipelining droops at 1 MB below its own peak and below zero-copy", "fig11",
+		func(f Figure) (string, bool) {
+			peak := 0.0
+			for _, p := range seriesOf(f, "pipeline").Points {
+				peak = max(peak, p.Value)
+			}
+			pipe, zc := pointOf(f, "pipeline", 1<<20), pointOf(f, "rdma-channel-zerocopy", 1<<20)
+			return fmt.Sprintf("pipeline %.1f (peak %.1f), zero-copy %.1f MB/s", pipe, peak, zc), pipe < peak && pipe < zc
+		}},
+	{"CH3 beats the RDMA Channel at 64 KB", "fig14",
+		func(f Figure) (string, bool) {
+			ch3, rc := pointOf(f, "CH3 ZC", 64<<10), pointOf(f, "RDMA Chan ZC", 64<<10)
+			return fmt.Sprintf("CH3 %.1f vs RDMA Chan %.1f MB/s", ch3, rc), ch3 > rc
+		}},
+	{"RDMA write beats RDMA read at 64 KB", "fig15",
+		func(f Figure) (string, bool) {
+			w, r := pointOf(f, "RDMA Write", 64<<10), pointOf(f, "RDMA Read", 64<<10)
+			return fmt.Sprintf("write %.1f vs read %.1f MB/s", w, r), w > r
+		}},
+	{"pipelining is the slowest design on NAS class A/4, and CH3 is within 5 % of the RDMA Channel", "fig16",
+		func(f Figure) (string, bool) {
+			rc := seriesOf(f, "RDMA Chan").Points
+			pipe, ch3 := geoMeanRatio(seriesOf(f, "Pipelining").Points, rc), geoMeanRatio(seriesOf(f, "CH3").Points, rc)
+			return fmt.Sprintf("geometric means pipelining/RDMA %.3f, CH3/RDMA %.3f", pipe, ch3),
+				pipe > 1 && math.Abs(ch3-1) <= 0.05
+		}},
+}
+
+// seriesOf returns the series of f named name, empty if there is none.
+func seriesOf(f Figure, name string) Series {
+	if i := slices.IndexFunc(f.Series, func(s Series) bool { return s.Name == name }); i >= 0 {
+		return f.Series[i]
+	}
+	return Series{}
+}
+
+// pointOf returns the value at size of the series of f named name, NaN if
+// there is no such point (which fails every comparison).
+func pointOf(f Figure, name string, size int) float64 {
+	pts := seriesOf(f, name).Points
+	if i := slices.IndexFunc(pts, func(p Point) bool { return p.Size == size }); i >= 0 {
+		return pts[i].Value
+	}
+	return math.NaN()
+}
+
+// TestPaperPredicates holds every qualitative claim of the paper to the
+// figure it is about and logs what each measures (-v), so a miss is listed
+// with its numbers.
+func TestPaperPredicates(t *testing.T) {
+	for _, pr := range predicates {
+		got, ok := pr.eval(tableFigure(t, pr.fig))
+		t.Logf("%-6s %s: %s", pr.fig, pr.name, got)
+		if !ok {
+			t.Errorf("%s: %s does not hold: %s", pr.fig, pr.name, got)
+		}
 	}
 }
 

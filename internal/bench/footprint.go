@@ -8,6 +8,7 @@ package bench
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/cluster"
 	"repro/internal/mpi"
@@ -87,6 +88,10 @@ func runPattern(c *cluster.Cluster, pat pattern) {
 		pat.run(comm, send, recv)
 	})
 }
+
+// footprints is footprintFigures run once: both figures come from one
+// sweep, and -fig all asks for each.
+var footprints = sync.OnceValue(footprintFigures)
 
 // footprintFigures produces the two footprint-vs-np figures — established
 // connections (pairs) and per-process eager-buffer memory (KB, maximum

@@ -5,6 +5,8 @@ import (
 
 	"repro/internal/mpi"
 	"repro/internal/rdmachan"
+	"repro/internal/shmchan"
+	"repro/internal/transport"
 )
 
 // lazyConfigs are the connection-management variants under test: lazy
@@ -102,24 +104,41 @@ func TestLazyLargeMessages(t *testing.T) {
 	}
 }
 
-// TestEagerMemStatsAccounting sanity-checks the accounting on the fully
-// wired default: every pair counted from both sides, with the chunk
-// design's dedicated rings behind every endpoint.
+// TestEagerMemStatsAccounting checks the accounting on the fully wired
+// default, every pair counted from both sides, against each endpoint's
+// ring and cell constants: the chunk design's rings (a 4-rank mesh), the
+// basic design's one undivided ring, and a shared-memory pair's cells and
+// segment slots, which pin nothing and use no queue pair.
 func TestEagerMemStatsAccounting(t *testing.T) {
-	const np = 4
-	c := MustNew(Config{NP: np, Transport: TransportZeroCopy})
-	defer c.Close()
-	ms := c.MemStats()
-	if ms.Connections != np*(np-1) {
-		t.Errorf("eager mesh: %d endpoints, want %d", ms.Connections, np*(np-1))
-	}
-	if ms.QPs != np*(np-1) {
-		t.Errorf("eager mesh: %d QPs, want %d", ms.QPs, np*(np-1))
-	}
-	// Each endpoint dedicates ring+staging (2×128 KB by default).
-	wantBytes := int64(np*(np-1)) * int64(2*128<<10)
-	if ms.EagerBytes != wantBytes {
-		t.Errorf("eager mesh: %d eager bytes, want %d", ms.EagerBytes, wantBytes)
+	const (
+		chunkRing = 2 * 128 << 10 // receive ring + staging mirror, 128 KB each
+		basicRing = 2 * 64 << 10
+		shmBytes  = shmchan.Cells*shmchan.EagerMax + shmchan.SegChunks*shmchan.SegChunk
+	)
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		per  transport.Footprint // one endpoint's
+	}{
+		{"zerocopy", Config{NP: 4, Transport: TransportZeroCopy},
+			transport.Footprint{QPs: 1, EagerSlots: 8, EagerBytes: chunkRing, PinnedBytes: chunkRing + 32}},
+		{"basic", Config{NP: 2, Transport: TransportBasic},
+			transport.Footprint{QPs: 1, EagerSlots: 1, EagerBytes: basicRing, PinnedBytes: basicRing + 32}},
+		{"shm", Config{NP: 2, CoresPerNode: 2, Transport: TransportZeroCopy},
+			transport.Footprint{EagerSlots: shmchan.Cells, EagerBytes: shmBytes}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := MustNew(tc.cfg)
+			defer c.Close()
+			n := tc.cfg.NP * (tc.cfg.NP - 1)
+			want := MemStats{Ranks: tc.cfg.NP, Connections: n}
+			for i := 0; i < n; i++ {
+				want.Add(tc.per)
+			}
+			if got := c.MemStats(); got != want {
+				t.Errorf("got %+v, want %+v", got, want)
+			}
+		})
 	}
 }
 
