@@ -31,12 +31,14 @@ type twoRank struct {
 // variants that share a name are one series; x, when set, is the x of the
 // variant's one point in place of its message size (a knob swept along
 // the x axis). cacheNote, when set, labels a note of the pin-down cache
-// totals over the variant's runs.
+// totals over the variant's runs. verbsRead measures raw RDMA reads posted
+// back to back under cfg.Params (Figure 15's read series) in place of MPI.
 type variant struct {
 	name      string
 	cfg       cluster.Config
 	x         int
 	cacheNote string
+	verbsRead bool
 }
 
 // designs is one variant per transport, each named after it.
@@ -71,9 +73,12 @@ func (r twoRank) figure() Figure {
 			rc.Hits, rc.Misses, rc.Evictions = rc.Hits+s.Hits, rc.Misses+s.Misses, rc.Evictions+s.Evictions
 		}}
 		var s Series
-		if r.lat {
+		switch {
+		case v.verbsRead:
+			s = VerbsBandwidth(ib.OpRDMARead, r.sizes, v.cfg.Params)
+		case r.lat:
 			s = MPILatency(o, r.sizes, latIters)
-		} else {
+		default:
 			s = MPIBandwidth(o, r.sizes)
 		}
 		if v.x != 0 {
@@ -174,13 +179,18 @@ var twoRankRows = []twoRank{
 			{name: "thresh 32K", cfg: cluster.Config{Transport: cluster.TransportZeroCopy, Chan: rdmachan.Config{ZCThreshold: 32 << 10}}},
 			{name: "thresh 64K", cfg: cluster.Config{Transport: cluster.TransportZeroCopy, Chan: rdmachan.Config{ZCThreshold: 64 << 10}}},
 		}},
-	// Raising the outstanding-RDMA-read limit shows the mid-size read gap
-	// of Figure 15 is an IRD effect.
+	// Is Figure 15's mid-size read gap an IRD artifact? Raw reads posted
+	// back to back are limited by the outstanding-RDMA-read limit; the
+	// zero-copy MPI path keeps at most one read in flight per queue pair,
+	// so no limit moves it.
 	{id: "ablation-reads", title: "Zero-copy bandwidth vs outstanding RDMA read limit",
 		sizes: sizesPow4(16<<10, 1<<20), variants: []variant{
 			{name: "IRD 1", cfg: cluster.Config{Transport: cluster.TransportZeroCopy, Params: withIRD(1)}},
 			{name: "IRD 2", cfg: cluster.Config{Transport: cluster.TransportZeroCopy, Params: withIRD(2)}},
 			{name: "IRD 4", cfg: cluster.Config{Transport: cluster.TransportZeroCopy, Params: withIRD(4)}},
+			{name: "verbs read IRD 1", verbsRead: true, cfg: cluster.Config{Params: withIRD(1)}},
+			{name: "verbs read IRD 2", verbsRead: true, cfg: cluster.Config{Params: withIRD(2)}},
+			{name: "verbs read IRD 4", verbsRead: true, cfg: cluster.Config{Params: withIRD(4)}},
 		}},
 	// §4.4's flow-control stalls against buffer memory.
 	{id: "ablation-ring", title: "Pipeline bandwidth vs shared ring size (1 MB messages)",
