@@ -51,17 +51,6 @@ func buildOnce(id string, make func() Figure) Figure {
 	return f
 }
 
-// tableFigure returns the figure id of the figure table, built once.
-func tableFigure(t *testing.T, id string) Figure {
-	return buildOnce(id, func() Figure {
-		f, err := FigureByID(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return f
-	})
-}
-
 // claimPoints returns the value of the point each claim names in curves.
 func claimPoints(t *testing.T, curves []Curve) []float64 {
 	t.Helper()
@@ -90,7 +79,13 @@ func TestHeadlineNumbers(t *testing.T) {
 	var figs []Figure
 	for _, c := range claims {
 		if len(figs) == 0 || figs[len(figs)-1].ID != c.fig {
-			figs = append(figs, tableFigure(t, c.fig))
+			figs = append(figs, buildOnce(c.fig, func() Figure {
+				f, err := FigureByID(c.fig)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return f
+			}))
 		}
 	}
 	got := map[string]float64{}
@@ -112,7 +107,7 @@ func TestHeadlineNumbers(t *testing.T) {
 }
 
 // predicate is one qualitative claim of the paper over the figure fig: eval
-// returns what the figure measures for it and whether the claim holds.
+// returns what the figure shows for it and whether the claim holds.
 type predicate struct {
 	name, fig string
 	eval      func(f Figure) (string, bool)
@@ -122,17 +117,19 @@ type predicate struct {
 var predicates = []predicate{
 	{"16 KB chunks are within 3 % of the best chunk size at every message size", "fig9",
 		func(f Figure) (string, bool) {
-			worst, at := 1.0, 0
+			worst, at, by := 1.0, 0, ""
 			for _, p := range seriesOf(f, "16K").Points {
-				best := 0.0
+				best, name := 0.0, ""
 				for _, s := range f.Series {
-					best = max(best, pointOf(f, s.Name, p.Size))
+					if v := pointOf(f, s.Name, p.Size); v > best {
+						best, name = v, s.Name
+					}
 				}
 				if r := p.Value / best; r < worst {
-					worst, at = r, p.Size
+					worst, at, by = r, p.Size, name
 				}
 			}
-			return fmt.Sprintf("16K at worst %.3f of the best (%s)", worst, fmtSize(at)), worst >= 0.97
+			return fmt.Sprintf("16K at worst %.4f of the best (%s chunks, %s messages)", worst, by, fmtSize(at)), worst >= 0.97
 		}},
 	{"pipelining droops at 1 MB below its own peak and below zero-copy", "fig11",
 		func(f Figure) (string, bool) {
@@ -181,11 +178,23 @@ func pointOf(f Figure, name string, size int) float64 {
 }
 
 // TestPaperPredicates holds every qualitative claim of the paper to the
-// figure it is about and logs what each measures (-v), so a miss is listed
-// with its numbers.
+// figure it is about, as BENCH_figures.json pins it (the figure gate holds
+// the file to what the code prints, so a change that breaks a claim fails
+// here when it regenerates the file), and logs what each shows (-v), so a
+// miss is listed with its numbers.
 func TestPaperPredicates(t *testing.T) {
+	base, err := readReport[Curve](filepath.Join(root, "BENCH_figures.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, pr := range predicates {
-		got, ok := pr.eval(tableFigure(t, pr.fig))
+		f := Figure{ID: pr.fig}
+		for _, c := range base.Runs {
+			if c.Figure == pr.fig {
+				f.Series = append(f.Series, Series{Name: c.Series, Points: c.Points})
+			}
+		}
+		got, ok := pr.eval(f)
 		t.Logf("%-6s %s: %s", pr.fig, pr.name, got)
 		if !ok {
 			t.Errorf("%s: %s does not hold: %s", pr.fig, pr.name, got)
