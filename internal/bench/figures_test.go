@@ -117,8 +117,8 @@ type predicate struct {
 var predicates = []predicate{
 	{"16 KB chunks are within 3 % of the best chunk size at every message size", "fig9",
 		func(f Figure) (string, bool) {
-			worst, at, by := 1.0, 0, ""
-			for _, p := range seriesOf(f, "16K").Points {
+			pts, worst, at, by := seriesOf(f, "16K").Points, 1.0, 0, ""
+			for _, p := range pts {
 				best, name := 0.0, ""
 				for _, s := range f.Series {
 					if v := pointOf(f, s.Name, p.Size); v > best {
@@ -129,7 +129,8 @@ var predicates = []predicate{
 					worst, at, by = r, p.Size, name
 				}
 			}
-			return fmt.Sprintf("16K at worst %.4f of the best (%s chunks, %s messages)", worst, by, fmtSize(at)), worst >= 0.97
+			return fmt.Sprintf("16K at worst %.4f of the best (%s chunks, %s messages)", worst, by, fmtSize(at)),
+				len(pts) > 0 && worst >= 0.97
 		}},
 	{"pipelining droops at 1 MB below its own peak and below zero-copy", "fig11",
 		func(f Figure) (string, bool) {
