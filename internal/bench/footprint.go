@@ -57,9 +57,9 @@ func patterns() []pattern {
 // Sweep bounds: the eager mesh wires O(np²) connections and the
 // all-to-all pattern establishes the mesh even lazily, so both stop at
 // maxMeshNP; the truncation is recorded in the figure notes rather than
-// applied silently. The rings are backed on the host only as far as
-// traffic reaches (model.AllocSlots), so the bound is set by setup time,
-// not by host memory.
+// applied silently. A ring slot is backed on the host only while it holds
+// a packet (model.AllocSlots), so the bound is set by setup time, not by
+// host memory.
 const maxMeshNP = 256
 
 // footprintModes are the series the connection figures compare: the

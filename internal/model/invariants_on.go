@@ -29,3 +29,12 @@ func (c notifyChecks) after(w *Watch) {
 		fn(w, site)
 	}
 }
+
+// poison fills the bytes a slot exposes from reused capacity (Slots.grow)
+// with a pattern no protocol writes, so a reader that relied on a slot's
+// unwritten bytes reading as zero sees 0xa5 instead and fails.
+func poison(b []byte) {
+	for i := range b {
+		b[i] = 0xa5
+	}
+}

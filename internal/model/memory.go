@@ -36,12 +36,13 @@ type allocation struct {
 // written through either are the bytes the other reads.
 type Slots struct {
 	size int      // bytes per slot; 0 when flat
-	back [][]byte // per-slot backing, grown on demand
+	back [][]byte // per-slot backing; a released slot's buffer is kept at length 0
 }
 
 // Slot returns the first n bytes of slot k, backing them first: the slot's
 // backing grows to n rounded up to 64 bytes (never past the slot, never
-// shrinking) and keeps the bytes it held. A request past the slot panics.
+// shrinking until released) and keeps the bytes it held. A request past the
+// slot panics.
 func (s Slots) Slot(k, n int) []byte {
 	if b := s.back[k]; n <= len(b) {
 		return b[:n]
@@ -50,15 +51,47 @@ func (s Slots) Slot(k, n int) []byte {
 }
 
 // grow is Slot's path for a request past the backed prefix: kept apart so
-// that the common case inlines.
+// that the common case inlines. It grows into the capacity the slot already
+// has; a slot with none takes the buffer of the released slot nearest below
+// it (on a ring, the one retired last), and only then is a buffer made.
 func (s Slots) grow(k, n int) []byte {
 	if n < 0 || n > s.size {
 		panic(fmt.Sprintf("model: %d bytes of a %d-byte slot", n, s.size))
 	}
-	b := make([]byte, min((n+63)&^63, s.size))
-	copy(b, s.back[k])
+	b, want := s.back[k], min((n+63)&^63, s.size)
+	if cap(b) == 0 {
+		b = s.reclaim(k)
+	}
+	if want > cap(b) {
+		nb := make([]byte, want)
+		copy(nb, b)
+		b = nb
+	} else {
+		poison(b[len(b):want])
+		b = b[:want]
+	}
 	s.back[k] = b
 	return b[:n]
+}
+
+// reclaim takes the buffer of the released slot nearest below k, wrapping
+// round, and returns it empty; nil when no slot holds released capacity.
+func (s Slots) reclaim(k int) []byte {
+	for i := 1; i < len(s.back); i++ {
+		j := (k - i + len(s.back)) % len(s.back)
+		if b := s.back[j]; len(b) == 0 && cap(b) > 0 {
+			s.back[j] = nil
+			return b
+		}
+	}
+	return nil
+}
+
+// Release marks slot k's packet consumed: the slot reads as unbacked, and
+// its buffer stays with the region, counted by Backed, for the next slot
+// that grows — this one or, through reclaim, another.
+func (s Slots) Release(k int) {
+	s.back[k] = s.back[k][:0]
 }
 
 // memoryBase leaves the low addresses unmapped so that address 0 (and small
@@ -84,11 +117,15 @@ func (m *Memory) Alloc(n int) (uint64, []byte) {
 // AllocSlots reserves count slots of size bytes as one allocation and
 // returns its base and the owner's view of it. The range is mapped,
 // registrable and accounted like an Alloc of count×size bytes, but the host
-// backs each slot only up to the furthest byte an access — Resolve or the
-// view — has reached, rounded up to 64 bytes and never shrinking; the bytes
-// past it read as zero. It suits rings and pools of fixed-size slots that
-// mostly hold short packets: the chunk rings, the SRQ eager pool, the
-// shared-memory cells.
+// backs a slot only up to the furthest byte an access — Resolve or the
+// view — has reached, rounded up to 64 bytes, and only until its owner
+// releases it (Slots.Release): the buffer then backs the next slot of the
+// region that grows. Bytes not written since a release are stale bytes of
+// an earlier packet of the region, as a ring slot on real hardware holds an
+// earlier lap (the invariants build poisons them); bytes never backed read
+// as zero. It suits rings and pools of fixed-size slots that mostly hold
+// short packets: the chunk rings, the SRQ eager pool, the shared-memory
+// cells.
 func (m *Memory) AllocSlots(count, size int) (uint64, Slots) {
 	if count <= 0 || size <= 0 {
 		panic("model: AllocSlots of nonpositive size")
@@ -185,7 +222,7 @@ func (m *Memory) Resolve(va uint64, n int) ([]byte, error) {
 }
 
 // Backed reports how many host bytes back the allocation holding va: all
-// of it when flat, the slots' reached prefixes when slotted.
+// of it when flat, the slots' buffers, held or released, when slotted.
 func (m *Memory) Backed(va uint64) int {
 	i, _, err := m.find(va, 0)
 	if err != nil {
@@ -210,12 +247,12 @@ func (a *allocation) backed() int {
 	return a.slots.Backed()
 }
 
-// Backed reports how many host bytes back the region: the sum of the
-// slots' reached prefixes.
+// Backed reports how many host bytes back the region: the capacity of
+// every slot's buffer, held or released.
 func (s Slots) Backed() int {
 	n := 0
 	for _, b := range s.back {
-		n += len(b)
+		n += cap(b)
 	}
 	return n
 }

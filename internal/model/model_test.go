@@ -258,8 +258,9 @@ func TestNodeConstruction(t *testing.T) {
 
 // TestSlottedRegion: a slotted region is mapped and checkable in full, but
 // the host backs each slot only up to the furthest byte an access reached,
-// in 64-byte steps that never shrink; unbacked bytes read as zero, growth
-// keeps what was written, and no access may cross a slot.
+// in 64-byte steps that never shrink unless released; never-backed bytes
+// read as zero, growth keeps what was written, and no access may cross a
+// slot.
 func TestSlottedRegion(t *testing.T) {
 	m := NewMemory()
 	va, _ := m.AllocSlots(4, 8192)
@@ -358,5 +359,52 @@ func TestSlotsViewIsTheRegion(t *testing.T) {
 			}()
 			s.Slot(0, n)
 		}()
+	}
+}
+
+// TestSlotsRelease: a released slot reads as unbacked, but its buffer stays
+// with the region — Backed counts it — and backs the next slot that grows
+// without a make; the reused bytes are stale (poisoned under -tags
+// invariants), and a partly backed slot keeps its bytes as it grows.
+func TestSlotsRelease(t *testing.T) {
+	m := NewMemory()
+	va, s := m.AllocSlots(4, 1024)
+	copy(s.Slot(0, 300), "earlier packet")
+	s.Release(0)
+	if got := len(s.back[0]); got != 0 {
+		t.Fatalf("a released slot holds %d bytes", got)
+	}
+	if got := m.Backed(va); got != 320 {
+		t.Errorf("backed %d bytes after the release, want the 320 released", got)
+	}
+
+	want := []byte("earlier packet")
+	poison(want)
+	if got := s.Slot(2, 200)[:len(want)]; string(got) != string(want) {
+		t.Errorf("a reused buffer reads %q, want %q", got, want)
+	}
+	if got := m.Backed(va); got != 320 {
+		t.Errorf("backed %d bytes after the reuse, want 320: a buffer was made", got)
+	}
+
+	// One buffer goes round the ring: each slot takes the one released below it.
+	k := 2
+	allocs := testing.AllocsPerRun(100, func() {
+		s.Release(k)
+		k = (k + 1) % 4
+		s.Slot(k, 200)
+	})
+	if allocs != 0 || m.Backed(va) != 320 {
+		t.Errorf("the ring made %v buffers per packet and backs %d bytes, want 0 and 320",
+			allocs, m.Backed(va))
+	}
+
+	// Growth past the capacity a slot holds keeps its bytes.
+	copy(s.Slot(k, 10), "held bytes")
+	if got := string(s.Slot(k, 1000)[:10]); got != "held bytes" {
+		t.Errorf("growth kept %q", got)
+	}
+	if got := m.Backed(va); got != 1024 {
+		t.Errorf("backed %d bytes after growth past the buffer, want 1024", got)
 	}
 }

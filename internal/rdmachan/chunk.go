@@ -144,7 +144,7 @@ type chunkEP struct {
 	// Receive side: the ring lives in this endpoint's memory, registered
 	// once per rail so any rail's queue pair may deliver into it. Ring and
 	// staging are slotted regions, one slot per chunk, backed on the host
-	// only as far as chunks reach (model.AllocSlots).
+	// only while a slot holds a chunk (model.AllocSlots).
 	ring      model.Slots
 	ringVA    uint64
 	ringMRs   []*ib.MR // by rail
@@ -367,9 +367,15 @@ func (e *chunkEP) freeCredits() int {
 }
 
 // refreshCredits merges the explicit credit slot into the send window.
-func (e *chunkEP) refreshCredits() {
-	if v := e.creditsIn.value(); v > e.knownConsumed {
-		e.knownConsumed = v
+func (e *chunkEP) refreshCredits() { e.credit(e.creditsIn.value()) }
+
+// credit advances the peer's consumed count to c, if that is further, and
+// releases the staging slots it covers: a consumed chunk has been
+// delivered, so nothing reads its slot again (repostChunk reads only
+// chunks not yet credited).
+func (e *chunkEP) credit(c uint64) {
+	for ; e.knownConsumed < c; e.knownConsumed++ {
+		e.staging.Release(int(e.knownConsumed % uint64(e.nChunks)))
 	}
 }
 
@@ -801,10 +807,7 @@ func (e *chunkEP) GetCharged(p *des.Proc, bufs []Buffer) (int, error) {
 		if slot[chunkHdrSize+paylen] != byte(want) {
 			break // trailing flag not yet written
 		}
-		// Merge the piggybacked credit (§4.3).
-		if c := uint64(binary.LittleEndian.Uint32(slot[12:16])); c > e.knownConsumed {
-			e.knownConsumed = c
-		}
+		e.credit(uint64(binary.LittleEndian.Uint32(slot[12:16]))) // the piggybacked credit (§4.3)
 
 		switch slot[4] {
 		case chunkData:
@@ -892,10 +895,11 @@ func (e *chunkEP) stripeSpan(size, n int) int {
 	return (span + e.cfg.ChunkSize - 1) / e.cfg.ChunkSize * e.cfg.ChunkSize
 }
 
-// advanceChunk retires the current chunk and applies the delayed
-// tail-update policy (§4.3): an explicit credit message only after
-// CreditBatch chunks with no reverse traffic to piggyback on.
+// advanceChunk retires the current chunk, releasing its ring slot, and
+// applies the delayed tail-update policy (§4.3): an explicit credit message
+// only after CreditBatch chunks with no reverse traffic to piggyback on.
 func (e *chunkEP) advanceChunk(p *des.Proc) {
+	e.ring.Release(int(e.recvSeq % uint64(e.nChunks)))
 	e.recvSeq++
 	if e.recvSeq-e.announced >= uint64(e.cfg.CreditBatch) {
 		e.creditOut.write(p, e.recvSeq)

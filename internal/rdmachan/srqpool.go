@@ -40,8 +40,8 @@ type SRQPool struct {
 	scq *ib.CQ // shared send CQ
 
 	// The receive and send slot arrays are slotted regions
-	// (model.AllocSlots), backed as far as packets reach; the pool reaches
-	// them through the owner's views.
+	// (model.AllocSlots), backed while a slot holds a packet; the pool
+	// reaches them through the owner's views.
 	recvSlots model.Slots
 	recvWRs   []ib.RecvWR // per-slot descriptors, built once and reposted as-is
 
@@ -319,6 +319,7 @@ func (sp *SRQPool) drainSend(p *des.Proc) bool {
 		slot := int(cqe.WRID)
 		cb := sp.sendCBs[slot]
 		sp.sendCBs[slot] = stagedCB{}
+		sp.sendSlots.Release(slot)
 		sp.sendFree = append(sp.sendFree, slot)
 		if cqe.Status != ib.StatusSuccess {
 			if cb.onFail != nil {
@@ -369,8 +370,10 @@ func (sp *SRQPool) Poll(p *des.Proc) bool {
 			return prog
 		}
 		d.HandleSRQPacket(p, pkt)
-		// The packet has been consumed (copied out or converted into
-		// rendezvous state); the slot goes straight back to the queue.
+		// The packet has been consumed (copied out, cloned onto the early
+		// queue or converted into rendezvous state); the slot's backing is
+		// released and the slot goes straight back to the queue.
+		sp.recvSlots.Release(slot)
 		sp.postSlot(p, slot)
 		sp.stats.Reposts++
 	}

@@ -10,9 +10,10 @@ import (
 
 // TestSRQPoolBacksWhatPacketsReach: after cg.S np=64 on lazy connections
 // and the SRQ eager pool, every pool still registers and reports its full
-// 48 slots of 8 KB, but the host backs only the slot prefixes packets
-// reached. The backed totals are exact: they move only if the packets the
-// run sends, or the slots they land in, change.
+// 48 slots of 8 KB, but the host backs only what packets in flight reach
+// plus the buffers released slots hand on. The backed totals are exact:
+// they move only if the packets the run sends, the slots they land in or
+// the order slots are released in change.
 func TestSRQPoolBacksWhatPacketsReach(t *testing.T) {
 	const np = 64
 	c := cluster.MustNew(cluster.Config{
@@ -34,8 +35,8 @@ func TestSRQPoolBacksWhatPacketsReach(t *testing.T) {
 		rv, sd := sp.HostBacked()
 		recv, send, most = recv+rv, send+sd, max(most, rv+sd)
 	}
-	if recv != 2332032 || send != 244672 || most != 50432 {
-		t.Errorf("pools back %d recv + %d send bytes, at most %d in one; want 2332032 + 244672, at most 50432",
+	if recv != 116288 || send != 244672 || most != 13248 {
+		t.Errorf("pools back %d recv + %d send bytes, at most %d in one; want 116288 + 244672, at most 13248",
 			recv, send, most)
 	}
 }

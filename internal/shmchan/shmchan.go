@@ -68,8 +68,8 @@ type segSlot struct {
 
 // dir is one direction of a connection: a cell ring and a chunk segment,
 // both slotted regions of the node's simulated memory, backed on the host
-// only as far as payloads reach (model.AllocSlots). The sending Conn is the
-// only producer and the receiving Conn the only consumer.
+// only while a slot holds a payload (model.AllocSlots). The sending Conn is
+// the only producer and the receiving Conn the only consumer.
 type dir struct {
 	cells      []cell
 	cellMem    model.Slots // Cells slots of EagerMax bytes
@@ -427,6 +427,7 @@ func (c *Conn) progressRecv(p *des.Proc) bool {
 			}
 			dst := c.node.Mem.MustResolve(c.rsink.Buf.Addr+uint64(c.roff), sl.n)
 			copy(dst, c.in.segMem.Slot(c.in.segHead%SegChunks, sl.n))
+			c.in.segMem.Release(c.in.segHead % SegChunks)
 			c.node.Bus.Memcpy(p, sl.n, c.rtotal)
 			c.roff += sl.n
 			sl.full = false
@@ -466,6 +467,7 @@ func (c *Conn) progressRecv(p *des.Proc) bool {
 		} else if env.Len > 0 {
 			dst := c.node.Mem.MustResolve(sink.Buf.Addr, env.Len)
 			copy(dst, c.in.cellMem.Slot(c.in.head%Cells, env.Len))
+			c.in.cellMem.Release(c.in.head % Cells)
 			c.node.Bus.Memcpy(p, env.Len, env.Len)
 		}
 		cl.full = false
