@@ -13,7 +13,9 @@
 //
 // -out writes one row per printed series (bench.Curve, keyed figure id /
 // series name) and -compare gates the printed series against such a file,
-// every point exactly. The committed baseline and its gate:
+// every point exactly; a series of a printed figure, or under -fig all a
+// figure, that the file holds and the run did not print fails too. The
+// committed baseline and its gate:
 //
 //	mpich2ib-bench -fig all -compare BENCH_figures.json
 //
@@ -66,5 +68,7 @@ func main() {
 		fmt.Println(bench.FormatFigure(f))
 	}
 	stopProf()
-	os.Exit(bench.Curves(figs...).Finish(*out, false, *compare, 0))
+	rep := bench.Curves(figs...)
+	rep.Whole = *fig == "all"
+	os.Exit(rep.Finish(*out, false, *compare, 0))
 }

@@ -70,6 +70,9 @@ func Curves(figs ...Figure) *Report[Curve] {
 
 func (c Curve) key() string { return c.Figure + "/" + c.Series }
 
+// scope is the figure: a run that printed it printed all its series.
+func (c Curve) scope() string { return c.Figure }
+
 func (Curve) schema() string { return "mpich2ib/curves/v1" }
 
 func (Curve) wall() (float64, string) { return 0, "" }

@@ -75,6 +75,9 @@ func (r EngineRun) key() string {
 	return fmt.Sprintf("%s.%s/np=%d/%s/shards=%d", r.Bench, r.Class, r.NP, r.Queue, s)
 }
 
+// scope is the row itself: the CI smokes measure part of the matrix.
+func (r EngineRun) scope() string { return r.key() }
+
 func (EngineRun) schema() string { return "mpich2ib/engine-bench/v1" }
 
 func (r EngineRun) diff(b EngineRun) []string {

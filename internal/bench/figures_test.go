@@ -213,17 +213,7 @@ func TestTwoRankRowsMatchBaseline(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range twoRankRows {
-		f := buildOnce(r.id, r.figure)
-		want := 0
-		for _, c := range base.Runs {
-			if c.Figure == r.id {
-				want++
-			}
-		}
-		if len(f.Series) != want {
-			t.Errorf("%s: %d series, baseline has %d", r.id, len(f.Series), want)
-		}
-		for _, err := range Curves(f).compare(base, 0) {
+		for _, err := range Curves(buildOnce(r.id, r.figure)).compare(base, 0) {
 			t.Error(err)
 		}
 	}

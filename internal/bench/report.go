@@ -22,6 +22,9 @@ type row[R any] interface {
 	schema() string
 	// key identifies a row for baseline matching.
 	key() string
+	// scope names the rows measured together: a run that measured one row
+	// of a scope must have measured every baseline row of it.
+	scope() string
 	// diff compares the exact (simulated) fields with the baseline row's and
 	// returns one line per field that differs, naming it and both values.
 	diff(base R) []string
@@ -35,6 +38,11 @@ type Report[R row[R]] struct {
 	Schema string `json:"schema"`
 	Go     string `json:"go"`
 	Runs   []R    `json:"runs"`
+
+	// Whole marks a run of everything the command measures (mpich2ib-bench
+	// -fig all): the gate then requires every baseline row, not only those
+	// of the scopes it measured.
+	Whole bool `json:"-"`
 }
 
 // NewReport starts an empty report stamped with the toolchain.
@@ -137,12 +145,14 @@ func (rep *Report[R]) merge(base *Report[R]) *Report[R] {
 // measured, the simulated fields must match the baseline row exactly (a
 // mismatch means the simulation changed, which is never a mere performance
 // regression) and a wall figure, where the row carries one, may not regress
-// by more than tol (0.15 = 15%). Getting faster is not an error. Baseline rows rep did not measure
-// are skipped — the CI smokes compare a subset of the committed matrix —
-// but every measured row MUST exist in the baseline: a combination nothing
-// has vetted is a gate failure, reported with the full measured row so the
-// maintainer can regenerate the baseline deliberately. Returns one error
-// per violation.
+// by more than tol (0.15 = 15%). Getting faster is not an error. Every
+// measured row MUST exist in the baseline: a combination nothing has vetted
+// is a gate failure, reported with the full measured row so the maintainer
+// can regenerate the baseline deliberately. A baseline row rep did not
+// measure fails when rep measured its scope (a figure that dropped a
+// series) or the whole matrix (a figure -fig all no longer prints); other
+// ones are skipped, since the CI smokes compare a subset of the committed
+// engine matrix. Returns one error per violation.
 func (rep *Report[R]) compare(baseline *Report[R], tol float64) []error {
 	base := make(map[string]R, len(baseline.Runs))
 	for _, r := range baseline.Runs {
@@ -150,7 +160,9 @@ func (rep *Report[R]) compare(baseline *Report[R], tol float64) []error {
 	}
 	var errs []error
 	matched := 0
+	keys, scopes := make(map[string]bool, len(rep.Runs)), make(map[string]bool)
 	for _, cur := range rep.Runs {
+		keys[cur.key()], scopes[cur.scope()] = true, true
 		b, ok := base[cur.key()]
 		if !ok {
 			row, _ := json.Marshal(cur) // plain data: cannot fail
@@ -168,6 +180,13 @@ func (rep *Report[R]) compare(baseline *Report[R], tol float64) []error {
 		if bw, _ := b.wall(); bw > 0 && cw > bw*(1+tol) {
 			errs = append(errs, fmt.Errorf("%s: %s regressed %.1f%% (%.4g vs baseline %.4g, tolerance %.0f%%)",
 				cur.key(), what, 100*(cw/bw-1), cw, bw, 100*tol))
+		}
+	}
+	for _, r := range baseline.Runs {
+		if !keys[r.key()] && (rep.Whole || scopes[r.scope()]) {
+			errs = append(errs, fmt.Errorf(
+				"%s: baseline row not measured — the run dropped it; regenerate the baseline with -out if that is deliberate",
+				r.key()))
 		}
 	}
 	if matched == 0 && len(rep.Runs) > 0 {

@@ -123,6 +123,49 @@ func TestReportContract(t *testing.T) {
 	})
 }
 
+// TestGateSeesDroppedRows: a curve run that printed a figure must print
+// every series the baseline holds for it, a -fig all run every figure, and
+// a series the baseline lacks still fails; an engine run may measure part
+// of the committed matrix.
+func TestGateSeesDroppedRows(t *testing.T) {
+	c := func(fig, series string) Curve {
+		return Curve{Figure: fig, Series: series, Points: []Point{{Size: 4, Value: 1}}}
+	}
+	curves := func(whole bool, rows ...Curve) *Report[Curve] {
+		rep := NewReport[Curve]()
+		rep.Runs, rep.Whole = rows, whole
+		return rep
+	}
+	base := curves(false, c("figA", "s1"), c("figA", "s2"), c("figB", "s1"))
+	for _, tc := range []struct {
+		name string
+		run  *Report[Curve]
+		want string // the error's substring; "" for a pass
+	}{
+		{"one figure in full", curves(false, c("figA", "s1"), c("figA", "s2")), ""},
+		{"every figure", curves(true, base.Runs...), ""},
+		{"dropped series", curves(false, c("figA", "s1"), c("figB", "s1")), "figA/s2: baseline row not measured"},
+		{"dropped figure", curves(true, c("figA", "s1"), c("figA", "s2")), "figB/s1: baseline row not measured"},
+		{"extra series", curves(false, c("figB", "s1"), c("figB", "s2")), "figB/s2: row missing from baseline"},
+	} {
+		errs := tc.run.compare(base, 0)
+		switch {
+		case tc.want == "" && len(errs) > 0:
+			t.Errorf("%s: %v", tc.name, errs)
+		case tc.want != "" && (len(errs) != 1 || !strings.Contains(errs[0].Error(), tc.want)):
+			t.Errorf("%s: got %v, want one error with %q", tc.name, errs, tc.want)
+		}
+	}
+
+	eng := NewReport[EngineRun]()
+	eng.Runs = []EngineRun{engRun(1, 1000)}
+	engBase := NewReport[EngineRun]()
+	engBase.Runs = []EngineRun{engRun(1, 1000), engRun(4, 1000)}
+	if errs := eng.compare(engBase, 0.15); len(errs) != 0 {
+		t.Errorf("an engine run of part of the matrix fails: %v", errs)
+	}
+}
+
 // TestEngineLegacyRowAliasesSerial: rows written before the sharded engine
 // carry no shards field and must keep gating shards=1 measurements.
 func TestEngineLegacyRowAliasesSerial(t *testing.T) {
