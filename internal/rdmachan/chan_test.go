@@ -668,35 +668,39 @@ func TestDesignString(t *testing.T) {
 // those two chunks, not one per slot.
 func TestChunkRingBacksWhatChunksReach(t *testing.T) {
 	for _, d := range []Design{DesignPiggyback, DesignPipeline, DesignZeroCopy} {
-		for _, size := range []int{4, 16 << 10} {
-			t.Run(fmt.Sprintf("%s/%d", d, size), func(t *testing.T) {
-				h := newHarness(t, Config{Design: d})
-				out0, _ := h.alloc(0, size)
-				in0, _ := h.alloc(0, size)
-				in1, _ := h.alloc(1, size)
-				out1, _ := h.alloc(1, size)
-				e := [2]*chunkEP{h.eps[0].(*chunkEP), h.eps[1].(*chunkEP)}
-				per := (size + e[0].maxPayload - 1) / e[0].maxPayload
-				iters := 3 * e[0].nChunks / per
-				h.eng.Spawn("rank0", func(p *des.Proc) { pingPong(t, p, h.eps[0], out0, in0, iters) })
-				h.eng.Spawn("rank1", func(p *des.Proc) { pongPing(t, p, h.eps[1], in1, out1, iters) })
-				h.eng.Run()
-				for i, ep := range e {
-					mem := h.nodes[i].Mem
-					ring, staging := mem.Backed(ep.ringVA), mem.Backed(ep.stagingVA)
-					t.Logf("side %d: ring %d, staging %d bytes", i, ring, staging)
-					if limit := ep.nChunks * 64; size == 4 && (ring == 0 || ring > limit || staging == 0 || staging > limit) {
-						t.Errorf("side %d: ring backs %d bytes and staging %d, want 1..%d each", i, ring, staging, limit)
-					}
-					if limit := 2 * per * ep.cfg.ChunkSize; ring+staging > limit {
-						t.Errorf("side %d: ring and staging back %d bytes, more than the %d of a message's %d chunks on each",
-							i, ring+staging, limit, per)
-					}
-					if got, want := ep.Footprint().EagerBytes, int64(2*ep.cfg.RingSize); got != want {
-						t.Errorf("side %d: footprint reports %d eager bytes, want %d", i, got, want)
-					}
+		t.Run(d.String(), func(t *testing.T) { testChunkRingBacking(t, d) })
+	}
+}
+
+func testChunkRingBacking(t *testing.T, d Design) {
+	for _, size := range []int{4, 16 << 10} {
+		t.Run(fmt.Sprint(size), func(t *testing.T) {
+			h := newHarness(t, Config{Design: d})
+			out0, _ := h.alloc(0, size)
+			in0, _ := h.alloc(0, size)
+			in1, _ := h.alloc(1, size)
+			out1, _ := h.alloc(1, size)
+			e := [2]*chunkEP{h.eps[0].(*chunkEP), h.eps[1].(*chunkEP)}
+			per := (size + e[0].maxPayload - 1) / e[0].maxPayload
+			iters := 3 * e[0].nChunks / per
+			h.eng.Spawn("rank0", func(p *des.Proc) { pingPong(t, p, h.eps[0], out0, in0, iters) })
+			h.eng.Spawn("rank1", func(p *des.Proc) { pongPing(t, p, h.eps[1], in1, out1, iters) })
+			h.eng.Run()
+			for i, ep := range e {
+				mem := h.nodes[i].Mem
+				ring, staging := mem.Backed(ep.ringVA), mem.Backed(ep.stagingVA)
+				t.Logf("side %d: ring %d, staging %d bytes", i, ring, staging)
+				if limit := ep.nChunks * 64; size == 4 && (ring == 0 || ring > limit || staging == 0 || staging > limit) {
+					t.Errorf("side %d: ring backs %d bytes and staging %d, want 1..%d each", i, ring, staging, limit)
 				}
-			})
-		}
+				if limit := 2 * per * ep.cfg.ChunkSize; ring+staging > limit {
+					t.Errorf("side %d: ring and staging back %d bytes, more than the %d of a message's %d chunks on each",
+						i, ring+staging, limit, per)
+				}
+				if got, want := ep.Footprint().EagerBytes, int64(2*ep.cfg.RingSize); got != want {
+					t.Errorf("side %d: footprint reports %d eager bytes, want %d", i, got, want)
+				}
+			}
+		})
 	}
 }
