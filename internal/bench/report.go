@@ -146,14 +146,18 @@ func (rep *Report[R]) merge(base *Report[R]) *Report[R] {
 // mismatch means the simulation changed, which is never a mere performance
 // regression) and a wall figure, where the row carries one, may not regress
 // by more than tol (0.15 = 15%). Getting faster is not an error. Every
-// measured row MUST exist in the baseline: a combination nothing has vetted
-// is a gate failure, reported with the full measured row so the maintainer
-// can regenerate the baseline deliberately. A baseline row rep did not
+// measured row MUST exist in the baseline, once: a combination nothing has
+// vetted is a gate failure, reported with the full measured row so the
+// maintainer can regenerate the baseline deliberately, and a row measured
+// twice (a series printed twice) fails alone. A baseline row rep did not
 // measure fails when rep measured its scope (a figure that dropped a
 // series) or the whole matrix (a figure -fig all no longer prints); other
 // ones are skipped, since the CI smokes compare a subset of the committed
 // engine matrix. Returns one error per violation.
 func (rep *Report[R]) compare(baseline *Report[R], tol float64) []error {
+	if err := rep.checkKeys(); err != nil {
+		return []error{err}
+	}
 	base := make(map[string]R, len(baseline.Runs))
 	for _, r := range baseline.Runs {
 		base[r.key()] = r

@@ -125,8 +125,8 @@ func TestReportContract(t *testing.T) {
 
 // TestGateSeesDroppedRows: a curve run that printed a figure must print
 // every series the baseline holds for it, a -fig all run every figure, and
-// a series the baseline lacks still fails; an engine run may measure part
-// of the committed matrix.
+// a series the baseline lacks or one printed twice still fails; an engine
+// run may measure part of the committed matrix.
 func TestGateSeesDroppedRows(t *testing.T) {
 	c := func(fig, series string) Curve {
 		return Curve{Figure: fig, Series: series, Points: []Point{{Size: 4, Value: 1}}}
@@ -147,6 +147,7 @@ func TestGateSeesDroppedRows(t *testing.T) {
 		{"dropped series", curves(false, c("figA", "s1"), c("figB", "s1")), "figA/s2: baseline row not measured"},
 		{"dropped figure", curves(true, c("figA", "s1"), c("figA", "s2")), "figB/s1: baseline row not measured"},
 		{"extra series", curves(false, c("figB", "s1"), c("figB", "s2")), "figB/s2: row missing from baseline"},
+		{"duplicated series", curves(false, c("figA", "s1"), c("figA", "s1"), c("figA", "s2")), "two rows under key figA/s1"},
 	} {
 		errs := tc.run.compare(base, 0)
 		switch {
