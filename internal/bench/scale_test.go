@@ -2,6 +2,7 @@ package bench
 
 import (
 	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -21,17 +22,38 @@ func requireScale(t *testing.T) {
 	}
 }
 
+// maxHeapPerRank4096 bounds CG.S's live heap per rank at np=4096: what a
+// rank keeps grows with its peers (connections, queue pairs, SRQ slot
+// backing), not with np. 74 913 B measured; 173 195 B while Split's 24·np
+// table outlived the call.
+const maxHeapPerRank4096 = 80000
+
 // TestScaleCG4096 runs NAS CG class S at np=4096 on the scalable stack
 // (lazy connections, SRQ) — the configuration of the committed
-// BENCH_engine.json row — and checks it verifies.
+// BENCH_engine.json row — and checks it verifies, matches the row's
+// simulated results and keeps the live heap per rank under
+// maxHeapPerRank4096.
 func TestScaleCG4096(t *testing.T) {
 	requireScale(t)
 	r := MeasureEngine("cg", nas.ClassS, 4096, 1, 1)
 	if !r.Verified {
 		t.Fatal("CG.S np=4096 failed verification")
 	}
-	t.Logf("np=4096 CG: events=%d wall=%.1fs ev/s=%.0f fp=%s",
-		r.Events, r.WallSeconds, r.EventsPerSec, r.Fingerprint)
+	t.Logf("np=4096 CG: events=%d wall=%.1fs ev/s=%.0f fp=%s heap=%d B/rank",
+		r.Events, r.WallSeconds, r.EventsPerSec, r.Fingerprint, r.HeapPerRank)
+	committed, err := readReport[EngineRun](filepath.Join("..", "..", "BENCH_engine.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range committed.Runs {
+		if row.key() == r.key() && (row.Events != r.Events || row.Fingerprint != r.Fingerprint || row.SimSeconds != r.SimSeconds) {
+			t.Errorf("np=4096 CG: events %d, fp %s, sim %gs; the committed row says %d, %s, %gs",
+				r.Events, r.Fingerprint, r.SimSeconds, row.Events, row.Fingerprint, row.SimSeconds)
+		}
+	}
+	if r.HeapPerRank > maxHeapPerRank4096 {
+		t.Errorf("np=4096 CG keeps %d B live heap per rank, more than %d", r.HeapPerRank, maxHeapPerRank4096)
+	}
 }
 
 // TestScaleStencil4096 runs the footprint sweep's stencil patterns

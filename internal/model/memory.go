@@ -33,10 +33,12 @@ type allocation struct {
 // Slots is the owner's view of a slotted region, returned by AllocSlots
 // with its base: it reaches slot k by index, without the address search
 // Resolve does. It shares its backing with the allocation table, so bytes
-// written through either are the bytes the other reads.
+// written through either are the bytes the other reads. A slot its owner
+// is done with is released, its buffer kept for the region, or dropped,
+// its buffer given back (AllocSlots).
 type Slots struct {
 	size int      // bytes per slot; 0 when flat
-	back [][]byte // per-slot backing; a released slot's buffer is kept at length 0
+	back [][]byte // per-slot backing; a released slot's buffer is kept at length 0, a dropped one is nil
 }
 
 // Slot returns the first n bytes of slot k, backing them first: the slot's
@@ -94,6 +96,13 @@ func (s Slots) Release(k int) {
 	s.back[k] = s.back[k][:0]
 }
 
+// Drop gives slot k's buffer back to the Go heap: the slot reads as
+// unbacked, Backed no longer counts it, and its next access backs it
+// afresh, zeroed. The address range stays mapped.
+func (s Slots) Drop(k int) {
+	s.back[k] = nil
+}
+
 // memoryBase leaves the low addresses unmapped so that address 0 (and small
 // offsets from it) fault, as on real hardware.
 const memoryBase = 0x10000
@@ -119,13 +128,19 @@ func (m *Memory) Alloc(n int) (uint64, []byte) {
 // registrable and accounted like an Alloc of count×size bytes, but the host
 // backs a slot only up to the furthest byte an access — Resolve or the
 // view — has reached, rounded up to 64 bytes, and only until its owner
-// releases it (Slots.Release): the buffer then backs the next slot of the
-// region that grows. Bytes not written since a release are stale bytes of
-// an earlier packet of the region, as a ring slot on real hardware holds an
-// earlier lap (the invariants build poisons them); bytes never backed read
-// as zero. It suits rings and pools of fixed-size slots that mostly hold
-// short packets: the chunk rings, the SRQ eager pool, the shared-memory
-// cells.
+// releases it. An owner gives a slot up in one of two ways. Released
+// (Slots.Release), its buffer stays in the region, still counted by Backed,
+// and backs the next slot of the region that grows: the rings and pools,
+// which reach the same slots lap after lap, keep their working set. Dropped
+// (Slots.Drop), its buffer goes back to the Go heap and the slot's next
+// access backs it afresh: the buffers a call needs only while it runs keep
+// their address, which the pin-down cache knows them by, but no bytes.
+// Bytes not written since a release are stale bytes of an earlier packet of
+// the region, as a ring slot on real hardware holds an earlier lap (the
+// invariants build poisons them); bytes never backed, or not since a drop,
+// read as zero. It suits rings and pools of fixed-size slots that mostly
+// hold short packets (the chunk rings, the SRQ eager pool, the
+// shared-memory cells) and, as one-slot regions, the collectives' scratch.
 func (m *Memory) AllocSlots(count, size int) (uint64, Slots) {
 	if count <= 0 || size <= 0 {
 		panic("model: AllocSlots of nonpositive size")

@@ -1,0 +1,105 @@
+package mpi_test
+
+import (
+	"fmt"
+	"testing"
+
+	"repro/internal/cluster"
+	"repro/internal/mpi"
+	"repro/internal/rdmachan"
+)
+
+// TestSplitBacksWhatItHolds: Split's O(np) scratch — the gathered table,
+// the triple and, off powers of two, Bruck's temporary — holds host memory
+// only while Split runs. Each Launch hands the ranks a fresh world
+// communicator, so its Split allocates that scratch anew. Eight launches
+// of the same Split first bring every ring, staging mirror and pool slot
+// its traffic reaches to their working set (the eager mesh's grows for at
+// most four, while credits are outstanding); after that, a Launch of it
+// must leave the nodes' BackedTotal where it was, on the
+// recursive-doubling (np 8) and Bruck (np 6) allgathers, over the flat
+// eager mesh and over lazy connections with SRQ.
+func TestSplitBacksWhatItHolds(t *testing.T) {
+	stacks := []struct {
+		name string
+		cfg  cluster.Config
+	}{
+		{"eager", cluster.Config{Transport: cluster.TransportZeroCopy}},
+		{"lazy-srq", cluster.Config{Transport: cluster.TransportZeroCopy,
+			ConnectMode: cluster.ConnectLazy, Chan: rdmachan.Config{UseSRQ: true}}},
+	}
+	for _, st := range stacks {
+		for _, np := range []int{8, 6} {
+			t.Run(fmt.Sprintf("%s/np%d", st.name, np), func(t *testing.T) {
+				cfg := st.cfg
+				cfg.NP = np
+				c := cluster.MustNew(cfg)
+				defer c.Close()
+				split := func(comm *mpi.Comm) {
+					r := comm.Rank()
+					color := r % 2
+					if r == np-1 {
+						color = -1 // opts out, still gathers
+					}
+					if sub := comm.Split(color, -r); (sub == nil) != (color < 0) {
+						t.Errorf("rank %d: Split returned %v for color %d", r, sub, color)
+					}
+				}
+				backed := func() int {
+					n := 0
+					for _, node := range c.Nodes {
+						n += node.Mem.BackedTotal()
+					}
+					return n
+				}
+				for i := 0; i < 8; i++ {
+					c.Launch(split)
+				}
+				before := backed()
+				c.Launch(split)
+				if after := backed(); after != before {
+					t.Errorf("the nodes back %d host bytes after Split, %d before it", after, before)
+				}
+			})
+		}
+	}
+}
+
+// TestGrownScratchBacksWhatItHolds: a scratch slot that grows moves
+// to a new region and drops the old one's backing, so after an allreduce at
+// 256 B, then 4 KB, then 64 KB the communicator's scratch backs only the
+// 64 KB slots; the outgrown regions stay mapped, backing nothing.
+func TestGrownScratchBacksWhatItHolds(t *testing.T) {
+	const np = 4
+	c := cluster.MustNew(cluster.Config{NP: np, Transport: cluster.TransportZeroCopy})
+	defer c.Close()
+	c.Launch(func(comm *mpi.Comm) {
+		mem := c.Nodes[c.NodeOf(comm.Rank())].Mem
+		seen := map[uint64]bool{}
+		var last []mpi.Buffer
+		for _, n := range []int{256, 4 << 10, 64 << 10} {
+			send, _ := comm.Alloc(n)
+			recv, _ := comm.Alloc(n)
+			comm.Allreduce(send, recv, mpi.Byte, mpi.Sum)
+			last = mpi.ScratchBuffers(comm)
+			for _, b := range last {
+				seen[b.Addr] = true
+			}
+		}
+		held := map[uint64]bool{}
+		for _, b := range last {
+			held[b.Addr] = true
+			if got := mem.Backed(b.Addr); got != b.Len {
+				t.Errorf("rank %d: a %d-byte scratch slot backs %d bytes", comm.Rank(), b.Len, got)
+			}
+		}
+		for va := range seen {
+			if got := mem.Backed(va); !held[va] && got != 0 {
+				t.Errorf("rank %d: an outgrown scratch region at %#x still backs %d bytes", comm.Rank(), va, got)
+			}
+		}
+		if len(seen) == len(last) {
+			t.Errorf("rank %d: no scratch slot grew; the sizes do not exercise growth", comm.Rank())
+		}
+	})
+}

@@ -1,6 +1,10 @@
 package mpi
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/model"
+)
 
 // Collective tags (on the collective context, so they never collide with
 // user point-to-point traffic). The hierarchical algorithms use distinct
@@ -40,24 +44,46 @@ const (
 // an allocation-count test asserts the reuse). Slots that are live at the
 // same time within one call must be distinct.
 type scratch struct {
-	token Buffer // 1-byte barrier token
-	in    Buffer // barrier fan-in/dissemination landing area
-	acc   Buffer // reduce accumulator
-	tmp   Buffer // reduce incoming partial
-	part  Buffer // hierarchical reduce node partial
-	bruck Buffer // Bruck allgather's rotated working copy
-	split Buffer // Split's (color, key, counter) triple
-	table Buffer // Split's gathered triples, one per member
+	token scratchBuf // 1-byte barrier token
+	in    scratchBuf // barrier fan-in/dissemination landing area
+	acc   scratchBuf // reduce accumulator
+	tmp   scratchBuf // reduce incoming partial
+	part  scratchBuf // hierarchical reduce node partial
+	bruck scratchBuf // Bruck allgather's rotated working copy
+	split scratchBuf // Split's (color, key, counter) triple
+	table scratchBuf // Split's gathered triples, one per member
 
 	reqs []*Request // a collective's posted requests, which finishAll waits for
 }
 
-// scratch returns an n-byte view of a lazily grown per-comm buffer slot.
-func (c *Comm) scratch(slot *Buffer, n int) Buffer {
-	if slot.Len < n {
-		*slot, _ = c.Alloc(n)
+// scratchBuf is one scratch slot: a one-slot region of node memory
+// (model.Memory.AllocSlots), so that its host backing can be dropped while
+// its address, which the pin-down cache knows it by, stays.
+type scratchBuf struct {
+	buf  Buffer
+	back model.Slots
+}
+
+// scratch returns an n-byte view of a lazily grown per-comm buffer slot,
+// backed in full. A slot that must grow drops its outgrown region's
+// backing; the old range stays mapped, so the addresses of later
+// allocations, and with them simulated time, are what they were.
+func (c *Comm) scratch(slot *scratchBuf, n int) Buffer {
+	if slot.buf.Len < n {
+		slot.drop()
+		c.allocs++
+		va, back := c.eng.Node().Mem.AllocSlots(1, n)
+		slot.buf, slot.back = Buffer{Addr: va, Len: n}, back
 	}
-	return Slice(*slot, 0, n)
+	slot.back.Slot(0, n)
+	return Slice(slot.buf, 0, n)
+}
+
+// drop gives the slot's host backing back; its next use backs it afresh.
+func (s *scratchBuf) drop() {
+	if s.buf.Len > 0 {
+		s.back.Drop(0)
+	}
 }
 
 // finishAll waits for the requests a collective posted into its scratch

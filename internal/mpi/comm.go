@@ -83,23 +83,26 @@ func (c *Comm) Split(color, key int) *Comm {
 	c.Allgather(send, recv)
 
 	base := *c.nextCtx
+	type member struct{ key, parent int }
+	var members []member
 	for r := 0; r < np; r++ {
 		if v := int32(GetInt64(rb, r*3+2)); v > base {
 			base = v
 		}
+		if color >= 0 && int(GetInt64(rb, r*3)) == color {
+			members = append(members, member{int(GetInt64(rb, r*3+1)), r})
+		}
 	}
 	*c.nextCtx = base + 2
+	// The O(np) scratch is call-scoped: it holds host memory only while
+	// Split runs, and keeps its address for the next Split's cache hits.
+	c.scr.split.drop()
+	c.scr.table.drop()
+	c.scr.bruck.drop()
 	if color < 0 {
 		return nil
 	}
 
-	type member struct{ key, parent int }
-	var members []member
-	for r := 0; r < np; r++ {
-		if int(GetInt64(rb, r*3)) == color {
-			members = append(members, member{int(GetInt64(rb, r*3+1)), r})
-		}
-	}
 	sort.Slice(members, func(i, j int) bool {
 		if members[i].key != members[j].key {
 			return members[i].key < members[j].key

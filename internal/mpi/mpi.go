@@ -56,7 +56,7 @@ type Comm struct {
 	tuning  Tuning  // collective algorithm selection (algorithms.go)
 
 	scr    scratch // reusable per-comm collective scratch buffers
-	allocs int     // Alloc call count (scratch-reuse test hook)
+	allocs int     // node-memory allocations, Alloc's and scratch's (scratch-reuse test hook)
 
 	direct *rdmaDirect // lazily built RDMA-direct exposure (rdmadirect.go)
 }
@@ -167,9 +167,9 @@ func (c *Comm) Alloc(n int) (Buffer, []byte) {
 	return Buffer{Addr: va, Len: n}, b
 }
 
-// Allocs returns how many times Alloc ran on this handle — collectives
-// reuse per-comm scratch, so steady-state collective calls must not grow
-// it (asserted by a test).
+// Allocs returns how many node-memory allocations this handle made, Alloc's
+// and the collective scratch's — collectives reuse per-comm scratch, so
+// steady-state collective calls must not grow it (asserted by a test).
 func (c *Comm) Allocs() int { return c.allocs }
 
 // Bytes resolves a buffer to its backing storage.
