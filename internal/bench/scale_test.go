@@ -24,7 +24,7 @@ func requireScale(t *testing.T) {
 
 // maxHeapPerRank4096 bounds CG.S's live heap per rank at np=4096: what a
 // rank keeps grows with its peers (connections, queue pairs, SRQ slot
-// backing), not with np. 74 913 B measured; 173 195 B while Split's 24·np
+// backing), not with np. 75 053 B measured; 173 221 B while Split's 24·np
 // table outlived the call.
 const maxHeapPerRank4096 = 80000
 
