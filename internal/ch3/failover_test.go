@@ -19,6 +19,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/mpi"
 	"repro/internal/rdmachan"
+	"repro/internal/scenario"
 	"repro/internal/transport"
 )
 
@@ -156,13 +157,7 @@ func sweepRailLossWith(t *testing.T, prefix string, mk func(plan *fault.Plan) cl
 // data write in flight, FIN pending, refill in progress).
 func TestSRQRailLossSweep(t *testing.T) {
 	sweepRailLoss(t, func(plan *fault.Plan) cluster.Config {
-		return cluster.Config{
-			Transport:    cluster.TransportZeroCopy,
-			ConnectMode:  cluster.ConnectLazy,
-			RailsPerNode: 2,
-			Chan:         rdmachan.Config{UseSRQ: true},
-			Fault:        plan,
-		}
+		return scenario.LazySRQ.On(cluster.Config{RailsPerNode: 2, Fault: plan})
 	}, 0)
 }
 
@@ -249,13 +244,7 @@ func runDirectAllreduceWindow(t *testing.T, cfg cluster.Config) (sum uint64, too
 // every failure instant.
 func TestRDMADirectRailLossSweep(t *testing.T) {
 	sweepRailLossWith(t, "", func(plan *fault.Plan) cluster.Config {
-		return cluster.Config{
-			Transport:    cluster.TransportZeroCopy,
-			ConnectMode:  cluster.ConnectLazy,
-			RailsPerNode: 2,
-			Chan:         rdmachan.Config{UseSRQ: true},
-			Fault:        plan,
-		}
+		return scenario.LazySRQ.On(cluster.Config{RailsPerNode: 2, Fault: plan})
 	}, 0, runDirectAllreduceWindow)
 }
 
@@ -278,14 +267,7 @@ func TestSRQRefillUnderRailFlap(t *testing.T) {
 			For: 15 * des.Microsecond,
 		})
 	}
-	c := cluster.MustNew(cluster.Config{
-		NP:           2,
-		Transport:    cluster.TransportZeroCopy,
-		ConnectMode:  cluster.ConnectLazy,
-		RailsPerNode: 2,
-		Chan:         rdmachan.Config{UseSRQ: true},
-		Fault:        plan,
-	})
+	c := cluster.MustNew(scenario.LazySRQ.On(cluster.Config{NP: 2, RailsPerNode: 2, Fault: plan}))
 	defer c.Close()
 	var got []uint64
 	// The receiver's pools: rail 0's, and whichever one a re-dial moved the

@@ -1,17 +1,20 @@
-package cluster
+package cluster_test
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"regexp"
 	"sort"
 	"strings"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/des"
 	"repro/internal/fault"
 	"repro/internal/mpi"
 	"repro/internal/rdmachan"
-	"repro/internal/switchfab"
+	"repro/internal/scenario"
 )
 
 // TestConfigValidate: each row is a setting that used to panic mid-run or
@@ -19,29 +22,29 @@ import (
 // field. (The SRQ pool sizes, the shared-memory ring geometry and the
 // resilient flag that completed that list are no longer settable.)
 func TestConfigValidate(t *testing.T) {
-	zc := func(c Config) Config {
+	zc := func(c cluster.Config) cluster.Config {
 		c.NP = 2
 		if c.Transport == 0 {
-			c.Transport = TransportZeroCopy
+			c.Transport = cluster.TransportZeroCopy
 		}
 		return c
 	}
 	cases := []struct {
 		name, field string
-		cfg         Config
+		cfg         cluster.Config
 	}{
-		{"lazy chunk 8", "Chan.ChunkSize", zc(Config{ConnectMode: ConnectLazy, Chan: rdmachan.Config{ChunkSize: 8}})},
-		{"eager chunk 8", "Chan.ChunkSize", zc(Config{Chan: rdmachan.Config{ChunkSize: 8}})},
-		{"unknown transport", "Transport", zc(Config{Transport: 9})},
-		{"unknown connect mode", "ConnectMode", zc(Config{ConnectMode: 7})},
-		{"negative rails", "RailsPerNode", zc(Config{RailsPerNode: -3})},
-		{"unknown rail policy", "Chan.RailPolicy", zc(Config{RailsPerNode: 2, Chan: rdmachan.Config{RailPolicy: 9}})},
+		{"lazy chunk 8", "Chan.ChunkSize", zc(cluster.Config{ConnectMode: cluster.ConnectLazy, Chan: rdmachan.Config{ChunkSize: 8}})},
+		{"eager chunk 8", "Chan.ChunkSize", zc(cluster.Config{Chan: rdmachan.Config{ChunkSize: 8}})},
+		{"unknown transport", "Transport", zc(cluster.Config{Transport: 9})},
+		{"unknown connect mode", "ConnectMode", zc(cluster.Config{ConnectMode: 7})},
+		{"negative rails", "RailsPerNode", zc(cluster.Config{RailsPerNode: -3})},
+		{"unknown rail policy", "Chan.RailPolicy", zc(cluster.Config{RailsPerNode: 2, Chan: rdmachan.Config{RailPolicy: 9}})},
 		{"zero-copy design under pipeline", "Chan.Design",
-			zc(Config{Transport: TransportPipeline, Chan: rdmachan.Config{Design: rdmachan.DesignZeroCopy}})},
-		{"unknown forced bcast", "Tuning.Bcast", zc(Config{Tuning: &mpi.Tuning{Bcast: "bogus"}})},
+			zc(cluster.Config{Transport: cluster.TransportPipeline, Chan: rdmachan.Config{Design: rdmachan.DesignZeroCopy}})},
+		{"unknown forced bcast", "Tuning.Bcast", zc(cluster.Config{Tuning: &mpi.Tuning{Bcast: "bogus"}})},
 	}
 	for _, tc := range cases {
-		c, err := New(tc.cfg)
+		c, err := cluster.New(tc.cfg)
 		if err == nil {
 			c.Close()
 			t.Errorf("%s: New accepted it", tc.name)
@@ -53,14 +56,15 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
-// namesField matches an error that starts with the field path it rejects.
-var namesField = regexp.MustCompile(`^cluster: [A-Z]\w*(\.\w+(\[\d+\])?)*[ :]`)
+// namesField matches an error that starts with the field path it
+// rejects, and captures the path.
+var namesField = regexp.MustCompile(`^cluster: ([A-Z]\w*(?:\.\w+(?:\[\d+\])?)*)[ :]`)
 
 // exchange builds cfg and runs a checksum ring (512 B and 40 KiB, so every
 // eager and rendezvous path a layout has is taken) and an Allreduce. It
 // returns New's error, or whether every rank verified.
-func exchange(cfg Config) (bool, error) {
-	c, err := New(cfg)
+func exchange(cfg cluster.Config) (bool, error) {
+	c, err := cluster.New(cfg)
 	if err != nil {
 		return false, err
 	}
@@ -94,74 +98,66 @@ func exchange(cfg Config) (bool, error) {
 	return true, nil
 }
 
-// TestFeatureLattice walks every combination of transport × connect mode ×
-// SRQ × rails × cores per node × switch × shards × fault plan at np = 4:
-// each cell verifies its traffic or gets an error from New naming a field,
-// and none panics. The printed table's error cells are the carve-out list
-// (DESIGN.md §19).
+// TestFeatureLattice walks scenario.Lattice: each cell verifies its
+// traffic or gets an error from New naming a field, and none panics. It
+// prints every cell, then the count of cells, verified cells and
+// refusals by the field they name — the carve-out list — per transport
+// and in all, which must be DESIGN §19's table (DESIGN.md §19 "The
+// lattice").
 func TestFeatureLattice(t *testing.T) {
-	faults := []struct {
-		name string
-		plan func() *fault.Plan
-	}{
-		{"none", func() *fault.Plan { return nil }},
-		{"empty", func() *fault.Plan { return &fault.Plan{} }},
-		{"rail1-down", func() *fault.Plan {
-			return &fault.Plan{Events: []fault.Event{{At: 5 * des.Microsecond, Kind: fault.LinkDown, Node: 0, Rail: 1}}}
-		}},
-	}
-	carve := map[string]int{}
-	cells := 0
-	for tr := TransportBasic; tr <= TransportCH3; tr++ {
-		for _, mode := range []ConnectMode{ConnectEager, ConnectLazy} {
-			for _, srq := range []bool{false, true} {
-				for _, rails := range []int{1, 2} {
-					for _, cpn := range []int{1, 2} {
-						for _, sw := range []*switchfab.Config{nil, {LeafDown: 2, LeafUp: 1}} {
-							for _, shards := range []int{1, 2} {
-								for _, f := range faults {
-									cfg := Config{NP: 4, Transport: tr, ConnectMode: mode,
-										RailsPerNode: rails, CoresPerNode: cpn, Switch: sw,
-										Shards: shards, Fault: f.plan()}
-									cfg.Chan.UseSRQ = srq
-									net := "flat"
-									if sw != nil {
-										net = sw.Label()
-									}
-									cell := fmt.Sprintf("%-9v %-5v srq=%-5v rails=%d cpn=%d %-13s shards=%d fault=%-10s",
-										tr, mode, srq, rails, cpn, net, shards, f.name)
-									cells++
-									ok, err := exchange(cfg)
-									switch {
-									case err != nil && namesField.MatchString(err.Error()):
-										carve[err.Error()]++
-										t.Logf("%s error: %v", cell, err)
-									case err != nil:
-										t.Errorf("%s: error names no field: %v", cell, err)
-									case !ok:
-										t.Errorf("%s: traffic did not verify", cell)
-									default:
-										t.Logf("%s ok", cell)
-									}
-								}
-							}
-						}
-					}
-				}
+	const all = "**all**"
+	count := map[string]map[string]int{all: {}} // by row, then by column
+	var rows, fields []string
+	for _, s := range scenario.Lattice {
+		tr := s.Config.Transport.String()
+		if count[tr] == nil {
+			count[tr] = map[string]int{}
+			rows = append(rows, tr)
+		}
+		col := "failed" // no column of the table
+		ok, err := exchange(s.Config)
+		switch {
+		case err != nil && namesField.MatchString(err.Error()):
+			if col = namesField.FindStringSubmatch(err.Error())[1]; count[all][col] == 0 {
+				fields = append(fields, col)
 			}
+			t.Logf("%s error: %v", s.Name, err)
+		case err != nil:
+			t.Errorf("%s: error names no field: %v", s.Name, err)
+		case !ok:
+			t.Errorf("%s: traffic did not verify", s.Name)
+		default:
+			col = "verified"
+			t.Logf("%s ok", s.Name)
+		}
+		for _, row := range []string{tr, all} {
+			count[row]["cells"]++
+			count[row][col]++
 		}
 	}
-	msgs := make([]string, 0, len(carve))
-	for msg := range carve {
-		msgs = append(msgs, msg)
+	sort.Strings(fields)
+	var table strings.Builder
+	table.WriteString("| transport | cells | verified |")
+	for _, f := range fields {
+		fmt.Fprintf(&table, " refused: `%s` |", f)
 	}
-	sort.Strings(msgs)
-	n := 0
-	for _, msg := range msgs {
-		n += carve[msg]
-		t.Logf("carve-out ×%d: %s", carve[msg], msg)
+	table.WriteString("\n|---|---|---|" + strings.Repeat("---|", len(fields)) + "\n")
+	for _, row := range append(rows, all) {
+		fmt.Fprintf(&table, "| %s |", row)
+		for _, col := range append([]string{"cells", "verified"}, fields...) {
+			if n := count[row][col]; n > 0 {
+				fmt.Fprintf(&table, " %d |", n)
+			} else {
+				table.WriteString(" — |")
+			}
+		}
+		table.WriteString("\n")
 	}
-	t.Logf("%d cells: %d verified, %d refused by New", cells, cells-n, n)
+	t.Logf("the lattice's cells, by transport and outcome:\n%s", &table)
+	design, err := os.ReadFile(filepath.Join("..", "..", "DESIGN.md"))
+	if err != nil || !strings.Contains(string(design), table.String()) {
+		t.Errorf("DESIGN.md §19 does not hold the lattice's table (%v)", err)
+	}
 }
 
 // FuzzConfig sends fuzzed settings through Validate, then New, then the
@@ -181,7 +177,7 @@ func FuzzConfig(f *testing.F) {
 	f.Add(int8(4), int8(3), int8(1), int8(2), int8(2), int8(2), true, int16(0), int16(0), int8(0), int8(1), "", int8(0))
 	f.Fuzz(func(t *testing.T, np, tr, mode, cpn, rails, shards int8, srq bool, chunk, ring int16,
 		design, policy int8, bcast string, faultNode int8) {
-		cfg := Config{NP: int(np % 9), Transport: Transport(tr), ConnectMode: ConnectMode(mode),
+		cfg := cluster.Config{NP: int(np % 9), Transport: cluster.Transport(tr), ConnectMode: cluster.ConnectMode(mode),
 			CoresPerNode: int(cpn), RailsPerNode: int(rails), Shards: int(shards),
 			Chan: rdmachan.Config{UseSRQ: srq, ChunkSize: int(chunk), RingSize: int(ring),
 				Design: rdmachan.Design(design), RailPolicy: rdmachan.RailPolicy(policy)}}

@@ -14,8 +14,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/des"
 	"repro/internal/mpi"
-	"repro/internal/rdmachan"
-	"repro/internal/switchfab"
+	"repro/internal/scenario"
 	"repro/internal/transport"
 )
 
@@ -240,8 +239,7 @@ func TestIdlePassCollectivesPinned(t *testing.T) {
 		}
 	}
 	for _, w := range []struct {
-		name         string
-		cfg          cluster.Config
+		s            scenario.Scenario
 		ring         int
 		now          des.Time
 		events       uint64
@@ -249,21 +247,20 @@ func TestIdlePassCollectivesPinned(t *testing.T) {
 		parentEvents uint64
 		parent       transport.ProgressStats
 	}{
-		{"smp-4x4", cluster.Config{NP: 16, Transport: cluster.TransportZeroCopy, CoresPerNode: 4}, 8,
+		{scenario.Layout("smp-4x4"), 8,
 			28922757, 24121, transport.ProgressStats{Passes: 800, Polls: 923, PollHits: 923, IdleAsks: 2845, Wakes: 357, EmptyWakes: 97},
 			27085, transport.ProgressStats{Passes: 1492, Polls: 5125, PollHits: 925, IdleAsks: 19493}},
-		{"fattree-d4-u1", cluster.Config{NP: 16, Transport: cluster.TransportZeroCopy,
-			Switch: &switchfab.Config{LeafDown: 4, LeafUp: 1}}, 0,
+		{scenario.Layout("flat-np16").With(scenario.FatTree(4, 1)), 0,
 			33907986, 30323, transport.ProgressStats{Passes: 904, Polls: 982, PollHits: 982, IdleAsks: 2958, Wakes: 378},
 			30323, transport.ProgressStats{Passes: 904, Polls: 982, PollHits: 982, IdleAsks: 14395}},
 	} {
-		c := cluster.MustNew(w.cfg)
+		c := cluster.MustNew(w.s.Config)
 		c.Launch(body(w.ring))
 		now, events, st := c.Now(), c.Eng.EventsExecuted(), c.ProgressStats()
 		c.Close()
 		if now != w.now || events != w.events || st != w.st {
 			t.Errorf("%s: finished at %d ns after %d events, %+v;\nwant %d ns, %d events, %+v (parent: %d events, %+v)",
-				w.name, now, events, st, w.now, w.events, w.st, w.parentEvents, w.parent)
+				w.s.Name, now, events, st, w.now, w.events, w.st, w.parentEvents, w.parent)
 		}
 	}
 }
@@ -281,11 +278,10 @@ func TestIdlePassCollectivesPinned(t *testing.T) {
 // drain, at the instants the full scan retried them.
 func TestReadySetSRQ(t *testing.T) {
 	const np, block = 32, 16 << 10
-	c := cluster.MustNew(cluster.Config{NP: np, Transport: cluster.TransportZeroCopy,
-		ConnectMode: cluster.ConnectLazy, Chan: rdmachan.Config{UseSRQ: true},
+	c := cluster.MustNew(scenario.LazySRQ.On(cluster.Config{NP: np,
 		// The pins are the ring's: 31 rendezvous steps per rank, where the
 		// default table now takes 5.
-		Tuning: &mpi.Tuning{Allgather: "ring"}})
+		Tuning: &mpi.Tuning{Allgather: "ring"}}))
 	defer c.Close()
 	c.Launch(func(comm *mpi.Comm) {
 		send, sb := comm.Alloc(block)

@@ -1,10 +1,12 @@
-package cluster
+package cluster_test
 
 import (
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/mpi"
 	"repro/internal/rdmachan"
+	"repro/internal/scenario"
 	"repro/internal/shmchan"
 	"repro/internal/transport"
 )
@@ -12,12 +14,11 @@ import (
 // lazyConfigs are the connection-management variants under test: lazy
 // establishment over the chunk-ring transport, lazy establishment over
 // the SRQ-backed eager mode, and the SRQ mode fully wired at startup.
-func lazyConfigs(np int) map[string]Config {
-	return map[string]Config{
-		"lazy-ring": {NP: np, Transport: TransportZeroCopy, ConnectMode: ConnectLazy},
-		"lazy-srq": {NP: np, Transport: TransportZeroCopy, ConnectMode: ConnectLazy,
-			Chan: rdmachan.Config{UseSRQ: true}},
-		"eager-srq": {NP: np, Transport: TransportZeroCopy,
+func lazyConfigs(np int) map[string]cluster.Config {
+	return map[string]cluster.Config{
+		"lazy-ring": scenario.Lazy.On(cluster.Config{NP: np, Transport: cluster.TransportZeroCopy}),
+		"lazy-srq":  scenario.LazySRQ.On(cluster.Config{NP: np}),
+		"eager-srq": {NP: np, Transport: cluster.TransportZeroCopy,
 			Chan: rdmachan.Config{UseSRQ: true}},
 	}
 }
@@ -29,7 +30,7 @@ func TestLazyPointToPoint(t *testing.T) {
 	const np = 6
 	for name, cfg := range lazyConfigs(np) {
 		t.Run(name, func(t *testing.T) {
-			c := MustNew(cfg)
+			c := cluster.MustNew(cfg)
 			defer c.Close()
 			ok := make([]bool, np)
 			c.Launch(func(comm *mpi.Comm) {
@@ -59,7 +60,7 @@ func TestLazyPointToPoint(t *testing.T) {
 			// Lazy modes establish exactly the ring's 2 connections per
 			// rank; eager wiring pays the full mesh regardless of traffic.
 			want := 2 * np
-			if cfg.ConnectMode == ConnectEager {
+			if cfg.ConnectMode == cluster.ConnectEager {
 				want = np * (np - 1)
 			}
 			if ms.Connections != want {
@@ -74,7 +75,7 @@ func TestLazyPointToPoint(t *testing.T) {
 func TestLazyLargeMessages(t *testing.T) {
 	for name, cfg := range lazyConfigs(2) {
 		t.Run(name, func(t *testing.T) {
-			c := MustNew(cfg)
+			c := cluster.MustNew(cfg)
 			defer c.Close()
 			const n = 256 << 10
 			var got bool
@@ -117,21 +118,21 @@ func TestEagerMemStatsAccounting(t *testing.T) {
 	)
 	for _, tc := range []struct {
 		name string
-		cfg  Config
+		cfg  cluster.Config
 		per  transport.Footprint // one endpoint's
 	}{
-		{"zerocopy", Config{NP: 4, Transport: TransportZeroCopy},
+		{"zerocopy", cluster.Config{NP: 4, Transport: cluster.TransportZeroCopy},
 			transport.Footprint{QPs: 1, EagerSlots: 8, EagerBytes: chunkRing, PinnedBytes: chunkRing + 32}},
-		{"basic", Config{NP: 2, Transport: TransportBasic},
+		{"basic", cluster.Config{NP: 2, Transport: cluster.TransportBasic},
 			transport.Footprint{QPs: 1, EagerSlots: 1, EagerBytes: basicRing, PinnedBytes: basicRing + 32}},
-		{"shm", Config{NP: 2, CoresPerNode: 2, Transport: TransportZeroCopy},
+		{"shm", cluster.Config{NP: 2, CoresPerNode: 2, Transport: cluster.TransportZeroCopy},
 			transport.Footprint{EagerSlots: shmchan.Cells, EagerBytes: shmBytes}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			c := MustNew(tc.cfg)
+			c := cluster.MustNew(tc.cfg)
 			defer c.Close()
 			n := tc.cfg.NP * (tc.cfg.NP - 1)
-			want := MemStats{Ranks: tc.cfg.NP, Connections: n}
+			want := cluster.MemStats{Ranks: tc.cfg.NP, Connections: n}
 			for i := 0; i < n; i++ {
 				want.Add(tc.per)
 			}
@@ -146,8 +147,7 @@ func TestEagerMemStatsAccounting(t *testing.T) {
 // eager buffering is the pool, independent of connection count.
 func TestLazySRQMemStatsBounded(t *testing.T) {
 	const np = 8
-	c := MustNew(Config{NP: np, Transport: TransportZeroCopy, ConnectMode: ConnectLazy,
-		Chan: rdmachan.Config{UseSRQ: true}})
+	c := cluster.MustNew(scenario.LazySRQ.On(cluster.Config{NP: np}))
 	defer c.Close()
 	c.Launch(func(comm *mpi.Comm) {
 		// All-to-all so every connection exists.
@@ -182,8 +182,7 @@ func TestLazySRQMemStatsBounded(t *testing.T) {
 // trusted the stale answer would step over them for good.
 func TestSRQStallTouchesSlot(t *testing.T) {
 	const msgs = 4 * rdmachan.SRQSendSlots
-	c := MustNew(Config{NP: 2, Transport: TransportZeroCopy, ConnectMode: ConnectLazy,
-		Chan: rdmachan.Config{UseSRQ: true}})
+	c := cluster.MustNew(scenario.LazySRQ.On(cluster.Config{NP: 2}))
 	defer c.Close()
 	c.Launch(func(comm *mpi.Comm) {
 		buf, b := comm.Alloc(msgs * 8)

@@ -8,6 +8,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/mpi"
 	"repro/internal/rdmachan"
+	"repro/internal/scenario"
 )
 
 // railStats digs the per-rail endpoint counters out of rank's connection
@@ -200,10 +201,7 @@ func TestRailsComposeWithLazyAndSRQ(t *testing.T) {
 			return cfg
 		}},
 		{"srq-lazy", func() cluster.Config {
-			cfg := cluster.Config{NP: 4, Transport: cluster.TransportZeroCopy,
-				RailsPerNode: 2, ConnectMode: cluster.ConnectLazy}
-			cfg.Chan.UseSRQ = true
-			return cfg
+			return scenario.LazySRQ.On(cluster.Config{NP: 4, RailsPerNode: 2})
 		}},
 	}
 	for _, tc := range cases {

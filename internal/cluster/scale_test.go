@@ -12,18 +12,13 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/mpi"
 	"repro/internal/nas"
-	"repro/internal/rdmachan"
+	"repro/internal/scenario"
 )
 
 const largeNP = 256
 
 func lazyLargeConfig(np int) cluster.Config {
-	return cluster.Config{
-		NP:          np,
-		Transport:   cluster.TransportZeroCopy,
-		ConnectMode: cluster.ConnectLazy,
-		Chan:        rdmachan.Config{UseSRQ: true},
-	}
+	return scenario.LazySRQ.On(cluster.Config{NP: np})
 }
 
 // srqPoolBytes is the per-process eager buffering of the default SRQ pool

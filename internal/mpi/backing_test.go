@@ -6,8 +6,19 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/mpi"
-	"repro/internal/rdmachan"
+	"repro/internal/scenario"
 )
+
+// backingStacks are the stacks the scratch-backing pins run on.
+var backingStacks = []scenario.Variant{{Name: "eager", Apply: scenario.ZeroCopy.Apply}, scenario.LazySRQ}
+
+// backedTotal is the host memory c's nodes back.
+func backedTotal(c *cluster.Cluster) (n int) {
+	for _, node := range c.Nodes {
+		n += node.Mem.BackedTotal()
+	}
+	return n
+}
 
 // TestSplitBacksWhatItHolds: Split's O(np) scratch — the gathered table,
 // the triple and, off powers of two, Bruck's temporary — holds host memory
@@ -20,20 +31,10 @@ import (
 // recursive-doubling (np 8) and Bruck (np 6) allgathers, over the flat
 // eager mesh and over lazy connections with SRQ.
 func TestSplitBacksWhatItHolds(t *testing.T) {
-	stacks := []struct {
-		name string
-		cfg  cluster.Config
-	}{
-		{"eager", cluster.Config{Transport: cluster.TransportZeroCopy}},
-		{"lazy-srq", cluster.Config{Transport: cluster.TransportZeroCopy,
-			ConnectMode: cluster.ConnectLazy, Chan: rdmachan.Config{UseSRQ: true}}},
-	}
-	for _, st := range stacks {
+	for _, st := range backingStacks {
 		for _, np := range []int{8, 6} {
-			t.Run(fmt.Sprintf("%s/np%d", st.name, np), func(t *testing.T) {
-				cfg := st.cfg
-				cfg.NP = np
-				c := cluster.MustNew(cfg)
+			t.Run(fmt.Sprintf("%s/np%d", st.Name, np), func(t *testing.T) {
+				c := cluster.MustNew(st.On(cluster.Config{NP: np, Transport: cluster.TransportZeroCopy}))
 				defer c.Close()
 				split := func(comm *mpi.Comm) {
 					r := comm.Rank()
@@ -45,23 +46,51 @@ func TestSplitBacksWhatItHolds(t *testing.T) {
 						t.Errorf("rank %d: Split returned %v for color %d", r, sub, color)
 					}
 				}
-				backed := func() int {
-					n := 0
-					for _, node := range c.Nodes {
-						n += node.Mem.BackedTotal()
-					}
-					return n
-				}
 				for i := 0; i < 8; i++ {
 					c.Launch(split)
 				}
-				before := backed()
+				before := backedTotal(c)
 				c.Launch(split)
-				if after := backed(); after != before {
+				if after := backedTotal(c); after != before {
 					t.Errorf("the nodes back %d host bytes after Split, %d before it", after, before)
 				}
 			})
 		}
+	}
+}
+
+// TestDupBacksWhatItHolds: Dup agrees on its context pair through
+// Split's two scratch slots and drops their backing before it returns,
+// so past the first Dup on a communicator ten more allocate nothing, and
+// a Launch of eleven Dups leaves the nodes backing what a Launch of one
+// leaves (each Launch's fresh world communicator backs its own Allreduce
+// scratch). Eight launches first bring the rings to their working set.
+func TestDupBacksWhatItHolds(t *testing.T) {
+	for _, st := range backingStacks {
+		t.Run(st.Name, func(t *testing.T) {
+			c := cluster.MustNew(st.On(cluster.Config{NP: 6, Transport: cluster.TransportZeroCopy}))
+			defer c.Close()
+			dups := func(n int) int {
+				before := backedTotal(c)
+				c.Launch(func(comm *mpi.Comm) {
+					comm.Dup()
+					allocs := comm.Allocs()
+					for i := 1; i < n; i++ {
+						comm.Dup()
+					}
+					if got := comm.Allocs(); got != allocs {
+						t.Errorf("rank %d: %d Dups past the first allocated %d times", comm.Rank(), n-1, got-allocs)
+					}
+				})
+				return backedTotal(c) - before
+			}
+			for i := 0; i < 8; i++ {
+				dups(11)
+			}
+			if one, eleven := dups(1), dups(11); one != eleven {
+				t.Errorf("a Launch of one Dup backs %d more host bytes, of eleven %d more", one, eleven)
+			}
+		})
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/mpi"
+	"repro/internal/scenario"
 )
 
 // Algorithm-equivalence harness: every registered algorithm of every
@@ -52,20 +53,13 @@ var equivDatatypes = []struct {
 }
 
 func TestCollAlgorithmEquivalence(t *testing.T) {
-	for _, tp := range collectiveTopologies {
+	for _, tp := range scenario.Collectives {
 		tp := tp
 		for _, tun := range equivSlots() {
 			tun := tun
-			name := tp.name + "/allreduce=" + tun.Allreduce + ",bcast=" + tun.Bcast
+			name := tp.Name + "/allreduce=" + tun.Allreduce + ",bcast=" + tun.Bcast
 			t.Run(name, func(t *testing.T) {
-				c := cluster.MustNew(cluster.Config{
-					NP:           tp.np,
-					CoresPerNode: tp.cpn,
-					Transport:    cluster.TransportZeroCopy,
-					Tuning:       &tun,
-				})
-				defer c.Close()
-				c.Launch(func(comm *mpi.Comm) {
+				launchTuned(t, tp, &tun, func(comm *mpi.Comm) {
 					equivChecks(t, comm, "world")
 					// The same algorithms must hold on derived communicators:
 					// Split re-derives topology, contexts, and — for
@@ -80,14 +74,6 @@ func TestCollAlgorithmEquivalence(t *testing.T) {
 	}
 }
 
-// flatPof2Topologies are the flat power-of-two layouts, the only ones on
-// which allgather/recursive-doubling runs on the wire (collectiveTopologies
-// keeps the non-power-of-two counts the folding algorithms need). A
-// cluster has at least two ranks; size 1 is np=2's Split halves.
-var flatPof2Topologies = []topology{
-	{"flat-np2", 2, 1}, {"flat-np4", 4, 1}, {"flat-np8", 8, 1}, {"flat-np16", 16, 1},
-}
-
 // TestCollAlgorithmEquivalenceAllgather: every allgather algorithm, and the
 // default table, must leave every rank's whole recv buffer — the gathered
 // region and the sentinel bytes past it — exactly as allgather/ring does,
@@ -95,16 +81,13 @@ var flatPof2Topologies = []topology{
 // reversed (non-contiguous) Split half, and a Split in which a third of
 // the ranks opt out with a negative colour.
 func TestCollAlgorithmEquivalenceAllgather(t *testing.T) {
-	for _, tp := range append(flatPof2Topologies, collectiveTopologies...) {
+	for _, tp := range append(scenario.FlatPof2, scenario.Collectives...) {
 		var ring [][]byte // ring's buffers, one per rank, cases concatenated
 		for _, alg := range append([]string{"ring", ""}, mpi.AlgorithmNames("allgather")...) {
 			tp, alg := tp, alg
-			t.Run(tp.name+"/allgather="+alg, func(t *testing.T) {
-				got := make([][]byte, tp.np)
-				c := cluster.MustNew(cluster.Config{NP: tp.np, CoresPerNode: tp.cpn,
-					Transport: cluster.TransportZeroCopy, Tuning: &mpi.Tuning{Allgather: alg}})
-				defer c.Close()
-				c.Launch(func(comm *mpi.Comm) {
+			t.Run(tp.Name+"/allgather="+alg, func(t *testing.T) {
+				got := make([][]byte, tp.Config.NP)
+				launchTuned(t, tp, &mpi.Tuning{Allgather: alg}, func(comm *mpi.Comm) {
 					size, rank := comm.Size(), comm.Rank()
 					gather := func(sub *mpi.Comm, n int) {
 						send, sb := comm.Alloc(n)
@@ -156,24 +139,21 @@ func TestCollAlgorithmEquivalenceAllgather(t *testing.T) {
 // choice cannot be seen in the bytes, so the cutoff tests read it off
 // this clock — the table takes exactly as long as the algorithm it
 // should have picked.
-func tableElapsed(coll string, tp topology, n int, alg string, mods ...func(*cluster.Config)) (took float64) {
-	cfg := cluster.Config{NP: tp.np, CoresPerNode: tp.cpn, Transport: cluster.TransportZeroCopy}
+func tableElapsed(coll string, tp scenario.Scenario, n int, alg string) (took float64) {
+	cfg := tp.Config
 	if alg != "" {
 		cfg.Tuning = &mpi.Tuning{}
 		cfg.Tuning.Force(coll, alg)
 	}
-	for _, mod := range mods {
-		mod(&cfg)
-	}
 	c := cluster.MustNew(cfg)
 	defer c.Close()
 	c.Launch(func(comm *mpi.Comm) {
-		recv, _ := comm.Alloc(n * tp.np)
+		recv, _ := comm.Alloc(n * tp.Config.NP)
 		if coll == "allgather" {
 			send, _ := comm.Alloc(n)
 			comm.Allgather(send, recv)
 		} else {
-			send, _ := comm.Alloc(n * tp.np)
+			send, _ := comm.Alloc(n * tp.Config.NP)
 			comm.Alltoall(send, recv)
 		}
 		comm.Barrier()
@@ -187,31 +167,26 @@ func tableElapsed(coll string, tp topology, n int, alg string, mods ...func(*clu
 // TestAllgatherTableCutoff: the default table is allgather/ring at and
 // above the network's block cutoff and the log-step algorithm below it.
 func TestAllgatherTableCutoff(t *testing.T) {
-	elapsed := func(np, n int, alg string, mods ...func(*cluster.Config)) float64 {
-		return tableElapsed("allgather", topology{"", np, 1}, n, alg, mods...)
-	}
 	for _, tc := range []struct {
-		name    string
-		np      int
+		tp      scenario.Scenario
 		logStep string
 		cutoff  int
-		mods    []func(*cluster.Config)
 	}{
-		{"flat-np4", 4, "recursive-doubling", 192 << 10, nil},
-		{"flat-np3", 3, "bruck", 192 << 10, nil},
-		{"fattree-np8", 8, "recursive-doubling", 5 << 10, []func(*cluster.Config){withSwitch(4, 1)}},
-		{"fattree-np6", 6, "bruck", 5 << 10, []func(*cluster.Config){withSwitch(4, 1)}},
+		{scenario.Layout("flat-np4"), "recursive-doubling", 192 << 10},
+		{scenario.Layout("flat-np3"), "bruck", 192 << 10},
+		{scenario.Layout("fattree-np8"), "recursive-doubling", 5 << 10},
+		{scenario.Layout("fattree-np6"), "bruck", 5 << 10},
 	} {
 		tc := tc
-		t.Run(tc.name, func(t *testing.T) {
+		t.Run(tc.tp.Name, func(t *testing.T) {
 			for _, n := range []int{tc.cutoff - 1, tc.cutoff} {
 				want, other := tc.logStep, "ring"
 				if n >= tc.cutoff {
 					want, other = other, want
 				}
-				table := elapsed(tc.np, n, "", tc.mods...)
-				picked := elapsed(tc.np, n, want, tc.mods...)
-				rejected := elapsed(tc.np, n, other, tc.mods...)
+				table := tableElapsed("allgather", tc.tp, n, "")
+				picked := tableElapsed("allgather", tc.tp, n, want)
+				rejected := tableElapsed("allgather", tc.tp, n, other)
 				if table != picked || table == rejected {
 					t.Errorf("block %d: table took %.9f s, %s %.9f s, %s %.9f s; want the table on %s",
 						n, table, want, picked, other, rejected, want)
@@ -227,30 +202,28 @@ func TestAllgatherTableCutoff(t *testing.T) {
 // for short blocks.
 func TestAlltoallTableCutoff(t *testing.T) {
 	const cutoff = 32 << 10
-	fattree := []func(*cluster.Config){withSwitch(4, 1)}
 	for _, tc := range []struct {
-		tp   topology
+		tp   scenario.Scenario
 		n    int
 		want string
-		mods []func(*cluster.Config)
 	}{
-		{topology{"flat-np4", 4, 1}, cutoff - 1, "scattered", nil},
-		{topology{"flat-np4", 4, 1}, cutoff, "pairwise", nil},
-		{topology{"fattree-np8", 8, 1}, cutoff - 1, "scattered", fattree},
-		{topology{"fattree-np8", 8, 1}, cutoff, "pairwise", fattree},
-		{topology{"smp-2x2", 4, 2}, cutoff - 1, "scattered", nil},
-		{topology{"smp-2x2", 4, 2}, cutoff, "pairwise", nil},
-		{topology{"smp-single-node", 4, 4}, 256, "pairwise", nil},
+		{scenario.Layout("flat-np4"), cutoff - 1, "scattered"},
+		{scenario.Layout("flat-np4"), cutoff, "pairwise"},
+		{scenario.Layout("fattree-np8"), cutoff - 1, "scattered"},
+		{scenario.Layout("fattree-np8"), cutoff, "pairwise"},
+		{scenario.Layout("smp-2x2"), cutoff - 1, "scattered"},
+		{scenario.Layout("smp-2x2"), cutoff, "pairwise"},
+		{scenario.Layout("smp-single-node"), 256, "pairwise"},
 	} {
 		tc := tc
-		t.Run(fmt.Sprintf("%s/block=%d", tc.tp.name, tc.n), func(t *testing.T) {
+		t.Run(fmt.Sprintf("%s/block=%d", tc.tp.Name, tc.n), func(t *testing.T) {
 			other := "pairwise"
 			if tc.want == other {
 				other = "scattered"
 			}
-			table := tableElapsed("alltoall", tc.tp, tc.n, "", tc.mods...)
-			picked := tableElapsed("alltoall", tc.tp, tc.n, tc.want, tc.mods...)
-			rejected := tableElapsed("alltoall", tc.tp, tc.n, other, tc.mods...)
+			table := tableElapsed("alltoall", tc.tp, tc.n, "")
+			picked := tableElapsed("alltoall", tc.tp, tc.n, tc.want)
+			rejected := tableElapsed("alltoall", tc.tp, tc.n, other)
 			if table != picked || table == rejected {
 				t.Errorf("table took %.9f s, %s %.9f s, %s %.9f s; want the table on %s",
 					table, tc.want, picked, other, rejected, tc.want)

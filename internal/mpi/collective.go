@@ -50,8 +50,8 @@ type scratch struct {
 	tmp   scratchBuf // reduce incoming partial
 	part  scratchBuf // hierarchical reduce node partial
 	bruck scratchBuf // Bruck allgather's rotated working copy
-	split scratchBuf // Split's (color, key, counter) triple
-	table scratchBuf // Split's gathered triples, one per member
+	split scratchBuf // Split's (color, key, counter) triple; Dup's counter
+	table scratchBuf // Split's gathered triples, one per member; Dup's maximum
 
 	reqs []*Request // a collective's posted requests, which finishAll waits for
 }

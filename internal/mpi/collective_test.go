@@ -5,57 +5,30 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/mpi"
+	"repro/internal/scenario"
 )
 
-// topology is one cluster layout under collective test.
-type topology struct {
-	name string
-	np   int
-	cpn  int // cores per node; 1 = flat, all-IB
-}
-
-// collectiveTopologies covers the paper's flat testbed at non-power-of-two
-// rank counts plus the SMP layouts the hierarchical algorithms serve:
-// even nodes, an uneven last node, a single all-shm node, and mixed
-// shm/IB with a non-power-of-two leader count.
-var collectiveTopologies = []topology{
-	{"flat-np3", 3, 1},
-	{"flat-np5", 5, 1},
-	{"flat-np6", 6, 1},
-	{"flat-np7", 7, 1},
-	{"smp-2x2", 4, 2},
-	{"smp-4x2", 8, 2},
-	{"smp-4x4", 16, 4},
-	{"smp-uneven-5ranks", 5, 2}, // nodes of 2,2,1
-	{"smp-uneven-7ranks", 7, 4}, // nodes of 4,3
-	{"smp-single-node", 4, 4},   // degenerate: all ranks over shm
-	{"smp-3nodes-np6", 6, 2},    // non-power-of-two leader count
-}
-
-func launch(t *testing.T, tp topology, body func(comm *mpi.Comm)) {
+func launch(t *testing.T, tp scenario.Scenario, body func(comm *mpi.Comm)) {
 	t.Helper()
 	launchTuned(t, tp, nil, body)
 }
 
 // launchTuned is launch with a forced tuning table (nil = the default).
-func launchTuned(t *testing.T, tp topology, tun *mpi.Tuning, body func(comm *mpi.Comm)) {
+func launchTuned(t *testing.T, tp scenario.Scenario, tun *mpi.Tuning, body func(comm *mpi.Comm)) {
 	t.Helper()
-	c := cluster.MustNew(cluster.Config{
-		NP:           tp.np,
-		CoresPerNode: tp.cpn,
-		Transport:    cluster.TransportZeroCopy,
-		Tuning:       tun,
-	})
+	cfg := tp.Config
+	cfg.Tuning = tun
+	c := cluster.MustNew(cfg)
 	defer c.Close()
 	c.Launch(body)
 }
 
 func TestBcastAllTopologies(t *testing.T) {
-	for _, tp := range collectiveTopologies {
+	for _, tp := range scenario.Collectives {
 		tp := tp
-		t.Run(tp.name, func(t *testing.T) {
+		t.Run(tp.Name, func(t *testing.T) {
 			const size = 1000 // non-power-of-two payload
-			for root := 0; root < tp.np; root++ {
+			for root := 0; root < tp.Config.NP; root++ {
 				root := root
 				launch(t, tp, func(comm *mpi.Comm) {
 					buf, b := comm.Alloc(size)
@@ -78,14 +51,14 @@ func TestBcastAllTopologies(t *testing.T) {
 }
 
 func TestReduceAllTopologies(t *testing.T) {
-	for _, tp := range collectiveTopologies {
+	for _, tp := range scenario.Collectives {
 		tp := tp
-		t.Run(tp.name, func(t *testing.T) {
+		t.Run(tp.Name, func(t *testing.T) {
 			const n = 17 // non-power-of-two element count
 			// The dispatched path (flat below the size cutoff) and the
 			// hierarchical algorithm forced must both agree.
 			for _, tun := range []*mpi.Tuning{nil, {Reduce: "hier"}} {
-				for _, root := range []int{0, tp.np - 1, tp.np / 2} {
+				for _, root := range []int{0, tp.Config.NP - 1, tp.Config.NP / 2} {
 					root := root
 					launchTuned(t, tp, tun, func(comm *mpi.Comm) {
 						send, sb := comm.Alloc(8 * n)
@@ -120,9 +93,9 @@ func TestReduceAllTopologies(t *testing.T) {
 }
 
 func TestAllreduceAllTopologies(t *testing.T) {
-	for _, tp := range collectiveTopologies {
+	for _, tp := range scenario.Collectives {
 		tp := tp
-		t.Run(tp.name, func(t *testing.T) {
+		t.Run(tp.Name, func(t *testing.T) {
 			launch(t, tp, func(comm *mpi.Comm) {
 				send, sb := comm.Alloc(8)
 				recv, rb := comm.Alloc(8)
@@ -137,9 +110,9 @@ func TestAllreduceAllTopologies(t *testing.T) {
 }
 
 func TestAllgatherAllTopologies(t *testing.T) {
-	for _, tp := range collectiveTopologies {
+	for _, tp := range scenario.Collectives {
 		tp := tp
-		t.Run(tp.name, func(t *testing.T) {
+		t.Run(tp.Name, func(t *testing.T) {
 			const n = 96
 			launch(t, tp, func(comm *mpi.Comm) {
 				size, rank := comm.Size(), comm.Rank()
@@ -168,9 +141,9 @@ func TestAllgatherAllTopologies(t *testing.T) {
 // hierarchical stage-3 broadcast, which once moved the leader's whole
 // recv buffer instead of the n*size region.
 func TestAllgatherOversizedRecv(t *testing.T) {
-	for _, tp := range []topology{{"flat-np4", 4, 1}, {"smp-2x2", 4, 2}, {"smp-4x2", 8, 2}} {
+	for _, tp := range scenario.Layouts("flat-np4", "smp-2x2", "smp-4x2") {
 		tp := tp
-		t.Run(tp.name, func(t *testing.T) {
+		t.Run(tp.Name, func(t *testing.T) {
 			const n = 32
 			launch(t, tp, func(comm *mpi.Comm) {
 				size, rank := comm.Size(), comm.Rank()
@@ -207,15 +180,15 @@ func TestAllgatherOversizedRecv(t *testing.T) {
 }
 
 func TestBarrierAllTopologies(t *testing.T) {
-	for _, tp := range collectiveTopologies {
+	for _, tp := range scenario.Collectives {
 		tp := tp
-		t.Run(tp.name, func(t *testing.T) {
+		t.Run(tp.Name, func(t *testing.T) {
 			// A rank that computes long before its first barrier must not
 			// let any other rank run ahead through later barriers: between
 			// consecutive barriers every rank observes every other rank's
 			// arrival. Track phases in shared test state.
 			const rounds = 4
-			phase := make([]int, tp.np)
+			phase := make([]int, tp.Config.NP)
 			launch(t, tp, func(comm *mpi.Comm) {
 				rank := comm.Rank()
 				for round := 0; round < rounds; round++ {
@@ -240,7 +213,7 @@ func TestBarrierAllTopologies(t *testing.T) {
 // TestHierMatchesFlat pins the hierarchical algorithms to the flat ones:
 // same data in, same data out, on a mixed shm/IB layout.
 func TestHierMatchesFlat(t *testing.T) {
-	tp := topology{"smp-3x2", 6, 2}
+	tp := scenario.Layout("smp-3nodes-np6")
 	const size = 512
 	flat := make([]byte, size)
 	hier := make([]byte, size)

@@ -40,27 +40,23 @@ func (c *Comm) Group() Group {
 	return g
 }
 
-// allocContextPair agrees on a fresh (p2p, collective) context pair
-// across every rank of c: an allreduce of the process-local counters on
-// the parent's own collective context, the maximum winning.
-func (c *Comm) allocContextPair() (int32, int32) {
-	send, sb := c.Alloc(8)
-	recv, rb := c.Alloc(8)
-	PutInt64(sb, 0, int64(*c.nextCtx))
-	c.Allreduce(send, recv, Int64, Max)
-	base := int32(GetInt64(rb, 0))
-	*c.nextCtx = base + 2
-	return base, base + 1
-}
-
 // Dup returns a new communicator with the same members and ranks but a
 // fresh context pair: traffic on the duplicate can never match traffic on
-// c, even with identical tags and wildcards. Collective over c.
+// c, even with identical tags and wildcards. Collective over c: the pair
+// is an allreduce of the process-local counters on c's own collective
+// context, the maximum winning, through Split's two scratch slots, which
+// it drops again as Split does.
 func (c *Comm) Dup() *Comm {
-	pt2pt, coll := c.allocContextPair()
+	send, recv := c.scratch(&c.scr.split, 8), c.scratch(&c.scr.table, 8)
+	PutInt64(c.Bytes(send), 0, int64(*c.nextCtx))
+	c.Allreduce(send, recv, Int64, Max)
+	base := int32(GetInt64(c.Bytes(recv), 0))
+	*c.nextCtx = base + 2
+	c.scr.split.drop()
+	c.scr.table.drop()
 	group := make([]int32, len(c.group))
 	copy(group, c.group)
-	return c.derive(group, c.rank, pt2pt, coll)
+	return c.derive(group, c.rank, base, base+1)
 }
 
 // Split partitions c into disjoint sub-communicators, one per distinct

@@ -5,8 +5,8 @@ import (
 	"sort"
 	"testing"
 
-	"repro/internal/cluster"
 	"repro/internal/mpi"
+	"repro/internal/scenario"
 )
 
 // expectSplit computes, on the host, the groups Comm.Split must build:
@@ -57,17 +57,17 @@ func TestSubCommCollectivesAllTopologies(t *testing.T) {
 			func(r, np int) int { return r % 2 },
 			func(r int) int { return r }},
 	}
-	for _, tp := range collectiveTopologies {
+	for _, tp := range scenario.Collectives {
 		for _, sp := range splits {
 			tp, sp := tp, sp
-			t.Run(tp.name+"/"+sp.name, func(t *testing.T) {
-				colors := make([]int, tp.np)
-				keys := make([]int, tp.np)
-				for r := 0; r < tp.np; r++ {
-					colors[r] = sp.color(r, tp.np)
+			t.Run(tp.Name+"/"+sp.name, func(t *testing.T) {
+				colors := make([]int, tp.Config.NP)
+				keys := make([]int, tp.Config.NP)
+				for r := 0; r < tp.Config.NP; r++ {
+					colors[r] = sp.color(r, tp.Config.NP)
 					keys[r] = sp.key(r)
 				}
-				want := expectSplit(tp.np, colors, keys)
+				want := expectSplit(tp.Config.NP, colors, keys)
 				launch(t, tp, func(comm *mpi.Comm) {
 					rank := comm.Rank()
 					sub := comm.Split(colors[rank], keys[rank])
@@ -162,17 +162,17 @@ func TestSubCommCollectivesAllTopologies(t *testing.T) {
 // Bcast+Reduce on every sub-communicator must round-trip checksums.
 func TestSplitProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(2026))
-	for _, tp := range collectiveTopologies {
+	for _, tp := range scenario.Collectives {
 		tp := tp
-		t.Run(tp.name, func(t *testing.T) {
+		t.Run(tp.Name, func(t *testing.T) {
 			for trial := 0; trial < 3; trial++ {
-				colors := make([]int, tp.np)
-				keys := make([]int, tp.np)
+				colors := make([]int, tp.Config.NP)
+				keys := make([]int, tp.Config.NP)
 				for r := range colors {
 					colors[r] = rng.Intn(4) - 1 // -1 opts out (nil comm)
 					keys[r] = rng.Intn(7) - 3
 				}
-				want := expectSplit(tp.np, colors, keys)
+				want := expectSplit(tp.Config.NP, colors, keys)
 
 				// Partition check on the host: every opted-in rank in
 				// exactly one group.
@@ -182,7 +182,7 @@ func TestSplitProperty(t *testing.T) {
 						seen[w]++
 					}
 				}
-				for r := 0; r < tp.np; r++ {
+				for r := 0; r < tp.Config.NP; r++ {
 					n := seen[r]
 					if colors[r] < 0 && n != 0 || colors[r] >= 0 && n != 1 {
 						t.Fatalf("trial %d: rank %d in %d groups (color %d)", trial, r, n, colors[r])
@@ -246,9 +246,9 @@ func TestSplitProperty(t *testing.T) {
 // receives on the dup first and must get the dup message, not the earlier
 // world one.
 func TestDupContextIsolation(t *testing.T) {
-	for _, tp := range []topology{{"flat-np2", 2, 1}, {"smp-2x2", 4, 2}} {
+	for _, tp := range scenario.Layouts("flat-np2", "smp-2x2") {
 		tp := tp
-		t.Run(tp.name, func(t *testing.T) {
+		t.Run(tp.Name, func(t *testing.T) {
 			launch(t, tp, func(comm *mpi.Comm) {
 				dup := comm.Dup()
 				if dup.Rank() != comm.Rank() || dup.Size() != comm.Size() {
@@ -288,10 +288,10 @@ func TestDupContextIsolation(t *testing.T) {
 // on its own communicator, whether the receives are posted before or
 // after the sends arrive.
 func TestWildcardIsolationAcrossComms(t *testing.T) {
-	for _, tp := range []topology{{"flat-np4", 4, 1}, {"smp-2x2", 4, 2}} {
+	for _, tp := range scenario.Layouts("flat-np4", "smp-2x2") {
 		for _, order := range []string{"posted-first", "unexpected"} {
 			tp, order := tp, order
-			t.Run(tp.name+"/"+order, func(t *testing.T) {
+			t.Run(tp.Name+"/"+order, func(t *testing.T) {
 				launch(t, tp, func(comm *mpi.Comm) {
 					rank := comm.Rank()
 					sub := comm.Split(rank%2, rank) // {0,2} and {1,3}
@@ -347,9 +347,9 @@ func TestWildcardIsolationAcrossComms(t *testing.T) {
 // time with the dissemination barrier forced, so its scratch is checked
 // on the SMP layout too.
 func TestCollectiveScratchReuse(t *testing.T) {
-	for _, tp := range []topology{{"flat-np4", 4, 1}, {"flat-np6", 6, 1}, {"smp-4x2", 8, 2}} {
+	for _, tp := range scenario.Layouts("flat-np4", "flat-np6", "smp-4x2") {
 		tp := tp
-		t.Run(tp.name, func(t *testing.T) {
+		t.Run(tp.Name, func(t *testing.T) {
 			for _, tun := range []*mpi.Tuning{nil, {Barrier: "dissemination"}} {
 				launchTuned(t, tp, tun, func(comm *mpi.Comm) {
 					const n = 16 << 10 // above the hier reduce cutoff
@@ -408,18 +408,11 @@ func TestTuningForcedAlgorithms(t *testing.T) {
 		{"forced-hier", mpi.Tuning{Bcast: "hier-leader", Reduce: "hier",
 			Allgather: "hier", Barrier: "hier"}},
 	}
-	for _, tp := range []topology{{"flat-np5", 5, 1}, {"smp-4x2", 8, 2}, {"smp-uneven-7ranks", 7, 4}} {
+	for _, tp := range scenario.Layouts("flat-np5", "smp-4x2", "smp-uneven-7ranks") {
 		for _, tc := range tunings {
 			tp, tc := tp, tc
-			t.Run(tp.name+"/"+tc.name, func(t *testing.T) {
-				c := cluster.MustNew(cluster.Config{
-					NP:           tp.np,
-					CoresPerNode: tp.cpn,
-					Transport:    cluster.TransportZeroCopy,
-					Tuning:       &tc.tun,
-				})
-				defer c.Close()
-				c.Launch(func(comm *mpi.Comm) {
+			t.Run(tp.Name+"/"+tc.name, func(t *testing.T) {
+				launchTuned(t, tp, &tc.tun, func(comm *mpi.Comm) {
 					size, rank := comm.Size(), comm.Rank()
 					const n = 96
 					buf, b := comm.Alloc(n)
@@ -487,7 +480,7 @@ func TestRegistryTable(t *testing.T) {
 			t.Errorf("%s accepted the unknown collective \"gather\"", name)
 		}
 	}
-	launch(t, topology{"flat-np2", 2, 1}, func(comm *mpi.Comm) {
+	launch(t, scenario.Layout("flat-np2"), func(comm *mpi.Comm) {
 		if !panics(func() { comm.AlgorithmApplicable("gather", "ring") }) {
 			t.Error("AlgorithmApplicable accepted the unknown collective \"gather\"")
 		}

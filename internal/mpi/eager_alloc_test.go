@@ -6,8 +6,8 @@ import (
 	"runtime"
 	"testing"
 
-	"repro/internal/cluster"
 	"repro/internal/mpi"
+	"repro/internal/scenario"
 )
 
 // Not built with -tags invariants, whose checks allocate and keep a snapshot
@@ -25,8 +25,7 @@ func TestEagerPathAllocatesNothing(t *testing.T) {
 	const laps = 200
 	for _, size := range []int{4, 1 << 10, 16 << 10} {
 		var before, after runtime.MemStats
-		c := cluster.MustNew(cluster.Config{NP: 2, Transport: cluster.TransportZeroCopy})
-		c.Launch(func(comm *mpi.Comm) {
+		launch(t, scenario.Layout("flat-np2"), func(comm *mpi.Comm) {
 			buf, _ := comm.Alloc(size)
 			roundTrips(comm, buf, laps)
 			if comm.Rank() == 0 {

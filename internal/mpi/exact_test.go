@@ -11,6 +11,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/des"
 	"repro/internal/mpi"
+	"repro/internal/scenario"
 	"repro/internal/transport"
 )
 
@@ -34,47 +35,6 @@ func sleepsElided() bool {
 	e.Spawn("probe", func(p *des.Proc) { p.SleepStep(des.Step{D: 1, Hops: 2}) })
 	e.Run()
 	return e.EventsExecuted() == 2 // the start event and one wake
-}
-
-// exactVariants are the stack configurations crossed with every collective
-// topology: the chunk-ring designs whose polls are chained, the direct CH3
-// design on the same rings, the SRQ mode whose polls are free (no chains
-// form), two buses per node (the unfused bus path), a wider SMP layout, a
-// contended fabric, recovery under a seeded fault plan, and the CH3 stripe
-// mover: striped writes, write re-post, and SRQ re-dial under faults.
-var exactVariants = []struct {
-	name string
-	mod  func(c *cluster.Config, tp topology)
-}{
-	{"zerocopy", func(c *cluster.Config, _ topology) {}},
-	{"piggyback", func(c *cluster.Config, _ topology) { c.Transport = cluster.TransportPiggyback }},
-	{"ch3", func(c *cluster.Config, _ topology) { c.Transport = cluster.TransportCH3 }},
-	{"lazy-srq", func(c *cluster.Config, _ topology) {
-		c.ConnectMode = cluster.ConnectLazy
-		c.Chan.UseSRQ = true
-	}},
-	{"rails2", func(c *cluster.Config, _ topology) { c.RailsPerNode = 2 }},
-	{"smp4", func(c *cluster.Config, _ topology) { c.CoresPerNode = 4 }},
-	{"fattree-d4-u1", func(c *cluster.Config, _ topology) { withSwitch(4, 1)(c) }},
-	{"faults", func(c *cluster.Config, tp topology) {
-		c.RailsPerNode = 2
-		c.Fault = replayPlan(int64(tp.np*100+2), (tp.np+tp.cpn-1)/tp.cpn, 2)
-	}},
-	{"ch3-rails2", func(c *cluster.Config, _ topology) {
-		c.Transport = cluster.TransportCH3
-		c.RailsPerNode = 2
-	}},
-	{"ch3-faults", func(c *cluster.Config, tp topology) {
-		c.Transport = cluster.TransportCH3
-		c.RailsPerNode = 2
-		c.Fault = replayPlan(int64(tp.np*100+2), (tp.np+tp.cpn-1)/tp.cpn, 2)
-	}},
-	{"srq-faults", func(c *cluster.Config, tp topology) {
-		c.ConnectMode = cluster.ConnectLazy
-		c.Chan.UseSRQ = true
-		c.RailsPerNode = 2
-		c.Fault = replayPlan(int64(tp.np*100+2), (tp.np+tp.cpn-1)/tp.cpn, 2)
-	}},
 }
 
 // exactRun drives one cell — small and large ring shifts, then three
@@ -146,14 +106,12 @@ func exactRun(cfg cluster.Config) string {
 		int64(c.Now()), finish, sums, gets, puts, bus)
 }
 
+// TestChainsExactGolden renders every cell of scenario.Exact, each
+// collective layout under each stack variant, against the golden.
 func TestChainsExactGolden(t *testing.T) {
 	var lines []string
-	for _, tp := range collectiveTopologies {
-		for _, v := range exactVariants {
-			cfg := cluster.Config{NP: tp.np, CoresPerNode: tp.cpn, Transport: cluster.TransportZeroCopy}
-			v.mod(&cfg, tp)
-			lines = append(lines, fmt.Sprintf("%s/%s: %s", tp.name, v.name, exactRun(cfg)))
-		}
+	for _, s := range scenario.Exact {
+		lines = append(lines, fmt.Sprintf("%s: %s", s.Name, exactRun(s.Config)))
 	}
 	if *updateGolden {
 		if sleepsElided() {

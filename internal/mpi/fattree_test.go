@@ -1,12 +1,13 @@
 package mpi_test
 
 import (
-	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/cluster"
 	"repro/internal/des"
 	"repro/internal/mpi"
+	"repro/internal/scenario"
 	"repro/internal/switchfab"
 )
 
@@ -20,71 +21,31 @@ import (
 // contention the model adds must actually be observable (otherwise the
 // "contended" fingerprints would be vacuous).
 
-// withSwitch returns a config modifier routing the cluster's wires
-// through a two-level fat tree with the given leaf radix and uplinks.
-func withSwitch(leafDown, leafUp int) func(*cluster.Config) {
-	return func(c *cluster.Config) {
-		c.Switch = &switchfab.Config{LeafDown: leafDown, LeafUp: leafUp}
-	}
-}
-
 // TestFatTreeShardedMatchesSerial: on blocking fat-tree topologies the
 // sharded engine must reproduce the serial schedule exactly. Shard counts
-// beyond the leaf count clamp down, so every requested count is safe.
+// beyond the leaf count clamp down, so every requested count is safe: a
+// layout that fits one leaf resolves every request to one shard, and
+// there the cell checks that clamp; every other cell runs sharded.
 func TestFatTreeShardedMatchesSerial(t *testing.T) {
-	fabrics := []struct {
-		name           string
-		leafDown, upls int
-	}{
-		{"d2-u1", 2, 1}, // maximally blocking: every leaf pair shares one uplink
-		{"d4-u2", 4, 2},
+	fabrics := []scenario.Variant{
+		scenario.FatTree(2, 1), // maximally blocking: every leaf pair shares one uplink
+		scenario.FatTree(4, 2),
 	}
 	for _, fb := range fabrics {
-		fb := fb
-		for _, tp := range shardTopologies {
-			tp := tp
-			t.Run(fmt.Sprintf("%s/%s", fb.name, tp.name), func(t *testing.T) {
-				sw := withSwitch(fb.leafDown, fb.upls)
-				want := replayRun(t, tp, 1, nil, sw)
-				if want.payload == 0 {
-					t.Fatal("payload checksum degenerate — workload did not run")
-				}
-				for _, shards := range []int{2, 4} {
-					got := replayRun(t, tp, 1, nil, sw, withShards(shards))
-					if got != want {
-						t.Errorf("shards=%d diverged from serial on %s:\nserial  %+v\nsharded %+v",
-							shards, fb.name, want, got)
-					}
-				}
-			})
+		for _, tp := range scenario.Sharded {
+			s := tp.With(fb)
+			t.Run(strings.TrimPrefix(fb.Name, "fattree-")+"/"+tp.Name, func(t *testing.T) { matchesSerial(t, s) })
 		}
 	}
 }
 
 // TestFatTreeReplayBitIdentical extends the chaos replay matrix onto the
-// contended model: same seed, same schedule, same trace — twice in a row
-// and across shard configurations (plans with events force serial, which
-// must equal the explicit serial run bit for bit).
+// contended model: same seed, same schedule, same trace, serial and
+// configured sharded (replaysSerial).
 func TestFatTreeReplayBitIdentical(t *testing.T) {
-	for _, tp := range []topology{{"flat-np5", 5, 1}, {"flat-np6", 6, 1}, {"smp-4x2", 8, 2}} {
-		tp := tp
-		const rails = 2
-		t.Run(tp.name, func(t *testing.T) {
-			sw := withSwitch(2, 1)
-			nodes := (tp.np + tp.cpn - 1) / tp.cpn
-			seed := int64(tp.np*700 + rails)
-			want := replayRun(t, tp, rails, replayPlan(seed, nodes, rails), sw)
-			if want.faults == (cluster.FaultStats{}) {
-				t.Fatal("fault plan left no trace — chaos schedule did not run")
-			}
-			for _, shards := range []int{1, 2, 4} {
-				got := replayRun(t, tp, rails, replayPlan(seed, nodes, rails), sw, withShards(shards))
-				if got != want {
-					t.Errorf("shards=%d diverged under chaos:\nserial  %+v\nsharded %+v",
-						shards, want, got)
-				}
-			}
-		})
+	for _, tp := range scenario.Layouts("flat-np5", "flat-np6", "smp-4x2") {
+		cfg := scenario.Chaos(2, 700).On(scenario.FatTree(2, 1).On(tp.Config))
+		t.Run(tp.Name, func(t *testing.T) { replaysSerial(t, cfg) })
 	}
 }
 
@@ -116,8 +77,8 @@ func TestFatTreeContentionObserved(t *testing.T) {
 	}
 
 	flatT, _ := run()
-	blockedT, blocked := run(withSwitch(4, 1))
-	openT, open := run(withSwitch(4, 4))
+	blockedT, blocked := run(scenario.FatTree(4, 1).Apply)
+	openT, open := run(scenario.FatTree(4, 4).Apply)
 
 	bs := blocked.SwitchStats()
 	if bs.UpWaited == 0 {

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/mpi"
+	"repro/internal/scenario"
 )
 
 var allTransports = []cluster.Transport{
@@ -129,8 +130,7 @@ func TestRendezvousUnexpectedLarge(t *testing.T) {
 }
 
 func TestWildcards(t *testing.T) {
-	c := cluster.MustNew(cluster.Config{NP: 3, Transport: cluster.TransportZeroCopy})
-	c.Launch(func(comm *mpi.Comm) {
+	launch(t, scenario.Layout("flat-np3"), func(comm *mpi.Comm) {
 		switch comm.Rank() {
 		case 1, 2:
 			buf, b := comm.Alloc(8)
@@ -155,8 +155,7 @@ func TestWildcards(t *testing.T) {
 }
 
 func TestIsendIrecvOverlap(t *testing.T) {
-	c := cluster.MustNew(cluster.Config{NP: 2, Transport: cluster.TransportZeroCopy})
-	c.Launch(func(comm *mpi.Comm) {
+	launch(t, scenario.Layout("flat-np2"), func(comm *mpi.Comm) {
 		const n = 4
 		const size = 64 << 10
 		if comm.Rank() == 0 {
@@ -191,8 +190,7 @@ func TestIsendIrecvOverlap(t *testing.T) {
 }
 
 func TestSendrecvExchange(t *testing.T) {
-	c := cluster.MustNew(cluster.Config{NP: 4, Transport: cluster.TransportZeroCopy})
-	c.Launch(func(comm *mpi.Comm) {
+	launch(t, scenario.Layout("flat-np4"), func(comm *mpi.Comm) {
 		size, rank := comm.Size(), comm.Rank()
 		right := (rank + 1) % size
 		left := (rank - 1 + size) % size
@@ -288,8 +286,7 @@ func TestReduceAndAllreduce(t *testing.T) {
 }
 
 func TestGatherScatter(t *testing.T) {
-	c := cluster.MustNew(cluster.Config{NP: 4, Transport: cluster.TransportZeroCopy})
-	c.Launch(func(comm *mpi.Comm) {
+	launch(t, scenario.Layout("flat-np4"), func(comm *mpi.Comm) {
 		const n = 256
 		rank, size := comm.Rank(), comm.Size()
 		send, sb := comm.Alloc(n)
@@ -330,8 +327,7 @@ func TestGatherScatter(t *testing.T) {
 }
 
 func TestAllgatherRing(t *testing.T) {
-	c := cluster.MustNew(cluster.Config{NP: 6, Transport: cluster.TransportZeroCopy})
-	c.Launch(func(comm *mpi.Comm) {
+	launch(t, scenario.Layout("flat-np6"), func(comm *mpi.Comm) {
 		const n = 512
 		rank, size := comm.Rank(), comm.Size()
 		send, sb := comm.Alloc(n)
@@ -377,8 +373,7 @@ func TestAlltoallPairwise(t *testing.T) {
 }
 
 func TestAlltoallv(t *testing.T) {
-	c := cluster.MustNew(cluster.Config{NP: 4, Transport: cluster.TransportZeroCopy})
-	c.Launch(func(comm *mpi.Comm) {
+	launch(t, scenario.Layout("flat-np4"), func(comm *mpi.Comm) {
 		rank, size := comm.Rank(), comm.Size()
 		sendCounts := make([]int, size)
 		recvCounts := make([]int, size)

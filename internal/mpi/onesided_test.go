@@ -6,6 +6,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/mpi"
 	"repro/internal/rdmachan"
+	"repro/internal/scenario"
 )
 
 func TestOneSidedPutGet(t *testing.T) {
@@ -74,8 +75,7 @@ func TestOneSidedPutGet(t *testing.T) {
 }
 
 func TestOneSidedAtomics(t *testing.T) {
-	c := cluster.MustNew(cluster.Config{NP: 4, Transport: cluster.TransportZeroCopy})
-	c.Launch(func(comm *mpi.Comm) {
+	launch(t, scenario.Layout("flat-np4"), func(comm *mpi.Comm) {
 		winBuf, winBytes := comm.Alloc(64)
 		mpi.PutInt64(winBytes, 0, 0)
 		win, err := comm.WinCreate(winBuf)

@@ -7,7 +7,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/mpi"
-	"repro/internal/rdmachan"
+	"repro/internal/scenario"
 )
 
 // TestRandomTrafficProperty drives random point-to-point traffic patterns
@@ -73,8 +73,7 @@ func TestBufferReuseProperty(t *testing.T) {
 		{"zerocopy", cluster.Config{Transport: cluster.TransportZeroCopy}},
 		{"ch3", cluster.Config{Transport: cluster.TransportCH3}},
 		{"ch3-rails2", cluster.Config{Transport: cluster.TransportCH3, RailsPerNode: 2}},
-		{"lazy-srq", cluster.Config{Transport: cluster.TransportZeroCopy,
-			ConnectMode: cluster.ConnectLazy, Chan: rdmachan.Config{UseSRQ: true}}},
+		{"lazy-srq", scenario.LazySRQ.On(cluster.Config{})},
 	} {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {

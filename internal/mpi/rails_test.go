@@ -6,22 +6,20 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/mpi"
+	"repro/internal/scenario"
 )
 
 // railChecksum runs a traffic mix that exercises both the eager rail
 // policy and the striped zero-copy rendezvous on every rank pair — a
 // large-payload ring exchange followed by a Bcast+Reduce round — and
 // returns one checksum per rank.
-func railChecksum(t *testing.T, tp topology, tr cluster.Transport, rails int) []uint64 {
+func railChecksum(t *testing.T, tp scenario.Scenario, tr cluster.Transport, rails int) []uint64 {
 	t.Helper()
-	c := cluster.MustNew(cluster.Config{
-		NP:           tp.np,
-		CoresPerNode: tp.cpn,
-		RailsPerNode: rails,
-		Transport:    tr,
-	})
+	cfg := tp.Config
+	cfg.RailsPerNode, cfg.Transport = rails, tr
+	c := cluster.MustNew(cfg)
 	defer c.Close()
-	sums := make([]uint64, tp.np)
+	sums := make([]uint64, tp.Config.NP)
 	c.Launch(func(comm *mpi.Comm) {
 		const small, large = 2000, 80 << 10
 		rank, np := comm.Rank(), comm.Size()
@@ -65,15 +63,15 @@ func railChecksum(t *testing.T, tp topology, tr cluster.Transport, rails int) []
 
 // TestStripedRendezvousChecksumAcrossRails verifies that rails=2 and
 // rails=4 runs deliver byte-for-byte the same data as rails=1 on the full
-// collectiveTopologies matrix, for both striping implementations — the
+// scenario.Collectives layouts, for both striping implementations — the
 // zero-copy design's RDMA-read blocks and the direct CH3 design's
 // RDMA-write units: striping may reorder delivery across rails but never
 // its contents.
 func TestStripedRendezvousChecksumAcrossRails(t *testing.T) {
 	for _, tr := range []cluster.Transport{cluster.TransportZeroCopy, cluster.TransportCH3} {
-		for _, tp := range collectiveTopologies {
+		for _, tp := range scenario.Collectives {
 			tr, tp := tr, tp
-			t.Run(fmt.Sprintf("%v/%s", tr, tp.name), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%v/%s", tr, tp.Name), func(t *testing.T) {
 				base := railChecksum(t, tp, tr, 1)
 				for _, rails := range []int{2, 4} {
 					got := railChecksum(t, tp, tr, rails)
@@ -93,14 +91,13 @@ func TestStripedRendezvousChecksumAcrossRails(t *testing.T) {
 // each rail count, catching rail-related deadlocks or wakeup losses in
 // the hierarchical algorithms.
 func TestRailSweepAllTopologies(t *testing.T) {
-	for _, tp := range collectiveTopologies {
+	for _, tp := range scenario.Collectives {
 		for _, rails := range []int{2, 4} {
 			tp, rails := tp, rails
-			t.Run(fmt.Sprintf("%s/rails=%d", tp.name, rails), func(t *testing.T) {
-				c := cluster.MustNew(cluster.Config{
-					NP: tp.np, CoresPerNode: tp.cpn, RailsPerNode: rails,
-					Transport: cluster.TransportZeroCopy,
-				})
+			t.Run(fmt.Sprintf("%s/rails=%d", tp.Name, rails), func(t *testing.T) {
+				cfg := tp.Config
+				cfg.RailsPerNode = rails
+				c := cluster.MustNew(cfg)
 				defer c.Close()
 				c.Launch(func(comm *mpi.Comm) {
 					buf, b := comm.Alloc(48 << 10)

@@ -7,7 +7,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/fault"
 	"repro/internal/mpi"
-	"repro/internal/rdmachan"
+	"repro/internal/scenario"
 )
 
 // TestRDMADirectRuns is the positive proof for the direct path: on a
@@ -115,8 +115,7 @@ func TestRDMADirectCapability(t *testing.T) {
 		{"basic-no-raw-qp", cluster.Config{NP: 3, Transport: cluster.TransportBasic}, false},
 		{"multi-rail", cluster.Config{NP: 3, Transport: cluster.TransportZeroCopy,
 			RailsPerNode: 2}, true},
-		{"srq-eager", cluster.Config{NP: 3, Transport: cluster.TransportZeroCopy,
-			ConnectMode: cluster.ConnectLazy, Chan: rdmachan.Config{UseSRQ: true}}, false},
+		{"srq-eager", scenario.LazySRQ.On(cluster.Config{NP: 3}), false},
 		{"fault-armed", cluster.Config{NP: 3, Transport: cluster.TransportZeroCopy,
 			Fault: &fault.Plan{}}, false},
 		{"smp-pairs", cluster.Config{NP: 4, CoresPerNode: 2,

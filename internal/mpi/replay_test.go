@@ -8,8 +8,8 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/des"
-	"repro/internal/fault"
 	"repro/internal/mpi"
+	"repro/internal/scenario"
 )
 
 // replayTrace is everything two runs of the same seeded chaos schedule
@@ -24,46 +24,17 @@ type replayTrace struct {
 	faults    cluster.FaultStats
 }
 
-// replayPlan draws the chaos schedule for one matrix cell. Rail 0 carries
-// the chunk transport's credit counters, whose loss is connection-fatal by
-// design, and a single-rail topology has no surviving rail to fail over
-// to — so single-rail cells get drop bursts only, and multi-rail cells
-// spare rail 0.
-func replayPlan(seed int64, nodes, rails int) *fault.Plan {
-	gc := fault.GenConfig{
-		Seed: seed, Nodes: nodes, Rails: rails,
-		Horizon: 500 * des.Microsecond, Events: 6,
-		SpareRail: 0,
-	}
-	if rails == 1 {
-		gc.Kinds = []fault.Kind{fault.DropBurst}
-		gc.SpareRail = -1
-	}
-	return fault.Generate(gc)
-}
-
-// replayRun executes one seeded chaos run: a patterned ring shift large
-// enough to drive the rendezvous/striping path, followed by an allreduce,
-// under the generated fault schedule, with engine tracing on. A nil plan
-// runs fault-free.
-func replayRun(t *testing.T, tp topology, rails int, plan *fault.Plan, mods ...func(*cluster.Config)) replayTrace {
+// replayRun executes one seeded chaos run of cfg, with engine tracing on:
+// a patterned ring shift large enough to drive the rendezvous/striping
+// path, followed by an allreduce, under cfg.Fault (nil runs fault-free).
+func replayRun(t *testing.T, cfg cluster.Config) replayTrace {
 	t.Helper()
-	cfg := cluster.Config{
-		NP:           tp.np,
-		CoresPerNode: tp.cpn,
-		Transport:    cluster.TransportZeroCopy,
-		RailsPerNode: rails,
-		Fault:        plan,
-	}
-	for _, mod := range mods {
-		mod(&cfg)
-	}
 	c := cluster.MustNew(cfg)
 	defer c.Close()
 	c.Eng.EnableTrace()
 
 	const size = 64 << 10 // past the zero-copy threshold: chunks and stripes
-	sums := make([]uint64, tp.np)
+	sums := make([]uint64, cfg.NP)
 	c.Launch(func(comm *mpi.Comm) {
 		np, me := comm.Size(), comm.Rank()
 		sbuf, sb := comm.Alloc(size)
@@ -103,15 +74,13 @@ func fnv64(b []byte) uint64 {
 // schedule must reproduce the run exactly — identical final simulated
 // time, identical DES event fingerprint, identical payload checksums.
 func TestReplayMatrixBitIdentical(t *testing.T) {
-	for _, tp := range collectiveTopologies {
+	for _, tp := range scenario.Collectives {
 		tp := tp
 		for _, rails := range []int{1, 2, 4} {
 			rails := rails
-			t.Run(fmt.Sprintf("%s/rails=%d", tp.name, rails), func(t *testing.T) {
-				nodes := (tp.np + tp.cpn - 1) / tp.cpn
-				seed := int64(tp.np*100 + rails)
-				a := replayRun(t, tp, rails, replayPlan(seed, nodes, rails))
-				b := replayRun(t, tp, rails, replayPlan(seed, nodes, rails))
+			t.Run(fmt.Sprintf("%s/rails=%d", tp.Name, rails), func(t *testing.T) {
+				chaos := scenario.Chaos(rails, 100)
+				a, b := replayRun(t, chaos.On(tp.Config)), replayRun(t, chaos.On(tp.Config))
 				if a != b {
 					t.Fatalf("replay diverged:\nrun1 %+v\nrun2 %+v", a, b)
 				}
@@ -127,9 +96,13 @@ func TestReplayMatrixBitIdentical(t *testing.T) {
 // different chaos schedules produce identical event fingerprints, the
 // fingerprint is not actually observing the fault machinery.
 func TestReplayDistinctSeedsDiverge(t *testing.T) {
-	tp := topology{"flat-np4", 4, 1}
-	a := replayRun(t, tp, 2, replayPlan(1, 4, 2))
-	b := replayRun(t, tp, 2, replayPlan(2, 4, 2))
+	cfg := scenario.Layout("flat-np4").Config
+	cfg.RailsPerNode = 2
+	run := func(seed int64) replayTrace {
+		cfg.Fault = scenario.Plan(seed, 4, 2)
+		return replayRun(t, cfg)
+	}
+	a, b := run(1), run(2)
 	if a.fp == b.fp && a.finalTime == b.finalTime {
 		t.Fatal("different fault schedules left identical traces")
 	}
@@ -166,25 +139,19 @@ func TestReplayGolden(t *testing.T) {
 		}
 	}
 	var lines []string
-	cell := func(name string, tp topology, rails int, plan *fault.Plan) {
-		t.Run(name, func(t *testing.T) {
-			tr := replayRun(t, tp, rails, plan)
+	for _, s := range scenario.Replay {
+		t.Run(s.Name, func(t *testing.T) {
+			tr := replayRun(t, s.Config)
 			if tr.payload == 0 {
 				t.Fatal("payload checksum degenerate — workload did not run")
 			}
 			line := fmt.Sprintf("%s %s: fp=%016x events=%d time=%d payload=%016x",
-				build, name, tr.fp, tr.events, int64(tr.finalTime), tr.payload)
+				build, s.Name, tr.fp, tr.events, int64(tr.finalTime), tr.payload)
 			lines = append(lines, line)
-			if !*updateGolden && line != want[name] {
-				t.Errorf("replay drifted from the committed golden:\n got %s\nwant %s", line, want[name])
+			if !*updateGolden && line != want[s.Name] {
+				t.Errorf("replay drifted from the committed golden:\n got %s\nwant %s", line, want[s.Name])
 			}
 		})
-	}
-	for _, tp := range collectiveTopologies {
-		cell(tp.name, tp, 1, nil)
-		const rails = 2
-		nodes := (tp.np + tp.cpn - 1) / tp.cpn
-		cell(tp.name+"/faults", tp, rails, replayPlan(int64(tp.np*100+rails), nodes, rails))
 	}
 	if *updateGolden {
 		all := append(lines, other...) // elided rows first

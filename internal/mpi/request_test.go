@@ -3,8 +3,8 @@ package mpi_test
 import (
 	"testing"
 
-	"repro/internal/cluster"
 	"repro/internal/mpi"
+	"repro/internal/scenario"
 )
 
 // roundTrips runs n ping-pong round trips of buf between ranks 0 and 1.
@@ -25,8 +25,7 @@ func roundTrips(comm *mpi.Comm, buf mpi.Buffer, n int) {
 // after 100 further blocking round trips have taken requests from, and put
 // them back on, the engine's free list.
 func TestUserRequestOutlivesWait(t *testing.T) {
-	c := cluster.MustNew(cluster.Config{NP: 2, Transport: cluster.TransportZeroCopy})
-	c.Launch(func(comm *mpi.Comm) {
+	launch(t, scenario.Layout("flat-np2"), func(comm *mpi.Comm) {
 		buf, _ := comm.Alloc(64)
 		peer := 1 - comm.Rank()
 		var sr, rr *mpi.Request

@@ -1,25 +1,47 @@
 package mpi_test
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/cluster"
 	"repro/internal/fault"
+	"repro/internal/scenario"
 )
 
-// withShards returns a config modifier selecting sharded execution.
-func withShards(n int) func(*cluster.Config) {
-	return func(c *cluster.Config) { c.Shards = n }
+// shardsOf builds cfg and returns the shard count it resolves to.
+func shardsOf(cfg cluster.Config) int {
+	c := cluster.MustNew(cfg)
+	defer c.Close()
+	return c.Shards()
 }
 
-// shardTopologies is the subset of the collective matrix with enough nodes
-// for the shard counts under test to actually partition the cluster.
-var shardTopologies = []topology{
-	{"flat-np5", 5, 1},
-	{"flat-np6", 6, 1},
-	{"smp-4x2", 8, 2},
-	{"smp-uneven-7ranks", 7, 4}, // nodes of 4,3
+// matchesSerial runs s serial, then at shards 2 and 4, and fails unless
+// every sharded run leaves the serial trace and resolved the request
+// clamped to the node count and, on a fat tree, to the leaf count (one
+// engine owns a whole leaf). It returns the larger resolved count: 1
+// means the sharded runs were the serial one again.
+func matchesSerial(t *testing.T, s scenario.Scenario) (most int) {
+	t.Helper()
+	want := replayRun(t, s.Config)
+	if want.payload == 0 {
+		t.Fatal("payload checksum degenerate — workload did not run")
+	}
+	for _, shards := range []int{2, 4} {
+		n := min(shards, s.Nodes())
+		if sw := s.Config.Switch; sw != nil {
+			n = min(n, (s.Nodes()+sw.LeafDown-1)/sw.LeafDown)
+		}
+		cfg := s.Config
+		cfg.Shards = shards
+		if got := shardsOf(cfg); got != n {
+			t.Errorf("shards=%d resolved to %d, want %d", shards, got, n)
+		}
+		if got := replayRun(t, cfg); got != want {
+			t.Errorf("shards=%d diverged from serial:\nserial  %+v\nsharded %+v", shards, want, got)
+		}
+		most = max(most, n)
+	}
+	return most
 }
 
 // TestShardedMatchesSerial is the tentpole determinism gate at the MPI
@@ -27,66 +49,49 @@ var shardTopologies = []topology{
 // SRQ pool, one and two rails — must produce a dispatch schedule
 // bit-identical to the serial engine at every fixed shard count: same
 // trace fingerprint, same event count, same final clock, same payloads.
+// Every sharded side must really run on more than one shard.
 func TestShardedMatchesSerial(t *testing.T) {
-	variants := []struct {
-		name  string
-		rails int
-		mod   func(*cluster.Config)
-	}{
-		{"eager", 1, func(c *cluster.Config) {}},
-		{"eager-rails2", 2, func(c *cluster.Config) {}},
-		{"lazy", 1, func(c *cluster.Config) { c.ConnectMode = cluster.ConnectLazy }},
-		{"lazy-srq", 1, func(c *cluster.Config) {
-			c.ConnectMode = cluster.ConnectLazy
-			c.Chan.UseSRQ = true
-		}},
-	}
-	for _, v := range variants {
-		v := v
-		for _, tp := range shardTopologies {
-			tp := tp
-			t.Run(fmt.Sprintf("%s/%s", v.name, tp.name), func(t *testing.T) {
-				want := replayRun(t, tp, v.rails, nil, v.mod)
-				if want.payload == 0 {
-					t.Fatal("payload checksum degenerate — workload did not run")
-				}
-				for _, shards := range []int{2, 4} {
-					got := replayRun(t, tp, v.rails, nil, v.mod, withShards(shards))
-					if got != want {
-						t.Errorf("shards=%d diverged from serial:\nserial  %+v\nsharded %+v",
-							shards, want, got)
-					}
+	for _, v := range []scenario.Variant{{Name: "eager", Apply: scenario.ZeroCopy.Apply},
+		{Name: "eager-rails2", Apply: scenario.Rails2.Apply}, scenario.Lazy, scenario.LazySRQ} {
+		for _, tp := range scenario.Sharded {
+			s := tp.With(v)
+			t.Run(v.Name+"/"+tp.Name, func(t *testing.T) {
+				if matchesSerial(t, s) < 2 {
+					t.Errorf("%s does not partition", s.Name)
 				}
 			})
 		}
 	}
 }
 
-// TestShardedFaultReplay extends the chaos replay matrix across shard
-// counts: a seeded fault plan must leave the identical trace — fingerprint,
-// event count, clock, payloads, and every FaultStats counter — whether the
-// cluster was configured serial or sharded. Plans with events force serial
-// execution internally, so this also pins that forcing rule to the exact
-// serial schedule.
+// replaysSerial runs cfg, whose fault plan has events, serial and then
+// configured at shards 1, 2 and 4: every run must resolve to one shard,
+// the fault rule (DESIGN.md §13), and leave the identical trace —
+// fingerprint, event count, clock, payloads and every FaultStats counter.
+func replaysSerial(t *testing.T, cfg cluster.Config) {
+	t.Helper()
+	want := replayRun(t, cfg)
+	if want.faults == (cluster.FaultStats{}) {
+		t.Fatal("fault plan left no trace — chaos schedule did not run")
+	}
+	for _, shards := range []int{1, 2, 4} {
+		cfg.Shards = shards
+		if n := shardsOf(cfg); n != 1 {
+			t.Errorf("shards=%d under a fault plan resolved to %d, want 1 (forced serial)", shards, n)
+		}
+		if got := replayRun(t, cfg); got != want {
+			t.Errorf("shards=%d diverged from serial:\nserial  %+v\nsharded %+v", shards, want, got)
+		}
+	}
+}
+
+// TestShardedFaultReplay checks the fault rule and the serial replay of a
+// seeded chaos schedule (replaysSerial). Replay on the sharded engine is
+// ROADMAP item 24.
 func TestShardedFaultReplay(t *testing.T) {
-	for _, tp := range []topology{{"flat-np5", 5, 1}, {"smp-4x2", 8, 2}} {
-		tp := tp
-		const rails = 2
-		nodes := (tp.np + tp.cpn - 1) / tp.cpn
-		seed := int64(tp.np*1000 + rails)
-		t.Run(tp.name, func(t *testing.T) {
-			want := replayRun(t, tp, rails, replayPlan(seed, nodes, rails))
-			if want.faults == (cluster.FaultStats{}) {
-				t.Fatal("fault plan left no trace — chaos schedule did not run")
-			}
-			for _, shards := range []int{1, 2, 4} {
-				got := replayRun(t, tp, rails, replayPlan(seed, nodes, rails), withShards(shards))
-				if got != want {
-					t.Errorf("shards=%d diverged from serial:\nserial  %+v\nsharded %+v",
-						shards, want, got)
-				}
-			}
-		})
+	for _, tp := range scenario.Layouts("flat-np5", "smp-4x2") {
+		cfg := scenario.Chaos(2, 1000).On(tp.Config)
+		t.Run(tp.Name, func(t *testing.T) { replaysSerial(t, cfg) })
 	}
 }
 
@@ -95,38 +100,26 @@ func TestShardedFaultReplay(t *testing.T) {
 // (and still matches the serial schedule), and the count clamps to the
 // node count.
 func TestShardForcingRules(t *testing.T) {
-	tp := topology{"flat-np5", 5, 1}
-	mk := func(plan *fault.Plan, shards int) *cluster.Cluster {
-		return cluster.MustNew(cluster.Config{
-			NP: tp.np, Transport: cluster.TransportZeroCopy,
-			Fault: plan, Shards: shards,
-		})
+	tp := scenario.Layout("flat-np5")
+	resolve := func(plan *fault.Plan, shards int) int {
+		cfg := tp.Config
+		cfg.Fault, cfg.Shards = plan, shards
+		return shardsOf(cfg)
 	}
-	c := mk(replayPlan(7, tp.np, 1), 4)
-	if got := c.Shards(); got != 1 {
+	if got := resolve(scenario.Plan(7, tp.Config.NP, 1), 4); got != 1 {
 		t.Errorf("fault plan with events: shards = %d, want 1 (forced serial)", got)
 	}
-	c.Close()
-
-	c = mk(&fault.Plan{}, 4)
-	if got := c.Shards(); got != 4 {
+	if got := resolve(&fault.Plan{}, 4); got != 4 {
 		t.Errorf("armed empty plan: shards = %d, want 4", got)
 	}
-	c.Close()
-
-	c = mk(nil, 64)
-	if got := c.Shards(); got != tp.np {
-		t.Errorf("shards clamp: got %d, want %d (node count)", got, tp.np)
+	if got := resolve(nil, 64); got != tp.Config.NP {
+		t.Errorf("shards clamp: got %d, want %d (node count)", got, tp.Config.NP)
 	}
-	c.Close()
 
 	// The armed-but-empty resilient stack is not schedule-identical to the
 	// fault-free stack (resilience changes the protocol, serial included),
 	// so compare the sharded resilient run against the serial resilient run.
-	armed := func(c *cluster.Config) { c.Fault = &fault.Plan{} }
-	want := replayRun(t, tp, 1, nil, armed)
-	got := replayRun(t, tp, 1, nil, armed, withShards(2))
-	if got != want {
-		t.Errorf("armed empty plan sharded diverged:\nserial  %+v\nsharded %+v", want, got)
-	}
+	armed := tp
+	armed.Config.Fault = &fault.Plan{}
+	matchesSerial(t, armed)
 }

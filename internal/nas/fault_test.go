@@ -6,21 +6,14 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/des"
 	"repro/internal/fault"
-	"repro/internal/rdmachan"
+	"repro/internal/scenario"
 )
 
 // resilientCGConfig is the PR's acceptance configuration: CG on the
 // scalable stack (lazy connections, SRQ eager mode) over two rails, with
 // the resilient machinery switched on by a fault plan.
 func resilientCGConfig(plan *fault.Plan) cluster.Config {
-	return cluster.Config{
-		NP:           4,
-		Transport:    cluster.TransportZeroCopy,
-		ConnectMode:  cluster.ConnectLazy,
-		RailsPerNode: 2,
-		Chan:         rdmachan.Config{UseSRQ: true},
-		Fault:        plan,
-	}
+	return scenario.LazySRQ.On(cluster.Config{NP: 4, RailsPerNode: 2, Fault: plan})
 }
 
 // TestCGSurvivesRailLoss is the acceptance gate for the fault-injection

@@ -5,7 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
-	"repro/internal/rdmachan"
+	"repro/internal/scenario"
 )
 
 // Class S smoke tests: every benchmark must verify on every figure
@@ -40,7 +40,6 @@ func TestClassSAllBenchmarksAllTransports(t *testing.T) {
 // scale under lazy connections, the SRQ eager pool and two rails. Every
 // row must verify.
 func TestClassSBasicTransportWorks(t *testing.T) {
-	srq := rdmachan.Config{UseSRQ: true}
 	zc, lazy := cluster.TransportZeroCopy, cluster.ConnectLazy
 	for _, tc := range []struct {
 		name string
@@ -49,10 +48,10 @@ func TestClassSBasicTransportWorks(t *testing.T) {
 		{"basic/np4", cluster.Config{NP: 4, Transport: cluster.TransportBasic}},
 		{"ch3/np4", cluster.Config{NP: 4, Transport: cluster.TransportCH3}},
 		{"lazy/np16", cluster.Config{NP: 16, Transport: zc, ConnectMode: lazy}},
-		{"lazy-srq/np16", cluster.Config{NP: 16, Transport: zc, ConnectMode: lazy, Chan: srq}},
+		{"lazy-srq/np16", scenario.LazySRQ.On(cluster.Config{NP: 16})},
 		{"rails2/np8", cluster.Config{NP: 8, Transport: zc, RailsPerNode: 2}},
 		{"rails2-lazy/np8", cluster.Config{NP: 8, Transport: zc, RailsPerNode: 2, ConnectMode: lazy}},
-		{"rails2-lazy-srq/np8", cluster.Config{NP: 8, Transport: zc, RailsPerNode: 2, ConnectMode: lazy, Chan: srq}},
+		{"rails2-lazy-srq/np8", scenario.LazySRQ.On(cluster.Config{NP: 8, RailsPerNode: 2})},
 		{"rails1/np4", cluster.Config{NP: 4, Transport: zc, RailsPerNode: 1}},
 		{"rails2/np4", cluster.Config{NP: 4, Transport: zc, RailsPerNode: 2}},
 	} {

@@ -7,12 +7,12 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/des"
 	"repro/internal/mpi"
-	"repro/internal/rdmachan"
+	"repro/internal/scenario"
 )
 
 // TestShardedCGSmoke is the CI sharded smoke (DESIGN.md §13): NAS CG at
 // np=64 on the scalable stack (zero-copy, lazy connections, SRQ), two
-// shards against serial. The MPI-layer determinism suites prove schedule
+// shards, checked to be two, against serial. The MPI-layer determinism suites prove schedule
 // equality on small topologies; this runs a real kernel at CI scale and is
 // executed under the race detector in the chaos job — the proof that the
 // shard engines, mailboxes and cross-shard model state are data-race free
@@ -24,14 +24,11 @@ func TestShardedCGSmoke(t *testing.T) {
 		mops     float64
 	}
 	run := func(shards int) trace {
-		c := cluster.MustNew(cluster.Config{
-			NP:          64,
-			Transport:   cluster.TransportZeroCopy,
-			ConnectMode: cluster.ConnectLazy,
-			Chan:        rdmachan.Config{UseSRQ: true},
-			Shards:      shards,
-		})
+		c := cluster.MustNew(scenario.LazySRQ.On(cluster.Config{NP: 64, Shards: shards}))
 		defer c.Close()
+		if c.Shards() != shards { // 64 nodes: the request is its own clamp
+			t.Fatalf("shards=%d resolved to %d", shards, c.Shards())
+		}
 		c.Eng.EnableTrace()
 		res := RunOn(c, "cg", ClassS)
 		return trace{
@@ -62,13 +59,7 @@ func TestSecondLaunchEventParity(t *testing.T) {
 		now    des.Time
 	}
 	run := func(shards int) (marks []mark) {
-		c := cluster.MustNew(cluster.Config{
-			NP:          64,
-			Transport:   cluster.TransportZeroCopy,
-			ConnectMode: cluster.ConnectLazy,
-			Chan:        rdmachan.Config{UseSRQ: true},
-			Shards:      shards,
-		})
+		c := cluster.MustNew(scenario.LazySRQ.On(cluster.Config{NP: 64, Shards: shards}))
 		defer c.Close()
 		c.Eng.EnableTrace()
 		mark1 := func() {

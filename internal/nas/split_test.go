@@ -11,7 +11,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/mpi"
-	"repro/internal/rdmachan"
+	"repro/internal/scenario"
 )
 
 // cgScalable runs NAS CG class S on the scalable stack of the
@@ -21,13 +21,8 @@ import (
 // row records it: events and simulated time across the kernel alone.
 func cgScalable(t *testing.T, np int, allgather string) (*cluster.Cluster, string) {
 	t.Helper()
-	c := cluster.MustNew(cluster.Config{
-		NP:          np,
-		Transport:   cluster.TransportZeroCopy,
-		ConnectMode: cluster.ConnectLazy,
-		Chan:        rdmachan.Config{UseSRQ: true},
-		Tuning:      &mpi.Tuning{Allgather: allgather},
-	})
+	c := cluster.MustNew(scenario.LazySRQ.On(cluster.Config{NP: np,
+		Tuning: &mpi.Tuning{Allgather: allgather}}))
 	c.Eng.EnableTrace()
 	ev0, sim0 := c.Eng.EventsExecuted(), c.Now()
 	if !RunOn(c, "cg", ClassS).Verified {

@@ -5,7 +5,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/nas"
-	"repro/internal/rdmachan"
+	"repro/internal/scenario"
 )
 
 // TestSRQPoolBacksWhatPacketsReach: after cg.S np=64 on lazy connections
@@ -16,12 +16,7 @@ import (
 // the order slots are released in change.
 func TestSRQPoolBacksWhatPacketsReach(t *testing.T) {
 	const np = 64
-	c := cluster.MustNew(cluster.Config{
-		NP:          np,
-		Transport:   cluster.TransportZeroCopy,
-		ConnectMode: cluster.ConnectLazy,
-		Chan:        rdmachan.Config{UseSRQ: true},
-	})
+	c := cluster.MustNew(scenario.LazySRQ.On(cluster.Config{NP: np}))
 	defer c.Close()
 	if !nas.RunOn(c, "cg", nas.ClassS).Verified {
 		t.Fatal("cg.S np=64 failed verification")

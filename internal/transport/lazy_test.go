@@ -15,15 +15,15 @@ import (
 	"repro/internal/fault"
 	"repro/internal/mpi"
 	"repro/internal/rdmachan"
+	"repro/internal/scenario"
 )
 
 // lazyVariants mirrors the cluster test matrix: lazy over chunk rings and
 // lazy over the SRQ-backed eager mode.
 func lazyVariants() map[string]cluster.Config {
 	return map[string]cluster.Config{
-		"ring": {Transport: cluster.TransportZeroCopy, ConnectMode: cluster.ConnectLazy},
-		"srq": {Transport: cluster.TransportZeroCopy, ConnectMode: cluster.ConnectLazy,
-			Chan: rdmachan.Config{UseSRQ: true}},
+		"ring": scenario.Lazy.On(cluster.Config{Transport: cluster.TransportZeroCopy}),
+		"srq":  scenario.LazySRQ.On(cluster.Config{}),
 	}
 }
 
@@ -147,10 +147,7 @@ func TestAnySourceNoConnect(t *testing.T) {
 // refill must recover, and every payload must arrive intact.
 func TestSRQRefillBurst(t *testing.T) {
 	const np, perSender, size = 5, 16, 512
-	c := cluster.MustNew(cluster.Config{
-		NP: np, Transport: cluster.TransportZeroCopy, ConnectMode: cluster.ConnectLazy,
-		Chan: rdmachan.Config{UseSRQ: true},
-	})
+	c := cluster.MustNew(scenario.LazySRQ.On(cluster.Config{NP: np}))
 	defer c.Close()
 	seqs := make(map[int][]int)
 	c.Launch(func(comm *mpi.Comm) {
