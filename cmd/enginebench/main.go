@@ -22,7 +22,8 @@
 // regression — and wall-clock-per-simulated-second may not regress beyond
 // -tolerance. A measured row missing from the baseline also fails: new
 // np/shards combinations are admitted deliberately with -out -merge, never
-// silently. Exits non-zero on any violation.
+// silently; an -out over a file prints a census of what moved. Exits
+// non-zero on any violation.
 package main
 
 import (

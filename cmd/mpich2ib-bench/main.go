@@ -19,8 +19,8 @@
 //
 //	mpich2ib-bench -fig all -compare BENCH_figures.json
 //
-// (the same command with -out regenerates it; -fig <id> -compare
-// BENCH_figures.json gates one figure).
+// (the same command with -out regenerates it and prints a census of what
+// moved; -fig <id> -compare BENCH_figures.json gates one figure).
 package main
 
 import (

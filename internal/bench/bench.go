@@ -77,17 +77,22 @@ func (Curve) schema() string { return "mpich2ib/curves/v1" }
 
 func (Curve) wall() (float64, string) { return 0, "" }
 
-func (c Curve) diff(b Curve) []string {
+// diff names a moved point by its label or, unlabelled, its size.
+func (c Curve) diff(b Curve) []Delta {
 	if len(c.Points) != len(b.Points) {
-		return []string{fmt.Sprintf("%d points, baseline has %d", len(c.Points), len(b.Points))}
+		return []Delta{{"points", fmt.Sprintf("%d points, baseline has %d", len(c.Points), len(b.Points))}}
 	}
-	var lines []string
+	var ds []Delta
 	for i, p := range c.Points {
 		if p != b.Points[i] {
-			lines = append(lines, fmt.Sprintf("%v, baseline %v", p, b.Points[i]))
+			field := p.Label
+			if field == "" {
+				field = fmt.Sprintf("size=%d", p.Size)
+			}
+			ds = append(ds, Delta{field, fmt.Sprintf("%v, baseline %v", p, b.Points[i])})
 		}
 	}
-	return lines
+	return ds
 }
 
 // Paper-style size axes (powers of four, as on the figures' x-axes).

@@ -80,11 +80,11 @@ func (r EngineRun) scope() string { return r.key() }
 
 func (EngineRun) schema() string { return "mpich2ib/engine-bench/v1" }
 
-func (r EngineRun) diff(b EngineRun) []string {
-	var lines []string
+func (r EngineRun) diff(b EngineRun) []Delta {
+	var ds []Delta
 	add := func(name string, cur, base any) {
 		if cur != base {
-			lines = append(lines, fmt.Sprintf("%-8s %v, baseline %v", name, cur, base))
+			ds = append(ds, Delta{name, fmt.Sprintf("%-8s %v, baseline %v", name, cur, base)})
 		}
 	}
 	add("events", r.Events, b.Events)
@@ -93,7 +93,7 @@ func (r EngineRun) diff(b EngineRun) []string {
 	add("verified", r.Verified, b.Verified)
 	diffFields(add, "events_by_kind", r.ByKind, b.ByKind)
 	diffFields(add, "progress", r.Progress, b.Progress)
-	return lines
+	return ds
 }
 
 // diffFields compares two pointers to structs of counters field by field
@@ -129,41 +129,16 @@ func (r EngineRun) wall() (float64, string) {
 // repeats: that is a determinism bug, and recording either value would be
 // wrong.
 func MeasureEngine(benchName string, class nas.Class, np, repeats, shards int) EngineRun {
-	if repeats < 1 {
-		repeats = 1
-	}
-	if shards < 1 {
-		shards = 1
-	}
-	run := EngineRun{
-		Bench: benchName, Class: string(class), NP: np,
-		Queue: "calendar", Shards: shards, Repeats: repeats,
-	}
-	for i := 0; i < repeats; i++ {
-		kinds, sites, prog, win, heap, fp, sim, wall, setup, verified := measureEngineOnce(benchName, class, np, shards)
-		events := kinds.Total()
-		if i == 0 {
-			run.ByKind, run.Progress, run.Windows, run.HeapPerRank = &kinds, &prog, win, heap
-			run.SwitchBySite = make(map[string]uint64, len(sites))
-			for s, n := range sites {
-				run.SwitchBySite[des.Site(s).String()] = n
-			}
-			run.Events, run.Fingerprint, run.SimSeconds, run.Verified = events, fp, sim, verified
-			run.WallSeconds, run.SetupSeconds = wall, setup
-			continue
+	repeats, shards = max(repeats, 1), max(shards, 1)
+	run := measureEngineOnce(benchName, class, np, shards)
+	for i := 1; i < repeats; i++ {
+		r := measureEngineOnce(benchName, class, np, shards)
+		if ds := Deltas(r.diff(run)); len(ds) > 0 {
+			panic(fmt.Sprintf("bench: %s repeat %d diverged from repeat 0:%v", run.key(), i, ds))
 		}
-		if events != run.Events || fp != run.Fingerprint || sim != run.SimSeconds || verified != run.Verified ||
-			kinds != *run.ByKind || prog != *run.Progress {
-			panic(fmt.Sprintf("bench: %s repeat %d diverged from repeat 0: events %d vs %d, fp %s vs %s, by kind %+v vs %+v, progress %+v vs %+v",
-				run.key(), i, events, run.Events, fp, run.Fingerprint, kinds, *run.ByKind, prog, *run.Progress))
-		}
-		if wall < run.WallSeconds {
-			run.WallSeconds = wall
-		}
-		if setup < run.SetupSeconds {
-			run.SetupSeconds = setup
-		}
+		run.WallSeconds, run.SetupSeconds = min(run.WallSeconds, r.WallSeconds), min(run.SetupSeconds, r.SetupSeconds)
 	}
+	run.Repeats = repeats
 	if run.WallSeconds > 0 {
 		run.EventsPerSec = float64(run.Events) / run.WallSeconds
 	}
@@ -176,11 +151,10 @@ func MeasureEngine(benchName string, class nas.Class, np, repeats, shards int) E
 // measureEngineOnce executes one run. The wall clock covers the benchmark
 // execution only (the engine's dispatch loop under load); the event count
 // is the delta across it, so cluster construction cost does not dilute the
-// events/sec figure. Construction is timed separately into setupSec — the
-// other scalability axis (the satellite on cluster-construction cost).
-func measureEngineOnce(benchName string, class nas.Class, np, shards int) (
-	events des.EventCounts, sites des.SiteCounts, prog transport.ProgressStats, win des.WindowStats, heapPerRank uint64,
-	fp string, simSec, wallSec, setupSec float64, verified bool) {
+// events/sec figure. Construction is timed separately into SetupSeconds —
+// the other scalability axis (the satellite on cluster-construction cost).
+func measureEngineOnce(benchName string, class nas.Class, np, shards int) EngineRun {
+	run := EngineRun{Bench: benchName, Class: string(class), NP: np, Queue: "calendar", Shards: shards}
 	setupStart := time.Now()
 	c := cluster.MustNew(cluster.Config{
 		NP:          np,
@@ -189,26 +163,27 @@ func measureEngineOnce(benchName string, class nas.Class, np, shards int) (
 		Chan:        rdmachan.Config{UseSRQ: true},
 		Shards:      shards,
 	})
-	setupSec = time.Since(setupStart).Seconds()
+	run.SetupSeconds = time.Since(setupStart).Seconds()
 	defer c.Close()
 	c.Eng.EnableTrace()
 	ev0, sites0, win0, sim0 := c.Eng.EventCounts(), c.Eng.SwitchesBySite(), c.Eng.WindowStats(), c.Now()
 	start := time.Now()
 	res := nas.RunOn(c, benchName, class)
-	wallSec = time.Since(start).Seconds()
-	events, prog, win = c.Eng.EventCounts().Sub(ev0), c.ProgressStats(), c.Eng.WindowStats().Sub(win0)
-	sites = c.Eng.SwitchesBySite()
-	for s := range sites {
-		sites[s] -= sites0[s]
+	run.WallSeconds = time.Since(start).Seconds()
+	kinds, prog := c.Eng.EventCounts().Sub(ev0), c.ProgressStats()
+	run.ByKind, run.Progress, run.Events, run.Windows = &kinds, &prog, kinds.Total(), c.Eng.WindowStats().Sub(win0)
+	run.SwitchBySite = make(map[string]uint64)
+	for s, n := range c.Eng.SwitchesBySite() {
+		run.SwitchBySite[des.Site(s).String()] = n - sites0[s]
 	}
-	simSec = (c.Now() - sim0).Seconds()
-	fp = fmt.Sprintf("%016x", c.Eng.TraceFingerprint())
-	verified = res.Verified
+	run.SimSeconds = (c.Now() - sim0).Seconds()
+	run.Fingerprint = fmt.Sprintf("%016x", c.Eng.TraceFingerprint())
+	run.Verified = res.Verified
 	var ms runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&ms)
-	heapPerRank = ms.HeapAlloc / uint64(np)
-	return
+	run.HeapPerRank = ms.HeapAlloc / uint64(np)
+	return run
 }
 
 // ParseInts resolves a comma-separated list of integers in lo..hi; what

@@ -11,9 +11,9 @@ package bench
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
-	"strings"
 )
 
 // row is what a row type declares to be gated.
@@ -26,8 +26,8 @@ type row[R any] interface {
 	// of a scope must have measured every baseline row of it.
 	scope() string
 	// diff compares the exact (simulated) fields with the baseline row's and
-	// returns one line per field that differs, naming it and both values.
-	diff(base R) []string
+	// returns one Delta per field that differs.
+	diff(base R) []Delta
 	// wall is the one toleranced harness figure, and what it measures; a
 	// row type without one returns what == "".
 	wall() (v float64, what string)
@@ -115,30 +115,142 @@ func (rep *Report[R]) checkKeys() error {
 	return nil
 }
 
-// merge overlays rep onto base: rows sharing a key are replaced by rep's
-// measurement, new keys append in measurement order, and base rows rep did
-// not re-measure survive. This is how a committed baseline is regenerated
-// piecemeal — the np=4096 engine row needs a multi-gigabyte heap, so
-// re-measuring the cheap rows must not force re-measuring it (and vice versa).
-func (rep *Report[R]) merge(base *Report[R]) *Report[R] {
-	merged := &Report[R]{Schema: rep.Schema, Go: rep.Go}
-	fresh := make(map[string]R, len(rep.Runs))
-	for _, r := range rep.Runs {
-		fresh[r.key()] = r
-	}
-	for _, r := range base.Runs {
-		if u, ok := fresh[r.key()]; ok {
-			r = u
-			delete(fresh, r.key())
+// Merge overlays the rows of cur onto base by key: rows sharing a key are
+// replaced by cur's, new keys append in cur's order, and base rows cur
+// does not hold survive in place. This is how a committed baseline is
+// regenerated piecemeal (-merge): the np=4096 engine row needs a
+// multi-gigabyte heap, so re-measuring the cheap rows must not force
+// re-measuring it (and vice versa).
+func Merge[R any](cur, base []R, key func(R) string) []R {
+	var merged []R
+	// Walked with base as the new file, a base row cur holds is Unchanged
+	// (its Base is cur's row), and cur's new keys follow as Dropped.
+	for _, e := range Classify(base, cur, key, func(R, R) []Delta { return nil }) {
+		if e.Class == Unchanged {
+			e.Row = e.Base
 		}
-		merged.Runs = append(merged.Runs, r)
-	}
-	for _, r := range rep.Runs {
-		if _, stillNew := fresh[r.key()]; stillNew {
-			merged.Runs = append(merged.Runs, r)
-		}
+		merged = append(merged, e.Row)
 	}
 	return merged
+}
+
+// Class is how a row of a regenerated file stands to the file it replaces.
+type Class int
+
+const (
+	Unchanged Class = iota // every exact field equal
+	Moved                  // some exact field differs
+	Added                  // no old row under its key
+	Dropped                // an old row the new file lacks
+)
+
+func (c Class) String() string { return [...]string{"unchanged", "moved", "added", "dropped"}[c] }
+
+// Delta is one exact field of a row that differs from the row it is
+// compared with.
+type Delta struct {
+	Field string // the field's name, as the census counts it
+	Line  string // the field and both values, as the gate prints them
+}
+
+// Deltas prints as its lines, each on a new indented line.
+type Deltas []Delta
+
+func (ds Deltas) String() (s string) {
+	for _, d := range ds {
+		s += "\n  " + d.Line
+	}
+	return s
+}
+
+// Entry is one classified row.
+type Entry[R any] struct {
+	Key    string
+	Class  Class
+	Row    R      // the new row; for Dropped, the old one
+	Base   R      // the old row of an Unchanged or Moved row
+	Deltas Deltas // the fields a Moved row moved
+}
+
+// Classify walks the rows of a new version of a keyed file against the
+// old one: each row of cur, in order, is Unchanged, Moved or Added, and
+// then each row of base whose key cur lacks is Dropped. It is the one walk
+// under the gate (Report.compare) and the census every writer prints
+// (WriteCensus).
+func Classify[R any](cur, base []R, key func(R) string, diff func(cur, base R) []Delta) []Entry[R] {
+	old := make(map[string]R, len(base))
+	for _, r := range base {
+		old[key(r)] = r
+	}
+	seen := make(map[string]bool, len(cur))
+	var out []Entry[R]
+	for _, r := range cur {
+		e := Entry[R]{Key: key(r), Class: Added, Row: r}
+		seen[e.Key] = true
+		if b, ok := old[e.Key]; ok {
+			e.Class, e.Base, e.Deltas = Unchanged, b, diff(r, b)
+			if len(e.Deltas) > 0 {
+				e.Class = Moved
+			}
+		}
+		out = append(out, e)
+	}
+	for _, r := range base {
+		if k := key(r); !seen[k] {
+			out = append(out, Entry[R]{Key: k, Class: Dropped, Row: r})
+		}
+	}
+	return out
+}
+
+// WriteCensus prints what rewriting file changed: per group of rows, in
+// the order groups first appear, the rows unchanged, moved, added and
+// dropped, each field the moved rows moved with the number of rows it
+// moved in, and under it every row that is not unchanged, by key and
+// moved fields; then the four counts over the whole file.
+func WriteCensus[R any](w io.Writer, file string, entries []Entry[R], group func(R) string) {
+	type tally struct {
+		n      [4]int
+		fields []string // in the order they first moved
+		moved  map[string]int
+		rows   []string
+	}
+	var order []string
+	var all [4]int
+	groups := map[string]*tally{}
+	for _, e := range entries {
+		g := group(e.Row)
+		t := groups[g]
+		if t == nil {
+			t = &tally{moved: map[string]int{}}
+			groups[g], order = t, append(order, g)
+		}
+		t.n[e.Class]++
+		all[e.Class]++
+		row := e.Class.String() + " " + e.Key
+		for _, d := range e.Deltas {
+			if t.moved[d.Field]++; t.moved[d.Field] == 1 {
+				t.fields = append(t.fields, d.Field)
+			}
+			row += " " + d.Field
+		}
+		if e.Class != Unchanged {
+			t.rows = append(t.rows, row)
+		}
+	}
+	fmt.Fprintf(w, "census of %s against the file it replaced:\n", file)
+	for _, g := range order {
+		t := groups[g]
+		fmt.Fprintf(w, "  %-28s %d unchanged, %d moved, %d added, %d dropped", g, t.n[0], t.n[1], t.n[2], t.n[3])
+		for _, f := range t.fields {
+			fmt.Fprintf(w, " %s×%d", f, t.moved[f])
+		}
+		fmt.Fprintln(w)
+		for _, r := range t.rows {
+			fmt.Fprintln(w, "    "+r)
+		}
+	}
+	fmt.Fprintf(w, "  %-28s %d unchanged, %d moved, %d added, %d dropped\n", "all", all[0], all[1], all[2], all[3])
 }
 
 // compare checks rep against a committed baseline: for every row rep
@@ -158,39 +270,35 @@ func (rep *Report[R]) compare(baseline *Report[R], tol float64) []error {
 	if err := rep.checkKeys(); err != nil {
 		return []error{err}
 	}
-	base := make(map[string]R, len(baseline.Runs))
-	for _, r := range baseline.Runs {
-		base[r.key()] = r
+	scopes := make(map[string]bool)
+	for _, r := range rep.Runs {
+		scopes[r.scope()] = true
 	}
 	var errs []error
 	matched := 0
-	keys, scopes := make(map[string]bool, len(rep.Runs)), make(map[string]bool)
-	for _, cur := range rep.Runs {
-		keys[cur.key()], scopes[cur.scope()] = true, true
-		b, ok := base[cur.key()]
-		if !ok {
-			row, _ := json.Marshal(cur) // plain data: cannot fail
+	for _, e := range Classify(rep.Runs, baseline.Runs, R.key, R.diff) {
+		switch e.Class {
+		case Added:
+			row, _ := json.Marshal(e.Row) // plain data: cannot fail
 			errs = append(errs, fmt.Errorf(
 				"%s: row missing from baseline — measured %s; regenerate the baseline with the measuring command's -out flag to admit it",
-				cur.key(), row))
-			continue
-		}
-		matched++
-		if lines := cur.diff(b); len(lines) > 0 {
-			errs = append(errs, fmt.Errorf("%s: simulated results diverge from baseline:\n  %s",
-				cur.key(), strings.Join(lines, "\n  ")))
-		}
-		cw, what := cur.wall()
-		if bw, _ := b.wall(); bw > 0 && cw > bw*(1+tol) {
-			errs = append(errs, fmt.Errorf("%s: %s regressed %.1f%% (%.4g vs baseline %.4g, tolerance %.0f%%)",
-				cur.key(), what, 100*(cw/bw-1), cw, bw, 100*tol))
-		}
-	}
-	for _, r := range baseline.Runs {
-		if !keys[r.key()] && (rep.Whole || scopes[r.scope()]) {
-			errs = append(errs, fmt.Errorf(
-				"%s: baseline row not measured — the run dropped it; regenerate the baseline with -out if that is deliberate",
-				r.key()))
+				e.Key, row))
+		case Dropped:
+			if rep.Whole || scopes[e.Row.scope()] {
+				errs = append(errs, fmt.Errorf(
+					"%s: baseline row not measured — the run dropped it; regenerate the baseline with -out if that is deliberate",
+					e.Key))
+			}
+		default:
+			matched++
+			if e.Class == Moved {
+				errs = append(errs, fmt.Errorf("%s: simulated results diverge from baseline:%v", e.Key, e.Deltas))
+			}
+			cw, what := e.Row.wall()
+			if bw, _ := e.Base.wall(); bw > 0 && cw > bw*(1+tol) {
+				errs = append(errs, fmt.Errorf("%s: %s regressed %.1f%% (%.4g vs baseline %.4g, tolerance %.0f%%)",
+					e.Key, what, 100*(cw/bw-1), cw, bw, 100*tol))
+			}
 		}
 	}
 	if matched == 0 && len(rep.Runs) > 0 {
@@ -200,7 +308,8 @@ func (rep *Report[R]) compare(baseline *Report[R], tol float64) []error {
 }
 
 // Finish is the tail of every command that produces a report: write it to
-// out (with mergeOut, over the rows of the report already there), then gate
+// out (with mergeOut, over the rows of the report already there) and print
+// the census of what that changed in the file it replaced, then gate
 // it against the baseline at compareTo within tol; an empty path skips its
 // step. It prints what it did and returns the exit code: 0, 1 for a gate
 // failure, 2 for a file that cannot be read or written.
@@ -210,18 +319,21 @@ func (rep *Report[R]) Finish(out string, mergeOut bool, compareTo string, tol fl
 		return 2
 	}
 	if out != "" {
+		prev, err := readReport[R](out)
+		if err != nil && mergeOut && !os.IsNotExist(err) {
+			return fail(err)
+		}
 		final := rep
-		if mergeOut {
-			if prev, err := readReport[R](out); err == nil {
-				final = rep.merge(prev)
-			} else if !os.IsNotExist(err) {
-				return fail(err)
-			}
+		if mergeOut && prev != nil {
+			final = &Report[R]{Schema: rep.Schema, Go: rep.Go, Runs: Merge(rep.Runs, prev.Runs, R.key)}
 		}
 		if err := final.write(out); err != nil {
 			return fail(err)
 		}
 		fmt.Printf("wrote %s\n", out)
+		if prev != nil {
+			WriteCensus(os.Stdout, out, Classify(final.Runs, prev.Runs, R.key, R.diff), R.scope)
+		}
 	}
 	if compareTo != "" {
 		base, err := readReport[R](compareTo)

@@ -66,11 +66,11 @@ func testContract[R row[R]](t *testing.T, c rowCase[R]) {
 		})
 	}
 	t.Run("merge keeps unmeasured base rows in order", func(t *testing.T) {
-		got := report(c.broken).merge(report(c.base, c.other)).Runs
+		got := Merge([]R{c.broken}, []R{c.base, c.other}, R.key)
 		if want := []R{c.broken, c.other}; !reflect.DeepEqual(got, want) {
 			t.Errorf("re-measured first row: got %+v, want %+v", got, want)
 		}
-		got = report(c.other, c.broken).merge(report(c.base)).Runs
+		got = Merge([]R{c.other, c.broken}, []R{c.base}, R.key)
 		if want := []R{c.broken, c.other}; !reflect.DeepEqual(got, want) {
 			t.Errorf("new key appends after the base rows: got %+v, want %+v", got, want)
 		}
@@ -181,8 +181,8 @@ func TestEngineLegacyRowAliasesSerial(t *testing.T) {
 
 // TestEngineCountsGated: the harness's own deterministic counts are exact
 // fields. A committed row against a copy of itself with one events_by_kind
-// field edited fails the gate on that field alone, naming both values; a
-// progress field is gated the same way.
+// field edited fails the gate on that field alone, naming both values, and
+// the census names the row and the field; a progress field is gated alike.
 func TestEngineCountsGated(t *testing.T) {
 	committed, err := readReport[EngineRun](filepath.Join("..", "..", "BENCH_engine.json"))
 	if err != nil {
@@ -216,6 +216,11 @@ func TestEngineCountsGated(t *testing.T) {
 		if len(errs) != 1 || !strings.Contains(errs[0].Error(), "diverge from baseline:\n  "+tc.want) ||
 			strings.Count(errs[0].Error(), "\n") != 1 {
 			t.Errorf("want one divergence, %q alone; got %v", tc.want, errs)
+		}
+		var census strings.Builder
+		WriteCensus(&census, "f", Classify(cur.Runs, edited(tc.edit).Runs, EngineRun.key, EngineRun.diff), EngineRun.scope)
+		if f := strings.Fields(tc.want)[0]; !strings.Contains(census.String(), " 0 unchanged, 1 moved, 0 added, 0 dropped "+f+"×1\n    moved "+row.key()+" "+f+"\n") {
+			t.Errorf("census does not name row %s and field %s:\n%s", row.key(), f, &census)
 		}
 	}
 	if errs := cur.compare(edited(func(*EngineRun) {}), math.Inf(1)); len(errs) != 0 {

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/mpi"
+	"repro/internal/scenario"
 )
 
 func TestDatatypeSizes(t *testing.T) {
@@ -23,10 +24,8 @@ func TestDatatypeSizes(t *testing.T) {
 // elementwise with 4-byte stride.
 func TestMixedPrecisionAllreduce(t *testing.T) {
 	const np, elems = 4, 6
-	c := cluster.MustNew(cluster.Config{NP: np, Transport: cluster.TransportZeroCopy})
-	defer c.Close()
 	var f32ok, i32ok [np]bool
-	c.Launch(func(comm *mpi.Comm) {
+	launch(t, scenario.Scenario{Config: cluster.Config{NP: np, Transport: cluster.TransportZeroCopy}}, func(comm *mpi.Comm) {
 		rank := comm.Rank()
 		s, sb := comm.Alloc(elems * 4)
 		r, rb := comm.Alloc(elems * 4)

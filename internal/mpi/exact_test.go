@@ -1,10 +1,7 @@
 package mpi_test
 
 import (
-	"flag"
 	"fmt"
-	"os"
-	"strings"
 	"testing"
 
 	"repro/internal/ch3"
@@ -19,13 +16,7 @@ import (
 // — back-to-back charges and whole idle poll passes dispatch as one — and
 // claims no simulated result moves. The desplain build keeps every elided
 // Sleep as its own event, so it is the reference: it alone may write
-// testdata/exact_golden.txt (go test -tags desplain -run
-// TestChainsExactGolden -update ./internal/mpi/), and both builds must
-// reproduce the file line for line.
-
-var updateGolden = flag.Bool("update", false, "rewrite the golden of the test being run: testdata/exact_golden.txt (desplain build only) or this build's rows of testdata/replay_golden.txt")
-
-const exactGoldenPath = "testdata/exact_golden.txt"
+// testdata/exact_golden.txt, and both builds must reproduce every row.
 
 // sleepsElided reports which build this is by what it does: a two-hop step
 // costs the plain build two events and the default build one.
@@ -109,31 +100,12 @@ func exactRun(cfg cluster.Config) string {
 // TestChainsExactGolden renders every cell of scenario.Exact, each
 // collective layout under each stack variant, against the golden.
 func TestChainsExactGolden(t *testing.T) {
-	var lines []string
+	if *updateGolden && sleepsElided() {
+		t.Fatal("the golden is the plain build's output: rerun with -tags desplain")
+	}
+	var rows []string
 	for _, s := range scenario.Exact {
-		lines = append(lines, fmt.Sprintf("%s: %s", s.Name, exactRun(s.Config)))
+		rows = append(rows, s.Name+": "+exactRun(s.Config))
 	}
-	if *updateGolden {
-		if sleepsElided() {
-			t.Fatal("the golden is the plain build's output: rerun with -tags desplain")
-		}
-		if err := os.WriteFile(exactGoldenPath, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	raw, err := os.ReadFile(exactGoldenPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n")
-	if len(want) != len(lines) {
-		t.Fatalf("golden has %d cells, this run %d", len(want), len(lines))
-	}
-	for i := range lines {
-		if lines[i] != want[i] {
-			t.Errorf("elided=%v build diverges from the plain build:\n got %s\nwant %s",
-				sleepsElided(), lines[i], want[i])
-		}
-	}
+	golden{"testdata/exact_golden.txt", ""}.check(t, rows)
 }

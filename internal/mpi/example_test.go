@@ -12,6 +12,7 @@ import (
 // InfiniBand fetch-and-add, with no target-side CPU in any data movement.
 func Example_oneSided() {
 	c := cluster.MustNew(cluster.Config{NP: 4, Transport: cluster.TransportZeroCopy})
+	defer c.Close()
 	c.Launch(func(comm *mpi.Comm) {
 		rank, size := comm.Rank(), comm.Size()
 
@@ -81,6 +82,7 @@ func Example_haloExchange() {
 	stencil := func(tr cluster.Transport) uint64 {
 		const np = 8
 		c := cluster.MustNew(cluster.Config{NP: np, Transport: tr})
+		defer c.Close()
 		var sum [np]uint64
 		c.Launch(func(comm *mpi.Comm) {
 			rank, size := comm.Rank(), comm.Size()

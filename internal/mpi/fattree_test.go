@@ -1,7 +1,7 @@
 package mpi_test
 
 import (
-	"strings"
+	"fmt"
 	"testing"
 
 	"repro/internal/cluster"
@@ -14,7 +14,7 @@ import (
 // Fat-tree determinism suite: the blocking switch model adds shared,
 // mutable per-port state (uplink virtual clocks) to the wire, which is
 // exactly the kind of state that could break replay and shard
-// determinism. These tests extend the replay matrix onto contended
+// determinism. These tests carry the replay checks onto contended
 // topologies: serial vs sharded runs must stay bit-identical — the
 // cluster aligns shard boundaries to switch leaves so one engine owns
 // each leaf's port clocks — fault-free and under seeded chaos, and the
@@ -22,24 +22,29 @@ import (
 // "contended" fingerprints would be vacuous).
 
 // TestFatTreeShardedMatchesSerial: on blocking fat-tree topologies the
-// sharded engine must reproduce the serial schedule exactly. Shard counts
-// beyond the leaf count clamp down, so every requested count is safe: a
-// layout that fits one leaf resolves every request to one shard, and
-// there the cell checks that clamp; every other cell runs sharded.
+// sharded engine must reproduce the serial schedule exactly. Shards clamp
+// to the leaf count, so every cell spans two leaves (at d4 only the flat
+// layouts do) and every sharded side must run on more than one shard.
 func TestFatTreeShardedMatchesSerial(t *testing.T) {
-	fabrics := []scenario.Variant{
-		scenario.FatTree(2, 1), // maximally blocking: every leaf pair shares one uplink
-		scenario.FatTree(4, 2),
-	}
-	for _, fb := range fabrics {
-		for _, tp := range scenario.Sharded {
-			s := tp.With(fb)
-			t.Run(strings.TrimPrefix(fb.Name, "fattree-")+"/"+tp.Name, func(t *testing.T) { matchesSerial(t, s) })
+	for _, fb := range []struct {
+		down, up int
+		layouts  []string
+	}{
+		{2, 1, []string{"flat-np5", "flat-np6", "smp-4x2", "smp-uneven-5ranks"}}, // maximally blocking
+		{4, 2, []string{"flat-np5", "flat-np6"}},
+	} {
+		for _, tp := range scenario.Layouts(fb.layouts...) {
+			s := tp.With(scenario.FatTree(fb.down, fb.up))
+			t.Run(fmt.Sprintf("d%d-u%d/%s", fb.down, fb.up, tp.Name), func(t *testing.T) {
+				if matchesSerial(t, s) < 2 {
+					t.Errorf("%s fits one leaf", s.Name)
+				}
+			})
 		}
 	}
 }
 
-// TestFatTreeReplayBitIdentical extends the chaos replay matrix onto the
+// TestFatTreeReplayBitIdentical carries the seeded chaos replay onto the
 // contended model: same seed, same schedule, same trace, serial and
 // configured sharded (replaysSerial).
 func TestFatTreeReplayBitIdentical(t *testing.T) {

@@ -28,9 +28,8 @@ func TestSendRecvAllTransports(t *testing.T) {
 				sizes = []int{0, 1, 4, 1024, 30 << 10}
 			}
 			for _, size := range sizes {
-				c := cluster.MustNew(cluster.Config{NP: 2, Transport: tr})
 				ok := false
-				c.Launch(func(comm *mpi.Comm) {
+				launch(t, scenario.Scenario{Config: cluster.Config{NP: 2, Transport: tr}}, func(comm *mpi.Comm) {
 					switch comm.Rank() {
 					case 0:
 						buf, b := comm.Alloc(size + 1)
@@ -66,9 +65,8 @@ func TestUnexpectedMessageBuffered(t *testing.T) {
 	for _, tr := range []cluster.Transport{cluster.TransportZeroCopy, cluster.TransportCH3} {
 		tr := tr
 		t.Run(tr.String(), func(t *testing.T) {
-			c := cluster.MustNew(cluster.Config{NP: 2, Transport: tr})
 			const size = 2048 // eager on both transports
-			c.Launch(func(comm *mpi.Comm) {
+			launch(t, scenario.Scenario{Config: cluster.Config{NP: 2, Transport: tr}}, func(comm *mpi.Comm) {
 				if comm.Rank() == 0 {
 					buf, b := comm.Alloc(size)
 					for i := range b {
@@ -107,9 +105,8 @@ func TestRendezvousUnexpectedLarge(t *testing.T) {
 	for _, tr := range []cluster.Transport{cluster.TransportZeroCopy, cluster.TransportCH3} {
 		tr := tr
 		t.Run(tr.String(), func(t *testing.T) {
-			c := cluster.MustNew(cluster.Config{NP: 2, Transport: tr})
 			const size = 300 << 10
-			c.Launch(func(comm *mpi.Comm) {
+			launch(t, scenario.Scenario{Config: cluster.Config{NP: 2, Transport: tr}}, func(comm *mpi.Comm) {
 				if comm.Rank() == 0 {
 					buf, b := comm.Alloc(size)
 					rand.New(rand.NewSource(7)).Read(b)
@@ -205,10 +202,9 @@ func TestSendrecvExchange(t *testing.T) {
 }
 
 func TestBarrierSynchronizes(t *testing.T) {
-	c := cluster.MustNew(cluster.Config{NP: 8, Transport: cluster.TransportZeroCopy})
 	var after [8]float64
 	var before [8]float64
-	c.Launch(func(comm *mpi.Comm) {
+	launch(t, scenario.Scenario{Config: cluster.Config{NP: 8, Transport: cluster.TransportZeroCopy}}, func(comm *mpi.Comm) {
 		r := comm.Rank()
 		// Stagger arrivals.
 		comm.Compute(float64(r) * 1e3)
@@ -230,6 +226,7 @@ func TestBarrierSynchronizes(t *testing.T) {
 func TestBcastAllRootsAllSizes(t *testing.T) {
 	for _, np := range []int{2, 4, 5, 8} {
 		c := cluster.MustNew(cluster.Config{NP: np, Transport: cluster.TransportZeroCopy})
+		defer c.Close()
 		for root := 0; root < np; root++ {
 			root := root
 			c.Launch(func(comm *mpi.Comm) {
@@ -255,8 +252,7 @@ func TestBcastAllRootsAllSizes(t *testing.T) {
 func TestReduceAndAllreduce(t *testing.T) {
 	for _, np := range []int{2, 3, 8} {
 		np := np
-		c := cluster.MustNew(cluster.Config{NP: np, Transport: cluster.TransportZeroCopy})
-		c.Launch(func(comm *mpi.Comm) {
+		launch(t, scenario.Scenario{Config: cluster.Config{NP: np, Transport: cluster.TransportZeroCopy}}, func(comm *mpi.Comm) {
 			const n = 64
 			send, sb := comm.Alloc(n * 8)
 			recv, rb := comm.Alloc(n * 8)
@@ -348,9 +344,7 @@ func TestAllgatherRing(t *testing.T) {
 }
 
 func TestAlltoallPairwise(t *testing.T) {
-	c := cluster.MustNew(cluster.Config{NP: 8, Transport: cluster.TransportZeroCopy,
-		Tuning: &mpi.Tuning{Alltoall: "pairwise"}})
-	c.Launch(func(comm *mpi.Comm) {
+	launchTuned(t, scenario.Scenario{Config: cluster.Config{NP: 8, Transport: cluster.TransportZeroCopy}}, &mpi.Tuning{Alltoall: "pairwise"}, func(comm *mpi.Comm) {
 		const n = 1024
 		rank, size := comm.Rank(), comm.Size()
 		send, sb := comm.Alloc(n * size)
@@ -416,10 +410,9 @@ func TestLatencyPiggybackVsBasic(t *testing.T) {
 	// 7.6 µs zero-copy, 4-byte ping-pong, measured here through the MPI
 	// layer alone; bench's claims table holds the same numbers per figure.
 	lat := func(tr cluster.Transport) float64 {
-		c := cluster.MustNew(cluster.Config{NP: 2, Transport: tr})
 		var oneWay float64
 		const iters = 20
-		c.Launch(func(comm *mpi.Comm) {
+		launch(t, scenario.Scenario{Config: cluster.Config{NP: 2, Transport: tr}}, func(comm *mpi.Comm) {
 			buf, _ := comm.Alloc(4)
 			rbuf, _ := comm.Alloc(4)
 			if comm.Rank() == 0 {
@@ -457,9 +450,8 @@ func TestLatencyPiggybackVsBasic(t *testing.T) {
 
 func TestDeterministicAcrossRuns(t *testing.T) {
 	run := func() float64 {
-		c := cluster.MustNew(cluster.Config{NP: 4, Transport: cluster.TransportZeroCopy})
 		var endTime float64
-		c.Launch(func(comm *mpi.Comm) {
+		launch(t, scenario.Scenario{Config: cluster.Config{NP: 4, Transport: cluster.TransportZeroCopy}}, func(comm *mpi.Comm) {
 			buf, _ := comm.Alloc(32 << 10)
 			comm.Bcast(buf, 0)
 			comm.Barrier()

@@ -13,8 +13,7 @@ func TestOneSidedPutGet(t *testing.T) {
 	for _, tr := range []cluster.Transport{cluster.TransportZeroCopy, cluster.TransportCH3, cluster.TransportPipeline} {
 		tr := tr
 		t.Run(tr.String(), func(t *testing.T) {
-			c := cluster.MustNew(cluster.Config{NP: 4, Transport: tr})
-			c.Launch(func(comm *mpi.Comm) {
+			launch(t, scenario.Scenario{Config: cluster.Config{NP: 4, Transport: tr}}, func(comm *mpi.Comm) {
 				const winSize = 4096
 				rank, size := comm.Rank(), comm.Size()
 				winBuf, winBytes := comm.Alloc(winSize)
@@ -125,8 +124,7 @@ func TestOneSidedAtomics(t *testing.T) {
 }
 
 func TestOneSidedBasicTransportRejected(t *testing.T) {
-	c := cluster.MustNew(cluster.Config{NP: 2, Transport: cluster.TransportBasic})
-	c.Launch(func(comm *mpi.Comm) {
+	launch(t, scenario.Scenario{Config: cluster.Config{NP: 2, Transport: cluster.TransportBasic}}, func(comm *mpi.Comm) {
 		buf, _ := comm.Alloc(64)
 		if _, err := comm.WinCreate(buf); err == nil {
 			t.Error("WinCreate on the basic design should fail")
@@ -275,9 +273,7 @@ func TestOneSidedMultiRail(t *testing.T) {
 func TestOneSidedWithRDMADirect(t *testing.T) {
 	tun := mpi.Tuning{Allreduce: "rdma-direct"}
 	const np = 4
-	c := cluster.MustNew(cluster.Config{NP: np, Transport: cluster.TransportZeroCopy, Tuning: &tun})
-	defer c.Close()
-	c.Launch(func(comm *mpi.Comm) {
+	launchTuned(t, scenario.Scenario{Config: cluster.Config{NP: np, Transport: cluster.TransportZeroCopy}}, &tun, func(comm *mpi.Comm) {
 		rank := comm.Rank()
 		right, left := (rank+1)%np, (rank+np-1)%np
 		winBuf, wb := comm.Alloc(64 << 10)

@@ -26,9 +26,8 @@ func TestRandomTrafficProperty(t *testing.T) {
 					// Straddle the 32K threshold: 1 B … 128 KB.
 					sizes[i] = 1 + rng.Intn(128<<10)
 				}
-				c := cluster.MustNew(cluster.Config{NP: 2, Transport: tr})
 				var want, got [][]byte
-				c.Launch(func(comm *mpi.Comm) {
+				launch(t, scenario.Scenario{Config: cluster.Config{NP: 2, Transport: tr}}, func(comm *mpi.Comm) {
 					if comm.Rank() == 0 {
 						var reqs []*mpi.Request
 						for i, s := range sizes {
@@ -48,7 +47,6 @@ func TestRandomTrafficProperty(t *testing.T) {
 						comm.WaitAll(reqs...)
 					}
 				})
-				c.Close()
 				for i := range want {
 					if !bytes.Equal(want[i], got[i]) {
 						t.Fatalf("trial %d msg %d (size %d) corrupted", trial, i, sizes[i])
@@ -83,9 +81,7 @@ func TestBufferReuseProperty(t *testing.T) {
 				sizes[i] = 1 + rng.Intn(160<<10)
 			}
 			tc.cfg.NP = 2
-			c := cluster.MustNew(tc.cfg)
-			defer c.Close()
-			c.Launch(func(comm *mpi.Comm) {
+			launch(t, scenario.Scenario{Config: tc.cfg}, func(comm *mpi.Comm) {
 				buf, b := comm.Alloc(160 << 10)
 				for i, n := range sizes {
 					if comm.Rank() == 0 {
@@ -119,9 +115,8 @@ func TestCollectiveAgreementProperty(t *testing.T) {
 		n := 8 * (1 + rng.Intn(2048)) // multiple of 8 up to 16 KB
 		var reference [][]byte
 		for ti, tr := range []cluster.Transport{cluster.TransportZeroCopy, cluster.TransportCH3} {
-			c := cluster.MustNew(cluster.Config{NP: np, Transport: tr})
 			results := make([][]byte, np)
-			c.Launch(func(comm *mpi.Comm) {
+			launch(t, scenario.Scenario{Config: cluster.Config{NP: np, Transport: tr}}, func(comm *mpi.Comm) {
 				rank := comm.Rank()
 				send, sb := comm.Alloc(n)
 				for i := 0; i < n/8; i++ {
@@ -138,7 +133,6 @@ func TestCollectiveAgreementProperty(t *testing.T) {
 				copy(out[n:], ab)
 				results[rank] = out
 			})
-			c.Close()
 			// Every rank must agree with rank 0.
 			for r := 1; r < np; r++ {
 				if !bytes.Equal(results[0], results[r]) {
@@ -169,10 +163,8 @@ func TestCollectiveAgreementProperty(t *testing.T) {
 // eager and rendezvous paths.
 func TestManyRanksStress(t *testing.T) {
 	const np = 8
-	c := cluster.MustNew(cluster.Config{NP: np, Transport: cluster.TransportZeroCopy})
-	defer c.Close()
 	var ok [np]bool
-	c.Launch(func(comm *mpi.Comm) {
+	launch(t, scenario.Scenario{Config: cluster.Config{NP: np, Transport: cluster.TransportZeroCopy}}, func(comm *mpi.Comm) {
 		rank := comm.Rank()
 		var reqs []*mpi.Request
 		recvBufs := make([][]byte, np)

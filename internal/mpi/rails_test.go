@@ -17,10 +17,8 @@ func railChecksum(t *testing.T, tp scenario.Scenario, tr cluster.Transport, rail
 	t.Helper()
 	cfg := tp.Config
 	cfg.RailsPerNode, cfg.Transport = rails, tr
-	c := cluster.MustNew(cfg)
-	defer c.Close()
 	sums := make([]uint64, tp.Config.NP)
-	c.Launch(func(comm *mpi.Comm) {
+	launch(t, scenario.Scenario{Config: cfg}, func(comm *mpi.Comm) {
 		const small, large = 2000, 80 << 10
 		rank, np := comm.Rank(), comm.Size()
 		next, prev := (rank+1)%np, (rank+np-1)%np
@@ -97,9 +95,7 @@ func TestRailSweepAllTopologies(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/rails=%d", tp.Name, rails), func(t *testing.T) {
 				cfg := tp.Config
 				cfg.RailsPerNode = rails
-				c := cluster.MustNew(cfg)
-				defer c.Close()
-				c.Launch(func(comm *mpi.Comm) {
+				launch(t, scenario.Scenario{Config: cfg}, func(comm *mpi.Comm) {
 					buf, b := comm.Alloc(48 << 10)
 					if comm.Rank() == 0 {
 						for i := range b {

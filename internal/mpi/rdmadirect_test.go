@@ -124,11 +124,7 @@ func TestRDMADirectCapability(t *testing.T) {
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			tun := mpi.Tuning{Allreduce: "rdma-direct"}
-			tc.cfg.Tuning = &tun
-			c := cluster.MustNew(tc.cfg)
-			defer c.Close()
-			c.Launch(func(comm *mpi.Comm) {
+			launchTuned(t, scenario.Scenario{Config: tc.cfg}, &mpi.Tuning{Allreduce: "rdma-direct"}, func(comm *mpi.Comm) {
 				if got := comm.AlgorithmApplicable("allreduce", "rdma-direct"); got != tc.want {
 					t.Errorf("rank %d: applicable = %v, want %v", comm.Rank(), got, tc.want)
 				}

@@ -2,8 +2,8 @@ package mpi_test
 
 import (
 	"fmt"
-	"os"
-	"strings"
+	"hash/fnv"
+	"strconv"
 	"testing"
 
 	"repro/internal/cluster"
@@ -62,34 +62,9 @@ func replayRun(t *testing.T, cfg cluster.Config) replayTrace {
 }
 
 func fnv64(b []byte) uint64 {
-	h := uint64(14695981039346656037)
-	for _, c := range b {
-		h = (h ^ uint64(c)) * 1099511628211
-	}
-	return h
-}
-
-// TestReplayMatrixBitIdentical is the deterministic-replay suite: for
-// every collective topology and rail count, the same fault seed and
-// schedule must reproduce the run exactly — identical final simulated
-// time, identical DES event fingerprint, identical payload checksums.
-func TestReplayMatrixBitIdentical(t *testing.T) {
-	for _, tp := range scenario.Collectives {
-		tp := tp
-		for _, rails := range []int{1, 2, 4} {
-			rails := rails
-			t.Run(fmt.Sprintf("%s/rails=%d", tp.Name, rails), func(t *testing.T) {
-				chaos := scenario.Chaos(rails, 100)
-				a, b := replayRun(t, chaos.On(tp.Config)), replayRun(t, chaos.On(tp.Config))
-				if a != b {
-					t.Fatalf("replay diverged:\nrun1 %+v\nrun2 %+v", a, b)
-				}
-				if a.payload == 0 {
-					t.Fatal("payload checksum degenerate — workload did not run")
-				}
-			})
-		}
-	}
+	h := fnv.New64a()
+	h.Write(b)
+	return h.Sum64()
 }
 
 // TestReplayDistinctSeedsDiverge guards the witness itself: if two
@@ -108,60 +83,44 @@ func TestReplayDistinctSeedsDiverge(t *testing.T) {
 	}
 }
 
-const replayGoldenPath = "testdata/replay_golden.txt"
-
-// TestReplayGolden pins the replay traces across commits, which
-// TestReplayMatrixBitIdentical (a build against itself) cannot: every
-// collective topology, fault-free on one rail and under its seeded chaos
-// plan on two, against testdata/replay_golden.txt. A change that claims
-// "every fingerprint identical" leaves the file alone and passes here.
-// Fingerprints and event counts depend on whether sleeps are elided
-// (DESIGN.md §16), so the file holds an "elided" and a "plain" row per
-// cell; each build checks its own, and go test [-tags desplain] -run
-// TestReplayGolden ./internal/mpi/ -update rewrites only its own.
+// TestReplayGolden pins the replay traces of every collective layout,
+// fault-free and under its seeded chaos plan on one, two and four rails,
+// across commits, so a nondeterministic run fails it. Fingerprints and
+// event counts depend on whether sleeps are elided (DESIGN.md §16), so each
+// build checks and rewrites (-update -v) its own rows.
 func TestReplayGolden(t *testing.T) {
 	build := "plain"
 	if sleepsElided() {
 		build = "elided"
 	}
-	raw, err := os.ReadFile(replayGoldenPath)
-	if err != nil && !*updateGolden {
-		t.Fatal(err)
-	}
-	want := map[string]string{} // this build's rows by cell
-	var other []string          // the other build's rows, kept by -update
-	for _, l := range strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n") {
-		if cell, ok := strings.CutPrefix(l, build+" "); ok {
-			cell, _, _ = strings.Cut(cell, ": ")
-			want[cell] = l
-		} else if l != "" {
-			other = append(other, l)
-		}
-	}
-	var lines []string
+	var rows []string
 	for _, s := range scenario.Replay {
 		t.Run(s.Name, func(t *testing.T) {
 			tr := replayRun(t, s.Config)
 			if tr.payload == 0 {
 				t.Fatal("payload checksum degenerate — workload did not run")
 			}
-			line := fmt.Sprintf("%s %s: fp=%016x events=%d time=%d payload=%016x",
-				build, s.Name, tr.fp, tr.events, int64(tr.finalTime), tr.payload)
-			lines = append(lines, line)
-			if !*updateGolden && line != want[s.Name] {
-				t.Errorf("replay drifted from the committed golden:\n got %s\nwant %s", line, want[s.Name])
-			}
+			rows = append(rows, fmt.Sprintf("%s %s: fp=%016x events=%d time=%d payload=%016x",
+				build, s.Name, tr.fp, tr.events, int64(tr.finalTime), tr.payload))
 		})
 	}
+	base := golden{"testdata/replay_golden.txt", build + " "}.check(t, rows)
 	if *updateGolden {
-		all := append(lines, other...) // elided rows first
-		if build == "plain" {
-			all = append(other, lines...)
+		return
+	}
+	// The committed builds must agree on every simulated value, and elision
+	// must elide: never more events, and fewer wherever a cell spans nodes
+	// (one node has no ring to elide). A missing row reads as empty values.
+	cells := map[string]map[string]string{}
+	for _, r := range base {
+		cells[goldenKey(r)] = goldenFields(r)
+	}
+	for _, s := range scenario.Replay {
+		e, p := cells["elided "+s.Name], cells["plain "+s.Name]
+		ee, _ := strconv.Atoi(e["events"])
+		pe, _ := strconv.Atoi(p["events"])
+		if e["time"] != p["time"] || e["payload"] != p["payload"] || ee > pe || ee == pe && s.Nodes() > 1 {
+			t.Errorf("%s: the builds disagree or elision elides nothing: elided %v, plain %v", s.Name, e, p)
 		}
-		if err := os.WriteFile(replayGoldenPath, []byte(strings.Join(all, "\n")+"\n"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	} else if len(want) != len(lines) {
-		t.Errorf("golden has %d %s cells, this run %d", len(want), build, len(lines))
 	}
 }

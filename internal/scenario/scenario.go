@@ -175,10 +175,14 @@ var Exact = func() (out []Scenario) {
 }()
 
 // Replay is the replay golden's cells: every collective layout
-// fault-free, then under Faults.
+// fault-free, then under its seeded chaos plan on two rails (Faults), one
+// and four.
 var Replay = func() (out []Scenario) {
 	for _, l := range Collectives {
 		out = append(out, l, l.With(Faults))
+		for _, rails := range []int{1, 4} {
+			out = append(out, l.With(Variant{fmt.Sprintf("faults-rails%d", rails), Chaos(rails, 100).Apply}))
+		}
 	}
 	return out
 }()
