@@ -83,6 +83,20 @@ func TestReplayDistinctSeedsDiverge(t *testing.T) {
 	}
 }
 
+// TestReplayMatrixBitIdentical runs each collective layout's two-rail chaos
+// cell, the golden's */faults row, twice in one process: the golden pins it
+// across commits, this within one, so a divergence shows without -update.
+func TestReplayMatrixBitIdentical(t *testing.T) {
+	for _, tp := range scenario.Collectives {
+		t.Run(tp.Name+"/rails=2", func(t *testing.T) {
+			cfg := scenario.Faults.On(tp.Config)
+			if a, b := replayRun(t, cfg), replayRun(t, cfg); a != b {
+				t.Fatalf("replay diverged:\nrun1 %+v\nrun2 %+v", a, b)
+			}
+		})
+	}
+}
+
 // TestReplayGolden pins the replay traces of every collective layout,
 // fault-free and under its seeded chaos plan on one, two and four rails,
 // across commits, so a nondeterministic run fails it. Fingerprints and
