@@ -17,9 +17,10 @@
 //	enginebench -np 1024 -cpuprofile cpu.prof              # profile the run
 //
 // In comparison mode the simulated metrics and the harness's own counts
-// (events by kind, progress) must match the baseline exactly — a mismatch
-// means the simulation changed, which is never a mere performance
-// regression — and wall-clock-per-simulated-second may not regress beyond
+// (events by kind, back-to-back sleeps, progress) must match the baseline
+// exactly — a mismatch means the simulation changed, which is never a mere
+// performance regression — the live heap per rank must stay within 2 % of
+// it, and wall-clock-per-simulated-second may not regress beyond
 // -tolerance. A measured row missing from the baseline also fails: new
 // np/shards combinations are admitted deliberately with -out -merge, never
 // silently; an -out over a file prints a census of what moved. Exits
@@ -102,7 +103,7 @@ func run() int {
 			for s := des.Site(0); s < des.NumSites; s++ {
 				fmt.Printf(" %s=%d", s, r.SwitchBySite[s.String()])
 			}
-			fmt.Println()
+			fmt.Printf("; back-to-back sleeps=%d\n", r.BackToBack)
 			fmt.Printf("  progress: passes=%d endpoint-polls=%d (%d moved something) idle-asks=%d wakes=%d (%d empty)",
 				r.Progress.Passes, r.Progress.Polls, r.Progress.PollHits, r.Progress.IdleAsks,
 				r.Progress.Wakes, r.Progress.EmptyWakes)

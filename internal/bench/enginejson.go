@@ -51,12 +51,16 @@ type EngineRun struct {
 	WallPerSimSec float64 `json:"wall_per_simulated_sec"`
 	Repeats       int     `json:"repeats"`
 
-	// Compared exactly: Events by what each dispatch cost the harness, and
-	// the progress loops' own work. Reported, not compared: the switches by
-	// the site the resumed process paused at, and the heap still live when
-	// the kernel returns (after a GC, cluster not yet closed) per rank.
+	// Compared exactly: Events by what each dispatch cost the harness, the
+	// sleeps that began right after a sleep with nothing scheduled between
+	// (des.Engine.BackToBackSleeps: charges a fold could still merge), and
+	// the progress loops' own work. Compared within heapTolerance: the heap
+	// still live when the kernel returns (after a GC, cluster not yet
+	// closed) per rank. Reported, not compared: the switches by the site
+	// the resumed process paused at.
 	ByKind       *des.EventCounts         `json:"events_by_kind,omitempty"`
 	SwitchBySite map[string]uint64        `json:"switch_by_site,omitempty"`
+	BackToBack   uint64                   `json:"back_to_back_sleeps,omitempty"`
 	HeapPerRank  uint64                   `json:"heap_live_bytes_per_rank,omitempty"`
 	Progress     *transport.ProgressStats `json:"progress,omitempty"`
 
@@ -80,6 +84,11 @@ func (r EngineRun) scope() string { return r.key() }
 
 func (EngineRun) schema() string { return "mpich2ib/engine-bench/v1" }
 
+// heapTolerance is how far a row's live heap per rank may sit from the
+// baseline's, relative to it. Ten runs of each rank count spread by 0.63 %
+// (np=64), 0.13 % (np=256) and 0.03 % (np=1024); a +5 % heap fails.
+const heapTolerance = 0.02
+
 func (r EngineRun) diff(b EngineRun) []Delta {
 	var ds []Delta
 	add := func(name string, cur, base any) {
@@ -92,7 +101,12 @@ func (r EngineRun) diff(b EngineRun) []Delta {
 	add("sim", r.SimSeconds, b.SimSeconds)
 	add("verified", r.Verified, b.Verified)
 	diffFields(add, "events_by_kind", r.ByKind, b.ByKind)
+	add("back_to_back_sleeps", r.BackToBack, b.BackToBack)
 	diffFields(add, "progress", r.Progress, b.Progress)
+	if cur, base := float64(r.HeapPerRank), float64(b.HeapPerRank); math.Abs(cur-base) > heapTolerance*base {
+		ds = append(ds, Delta{"heap", fmt.Sprintf("%-8s %d B/rank, baseline %d (±%.0f %%)",
+			"heap", r.HeapPerRank, b.HeapPerRank, 100*heapTolerance)})
+	}
 	return ds
 }
 
@@ -167,11 +181,13 @@ func measureEngineOnce(benchName string, class nas.Class, np, shards int) Engine
 	defer c.Close()
 	c.Eng.EnableTrace()
 	ev0, sites0, win0, sim0 := c.Eng.EventCounts(), c.Eng.SwitchesBySite(), c.Eng.WindowStats(), c.Now()
+	b2b0 := c.Eng.BackToBackSleeps()
 	start := time.Now()
 	res := nas.RunOn(c, benchName, class)
 	run.WallSeconds = time.Since(start).Seconds()
 	kinds, prog := c.Eng.EventCounts().Sub(ev0), c.ProgressStats()
 	run.ByKind, run.Progress, run.Events, run.Windows = &kinds, &prog, kinds.Total(), c.Eng.WindowStats().Sub(win0)
+	run.BackToBack = c.Eng.BackToBackSleeps() - b2b0
 	run.SwitchBySite = make(map[string]uint64)
 	for s, n := range c.Eng.SwitchesBySite() {
 		run.SwitchBySite[des.Site(s).String()] = n - sites0[s]

@@ -182,7 +182,9 @@ func TestEngineLegacyRowAliasesSerial(t *testing.T) {
 // TestEngineCountsGated: the harness's own deterministic counts are exact
 // fields. A committed row against a copy of itself with one events_by_kind
 // field edited fails the gate on that field alone, naming both values, and
-// the census names the row and the field; a progress field is gated alike.
+// the census names the row and the field; a progress field and the
+// back-to-back sleeps are gated alike. The live heap fails at 5 % off and
+// passes at 1 %.
 func TestEngineCountsGated(t *testing.T) {
 	committed, err := readReport[EngineRun](filepath.Join("..", "..", "BENCH_engine.json"))
 	if err != nil {
@@ -211,6 +213,10 @@ func TestEngineCountsGated(t *testing.T) {
 			fmt.Sprintf("events_by_kind.switch %d, baseline %d", row.ByKind.Switch, row.ByKind.Switch+1)},
 		{func(r *EngineRun) { r.Progress.Passes-- },
 			fmt.Sprintf("progress.passes %d, baseline %d", row.Progress.Passes, row.Progress.Passes-1)},
+		{func(r *EngineRun) { r.BackToBack++ },
+			fmt.Sprintf("back_to_back_sleeps %d, baseline %d", row.BackToBack, row.BackToBack+1)},
+		{func(r *EngineRun) { r.HeapPerRank = row.HeapPerRank * 100 / 105 }, // measured +5 %
+			fmt.Sprintf("heap     %d B/rank, baseline %d (±2 %%)", row.HeapPerRank, row.HeapPerRank*100/105)},
 	} {
 		errs := cur.compare(edited(tc.edit), math.Inf(1))
 		if len(errs) != 1 || !strings.Contains(errs[0].Error(), "diverge from baseline:\n  "+tc.want) ||
@@ -223,8 +229,8 @@ func TestEngineCountsGated(t *testing.T) {
 			t.Errorf("census does not name row %s and field %s:\n%s", row.key(), f, &census)
 		}
 	}
-	if errs := cur.compare(edited(func(*EngineRun) {}), math.Inf(1)); len(errs) != 0 {
-		t.Errorf("an unedited copy fails the gate: %v", errs)
+	if errs := cur.compare(edited(func(r *EngineRun) { r.HeapPerRank = row.HeapPerRank * 100 / 101 }), math.Inf(1)); len(errs) != 0 {
+		t.Errorf("a copy whose heap is 1 %% off fails the gate: %v", errs)
 	}
 }
 

@@ -196,7 +196,7 @@ func New(cfg Config) (*Cluster, error) {
 					}
 					// The rank's transport engine polls each pool once per
 					// progress pass, ahead of the connections.
-					c.Ranks[r].AddSharedPoll(pool.Poll)
+					c.Ranks[r].AddSharedPoll(pool)
 					c.pools[r][k] = pool
 				}
 			}

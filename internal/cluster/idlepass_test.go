@@ -248,10 +248,10 @@ func TestIdlePassCollectivesPinned(t *testing.T) {
 		parent       transport.ProgressStats
 	}{
 		{scenario.Layout("smp-4x4"), 8,
-			28922757, 24121, transport.ProgressStats{Passes: 800, Polls: 923, PollHits: 923, IdleAsks: 2845, Wakes: 357, EmptyWakes: 97},
+			28922757, 23001, transport.ProgressStats{Passes: 800, Polls: 923, PollHits: 923, IdleAsks: 2845, Wakes: 357, EmptyWakes: 97},
 			27085, transport.ProgressStats{Passes: 1492, Polls: 5125, PollHits: 925, IdleAsks: 19493}},
 		{scenario.Layout("flat-np16").With(scenario.FatTree(4, 1)), 0,
-			33907986, 30323, transport.ProgressStats{Passes: 904, Polls: 982, PollHits: 982, IdleAsks: 2958, Wakes: 378},
+			33907986, 28726, transport.ProgressStats{Passes: 904, Polls: 982, PollHits: 982, IdleAsks: 2958, Wakes: 378},
 			30323, transport.ProgressStats{Passes: 904, Polls: 982, PollHits: 982, IdleAsks: 14395}},
 	} {
 		c := cluster.MustNew(w.s.Config)
@@ -267,7 +267,9 @@ func TestIdlePassCollectivesPinned(t *testing.T) {
 
 // TestReadySetSRQ pins the ready set (DESIGN.md §18) on the lazy SRQ stack
 // against the engine that polled every connection every pass: the finish
-// times and event counts below were measured at the commit before it.
+// times below were measured at the commit before it. The event counts are
+// those of the folded charges (DESIGN.md §16 "Where it is used", items 4
+// and 5), which moved no finish time.
 //
 // A 16 KB allgather at np=32 is all rendezvous — every CTS and FIN is queued
 // from HandleSRQPacket inside the shared pool poll and goes out in the pass
@@ -300,8 +302,8 @@ func TestReadySetSRQ(t *testing.T) {
 		t.Errorf("allgather: %d passes made %d endpoint polls (%d moved something), want none",
 			st.Passes, st.Polls, st.PollHits)
 	}
-	if now, ev := c.Now(), c.Eng.EventsExecuted(); now != 5071292 || ev != 57889 {
-		t.Errorf("allgather finished at %d ns after %d events, want 5071292 ns, 57889 events", now, ev)
+	if now, ev := c.Now(), c.Eng.EventsExecuted(); now != 5071292 || ev != 52961 {
+		t.Errorf("allgather finished at %d ns after %d events, want 5071292 ns, 52961 events", now, ev)
 	}
 
 	const msgs = 256
@@ -332,8 +334,8 @@ func TestReadySetSRQ(t *testing.T) {
 		t.Errorf("burst: %d endpoint polls, %d moved something; want stalled sends retried by a few polls",
 			st.Polls, st.PollHits)
 	}
-	if now, ev := c.Now(), c.Eng.EventsExecuted(); now != 5544881 || ev != 62312 {
-		t.Errorf("burst finished at %d ns after %d events, want 5544881 ns, 62312 events", now, ev)
+	if now, ev := c.Now(), c.Eng.EventsExecuted(); now != 5544881 || ev != 56772 {
+		t.Errorf("burst finished at %d ns after %d events, want 5544881 ns, 56772 events", now, ev)
 	}
 }
 
@@ -376,5 +378,69 @@ func TestIdlePassSMPWriteWakesOnlyItsRank(t *testing.T) {
 	if got := passes(); events != wantEvents || before != park || got != done {
 		t.Errorf("ranks 2 and 3 parked after %v passes and finished after %v, in a run of %d events; want %v, %v, %d",
 			before, got, events, park, done, wantEvents)
+	}
+}
+
+// TestWakePassFoldsFirstCharge pins the woken pass (DESIGN.md §16, item 4):
+// a rank whose watch wakes it with a completion at the head of its SRQ
+// pool's CQ sleeps the poll detection and that completion's reap as one
+// chain. Probes notify the receiver's watch once, at every 25 ns between
+// the send and the receive's return. One that lands in the detection of the
+// wake that takes the message cuts the chain there, and the pass runs as
+// written: the reap is an event of its own, so the run costs the probe's
+// event and one more. From there on no probe moves the receive's return.
+// (A probe before the message lands may: it wakes the rank early, and the
+// message can land during that wake's detection. A scan at 5 ns gives the
+// same return for every probe in the desplain build.)
+func TestWakePassFoldsFirstCharge(t *testing.T) {
+	type result struct {
+		sent, done     des.Time
+		events, cutOff uint64
+	}
+	run := func(notifyAt des.Time) (r result) {
+		c := cluster.MustNew(scenario.LazySRQ.On(cluster.Config{NP: 2}))
+		defer c.Close()
+		if notifyAt > 0 {
+			c.Eng.Schedule(notifyAt, c.Ranks[1].Watch().Notify)
+		}
+		c.Launch(func(comm *mpi.Comm) {
+			buf, b := comm.Alloc(8)
+			comm.Barrier() // connects the pair
+			if comm.Rank() == 0 {
+				comm.Proc().Sleep(10 * des.Microsecond)
+				r.sent, b[0] = comm.Proc().Now(), 42
+				comm.Send(buf, 1, 7)
+				return
+			}
+			comm.Recv(buf, 0, 7)
+			if b[0] != 42 {
+				t.Errorf("notify at %v: received %d, want 42", notifyAt, b[0])
+			}
+			r.done = comm.Proc().Now()
+		})
+		n := c.Eng.EventCounts()
+		r.events, r.cutOff = n.Total(), n.CutOff
+		return r
+	}
+	base := run(0)
+	if base.cutOff != 0 {
+		t.Fatalf("undisturbed run cut %d chains", base.cutOff)
+	}
+	cuts := 0
+	for at := base.sent; at < base.done; at += 25 * des.Nanosecond {
+		r := run(at)
+		if r.cutOff > 0 {
+			cuts++
+			if r.events != base.events+2 {
+				t.Errorf("notify at %v cut a chain: %d events, want %d + 2", at, r.events, base.events)
+			}
+		}
+		if cuts > 0 && r.done != base.done {
+			t.Errorf("notify at %v: receive returned at %v, want %v", at, r.done, base.done)
+		}
+	}
+	// PollDetect is 150 ns: six probes fall in the detection.
+	if cuts != 6 {
+		t.Errorf("%d probes cut a woken pass's chain, want 6", cuts)
 	}
 }

@@ -77,15 +77,23 @@ func (w *Watch) Seq() uint64 { return w.seq }
 // poll-detection latency. If one already happened after seq was read, it
 // returns at once.
 func (w *Watch) WaitSince(p *des.Proc, seq uint64) {
-	for w.seq == seq {
-		w.cond.Wait(p)
-	}
+	w.Await(p, seq)
 	p.Sleep(w.node.Params.PollDetect)
 }
 
+// Await is WaitSince without the poll-detection charge, for a caller that
+// sleeps the charge in a chain of its own (transport.Engine's woken pass).
+func (w *Watch) Await(p *des.Proc, seq uint64) {
+	for w.seq == seq {
+		w.cond.Wait(p)
+	}
+}
+
 // Wait blocks until pred() becomes true, re-evaluating after every
-// notification, then charges the poll-detection latency.
+// notification, then charges the poll-detection latency. A charge the
+// caller deferred is paid before pred is first read.
 func (w *Watch) Wait(p *des.Proc, pred func() bool) {
+	p.Settle()
 	for !pred() {
 		w.cond.Wait(p)
 	}

@@ -132,3 +132,40 @@ func TestGrownScratchBacksWhatItHolds(t *testing.T) {
 		}
 	})
 }
+
+// TestFreeBacksWhatItHolds: a communicator from Split backs its
+// collective scratch until Free (MPI_Comm_free) drops it. After a 64 KB
+// Allreduce on each half of the world, every rank's half backs at least
+// 128 KB of scratch in full; Free leaves each slot backing nothing and
+// still mapped at its address.
+func TestFreeBacksWhatItHolds(t *testing.T) {
+	const np, n = 4, 64 << 10
+	c := cluster.MustNew(cluster.Config{NP: np, Transport: cluster.TransportZeroCopy})
+	defer c.Close()
+	c.Launch(func(comm *mpi.Comm) {
+		half := comm.Split(comm.Rank()%2, comm.Rank())
+		send, _ := comm.Alloc(n)
+		recv, _ := comm.Alloc(n)
+		half.Allreduce(send, recv, mpi.Byte, mpi.Sum)
+		mem := c.Nodes[c.NodeOf(comm.Rank())].Mem
+		scr, held := mpi.ScratchBuffers(half), 0
+		for _, b := range scr {
+			if got := mem.Backed(b.Addr); got != b.Len {
+				t.Errorf("rank %d: a %d-byte scratch slot backs %d bytes before Free", comm.Rank(), b.Len, got)
+			}
+			held += b.Len
+		}
+		if held < 2*n {
+			t.Errorf("rank %d: the half backs %d bytes of scratch, want at least %d", comm.Rank(), held, 2*n)
+		}
+		half.Free()
+		for _, b := range scr {
+			if got := mem.Backed(b.Addr); got != 0 {
+				t.Errorf("rank %d: freed scratch at %#x backs %d bytes", comm.Rank(), b.Addr, got)
+			}
+			if err := mem.Check(b.Addr, b.Len); err != nil {
+				t.Errorf("rank %d: freed scratch at %#x unmapped: %v", comm.Rank(), b.Addr, err)
+			}
+		}
+	})
+}

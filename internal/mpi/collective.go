@@ -56,6 +56,11 @@ type scratch struct {
 	reqs []*Request // a collective's posted requests, which finishAll waits for
 }
 
+// slots lists the scratch slots.
+func (s *scratch) slots() []*scratchBuf {
+	return []*scratchBuf{&s.token, &s.in, &s.acc, &s.tmp, &s.part, &s.bruck, &s.split, &s.table}
+}
+
 // scratchBuf is one scratch slot: a one-slot region of node memory
 // (model.Memory.AllocSlots), so that its host backing can be dropped while
 // its address, which the pin-down cache knows it by, stays.
@@ -70,6 +75,7 @@ type scratchBuf struct {
 // allocations, and with them simulated time, are what they were.
 func (c *Comm) scratch(slot *scratchBuf, n int) Buffer {
 	if slot.buf.Len < n {
+		c.p.Settle() // as in Alloc
 		slot.drop()
 		c.allocs++
 		va, back := c.eng.Node().Mem.AllocSlots(1, n)

@@ -59,6 +59,17 @@ func (c *Comm) Dup() *Comm {
 	return c.derive(group, c.rank, base, base+1)
 }
 
+// Free releases the communicator (MPI_Comm_free): every collective scratch
+// slot gives its host backing back (model.Slots.Drop), while its address
+// range stays mapped, since the pin-down cache knows it by address. It
+// sends nothing and charges no simulated time. As in MPI, the caller's
+// operations on c must have completed, and c is not used afterwards.
+func (c *Comm) Free() {
+	for _, s := range c.scr.slots() {
+		s.drop()
+	}
+}
+
 // Split partitions c into disjoint sub-communicators, one per distinct
 // color, ordering each by (key, rank in c). It returns the caller's
 // sub-communicator, with topology recomputed over its members so

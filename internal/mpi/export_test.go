@@ -4,8 +4,7 @@ package mpi
 // holds, each at its full size.
 func ScratchBuffers(c *Comm) []Buffer {
 	var out []Buffer
-	for _, s := range []scratchBuf{c.scr.token, c.scr.in, c.scr.acc, c.scr.tmp,
-		c.scr.part, c.scr.bruck, c.scr.split, c.scr.table} {
+	for _, s := range c.scr.slots() {
 		if s.buf.Len > 0 {
 			out = append(out, s.buf)
 		}

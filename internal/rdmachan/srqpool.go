@@ -55,6 +55,11 @@ type SRQPool struct {
 	limitFn func() // persistent low-watermark handler (re-armed, not rebuilt)
 	lastSeq uint64 // the watch's seq at the last poll
 
+	// What the last Ready read: the watch's seq, and whether the receive
+	// CQ was empty, so the send CQ's head was the first reap.
+	readySeq  uint64
+	readySend bool
+
 	regc  *regcache.Cache
 	onErr func(error)
 	stats SRQPoolStats
@@ -260,7 +265,7 @@ func (sp *SRQPool) SendPkt(p *des.Proc, qp *ib.QP, pkt []byte,
 // free list is dry. A false return is a stall, not charged.
 func (sp *SRQPool) takeSlot(p *des.Proc) (int, bool) {
 	if len(sp.sendFree) == 0 {
-		sp.drainSend(p)
+		sp.drainSend(p, false)
 		if len(sp.sendFree) == 0 {
 			return 0, false
 		}
@@ -299,8 +304,9 @@ func (sp *SRQPool) fail(err error) {
 // drainSend reaps the shared send CQ: completions of routed work
 // (rendezvous writes) go to their class's handler, a staged packet's WRID is
 // its staging slot — the slot returns to the free list and the packet's
-// callback (a FIN's ack, say) runs.
-func (sp *SRQPool) drainSend(p *des.Proc) bool {
+// callback (a FIN's ack, say) runs. With paid set the first reap's charge
+// has been slept.
+func (sp *SRQPool) drainSend(p *des.Proc, paid bool) bool {
 	prog := false
 	for {
 		cqe, ok := sp.scq.TryPoll()
@@ -308,7 +314,10 @@ func (sp *SRQPool) drainSend(p *des.Proc) bool {
 			return prog
 		}
 		prog = true
-		p.Sleep(sp.prm.CQPollOverhead)
+		if !paid {
+			p.Sleep(sp.prm.CQPollOverhead)
+		}
+		paid = false
 		if sp.route(p, cqe) {
 			continue
 		}
@@ -335,6 +344,18 @@ func (sp *SRQPool) drainSend(p *des.Proc) bool {
 	}
 }
 
+// Ready is the pool's ready answer (transport.SharedPoll): a pass started
+// now would first reap the head of the receive CQ, or of the send CQ when
+// the receive CQ is empty, and pay CQPollOverhead for it. Only this pool
+// reaps its CQs, so that head stays the head until the pass reaps it, and
+// every completion notifies the rank's watch: a pass started later, with no
+// notification in between, would read the same.
+func (sp *SRQPool) Ready() (des.Step, bool) {
+	sp.readySeq, sp.readySend = sp.watch.Seq(), sp.rcq.Len() == 0
+	ok := !(sp.everSeen && sp.readySeq == sp.lastSeq) && sp.rcq.Len()+sp.scq.Len() > 0
+	return des.Step{D: sp.prm.CQPollOverhead, Hops: 1}, ok && sp.prm.CQPollOverhead > 0
+}
+
 // Poll advances the pool one pass: dispatch every arrived packet to its
 // connection, repost the consumed slots (the refill half of the SRQ flow
 // control), re-arm the low-watermark event, and reap send completions.
@@ -343,21 +364,30 @@ func (sp *SRQPool) drainSend(p *des.Proc) bool {
 // work ahead of the connections (transport.Engine.AddSharedPoll); the
 // rank's watch (notified by every CQE of both shared CQs) gates the idle
 // passes — no activity since the last drain means both are still empty.
-func (sp *SRQPool) Poll(p *des.Proc) bool {
+// With paid set, the pass is the one Ready answered for, whose first reap
+// the engine has slept: it reads the watch's seq and CQ that Ready read.
+func (sp *SRQPool) Poll(p *des.Proc, paid bool) bool {
 	seq := sp.watch.Seq()
-	if sp.everSeen && seq == sp.lastSeq {
+	if paid {
+		seq = sp.readySeq
+	} else if sp.everSeen && seq == sp.lastSeq {
 		return false
 	}
 	sp.everSeen = true
 	sp.lastSeq = seq
 	prog := false
-	for {
+	// A paid reap on the send CQ: Ready found the receive CQ empty, and what
+	// has landed there since is the next pass's.
+	for !(paid && sp.readySend) {
 		cqe, ok := sp.rcq.TryPoll()
 		if !ok {
 			break
 		}
 		prog = true
-		p.Sleep(sp.prm.CQPollOverhead)
+		if !paid {
+			p.Sleep(sp.prm.CQPollOverhead)
+		}
+		paid = false
 		if cqe.Status != ib.StatusSuccess {
 			sp.fail(fmt.Errorf("rdmachan(srq): recv completed %v", cqe.Status))
 			return prog
@@ -378,7 +408,7 @@ func (sp *SRQPool) Poll(p *des.Proc) bool {
 		sp.stats.Reposts++
 	}
 	sp.arm()
-	if sp.drainSend(p) {
+	if sp.drainSend(p, paid) {
 		prog = true
 	}
 	return prog

@@ -83,6 +83,12 @@ type Engine struct {
 	hca   *ib.HCA
 	watch *model.Watch // the rank's: everything it polls notifies it
 	woke  bool         // a blocking wait returned since the last pass
+	paid  bool         // ... and slept the next pass's first charge (wait)
+
+	// The woken pass's chain (wait), and the watch's count read before it,
+	// which the paid pass starts from.
+	wakeSteps [2]des.Step
+	paidSeq   uint64
 
 	// Endpoint slots are sparse: sorted parallel slices holding only the
 	// peers this rank has an established endpoint to. A 4096-rank job's
@@ -113,7 +119,7 @@ type Engine struct {
 	// shared holds progress work common to every endpoint of this rank
 	// (the SRQ pools): Progress runs each once per pass, instead of every
 	// connection on a pool re-polling it.
-	shared []func(p *des.Proc) bool
+	shared []SharedPoll
 
 	prq []*Request // posted receives
 	uq  []*uqEntry
@@ -240,11 +246,24 @@ func (e *Engine) hold(i int, a idleAnswer) {
 	e.held[i] = a
 }
 
+// SharedPoll is rank-wide progress work (an SRQ pool, rdmachan.SRQPool)
+// that Progress runs once per pass, before the per-endpoint polls.
+type SharedPoll interface {
+	// Ready reports the charge a pass started now would pay first, if
+	// nothing the pass reads before paying it can change without a
+	// notification of the rank's watch, and that charge is a positive
+	// sleep (DESIGN.md §18, the ready answer).
+	Ready() (des.Step, bool)
+	// Poll runs the work. With paid set, the charge the last Ready named
+	// has been slept, and the work starts from the state Ready saw.
+	Poll(p *des.Proc, paid bool) bool
+}
+
 // AddSharedPoll registers rank-wide progress work that Progress runs once
 // per pass, before the per-endpoint polls. Endpoints whose heavy lifting
 // lives in a shared structure (SRQ pools) register it here and keep their
 // own Poll connection-local.
-func (e *Engine) AddSharedPoll(f func(p *des.Proc) bool) { e.shared = append(e.shared, f) }
+func (e *Engine) AddSharedPoll(s SharedPoll) { e.shared = append(e.shared, s) }
 
 // ForEachEndpoint visits every established endpoint in ascending peer
 // order, then those of fulfilled dials not yet installed, in fulfil order.
@@ -279,6 +298,7 @@ func (e *Engine) check() {
 // the endpoint's rendezvous threshold are announced, everything else moves
 // eagerly.
 func (e *Engine) Isend(p *des.Proc, dest, tag, ctx int32, buf Buffer) *Request {
+	p.Settle()
 	e.check()
 	req := e.newRequest(dest, tag, ctx, Buffer{})
 	env := Envelope{Src: e.rank, Tag: tag, Ctx: ctx, Len: buf.Len}
@@ -345,6 +365,11 @@ func (e *Engine) dispatchSend(p *des.Proc, ep Endpoint, env Envelope, buf Buffer
 // Irecv starts a non-blocking receive into buf from src (or AnySource)
 // with tag (or AnyTag) in context ctx. The request is the posted-queue
 // entry.
+//
+// Unlike every other entry, Irecv pays a charge the caller deferred
+// (des.Proc.Defer) only when the unexpected queue holds a match: posting
+// touches only the rank's own queues, which only the rank's own passes
+// change, so it is the same at either end of the charge.
 func (e *Engine) Irecv(p *des.Proc, src, tag, ctx int32, buf Buffer) *Request {
 	e.check()
 	req := e.newRequest(src, tag, ctx, buf)
@@ -354,6 +379,7 @@ func (e *Engine) Irecv(p *des.Proc, src, tag, ctx int32, buf Buffer) *Request {
 		if !matches(req, ue.env) {
 			continue
 		}
+		p.Settle()
 		e.uq = append(e.uq[:i], e.uq[i+1:]...)
 		req.env = ue.env
 		switch {
@@ -535,14 +561,28 @@ func (e *Engine) ArriveRTS(p *des.Proc, env Envelope, ep Endpoint, id uint64) {
 // dispatched an RTS, or a send a promotion could not flush, touched its slot
 // and is visited by this same pass, as it was when the pass polled everyone.
 func (e *Engine) Progress(p *des.Proc, block bool) bool {
+	return e.progress(p, block, false)
+}
+
+// progress is Progress; with fold set a blocking wait may sleep the next
+// pass's first charge with its poll detection (wait), and that pass then
+// starts from what the wait saw: the watch's count read before its chain,
+// no fulfilled dial (one fulfilled since came with a notification, which
+// the pass's own wait then sees) and the shared poll's ready answer.
+func (e *Engine) progress(p *des.Proc, block, fold bool) bool {
+	p.Settle()
 	e.check()
 	e.stats.Passes++
 	woke := e.woke
 	e.woke = false
-	seq := e.watch.Seq()
-	prog := e.promote(p)
-	for _, f := range e.shared {
-		if f(p) {
+	seq, paid, prog := e.watch.Seq(), e.paid, false
+	if paid {
+		seq, e.paid = e.paidSeq, false
+	} else {
+		prog = e.promote(p)
+	}
+	for i, s := range e.shared {
+		if s.Poll(p, paid && i == 0) {
 			prog = true
 		}
 	}
@@ -561,17 +601,37 @@ func (e *Engine) Progress(p *des.Proc, block bool) bool {
 		}
 	}
 	if !prog && block {
-		e.wait(p, seq)
+		e.wait(p, seq, fold)
 	}
 	return prog
 }
 
-// wait parks the rank on its watch until a notification newer than seq. The
-// pass after it, if the rank makes one before it stops waiting, counts as a
-// wake (ProgressStats.Wakes).
-func (e *Engine) wait(p *des.Proc, seq uint64) {
+// wait parks the rank on its watch until a notification newer than seq,
+// then charges the poll detection. The pass after it, if the rank makes one
+// before it stops waiting, counts as a wake (ProgressStats.Wakes).
+//
+// With fold set the caller makes that pass next whatever the wait sees, so
+// given a ready answer from the first shared poll and no fulfilled dial,
+// the detection and the pass's first charge are one chain on the watch. A
+// notification in the detection cuts it and the pass runs as written; one
+// in the charge cannot cut it, and the paid pass keeps the count read
+// before the chain, as the literal pass read it before paying (DESIGN.md
+// §16 item 4).
+func (e *Engine) wait(p *des.Proc, seq uint64, fold bool) {
 	e.park(seq)
-	e.watch.WaitSince(p, seq)
+	e.watch.Await(p, seq)
+	detect := e.node.Params.PollDetect
+	next, ok := des.Step{}, false
+	if fold && detect > 0 && e.ready.Len() == 0 && len(e.shared) > 0 {
+		next, ok = e.shared[0].Ready()
+	}
+	if ok {
+		e.wakeSteps = [2]des.Step{{D: detect, Hops: 1}, next}
+		e.paidSeq = e.watch.Seq()
+		e.paid = e.watch.SleepChain(p, e.wakeSteps[:]) == 2
+	} else {
+		p.Sleep(detect)
+	}
 	e.unpark()
 	e.woke = true
 }
@@ -673,9 +733,14 @@ func (e *Engine) answer(k int) idleAnswer {
 
 // Wait blocks until the request completes, driving progress.
 func (e *Engine) Wait(p *des.Proc, req *Request) Status {
+	p.Settle()
 	e.checkRequest(req, true)
 	for !req.done {
-		e.Progress(p, true)
+		e.progress(p, true, true)
+	}
+	if invariants && e.paid {
+		panic(fmt.Sprintf("transport: rank %d: request (peer %d, tag %d, ctx %d) completed while the rank slept its woken pass's first charge",
+			e.rank, req.peer, req.tag, req.ctx))
 	}
 	e.woke = false
 	e.check()
@@ -687,13 +752,14 @@ func (e *Engine) Wait(p *des.Proc, req *Request) Status {
 // snapshotted before each non-blocking pass: if the pass made done true the
 // loop exits; otherwise it sleeps until anything new lands.
 func (e *Engine) ProgressUntil(p *des.Proc, done func() bool) {
+	p.Settle()
 	for !done() {
 		seq := e.watch.Seq()
 		e.Progress(p, false)
 		if done() {
 			return
 		}
-		e.wait(p, seq)
+		e.wait(p, seq, false)
 	}
 	e.woke = false
 }

@@ -484,6 +484,12 @@ func (s *scriptEP) Poll(*des.Proc) bool {
 	return true
 }
 
+// sharedFunc is shared progress work with no ready answer.
+type sharedFunc func(*des.Proc) bool
+
+func (f sharedFunc) Ready() (des.Step, bool)       { return des.Step{}, false }
+func (f sharedFunc) Poll(p *des.Proc, _ bool) bool { return f(p) }
+
 // runArmScript drives one engine through the seeded script and returns the
 // peers whose polls moved something (-1 closes each pass), the cursor after
 // every pass and the number of Poll calls. free selects whether the script's
@@ -502,13 +508,13 @@ func runArmScript(t *testing.T, seed int64, free bool) (log []int32, rrs []int, 
 		install(i, i%3 != 2, 0)
 	}
 	var fromShared []int // endpoints the next shared poll hands work to
-	e.AddSharedPoll(func(*des.Proc) bool {
+	e.AddSharedPoll(sharedFunc(func(*des.Proc) bool {
 		for _, i := range fromShared {
 			eps[i].give(1)
 		}
 		fromShared = fromShared[:0]
 		return false
-	})
+	}))
 	run(eng, func(p *des.Proc) {
 		for pass := 0; pass < 600; pass++ {
 			for n := rng.Intn(3); n > 0; n-- {
