@@ -42,7 +42,7 @@ func (p *Proc) SleepStep(s Step) {
 func (p *Proc) sleepStep(s Step) {
 	p.noteSleep()
 	e := p.eng
-	p.sleepKeyed(e.now+s.D, hopKey(e.execCtx().childKey(), s.Hops-1))
+	p.sleepKeyed(e.now+s.D, hopKey(e.execCtx().childKey(), s.Hops-1), siteSleep)
 }
 
 // Settle pays the charge the process deferred, if any, as one step. Call it
@@ -120,8 +120,7 @@ func (p *Proc) SleepChain(steps []Step) int {
 		key = hopKey(key, s.Hops)
 	}
 	p.chainLen = len(steps)
-	p.wakeKeyed(at, key, true)
-	p.pause(siteSleepChain)
+	p.sleepKeyed(at, key, siteSleepChain)
 	n := len(c.steps)
 	c.steps = nil
 	p.chainLen = 0

@@ -727,7 +727,7 @@ func (p *Proc) Sleep(d Time) {
 		p.Settle() // a zero hop cannot end a folded step (Step)
 	}
 	p.noteSleep()
-	p.sleepKeyed(p.eng.now+d, p.eng.execCtx().childKey())
+	p.sleepKeyed(p.eng.now+d, p.eng.execCtx().childKey(), siteSleep)
 }
 
 // takeOwed returns the charge p deferred, if any, and clears it. Only the
@@ -760,12 +760,14 @@ func (p *Proc) noteSleep() {
 // runOn would have popped it: the sequence number is consumed, the event
 // accounted and counted as a SelfWake, the pause generation bumped — so the
 // clock, the fingerprint and every later key are those of the queued path,
-// which only the queue round trip separates from this one.
-func (p *Proc) sleepKeyed(at Time, key uint64) {
+// which only the queue round trip separates from this one. where is the
+// sleep's site: siteSleep, or siteSleepChain for a SleepChain, whose wake a
+// cut may supersede (none can on the spot: nothing dispatches before it).
+func (p *Proc) sleepKeyed(at Time, key uint64, where Site) {
 	e := p.eng
 	if !e.wakesSelf(at, key) {
-		p.wakeKeyed(at, key, false)
-		p.pause(siteSleep)
+		p.wakeKeyed(at, key, where == siteSleepChain)
+		p.pause(where)
 		return
 	}
 	e.seq++
