@@ -558,8 +558,7 @@ type Proc struct {
 	dead    bool
 	daemon  bool
 	waiting bool
-	slept   bool   // the last pause was a sleep (BackToBackSleeps)
-	where   Site   // where the process is blocked
+	where   Site   // where the process is blocked, or last paused
 	gen     uint64 // pause generation; stale wakeups are dropped
 
 	chain    chainState // the SleepChain in progress, if any (chain.go)
@@ -650,7 +649,6 @@ func (p *Proc) pause(where Site) {
 	p.eng.runOn(p)
 	p.waiting = false
 	p.gen++
-	p.slept = where == siteSleep || where == siteSleepChain
 }
 
 // Block blocks a parked process until the wakeup of that pause fires; the
@@ -663,7 +661,6 @@ func (p *Proc) Block() {
 		p.waiting = false
 		p.gen++
 		if !p.midStep() {
-			p.slept = p.where == siteSleep
 			return
 		}
 	}
@@ -750,7 +747,7 @@ func (e *Engine) checkOwed(what string) {
 // noteSleep counts a sleep that begins right after a sleep with nothing
 // scheduled in between (BackToBackSleeps).
 func (p *Proc) noteSleep() {
-	if e := p.eng.execCtx(); p.slept && e.childIdx == 0 {
+	if w := p.where; (w == siteSleep || w == siteSleepChain) && p.eng.execCtx().childIdx == 0 {
 		p.eng.b2b++
 	}
 }
@@ -774,7 +771,7 @@ func (p *Proc) sleepKeyed(at Time, key uint64, where Site) {
 	e.account(at, key)
 	e.n.SelfWake++
 	p.gen++
-	p.slept = true
+	p.where = where
 }
 
 // wakesSelf reports whether a wake pushed now at (at, key) would be the next
