@@ -48,10 +48,12 @@ func (p *Proc) sleepStep(s Step) {
 // Settle pays the charge the process deferred, if any, as one step. Call it
 // before looking at anything another process may have changed meanwhile.
 func (p *Proc) Settle() {
-	if p.eng.owes == p {
-		p.sleepStep(p.takeOwed())
+	if p.eng.owes == p { // small enough to inline at every entry that settles
+		p.settle()
 	}
 }
+
+func (p *Proc) settle() { p.sleepStep(p.takeOwed()) }
 
 // Defer charges the process d of simulated time without pausing it: its
 // next Sleep, SleepStep or SleepChain pays the charge as the first hops of
