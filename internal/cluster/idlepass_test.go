@@ -248,10 +248,10 @@ func TestIdlePassCollectivesPinned(t *testing.T) {
 		parent       transport.ProgressStats
 	}{
 		{scenario.Layout("smp-4x4"), 8,
-			28922757, 23001, transport.ProgressStats{Passes: 800, Polls: 923, PollHits: 923, IdleAsks: 2845, Wakes: 357, EmptyWakes: 97},
+			28922757, 24121, transport.ProgressStats{Passes: 800, Polls: 923, PollHits: 923, IdleAsks: 2845, Wakes: 357, EmptyWakes: 97},
 			27085, transport.ProgressStats{Passes: 1492, Polls: 5125, PollHits: 925, IdleAsks: 19493}},
 		{scenario.Layout("flat-np16").With(scenario.FatTree(4, 1)), 0,
-			33907986, 28726, transport.ProgressStats{Passes: 904, Polls: 982, PollHits: 982, IdleAsks: 2958, Wakes: 378},
+			33907986, 30323, transport.ProgressStats{Passes: 904, Polls: 982, PollHits: 982, IdleAsks: 2958, Wakes: 378},
 			30323, transport.ProgressStats{Passes: 904, Polls: 982, PollHits: 982, IdleAsks: 14395}},
 	} {
 		c := cluster.MustNew(w.s.Config)
@@ -268,8 +268,8 @@ func TestIdlePassCollectivesPinned(t *testing.T) {
 // TestReadySetSRQ pins the ready set (DESIGN.md §18) on the lazy SRQ stack
 // against the engine that polled every connection every pass: the finish
 // times below were measured at the commit before it. The event counts are
-// those of the folded charges (DESIGN.md §16 "Where it is used", items 4
-// and 5), which moved no finish time.
+// those of the woken pass's fold (DESIGN.md §16 "Where it is used", item
+// 4), which moved no finish time.
 //
 // A 16 KB allgather at np=32 is all rendezvous — every CTS and FIN is queued
 // from HandleSRQPacket inside the shared pool poll and goes out in the pass
@@ -302,8 +302,8 @@ func TestReadySetSRQ(t *testing.T) {
 		t.Errorf("allgather: %d passes made %d endpoint polls (%d moved something), want none",
 			st.Passes, st.Polls, st.PollHits)
 	}
-	if now, ev := c.Now(), c.Eng.EventsExecuted(); now != 5071292 || ev != 52961 {
-		t.Errorf("allgather finished at %d ns after %d events, want 5071292 ns, 52961 events", now, ev)
+	if now, ev := c.Now(), c.Eng.EventsExecuted(); now != 5071292 || ev != 53953 {
+		t.Errorf("allgather finished at %d ns after %d events, want 5071292 ns, 53953 events", now, ev)
 	}
 
 	const msgs = 256
@@ -334,8 +334,8 @@ func TestReadySetSRQ(t *testing.T) {
 		t.Errorf("burst: %d endpoint polls, %d moved something; want stalled sends retried by a few polls",
 			st.Polls, st.PollHits)
 	}
-	if now, ev := c.Now(), c.Eng.EventsExecuted(); now != 5544881 || ev != 56772 {
-		t.Errorf("burst finished at %d ns after %d events, want 5544881 ns, 56772 events", now, ev)
+	if now, ev := c.Now(), c.Eng.EventsExecuted(); now != 5544881 || ev != 58017 {
+		t.Errorf("burst finished at %d ns after %d events, want 5544881 ns, 58017 events", now, ev)
 	}
 }
 

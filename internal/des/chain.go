@@ -14,7 +14,7 @@ package des
 // chainState is the SleepChain in progress on a process.
 type chainState struct {
 	steps []Step // nil when not chained; truncated by a cut
-	pos   int    // first step not known to have completed; -1: a deferred charge leads
+	pos   int    // first step not known to have completed
 	at    Time   // wake instant of step pos
 	key   uint64 // lineage key of step pos's wake
 }
@@ -29,53 +29,13 @@ func hopKey(k uint64, n int) uint64 {
 
 // SleepStep sleeps one step as a single event. It is SleepChain over a
 // one-step chain, without the slice (so nothing escapes to the heap) and
-// with nothing for CutChain to do: a process cannot act inside a step. A
-// deferred charge is paid as the first hops of the step.
+// with nothing for CutChain to do: a process cannot act inside a step.
 func (p *Proc) SleepStep(s Step) {
 	s.check()
-	if o := p.takeOwed(); o.Hops > 0 {
-		s = Step{D: o.D + s.D, Hops: o.Hops + s.Hops}
-	}
-	p.sleepStep(s)
-}
-
-func (p *Proc) sleepStep(s Step) {
-	p.noteSleep()
 	e := p.eng
-	p.sleepKeyed(e.now+s.D, hopKey(e.execCtx().childKey(), s.Hops-1), siteSleep)
-}
-
-// Settle pays the charge the process deferred, if any, as one step. Call it
-// before looking at anything another process may have changed meanwhile.
-func (p *Proc) Settle() {
-	if p.eng.owes == p { // small enough to inline at every entry that settles
-		p.settle()
-	}
-}
-
-func (p *Proc) settle() { p.sleepStep(p.takeOwed()) }
-
-// Defer charges the process d of simulated time without pausing it: its
-// next Sleep, SleepStep or SleepChain pays the charge as the first hops of
-// its own step, so a charge followed by a charge costs one event, and
-// Settle pays it alone. Until then the process runs at the instant it
-// deferred from, not the one the charge ends at: it may look only at state
-// no other process changes, and may schedule nothing. Proc.Now and process
-// exit settle first; the invariants build panics on a scheduled event, a
-// read of Engine.Now or a pause other than a sleep. A non-positive charge
-// settles and sleeps zero at once, since a step cannot end in a zero hop
-// exactly (Step). The desplain build (chain_plain.go) sleeps d at once.
-func (p *Proc) Defer(d Time) {
-	if d <= 0 {
-		p.Sleep(0)
-		return
-	}
-	e := p.eng
-	if e.owes != p {
-		e.owes, e.owed = p, Step{}
-	}
-	e.owed.D += d
-	e.owed.Hops++
+	x := e.execCtx()
+	p.noteSleep(x)
+	p.sleepKeyed(e.now+s.D, hopKey(x.childKey(), s.Hops-1), siteSleep)
 }
 
 // SleepStep parks the task for one step, as a single event.
@@ -105,18 +65,13 @@ func (p *Proc) SleepChain(steps []Step) int {
 	e := p.eng
 	c := &p.chain
 	steps[0].check()
-	o := p.takeOwed()
-	p.noteSleep()
-	k := e.execCtx().childKey()
+	x := e.execCtx()
+	p.noteSleep(x)
 	c.steps, c.pos = steps, 0
-	c.at, c.key = e.now+steps[0].D, hopKey(k, steps[0].Hops-1)
-	if o.Hops > 0 {
-		// A deferred charge leads the chain as step -1, which no cut ends:
-		// the Sleep loop had not begun its chain while paying it.
-		c.pos, c.at, c.key = -1, e.now+o.D, hopKey(k, o.Hops-1)
-	}
+	c.at = e.now + steps[0].D
+	c.key = hopKey(x.childKey(), steps[0].Hops-1)
 	at, key := c.at, c.key
-	for _, s := range steps[c.pos+1:] {
+	for _, s := range steps[1:] {
 		s.check()
 		at += s.D
 		key = hopKey(key, s.Hops)
@@ -156,9 +111,6 @@ func (p *Proc) CutChain() {
 		if c.pos == last {
 			return
 		}
-	}
-	if c.pos < 0 {
-		return
 	}
 	c.steps = c.steps[:c.pos+1]
 	p.gen++

@@ -14,12 +14,6 @@ type chainState struct {
 	d           Time // and the duration the last of them carries
 }
 
-// Defer sleeps d at once: the reference form of a deferred charge.
-func (p *Proc) Defer(d Time) { p.Sleep(d) }
-
-// Settle has nothing to pay: Defer never leaves a charge owed.
-func (p *Proc) Settle() {}
-
 // SleepStep sleeps one step: its hops as separate Sleeps, the last carrying
 // the whole duration — where the hops before it fall inside the step is not
 // observable, the step's final wake and the key base it leaves are.

@@ -326,3 +326,28 @@ func BenchmarkSleepChain(b *testing.B) {
 	b.ResetTimer()
 	e.Run()
 }
+
+// TestBackToBackSleeps counts a sleep that follows a sleep with nothing
+// scheduled in between, and only that.
+func TestBackToBackSleeps(t *testing.T) {
+	e := NewEngine()
+	var stepEvents uint64
+	e.Spawn("p", func(p *Proc) {
+		p.Sleep(1)            // after the start: not back to back
+		p.Sleep(1)            // 1
+		e.After(5, func() {}) // a scheduled event: the next sleep is not back to back
+		p.Sleep(1)            // -
+		n := e.EventsExecuted()
+		p.SleepStep(Step{D: 2, Hops: 2}) // 2
+		stepEvents = e.EventsExecuted() - n
+		p.SleepChain([]Step{{D: 1, Hops: 1}, {D: 1, Hops: 1}}) // 3
+	})
+	e.Run()
+	want := uint64(3)
+	if stepEvents == 2 { // the desplain build sleeps every hop: two more
+		want = 5
+	}
+	if got := e.BackToBackSleeps(); got != want {
+		t.Fatalf("BackToBackSleeps = %d, want %d", got, want)
+	}
+}

@@ -31,6 +31,5 @@ func (p *Proc) start() {
 		p.waiting = false
 		p.gen++
 		body(p)
-		p.Settle() // a process exits at the end of the charges it deferred
 	})
 }

@@ -37,8 +37,6 @@ type Engine struct {
 	n         EventCounts // events dispatched, by kind
 	sw        SiteCounts  // coroutine switches, by the site the resumed process paused at
 	b2b       uint64      // back-to-back sleeps (BackToBackSleeps)
-	owes      *Proc       // the running process, while it holds a deferred charge (Defer)
-	owed      Step        // that charge
 
 	// Lineage keys (the sharded engine's deterministic merge rule, DESIGN.md
 	// §13): every event carries a key derived from the key of the event
@@ -133,8 +131,8 @@ func (e *Engine) SwitchesBySite() SiteCounts {
 // BackToBackSleeps returns how many sleeps a process began right after
 // another: its last pause was a sleep, and it has scheduled nothing since it
 // resumed. Each is a charge the process could have folded into the one
-// before it (Defer, SleepStep). On the global engine of a Group it sums over
-// every member.
+// before it (SleepStep). On the global engine of a Group it sums over every
+// member.
 func (e *Engine) BackToBackSleeps() uint64 {
 	if g := e.group; g != nil && e == g.global {
 		var n uint64
@@ -195,7 +193,6 @@ func Salt(parts ...uint64) uint64 {
 // dispatch context: consecutive keys off the hashed parent, so siblings
 // dispatch in scheduling order.
 func (e *Engine) childKey() uint64 {
-	e.checkOwed("scheduled an event")
 	k := e.curBase + e.childIdx
 	e.childIdx++
 	return k
@@ -230,7 +227,6 @@ func (e *Engine) Sharded() bool { return e.group != nil }
 // Now returns the current simulated time. On the global engine of a Group
 // it reports the group clock: the maximum instant any member has reached.
 func (e *Engine) Now() Time {
-	e.checkOwed("read Engine.Now")
 	if g := e.group; g != nil && e == g.global {
 		return g.now()
 	}
@@ -672,9 +668,6 @@ func (p *Proc) Task() *Task { return (*Task)(p) }
 // park marks the process blocked at where; the next wakeup bound to this
 // pause generation resumes it.
 func (p *Proc) park(where Site) {
-	if invariants && p.eng.owes == p { // a sleep pays the charge before it parks
-		p.eng.checkOwed("paused at " + where.String())
-	}
 	p.where = where
 	p.waiting = true
 }
@@ -702,52 +695,26 @@ func (p *Proc) wakeKeyed(at Time, key uint64, chain bool) {
 // Engine returns the engine this process belongs to.
 func (p *Proc) Engine() *Engine { return p.eng }
 
-// Now returns the current simulated time, paying a deferred charge first.
-func (p *Proc) Now() Time {
-	p.Settle()
-	return p.eng.now
-}
+// Now returns the current simulated time.
+func (p *Proc) Now() Time { return p.eng.now }
 
 // Sleep blocks the process for duration d of simulated time. Negative
 // durations sleep zero time but still yield, giving other ready processes a
-// chance to run first. A charge the process deferred is paid with it, as one
-// step.
+// chance to run first.
 func (p *Proc) Sleep(d Time) {
 	if d < 0 {
 		d = 0
 	}
-	if p.eng.owes == p {
-		if d > 0 {
-			p.SleepStep(Step{D: d, Hops: 1})
-			return
-		}
-		p.Settle() // a zero hop cannot end a folded step (Step)
-	}
-	p.noteSleep()
-	p.sleepKeyed(p.eng.now+d, p.eng.execCtx().childKey(), siteSleep)
-}
-
-// takeOwed returns the charge p deferred, if any, and clears it. Only the
-// running process can hold one, so the engine keeps it.
-func (p *Proc) takeOwed() (o Step) {
-	if e := p.eng; e.owes == p {
-		o, e.owes, e.owed = e.owed, nil, Step{}
-	}
-	return o
-}
-
-// checkOwed panics, in the invariants build, when the running process holds
-// a deferred charge: it is about to act at the instant it deferred from.
-func (e *Engine) checkOwed(what string) {
-	if invariants && e.owes != nil {
-		panic(fmt.Sprintf("des: process %q %s holding a deferred charge of %v", e.owes.name, what, e.owed.D))
-	}
+	e := p.eng
+	x := e.execCtx()
+	p.noteSleep(x)
+	p.sleepKeyed(e.now+d, x.childKey(), siteSleep)
 }
 
 // noteSleep counts a sleep that begins right after a sleep with nothing
-// scheduled in between (BackToBackSleeps).
-func (p *Proc) noteSleep() {
-	if w := p.where; (w == siteSleep || w == siteSleepChain) && p.eng.execCtx().childIdx == 0 {
+// scheduled in between (BackToBackSleeps); x is the dispatch context.
+func (p *Proc) noteSleep(x *Engine) {
+	if w := p.where; (w == siteSleep || w == siteSleepChain) && x.childIdx == 0 {
 		p.eng.b2b++
 	}
 }

@@ -90,10 +90,8 @@ func (w *Watch) Await(p *des.Proc, seq uint64) {
 }
 
 // Wait blocks until pred() becomes true, re-evaluating after every
-// notification, then charges the poll-detection latency. A charge the
-// caller deferred is paid before pred is first read.
+// notification, then charges the poll-detection latency.
 func (w *Watch) Wait(p *des.Proc, pred func() bool) {
-	p.Settle()
 	for !pred() {
 		w.cond.Wait(p)
 	}

@@ -75,7 +75,6 @@ type scratchBuf struct {
 // allocations, and with them simulated time, are what they were.
 func (c *Comm) scratch(slot *scratchBuf, n int) Buffer {
 	if slot.buf.Len < n {
-		c.p.Settle() // as in Alloc
 		slot.drop()
 		c.allocs++
 		va, back := c.eng.Node().Mem.AllocSlots(1, n)

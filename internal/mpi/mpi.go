@@ -162,7 +162,6 @@ func (c *Comm) local(st Status) Status {
 // Alloc carves n bytes of node memory and returns the descriptor and the
 // backing bytes (applications manipulate real data).
 func (c *Comm) Alloc(n int) (Buffer, []byte) {
-	c.p.Settle() // the node's allocator orders this rank's addresses among its neighbours'
 	c.allocs++
 	va, b := c.eng.Node().Mem.Alloc(n)
 	return Buffer{Addr: va, Len: n}, b
@@ -238,10 +237,7 @@ func (c *Comm) irecvCtx(buf Buffer, src, tag int) *Request {
 }
 
 // isend and irecv charge the ADI3 per-call bookkeeping cost
-// (model.Params.MPIOverhead) and hand the operation to the engine. irecv
-// defers its charge (des.Proc.Defer): a receive that finds no unexpected
-// match only posts to the rank's own queue, so the charge rides on the
-// rank's next sleep, often the isend beside it.
+// (model.Params.MPIOverhead) and hand the operation to the engine.
 func (c *Comm) isend(buf Buffer, dest, tag int, ctx int32) *Request {
 	d := c.world(dest)
 	c.p.Sleep(c.eng.HCA().Params().MPIOverhead)
@@ -253,17 +249,15 @@ func (c *Comm) irecv(buf Buffer, src, tag int, ctx int32) *Request {
 	if src != AnySource {
 		s = c.world(src)
 	}
-	c.p.Defer(c.eng.HCA().Params().MPIOverhead)
+	c.p.Sleep(c.eng.HCA().Params().MPIOverhead)
 	return c.eng.Irecv(c.p, s, int32(tag), ctx, buf)
 }
 
 // Compute advances simulated time by the cost of flops floating-point
 // operations at the testbed's compute rate; applications use it to model
-// their computation phases between communications. The charge is deferred
-// (des.Proc.Defer) to the rank's next sleep, which every MPI call that
-// looks at the fabric or the clock pays first.
+// their computation phases between communications.
 func (c *Comm) Compute(flops float64) {
 	prm := c.eng.Node().Params
 	us := flops / prm.FlopRate // MFLOP/s ⇒ flops/µs
-	c.p.Defer(des.Microseconds(us))
+	c.p.Sleep(des.Microseconds(us))
 }

@@ -164,7 +164,6 @@ func (w *Win) Get(local Buffer, target, off int) error {
 // rdma posts one signaled RDMA op between local and the target's window at
 // byte offset off; what names the call in the error.
 func (w *Win) rdma(op ib.Opcode, what string, local Buffer, target, off int) error {
-	w.comm.p.Settle()
 	p := w.peers[target]
 	if p.raw == nil {
 		return fmt.Errorf("mpi: %s self or unconnected rank %d", what, target)
@@ -198,7 +197,6 @@ func (w *Win) CompareSwap(target, off int, compare, swap int64) (int64, error) {
 }
 
 func (w *Win) atomic(target, off int, op ib.Opcode, compare, swap uint64) (int64, error) {
-	w.comm.p.Settle()
 	p := w.peers[target]
 	if p.raw == nil {
 		return 0, fmt.Errorf("mpi: atomic to self or unconnected rank %d", target)

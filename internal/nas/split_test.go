@@ -35,12 +35,12 @@ func cgScalable(t *testing.T, np int, allgather string) (*cluster.Cluster, strin
 // TestRingAllgatherReproducesOldRow: allgather=ring is the way back to the
 // schedule from before Comm.Split's allgather went log-step — the cg.S
 // np=64 row BENCH_engine.json held until then: its simulated time exactly,
-// and its events and fingerprint as the folded charges (DESIGN.md §16
-// items 4 and 5) have since elided them.
+// and its events and fingerprint as the woken pass's fold (DESIGN.md §16
+// item 4) has since elided them.
 func TestRingAllgatherReproducesOldRow(t *testing.T) {
 	c, got := cgScalable(t, 64, "ring")
 	defer c.Close()
-	if want := "events=235440 fp=993a95cd1914e079 sim=0.003823515"; got != want {
+	if want := "events=250663 fp=1c65b900fed19da3 sim=0.003823515"; got != want {
 		t.Errorf("cg.S np=64 under allgather=ring:\n got %s\nwant %s", got, want)
 	}
 }

@@ -298,7 +298,6 @@ func (e *Engine) check() {
 // the endpoint's rendezvous threshold are announced, everything else moves
 // eagerly.
 func (e *Engine) Isend(p *des.Proc, dest, tag, ctx int32, buf Buffer) *Request {
-	p.Settle()
 	e.check()
 	req := e.newRequest(dest, tag, ctx, Buffer{})
 	env := Envelope{Src: e.rank, Tag: tag, Ctx: ctx, Len: buf.Len}
@@ -365,11 +364,6 @@ func (e *Engine) dispatchSend(p *des.Proc, ep Endpoint, env Envelope, buf Buffer
 // Irecv starts a non-blocking receive into buf from src (or AnySource)
 // with tag (or AnyTag) in context ctx. The request is the posted-queue
 // entry.
-//
-// Unlike every other entry, Irecv pays a charge the caller deferred
-// (des.Proc.Defer) only when the unexpected queue holds a match: posting
-// touches only the rank's own queues, which only the rank's own passes
-// change, so it is the same at either end of the charge.
 func (e *Engine) Irecv(p *des.Proc, src, tag, ctx int32, buf Buffer) *Request {
 	e.check()
 	req := e.newRequest(src, tag, ctx, buf)
@@ -379,7 +373,6 @@ func (e *Engine) Irecv(p *des.Proc, src, tag, ctx int32, buf Buffer) *Request {
 		if !matches(req, ue.env) {
 			continue
 		}
-		p.Settle()
 		e.uq = append(e.uq[:i], e.uq[i+1:]...)
 		req.env = ue.env
 		switch {
@@ -570,7 +563,6 @@ func (e *Engine) Progress(p *des.Proc, block bool) bool {
 // no fulfilled dial (one fulfilled since came with a notification, which
 // the pass's own wait then sees) and the shared poll's ready answer.
 func (e *Engine) progress(p *des.Proc, block, fold bool) bool {
-	p.Settle()
 	e.check()
 	e.stats.Passes++
 	woke := e.woke
@@ -733,7 +725,6 @@ func (e *Engine) answer(k int) idleAnswer {
 
 // Wait blocks until the request completes, driving progress.
 func (e *Engine) Wait(p *des.Proc, req *Request) Status {
-	p.Settle()
 	e.checkRequest(req, true)
 	for !req.done {
 		e.progress(p, true, true)
@@ -752,7 +743,6 @@ func (e *Engine) Wait(p *des.Proc, req *Request) Status {
 // snapshotted before each non-blocking pass: if the pass made done true the
 // loop exits; otherwise it sleeps until anything new lands.
 func (e *Engine) ProgressUntil(p *des.Proc, done func() bool) {
-	p.Settle()
 	for !done() {
 		seq := e.watch.Seq()
 		e.Progress(p, false)

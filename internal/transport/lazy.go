@@ -110,7 +110,6 @@ func (e *Engine) Connected(peer int32) bool {
 // endpoint is installed. Callers that need verbs-level resources up front
 // (one-sided window creation) use it; ordinary sends connect implicitly.
 func (e *Engine) EnsureConnected(p *des.Proc, peer int32) {
-	p.Settle()
 	if peer == e.rank || e.dialer == nil || e.Endpoint(peer) != nil {
 		return
 	}
