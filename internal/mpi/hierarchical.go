@@ -97,6 +97,9 @@ func (t *topo) localRoot(root int) int {
 }
 
 func groupIndex(group []int, rank int) int {
+	if rank < len(group) && group[rank] == rank { // the whole communicator: no scan
+		return rank
+	}
 	for i, r := range group {
 		if r == rank {
 			return i
