@@ -80,7 +80,7 @@ func (Curve) wall() (float64, string) { return 0, "" }
 // diff names a moved point by its label or, unlabelled, its size.
 func (c Curve) diff(b Curve) []Delta {
 	if len(c.Points) != len(b.Points) {
-		return []Delta{{"points", fmt.Sprintf("%d points, baseline has %d", len(c.Points), len(b.Points))}}
+		return []Delta{{Field: "points", Line: fmt.Sprintf("%d points, baseline has %d", len(c.Points), len(b.Points))}}
 	}
 	var ds []Delta
 	for i, p := range c.Points {
@@ -89,7 +89,7 @@ func (c Curve) diff(b Curve) []Delta {
 			if field == "" {
 				field = fmt.Sprintf("size=%d", p.Size)
 			}
-			ds = append(ds, Delta{field, fmt.Sprintf("%v, baseline %v", p, b.Points[i])})
+			ds = append(ds, Delta{Field: field, Line: fmt.Sprintf("%v, baseline %v", p, b.Points[i])})
 		}
 	}
 	return ds

@@ -91,21 +91,23 @@ const heapTolerance = 0.02
 
 func (r EngineRun) diff(b EngineRun) []Delta {
 	var ds []Delta
+	host := false
 	add := func(name string, cur, base any) {
 		if cur != base {
-			ds = append(ds, Delta{name, fmt.Sprintf("%-8s %v, baseline %v", name, cur, base)})
+			ds = append(ds, Delta{name, fmt.Sprintf("%-8s %v, baseline %v", name, cur, base), host})
 		}
 	}
 	add("events", r.Events, b.Events)
 	add("fp", r.Fingerprint, b.Fingerprint)
 	add("sim", r.SimSeconds, b.SimSeconds)
 	add("verified", r.Verified, b.Verified)
+	host = true // the harness's own counts from here on
 	diffFields(add, "events_by_kind", r.ByKind, b.ByKind)
 	add("back_to_back_sleeps", r.BackToBack, b.BackToBack)
 	diffFields(add, "progress", r.Progress, b.Progress)
 	if cur, base := float64(r.HeapPerRank), float64(b.HeapPerRank); math.Abs(cur-base) > heapTolerance*base {
 		ds = append(ds, Delta{"heap", fmt.Sprintf("%-8s %d B/rank, baseline %d (±%.0f %%)",
-			"heap", r.HeapPerRank, b.HeapPerRank, 100*heapTolerance)})
+			"heap", r.HeapPerRank, b.HeapPerRank, 100*heapTolerance), true})
 	}
 	return ds
 }

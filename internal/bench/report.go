@@ -151,6 +151,7 @@ func (c Class) String() string { return [...]string{"unchanged", "moved", "added
 type Delta struct {
 	Field string // the field's name, as the census counts it
 	Line  string // the field and both values, as the gate prints them
+	Host  bool   // a count of the harness's own work, not a simulated result
 }
 
 // Deltas prints as its lines, each on a new indented line.
@@ -291,8 +292,19 @@ func (rep *Report[R]) compare(baseline *Report[R], tol float64) []error {
 			}
 		default:
 			matched++
-			if e.Class == Moved {
-				errs = append(errs, fmt.Errorf("%s: simulated results diverge from baseline:%v", e.Key, e.Deltas))
+			var sim, host Deltas
+			for _, d := range e.Deltas {
+				if d.Host {
+					host = append(host, d)
+				} else {
+					sim = append(sim, d)
+				}
+			}
+			if len(sim) > 0 {
+				errs = append(errs, fmt.Errorf("%s: simulated results diverge from baseline:%v", e.Key, sim))
+			}
+			if len(host) > 0 {
+				errs = append(errs, fmt.Errorf("%s: host-side counts diverge from baseline:%v", e.Key, host))
 			}
 			cw, what := e.Row.wall()
 			if bw, _ := e.Base.wall(); bw > 0 && cw > bw*(1+tol) {

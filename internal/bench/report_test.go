@@ -184,7 +184,8 @@ func TestEngineLegacyRowAliasesSerial(t *testing.T) {
 // field edited fails the gate on that field alone, naming both values, and
 // the census names the row and the field; a progress field and the
 // back-to-back sleeps are gated alike. The live heap fails at 5 % off and
-// passes at 1 %.
+// passes at 1 %. Each is a host-side count, printed under its own heading,
+// never as a simulated result.
 func TestEngineCountsGated(t *testing.T) {
 	committed, err := readReport[EngineRun](filepath.Join("..", "..", "BENCH_engine.json"))
 	if err != nil {
@@ -219,7 +220,7 @@ func TestEngineCountsGated(t *testing.T) {
 			fmt.Sprintf("heap     %d B/rank, baseline %d (±2 %%)", row.HeapPerRank, row.HeapPerRank*100/105)},
 	} {
 		errs := cur.compare(edited(tc.edit), math.Inf(1))
-		if len(errs) != 1 || !strings.Contains(errs[0].Error(), "diverge from baseline:\n  "+tc.want) ||
+		if len(errs) != 1 || !strings.Contains(errs[0].Error(), "host-side counts diverge from baseline:\n  "+tc.want) ||
 			strings.Count(errs[0].Error(), "\n") != 1 {
 			t.Errorf("want one divergence, %q alone; got %v", tc.want, errs)
 		}

@@ -3,6 +3,7 @@ package bench
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -13,9 +14,9 @@ import (
 // The np=4096 scale proofs behind BENCH_engine.json: NAS CG and the
 // stencil patterns at four thousand ranks, tractable on one core. Each
 // takes under a minute (CG dispatched 649M events over a quarter of an
-// hour while Comm.Split rode a ring allgather; 14.4M now) but holds a
-// multi-gigabyte heap, so tier-1 runs skip them; set MPICH2IB_SCALE=1
-// the way the baseline-regeneration workflow does to run them.
+// hour while Comm.Split rode a ring allgather; 13.2M now) but peaks at
+// over a gigabyte, so tier-1 runs skip them; set MPICH2IB_SCALE=1 to run
+// them, as CI's "np=4096 CG scale proof" step does for TestScaleCG4096.
 func requireScale(t *testing.T) {
 	if os.Getenv("MPICH2IB_SCALE") == "" {
 		t.Skip("np=4096 scale proof; set MPICH2IB_SCALE=1 to run")
@@ -41,6 +42,13 @@ func TestScaleCG4096(t *testing.T) {
 	}
 	t.Logf("np=4096 CG: events=%d wall=%.1fs ev/s=%.0f fp=%s heap=%d B/rank",
 		r.Events, r.WallSeconds, r.EventsPerSec, r.Fingerprint, r.HeapPerRank)
+	if status, err := os.ReadFile("/proc/self/status"); err == nil {
+		for _, line := range strings.Split(string(status), "\n") {
+			if strings.HasPrefix(line, "VmHWM:") {
+				t.Logf("process peak resident set: %s", strings.TrimSpace(strings.TrimPrefix(line, "VmHWM:")))
+			}
+		}
+	}
 	committed, err := readReport[EngineRun](filepath.Join("..", "..", "BENCH_engine.json"))
 	if err != nil {
 		t.Fatal(err)

@@ -31,8 +31,8 @@ type Cluster struct {
 	Rails  [][]*ib.HCA
 	Ranks  []*transport.Engine
 
-	nodeOf  []int32 // node id per rank
-	direct  bool    // cluster-wide RDMA-direct collective capability (New)
+	nodeOf  []int32    // node id per rank
+	world   *mpi.World // the world communicator's tables, shared by every rank's handle
 	cfg     Config
 	rails   int               // resolved RailsPerNode (≥ 1)
 	chanCfg rdmachan.Config   // Chan with the design resolved from Transport
@@ -172,11 +172,12 @@ func New(cfg Config) (*Cluster, error) {
 	// has no mid-flight recovery; under faults the registry falls back to the
 	// two-sided algorithms, which do). Windows post on rail 0 and their
 	// completions come back through the router, so any rail count will do.
-	c.direct = !cfg.Chan.UseSRQ && cfg.Fault == nil && cfg.Transport != TransportBasic
+	direct := !cfg.Chan.UseSRQ && cfg.Fault == nil && cfg.Transport != TransportBasic
 	for r := 0; r < cfg.NP; r++ {
 		c.nodeOf[r] = int32(r / cpn)
 		c.Ranks = append(c.Ranks, transport.NewEngine(int32(r), cfg.NP, c.HCAs[c.nodeOf[r]]))
 	}
+	c.world = mpi.NewWorld(c.nodeOf, direct, c.NetLabel(), cfg.Tuning)
 
 	var setupErr error
 	c.Eng.Spawn("setup", func(p *des.Proc) {
@@ -639,7 +640,6 @@ func (c *Cluster) ProgressStats() transport.ProgressStats {
 func (c *Cluster) Launch(body func(comm *mpi.Comm)) {
 	c.launchSeq++
 	gen := c.launchSeq
-	net := c.NetLabel()
 	for i := 0; i < c.cfg.NP; i++ {
 		eng := c.Ranks[i]
 		// Rank processes run on their node's shard. The start events are
@@ -647,7 +647,7 @@ func (c *Cluster) Launch(body func(comm *mpi.Comm)) {
 		// schedule is independent of which engine each rank lands on.
 		c.nodeEng(int(c.nodeOf[i])).SpawnSeeded(des.Salt(rankSalt, gen, uint64(i)),
 			fmt.Sprintf("rank%d", i), func(p *des.Proc) {
-				body(mpi.NewWithTuning(p, eng, c.nodeOf, c.direct, net, c.cfg.Tuning))
+				body(c.world.Comm(p, eng))
 			})
 	}
 	c.Eng.Run()

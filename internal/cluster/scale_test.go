@@ -7,6 +7,7 @@ package cluster_test
 // eager memory bounded by the SRQ pool.
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/cluster"
@@ -190,5 +191,34 @@ func TestEagerMeshBacksWhatTrafficReaches(t *testing.T) {
 	t.Logf("%d host bytes back %d registered eager bytes", backed, ms.EagerBytes)
 	if backed > 297984 {
 		t.Errorf("the nodes back %d host bytes, more than 297984", backed)
+	}
+}
+
+// maxLaunchBytesPerRank bounds what an empty Launch allocates per rank. A
+// rank's world handle points into the tables the cluster built once
+// (mpi.World), so what remains is the handle, the process and its name:
+// about 1.2 KB at every size. Each rank built its own np-entry group,
+// translation and placement tables while this read 8 151 B at np=64 and
+// 114 230 B at np=1024.
+const maxLaunchBytesPerRank = 2048
+
+// TestLaunchAllocatesIndependentOfNP measures the bytes allocated per rank
+// across a second, empty Launch of a lazy + SRQ cluster (the first one
+// warms what a cluster builds once) at np=64 and np=1024: both must stay
+// under maxLaunchBytesPerRank.
+func TestLaunchAllocatesIndependentOfNP(t *testing.T) {
+	for _, np := range []int{64, 1024} {
+		c := cluster.MustNew(lazyLargeConfig(np))
+		c.Launch(func(*mpi.Comm) {})
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		c.Launch(func(*mpi.Comm) {})
+		runtime.ReadMemStats(&after)
+		c.Close()
+		per := (after.TotalAlloc - before.TotalAlloc) / uint64(np)
+		t.Logf("np=%d: an empty Launch allocates %d B per rank", np, per)
+		if per > maxLaunchBytesPerRank {
+			t.Errorf("np=%d: an empty Launch allocates %d B per rank, more than %d", np, per, maxLaunchBytesPerRank)
+		}
 	}
 }

@@ -46,7 +46,7 @@ func hierAllgatherOK(c *Comm) bool {
 // the capability flag the cluster hands every rank — and of the
 // communicator's topology: every member pair must be inter-node, because
 // co-located pairs ride shared memory and expose no raw verbs endpoint.
-func rdmaDirectOK(c *Comm) bool { return c.rdmaOK && !c.t.multi }
+func rdmaDirectOK(c *Comm) bool { return c.w.rdmaOK && !c.t.multi }
 
 // pof2OK admits the in-place doubling exchange, which pairs rank with
 // rank XOR 2^k and so needs every such partner to exist.
@@ -200,7 +200,7 @@ type Tuning struct {
 	Alltoall  string // "" | "pairwise" | "scattered" | "rdma-direct"
 
 	// net names the network model the table is keyed for: "flat" for the
-	// per-link wire, or a switchfab label ("fattree-d4-u1"). NewWithTuning
+	// per-link wire, or a switchfab label ("fattree-d4-u1"). NewWorld
 	// stamps it from the topology the cluster built; the default table
 	// consults it because the crossovers measured on the contended fat
 	// tree differ from the flat-wire ones (DESIGN.md §14).
@@ -249,7 +249,7 @@ func (c *Comm) AlgorithmApplicable(coll, alg string) bool {
 // flat default; the predicates live only in the registry.
 
 func (c *Comm) pickBcast() bcastFn {
-	name := c.tuning.Bcast
+	name := c.w.tuning.Bcast
 	if name == "" {
 		name = "hier-leader"
 	}
@@ -257,7 +257,7 @@ func (c *Comm) pickBcast() bcastFn {
 }
 
 func (c *Comm) pickReduce(n int) reduceFn {
-	name := c.tuning.Reduce
+	name := c.w.tuning.Reduce
 	if name == "" && n >= hierReduceCutoff {
 		name = "hier"
 	}
@@ -269,10 +269,10 @@ func (c *Comm) pickReduce(n int) reduceFn {
 // steps — doubling in place where the size allows it, Bruck through its
 // temporary where not — and longer ones stay on the ring.
 func (c *Comm) pickAllgather(n int) allgatherFn {
-	name := c.tuning.Allgather
+	name := c.w.tuning.Allgather
 	if name == "" {
 		name = "hier"
-		if !allgatherAlgs.m[name].ok(c) && n < c.tuning.allgatherRingCutoff() {
+		if !allgatherAlgs.m[name].ok(c) && n < c.w.tuning.allgatherRingCutoff() {
 			name = "recursive-doubling"
 			if !allgatherAlgs.m[name].ok(c) {
 				name = "bruck"
@@ -283,7 +283,7 @@ func (c *Comm) pickAllgather(n int) allgatherFn {
 }
 
 func (c *Comm) pickBarrier() barrierFn {
-	name := c.tuning.Barrier
+	name := c.w.tuning.Barrier
 	if name == "" {
 		name = "hier"
 	}
@@ -291,8 +291,8 @@ func (c *Comm) pickBarrier() barrierFn {
 }
 
 func (c *Comm) pickAllreduce(n int) allreduceFn {
-	name := c.tuning.Allreduce
-	if name == "" && c.tuning.fattree() {
+	name := c.w.tuning.Allreduce
+	if name == "" && c.w.tuning.fattree() {
 		// The fat-tree table: the reduce-then-bcast composition funnels the
 		// whole vector through rank 0's uplink twice, which the contended
 		// model punishes; the doubling/halving families spread the load
@@ -310,7 +310,7 @@ func (c *Comm) pickAllreduce(n int) allreduceFn {
 // exchanges of blocks below the cutoff on communicators that span nodes;
 // single-node communicators and long blocks keep the pairwise rounds.
 func (c *Comm) pickAlltoall(n int) alltoallFn {
-	name := c.tuning.Alltoall
+	name := c.w.tuning.Alltoall
 	if name == "" && n < alltoallScatterCutoff && len(c.t.leaders) > 1 {
 		name = "scattered"
 	}

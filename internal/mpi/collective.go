@@ -115,7 +115,7 @@ func (c *Comm) Barrier() {
 // flatBarrier is barrier/dissemination over the whole communicator,
 // correct for any rank count.
 func (c *Comm) flatBarrier() {
-	c.groupDissem(c.t.world, c.Rank(), tagBarrier)
+	c.groupDissem(c.all(), c.Rank(), tagBarrier)
 }
 
 // Bcast broadcasts root's buffer to all ranks through the tuned algorithm
@@ -130,7 +130,7 @@ func (c *Comm) Bcast(buf Buffer, root int) {
 
 // flatBcast is the topology-oblivious binomial broadcast (bcast/binomial).
 func (c *Comm) flatBcast(buf Buffer, root int) {
-	c.groupBcast(buf, c.t.world, root, tagBcast)
+	c.groupBcast(buf, c.all(), root, tagBcast)
 }
 
 // Send2/Recv2 are collective-context point-to-point helpers.
@@ -160,7 +160,7 @@ func (c *Comm) Reduce(send, recv Buffer, dt Datatype, op Op, root int) {
 
 // flatReduce is the topology-oblivious binomial reduce (reduce/binomial).
 func (c *Comm) flatReduce(send, recv Buffer, dt Datatype, op Op, root int) {
-	c.groupReduce(send, recv, dt, op, c.t.world, root, tagReduce)
+	c.groupReduce(send, recv, dt, op, c.all(), root, tagReduce)
 }
 
 // chargeReduceFlops models the arithmetic of combining n bytes.
@@ -254,7 +254,7 @@ func (c *Comm) Allgather(send, recv Buffer) {
 func (c *Comm) flatAllgather(send, recv Buffer) {
 	rank, n := c.Rank(), send.Len
 	copy(c.Bytes(Slice(recv, rank*n, n)), c.Bytes(send))
-	c.groupRing(c.t.world, rank, func(i int) Buffer { return Slice(recv, i*n, n) }, tagAllgather)
+	c.groupRing(c.all(), rank, func(i int) Buffer { return Slice(recv, i*n, n) }, tagAllgather)
 }
 
 // Alltoall exchanges equal-size blocks between all rank pairs through the

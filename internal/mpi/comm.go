@@ -54,9 +54,10 @@ func (c *Comm) Dup() *Comm {
 	*c.nextCtx = base + 2
 	c.scr.split.drop()
 	c.scr.table.drop()
-	group := make([]int32, len(c.group))
-	copy(group, c.group)
-	return c.derive(group, c.rank, base, base+1)
+	// The member tables are read-only: the duplicate shares c's.
+	return &Comm{p: c.p, eng: c.eng, w: c.w, t: c.t, loc: c.loc,
+		group: c.group, ident: c.ident, byWorld: c.byWorld, rank: c.rank,
+		pt2pt: base, coll: base + 1, nextCtx: c.nextCtx}
 }
 
 // Free releases the communicator (MPI_Comm_free): every collective scratch

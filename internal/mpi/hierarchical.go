@@ -1,6 +1,11 @@
 package mpi
 
-import "fmt"
+import (
+	"cmp"
+	"fmt"
+	"slices"
+	"sort"
+)
 
 // SMP-aware collectives. When the cluster places several ranks per node
 // (internal/cluster's CoresPerNode), the flat algorithms waste InfiniBand
@@ -22,52 +27,59 @@ import "fmt"
 
 // topo is the node placement view a communicator computes over its own
 // member set (in communicator rank space), so hierarchical algorithms
-// work on any communicator, not just world.
+// work on any communicator, not just world. Every table is sized by the
+// members and read-only once built: the world's is built once per cluster
+// (World) and shared by every rank's handle, a Dup shares its parent's.
 type topo struct {
-	nodeOf  []int // node id per comm rank
-	local   []int // comm ranks on this rank's node, ascending
-	leaders []int // lowest comm rank of each node, in first-appearance order
-	counts  []int // ranks per node, parallel to leaders
-	world   []int // identity group, for flat algorithms
+	nodeOf  []int32 // node id per comm rank
+	byNode  []int   // comm ranks ordered by (node id, rank): each node's members, one run
+	leaders []int   // lowest comm rank of each node, in first-appearance order
+	counts  []int   // ranks per node, parallel to leaders
 
 	multi      bool // some node hosts more than one member
 	contiguous bool // every node's members form one contiguous comm-rank range
 }
 
-func buildTopo(c *Comm) *topo {
-	size := len(c.group)
-	t := &topo{
-		nodeOf: make([]int, size),
-		world:  make([]int, size),
+// newTopo builds the view of members placed on nodeOf. ranks is an
+// identity list at least as long: a placement in node order (every
+// cluster's world, every communicator of consecutive ranks) takes its
+// byNode from it rather than sorting a copy.
+func newTopo(nodeOf []int32, ranks []int) *topo {
+	size := len(nodeOf)
+	t := &topo{nodeOf: nodeOf, byNode: ranks[:size]}
+	if !slices.IsSorted(nodeOf) {
+		t.byNode = slices.Clone(t.byNode)
+		slices.SortStableFunc(t.byNode, func(a, b int) int { return cmp.Compare(nodeOf[a], nodeOf[b]) })
 	}
-	idxOf := make(map[int]int, size)
-	for r := 0; r < size; r++ {
-		t.world[r] = r
-		t.nodeOf[r] = int(c.nodeOf[c.group[r]])
-		n := t.nodeOf[r]
-		if _, ok := idxOf[n]; !ok {
-			idxOf[n] = len(t.leaders)
+	for i, r := range t.byNode {
+		if i == 0 || nodeOf[t.byNode[i-1]] != nodeOf[r] {
 			t.leaders = append(t.leaders, r)
-			t.counts = append(t.counts, 0)
 		}
-		t.counts[idxOf[n]]++
 	}
-	myNode := t.nodeOf[c.rank]
-	for r := 0; r < size; r++ {
-		if t.nodeOf[r] == myNode {
-			t.local = append(t.local, r)
-		}
+	slices.Sort(t.leaders)
+	t.counts = make([]int, len(t.leaders))
+	for i, lead := range t.leaders {
+		t.counts[i] = len(t.local(lead))
 	}
 	t.multi = len(t.leaders) < size
 	t.contiguous = true
 	for i, lead := range t.leaders {
 		for r := lead; r < lead+t.counts[i]; r++ {
-			if r >= size || t.nodeOf[r] != t.nodeOf[lead] {
+			if r >= size || nodeOf[r] != nodeOf[lead] {
 				t.contiguous = false
 			}
 		}
 	}
 	return t
+}
+
+// local returns the comm ranks on rank's node, ascending: its run of
+// byNode, found by binary search.
+func (t *topo) local(rank int) []int {
+	n := t.nodeOf[rank]
+	lo := sort.Search(len(t.byNode), func(i int) bool { return t.nodeOf[t.byNode[i]] >= n })
+	hi := sort.Search(len(t.byNode), func(i int) bool { return t.nodeOf[t.byNode[i]] > n })
+	return t.byNode[lo:hi:hi]
 }
 
 // effLeaders returns the leader group for a rooted collective — one
@@ -89,12 +101,16 @@ func (t *topo) effLeaders(root int) (group []int, rootIdx int) {
 
 // localRoot returns the rank representing this rank's node in a collective
 // rooted at root: root itself on root's node, the node leader elsewhere.
-func (t *topo) localRoot(root int) int {
-	if t.nodeOf[root] == t.nodeOf[t.local[0]] {
+func (c *Comm) localRoot(root int) int {
+	if c.t.nodeOf[root] == c.t.nodeOf[c.loc[0]] {
 		return root
 	}
-	return t.local[0]
+	return c.loc[0]
 }
+
+// all is the whole communicator as a rank list, the flat algorithms' group:
+// a prefix of the world's identity list.
+func (c *Comm) all() []int { return c.w.ranks[:len(c.group)] }
 
 func groupIndex(group []int, rank int) int {
 	if rank < len(group) && group[rank] == rank { // the whole communicator: no scan
@@ -226,13 +242,13 @@ func (c *Comm) groupRing(group []int, me int, blk func(i int) Buffer, tag int) {
 
 func (c *Comm) hierBcast(buf Buffer, root int) {
 	rank := c.Rank()
-	localRoot := c.t.localRoot(root)
+	localRoot := c.localRoot(root)
 	if rank == localRoot {
 		leaders, rootIdx := c.t.effLeaders(root)
 		c.groupBcast(buf, leaders, rootIdx, tagHBcastInter)
 	}
-	if len(c.t.local) > 1 {
-		c.groupBcast(buf, c.t.local, groupIndex(c.t.local, localRoot), tagHBcastIntra)
+	if len(c.loc) > 1 {
+		c.groupBcast(buf, c.loc, groupIndex(c.loc, localRoot), tagHBcastIntra)
 	}
 }
 
@@ -240,14 +256,14 @@ func (c *Comm) hierBcast(buf Buffer, root int) {
 // table dispatches to it at and above the cutoff.
 func (c *Comm) hierReduce(send, recv Buffer, dt Datatype, op Op, root int) {
 	rank := c.Rank()
-	localRoot := c.t.localRoot(root)
+	localRoot := c.localRoot(root)
 
 	// Stage 1: combine the node's contributions at its representative.
 	part := Buffer{}
 	if rank == localRoot {
 		part = c.scratch(&c.scr.part, send.Len)
 	}
-	c.groupReduce(send, part, dt, op, c.t.local, groupIndex(c.t.local, localRoot), tagHReduceIntra)
+	c.groupReduce(send, part, dt, op, c.loc, groupIndex(c.loc, localRoot), tagHReduceIntra)
 
 	// Stage 2: combine node partials at root.
 	if rank == localRoot {
@@ -260,14 +276,14 @@ func (c *Comm) hierAllgather(send, recv Buffer) {
 	size, rank := c.Size(), c.Rank()
 	n := send.Len
 	t := c.t
-	lead := t.local[0]
+	lead := c.loc[0]
 
 	// Stage 1: the leader collects the node's blocks at their final
 	// offsets (node blocks are contiguous; dispatch checks that).
 	if rank == lead {
 		copy(c.Bytes(Slice(recv, rank*n, n)), c.Bytes(send))
 		reqs := c.scr.reqs[:0]
-		for _, r := range t.local {
+		for _, r := range c.loc {
 			if r == lead {
 				continue
 			}
@@ -289,24 +305,24 @@ func (c *Comm) hierAllgather(send, recv Buffer) {
 	// Stage 3: the leader shares the assembled result over shared memory.
 	// Only the n*size allgather region moves: recv may legally be larger,
 	// and bytes past the region must stay untouched.
-	if len(t.local) > 1 {
-		c.groupBcast(Slice(recv, 0, n*size), t.local, 0, tagHGatherDown)
+	if len(c.loc) > 1 {
+		c.groupBcast(Slice(recv, 0, n*size), c.loc, 0, tagHGatherDown)
 	}
 }
 
 func (c *Comm) hierBarrier() {
 	rank := c.Rank()
 	t := c.t
-	lead := t.local[0]
+	lead := c.loc[0]
 	token := c.scratch(&c.scr.token, 1)
 
 	// Stage 1: node fan-in to the leader.
 	if rank != lead {
 		c.Send2(token, lead, tagHBarrierUp)
-	} else if len(t.local) > 1 {
-		in := c.scratch(&c.scr.in, len(t.local)-1)
+	} else if len(c.loc) > 1 {
+		in := c.scratch(&c.scr.in, len(c.loc)-1)
 		reqs := c.scr.reqs[:0]
-		for i, r := range t.local {
+		for i, r := range c.loc {
 			if r == lead {
 				continue
 			}
@@ -321,7 +337,7 @@ func (c *Comm) hierBarrier() {
 	}
 
 	// Stage 3: node release.
-	if len(t.local) > 1 {
-		c.groupBcast(token, t.local, 0, tagHBarrierDown)
+	if len(c.loc) > 1 {
+		c.groupBcast(token, c.loc, 0, tagHBarrierDown)
 	}
 }

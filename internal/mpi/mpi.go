@@ -1,7 +1,9 @@
 package mpi
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"repro/internal/des"
 	"repro/internal/rdmachan"
@@ -37,23 +39,24 @@ type Status = transport.Status
 
 // Comm is a rank's handle on a communicator. Each MPI process is one
 // simulated process; all calls must come from it. The world communicator
-// comes from NewWithTuning; derived communicators from Dup and Split
-// (comm.go).
+// comes from World.Comm; derived communicators from Dup and Split
+// (comm.go). A handle owns only its context pair and scratch: its member
+// tables are read-only and shared, with the cluster's World for world and
+// its duplicates, with the parent for every duplicate.
 type Comm struct {
-	p      *des.Proc
-	eng    *transport.Engine // the rank's progress engine (its ADI3 device)
-	nodeOf []int32           // node id per world rank, shared cluster-wide
-	rdmaOK bool              // cluster-wide RDMA-direct capability
-	t      *topo
+	p   *des.Proc
+	eng *transport.Engine // the rank's progress engine (its ADI3 device)
+	w   *World            // the cluster's world tables, tuning and capability
+	t   *topo             // node placement over the members
+	loc []int             // the caller's node's members, ascending (a view into t)
 
 	group   []int32 // comm rank → world rank, comm rank order
-	ident   bool    // group is the identity map (world and dup-of-world)
-	inverse []int32 // world rank → comm rank; -1 outside the communicator
+	ident   bool    // group is the identity map (world and dups of it)
+	byWorld []int32 // comm ranks in ascending world-rank order, for local
 	rank    int     // the caller's rank in this communicator
 	pt2pt   int32   // point-to-point context id
 	coll    int32   // collective context id
 	nextCtx *int32  // process-local context allocator, shared by all comms
-	tuning  Tuning  // collective algorithm selection (algorithms.go)
 
 	scr    scratch // reusable per-comm collective scratch buffers
 	allocs int     // node-memory allocations, Alloc's and scratch's (scratch-reuse test hook)
@@ -61,22 +64,29 @@ type Comm struct {
 	direct *rdmaDirect // lazily built RDMA-direct exposure (rdmadirect.go)
 }
 
-// NewWithTuning binds a world communicator handle to a rank's engine and
-// process. nodeOf maps every world rank to its node; hierarchy-aware
-// collectives read it. rdmaDirect is the cluster-wide RDMA-direct
-// collective capability (rdmaDirectOK), which must be the same on every
-// rank. net labels the network model the default table keys on ("flat"
-// or a switchfab label). A nil tuning keeps the default topology/size
-// table; derived communicators inherit the tuning. A tuning that fails
-// Validate is a bug of the caller: cluster.New rejects one before any
-// rank runs.
-func NewWithTuning(p *des.Proc, eng *transport.Engine, nodeOf []int32, rdmaDirect bool,
-	net string, tuning *Tuning) *Comm {
-	group := make([]int32, eng.Size())
-	for r := range group {
-		group[r] = int32(r)
-	}
-	next := ctxFirstDerived
+// World is the world communicator's tables, built once per cluster and
+// read-only from then on, so every rank's world handle and every
+// communicator derived from one point into it instead of holding np-sized
+// copies: the identity group, the placement view (topo) and an identity
+// rank list whose prefixes are every communicator's flat-algorithm group.
+// It also carries what every communicator of the cluster inherits: the
+// RDMA-direct capability and the collective tuning.
+type World struct {
+	group  []int32 // 0, 1, …, np-1: world's group, and a sorted group's byWorld
+	ranks  []int   // 0, 1, …, np-1: its prefixes are the flat algorithms' groups
+	t      *topo
+	rdmaOK bool   // cluster-wide RDMA-direct capability (rdmaDirectOK)
+	tuning Tuning // collective algorithm selection (algorithms.go)
+}
+
+// NewWorld builds the world tables of a cluster whose rank r runs on node
+// nodeOf[r]; the World keeps nodeOf, which must not change afterwards.
+// rdmaDirect is the cluster-wide RDMA-direct collective capability
+// (rdmaDirectOK). net labels the network model the default table keys on
+// ("flat" or a switchfab label). A nil tuning keeps the default
+// topology/size table; derived communicators inherit the tuning. A tuning
+// that fails Validate is a bug of the caller: cluster.New rejects one first.
+func NewWorld(nodeOf []int32, rdmaDirect bool, net string, tuning *Tuning) *World {
 	var tun Tuning
 	if tuning != nil {
 		tun = *tuning
@@ -85,35 +95,53 @@ func NewWithTuning(p *des.Proc, eng *transport.Engine, nodeOf []int32, rdmaDirec
 		panic("mpi: Tuning." + err.Error())
 	}
 	tun.net = net
-	base := &Comm{p: p, eng: eng, nodeOf: nodeOf, rdmaOK: rdmaDirect,
-		nextCtx: &next, tuning: tun}
-	return base.derive(group, int(eng.Rank()), ctxP2P, ctxColl)
+	w := &World{group: make([]int32, len(nodeOf)), ranks: make([]int, len(nodeOf)),
+		rdmaOK: rdmaDirect, tuning: tun}
+	for r := range w.group {
+		w.group[r], w.ranks[r] = int32(r), r
+	}
+	w.t = newTopo(nodeOf, w.ranks)
+	return w
 }
 
-// derive assembles a communicator handle sharing c's process, engine,
-// placement, context allocator and tuning: membership, rank translation
-// maps, context pair, and the topology recomputed over the member set so
-// hierarchical algorithms work on any communicator, not just world.
+// Comm returns a world communicator handle for the rank eng serves, driven
+// by process p. The handle points into w; it allocates only itself.
+func (w *World) Comm(p *des.Proc, eng *transport.Engine) *Comm {
+	next := ctxFirstDerived
+	rank := int(eng.Rank())
+	return &Comm{p: p, eng: eng, w: w, t: w.t, loc: w.t.local(rank),
+		group: w.group, ident: true, rank: rank,
+		pt2pt: ctxP2P, coll: ctxColl, nextCtx: &next}
+}
+
+// derive assembles a handle on a new member set, sharing c's process,
+// engine, world and context allocator: membership, the world→comm
+// translation and the topology recomputed over the members, each sized by
+// them, so hierarchical algorithms work on any communicator, not just
+// world.
 func (c *Comm) derive(group []int32, rank int, pt2pt, coll int32) *Comm {
-	c = &Comm{
-		p: c.p, eng: c.eng, nodeOf: c.nodeOf, rdmaOK: c.rdmaOK,
-		group: group, rank: rank,
-		pt2pt: pt2pt, coll: coll,
-		nextCtx: c.nextCtx, tuning: c.tuning,
-	}
-	c.inverse = make([]int32, c.eng.Size())
-	for i := range c.inverse {
-		c.inverse[i] = -1
-	}
-	c.ident = true
+	d := &Comm{p: c.p, eng: c.eng, w: c.w, group: group, ident: true,
+		byWorld: c.w.group[:len(group)], rank: rank,
+		pt2pt: pt2pt, coll: coll, nextCtx: c.nextCtx}
+	sorted := true
 	for r, w := range group {
-		c.inverse[w] = int32(r)
-		if w != int32(r) {
-			c.ident = false
-		}
+		d.ident = d.ident && w == int32(r)
+		sorted = sorted && (r == 0 || group[r-1] < w)
 	}
-	c.t = buildTopo(c)
-	return c
+	if !sorted {
+		d.byWorld = make([]int32, len(group))
+		for r := range d.byWorld {
+			d.byWorld[r] = int32(r)
+		}
+		slices.SortFunc(d.byWorld, func(a, b int32) int { return cmp.Compare(group[a], group[b]) })
+	}
+	nodeOf := make([]int32, len(group))
+	for r, w := range group {
+		nodeOf[r] = c.w.t.nodeOf[w]
+	}
+	d.t = newTopo(nodeOf, c.w.ranks)
+	d.loc = d.t.local(rank)
+	return d
 }
 
 // Rank returns the caller's rank in this communicator.
@@ -135,8 +163,8 @@ func (c *Comm) world(rank int) int32 {
 		c.badRank(rank)
 	}
 	if c.ident {
-		// World (and duplicates of it) map ranks to themselves; skipping the
-		// table avoids touching np words of translation data per communicator.
+		// World (and duplicates and prefixes of it) map ranks to themselves;
+		// skipping the table avoids a load on every send and receive.
 		return int32(rank)
 	}
 	return c.group[rank]
@@ -150,11 +178,24 @@ func (c *Comm) badRank(rank int) {
 	panic(fmt.Sprintf("mpi: rank %d outside communicator of size %d", rank, len(c.group)))
 }
 
-// local rewrites a receive status into this communicator's rank space.
-// Send-request statuses carry no meaningful source and pass through.
+// local rewrites a receive status into this communicator's rank space by
+// a binary search of the members in world-rank order. Send-request
+// statuses carry no meaningful source and pass through.
 func (c *Comm) local(st Status) Status {
-	if st.Source >= 0 && int(st.Source) < len(c.inverse) && c.inverse[st.Source] >= 0 {
-		st.Source = c.inverse[st.Source]
+	if c.ident || st.Source < 0 {
+		return st
+	}
+	lo, hi := 0, len(c.byWorld)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if c.group[c.byWorld[m]] < st.Source {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	if lo < len(c.byWorld) && c.group[c.byWorld[lo]] == st.Source {
+		st.Source = c.byWorld[lo]
 	}
 	return st
 }
